@@ -7,7 +7,7 @@
 //! joining fresh threads on every call. Output order is preserved, so
 //! seeded campaigns stay deterministic regardless of thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
 mod pool;
@@ -18,32 +18,26 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator};
 }
 
-/// Process-wide width override installed by [`set_threads_override`] /
-/// [`with_threads`]; `0` means "no override".
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pin the pool width programmatically, taking precedence over
-/// `CARE_THREADS`. `None` removes the override. This is the race-free
-/// replacement for mutating the environment at runtime: the env variable
-/// is parsed once and cached, so `set_var` after startup has no effect.
-pub fn set_threads_override(threads: Option<usize>) {
-    THREADS_OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
+thread_local! {
+    /// Width override installed by [`with_threads`] on the calling thread;
+    /// `0` means "no override".
+    static THREADS_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Run `f` with the pool width pinned to `threads`, restoring the previous
-/// override afterwards (also on panic). Callers are serialized on a global
-/// lock so two `with_threads` scopes never observe each other's widths;
-/// the lock is poison-tolerant because a panicking scope still restores.
+/// Run `f` with the pool width pinned to `threads` for parallel work
+/// submitted from the calling thread, restoring the previous override
+/// afterwards (also on panic). The override is scoped to this thread, so
+/// concurrent scopes on other threads never observe each other's widths and
+/// it takes precedence over `CARE_THREADS` (the env variable is parsed once
+/// and cached, so `set_var` after startup has no effect).
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    static SCOPE: Mutex<()> = Mutex::new(());
-    let _guard = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREADS_OVERRIDE.store(self.0, Ordering::SeqCst);
+            THREADS_OVERRIDE.with(|o| o.set(self.0));
         }
     }
-    let _restore = Restore(THREADS_OVERRIDE.swap(threads.max(1), Ordering::SeqCst));
+    let _restore = Restore(THREADS_OVERRIDE.with(|o| o.replace(threads.max(1))));
     f()
 }
 
@@ -58,11 +52,11 @@ fn env_threads() -> Option<usize> {
     *ENV.get_or_init(|| std::env::var("CARE_THREADS").ok().and_then(|v| parse_threads(&v)))
 }
 
-/// Configured pool width: the programmatic override when set, else the
-/// `CARE_THREADS` environment override when it parses to a positive
-/// integer, otherwise the machine's available parallelism.
+/// Configured pool width: the calling thread's [`with_threads`] override
+/// when set, else the `CARE_THREADS` environment override when it parses to
+/// a positive integer, otherwise the machine's available parallelism.
 fn configured_threads() -> usize {
-    match THREADS_OVERRIDE.load(Ordering::SeqCst) {
+    match THREADS_OVERRIDE.with(Cell::get) {
         0 => env_threads().unwrap_or_else(|| {
             std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
         }),
@@ -74,11 +68,6 @@ fn configured_threads() -> usize {
 /// fans out to (before capping at the item count).
 pub fn current_num_threads() -> usize {
     configured_threads()
-}
-
-/// Number of worker threads to use for `n` items.
-fn worker_count(n: usize) -> usize {
-    configured_threads().min(n)
 }
 
 /// How many chunks each worker should see on average: enough slack for
@@ -102,7 +91,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    let threads = worker_count(n);
+    let threads = configured_threads().min(n);
     if threads <= 1 || pool::in_pool() {
         return items.into_iter().map(f).collect();
     }
@@ -322,6 +311,16 @@ mod tests {
     }
 
     #[test]
+    fn with_threads_is_invisible_to_other_threads() {
+        let before = crate::current_num_threads();
+        crate::with_threads(before + 3, || {
+            let seen = std::thread::scope(|s| s.spawn(crate::current_num_threads).join().unwrap());
+            assert_eq!(seen, before, "another thread observed this thread's override");
+            assert_eq!(crate::current_num_threads(), before + 3);
+        });
+    }
+
+    #[test]
     fn pool_workers_persist_across_batches() {
         crate::with_threads(4, || {
             for _ in 0..20 {
@@ -352,16 +351,16 @@ mod tests {
 
     #[test]
     fn concurrent_callers_serialize_without_corruption() {
-        crate::with_threads(3, || {
-            std::thread::scope(|scope| {
-                for t in 0..4usize {
-                    scope.spawn(move || {
-                        let out: Vec<usize> =
-                            (0..300usize).into_par_iter().map(|i| i + t).collect();
-                        assert_eq!(out, (0..300).map(|i| i + t).collect::<Vec<_>>());
+        // The override is per thread: each caller pins its own width.
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                scope.spawn(move || {
+                    let out: Vec<usize> = crate::with_threads(3, || {
+                        (0..300usize).into_par_iter().map(|i| i + t).collect()
                     });
-                }
-            });
+                    assert_eq!(out, (0..300).map(|i| i + t).collect::<Vec<_>>());
+                });
+            }
         });
     }
 

@@ -141,63 +141,36 @@ fn bench_campaign(c: &mut Criterion) {
 }
 
 fn bench_campaign_throughput(c: &mut Criterion) {
-    use faultsim::Scheduler;
     let mut g = c.benchmark_group("campaign_throughput");
     for w in [workloads::hpccg::default(), workloads::gtcp::default()] {
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        // Same seed and injection set under both schedulers: the delta is
-        // pure scheduling (shared cursor pass vs per-injection prefixes).
-        for (label, scheduler) in [
-            ("trellis", Scheduler::Trellis),
-            ("per_injection", Scheduler::PerInjection),
-        ] {
-            let cfg = CampaignConfig {
-                injections: 50,
-                evaluate_care: true,
-                app_only: true,
-                seed: 7,
-                scheduler,
-                ..CampaignConfig::default()
-            };
-            g.bench_function(format!("{label}/{}", w.name), |b| {
-                b.iter(|| campaign.run(&cfg))
-            });
-        }
-        // The compiled direct-threaded backend on the same injection set:
-        // the delta vs `trellis/*` above is pure execution-engine speedup
-        // (records are bit-identical; see tests/golden.rs).
         let cfg = CampaignConfig {
             injections: 50,
             evaluate_care: true,
             app_only: true,
             seed: 7,
-            scheduler: Scheduler::Trellis,
-            engine: faultsim::EngineKind::Compiled,
             ..CampaignConfig::default()
         };
+        g.bench_function(format!("trellis/{}", w.name), |b| b.iter(|| campaign.run(&cfg)));
+        // The compiled direct-threaded backend on the same injection set:
+        // the delta vs `trellis/*` above is pure execution-engine speedup
+        // (records are bit-identical; see tests/golden.rs).
+        let compiled = CampaignConfig { engine: faultsim::EngineKind::Compiled, ..cfg };
         g.bench_function(format!("compiled/{}", w.name), |b| {
-            b.iter(|| campaign.run(&cfg))
+            b.iter(|| campaign.run(&compiled))
         });
         // The observability claim: a live telemetry recorder must cost ≤2%
         // on end-to-end campaign throughput (compare against trellis above;
         // the NoTelemetry path above is the 0%-regression baseline).
-        let cfg = CampaignConfig {
-            injections: 50,
-            evaluate_care: true,
-            app_only: true,
-            seed: 7,
-            scheduler: Scheduler::Trellis,
-            ..CampaignConfig::default()
-        };
         let rec = telemetry::Recorder::new();
         g.bench_function(format!("trellis_telemetry/{}", w.name), |b| {
             b.iter(|| campaign.run_with_hooks(&cfg, &rec))
         });
     }
     // Raw interpreter throughput: one full hook-free (fast-loop) run from a
-    // snapshot-forked started process — the per-injection inner cost every
-    // campaign number above decomposes into. Cloning the template is the
+    // snapshot-forked started process — the inner cost every campaign
+    // number above decomposes into. Cloning the template is the
     // same CoW fork the engine does, so setup per iteration is O(pages).
     for w in [workloads::hpccg::default(), workloads::gtcp::default()] {
         let app = care::compile(&w.module, OptLevel::O1);

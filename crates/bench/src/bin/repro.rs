@@ -12,8 +12,8 @@
 //! repro serve  [--addr HOST:PORT] [--budget-cap N] [--max-queue N]
 //!              [--store DIR]
 //! repro submit [--addr HOST:PORT] [--workload NAME] [--params A,B,..]
-//!              [--injections N] [--seed S] [--engine E] [--scheduler S]
-//!              [--opt O0|O1] [--job-threads N] [--stats]
+//!              [--injections N] [--seed S] [--engine E] [--opt O0|O1]
+//!              [--job-threads N] [--stats]
 //!              [--bench [--clients C] [--jobs J]]
 //! repro triage [--store DIR]
 //! ```
@@ -48,8 +48,7 @@
 //! JSONL. Telemetry never changes campaign results — only observes them.
 
 use bench::{
-    coverage_campaign_stored, coverage_campaign_traced, decline_rows,
-    manifestation_campaign_stored, manifestation_campaign_traced, pct, prepare,
+    coverage_cfg, decline_rows, manifestation_cfg, pct, prepare, run_campaign,
     section2_workloads, section5_workloads, PreparedWorkload, Table, BENCH_SCHEMA_VERSION,
 };
 use carestore::Store;
@@ -58,7 +57,7 @@ use cluster::{simulate_fault_free, simulate_faulty, simulate_faulty_traced, Clus
 use faultsim::{CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 use std::collections::HashMap;
-use telemetry::{Hooks, NoTelemetry, Recorder};
+use telemetry::Recorder;
 
 struct Args {
     injections: usize,
@@ -125,7 +124,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: repro [--injections N] [--seed S] [--threads N[,N,...]] [--engine interp|compiled] [--telemetry OUT.jsonl] [--store DIR | --resume] [table2|table3|table4|table5|table8|table9|table10|table11|fig7|fig9|fig10|fig12|declines|bench-json|all]...\n       \
                      repro serve  [--addr HOST:PORT] [--budget-cap N] [--max-queue N] [--store DIR]\n       \
-                     repro submit [--addr HOST:PORT] [--workload NAME] [--params A,B,..] [--injections N] [--seed S] [--engine E] [--scheduler S] [--opt O0|O1] [--job-threads N] [--stats] [--bench [--clients C] [--jobs J]]\n       \
+                     repro submit [--addr HOST:PORT] [--workload NAME] [--params A,B,..] [--injections N] [--seed S] [--engine E] [--opt O0|O1] [--job-threads N] [--stats] [--bench [--clients C] [--jobs J]]\n       \
                      repro triage [--store DIR]"
                 );
                 std::process::exit(0);
@@ -160,92 +159,29 @@ fn parse_args() -> Args {
     Args { injections, seed, threads, telemetry, engine, store, experiments }
 }
 
-/// §2-style campaign, routed through the global recorder when telemetry is
-/// on and through the content-addressed store when `--store` is given. The
-/// `(None, None)` arm monomorphizes with [`NoTelemetry`] — the same code the
-/// untraced binary always ran. A store I/O failure falls back to the
-/// unbacked run: persistence degrades, results do not.
-fn run_manifest(
+/// [`run_campaign`] plus one stderr line per store-backed run (how much of
+/// it was warm): routed through the global recorder when telemetry is on
+/// and through the content-addressed store when `--store` is given.
+fn run_reported(
     p: &PreparedWorkload,
-    inj: usize,
-    model: FaultModel,
-    seed: u64,
-    engine: EngineKind,
+    cfg: &CampaignConfig,
     rec: Option<&Recorder>,
     store: Option<&Store>,
 ) -> CampaignReport {
-    fn go<H: Hooks>(
-        p: &PreparedWorkload,
-        inj: usize,
-        model: FaultModel,
-        seed: u64,
-        engine: EngineKind,
-        hooks: &H,
-        store: Option<&Store>,
-    ) -> CampaignReport {
-        if let Some(s) = store {
-            match manifestation_campaign_stored(s, p, inj, model, seed, engine, hooks) {
-                Ok(run) => {
-                    report_store_run(p.name, inj, &run.stats);
-                    return run.report;
-                }
-                Err(e) => eprintln!("[repro] store error for {} ({e}); running unbacked", p.name),
-            }
-        }
-        manifestation_campaign_traced(p, inj, model, seed, engine, hooks)
+    let (report, stats) = run_campaign(p, cfg, rec, store);
+    if let Some(stats) = stats {
+        eprintln!(
+            "[repro]   {}: store reused {} records, skipped {} known-benign, \
+             executed {} residual ({:.0}% of {})",
+            p.name,
+            stats.hits,
+            stats.known_skips,
+            stats.misses,
+            100.0 * stats.residual_fraction(cfg.injections),
+            cfg.injections,
+        );
     }
-    match rec {
-        Some(r) => go(p, inj, model, seed, engine, r, store),
-        None => go(p, inj, model, seed, engine, &NoTelemetry, store),
-    }
-}
-
-/// §5-style campaign, routed like [`run_manifest`].
-fn run_coverage(
-    p: &PreparedWorkload,
-    inj: usize,
-    model: FaultModel,
-    seed: u64,
-    engine: EngineKind,
-    rec: Option<&Recorder>,
-    store: Option<&Store>,
-) -> CampaignReport {
-    fn go<H: Hooks>(
-        p: &PreparedWorkload,
-        inj: usize,
-        model: FaultModel,
-        seed: u64,
-        engine: EngineKind,
-        hooks: &H,
-        store: Option<&Store>,
-    ) -> CampaignReport {
-        if let Some(s) = store {
-            match coverage_campaign_stored(s, p, inj, model, seed, engine, hooks) {
-                Ok(run) => {
-                    report_store_run(p.name, inj, &run.stats);
-                    return run.report;
-                }
-                Err(e) => eprintln!("[repro] store error for {} ({e}); running unbacked", p.name),
-            }
-        }
-        coverage_campaign_traced(p, inj, model, seed, engine, hooks)
-    }
-    match rec {
-        Some(r) => go(p, inj, model, seed, engine, r, store),
-        None => go(p, inj, model, seed, engine, &NoTelemetry, store),
-    }
-}
-
-/// One stderr line per store-backed campaign: how much of it was warm.
-fn report_store_run(name: &str, requested: usize, stats: &carestore::StoreStats) {
-    eprintln!(
-        "[repro]   {name}: store reused {} records, skipped {} known-benign, \
-         executed {} residual ({:.0}% of {requested})",
-        stats.hits,
-        stats.known_skips,
-        stats.misses,
-        100.0 * stats.residual_fraction(requested),
-    );
+    report
 }
 
 /// `repro bench-json`: time end-to-end CARE coverage campaigns on the full
@@ -294,20 +230,14 @@ fn bench_json(injections: usize, seed: u64, cli_threads: &[usize]) {
     let (mut all_prep_sum, mut all_prep_count) = (0u64, 0u64);
     let (mut all_acc, mut all_miss) = (0u64, 0u64);
     for (ti, &threads) in sweep.iter().enumerate() {
-        rayon::set_threads_override(Some(threads));
         for p in &prepared {
             let mut interp_ips = 0.0f64;
             for engine in [EngineKind::Interp, EngineKind::Compiled] {
                 let rec = Recorder::new();
                 let t0 = Instant::now();
-                let r = coverage_campaign_traced(
-                    p,
-                    injections,
-                    FaultModel::SingleBit,
-                    seed,
-                    engine,
-                    &rec,
-                );
+                let cfg = coverage_cfg(injections, FaultModel::SingleBit, seed, engine);
+                let (r, _) =
+                    rayon::with_threads(threads, || run_campaign(p, &cfg, Some(&rec), None));
                 let wall_s = t0.elapsed().as_secs_f64();
                 let tel = rec.drain();
                 let ctr = |n: &str| tel.counters.get(n).copied().unwrap_or(0);
@@ -434,9 +364,6 @@ fn bench_json(injections: usize, seed: u64, cli_threads: &[usize]) {
             }
         }
     }
-    // Restore the CLI-level override (bench-json may not be the only
-    // experiment in the invocation).
-    rayon::set_threads_override(cli_threads.first().copied());
     let suite_prep = if all_prep_count == 0 {
         0.0
     } else {
@@ -483,26 +410,22 @@ fn bench_json(injections: usize, seed: u64, cli_threads: &[usize]) {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).expect("open bench store");
         eprintln!("[repro] timing warm-vs-cold store runs on {}...", p.name);
+        let cfg = coverage_cfg(injections, FaultModel::SingleBit, seed, EngineKind::Interp);
         let t0 = Instant::now();
-        let cold = coverage_campaign_stored(
-            &store, p, injections, FaultModel::SingleBit, seed, EngineKind::Interp, &NoTelemetry,
-        )
-        .expect("cold store run");
+        let (cold_report, cold) = run_campaign(p, &cfg, None, Some(&store));
         let cold_s = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let warm = coverage_campaign_stored(
-            &store, p, injections, FaultModel::SingleBit, seed, EngineKind::Interp, &NoTelemetry,
-        )
-        .expect("warm store run");
+        let (warm_report, warm) = run_campaign(p, &cfg, None, Some(&store));
         let warm_s = t1.elapsed().as_secs_f64();
-        let identical = warm.report == cold.report;
+        let (cold, warm) = (cold.expect("cold store run"), warm.expect("warm store run"));
+        let identical = warm_report == cold_report;
         assert!(identical, "warm store run must reproduce the cold report bit-identically");
         eprintln!(
             "[repro]   cold {cold_s:.3}s ({} residual), warm {warm_s:.3}s ({} residual, \
              {} hits) = {:.1}x",
-            cold.stats.misses,
-            warm.stats.misses,
-            warm.stats.hits,
+            cold.misses,
+            warm.misses,
+            warm.hits,
             cold_s / warm_s.max(1e-9),
         );
         let run_obj = |stats: &carestore::StoreStats, wall: f64| {
@@ -520,8 +443,8 @@ fn bench_json(injections: usize, seed: u64, cli_threads: &[usize]) {
              \"cold\": {},\n    \"warm\": {},\n    \
              \"warm_speedup\": {:.2},\n    \"reports_identical\": {identical}\n  }}",
             p.name,
-            run_obj(&cold.stats, cold_s),
-            run_obj(&warm.stats, warm_s),
+            run_obj(&cold, cold_s),
+            run_obj(&warm, warm_s),
             cold_s / warm_s.max(1e-9),
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -531,7 +454,7 @@ fn bench_json(injections: usize, seed: u64, cli_threads: &[usize]) {
     let json = format!(
         "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \
          \"campaign\": \"coverage (evaluate_care, app_only)\",\n  \
-         \"scheduler\": \"trellis\",\n  \"seed\": {seed},\n  \
+         \"seed\": {seed},\n  \
          \"threads\": [{threads_json}],\n  \"host_cpus\": {host_cpus},\n  \
          \"telemetry\": {{\n    \
          \"schema_version\": {},\n    \"recovery_activations\": {all_act},\n    \
@@ -619,12 +542,6 @@ fn parse_serve_args(args: &[String]) -> ServeArgs {
             "--engine" => {
                 out.spec.engine =
                     it.next().and_then(|v| v.parse().ok()).expect("--engine interp|compiled");
-            }
-            "--scheduler" => {
-                out.spec.scheduler = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scheduler trellis|per-injection");
             }
             "--opt" => match it.next().map(String::as_str) {
                 Some("O0") | Some("o0") => out.spec.opt = OptLevel::O0,
@@ -999,13 +916,17 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    if let Some(&t) = args.threads.first() {
-        // Pin the pool width through the race-free programmatic override
-        // (the CARE_THREADS env var is parsed once at startup, so mutating
-        // it here would be ignored). Table/figure experiments run at the
-        // first listed count; `bench-json` sweeps the whole list itself.
-        rayon::set_threads_override(Some(t));
+    // Pin the pool width for the whole invocation (the CARE_THREADS env var
+    // is parsed once at startup, so mutating it here would be ignored).
+    // Table/figure experiments run at the first listed count; `bench-json`
+    // sweeps the whole list itself in nested scopes.
+    match args.threads.first() {
+        Some(&t) => rayon::with_threads(t, || run_experiments(&args)),
+        None => run_experiments(&args),
     }
+}
+
+fn run_experiments(args: &Args) {
     let want = |name: &str| {
         args.experiments.iter().any(|e| e == name || e == "all")
     };
@@ -1042,9 +963,8 @@ fn main() {
                     .iter()
                     .map(|w| {
                         let p = prepare(w, OptLevel::O0);
-                        let r = run_manifest(
-                            &p, inj, FaultModel::SingleBit, seed, args.engine, rec, store,
-                        );
+                        let cfg = manifestation_cfg(inj, FaultModel::SingleBit, seed, args.engine);
+                        let r = run_reported(&p, &cfg, rec, store);
                         (p, r)
                     })
                     .collect(),
@@ -1171,9 +1091,8 @@ fn main() {
             for w in section5_workloads() {
                 for level in [OptLevel::O0, OptLevel::O1] {
                     let p = prepare(&w, level);
-                    let r = run_coverage(
-                        &p, inj, FaultModel::SingleBit, seed, args.engine, rec, store,
-                    );
+                    let cfg = coverage_cfg(inj, FaultModel::SingleBit, seed, args.engine);
+                    let r = run_reported(&p, &cfg, rec, store);
                     all.push((w.name.to_string(), level.to_string(), r));
                 }
             }
@@ -1355,9 +1274,8 @@ fn main() {
                     .iter()
                     .map(|w| {
                         let p = prepare(w, OptLevel::O0);
-                        let r = run_manifest(
-                            &p, inj, FaultModel::DoubleBit, seed, args.engine, rec, store,
-                        );
+                        let cfg = manifestation_cfg(inj, FaultModel::DoubleBit, seed, args.engine);
+                        let r = run_reported(&p, &cfg, rec, store);
                         (p.name.to_string(), r)
                     })
                     .collect(),
@@ -1411,10 +1329,9 @@ fn main() {
         for w in section5_workloads() {
             for level in [OptLevel::O0, OptLevel::O1] {
                 let p = prepare(&w, level);
-                let r = run_coverage(
-                    &p, args.injections, FaultModel::DoubleBit, args.seed, args.engine, rec,
-                    store,
-                );
+                let cfg =
+                    coverage_cfg(args.injections, FaultModel::DoubleBit, args.seed, args.engine);
+                let r = run_reported(&p, &cfg, rec, store);
                 t.row(vec![
                     w.name.to_string(),
                     level.to_string(),

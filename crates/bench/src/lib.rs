@@ -9,7 +9,7 @@
 use care::CompiledApp;
 use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
-use telemetry::{Hooks, NoTelemetry};
+use telemetry::{Hooks, NoTelemetry, Recorder};
 use workloads::Workload;
 
 /// Schema version of `BENCH_campaign.json` (bumped whenever its shape
@@ -38,7 +38,9 @@ use workloads::Workload;
 ///   a fresh content-addressed `carestore` store and immediately re-run
 ///   warm. Reports record hits, misses (the residual actually executed),
 ///   known skips, the residual fraction of each run, both wall times and
-///   the measured warm-vs-cold speedup.
+///   the measured warm-vs-cold speedup. (The constant top-level
+///   `"scheduler": "trellis"` key was later dropped without a bump: the
+///   trellis is the only campaign path and no reader consumed the key.)
 pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// Rows of a formatted text table.
@@ -125,130 +127,64 @@ pub fn prepare(workload: &Workload, level: OptLevel) -> PreparedWorkload {
     PreparedWorkload { name: workload.name, app, campaign, key }
 }
 
-/// The §2-style campaign (whole program, no CARE evaluation).
-pub fn manifestation_campaign(
-    prepared: &PreparedWorkload,
-    injections: usize,
-    model: FaultModel,
-    seed: u64,
-) -> CampaignReport {
-    manifestation_campaign_traced(prepared, injections, model, seed, EngineKind::Interp, &NoTelemetry)
-}
-
-/// [`manifestation_campaign`] with an execution backend and a telemetry hook
-/// sink. With [`NoTelemetry`] this monomorphizes to exactly the plain campaign.
-pub fn manifestation_campaign_traced<H: Hooks>(
-    prepared: &PreparedWorkload,
+/// The §2-style campaign config (whole program, no CARE evaluation).
+pub fn manifestation_cfg(
     injections: usize,
     model: FaultModel,
     seed: u64,
     engine: EngineKind,
-    hooks: &H,
-) -> CampaignReport {
-    prepared.campaign.run_with_hooks(
-        &CampaignConfig {
-            injections,
-            model,
-            seed,
-            evaluate_care: false,
-            app_only: false,
-            engine,
-            ..CampaignConfig::default()
-        },
-        hooks,
-    )
+) -> CampaignConfig {
+    CampaignConfig { injections, model, seed, engine, ..CampaignConfig::default() }
 }
 
-/// The §5-style campaign (application code only, CARE evaluated on every
-/// SIGSEGV injection).
-pub fn coverage_campaign(
-    prepared: &PreparedWorkload,
-    injections: usize,
-    model: FaultModel,
-    seed: u64,
-) -> CampaignReport {
-    coverage_campaign_traced(prepared, injections, model, seed, EngineKind::Interp, &NoTelemetry)
-}
-
-/// [`coverage_campaign`] with an execution backend and a telemetry hook sink.
-pub fn coverage_campaign_traced<H: Hooks>(
-    prepared: &PreparedWorkload,
+/// The §5-style campaign config (application code only, CARE evaluated on
+/// every SIGSEGV injection).
+pub fn coverage_cfg(
     injections: usize,
     model: FaultModel,
     seed: u64,
     engine: EngineKind,
-    hooks: &H,
-) -> CampaignReport {
-    prepared.campaign.run_with_hooks(
-        &CampaignConfig {
-            injections,
-            model,
-            seed,
-            evaluate_care: true,
-            app_only: true,
-            engine,
-            ..CampaignConfig::default()
-        },
-        hooks,
-    )
+) -> CampaignConfig {
+    CampaignConfig {
+        evaluate_care: true,
+        app_only: true,
+        ..manifestation_cfg(injections, model, seed, engine)
+    }
 }
 
-/// [`manifestation_campaign_traced`] routed through a content-addressed
-/// store: records already present in the store's log are reused and only
-/// the residual injections execute. The returned report is bit-identical
-/// to a fresh full run at the same configuration.
-pub fn manifestation_campaign_stored<H: Hooks>(
-    store: &carestore::Store,
+/// Run `cfg` on a prepared workload — the one campaign entry point of the
+/// harness. A `recorder` attaches telemetry hooks (without one this
+/// monomorphizes with [`NoTelemetry`] to exactly the plain campaign). A
+/// `store` routes the run through the content-addressed record store:
+/// records already in its log are reused, only the residual injections
+/// execute, and the report is bit-identical to a fresh full run; the store's
+/// hit/miss accounting comes back alongside. A store I/O failure falls back
+/// to the unbacked run (`None` stats): persistence degrades, results do not.
+pub fn run_campaign(
     prepared: &PreparedWorkload,
-    injections: usize,
-    model: FaultModel,
-    seed: u64,
-    engine: EngineKind,
-    hooks: &H,
-) -> std::io::Result<carestore::StoreRun> {
-    store.run_campaign(
-        &prepared.key,
-        &prepared.campaign,
-        &CampaignConfig {
-            injections,
-            model,
-            seed,
-            evaluate_care: false,
-            app_only: false,
-            engine,
-            ..CampaignConfig::default()
-        },
-        hooks,
-        &faultsim::JobControl::new(),
-    )
-}
-
-/// [`coverage_campaign_traced`] routed through a content-addressed store
-/// (see [`manifestation_campaign_stored`]).
-pub fn coverage_campaign_stored<H: Hooks>(
-    store: &carestore::Store,
-    prepared: &PreparedWorkload,
-    injections: usize,
-    model: FaultModel,
-    seed: u64,
-    engine: EngineKind,
-    hooks: &H,
-) -> std::io::Result<carestore::StoreRun> {
-    store.run_campaign(
-        &prepared.key,
-        &prepared.campaign,
-        &CampaignConfig {
-            injections,
-            model,
-            seed,
-            evaluate_care: true,
-            app_only: true,
-            engine,
-            ..CampaignConfig::default()
-        },
-        hooks,
-        &faultsim::JobControl::new(),
-    )
+    cfg: &CampaignConfig,
+    recorder: Option<&Recorder>,
+    store: Option<&carestore::Store>,
+) -> (CampaignReport, Option<carestore::StoreStats>) {
+    fn go<H: Hooks>(
+        p: &PreparedWorkload,
+        cfg: &CampaignConfig,
+        hooks: &H,
+        store: Option<&carestore::Store>,
+    ) -> (CampaignReport, Option<carestore::StoreStats>) {
+        if let Some(s) = store {
+            let ctl = faultsim::JobControl::new();
+            match s.run_campaign(&p.key, &p.campaign, cfg, hooks, &ctl) {
+                Ok(run) => return (run.report, Some(run.stats)),
+                Err(e) => eprintln!("[bench] store error for {} ({e}); running unbacked", p.name),
+            }
+        }
+        (p.campaign.run_with_hooks(cfg, hooks), None)
+    }
+    match recorder {
+        Some(r) => go(prepared, cfg, r, store),
+        None => go(prepared, cfg, &NoTelemetry, store),
+    }
 }
 
 /// Decline-reason histogram of a campaign as deterministically-ordered
@@ -301,8 +237,10 @@ mod tests {
     fn prepare_yields_runnable_campaign() {
         let w = workloads::hpccg::build(3, 2);
         let p = prepare(&w, OptLevel::O0);
-        let r = manifestation_campaign(&p, 10, FaultModel::SingleBit, 1);
+        let cfg = manifestation_cfg(10, FaultModel::SingleBit, 1, EngineKind::Interp);
+        let (r, stats) = run_campaign(&p, &cfg, None, None);
         assert!(r.total() >= 8);
+        assert!(stats.is_none(), "no store, no store stats");
     }
 
     #[test]
@@ -315,19 +253,13 @@ mod tests {
         let store = carestore::Store::open(&dir).expect("open store");
         let w = workloads::hpccg::build(3, 2);
         let p = prepare(&w, OptLevel::O0);
-        let cold = coverage_campaign_stored(
-            &store, &p, 12, FaultModel::SingleBit, 7, EngineKind::Interp, &NoTelemetry,
-        )
-        .expect("cold run");
-        let warm = coverage_campaign_stored(
-            &store, &p, 12, FaultModel::SingleBit, 7, EngineKind::Interp, &NoTelemetry,
-        )
-        .expect("warm run");
-        assert_eq!(cold.stats.misses, 12);
-        assert_eq!(cold.stats.hits, 0);
-        assert_eq!(warm.stats.misses, 0);
-        assert_eq!(warm.stats.hits, 12);
-        assert_eq!(warm.report, cold.report);
+        let cfg = coverage_cfg(12, FaultModel::SingleBit, 7, EngineKind::Interp);
+        let (cold_report, cold) = run_campaign(&p, &cfg, None, Some(&store));
+        let (warm_report, warm) = run_campaign(&p, &cfg, None, Some(&store));
+        let (cold, warm) = (cold.expect("cold run stored"), warm.expect("warm run stored"));
+        assert_eq!((cold.misses, cold.hits), (12, 0));
+        assert_eq!((warm.misses, warm.hits), (0, 12));
+        assert_eq!(warm_report, cold_report);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

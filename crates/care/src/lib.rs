@@ -52,8 +52,7 @@ pub mod prelude {
     pub use armor::{ArmorOutput, ArmorStats, RecoveryTable};
     pub use opt::OptLevel;
     pub use safeguard::{
-        run_protected, run_protected_with_hooks, DeclineReason, ProtectedExit, RecoveryOutcome,
-        Safeguard,
+        run_protected, DeclineReason, ProtectedExit, RecoveryOutcome, Safeguard,
     };
     pub use simx::{ModuleId, Process, RunExit, Trap, TrapKind};
     pub use telemetry::{Hooks, NoTelemetry, Recorder};

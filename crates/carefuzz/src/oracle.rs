@@ -10,8 +10,9 @@
 //!    exit state, step/trap accounting and all output globals must match.
 //! 3. **OptLevels** — the `opt` pipeline must preserve semantics: IR interp
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
-//! 4. **Trellis** — the snapshot-trellis campaign scheduler is record-level
-//!    identical to the per-injection engine on the same seed.
+//! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
+//!    to the per-index reference (`Campaign::run_one` for every index) on
+//!    the same seed.
 //! 5. **Kernel** — the paper §4 claim: every Armor recovery kernel, executed
 //!    inline at its protected access during a fault-free run, recomputes
 //!    exactly the address the access is about to use.
@@ -27,7 +28,7 @@ use crate::spec::{build, ProgramSpec};
 use analysis::{Cfg, Liveness};
 use armor::{run_armor, ArmorOutput, ParamSpec, RecoveryKey};
 use care::{BuildStats, CompiledApp};
-use faultsim::{Campaign, CampaignConfig, Scheduler};
+use faultsim::{Campaign, CampaignConfig, InjectionRecord};
 use opt::OptLevel;
 use simx::{compile_module, BreakSet, MachineModule, Process, RunExit};
 use std::collections::HashMap;
@@ -49,7 +50,7 @@ pub enum Pair {
     FastSlow,
     /// Unoptimized vs `opt`-pipeline execution (interp + machine, O0 + O1).
     OptLevels,
-    /// Trellis vs per-injection campaign records.
+    /// Trellis vs per-index `run_one` campaign records.
     Trellis,
     /// Armor kernel address vs fault-free ground truth.
     Kernel,
@@ -446,19 +447,17 @@ fn trellis_check(
         seed: salt.wrapping_mul(0x9E37_79B9).wrapping_add(arg),
         ..CampaignConfig::default()
     };
-    let trellis = campaign.run(&CampaignConfig { scheduler: Scheduler::Trellis, ..cfg });
-    let legacy = campaign.run(&CampaignConfig { scheduler: Scheduler::PerInjection, ..cfg });
-    if trellis.records != legacy.records {
+    let trellis = campaign.run(&cfg).records;
+    let reference: Vec<InjectionRecord> =
+        (0..cfg.injections).filter_map(|i| campaign.run_one(&cfg, i)).collect();
+    if trellis != reference {
         let detail = trellis
-            .records
             .iter()
-            .zip(legacy.records.iter())
+            .zip(reference.iter())
             .enumerate()
             .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("injection {i}: trellis {a:?} vs per-injection {b:?}"))
-            .unwrap_or_else(|| {
-                format!("{} vs {} records", trellis.records.len(), legacy.records.len())
-            });
+            .map(|(i, (a, b))| format!("injection {i}: trellis {a:?} vs run_one {b:?}"))
+            .unwrap_or_else(|| format!("{} vs {} records", trellis.len(), reference.len()));
         return Some(Divergence { pair: Pair::Trellis, arg, detail });
     }
     None

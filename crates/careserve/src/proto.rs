@@ -15,9 +15,9 @@
 //! 2⁵³ would silently lose bits through a naive round-trip. The protocol
 //! therefore encodes `u64` values via [`push_u64`]: plain JSON numbers
 //! while exactly representable, decimal *strings* beyond that; the dual
-//! decoder [`get_u64`] accepts both. `f64` payloads (modelled recovery
-//! times) are safe as-is: the emitter's shortest-round-trip rendering
-//! parses back to identical bits.
+//! decoder [`json_u64`] accepts both (and nothing a cast would mangle).
+//! `f64` payloads (modelled recovery times) are safe as-is: the emitter's
+//! shortest-round-trip rendering parses back to identical bits.
 //!
 //! The `u64` convention and the whole [`InjectionRecord`] field codec
 //! live in [`carestore::record`] and are shared verbatim with the store's
@@ -37,7 +37,7 @@ use carestore::record::{
     parse_decline, push_field_bool, push_field_str, push_field_u64, push_record_fields,
     record_from_json,
 };
-use faultsim::{CampaignReport, FaultModel, InjectionRecord, Scheduler};
+use faultsim::{CampaignConfig, CampaignReport, FaultModel, InjectionRecord};
 use opt::OptLevel;
 use safeguard::DeclineKind;
 use simx::EngineKind;
@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use telemetry::{parse_json, push_json_f64, push_json_str, Json};
 use workloads::Workload;
 
-pub use carestore::record::{get_u64, push_u64};
+pub use carestore::record::{get_u64, json_u64, push_u64};
 
 /// Wire-protocol version. Mismatches are rejected with
 /// [`RejectReason::UnsupportedProto`], never guessed at.
@@ -181,8 +181,6 @@ pub struct JobSpec {
     pub model: FaultModel,
     /// Execution backend.
     pub engine: EngineKind,
-    /// Campaign scheduler.
-    pub scheduler: Scheduler,
     /// Optimisation level for the compile.
     pub opt: OptLevel,
     /// Admission weight in pool threads (0 = whole pool). The job itself
@@ -207,7 +205,6 @@ impl Default for JobSpec {
             injections: 40,
             model: FaultModel::SingleBit,
             engine: EngineKind::Interp,
-            scheduler: Scheduler::Trellis,
             opt: OptLevel::O1,
             threads: 0,
             evaluate_care: true,
@@ -215,13 +212,6 @@ impl Default for JobSpec {
             records: true,
             telemetry: false,
         }
-    }
-}
-
-fn opt_name(o: OptLevel) -> &'static str {
-    match o {
-        OptLevel::O0 => "O0",
-        OptLevel::O1 => "O1",
     }
 }
 
@@ -278,8 +268,7 @@ impl JobSpec {
         push_field_u64(&mut s, "injections", self.injections as u64);
         push_field_str(&mut s, "model", self.model.name());
         push_field_str(&mut s, "engine", self.engine.name());
-        push_field_str(&mut s, "scheduler", self.scheduler.name());
-        push_field_str(&mut s, "opt", opt_name(self.opt));
+        push_field_str(&mut s, "opt", &self.opt.to_string());
         push_field_u64(&mut s, "threads", self.threads as u64);
         push_field_bool(&mut s, "evaluate_care", self.evaluate_care);
         push_field_bool(&mut s, "app_only", self.app_only);
@@ -291,6 +280,7 @@ impl JobSpec {
 
     /// Decode and validate a parsed `job` frame. The error pairs the
     /// typed reason with human-readable detail for the `reject` frame.
+    /// Unknown keys are ignored (older clients still send `"scheduler"`).
     pub fn from_json(v: &Json) -> Result<JobSpec, (RejectReason, String)> {
         let bad = |msg: &str| (RejectReason::BadFrame, msg.to_string());
         let spec = |msg: String| (RejectReason::BadSpec, msg);
@@ -317,11 +307,7 @@ impl JobSpec {
             let args = match v.get("args") {
                 Some(Json::Arr(items)) => items
                     .iter()
-                    .map(|a| match a {
-                        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                        Json::Str(s) => s.parse().ok(),
-                        _ => None,
-                    })
+                    .map(json_u64)
                     .collect::<Option<Vec<u64>>>()
                     .ok_or_else(|| bad("non-integer entry in \"args\""))?,
                 None => Vec::new(),
@@ -332,13 +318,7 @@ impl JobSpec {
                     .iter()
                     .map(|o| match o {
                         Json::Arr(pair) if pair.len() == 2 => {
-                            let name = pair[0].as_str()?;
-                            let bytes = match &pair[1] {
-                                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
-                                Json::Str(s) => s.parse().ok()?,
-                                _ => return None,
-                            };
-                            Some((name.to_string(), bytes))
+                            Some((pair[0].as_str()?.to_string(), json_u64(&pair[1])?))
                         }
                         _ => None,
                     })
@@ -380,9 +360,6 @@ impl JobSpec {
         let engine = parse_enum("engine", "interp")?
             .parse::<EngineKind>()
             .map_err(spec)?;
-        let scheduler = parse_enum("scheduler", "trellis")?
-            .parse::<Scheduler>()
-            .map_err(spec)?;
         let opt = parse_opt(&parse_enum("opt", "O1")?)
             .ok_or_else(|| spec("unknown opt level (O0|O1)".to_string()))?;
         Ok(JobSpec {
@@ -391,7 +368,6 @@ impl JobSpec {
             injections,
             model,
             engine,
-            scheduler,
             opt,
             threads: get_usize(v, "threads").unwrap_or(0),
             evaluate_care: get_bool(v, "evaluate_care").unwrap_or(true),
@@ -403,7 +379,7 @@ impl JobSpec {
 
     /// A stable cache key for the campaign this spec needs: everything
     /// [`faultsim::Campaign::prepare`] depends on (program + opt level),
-    /// nothing it doesn't (seed, injections, engine, scheduler).
+    /// nothing it doesn't (seed, injections, engine).
     ///
     /// The key is the canonical content-addressed [`carestore::CampaignKey`]
     /// encoding, hashed over the **resolved module's canonical printing** —
@@ -417,13 +393,29 @@ impl JobSpec {
         let w = resolve_workload(&self.workload)?;
         Ok(campaign_key_for(&w, self.opt).encode())
     }
+
+    /// The [`CampaignConfig`] this spec asks for — the one spec→config
+    /// mapping, used by the server's worker and by every local run a served
+    /// job is compared against. Shard count is left to the pool width.
+    pub fn campaign_config(&self) -> CampaignConfig {
+        CampaignConfig {
+            injections: self.injections,
+            model: self.model,
+            seed: self.seed,
+            evaluate_care: self.evaluate_care,
+            app_only: self.app_only,
+            keep_records: self.records,
+            engine: self.engine,
+            ..CampaignConfig::default()
+        }
+    }
 }
 
 /// The canonical campaign key for an already-resolved workload:
 /// [`carestore::campaign_key`] over the module's canonical printing plus
 /// the golden-run invocation. `.encode()` gives the `care1:...` string.
 pub fn campaign_key_for(w: &Workload, opt: OptLevel) -> carestore::CampaignKey {
-    carestore::campaign_key(&w.module, w.entry, &w.args, &w.outputs, opt_name(opt))
+    carestore::campaign_key(&w.module, w.entry, &w.args, &w.outputs, &opt.to_string())
 }
 
 /// Resolve the spec's workload selector to a runnable [`Workload`].
@@ -631,11 +623,7 @@ pub fn decode_report(v: &Json) -> Result<CampaignReport, String> {
             Some(Json::Arr(items)) if items.len() == 4 => {
                 let mut out = [0usize; 4];
                 for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = match item {
-                        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => *n as usize,
-                        Json::Str(s) => s.parse().map_err(|_| want(key))?,
-                        _ => return Err(want(key)),
-                    };
+                    *slot = json_u64(item).ok_or_else(|| want(key))? as usize;
                 }
                 Ok(out)
             }
@@ -656,12 +644,8 @@ pub fn decode_report(v: &Json) -> Result<CampaignReport, String> {
             for (name, count) in map {
                 let kind = parse_decline(name)
                     .ok_or_else(|| format!("unknown decline kind {name:?}"))?;
-                let n = match count {
-                    Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => *x as usize,
-                    Json::Str(s) => s.parse().map_err(|_| want("declines"))?,
-                    _ => return Err(want("declines")),
-                };
-                declines.insert(kind, n);
+                let n = json_u64(count).ok_or_else(|| want("declines"))?;
+                declines.insert(kind, n as usize);
             }
         }
         _ => return Err(want("declines")),
@@ -818,24 +802,12 @@ mod tests {
     use tinyir::FuncId;
 
     #[test]
-    fn u64_fields_round_trip_above_53_bits() {
-        for v in [0u64, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
-            let mut s = String::from("{\"kind\":\"t\"");
-            push_field_u64(&mut s, "x", v);
-            s.push('}');
-            let j = parse_json(&s).unwrap();
-            assert_eq!(get_u64(&j, "x"), Some(v), "round-trip of {v}");
-        }
-    }
-
-    #[test]
     fn job_spec_round_trips_named_and_inline() {
         let named = JobSpec {
             seed: u64::MAX - 7,
             injections: 123,
             model: FaultModel::DoubleBit,
             engine: EngineKind::Compiled,
-            scheduler: Scheduler::PerInjection,
             opt: OptLevel::O0,
             threads: 3,
             evaluate_care: false,
@@ -861,6 +833,11 @@ mod tests {
 
     #[test]
     fn job_spec_rejects_are_typed() {
+        let inline_frame = |field: &str| {
+            format!(
+                "{{\"kind\":\"job\",\"proto\":1,\"workload\":\"inline\",\"module\":\"m\",{field},\"injections\":5}}"
+            )
+        };
         let cases: Vec<(String, RejectReason)> = vec![
             // Wrong protocol version.
             (
@@ -883,6 +860,12 @@ mod tests {
                     .to_string(),
                 RejectReason::BadSpec,
             ),
+            // Inline `args`/`outputs` entries no u64 names: beyond 2^53 as
+            // a bare number, negative, fractional.
+            (inline_frame("\"args\":[1e300]"), RejectReason::BadFrame),
+            (inline_frame("\"args\":[-1]"), RejectReason::BadFrame),
+            (inline_frame("\"args\":[1.5]"), RejectReason::BadFrame),
+            (inline_frame("\"outputs\":[[\"out\",1e300]]"), RejectReason::BadFrame),
             // Oversized inline module.
             (
                 format!(
@@ -978,8 +961,16 @@ mod tests {
         };
         r.declines.insert(DeclineKind::Hang, 1);
         r.declines.insert(DeclineKind::KernelFault, 2);
-        let v = parse_frame(&encode_report(1, &r)).unwrap();
+        let frame = encode_report(1, &r);
+        let v = parse_frame(&frame).unwrap();
         assert_eq!(decode_report(&v).unwrap(), r);
+        // Counts no u64 names are refused, not saturated.
+        let hang = format!("\"{}\":1", DeclineKind::Hang.short_name());
+        for count in ["\"signals\":[3", &hang] {
+            assert!(frame.contains(count), "{frame}");
+            let huge = frame.replace(count, &format!("{count}e300"));
+            assert!(decode_report(&parse_frame(&huge).unwrap()).is_err(), "{count}e300 decoded");
+        }
     }
 
     #[test]

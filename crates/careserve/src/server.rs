@@ -14,9 +14,9 @@
 //! in a bounded queue (`max_queue`), and past the queue they are rejected
 //! with [`RejectReason::QueueFull`] — explicit backpressure, never
 //! unbounded buffering. The budget is an admission weight, not a pool
-//! resize: `compat/rayon`'s `with_threads` serialises callers globally, so
-//! the honest way to share the pool between concurrent jobs is to cap how
-//! many are in flight, and let the pool's work-stealing interleave them.
+//! resize: the pool runs one batch at a time whatever width its caller
+//! asked for, so the honest way to share it between concurrent jobs is to
+//! cap how many are in flight, and let work-stealing interleave them.
 //!
 //! ## Failure containment
 //!
@@ -501,17 +501,7 @@ fn run_job(
                     Some(c) => c,
                     None => srv.prepare_campaign(&key, &spec, workload),
                 };
-                let cfg = CampaignConfig {
-                    injections: spec.injections,
-                    model: spec.model,
-                    seed: spec.seed,
-                    evaluate_care: spec.evaluate_care,
-                    app_only: spec.app_only,
-                    keep_records: spec.records,
-                    scheduler: spec.scheduler,
-                    engine: spec.engine,
-                    ..CampaignConfig::default()
-                };
+                let cfg = spec.campaign_config();
                 if spec.telemetry {
                     let rec = Recorder::new();
                     let report = run_backed(&srv, &ckey, &campaign, &cfg, &rec, &ctl);
@@ -644,20 +634,18 @@ fn run_backed<H: Hooks>(
     hooks: &H,
     ctl: &JobControl,
 ) -> CampaignReport {
-    let Some(store) = &srv.store else {
-        return campaign.run_job(cfg, hooks, ctl);
-    };
-    match store.run_campaign(key, campaign, cfg, hooks, ctl) {
-        Ok(run) => {
-            srv.recorder.add("server.store_hits", run.stats.hits);
-            srv.recorder.add("server.store_misses", run.stats.misses);
-            run.report
-        }
-        Err(_) => {
-            srv.recorder.add("server.store_errors", 1);
-            campaign.run_job(cfg, hooks, ctl)
+    if let Some(store) = &srv.store {
+        match store.run_campaign(key, campaign, cfg, hooks, ctl) {
+            Ok(run) => {
+                srv.recorder.add("server.store_hits", run.stats.hits);
+                srv.recorder.add("server.store_misses", run.stats.misses);
+                return run.report;
+            }
+            Err(_) => srv.recorder.add("server.store_errors", 1),
         }
     }
+    let all: Vec<usize> = (0..cfg.injections).collect();
+    campaign.run_selected(cfg, &all, hooks, ctl, &faultsim::NoSink)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -859,17 +847,7 @@ mod tests {
         let workload = proto::resolve_workload(&spec.workload).unwrap();
         let app = care::compile(&workload.module, spec.opt);
         let campaign = Campaign::prepare(&workload, app, vec![]);
-        let local = campaign.run(&CampaignConfig {
-            injections: spec.injections,
-            seed: spec.seed,
-            model: spec.model,
-            evaluate_care: spec.evaluate_care,
-            app_only: spec.app_only,
-            keep_records: true,
-            scheduler: spec.scheduler,
-            engine: spec.engine,
-            ..CampaignConfig::default()
-        });
+        let local = campaign.run(&spec.campaign_config());
 
         let first = client::submit(handle.addr(), &spec).expect("first submit");
         assert_eq!(first.report, local, "wire report diverged from the local run");

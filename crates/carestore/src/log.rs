@@ -6,9 +6,9 @@
 //!   opens a *run context*: every following `record` line belongs to it
 //!   until the next `run` line. `model`, `seed` and `cfg` (the
 //!   [`run_signature`] of the record-affecting config) identify which
-//!   requests may reuse the records; `scheduler`/`engine`/`threads` ride
-//!   along for humans only — records are pinned bit-identical across all
-//!   of them.
+//!   requests may reuse the records; `engine` rides along for humans only
+//!   — records are pinned bit-identical across engines — and any other
+//!   key (older logs carry `scheduler`) is ignored.
 //! * `{"kind":"record","index":I,...}` — one [`InjectionRecord`] in the
 //!   shared codec of [`crate::record`], written the moment a worker
 //!   classifies it (append order is completion order, not index order).
@@ -40,9 +40,9 @@ pub const STORE_VERSION: u32 = 1;
 
 /// Canonical signature of the record-affecting [`CampaignConfig`] fields
 /// *other than* model and seed (those key the run context directly).
-/// Scheduler, engine kind, thread and shard counts are deliberately
-/// excluded: records are pinned bit-identical across all of them, so a
-/// trellis run may reuse a per-injection run's records and vice versa.
+/// Engine kind, thread and shard counts are deliberately excluded: records
+/// are pinned bit-identical across all of them, so an interpreter run may
+/// reuse a compiled run's records and vice versa.
 /// `injections` is excluded too — index `i`'s record depends only on
 /// `(seed, i)`, so a longer re-run reuses a shorter run's records.
 pub fn run_signature(cfg: &CampaignConfig) -> String {
@@ -167,7 +167,6 @@ impl LogWriter {
         push_field_str(&mut s, "model", cfg.model.name());
         push_field_u64(&mut s, "seed", cfg.seed);
         push_field_str(&mut s, "cfg", &run_signature(cfg));
-        push_field_str(&mut s, "scheduler", cfg.scheduler.name());
         push_field_str(&mut s, "engine", cfg.engine.name());
         s.push('}');
         self.append_line(&s);

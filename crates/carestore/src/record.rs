@@ -7,7 +7,7 @@
 //! via [`telemetry::parse_json`]. [`telemetry::Json`] holds numbers as
 //! `f64`, so `u64` values ride as plain numbers while exactly
 //! representable and as decimal strings beyond 2⁵³ ([`push_u64`] /
-//! [`get_u64`]); floats use the shortest-round-trip renderer, which
+//! [`json_u64`]); floats use the shortest-round-trip renderer, which
 //! parses back to identical bits. The round-trip is exact: decoding an
 //! encoded record reproduces it bit for bit.
 
@@ -34,15 +34,22 @@ pub fn push_u64(out: &mut String, v: u64) {
     }
 }
 
-/// Decode a `u64` field written by [`push_u64`] (number or string form).
-pub fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    match v.get(key)? {
+/// Decode a `u64` value written by [`push_u64`]: a non-negative integral
+/// number no larger than 2⁵³ (beyond that an f64 no longer names one
+/// integer, so the cast would invent bits), or a decimal string.
+pub fn json_u64(v: &Json) -> Option<u64> {
+    match v {
         Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_JSON_INT as f64 => {
             Some(*n as u64)
         }
         Json::Str(s) => s.parse().ok(),
         _ => None,
     }
+}
+
+/// Decode a `u64` field written by [`push_u64`] (number or string form).
+pub fn get_u64(v: &Json, key: &str) -> Option<u64> {
+    json_u64(v.get(key)?)
 }
 
 /// `,"key":"val"` appended to an open object.
@@ -222,6 +229,15 @@ mod tests {
             let v = parse_json(&s).unwrap();
             assert_eq!(&record_from_json(&v).unwrap(), r);
         }
+    }
+
+    #[test]
+    fn json_u64_rejects_what_a_cast_would_mangle() {
+        for bad in ["1e300", "-1", "1.5", "9007199254740994", "true", "null", "\"x\""] {
+            assert_eq!(json_u64(&parse_json(bad).unwrap()), None, "{bad}");
+        }
+        assert_eq!(json_u64(&parse_json("9007199254740992").unwrap()), Some(1 << 53));
+        assert_eq!(json_u64(&parse_json("\"18446744073709551615\"").unwrap()), Some(u64::MAX));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! resume/residual orchestration around [`faultsim::Campaign::run_selected`].
 //!
 //! [`Store::run_campaign`] is the drop-in persistent counterpart of
-//! [`faultsim::Campaign::run_job`]:
+//! [`faultsim::Campaign::run`]:
 //!
 //! 1. scan this campaign's log for records matching `(model, seed, cfg)`;
 //! 2. compute the **residual work list** — requested indexes that are
 //!    neither stored nor known skips of a completed shorter run;
-//! 3. execute only the residual (the trellis scheduler samples only those
+//! 3. execute only the residual (the trellis samples only those
 //!    indexes, so its cursor-shard windows shrink to the prefixes the
 //!    residual actually needs), appending each record to the log the
 //!    moment it is classified;
@@ -16,15 +16,15 @@
 //! ## Report identity
 //!
 //! Store-backed reports use **attributed** step accounting — they are
-//! `CampaignReport::from_records` over the merged records, exactly the
-//! per-injection scheduler's semantics — because "steps the run actually
+//! `CampaignReport::from_records` over the merged records, every prefix
+//! charged to its own injection — because "steps the run actually
 //! executed" is a property of how warm the store was, not of the
 //! campaign. The payoff is the byte-identity contract: a warm re-run
 //! (zero residual), a cold run through the store, and a kill + resume all
 //! produce the same records and therefore the *same report, byte for
 //! byte*. The records themselves are bit-identical to plain
-//! [`faultsim::Campaign::run`] under every scheduler/engine/thread
-//! combination (pinned by faultsim's own tests).
+//! [`faultsim::Campaign::run`] under every engine/thread combination
+//! (pinned by faultsim's own tests).
 
 use crate::key::CampaignKey;
 use crate::log::{run_signature, scan_log, LogWriter};

@@ -2,23 +2,21 @@
 //! the aggregate report that regenerates the paper's Tables 2–4, Figure 7,
 //! Figure 9 and the Appendix tables.
 //!
-//! Two schedulers drive a campaign (selected by [`CampaignConfig::scheduler`],
-//! observationally identical per injection):
+//! A campaign runs on the **snapshot trellis**: all `N` injection points
+//! are sampled up front and partitioned into `K` disjoint, step-ordered
+//! windows along the golden run's checkpoint trail; `K` instrumented
+//! *cursor* processes then advance through their windows concurrently (each
+//! fast-replays the uninstrumented prefix to its window boundary first),
+//! CoW-forking a paused snapshot each time a pending `(I, n)` fires. Workers
+//! then run only the suffix (inject → classify → CARE-protected fork) from
+//! their snapshot, in parallel on the same pool. Campaign-wide simulated
+//! instructions are ~`L + Σ suffixes` instead of ~`N·L`, and `K > 1` removes
+//! the serial-cursor Amdahl bottleneck (`K = 1` is a single cursor).
 //!
-//! * **Snapshot trellis** (default): all `N` injection points are sampled up
-//!   front and partitioned into `K` disjoint, step-ordered windows along the
-//!   golden run's checkpoint trail; `K` instrumented *cursor* processes then
-//!   advance through their windows concurrently (each fast-replays the
-//!   uninstrumented prefix to its window boundary first), CoW-forking a
-//!   paused snapshot each time a pending `(I, n)` fires. Workers then run
-//!   only the suffix (inject → classify → CARE-protected fork) from their
-//!   snapshot, in parallel on the same pool. Campaign-wide simulated
-//!   instructions drop from ~`N·L` to ~`L + Σ suffixes`, and `K > 1` removes
-//!   the serial-cursor Amdahl bottleneck (`K = 1` reproduces the original
-//!   single cursor exactly).
-//! * **Per-injection**: every injection clones the template and re-simulates
-//!   its own prefix up to the breakpoint (the pre-trellis engine, kept as the
-//!   equivalence baseline and for single-injection use via [`Campaign::run_one`]).
+//! [`Campaign::run_one`] is the per-index reference: it re-simulates one
+//! injection's own prefix from the template, and the trellis records must
+//! equal `(0..n).filter_map(|i| campaign.run_one(&cfg, i))` bit for bit
+//! (pinned by the unit tests below, `tests/golden.rs` and carefuzz).
 
 use crate::injector::{
     inject, pick_injection_point, FaultModel, InjectedInto, InjectionPoint,
@@ -97,9 +95,8 @@ pub struct CareResult {
 
 /// Per-stage dynamic-instruction accounting for one injection. The three
 /// stages partition the work the injection is *semantically responsible
-/// for*; whether the prefix was actually re-simulated (per-injection
-/// scheduler) or shared via a trellis snapshot is a property of the
-/// campaign, recorded in [`CampaignReport::steps_prefix`].
+/// for*; the prefix is attributed to every injection but executed once, by
+/// the trellis cursor pass — see [`CampaignReport::steps_prefix`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StepSplit {
     /// Instructions from process start to the injection point.
@@ -140,38 +137,6 @@ pub struct InjectionRecord {
     pub care: Option<CareResult>,
 }
 
-/// Which engine drives [`Campaign::run`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Scheduler {
-    /// One shared instrumented prefix pass; CoW-forked suffixes (default).
-    #[default]
-    Trellis,
-    /// Every injection re-simulates its own prefix (the pre-trellis
-    /// engine; bit-identical records, ~2x the simulated instructions).
-    PerInjection,
-}
-
-impl Scheduler {
-    /// Stable CLI/JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Trellis => "trellis",
-            Scheduler::PerInjection => "per-injection",
-        }
-    }
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Scheduler, String> {
-        match s {
-            "trellis" => Ok(Scheduler::Trellis),
-            "per-injection" => Ok(Scheduler::PerInjection),
-            other => Err(format!("unknown scheduler {other:?} (trellis|per-injection)")),
-        }
-    }
-}
-
 /// Observer of classified records as they are produced, keyed by injection
 /// index — the hook a persistent result store uses to append records
 /// incrementally (so a killed campaign can resume from whatever reached
@@ -193,7 +158,7 @@ impl RecordSink for NoSink {
 
 /// Cooperative cancellation plus coarse progress for service-shaped runs.
 ///
-/// A campaign driven through [`Campaign::run_job`] polls the flag between
+/// A campaign driven through [`Campaign::run_selected`] polls the flag between
 /// trellis cursor firings and before every suffix/CARE job (one relaxed
 /// atomic load — far below the cost of either), so a cancelled job stops
 /// burning pool time within one injection's worth of work. The `classified`
@@ -261,8 +226,6 @@ pub struct CampaignConfig {
     /// large campaigns only need the aggregates, and the records dominate
     /// the report's memory.
     pub keep_records: bool,
-    /// Which campaign engine to use (records are identical either way).
-    pub scheduler: Scheduler,
     /// Execution backend for the hot suffix/CARE runs (records are
     /// bit-identical on either; `Compiled` is the direct-threaded
     /// translator behind [`simx::ExecutionEngine`]).
@@ -287,7 +250,6 @@ impl Default for CampaignConfig {
             patch_base_first: false,
             skip_equality_guard: false,
             keep_records: false,
-            scheduler: Scheduler::Trellis,
             engine: EngineKind::Interp,
             cursor_shards: None,
         }
@@ -450,8 +412,8 @@ impl Campaign {
 
     /// Sample injection `index`'s `(I, n)` point, deterministic in
     /// `(cfg.seed, index)`. Returns the point plus the RNG in the exact
-    /// post-sampling state the bit-flip draws continue from, so pre-sampling
-    /// (trellis) and inline sampling (per-injection) yield identical records.
+    /// post-sampling state the bit-flip draws continue from, so the trellis'
+    /// pre-sampling and [`Campaign::run_one`] yield identical records.
     fn sample_point(
         &self,
         cfg: &CampaignConfig,
@@ -483,8 +445,8 @@ impl Campaign {
     /// late injection points overshoot the hang bound by nearly 2x) and the
     /// RNG must be in the post-[`Campaign::sample_point`] state.
     ///
-    /// With hooks enabled this is also the per-*job* instrumentation site
-    /// (both schedulers funnel through it): a wall-clock span per job
+    /// With hooks enabled this is also the per-*job* instrumentation site:
+    /// a wall-clock span per job
     /// (`job.wall_ns`, accumulated into the `worker.busy_ns` counter —
     /// whose per-shard subtotals are the per-worker utilization view),
     /// simulated-step spans for the suffix and CARE stages, TLB counter
@@ -623,11 +585,22 @@ impl Campaign {
         })
     }
 
-    /// Run one injection end-to-end, re-simulating its prefix
-    /// (deterministic in `(cfg.seed, index)`).
+    /// Run one injection end-to-end, re-simulating its own prefix from the
+    /// template (deterministic in `(cfg.seed, index)`). This is the
+    /// per-index reference the trellis is checked against.
     pub fn run_one(&self, cfg: &CampaignConfig, index: usize) -> Option<InjectionRecord> {
         let compiled = self.compiled_engine(cfg);
-        self.run_one_with_hooks(cfg, index, engine_ref(&compiled), &NoTelemetry)
+        let (point, rng) = self.sample_point(cfg, index)?;
+        let mut p = self.template.clone();
+        p.fuel = self.fuel_budget(cfg);
+        p.break_at = Some((point.module, point.func, point.inst, point.nth));
+        match p.run() {
+            RunExit::BreakHit => {}
+            // The breakpoint is derived from the profile, so this is
+            // unreachable for deterministic programs; be safe anyway.
+            _ => return None,
+        }
+        self.run_suffix(cfg, point, &rng, p, engine_ref(&compiled), &NoTelemetry)
     }
 
     /// Construct the configured compiled engine for this campaign's image
@@ -638,58 +611,8 @@ impl Campaign {
             .then(|| CompiledEngine::for_image(&self.template.image))
     }
 
-    fn run_one_with_hooks<H: Hooks>(
-        &self,
-        cfg: &CampaignConfig,
-        index: usize,
-        engine: &dyn ExecutionEngine,
-        hooks: &H,
-    ) -> Option<InjectionRecord> {
-        let (point, rng) = self.sample_point(cfg, index)?;
-        // --- unprotected run: raw manifestation (§2 methodology) ---------
-        let mut p = self.template.clone();
-        p.fuel = self.fuel_budget(cfg);
-        p.break_at = Some((point.module, point.func, point.inst, point.nth));
-        match p.run() {
-            RunExit::BreakHit => {}
-            // The breakpoint is derived from the profile, so this is
-            // unreachable for deterministic programs; be safe anyway.
-            _ => return None,
-        }
-        self.run_suffix(cfg, point, &rng, p, engine, hooks)
-    }
-
-    /// The per-injection scheduler: rayon-parallel `run_one` calls, each
-    /// re-simulating its own prefix.
-    fn run_per_injection<H: Hooks>(
-        &self,
-        cfg: &CampaignConfig,
-        indices: &[usize],
-        engine: &dyn ExecutionEngine,
-        hooks: &H,
-        ctl: &JobControl,
-        sink: &dyn RecordSink,
-    ) -> CampaignReport {
-        let indices: Vec<usize> = indices.to_vec();
-        let records: Vec<InjectionRecord> = indices
-            .into_par_iter()
-            .filter_map(|i| {
-                if ctl.is_cancelled() {
-                    return None;
-                }
-                let rec = self.run_one_with_hooks(cfg, i, engine, hooks);
-                if let Some(r) = &rec {
-                    sink.emit(i, r);
-                    ctl.note_classified();
-                }
-                rec
-            })
-            .collect();
-        CampaignReport::from_records(records)
-    }
-
-    /// The snapshot-trellis scheduler: sample all points up front, advance
-    /// one instrumented cursor through the program, CoW-fork a snapshot at
+    /// The snapshot trellis: sample all points up front, advance the
+    /// instrumented cursors through the program, CoW-fork a snapshot at
     /// each distinct firing point, then run only the suffixes in parallel.
     fn run_trellis<H: Hooks>(
         &self,
@@ -753,8 +676,8 @@ impl Campaign {
         }
 
         // Phase 4 — suffix scheduling: rayon-parallel over injection
-        // indexes (order-preserving, so records match the per-injection
-        // scheduler element for element); each worker CoW-forks its
+        // indexes (order-preserving, so records match per-index `run_one`
+        // calls element for element); each worker CoW-forks its
         // snapshot and runs inject → classify → CARE. The *last* consumer
         // of each snapshot takes ownership instead of cloning it — an
         // injection point sampled once (the common case) never pays a
@@ -953,7 +876,7 @@ impl Campaign {
         ShardResult { snapshots, steps: cursor.steps }
     }
 
-    /// Run the full campaign under [`CampaignConfig::scheduler`].
+    /// Run the full campaign.
     pub fn run(&self, cfg: &CampaignConfig) -> CampaignReport {
         self.run_with_hooks(cfg, &NoTelemetry)
     }
@@ -965,42 +888,33 @@ impl Campaign {
     /// campaign's TLB hit counters, instruction-mix counters derived from
     /// the golden profile, and the campaign-level step-split counters.
     pub fn run_with_hooks<H: Hooks>(&self, cfg: &CampaignConfig, hooks: &H) -> CampaignReport {
-        self.run_job(cfg, hooks, &JobControl::new())
-    }
-
-    /// [`run_with_hooks`](Self::run_with_hooks) with an external cancellation
-    /// token — the job-shaped entry point used by the campaign server. The
-    /// control block is polled between cursor-shard firings and before each
-    /// suffix job (trellis) or each injection (per-injection); once
-    /// [`JobControl::cancel`] is observed, no further suffix work starts and
-    /// the report comes back partial with [`CampaignReport::cancelled`] set.
-    /// With a never-cancelled control the result is bit-identical to
-    /// [`run_with_hooks`].
-    pub fn run_job<H: Hooks>(
-        &self,
-        cfg: &CampaignConfig,
-        hooks: &H,
-        ctl: &JobControl,
-    ) -> CampaignReport {
         let all: Vec<usize> = (0..cfg.injections).collect();
-        self.run_selected(cfg, &all, hooks, ctl, &NoSink)
+        self.run_selected(cfg, &all, hooks, &JobControl::new(), &NoSink)
     }
 
-    /// Run only the listed injection indexes — the residual-work entry
-    /// point a persistent result store uses after loading already-known
-    /// records from its log. Per-index determinism (every index's RNG
-    /// stream is seeded from `(cfg.seed, index)` alone) means the records
-    /// produced for a subset are bit-identical to the same indexes of a
-    /// full run, under either scheduler: the trellis samples only the
-    /// subset's points and plans its cursor shards from those, so a
-    /// residual run also *executes* only the prefix windows it needs.
+    /// The single campaign core: run only the listed injection indexes,
+    /// under an external cancellation token, pushing every record through
+    /// `sink`. [`run`](Self::run) is this over `0..cfg.injections` with a
+    /// never-cancelled control and [`NoSink`]; the campaign server passes
+    /// its job's control block, and a persistent result store passes the
+    /// residual indexes left after loading already-known records from its
+    /// log plus a sink that appends to it.
     ///
-    /// `indices` should be strictly increasing (records come back in that
-    /// order, matching a full run's element order) and each `< cfg.injections`.
-    /// Every produced record is also pushed through `sink` with its index,
-    /// from pool workers, as soon as it is classified — see [`RecordSink`].
-    /// `run_job` is exactly `run_selected` over `0..cfg.injections` with
-    /// [`NoSink`].
+    /// Per-index determinism (every index's RNG stream is seeded from
+    /// `(cfg.seed, index)` alone) means the records produced for a subset
+    /// are bit-identical to the same indexes of a full run: the trellis
+    /// samples only the subset's points and plans its cursor shards from
+    /// those, so a residual run also *executes* only the prefix windows it
+    /// needs.
+    ///
+    /// `ctl` is polled between cursor-shard firings and before each suffix
+    /// job; once [`JobControl::cancel`] is observed, no further suffix work
+    /// starts and the report comes back partial with
+    /// [`CampaignReport::cancelled`] set. `indices` should be strictly
+    /// increasing (records come back in that order, matching a full run's
+    /// element order) and each `< cfg.injections`. Every produced record is
+    /// also pushed through `sink` with its index, from pool workers, as
+    /// soon as it is classified — see [`RecordSink`].
     pub fn run_selected<H: Hooks>(
         &self,
         cfg: &CampaignConfig,
@@ -1009,34 +923,24 @@ impl Campaign {
         ctl: &JobControl,
         sink: &dyn RecordSink,
     ) -> CampaignReport {
-        let compiled = if cfg.engine == EngineKind::Compiled {
-            let cache = simx::TranslationCache::global();
-            let (h0, m0) = (cache.hits(), cache.misses());
-            let eng = self.compiled_engine(cfg).expect("engine is Compiled");
-            if H::ENABLED {
-                hooks.add("engine.cache_hits", cache.hits().saturating_sub(h0));
-                hooks.add("engine.cache_misses", cache.misses().saturating_sub(m0));
-                let st = eng.stats();
-                hooks.add("engine.blocks", st.blocks);
-                hooks.add("engine.ops", st.ops);
-                hooks.add("engine.fused_cmp_br", st.fused_cmp_br);
-                hooks.add("engine.fused_load_bin", st.fused_load_bin);
-                hooks.add("engine.fused_lea_load", st.fused_lea_load);
-                hooks.add("engine.fused_glo_load", st.fused_glo_load);
-                hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
-            }
-            Some(eng)
-        } else {
-            None
-        };
+        let cache = simx::TranslationCache::global();
+        let (h0, m0) = (cache.hits(), cache.misses());
+        let compiled = self.compiled_engine(cfg);
+        if let (true, Some(eng)) = (H::ENABLED, &compiled) {
+            hooks.add("engine.cache_hits", cache.hits().saturating_sub(h0));
+            hooks.add("engine.cache_misses", cache.misses().saturating_sub(m0));
+            let st = eng.stats();
+            hooks.add("engine.blocks", st.blocks);
+            hooks.add("engine.ops", st.ops);
+            hooks.add("engine.fused_cmp_br", st.fused_cmp_br);
+            hooks.add("engine.fused_load_bin", st.fused_load_bin);
+            hooks.add("engine.fused_lea_load", st.fused_lea_load);
+            hooks.add("engine.fused_glo_load", st.fused_glo_load);
+            hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
+        }
         let engine = engine_ref(&compiled);
         let pool0 = H::ENABLED.then(rayon::pool_stats);
-        let mut report = match cfg.scheduler {
-            Scheduler::Trellis => self.run_trellis(cfg, indices, engine, hooks, ctl, sink),
-            Scheduler::PerInjection => {
-                self.run_per_injection(cfg, indices, engine, hooks, ctl, sink)
-            }
-        };
+        let mut report = self.run_trellis(cfg, indices, engine, hooks, ctl, sink);
         report.cancelled = ctl.is_cancelled();
         if let Some(p0) = pool0 {
             // Work-stealing pool activity attributable to this campaign
@@ -1087,8 +991,8 @@ impl Campaign {
     }
 }
 
-/// View an optional compiled engine as the trait object the schedulers
-/// thread through (`None` → the interpreter).
+/// View an optional compiled engine as the trait object the campaign
+/// threads through (`None` → the interpreter).
 fn engine_ref(compiled: &Option<CompiledEngine>) -> &dyn ExecutionEngine {
     match compiled {
         Some(c) => c,
@@ -1161,25 +1065,24 @@ pub struct CampaignReport {
     /// Decline-reason histogram of uncovered runs.
     pub declines: std::collections::HashMap<DeclineKind, usize>,
     /// Total dynamic instructions *actually executed* by the campaign (the
-    /// denominator of simulated-instructions/sec throughput). Under the
-    /// per-injection scheduler this equals the sum of the per-record
-    /// `sim_steps`; under the trellis scheduler the shared cursor pass
-    /// replaces the per-injection prefixes, so it is
-    /// `steps_prefix + steps_suffix + steps_care`.
+    /// denominator of simulated-instructions/sec throughput):
+    /// `steps_prefix + steps_suffix + steps_care`. A report built by
+    /// [`from_records`](Self::from_records) alone (a store merge) carries
+    /// the *attributed* view instead: every step field is the sum of the
+    /// per-record splits.
     pub simulated_steps: u64,
-    /// Prefix-stage instructions actually executed: Σ per-record prefixes
-    /// (per-injection scheduler) or the single cursor pass (trellis).
+    /// Prefix-stage instructions actually executed by the cursor pass
+    /// (boundary replays + window walks, summed over the shards).
     pub steps_prefix: u64,
-    /// Unprotected-suffix instructions (identical under both schedulers).
+    /// Unprotected-suffix instructions.
     pub steps_suffix: u64,
-    /// CARE-protected re-run instructions (identical under both schedulers).
+    /// CARE-protected re-run instructions.
     pub steps_care: u64,
-    /// Distinct trellis snapshots forked by the cursor pass (0 under the
-    /// per-injection scheduler); strictly less than the classified total
-    /// whenever injection indexes sampled duplicate points.
+    /// Distinct trellis snapshots forked by the cursor pass; strictly less
+    /// than the classified total whenever injection indexes sampled
+    /// duplicate points.
     pub trellis_snapshots: usize,
-    /// Cursor shards that actually ran (had points) in the trellis cursor
-    /// pass; 0 under the per-injection scheduler.
+    /// Cursor shards that actually ran (had points) in the cursor pass.
     pub cursor_shards: usize,
     /// True when the run's [`JobControl`] was cancelled before completion:
     /// the aggregates and records cover only the injections classified
@@ -1285,7 +1188,7 @@ impl CampaignReport {
 }
 
 #[cfg(test)]
-mod scheduler_tests {
+mod trellis_tests {
     use super::*;
     use opt::OptLevel;
 
@@ -1315,26 +1218,30 @@ mod scheduler_tests {
         Campaign::prepare(&w, app, vec![])
     }
 
-    fn cfg(injections: usize, scheduler: Scheduler) -> CampaignConfig {
+    fn cfg(injections: usize) -> CampaignConfig {
         CampaignConfig {
             injections,
             evaluate_care: true,
             app_only: true,
             keep_records: true,
-            scheduler,
             ..CampaignConfig::default()
         }
     }
 
+    /// The per-index reference: every injection re-simulates its own prefix.
+    fn reference(campaign: &Campaign, cfg: &CampaignConfig) -> Vec<InjectionRecord> {
+        (0..cfg.injections).filter_map(|i| campaign.run_one(cfg, i)).collect()
+    }
+
     /// Duplicate-point indexes must share one trellis snapshot — and the
-    /// shared-snapshot path must still reproduce the per-injection records
+    /// shared-snapshot path must still reproduce the per-index reference
     /// bit for bit (each index keeps its own RNG stream, so two injections
     /// at the same point can still flip different bits).
     #[test]
     fn duplicate_points_share_a_snapshot_with_identical_records() {
         let campaign = tiny_campaign();
         let n = 60;
-        let base = cfg(n, Scheduler::PerInjection);
+        let base = cfg(n);
         // Establish that this configuration actually samples duplicates.
         let points: Vec<InjectionPoint> = (0..n)
             .filter_map(|i| campaign.sample_point(&base, i).map(|(p, _)| p))
@@ -1347,8 +1254,7 @@ mod scheduler_tests {
             distinct.len()
         );
 
-        let legacy = campaign.run(&base);
-        let trellis = campaign.run(&cfg(n, Scheduler::Trellis));
+        let trellis = campaign.run(&base);
         // One snapshot per *distinct fired* point, not per injection.
         assert!(trellis.trellis_snapshots <= distinct.len());
         assert!(
@@ -1358,36 +1264,33 @@ mod scheduler_tests {
             points.len()
         );
         assert_eq!(
-            legacy.records, trellis.records,
-            "shared-snapshot suffixes diverged from per-injection runs"
+            reference(&campaign, &base),
+            trellis.records,
+            "shared-snapshot suffixes diverged from the per-index reference"
         );
     }
 
     /// The trellis report charges the shared cursor pass once: strictly
-    /// fewer executed instructions than the per-injection engine, with the
-    /// identical suffix/CARE stages.
+    /// fewer executed prefix instructions than the per-index reference
+    /// re-simulates, with the identical suffix/CARE stages.
     #[test]
     fn trellis_executes_one_shared_prefix_pass() {
         let campaign = tiny_campaign();
-        let legacy = campaign.run(&cfg(40, Scheduler::PerInjection));
-        let trellis = campaign.run(&cfg(40, Scheduler::Trellis));
+        let config = cfg(40);
+        let legacy = CampaignReport::from_records(reference(&campaign, &config));
+        let trellis = campaign.run(&config);
+        assert_eq!(legacy.records, trellis.records);
         assert_eq!(legacy.steps_suffix, trellis.steps_suffix);
         assert_eq!(legacy.steps_care, trellis.steps_care);
         assert!(
             trellis.steps_prefix < legacy.steps_prefix,
-            "cursor pass ({}) must undercut per-injection prefixes ({})",
+            "cursor pass ({}) must undercut per-index prefixes ({})",
             trellis.steps_prefix,
             legacy.steps_prefix
         );
         assert_eq!(
             trellis.simulated_steps,
             trellis.steps_prefix + trellis.steps_suffix + trellis.steps_care
-        );
-        assert_eq!(legacy.trellis_snapshots, 0);
-        // The per-record *attributed* totals stay equal either way.
-        assert_eq!(
-            legacy.records.iter().map(|r| r.sim_steps).sum::<u64>(),
-            trellis.records.iter().map(|r| r.sim_steps).sum::<u64>()
         );
     }
 
@@ -1405,7 +1308,7 @@ mod scheduler_tests {
             !campaign.checkpoints.is_empty(),
             "test premise: hpccg(3,2) must outrun the checkpoint quantum"
         );
-        let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60, Scheduler::Trellis) };
+        let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60) };
         let single = campaign.run(&config(1));
         assert_eq!(single.cursor_shards, 1);
         for k in [2, 4, 16] {
@@ -1431,9 +1334,9 @@ mod scheduler_tests {
         let w = workloads::hpccg::build(3, 2);
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let base = rayon::with_threads(1, || campaign.run(&cfg(40, Scheduler::Trellis)));
+        let base = rayon::with_threads(1, || campaign.run(&cfg(40)));
         assert_eq!(base.cursor_shards, 1);
-        let wide = rayon::with_threads(4, || campaign.run(&cfg(40, Scheduler::Trellis)));
+        let wide = rayon::with_threads(4, || campaign.run(&cfg(40)));
         assert!(wide.cursor_shards > 1, "4-thread run stayed single-sharded");
         assert_eq!(base.records, wide.records);
     }
@@ -1450,7 +1353,7 @@ mod scheduler_tests {
         let w = workloads::hpccg::build(3, 2);
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let config = cfg(100, Scheduler::Trellis);
+        let config = cfg(100);
         let budget = campaign.fuel_budget(&config);
         let r = campaign.run(&config);
         assert!(r.hang > 0, "test premise: need at least one hang");
@@ -1469,22 +1372,21 @@ mod scheduler_tests {
         }
     }
 
-    /// A never-cancelled `JobControl` is an observational no-op: `run_job`
-    /// reproduces `run` bit for bit under both schedulers, reports the
-    /// classified count through the control block, and leaves the report's
-    /// `cancelled` flag clear.
+    /// A never-cancelled `JobControl` is an observational no-op:
+    /// `run_selected` over every index reproduces `run` bit for bit, reports
+    /// the classified count through the control block, and leaves the
+    /// report's `cancelled` flag clear.
     #[test]
     fn uncancelled_job_control_is_a_no_op() {
         let campaign = tiny_campaign();
-        for scheduler in [Scheduler::Trellis, Scheduler::PerInjection] {
-            let config = cfg(40, scheduler);
-            let plain = campaign.run(&config);
-            let ctl = JobControl::new();
-            let job = campaign.run_job(&config, &NoTelemetry, &ctl);
-            assert_eq!(plain.records, job.records, "{scheduler:?} diverged under run_job");
-            assert!(!job.cancelled);
-            assert_eq!(ctl.classified(), job.total() as u64);
-        }
+        let config = cfg(40);
+        let all: Vec<usize> = (0..40).collect();
+        let plain = campaign.run(&config);
+        let ctl = JobControl::new();
+        let job = campaign.run_selected(&config, &all, &NoTelemetry, &ctl, &NoSink);
+        assert_eq!(plain, job);
+        assert!(!job.cancelled);
+        assert_eq!(ctl.classified(), job.total() as u64);
     }
 
     /// A control cancelled before the run starts yields an empty, flagged
@@ -1493,29 +1395,24 @@ mod scheduler_tests {
     #[test]
     fn pre_cancelled_job_yields_empty_flagged_report() {
         let campaign = tiny_campaign();
-        for scheduler in [Scheduler::Trellis, Scheduler::PerInjection] {
-            let config = cfg(40, scheduler);
-            let ctl = JobControl::new();
-            ctl.cancel();
-            let report = campaign.run_job(&config, &NoTelemetry, &ctl);
-            assert!(report.cancelled, "{scheduler:?} report not flagged cancelled");
-            assert!(report.records.is_empty(), "{scheduler:?} ran suffixes after cancel");
-            assert_eq!(report.total(), 0);
-            assert_eq!(ctl.classified(), 0);
-        }
+        let config = cfg(40);
+        let all: Vec<usize> = (0..40).collect();
+        let ctl = JobControl::new();
+        ctl.cancel();
+        let report = campaign.run_selected(&config, &all, &NoTelemetry, &ctl, &NoSink);
+        assert!(report.cancelled, "report not flagged cancelled");
+        assert!(report.records.is_empty(), "ran suffixes after cancel");
+        assert_eq!(report.total(), 0);
+        assert_eq!(ctl.classified(), 0);
         // The cancel is scoped to the control block, not the campaign.
-        let fresh = campaign.run(&cfg(40, Scheduler::Trellis));
+        let fresh = campaign.run(&config);
         assert!(!fresh.cancelled);
         assert_eq!(fresh.total(), fresh.records.len());
     }
 
-    /// Scheduler and fault-model wire names round-trip through `FromStr`.
+    /// Fault-model wire names round-trip through `FromStr`.
     #[test]
-    fn scheduler_and_fault_model_names_round_trip() {
-        for s in [Scheduler::Trellis, Scheduler::PerInjection] {
-            assert_eq!(s.name().parse::<Scheduler>().unwrap(), s);
-        }
-        assert!("nope".parse::<Scheduler>().is_err());
+    fn fault_model_names_round_trip() {
         for m in [crate::FaultModel::SingleBit, crate::FaultModel::DoubleBit] {
             assert_eq!(m.name().parse::<crate::FaultModel>().unwrap(), m);
         }

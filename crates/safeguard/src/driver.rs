@@ -43,27 +43,22 @@ pub fn run_protected(
     safeguard: &mut Safeguard,
     max_recoveries: u64,
 ) -> ProtectedExit {
-    run_protected_with_hooks(process, safeguard, max_recoveries, &telemetry::NoTelemetry)
+    run_protected_engine_with_hooks(
+        &simx::InterpEngine,
+        process,
+        safeguard,
+        max_recoveries,
+        &telemetry::NoTelemetry,
+    )
 }
 
-/// [`run_protected`] with telemetry hooks, threaded through to
-/// [`Safeguard::handle_trap_with_hooks`]. The simulation loop itself stays
-/// uninstrumented — `Process::run` is the hot path and hooks only observe
-/// its trap exits.
-pub fn run_protected_with_hooks<H: telemetry::Hooks>(
-    process: &mut Process,
-    safeguard: &mut Safeguard,
-    max_recoveries: u64,
-    hooks: &H,
-) -> ProtectedExit {
-    run_protected_engine_with_hooks(&simx::InterpEngine, process, safeguard, max_recoveries, hooks)
-}
-
-/// [`run_protected_with_hooks`] with the simulation loop routed through an
+/// [`run_protected`] with the simulation loop routed through an
 /// [`ExecutionEngine`](simx::ExecutionEngine), so campaigns can drive the
-/// protected path on the compiled backend. Trap handling is engine-agnostic:
-/// both engines freeze the faulting frame identically, so Safeguard's
-/// patch-and-resume works unchanged.
+/// protected path on the compiled backend, and with telemetry hooks
+/// threaded through to [`Safeguard::handle_trap_with_hooks`]. The
+/// simulation loop itself stays uninstrumented — hooks only observe its trap
+/// exits. Trap handling is engine-agnostic: both engines freeze the faulting
+/// frame identically, so Safeguard's patch-and-resume works unchanged.
 pub fn run_protected_engine_with_hooks<H: telemetry::Hooks>(
     engine: &dyn simx::ExecutionEngine,
     process: &mut Process,

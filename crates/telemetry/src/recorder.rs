@@ -20,7 +20,7 @@
 //! [`Recorder::drain`](crate::Recorder::drain) merges every shard into one
 //! [`TelemetryReport`](crate::TelemetryReport). Because shards are
 //! per-thread, per-shard counter subtotals are per-*worker* measurements —
-//! the trellis scheduler's `worker.busy_ns` utilization breakdown is just
+//! the trellis' `worker.busy_ns` utilization breakdown is just
 //! the undrained view of an ordinary counter.
 
 use crate::event::Event;

@@ -1,18 +1,17 @@
-//! CI smoke test: a 30-injection CARE coverage campaign on HPCCG, run under
-//! BOTH campaign schedulers.
+//! CI smoke test: a 30-injection CARE coverage campaign on HPCCG, checked
+//! against the per-index reference.
 //!
 //! Small enough to finish in seconds on a cold runner, but end-to-end real:
 //! compile at O1, run Armor, inject 30 single-bit flips, classify every
 //! outcome, and evaluate CARE recovery on the faults that trap. The campaign
-//! runs once under the per-injection engine (fork at the breakpoint, every
-//! worker replays its own prefix) and once under the snapshot-trellis
-//! scheduler (one shared instrumented cursor pass, CoW forks at the pending
-//! injection points), and the two must agree record for record — the
-//! equivalence the trellis optimisation promises. The trellis campaign is
-//! then repeated at 1 and 4 pool threads, which must also agree bit for
+//! runs on the snapshot trellis (one shared instrumented cursor pass, CoW
+//! forks at the pending injection points) and again as 30 `Campaign::run_one`
+//! calls (every injection replays its own prefix), and the two must agree
+//! record for record — the equivalence the trellis promises. The campaign
+//! is then repeated at 1 and 4 pool threads, which must also agree bit for
 //! bit (the sharded cursor pass and the work-stealing pool are pure
-//! wall-clock optimisations). Exits nonzero (assert) if
-//! the pipeline stops covering faults or the schedulers diverge — the
+//! wall-clock optimisations). Exits nonzero (assert) if the pipeline stops
+//! covering faults or the trellis diverges from the reference — the
 //! regressions a unit suite can miss, because they need the compiler, the
 //! interpreter fast path, the campaign engine and Safeguard all working
 //! against each other.
@@ -26,7 +25,7 @@
 //! on the direct-threaded compiled backend, which must agree with the
 //! interpreter record for record as well.
 
-use faultsim::{Campaign, CampaignConfig, EngineKind, FaultModel, Scheduler};
+use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 
 fn main() {
@@ -46,19 +45,20 @@ fn main() {
     let w = workloads::hpccg::default();
     let app = care::compile(&w.module, OptLevel::O1);
     let campaign = Campaign::prepare(&w, app, vec![]);
-    let cfg = |scheduler: Scheduler| CampaignConfig {
+    let cfg = CampaignConfig {
         injections: 30,
         model: FaultModel::SingleBit,
         evaluate_care: true,
         app_only: true,
         seed: 0x5300CE,
         keep_records: true,
-        scheduler,
         engine,
         ..CampaignConfig::default()
     };
-    let r = campaign.run(&cfg(Scheduler::Trellis));
-    let legacy = campaign.run(&cfg(Scheduler::PerInjection));
+    let r = campaign.run(&cfg);
+    let legacy = CampaignReport::from_records(
+        (0..cfg.injections).filter_map(|i| campaign.run_one(&cfg, i)).collect(),
+    );
     println!(
         "smoke campaign [{}]: 30 injections on HPCCG -> {} benign, {} soft, {} sdc, {} hang; \
          CARE evaluated {}, covered {}",
@@ -66,7 +66,7 @@ fn main() {
     );
     println!(
         "trellis: {} snapshots off one cursor pass, {} prefix + {} suffix + {} CARE steps \
-         (legacy executed {} steps)",
+         (per-index run_one executed {} steps)",
         r.trellis_snapshots,
         r.steps_prefix,
         r.steps_suffix,
@@ -88,17 +88,17 @@ fn main() {
     );
     assert_eq!(
         r.records, legacy.records,
-        "trellis and per-injection schedulers must produce identical records"
+        "the trellis and per-index run_one must produce identical records"
     );
     assert_eq!(
         (legacy.benign, legacy.soft_failure, legacy.sdc, legacy.hang),
         (r.benign, r.soft_failure, r.sdc, r.hang),
-        "aggregate outcomes diverged between schedulers"
+        "aggregate outcomes diverged from the per-index reference"
     );
     assert!(
         r.simulated_steps < legacy.simulated_steps,
         "the shared cursor pass must execute fewer instructions than \
-         per-injection prefix replay ({} vs {})",
+         per-index prefix replay ({} vs {})",
         r.simulated_steps,
         legacy.simulated_steps
     );
@@ -107,8 +107,8 @@ fn main() {
     // (one cursor, inline suffixes) and a 4-thread run (sharded cursors,
     // pooled suffixes) agree bit for bit. CI additionally runs this whole
     // example under CARE_THREADS=4.
-    let narrow = rayon::with_threads(1, || campaign.run(&cfg(Scheduler::Trellis)));
-    let wide = rayon::with_threads(4, || campaign.run(&cfg(Scheduler::Trellis)));
+    let narrow = rayon::with_threads(1, || campaign.run(&cfg));
+    let wide = rayon::with_threads(4, || campaign.run(&cfg));
     assert_eq!(narrow.cursor_shards, 1, "1 thread must run a single cursor");
     assert!(
         wide.cursor_shards > 1,
@@ -122,5 +122,5 @@ fn main() {
         "threads: 1-thread ({} shard) and 4-thread ({} shards) records identical",
         narrow.cursor_shards, wide.cursor_shards
     );
-    println!("smoke campaign OK (both schedulers agree)");
+    println!("smoke campaign OK (trellis agrees with per-index run_one)");
 }

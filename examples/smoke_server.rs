@@ -14,7 +14,7 @@
 //! ```
 
 use careserve::{submit, CampaignServer, JobSpec, ServerConfig, WorkloadSel};
-use faultsim::{Campaign, CampaignConfig};
+use faultsim::Campaign;
 
 fn main() {
     let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind loopback");
@@ -29,17 +29,7 @@ fn main() {
     let workload = careserve::proto::resolve_workload(&spec.workload).expect("hpccg resolves");
     let app = care::compile(&workload.module, spec.opt);
     let campaign = Campaign::prepare(&workload, app, vec![]);
-    let local = campaign.run(&CampaignConfig {
-        injections: spec.injections,
-        model: spec.model,
-        seed: spec.seed,
-        evaluate_care: spec.evaluate_care,
-        app_only: spec.app_only,
-        keep_records: spec.records,
-        scheduler: spec.scheduler,
-        engine: spec.engine,
-        ..CampaignConfig::default()
-    });
+    let local = campaign.run(&spec.campaign_config());
     assert!(local.care_covered > 0, "smoke campaign must cover at least one fault");
 
     let first = submit(handle.addr(), &spec).expect("first submit");

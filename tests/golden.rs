@@ -13,7 +13,7 @@
 //! refresh. Refresh the constants only for an *intentional* semantic change
 //! (new fault model, different sampling), and say so in the commit.
 
-use faultsim::{Campaign, CampaignConfig, EngineKind, FaultModel, Scheduler};
+use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 use proptest::prelude::*;
 use safeguard::DeclineKind;
@@ -58,42 +58,39 @@ fn snapshot_fork_engine_matches_golden_aggregates() {
     assert_eq!(r.declines.get(&DeclineKind::SameAddress), Some(&3));
 }
 
-/// Run one campaign with records kept, under the given scheduler.
-fn run_records(
-    campaign: &Campaign,
-    injections: usize,
-    seed: u64,
-    scheduler: Scheduler,
-) -> faultsim::CampaignReport {
-    run_records_engine(campaign, injections, seed, scheduler, EngineKind::Interp)
-}
-
-/// [`run_records`] on an explicit execution backend.
-fn run_records_engine(
-    campaign: &Campaign,
-    injections: usize,
-    seed: u64,
-    scheduler: Scheduler,
-    engine: EngineKind,
-) -> faultsim::CampaignReport {
-    campaign.run(&CampaignConfig {
+/// The coverage campaign every equivalence test below runs, records kept.
+fn records_cfg(injections: usize, seed: u64, engine: EngineKind) -> CampaignConfig {
+    CampaignConfig {
         injections,
         model: FaultModel::SingleBit,
         seed,
         evaluate_care: true,
         app_only: true,
         keep_records: true,
-        scheduler,
         engine,
         ..CampaignConfig::default()
-    })
+    }
 }
 
-/// The snapshot-trellis scheduler must be an observational no-op: for every
+/// Run one interpreter campaign with records kept.
+fn run_records(campaign: &Campaign, injections: usize, seed: u64) -> CampaignReport {
+    campaign.run(&records_cfg(injections, seed, EngineKind::Interp))
+}
+
+/// The per-index reference: every injection re-simulates its own prefix
+/// through [`Campaign::run_one`], and the report charges each record its
+/// own prefix.
+fn reference(campaign: &Campaign, cfg: &CampaignConfig) -> CampaignReport {
+    CampaignReport::from_records(
+        (0..cfg.injections).filter_map(|i| campaign.run_one(cfg, i)).collect(),
+    )
+}
+
+/// The snapshot trellis must be an observational no-op: for every
 /// workload, the per-injection records — injection point, landing site,
 /// outcome, manifestation latency, per-stage step split and the full CARE
-/// evaluation — are bit-identical to the per-injection engine's at the
-/// benchmark seed. Only the *wall-clock shape* may differ (one shared
+/// evaluation — are bit-identical to the per-index `run_one` reference at
+/// the benchmark seed. Only the *wall-clock shape* may differ (one shared
 /// cursor pass instead of N prefix re-runs).
 #[test]
 fn trellis_records_match_legacy_on_all_workloads() {
@@ -107,11 +104,11 @@ fn trellis_records_match_legacy_on_all_workloads() {
     for (name, w) in small {
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let legacy = run_records(&campaign, 40, 0xCA2E, Scheduler::PerInjection);
-        let trellis = run_records(&campaign, 40, 0xCA2E, Scheduler::Trellis);
+        let legacy = reference(&campaign, &records_cfg(40, 0xCA2E, EngineKind::Interp));
+        let trellis = run_records(&campaign, 40, 0xCA2E);
         assert_eq!(
             legacy.records, trellis.records,
-            "{name}: trellis records diverged from the per-injection engine"
+            "{name}: trellis records diverged from the per-index reference"
         );
         assert_eq!(legacy.total(), 40, "{name}: injections went unclassified");
     }
@@ -135,14 +132,10 @@ fn sharded_trellis_matches_single_cursor_on_all_workloads() {
     for (name, w) in small {
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let single = rayon::with_threads(1, || {
-            run_records(&campaign, 40, 0xCA2E, Scheduler::Trellis)
-        });
+        let single = rayon::with_threads(1, || run_records(&campaign, 40, 0xCA2E));
         assert_eq!(single.cursor_shards, 1, "{name}: 1 thread must mean 1 shard");
         for threads in [2usize, 8] {
-            let sharded = rayon::with_threads(threads, || {
-                run_records(&campaign, 40, 0xCA2E, Scheduler::Trellis)
-            });
+            let sharded = rayon::with_threads(threads, || run_records(&campaign, 40, 0xCA2E));
             assert_eq!(
                 single.records, sharded.records,
                 "{name}: records diverged at {threads} threads"
@@ -161,9 +154,55 @@ fn sharded_trellis_matches_single_cursor_on_all_workloads() {
     }
 }
 
+/// A report is a pure function of `(Campaign, CampaignConfig)` and the
+/// caller's own width scope: with `cursor_shards: None`, every run agrees in
+/// full — records, executed-prefix steps, shard count — with a quiet run
+/// while a second thread holds a `rayon::with_threads` scope of width 1,
+/// then 4, open around it (the barrier forces that overlap). A
+/// process-global override would leak those widths into this thread's shard
+/// plan.
+#[test]
+fn report_is_stable_while_another_thread_churns_pool_width() {
+    use rayon::prelude::*;
+    let w = workloads::hpccg::build(3, 2);
+    let campaign = Campaign::prepare(&w, care::compile(&w.module, OptLevel::O1), vec![]);
+    let cfg = records_cfg(40, 0xCA2E, EngineKind::Interp);
+    let quiet = campaign.run(&cfg);
+    let widths = [1usize, 4, 1, 4];
+    let overlap = std::sync::Barrier::new(2);
+    let churned: Vec<CampaignReport> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let sums: Vec<usize> = widths
+                .iter()
+                .map(|&width| {
+                    rayon::with_threads(width, || {
+                        overlap.wait(); // scope open: the main thread runs now
+                        let sum = (0..64usize).into_par_iter().map(|i| i).sum();
+                        overlap.wait(); // the main thread's run is done
+                        sum
+                    })
+                })
+                .collect();
+            assert_eq!(sums, [2016; 4]);
+        });
+        widths
+            .iter()
+            .map(|_| {
+                overlap.wait();
+                let run = campaign.run(&cfg);
+                overlap.wait();
+                run
+            })
+            .collect()
+    });
+    for (run, width) in churned.iter().zip(widths) {
+        assert_eq!(run, &quiet, "saw another thread's width {width}");
+    }
+}
+
 /// The compiled direct-threaded engine must be an observational no-op on
-/// full campaigns: for every workload, under *both* schedulers, the
-/// per-injection records — injection point, landing site, outcome,
+/// full campaigns: for every workload, on the trellis *and* through the
+/// per-index `run_one` reference, the per-injection records — injection point, landing site, outcome,
 /// manifestation latency, step split and the full CARE evaluation — are
 /// bit-identical to the interpreter's at the benchmark seed. This is the
 /// campaign-level counterpart of the per-budget parity the simx unit tests
@@ -180,19 +219,18 @@ fn compiled_engine_records_match_interpreter_on_all_workloads() {
     for (name, w) in small {
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        for scheduler in [Scheduler::Trellis, Scheduler::PerInjection] {
-            let interp =
-                run_records_engine(&campaign, 40, 0xCA2E, scheduler, EngineKind::Interp);
-            let compiled =
-                run_records_engine(&campaign, 40, 0xCA2E, scheduler, EngineKind::Compiled);
+        type Run = fn(&Campaign, &CampaignConfig) -> CampaignReport;
+        for (path, run) in [("trellis", Campaign::run as Run), ("run_one", reference)] {
+            let interp = run(&campaign, &records_cfg(40, 0xCA2E, EngineKind::Interp));
+            let compiled = run(&campaign, &records_cfg(40, 0xCA2E, EngineKind::Compiled));
             assert_eq!(
                 interp.records, compiled.records,
-                "{name} ({scheduler:?}): compiled-engine records diverged from the interpreter"
+                "{name} ({path}): compiled-engine records diverged from the interpreter"
             );
             assert_eq!(
                 (interp.steps_prefix, interp.steps_suffix, interp.steps_care),
                 (compiled.steps_prefix, compiled.steps_suffix, compiled.steps_care),
-                "{name} ({scheduler:?}): step accounting diverged"
+                "{name} ({path}): step accounting diverged"
             );
         }
     }
@@ -376,15 +414,7 @@ fn telemetry_recorder_does_not_perturb_campaign_records() {
     let w = workloads::hpccg::build(3, 2);
     let app = care::compile(&w.module, OptLevel::O1);
     let campaign = Campaign::prepare(&w, app, vec![]);
-    let cfg = CampaignConfig {
-        injections: 40,
-        model: FaultModel::SingleBit,
-        seed: 0xCA2E,
-        evaluate_care: true,
-        app_only: true,
-        keep_records: true,
-        ..CampaignConfig::default()
-    };
+    let cfg = records_cfg(40, 0xCA2E, EngineKind::Interp);
     let plain = campaign.run(&cfg);
     let rec = telemetry::Recorder::new();
     let traced = campaign.run_with_hooks(&cfg, &rec);
@@ -418,14 +448,14 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Seed-independence of the trellis/legacy equivalence: any seed's
+    /// Seed-independence of the trellis/reference equivalence: any seed's
     /// record stream (sampling, outcomes, CARE results, step splits) is
-    /// identical under both schedulers.
+    /// identical on the trellis and through per-index `run_one` calls.
     #[test]
     fn trellis_matches_legacy_at_random_seeds(seed in any::<u64>()) {
         let campaign = tiny_campaign();
-        let legacy = run_records(campaign, 20, seed, Scheduler::PerInjection);
-        let trellis = run_records(campaign, 20, seed, Scheduler::Trellis);
+        let legacy = reference(campaign, &records_cfg(20, seed, EngineKind::Interp));
+        let trellis = run_records(campaign, 20, seed);
         prop_assert_eq!(&legacy.records, &trellis.records);
     }
 
@@ -441,16 +471,7 @@ proptest! {
         hang_factor in 1u64..30,
     ) {
         let campaign = tiny_campaign();
-        let cfg = CampaignConfig {
-            injections: 20,
-            model: FaultModel::SingleBit,
-            seed,
-            evaluate_care: true,
-            app_only: true,
-            keep_records: true,
-            hang_factor,
-            ..CampaignConfig::default()
-        };
+        let cfg = CampaignConfig { hang_factor, ..records_cfg(20, seed, EngineKind::Interp) };
         let interp = campaign.run(&cfg);
         let compiled =
             campaign.run(&CampaignConfig { engine: EngineKind::Compiled, ..cfg });
@@ -471,16 +492,9 @@ proptest! {
     ) {
         let campaign = tiny_campaign();
         let cfg = CampaignConfig {
-            injections: 20,
-            model: FaultModel::SingleBit,
-            seed,
-            evaluate_care: true,
-            app_only: true,
-            keep_records: true,
             hang_factor,
-            scheduler: Scheduler::Trellis,
             cursor_shards: Some(1),
-            ..CampaignConfig::default()
+            ..records_cfg(20, seed, EngineKind::Interp)
         };
         let single = campaign.run(&cfg);
         let sharded =

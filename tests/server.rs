@@ -5,29 +5,22 @@
 //! client disconnect without leaking in-flight budget.
 
 use careserve::{fetch_stats, submit, CampaignServer, JobSpec, ServerConfig, WorkloadSel};
-use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel, Scheduler};
+use faultsim::{Campaign, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Run the spec locally, exactly as the server's worker does.
-fn local_run(spec: &JobSpec) -> CampaignReport {
+fn local_campaign(spec: &JobSpec) -> Campaign {
     let workload = careserve::proto::resolve_workload(&spec.workload).expect("spec resolves");
     let app = care::compile(&workload.module, spec.opt);
-    let campaign = Campaign::prepare(&workload, app, vec![]);
-    campaign.run(&CampaignConfig {
-        injections: spec.injections,
-        model: spec.model,
-        seed: spec.seed,
-        evaluate_care: spec.evaluate_care,
-        app_only: spec.app_only,
-        keep_records: spec.records,
-        scheduler: spec.scheduler,
-        engine: spec.engine,
-        ..CampaignConfig::default()
-    })
+    Campaign::prepare(&workload, app, vec![])
+}
+
+/// Run the spec locally, exactly as the server's worker does.
+fn local_run(spec: &JobSpec) -> CampaignReport {
+    local_campaign(spec).run(&spec.campaign_config())
 }
 
 fn named(name: &str, params: &[i64], injections: usize) -> JobSpec {
@@ -114,6 +107,12 @@ fn five_workloads_over_loopback_match_local_runs_under_concurrent_clients() {
         );
         assert_eq!(wire.records.len(), local.records.len());
     }
+    // The served records are also the per-index `run_one` reference.
+    let (spec, wire) = &outcomes[0];
+    let (campaign, cfg) = (local_campaign(spec), spec.campaign_config());
+    let reference: Vec<_> =
+        (0..cfg.injections).filter_map(|i| campaign.run_one(&cfg, i)).collect();
+    assert_eq!(wire.records, reference, "served records diverged from per-index run_one");
     let stats = handle.stats();
     assert_eq!(stats.jobs_completed, 5);
     assert_eq!(stats.jobs_rejected, 0);
@@ -195,12 +194,43 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
     handle.shutdown();
 }
 
+/// Older clients still send `"scheduler":"per-injection"` in their `job`
+/// frames. The key is ignored: the frame is accepted and the job yields the
+/// same report as one without it.
+#[test]
+fn job_frame_with_a_legacy_scheduler_key_is_accepted_and_changes_nothing() {
+    let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
+    let spec = named("hpccg", &[3, 2], 30);
+    let legacy_frame =
+        spec.to_frame().replace("\"engine\":", "\"scheduler\":\"per-injection\",\"engine\":");
+    assert_ne!(legacy_frame, spec.to_frame());
+    let v = careserve::proto::parse_frame(&legacy_frame).expect("legacy frame parses");
+    assert_eq!(JobSpec::from_json(&v).expect("legacy frame decodes"), spec);
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(legacy_frame.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    assert_eq!(frame_kind(&read_json_line(&mut reader)), "accepted");
+    let report = loop {
+        let v = read_json_line(&mut reader);
+        match frame_kind(&v).as_str() {
+            "report" => break careserve::proto::decode_report(&v).expect("report decodes"),
+            "progress" | "record" => {}
+            other => panic!("unexpected {other:?} frame"),
+        }
+    };
+    let modern = submit(handle.addr(), &spec).expect("submit without the key").report;
+    assert_eq!(report, CampaignReport { records: Vec::new(), ..modern });
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Property tests over job specs.
 
 fn arb_spec() -> impl Strategy<Value = JobSpec> {
     let engine = prop_oneof![Just(EngineKind::Interp), Just(EngineKind::Compiled)];
-    let scheduler = prop_oneof![Just(Scheduler::Trellis), Just(Scheduler::PerInjection)];
     let model = prop_oneof![Just(FaultModel::SingleBit), Just(FaultModel::DoubleBit)];
     let opt = prop_oneof![Just(OptLevel::O0), Just(OptLevel::O1)];
     let workload = prop_oneof![
@@ -208,13 +238,12 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
         Just(WorkloadSel::Named { name: "hpccg".to_string(), params: vec![3, 2] }),
         Just(WorkloadSel::Named { name: "minife".to_string(), params: vec![2, 2] }),
     ];
-    ((workload, any::<u64>(), 1usize..=8, engine), (scheduler, model, opt, any::<bool>())).prop_map(
-        |((workload, seed, injections, engine), (scheduler, model, opt, records))| JobSpec {
+    ((workload, any::<u64>(), 1usize..=8, engine), (model, opt, any::<bool>())).prop_map(
+        |((workload, seed, injections, engine), (model, opt, records))| JobSpec {
             workload,
             seed,
             injections,
             engine,
-            scheduler,
             model,
             opt,
             threads: 1,

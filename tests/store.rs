@@ -1,6 +1,7 @@
 //! Integration tests for the content-addressed record store: warm
 //! re-runs, kill + resume and residual planning must all reproduce a
-//! fresh full run bit for bit, across schedulers and engines.
+//! fresh full run bit for bit, across engines, and equal the per-index
+//! `run_one` reference.
 //!
 //! The determinism these tests pin rests on faultsim's per-index record
 //! independence (record `i` depends only on `(seed, i)`), which makes
@@ -8,7 +9,7 @@
 //! would have at those indexes.
 
 use carestore::{campaign_key, CampaignKey, Store};
-use faultsim::{Campaign, CampaignConfig, EngineKind, FaultModel, JobControl, Scheduler};
+use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel, JobControl};
 use opt::OptLevel;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -48,14 +49,13 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn cfg(injections: usize, seed: u64, scheduler: Scheduler, engine: EngineKind) -> CampaignConfig {
+fn cfg(injections: usize, seed: u64, engine: EngineKind) -> CampaignConfig {
     CampaignConfig {
         injections,
         model: FaultModel::SingleBit,
         seed,
         evaluate_care: true,
         app_only: true,
-        scheduler,
         engine,
         ..CampaignConfig::default()
     }
@@ -91,7 +91,7 @@ fn warm_store_rerun_is_byte_identical_and_executes_nothing() {
     let f = fixture();
     let dir = tmp_dir("warm");
     let store = Store::open(&dir).unwrap();
-    let c = cfg(40, 0x57CE, Scheduler::Trellis, EngineKind::Interp);
+    let c = cfg(40, 0x57CE, EngineKind::Interp);
 
     let cold = store
         .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
@@ -117,7 +117,7 @@ fn warm_store_rerun_is_byte_identical_and_executes_nothing() {
 #[test]
 fn kill_mid_run_then_resume_reproduces_the_full_run() {
     let f = fixture();
-    let c = cfg(40, 0x1337, Scheduler::Trellis, EngineKind::Interp);
+    let c = cfg(40, 0x1337, EngineKind::Interp);
 
     // The canonical answer: a cold run through its own store.
     let dir_full = tmp_dir("kill-full");
@@ -173,23 +173,53 @@ fn kill_mid_run_then_resume_reproduces_the_full_run() {
     std::fs::remove_dir_all(&dir_full).unwrap();
 }
 
+/// Logs written before the scheduler axis was retired carry
+/// `"scheduler":"per-injection"` in their `run` headers. Such a log must
+/// scan clean (no corrupt lines, every record reused) and resume to the
+/// byte-identical report.
+#[test]
+fn log_with_a_legacy_scheduler_key_scans_clean_and_resumes_identically() {
+    let f = fixture();
+    let c = cfg(24, 0x01D, EngineKind::Interp);
+    let dir_a = tmp_dir("legacy-a");
+    let store_a = Store::open(&dir_a).unwrap();
+    let cold = store_a
+        .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
+        .expect("cold run");
+    let log = std::fs::read_to_string(store_a.log_path(&f.key)).expect("cold log");
+    let legacy = log.replace("\"engine\":", "\"scheduler\":\"per-injection\",\"engine\":");
+    assert_ne!(legacy, log, "the run header lost its engine key");
+
+    let dir_b = tmp_dir("legacy-b");
+    let store_b = Store::open(&dir_b).unwrap();
+    std::fs::write(store_b.log_path(&f.key), truncated_log(&legacy, 10)).unwrap();
+    let resumed = store_b
+        .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
+        .expect("resumed run");
+    assert_eq!(resumed.stats.corrupt_lines, 0, "legacy header counted as corrupt");
+    assert_eq!((resumed.stats.hits, resumed.stats.misses), (10, 14));
+    assert_eq!(resumed.report, cold.report, "resume from a legacy log diverged");
+    std::fs::remove_dir_all(&dir_a).unwrap();
+    std::fs::remove_dir_all(&dir_b).unwrap();
+}
+
 /// Truncation-based resume: deterministic kill images at *every* record
-/// boundary, swept across schedulers, engines and seeds by proptest below.
-fn check_resume_at_boundary(
-    scheduler: Scheduler,
-    engine: EngineKind,
-    seed: u64,
-    keep_pct: usize,
-) {
+/// boundary, swept across engines and seeds by proptest below. The cold run
+/// itself must equal the per-index `run_one` reference.
+fn check_resume_at_boundary(engine: EngineKind, seed: u64, keep_pct: usize) {
     let f = fixture();
     let injections = 24;
-    let c = cfg(injections, seed, scheduler, engine);
+    let c = CampaignConfig { keep_records: true, ..cfg(injections, seed, engine) };
 
     let dir_a = tmp_dir("bound-a");
     let store_a = Store::open(&dir_a).unwrap();
     let cold = store_a
         .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
         .expect("cold run");
+    let reference = CampaignReport::from_records(
+        (0..injections).filter_map(|i| f.campaign.run_one(&c, i)).collect(),
+    );
+    assert_eq!(cold.report, reference, "stored run diverged from per-index run_one");
     let log = std::fs::read_to_string(store_a.log_path(&f.key)).expect("cold log");
     let total_records = record_lines(&log);
     let keep = total_records * keep_pct / 100;
@@ -210,7 +240,7 @@ fn check_resume_at_boundary(
     assert_eq!(
         resumed.report, cold.report,
         "resume from boundary {keep}/{total_records} diverged \
-         ({scheduler:?}, {engine:?}, seed {seed:#x})"
+         ({engine:?}, seed {seed:#x})"
     );
 
     // And the resumed store is now fully warm.
@@ -232,11 +262,10 @@ proptest! {
 
     #[test]
     fn resume_from_any_record_boundary_is_bit_identical(
-        scheduler in prop_oneof![Just(Scheduler::Trellis), Just(Scheduler::PerInjection)],
         engine in prop_oneof![Just(EngineKind::Interp), Just(EngineKind::Compiled)],
         seed in 0u64..1u64 << 48,
         keep_pct in 0usize..=100,
     ) {
-        check_resume_at_boundary(scheduler, engine, seed, keep_pct);
+        check_resume_at_boundary(engine, seed, keep_pct);
     }
 }
