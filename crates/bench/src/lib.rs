@@ -1,47 +1,15 @@
-//! # bench — experiment harness shared by the `repro` binary and the
-//! Criterion benches.
+//! # bench — experiment harness behind the `repro` binary.
 //!
 //! Each function here regenerates the data behind one table or figure of
-//! the paper (see DESIGN.md §4 for the full index). The `repro` binary
-//! formats them as the paper's rows; the Criterion benches time the
-//! underlying operations (Armor pass, recovery path, campaign throughput).
+//! the paper (see DESIGN.md §4 for the full index); the `repro` binary
+//! formats them as the paper's rows, and `tests/experiments.rs` pins them.
+//! Performance is measured by `carebench` (`benchmarks/`), not here.
 
 use care::CompiledApp;
 use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 use telemetry::{Hooks, NoTelemetry, Recorder};
 use workloads::Workload;
-
-/// Schema version of `BENCH_campaign.json` (bumped whenever its shape
-/// changes; `tests/golden.rs` pins the committed artefact to this value).
-///
-/// * v1 — original throughput-only rows.
-/// * v2 — adds `schema_version`, per-workload decline histograms, TLB hit
-///   rates and the measured recovery-preparation fraction (all sourced from
-///   the telemetry subsystem).
-/// * v3 — each row carries an `engine` field (`interp` | `compiled`); every
-///   workload is emitted once per execution backend, and compiled rows add
-///   `speedup_vs_interp` (simulated-instructions/s ratio at identical seed,
-///   thread count and step counts).
-/// * v4 — one row set per swept thread count (each row carries `threads`,
-///   per-worker `workers_busy_ns` and work-stealing pool counters), the
-///   top-level `threads` field becomes the swept list, `host_cpus` records
-///   the measurement host's core count, and a `scaling` section reports
-///   injections/s, speedup and parallel efficiency per (workload, engine)
-///   against the first swept thread count.
-/// * v5 — optional top-level `service` section (`repro submit --bench`):
-///   jobs/s for a concurrent small-job batch against a `careserve` campaign
-///   server, plus the server's queue-depth telemetry and cache hit/miss
-///   counters. Readers must tolerate its absence (`repro bench-json` alone
-///   does not emit it).
-/// * v6 — top-level `store` section: one coverage campaign run cold through
-///   a fresh content-addressed `carestore` store and immediately re-run
-///   warm. Reports record hits, misses (the residual actually executed),
-///   known skips, the residual fraction of each run, both wall times and
-///   the measured warm-vs-cold speedup. (The constant top-level
-///   `"scheduler": "trellis"` key was later dropped without a bump: the
-///   trellis is the only campaign path and no reader consumed the key.)
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// Rows of a formatted text table.
 pub struct Table {
@@ -117,13 +85,9 @@ pub struct PreparedWorkload {
 pub fn prepare(workload: &Workload, level: OptLevel) -> PreparedWorkload {
     let app = care::compile(&workload.module, level);
     let campaign = Campaign::prepare(workload, app.clone(), vec![]);
-    let key = carestore::campaign_key(
-        &workload.module,
-        workload.entry,
-        &workload.args,
-        &workload.outputs,
-        &format!("{:?}", level),
-    );
+    // The server's key function, so `repro --store DIR` and
+    // `repro serve --store DIR` share logs by construction.
+    let key = careserve::proto::campaign_key_for(workload, level);
     PreparedWorkload { name: workload.name, app, campaign, key }
 }
 
@@ -189,8 +153,7 @@ pub fn run_campaign(
 
 /// Decline-reason histogram of a campaign as deterministically-ordered
 /// `(kind, count)` rows (declaration order of [`safeguard::DeclineKind`]),
-/// skipping zero-count kinds. Shared by the repro declines table and the
-/// `BENCH_campaign.json` v2 emitter.
+/// skipping zero-count kinds.
 pub fn decline_rows(report: &CampaignReport) -> Vec<(&'static str, usize)> {
     safeguard::DeclineKind::ALL
         .iter()
@@ -241,6 +204,12 @@ mod tests {
         let (r, stats) = run_campaign(&p, &cfg, None, None);
         assert!(r.total() >= 8);
         assert!(stats.is_none(), "no store, no store stats");
+        for w in section2_workloads() {
+            for level in [OptLevel::O0, OptLevel::O1] {
+                let served = careserve::proto::campaign_key_for(&w, level);
+                assert_eq!(prepare(&w, level).key, served, "{} {level}", w.name);
+            }
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl DeclineKind {
     }
 
     /// Bare kind name (the counter name without its `recovery.decline.`
-    /// namespace) — used by report tables and `BENCH_campaign.json`.
+    /// namespace) — used by report tables.
     pub fn short_name(self) -> &'static str {
         self.counter_name()
             .strip_prefix("recovery.decline.")

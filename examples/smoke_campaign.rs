@@ -21,9 +21,9 @@
 //! cargo run --release --example smoke_campaign -- --engine compiled
 //! ```
 //!
-//! `--engine compiled` (or `CARE_ENGINE=compiled`) runs the same campaign
-//! on the direct-threaded compiled backend, which must agree with the
-//! interpreter record for record as well.
+//! `--engine compiled` runs the same campaign on the direct-threaded
+//! compiled backend, which must agree with the interpreter record for
+//! record as well.
 
 use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;

@@ -236,176 +236,6 @@ fn compiled_engine_records_match_interpreter_on_all_workloads() {
     }
 }
 
-/// The committed `BENCH_campaign.json` must carry the current schema
-/// version (bumped in `bench::BENCH_SCHEMA_VERSION` whenever the shape
-/// changes), the telemetry sections the v2 schema introduced and the v4
-/// thread sweep (per-row `threads`, pool counters and the `scaling`
-/// section), plus the v5 `service` section and the v6 `store` section
-/// (warm-vs-cold content-addressed store measurement). Regenerate with
-/// `cargo run --release -p bench --bin repro -- bench-json --threads
-/// 1,4,16` followed by `cargo run --release -p bench --bin repro -- submit
-/// --bench` after an intentional schema change.
-#[test]
-fn committed_bench_json_matches_schema_version() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/BENCH_campaign.json"
-    ))
-    .expect("BENCH_campaign.json is committed at the repo root");
-    let doc = telemetry::parse_json(&text).expect("BENCH_campaign.json parses");
-    assert_eq!(
-        doc.get("schema_version").and_then(|v| v.as_f64()),
-        Some(bench::BENCH_SCHEMA_VERSION as f64),
-        "BENCH_campaign.json schema_version is stale; regenerate with repro bench-json"
-    );
-    let tel = doc.get("telemetry").expect("v2 carries a telemetry section");
-    assert_eq!(
-        tel.get("schema_version").and_then(|v| v.as_f64()),
-        Some(telemetry::SCHEMA_VERSION as f64),
-    );
-    // v4: the top-level `threads` field is the swept list, `host_cpus`
-    // records the measurement host and a `scaling` section condenses the
-    // sweep per (workload, engine).
-    let swept: Vec<u64> = match doc.get("threads") {
-        Some(telemetry::Json::Arr(ts)) => ts
-            .iter()
-            .map(|t| t.as_f64().expect("thread count is a number") as u64)
-            .collect(),
-        other => panic!("v4 threads should be an array, got {other:?}"),
-    };
-    assert!(!swept.is_empty(), "v4 artefact must sweep at least one thread count");
-    assert!(
-        doc.get("host_cpus").and_then(|v| v.as_f64()).expect("host_cpus") >= 1.0,
-        "host_cpus out of range"
-    );
-    match doc.get("scaling") {
-        Some(telemetry::Json::Arr(entries)) => {
-            assert!(!entries.is_empty(), "scaling section is empty");
-            for entry in entries {
-                for key in ["workload", "engine"] {
-                    assert!(entry.get(key).is_some(), "scaling entry missing {key:?}");
-                }
-                let points = match entry.get("points") {
-                    Some(telemetry::Json::Arr(p)) => p,
-                    other => panic!("scaling points should be an array, got {other:?}"),
-                };
-                assert_eq!(points.len(), swept.len(), "one scaling point per swept count");
-                for p in points {
-                    for key in ["threads", "injections_per_sec", "speedup", "efficiency"] {
-                        let v = p.get(key).and_then(|v| v.as_f64());
-                        assert!(v.is_some_and(|v| v > 0.0), "scaling point {key:?} invalid");
-                    }
-                }
-            }
-        }
-        other => panic!("v4 scaling should be an array, got {other:?}"),
-    }
-    match doc.get("workloads") {
-        Some(telemetry::Json::Arr(rows)) => {
-            assert!(!rows.is_empty());
-            let mut compiled_rows = 0usize;
-            let mut row_threads = Vec::new();
-            for row in rows {
-                for key in [
-                    "workload",
-                    "engine",
-                    "declines",
-                    "tlb",
-                    "recovery",
-                    "workers_busy_ns",
-                    "pool",
-                    "cursor_shards",
-                ] {
-                    assert!(row.get(key).is_some(), "workload row missing {key:?}");
-                }
-                let t = row
-                    .get("threads")
-                    .and_then(|v| v.as_f64())
-                    .expect("v4 row carries its thread count") as u64;
-                if !row_threads.contains(&t) {
-                    row_threads.push(t);
-                }
-                let hit = row
-                    .get("tlb")
-                    .and_then(|t| t.get("hit_rate"))
-                    .and_then(|v| v.as_f64())
-                    .expect("tlb.hit_rate");
-                assert!((0.0..=1.0).contains(&hit), "hit rate {hit} out of range");
-                // v3: compiled rows carry the measured speedup ratio.
-                if row.get("engine").and_then(|v| v.as_str()) == Some("compiled") {
-                    compiled_rows += 1;
-                    let speedup = row
-                        .get("speedup_vs_interp")
-                        .and_then(|v| v.as_f64())
-                        .expect("compiled row carries speedup_vs_interp");
-                    assert!(speedup > 0.0, "speedup {speedup} out of range");
-                }
-            }
-            assert!(
-                compiled_rows > 0,
-                "v3 artefact must carry compiled-engine rows"
-            );
-            assert_eq!(
-                row_threads, swept,
-                "row thread counts disagree with the top-level sweep"
-            );
-        }
-        other => panic!("workloads should be an array, got {other:?}"),
-    }
-    // v5: a `service` section — jobs/s for a concurrent small-job batch
-    // against the careserve campaign server, plus its queue-depth telemetry
-    // and campaign-cache counters. Schema-optional, but the committed
-    // artefact carries it; regenerate with `repro submit --bench` after
-    // `repro bench-json`.
-    let service = doc.get("service").expect("v5 committed artefact carries a service section");
-    for key in ["clients", "jobs", "jobs_per_sec", "jobs_completed", "cache_hits", "cache_misses"] {
-        let v = service.get(key).and_then(|v| v.as_f64());
-        assert!(v.is_some_and(|v| v >= 0.0), "service {key:?} invalid: {v:?}");
-    }
-    assert!(
-        service.get("jobs_per_sec").and_then(|v| v.as_f64()).expect("jobs_per_sec") > 0.0,
-        "service batch measured no throughput"
-    );
-    for key in ["queue_depth", "job_ms"] {
-        assert!(service.get(key).is_some(), "service section missing {key:?}");
-    }
-    // v6: a `store` section — one coverage campaign run cold through a
-    // fresh content-addressed store and again warm. The cold run executes
-    // every injection (residual fraction 1), the warm run executes none
-    // (0 misses), and the two reports were asserted identical at
-    // generation time.
-    let st = doc.get("store").expect("v6 artefact carries a store section");
-    assert!(st.get("workload").and_then(|v| v.as_str()).is_some(), "store.workload");
-    let inj = st.get("injections").and_then(|v| v.as_f64()).expect("store.injections");
-    assert!(inj > 0.0, "store section measured no injections");
-    for (run, want_residual) in [("cold", 1.0), ("warm", 0.0)] {
-        let r = st.get(run).unwrap_or_else(|| panic!("store section missing {run:?}"));
-        for key in ["wall_s", "hits", "misses", "known_skips", "residual_fraction"] {
-            let v = r.get(key).and_then(|v| v.as_f64());
-            assert!(v.is_some_and(|v| v >= 0.0), "store.{run}.{key} invalid: {v:?}");
-        }
-        assert_eq!(
-            r.get("residual_fraction").and_then(|v| v.as_f64()),
-            Some(want_residual),
-            "store.{run} residual fraction"
-        );
-    }
-    assert_eq!(
-        st.get("warm").and_then(|w| w.get("misses")).and_then(|v| v.as_f64()),
-        Some(0.0),
-        "warm store run must execute no residual injections"
-    );
-    assert!(
-        st.get("warm_speedup").and_then(|v| v.as_f64()).expect("store.warm_speedup") > 0.0,
-        "warm speedup out of range"
-    );
-    assert_eq!(
-        st.get("reports_identical"),
-        Some(&telemetry::Json::Bool(true)),
-        "warm report diverged from cold at generation time"
-    );
-}
-
 /// Telemetry must be a pure observer: running the same fixed-seed campaign
 /// with a live [`telemetry::Recorder`] attached yields bit-identical
 /// records to the hook-free run, and the recorder's JSONL self-validates.
