@@ -43,11 +43,6 @@ impl UseDef {
             _ => None,
         }
     }
-
-    /// True if `%v` has no uses (dead unless it has side effects).
-    pub fn is_unused(&self, v: InstrId) -> bool {
-        self.users[v.0 as usize].is_empty()
-    }
 }
 
 /// Count the binary/cast/gep/call-math operations feeding an address operand

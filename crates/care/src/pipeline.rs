@@ -45,20 +45,6 @@ pub struct CompiledApp {
     pub build: BuildStats,
 }
 
-impl CompiledApp {
-    /// Total encoded size of the protection artefacts for this module.
-    pub fn artefact_bytes(&self) -> u64 {
-        self.armor.table.encoded_size()
-            + self
-                .armor
-                .kernel_module
-                .funcs
-                .iter()
-                .map(|f| f.instrs.len() as u64 * 16)
-                .sum::<u64>()
-    }
-}
-
 /// Compile `module` at `level` with CARE protection (paper defaults).
 pub fn compile(module: &Module, level: OptLevel) -> CompiledApp {
     compile_with(module, level, ArmorConfig::default())

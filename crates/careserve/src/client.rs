@@ -8,13 +8,12 @@
 //! loopback submit is bit-identical to `Campaign::run` of the same spec.
 
 use crate::proto::{
-    self, JobSpec, RejectReason, StatsSnapshot, MAX_FRAME_BYTES, PROTO_VERSION,
+    ClientFrame, JobSpec, RejectReason, ServerFrame, StatsSnapshot, MAX_FRAME_BYTES,
 };
 use faultsim::CampaignReport;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-use telemetry::Json;
 
 /// Everything one completed job sent back.
 #[derive(Clone, Debug)]
@@ -71,14 +70,18 @@ impl From<std::io::Error> for ClientError {
 /// every few poll intervals, so silence this long means it is gone.
 const READ_TIMEOUT: Duration = Duration::from_secs(300);
 
-fn connect(addr: impl ToSocketAddrs) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
+/// Connect and send one encoded request frame; the reader yields the
+/// replies.
+fn request(addr: impl ToSocketAddrs, frame: &str) -> std::io::Result<BufReader<TcpStream>> {
+    let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    stream.write_all(frame.as_bytes())?;
+    stream.write_all(b"\n")?;
+    Ok(BufReader::new(stream))
 }
 
-fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<Json, ClientError> {
+fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<ServerFrame, ClientError> {
     let mut line = String::with_capacity(256);
     loop {
         line.clear();
@@ -92,74 +95,39 @@ fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<Json, ClientError> {
         if line.trim().is_empty() {
             continue;
         }
-        return proto::parse_frame(line.trim_end_matches(['\r', '\n']))
-            .map_err(|(_, detail)| ClientError::Protocol(detail));
+        return ServerFrame::decode(line.trim_end_matches(['\r', '\n']))
+            .map_err(ClientError::Protocol);
     }
-}
-
-fn frame_kind(v: &Json) -> &str {
-    v.get("kind").and_then(Json::as_str).unwrap_or("")
 }
 
 /// Submit one job and collect its full response stream.
 pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, ClientError> {
-    let mut stream = connect(addr)?;
-    stream.write_all(spec.to_frame().as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-
+    let mut reader = request(addr, &spec.to_frame())?;
     let mut job_id = 0;
     let mut records = Vec::new();
     let mut telemetry = Vec::new();
     let mut progress_frames = 0;
     loop {
-        let v = read_frame(&mut reader)?;
-        match frame_kind(&v) {
-            "accepted" => {
-                job_id = proto::get_u64(&v, "job_id")
-                    .ok_or_else(|| ClientError::Protocol("accepted without job_id".to_string()))?;
+        match read_frame(&mut reader)? {
+            ServerFrame::Accepted(id) => job_id = id,
+            ServerFrame::Progress(..) => progress_frames += 1,
+            ServerFrame::Record(_, record) => records.push(record),
+            ServerFrame::Telemetry(_, line) => telemetry.push(line),
+            ServerFrame::Report(_, mut report) => {
+                report.records = records;
+                return match read_frame(&mut reader)? {
+                    ServerFrame::Done(_) => {
+                        Ok(JobOutcome { job_id, report, telemetry, progress_frames })
+                    }
+                    _ => Err(ClientError::Protocol("expected done after report".to_string())),
+                };
             }
-            "progress" => progress_frames += 1,
-            "record" => {
-                records.push(proto::decode_record(&v).map_err(ClientError::Protocol)?);
+            ServerFrame::Reject(reason, detail) => {
+                return Err(ClientError::Rejected { reason, detail })
             }
-            "telemetry" => {
-                if let Some(line) = v.get("line").and_then(Json::as_str) {
-                    telemetry.push(line.to_string());
-                }
-            }
-            "report" => {
-                let mut report = proto::decode_report(&v).map_err(ClientError::Protocol)?;
-                report.records = std::mem::take(&mut records);
-                // The terminating `done` frame.
-                let done = read_frame(&mut reader)?;
-                if frame_kind(&done) != "done" {
-                    return Err(ClientError::Protocol(format!(
-                        "expected done after report, got {:?}",
-                        frame_kind(&done)
-                    )));
-                }
-                return Ok(JobOutcome { job_id, report, telemetry, progress_frames });
-            }
-            "reject" => {
-                let reason = v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .and_then(RejectReason::parse)
-                    .ok_or_else(|| {
-                        ClientError::Protocol("reject without a known reason".to_string())
-                    })?;
-                let detail =
-                    v.get("detail").and_then(Json::as_str).unwrap_or_default().to_string();
-                return Err(ClientError::Rejected { reason, detail });
-            }
-            "failed" => {
-                let detail =
-                    v.get("detail").and_then(Json::as_str).unwrap_or_default().to_string();
-                return Err(ClientError::Failed(detail));
-            }
-            other => {
-                return Err(ClientError::Protocol(format!("unexpected frame kind {other:?}")))
+            ServerFrame::Failed(_, detail) => return Err(ClientError::Failed(detail)),
+            ServerFrame::Done(_) | ServerFrame::Stats(_) => {
+                return Err(ClientError::Protocol("done or stats frame inside a job".to_string()))
             }
         }
     }
@@ -167,19 +135,9 @@ pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, Cl
 
 /// Fetch the server's counter snapshot.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<StatsSnapshot, ClientError> {
-    let mut stream = connect(addr)?;
-    stream.write_all(proto::stats_request_frame().as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let v = read_frame(&mut reader)?;
-    match frame_kind(&v) {
-        "stats" => StatsSnapshot::from_json(&v).map_err(ClientError::Protocol),
-        "reject" => Err(ClientError::Protocol("stats request rejected".to_string())),
-        other => Err(ClientError::Protocol(format!("expected stats frame, got {other:?}"))),
+    match read_frame(&mut request(addr, &ClientFrame::Stats.encode())?)? {
+        ServerFrame::Stats(stats) => Ok(stats),
+        ServerFrame::Reject(reason, detail) => Err(ClientError::Rejected { reason, detail }),
+        _ => Err(ClientError::Protocol("expected a stats frame".to_string())),
     }
-}
-
-/// Best-effort protocol sanity check: the constant the client speaks.
-pub fn protocol_version() -> u32 {
-    PROTO_VERSION
 }

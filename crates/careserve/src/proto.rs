@@ -1,51 +1,39 @@
 //! The careserve wire protocol: versioned newline-delimited JSON.
 //!
 //! Every frame is one JSON object on one line, always carrying a string
-//! `"kind"`. Client→server frames additionally carry `"proto"` (the
-//! protocol version, [`PROTO_VERSION`]); server→client frames are implied
-//! to match the version the request carried. Rendering reuses the
-//! telemetry crate's hand-rolled JSON escaper ([`telemetry::push_json_str`]
-//! / [`telemetry::push_json_f64`]) and parsing reuses its recursive-descent
-//! reader ([`telemetry::parse_json`]) — one JSON dialect for the whole
-//! workspace, no serde.
+//! `"kind"`. [`ClientFrame`] and [`ServerFrame`] state the vocabulary, one
+//! enum per direction with `encode` and `decode` side by side; nothing
+//! else in the crate matches a kind or names a frame field. Client→server
+//! frames additionally carry `"proto"` (the protocol version,
+//! [`PROTO_VERSION`]); server→client frames are implied to match the
+//! version the request carried.
 //!
-//! ## Integer fidelity
+//! The JSON dialect — escaping, the `u64` spelling that survives an
+//! f64-backed parser, shortest-round-trip floats, range-checked reads — is
+//! [`telemetry::json`]'s, and the [`InjectionRecord`] and
+//! [`CampaignReport`] field codecs are [`faultsim::wire`]'s, shared
+//! verbatim with the store's on-disk record log: a streamed `record`
+//! frame and a logged record line carry byte-identical fields and can
+//! never drift.
 //!
-//! [`telemetry::Json`] holds every number as `f64`, so integers above
-//! 2⁵³ would silently lose bits through a naive round-trip. The protocol
-//! therefore encodes `u64` values via [`push_u64`]: plain JSON numbers
-//! while exactly representable, decimal *strings* beyond that; the dual
-//! decoder [`json_u64`] accepts both (and nothing a cast would mangle).
-//! `f64` payloads (modelled recovery times) are safe as-is: the emitter's
-//! shortest-round-trip rendering parses back to identical bits.
+//! ## Stream order
 //!
-//! The `u64` convention and the whole [`InjectionRecord`] field codec
-//! live in [`carestore::record`] and are shared verbatim with the store's
-//! on-disk record log — one encoding, so a streamed `record` frame and a
-//! logged record line carry byte-identical fields and can never drift.
-//!
-//! ## Frame vocabulary
-//!
-//! Client→server: `job` (a [`JobSpec`]), `stats` (server counters).
-//! Server→client, in stream order for one job: `accepted`, zero or more
-//! `progress`, zero or more `record` (when the spec asks for records),
-//! zero or more `telemetry` (JSONL passthrough when asked), then exactly
-//! one of `report` + `done`, `failed` (worker panic), or `reject`
+//! Server→client, for one job: `accepted`, zero or more `progress`, zero
+//! or more `record` (when the spec asks for records), zero or more
+//! `telemetry` (JSONL passthrough when asked), then exactly one of
+//! `report` + `done`, `failed` (worker panic), or `reject`
 //! (admission/validation, with a typed [`RejectReason`]).
 
-use carestore::record::{
-    parse_decline, push_field_bool, push_field_str, push_field_u64, push_record_fields,
-    record_from_json,
-};
+use faultsim::wire::{push_record_fields, push_report_fields};
 use faultsim::{CampaignConfig, CampaignReport, FaultModel, InjectionRecord};
 use opt::OptLevel;
-use safeguard::DeclineKind;
 use simx::EngineKind;
-use std::collections::HashMap;
-use telemetry::{parse_json, push_json_f64, push_json_str, Json};
+use telemetry::json::{parse_json, push_int, push_str, push_u64, Json, Obj};
 use workloads::Workload;
 
-pub use carestore::record::{get_u64, json_u64, push_u64};
+/// The decoders of a parsed `record` / `report` frame's payload: the shared
+/// field codecs, under their wire-side names.
+pub use faultsim::wire::{record_from_json as decode_record, report_from_json as decode_report};
 
 /// Wire-protocol version. Mismatches are rejected with
 /// [`RejectReason::UnsupportedProto`], never guessed at.
@@ -65,28 +53,6 @@ pub const MAX_INJECTIONS: usize = 100_000;
 /// Cap on a named workload's size parameters (keeps one job's golden run
 /// bounded; the §2 defaults are far below it).
 pub const MAX_WORKLOAD_PARAM: i64 = 4096;
-
-fn get_usize(v: &Json, key: &str) -> Option<usize> {
-    get_u64(v, key).map(|n| n as usize)
-}
-
-fn get_bool(v: &Json, key: &str) -> Option<bool> {
-    match v.get(key)? {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Option<&'a str> {
-    v.get(key).and_then(Json::as_str)
-}
-
-fn frame_open(kind: &str) -> String {
-    let mut s = String::with_capacity(96);
-    s.push_str("{\"kind\":");
-    push_json_str(&mut s, kind);
-    s
-}
 
 /// Why the server refused a frame or a job. The reason travels as a stable
 /// snake_case wire name; `detail` (free text) rides alongside it in the
@@ -226,154 +192,97 @@ fn parse_opt(s: &str) -> Option<OptLevel> {
 impl JobSpec {
     /// Render the `job` frame (no trailing newline).
     pub fn to_frame(&self) -> String {
-        let mut s = frame_open("job");
-        push_field_u64(&mut s, "proto", PROTO_VERSION as u64);
+        let mut o = Obj::new("job");
+        o.u64("proto", PROTO_VERSION as u64);
         match &self.workload {
             WorkloadSel::Named { name, params } => {
-                push_field_str(&mut s, "workload", name);
-                s.push_str(",\"params\":[");
-                for (i, p) in params.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&p.to_string());
-                }
-                s.push(']');
+                o.str("workload", name).arr("params", params, |s, p| push_int(s, *p));
             }
             WorkloadSel::Inline { text, args, outputs } => {
-                push_field_str(&mut s, "workload", "inline");
-                push_field_str(&mut s, "module", text);
-                s.push_str(",\"args\":[");
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
+                o.str("workload", "inline")
+                    .str("module", text)
+                    .arr("args", args, |s, a| push_u64(s, *a))
+                    .arr("outputs", outputs, |s, (name, bytes)| {
+                        s.push('[');
+                        push_str(s, name);
                         s.push(',');
-                    }
-                    push_u64(&mut s, *a);
-                }
-                s.push_str("],\"outputs\":[");
-                for (i, (name, bytes)) in outputs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    push_json_str(&mut s, name);
-                    s.push(',');
-                    push_u64(&mut s, *bytes);
-                    s.push(']');
-                }
-                s.push(']');
+                        push_u64(s, *bytes);
+                        s.push(']');
+                    });
             }
         }
-        push_field_u64(&mut s, "seed", self.seed);
-        push_field_u64(&mut s, "injections", self.injections as u64);
-        push_field_str(&mut s, "model", self.model.name());
-        push_field_str(&mut s, "engine", self.engine.name());
-        push_field_str(&mut s, "opt", &self.opt.to_string());
-        push_field_u64(&mut s, "threads", self.threads as u64);
-        push_field_bool(&mut s, "evaluate_care", self.evaluate_care);
-        push_field_bool(&mut s, "app_only", self.app_only);
-        push_field_bool(&mut s, "records", self.records);
-        push_field_bool(&mut s, "telemetry", self.telemetry);
-        s.push('}');
-        s
+        o.u64("seed", self.seed)
+            .u64("injections", self.injections as u64)
+            .str("model", self.model.name())
+            .str("engine", self.engine.name())
+            .str("opt", &self.opt.to_string())
+            .u64("threads", self.threads as u64)
+            .bool("evaluate_care", self.evaluate_care)
+            .bool("app_only", self.app_only)
+            .bool("records", self.records)
+            .bool("telemetry", self.telemetry)
+            .end()
     }
 
     /// Decode and validate a parsed `job` frame. The error pairs the
     /// typed reason with human-readable detail for the `reject` frame.
     /// Unknown keys are ignored (older clients still send `"scheduler"`).
     pub fn from_json(v: &Json) -> Result<JobSpec, (RejectReason, String)> {
-        let bad = |msg: &str| (RejectReason::BadFrame, msg.to_string());
-        let spec = |msg: String| (RejectReason::BadSpec, msg);
-        match get_u64(v, "proto") {
-            Some(p) if p == PROTO_VERSION as u64 => {}
-            Some(p) => {
-                return Err((
-                    RejectReason::UnsupportedProto,
-                    format!("proto {p} (this server speaks {PROTO_VERSION})"),
-                ))
-            }
-            None => return Err(bad("missing numeric \"proto\"")),
+        let bad = |detail: String| (RejectReason::BadFrame, detail);
+        let spec = |detail: String| (RejectReason::BadSpec, detail);
+        let proto: u64 = v.req("proto", Json::uint).map_err(bad)?;
+        if proto != PROTO_VERSION as u64 {
+            let detail = format!("proto {proto} (this server speaks {PROTO_VERSION})");
+            return Err((RejectReason::UnsupportedProto, detail));
         }
-        let name = get_str(v, "workload").ok_or_else(|| bad("missing string \"workload\""))?;
+        let name = v.req("workload", Json::as_str).map_err(bad)?;
         let workload = if name == "inline" {
-            let text = get_str(v, "module")
-                .ok_or_else(|| bad("inline workload missing string \"module\""))?;
+            let text = v.req("module", Json::as_str).map_err(bad)?;
             if text.len() > MAX_MODULE_BYTES {
-                return Err((
-                    RejectReason::Oversized,
-                    format!("inline module is {} bytes (cap {MAX_MODULE_BYTES})", text.len()),
-                ));
+                let detail =
+                    format!("inline module is {} bytes (cap {MAX_MODULE_BYTES})", text.len());
+                return Err((RejectReason::Oversized, detail));
             }
-            let args = match v.get("args") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(json_u64)
-                    .collect::<Option<Vec<u64>>>()
-                    .ok_or_else(|| bad("non-integer entry in \"args\""))?,
-                None => Vec::new(),
-                _ => return Err(bad("\"args\" must be an array")),
+            let output = |o: &Json| match o {
+                Json::Arr(pair) if pair.len() == 2 => {
+                    Some((pair[0].as_str()?.to_string(), pair[1].uint()?))
+                }
+                _ => None,
             };
-            let outputs = match v.get("outputs") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|o| match o {
-                        Json::Arr(pair) if pair.len() == 2 => {
-                            Some((pair[0].as_str()?.to_string(), json_u64(&pair[1])?))
-                        }
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<(String, u64)>>>()
-                    .ok_or_else(|| bad("\"outputs\" entries must be [name, bytes] pairs"))?,
-                None => Vec::new(),
-                _ => return Err(bad("\"outputs\" must be an array")),
-            };
-            WorkloadSel::Inline { text: text.to_string(), args, outputs }
+            WorkloadSel::Inline {
+                text: text.to_string(),
+                args: v.opt("args", |a| a.list(Json::uint)).map_err(bad)?.unwrap_or_default(),
+                outputs: v.opt("outputs", |a| a.list(output)).map_err(bad)?.unwrap_or_default(),
+            }
         } else {
-            let params = match v.get("params") {
-                Some(Json::Arr(items)) => items
-                    .iter()
-                    .map(|p| match p {
-                        Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<i64>>>()
-                    .ok_or_else(|| bad("non-integer entry in \"params\""))?,
-                None => Vec::new(),
-                _ => return Err(bad("\"params\" must be an array")),
-            };
+            // Any integral number is a param; `resolve_workload` bounds it.
+            let param = |p: &Json| p.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64);
+            let params = v.opt("params", |a| a.list(param)).map_err(bad)?.unwrap_or_default();
             WorkloadSel::Named { name: name.to_string(), params }
         };
-        let injections = get_usize(v, "injections").ok_or_else(|| bad("missing \"injections\""))?;
+        let injections: usize = v.req("injections", Json::uint).map_err(bad)?;
         if injections == 0 || injections > MAX_INJECTIONS {
             return Err(spec(format!("injections {injections} outside 1..={MAX_INJECTIONS}")));
         }
-        let parse_enum = |key: &str, dflt: &str| -> Result<String, (RejectReason, String)> {
-            match v.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                None => Ok(dflt.to_string()),
-                _ => Err((RejectReason::BadFrame, format!("\"{key}\" must be a string"))),
-            }
-        };
-        let model = parse_enum("model", "single")?
-            .parse::<FaultModel>()
-            .map_err(spec)?;
-        let engine = parse_enum("engine", "interp")?
-            .parse::<EngineKind>()
-            .map_err(spec)?;
-        let opt = parse_opt(&parse_enum("opt", "O1")?)
-            .ok_or_else(|| spec("unknown opt level (O0|O1)".to_string()))?;
+        // An absent key takes `JobSpec::default()`'s value: one list of
+        // defaults, shared with every client that builds specs in code.
+        let default = JobSpec::default();
+        let name = |key| v.opt(key, Json::as_str).map_err(bad);
+        let flag = |key, absent| v.opt(key, Json::as_bool).map(|b| b.unwrap_or(absent)).map_err(bad);
         Ok(JobSpec {
             workload,
-            seed: get_u64(v, "seed").unwrap_or(0xCA2E),
+            seed: v.opt("seed", Json::uint).map_err(bad)?.unwrap_or(default.seed),
             injections,
-            model,
-            engine,
-            opt,
-            threads: get_usize(v, "threads").unwrap_or(0),
-            evaluate_care: get_bool(v, "evaluate_care").unwrap_or(true),
-            app_only: get_bool(v, "app_only").unwrap_or(true),
-            records: get_bool(v, "records").unwrap_or(true),
-            telemetry: get_bool(v, "telemetry").unwrap_or(false),
+            model: name("model")?.map_or(Ok(default.model), str::parse).map_err(spec)?,
+            engine: name("engine")?.map_or(Ok(default.engine), str::parse).map_err(spec)?,
+            opt: name("opt")?.map_or(Some(default.opt), parse_opt).ok_or_else(|| {
+                spec("unknown opt level (O0|O1)".to_string())
+            })?,
+            threads: v.opt("threads", Json::uint).map_err(bad)?.unwrap_or(default.threads),
+            evaluate_care: flag("evaluate_care", default.evaluate_care)?,
+            app_only: flag("app_only", default.app_only)?,
+            records: flag("records", default.records)?,
+            telemetry: flag("telemetry", default.telemetry)?,
         })
     }
 
@@ -470,319 +379,144 @@ pub fn resolve_workload(sel: &WorkloadSel) -> Result<Workload, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Server→client frames.
+// Frames.
 
-/// `accepted` frame.
-pub fn accepted_frame(job_id: u64) -> String {
-    let mut s = frame_open("accepted");
-    push_field_u64(&mut s, "job_id", job_id);
-    s.push('}');
-    s
+/// A client→server frame.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ClientFrame {
+    /// Run one campaign job.
+    Job(JobSpec),
+    /// Ask for the server's counters (answered with [`ServerFrame::Stats`],
+    /// also while a job is in flight on the connection).
+    Stats,
 }
 
-/// `reject` frame.
-pub fn reject_frame(reason: RejectReason, detail: &str) -> String {
-    let mut s = frame_open("reject");
-    push_field_str(&mut s, "reason", reason.name());
-    push_field_str(&mut s, "detail", detail);
-    s.push('}');
-    s
-}
-
-/// `progress` frame: injections classified so far out of the requested
-/// total (the classified count can end below the total — unfired points
-/// yield no record, exactly as in local runs).
-pub fn progress_frame(job_id: u64, classified: u64, total: u64) -> String {
-    let mut s = frame_open("progress");
-    push_field_u64(&mut s, "job_id", job_id);
-    push_field_u64(&mut s, "classified", classified);
-    push_field_u64(&mut s, "total", total);
-    s.push('}');
-    s
-}
-
-/// `telemetry` frame: one JSONL line of the job's telemetry stream,
-/// shipped verbatim as a string payload.
-pub fn telemetry_frame(job_id: u64, line: &str) -> String {
-    let mut s = frame_open("telemetry");
-    push_field_u64(&mut s, "job_id", job_id);
-    push_field_str(&mut s, "line", line);
-    s.push('}');
-    s
-}
-
-/// `failed` frame (worker panic; the server keeps serving).
-pub fn failed_frame(job_id: u64, detail: &str) -> String {
-    let mut s = frame_open("failed");
-    push_field_u64(&mut s, "job_id", job_id);
-    push_field_str(&mut s, "detail", detail);
-    s.push('}');
-    s
-}
-
-/// `done` frame: end of one job's stream.
-pub fn done_frame(job_id: u64) -> String {
-    let mut s = frame_open("done");
-    push_field_u64(&mut s, "job_id", job_id);
-    s.push('}');
-    s
-}
-
-// ---------------------------------------------------------------------------
-// InjectionRecord round-trip.
-
-/// Encode one record as a `record` frame. Exact: every integer goes
-/// through [`push_u64`], every float through the shortest-round-trip
-/// renderer, so [`decode_record`] reproduces the record bit for bit. The
-/// field layout is [`carestore::record::push_record_fields`] — the same
-/// bytes the store appends to its log.
-pub fn encode_record(job_id: u64, r: &InjectionRecord) -> String {
-    let mut s = frame_open("record");
-    push_field_u64(&mut s, "job_id", job_id);
-    push_record_fields(&mut s, r);
-    s.push('}');
-    s
-}
-
-/// Decode a `record` frame produced by [`encode_record`].
-pub fn decode_record(v: &Json) -> Result<InjectionRecord, String> {
-    record_from_json(v)
-}
-
-// ---------------------------------------------------------------------------
-// CampaignReport round-trip (aggregates only; records travel as their own
-// frames and are re-attached by the client).
-
-/// Encode the aggregate report as a `report` frame.
-pub fn encode_report(job_id: u64, r: &CampaignReport) -> String {
-    let mut s = frame_open("report");
-    push_field_u64(&mut s, "job_id", job_id);
-    push_field_u64(&mut s, "benign", r.benign as u64);
-    push_field_u64(&mut s, "soft_failure", r.soft_failure as u64);
-    push_field_u64(&mut s, "sdc", r.sdc as u64);
-    push_field_u64(&mut s, "hang", r.hang as u64);
-    s.push_str(",\"signals\":[");
-    for (i, n) in r.signals.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+impl ClientFrame {
+    /// Render the frame (no trailing newline).
+    pub fn encode(&self) -> String {
+        match self {
+            ClientFrame::Job(spec) => spec.to_frame(),
+            ClientFrame::Stats => Obj::new("stats").u64("proto", PROTO_VERSION as u64).end(),
         }
-        push_u64(&mut s, *n as u64);
     }
-    s.push_str("],\"latency_buckets\":[");
-    for (i, n) in r.latency_buckets.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+
+    /// Decode and validate one frame line; the error is the typed reject
+    /// the server answers with.
+    pub fn decode(line: &str) -> Result<ClientFrame, (RejectReason, String)> {
+        let v = parse_frame(line)?;
+        match v.get("kind").and_then(Json::as_str) {
+            Some("job") => JobSpec::from_json(&v).map(ClientFrame::Job),
+            Some("stats") => Ok(ClientFrame::Stats),
+            other => Err((RejectReason::BadFrame, format!("unknown frame kind {other:?}"))),
         }
-        push_u64(&mut s, *n as u64);
     }
-    s.push(']');
-    push_field_u64(&mut s, "care_evaluated", r.care_evaluated as u64);
-    push_field_u64(&mut s, "care_covered", r.care_covered as u64);
-    push_field_u64(&mut s, "care_survived_with_sdc", r.care_survived_with_sdc as u64);
-    s.push_str(",\"recovery_times_ms\":[");
-    for (i, t) in r.recovery_times_ms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_json_f64(&mut s, *t);
-    }
-    s.push(']');
-    push_field_u64(&mut s, "total_recoveries", r.total_recoveries);
-    s.push_str(",\"declines\":{");
-    // Deterministic frame bytes: emit in DeclineKind::ALL order.
-    let mut first = true;
-    for kind in DeclineKind::ALL {
-        if let Some(&n) = r.declines.get(&kind) {
-            if !first {
-                s.push(',');
+}
+
+/// A server→client frame. Every frame of a job's stream leads with the
+/// server-assigned job id.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServerFrame {
+    /// The job was admitted under this id.
+    Accepted(u64),
+    /// Injections classified so far, then the requested total (the
+    /// classified count can end below the total — unfired points yield no
+    /// record, exactly as in local runs).
+    Progress(u64, u64, u64),
+    /// One record of the job, in report order.
+    Record(u64, InjectionRecord),
+    /// One JSONL line of the job's telemetry stream, shipped verbatim as a
+    /// string payload.
+    Telemetry(u64, String),
+    /// The job's aggregate report; its `records` are empty (they travel as
+    /// `record` frames and are re-attached by the client).
+    Report(u64, CampaignReport),
+    /// End of the job's stream.
+    Done(u64),
+    /// The job's worker panicked with this message; the server keeps
+    /// serving.
+    Failed(u64, String),
+    /// A frame or job was refused: the reason as a stable wire name, and
+    /// free-text detail that is never part of the contract.
+    Reject(RejectReason, String),
+    /// The server's counters.
+    Stats(StatsSnapshot),
+}
+
+impl ServerFrame {
+    /// Render the frame (no trailing newline).
+    pub fn encode(&self) -> String {
+        match self {
+            ServerFrame::Accepted(job_id) => Obj::new("accepted").u64("job_id", *job_id).end(),
+            ServerFrame::Progress(job_id, classified, total) => Obj::new("progress")
+                .u64("job_id", *job_id)
+                .u64("classified", *classified)
+                .u64("total", *total)
+                .end(),
+            ServerFrame::Record(job_id, record) => encode_record(*job_id, record),
+            ServerFrame::Telemetry(job_id, line) => {
+                Obj::new("telemetry").u64("job_id", *job_id).str("line", line).end()
             }
-            first = false;
-            push_json_str(&mut s, kind.short_name());
-            s.push(':');
-            push_u64(&mut s, n as u64);
-        }
-    }
-    s.push('}');
-    push_field_u64(&mut s, "simulated_steps", r.simulated_steps);
-    push_field_u64(&mut s, "steps_prefix", r.steps_prefix);
-    push_field_u64(&mut s, "steps_suffix", r.steps_suffix);
-    push_field_u64(&mut s, "steps_care", r.steps_care);
-    push_field_u64(&mut s, "trellis_snapshots", r.trellis_snapshots as u64);
-    push_field_u64(&mut s, "cursor_shards", r.cursor_shards as u64);
-    push_field_bool(&mut s, "cancelled", r.cancelled);
-    s.push('}');
-    s
-}
-
-/// Decode a `report` frame into a [`CampaignReport`] with empty `records`
-/// (the caller re-attaches the streamed record frames).
-pub fn decode_report(v: &Json) -> Result<CampaignReport, String> {
-    let want = |key: &str| format!("report frame missing {key:?}");
-    let arr4 = |key: &str| -> Result<[usize; 4], String> {
-        match v.get(key) {
-            Some(Json::Arr(items)) if items.len() == 4 => {
-                let mut out = [0usize; 4];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = json_u64(item).ok_or_else(|| want(key))? as usize;
-                }
-                Ok(out)
+            ServerFrame::Report(job_id, report) => encode_report(*job_id, report),
+            ServerFrame::Done(job_id) => Obj::new("done").u64("job_id", *job_id).end(),
+            ServerFrame::Failed(job_id, detail) => {
+                Obj::new("failed").u64("job_id", *job_id).str("detail", detail).end()
             }
-            _ => Err(want(key)),
-        }
-    };
-    let recovery_times_ms = match v.get("recovery_times_ms") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|t| t.as_f64())
-            .collect::<Option<Vec<f64>>>()
-            .ok_or_else(|| want("recovery_times_ms"))?,
-        _ => return Err(want("recovery_times_ms")),
-    };
-    let mut declines = HashMap::new();
-    match v.get("declines") {
-        Some(Json::Obj(map)) => {
-            for (name, count) in map {
-                let kind = parse_decline(name)
-                    .ok_or_else(|| format!("unknown decline kind {name:?}"))?;
-                let n = json_u64(count).ok_or_else(|| want("declines"))?;
-                declines.insert(kind, n as usize);
+            ServerFrame::Reject(reason, detail) => {
+                Obj::new("reject").str("reason", reason.name()).str("detail", detail).end()
+            }
+            ServerFrame::Stats(stats) => {
+                let mut o = Obj::new("stats");
+                stats.map(|name, count| {
+                    o.u64(name, *count);
+                });
+                o.end()
             }
         }
-        _ => return Err(want("declines")),
-    }
-    Ok(CampaignReport {
-        benign: get_usize(v, "benign").ok_or_else(|| want("benign"))?,
-        soft_failure: get_usize(v, "soft_failure").ok_or_else(|| want("soft_failure"))?,
-        sdc: get_usize(v, "sdc").ok_or_else(|| want("sdc"))?,
-        hang: get_usize(v, "hang").ok_or_else(|| want("hang"))?,
-        signals: arr4("signals")?,
-        latency_buckets: arr4("latency_buckets")?,
-        care_evaluated: get_usize(v, "care_evaluated").ok_or_else(|| want("care_evaluated"))?,
-        care_covered: get_usize(v, "care_covered").ok_or_else(|| want("care_covered"))?,
-        care_survived_with_sdc: get_usize(v, "care_survived_with_sdc")
-            .ok_or_else(|| want("care_survived_with_sdc"))?,
-        recovery_times_ms,
-        total_recoveries: get_u64(v, "total_recoveries").ok_or_else(|| want("total_recoveries"))?,
-        declines,
-        simulated_steps: get_u64(v, "simulated_steps").ok_or_else(|| want("simulated_steps"))?,
-        steps_prefix: get_u64(v, "steps_prefix").ok_or_else(|| want("steps_prefix"))?,
-        steps_suffix: get_u64(v, "steps_suffix").ok_or_else(|| want("steps_suffix"))?,
-        steps_care: get_u64(v, "steps_care").ok_or_else(|| want("steps_care"))?,
-        trellis_snapshots: get_usize(v, "trellis_snapshots")
-            .ok_or_else(|| want("trellis_snapshots"))?,
-        cursor_shards: get_usize(v, "cursor_shards").ok_or_else(|| want("cursor_shards"))?,
-        cancelled: get_bool(v, "cancelled").unwrap_or(false),
-        records: Vec::new(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Server stats.
-
-/// A snapshot of the server's counters, as served by the `stats` frame.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Jobs admitted (sent `accepted`).
-    pub jobs_accepted: u64,
-    /// Frames/jobs refused with a `reject`.
-    pub jobs_rejected: u64,
-    /// Jobs that ran to completion.
-    pub jobs_completed: u64,
-    /// Jobs whose worker panicked (`failed` frame sent).
-    pub jobs_failed: u64,
-    /// Jobs cancelled by client disconnect or server shutdown.
-    pub jobs_cancelled: u64,
-    /// Jobs currently waiting for budget.
-    pub queue_depth: u64,
-    /// Thread budget currently reserved by running jobs.
-    pub inflight_budget: u64,
-    /// The server's global budget cap (pool width by default).
-    pub budget_cap: u64,
-    /// Prepared-campaign cache hits across all jobs.
-    pub cache_hits: u64,
-    /// Prepared-campaign cache misses (prepares actually run).
-    pub cache_misses: u64,
-    /// Prepared campaigns evicted from the bounded cache (LRU order).
-    pub cache_evictions: u64,
-    /// `record` frames streamed to clients.
-    pub records_streamed: u64,
-}
-
-/// Field names of the `stats` frame, in emission order.
-const STATS_FIELDS: [&str; 12] = [
-    "jobs_accepted",
-    "jobs_rejected",
-    "jobs_completed",
-    "jobs_failed",
-    "jobs_cancelled",
-    "queue_depth",
-    "inflight_budget",
-    "budget_cap",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "records_streamed",
-];
-
-impl StatsSnapshot {
-    fn values(&self) -> [u64; 12] {
-        [
-            self.jobs_accepted,
-            self.jobs_rejected,
-            self.jobs_completed,
-            self.jobs_failed,
-            self.jobs_cancelled,
-            self.queue_depth,
-            self.inflight_budget,
-            self.budget_cap,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.records_streamed,
-        ]
     }
 
-    /// Encode as a `stats` frame.
-    pub fn to_frame(&self) -> String {
-        let mut s = frame_open("stats");
-        for (name, val) in STATS_FIELDS.iter().zip(self.values()) {
-            push_field_u64(&mut s, name, val);
-        }
-        s.push('}');
-        s
-    }
-
-    /// Decode a `stats` frame.
-    pub fn from_json(v: &Json) -> Result<StatsSnapshot, String> {
-        let mut vals = [0u64; 12];
-        for (slot, name) in vals.iter_mut().zip(STATS_FIELDS) {
-            *slot = get_u64(v, name).ok_or_else(|| format!("stats frame missing {name:?}"))?;
-        }
-        let [jobs_accepted, jobs_rejected, jobs_completed, jobs_failed, jobs_cancelled, queue_depth, inflight_budget, budget_cap, cache_hits, cache_misses, cache_evictions, records_streamed] =
-            vals;
-        Ok(StatsSnapshot {
-            jobs_accepted,
-            jobs_rejected,
-            jobs_completed,
-            jobs_failed,
-            jobs_cancelled,
-            queue_depth,
-            inflight_budget,
-            budget_cap,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            records_streamed,
+    /// Decode one frame line.
+    pub fn decode(line: &str) -> Result<ServerFrame, String> {
+        let v = parse_frame(line).map_err(|(_, detail)| detail)?;
+        let job_id = || v.req("job_id", Json::uint);
+        let text = |key| v.req(key, Json::as_str).map(str::to_string);
+        Ok(match v.req("kind", Json::as_str)? {
+            "accepted" => ServerFrame::Accepted(job_id()?),
+            "progress" => ServerFrame::Progress(
+                job_id()?,
+                v.req("classified", Json::uint)?,
+                v.req("total", Json::uint)?,
+            ),
+            "record" => ServerFrame::Record(job_id()?, decode_record(&v)?),
+            "telemetry" => ServerFrame::Telemetry(job_id()?, text("line")?),
+            "report" => ServerFrame::Report(job_id()?, decode_report(&v)?),
+            "done" => ServerFrame::Done(job_id()?),
+            "failed" => ServerFrame::Failed(job_id()?, text("detail")?),
+            "reject" => {
+                let reason = v.req("reason", |r| RejectReason::parse(r.as_str()?))?;
+                ServerFrame::Reject(reason, text("detail")?)
+            }
+            "stats" => ServerFrame::Stats(
+                StatsSnapshot::default().try_map(|name, _| v.req(name, Json::uint))?,
+            ),
+            other => return Err(format!("unknown frame kind {other:?}")),
         })
     }
 }
 
-/// The `stats` request frame.
-pub fn stats_request_frame() -> String {
-    let mut s = frame_open("stats");
-    push_field_u64(&mut s, "proto", PROTO_VERSION as u64);
-    s.push('}');
-    s
+/// [`ServerFrame::Record`]'s encoding, for a caller that only borrows the
+/// record. Exact: [`decode_record`] reproduces the record bit for bit.
+pub fn encode_record(job_id: u64, r: &InjectionRecord) -> String {
+    let mut o = Obj::new("record");
+    push_record_fields(o.u64("job_id", job_id), r);
+    o.end()
+}
+
+/// [`ServerFrame::Report`]'s encoding, for a caller that only borrows the
+/// report (whose `records` it ignores).
+pub fn encode_report(job_id: u64, r: &CampaignReport) -> String {
+    let mut o = Obj::new("report");
+    push_report_fields(o.u64("job_id", job_id), r);
+    o.end()
 }
 
 /// Parse one frame line into its JSON value, classifying parse failures.
@@ -794,10 +528,79 @@ pub fn parse_frame(line: &str) -> Result<Json, (RejectReason, String)> {
     Ok(v)
 }
 
+// ---------------------------------------------------------------------------
+// Server stats.
+
+/// The server's counters, one `T` each: `u64` as served by the `stats`
+/// frame ([`StatsSnapshot`]), atomics as the live server keeps them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stats<T> {
+    /// Jobs admitted (sent `accepted`).
+    pub jobs_accepted: T,
+    /// Frames/jobs refused with a `reject`.
+    pub jobs_rejected: T,
+    /// Jobs that ran to completion.
+    pub jobs_completed: T,
+    /// Jobs whose worker panicked (`failed` frame sent).
+    pub jobs_failed: T,
+    /// Jobs cancelled by client disconnect or server shutdown.
+    pub jobs_cancelled: T,
+    /// Jobs currently waiting for budget.
+    pub queue_depth: T,
+    /// Thread budget currently reserved by running jobs.
+    pub inflight_budget: T,
+    /// The server's global budget cap (pool width by default).
+    pub budget_cap: T,
+    /// Prepared-campaign cache hits across all jobs.
+    pub cache_hits: T,
+    /// Prepared-campaign cache misses (prepares actually run).
+    pub cache_misses: T,
+    /// Prepared campaigns evicted from the bounded cache (LRU order).
+    pub cache_evictions: T,
+    /// `record` frames streamed to clients.
+    pub records_streamed: T,
+}
+
+/// A snapshot of the server's counters, as served by the `stats` frame.
+pub type StatsSnapshot = Stats<u64>;
+
+impl<T> Stats<T> {
+    /// The one table of counter names: rebuild the struct with every
+    /// counter passed through `f` under its wire name, in frame order.
+    /// Encoding, decoding, the server's snapshot and its telemetry are all
+    /// walks of this table.
+    pub fn try_map<U, E>(
+        &self,
+        mut f: impl FnMut(&'static str, &T) -> Result<U, E>,
+    ) -> Result<Stats<U>, E> {
+        Ok(Stats {
+            jobs_accepted: f("jobs_accepted", &self.jobs_accepted)?,
+            jobs_rejected: f("jobs_rejected", &self.jobs_rejected)?,
+            jobs_completed: f("jobs_completed", &self.jobs_completed)?,
+            jobs_failed: f("jobs_failed", &self.jobs_failed)?,
+            jobs_cancelled: f("jobs_cancelled", &self.jobs_cancelled)?,
+            queue_depth: f("queue_depth", &self.queue_depth)?,
+            inflight_budget: f("inflight_budget", &self.inflight_budget)?,
+            budget_cap: f("budget_cap", &self.budget_cap)?,
+            cache_hits: f("cache_hits", &self.cache_hits)?,
+            cache_misses: f("cache_misses", &self.cache_misses)?,
+            cache_evictions: f("cache_evictions", &self.cache_evictions)?,
+            records_streamed: f("records_streamed", &self.records_streamed)?,
+        })
+    }
+
+    /// [`try_map`](Self::try_map) for an `f` that cannot fail.
+    pub fn map<U>(&self, mut f: impl FnMut(&'static str, &T) -> U) -> Stats<U> {
+        let mapped = self.try_map(|name, v| Ok::<U, std::convert::Infallible>(f(name, v)));
+        mapped.unwrap_or_else(|never| match never {})
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use faultsim::{CareResult, InjectedInto, InjectionPoint, Outcome, Signal, StepSplit};
+    use safeguard::DeclineKind;
     use simx::ModuleId;
     use tinyir::FuncId;
 
@@ -829,6 +632,12 @@ mod tests {
         };
         let v = parse_frame(&inline.to_frame()).unwrap();
         assert_eq!(JobSpec::from_json(&v).unwrap(), inline);
+
+        // Every key a frame leaves out takes `JobSpec::default()`'s value.
+        let v = parse_frame(r#"{"kind":"job","proto":1,"workload":"gtcp","injections":5}"#).unwrap();
+        let workload = WorkloadSel::Named { name: "gtcp".to_string(), params: vec![] };
+        let minimal = JobSpec { workload, injections: 5, ..JobSpec::default() };
+        assert_eq!(JobSpec::from_json(&v).unwrap(), minimal);
     }
 
     #[test]
@@ -934,6 +743,22 @@ mod tests {
             let v = parse_frame(&encode_record(9, r)).unwrap();
             assert_eq!(&decode_record(&v).unwrap(), r);
         }
+        // A value that does not fit its field is refused, not truncated
+        // (`module` 2³²+1 used to decode as `ModuleId(1)`, `target_val` 259
+        // as `Reg(3)`), and `reg`/`mem` need their `target_val`.
+        let reg = InjectionRecord { target: InjectedInto::Reg(3), ..records[1].clone() };
+        let frame = encode_record(9, &reg);
+        assert_eq!(decode_record(&parse_frame(&frame).unwrap()).unwrap(), reg);
+        for (good, bad) in [
+            ("\"module\":0", "\"module\":4294967297"),
+            ("\"func\":0", "\"func\":4294967296"),
+            ("\"target_val\":3", "\"target_val\":259"),
+            ("\"target_val\":3", "\"was\":3"),
+        ] {
+            assert!(frame.contains(good), "{frame}");
+            let v = parse_frame(&frame.replace(good, bad)).unwrap();
+            assert!(decode_record(&v).is_err(), "{bad} decoded");
+        }
     }
 
     #[test]
@@ -989,15 +814,13 @@ mod tests {
             cache_evictions: 2,
             records_streamed: 1234,
         };
-        let v = parse_frame(&snap.to_frame()).unwrap();
-        assert_eq!(StatsSnapshot::from_json(&v).unwrap(), snap);
+        let frame = ServerFrame::Stats(snap);
+        assert_eq!(ServerFrame::decode(&frame.encode()), Ok(frame));
+        assert_eq!(ClientFrame::decode(&ClientFrame::Stats.encode()), Ok(ClientFrame::Stats));
 
         for reason in RejectReason::ALL {
-            let v = parse_frame(&reject_frame(reason, "why \"quoted\"")).unwrap();
-            assert_eq!(v.get("kind").unwrap().as_str(), Some("reject"));
-            let name = v.get("reason").unwrap().as_str().unwrap();
-            assert_eq!(RejectReason::parse(name), Some(reason));
-            assert_eq!(v.get("detail").unwrap().as_str(), Some("why \"quoted\""));
+            let frame = ServerFrame::Reject(reason, "why \"quoted\"".to_string());
+            assert_eq!(ServerFrame::decode(&frame.encode()), Ok(frame));
         }
         assert!(RejectReason::parse("nonsense").is_none());
     }

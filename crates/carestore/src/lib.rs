@@ -11,10 +11,12 @@
 //!   where `module_hash` covers the **canonical TinyIR printing** plus
 //!   the golden-run invocation, and the canonical `care1:...` string
 //!   encoding that replaces careserve's old `Debug`-formatted text keys;
-//! * [`record`] — the `InjectionRecord` JSON codec shared with the
-//!   careserve wire protocol (one encoding, no drift);
-//! * [`log`] — the append-only JSONL record log with `run` / `record` /
-//!   `complete` lines, written incrementally and scanned on startup;
+//! * [`log`] — the append-only JSONL record log: [`LogLine`] (`run` /
+//!   `record` / `complete`), written incrementally, read back by one
+//!   reader that the scan and triage share;
+//! * [`record`] — the record codec (which lives in [`faultsim::wire`],
+//!   shared with the careserve wire protocol) under the names external
+//!   tools build log lines with;
 //! * [`store`] — [`Store::run_campaign`], the resume/residual
 //!   orchestration around [`faultsim::Campaign::run_selected`], with
 //!   `store.*` telemetry counters;
@@ -33,7 +35,7 @@ pub mod triage;
 
 pub use hash::ContentHash;
 pub use key::{campaign_key, CampaignKey};
-pub use log::{run_signature, scan_log, LogScan, LogWriter, STORE_VERSION};
+pub use log::{read_log, run_signature, scan_log, LogLine, LogScan, LogWriter, RunKey, STORE_VERSION};
 pub use lru::LruCache;
 pub use store::{Store, StoreRun, StoreStats};
 pub use triage::{triage, TriageCluster};

@@ -1,38 +1,38 @@
 //! The append-only JSONL record log — one file per campaign key.
 //!
-//! Three line kinds, all in the workspace JSON dialect:
+//! Three line kinds, all in the workspace JSON dialect
+//! ([`telemetry::json`]); [`LogLine`] states their fields, once:
 //!
-//! * `{"kind":"run","store":1,"model":...,"seed":...,"cfg":...,...}` —
-//!   opens a *run context*: every following `record` line belongs to it
-//!   until the next `run` line. `model`, `seed` and `cfg` (the
-//!   [`run_signature`] of the record-affecting config) identify which
+//! * `run` opens a *run context*: every following `record` line belongs
+//!   to it until the next `run` line. Its [`RunKey`] identifies which
 //!   requests may reuse the records; `engine` rides along for humans only
 //!   — records are pinned bit-identical across engines — and any other
 //!   key (older logs carry `scheduler`) is ignored.
-//! * `{"kind":"record","index":I,...}` — one [`InjectionRecord`] in the
-//!   shared codec of [`crate::record`], written the moment a worker
-//!   classifies it (append order is completion order, not index order).
-//! * `{"kind":"complete","model":...,"seed":...,"cfg":...,"injections":N}`
-//!   — the run covering indexes `0..N` finished *uncancelled*. This is
-//!   what makes absence meaningful: below a completed `N`, an index with
-//!   no record is a *known skip* (the sampled point never fired — fresh
-//!   runs skip it too); above every completed `N`, an absent index is
-//!   simply unexecuted and stays residual work.
+//! * `record` is one [`InjectionRecord`] in the codec of
+//!   [`faultsim::wire`], written the moment a worker classifies it
+//!   (append order is completion order, not index order).
+//! * `complete` says the run covering indexes `0..injections` finished
+//!   *uncancelled*. This is what makes absence meaningful: below a
+//!   completed bound, an index with no record is a *known skip* (the
+//!   sampled point never fired — fresh runs skip it too); above every
+//!   completed bound, an absent index is simply unexecuted and stays
+//!   residual work.
 //!
 //! A killed campaign leaves records without a `complete` trailer; the
-//! next run reloads them and executes only the rest. Scanning tolerates a
-//! torn final line (a kill mid-append) and any unparseable line by
-//! counting it as corrupt and moving on — an append-only log must never
+//! next run reloads them and executes only the rest. Reading
+//! ([`read_log`]) tolerates a torn final line (a kill mid-append) and any
+//! line that does not decode — not UTF-8, not JSON, a field out of range —
+//! by counting it as corrupt and moving on: an append-only log must never
 //! brick its campaign.
 
-use crate::record::{get_u64, push_field_str, push_field_u64, record_from_json};
+use faultsim::wire::{push_record_fields, record_from_json};
 use faultsim::{CampaignConfig, FaultModel, InjectionRecord};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use telemetry::parse_json;
+use telemetry::json::{parse_json, Json, Obj};
 
 /// Version of the log line vocabulary, written into every `run` line.
 /// Scanners ignore runs from a different store version.
@@ -57,6 +57,123 @@ pub fn run_signature(cfg: &CampaignConfig) -> String {
     )
 }
 
+/// What a run context is keyed by: records are reusable by exactly the
+/// requests whose key equals the one their `run` line carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunKey {
+    /// [`STORE_VERSION`] of the writer.
+    pub store: u32,
+    /// [`FaultModel::name`].
+    pub model: String,
+    /// Campaign RNG seed.
+    pub seed: u64,
+    /// [`run_signature`] of the rest of the record-affecting config.
+    pub cfg: String,
+}
+
+impl RunKey {
+    fn new(model: FaultModel, seed: u64, cfg_sig: &str) -> RunKey {
+        RunKey {
+            store: STORE_VERSION,
+            model: model.name().to_string(),
+            seed,
+            cfg: cfg_sig.to_string(),
+        }
+    }
+}
+
+/// One line of a campaign log.
+#[derive(Clone, Debug, PartialEq)]
+pub enum LogLine {
+    /// Opens a run context.
+    Run {
+        /// Which requests may reuse the records that follow.
+        key: RunKey,
+        /// The campaign key's `care1:...` encoding (the file is named
+        /// after it; repeated here so a stray log identifies itself).
+        campaign: String,
+        /// [`faultsim::EngineKind::name`] of the run, for humans only.
+        engine: String,
+    },
+    /// One classified injection: its index within the campaign, and the
+    /// record.
+    Record(usize, InjectionRecord),
+    /// The run with this key over indexes `0..n` finished uncancelled.
+    Complete(RunKey, usize),
+}
+
+impl LogLine {
+    /// Render the line (no trailing newline).
+    pub fn encode(&self) -> String {
+        match self {
+            LogLine::Run { key, campaign, engine } => Obj::new("run")
+                .u64("store", key.store as u64)
+                .str("campaign", campaign)
+                .str("model", &key.model)
+                .u64("seed", key.seed)
+                .str("cfg", &key.cfg)
+                .str("engine", engine)
+                .end(),
+            LogLine::Record(index, record) => {
+                let mut o = Obj::new("record");
+                push_record_fields(o.u64("index", *index as u64), record);
+                o.end()
+            }
+            LogLine::Complete(key, injections) => Obj::new("complete")
+                .u64("store", key.store as u64)
+                .str("model", &key.model)
+                .u64("seed", key.seed)
+                .str("cfg", &key.cfg)
+                .u64("injections", *injections as u64)
+                .end(),
+        }
+    }
+
+    /// Decode one line as read from disk (newline stripped).
+    pub fn decode(line: &[u8]) -> Result<LogLine, String> {
+        let v = parse_json(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
+        let text = |key| v.req(key, Json::as_str).map(str::to_string);
+        let key = || -> Result<RunKey, String> {
+            Ok(RunKey {
+                store: v.req("store", Json::uint)?,
+                model: text("model")?,
+                seed: v.req("seed", Json::uint)?,
+                cfg: text("cfg")?,
+            })
+        };
+        Ok(match v.req("kind", Json::as_str)? {
+            "run" => LogLine::Run { key: key()?, campaign: text("campaign")?, engine: text("engine")? },
+            "record" => LogLine::Record(v.req("index", Json::uint)?, record_from_json(&v)?),
+            "complete" => LogLine::Complete(key()?, v.req("injections", Json::uint)?),
+            other => return Err(format!("unknown log line kind {other:?}")),
+        })
+    }
+}
+
+/// Feed every line of the log at `path` to `each`, in file order, and
+/// return how many lines did not decode (skipped; see the module docs).
+/// Lines are read as bytes, so one that is not UTF-8 is just another
+/// corrupt line. A missing file is an empty log, not an error.
+pub fn read_log(path: &Path, mut each: impl FnMut(LogLine)) -> std::io::Result<u64> {
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e),
+    };
+    let mut corrupt = 0;
+    for line in BufReader::new(file).split(b'\n') {
+        let line = line?;
+        if line.iter().all(u8::is_ascii_whitespace) {
+            continue;
+        }
+        match LogLine::decode(&line) {
+            Ok(line) => each(line),
+            Err(_) => corrupt += 1,
+        }
+    }
+    Ok(corrupt)
+}
+
 /// What a scan recovered for one `(model, seed, cfg)` request.
 #[derive(Debug, Default)]
 pub struct LogScan {
@@ -77,54 +194,20 @@ pub fn scan_log(
     seed: u64,
     cfg_sig: &str,
 ) -> std::io::Result<LogScan> {
-    let mut scan = LogScan::default();
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
-        Err(e) => return Err(e),
-    };
-    // Does a run context's (model, seed, cfg, store version) match ours?
-    let matches = |v: &telemetry::Json| -> bool {
-        get_u64(v, "store") == Some(STORE_VERSION as u64)
-            && v.get("model").and_then(telemetry::Json::as_str) == Some(model.name())
-            && get_u64(v, "seed") == Some(seed)
-            && v.get("cfg").and_then(telemetry::Json::as_str) == Some(cfg_sig)
-    };
+    let want = RunKey::new(model, seed, cfg_sig);
+    let (mut records, mut covered) = (BTreeMap::new(), 0);
     let mut in_matching_run = false;
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let corrupt = read_log(path, |line| match line {
+        LogLine::Run { key, .. } => in_matching_run = key == want,
+        // Overlapping partial runs can re-execute an index; determinism
+        // makes the records identical, so last-wins is a no-op in practice.
+        LogLine::Record(index, record) if in_matching_run => {
+            records.insert(index, record);
         }
-        let Ok(v) = parse_json(&line) else {
-            scan.corrupt += 1;
-            continue;
-        };
-        match v.get("kind").and_then(telemetry::Json::as_str) {
-            Some("run") => in_matching_run = matches(&v),
-            Some("record") if in_matching_run => {
-                match (get_u64(&v, "index"), record_from_json(&v)) {
-                    (Some(i), Ok(rec)) => {
-                        // Overlapping partial runs can re-execute an index;
-                        // determinism makes the records identical, so
-                        // last-wins is a no-op in practice.
-                        scan.records.insert(i as usize, rec);
-                    }
-                    _ => scan.corrupt += 1,
-                }
-            }
-            Some("record") => {}
-            Some("complete") => {
-                if matches(&v) {
-                    if let Some(n) = get_u64(&v, "injections") {
-                        scan.covered = scan.covered.max(n as usize);
-                    }
-                }
-            }
-            _ => scan.corrupt += 1,
-        }
-    }
-    Ok(scan)
+        LogLine::Complete(key, injections) if key == want => covered = covered.max(injections),
+        LogLine::Record(..) | LogLine::Complete(..) => {}
+    })?;
+    Ok(LogScan { records, covered, corrupt })
 }
 
 /// Append-side handle: serializes whole-line writes from concurrent pool
@@ -161,35 +244,22 @@ impl LogWriter {
 
     /// Append the `run` context line for a run about to execute.
     pub fn run_header(&self, cfg: &CampaignConfig, campaign_key: &str) {
-        let mut s = String::from("{\"kind\":\"run\"");
-        push_field_u64(&mut s, "store", STORE_VERSION as u64);
-        push_field_str(&mut s, "campaign", campaign_key);
-        push_field_str(&mut s, "model", cfg.model.name());
-        push_field_u64(&mut s, "seed", cfg.seed);
-        push_field_str(&mut s, "cfg", &run_signature(cfg));
-        push_field_str(&mut s, "engine", cfg.engine.name());
-        s.push('}');
-        self.append_line(&s);
+        let key = RunKey::new(cfg.model, cfg.seed, &run_signature(cfg));
+        let (campaign, engine) = (campaign_key.to_string(), cfg.engine.name().to_string());
+        self.append_line(&LogLine::Run { key, campaign, engine }.encode());
     }
 
     /// Append the `complete` trailer after an uncancelled run over
     /// `0..cfg.injections`.
     pub fn complete(&self, cfg: &CampaignConfig) {
-        let mut s = String::from("{\"kind\":\"complete\"");
-        push_field_u64(&mut s, "store", STORE_VERSION as u64);
-        push_field_str(&mut s, "model", cfg.model.name());
-        push_field_u64(&mut s, "seed", cfg.seed);
-        push_field_str(&mut s, "cfg", &run_signature(cfg));
-        push_field_u64(&mut s, "injections", cfg.injections as u64);
-        s.push('}');
-        self.append_line(&s);
+        let key = RunKey::new(cfg.model, cfg.seed, &run_signature(cfg));
+        self.append_line(&LogLine::Complete(key, cfg.injections).encode());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::push_record_fields;
     use faultsim::{InjectedInto, InjectionPoint, Outcome, StepSplit};
     use simx::ModuleId;
     use tinyir::FuncId;
@@ -207,11 +277,7 @@ mod tests {
     }
 
     fn record_line(index: usize, r: &InjectionRecord) -> String {
-        let mut s = String::from("{\"kind\":\"record\"");
-        push_field_u64(&mut s, "index", index as u64);
-        push_record_fields(&mut s, r);
-        s.push('}');
-        s
+        LogLine::Record(index, r.clone()).encode()
     }
 
     #[test]
@@ -229,6 +295,17 @@ mod tests {
         w.run_header(&cfg, "k");
         w.append_line(&record_line(0, &rec(1)));
         w.append_line(&record_line(2, &rec(2)));
+        // Values that do not fit their field are corrupt lines, not
+        // `ModuleId(1)` / `Reg(3)` by truncation; `reg` needs its value.
+        let line = record_line(3, &rec(3));
+        for (good, bad) in [
+            ("\"module\":0", "\"module\":4294967297"),
+            ("\"target_val\":3", "\"target_val\":259"),
+            ("\"target_val\":3", "\"was\":3"),
+        ] {
+            assert!(line.contains(good), "{line}");
+            w.append_line(&line.replace(good, bad));
+        }
         w.complete(&cfg);
         // A torn final line (kill mid-append).
         {
@@ -241,7 +318,7 @@ mod tests {
         let sig = run_signature(&cfg);
         let scan = scan_log(&path, cfg.model, cfg.seed, &sig).unwrap();
         assert_eq!(scan.covered, 4);
-        assert_eq!(scan.corrupt, 1);
+        assert_eq!(scan.corrupt, 4);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[&0], rec(1));
         assert_eq!(scan.records[&2], rec(2));

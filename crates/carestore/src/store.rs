@@ -27,8 +27,7 @@
 //! (pinned by faultsim's own tests).
 
 use crate::key::CampaignKey;
-use crate::log::{run_signature, scan_log, LogWriter};
-use crate::record::{push_field_u64, push_record_fields};
+use crate::log::{run_signature, scan_log, LogLine, LogWriter};
 use faultsim::{
     Campaign, CampaignConfig, CampaignReport, InjectionRecord, JobControl, RecordSink,
 };
@@ -87,11 +86,7 @@ struct LogSink<'a> {
 
 impl RecordSink for LogSink<'_> {
     fn emit(&self, index: usize, record: &InjectionRecord) {
-        let mut line = String::from("{\"kind\":\"record\"");
-        push_field_u64(&mut line, "index", index as u64);
-        push_record_fields(&mut line, record);
-        line.push('}');
-        self.writer.append_line(&line);
+        self.writer.append_line(&LogLine::Record(index, record.clone()).encode());
         self.fresh.lock().expect("sink poisoned").insert(index, record.clone());
     }
 }

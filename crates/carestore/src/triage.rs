@@ -8,11 +8,9 @@
 //! deliberately dropped, because a thousand injections into different
 //! iterations of one hot load are one cluster, not a thousand.
 
-use crate::record::{get_u64, parse_outcome};
+use crate::log::{read_log, LogLine};
 use crate::store::Store;
-use std::collections::BTreeMap;
-use std::io::BufRead;
-use telemetry::{parse_json, Json};
+use std::collections::{BTreeMap, HashSet};
 
 /// One triage cluster: a distinct `(kind, decline, site)` with its
 /// population. Counters saturate on merge — a store scan sums across
@@ -33,38 +31,25 @@ pub struct TriageCluster {
 
 /// Scan every log in the store and cluster its records. Clusters come
 /// back most-populous first (ties broken by site for determinism).
-/// Unparseable lines are skipped, mirroring [`crate::log::scan_log`].
+/// Lines that do not decode are skipped, as in [`crate::log::scan_log`]:
+/// both read through [`read_log`].
 pub fn triage(store: &Store) -> std::io::Result<Vec<TriageCluster>> {
     type ClusterKey = (String, String, (u64, u64, u64));
     // key → (count, campaigns-seen-in)
     let mut clusters: BTreeMap<ClusterKey, (u64, u64)> = BTreeMap::new();
     for path in store.log_files()? {
-        let file = std::fs::File::open(&path)?;
-        let mut seen_here: std::collections::HashSet<ClusterKey> =
-            std::collections::HashSet::new();
-        for line in std::io::BufReader::new(file).lines() {
-            let line = line?;
-            let Ok(v) = parse_json(&line) else { continue };
-            if v.get("kind").and_then(Json::as_str) != Some("record") {
-                continue;
-            }
-            let Some(outcome) = v.get("outcome").and_then(Json::as_str) else { continue };
-            if parse_outcome(outcome).is_none() {
-                continue;
-            }
-            let (Some(m), Some(f), Some(i)) =
-                (get_u64(&v, "module"), get_u64(&v, "func"), get_u64(&v, "inst"))
-            else {
-                continue;
-            };
-            let decline = v.get("decline").and_then(Json::as_str).unwrap_or("-").to_string();
-            let key = (outcome.to_string(), decline, (m, f, i));
+        let mut seen_here: HashSet<ClusterKey> = HashSet::new();
+        read_log(&path, |line| {
+            let LogLine::Record(_, r) = line else { return };
+            let decline = r.care.and_then(|c| c.decline).map_or("-", |d| d.short_name());
+            let site = (r.point.module.0 as u64, r.point.func.0 as u64, r.point.inst as u64);
+            let key = (r.outcome.name().to_string(), decline.to_string(), site);
             let entry = clusters.entry(key.clone()).or_insert((0, 0));
             entry.0 = entry.0.saturating_add(1);
             if seen_here.insert(key) {
                 entry.1 = entry.1.saturating_add(1);
             }
-        }
+        })?;
     }
     let mut out: Vec<TriageCluster> = clusters
         .into_iter()
@@ -83,7 +68,6 @@ pub fn triage(store: &Store) -> std::io::Result<Vec<TriageCluster>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{push_field_u64, push_record_fields};
     use faultsim::{
         InjectedInto, InjectionPoint, InjectionRecord, Outcome, Signal, StepSplit,
     };
@@ -103,12 +87,7 @@ mod tests {
     }
 
     fn line(index: usize, r: &InjectionRecord) -> String {
-        let mut s = String::from("{\"kind\":\"record\"");
-        push_field_u64(&mut s, "index", index as u64);
-        push_record_fields(&mut s, r);
-        s.push('}');
-        s.push('\n');
-        s
+        LogLine::Record(index, r.clone()).encode() + "\n"
     }
 
     #[test]

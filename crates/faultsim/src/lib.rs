@@ -16,6 +16,7 @@
 
 pub mod campaign;
 pub mod injector;
+pub mod wire;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, CareResult, InjectionRecord, JobControl, NoSink,

@@ -326,13 +326,6 @@ pub fn dce(module: &mut Module) -> usize {
     total
 }
 
-/// Replace `Instr` placeholders left orphaned in the arena by removed
-/// instructions with inert `ret void` markers is unnecessary — blocks no
-/// longer reference them. This helper compacts statistics instead.
-pub fn live_instruction_count(f: &Function) -> usize {
-    f.live_instr_count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -218,18 +218,6 @@ impl MInst {
         }
     }
 
-    /// Mutable access to the memory operand (Safeguard's register patch).
-    pub fn mem_operand_mut(&mut self) -> Option<&mut MemOp> {
-        match self {
-            MInst::Mov { src: Src::Mem(m, _), .. } => Some(m),
-            MInst::Bin { rhs: Src::Mem(m, _), .. } => Some(m),
-            MInst::Icmp { rhs: Src::Mem(m, _), .. } => Some(m),
-            MInst::Fcmp { rhs: Src::Mem(m, _), .. } => Some(m),
-            MInst::Store { mem, .. } => Some(mem),
-            _ => None,
-        }
-    }
-
     /// True for control-transfer instructions (their "destination" is the
     /// program counter).
     pub fn is_control(&self) -> bool {

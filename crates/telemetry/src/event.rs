@@ -1,10 +1,12 @@
 //! Structured events for the JSONL sink.
 //!
 //! An [`Event`] is a flat `kind` + ordered field list, rendered as one JSON
-//! object per line (hand-rolled — the build container has no serde). The
+//! object per line through [`crate::json::Obj`]. The
 //! recorder stamps every emitted event with `t_ns`, nanoseconds since the
 //! recorder was created, so event streams double as timelines (the trellis
 //! queue-drain trace is exactly this).
+
+use crate::json::Obj;
 
 /// A JSON-able field value.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,57 +75,16 @@ impl Event {
 
     /// Render as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64);
-        s.push_str("{\"kind\":");
-        push_json_str(&mut s, self.kind);
+        let mut o = Obj::new(self.kind);
         for (name, value) in &self.fields {
-            s.push(',');
-            push_json_str(&mut s, name);
-            s.push(':');
             match value {
-                Value::U64(v) => s.push_str(&v.to_string()),
-                Value::I64(v) => s.push_str(&v.to_string()),
-                Value::F64(v) => push_json_f64(&mut s, *v),
-                Value::Str(v) => push_json_str(&mut s, v),
-            }
+                Value::U64(v) => o.int(name, *v),
+                Value::I64(v) => o.int(name, *v),
+                Value::F64(v) => o.f64(name, *v),
+                Value::Str(v) => o.str(name, v),
+            };
         }
-        s.push('}');
-        s
-    }
-}
-
-/// Escape and append a JSON string literal. Public so wire-protocol
-/// builders (the campaign server's NDJSON frames) share one escaper with
-/// the JSONL sink instead of growing a second, subtly different one.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a finite f64 as JSON (NaN/inf degrade to null, which JSON lacks
-/// a number for). The `{v}` shortest-round-trip rendering parses back to
-/// the identical bits, which the server's record framing relies on.
-pub fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on an integral float prints no decimal point; keep it a
-        // JSON number either way (both are valid), but round-trippable.
-        out.push_str(&s);
-    } else {
-        out.push_str("null");
+        o.end()
     }
 }
 

@@ -45,20 +45,24 @@
 //!   human-readable phase-latency/counter rendering.
 //!
 //! The JSONL stream can be checked without serde via
-//! [`schema::validate_jsonl`], which parses every line with a minimal
-//! recursive-descent JSON reader and returns the per-kind line counts.
+//! [`schema::validate_jsonl`], which parses every line with the reader in
+//! [`json`] — the one home of the workspace's JSON dialect, shared with the
+//! campaign server's frames and the record store's log lines — and returns
+//! the per-kind line counts.
 
 pub mod event;
 pub mod hist;
+pub mod json;
 pub mod recorder;
 pub mod report;
 pub mod schema;
 
-pub use event::{push_json_f64, push_json_str, Event, Value};
+pub use event::{Event, Value};
 pub use hist::Histogram;
 pub use recorder::{timed, Hooks, NoTelemetry, Recorder};
 pub use report::TelemetryReport;
-pub use schema::{parse_json, validate_jsonl, Json};
+pub use json::{parse_json, Json};
+pub use schema::validate_jsonl;
 
 /// Version of the JSONL event schema emitted by [`TelemetryReport::to_jsonl`].
 /// Bump on any report-shape change; `tests/telemetry.rs` and the schema

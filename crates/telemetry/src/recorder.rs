@@ -16,7 +16,7 @@
 //! `Recorder` is `Clone + Sync` and is shared by reference across campaign
 //! worker threads. Each thread lazily allocates a private **shard**
 //! (counters + histograms + events behind a mutex only that thread ever
-//! contends on) found through a thread-local cache keyed by recorder id;
+//! contends on) found through a thread-local cache keyed by recorder;
 //! [`Recorder::drain`](crate::Recorder::drain) merges every shard into one
 //! [`TelemetryReport`](crate::TelemetryReport). Because shards are
 //! per-thread, per-shard counter subtotals are per-*worker* measurements —
@@ -28,8 +28,7 @@ use crate::hist::Histogram;
 use crate::report::TelemetryReport;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 /// The telemetry hook surface instrumented code is generic over.
@@ -112,21 +111,20 @@ struct Shard {
 }
 
 struct RecorderInner {
-    /// Distinguishes recorders in the thread-local shard cache (Arc
-    /// addresses can be reused; this never is).
-    id: u64,
     /// Creation instant — the zero of every stamped `t_ns`.
     start: Instant,
     /// Every shard ever handed to a thread (shards outlive their threads).
     shards: Mutex<Vec<Arc<Shard>>>,
 }
 
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    /// Per-thread cache of (recorder id → this thread's shard). Linear
-    /// scan: a process holds a handful of live recorders at most.
-    static SHARD_CACHE: RefCell<Vec<(u64, Arc<Shard>)>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread cache of (recorder → this thread's shard). Linear scan: a
+    /// process holds a handful of *live* recorders at most, and the entries
+    /// of dropped ones go at the next miss. A cached `Weak` keeps the dropped
+    /// recorder's allocation from being reused, so an address names one
+    /// recorder for as long as it is in the cache.
+    static SHARD_CACHE: RefCell<Vec<(Weak<RecorderInner>, Arc<Shard>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 /// The enabled [`Hooks`] implementation: sharded per-thread accumulation,
@@ -147,7 +145,6 @@ impl Recorder {
     pub fn new() -> Recorder {
         Recorder {
             inner: Arc::new(RecorderInner {
-                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 start: Instant::now(),
                 shards: Mutex::new(Vec::new()),
             }),
@@ -163,12 +160,14 @@ impl Recorder {
     fn shard(&self) -> Arc<Shard> {
         SHARD_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
-            if let Some((_, s)) = cache.iter().find(|(id, _)| *id == self.inner.id) {
+            let me = Arc::as_ptr(&self.inner);
+            if let Some((_, s)) = cache.iter().find(|(owner, _)| std::ptr::eq(owner.as_ptr(), me)) {
                 return Arc::clone(s);
             }
+            cache.retain(|(owner, _)| owner.strong_count() > 0);
             let shard = Arc::new(Shard::default());
             self.inner.shards.lock().unwrap().push(Arc::clone(&shard));
-            cache.push((self.inner.id, Arc::clone(&shard)));
+            cache.push((Arc::downgrade(&self.inner), Arc::clone(&shard)));
             shard
         })
     }
@@ -312,6 +311,23 @@ mod tests {
         b.add("x", 10);
         assert_eq!(a.drain().counters["x"], 1);
         assert_eq!(b.drain().counters["x"], 10);
+    }
+
+    /// The server makes a recorder per traced job; a long-lived thread must
+    /// not keep a shard (and a slower lookup) for each one ever seen.
+    #[test]
+    fn shard_cache_forgets_dropped_recorders() {
+        let keep = Recorder::new();
+        keep.add("x", 1);
+        for _ in 0..1_000 {
+            let r = Recorder::new();
+            r.add("x", 1);
+            r.record("h_ns", 1);
+        }
+        let cached = SHARD_CACHE.with(|c| c.borrow().len());
+        assert!(cached <= 2, "{cached} shards cached for one live recorder");
+        keep.add("x", 1);
+        assert_eq!(keep.drain().counters["x"], 2);
     }
 
     #[test]

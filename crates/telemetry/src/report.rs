@@ -1,7 +1,8 @@
 //! The drained view of a [`Recorder`](crate::Recorder) and its two sinks:
 //! a versioned JSONL event stream and a human-readable summary table.
 
-use crate::event::{push_json_str, Event};
+use crate::event::Event;
+use crate::json::{push_arr, push_int, Obj};
 use crate::hist::Histogram;
 use crate::SCHEMA_VERSION;
 use std::collections::BTreeMap;
@@ -32,8 +33,12 @@ impl TelemetryReport {
     /// the `meta` line carries `schema_version` = [`SCHEMA_VERSION`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            &Event::new("meta")
+        let mut line = |text: String| {
+            out.push_str(&text);
+            out.push('\n');
+        };
+        line(
+            Event::new("meta")
                 .field("schema_version", u64::from(SCHEMA_VERSION))
                 .field("wall_s", self.wall_s)
                 .field("counters", self.counters.len())
@@ -42,53 +47,35 @@ impl TelemetryReport {
                 .field("shards", self.per_shard_counters.len())
                 .to_json(),
         );
-        out.push('\n');
         for (name, &value) in &self.counters {
-            let mut line = String::from("{\"kind\":\"counter\",\"name\":");
-            push_json_str(&mut line, name);
-            let _ = write!(line, ",\"value\":{value}}}");
-            out.push_str(&line);
-            out.push('\n');
+            line(Obj::new("counter").str("name", name).int("value", value).end());
         }
         for (shard, counters) in self.per_shard_counters.iter().enumerate() {
-            let mut line = format!("{{\"kind\":\"shard\",\"shard\":{shard},\"counters\":{{");
-            for (i, (name, value)) in counters.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
+            let members = |o: &mut Obj| {
+                for (name, &value) in counters {
+                    o.int(name, value);
                 }
-                push_json_str(&mut line, name);
-                let _ = write!(line, ":{value}");
-            }
-            line.push_str("}}");
-            out.push_str(&line);
-            out.push('\n');
+            };
+            line(Obj::new("shard").int("shard", shard as u64).obj("counters", members).end());
         }
         for (name, h) in &self.hists {
-            let mut line = String::from("{\"kind\":\"hist\",\"name\":");
-            push_json_str(&mut line, name);
-            let _ = write!(
-                line,
-                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.99),
+            line(
+                Obj::new("hist")
+                    .str("name", name)
+                    .int("count", h.count())
+                    .int("sum", h.sum())
+                    .int("min", h.min())
+                    .int("max", h.max())
+                    .int("p50", h.quantile(0.5))
+                    .int("p99", h.quantile(0.99))
+                    .arr("buckets", h.nonzero_buckets(), |s, (bit_len, n)| {
+                        push_arr(s, [bit_len as u64, n], push_int)
+                    })
+                    .end(),
             );
-            for (i, (bit_len, n)) in h.nonzero_buckets().into_iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write!(line, "[{bit_len},{n}]");
-            }
-            line.push_str("]}");
-            out.push_str(&line);
-            out.push('\n');
         }
         for ev in &self.events {
-            out.push_str(&ev.to_json());
-            out.push('\n');
+            line(ev.to_json());
         }
         out
     }

@@ -1,253 +1,11 @@
-//! A minimal recursive-descent JSON reader and the JSONL schema validator.
+//! The JSONL schema validator.
 //!
-//! The build container has no serde, so the schema checks (CI, tests,
-//! `examples/telemetry_tour.rs`) parse with this ~150-line reader instead.
-//! It accepts exactly the JSON this workspace emits — objects, arrays,
-//! strings with the escapes [`Event::to_json`](crate::Event::to_json)
-//! produces, numbers, booleans and null — and rejects trailing garbage.
+//! The schema checks (CI, tests, `examples/telemetry_tour.rs`) run without
+//! serde: every line goes through the workspace's own reader,
+//! [`parse_json`](crate::json::parse_json).
 
+use crate::json::{parse_json, Json};
 use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, held as f64 (adequate for validation; the emitters
-    /// never rely on >53-bit integer round-trips being checked here).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (key-sorted).
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Member lookup on objects; `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates never appear in our output; map them
-                            // to the replacement char rather than erroring.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing at
-                    // char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-}
-
-/// Parse one complete JSON document, rejecting trailing non-whitespace.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after value"));
-    }
-    Ok(v)
-}
 
 /// Validate a telemetry JSONL stream:
 ///
@@ -261,61 +19,31 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// Returns the number of lines seen per `kind`.
 pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, usize>, String> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    let mut first = true;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string \"kind\"", lineno + 1))?
-            .to_string();
-        if first {
+    for (lineno, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
+        let v = parse_json(line).map_err(at)?;
+        let kind = v.req("kind", Json::as_str).map_err(at)?;
+        if counts.is_empty() {
             if kind != "meta" {
-                return Err(format!("line 1: expected kind \"meta\", got {kind:?}"));
+                return Err(at(format!("expected kind \"meta\", got {kind:?}")));
             }
-            let ver = v
-                .get("schema_version")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "line 1: meta missing schema_version".to_string())?;
+            let ver = v.req("schema_version", Json::as_f64).map_err(at)?;
             if ver != f64::from(crate::SCHEMA_VERSION) {
-                return Err(format!(
-                    "line 1: schema_version {ver} != supported {}",
-                    crate::SCHEMA_VERSION
-                ));
+                let supported = crate::SCHEMA_VERSION;
+                return Err(at(format!("schema_version {ver} != supported {supported}")));
             }
-            first = false;
         }
-        let require = |field: &str| -> Result<(), String> {
-            if v.get(field).is_none() {
-                Err(format!("line {}: {kind} line missing {field:?}", lineno + 1))
-            } else {
-                Ok(())
-            }
-        };
-        match kind.as_str() {
-            "counter" => {
-                require("name")?;
-                v.get("value")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("line {}: counter missing numeric value", lineno + 1))?;
-            }
-            "hist" => {
-                require("name")?;
-                require("count")?;
-                require("sum")?;
-                require("buckets")?;
-            }
-            "shard" if !matches!(v.get("counters"), Some(Json::Obj(_))) => {
-                return Err(format!("line {}: shard missing counters object", lineno + 1));
-            }
-            _ => {}
+        let present = |field| v.req(field, |_| Some(()));
+        match kind {
+            "counter" => present("name").and(v.req("value", Json::as_f64).map(drop)),
+            "hist" => ["name", "count", "sum", "buckets"].into_iter().try_for_each(present),
+            "shard" => v.req("counters", |c| matches!(c, Json::Obj(_)).then_some(())),
+            _ => Ok(()),
         }
-        *counts.entry(kind).or_default() += 1;
+        .map_err(|e| at(format!("{kind} line: {e}")))?;
+        *counts.entry(kind.to_string()).or_default() += 1;
     }
-    if first {
+    if counts.is_empty() {
         return Err("empty stream: no meta line".to_string());
     }
     Ok(counts)
@@ -324,35 +52,6 @@ pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_and_nesting() {
-        let v = parse_json(r#"{"a":[1,2.5,-3,1e3],"b":{"c":"x\n","d":true,"e":null}}"#).unwrap();
-        assert_eq!(v.get("a"), Some(&Json::Arr(vec![
-            Json::Num(1.0),
-            Json::Num(2.5),
-            Json::Num(-3.0),
-            Json::Num(1000.0),
-        ])));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\n"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("b").unwrap().get("e"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\":1} x").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(parse_json("nul").is_err());
-    }
-
-    #[test]
-    fn unicode_escapes_round_trip() {
-        let v = parse_json(r#""Aé""#).unwrap();
-        assert_eq!(v.as_str(), Some("Aé"));
-    }
 
     #[test]
     fn validator_requires_meta_first() {

@@ -131,11 +131,6 @@ impl<'m> FuncBuilder<'m> {
         Value::Global(id)
     }
 
-    /// Current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// Create a new block (does not move the insertion point).
     pub fn new_block(&mut self, name: &str) -> BlockId {
         self.func.add_block(name)

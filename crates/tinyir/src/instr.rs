@@ -33,12 +33,6 @@ impl BinOp {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
 
-    /// True if the operator can raise a division trap (`SIGFPE`).
-    #[inline]
-    pub fn can_trap(self) -> bool {
-        matches!(self, BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem)
-    }
-
     /// Textual mnemonic used by the printer/parser.
     pub fn mnemonic(self) -> &'static str {
         match self {

@@ -274,12 +274,6 @@ impl PagedMemory {
         self.pages.values().filter(|p| Arc::strong_count(p) == 1).count()
     }
 
-    /// Resident size in bytes: materialised pages only (zero-span pages
-    /// have no backing allocation of their own).
-    pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
-    }
-
     #[inline]
     fn page_of(addr: u64) -> (u64, usize) {
         (addr / PAGE_SIZE, (addr % PAGE_SIZE) as usize)

@@ -1,7 +1,7 @@
 //! Module, function, block and global-variable containers.
 
 use crate::debugloc::FileId;
-use crate::instr::{Instr, InstrKind};
+use crate::instr::Instr;
 use crate::types::Ty;
 use crate::value::{BlockId, FuncId, GlobalId, InstrId, Value};
 use std::collections::HashMap;
@@ -315,15 +315,6 @@ pub fn value_ty(f: &Function, v: Value) -> Option<Ty> {
         Value::ConstFloat(_, t) => Some(t),
         Value::ConstNull => Some(Ty::Ptr),
     }
-}
-
-/// Classify an instruction the way the Figure 5 pseudo-code does: alloca,
-/// global (handled at the `Value` level), argument, phi, call, other.
-pub fn is_alloca(f: &Function, v: Value) -> bool {
-    matches!(
-        v.as_instr().map(|id| &f.instr(id).kind),
-        Some(InstrKind::Alloca { .. })
-    )
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
             Some("bad_json")
         );
         // Same connection, next frame: still answered.
-        stream.write_all(careserve::proto::stats_request_frame().as_bytes()).unwrap();
+        stream.write_all(careserve::proto::ClientFrame::Stats.encode().as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
         assert_eq!(frame_kind(&read_json_line(&mut reader)), "stats");
     }
@@ -285,5 +285,236 @@ proptest! {
         });
         let out = submit(addr, &spec).expect("submit");
         prop_assert_eq!(out.report, local_run(&spec));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Property tests at the wire and log boundary: both frame directions and
+// the store's log lines. State the boundary's property once and check it
+// with generated inputs (PAPERS.md, *Software Fault Isolation for Robust
+// Compilation*) — `decode(encode(x)) == x`, and `decode` of anything is a
+// value or a typed error, never a panic.
+
+use careserve::proto::{ClientFrame, RejectReason, ServerFrame, StatsSnapshot};
+use carestore::{LogLine, RunKey};
+use faultsim::{CareResult, InjectedInto, InjectionPoint, InjectionRecord, Outcome, Signal, StepSplit};
+use proptest::collection::vec;
+use safeguard::DeclineKind;
+
+/// u64s around the 2⁵³ spelling switch as often as anywhere else.
+fn arb_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..4, (1u64 << 53) - 2..(1 << 53) + 3, Just(u64::MAX)]
+}
+
+/// Finite floats: modelled milliseconds mostly, any bit pattern sometimes
+/// (whose shortest decimal form can run to three hundred digits).
+fn arb_f64() -> impl Strategy<Value = f64> {
+    let any_finite = any::<u64>().prop_map(|bits| {
+        Some(f64::from_bits(bits)).filter(|f| f.is_finite()).unwrap_or(f64::MIN_POSITIVE)
+    });
+    let ms = || any::<u32>().prop_map(|n| n as f64 / 1000.0);
+    prop_oneof![ms(), ms(), Just(0.1 + 0.2), any_finite]
+}
+
+/// Strings that need every escape the writer has.
+fn arb_text() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        Just('a'), Just('"'), Just('\\'), Just('\n'), Just('\r'), Just('\t'), Just('\u{1}'),
+        Just('é'), Just('{'), Just(','), Just('\u{1F980}')
+    ];
+    vec(ch, 0..12).prop_map(|cs| cs.into_iter().collect())
+}
+
+fn arb_record() -> impl Strategy<Value = InjectionRecord> {
+    let target = prop_oneof![
+        any::<u8>().prop_map(InjectedInto::Reg),
+        arb_u64().prop_map(InjectedInto::Mem),
+        Just(InjectedInto::Pc),
+        Just(InjectedInto::Skipped),
+    ];
+    let signal =
+        prop_oneof![Just(Signal::Segv), Just(Signal::Bus), Just(Signal::Abort), Just(Signal::Other)];
+    let outcome = prop_oneof![
+        Just(Outcome::Benign),
+        Just(Outcome::Sdc),
+        Just(Outcome::Hang),
+        signal.prop_map(Outcome::SoftFailure),
+    ];
+    let care = (any::<bool>(), any::<bool>(), arb_u64(), arb_f64(), 0usize..=DeclineKind::ALL.len())
+        .prop_map(|(some, covered, recoveries, recovery_ms, d)| {
+            let decline = DeclineKind::ALL.get(d).copied();
+            some.then_some(CareResult { covered, recoveries, recovery_ms, decline })
+        });
+    (
+        (any::<u32>(), any::<u32>(), any::<usize>(), arb_u64()),
+        (target, outcome, any::<bool>(), arb_u64()),
+        (arb_u64(), arb_u64(), arb_u64(), arb_u64(), care),
+    )
+        .prop_map(|((module, func, inst, nth), (target, outcome, lat, latency), rest)| {
+            let (sim_steps, prefix, suffix, care_steps, care) = rest;
+            InjectionRecord {
+                point: InjectionPoint {
+                    module: simx::ModuleId(module),
+                    func: tinyir::FuncId(func),
+                    inst,
+                    nth,
+                },
+                target,
+                outcome,
+                latency: lat.then_some(latency),
+                sim_steps,
+                split: StepSplit { prefix, suffix, care: care_steps },
+                care,
+            }
+        })
+}
+
+fn arb_report() -> impl Strategy<Value = CampaignReport> {
+    (vec(any::<usize>(), 17..18), vec(arb_u64(), 5..6), vec(arb_f64(), 0..4), vec(any::<usize>(), 14..15), any::<bool>())
+        .prop_map(|(n, s, recovery_times_ms, declines, cancelled)| CampaignReport {
+            benign: n[0],
+            soft_failure: n[1],
+            sdc: n[2],
+            hang: n[3],
+            signals: [n[4], n[5], n[6], n[7]],
+            latency_buckets: [n[8], n[9], n[10], n[11]],
+            care_evaluated: n[12],
+            care_covered: n[13],
+            care_survived_with_sdc: n[14],
+            recovery_times_ms,
+            total_recoveries: s[0],
+            // A zero count stands for "kind absent" so maps of every size occur.
+            declines: DeclineKind::ALL.into_iter().zip(declines).filter(|&(_, n)| n % 3 != 0).collect(),
+            simulated_steps: s[1],
+            steps_prefix: s[2],
+            steps_suffix: s[3],
+            steps_care: s[4],
+            trellis_snapshots: n[15],
+            cursor_shards: n[16],
+            cancelled,
+            records: Vec::new(),
+        })
+}
+
+/// Specs as the codec sees them: any text for a module, any counts.
+fn arb_wire_spec() -> impl Strategy<Value = JobSpec> {
+    let workload = prop_oneof![
+        (arb_text(), vec(-10_000i64..10_000, 0..5))
+            .prop_map(|(name, params)| WorkloadSel::Named { name: format!("w{name}"), params }),
+        (arb_text(), vec(arb_u64(), 0..4), vec((arb_text(), arb_u64()), 0..3))
+            .prop_map(|(text, args, outputs)| WorkloadSel::Inline { text, args, outputs }),
+    ];
+    (arb_spec(), workload, 1usize..=careserve::proto::MAX_INJECTIONS, any::<usize>(), vec(any::<bool>(), 3..4))
+        .prop_map(|(spec, workload, injections, threads, flags)| JobSpec {
+            workload,
+            injections,
+            threads,
+            evaluate_care: flags[0],
+            app_only: flags[1],
+            telemetry: flags[2],
+            ..spec
+        })
+}
+
+fn arb_client_frame() -> impl Strategy<Value = ClientFrame> {
+    prop_oneof![arb_wire_spec().prop_map(ClientFrame::Job), Just(ClientFrame::Stats)]
+}
+
+fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
+    let stats = vec(arb_u64(), 12..13).prop_map(|n| {
+        let mut next = n.into_iter();
+        StatsSnapshot::default().map(|_, _| next.next().expect("twelve counters"))
+    });
+    let reason = (0usize..RejectReason::ALL.len()).prop_map(|i| RejectReason::ALL[i]);
+    prop_oneof![
+        arb_u64().prop_map(ServerFrame::Accepted),
+        (arb_u64(), arb_u64(), arb_u64()).prop_map(|(j, c, t)| ServerFrame::Progress(j, c, t)),
+        (arb_u64(), arb_record()).prop_map(|(j, r)| ServerFrame::Record(j, r)),
+        (arb_u64(), arb_text()).prop_map(|(j, l)| ServerFrame::Telemetry(j, l)),
+        (arb_u64(), arb_report()).prop_map(|(j, r)| ServerFrame::Report(j, r)),
+        arb_u64().prop_map(ServerFrame::Done),
+        (arb_u64(), arb_text()).prop_map(|(j, d)| ServerFrame::Failed(j, d)),
+        (reason, arb_text()).prop_map(|(r, d)| ServerFrame::Reject(r, d)),
+        stats.prop_map(ServerFrame::Stats),
+    ]
+}
+
+fn arb_log_line() -> impl Strategy<Value = LogLine> {
+    let key = || {
+        (any::<u32>(), arb_text(), arb_u64(), arb_text())
+            .prop_map(|(store, model, seed, cfg)| RunKey { store, model, seed, cfg })
+    };
+    prop_oneof![
+        (key(), arb_text(), arb_text())
+            .prop_map(|(key, campaign, engine)| LogLine::Run { key, campaign, engine }),
+        (any::<usize>(), arb_record()).prop_map(|(i, r)| LogLine::Record(i, r)),
+        (key(), any::<usize>()).prop_map(|(key, n)| LogLine::Complete(key, n)),
+    ]
+}
+
+/// `text` cut short at every offset, and with one bit flipped at every
+/// offset (which bit varies with the offset and `salt`), as a receiver
+/// would see the damage.
+fn damaged(text: &str, salt: u8) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let bytes = text.as_bytes();
+    (0..bytes.len()).flat_map(move |i| {
+        let mut flipped = bytes.to_vec();
+        flipped[i] ^= 1 << ((i as u8).wrapping_add(salt) % 8);
+        [bytes[..i].to_vec(), flipped]
+    })
+}
+
+proptest! {
+    /// Every frame of either direction, and every log line, survives its
+    /// encoding exactly.
+    #[test]
+    fn frames_and_log_lines_round_trip(
+        client in arb_client_frame(),
+        server in arb_server_frame(),
+        line in arb_log_line(),
+    ) {
+        prop_assert_eq!(ClientFrame::decode(&client.encode()), Ok(client));
+        prop_assert_eq!(ServerFrame::decode(&server.encode()), Ok(server));
+        prop_assert_eq!(LogLine::decode(line.encode().as_bytes()), Ok(line));
+    }
+
+    // Decoding never panics: arbitrary bytes, and a valid encoding
+    // truncated or bit-flipped at every offset, come back as a value or a
+    // typed error. One property per boundary, so they run side by side.
+
+    #[test]
+    fn decoding_a_damaged_client_frame_is_a_typed_reject(
+        frame in arb_client_frame(),
+        noise in vec(any::<u8>(), 0..64),
+        salt in any::<u8>(),
+    ) {
+        for bytes in damaged(&frame.encode(), salt).chain([noise]) {
+            // The server reads lines lossily, so it can always answer.
+            if let Err((reason, _)) = ClientFrame::decode(&String::from_utf8_lossy(&bytes)) {
+                prop_assert!(RejectReason::ALL.contains(&reason));
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_a_damaged_server_frame_never_panics(
+        frame in arb_server_frame(),
+        noise in vec(any::<u8>(), 0..64),
+        salt in any::<u8>(),
+    ) {
+        for bytes in damaged(&frame.encode(), salt).chain([noise]) {
+            let _ = ServerFrame::decode(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn decoding_a_damaged_log_line_never_panics(
+        line in arb_log_line(),
+        noise in vec(any::<u8>(), 0..64),
+        salt in any::<u8>(),
+    ) {
+        for bytes in damaged(&line.encode(), salt).chain([noise]) {
+            let _ = LogLine::decode(&bytes);
+        }
     }
 }

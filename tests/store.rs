@@ -203,6 +203,43 @@ fn log_with_a_legacy_scheduler_key_scans_clean_and_resumes_identically() {
     std::fs::remove_dir_all(&dir_b).unwrap();
 }
 
+/// One line that is not UTF-8 (a flipped byte, a foreign writer) is one
+/// corrupt line, not the end of the campaign: the records on both sides of
+/// it load, the resume executes only what is missing, and the log
+/// completes. A scan that read lines as `String`s failed the whole run
+/// here, and every later run of the campaign with it.
+#[test]
+fn a_non_utf8_line_is_skipped_and_the_campaign_resumes() {
+    let f = fixture();
+    let c = cfg(24, 0xBAD8, EngineKind::Interp);
+    let dir_a = tmp_dir("utf8-a");
+    let store_a = Store::open(&dir_a).unwrap();
+    let cold = store_a
+        .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
+        .expect("cold run");
+    let log = std::fs::read_to_string(store_a.log_path(&f.key)).expect("cold log");
+
+    let (head, tail) = (truncated_log(&log, 5), truncated_log(&log, 10));
+    let mut image = head.clone().into_bytes();
+    image.extend_from_slice(b"\xff\xfe\n");
+    image.extend_from_slice(&tail.as_bytes()[head.len()..]);
+    let dir_b = tmp_dir("utf8-b");
+    let store_b = Store::open(&dir_b).unwrap();
+    std::fs::write(store_b.log_path(&f.key), &image).unwrap();
+
+    let resumed = store_b
+        .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &JobControl::new())
+        .expect("a damaged line must not fail the run");
+    assert_eq!(resumed.stats.corrupt_lines, 1);
+    assert_eq!((resumed.stats.hits, resumed.stats.misses), (10, 14));
+    assert_eq!(resumed.report, cold.report, "resume across a damaged line diverged");
+    let after = std::fs::read(store_b.log_path(&f.key)).unwrap();
+    assert!(after.starts_with(&image), "the resume must append, not rewrite");
+    assert!(String::from_utf8_lossy(&after).contains("\"kind\":\"complete\""));
+    std::fs::remove_dir_all(&dir_a).unwrap();
+    std::fs::remove_dir_all(&dir_b).unwrap();
+}
+
 /// Truncation-based resume: deterministic kill images at *every* record
 /// boundary, swept across engines and seeds by proptest below. The cold run
 /// itself must equal the per-index `run_one` reference.

@@ -7,8 +7,10 @@
 //! contract; refresh policy as in `golden.rs` — a failure is a bug, not a
 //! baseline to refresh (unless a version constant was bumped on purpose).
 
-use careserve::proto::{self, JobSpec, RejectReason, StatsSnapshot, WorkloadSel};
-use carestore::LogWriter;
+use careserve::proto::{
+    ClientFrame, JobSpec, RejectReason, ServerFrame, StatsSnapshot, WorkloadSel,
+};
+use carestore::{LogLine, LogWriter};
 use faultsim::{
     CampaignConfig, CampaignReport, CareResult, EngineKind, FaultModel, InjectedInto,
     InjectionPoint, InjectionRecord, Outcome, Signal, StepSplit,
@@ -116,11 +118,7 @@ fn telemetry_report() -> TelemetryReport {
 
 /// A record as the store appends it to a campaign log.
 fn record_line(index: usize, r: &InjectionRecord) -> String {
-    let mut s = String::from("{\"kind\":\"record\"");
-    carestore::record::push_field_u64(&mut s, "index", index as u64);
-    carestore::record::push_record_fields(&mut s, r);
-    s.push('}');
-    s
+    LogLine::Record(index, r.clone()).encode()
 }
 
 /// The `run` and `complete` lines a [`LogWriter`] appends for `cfg`.
@@ -171,16 +169,19 @@ fn every_frame_log_line_and_jsonl_line_is_byte_pinned() {
     let table: Vec<(&str, String)> = vec![
         ("job named", named.to_frame()),
         ("job inline", inline.to_frame()),
-        ("stats request", proto::stats_request_frame()),
-        ("accepted", proto::accepted_frame(7)),
-        ("progress", proto::progress_frame(7, 12, u64::MAX)),
-        ("telemetry", proto::telemetry_frame(7, "{\"kind\":\"meta\",\"wall_s\":0.5}")),
-        ("failed", proto::failed_frame(7, "worker panicked: \"boom\"\n")),
-        ("done", proto::done_frame((1 << 53) + 1)),
-        ("record full", proto::encode_record(9, &full)),
-        ("record bare", proto::encode_record(9, &bare)),
-        ("report", proto::encode_report(1, &report())),
-        ("stats", stats().to_frame()),
+        ("stats request", ClientFrame::Stats.encode()),
+        ("accepted", ServerFrame::Accepted(7).encode()),
+        ("progress", ServerFrame::Progress(7, 12, u64::MAX).encode()),
+        (
+            "telemetry",
+            ServerFrame::Telemetry(7, "{\"kind\":\"meta\",\"wall_s\":0.5}".into()).encode(),
+        ),
+        ("failed", ServerFrame::Failed(7, "worker panicked: \"boom\"\n".into()).encode()),
+        ("done", ServerFrame::Done((1 << 53) + 1).encode()),
+        ("record full", ServerFrame::Record(9, full.clone()).encode()),
+        ("record bare", ServerFrame::Record(9, bare.clone()).encode()),
+        ("report", ServerFrame::Report(1, report()).encode()),
+        ("stats", ServerFrame::Stats(stats()).encode()),
         ("log record full", record_line(7, &full)),
         ("log record bare", record_line(0, &bare)),
         ("log run+complete", run_and_complete_lines(&cfg, "care1:00ff:O1:e1")),
@@ -205,7 +206,7 @@ fn every_frame_log_line_and_jsonl_line_is_byte_pinned() {
     ];
     for (reason, name) in RejectReason::ALL.into_iter().zip(names) {
         assert_eq!(
-            proto::reject_frame(reason, "why \"quoted\""),
+            ServerFrame::Reject(reason, "why \"quoted\"".into()).encode(),
             format!(r#"{{"kind":"reject","reason":"{name}","detail":"why \"quoted\""}}"#),
         );
     }
