@@ -4,14 +4,17 @@
 //!
 //! A campaign runs on the **snapshot trellis**: all `N` injection points
 //! are sampled up front and partitioned into `K` disjoint, step-ordered
-//! windows along the golden run's checkpoint trail; `K` instrumented
-//! *cursor* processes then advance through their windows concurrently (each
-//! fast-replays the uninstrumented prefix to its window boundary first),
-//! CoW-forking a paused snapshot each time a pending `(I, n)` fires. Workers
-//! then run only the suffix (inject → classify → CARE-protected fork) from
-//! their snapshot, in parallel on the same pool. Campaign-wide simulated
-//! instructions are ~`L + Σ suffixes` instead of ~`N·L`, and `K > 1` removes
-//! the serial-cursor Amdahl bottleneck (`K = 1` is a single cursor).
+//! windows along the golden run's checkpoint trail; `K` *cursor* processes
+//! then advance through their windows concurrently. A cursor *hops*: the
+//! trail brackets every point between two checkpoints, so the cursor
+//! replays uninstrumented (on the campaign's engine) to each bracket that
+//! holds a point, runs instrumented only from there to the bracket's last
+//! firing, and CoW-forks a paused snapshot each time a pending `(I, n)`
+//! fires. Workers then run only the suffix (inject → classify →
+//! CARE-protected fork) from their snapshot, in parallel on the same pool.
+//! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
+//! ~`N·L`, and `K > 1` removes the serial-cursor Amdahl bottleneck (`K = 1`
+//! is a single cursor).
 //!
 //! [`Campaign::run_one`] is the per-index reference: it re-simulates one
 //! injection's own prefix from the template, and the trellis records must
@@ -35,7 +38,7 @@ use simx::{
 use tinyir::FuncId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use telemetry::{timed, Event, Hooks, NoTelemetry};
 use workloads::Workload;
 
@@ -231,8 +234,8 @@ pub struct CampaignConfig {
     /// translator behind [`simx::ExecutionEngine`]).
     pub engine: EngineKind,
     /// Trellis cursor shard count: the pre-sampled injection points are
-    /// split into this many disjoint step-ordered windows, each walked by
-    /// its own instrumented cursor, concurrently. `None` (default) uses
+    /// split into this many disjoint step-ordered windows, each covered by
+    /// its own cursor, concurrently. `None` (default) uses
     /// the pool width; records are bit-identical for every value.
     pub cursor_shards: Option<usize>,
 }
@@ -259,31 +262,25 @@ impl Default for CampaignConfig {
 /// A step-indexed snapshot of the golden run's execution-count profile,
 /// captured during [`Campaign::prepare`]: `counts` holds the per-static-
 /// instruction execution totals of the first `step` dynamic instructions.
-/// The trail is what lets a cursor shard (a) fast-replay to a boundary
-/// with no instrumentation and (b) rebase its points' `nth` ordinals to
-/// breakpoint ordinals counted from that boundary.
+/// The trail is what lets a cursor (a) fast-replay to a checkpoint with no
+/// instrumentation and (b) rebase its points' `nth` ordinals to breakpoint
+/// ordinals counted from that checkpoint.
 struct ProfileCheckpoint {
     step: u64,
     counts: Profile,
 }
 
-/// One planned window of the parallel cursor pass: the points firing in
-/// `(start_step, next boundary]`, walked by one instrumented cursor.
-struct CursorShard {
-    /// Golden-run step of this shard's start boundary (0 for shard 0).
-    start_step: u64,
-    /// Index into [`Campaign::checkpoints`] holding the boundary's profile
-    /// counts (`None` for shard 0: all counts zero).
-    checkpoint: Option<usize>,
-    /// The distinct injection points firing inside this window.
-    points: Vec<InjectionPoint>,
-}
+/// One cursor's work in the parallel cursor pass: the distinct injection
+/// points it forks at, each with its *bracket* — how many trail checkpoints
+/// the point's firing lies strictly past, so bracket `b > 0` starts at
+/// `checkpoints[b - 1]` and bracket 0 at program start — in bracket order.
+type CursorShard = Vec<(usize, InjectionPoint)>;
 
 /// What one cursor shard produced.
 struct ShardResult {
     /// Paused pre-injection snapshots, in firing (step) order.
     snapshots: Vec<(InjectionPoint, Process)>,
-    /// Steps this cursor executed: boundary replay + window walk.
+    /// Steps this cursor executed: replayed hops + instrumented brackets.
     steps: u64,
 }
 
@@ -310,14 +307,19 @@ pub struct Campaign {
     pub golden_steps: u64,
     /// Execution-count profile from the golden run.
     pub profile: Profile,
-    /// Evenly spaced mid-run profile checkpoints from the golden run, the
-    /// shard-boundary candidates for the parallel cursor pass. Empty for
-    /// programs shorter than the checkpoint quantum (those degrade to a
-    /// single cursor shard).
+    /// Evenly spaced mid-run profile checkpoints from the golden run: the
+    /// brackets a cursor hops between and the shard-boundary candidates of
+    /// the parallel cursor pass. Empty for programs shorter than the
+    /// checkpoint quantum (one cursor shard, one bracket from program
+    /// start).
     checkpoints: Vec<ProfileCheckpoint>,
     /// A started-but-not-run process; every injection clones it (Arc-shared
     /// image, copy-on-write memory) instead of re-loading the modules.
     template: Process,
+    /// The compiled engine over `template`'s image, resolved by the first
+    /// compiled run: the image is immutable, and resolving content-keys
+    /// every module's full instruction stream.
+    compiled: OnceLock<CompiledEngine>,
     /// Recovery artefacts, encoded and keyed once; shared read-only across
     /// the campaign's workers.
     recovery: Arc<RecoveryIndex>,
@@ -389,6 +391,7 @@ impl Campaign {
             profile: p.profile.take().expect("profile enabled"),
             checkpoints,
             template,
+            compiled: OnceLock::new(),
             recovery: Arc::new(recovery),
         }
     }
@@ -600,20 +603,21 @@ impl Campaign {
             // unreachable for deterministic programs; be safe anyway.
             _ => return None,
         }
-        self.run_suffix(cfg, point, &rng, p, engine_ref(&compiled), &NoTelemetry)
+        self.run_suffix(cfg, point, &rng, p, engine_ref(compiled), &NoTelemetry)
     }
 
-    /// Construct the configured compiled engine for this campaign's image
-    /// (`None` → interpreter). Translation hits the process-wide cache, so
-    /// repeated campaigns over the same module pay it once.
-    fn compiled_engine(&self, cfg: &CampaignConfig) -> Option<CompiledEngine> {
-        (cfg.engine == EngineKind::Compiled)
-            .then(|| CompiledEngine::for_image(&self.template.image))
+    /// The configured compiled engine for this campaign's image (`None` →
+    /// interpreter), resolved once per campaign. Translation hits the
+    /// process-wide cache, so campaigns over the same module share it.
+    fn compiled_engine(&self, cfg: &CampaignConfig) -> Option<&CompiledEngine> {
+        (cfg.engine == EngineKind::Compiled).then(|| {
+            self.compiled.get_or_init(|| CompiledEngine::for_image(&self.template.image))
+        })
     }
 
     /// The snapshot trellis: sample all points up front, advance the
-    /// instrumented cursors through the program, CoW-fork a snapshot at
-    /// each distinct firing point, then run only the suffixes in parallel.
+    /// cursors through the program, CoW-fork a snapshot at each distinct
+    /// firing point, then run only the suffixes in parallel.
     fn run_trellis<H: Hooks>(
         &self,
         cfg: &CampaignConfig,
@@ -640,28 +644,22 @@ impl Campaign {
         // trellis snapshot) into disjoint step-ordered windows along the
         // golden checkpoint trail.
         let shards = self.plan_cursor_shards(cfg, &samples);
-        let cursor_shards = shards.iter().filter(|s| !s.points.is_empty()).count();
+        let cursor_shards = shards.iter().filter(|s| !s.is_empty()).count();
 
-        // Phase 3 — the cursor pass, one instrumented traversal *per
-        // shard*, run concurrently on the pool. Each cursor fast-replays
-        // (uninstrumented, so a compiled campaign replays compiled) to its
-        // window boundary, arms a BreakSet holding only its own points
-        // with ordinals rebased to the boundary's profile counts, and
-        // forks a paused snapshot at every firing point, under the
-        // campaign fuel budget. Deterministic execution makes every
-        // cursor's timeline *the* golden timeline, so the snapshot forked
-        // for a point is bit-identical for every shard count — `K = 1`
-        // degrades to exactly the original single cursor. A shard's cursor
-        // is dropped as soon as its last pending point fires (the window
-        // tail past it is never re-simulated), and empty shards never run.
+        // Phase 3 — the cursor pass, one traversal *per shard*, run
+        // concurrently on the pool. Each cursor hops along the brackets
+        // that hold its points (see `run_cursor_shard`) and forks a paused
+        // snapshot at every firing point, under the campaign fuel budget.
+        // Deterministic execution makes every cursor's timeline *the*
+        // golden timeline, so the snapshot forked for a point is
+        // bit-identical for every shard count. A shard's cursor is dropped
+        // as soon as its last pending point fires (the window tail past it
+        // is never re-simulated), and empty shards never run.
         let shard_results: Vec<ShardResult> = timed(hooks, "trellis.cursor_ns", || {
-            let work: Vec<(usize, CursorShard)> = shards
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| !s.points.is_empty())
-                .collect();
+            let work: Vec<(usize, CursorShard)> =
+                shards.into_iter().enumerate().filter(|(_, s)| !s.is_empty()).collect();
             work.into_par_iter()
-                .map(|(k, shard)| self.run_cursor_shard(cfg, k, shard, engine, hooks, ctl))
+                .map(|(k, shard)| self.run_cursor_shard(cfg, k, &shard, engine, hooks, ctl))
                 .collect()
         });
         let mut snapshots: Vec<Process> = Vec::new();
@@ -722,8 +720,8 @@ impl Campaign {
 
         let mut report = CampaignReport::from_records(records);
         // The attributed per-record prefixes were simulated once, by the
-        // cursor shards: report what actually executed (replay + window
-        // steps summed over the shards that had points).
+        // cursor shards: report what actually executed (replayed hops +
+        // instrumented brackets, summed over the shards that had points).
         report.trellis_snapshots = trellis_snapshots;
         report.cursor_shards = cursor_shards;
         report.steps_prefix = cursor_steps;
@@ -738,71 +736,78 @@ impl Campaign {
         report
     }
 
+    /// The bracket `point` fires in: the number of trail checkpoints its
+    /// firing lies strictly past. The firing is past checkpoint `c` iff
+    /// `c.counts[point] < nth`, and the counts only grow along the trail.
+    fn bracket_of(&self, point: &InjectionPoint) -> usize {
+        self.checkpoints.partition_point(|c| {
+            count_at(&c.counts, point.module, point.func, point.inst) < point.nth
+        })
+    }
+
+    /// Where bracket `bracket` starts; `None` is program start (step 0,
+    /// every count zero).
+    fn bracket_start(&self, bracket: usize) -> Option<&ProfileCheckpoint> {
+        bracket.checked_sub(1).map(|ci| &self.checkpoints[ci])
+    }
+
     /// Split the sampled points into disjoint, step-ordered cursor shards.
     ///
     /// Shard `k` covers the golden-run window `(b_k, b_{k+1}]` between two
-    /// checkpoint boundaries (shard 0 starts at step 0); a point belongs
-    /// to the shard in whose window its `nth` firing falls, which the
-    /// boundary profiles decide exactly: the firing is past boundary `b`
-    /// iff `counts_b[point] < nth`. Boundaries are cut from the checkpoint
-    /// trail nearest the ideal `golden_steps / K` splits, so short
-    /// programs (no checkpoints) or `K = 1` yield a single full-range
-    /// shard.
+    /// checkpoint boundaries (shard 0 starts at step 0) — a contiguous
+    /// range of brackets — and a point belongs to the shard its bracket
+    /// ([`bracket_of`](Self::bracket_of)) falls in. Boundaries are cut from
+    /// the checkpoints nearest the ideal `golden_steps / K` splits, so
+    /// short programs (no checkpoints) or `K = 1` yield a single
+    /// full-range shard.
     fn plan_cursor_shards(
         &self,
         cfg: &CampaignConfig,
         samples: &[(usize, InjectionPoint, SmallRng)],
     ) -> Vec<CursorShard> {
         let k = cfg.cursor_shards.unwrap_or_else(rayon::current_num_threads).max(1);
-        let mut shards =
-            vec![CursorShard { start_step: 0, checkpoint: None, points: Vec::new() }];
+        // First bracket of each shard, strictly increasing.
+        let mut bounds = vec![0usize];
         for j in 1..k as u64 {
             let ideal = (self.golden_steps / k as u64).saturating_mul(j);
-            let idx = self.checkpoints.partition_point(|c| c.step <= ideal);
-            if idx == 0 {
-                continue;
-            }
-            let step = self.checkpoints[idx - 1].step;
-            if step > shards.last().expect("shard 0").start_step {
-                shards.push(CursorShard {
-                    start_step: step,
-                    checkpoint: Some(idx - 1),
-                    points: Vec::new(),
-                });
+            let bracket = self.checkpoints.partition_point(|c| c.step <= ideal);
+            if bracket > *bounds.last().expect("shard 0") {
+                bounds.push(bracket);
             }
         }
+        let mut shards: Vec<CursorShard> = vec![Vec::new(); bounds.len()];
         let mut seen: std::collections::HashSet<InjectionPoint> = std::collections::HashSet::new();
         for (_, point, _) in samples {
             if !seen.insert(*point) {
                 continue;
             }
             // Sampling draws `nth` from the final profile, so every point
-            // fires within the golden run; walk the boundaries to find the
-            // last one the firing is past.
-            let mut home = 0;
-            for (s, shard) in shards.iter().enumerate().skip(1) {
-                let ci = shard.checkpoint.expect("non-zero shards carry a checkpoint");
-                let at = count_at(&self.checkpoints[ci].counts, point.module, point.func, point.inst);
-                if at < point.nth {
-                    home = s;
-                } else {
-                    break;
-                }
-            }
-            shards[home].points.push(*point);
+            // fires within the golden run, inside its bracket.
+            let bracket = self.bracket_of(point);
+            let home = bounds.partition_point(|&first| first <= bracket) - 1;
+            shards[home].push((bracket, *point));
+        }
+        for shard in &mut shards {
+            shard.sort_by_key(|&(bracket, _)| bracket);
         }
         shards
     }
 
-    /// Walk one cursor shard: replay to the window boundary, arm the
-    /// shard's (rebased) breakpoints, and fork a paused snapshot per
-    /// firing point. Returns the snapshots in firing order plus the steps
-    /// this cursor actually executed (replay + window).
+    /// Walk one cursor shard by hopping between the brackets that hold its
+    /// points: replay to the bracket's checkpoint *uninstrumented* on the
+    /// campaign's engine (translated ops on a compiled campaign), arm a
+    /// [`BreakSet`] holding only that bracket's points, run instrumented
+    /// until they have fired — forking a paused snapshot at each — then
+    /// disarm and hop on. The instrumented stretches are at most one
+    /// checkpoint interval per visited bracket; everything between is
+    /// replay. A program too short for checkpoints is the one-bracket case.
+    /// Returns the snapshots in firing order plus the steps this cursor
+    /// actually executed, which end at its last firing.
     fn run_cursor_shard<H: Hooks>(
         &self,
         cfg: &CampaignConfig,
         shard_idx: usize,
-        shard: CursorShard,
+        shard: &[(usize, InjectionPoint)],
         engine: &dyn ExecutionEngine,
         hooks: &H,
         ctl: &JobControl,
@@ -810,52 +815,56 @@ impl Campaign {
         let t0 = H::ENABLED.then(std::time::Instant::now);
         let mut cursor = self.template.clone();
         cursor.fuel = self.fuel_budget(cfg);
-        if shard.start_step > 0 && !advance_to_step(engine, &mut cursor, shard.start_step) {
-            // Unreachable for a prepared campaign (the golden run passed
-            // and the budget covers it); degrade like an unfired
-            // breakpoint: the shard's indexes yield no record.
-            return ShardResult { snapshots: Vec::new(), steps: cursor.steps };
-        }
-        let replay_steps = cursor.steps;
-        let start_counts = shard.checkpoint.map(|ci| &self.checkpoints[ci].counts);
-        let mut breaks = BreakSet::new();
-        for p in &shard.points {
-            // Breakpoint ordinals count from arming: rebase the absolute
-            // `nth` by the executions already behind the boundary.
-            let base = start_counts.map_or(0, |c| count_at(c, p.module, p.func, p.inst));
-            breaks.add(p.module, p.func, p.inst, p.nth - base);
-        }
-        cursor.multi_break = Some(breaks);
         let mut snapshots: Vec<(InjectionPoint, Process)> = Vec::new();
-        while !cursor.multi_break.as_ref().expect("shard cursor").is_empty() {
-            if ctl.is_cancelled() {
+        let mut replay_steps = 0u64;
+        'hops: for points in shard.chunk_by(|a, b| a.0 == b.0) {
+            let start = self.bracket_start(points[0].0);
+            let hop_from = cursor.steps;
+            if ctl.is_cancelled()
+                || !advance_to_step(engine, &mut cursor, start.map_or(0, |c| c.step))
+            {
+                // Cancelled — or a failed replay, unreachable for a
+                // prepared campaign (the golden run passed and the budget
+                // covers it): degrade like an unfired breakpoint, the
+                // remaining indexes yield no record.
                 break;
             }
-            match cursor.run() {
-                RunExit::BreakHit => {
-                    let (module, func, inst, rel) = cursor
-                        .multi_break
-                        .as_mut()
-                        .expect("shard cursor")
-                        .take_fired()
-                        .expect("BreakHit reports its firing point");
-                    let base = start_counts.map_or(0, |c| count_at(c, module, func, inst));
-                    let point = InjectionPoint { module, func, inst, nth: rel + base };
-                    let mut snap = cursor.clone();
-                    snap.multi_break = None;
-                    if H::ENABLED {
-                        hooks.emit(|| {
-                            Event::new("trellis.fork")
-                                .field("shard", shard_idx as u64)
-                                .field("prefix_steps", cursor.steps)
-                        });
-                    }
-                    snapshots.push((point, snap));
+            replay_steps += cursor.steps - hop_from;
+            // Breakpoint ordinals count from arming: rebase the absolute
+            // `nth` by the executions already behind the checkpoint.
+            let base = |module: ModuleId, func: FuncId, inst: usize| {
+                start.map_or(0, |c| count_at(&c.counts, module, func, inst))
+            };
+            let mut breaks = BreakSet::new();
+            for (_, p) in points {
+                breaks.add(p.module, p.func, p.inst, p.nth - base(p.module, p.func, p.inst));
+            }
+            while !breaks.is_empty() {
+                if ctl.is_cancelled() {
+                    break 'hops;
                 }
-                // Completion (or a trap) with points still pending: those
-                // indexes yield no record, exactly like a `run_one` whose
-                // breakpoint never fired.
-                _ => break,
+                cursor.multi_break = Some(breaks);
+                let exit = cursor.run();
+                // Disarmed again: the fork below is a plain paused process
+                // and the next hop replays uninstrumented.
+                breaks = cursor.multi_break.take().expect("armed above");
+                let (RunExit::BreakHit, Some((module, func, inst, rel))) =
+                    (exit, breaks.take_fired())
+                else {
+                    // Completion (or a trap) with points still pending:
+                    // those indexes yield no record, exactly like a
+                    // `run_one` whose breakpoint never fired.
+                    break 'hops;
+                };
+                let nth = rel + base(module, func, inst);
+                snapshots.push((InjectionPoint { module, func, inst, nth }, cursor.clone()));
+                if H::ENABLED {
+                    hooks.emit(|| {
+                        Event::new("trellis.fork")
+                            .field("shard", shard_idx as u64)
+                            .field("prefix_steps", cursor.steps)
+                    });
+                }
             }
         }
         if H::ENABLED {
@@ -868,7 +877,7 @@ impl Campaign {
             hooks.emit(|| {
                 Event::new("trellis.shard")
                     .field("shard", shard_idx as u64)
-                    .field("start_step", shard.start_step)
+                    .field("start_step", self.bracket_start(shard[0].0).map_or(0, |c| c.step))
                     .field("window_steps", cursor.steps - replay_steps)
                     .field("snapshots", snapshots.len() as u64)
             });
@@ -926,7 +935,7 @@ impl Campaign {
         let cache = simx::TranslationCache::global();
         let (h0, m0) = (cache.hits(), cache.misses());
         let compiled = self.compiled_engine(cfg);
-        if let (true, Some(eng)) = (H::ENABLED, &compiled) {
+        if let (true, Some(eng)) = (H::ENABLED, compiled) {
             hooks.add("engine.cache_hits", cache.hits().saturating_sub(h0));
             hooks.add("engine.cache_misses", cache.misses().saturating_sub(m0));
             let st = eng.stats();
@@ -938,7 +947,7 @@ impl Campaign {
             hooks.add("engine.fused_glo_load", st.fused_glo_load);
             hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
         }
-        let engine = engine_ref(&compiled);
+        let engine = engine_ref(compiled);
         let pool0 = H::ENABLED.then(rayon::pool_stats);
         let mut report = self.run_trellis(cfg, indices, engine, hooks, ctl, sink);
         report.cancelled = ctl.is_cancelled();
@@ -993,7 +1002,7 @@ impl Campaign {
 
 /// View an optional compiled engine as the trait object the campaign
 /// threads through (`None` → the interpreter).
-fn engine_ref(compiled: &Option<CompiledEngine>) -> &dyn ExecutionEngine {
+fn engine_ref(compiled: Option<&CompiledEngine>) -> &dyn ExecutionEngine {
     match compiled {
         Some(c) => c,
         None => &InterpEngine,
@@ -1072,7 +1081,7 @@ pub struct CampaignReport {
     /// per-record splits.
     pub simulated_steps: u64,
     /// Prefix-stage instructions actually executed by the cursor pass
-    /// (boundary replays + window walks, summed over the shards).
+    /// (replayed hops + instrumented brackets, summed over the shards).
     pub steps_prefix: u64,
     /// Unprotected-suffix instructions.
     pub steps_suffix: u64,
@@ -1218,6 +1227,18 @@ mod trellis_tests {
         Campaign::prepare(&w, app, vec![])
     }
 
+    /// HPCCG at the golden tests' size: long enough for a checkpoint trail.
+    fn hpccg_campaign() -> Campaign {
+        let w = workloads::hpccg::build(3, 2);
+        let app = care::compile(&w.module, OptLevel::O1);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        assert!(
+            campaign.checkpoints.len() >= 8,
+            "test premise: hpccg(3,2) must leave a checkpoint trail"
+        );
+        campaign
+    }
+
     fn cfg(injections: usize) -> CampaignConfig {
         CampaignConfig {
             injections,
@@ -1301,13 +1322,7 @@ mod trellis_tests {
     /// dedup across shards exactly as before.
     #[test]
     fn sharded_cursors_match_single_cursor_and_split_the_prefix() {
-        let w = workloads::hpccg::build(3, 2);
-        let app = care::compile(&w.module, OptLevel::O1);
-        let campaign = Campaign::prepare(&w, app, vec![]);
-        assert!(
-            !campaign.checkpoints.is_empty(),
-            "test premise: hpccg(3,2) must outrun the checkpoint quantum"
-        );
+        let campaign = hpccg_campaign();
         let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60) };
         let single = campaign.run(&config(1));
         assert_eq!(single.cursor_shards, 1);
@@ -1328,12 +1343,182 @@ mod trellis_tests {
         }
     }
 
+    /// A single-cursor campaign on `engine`, wide enough to hold `indices`.
+    fn one_cursor(engine: EngineKind, indices: &[usize]) -> CampaignConfig {
+        let n = indices.iter().max().expect("indices") + 1;
+        CampaignConfig { engine, cursor_shards: Some(1), ..cfg(n) }
+    }
+
+    /// One cursor, both engines: the trellis over exactly `indices` must
+    /// reproduce those indexes' `run_one` records. Returns the report.
+    fn hop_matches_run_one(campaign: &Campaign, indices: &[usize]) -> CampaignReport {
+        let [interp, compiled] = [EngineKind::Interp, EngineKind::Compiled].map(|engine| {
+            let config = one_cursor(engine, indices);
+            let reference: Vec<InjectionRecord> =
+                indices.iter().filter_map(|&i| campaign.run_one(&config, i)).collect();
+            assert_eq!(reference.len(), indices.len(), "{engine:?}: a reference run skipped");
+            let hop =
+                campaign.run_selected(&config, indices, &NoTelemetry, &JobControl::new(), &NoSink);
+            assert_eq!(reference, hop.records, "{engine:?}: hop diverged from run_one");
+            hop
+        });
+        assert_eq!(interp, compiled, "engines disagree on the report");
+        interp
+    }
+
+    /// The first `want` injection indexes (in index order, distinct points)
+    /// whose sampled point — with its bracket — satisfies `pick`, which
+    /// also sees the ones already chosen.
+    fn find_indices(
+        campaign: &Campaign,
+        want: usize,
+        pick: impl Fn(&[(usize, InjectionPoint)], usize, &InjectionPoint) -> bool,
+    ) -> Vec<usize> {
+        let mut chosen: Vec<(usize, InjectionPoint)> = Vec::new();
+        let mut indices = Vec::new();
+        for i in 0..200_000 {
+            let (point, _) = campaign.sample_point(&cfg(1), i).expect("sample");
+            let bracket = campaign.bracket_of(&point);
+            if chosen.iter().all(|(_, p)| *p != point) && pick(&chosen, bracket, &point) {
+                chosen.push((bracket, point));
+                indices.push(i);
+                if indices.len() == want {
+                    return indices;
+                }
+            }
+        }
+        panic!("test premise: only {} of {want} wanted points were ever sampled", indices.len());
+    }
+
+    /// The mechanism, in exact counts: a cursor runs instrumented only
+    /// inside the brackets that hold its points — at most one checkpoint
+    /// interval each — and replays everything between uninstrumented; the
+    /// two spans still add up to every prefix step the cursor executed.
+    #[test]
+    fn cursor_is_instrumented_only_inside_visited_brackets() {
+        let campaign = hpccg_campaign();
+        // `checkpoints[b]` ends bracket `b`; the last bracket runs to exit.
+        let end_of =
+            |b: usize| campaign.checkpoints.get(b).map_or(campaign.golden_steps, |c| c.step);
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = one_cursor(engine, &[0, 1, 2, 3]);
+            let visited: std::collections::BTreeSet<usize> = (0..4)
+                .map(|i| campaign.bracket_of(&campaign.sample_point(&config, i).expect("sample").0))
+                .collect();
+            let bracket_steps: u64 = visited
+                .iter()
+                .map(|&b| end_of(b) - campaign.bracket_start(b).map_or(0, |c| c.step))
+                .sum();
+            let rec = telemetry::Recorder::new();
+            let report = campaign.run_with_hooks(&config, &rec);
+            let tel = rec.drain();
+            let ctr = |n: &str| tel.counters.get(n).copied().unwrap_or(0);
+            let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
+            assert_eq!(report.cursor_shards, 1);
+            assert_eq!(replay + window, report.steps_prefix, "{engine:?}: spans leak steps");
+            assert!(
+                window <= bracket_steps,
+                "{engine:?}: {window} instrumented steps outgrew the {} visited brackets' \
+                 {bracket_steps} (of {} executed)",
+                visited.len(),
+                report.steps_prefix
+            );
+            assert!(window > 0 && replay > 0, "{engine:?}: replay {replay}, window {window}");
+        }
+    }
+
+    /// A point firing on the very step a checkpoint was taken at is counted
+    /// *in* that checkpoint, so its bracket is the previous one: the cursor
+    /// arms there and walks the whole interval to fire on its last step.
+    #[test]
+    fn point_firing_exactly_on_a_checkpoint_step_belongs_to_the_bracket_before() {
+        let campaign = hpccg_campaign();
+        // What the golden run executed as each checkpoint's last step.
+        let on_checkpoint: Vec<InjectionPoint> = campaign
+            .checkpoints
+            .iter()
+            .map(|c| {
+                let mut p = campaign.template.clone();
+                assert!(advance_to_step(&InterpEngine, &mut p, c.step - 1));
+                let f = p.frame();
+                let (module, func, inst) = (f.module, f.func, f.idx);
+                InjectionPoint { module, func, inst, nth: count_at(&c.counts, module, func, inst) }
+            })
+            .collect();
+        let indices = find_indices(&campaign, 1, |_, _, p| on_checkpoint.contains(p));
+        let (point, _) = campaign.sample_point(&cfg(1), indices[0]).expect("sample");
+        let ci = on_checkpoint.iter().position(|p| *p == point).expect("picked from the list");
+        assert_eq!(campaign.bracket_of(&point), ci, "bracket must start one checkpoint earlier");
+        let report = hop_matches_run_one(&campaign, &indices);
+        assert_eq!(report.steps_prefix, campaign.checkpoints[ci].step);
+        assert_eq!(report.records[0].split.prefix, campaign.checkpoints[ci].step);
+    }
+
+    /// Two points of one bracket share one hop and one armed set.
+    #[test]
+    fn two_points_in_one_bracket_fork_from_one_hop() {
+        let campaign = hpccg_campaign();
+        let indices = find_indices(&campaign, 2, |chosen, bracket, _| {
+            bracket > 0 && chosen.iter().all(|&(b, _)| b == bracket)
+        });
+        let report = hop_matches_run_one(&campaign, &indices);
+        assert_eq!(report.trellis_snapshots, 2);
+    }
+
+    /// One static instruction with ordinals in two brackets: each hop
+    /// rebases its ordinal to its own checkpoint's count.
+    #[test]
+    fn one_instruction_with_ordinals_in_two_brackets_rebases_per_hop() {
+        let campaign = hpccg_campaign();
+        let indices = find_indices(&campaign, 2, |chosen, bracket, p| {
+            bracket > 0
+                && chosen.iter().all(|(b, q)| {
+                    *b != bracket && (q.module, q.func, q.inst) == (p.module, p.func, p.inst)
+                })
+        });
+        let report = hop_matches_run_one(&campaign, &indices);
+        assert_eq!(report.trellis_snapshots, 2);
+    }
+
+    /// A cancel observed between hops stops the cursor where it stands: the
+    /// brackets it has not reached are never visited, and nothing they hold
+    /// is recorded.
+    #[test]
+    fn cancel_between_hops_leaves_later_brackets_unvisited() {
+        /// Cancels the job at the cursor's first fork.
+        struct CancelOnFork<'a>(&'a JobControl);
+        impl Hooks for CancelOnFork<'_> {
+            const ENABLED: bool = true;
+            fn emit(&self, make: impl FnOnce() -> Event) {
+                if make().kind == "trellis.fork" {
+                    self.0.cancel();
+                }
+            }
+        }
+        let campaign = hpccg_campaign();
+        let indices =
+            find_indices(&campaign, 3, |chosen, bracket, _| chosen.iter().all(|&(b, _)| b != bracket));
+        let first_firing = indices
+            .iter()
+            .map(|&i| campaign.run_one(&cfg(i + 1), i).expect("reference").split.prefix)
+            .min()
+            .expect("three points");
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = one_cursor(engine, &indices);
+            let ctl = JobControl::new();
+            let report =
+                campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
+            assert!(report.cancelled);
+            assert_eq!(report.trellis_snapshots, 1, "{engine:?}: hopped on after the cancel");
+            assert_eq!(report.steps_prefix, first_firing, "{engine:?}: cursor kept walking");
+            assert!(report.records.is_empty() && ctl.classified() == 0);
+        }
+    }
+
     /// Sharding follows the pool width when `cursor_shards` is `None`.
     #[test]
     fn default_shard_count_tracks_the_pool_width() {
-        let w = workloads::hpccg::build(3, 2);
-        let app = care::compile(&w.module, OptLevel::O1);
-        let campaign = Campaign::prepare(&w, app, vec![]);
+        let campaign = hpccg_campaign();
         let base = rayon::with_threads(1, || campaign.run(&cfg(40)));
         assert_eq!(base.cursor_shards, 1);
         let wide = rayon::with_threads(4, || campaign.run(&cfg(40)));
@@ -1350,9 +1535,7 @@ mod trellis_tests {
         // hpccg(3,2) at the default seed is known to hang on some of the
         // first 100 injections (see tests/golden.rs), so the equality leg
         // below is actually exercised.
-        let w = workloads::hpccg::build(3, 2);
-        let app = care::compile(&w.module, OptLevel::O1);
-        let campaign = Campaign::prepare(&w, app, vec![]);
+        let campaign = hpccg_campaign();
         let config = cfg(100);
         let budget = campaign.fuel_budget(&config);
         let r = campaign.run(&config);

@@ -12,7 +12,6 @@ use crate::image::{
     HEAP_BASE, LIB_BASE, STACK_SIZE, STACK_TOP,
 };
 use crate::isa::{MInst, MemOp, Reg, Src, FP, NUM_REGS, SP};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
 use tinyir::mem::{MemFault, Memory, PagedMemory, PAGE_SIZE};
@@ -96,17 +95,21 @@ pub type Profile = Vec<Vec<Vec<u64>>>;
 /// execution ordinals at which the machine should stop (right *after* that
 /// execution, exactly like [`Process::break_at`]).
 ///
-/// This is the trellis cursor's mechanism: a campaign registers every
-/// sampled `(module, func, inst, nth)` injection point up front and then
-/// advances one process through the program, snapshot-forking at each hit.
+/// This is the trellis cursor's mechanism: a campaign registers the sampled
+/// `(module, func, inst, nth)` injection points of one stretch of the run
+/// and advances a process through it, snapshot-forking at each hit.
 /// Execution ordinals are counted from the moment the set is armed, so a
 /// process that carries a `BreakSet` from `start()` counts exactly like a
 /// sequence of independent `break_at` runs over the same deterministic
 /// program.
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet {
-    /// Pending ordinals per instruction, keyed `(module, func, inst)`.
-    pending: HashMap<(ModuleId, FuncId, usize), PendingNths>,
+    /// Pending ordinals per instruction, indexed `[module][func][inst]`
+    /// like a [`Profile`] — the hooked loop consults this on every step, so
+    /// the lookup is three indexed loads, not a hash. Grown by `add` to
+    /// cover the registered instructions only; an index outside it has
+    /// nothing pending.
+    slots: Vec<Vec<Vec<PendingNths>>>,
     /// Total pending ordinals across all instructions.
     remaining: usize,
     /// The point whose ordinal fired on the last `BreakHit`, consumed by
@@ -114,12 +117,21 @@ pub struct BreakSet {
     fired: Option<(ModuleId, FuncId, usize, u64)>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct PendingNths {
-    /// Executions of this instruction observed since the set was armed.
+    /// Executions of this instruction observed while it had ordinals
+    /// pending (reset when the last one fires).
     seen: u64,
     /// Pending stop ordinals, sorted descending (`last()` fires next).
     nths: Vec<u64>,
+}
+
+/// `v[i]`, growing `v` with defaults to make the index valid.
+fn slot_mut<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 impl BreakSet {
@@ -129,13 +141,16 @@ impl BreakSet {
     }
 
     /// Register a stop after the `nth` execution of `(module, func, inst)`.
-    /// Duplicate registrations are deduplicated: returns `false` (and fires
-    /// only once) when this exact point is already pending.
+    /// Returns `false` without registering anything when this exact point
+    /// is already pending (it fires only once), or when `nth` is 0 —
+    /// ordinals are 1-based, so that stop could never fire and would keep
+    /// the set non-empty to program exit.
     pub fn add(&mut self, module: ModuleId, func: FuncId, inst: usize, nth: u64) -> bool {
-        let p = self
-            .pending
-            .entry((module, func, inst))
-            .or_insert(PendingNths { seen: 0, nths: Vec::new() });
+        if nth == 0 {
+            return false;
+        }
+        let funcs = slot_mut(&mut self.slots, module.0 as usize);
+        let p = slot_mut(slot_mut(funcs, func.0 as usize), inst);
         match p.nths.binary_search_by(|x| nth.cmp(x)) {
             Ok(_) => false,
             Err(i) => {
@@ -162,18 +177,26 @@ impl BreakSet {
     }
 
     /// Note one execution of `(module, func, inst)`; true when a pending
-    /// ordinal fires. Entries with no ordinals left are dropped, so fully
-    /// serviced instructions stop paying the map probe's bookkeeping.
-    fn note(&mut self, module: ModuleId, func: FuncId, inst: usize) -> bool {
-        let Some(p) = self.pending.get_mut(&(module, func, inst)) else {
+    /// ordinal fires. An instruction whose last ordinal fired starts over
+    /// from zero if it is registered again.
+    pub(crate) fn note(&mut self, module: ModuleId, func: FuncId, inst: usize) -> bool {
+        let Some(p) = self
+            .slots
+            .get_mut(module.0 as usize)
+            .and_then(|funcs| funcs.get_mut(func.0 as usize))
+            .and_then(|insts| insts.get_mut(inst))
+        else {
             return false;
         };
+        if p.nths.is_empty() {
+            return false;
+        }
         p.seen += 1;
         if p.nths.last() == Some(&p.seen) {
             p.nths.pop();
             let nth = p.seen;
             if p.nths.is_empty() {
-                self.pending.remove(&(module, func, inst));
+                p.seen = 0;
             }
             self.remaining -= 1;
             self.fired = Some((module, func, inst, nth));

@@ -37,9 +37,13 @@
 //! without bouncing through the segment entry, and only the transition to
 //! the final partial block pays a re-entry.
 //!
-//! Profiling, `break_at` and `BreakSet` runs fall back to the interpreter
-//! wholesale (they are prepare/cursor paths, never the campaign hot path),
-//! which keeps breakpoint semantics trivially identical.
+//! Profiling, `break_at` and `BreakSet` runs fall back to the interpreter's
+//! hooked loop wholesale, which keeps breakpoint semantics trivially
+//! identical. That loop costs several times a translated step, so callers
+//! keep instrumented stretches short instead of teaching the ops to break:
+//! the campaign cursor replays *disarmed* through [`advance_to_step`] — on
+//! this engine, at translated speed — to the checkpoint before each pending
+//! point, and arms its `BreakSet` only from there to the firing.
 
 use crate::cpu::{Frame, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
@@ -149,8 +153,9 @@ impl ExecutionEngine for CompiledEngine {
 
     fn run(&self, p: &mut Process) -> RunExit {
         if p.profile.is_some() || p.break_at.is_some() || p.multi_break.is_some() {
-            // Instrumented runs (golden profiling, injector breakpoints, the
-            // trellis cursor) stay on the interpreter's slow loop.
+            // Instrumented runs (golden profiling, injector breakpoints, an
+            // armed trellis cursor) stay on the interpreter's hooked loop;
+            // a disarmed cursor hopping between checkpoints runs below.
             return p.run();
         }
         run_compiled(self, p)

@@ -831,6 +831,60 @@ fn break_set_across_distinct_instructions_fires_in_execution_order() {
     assert!(matches!(p.run(), RunExit::Done(_)));
 }
 
+#[test]
+fn break_set_rejects_an_ordinal_that_can_never_fire() {
+    // Ordinals are 1-based: `nth = 0` used to register a stop no execution
+    // could reach, so `is_empty()` stayed false and a cursor waiting on the
+    // set walked to program exit.
+    let (mm, fid, idx, _) = hot_instruction(&[12], 8);
+    let mut bs = BreakSet::new();
+    assert!(!bs.add(ModuleId(0), fid, idx, 0), "nth = 0 must not register");
+    assert!(bs.is_empty());
+    assert_eq!(bs.remaining(), 0);
+    // Beside a real ordinal it changes nothing either.
+    assert!(bs.add(ModuleId(0), fid, idx, 2));
+    assert!(!bs.add(ModuleId(0), fid, idx, 0));
+    assert_eq!(bs.remaining(), 1);
+    let mut p = Process::new(mm, vec![]);
+    p.start("main", &[12]);
+    p.multi_break = Some(bs);
+    assert_eq!(p.run(), RunExit::BreakHit);
+    assert_eq!(
+        p.multi_break.as_mut().unwrap().take_fired(),
+        Some((ModuleId(0), fid, idx, 2))
+    );
+    assert!(p.multi_break.as_ref().unwrap().is_empty());
+}
+
+#[test]
+fn break_set_slot_table_edges() {
+    // The table covers only what `add` registered: any index outside it —
+    // module, function or instruction — has nothing pending, and noting it
+    // neither fires nor grows the table.
+    let mut bs = BreakSet::new();
+    assert!(!bs.note(ModuleId(0), tinyir::FuncId(0), 0), "empty set fired");
+    assert!(bs.add(ModuleId(1), tinyir::FuncId(2), 5, 2));
+    assert!(bs.add(ModuleId(1), tinyir::FuncId(2), 5, 1));
+    assert!(!bs.add(ModuleId(1), tinyir::FuncId(2), 5, 2), "duplicates must dedup");
+    assert_eq!(bs.remaining(), 2);
+    for (m, f, i) in [(9, 2, 5), (1, 9, 5), (1, 2, 9), (0, 0, 0), (1, 2, 4)] {
+        assert!(!bs.note(ModuleId(m), tinyir::FuncId(f), i), "({m}, {f}, {i}) fired");
+    }
+    assert_eq!((bs.remaining(), bs.take_fired()), (2, None));
+    // Two ordinals on one instruction fire in order, whatever the order
+    // they were added in, and the third execution finds nothing pending.
+    assert!(bs.note(ModuleId(1), tinyir::FuncId(2), 5));
+    assert_eq!(bs.take_fired(), Some((ModuleId(1), tinyir::FuncId(2), 5, 1)));
+    assert!(bs.note(ModuleId(1), tinyir::FuncId(2), 5));
+    assert_eq!(bs.take_fired(), Some((ModuleId(1), tinyir::FuncId(2), 5, 2)));
+    assert!(bs.is_empty());
+    assert!(!bs.note(ModuleId(1), tinyir::FuncId(2), 5));
+    // A serviced instruction registered again counts from the new arming.
+    assert!(bs.add(ModuleId(1), tinyir::FuncId(2), 5, 1));
+    assert!(bs.note(ModuleId(1), tinyir::FuncId(2), 5));
+    assert_eq!(bs.take_fired(), Some((ModuleId(1), tinyir::FuncId(2), 5, 1)));
+}
+
 // ---------------------------------------------------------------------------
 // Compiled execution engine: the direct-threaded backend must be
 // bit-identical to the interpreter fast loop — exits, traps, fuel, steps,

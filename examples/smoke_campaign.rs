@@ -4,7 +4,7 @@
 //! Small enough to finish in seconds on a cold runner, but end-to-end real:
 //! compile at O1, run Armor, inject 30 single-bit flips, classify every
 //! outcome, and evaluate CARE recovery on the faults that trap. The campaign
-//! runs on the snapshot trellis (one shared instrumented cursor pass, CoW
+//! runs on the snapshot trellis (one shared cursor pass, CoW
 //! forks at the pending injection points) and again as 30 `Campaign::run_one`
 //! calls (every injection replays its own prefix), and the two must agree
 //! record for record — the equivalence the trellis promises. The campaign

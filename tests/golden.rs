@@ -116,10 +116,10 @@ fn trellis_records_match_legacy_on_all_workloads() {
 
 /// The sharded cursor pass must be an observational no-op at every pool
 /// width: for every workload, a trellis campaign run at 2 and 8 threads
-/// (which shards the instrumented cursor pass along the golden-run
+/// (which shards the cursor pass along the golden-run
 /// checkpoint trail) produces records bit-identical to the 1-thread
 /// single-cursor run. Only the wall-clock shape may differ (K concurrent
-/// window walks plus fast replays instead of one long walk).
+/// checkpoint-hopping cursors instead of one).
 #[test]
 fn sharded_trellis_matches_single_cursor_on_all_workloads() {
     let small: Vec<(&str, workloads::Workload)> = vec![
@@ -308,12 +308,14 @@ proptest! {
         prop_assert_eq!(&interp.records, &compiled.records);
     }
 
-    /// Shard-count independence of the sharded cursor pass: any explicit
-    /// shard count (including degenerate K=1 and K far above the number of
-    /// checkpoints), at any seed and hang budget, yields the exact record
-    /// stream of the single-cursor walk. Exercises arbitrary window
-    /// boundaries along the checkpoint trail and the dedup/home-shard
-    /// assignment of repeated injection points.
+    /// Shard-count independence of the sharded cursor pass, on both
+    /// engines: any explicit shard count (including K far above the number
+    /// of checkpoints), at any seed and hang budget, yields the exact
+    /// record stream of the single cursor — itself a checkpoint-hopping
+    /// path, so both are also held to the per-index `run_one` reference.
+    /// Exercises arbitrary window boundaries along the checkpoint trail,
+    /// the hops inside them, and the dedup/home-shard assignment of
+    /// repeated injection points.
     #[test]
     fn sharded_cursors_match_at_random_shard_counts(
         seed in any::<u64>(),
@@ -321,16 +323,20 @@ proptest! {
         hang_factor in 1u64..30,
     ) {
         let campaign = tiny_campaign();
-        let cfg = CampaignConfig {
-            hang_factor,
-            cursor_shards: Some(1),
-            ..records_cfg(20, seed, EngineKind::Interp)
-        };
-        let single = campaign.run(&cfg);
-        let sharded =
-            campaign.run(&CampaignConfig { cursor_shards: Some(shards), ..cfg });
-        prop_assert_eq!(&single.records, &sharded.records);
-        prop_assert_eq!(single.steps_suffix, sharded.steps_suffix);
-        prop_assert_eq!(single.steps_care, sharded.steps_care);
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let cfg = CampaignConfig {
+                hang_factor,
+                cursor_shards: Some(1),
+                ..records_cfg(20, seed, engine)
+            };
+            let legacy = reference(campaign, &cfg);
+            let single = campaign.run(&cfg);
+            let sharded =
+                campaign.run(&CampaignConfig { cursor_shards: Some(shards), ..cfg });
+            prop_assert_eq!(&legacy.records, &single.records);
+            prop_assert_eq!(&single.records, &sharded.records);
+            prop_assert_eq!(single.steps_suffix, sharded.steps_suffix);
+            prop_assert_eq!(single.steps_care, sharded.steps_care);
+        }
     }
 }

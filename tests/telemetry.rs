@@ -148,8 +148,8 @@ fn compiled_campaign_reports_engine_counters() {
 ///   the caller;
 /// * the per-shard cursor spans (`cursor.replay_steps` +
 ///   `cursor.window_steps`, summed over shards) equal the campaign's
-///   `steps_prefix` exactly — the K window walks plus their fast replays
-///   account for every prefix step;
+///   `steps_prefix` exactly — the instrumented brackets plus the
+///   uninstrumented hops between them account for every prefix step;
 /// * the `trellis.shards` counter agrees with the report.
 #[test]
 fn four_thread_campaign_spreads_work_across_pool_shards() {
@@ -179,7 +179,7 @@ fn four_thread_campaign_spreads_work_across_pool_shards() {
         report.steps_prefix,
         "sharded cursor spans do not reconcile with the prefix step count"
     );
-    assert!(ctr("cursor.replay_steps") > 0, "no shard fast-replayed to its boundary");
+    assert!(ctr("cursor.replay_steps") > 0, "no cursor hopped uninstrumented to a checkpoint");
     let busy_shards = tel
         .per_shard_counters
         .iter()
