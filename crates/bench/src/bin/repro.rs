@@ -1,7 +1,8 @@
 //! `repro` — regenerate every table and figure of the CARE paper.
 //!
-//! The option surface is [`USAGE`] (printed by `repro --help`) and the
-//! experiment names are [`EXPERIMENTS`]; neither is restated here.
+//! The option surface is [`USAGE`] (printed by `repro --help`); the
+//! experiments — what each is called, what it runs, what it prints — are
+//! [`bench::REGISTRY`]. Neither is restated here.
 //!
 //! `serve` runs the `careserve` campaign server until killed. `submit`
 //! sends one job to a running server and prints its report; `--stats`
@@ -26,16 +27,10 @@
 //! writes the full event stream as versioned JSONL. Telemetry never changes
 //! campaign results — only observes them.
 
-use bench::{
-    coverage_cfg, decline_rows, manifestation_cfg, pct, prepare, run_campaign,
-    section2_workloads, section5_workloads, PreparedWorkload, Table,
-};
+use bench::{pct, Session, Table, REGISTRY};
 use carestore::Store;
-use cluster::{simulate_fault_free, simulate_faulty, simulate_faulty_traced, ClusterConfig,
-    Resilience};
-use faultsim::{CampaignConfig, CampaignReport, EngineKind, FaultModel};
+use faultsim::EngineKind;
 use opt::OptLevel;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use telemetry::Recorder;
 
@@ -49,12 +44,6 @@ usage: repro [--injections N] [--seed S] [--engine interp|compiled]
                     [--injections N] [--seed S] [--engine interp|compiled]
                     [--opt O0|O1] [--job-threads N] [--stats]
        repro triage [--store DIR]";
-
-/// The experiment names `repro` accepts; `all` (the default) runs each.
-const EXPERIMENTS: &[&str] = &[
-    "table2", "table3", "table4", "table5", "table8", "table9", "table10", "table11",
-    "fig7", "fig9", "fig10", "fig12", "declines", "all",
-];
 
 /// Every argument error ends here: one line on stderr, exit status 2.
 fn usage_error(msg: &str) -> ! {
@@ -70,74 +59,55 @@ fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str
         .unwrap_or_else(|| usage_error(&format!("{flag} takes {what}")))
 }
 
-struct Args {
-    injections: usize,
-    seed: u64,
-    telemetry: Option<PathBuf>,
-    engine: EngineKind,
-    /// `--store DIR` / `--resume`: content-addressed record store.
-    store: Option<PathBuf>,
-    experiments: Vec<String>,
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        injections: 300,
-        seed: 0xCA2E,
-        telemetry: None,
-        engine: EngineKind::default(),
-        store: None,
-        experiments: Vec::new(),
-    };
+/// The experiment half: parse the arguments into a [`Session`], print every
+/// selected registry row in registry order, write out what the recorder saw.
+/// The recorder (`--telemetry`) spans every experiment of the invocation;
+/// the store (`--store DIR` / `--resume`) backs every keyed campaign.
+fn cmd_experiments(argv: &[String]) {
+    let mut session = Session::new(300, 0xCA2E, EngineKind::default());
+    let (mut telemetry, mut store): (Option<PathBuf>, Option<PathBuf>) = (None, None);
+    let mut selected: Vec<&str> = Vec::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--injections" => args.injections = value(&mut it, a, "a count"),
-            "--seed" => args.seed = value(&mut it, a, "an integer"),
-            "--telemetry" => args.telemetry = Some(value(&mut it, a, "a path")),
-            "--store" => args.store = Some(value(&mut it, a, "a directory")),
-            "--resume" => {
-                args.store.get_or_insert_with(|| "care_store".into());
-            }
-            "--engine" => args.engine = value(&mut it, a, "interp|compiled"),
+            "--injections" => session.injections = value(&mut it, a, "a count"),
+            "--seed" => session.seed = value(&mut it, a, "an integer"),
+            "--telemetry" => telemetry = Some(value(&mut it, a, "a path")),
+            "--store" => store = Some(value(&mut it, a, "a directory")),
+            "--resume" => store = store.or(Some("care_store".into())),
+            "--engine" => session.engine = value(&mut it, a, "interp|compiled"),
             "--help" | "-h" => {
-                println!("{USAGE}\nexperiments: {}  (default: all)", EXPERIMENTS.join(" "));
+                let names = bench::experiment_names().join(" ");
+                println!("{USAGE}\nexperiments: {names}  (default: all)");
                 std::process::exit(0);
             }
-            e if EXPERIMENTS.contains(&e) => args.experiments.push(e.to_string()),
+            e if REGISTRY.iter().any(|x| x.selected_by(e)) => selected.push(e),
             opt if opt.starts_with('-') => usage_error(&format!("unknown option '{opt}'")),
             e => usage_error(&format!("unknown experiment '{e}'")),
         }
     }
-    if args.experiments.is_empty() {
-        args.experiments.push("all".into());
+    if selected.is_empty() {
+        selected.push("all");
     }
-    args
-}
-
-/// [`run_campaign`] plus one stderr line per store-backed run (how much of
-/// it was warm): routed through the global recorder when telemetry is on
-/// and through the content-addressed store when `--store` is given.
-fn run_reported(
-    p: &PreparedWorkload,
-    cfg: &CampaignConfig,
-    rec: Option<&Recorder>,
-    store: Option<&Store>,
-) -> CampaignReport {
-    let (report, stats) = run_campaign(p, cfg, rec, store);
-    if let Some(stats) = stats {
-        eprintln!(
-            "[repro]   {}: store reused {} records, skipped {} known-benign, \
-             executed {} residual ({:.0}% of {})",
-            p.name,
-            stats.hits,
-            stats.known_skips,
-            stats.misses,
-            100.0 * stats.residual_fraction(cfg.injections),
-            cfg.injections,
-        );
+    session.recorder = telemetry.as_ref().map(|_| Recorder::new());
+    session.store = store.map(|dir| {
+        let s = Store::open(&dir).unwrap_or_else(|e| panic!("open store {}: {e}", dir.display()));
+        eprintln!("[repro] campaigns backed by record store at {}", dir.display());
+        s
+    });
+    for e in REGISTRY.iter().filter(|e| selected.iter().any(|a| e.selected_by(a))) {
+        println!("{}", (e.run)(&session).render());
     }
-    report
+    if let (Some(path), Some(r)) = (&telemetry, &session.recorder) {
+        let report = r.drain();
+        let jsonl = report.to_jsonl();
+        // The writer and validator ship together; a failure here is a bug.
+        telemetry::validate_jsonl(&jsonl).expect("telemetry JSONL failed self-validation");
+        std::fs::write(path, &jsonl).expect("write telemetry JSONL");
+        eprintln!("{}", report.summary_table());
+        let lines = jsonl.lines().count();
+        eprintln!("[repro] wrote {lines} telemetry lines to {}", path.display());
+    }
 }
 
 /// Shared option surface of `repro serve` and `repro submit`.
@@ -329,440 +299,6 @@ fn main() {
         Some("serve") => cmd_serve(&argv[1..]),
         Some("submit") => cmd_submit(&argv[1..]),
         Some("triage") => cmd_triage(&argv[1..]),
-        _ => run_experiments(&parse_args(&argv)),
-    }
-}
-
-fn run_experiments(args: &Args) {
-    let want = |name: &str| {
-        args.experiments.iter().any(|e| e == name || e == "all")
-    };
-
-    // One recorder spans every experiment of the invocation; campaigns and
-    // cluster simulations stream into it and `main` drains it at the end.
-    let recorder = args.telemetry.as_ref().map(|_| Recorder::new());
-    let rec = recorder.as_ref();
-
-    // One store spans the invocation too (`--store DIR` / `--resume`);
-    // every §2/§5 campaign consults it and appends its fresh records.
-    let store = args.store.as_ref().map(|dir| {
-        let s = Store::open(dir).unwrap_or_else(|e| panic!("open store {}: {e}", dir.display()));
-        eprintln!("[repro] campaigns backed by record store at {}", dir.display());
-        s
-    });
-    let store = store.as_ref();
-
-    // §2 campaigns (single-bit, whole program) are shared by Tables 2-4.
-    let mut s2: Option<Vec<(PreparedWorkload, CampaignReport)>> = None;
-    let mut s2_reports = |inj: usize, seed: u64| -> Vec<(String, CampaignReport)> {
-        if s2.is_none() {
-            eprintln!("[repro] running §2 single-bit campaigns ({inj} injections/workload)...");
-            s2 = Some(
-                section2_workloads()
-                    .iter()
-                    .map(|w| {
-                        let p = prepare(w, OptLevel::O0);
-                        let cfg = manifestation_cfg(inj, FaultModel::SingleBit, seed, args.engine);
-                        let r = run_reported(&p, &cfg, rec, store);
-                        (p, r)
-                    })
-                    .collect(),
-            );
-        }
-        s2.as_ref()
-            .unwrap()
-            .iter()
-            .map(|(p, r)| (p.name.to_string(), r.clone()))
-            .collect()
-    };
-
-    if want("table2") {
-        let mut t = Table::new(
-            "Table 2: overall outcomes of fault injections (single-bit)",
-            &["Workload", "Benign", "SoftFailure", "SDC", "Hang"],
-        );
-        for (name, r) in s2_reports(args.injections, args.seed) {
-            t.row(vec![
-                name,
-                r.benign.to_string(),
-                r.soft_failure.to_string(),
-                r.sdc.to_string(),
-                r.hang.to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("table3") {
-        let mut t = Table::new(
-            "Table 3: breakdown of soft failures by symptom",
-            &["Workload", "SIGSEGV", "SIGBUS", "SIGABRT", "Other"],
-        );
-        for (name, r) in s2_reports(args.injections, args.seed) {
-            t.row(vec![
-                name,
-                r.signals[0].to_string(),
-                r.signals[1].to_string(),
-                r.signals[2].to_string(),
-                r.signals[3].to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("table4") {
-        let mut t = Table::new(
-            "Table 4: manifestation-latency distribution of soft failures",
-            &["Workload", "<=10", "11~50", "51~400", ">400"],
-        );
-        for (name, r) in s2_reports(args.injections, args.seed) {
-            let total: usize = r.latency_buckets.iter().sum::<usize>().max(1);
-            t.row(vec![
-                name,
-                pct(r.latency_buckets[0] as f64 / total as f64),
-                pct(r.latency_buckets[1] as f64 / total as f64),
-                pct(r.latency_buckets[2] as f64 / total as f64),
-                pct(r.latency_buckets[3] as f64 / total as f64),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("table5") {
-        let mut t = Table::new(
-            "Table 5: memory accesses with multi-op address computations",
-            &["", "HPCCG", "CoMD", "miniFE", "miniMD", "GTC-P"],
-        );
-        let mut frac = vec!["No. Insts".to_string()];
-        let mut avg = vec!["Avg. No. ops".to_string()];
-        let order = ["HPCCG", "CoMD", "miniFE", "miniMD", "GTC-P"];
-        let mut by_name = HashMap::new();
-        for w in section2_workloads() {
-            // The paper's Table 5 counts address computations of the *real*
-            // data accesses; measure on the optimised IR, where scalar
-            // stack-slot traffic (an -O0 artefact) has been promoted away.
-            let app = care::compile(&w.module, OptLevel::O1);
-            by_name.insert(w.name, app.armor.stats.clone());
-        }
-        for name in order {
-            let s = &by_name[name];
-            frac.push(pct(s.multi_op_fraction()));
-            avg.push(format!("{:.2}", s.avg_addr_ops()));
-        }
-        t.row(frac);
-        t.row(avg);
-        println!("{}", t.render());
-    }
-
-    if want("table8") {
-        let mut t = Table::new(
-            "Table 8: statistics of recovery kernels",
-            &[
-                "",
-                "Num. kernels",
-                "Avg IR instrs",
-                "Normal compile (s)",
-                "Armor overhead (s)",
-                "Liveness share",
-            ],
-        );
-        for w in section5_workloads() {
-            let app = care::compile(&w.module, OptLevel::O0);
-            let s = &app.armor.stats;
-            t.row(vec![
-                w.name.to_string(),
-                s.num_kernels.to_string(),
-                format!("{:.2}", s.avg_kernel_instrs()),
-                format!("{:.4}", app.build.normal_compile_s),
-                format!("{:.4}", s.pass_seconds),
-                pct(s.liveness_seconds / s.pass_seconds.max(1e-12)),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    // Figure 7 + 9 share the §5 coverage campaigns.
-    let mut cov: Option<Vec<(String, String, CampaignReport)>> = None;
-    let mut cov_reports = |inj: usize, seed: u64| -> Vec<(String, String, CampaignReport)> {
-        if cov.is_none() {
-            eprintln!("[repro] running §5 coverage campaigns (O0+O1, {inj} injections/workload)...");
-            let mut all = Vec::new();
-            for w in section5_workloads() {
-                for level in [OptLevel::O0, OptLevel::O1] {
-                    let p = prepare(&w, level);
-                    let cfg = coverage_cfg(inj, FaultModel::SingleBit, seed, args.engine);
-                    let r = run_reported(&p, &cfg, rec, store);
-                    all.push((w.name.to_string(), level.to_string(), r));
-                }
-            }
-            cov = Some(all);
-        }
-        cov.as_ref().unwrap().clone()
-    };
-
-    if want("fig7") {
-        let mut t = Table::new(
-            "Figure 7: fault coverage of CARE (single-bit)",
-            &["Workload", "Opt", "SIGSEGV evald", "Recovered", "Coverage"],
-        );
-        let mut sum = 0.0;
-        let mut n = 0;
-        for (name, level, r) in cov_reports(args.injections, args.seed) {
-            t.row(vec![
-                name.clone(),
-                level.clone(),
-                r.care_evaluated.to_string(),
-                r.care_covered.to_string(),
-                pct(r.coverage()),
-            ]);
-            sum += r.coverage();
-            n += 1;
-        }
-        t.row(vec![
-            "average".into(),
-            "".into(),
-            "".into(),
-            "".into(),
-            pct(sum / n.max(1) as f64),
-        ]);
-        println!("{}", t.render());
-    }
-
-    if want("fig9") {
-        let mut t = Table::new(
-            "Figure 9: recovery time (modelled ms per recovered run)",
-            &["Workload", "Opt", "Mean (ms)", "Activations/run"],
-        );
-        for (name, level, r) in cov_reports(args.injections, args.seed) {
-            let runs = r.recovery_times_ms.len().max(1);
-            t.row(vec![
-                name.clone(),
-                level.clone(),
-                format!("{:.1}", r.mean_recovery_ms()),
-                format!("{:.2}", r.total_recoveries as f64 / runs as f64),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("declines") {
-        let mut t = Table::new(
-            "Decline reasons: why uncovered SIGSEGV faults were not recovered",
-            &["Workload", "Opt", "Decline kind", "Count"],
-        );
-        let mut total = 0usize;
-        for (name, level, r) in cov_reports(args.injections, args.seed) {
-            for (kind, n) in decline_rows(&r) {
-                t.row(vec![name.clone(), level.clone(), kind.to_string(), n.to_string()]);
-                total += n;
-            }
-        }
-        t.row(vec!["total".into(), "".into(), "".into(), total.to_string()]);
-        println!("{}", t.render());
-    }
-
-    if want("fig10") {
-        eprintln!("[repro] running rank-0 recovery + 512-rank BSP simulation...");
-        let w = workloads::gtcp::default();
-        let r0 = cluster::rank0::run_rank0_with_fault(&w, OptLevel::O0, args.seed, 200)
-            .expect("a CARE-recoverable fault on rank 0");
-        let cfg = ClusterConfig::default();
-        let base = simulate_fault_free(&cfg);
-        let care_res = Resilience::Care { events: vec![(cfg.timesteps / 2, r0.recovery_ms)] };
-        let care_run = match rec {
-            Some(h) => simulate_faulty_traced(&cfg, cfg.timesteps / 2, &care_res, h),
-            None => simulate_faulty(&cfg, cfg.timesteps / 2, &care_res),
-        };
-        let mut t = Table::new(
-            "Figure 10: 512-rank x 6-thread GTC-P job, fault on rank 0",
-            &["Scenario", "Makespan (s)", "Overhead (s)", "Restart (s)"],
-        );
-        let sec = |ms: f64| format!("{:.2}", ms / 1000.0);
-        t.row(vec!["fault-free".into(), sec(base.makespan_ms), "0.00".into(), "0.00".into()]);
-        t.row(vec![
-            format!("CARE ({} recoveries, {:.1} ms)", r0.recoveries, r0.recovery_ms),
-            sec(care_run.makespan_ms),
-            sec(care_run.overhead_ms),
-            sec(care_run.restart_ms),
-        ]);
-        for interval in [20u64, 50, 75] {
-            // Average over fault positions, as the paper's per-interval
-            // recovery times are averages (14.4 / 25.9 / 37.6 s).
-            let mut mk = 0.0;
-            let mut ov = 0.0;
-            let mut rs = 0.0;
-            let mut n = 0.0;
-            for fs in (0..cfg.timesteps).step_by(7) {
-                let cr = simulate_faulty(
-                    &cfg,
-                    fs,
-                    &Resilience::CheckpointRestart {
-                        interval,
-                        write_ms: 800.0,
-                        load_ms: 6600.0,
-                        requeue_ms: 0.0,
-                    },
-                );
-                mk += cr.makespan_ms;
-                ov += cr.overhead_ms;
-                rs += cr.restart_ms;
-                n += 1.0;
-            }
-            t.row(vec![
-                format!("C/R every {interval} steps (avg)"),
-                sec(mk / n),
-                sec(ov / n),
-                sec(rs / n),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("table9") {
-        eprintln!("[repro] running BLAS/sblat1 shared-library campaign...");
-        let setup = workloads::blas::setup();
-        let lib_app = care::compile(&setup.lib, OptLevel::O0);
-        let drv_app = care::compile(&setup.driver.module, OptLevel::O0);
-        let campaign = faultsim::Campaign::prepare(
-            &setup.driver,
-            drv_app.clone(),
-            vec![lib_app.clone()],
-        );
-        let blas_cfg = CampaignConfig {
-            injections: args.injections,
-            evaluate_care: true,
-            app_only: false, // faults may land in the library too
-            seed: args.seed,
-            engine: args.engine,
-            ..CampaignConfig::default()
-        };
-        let r = match rec {
-            Some(h) => campaign.run_with_hooks(&blas_cfg, h),
-            None => campaign.run(&blas_cfg),
-        };
-        let mut t = Table::new(
-            "Table 9: statistics and performance for sblat1/BLAS",
-            &["", "# Kernels", "Normal compile (s)", "Armor overhead (s)", "Coverage", "Recovery (ms)"],
-        );
-        t.row(vec![
-            "BLAS".into(),
-            lib_app.armor.stats.num_kernels.to_string(),
-            format!("{:.4}", lib_app.build.normal_compile_s),
-            format!("{:.4}", lib_app.armor.stats.pass_seconds),
-            pct(r.coverage()),
-            format!("{:.1}", r.mean_recovery_ms()),
-        ]);
-        t.row(vec![
-            "sblat1".into(),
-            drv_app.armor.stats.num_kernels.to_string(),
-            format!("{:.4}", drv_app.build.normal_compile_s),
-            format!("{:.4}", drv_app.armor.stats.pass_seconds),
-            "".into(),
-            "".into(),
-        ]);
-        println!("{}", t.render());
-    }
-
-    // Appendix: double-bit-flip model.
-    let mut s2d: Option<Vec<(String, CampaignReport)>> = None;
-    let mut s2d_reports = |inj: usize, seed: u64| -> Vec<(String, CampaignReport)> {
-        if s2d.is_none() {
-            eprintln!("[repro] running appendix double-bit campaigns...");
-            s2d = Some(
-                section2_workloads()
-                    .iter()
-                    .map(|w| {
-                        let p = prepare(w, OptLevel::O0);
-                        let cfg = manifestation_cfg(inj, FaultModel::DoubleBit, seed, args.engine);
-                        let r = run_reported(&p, &cfg, rec, store);
-                        (p.name.to_string(), r)
-                    })
-                    .collect(),
-            );
-        }
-        s2d.as_ref().unwrap().clone()
-    };
-
-    if want("table10") {
-        let mut t = Table::new(
-            "Table 10: overall outcomes (double-bit-flip model)",
-            &["Workload", "Benign", "SoftFailure", "SDC", "Hang"],
-        );
-        for (name, r) in s2d_reports(args.injections, args.seed) {
-            t.row(vec![
-                name.clone(),
-                r.benign.to_string(),
-                r.soft_failure.to_string(),
-                r.sdc.to_string(),
-                r.hang.to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("table11") {
-        let mut t = Table::new(
-            "Table 11: breakdown of soft failures (double-bit-flip model)",
-            &["Workload", "SIGSEGV", "SIGBUS", "SIGABRT", "Other"],
-        );
-        for (name, r) in s2d_reports(args.injections, args.seed) {
-            t.row(vec![
-                name.clone(),
-                r.signals[0].to_string(),
-                r.signals[1].to_string(),
-                r.signals[2].to_string(),
-                r.signals[3].to_string(),
-            ]);
-        }
-        println!("{}", t.render());
-    }
-
-    if want("fig12") {
-        eprintln!("[repro] running double-bit coverage campaigns...");
-        let mut t = Table::new(
-            "Figure 12: fault coverage (double-bit-flip model)",
-            &["Workload", "Opt", "SIGSEGV evald", "Recovered", "Coverage"],
-        );
-        let mut sum = 0.0;
-        let mut n = 0;
-        for w in section5_workloads() {
-            for level in [OptLevel::O0, OptLevel::O1] {
-                let p = prepare(&w, level);
-                let cfg =
-                    coverage_cfg(args.injections, FaultModel::DoubleBit, args.seed, args.engine);
-                let r = run_reported(&p, &cfg, rec, store);
-                t.row(vec![
-                    w.name.to_string(),
-                    level.to_string(),
-                    r.care_evaluated.to_string(),
-                    r.care_covered.to_string(),
-                    pct(r.coverage()),
-                ]);
-                sum += r.coverage();
-                n += 1;
-            }
-        }
-        t.row(vec![
-            "average".into(),
-            "".into(),
-            "".into(),
-            "".into(),
-            pct(sum / n.max(1) as f64),
-        ]);
-        println!("{}", t.render());
-    }
-
-    if let (Some(path), Some(r)) = (&args.telemetry, recorder.as_ref()) {
-        let report = r.drain();
-        let jsonl = report.to_jsonl();
-        // The writer and validator ship together; a failure here is a bug.
-        telemetry::validate_jsonl(&jsonl).expect("telemetry JSONL failed self-validation");
-        std::fs::write(path, &jsonl).expect("write telemetry JSONL");
-        eprintln!("{}", report.summary_table());
-        eprintln!(
-            "[repro] wrote {} telemetry lines to {}",
-            jsonl.lines().count(),
-            path.display()
-        );
+        _ => cmd_experiments(&argv),
     }
 }

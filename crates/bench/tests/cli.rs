@@ -1,6 +1,6 @@
 //! The `repro` command line: every argument error is one `error:` line and
 //! exit status 2 (never a panic), `--help` names no retired option, and
-//! every flag it does name drives a real run.
+//! every flag and every experiment it does name drives a real run.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -22,10 +22,11 @@ fn assert_ok(what: &str, out: &Output) {
 
 #[test]
 fn argument_errors_exit_2_with_one_line_on_stderr() {
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 10] = [
         &["--injections"],
         &["--seed", "x"],
         &[RETIRED_EXPERIMENT],
+        &["liveness"], // the retired `ablate` binary's spelling of `ablate-liveness`
         &["--threads", "4"],
         &["submit", "--bench"],
         &["submit", "--params", "3,x"],
@@ -49,6 +50,23 @@ fn help_exits_0_and_names_no_retired_option() {
     let help = text(&out.stdout);
     for gone in [RETIRED_EXPERIMENT, "--threads", "--bench", "--clients", "--jobs", "CARE_"] {
         assert!(!help.contains(gone), "--help still names {gone}:\n{help}");
+    }
+}
+
+#[test]
+fn every_experiment_in_help_prints_one_table_per_registry_row() {
+    let out = repro().arg("--help").output().expect("run repro");
+    let help = text(&out.stdout);
+    let line = help.lines().find_map(|l| l.strip_prefix("experiments: ")).expect("name list");
+    let names: Vec<&str> = line.split("  (").next().expect("names").split(' ').collect();
+    assert_eq!(names, bench::experiment_names(), "--help does not list the registry");
+    assert_eq!(names.len(), 13 + 1 + 4 + 1, "{names:?}");
+    for name in names {
+        let out = repro().args(["--injections", "4", name]).output().expect("run repro");
+        assert_ok(name, &out);
+        let tables = text(&out.stdout).lines().filter(|l| l.starts_with("== ")).count();
+        let rows = bench::REGISTRY.iter().filter(|e| e.selected_by(name)).count();
+        assert_eq!(tables, rows, "{name} printed {tables} tables for {rows} registry rows");
     }
 }
 

@@ -10,8 +10,9 @@
 //! replays uninstrumented (on the campaign's engine) to each bracket that
 //! holds a point, runs instrumented only from there to the bracket's last
 //! firing, and CoW-forks a paused snapshot each time a pending `(I, n)`
-//! fires. Workers then run only the suffix (inject → classify →
-//! CARE-protected fork) from their snapshot, in parallel on the same pool.
+//! fires. Workers then run only the suffix (inject → classify → Safeguard
+//! on the trapped process itself) from their snapshot, in parallel on the
+//! same pool.
 //! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
 //! ~`N·L`, and `K > 1` removes the serial-cursor Amdahl bottleneck (`K = 1`
 //! is a single cursor).
@@ -28,9 +29,7 @@ use care::{build_process, CompiledApp};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use safeguard::{
-    run_protected_engine_with_hooks, DeclineKind, ProtectedExit, RecoveryIndex, Safeguard,
-};
+use safeguard::{resume_protected, DeclineKind, ProtectedExit, RecoveryIndex, Safeguard};
 use simx::{
     advance_to_step, BreakSet, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine,
     ModuleId, Process, Profile, RunExit, TrapKind,
@@ -106,8 +105,9 @@ pub struct StepSplit {
     pub prefix: u64,
     /// Instructions from the injection to the unprotected outcome.
     pub suffix: u64,
-    /// Instructions of the CARE-protected re-run (its suffix only; the
-    /// protected run resumes from the pre-injection fork).
+    /// Instructions of the CARE-protected run, counted from the injection
+    /// point: the suffix up to the trap (executed once, by the unprotected
+    /// run) plus everything from the first repair on.
     pub care: u64,
 }
 
@@ -330,9 +330,10 @@ impl Campaign {
     /// (with profiling), snapshot its outputs, and set up the shared
     /// injection machinery.
     pub fn prepare(workload: &Workload, exe: CompiledApp, libs: Vec<CompiledApp>) -> Campaign {
-        let mut p = build_process(&exe, &libs);
+        let mut template = build_process(&exe, &libs);
+        template.start(workload.entry, &workload.args);
+        let mut p = template.clone();
         p.enable_profile();
-        p.start(workload.entry, &workload.args);
         // Drive the golden run in fixed-step slices, snapshotting the
         // profile at each pause: the checkpoint trail the parallel cursor
         // pass cuts its shard boundaries from. The trail stays bounded for
@@ -375,8 +376,6 @@ impl Campaign {
                     .unwrap_or_else(|| panic!("output global {name} missing"))
             })
             .collect();
-        let mut template = build_process(&exe, &libs);
-        template.start(workload.entry, &workload.args);
         let mut recovery = RecoveryIndex::new();
         recovery.add(ModuleId(0), &exe.armor);
         for (i, lib) in libs.iter().enumerate() {
@@ -468,10 +467,6 @@ impl Campaign {
         let t0 = H::ENABLED.then(std::time::Instant::now);
         let base_stats = p.mem.stats;
         let prefix_steps = p.steps;
-        // Snapshot-fork the paused process *before* corrupting it: the
-        // protected CARE evaluation resumes from this fork instead of
-        // re-simulating the whole prefix.
-        let paused = cfg.evaluate_care.then(|| p.clone());
         let mut flip_rng = rng.clone();
         let target = inject(&mut p, point, cfg.model, &mut flip_rng);
         if target == InjectedInto::Skipped {
@@ -480,7 +475,8 @@ impl Campaign {
             }
             return None;
         }
-        let (outcome, latency) = match engine.run(&mut p) {
+        let exit = engine.run(&mut p);
+        let (outcome, latency) = match exit {
             RunExit::Done(_) => {
                 if self.outputs_clean(&p) {
                     (Outcome::Benign, None)
@@ -498,59 +494,34 @@ impl Campaign {
             RunExit::BreakHit => unreachable!("breakpoint already consumed"),
         };
         let suffix_steps = p.steps - prefix_steps;
-        let mut tlb = p.mem.stats.since(&base_stats);
 
-        // --- protected run for SIGSEGV injections (§5 methodology):
-        // resume the pre-injection fork, repeat the same flip, and let
-        // Safeguard handle the fallout -------------------------------------
+        // --- protected run for SIGSEGV injections (§5 methodology). The
+        // unprotected run is frozen on its trap with pre-fault registers,
+        // exactly where a protected run of the same flip first reaches
+        // Safeguard: recovery resumes from this process and this exit ------
         let mut care_steps = 0u64;
-        let care = if outcome == Outcome::SoftFailure(Signal::Segv) {
-            paused.map(|mut p| {
-                let mut flip_rng = rng.clone();
-                inject(&mut p, point, cfg.model, &mut flip_rng);
-                let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
-                sg.patch_base_first = cfg.patch_base_first;
-                sg.skip_equality_guard = cfg.skip_equality_guard;
-                let care = match run_protected_engine_with_hooks(
-                    engine,
-                    &mut p,
-                    &mut sg,
-                    cfg.max_recoveries,
-                    hooks,
-                ) {
-                    ProtectedExit::Completed { recoveries, recovery_ms, .. } => {
-                        let clean = self.outputs_clean(&p);
-                        CareResult {
-                            covered: clean && recoveries > 0,
-                            recoveries,
-                            recovery_ms,
-                            decline: None,
-                        }
-                    }
-                    ProtectedExit::Crashed { reason, recoveries, .. } => CareResult {
-                        covered: false,
-                        recoveries,
-                        recovery_ms: 0.0,
-                        decline: Some(reason.kind()),
-                    },
-                    ProtectedExit::Hung => CareResult {
-                        covered: false,
-                        recoveries: 0,
-                        recovery_ms: 0.0,
-                        decline: Some(DeclineKind::Hang),
-                    },
-                };
-                care_steps = p.steps - prefix_steps;
-                if H::ENABLED {
-                    // The fork's counters start from the paused clone
-                    // (which inherited `base_stats`'s values at the fork).
-                    tlb.merge(&p.mem.stats.since(&base_stats));
+        let care = (cfg.evaluate_care && outcome == Outcome::SoftFailure(Signal::Segv)).then(|| {
+            let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
+            sg.patch_base_first = cfg.patch_base_first;
+            sg.skip_equality_guard = cfg.skip_equality_guard;
+            let end = resume_protected(engine, &mut p, exit, &mut sg, cfg.max_recoveries, hooks);
+            let (recoveries, recovery_ms, decline) = match end {
+                ProtectedExit::Completed { recoveries, recovery_ms, .. } => {
+                    (recoveries, recovery_ms, None)
                 }
-                care
-            })
-        } else {
-            None
-        };
+                ProtectedExit::Crashed { reason, recoveries, .. } => {
+                    (recoveries, 0.0, Some(reason.kind()))
+                }
+                ProtectedExit::Hung => (0, 0.0, Some(DeclineKind::Hang)),
+            };
+            // Covered: completed, after at least one repair, bit-clean.
+            let covered = decline.is_none() && recoveries > 0 && self.outputs_clean(&p);
+            // Attributed from the injection point, as a protected run of
+            // its own would count it (the shared suffix included).
+            care_steps = p.steps - prefix_steps;
+            CareResult { covered, recoveries, recovery_ms, decline }
+        });
+        let tlb = p.mem.stats.since(&base_stats);
 
         if H::ENABLED {
             let wall_ns = t0.expect("enabled").elapsed().as_nanos() as u64;
@@ -1073,11 +1044,13 @@ pub struct CampaignReport {
     pub total_recoveries: u64,
     /// Decline-reason histogram of uncovered runs.
     pub declines: std::collections::HashMap<DeclineKind, usize>,
-    /// Total dynamic instructions *actually executed* by the campaign (the
-    /// denominator of simulated-instructions/sec throughput):
-    /// `steps_prefix + steps_suffix + steps_care`. A report built by
-    /// [`from_records`](Self::from_records) alone (a store merge) carries
-    /// the *attributed* view instead: every step field is the sum of the
+    /// Total dynamic instructions of the campaign (the denominator of
+    /// simulated-instructions/sec throughput): the sum of `steps_prefix`,
+    /// `steps_suffix` and `steps_care` — the prefix as executed, the other
+    /// two as attributed (a CARE evaluation's steps include the suffix up to
+    /// its trap, which ran once, for the unprotected classification). A
+    /// report built by [`from_records`](Self::from_records) alone (a store
+    /// merge) is attributed throughout: every step field is the sum of the
     /// per-record splits.
     pub simulated_steps: u64,
     /// Prefix-stage instructions actually executed by the cursor pass
@@ -1085,7 +1058,8 @@ pub struct CampaignReport {
     pub steps_prefix: u64,
     /// Unprotected-suffix instructions.
     pub steps_suffix: u64,
-    /// CARE-protected re-run instructions.
+    /// CARE-protected run instructions, each counted from its injection
+    /// point ([`StepSplit::care`]).
     pub steps_care: u64,
     /// Distinct trellis snapshots forked by the cursor pass; strictly less
     /// than the classified total whenever injection indexes sampled

@@ -43,25 +43,25 @@ pub fn run_protected(
     safeguard: &mut Safeguard,
     max_recoveries: u64,
 ) -> ProtectedExit {
-    run_protected_engine_with_hooks(
-        &simx::InterpEngine,
-        process,
-        safeguard,
-        max_recoveries,
-        &telemetry::NoTelemetry,
-    )
+    let first = process.run();
+    let hooks = &telemetry::NoTelemetry;
+    resume_protected(&simx::InterpEngine, process, first, safeguard, max_recoveries, hooks)
 }
 
-/// [`run_protected`] with the simulation loop routed through an
+/// The recovery loop behind [`run_protected`], from any stop: `process` has
+/// just stopped with `exit` on `engine` (an
 /// [`ExecutionEngine`](simx::ExecutionEngine), so campaigns can drive the
-/// protected path on the compiled backend, and with telemetry hooks
-/// threaded through to [`Safeguard::handle_trap_with_hooks`]. The
-/// simulation loop itself stays uninstrumented — hooks only observe its trap
-/// exits. Trap handling is engine-agnostic: both engines freeze the faulting
-/// frame identically, so Safeguard's patch-and-resume works unchanged.
-pub fn run_protected_engine_with_hooks<H: telemetry::Hooks>(
+/// protected path on the compiled backend); route that exit and every later
+/// one through [`Safeguard::handle_trap_with_hooks`] until the program
+/// completes or dies. A caller already holding a process frozen on its trap
+/// (a campaign's unprotected classification run) resumes from that state
+/// instead of re-executing to it. The simulation loop stays uninstrumented —
+/// hooks only observe its trap exits — and trap handling is engine-agnostic:
+/// both engines freeze the faulting frame identically.
+pub fn resume_protected<H: telemetry::Hooks>(
     engine: &dyn simx::ExecutionEngine,
     process: &mut Process,
+    mut exit: RunExit,
     safeguard: &mut Safeguard,
     max_recoveries: u64,
     hooks: &H,
@@ -69,11 +69,11 @@ pub fn run_protected_engine_with_hooks<H: telemetry::Hooks>(
     let mut recoveries = 0u64;
     let mut recovery_ms = 0.0f64;
     loop {
-        match engine.run(process) {
+        match exit {
             RunExit::Done(result) => {
                 return ProtectedExit::Completed { result, recoveries, recovery_ms }
             }
-            RunExit::BreakHit => continue, // injector breakpoints are consumed upstream
+            RunExit::BreakHit => {} // injector breakpoints are consumed upstream
             RunExit::Trapped(trap) => {
                 if trap.kind == TrapKind::OutOfFuel {
                     return ProtectedExit::Hung;
@@ -89,7 +89,6 @@ pub fn run_protected_engine_with_hooks<H: telemetry::Hooks>(
                     RecoveryOutcome::Recovered { time } => {
                         recoveries += 1;
                         recovery_ms += time.total_ms();
-                        // resume: loop re-enters run() at the faulting PC
                     }
                     RecoveryOutcome::NotRecovered(reason) => {
                         return ProtectedExit::Crashed { trap, reason, recoveries }
@@ -97,6 +96,8 @@ pub fn run_protected_engine_with_hooks<H: telemetry::Hooks>(
                 }
             }
         }
+        // Resume: re-enter the engine at the (patched) faulting PC.
+        exit = engine.run(process);
     }
 }
 

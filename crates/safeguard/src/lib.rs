@@ -12,7 +12,7 @@ pub mod driver;
 pub mod runtime;
 
 pub use cost::{CostModel, RecoveryTime};
-pub use driver::{run_protected, run_protected_engine_with_hooks, ProtectedExit};
+pub use driver::{resume_protected, run_protected, ProtectedExit};
 pub use runtime::{
     compute_patch, compute_patch_base_first, DeclineKind, DeclineReason, RecoveryIndex,
     RecoveryOutcome, Safeguard, SafeguardStats, SAFEGUARD_RESIDENT_BYTES,

@@ -204,10 +204,6 @@ pub struct SafeguardStats {
     pub recovered: u64,
     /// Declines by reason kind.
     pub declined: HashMap<DeclineKind, u64>,
-    /// Sum of modelled recovery milliseconds.
-    pub total_recovery_ms: f64,
-    /// Wall-clock seconds actually spent inside the handler.
-    pub handler_wall_s: f64,
 }
 
 /// A module registered for protection: the encoded recovery table plus the
@@ -292,12 +288,10 @@ pub struct Safeguard {
     pub skip_equality_guard: bool,
     /// Lifetime statistics.
     pub stats: SafeguardStats,
-    /// Fixed resident overhead in bytes: the paper measures 27 MB, mostly
-    /// the LLVM + protobuf slices Safeguard links for table decoding.
-    pub resident_overhead_bytes: u64,
 }
 
-/// The paper's fixed memory overhead (27 MB).
+/// The paper's fixed memory overhead (27 MB), mostly the LLVM + protobuf
+/// slices Safeguard links for table decoding.
 pub const SAFEGUARD_RESIDENT_BYTES: u64 = 27 * 1024 * 1024;
 
 impl Safeguard {
@@ -318,7 +312,6 @@ impl Safeguard {
             patch_base_first: false,
             skip_equality_guard: false,
             stats: SafeguardStats::default(),
-            resident_overhead_bytes: SAFEGUARD_RESIDENT_BYTES,
         }
     }
 
@@ -360,18 +353,16 @@ impl Safeguard {
         trap: Trap,
         hooks: &H,
     ) -> RecoveryOutcome {
-        let wall = std::time::Instant::now();
+        let wall = H::ENABLED.then(std::time::Instant::now);
         let out = self.handle_inner(process, trap);
-        self.stats.handler_wall_s += wall.elapsed().as_secs_f64();
         self.stats.activations += 1;
-        if H::ENABLED {
+        if let Some(wall) = wall {
             hooks.add("recovery.activations", 1);
             hooks.record("safeguard.handler_wall_ns", wall.elapsed().as_nanos() as u64);
         }
         match &out {
             RecoveryOutcome::Recovered { time } => {
                 self.stats.recovered += 1;
-                self.stats.total_recovery_ms += time.total_ms();
                 if H::ENABLED {
                     hooks.add("recovery.recovered", 1);
                     let ns = |ms: f64| (ms * 1e6) as u64;

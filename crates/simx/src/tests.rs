@@ -892,7 +892,7 @@ fn break_set_slot_table_edges() {
 // ---------------------------------------------------------------------------
 
 use crate::engine::{CompiledEngine, EngineKind, ExecutionEngine, InterpEngine};
-use crate::translate::TranslationCache;
+use crate::translate::{TranslationCache, SWEEP_AT};
 use std::sync::Arc;
 
 /// A module exercising every engine-relevant shape: fused compare+branch
@@ -1039,6 +1039,25 @@ fn translation_fuses_and_caches() {
             + stats.fused_glo_load
             + stats.fused_mov_mov
     );
+}
+
+#[test]
+fn translation_cache_forgets_what_no_engine_holds() {
+    let tiny = |k: usize| {
+        let mut mb = ModuleBuilder::new("tiny", "t.c");
+        mb.define("main", vec![], Some(Ty::I64), |fb| fb.ret(Some(Value::i64(k as i64))));
+        compile_module(&mb.finish(), false, &[])
+    };
+    let cache = TranslationCache::default();
+    let held = cache.get_or_translate(&tiny(0));
+    for k in 1..=2 * SWEEP_AT {
+        drop(cache.get_or_translate(&tiny(k)));
+        assert!(cache.len() <= SWEEP_AT, "{} entries after {k} modules", cache.len());
+    }
+    assert_eq!(cache.misses(), 2 * SWEEP_AT as u64 + 1);
+    // Sweeps ran, and the translation an engine still holds survived them.
+    assert!(Arc::ptr_eq(&held, &cache.get_or_translate(&tiny(0))));
+    assert_eq!(cache.hits(), 1);
 }
 
 #[test]

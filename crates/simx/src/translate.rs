@@ -587,12 +587,20 @@ fn content_key(mm: &MachineModule) -> u64 {
 /// construction: identical machine code shares one `Arc`'d translation
 /// across every process, fork and campaign; recompiling at a different opt
 /// level produces different machine code and therefore a fresh entry.
+///
+/// It never outgrows what is in use: an insert that finds `SWEEP_AT` (64)
+/// entries first drops every translation no engine holds, so a server fed
+/// a stream of distinct modules keeps those of its live (cached or running)
+/// campaigns plus a bounded tail.
 #[derive(Default)]
 pub struct TranslationCache {
     map: Mutex<HashMap<u64, Arc<TranslatedModule>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// Cache size at which an insert sweeps out the unreferenced entries.
+pub(crate) const SWEEP_AT: usize = 64;
 
 impl TranslationCache {
     /// The process-global cache (what [`CompiledEngine::for_image`]
@@ -615,7 +623,11 @@ impl TranslationCache {
         // module resolves to whichever entry landed first.
         let t = Arc::new(translate_module(mm));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(t))
+        let mut map = self.map.lock().unwrap();
+        if map.len() >= SWEEP_AT {
+            map.retain(|_, held| Arc::strong_count(held) > 1);
+        }
+        Arc::clone(map.entry(key).or_insert(t))
     }
 
     /// Cache hits so far (lookups that reused a translation).
