@@ -735,7 +735,6 @@ mod tests {
             .unwrap();
         let _ = key;
         // Lay out the APP globals; run the kernel module against them.
-        use tinyir::mem::Memory;
         let mut mem = tinyir::mem::PagedMemory::new();
         let gaddrs = tinyir::interp::layout_globals(&m, &mut mem, 0x1000_0000);
         // Fill igrid[3] = 17.

@@ -153,27 +153,24 @@ impl Session {
         CampaignConfig { evaluate_care: true, app_only: true, ..self.manifestation_cfg(model) }
     }
 
+    /// The session's telemetry hooks: the recorder when one is attached,
+    /// [`NoTelemetry`] otherwise.
+    pub fn hooks(&self) -> &dyn Hooks {
+        match &self.recorder {
+            Some(r) => r,
+            None => &NoTelemetry,
+        }
+    }
+
     /// Run `cfg` on a prepared workload — the one campaign entry point of
-    /// the harness. A recorder attaches telemetry hooks (without one this
-    /// monomorphizes with [`NoTelemetry`] to exactly the plain campaign). A
+    /// the harness, under the session's [`hooks`](Self::hooks). A
     /// store takes a keyed run through its record log: known records are
     /// reused, only the residual injections execute, the report is
     /// bit-identical to a fresh full run, and one stderr line says how warm
     /// it was. A store I/O failure falls back to the unbacked run:
     /// persistence degrades, results do not.
     pub fn run(&self, p: &PreparedWorkload, cfg: &CampaignConfig) -> CampaignReport {
-        match &self.recorder {
-            Some(r) => self.run_hooked(p, cfg, r),
-            None => self.run_hooked(p, cfg, &NoTelemetry),
-        }
-    }
-
-    fn run_hooked<H: Hooks>(
-        &self,
-        p: &PreparedWorkload,
-        cfg: &CampaignConfig,
-        hooks: &H,
-    ) -> CampaignReport {
+        let hooks = self.hooks();
         if let (Some(store), Some(key)) = (&self.store, &p.key) {
             match store.run_campaign(key, &p.campaign, cfg, hooks, &faultsim::JobControl::new()) {
                 Ok(carestore::StoreRun { report, stats }) => {
@@ -429,10 +426,7 @@ fn cluster_job(s: &Session) -> Table {
     let cfg = ClusterConfig::default();
     let base = simulate_fault_free(&cfg);
     let care_res = Resilience::Care { events: vec![(cfg.timesteps / 2, r0.recovery_ms)] };
-    let care_run = match &s.recorder {
-        Some(h) => simulate_faulty_traced(&cfg, cfg.timesteps / 2, &care_res, h),
-        None => simulate_faulty(&cfg, cfg.timesteps / 2, &care_res),
-    };
+    let care_run = simulate_faulty_traced(&cfg, cfg.timesteps / 2, &care_res, s.hooks());
     let mut t = Table::new(
         "Figure 10: 512-rank x 6-thread GTC-P job, fault on rank 0",
         &["Scenario", "Makespan (s)", "Overhead (s)", "Restart (s)"],

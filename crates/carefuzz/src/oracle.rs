@@ -34,7 +34,7 @@ use simx::{compile_module, BreakSet, MachineModule, Process, RunExit};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tinyir::interp::{layout_globals, Interp};
-use tinyir::mem::{Memory, PagedMemory};
+use tinyir::mem::PagedMemory;
 use tinyir::{
     display::print_module, parser::parse_module, verify::verify_module, Callee, CastOp, FuncId,
     Global, GlobalInit, ICmp, Instr, InstrId, InstrKind, Module, Ty, Value,

@@ -50,8 +50,10 @@ pub const MAX_MODULE_BYTES: usize = 256 << 10;
 /// Cap on per-job injection count a server will accept.
 pub const MAX_INJECTIONS: usize = 100_000;
 
-/// Cap on a named workload's size parameters (keeps one job's golden run
-/// bounded; the §2 defaults are far below it).
+/// Cap on a named workload's size parameters: keeps the builders' size
+/// arithmetic (cubes and products of them) inside `i64`. It does not bound
+/// the golden run — `hpccg [256, 4096]` passes and asks for ≈ 10¹² steps;
+/// [`faultsim::MAX_GOLDEN_STEPS`] does.
 pub const MAX_WORKLOAD_PARAM: i64 = 4096;
 
 /// Why the server refused a frame or a job. The reason travels as a stable

@@ -458,13 +458,13 @@ fn run_job(
                     None => srv.prepare_campaign(&key, &spec, workload),
                 };
                 let cfg = spec.campaign_config();
-                if spec.telemetry {
-                    let rec = Recorder::new();
-                    let report = run_backed(&srv, &ckey, &campaign, &cfg, &rec, &ctl);
-                    (report, Some(rec.drain().to_jsonl()))
-                } else {
-                    (run_backed(&srv, &ckey, &campaign, &cfg, &NoTelemetry, &ctl), None)
-                }
+                let rec = spec.telemetry.then(Recorder::new);
+                let hooks: &dyn Hooks = match &rec {
+                    Some(r) => r,
+                    None => &NoTelemetry,
+                };
+                let report = run_backed(&srv, &ckey, &campaign, &cfg, hooks, &ctl);
+                (report, rec.map(|r| r.drain().to_jsonl()))
             }));
             let _ = tx.send(result.map_err(panic_message));
         })
@@ -563,12 +563,12 @@ fn run_job(
 /// server has one (warm records reused, only the residual executed, fresh
 /// records appended), directly otherwise. A store I/O failure degrades to
 /// a direct run — the job still completes, this run just isn't persisted.
-fn run_backed<H: Hooks>(
+fn run_backed(
     srv: &Srv,
     key: &CampaignKey,
     campaign: &Campaign,
     cfg: &CampaignConfig,
-    hooks: &H,
+    hooks: &dyn Hooks,
     ctl: &JobControl,
 ) -> CampaignReport {
     if let Some(store) = &srv.store {

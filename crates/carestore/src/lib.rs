@@ -22,7 +22,7 @@
 //!   `store.*` telemetry counters;
 //! * [`lru`] — the capacity-bounded cache careserve uses for prepared
 //!   campaigns;
-//! * [`triage`] — the cross-run dedup/clustering pass over a whole store
+//! * [`mod@triage`] — the cross-run dedup/clustering pass over a whole store
 //!   by `(outcome kind, decline, fault site)`.
 
 pub mod hash;

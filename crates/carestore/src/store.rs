@@ -119,12 +119,12 @@ impl Store {
     /// records, execute only the residual (appending incrementally, so a
     /// kill loses at most in-flight work), and merge into the canonical
     /// report. See the module docs for the identity contract.
-    pub fn run_campaign<H: Hooks>(
+    pub fn run_campaign(
         &self,
         key: &CampaignKey,
         campaign: &Campaign,
         cfg: &CampaignConfig,
-        hooks: &H,
+        hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> std::io::Result<StoreRun> {
         let path = self.log_path(key);
@@ -168,7 +168,7 @@ impl Store {
         if !cfg.keep_records {
             report.records = Vec::new();
         }
-        if H::ENABLED {
+        if hooks.enabled() {
             hooks.add("store.hits", stats.hits);
             hooks.add("store.misses", stats.misses);
             hooks.add("store.known_skips", stats.known_skips);

@@ -138,11 +138,11 @@ pub fn simulate_faulty(
 /// the Figure 10 absorption argument as a per-barrier trace. All quantities
 /// are virtual-time (deterministic); the outcome is identical to the
 /// hook-free run.
-pub fn simulate_faulty_traced<H: telemetry::Hooks>(
+pub fn simulate_faulty_traced(
     cfg: &ClusterConfig,
     fault_step: u64,
     resilience: &Resilience,
-    hooks: &H,
+    hooks: &dyn telemetry::Hooks,
 ) -> JobOutcome {
     let base = simulate_fault_free(cfg);
     match resilience {
@@ -169,7 +169,7 @@ pub fn simulate_faulty_traced<H: telemetry::Hooks>(
                 let unfaulted = step_time_ms(cfg, 0, t).max(maxr) + cfg.allreduce_ms;
                 total += step;
                 overhead += step - unfaulted;
-                if H::ENABLED && delay > 0.0 {
+                if hooks.enabled() && delay > 0.0 {
                     let exposed = step - unfaulted;
                     let slack = maxr - step_time_ms(cfg, 0, t);
                     hooks.add(
@@ -178,13 +178,13 @@ pub fn simulate_faulty_traced<H: telemetry::Hooks>(
                     );
                     // Microseconds keep sub-ms slack visible in log2 buckets.
                     hooks.record("barrier.exposed_us", (exposed * 1e3) as u64);
-                    hooks.emit(|| {
+                    hooks.emit(
                         telemetry::Event::new("barrier")
                             .field("step", t)
                             .field("recovery_ms", delay)
                             .field("slack_ms", slack.max(0.0))
-                            .field("exposed_ms", exposed)
-                    });
+                            .field("exposed_ms", exposed),
+                    );
                 }
             }
             JobOutcome { makespan_ms: total, overhead_ms: overhead, restart_ms: overhead }

@@ -325,11 +325,28 @@ pub struct Campaign {
     recovery: Arc<RecoveryIndex>,
 }
 
+/// The longest golden run [`Campaign::prepare`] accepts, in dynamic
+/// instructions (1 700× the longest bundled one, CoMD at `-O0`; ≈ 11 s of
+/// profiled loop). A program still running there fails preparation like a
+/// trapping one: nothing downstream can poll a cancel inside the golden run,
+/// so this is what lets a server discard a job that would never finish.
+pub const MAX_GOLDEN_STEPS: u64 = 1 << 30;
+
 impl Campaign {
     /// Compile-independent preparation: run the workload once fault-free
     /// (with profiling), snapshot its outputs, and set up the shared
-    /// injection machinery.
+    /// injection machinery. Panics when the golden run traps or is still
+    /// running after [`MAX_GOLDEN_STEPS`].
     pub fn prepare(workload: &Workload, exe: CompiledApp, libs: Vec<CompiledApp>) -> Campaign {
+        Campaign::prepare_bounded(workload, exe, libs, MAX_GOLDEN_STEPS)
+    }
+
+    fn prepare_bounded(
+        workload: &Workload,
+        exe: CompiledApp,
+        libs: Vec<CompiledApp>,
+        max_golden_steps: u64,
+    ) -> Campaign {
         let mut template = build_process(&exe, &libs);
         template.start(workload.entry, &workload.args);
         let mut p = template.clone();
@@ -343,9 +360,14 @@ impl Campaign {
         let mut checkpoints: Vec<ProfileCheckpoint> = Vec::new();
         let mut quantum: u64 = 1 << 10;
         let exit = loop {
-            p.fuel = quantum;
+            p.fuel = quantum.min(max_golden_steps - p.steps);
             match p.run() {
                 RunExit::Trapped(t) if t.kind == TrapKind::OutOfFuel => {
+                    assert!(
+                        p.steps < max_golden_steps,
+                        "golden run of {} exceeds {max_golden_steps} steps",
+                        workload.name
+                    );
                     // The pause is bookkeeping, not an observed trap.
                     p.trap_count -= 1;
                     checkpoints.push(ProfileCheckpoint {
@@ -455,22 +477,22 @@ impl Campaign {
     /// deltas of the processes this job ran, and one `job` event whose
     /// `t_ns` stamp traces the queue drain. Hooks never influence the
     /// record: a telemetry-enabled campaign is bit-identical.
-    fn run_suffix<H: Hooks>(
+    fn run_suffix(
         &self,
         cfg: &CampaignConfig,
         point: InjectionPoint,
         rng: &SmallRng,
         mut p: Process,
         engine: &dyn ExecutionEngine,
-        hooks: &H,
+        hooks: &dyn Hooks,
     ) -> Option<InjectionRecord> {
-        let t0 = H::ENABLED.then(std::time::Instant::now);
+        let t0 = hooks.enabled().then(std::time::Instant::now);
         let base_stats = p.mem.stats;
         let prefix_steps = p.steps;
         let mut flip_rng = rng.clone();
         let target = inject(&mut p, point, cfg.model, &mut flip_rng);
         if target == InjectedInto::Skipped {
-            if H::ENABLED {
+            if hooks.enabled() {
                 hooks.add("campaign.skipped", 1);
             }
             return None;
@@ -523,7 +545,7 @@ impl Campaign {
         });
         let tlb = p.mem.stats.since(&base_stats);
 
-        if H::ENABLED {
+        if hooks.enabled() {
             let wall_ns = t0.expect("enabled").elapsed().as_nanos() as u64;
             hooks.add("worker.busy_ns", wall_ns);
             hooks.record("job.wall_ns", wall_ns);
@@ -535,7 +557,7 @@ impl Campaign {
             hooks.add("tlb.stores", tlb.stores);
             hooks.add("tlb.read_misses", tlb.read_tlb_misses);
             hooks.add("tlb.write_misses", tlb.write_tlb_misses);
-            hooks.emit(|| {
+            hooks.emit(
                 Event::new("job")
                     .field("outcome", outcome.name())
                     .field("func", point.func.0 as u64)
@@ -543,8 +565,8 @@ impl Campaign {
                     .field("nth", point.nth)
                     .field("suffix_steps", suffix_steps)
                     .field("care_steps", care_steps)
-                    .field("wall_ns", wall_ns)
-            });
+                    .field("wall_ns", wall_ns),
+            );
         }
 
         let split = StepSplit { prefix: prefix_steps, suffix: suffix_steps, care: care_steps };
@@ -589,12 +611,12 @@ impl Campaign {
     /// The snapshot trellis: sample all points up front, advance the
     /// cursors through the program, CoW-fork a snapshot at each distinct
     /// firing point, then run only the suffixes in parallel.
-    fn run_trellis<H: Hooks>(
+    fn run_trellis(
         &self,
         cfg: &CampaignConfig,
         indices: &[usize],
         engine: &dyn ExecutionEngine,
-        hooks: &H,
+        hooks: &dyn Hooks,
         ctl: &JobControl,
         sink: &dyn RecordSink,
     ) -> CampaignReport {
@@ -699,7 +721,7 @@ impl Campaign {
         report.simulated_steps = cursor_steps
             .saturating_add(report.steps_suffix)
             .saturating_add(report.steps_care);
-        if H::ENABLED {
+        if hooks.enabled() {
             hooks.add("trellis.snapshots", trellis_snapshots as u64);
             hooks.add("trellis.cursor_steps", cursor_steps);
             hooks.add("trellis.shards", cursor_shards as u64);
@@ -774,16 +796,16 @@ impl Campaign {
     /// replay. A program too short for checkpoints is the one-bracket case.
     /// Returns the snapshots in firing order plus the steps this cursor
     /// actually executed, which end at its last firing.
-    fn run_cursor_shard<H: Hooks>(
+    fn run_cursor_shard(
         &self,
         cfg: &CampaignConfig,
         shard_idx: usize,
         shard: &[(usize, InjectionPoint)],
         engine: &dyn ExecutionEngine,
-        hooks: &H,
+        hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> ShardResult {
-        let t0 = H::ENABLED.then(std::time::Instant::now);
+        let t0 = hooks.enabled().then(std::time::Instant::now);
         let mut cursor = self.template.clone();
         cursor.fuel = self.fuel_budget(cfg);
         let mut snapshots: Vec<(InjectionPoint, Process)> = Vec::new();
@@ -829,29 +851,29 @@ impl Campaign {
                 };
                 let nth = rel + base(module, func, inst);
                 snapshots.push((InjectionPoint { module, func, inst, nth }, cursor.clone()));
-                if H::ENABLED {
-                    hooks.emit(|| {
+                if hooks.enabled() {
+                    hooks.emit(
                         Event::new("trellis.fork")
                             .field("shard", shard_idx as u64)
-                            .field("prefix_steps", cursor.steps)
-                    });
+                            .field("prefix_steps", cursor.steps),
+                    );
                 }
             }
         }
-        if H::ENABLED {
+        if hooks.enabled() {
             hooks.add("cursor.replay_steps", replay_steps);
             hooks.add("cursor.window_steps", cursor.steps - replay_steps);
             hooks.record(
                 "trellis.shard_ns",
                 t0.expect("enabled").elapsed().as_nanos() as u64,
             );
-            hooks.emit(|| {
+            hooks.emit(
                 Event::new("trellis.shard")
                     .field("shard", shard_idx as u64)
                     .field("start_step", self.bracket_start(shard[0].0).map_or(0, |c| c.step))
                     .field("window_steps", cursor.steps - replay_steps)
-                    .field("snapshots", snapshots.len() as u64)
-            });
+                    .field("snapshots", snapshots.len() as u64),
+            );
         }
         ShardResult { snapshots, steps: cursor.steps }
     }
@@ -867,7 +889,7 @@ impl Campaign {
     /// queue-drain events, Safeguard's recovery-phase distributions, the
     /// campaign's TLB hit counters, instruction-mix counters derived from
     /// the golden profile, and the campaign-level step-split counters.
-    pub fn run_with_hooks<H: Hooks>(&self, cfg: &CampaignConfig, hooks: &H) -> CampaignReport {
+    pub fn run_with_hooks(&self, cfg: &CampaignConfig, hooks: &dyn Hooks) -> CampaignReport {
         let all: Vec<usize> = (0..cfg.injections).collect();
         self.run_selected(cfg, &all, hooks, &JobControl::new(), &NoSink)
     }
@@ -895,18 +917,18 @@ impl Campaign {
     /// element order) and each `< cfg.injections`. Every produced record is
     /// also pushed through `sink` with its index, from pool workers, as
     /// soon as it is classified — see [`RecordSink`].
-    pub fn run_selected<H: Hooks>(
+    pub fn run_selected(
         &self,
         cfg: &CampaignConfig,
         indices: &[usize],
-        hooks: &H,
+        hooks: &dyn Hooks,
         ctl: &JobControl,
         sink: &dyn RecordSink,
     ) -> CampaignReport {
         let cache = simx::TranslationCache::global();
         let (h0, m0) = (cache.hits(), cache.misses());
         let compiled = self.compiled_engine(cfg);
-        if let (true, Some(eng)) = (H::ENABLED, compiled) {
+        if let (true, Some(eng)) = (hooks.enabled(), compiled) {
             hooks.add("engine.cache_hits", cache.hits().saturating_sub(h0));
             hooks.add("engine.cache_misses", cache.misses().saturating_sub(m0));
             let st = eng.stats();
@@ -919,7 +941,7 @@ impl Campaign {
             hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
         }
         let engine = engine_ref(compiled);
-        let pool0 = H::ENABLED.then(rayon::pool_stats);
+        let pool0 = hooks.enabled().then(rayon::pool_stats);
         let mut report = self.run_trellis(cfg, indices, engine, hooks, ctl, sink);
         report.cancelled = ctl.is_cancelled();
         if let Some(p0) = pool0 {
@@ -931,7 +953,7 @@ impl Campaign {
             hooks.add("pool.steals", p1.steals.saturating_sub(p0.steals));
             hooks.add("pool.workers", p1.workers as u64);
         }
-        if H::ENABLED {
+        if hooks.enabled() {
             hooks.add("campaign.injections", indices.len() as u64);
             hooks.add("campaign.classified", report.total() as u64);
             hooks.add("steps.prefix", report.steps_prefix);
@@ -949,7 +971,7 @@ impl Campaign {
     /// profile — `mix.<mnemonic>` weighted by dynamic execution count. Done
     /// post-hoc against the already-collected [`Profile`], so the simulation
     /// loops are never instrumented for it.
-    fn record_instruction_mix<H: Hooks>(&self, hooks: &H) {
+    fn record_instruction_mix(&self, hooks: &dyn Hooks) {
         let mods: Vec<&simx::MachineModule> = std::iter::once(self.exe.machine.as_ref())
             .chain(self.libs.iter().map(|l| l.machine.as_ref()))
             .collect();
@@ -1175,10 +1197,8 @@ mod trellis_tests {
     use super::*;
     use opt::OptLevel;
 
-    fn tiny_campaign() -> Campaign {
-        // A deliberately short program: with ~tens of eligible dynamic
-        // instructions and many injections, the pigeonhole principle
-        // guarantees duplicate `(I, n)` samples.
+    /// `main(n)` runs `n` loop iterations.
+    fn tiny_workload(n: u64) -> Workload {
         use tinyir::builder::ModuleBuilder;
         use tinyir::{Ty, Value};
         let mut mb = ModuleBuilder::new("tiny", "tiny.c");
@@ -1196,9 +1216,26 @@ mod trellis_tests {
             let r = fb.load(acc, Ty::I64);
             fb.ret(Some(r));
         });
-        let w = workloads::Workload::new("tiny", mb.finish(), vec![6], vec![("out", 64)]);
+        Workload::new("tiny", mb.finish(), vec![n], vec![("out", 64)])
+    }
+
+    fn tiny_campaign() -> Campaign {
+        // A deliberately short program: with ~tens of eligible dynamic
+        // instructions and many injections, the pigeonhole principle
+        // guarantees duplicate `(I, n)` samples.
+        let w = tiny_workload(6);
         let app = care::compile(&w.module, OptLevel::O1);
         Campaign::prepare(&w, app, vec![])
+    }
+
+    /// A golden run that would never end fails preparation at the bound
+    /// (like a trapping one) instead of spinning where no cancel is polled.
+    #[test]
+    #[should_panic(expected = "golden run of tiny exceeds 65536 steps")]
+    fn golden_run_still_going_at_the_bound_fails_preparation() {
+        let w = tiny_workload(i64::MAX as u64);
+        let app = care::compile(&w.module, OptLevel::O1);
+        Campaign::prepare_bounded(&w, app, vec![], 1 << 16);
     }
 
     /// HPCCG at the golden tests' size: long enough for a checkpoint trail.
@@ -1462,9 +1499,11 @@ mod trellis_tests {
         /// Cancels the job at the cursor's first fork.
         struct CancelOnFork<'a>(&'a JobControl);
         impl Hooks for CancelOnFork<'_> {
-            const ENABLED: bool = true;
-            fn emit(&self, make: impl FnOnce() -> Event) {
-                if make().kind == "trellis.fork" {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn emit(&self, event: Event) {
+                if event.kind == "trellis.fork" {
                     self.0.cancel();
                 }
             }

@@ -15,7 +15,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simx::{DestRef, ModuleId, Process, Profile};
-use tinyir::mem::Memory;
 use tinyir::FuncId;
 
 /// Single- or double-bit-flip fault model (paper §2 / Appendix A).

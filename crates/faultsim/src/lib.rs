@@ -20,7 +20,7 @@ pub mod wire;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, CareResult, InjectionRecord, JobControl, NoSink,
-    Outcome, RecordSink, Signal, StepSplit,
+    Outcome, RecordSink, Signal, StepSplit, MAX_GOLDEN_STEPS,
 };
 pub use injector::{FaultModel, InjectedInto, InjectionPoint};
 pub use simx::EngineKind;

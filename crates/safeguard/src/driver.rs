@@ -58,13 +58,13 @@ pub fn run_protected(
 /// instead of re-executing to it. The simulation loop stays uninstrumented —
 /// hooks only observe its trap exits — and trap handling is engine-agnostic:
 /// both engines freeze the faulting frame identically.
-pub fn resume_protected<H: telemetry::Hooks>(
+pub fn resume_protected(
     engine: &dyn simx::ExecutionEngine,
     process: &mut Process,
     mut exit: RunExit,
     safeguard: &mut Safeguard,
     max_recoveries: u64,
-    hooks: &H,
+    hooks: &dyn telemetry::Hooks,
 ) -> ProtectedExit {
     let mut recoveries = 0u64;
     let mut recovery_ms = 0.0f64;

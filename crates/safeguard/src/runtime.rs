@@ -29,7 +29,6 @@ use simx::cpu::effective_addr;
 use simx::{MemOp, ModuleId, Process, Trap, TrapKind, VarPlace, FP};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use tinyir::mem::Memory;
 use tinyir::Module;
 
 /// Why Safeguard declined to repair a trap. Each reason maps to a concrete
@@ -347,13 +346,13 @@ impl Safeguard {
     /// measured, reproducible histogram rather than one arithmetic check.
     /// The only wall-clock sample is `safeguard.handler_wall_ns` (the
     /// simulator's own handler overhead).
-    pub fn handle_trap_with_hooks<H: telemetry::Hooks>(
+    pub fn handle_trap_with_hooks(
         &mut self,
         process: &mut Process,
         trap: Trap,
-        hooks: &H,
+        hooks: &dyn telemetry::Hooks,
     ) -> RecoveryOutcome {
-        let wall = H::ENABLED.then(std::time::Instant::now);
+        let wall = hooks.enabled().then(std::time::Instant::now);
         let out = self.handle_inner(process, trap);
         self.stats.activations += 1;
         if let Some(wall) = wall {
@@ -363,7 +362,7 @@ impl Safeguard {
         match &out {
             RecoveryOutcome::Recovered { time } => {
                 self.stats.recovered += 1;
-                if H::ENABLED {
+                if hooks.enabled() {
                     hooks.add("recovery.recovered", 1);
                     let ns = |ms: f64| (ms * 1e6) as u64;
                     hooks.record("recovery.diagnose_ns", ns(time.diagnose_ms));
@@ -378,19 +377,19 @@ impl Safeguard {
                     if bp > 9800 {
                         hooks.add("recovery.prep_over_98pct", 1);
                     }
-                    hooks.emit(|| {
+                    hooks.emit(
                         telemetry::Event::new("recovery")
                             .field("pc", trap.pc)
                             .field("total_ms", time.total_ms())
                             .field("prep_bp", bp)
-                            .field("kernel_ns", ns(time.kernel_ms))
-                    });
+                            .field("kernel_ns", ns(time.kernel_ms)),
+                    );
                 }
             }
             RecoveryOutcome::NotRecovered(r) => {
                 let kind = r.kind();
                 *self.stats.declined.entry(kind).or_default() += 1;
-                if H::ENABLED {
+                if hooks.enabled() {
                     hooks.add("recovery.declined", 1);
                     hooks.add(kind.counter_name(), 1);
                 }
@@ -533,12 +532,13 @@ impl Safeguard {
             return NotRecovered(DeclineReason::SameAddress);
         }
 
-        // (9) Disassemble the faulting instruction (the capstone/udis86
-        // step) to find which operand refers to memory, then patch it.
-        let Some(inst) = process.current_inst().cloned() else {
+        // (9) Find which operand of the faulting instruction refers to
+        // memory (the capstone/udis86 step; SimISA keeps instructions
+        // decoded, so there is nothing to disassemble), then patch it.
+        let Some(inst) = process.current_inst() else {
             return NotRecovered(DeclineReason::UnknownPc);
         };
-        let Some(mem) = simx::decode(&inst).mem else {
+        let Some(mem) = inst.mem_operand().copied() else {
             return NotRecovered(DeclineReason::NoMemOperand);
         };
         let patch = if self.patch_base_first {

@@ -14,7 +14,7 @@ use crate::image::{
 use crate::isa::{MInst, MemOp, Reg, Src, FP, NUM_REGS, SP};
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
-use tinyir::mem::{MemFault, Memory, PagedMemory, PAGE_SIZE};
+use tinyir::mem::{MemFault, PagedMemory, PAGE_SIZE};
 use tinyir::{FuncId, Intrinsic, Ty};
 
 /// Why the machine stopped.

@@ -27,9 +27,9 @@
 //! exists to remove, but the budget must stay exact (hang classification
 //! and Table 4's latency buckets depend on it). The engine charges fuel per
 //! straight-line *segment*: at each segment entry it compares the remaining
-//! budget against the translation's precomputed steps-to-block-end
-//! ([`ste`](translate)); with enough fuel the segment body runs with the
-//! per-step zero-check compiled out, otherwise the same body runs in
+//! budget against the translation's precomputed steps-to-block-end (`ste`,
+//! see [`crate::translate`]); with enough fuel the segment body runs with
+//! the per-step zero-check compiled out, otherwise the same body runs in
 //! checked mode — the "interpreter fallback" for the final partial block,
 //! stopping on the exact instruction the interpreter would. In-function
 //! branches re-check the invariant *inline* (fuel against `ste[target]`):
@@ -53,7 +53,7 @@ use crate::translate::{
 };
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
-use tinyir::mem::{MemFault, Memory, PagedMemory};
+use tinyir::mem::{MemFault, PagedMemory};
 use tinyir::{FuncId, Intrinsic};
 
 /// Version of the engines' *observable record semantics*: what a

@@ -99,19 +99,6 @@ impl MemOp {
     }
 }
 
-impl std::fmt::Display for MemOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(", self.disp)?;
-        if let Some(b) = self.base {
-            write!(f, "{b}")?;
-        }
-        if let Some(i) = self.index {
-            write!(f, ",{i},{}", self.scale)?;
-        }
-        write!(f, ")")
-    }
-}
-
 /// A source operand: register, immediate, folded memory reference, or the
 /// link-time address of a global (resolved against the loaded module's
 /// global table, modelling RIP-relative data addressing).
@@ -125,17 +112,6 @@ pub enum Src {
     Mem(MemOp, u8),
     /// Address of a global in the current module.
     Global(GlobalId),
-}
-
-impl std::fmt::Display for Src {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Src::Reg(r) => write!(f, "{r}"),
-            Src::Imm(v) => write!(f, "${v}"),
-            Src::Mem(m, s) => write!(f, "{m}:{s}"),
-            Src::Global(g) => write!(f, "@g{}", g.0),
-        }
-    }
 }
 
 /// Branch target: an instruction index within the current function.

@@ -20,14 +20,12 @@
 pub mod codegen;
 pub mod cpu;
 pub mod debug;
-pub mod disasm;
 pub mod engine;
 pub mod image;
 pub mod isa;
 pub mod translate;
 
 pub use codegen::compile_module;
-pub use disasm::{decode, disassemble_function, disassemble_module, format_inst, Decoded};
 pub use cpu::{BreakSet, DestRef, Frame, Process, Profile, RunExit, Trap, TrapKind};
 pub use engine::{
     advance_to_step, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine, ENGINE_VERSION,

@@ -1,33 +1,35 @@
-//! # telemetry — zero-overhead observability for the CARE stack
+//! # telemetry — observability for the CARE stack, silent unless asked
 //!
 //! The paper's headline quantitative claims are *timing* claims: >98 % of a
 //! recovery is preparation rather than kernel execution (§5.3), and a
 //! dozens-of-milliseconds rank-0 recovery disappears into the next allreduce
 //! barrier (Fig. 10). This crate turns those from single modelled numbers
 //! into first-class measured artefacts — distributions, counters and a
-//! machine-readable event stream — without costing the instrumented fast
-//! paths anything when disabled.
+//! machine-readable event stream — and computes none of it when nobody
+//! listens.
 //!
-//! ## The hook-parameter design
+//! ## The hooks value
 //!
-//! Instrumented code takes a generic `H: `[`Hooks`] parameter instead of a
-//! concrete recorder. [`Hooks::ENABLED`] is an associated constant, so every
-//! call site is written as
+//! Instrumented code takes `hooks: &dyn `[`Hooks`] instead of a concrete
+//! recorder, and every call site is written as
 //!
 //! ```ignore
-//! if H::ENABLED {
+//! if hooks.enabled() {
 //!     hooks.add("tlb.loads", stats.loads);
 //! }
 //! ```
 //!
-//! and monomorphization with [`NoTelemetry`] (`ENABLED = false`) deletes the
-//! branch and its operands entirely — the disabled path compiles to exactly
-//! the uninstrumented code, which is what lets `simx`'s `run_loop::<HOOKS>`
-//! fast loop stay hook-free and the campaign engine claim a 0 % disabled-
-//! mode regression. The enabled implementation is [`Recorder`]: per-thread
-//! **shards** (uncontended mutexes reached through a thread-local cache)
-//! accumulate counters, histograms and events, and [`Recorder::drain`]
-//! merges them into a [`TelemetryReport`].
+//! [`NoTelemetry`] answers `false`, so a plain campaign skips the branch and
+//! never builds its operands; the enabled implementation is [`Recorder`]:
+//! per-thread **shards** (uncontended mutexes reached through a thread-local
+//! cache) accumulate counters, histograms and events, and
+//! [`Recorder::drain`] merges them into a [`TelemetryReport`]. Every
+//! instrumented site runs once per trap, injection, cursor shard or
+//! campaign; the per-step loops (`simx`, `tinyir`) do not know this crate
+//! exists, so the guard is never on a hot path, the campaign core is
+//! compiled once, and a live recorder costs 1–4 % of a warm job (ROADMAP,
+//! observability item). That the off path touches nothing is pinned by
+//! `tests/telemetry.rs` with hooks that panic when reached.
 //!
 //! ## Primitives
 //!

@@ -1,15 +1,19 @@
-//! The hook trait and its two implementations: the compiled-away
-//! [`NoTelemetry`] and the sharded [`Recorder`].
+//! The hook trait and its two implementations: the silent [`NoTelemetry`]
+//! and the sharded [`Recorder`].
 //!
-//! # Why a generic parameter and not a field
+//! # Why a value and not a type parameter
 //!
-//! Instrumented functions take `hooks: &H` with `H: Hooks` and guard every
-//! telemetry statement with `if H::ENABLED { ... }`. `ENABLED` is an
-//! associated *constant*, so the `NoTelemetry` monomorphization folds the
-//! guard to `if false` and dead-code-eliminates the whole block — operands,
-//! `Instant::now()` calls, everything. The disabled path is not "cheap", it
-//! is *absent*, which is the property the campaign-throughput acceptance
-//! bar (0 % disabled-mode regression) rests on.
+//! Instrumented functions take `hooks: &dyn Hooks` and guard every
+//! telemetry statement with `if hooks.enabled() { ... }`, so operands,
+//! `Instant::now()` calls and events are built only when someone listens.
+//! Every such site runs once per trap, injection, cursor shard or campaign
+//! — never per simulated step: the step loops and the memory hot path live
+//! in `simx` and `tinyir`, which do not depend on this crate — so the off
+//! path costs one predictable branch per site, and the campaign core is
+//! compiled once instead of once per observer type. "Nothing observes when
+//! nobody listens" is held by a test (`tests/telemetry.rs` drives every
+//! instrumented entry point with hooks that panic when touched), not by
+//! the optimizer.
 //!
 //! # Sharding
 //!
@@ -31,66 +35,44 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-/// The telemetry hook surface instrumented code is generic over.
+/// The telemetry hook surface instrumented code takes as `&dyn Hooks`.
 ///
-/// All methods have empty defaults; implementations override what they
-/// support. Call sites must guard with `if H::ENABLED` so the disabled
-/// monomorphization compiles away entirely (see module docs).
+/// The recording methods have empty defaults; implementations override what
+/// they support. Call sites must guard with `if hooks.enabled()` so nothing
+/// is computed for an observer that is not there (see module docs).
 pub trait Hooks: Sync {
-    /// Monomorphization switch: `false` deletes every guarded call site.
-    const ENABLED: bool;
+    /// Is anyone listening? `false` makes every guarded call site a skipped
+    /// branch.
+    fn enabled(&self) -> bool;
 
     /// Add `delta` to the named counter.
-    #[inline(always)]
     fn add(&self, _name: &'static str, _delta: u64) {}
 
     /// Record one sample into the named histogram. By convention names end
     /// in `_ns` (wall-clock span), `_steps` (simulated-step span) or a unit
     /// suffix like `_bp` (basis points).
-    #[inline(always)]
     fn record(&self, _name: &'static str, _value: u64) {}
 
-    /// Emit a structured event. The closure is only invoked when enabled,
-    /// so building the event costs nothing in the disabled build.
-    #[inline(always)]
-    fn emit(&self, _make: impl FnOnce() -> Event) {}
+    /// Emit a structured event. Build it inside the `enabled()` guard, so
+    /// it costs nothing when nobody listens.
+    fn emit(&self, _event: Event) {}
 }
 
-/// The disabled hooks: every call site guarded by `Self::ENABLED`
-/// monomorphizes to nothing.
+/// The disabled hooks: `enabled()` is `false` and nothing is recorded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoTelemetry;
 
 impl Hooks for NoTelemetry {
-    const ENABLED: bool = false;
-}
-
-/// Hooks pass through shared references, so `&H` is as good as `H`.
-impl<H: Hooks> Hooks for &H {
-    const ENABLED: bool = H::ENABLED;
-
-    #[inline(always)]
-    fn add(&self, name: &'static str, delta: u64) {
-        (*self).add(name, delta);
-    }
-
-    #[inline(always)]
-    fn record(&self, name: &'static str, value: u64) {
-        (*self).record(name, value);
-    }
-
-    #[inline(always)]
-    fn emit(&self, make: impl FnOnce() -> Event) {
-        (*self).emit(make);
+    fn enabled(&self) -> bool {
+        false
     }
 }
 
 /// Time `f` and record the elapsed wall-clock nanoseconds into `name`
-/// (which should end in `_ns`). With `H::ENABLED == false` this inlines to
-/// a plain call to `f` — no clock reads.
-#[inline(always)]
-pub fn timed<H: Hooks, R>(hooks: &H, name: &'static str, f: impl FnOnce() -> R) -> R {
-    if H::ENABLED {
+/// (which should end in `_ns`). With hooks disabled this is a plain call to
+/// `f` — no clock reads.
+pub fn timed<R>(hooks: &dyn Hooks, name: &'static str, f: impl FnOnce() -> R) -> R {
+    if hooks.enabled() {
         let t0 = Instant::now();
         let r = f();
         hooks.record(name, t0.elapsed().as_nanos() as u64);
@@ -218,7 +200,9 @@ impl Recorder {
 }
 
 impl Hooks for Recorder {
-    const ENABLED: bool = true;
+    fn enabled(&self) -> bool {
+        true
+    }
 
     fn add(&self, name: &'static str, delta: u64) {
         let shard = self.shard();
@@ -236,8 +220,8 @@ impl Hooks for Recorder {
             .record(value);
     }
 
-    fn emit(&self, make: impl FnOnce() -> Event) {
-        let ev = make().field("t_ns", self.elapsed_ns());
+    fn emit(&self, event: Event) {
+        let ev = event.field("t_ns", self.elapsed_ns());
         self.shard().events.lock().unwrap().push(ev);
     }
 }
@@ -288,8 +272,8 @@ mod tests {
     #[test]
     fn events_are_stamped_and_time_ordered() {
         let r = Recorder::new();
-        r.emit(|| Event::new("a"));
-        r.emit(|| Event::new("b"));
+        r.emit(Event::new("a"));
+        r.emit(Event::new("b"));
         let rep = r.drain();
         assert_eq!(rep.events.len(), 2);
         let stamps: Vec<u64> = rep
@@ -335,7 +319,7 @@ mod tests {
         let h = NoTelemetry;
         h.add("x", 1);
         h.record("y", 2);
-        h.emit(|| panic!("must not be built"));
+        h.emit(Event::new("dropped"));
         assert_eq!(timed(&h, "z_ns", || 42), 42);
         let r = Recorder::new();
         assert_eq!(timed(&r, "z_ns", || 42), 42);

@@ -151,7 +151,7 @@ mod tests {
         r.add("tlb.read_misses", 3);
         r.record("recovery.kernel_ns", 12_000);
         r.record("recovery.kernel_ns", 15_000);
-        r.emit(|| Event::new("job").field("workload", "HPCCG").field("step", 42u64));
+        r.emit(Event::new("job").field("workload", "HPCCG").field("step", 42u64));
         r.drain()
     }
 

@@ -16,7 +16,7 @@
 
 use crate::debugloc::DebugLoc;
 use crate::instr::{BinOp, Callee, CastOp, FCmp, ICmp, InstrKind, Intrinsic};
-use crate::mem::{MemFault, Memory};
+use crate::mem::{MemFault, PagedMemory};
 use crate::module::Module;
 use crate::types::Ty;
 use crate::value::{BlockId, FuncId, GlobalId, InstrId, Value};
@@ -101,7 +101,7 @@ pub fn const_bits(v: Value) -> Option<u64> {
 ///
 /// Guard pages make stray addresses fault quickly, which is what gives the
 /// single-bit-flip campaign its SIGSEGV-dominated failure profile.
-pub fn layout_globals<M: Memory>(module: &Module, mem: &mut M, base: u64) -> Vec<u64> {
+pub fn layout_globals(module: &Module, mem: &mut PagedMemory, base: u64) -> Vec<u64> {
     let mut addrs = Vec::with_capacity(module.globals.len());
     let mut cur = base;
     for g in &module.globals {
@@ -112,8 +112,8 @@ pub fn layout_globals<M: Memory>(module: &Module, mem: &mut M, base: u64) -> Vec
         // Leave one unmapped guard page after the data.
         cur += size + crate::mem::PAGE_SIZE;
     }
-    // Write initialisers. `write_region` via the trait store would enforce
-    // alignment, so encode as element-size stores.
+    // Write initialisers. `store` enforces natural alignment, so encode as
+    // element-size stores.
     for (g, &addr) in module.globals.iter().zip(&addrs) {
         let bytes = g.init.to_bytes(g.size() as usize);
         let es = g.elem_ty.size();
@@ -129,13 +129,13 @@ pub fn layout_globals<M: Memory>(module: &Module, mem: &mut M, base: u64) -> Vec
     addrs
 }
 
-/// The interpreter. Owns no memory: it executes against any [`Memory`]
-/// implementation plus a global address table.
-pub struct Interp<'a, M: Memory> {
+/// The interpreter. Owns no memory: it executes against a borrowed
+/// [`PagedMemory`] plus a global address table.
+pub struct Interp<'a> {
     /// Module being executed.
     pub module: &'a Module,
     /// Backing memory.
-    pub mem: &'a mut M,
+    pub mem: &'a mut PagedMemory,
     /// Address of each global (index = [`GlobalId`]).
     pub globals: &'a [u64],
     /// Bump pointer for stack allocations (grows upward).
@@ -150,17 +150,17 @@ pub struct Interp<'a, M: Memory> {
     pub steps: u64,
 }
 
-impl<'a, M: Memory> Interp<'a, M> {
+impl<'a> Interp<'a> {
     /// Create an interpreter with the given stack/heap windows and fuel.
     pub fn new(
         module: &'a Module,
-        mem: &'a mut M,
+        mem: &'a mut PagedMemory,
         globals: &'a [u64],
         stack_base: u64,
         stack_limit: u64,
         heap_base: u64,
         fuel: u64,
-    ) -> Interp<'a, M> {
+    ) -> Interp<'a> {
         Interp {
             module,
             mem,

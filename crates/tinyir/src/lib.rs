@@ -13,7 +13,7 @@
 //! * an ergonomic [`builder::ModuleBuilder`] used by the `workloads` crate,
 //! * a textual [`display`] printer and [`parser`] (round-trip tested),
 //! * a structural [`verify`] pass,
-//! * a reference [`interp`] interpreter over any [`mem::Memory`].
+//! * a reference [`interp`] interpreter over [`mem::PagedMemory`].
 
 pub mod builder;
 pub mod debugloc;

@@ -120,24 +120,6 @@ impl MemStats {
     }
 }
 
-/// Byte-addressable, fault-reporting memory.
-pub trait Memory {
-    /// Load `size` bytes (1, 2, 4 or 8) from `addr` as little-endian bits.
-    fn load(&mut self, addr: u64, size: u32) -> Result<u64, MemFault>;
-
-    /// Store the low `size` bytes of `bits` to `addr`.
-    fn store(&mut self, addr: u64, size: u32, bits: u64) -> Result<(), MemFault>;
-
-    /// Make `[addr, addr+len)` accessible (zero-filled).
-    fn map_region(&mut self, addr: u64, len: u64);
-
-    /// Release the mapping for `[addr, addr+len)` (page granular).
-    fn unmap_region(&mut self, addr: u64, len: u64);
-
-    /// True if `addr` lies in a mapped page.
-    fn is_mapped(&self, addr: u64) -> bool;
-}
-
 /// Number of direct-mapped entries per TLB (indexed by the page number's
 /// low bits). 64 entries comfortably cover a stack page + the handful of
 /// global-array pages an inner loop streams through.
@@ -343,11 +325,10 @@ impl PagedMemory {
         }
         Ok(())
     }
-}
 
-impl Memory for PagedMemory {
+    /// Load `size` bytes (1, 2, 4 or 8) from `addr` as little-endian bits.
     #[inline]
-    fn load(&mut self, addr: u64, size: u32) -> Result<u64, MemFault> {
+    pub fn load(&mut self, addr: u64, size: u32) -> Result<u64, MemFault> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         // `size` is a power of two, so the natural-alignment check is a
         // mask — not the hardware division `addr % size` would cost.
@@ -388,8 +369,9 @@ impl Memory for PagedMemory {
         })
     }
 
+    /// Store the low `size` bytes of `bits` to `addr`.
     #[inline]
-    fn store(&mut self, addr: u64, size: u32, bits: u64) -> Result<(), MemFault> {
+    pub fn store(&mut self, addr: u64, size: u32, bits: u64) -> Result<(), MemFault> {
         debug_assert!(matches!(size, 1 | 2 | 4 | 8));
         if addr & (size as u64 - 1) != 0 {
             return Err(MemFault::Misaligned(addr));
@@ -417,7 +399,8 @@ impl Memory for PagedMemory {
         Ok(())
     }
 
-    fn map_region(&mut self, addr: u64, len: u64) {
+    /// Make `[addr, addr+len)` accessible (zero-filled).
+    pub fn map_region(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
@@ -443,7 +426,8 @@ impl Memory for PagedMemory {
         self.zero_spans = out;
     }
 
-    fn unmap_region(&mut self, addr: u64, len: u64) {
+    /// Release the mapping for `[addr, addr+len)` (page granular).
+    pub fn unmap_region(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
@@ -478,7 +462,8 @@ impl Memory for PagedMemory {
         self.write_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn is_mapped(&self, addr: u64) -> bool {
+    /// True if `addr` lies in a mapped page.
+    pub fn is_mapped(&self, addr: u64) -> bool {
         let p = addr / PAGE_SIZE;
         self.pages.contains_key(&p) || self.span_contains(p)
     }

@@ -5,19 +5,39 @@
 //! on HPCCG over the wire, and asserts the wire report is bit-identical to
 //! running the same spec directly on [`faultsim::Campaign`] — the golden
 //! equivalence the service promises. A second submit of the same spec must
-//! hit the server's prepared-campaign cache, and the shutdown must drain
-//! cleanly with no in-flight budget. Exits nonzero (assert) if any of that
-//! regresses.
+//! hit the server's prepared-campaign cache. Then a hostile job — an inline
+//! module whose `main` counts to `i64::MAX` — must come back as a `failed`
+//! frame once its golden run passes [`faultsim::MAX_GOLDEN_STEPS`] (≈ 10 s),
+//! hand its admission budget back (the server's cap is 1, so a leak would
+//! park the next job forever), and leave the server serving. The shutdown
+//! must drain cleanly with no in-flight budget. Exits nonzero (assert) if
+//! any of that regresses.
 //!
 //! ```sh
 //! cargo run --release --example smoke_server
 //! ```
 
-use careserve::{submit, CampaignServer, JobSpec, ServerConfig, WorkloadSel};
+use careserve::{submit, CampaignServer, ClientError, JobSpec, ServerConfig, WorkloadSel};
 use faultsim::Campaign;
+use tinyir::{Ty, Value};
+
+/// An inline job whose golden run would never end.
+fn spinning_spec() -> JobSpec {
+    let mut mb = tinyir::builder::ModuleBuilder::new("spin", "spin.c");
+    let out = mb.global_zeroed("out", Ty::I64, 1);
+    mb.define("main", vec![], Some(Ty::I64), |fb| {
+        let outp = fb.global(out);
+        fb.for_loop(Value::i64(0), Value::i64(i64::MAX), |fb, i| fb.store(i, outp));
+        fb.ret(Some(Value::i64(0)));
+    });
+    let text = tinyir::display::print_module(&mb.finish());
+    let workload = WorkloadSel::Inline { text, args: vec![], outputs: vec![("out".to_string(), 8)] };
+    JobSpec { workload, injections: 4, ..JobSpec::default() }
+}
 
 fn main() {
-    let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind loopback");
+    let config = ServerConfig { budget_cap: 1, ..ServerConfig::default() };
+    let mut handle = CampaignServer::start(config).expect("bind loopback");
     let spec = JobSpec {
         workload: WorkloadSel::Named { name: "hpccg".to_string(), params: vec![] },
         injections: 30,
@@ -37,16 +57,29 @@ fn main() {
     let second = submit(handle.addr(), &spec).expect("second submit");
     assert_eq!(second.report, local, "cached campaign diverged from the local run");
 
+    match submit(handle.addr(), &spinning_spec()) {
+        Err(ClientError::Failed(detail)) => {
+            assert!(detail.contains("golden run of inline exceeds"), "failed otherwise: {detail}")
+        }
+        other => panic!("a job that never finishes must fail, got {other:?}"),
+    }
     let stats = handle.stats();
-    assert_eq!(stats.jobs_completed, 2, "both jobs must complete");
-    assert_eq!(stats.cache_misses, 1, "second job must reuse the prepared campaign");
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.inflight_budget, 0, "the discarded job kept its budget");
+    let third = submit(handle.addr(), &spec).expect("submit after the failed job");
+    assert_eq!(third.report, local, "the job after the failed one diverged from the local run");
+
+    let stats = handle.stats();
+    assert_eq!(stats.jobs_completed, 3, "every honest job must complete");
+    assert_eq!(stats.cache_misses, 2, "resubmits must reuse the prepared campaign");
+    assert_eq!(stats.cache_hits, 2);
     assert_eq!(stats.inflight_budget, 0, "budget leaked after completion");
     handle.shutdown();
 
     println!(
         "smoke_server: {} injections served bit-identical to the local run \
-         ({} covered / {} evaluated), cache hit on resubmit, clean shutdown",
+         ({} covered / {} evaluated), cache hit on resubmit, a never-ending job \
+         failed and released its budget, clean shutdown",
         spec.injections, local.care_covered, local.care_evaluated,
     );
 }

@@ -27,11 +27,11 @@ fn main() {
     let app = care::compile(&w.module, OptLevel::O1);
     let campaign = Campaign::prepare(&w, app, vec![]);
 
-    // 2. Attach a recorder. `run_with_hooks` is generic over the hook sink:
-    //    passing `&telemetry::NoTelemetry` (what plain `run` does) compiles
-    //    every instrumentation site out of the binary; passing a live
-    //    `&Recorder` streams counters, histograms and events into
-    //    per-thread shards with no cross-worker contention.
+    // 2. Attach a recorder. `run_with_hooks` takes `&dyn Hooks`: passing
+    //    `&telemetry::NoTelemetry` (what plain `run` does) skips every
+    //    instrumentation site; passing a live `&Recorder` streams counters,
+    //    histograms and events into per-thread shards with no cross-worker
+    //    contention.
     let rec = Recorder::new();
     let report = campaign.run_with_hooks(
         &CampaignConfig {

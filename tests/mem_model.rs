@@ -11,7 +11,7 @@
 //! `HashMap<page, Box<[u8]>>` walked on every access.
 
 use proptest::prelude::*;
-use tinyir::mem::{MemFault, Memory, PagedMemory, PAGE_SIZE};
+use tinyir::mem::{MemFault, PagedMemory, PAGE_SIZE};
 
 /// TLB-free reference memory: same fault rules, no caching, eager page
 /// copies on `clone()` (no CoW — sharing must be unobservable).

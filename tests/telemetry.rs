@@ -7,9 +7,9 @@
 //! as cost-model arithmetic (that part is pinned in `safeguard`'s unit
 //! tests).
 
-use faultsim::{Campaign, CampaignConfig, EngineKind, FaultModel};
+use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel, JobControl, NoSink};
 use opt::OptLevel;
-use telemetry::{Recorder, TelemetryReport};
+use telemetry::{Event, Hooks, NoTelemetry, Recorder, TelemetryReport};
 
 fn traced_hpccg_campaign(injections: usize) -> TelemetryReport {
     traced_hpccg_campaign_engine(injections, EngineKind::Interp)
@@ -209,4 +209,92 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
         "aggregate suffix steps disagree with the per-job distribution"
     );
     assert_eq!(ctr("campaign.injections"), 60);
+}
+
+/// Hooks nobody listens through: `enabled()` is `false` and everything else
+/// panics, so one call site that forgot its guard fails the test.
+struct Deaf;
+
+impl Hooks for Deaf {
+    fn enabled(&self) -> bool {
+        false
+    }
+    fn add(&self, name: &'static str, _delta: u64) {
+        panic!("unguarded add({name:?})")
+    }
+    fn record(&self, name: &'static str, _value: u64) {
+        panic!("unguarded record({name:?})")
+    }
+    fn emit(&self, event: Event) {
+        panic!("unguarded emit({:?})", event.kind)
+    }
+}
+
+/// Every instrumented entry point under `hooks`: the campaign core with
+/// CARE evaluated on both engines (suffix, cursor shard, `resume_protected`,
+/// `handle_trap_with_hooks`), a cold then a warm store run, and the cluster
+/// simulation with a recovery delay on rank 0.
+fn drive_every_instrumented_path(
+    hooks: &dyn Hooks,
+    tag: &str,
+) -> (Vec<CampaignReport>, cluster::JobOutcome) {
+    let w = workloads::hpccg::build(3, 2);
+    let app = care::compile(&w.module, OptLevel::O1);
+    let key = carestore::campaign_key(&w.module, w.entry, &w.args, &w.outputs, "O1");
+    let campaign = Campaign::prepare(&w, app, vec![]);
+    let cfg = |engine| CampaignConfig {
+        injections: 60,
+        evaluate_care: true,
+        app_only: true,
+        keep_records: true,
+        engine,
+        ..CampaignConfig::default()
+    };
+    let all: Vec<usize> = (0..60).collect();
+    let mut reports: Vec<CampaignReport> = [EngineKind::Interp, EngineKind::Compiled]
+        .map(|engine| campaign.run_selected(&cfg(engine), &all, hooks, &JobControl::new(), &NoSink))
+        .into();
+    assert!(reports[0].total_recoveries > 0, "test premise: Safeguard must have repaired a trap");
+
+    let dir = std::env::temp_dir().join(format!("care-telemetry-it-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = carestore::Store::open(&dir).expect("open store");
+    for expect_misses in [60, 0] {
+        let run = store
+            .run_campaign(&key, &campaign, &cfg(EngineKind::Interp), hooks, &JobControl::new())
+            .expect("store run");
+        assert_eq!(run.stats.misses, expect_misses);
+        reports.push(run.report);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let cluster_cfg = cluster::ClusterConfig::default();
+    let step = cluster_cfg.timesteps / 2;
+    let care = cluster::Resilience::Care { events: vec![(step, 40.0)] };
+    (reports, cluster::simulate_faulty_traced(&cluster_cfg, step, &care, hooks))
+}
+
+/// "Nothing observes when nobody listens", stated once: hooks that answer
+/// `enabled() == false` are never called, and what comes back equals the
+/// [`NoTelemetry`] run and the [`Recorder`] run — which did hear every path.
+#[test]
+fn disabled_hooks_are_never_called_and_results_match_either_way() {
+    let deaf = drive_every_instrumented_path(&Deaf, "deaf");
+    assert_eq!(deaf, drive_every_instrumented_path(&NoTelemetry, "off"));
+    let rec = Recorder::new();
+    assert_eq!(deaf, drive_every_instrumented_path(&rec, "on"));
+    let tel = rec.drain();
+    for heard in [
+        "campaign.classified",
+        "cursor.window_steps",
+        "worker.busy_ns",
+        "recovery.recovered",
+        "engine.ops",
+        "store.runs",
+    ] {
+        assert!(tel.counters.get(heard).is_some_and(|&n| n > 0), "{heard} never recorded");
+    }
+    for kind in ["job", "trellis.fork", "trellis.shard", "recovery", "barrier"] {
+        assert!(tel.events.iter().any(|e| e.kind == kind), "no {kind} event emitted");
+    }
 }
