@@ -10,8 +10,7 @@
 //! Performance is measured by `carebench` (`benchmarks/`), not here.
 
 use care::CompiledApp;
-use cluster::{simulate_fault_free, simulate_faulty, simulate_faulty_traced, ClusterConfig,
-    JobOutcome, Resilience};
+use cluster::{simulate_fault_free, simulate_faulty, ClusterConfig, JobOutcome, Resilience};
 use faultsim::{Campaign, CampaignConfig, CampaignReport, EngineKind, FaultModel};
 use opt::OptLevel;
 use std::cell::OnceCell;
@@ -426,7 +425,7 @@ fn cluster_job(s: &Session) -> Table {
     let cfg = ClusterConfig::default();
     let base = simulate_fault_free(&cfg);
     let care_res = Resilience::Care { events: vec![(cfg.timesteps / 2, r0.recovery_ms)] };
-    let care_run = simulate_faulty_traced(&cfg, cfg.timesteps / 2, &care_res, s.hooks());
+    let care_run = simulate_faulty(&cfg, cfg.timesteps / 2, &care_res, s.hooks());
     let mut t = Table::new(
         "Figure 10: 512-rank x 6-thread GTC-P job, fault on rank 0",
         &["Scenario", "Makespan (s)", "Overhead (s)", "Restart (s)"],
@@ -448,8 +447,10 @@ fn cluster_job(s: &Session) -> Table {
             load_ms: 6600.0,
             requeue_ms: 0.0,
         };
-        let runs: Vec<JobOutcome> =
-            (0..cfg.timesteps).step_by(7).map(|step| simulate_faulty(&cfg, step, &cr)).collect();
+        let runs: Vec<JobOutcome> = (0..cfg.timesteps)
+            .step_by(7)
+            .map(|step| simulate_faulty(&cfg, step, &cr, &NoTelemetry))
+            .collect();
         let avg = |ms: fn(&JobOutcome) -> f64| {
             sec(runs.iter().map(ms).sum::<f64>() / runs.len() as f64)
         };

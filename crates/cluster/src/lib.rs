@@ -17,6 +17,7 @@ pub mod rank0;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use telemetry::NoTelemetry;
 
 /// Cluster/job geometry and timing model.
 #[derive(Clone, Copy, Debug)]
@@ -122,23 +123,14 @@ pub fn simulate_fault_free(cfg: &ClusterConfig) -> JobOutcome {
 }
 
 /// Simulate a job that experiences one fault on rank 0 at `fault_step`,
-/// handled by `resilience`.
+/// handled by `resilience`. With hooks enabled, under `Resilience::Care`,
+/// every barrier that sees a rank-0 recovery event emits a `barrier` event
+/// with the recovery delay, the slack (critical path minus rank 0's
+/// unfaulted step time) and the exposed remainder, plus absorbed/exposed
+/// counters — the Figure 10 absorption argument as a per-barrier trace. All
+/// quantities are virtual-time (deterministic); hooks never change the
+/// outcome.
 pub fn simulate_faulty(
-    cfg: &ClusterConfig,
-    fault_step: u64,
-    resilience: &Resilience,
-) -> JobOutcome {
-    simulate_faulty_traced(cfg, fault_step, resilience, &telemetry::NoTelemetry)
-}
-
-/// [`simulate_faulty`] with telemetry hooks: under `Resilience::Care`, every
-/// barrier that sees a rank-0 recovery event emits a `barrier` event with
-/// the recovery delay, the slack (critical path minus rank 0's unfaulted
-/// step time) and the exposed remainder, plus absorbed/exposed counters —
-/// the Figure 10 absorption argument as a per-barrier trace. All quantities
-/// are virtual-time (deterministic); the outcome is identical to the
-/// hook-free run.
-pub fn simulate_faulty_traced(
     cfg: &ClusterConfig,
     fault_step: u64,
     resilience: &Resilience,
@@ -253,7 +245,7 @@ pub fn figure10_experiment(
                 .map(|(s, ms)| ((s + shift) % cfg.timesteps, *ms))
                 .collect();
             let fstep = events.first().map(|e| e.0).unwrap_or(0);
-            simulate_faulty(cfg, fstep, &Resilience::Care { events })
+            simulate_faulty(cfg, fstep, &Resilience::Care { events }, &NoTelemetry)
         })
         .collect();
     (base, outcomes)
@@ -275,6 +267,7 @@ mod tests {
             &cfg,
             25,
             &Resilience::Care { events: vec![(25, 40.0)] }, // 40 ms recovery
+            &NoTelemetry,
         );
         let slowdown = (care.makespan_ms - base.makespan_ms) / base.makespan_ms;
         assert!(
@@ -306,6 +299,7 @@ mod tests {
                         load_ms: 6600.0,
                         requeue_ms: 0.0,
                     },
+                    &NoTelemetry,
                 );
                 acc += o.restart_ms;
                 n += 1;
@@ -324,7 +318,8 @@ mod tests {
     fn unprotected_job_pays_full_rerun() {
         let cfg = small_cfg();
         let base = simulate_fault_free(&cfg);
-        let none = simulate_faulty(&cfg, 40, &Resilience::None { requeue_ms: 60_000.0 });
+        let unprotected = Resilience::None { requeue_ms: 60_000.0 };
+        let none = simulate_faulty(&cfg, 40, &unprotected, &NoTelemetry);
         assert!(none.makespan_ms > base.makespan_ms + 60_000.0);
     }
 
@@ -355,9 +350,9 @@ mod tests {
     fn traced_run_matches_untraced_and_emits_barrier_events() {
         let cfg = small_cfg();
         let resilience = Resilience::Care { events: vec![(10, 40.0), (25, 35.0)] };
-        let plain = simulate_faulty(&cfg, 10, &resilience);
+        let plain = simulate_faulty(&cfg, 10, &resilience, &NoTelemetry);
         let rec = telemetry::Recorder::new();
-        let traced = simulate_faulty_traced(&cfg, 10, &resilience, &rec);
+        let traced = simulate_faulty(&cfg, 10, &resilience, &rec);
         assert_eq!(plain, traced, "hooks must not change the outcome");
         let report = rec.drain();
         let barriers: Vec<_> =

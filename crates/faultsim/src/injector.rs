@@ -48,7 +48,7 @@ impl std::str::FromStr for FaultModel {
 }
 
 /// A chosen injection point: the `(I, n)` pair of §5.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InjectionPoint {
     /// Module of the target instruction.
     pub module: ModuleId,
@@ -259,5 +259,14 @@ mod tests {
             v ^= 1 << b;
         }
         assert_eq!(v, 0xdead_beef);
+    }
+
+    /// Fault-model wire names round-trip through `FromStr`.
+    #[test]
+    fn fault_model_names_round_trip() {
+        for m in [FaultModel::SingleBit, FaultModel::DoubleBit] {
+            assert_eq!(m.name().parse::<FaultModel>().unwrap(), m);
+        }
+        assert!("triple".parse::<FaultModel>().is_err());
     }
 }

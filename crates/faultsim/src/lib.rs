@@ -13,17 +13,97 @@
 //!
 //! Campaigns are deterministic in their seed and rayon-parallel across
 //! injections.
+//!
+//! The modules, in the order a campaign passes through them: [`injector`]
+//! (`(I, n)` selection and the bit-flips), `trail` (the golden run and its
+//! checkpoint trail — the one place that knows what a checkpoint holds),
+//! `cursor` (the distinct sampled points, grouped once, walked by hopping
+//! cursors that fork a snapshot per point), `suffix` (one injection from
+//! its snapshot on: inject, classify, CARE recovery; the record types and
+//! the per-index reference `run_one`), `report` ([`CampaignReport`]),
+//! [`campaign`] ([`Campaign`], its configuration, and the `run*` entry
+//! points that orchestrate the rest) and [`wire`] (the JSON field lists).
 
 pub mod campaign;
+mod cursor;
 pub mod injector;
+mod report;
+mod suffix;
+mod trail;
 pub mod wire;
 
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignReport, CareResult, InjectionRecord, JobControl, NoSink,
-    Outcome, RecordSink, Signal, StepSplit, MAX_GOLDEN_STEPS,
-};
+pub use campaign::{Campaign, CampaignConfig, JobControl, NoSink, RecordSink};
 pub use injector::{FaultModel, InjectedInto, InjectionPoint};
+pub use report::CampaignReport;
 pub use simx::EngineKind;
+pub use suffix::{CareResult, InjectionRecord, Outcome, Signal, StepSplit};
+pub use trail::MAX_GOLDEN_STEPS;
+
+#[cfg(test)]
+/// Fixtures shared by the crate's unit tests.
+pub(crate) mod fixtures {
+    use crate::{Campaign, CampaignConfig, InjectionRecord};
+    use opt::OptLevel;
+    use workloads::Workload;
+
+    /// `main(n)` runs `n` loop iterations.
+    pub(crate) fn tiny_workload(n: u64) -> Workload {
+        use tinyir::builder::ModuleBuilder;
+        use tinyir::{Ty, Value};
+        let mut mb = ModuleBuilder::new("tiny", "tiny.c");
+        let out = mb.global_zeroed("out", Ty::I64, 8);
+        mb.define("main", vec![Ty::I64], Some(Ty::I64), |fb| {
+            let acc = fb.alloca(Ty::I64, 1);
+            fb.store(Value::i64(1), acc);
+            fb.for_loop(Value::i64(0), fb.arg(0), |fb, i| {
+                let a = fb.load(acc, Ty::I64);
+                let s = fb.add(a, i, Ty::I64);
+                fb.store(s, acc);
+                let slot = fb.srem(i, Value::i64(8), Ty::I64);
+                fb.store_elem(s, fb.global(out), slot, Ty::I64);
+            });
+            let r = fb.load(acc, Ty::I64);
+            fb.ret(Some(r));
+        });
+        Workload::new("tiny", mb.finish(), vec![n], vec![("out", 64)])
+    }
+
+    pub(crate) fn tiny_campaign() -> Campaign {
+        // A deliberately short program: with ~tens of eligible dynamic
+        // instructions and many injections, the pigeonhole principle
+        // guarantees duplicate `(I, n)` samples.
+        let w = tiny_workload(6);
+        let app = care::compile(&w.module, OptLevel::O1);
+        Campaign::prepare(&w, app, vec![])
+    }
+
+    /// HPCCG at the golden tests' size: long enough for a checkpoint trail.
+    pub(crate) fn hpccg_campaign() -> Campaign {
+        let w = workloads::hpccg::build(3, 2);
+        let app = care::compile(&w.module, OptLevel::O1);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        assert!(
+            campaign.trail.brackets() > 8,
+            "test premise: hpccg(3,2) must leave a checkpoint trail"
+        );
+        campaign
+    }
+
+    pub(crate) fn cfg(injections: usize) -> CampaignConfig {
+        CampaignConfig {
+            injections,
+            evaluate_care: true,
+            app_only: true,
+            keep_records: true,
+            ..CampaignConfig::default()
+        }
+    }
+
+    /// The per-index reference: every injection re-simulates its own prefix.
+    pub(crate) fn reference(campaign: &Campaign, cfg: &CampaignConfig) -> Vec<InjectionRecord> {
+        (0..cfg.injections).filter_map(|i| campaign.run_one(cfg, i)).collect()
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,333 @@
+//! The per-injection suffix: sample a point, inject into a process paused
+//! right after it, run to an outcome, classify, and — for SIGSEGV outcomes
+//! of a CARE campaign — resume the trapped process under Safeguard.
+//!
+//! [`Campaign::run_suffix`] is what the trellis' workers run from a forked
+//! snapshot; [`Campaign::run_one`] is the per-index reference: it
+//! re-simulates one injection's own prefix from the template, and the
+//! trellis records must equal
+//! `(0..n).filter_map(|i| campaign.run_one(&cfg, i))` bit for bit (pinned
+//! by the unit tests beside the trellis, `tests/golden.rs` and carefuzz).
+
+use crate::campaign::{Campaign, CampaignConfig};
+use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use safeguard::{resume_protected, DeclineKind, ProtectedExit, Safeguard};
+use simx::{ExecutionEngine, ModuleId, Process, RunExit, TrapKind};
+use std::sync::Arc;
+use telemetry::{Event, Hooks, NoTelemetry};
+
+/// Hardware-trap symptom classes of Table 3.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Signal {
+    /// Invalid memory reference.
+    Segv,
+    /// Misaligned access.
+    Bus,
+    /// Failed assertion / abort.
+    Abort,
+    /// Anything else (SIGFPE, ...).
+    Other,
+}
+
+/// Injection outcome classes of Table 2.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Outcome {
+    /// No observable effect: outputs bit-identical to the golden run.
+    Benign,
+    /// The process died on a hardware trap.
+    SoftFailure(Signal),
+    /// Completed but with corrupted outputs.
+    Sdc,
+    /// No progress within the instruction budget.
+    Hang,
+}
+
+impl Outcome {
+    /// Static label for event streams (`job` events carry this).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Outcome::Benign => "benign",
+            Outcome::Sdc => "sdc",
+            Outcome::Hang => "hang",
+            Outcome::SoftFailure(Signal::Segv) => "segv",
+            Outcome::SoftFailure(Signal::Bus) => "bus",
+            Outcome::SoftFailure(Signal::Abort) => "abort",
+            Outcome::SoftFailure(Signal::Other) => "signal_other",
+        }
+    }
+}
+
+/// CARE's verdict on one SIGSEGV-producing injection (Figure 7 / 9 data).
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct CareResult {
+    /// True when the protected run completed with bit-clean outputs.
+    pub covered: bool,
+    /// Successful Safeguard activations.
+    pub recoveries: u64,
+    /// Total modelled recovery time.
+    pub recovery_ms: f64,
+    /// Decline reason kind when not covered.
+    pub decline: Option<DeclineKind>,
+}
+
+/// Per-stage dynamic-instruction accounting for one injection. The three
+/// stages partition the work the injection is *semantically responsible
+/// for*; the prefix is attributed to every injection but executed once, by
+/// the trellis cursor pass — see [`crate::CampaignReport::steps_prefix`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StepSplit {
+    /// Instructions from process start to the injection point.
+    pub prefix: u64,
+    /// Instructions from the injection to the unprotected outcome.
+    pub suffix: u64,
+    /// Instructions of the CARE-protected run, counted from the injection
+    /// point: the suffix up to the trap (executed once, by the unprotected
+    /// run) plus everything from the first repair on.
+    pub care: u64,
+}
+
+impl StepSplit {
+    /// Total attributed instructions. Saturating: splits can come back
+    /// from a persisted record log, where nothing bounds the components'
+    /// sum (mirrors `telemetry::Histogram`'s saturating `sum`).
+    pub fn total(&self) -> u64 {
+        self.prefix.saturating_add(self.suffix).saturating_add(self.care)
+    }
+}
+
+/// Everything recorded about one injection.
+#[derive(Clone, PartialEq, Debug)]
+pub struct InjectionRecord {
+    /// Where and when the fault was injected.
+    pub point: InjectionPoint,
+    /// What the injector corrupted.
+    pub target: InjectedInto,
+    /// Unprotected-outcome classification.
+    pub outcome: Outcome,
+    /// Manifestation latency in dynamic instructions (soft failures only).
+    pub latency: Option<u64>,
+    /// Dynamic instructions attributed to this injection (prefix +
+    /// unprotected suffix, plus the protected suffix for CARE evaluations).
+    pub sim_steps: u64,
+    /// The prefix/suffix/CARE breakdown of `sim_steps`.
+    pub split: StepSplit,
+    /// CARE evaluation (SIGSEGV injections when enabled).
+    pub care: Option<CareResult>,
+}
+
+impl Campaign {
+    fn outputs_clean(&self, p: &Process) -> bool {
+        self.outputs
+            .iter()
+            .zip(&self.golden_outputs)
+            .all(|((name, len), golden)| {
+                p.snapshot_global(name, *len)
+                    .map(|bytes| &bytes == golden)
+                    .unwrap_or(false)
+            })
+    }
+
+    /// Sample injection `index`'s `(I, n)` point, deterministic in
+    /// `(cfg.seed, index)`. Returns the point plus the RNG in the exact
+    /// post-sampling state the bit-flip draws continue from, so the trellis'
+    /// pre-sampling and [`Campaign::run_one`] yield identical records.
+    pub(crate) fn sample_point(
+        &self,
+        cfg: &CampaignConfig,
+        index: usize,
+    ) -> Option<(InjectionPoint, SmallRng)> {
+        const APP: &[ModuleId] = &[ModuleId(0)];
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9e37));
+        // The paper's fault model corrupts *destination operands* (a
+        // register or memory cell); control transfers have neither, so they
+        // are not injection targets.
+        let eligible = |m: usize, f: usize, i: usize| -> bool {
+            self.inst_at(m, f, i).is_some_and(|inst| !inst.is_control())
+        };
+        let point =
+            pick_injection_point(&self.profile, &mut rng, cfg.app_only.then_some(APP), &eligible)?;
+        Some((point, rng))
+    }
+
+    /// Inject into a process paused right after `point`'s `nth` execution
+    /// and classify the fallout. `p` must carry the remaining fuel of the
+    /// campaign budget (a fork inherits it; a fresh full budget would let
+    /// late injection points overshoot the hang bound by nearly 2x) and the
+    /// RNG must be in the post-[`Campaign::sample_point`] state.
+    ///
+    /// With hooks enabled this is also the per-*job* instrumentation site:
+    /// a wall-clock span per job
+    /// (`job.wall_ns`, accumulated into the `worker.busy_ns` counter —
+    /// whose per-shard subtotals are the per-worker utilization view),
+    /// simulated-step spans for the suffix and CARE stages, TLB counter
+    /// deltas of the processes this job ran, and one `job` event whose
+    /// `t_ns` stamp traces the queue drain. Hooks never influence the
+    /// record: a telemetry-enabled campaign is bit-identical.
+    pub(crate) fn run_suffix(
+        &self,
+        cfg: &CampaignConfig,
+        point: InjectionPoint,
+        rng: &SmallRng,
+        mut p: Process,
+        engine: &dyn ExecutionEngine,
+        hooks: &dyn Hooks,
+    ) -> Option<InjectionRecord> {
+        let t0 = hooks.enabled().then(std::time::Instant::now);
+        let base_stats = p.mem.stats;
+        let prefix_steps = p.steps;
+        let mut flip_rng = rng.clone();
+        let target = inject(&mut p, point, cfg.model, &mut flip_rng);
+        if target == InjectedInto::Skipped {
+            if hooks.enabled() {
+                hooks.add("campaign.skipped", 1);
+            }
+            return None;
+        }
+        let exit = engine.run(&mut p);
+        let (outcome, latency) = match exit {
+            RunExit::Done(_) => {
+                if self.outputs_clean(&p) {
+                    (Outcome::Benign, None)
+                } else {
+                    (Outcome::Sdc, None)
+                }
+            }
+            RunExit::Trapped(t) => match t.kind {
+                TrapKind::OutOfFuel => (Outcome::Hang, None),
+                kind => (
+                    Outcome::SoftFailure(signal_of(kind)),
+                    Some(p.steps - prefix_steps),
+                ),
+            },
+            RunExit::BreakHit => unreachable!("breakpoint already consumed"),
+        };
+        let suffix_steps = p.steps - prefix_steps;
+
+        // --- protected run for SIGSEGV injections (§5 methodology). The
+        // unprotected run is frozen on its trap with pre-fault registers,
+        // exactly where a protected run of the same flip first reaches
+        // Safeguard: recovery resumes from this process and this exit ------
+        let mut care_steps = 0u64;
+        let care = (cfg.evaluate_care && outcome == Outcome::SoftFailure(Signal::Segv)).then(|| {
+            let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
+            sg.patch_base_first = cfg.patch_base_first;
+            sg.skip_equality_guard = cfg.skip_equality_guard;
+            let end = resume_protected(engine, &mut p, exit, &mut sg, cfg.max_recoveries, hooks);
+            let (recoveries, recovery_ms, decline) = match end {
+                ProtectedExit::Completed { recoveries, recovery_ms, .. } => {
+                    (recoveries, recovery_ms, None)
+                }
+                ProtectedExit::Crashed { reason, recoveries, .. } => {
+                    (recoveries, 0.0, Some(reason.kind()))
+                }
+                ProtectedExit::Hung => (0, 0.0, Some(DeclineKind::Hang)),
+            };
+            // Covered: completed, after at least one repair, bit-clean.
+            let covered = decline.is_none() && recoveries > 0 && self.outputs_clean(&p);
+            // Attributed from the injection point, as a protected run of
+            // its own would count it (the shared suffix included).
+            care_steps = p.steps - prefix_steps;
+            CareResult { covered, recoveries, recovery_ms, decline }
+        });
+        let tlb = p.mem.stats.since(&base_stats);
+
+        if hooks.enabled() {
+            let wall_ns = t0.expect("enabled").elapsed().as_nanos() as u64;
+            hooks.add("worker.busy_ns", wall_ns);
+            hooks.record("job.wall_ns", wall_ns);
+            hooks.record("job.suffix_steps", suffix_steps);
+            if care.is_some() {
+                hooks.record("job.care_steps", care_steps);
+            }
+            hooks.add("tlb.loads", tlb.loads);
+            hooks.add("tlb.stores", tlb.stores);
+            hooks.add("tlb.read_misses", tlb.read_tlb_misses);
+            hooks.add("tlb.write_misses", tlb.write_tlb_misses);
+            hooks.emit(
+                Event::new("job")
+                    .field("outcome", outcome.name())
+                    .field("func", point.func.0 as u64)
+                    .field("inst", point.inst)
+                    .field("nth", point.nth)
+                    .field("suffix_steps", suffix_steps)
+                    .field("care_steps", care_steps)
+                    .field("wall_ns", wall_ns),
+            );
+        }
+
+        let split = StepSplit { prefix: prefix_steps, suffix: suffix_steps, care: care_steps };
+        Some(InjectionRecord {
+            point,
+            target,
+            outcome,
+            latency,
+            sim_steps: split.total(),
+            split,
+            care,
+        })
+    }
+
+    /// Run one injection end-to-end, re-simulating its own prefix from the
+    /// template (deterministic in `(cfg.seed, index)`). This is the
+    /// per-index reference the trellis is checked against.
+    pub fn run_one(&self, cfg: &CampaignConfig, index: usize) -> Option<InjectionRecord> {
+        let (point, rng) = self.sample_point(cfg, index)?;
+        let mut p = self.template.clone();
+        p.fuel = self.fuel_budget(cfg);
+        p.break_at = Some((point.module, point.func, point.inst, point.nth));
+        match p.run() {
+            RunExit::BreakHit => {}
+            // The breakpoint is derived from the profile, so this is
+            // unreachable for deterministic programs; be safe anyway.
+            _ => return None,
+        }
+        self.run_suffix(cfg, point, &rng, p, self.engine(cfg), &NoTelemetry)
+    }
+}
+
+fn signal_of(kind: TrapKind) -> Signal {
+    match kind {
+        TrapKind::Segv(_) => Signal::Segv,
+        TrapKind::Bus(_) => Signal::Bus,
+        TrapKind::Abort => Signal::Abort,
+        TrapKind::Fpe => Signal::Other,
+        TrapKind::OutOfFuel => Signal::Other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{cfg, hpccg_campaign};
+
+    /// Suffix forks budget fuel against *remaining* steps: every record's
+    /// prefix + suffix stays within the campaign hang bound, and a hang
+    /// classified by the trellis engine burned exactly the remaining budget
+    /// rather than a fresh full one.
+    #[test]
+    fn suffix_forks_respect_the_campaign_fuel_budget() {
+        // hpccg(3,2) at the default seed is known to hang on some of the
+        // first 100 injections (see tests/golden.rs), so the equality leg
+        // below is actually exercised.
+        let campaign = hpccg_campaign();
+        let config = cfg(100);
+        let budget = campaign.fuel_budget(&config);
+        let r = campaign.run(&config);
+        assert!(r.hang > 0, "test premise: need at least one hang");
+        for rec in &r.records {
+            assert!(
+                rec.split.prefix + rec.split.suffix <= budget,
+                "record at {:?} overshot the hang bound: {} + {} > {}",
+                rec.point,
+                rec.split.prefix,
+                rec.split.suffix,
+                budget
+            );
+            if rec.outcome == Outcome::Hang {
+                assert_eq!(rec.split.prefix + rec.split.suffix, budget);
+            }
+        }
+    }
+}

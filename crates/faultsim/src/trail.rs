@@ -1,0 +1,266 @@
+//! The golden trail: the fault-free profiling run, cut into *brackets* by
+//! evenly spaced profile checkpoints.
+//!
+//! [`Trail::record`] drives the golden run in fixed-step slices and keeps
+//! the execution-count profile at each pause. That is what lets a trellis
+//! cursor (a) fast-replay to a checkpoint with no instrumentation and (b)
+//! rebase its points' `nth` ordinals to breakpoint ordinals counted from
+//! that checkpoint; the checkpoints are also the shard-boundary candidates
+//! of the parallel cursor pass. The checkpoint list is private to this
+//! module: everything else asks in terms of brackets — bracket `b > 0`
+//! starts at the `b`-th checkpoint, bracket 0 at program start (step 0,
+//! every count zero) — so what a checkpoint *holds* can change here alone.
+//! The golden profile's other derived view, the `mix.*` telemetry counters,
+//! sits below the trail.
+
+use crate::campaign::Campaign;
+use crate::injector::InjectionPoint;
+use simx::{run_to_step, InterpEngine, Process, Profile, RunExit, TrapKind};
+use telemetry::Hooks;
+
+/// The longest golden run [`Campaign::prepare`](crate::Campaign::prepare)
+/// accepts, in dynamic instructions (1 700× the longest bundled one, CoMD at
+/// `-O0`; ≈ 11 s of profiled loop). A program still running there fails
+/// preparation like a trapping one: nothing downstream can poll a cancel
+/// inside the golden run, so this is what lets a server discard a job that
+/// would never finish.
+pub const MAX_GOLDEN_STEPS: u64 = 1 << 30;
+
+/// The trail holds fewer checkpoints than this for any program length.
+const MAX_CHECKPOINTS: usize = 96;
+
+/// A step-indexed snapshot of the golden run's execution-count profile:
+/// `counts` holds the per-static-instruction execution totals of the first
+/// `step` dynamic instructions.
+struct ProfileCheckpoint {
+    step: u64,
+    counts: Profile,
+}
+
+/// Executions of `point`'s static instruction recorded in `profile`.
+fn count_at(profile: &Profile, point: &InjectionPoint) -> u64 {
+    profile
+        .get(point.module.0 as usize)
+        .and_then(|fs| fs.get(point.func.0 as usize))
+        .and_then(|is| is.get(point.inst))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// The golden run's checkpoint trail. Empty for programs shorter than the
+/// checkpoint quantum: one bracket from program start, one cursor shard.
+pub(crate) struct Trail {
+    /// Evenly spaced, in step order.
+    checkpoints: Vec<ProfileCheckpoint>,
+    /// Dynamic instructions of the whole golden run.
+    steps: u64,
+}
+
+impl Trail {
+    /// Run a clone of `template` fault-free and profiled, to completion.
+    /// Returns the trail and the finished process (its outputs and final
+    /// profile are the campaign's golden data). Panics when the run traps
+    /// or is still going after `max_steps`; `name` labels the panic.
+    pub(crate) fn record(template: &Process, name: &str, max_steps: u64) -> (Trail, Process) {
+        let mut p = template.clone();
+        p.enable_profile();
+        p.fuel = max_steps;
+        // Pause every `quantum` steps and keep the profile. The trail stays
+        // bounded for any program length by halving (keep every second
+        // checkpoint, double the quantum) whenever it fills.
+        let mut checkpoints: Vec<ProfileCheckpoint> = Vec::new();
+        let mut quantum: u64 = 1 << 10;
+        let exit = loop {
+            let target = p.steps + quantum;
+            if let Some(exit) = run_to_step(&InterpEngine, &mut p, target) {
+                break exit;
+            }
+            checkpoints.push(ProfileCheckpoint {
+                step: p.steps,
+                counts: p.profile.clone().expect("profile enabled"),
+            });
+            if checkpoints.len() == MAX_CHECKPOINTS {
+                let mut nth = 0;
+                checkpoints.retain(|_| {
+                    nth += 1;
+                    nth % 2 == 0
+                });
+                quantum *= 2;
+            }
+        };
+        match exit {
+            RunExit::Done(_) => {}
+            RunExit::Trapped(t) if t.kind == TrapKind::OutOfFuel => {
+                panic!("golden run of {name} exceeds {max_steps} steps")
+            }
+            other => panic!("golden run of {name} failed: {other:?}"),
+        }
+        (Trail { checkpoints, steps: p.steps }, p)
+    }
+
+    /// The bracket `point` fires in: the number of checkpoints its firing
+    /// lies strictly past. The firing is past a checkpoint iff the
+    /// checkpoint counted fewer than `nth` executions of the instruction,
+    /// and the counts only grow along the trail.
+    pub(crate) fn bracket_of(&self, point: &InjectionPoint) -> usize {
+        self.checkpoints.partition_point(|c| count_at(&c.counts, point) < point.nth)
+    }
+
+    /// The step `bracket` starts at.
+    pub(crate) fn bracket_step(&self, bracket: usize) -> u64 {
+        bracket.checked_sub(1).map_or(0, |ci| self.checkpoints[ci].step)
+    }
+
+    /// `point`'s ordinal counted from the start of `bracket`: its absolute
+    /// `nth` less the executions already behind the bracket's checkpoint.
+    pub(crate) fn ordinal_in(&self, bracket: usize, point: &InjectionPoint) -> u64 {
+        let start = bracket.checked_sub(1).map(|ci| &self.checkpoints[ci].counts);
+        point.nth - start.map_or(0, |counts| count_at(counts, point))
+    }
+
+    /// The shard-boundary cut: one past the last bracket of each of up to
+    /// `k` cursor shards, strictly increasing. Shard `j` covers the
+    /// golden-run window between two checkpoints — a contiguous range of
+    /// brackets — and boundaries are cut from the checkpoints nearest the
+    /// ideal `steps / k` splits, so a short program (no checkpoints) or
+    /// `k = 1` yields the single full-range shard.
+    pub(crate) fn shard_ends(&self, k: usize) -> Vec<usize> {
+        let mut ends = Vec::new();
+        for j in 1..k as u64 {
+            let ideal = (self.steps / k as u64).saturating_mul(j);
+            let bracket = self.checkpoints.partition_point(|c| c.step <= ideal);
+            if bracket > ends.last().copied().unwrap_or(0) {
+                ends.push(bracket);
+            }
+        }
+        ends.push(self.checkpoints.len() + 1);
+        ends
+    }
+}
+
+impl Campaign {
+    /// Derive the golden run's instruction-mix counters from the execution
+    /// profile — `mix.<mnemonic>` weighted by dynamic execution count. Done
+    /// post-hoc against the already-collected [`Profile`], so the simulation
+    /// loops are never instrumented for it.
+    pub(crate) fn record_instruction_mix(&self, hooks: &dyn Hooks) {
+        for (m, funcs) in self.profile.iter().enumerate() {
+            for (f, counts) in funcs.iter().enumerate() {
+                for (i, &n) in counts.iter().enumerate() {
+                    if n == 0 {
+                        continue;
+                    }
+                    let Some(inst) = self.inst_at(m, f, i) else {
+                        continue;
+                    };
+                    hooks.add(mix_counter(inst.kind_name()), n);
+                }
+            }
+        }
+    }
+}
+
+/// Static `mix.*` counter name for an [`MInst::kind_name`](simx::MInst)
+/// mnemonic (hook names are `&'static str`; no formatting at record time).
+fn mix_counter(kind: &'static str) -> &'static str {
+    match kind {
+        "mov" => "mix.mov",
+        "store" => "mix.store",
+        "lea" => "mix.lea",
+        "bin" => "mix.bin",
+        "icmp" => "mix.icmp",
+        "fcmp" => "mix.fcmp",
+        "cast" => "mix.cast",
+        "select" => "mix.select",
+        "jmp" => "mix.jmp",
+        "jnz" => "mix.jnz",
+        "getarg" => "mix.getarg",
+        "call" => "mix.call",
+        "callintr" => "mix.callintr",
+        "ret" => "mix.ret",
+        _ => "mix.other",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::tiny_workload;
+    use simx::ModuleId;
+    use tinyir::FuncId;
+
+    impl Trail {
+        /// Brackets the trail cuts the golden run into.
+        pub(crate) fn brackets(&self) -> usize {
+            self.checkpoints.len() + 1
+        }
+    }
+    use opt::OptLevel;
+
+    /// A golden run that would never end fails at the bound (like a
+    /// trapping one) instead of spinning where no cancel is polled.
+    #[test]
+    #[should_panic(expected = "golden run of tiny exceeds 65536 steps")]
+    fn golden_run_still_going_at_the_bound_fails() {
+        let w = tiny_workload(i64::MAX as u64);
+        let app = care::compile(&w.module, OptLevel::O1);
+        let mut template = care::build_process(&app, &[]);
+        template.start(w.entry, &w.args);
+        Trail::record(&template, w.name, 1 << 16);
+    }
+
+    /// What `record` leaves, stated on the trail itself — for the five
+    /// default programs at both levels and a synthetic loop long enough to
+    /// halve the trail at least twice.
+    #[test]
+    fn trail_invariants_hold_for_every_program_length() {
+        let mut programs: Vec<(workloads::Workload, OptLevel)> = Vec::new();
+        for level in [OptLevel::O0, OptLevel::O1] {
+            programs.extend(workloads::all().into_iter().map(|w| (w, level)));
+        }
+        programs.push((tiny_workload(40_000), OptLevel::O1));
+        for (w, level) in programs {
+            let app = care::compile(&w.module, level);
+            let campaign = Campaign::prepare(&w, app, vec![]);
+            let (trail, golden) = (&campaign.trail, &campaign.profile);
+            let at = format!("{} at {level:?}", w.name);
+            let brackets = trail.brackets();
+            assert!(brackets <= MAX_CHECKPOINTS, "{at}: {} checkpoints", brackets - 1);
+            for b in 1..brackets {
+                assert!(trail.bracket_step(b - 1) < trail.bracket_step(b), "{at}: bracket {b}");
+            }
+            assert!(trail.bracket_step(brackets - 1) < campaign.golden_steps, "{at}: trail end");
+            if w.name == "tiny" {
+                // Each halving doubles the spacing from the 1 024-step quantum.
+                assert!(trail.bracket_step(1) >= 4 << 10, "test premise: {at} halved twice");
+            }
+            for (m, funcs) in golden.iter().enumerate() {
+                for (f, insts) in funcs.iter().enumerate() {
+                    for (inst, &total) in insts.iter().enumerate() {
+                        let (module, func) = (ModuleId(m as u32), FuncId(f as u32));
+                        let last = InjectionPoint { module, func, inst, nth: total };
+                        // Executions behind the start of bracket `b`; the
+                        // end of the run closes the last bracket.
+                        let behind = |b: usize| {
+                            if b < brackets { total - trail.ordinal_in(b, &last) } else { total }
+                        };
+                        for b in 0..brackets {
+                            let (from, to) = (behind(b), behind(b + 1));
+                            assert!(from <= to && to <= total, "{at}: {last:?} shrinks in {b}");
+                            if from == to {
+                                continue;
+                            }
+                            // Executed inside bracket `b`: its first firing
+                            // there is one execution past the bracket's
+                            // checkpoint, its last is counted *in* the next.
+                            for nth in [from + 1, to] {
+                                let point = InjectionPoint { nth, ..last };
+                                assert_eq!(trail.bracket_of(&point), b, "{at}: {point:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

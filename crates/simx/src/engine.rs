@@ -162,38 +162,46 @@ impl ExecutionEngine for CompiledEngine {
     }
 }
 
-/// Advance `p` to exactly `target` executed steps on `engine` and pause,
-/// leaving the process indistinguishable from one that stopped there by
-/// breakpoint: `steps == target`, the PC frozen on the next instruction,
+/// Run `p` on `engine` until it has executed exactly `target` steps and
+/// pause there, leaving the process indistinguishable from one that stopped
+/// by breakpoint: `steps == target`, the PC frozen on the next instruction,
 /// `fuel` charged for exactly the steps executed, and `trap_count`
 /// untouched (the internal out-of-fuel pause is an implementation detail,
-/// not an observed trap). Because the run is uninstrumented, a compiled
-/// engine replays at full translated speed.
+/// not an observed trap). Nothing about the process is disarmed, so a
+/// profiled one keeps counting across pauses; an uninstrumented one replays
+/// at the engine's full speed.
 ///
-/// Returns `false` — with the process state unspecified beyond its exit —
-/// when the program completes, traps, or runs out of the *caller's* fuel
-/// at or before `target`; none of these can happen when replaying a
-/// deterministic program known to run strictly past `target` steps.
-pub fn advance_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -> bool {
-    if p.steps >= target {
-        return p.steps == target;
+/// Returns `None` once paused — at once when `p` is already at or past
+/// `target` — and `Some(exit)` when the program does not get there: it
+/// completed, trapped, or ran out of the *caller's* fuel first, each exactly
+/// as a plain `engine.run(p)` would have left it.
+pub fn run_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -> Option<RunExit> {
+    let need = target.saturating_sub(p.steps);
+    if need == 0 {
+        return None;
     }
-    let need = target - p.steps;
-    let fuel_before = p.fuel;
-    if fuel_before < need {
-        return false;
-    }
+    // Grant only this stretch; the rest of the caller's budget sits out.
+    let held = p.fuel.saturating_sub(need);
+    p.fuel -= held;
     let traps_before = p.trap_count;
-    p.fuel = need;
-    let paused = matches!(
-        engine.run(p),
-        RunExit::Trapped(Trap { kind: TrapKind::OutOfFuel, .. })
-    ) && p.steps == target;
-    if paused {
-        p.trap_count = traps_before;
-        p.fuel = fuel_before - need;
+    let exit = engine.run(p);
+    p.fuel += held;
+    match exit {
+        RunExit::Trapped(Trap { kind: TrapKind::OutOfFuel, .. }) if p.steps == target => {
+            p.trap_count = traps_before;
+            None
+        }
+        other => Some(other),
     }
-    paused
+}
+
+/// [`run_to_step`] as a yes/no replay: `true` when `p` now stands at exactly
+/// `target` executed steps. `false` when it was already past it, or when the
+/// program completes, traps, or runs out of the caller's fuel at or before
+/// `target` — none of which can happen when replaying a deterministic
+/// program known to run strictly past `target` steps.
+pub fn advance_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -> bool {
+    run_to_step(engine, p, target).is_none() && p.steps == target
 }
 
 /// Why a segment execution stopped.

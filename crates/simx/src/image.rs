@@ -82,7 +82,7 @@ impl MachineModule {
 }
 
 /// Identifier of a loaded module within a process image.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ModuleId(pub u32);
 
 /// A module mapped into the simulated address space.

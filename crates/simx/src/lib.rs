@@ -28,7 +28,8 @@ pub mod translate;
 pub use codegen::compile_module;
 pub use cpu::{BreakSet, DestRef, Frame, Process, Profile, RunExit, Trap, TrapKind};
 pub use engine::{
-    advance_to_step, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine, ENGINE_VERSION,
+    advance_to_step, run_to_step, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine,
+    ENGINE_VERSION,
 };
 pub use translate::{TranslateStats, TranslationCache};
 pub use debug::{DebugData, DieRequest, LocEntry, VarDie, VarPlace};

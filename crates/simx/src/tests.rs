@@ -1139,4 +1139,36 @@ fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
     let mut p = base.clone();
     p.fuel = 5;
     assert!(!advance_to_step(interp, &mut p, total / 2));
+    // One more input: a *profiled* process paused every 1 024 steps through
+    // the primitive ends exactly like one uninterrupted profiled run — the
+    // property the campaign's golden-run driver rests on (an instrumented
+    // process takes the hooked loop on either engine).
+    let long = {
+        let mut p = Process::new(Arc::clone(&mm), vec![]);
+        p.start("main", &[2000, 64, 0]);
+        p.fuel = 1 << 20;
+        p.enable_profile();
+        p
+    };
+    let mut whole = long.clone();
+    let whole_exit = whole.run();
+    assert!(matches!(whole_exit, RunExit::Done(_)) && whole.steps > 4 * 1024);
+    for engine in [interp, &compiled as &dyn ExecutionEngine] {
+        let mut p = long.clone();
+        let mut pauses = 0;
+        let exit = loop {
+            let target = p.steps + 1024;
+            match run_to_step(engine, &mut p, target) {
+                None => {
+                    assert_eq!(p.steps, target);
+                    pauses += 1;
+                }
+                Some(exit) => break exit,
+            }
+        };
+        assert_eq!(exit, whole_exit, "{}: sliced profiled run diverged", engine.name());
+        assert!(pauses >= 4, "only {pauses} pauses");
+        assert_eq!(p.profile, whole.profile);
+        assert_eq!((p.steps, p.fuel, p.trap_count), (whole.steps, whole.fuel, whole.trap_count));
+    }
 }

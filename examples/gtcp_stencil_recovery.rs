@@ -78,5 +78,7 @@ fn main() {
             "  coverage: {covered}/{segv} SIGSEGV faults recovered ({:.1}%)",
             100.0 * covered as f64 / segv.max(1) as f64
         );
+        // `covered` means repaired *and* bit-identical to the golden output.
+        assert!(covered > 0, "[{level}] no SIGSEGV fault was recovered bit-clean");
     }
 }

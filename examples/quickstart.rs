@@ -101,6 +101,7 @@ fn main() {
                 result.unwrap() as i64
             );
             assert_eq!(result.unwrap() as i64, expected, "output must be exact");
+            assert!(recoveries > 0, "the flipped index must have needed a repair");
         }
         other => panic!("recovery failed: {other:?}"),
     }

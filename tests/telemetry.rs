@@ -271,7 +271,7 @@ fn drive_every_instrumented_path(
     let cluster_cfg = cluster::ClusterConfig::default();
     let step = cluster_cfg.timesteps / 2;
     let care = cluster::Resilience::Care { events: vec![(step, 40.0)] };
-    (reports, cluster::simulate_faulty_traced(&cluster_cfg, step, &care, hooks))
+    (reports, cluster::simulate_faulty(&cluster_cfg, step, &care, hooks))
 }
 
 /// "Nothing observes when nobody listens", stated once: hooks that answer
