@@ -10,8 +10,9 @@
 //! classify → Safeguard on the trapped process itself, [`crate::suffix`])
 //! from their snapshot, in parallel on the same pool.
 //! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
-//! ~`N·L`, and `K > 1` removes the serial-cursor Amdahl bottleneck (`K = 1`
-//! is a single cursor).
+//! ~`N·L` — less what a suffix skips by stopping at the golden state it has
+//! re-joined — and `K > 1` removes the serial-cursor Amdahl bottleneck
+//! (`K = 1` is a single cursor).
 
 use crate::cursor::{hand_out, plan_points};
 use crate::injector::{FaultModel, InjectionPoint};
@@ -284,13 +285,14 @@ impl Campaign {
         let starts = hand_out(points, samples.len());
         let jobs: Vec<((usize, InjectionPoint, SmallRng), Option<Process>)> =
             samples.into_iter().zip(starts).collect();
+        let golden = self.trail.states();
         let records: Vec<InjectionRecord> = timed(hooks, "trellis.suffixes_ns", || {
             jobs.into_par_iter()
                 .filter_map(|((index, point, rng), p)| {
                     if ctl.is_cancelled() {
                         return None;
                     }
-                    let rec = self.run_suffix(cfg, point, &rng, p?, engine, hooks);
+                    let rec = self.run_suffix(cfg, point, &rng, p?, golden, hooks);
                     if let Some(r) = &rec {
                         sink.emit(index, r);
                         ctl.note_classified();

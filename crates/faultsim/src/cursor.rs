@@ -207,7 +207,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::campaign::NoSink;
-    use crate::fixtures::{cfg, hpccg_campaign, reference, tiny_campaign};
+    use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_campaign};
     use crate::{CampaignReport, InjectionRecord};
     use simx::{EngineKind, InterpEngine};
     use telemetry::NoTelemetry;
@@ -258,11 +258,15 @@ mod tests {
     fn sharded_cursors_match_single_cursor_and_split_the_prefix() {
         let campaign = hpccg_campaign();
         let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60) };
-        let single = campaign.run(&config(1));
+        let (single, ctr) = run_heard(&campaign, &config(1));
         assert_eq!(single.cursor_shards, 1);
+        // Held to the run-out reference by suffixes that did not run out.
+        assert_eq!(reference(&campaign, &config(1)), single.records);
+        assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state");
         for k in [2, 4, 16] {
-            let sharded = campaign.run(&config(k));
+            let (sharded, ctr) = run_heard(&campaign, &config(k));
             assert_eq!(single.records, sharded.records, "records diverged at {k} shards");
+            assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state at {k}");
             assert_eq!(single.trellis_snapshots, sharded.trellis_snapshots);
             assert!(
                 sharded.cursor_shards > 1 && sharded.cursor_shards <= k,
@@ -345,10 +349,7 @@ mod tests {
                 .iter()
                 .map(|&b| end_of(b) - trail.bracket_step(b))
                 .sum();
-            let rec = telemetry::Recorder::new();
-            let report = campaign.run_with_hooks(&config, &rec);
-            let tel = rec.drain();
-            let ctr = |n: &str| tel.counters.get(n).copied().unwrap_or(0);
+            let (report, ctr) = run_heard(&campaign, &config);
             let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
             assert_eq!(report.cursor_shards, 1);
             assert_eq!(replay + window, report.steps_prefix, "{engine:?}: spans leak steps");

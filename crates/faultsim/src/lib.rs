@@ -16,11 +16,13 @@
 //!
 //! The modules, in the order a campaign passes through them: [`injector`]
 //! (`(I, n)` selection and the bit-flips), `trail` (the golden run and its
-//! checkpoint trail — the one place that knows what a checkpoint holds),
+//! checkpoint trail — the one place that knows what a checkpoint holds:
+//! profile counts at each, the golden machine state at a few),
 //! `cursor` (the distinct sampled points, grouped once, walked by hopping
 //! cursors that fork a snapshot per point), `suffix` (one injection from
-//! its snapshot on: inject, classify, CARE recovery; the record types and
-//! the per-index reference `run_one`), `report` ([`CampaignReport`]),
+//! its snapshot on: inject, run to an outcome or to the golden state the
+//! run re-joins, classify, CARE recovery; the record types and the
+//! per-index reference `run_one`), `report` ([`CampaignReport`]),
 //! [`campaign`] ([`Campaign`], its configuration, and the `run*` entry
 //! points that orchestrate the rest) and [`wire`] (the JSON field lists).
 
@@ -42,7 +44,7 @@ pub use trail::MAX_GOLDEN_STEPS;
 #[cfg(test)]
 /// Fixtures shared by the crate's unit tests.
 pub(crate) mod fixtures {
-    use crate::{Campaign, CampaignConfig, InjectionRecord};
+    use crate::{Campaign, CampaignConfig, CampaignReport, InjectionRecord};
     use opt::OptLevel;
     use workloads::Workload;
 
@@ -97,6 +99,18 @@ pub(crate) mod fixtures {
             keep_records: true,
             ..CampaignConfig::default()
         }
+    }
+
+    /// `campaign.run(cfg)` heard by a recorder: the report, and a reader of
+    /// the counters that say what the run executed to get it.
+    pub(crate) fn run_heard(
+        campaign: &Campaign,
+        cfg: &CampaignConfig,
+    ) -> (CampaignReport, impl Fn(&str) -> u64) {
+        let rec = telemetry::Recorder::new();
+        let report = campaign.run_with_hooks(cfg, &rec);
+        let tel = rec.drain();
+        (report, move |name: &str| tel.counters.get(name).copied().unwrap_or(0))
     }
 
     /// The per-index reference: every injection re-simulates its own prefix.

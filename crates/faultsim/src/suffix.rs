@@ -2,21 +2,36 @@
 //! right after it, run to an outcome, classify, and — for SIGSEGV outcomes
 //! of a CARE campaign — resume the trapped process under Safeguard.
 //!
+//! A suffix need not run to its end to have an outcome. Most injections are
+//! benign, and a benign run is mostly one whose corrupted value died: from
+//! some step on it *is* the golden run. [`Campaign::run_suffix`] therefore
+//! runs from one golden state of the trail to the next and compares
+//! ([`Process::same_state`]); on equality the rest is known — `Benign`, at
+//! exactly `golden_steps` — and the record is written there, with the steps
+//! it would have executed attributed as if it had.
+//!
 //! [`Campaign::run_suffix`] is what the trellis' workers run from a forked
 //! snapshot; [`Campaign::run_one`] is the per-index reference: it
-//! re-simulates one injection's own prefix from the template, and the
-//! trellis records must equal
-//! `(0..n).filter_map(|i| campaign.run_one(&cfg, i))` bit for bit (pinned
-//! by the unit tests beside the trellis, `tests/golden.rs` and carefuzz).
+//! re-simulates one injection's own prefix from the template, consults no
+//! golden state and so runs every suffix out, and the trellis records must
+//! equal `(0..n).filter_map(|i| campaign.run_one(&cfg, i))` bit for bit
+//! (pinned by the unit tests beside the trellis, `tests/golden.rs` and
+//! carefuzz).
 
 use crate::campaign::{Campaign, CampaignConfig};
 use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use safeguard::{resume_protected, DeclineKind, ProtectedExit, Safeguard};
-use simx::{ExecutionEngine, ModuleId, Process, RunExit, TrapKind};
+use simx::{run_to_step, ModuleId, Process, RunExit, TrapKind};
 use std::sync::Arc;
 use telemetry::{Event, Hooks, NoTelemetry};
+
+/// Unequal comparisons with golden states after which a suffix stops
+/// comparing and runs out: a run that has not re-joined by its third state
+/// rarely does (caps of 1, 2, 3 and 16 measured alike, 2437–2514 `inj_per_s`
+/// on `cov_compiled`), and each comparison reads every page both runs wrote.
+const MAX_COMPARES: usize = 3;
 
 /// Hardware-trap symptom classes of Table 3.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -157,24 +172,35 @@ impl Campaign {
     /// late injection points overshoot the hang bound by nearly 2x) and the
     /// RNG must be in the post-[`Campaign::sample_point`] state.
     ///
+    /// `golden` is the golden run's states the suffix may stop at, in step
+    /// order (`Trail::states`; empty for the reference, which then runs
+    /// out). The run pauses at each one past the injection, and where it
+    /// equals that state — with fuel left for the rest of the golden run,
+    /// without which it would end `Hang`, not `Benign` — the record is
+    /// written as the run-out would have written it. The record is the same
+    /// for any `golden`.
+    ///
     /// With hooks enabled this is also the per-*job* instrumentation site:
     /// a wall-clock span per job
     /// (`job.wall_ns`, accumulated into the `worker.busy_ns` counter —
     /// whose per-shard subtotals are the per-worker utilization view),
     /// simulated-step spans for the suffix and CARE stages, TLB counter
     /// deltas of the processes this job ran, and one `job` event whose
-    /// `t_ns` stamp traces the queue drain. Hooks never influence the
-    /// record: a telemetry-enabled campaign is bit-identical.
+    /// `t_ns` stamp traces the queue drain. The step spans are *attributed*;
+    /// `suffix.pruned_steps` is the part of them no engine executed, and the
+    /// wall span and the TLB deltas cover executed work only. Hooks never
+    /// influence the record: a telemetry-enabled campaign is bit-identical.
     pub(crate) fn run_suffix(
         &self,
         cfg: &CampaignConfig,
         point: InjectionPoint,
         rng: &SmallRng,
         mut p: Process,
-        engine: &dyn ExecutionEngine,
+        golden: &[Process],
         hooks: &dyn Hooks,
     ) -> Option<InjectionRecord> {
         let t0 = hooks.enabled().then(std::time::Instant::now);
+        let engine = self.engine(cfg);
         let base_stats = p.mem.stats;
         let prefix_steps = p.steps;
         let mut flip_rng = rng.clone();
@@ -185,25 +211,48 @@ impl Campaign {
             }
             return None;
         }
-        let exit = engine.run(&mut p);
+        // `None`: the run re-joined the golden run and was left there.
+        let mut exit = None;
+        let mut rejoined = false;
+        let mut compares = 0u64;
+        for state in golden.iter().filter(|g| g.steps > prefix_steps).take(MAX_COMPARES) {
+            exit = run_to_step(engine, &mut p, state.steps);
+            if exit.is_some() {
+                break;
+            }
+            compares += 1;
+            if p.same_state(state) {
+                // Fuel falls as steps rise: short here is short at every
+                // later state too.
+                rejoined = p.fuel >= self.golden_steps - p.steps;
+                break;
+            }
+        }
+        if !rejoined {
+            exit = exit.or_else(|| Some(engine.run(&mut p)));
+        }
         let (outcome, latency) = match exit {
-            RunExit::Done(_) => {
+            None => (Outcome::Benign, None),
+            Some(RunExit::Done(_)) => {
                 if self.outputs_clean(&p) {
                     (Outcome::Benign, None)
                 } else {
                     (Outcome::Sdc, None)
                 }
             }
-            RunExit::Trapped(t) => match t.kind {
+            Some(RunExit::Trapped(t)) => match t.kind {
                 TrapKind::OutOfFuel => (Outcome::Hang, None),
                 kind => (
                     Outcome::SoftFailure(signal_of(kind)),
                     Some(p.steps - prefix_steps),
                 ),
             },
-            RunExit::BreakHit => unreachable!("breakpoint already consumed"),
+            Some(RunExit::BreakHit) => unreachable!("breakpoint already consumed"),
         };
-        let suffix_steps = p.steps - prefix_steps;
+        // Where the unprotected run ends: where it stopped, or — re-joined —
+        // where the golden run did.
+        let pruned_steps = if rejoined { self.golden_steps - p.steps } else { 0 };
+        let suffix_steps = p.steps + pruned_steps - prefix_steps;
 
         // --- protected run for SIGSEGV injections (§5 methodology). The
         // unprotected run is frozen on its trap with pre-fault registers,
@@ -214,7 +263,8 @@ impl Campaign {
             let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
             sg.patch_base_first = cfg.patch_base_first;
             sg.skip_equality_guard = cfg.skip_equality_guard;
-            let end = resume_protected(engine, &mut p, exit, &mut sg, cfg.max_recoveries, hooks);
+            let trapped = exit.expect("a SIGSEGV outcome has its exit");
+            let end = resume_protected(engine, &mut p, trapped, &mut sg, cfg.max_recoveries, hooks);
             let (recoveries, recovery_ms, decline) = match end {
                 ProtectedExit::Completed { recoveries, recovery_ms, .. } => {
                     (recoveries, recovery_ms, None)
@@ -238,6 +288,9 @@ impl Campaign {
             hooks.add("worker.busy_ns", wall_ns);
             hooks.record("job.wall_ns", wall_ns);
             hooks.record("job.suffix_steps", suffix_steps);
+            hooks.add("suffix.pruned_steps", pruned_steps);
+            hooks.add("suffix.compares", compares);
+            hooks.add("suffix.converged", rejoined as u64);
             if care.is_some() {
                 hooks.record("job.care_steps", care_steps);
             }
@@ -283,7 +336,7 @@ impl Campaign {
             // unreachable for deterministic programs; be safe anyway.
             _ => return None,
         }
-        self.run_suffix(cfg, point, &rng, p, self.engine(cfg), &NoTelemetry)
+        self.run_suffix(cfg, point, &rng, p, &[], &NoTelemetry)
     }
 }
 
@@ -300,7 +353,8 @@ fn signal_of(kind: TrapKind) -> Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{cfg, hpccg_campaign};
+    use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_workload};
+    use simx::EngineKind;
 
     /// Suffix forks budget fuel against *remaining* steps: every record's
     /// prefix + suffix stays within the campaign hang bound, and a hang
@@ -328,6 +382,55 @@ mod tests {
             if rec.outcome == Outcome::Hang {
                 assert_eq!(rec.split.prefix + rec.split.suffix, budget);
             }
+        }
+    }
+
+    /// A suffix that re-joins the golden run is left at the state it
+    /// re-joined at, and its record is the one the run-out writes: the
+    /// attributed steps do not move, the executed ones shrink by exactly
+    /// what `suffix.pruned_steps` says was never run.
+    #[test]
+    fn a_suffix_that_rejoins_the_golden_run_stops_there_with_the_run_out_record() {
+        let campaign = hpccg_campaign();
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = CampaignConfig { engine, ..cfg(60) };
+            let (report, ctr) = run_heard(&campaign, &config);
+            assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
+            let (converged, compares) = (ctr("suffix.converged"), ctr("suffix.compares"));
+            assert!(converged > 0, "{engine:?}: no suffix re-joined the golden run");
+            assert!(converged <= report.benign as u64, "{engine:?}: only benign runs re-join");
+            assert!(converged <= compares && compares <= 60 * MAX_COMPARES as u64, "{engine:?}");
+            assert_eq!(ctr("steps.suffix"), report.steps_suffix, "{engine:?}: attributed");
+            let pruned = ctr("suffix.pruned_steps");
+            assert!(0 < pruned && pruned < report.steps_suffix, "{engine:?}: pruned {pruned}");
+        }
+    }
+
+    /// Re-joining the golden run means ending as it did only with the fuel
+    /// to get there. On a budget shorter than the golden run none does (a run
+    /// ends early or not at all): one that equals a golden state still runs
+    /// dry, `Hang`.
+    #[test]
+    fn a_rejoined_run_short_of_fuel_for_the_rest_still_hangs() {
+        let w = tiny_workload(150_000);
+        let app = care::compile(&w.module, opt::OptLevel::O1);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        let starved = CampaignConfig { hang_factor: 0, ..cfg(16) };
+        let budget = campaign.fuel_budget(&starved);
+        assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
+        let first = campaign.trail.states().first().expect("test premise: a state").steps;
+        assert!(first < budget / 2, "test premise: states inside the budget");
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = CampaignConfig { engine, ..starved };
+            let (report, ctr) = run_heard(&campaign, &config);
+            assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
+            assert!(report.hang > 0 && report.benign == 0, "{engine:?}: {report:?}");
+            assert!(ctr("suffix.compares") > 0, "{engine:?}: test premise: a state was reached");
+            assert_eq!(ctr("suffix.converged"), 0, "{engine:?}");
+            assert_eq!(ctr("suffix.pruned_steps"), 0, "{engine:?}");
+            // The same injections on the default budget do re-join.
+            let fed = CampaignConfig { hang_factor: 20, ..config };
+            assert!(run_heard(&campaign, &fed).1("suffix.converged") > 0, "{engine:?}");
         }
     }
 }

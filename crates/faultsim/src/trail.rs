@@ -1,21 +1,30 @@
 //! The golden trail: the fault-free profiling run, cut into *brackets* by
-//! evenly spaced profile checkpoints.
+//! evenly spaced checkpoints, with the golden machine state kept at a few
+//! of them.
 //!
-//! [`Trail::record`] drives the golden run in fixed-step slices and keeps
-//! the execution-count profile at each pause. That is what lets a trellis
-//! cursor (a) fast-replay to a checkpoint with no instrumentation and (b)
-//! rebase its points' `nth` ordinals to breakpoint ordinals counted from
-//! that checkpoint; the checkpoints are also the shard-boundary candidates
-//! of the parallel cursor pass. The checkpoint list is private to this
-//! module: everything else asks in terms of brackets — bracket `b > 0`
-//! starts at the `b`-th checkpoint, bracket 0 at program start (step 0,
-//! every count zero) — so what a checkpoint *holds* can change here alone.
-//! The golden profile's other derived view, the `mix.*` telemetry counters,
-//! sits below the trail.
+//! [`Trail::record`] drives the golden run in fixed-step slices. At each
+//! pause it keeps the execution-count profile — as one flat `u32` vector
+//! per checkpoint, addressed through a per-`[module][func]` range table the
+//! trail holds once — and, at every [`STATE_EVERY`]th pause, a copy-on-write
+//! clone of the process itself. The counts are what let a trellis cursor
+//! (a) fast-replay to a checkpoint with no instrumentation and (b) rebase
+//! its points' `nth` ordinals to breakpoint ordinals counted from that
+//! checkpoint; the checkpoints are also the shard-boundary candidates of the
+//! parallel cursor pass. The states are what a suffix compares itself with
+//! ([`Trail::states`]): an injected run that equals the golden run at the
+//! same step *is* the golden run from there on, and stops.
+//!
+//! The checkpoint list, the flat counts, the range table and the state list
+//! are private to this module: everything else asks in terms of brackets —
+//! bracket `b > 0` starts at the `b`-th checkpoint, bracket 0 at program
+//! start (step 0, every count zero) — so what a checkpoint *holds* can
+//! change here alone. The golden profile's other derived view, the `mix.*`
+//! telemetry counters, sits below the trail.
 
 use crate::campaign::Campaign;
 use crate::injector::InjectionPoint;
-use simx::{run_to_step, InterpEngine, Process, Profile, RunExit, TrapKind};
+use simx::{run_to_step, InterpEngine, Process, RunExit, TrapKind};
+use std::ops::Range;
 use telemetry::Hooks;
 
 /// The longest golden run [`Campaign::prepare`](crate::Campaign::prepare)
@@ -26,25 +35,27 @@ use telemetry::Hooks;
 /// would never finish.
 pub const MAX_GOLDEN_STEPS: u64 = 1 << 30;
 
+// An execution count never exceeds the run's step count, so a checkpoint
+// can hold its counts as `u32`.
+const _: () = assert!(MAX_GOLDEN_STEPS <= u32::MAX as u64);
+
 /// The trail holds fewer checkpoints than this for any program length.
 const MAX_CHECKPOINTS: usize = 96;
 
+/// A golden state is kept at every checkpoint whose step is a multiple of
+/// this many quanta: at most 7 on a finished trail. Measured on the five
+/// bundled programs before this was built (CHANGES.md, PR 23), 8 states
+/// still prune 50 % of all suffix steps where one at every checkpoint
+/// prunes 56 %, and each state pins the pages the golden run dirties up to
+/// the next.
+const STATE_EVERY: u64 = 12;
+
 /// A step-indexed snapshot of the golden run's execution-count profile:
 /// `counts` holds the per-static-instruction execution totals of the first
-/// `step` dynamic instructions.
+/// `step` dynamic instructions, flattened in `[module][func][inst]` order.
 struct ProfileCheckpoint {
     step: u64,
-    counts: Profile,
-}
-
-/// Executions of `point`'s static instruction recorded in `profile`.
-fn count_at(profile: &Profile, point: &InjectionPoint) -> u64 {
-    profile
-        .get(point.module.0 as usize)
-        .and_then(|fs| fs.get(point.func.0 as usize))
-        .and_then(|is| is.get(point.inst))
-        .copied()
-        .unwrap_or(0)
+    counts: Vec<u32>,
 }
 
 /// The golden run's checkpoint trail. Empty for programs shorter than the
@@ -52,6 +63,11 @@ fn count_at(profile: &Profile, point: &InjectionPoint) -> u64 {
 pub(crate) struct Trail {
     /// Evenly spaced, in step order.
     checkpoints: Vec<ProfileCheckpoint>,
+    /// Where `[module][func]`'s instructions sit in a checkpoint's `counts`.
+    ranges: Vec<Vec<Range<usize>>>,
+    /// The golden process as it stood at some of the checkpoints, in step
+    /// order, nothing armed.
+    states: Vec<Process>,
     /// Dynamic instructions of the whole golden run.
     steps: u64,
 }
@@ -62,30 +78,46 @@ impl Trail {
     /// profile are the campaign's golden data). Panics when the run traps
     /// or is still going after `max_steps`; `name` labels the panic.
     pub(crate) fn record(template: &Process, name: &str, max_steps: u64) -> (Trail, Process) {
+        assert!(max_steps <= MAX_GOLDEN_STEPS, "counts are kept as u32");
         let mut p = template.clone();
         p.enable_profile();
         p.fuel = max_steps;
+        let mut end = 0;
+        let mut range_of = |insts: &Vec<u64>| {
+            let start = end;
+            end += insts.len();
+            start..end
+        };
+        let ranges = (p.profile.iter().flatten())
+            .map(|funcs| funcs.iter().map(&mut range_of).collect())
+            .collect();
         // Pause every `quantum` steps and keep the profile. The trail stays
         // bounded for any program length by halving (keep every second
-        // checkpoint, double the quantum) whenever it fills.
+        // checkpoint, double the quantum) whenever it fills; the states
+        // follow the same rule at `STATE_EVERY` times the spacing.
         let mut checkpoints: Vec<ProfileCheckpoint> = Vec::new();
+        let mut states: Vec<Process> = Vec::new();
         let mut quantum: u64 = 1 << 10;
         let exit = loop {
             let target = p.steps + quantum;
             if let Some(exit) = run_to_step(&InterpEngine, &mut p, target) {
                 break exit;
             }
-            checkpoints.push(ProfileCheckpoint {
-                step: p.steps,
-                counts: p.profile.clone().expect("profile enabled"),
-            });
+            let profile = p.profile.take().expect("profile enabled");
+            // Sized exactly: nothing bounds a flattened iterator from above,
+            // and a collected vector would keep up to twice its length.
+            let mut counts = Vec::with_capacity(end);
+            counts.extend(profile.iter().flatten().flatten().map(|&n| n as u32));
+            checkpoints.push(ProfileCheckpoint { step: p.steps, counts });
+            if p.steps.is_multiple_of(STATE_EVERY * quantum) {
+                // Cloned with the profile out: a state carries no counts.
+                states.push(p.clone());
+            }
+            p.profile = Some(profile);
             if checkpoints.len() == MAX_CHECKPOINTS {
-                let mut nth = 0;
-                checkpoints.retain(|_| {
-                    nth += 1;
-                    nth % 2 == 0
-                });
                 quantum *= 2;
+                checkpoints.retain(|c| c.step.is_multiple_of(quantum));
+                states.retain(|s| s.steps.is_multiple_of(STATE_EVERY * quantum));
             }
         };
         match exit {
@@ -95,7 +127,22 @@ impl Trail {
             }
             other => panic!("golden run of {name} failed: {other:?}"),
         }
-        (Trail { checkpoints, steps: p.steps }, p)
+        states.shrink_to_fit();
+        (Trail { checkpoints, ranges, states, steps: p.steps }, p)
+    }
+
+    /// Executions of `point`'s static instruction counted in `counts`.
+    fn count_at(&self, counts: &[u32], point: &InjectionPoint) -> u64 {
+        self.ranges
+            .get(point.module.0 as usize)
+            .and_then(|fs| fs.get(point.func.0 as usize))
+            .and_then(|range| counts[range.clone()].get(point.inst))
+            .map_or(0, |&n| n as u64)
+    }
+
+    /// The golden states a suffix may compare itself with, in step order.
+    pub(crate) fn states(&self) -> &[Process] {
+        &self.states
     }
 
     /// The bracket `point` fires in: the number of checkpoints its firing
@@ -103,7 +150,7 @@ impl Trail {
     /// checkpoint counted fewer than `nth` executions of the instruction,
     /// and the counts only grow along the trail.
     pub(crate) fn bracket_of(&self, point: &InjectionPoint) -> usize {
-        self.checkpoints.partition_point(|c| count_at(&c.counts, point) < point.nth)
+        self.checkpoints.partition_point(|c| self.count_at(&c.counts, point) < point.nth)
     }
 
     /// The step `bracket` starts at.
@@ -115,7 +162,7 @@ impl Trail {
     /// `nth` less the executions already behind the bracket's checkpoint.
     pub(crate) fn ordinal_in(&self, bracket: usize, point: &InjectionPoint) -> u64 {
         let start = bracket.checked_sub(1).map(|ci| &self.checkpoints[ci].counts);
-        point.nth - start.map_or(0, |counts| count_at(counts, point))
+        point.nth - start.map_or(0, |counts| self.count_at(counts, point))
     }
 
     /// The shard-boundary cut: one past the last bracket of each of up to
@@ -186,7 +233,8 @@ fn mix_counter(kind: &'static str) -> &'static str {
 mod tests {
     use super::*;
     use crate::fixtures::tiny_workload;
-    use simx::ModuleId;
+    use crate::CampaignConfig;
+    use simx::{advance_to_step, EngineKind, ModuleId};
     use tinyir::FuncId;
 
     impl Trail {
@@ -233,6 +281,23 @@ mod tests {
             if w.name == "tiny" {
                 // Each halving doubles the spacing from the 1 024-step quantum.
                 assert!(trail.bracket_step(1) >= 4 << 10, "test premise: {at} halved twice");
+            }
+            // The states: few, each at a checkpoint `STATE_EVERY` spacings
+            // on, and — taken on the hooked loop, consumed on both engines —
+            // what a plain replay of the template reaches on either.
+            let states = trail.states();
+            let spacing = trail.bracket_step(1.min(brackets - 1));
+            assert!(states.len() <= 7, "{at}: {} states", states.len());
+            assert_eq!(states.len() as u64, (brackets as u64 - 1) / STATE_EVERY, "{at}");
+            for (i, state) in states.iter().enumerate() {
+                assert_eq!(state.steps, (i as u64 + 1) * STATE_EVERY * spacing, "{at}: state {i}");
+                assert!((1..brackets).any(|b| trail.bracket_step(b) == state.steps), "{at}");
+                for engine in [EngineKind::Interp, EngineKind::Compiled] {
+                    let config = CampaignConfig { engine, ..CampaignConfig::default() };
+                    let mut replayed = campaign.template.clone();
+                    assert!(advance_to_step(campaign.engine(&config), &mut replayed, state.steps));
+                    assert!(replayed.same_state(state), "{at}: state {i} on {engine:?}");
+                }
             }
             for (m, funcs) in golden.iter().enumerate() {
                 for (f, insts) in funcs.iter().enumerate() {

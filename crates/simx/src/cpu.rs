@@ -67,7 +67,7 @@ pub enum DestRef {
 
 /// One call frame: private register file (the calling convention saves and
 /// restores all registers across calls) plus incoming arguments.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Frame {
     /// Module of the executing function.
     pub module: ModuleId,
@@ -444,11 +444,42 @@ impl Process {
     /// bit-identical `steps`/`fuel` accounting and trap states (the
     /// fast-path precision tests in `tests.rs` hold them side by side).
     pub fn run(&mut self) -> RunExit {
-        if self.profile.is_some() || self.break_at.is_some() || self.multi_break.is_some() {
+        if self.is_instrumented() {
             self.run_loop::<true>()
         } else {
             self.run_loop::<false>()
         }
+    }
+
+    /// True when a profile or a breakpoint is armed: such a process runs on
+    /// the hooked loop, on either engine.
+    pub(crate) fn is_instrumented(&self) -> bool {
+        self.profile.is_some() || self.break_at.is_some() || self.multi_break.is_some()
+    }
+
+    /// True when `self` and `other` are the same machine state at the same
+    /// point of the same program, so that — run deterministically, nothing
+    /// instrumented — they execute the same instructions to the same end:
+    /// equal `steps`, call stack (every frame's PC, registers, arguments and
+    /// saved pointers), `sp`, `heap_ptr` and `trap_count`, one shared image,
+    /// and [`PagedMemory::same_contents`]. Conservative like that: `false`
+    /// may be a missed equality, `true` is never a wrong one.
+    ///
+    /// Three things are deliberately outside it. `fuel` is a budget the
+    /// caller set, not machine state: two equal processes still end
+    /// differently when one runs dry first, which is the caller's to check.
+    /// `mem.stats` counts accesses already made and the TLBs cache
+    /// translations; neither changes what a later access returns.
+    pub fn same_state(&self, other: &Process) -> bool {
+        self.steps == other.steps
+            && self.sp == other.sp
+            && self.heap_ptr == other.heap_ptr
+            && self.trap_count == other.trap_count
+            && !self.is_instrumented()
+            && !other.is_instrumented()
+            && Arc::ptr_eq(&self.image, &other.image)
+            && self.frames == other.frames
+            && self.mem.same_contents(&other.mem)
     }
 
     /// The hot loop holds its own handle on the (immutable) image so each

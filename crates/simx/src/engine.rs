@@ -152,7 +152,7 @@ impl ExecutionEngine for CompiledEngine {
     }
 
     fn run(&self, p: &mut Process) -> RunExit {
-        if p.profile.is_some() || p.break_at.is_some() || p.multi_break.is_some() {
+        if p.is_instrumented() {
             // Instrumented runs (golden profiling, injector breakpoints, an
             // armed trellis cursor) stay on the interpreter's hooked loop;
             // a disarmed cursor hopping between checkpoints runs below.

@@ -1172,3 +1172,70 @@ fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
         assert_eq!((p.steps, p.fuel, p.trap_count), (whole.steps, whole.fuel, whole.trap_count));
     }
 }
+
+#[test]
+fn same_state_is_equality_of_everything_a_run_depends_on() {
+    let mm = engine_fixture();
+    let base = {
+        let mut p = Process::new(Arc::clone(&mm), vec![]);
+        p.start("main", &[12, 64, 0]);
+        p.fuel = 1 << 20;
+        p
+    };
+    // Mid-loop: `arr` and the stack page have been written by then.
+    let mid = {
+        let mut p = base.clone();
+        assert!(matches!(p.run(), RunExit::Done(_)));
+        p.steps / 2
+    };
+    let compiled = CompiledEngine::for_image(&base.image);
+    let paused = |engine: &dyn ExecutionEngine| {
+        let mut p = base.clone();
+        assert!(advance_to_step(engine, &mut p, mid));
+        p
+    };
+    let a = paused(&InterpEngine);
+    // A clone is equal, and so is the same step reached on the other engine
+    // — every page either run wrote is equal bytes in its own allocation.
+    assert!(a.same_state(&a.clone()));
+    let b = paused(&compiled);
+    assert!(a.mem.private_pages() > 0 && b.mem.private_pages() > 0);
+    assert!(a.same_state(&b) && b.same_state(&a));
+    // Fuel, access counters and TLB contents are outside the comparison.
+    let mut spent = b.clone();
+    spent.fuel = 0;
+    spent.read_global("arr", 0, Ty::F64).expect("mapped");
+    assert_ne!(spent.mem.stats, a.mem.stats);
+    assert!(a.same_state(&spent));
+
+    let differs = |what: &str, change: &dyn Fn(&mut Process)| {
+        let mut c = b.clone();
+        change(&mut c);
+        assert!(!a.same_state(&c) && !c.same_state(&a), "{what} went unnoticed");
+    };
+    differs("a flipped byte in a private page", &|p| {
+        let addr = p.image.global_addr_by_name("arr").expect("arr");
+        let byte = p.mem.load(addr + 8, 1).expect("mapped");
+        p.mem.store(addr + 8, 1, byte ^ 1).expect("mapped");
+    });
+    differs("a register", &|p| p.frame_mut().regs[3] ^= 1 << 40);
+    differs("idx", &|p| p.frame_mut().idx += 1);
+    differs("sp", &|p| p.sp -= 16);
+    differs("heap_ptr", &|p| p.heap_ptr += 16);
+    differs("trap_count", &|p| p.trap_count += 1);
+    differs("steps", &|p| p.steps += 1);
+    differs("a popped frame", &|p| drop(p.frames.pop()));
+    differs("a pushed frame", &|p| {
+        let top = p.frame().clone();
+        p.frames.push(top);
+    });
+    differs("an armed breakpoint", &|p| p.break_at = Some((ModuleId(0), tinyir::FuncId(0), 0, 1)));
+    differs("an armed profile", &|p| p.enable_profile());
+    // Equal bytes under a process image of its own: a different program, as
+    // far as a cheap check can tell.
+    let mut other = Process::new(Arc::clone(&mm), vec![]);
+    other.start("main", &[12, 64, 0]);
+    other.fuel = 1 << 20;
+    assert!(advance_to_step(&InterpEngine, &mut other, mid));
+    assert!(!a.same_state(&other));
+}

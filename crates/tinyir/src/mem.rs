@@ -467,6 +467,22 @@ impl PagedMemory {
         let p = addr / PAGE_SIZE;
         self.pages.contains_key(&p) || self.span_contains(p)
     }
+
+    /// True when the two memories are certain to answer every future access
+    /// alike: equal zero spans, the same set of materialised pages, and each
+    /// pair of pages either one shared allocation or byte-equal.
+    ///
+    /// Conservative: a page materialised as all-zero on one side and still a
+    /// zero span on the other reads the same but compares unequal — `false`
+    /// may be a missed equality, `true` never a wrong one. `stats` and the
+    /// TLBs are left out: counters and caches, not contents.
+    pub fn same_contents(&self, other: &PagedMemory) -> bool {
+        self.zero_spans == other.zero_spans
+            && self.pages.len() == other.pages.len()
+            && self.pages.iter().all(|(p, mine)| {
+                other.pages.get(p).is_some_and(|theirs| Arc::ptr_eq(mine, theirs) || mine == theirs)
+            })
+    }
 }
 
 #[cfg(test)]
@@ -757,6 +773,36 @@ mod tests {
         assert_eq!(acc.loads, 2);
         // An idle memory reports a perfect hit rate rather than NaN.
         assert_eq!(MemStats::default().hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn same_contents_is_byte_equality_of_the_same_mapping() {
+        let mut a = PagedMemory::new();
+        a.map_region(0x1000, 4 * PAGE_SIZE);
+        a.store(0x1000, 8, 0x1111).unwrap();
+        // A clone shares every allocation; counters and TLBs are not contents.
+        let mut b = a.clone();
+        b.load(0x1000, 8).unwrap();
+        assert_ne!(a.stats, b.stats);
+        assert!(a.same_contents(&b) && b.same_contents(&a));
+        // Equal bytes in distinct allocations: both sides unshare the page.
+        a.store(0x1008, 8, 7).unwrap();
+        b.store(0x1008, 8, 7).unwrap();
+        assert!(a.same_contents(&b));
+        // One flipped byte in a private page.
+        b.store(0x1010, 1, 1).unwrap();
+        assert!(!a.same_contents(&b) && !b.same_contents(&a));
+        b.store(0x1010, 1, 0).unwrap();
+        assert!(a.same_contents(&b));
+        // A page materialised as all-zero reads like its zero span and still
+        // compares unequal: a missed equality, never a wrong one.
+        b.store(0x3000, 8, 0).unwrap();
+        assert_eq!(a.load(0x3000, 8), b.load(0x3000, 8));
+        assert!(!a.same_contents(&b) && !b.same_contents(&a));
+        // A different mapping with the same materialised pages.
+        let mut c = a.clone();
+        c.map_region(0x9000, PAGE_SIZE);
+        assert!(!a.same_contents(&c));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! outcome, and evaluate CARE recovery on the faults that trap. The campaign
 //! runs on the snapshot trellis (one shared cursor pass, CoW
 //! forks at the pending injection points) and again as 30 `Campaign::run_one`
-//! calls (every injection replays its own prefix), and the two must agree
-//! record for record — the equivalence the trellis promises. The campaign
+//! calls (every injection replays its own prefix and runs its suffix out,
+//! where the trellis stops a suffix at the golden state it re-joins), and the
+//! two must agree record for record — the equivalence the trellis promises —
+//! with at least one suffix heard stopping that way. The campaign
 //! is then repeated at 1 and 4 pool threads, which must also agree bit for
 //! bit (the sharded cursor pass and the work-stealing pool are pure
 //! wall-clock optimisations). Exits nonzero (assert) if the pipeline stops
@@ -55,7 +57,10 @@ fn main() {
         engine,
         ..CampaignConfig::default()
     };
-    let r = campaign.run(&cfg);
+    let rec = telemetry::Recorder::new();
+    let r = campaign.run_with_hooks(&cfg, &rec);
+    let tel = rec.drain();
+    let heard = |name: &str| tel.counters.get(name).copied().unwrap_or(0);
     let legacy = CampaignReport::from_records(
         (0..cfg.injections).filter_map(|i| campaign.run_one(&cfg, i)).collect(),
     );
@@ -89,6 +94,21 @@ fn main() {
     assert_eq!(
         r.records, legacy.records,
         "the trellis and per-index run_one must produce identical records"
+    );
+    // ...and not vacuously: `run_one` runs every suffix out, the trellis
+    // stops a suffix at the golden state it has re-joined. Some must have.
+    assert!(
+        heard("suffix.converged") > 0,
+        "no trellis suffix stopped at a golden state — the comparison above held nothing to it"
+    );
+    println!(
+        "suffixes: {} of {} re-joined the golden run after {} comparisons; {} of {} attributed \
+         suffix steps never ran",
+        heard("suffix.converged"),
+        r.records.len(),
+        heard("suffix.compares"),
+        heard("suffix.pruned_steps"),
+        r.steps_suffix,
     );
     assert_eq!(
         (legacy.benign, legacy.soft_failure, legacy.sdc, legacy.hang),

@@ -236,6 +236,46 @@ fn compiled_engine_records_match_interpreter_on_all_workloads() {
     }
 }
 
+/// Converged-suffix pruning must be an observational no-op, and must have
+/// happened for that to mean anything: on the five bundled programs at both
+/// levels, on both engines and at 1, 2 and 8 cursor shards, the trellis —
+/// whose suffixes stop at the golden state they re-join — writes the records
+/// and, but for the prefix it executed once, the report of the per-index
+/// `run_one` reference, which consults no golden state and runs every suffix
+/// out; and in every one of those campaigns a recorder heard at least one
+/// suffix stop that way.
+#[test]
+fn pruned_suffixes_match_the_run_out_reference_on_every_program_level_engine_and_shard_count() {
+    for level in [OptLevel::O0, OptLevel::O1] {
+        for w in workloads::all() {
+            let campaign = Campaign::prepare(&w, care::compile(&w.module, level), vec![]);
+            for engine in [EngineKind::Interp, EngineKind::Compiled] {
+                let cfg = records_cfg(12, 0xCA2E, engine);
+                let legacy = reference(&campaign, &cfg);
+                for shards in [1usize, 2, 8] {
+                    let at = format!("{} at {level:?}, {engine:?}, {shards} shard(s)", w.name);
+                    let rec = telemetry::Recorder::new();
+                    let sharded = CampaignConfig { cursor_shards: Some(shards), ..cfg };
+                    let trellis = campaign.run_with_hooks(&sharded, &rec);
+                    assert_eq!(legacy.records, trellis.records, "{at}: records diverged");
+                    // The report as the trellis built it; only the executed
+                    // prefix (and the totals over it) may differ.
+                    let trellis = CampaignReport {
+                        steps_prefix: legacy.steps_prefix,
+                        simulated_steps: legacy.simulated_steps,
+                        trellis_snapshots: 0,
+                        cursor_shards: 0,
+                        ..trellis
+                    };
+                    assert_eq!(legacy, trellis, "{at}: reports diverged");
+                    let converged = rec.drain().counters.get("suffix.converged").copied();
+                    assert!(converged > Some(0), "{at}: no suffix stopped at a golden state");
+                }
+            }
+        }
+    }
+}
+
 /// Telemetry must be a pure observer: running the same fixed-seed campaign
 /// with a live [`telemetry::Recorder`] attached yields bit-identical
 /// records to the hook-free run, and the recorder's JSONL self-validates.

@@ -209,6 +209,14 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
         "aggregate suffix steps disagree with the per-job distribution"
     );
     assert_eq!(ctr("campaign.injections"), 60);
+    // Those are the *attributed* suffix steps. The part of them no engine
+    // ran — the rest of each suffix that stopped at the golden state it had
+    // re-joined — is counted beside them, as the cursor's replay/window
+    // counters split the prefix.
+    let (pruned, converged) = (ctr("suffix.pruned_steps"), ctr("suffix.converged"));
+    assert!(pruned > 0 && converged > 0, "no HPCCG suffix re-joined the golden run");
+    assert!(pruned <= ctr("steps.suffix"), "pruned {pruned} of {}", ctr("steps.suffix"));
+    assert!(converged <= ctr("suffix.compares") && converged <= ctr("campaign.classified"));
 }
 
 /// Hooks nobody listens through: `enabled()` is `false` and everything else
@@ -287,6 +295,7 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
     for heard in [
         "campaign.classified",
         "cursor.window_steps",
+        "suffix.pruned_steps",
         "worker.busy_ns",
         "recovery.recovered",
         "engine.ops",
