@@ -7,7 +7,7 @@ use tinyir::{BinOp, CastOp, ICmp, Ty, Value};
 
 fn save(name: &str, m: &tinyir::Module) {
     tinyir::verify::verify_module(m).expect(name);
-    if let Some(d) = carefuzz::oracle::check_module(m, 0xC0FFEE) {
+    if let Some(d) = carefuzz::oracle::check_module(m, 0xC0FFEE, &mut Default::default()) {
         panic!("{name} still diverges: {d}");
     }
     let path = format!("tests/regressions/{name}.tir");

@@ -14,7 +14,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod spec;
 
-use oracle::Divergence;
+use oracle::{Divergence, Reach};
 use spec::ProgramSpec;
 
 /// One divergent seed, minimised.
@@ -31,9 +31,15 @@ pub struct Failure {
 }
 
 /// Fuzz seeds `start..start + count`. Returns every divergence found, each
-/// already minimised. `progress` gets a line every 500 seeds.
-pub fn run_seeds(start: u64, count: u64, mut progress: impl FnMut(String)) -> Vec<Failure> {
+/// already minimised, and what the trellis pair's campaigns reached of the
+/// golden states along the way. `progress` gets a line every 500 seeds.
+pub fn run_seeds(
+    start: u64,
+    count: u64,
+    mut progress: impl FnMut(String),
+) -> (Vec<Failure>, Reach) {
     let mut failures = Vec::new();
+    let mut reach = Reach::default();
     for seed in start..start + count {
         if seed != start && (seed - start).is_multiple_of(500) {
             progress(format!(
@@ -43,11 +49,11 @@ pub fn run_seeds(start: u64, count: u64, mut progress: impl FnMut(String)) -> Ve
             ));
         }
         let spec = ProgramSpec::generate(seed);
-        let Some(d) = oracle::check_spec(&spec) else { continue };
+        let Some(d) = oracle::check_spec(&spec, &mut reach) else { continue };
         progress(format!("seed {seed}: {d}"));
         let minimized = shrink::shrink(&spec, d.pair);
         let reproducer = tinyir::display::print_module(&spec::build(&minimized));
         failures.push(Failure { seed, divergence: d, minimized, reproducer });
     }
-    failures
+    (failures, reach)
 }

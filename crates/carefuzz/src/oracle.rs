@@ -12,7 +12,10 @@
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
 //!    to the per-index reference (`Campaign::run_one` for every index) on
-//!    the same seed.
+//!    the same seed, with a recorder listening or not. The trellis starts
+//!    hops from the golden states its trail kept and stops runs at them;
+//!    `run_one` does neither. [`Reach`] counts how often a fuzzing run got
+//!    that far, so a clean run can say what it held the pair to.
 //! 5. **Kernel** — the paper §4 claim: every Armor recovery kernel, executed
 //!    inline at its protected access during a fault-free run, recomputes
 //!    exactly the address the access is about to use.
@@ -96,17 +99,37 @@ const MACHINE_FUEL: u64 = 10_000_000;
 /// `main` arguments each program is exercised under.
 pub const ORACLE_ARGS: [u64; 3] = [0, 3, 11];
 
+/// What the trellis pair's campaigns exercised of the golden states, summed
+/// over the programs checked: a program too short to hold a state (the first
+/// sits 12 288 steps in) compares the trellis with `run_one` where the two
+/// do the same thing.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct Reach {
+    /// Campaigns run by the trellis pair.
+    pub campaigns: u64,
+    /// Of those, campaigns that reached a golden state: a hop cloned one or
+    /// a run paused at one to compare.
+    pub reached_a_state: u64,
+    /// Cursor hops that started from a cloned golden state.
+    pub hops: u64,
+    /// Unprotected suffixes that stopped at the golden state they re-joined.
+    pub suffixes_rejoined: u64,
+    /// Safeguard-repaired runs that did.
+    pub repaired_rejoined: u64,
+}
+
 /// Check a spec across all pairs and arguments. Returns the first
-/// divergence.
-pub fn check_spec(spec: &ProgramSpec) -> Option<Divergence> {
+/// divergence; `reach` accumulates what the trellis pair got to.
+pub fn check_spec(spec: &ProgramSpec, reach: &mut Reach) -> Option<Divergence> {
     let m = build(spec);
-    check_module(&m, spec.seed)
+    check_module(&m, spec.seed, reach)
 }
 
 /// Check an already-built module (also the `tests/regressions/` replay entry
 /// point — reproducers are stored as `.tir` text and come back through the
-/// parser). `salt` diversifies campaign seeds between programs.
-pub fn check_module(m: &Module, salt: u64) -> Option<Divergence> {
+/// parser). `salt` diversifies campaign seeds between programs; `reach`
+/// accumulates what the trellis pair got to.
+pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergence> {
     if let Some(d) = roundtrip_check(m) {
         return Some(d);
     }
@@ -150,7 +173,7 @@ pub fn check_module(m: &Module, salt: u64) -> Option<Divergence> {
     let arg = ORACLE_ARGS[1];
     let golden = run_machine(&mm0, arg, MACHINE_FUEL, false, &outputs);
     if matches!(golden.exit, RunExit::Done(_)) {
-        if let Some(d) = trellis_check(m, &oir, &armor_out, &mm1, arg, &outputs, salt) {
+        if let Some(d) = trellis_check(m, &armor_out, &mm1, arg, &outputs, salt, reach) {
             return Some(d);
         }
     }
@@ -422,14 +445,13 @@ fn opt_levels_check(
 
 fn trellis_check(
     m: &Module,
-    oir: &Module,
     armor_out: &ArmorOutput,
     mm1: &Arc<MachineModule>,
     arg: u64,
     outputs: &[(String, u64)],
     salt: u64,
+    reach: &mut Reach,
 ) -> Option<Divergence> {
-    let _ = oir;
     let out_refs: Vec<(&str, u64)> = outputs.iter().map(|(n, b)| (n.as_str(), *b)).collect();
     let w = Workload::new("fuzz", m.clone(), vec![arg], out_refs);
     let app = CompiledApp {
@@ -447,19 +469,35 @@ fn trellis_check(
         seed: salt.wrapping_mul(0x9E37_79B9).wrapping_add(arg),
         ..CampaignConfig::default()
     };
-    let trellis = campaign.run(&cfg).records;
     let reference: Vec<InjectionRecord> =
         (0..cfg.injections).filter_map(|i| campaign.run_one(&cfg, i)).collect();
-    if trellis != reference {
-        let detail = trellis
-            .iter()
-            .zip(reference.iter())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("injection {i}: trellis {a:?} vs run_one {b:?}"))
-            .unwrap_or_else(|| format!("{} vs {} records", trellis.len(), reference.len()));
-        return Some(Divergence { pair: Pair::Trellis, arg, detail });
+    let rec = telemetry::Recorder::new();
+    let trellises = [
+        ("trellis", campaign.run(&cfg).records),
+        ("trellis with a recorder", campaign.run_with_hooks(&cfg, &rec).records),
+    ];
+    for (name, trellis) in trellises {
+        if trellis != reference {
+            let detail = trellis
+                .iter()
+                .zip(reference.iter())
+                .enumerate()
+                .find(|(_, (a, b))| a != b)
+                .map(|(i, (a, b))| format!("injection {i}: {name} {a:?} vs run_one {b:?}"))
+                .unwrap_or_else(|| {
+                    format!("{name}: {} vs {} records", trellis.len(), reference.len())
+                });
+            return Some(Divergence { pair: Pair::Trellis, arg, detail });
+        }
     }
+    let heard = rec.drain().counters;
+    let heard = |name: &str| heard.get(name).copied().unwrap_or(0);
+    let hops = heard("cursor.hops");
+    reach.campaigns += 1;
+    reach.reached_a_state += (hops + heard("suffix.compares") + heard("care.compares") > 0) as u64;
+    reach.hops += hops;
+    reach.suffixes_rejoined += heard("suffix.converged");
+    reach.repaired_rejoined += heard("care.converged");
     None
 }
 

@@ -6,7 +6,7 @@
 //! first-improvement to a fixpoint — the strict size decrease guarantees
 //! termination.
 
-use crate::oracle::{check_spec, Pair};
+use crate::oracle::{check_spec, Pair, Reach};
 use crate::spec::{FloatExpr, IntExpr, ProgramSpec, Stmt};
 
 /// Minimise `spec` while it keeps diverging on `want`.
@@ -17,7 +17,7 @@ pub fn shrink(spec: &ProgramSpec, want: Pair) -> ProgramSpec {
         let step = candidates(&cur)
             .into_iter()
             .filter(|c| size(c) < cur_size)
-            .find(|c| check_spec(c).map(|d| d.pair) == Some(want));
+            .find(|c| check_spec(c, &mut Reach::default()).map(|d| d.pair) == Some(want));
         match step {
             Some(c) => cur = c,
             None => return cur,
@@ -158,8 +158,14 @@ fn stmt_variants(s: &Stmt) -> Vec<Reduced> {
         }
         Stmt::Loop { trips, body } => {
             out.push(Reduced::Many(body.clone()));
+            // One trip, or half of them: a divergence that needs the run
+            // long (a golden state to reach) survives some halvings, not the
+            // cut to one.
             if *trips > 1 {
                 out.push(Reduced::One(Stmt::Loop { trips: 1, body: body.clone() }));
+            }
+            if *trips > 3 {
+                out.push(Reduced::One(Stmt::Loop { trips: *trips / 2, body: body.clone() }));
             }
             for b2 in stmt_list_variants(body) {
                 out.push(Reduced::One(Stmt::Loop { trips: *trips, body: b2 }));
@@ -301,6 +307,26 @@ mod tests {
                 assert!(m.func_by_name("main").is_some());
             }
         }
+    }
+
+    /// A long program shrinks back: the loop around its body can be spliced
+    /// away, cut to one trip or halved, and each is strictly smaller.
+    #[test]
+    fn a_long_loop_shrinks_by_splice_one_trip_or_half() {
+        let long = (0..400)
+            .map(ProgramSpec::generate)
+            .find(|s| matches!(s.stmts[..], [Stmt::Loop { trips, .. }] if trips > 6))
+            .expect("a long program in 400 seeds");
+        let [Stmt::Loop { trips, body }] = &long.stmts[..] else { unreachable!() };
+        let smaller: Vec<ProgramSpec> =
+            candidates(&long).into_iter().filter(|c| size(c) < size(&long)).collect();
+        let loops_of = |want: u32| {
+            smaller.iter().any(|c| matches!(c.stmts[..], [Stmt::Loop { trips, .. }] if trips == want))
+        };
+        assert!(loops_of(1) && loops_of(trips / 2), "trips {trips}");
+        // The splice drops exactly the loop node: its 10 and its trips.
+        let spliced = size(&long) - 10 - *trips as usize;
+        assert!(smaller.iter().any(|c| c.stmts.len() == body.len() && size(c) == spliced));
     }
 
     #[test]

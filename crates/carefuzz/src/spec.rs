@@ -111,8 +111,9 @@ pub enum Stmt {
         then_v: IntExpr,
         else_v: IntExpr,
     },
-    /// A counted loop around a nested body.
-    Loop { trips: u8, body: Vec<Stmt> },
+    /// A counted loop around a nested body (2–6 trips where generated
+    /// inside a body; thousands around the whole body of a *long* program).
+    Loop { trips: u32, body: Vec<Stmt> },
     /// `acc = acc + h<which>(arg)` — helper functions are inlining fodder.
     Call { which: u8, arg: IntExpr },
 }
@@ -192,8 +193,32 @@ impl ProgramSpec {
         } else {
             None
         };
-        ProgramSpec { seed, arrays, helpers, stmts, trap }
+        let mut spec = ProgramSpec { seed, arrays, helpers, stmts, trap };
+        // One fault-free program in 16 is *long*: its whole body runs inside
+        // one more counted loop, with the trips for a golden run of 40–160 K
+        // steps at `-O0`. A campaign keeps its first golden state 12 288
+        // steps in and halves its trail near 98 K, so these are the programs
+        // on which the trellis pair reaches a state at all: a cursor hop
+        // clones one, a suffix or a repaired run stops at one. (Drawn last:
+        // every other seed expands as it did before the shape existed.)
+        if spec.trap.is_none() && rng.gen_range(0u32..16) == 0 {
+            let want = rng.gen_range(40_000u64..160_000);
+            if let Some(once) = steps_of(&spec).filter(|&once| once < want) {
+                let body = std::mem::take(&mut spec.stmts);
+                spec.stmts = vec![Stmt::Loop { trips: (want / once) as u32, body }];
+            }
+        }
+        spec
     }
+}
+
+/// Dynamic instructions of `spec`'s fault-free run at `-O0` under the
+/// trellis pair's argument; `None` when it does not complete.
+fn steps_of(spec: &ProgramSpec) -> Option<u64> {
+    let mut p = simx::Process::new(simx::compile_module(&build(spec), false, &[]), vec![]);
+    p.start("main", &[crate::oracle::ORACLE_ARGS[1]]);
+    p.fuel = 1 << 20;
+    matches!(p.run(), simx::RunExit::Done(_)).then_some(p.steps)
 }
 
 fn gen_stmt(rng: &mut SmallRng, arrays: &[ArraySpec], helpers: u8, depth: u8) -> Stmt {
@@ -230,7 +255,7 @@ fn gen_stmt(rng: &mut SmallRng, arrays: &[ArraySpec], helpers: u8, depth: u8) ->
             let body = (0..n)
                 .map(|_| gen_stmt(rng, arrays, helpers, depth + 1))
                 .collect();
-            Stmt::Loop { trips: rng.gen_range(2u32..=6) as u8, body }
+            Stmt::Loop { trips: rng.gen_range(2u32..=6), body }
         }
     }
 }
@@ -490,8 +515,7 @@ fn build_stmt(fb: &mut FuncBuilder<'_>, cx: &mut Ctx, s: &Stmt) {
             fb.store(upd, cx.acc);
         }
         Stmt::Loop { trips, body } => {
-            let trips = *trips as i64;
-            fb.for_loop(Value::i64(0), Value::i64(trips), |fb, iv| {
+            fb.for_loop(Value::i64(0), Value::i64(*trips as i64), |fb, iv| {
                 cx.ivs.push(iv);
                 for s in body {
                     build_stmt(fb, cx, s);
@@ -628,6 +652,19 @@ mod tests {
         let a = build(&ProgramSpec::generate(42));
         let b = build(&ProgramSpec::generate(42));
         assert_eq!(tinyir::display::print_module(&a), tinyir::display::print_module(&b));
+    }
+
+    /// The long shape is there, is one loop around the whole body, and is
+    /// long enough to hold golden states without outgrowing the smoke run.
+    #[test]
+    fn long_programs_exist_and_are_sized_for_golden_states() {
+        let long: Vec<u64> = (0..400)
+            .map(ProgramSpec::generate)
+            .filter(|s| matches!(s.stmts[..], [Stmt::Loop { trips, .. }] if trips > 6))
+            .map(|s| steps_of(&s).expect("a long program completes"))
+            .collect();
+        assert!(long.len() >= 10, "{} long programs in 400 seeds", long.len());
+        assert!(long.iter().all(|&steps| (20_000..170_000).contains(&steps)), "{long:?}");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! classify → Safeguard on the trapped process itself, [`crate::suffix`])
 //! from their snapshot, in parallel on the same pool.
 //! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
-//! ~`N·L` — less what a suffix skips by stopping at the golden state it has
-//! re-joined — and `K > 1` removes the serial-cursor Amdahl bottleneck
-//! (`K = 1` is a single cursor).
+//! ~`N·L` — less what a cursor skips by cloning a golden state instead of
+//! replaying to it, and what a suffix or a repaired run skips by stopping at
+//! the golden state it has re-joined — and `K > 1` removes the serial-cursor
+//! Amdahl bottleneck (`K = 1` is a single cursor).
 
 use crate::cursor::{hand_out, plan_points};
 use crate::injector::{FaultModel, InjectionPoint};
@@ -303,9 +304,10 @@ impl Campaign {
         });
 
         let mut report = CampaignReport::from_records(records);
-        // The attributed per-record prefixes were simulated once, by the
-        // cursor shards: report what actually executed (replayed hops +
-        // instrumented brackets, summed over the shards that had points).
+        // The attributed per-record prefixes were simulated once or not at
+        // all, by the cursor shards: report what actually executed (replay
+        // from a cloned golden state + instrumented brackets, summed over
+        // the shards that had points).
         report.trellis_snapshots = trellis_snapshots;
         report.cursor_shards = cursor_shards;
         report.steps_prefix = cursor_steps;

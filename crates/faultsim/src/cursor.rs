@@ -1,5 +1,9 @@
 //! The trellis cursor pass: group the sampled points once, then walk one
 //! cursor per shard along the golden [`Trail`], forking a snapshot per point.
+//! A cursor does not replay what the trail already holds: a hop to a bracket
+//! starts from a clone of the latest golden state at or before it, so the
+//! steps a pass *executes* — what `steps_prefix` reports — are summed from
+//! the stretches it ran, not read off where it stands.
 //!
 //! One list carries the pass: the *distinct* points in bracket order, each
 //! with the injections that drew it and the slot its snapshot lands in. A
@@ -106,16 +110,21 @@ impl Campaign {
     }
 
     /// Walk one cursor shard by hopping between the brackets that hold its
-    /// points: replay to the bracket's checkpoint *uninstrumented* on the
-    /// campaign's engine (translated ops on a compiled campaign), arm a
-    /// [`BreakSet`] holding only that bracket's points, run instrumented
-    /// until they have fired — forking a paused snapshot at each — then
-    /// disarm and hop on. The instrumented stretches are at most one
-    /// checkpoint interval per visited bracket; everything between is
-    /// replay. A program too short for checkpoints is the one-bracket case.
-    /// Returns the steps this cursor actually executed, which end at its
-    /// last firing: the cursor is dropped there, the window tail past it is
-    /// never re-simulated.
+    /// points. A hop starts from the latest golden state the trail kept at
+    /// or before the bracket's start — when that is ahead of where the
+    /// cursor stands, the cursor *becomes* a clone of it, on the fuel a run
+    /// to it would have left — and replays what remains to the bracket's
+    /// checkpoint *uninstrumented* on the campaign's engine (translated ops
+    /// on a compiled campaign). There it arms a [`BreakSet`] holding only
+    /// that bracket's points, runs instrumented until they have fired —
+    /// forking a paused snapshot at each — then disarms and hops on. The
+    /// instrumented stretches are at most one checkpoint interval per
+    /// visited bracket; between them is replay, of at most the distance
+    /// between two states. A program too short for checkpoints is the
+    /// one-bracket case. Returns the steps this cursor actually executed,
+    /// summed stretch by stretch (a clone stands at steps nobody ran): they
+    /// end at its last firing, where the cursor is dropped — the window tail
+    /// past it is never re-simulated.
     fn run_cursor_shard(
         &self,
         cfg: &CampaignConfig,
@@ -126,22 +135,34 @@ impl Campaign {
         ctl: &JobControl,
     ) -> u64 {
         let t0 = hooks.enabled().then(std::time::Instant::now);
+        let budget = self.fuel_budget(cfg);
         let mut cursor = self.template.clone();
-        cursor.fuel = self.fuel_budget(cfg);
-        let mut replay_steps = 0u64;
+        cursor.fuel = budget;
+        let (mut replay_steps, mut window_steps, mut hops) = (0u64, 0u64, 0u64);
         'hops: for points in shard.chunk_by_mut(|a, b| a.bracket == b.bracket) {
             let bracket = points[0].bracket;
-            let hop_from = cursor.steps;
-            if ctl.is_cancelled()
-                || !advance_to_step(engine, &mut cursor, self.trail.bracket_step(bracket))
-            {
-                // Cancelled — or a failed replay, unreachable for a
-                // prepared campaign (the golden run passed and the budget
-                // covers it): degrade like an unfired breakpoint, the
-                // remaining indexes yield no record.
+            let start = self.trail.bracket_step(bracket);
+            if ctl.is_cancelled() {
                 break;
             }
+            let ahead = self.trail.state_at_or_before(start).filter(|s| s.steps > cursor.steps);
+            if let Some(state) = ahead {
+                // A state past the budget is one the replay to it would have
+                // run dry before reaching: the hop fails as that replay did.
+                let Some(fuel) = budget.checked_sub(state.steps) else { break };
+                cursor = state.clone();
+                cursor.fuel = fuel;
+                hops += 1;
+            }
+            let hop_from = cursor.steps;
+            let reached = advance_to_step(engine, &mut cursor, start);
             replay_steps += cursor.steps - hop_from;
+            if !reached {
+                // A failed replay, unreachable for a prepared campaign on a
+                // budget that covers its golden run: degrade like an unfired
+                // breakpoint, the remaining indexes yield no record.
+                break;
+            }
             // Breakpoint ordinals count from arming: rebase the absolute
             // `nth` by the executions already behind the checkpoint (a
             // per-instruction shift, so `armed` stays sorted like `points`).
@@ -159,7 +180,9 @@ impl Campaign {
                     break 'hops;
                 }
                 cursor.multi_break = Some(breaks);
+                let armed_at = cursor.steps;
                 let exit = cursor.run();
+                window_steps += cursor.steps - armed_at;
                 // Disarmed again: the fork below is a plain paused process
                 // and the next hop replays uninstrumented.
                 breaks = cursor.multi_break.take().expect("armed above");
@@ -184,8 +207,9 @@ impl Campaign {
             }
         }
         if hooks.enabled() {
+            hooks.add("cursor.hops", hops);
             hooks.add("cursor.replay_steps", replay_steps);
-            hooks.add("cursor.window_steps", cursor.steps - replay_steps);
+            hooks.add("cursor.window_steps", window_steps);
             hooks.record(
                 "trellis.shard_ns",
                 t0.expect("enabled").elapsed().as_nanos() as u64,
@@ -195,11 +219,11 @@ impl Campaign {
                 Event::new("trellis.shard")
                     .field("shard", shard_idx as u64)
                     .field("start_step", self.trail.bracket_step(shard[0].bracket))
-                    .field("window_steps", cursor.steps - replay_steps)
+                    .field("window_steps", window_steps)
                     .field("snapshots", snapshots as u64),
             );
         }
-        cursor.steps
+        replay_steps + window_steps
     }
 }
 
@@ -207,7 +231,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::campaign::NoSink;
-    use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_campaign};
+    use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_campaign, tiny_workload};
     use crate::{CampaignReport, InjectionRecord};
     use simx::{EngineKind, InterpEngine};
     use telemetry::NoTelemetry;
@@ -249,20 +273,66 @@ mod tests {
         );
     }
 
+    /// The step the golden run stands at when `point` fires.
+    fn firing_step(campaign: &Campaign, point: &InjectionPoint) -> u64 {
+        let mut p = campaign.template.clone();
+        p.break_at = Some((point.module, point.func, point.inst, point.nth));
+        assert_eq!(p.run(), RunExit::BreakHit, "{point:?} never fired");
+        p.steps
+    }
+
+    /// The step of the golden state a hop to `bracket` can start from (0:
+    /// none, the hop starts from the program's start).
+    fn state_before(trail: &Trail, bracket: usize) -> u64 {
+        trail.state_at_or_before(trail.bracket_step(bracket)).map_or(0, |s| s.steps)
+    }
+
+    /// The hop rule as arithmetic: the steps the cursors execute to fire
+    /// `fired` — each distinct point's bracket and firing step — when the
+    /// brackets are cut into shards at `ends`. A cursor runs to a firing
+    /// from where it stands (a shard's first from step 0), or from the state
+    /// before the firing's bracket when that is further on.
+    fn modelled_prefix(trail: &Trail, fired: &[(usize, u64)], ends: &[usize]) -> u64 {
+        let mut fired = fired.to_vec();
+        fired.sort_unstable();
+        fired.dedup();
+        let (mut total, mut shard_start) = (0, 0);
+        for &end in ends {
+            let mut stands = 0;
+            for &(bracket, step) in fired.iter().filter(|f| (shard_start..end).contains(&f.0)) {
+                total += step - stands.max(state_before(trail, bracket));
+                stands = step;
+            }
+            shard_start = end;
+        }
+        total
+    }
+
     /// The parallel cursor pass is invisible in the records: any explicit
-    /// shard count reproduces the single cursor bit for bit, each shard
-    /// replays its boundary prefix (so the executed-prefix accounting
-    /// grows with K while attributed records stay fixed), and snapshots
-    /// dedup across shards exactly as before.
+    /// shard count reproduces the single cursor bit for bit, snapshots dedup
+    /// across shards exactly as before, and the executed-prefix accounting
+    /// is the hop rule's for every K. A shard's first hop clones the state
+    /// before its first bracket where the single cursor may have stood
+    /// further on, so K cursors execute at least what one does — the
+    /// boundary prefixes that used to be replayed whole are mostly cloned —
+    /// while attributed records stay fixed.
     #[test]
     fn sharded_cursors_match_single_cursor_and_split_the_prefix() {
         let campaign = hpccg_campaign();
+        let trail = &campaign.trail;
         let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60) };
+        let fired: Vec<(usize, u64)> = (0..60)
+            .map(|i| campaign.sample_point(&config(1), i).expect("sample").0)
+            .map(|point| (trail.bracket_of(&point), firing_step(&campaign, &point)))
+            .collect();
         let (single, ctr) = run_heard(&campaign, &config(1));
         assert_eq!(single.cursor_shards, 1);
         // Held to the run-out reference by suffixes that did not run out.
         assert_eq!(reference(&campaign, &config(1)), single.records);
         assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state");
+        assert!(ctr("care.converged") > 0, "no repaired run stopped at a golden state");
+        assert!(ctr("cursor.hops") > 0, "the cursor never started from a golden state");
+        assert_eq!(single.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(1)));
         for k in [2, 4, 16] {
             let (sharded, ctr) = run_heard(&campaign, &config(k));
             assert_eq!(single.records, sharded.records, "records diverged at {k} shards");
@@ -273,9 +343,10 @@ mod tests {
                 "expected multiple populated shards at K={k}, got {}",
                 sharded.cursor_shards
             );
-            // Replayed boundary prefixes are extra *executed* steps, and
-            // only they: the suffix/CARE stages are untouched.
-            assert!(sharded.steps_prefix > single.steps_prefix);
+            // What the boundaries add is *executed* prefix, and only that:
+            // the suffix/CARE stages are untouched.
+            assert_eq!(sharded.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(k)));
+            assert!(sharded.steps_prefix >= single.steps_prefix);
             assert_eq!(single.steps_suffix, sharded.steps_suffix);
             assert_eq!(single.steps_care, sharded.steps_care);
         }
@@ -288,20 +359,27 @@ mod tests {
     }
 
     /// One cursor, both engines: the trellis over exactly `indices` must
-    /// reproduce those indexes' `run_one` records. Returns the report.
-    fn hop_matches_run_one(campaign: &Campaign, indices: &[usize]) -> CampaignReport {
+    /// reproduce those indexes' `run_one` records. Returns the report and a
+    /// reader of the counters a recorder heard (the same on both engines).
+    fn hop_matches_run_one(
+        campaign: &Campaign,
+        indices: &[usize],
+    ) -> (CampaignReport, impl Fn(&str) -> u64) {
         let [interp, compiled] = [EngineKind::Interp, EngineKind::Compiled].map(|engine| {
             let config = one_cursor(engine, indices);
             let reference: Vec<InjectionRecord> =
                 indices.iter().filter_map(|&i| campaign.run_one(&config, i)).collect();
             assert_eq!(reference.len(), indices.len(), "{engine:?}: a reference run skipped");
-            let hop =
-                campaign.run_selected(&config, indices, &NoTelemetry, &JobControl::new(), &NoSink);
+            let rec = telemetry::Recorder::new();
+            let hop = campaign.run_selected(&config, indices, &rec, &JobControl::new(), &NoSink);
             assert_eq!(reference, hop.records, "{engine:?}: hop diverged from run_one");
-            hop
+            let cursor: std::collections::BTreeMap<_, _> =
+                rec.drain().counters.into_iter().filter(|c| c.0.starts_with("cursor.")).collect();
+            (hop, cursor)
         });
-        assert_eq!(interp, compiled, "engines disagree on the report");
-        interp
+        assert_eq!(interp, compiled, "engines disagree on the report or the cursor's counters");
+        let (report, cursor) = interp;
+        (report, move |name: &str| cursor.get(name).copied().unwrap_or(0))
     }
 
     /// The first `want` injection indexes (in index order, distinct points)
@@ -330,8 +408,9 @@ mod tests {
 
     /// The mechanism, in exact counts: a cursor runs instrumented only
     /// inside the brackets that hold its points — at most one checkpoint
-    /// interval each — and replays everything between uninstrumented; the
-    /// two spans still add up to every prefix step the cursor executed.
+    /// interval each — and replays uninstrumented only from the golden state
+    /// before a bracket to the bracket, if at all; the two spans still add up
+    /// to every prefix step the cursor executed.
     #[test]
     fn cursor_is_instrumented_only_inside_visited_brackets() {
         let campaign = hpccg_campaign();
@@ -349,6 +428,8 @@ mod tests {
                 .iter()
                 .map(|&b| end_of(b) - trail.bracket_step(b))
                 .sum();
+            let from_states: u64 =
+                visited.iter().map(|&b| trail.bracket_step(b) - state_before(trail, b)).sum();
             let (report, ctr) = run_heard(&campaign, &config);
             let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
             assert_eq!(report.cursor_shards, 1);
@@ -360,7 +441,84 @@ mod tests {
                 visited.len(),
                 report.steps_prefix
             );
-            assert!(window > 0 && replay > 0, "{engine:?}: replay {replay}, window {window}");
+            assert!(window > 0, "{engine:?}: nothing ran armed");
+            assert!(replay <= from_states, "{engine:?}: replayed {replay} of {from_states}");
+            assert!(ctr("cursor.hops") <= visited.len() as u64, "{engine:?}: a clone per hop");
+        }
+    }
+
+    /// The hop rule, in exact counts: a bracket that starts *on* a golden
+    /// state is reached by cloning it, with nothing replayed; one that starts
+    /// some checkpoint spacings past a state replays exactly those; and a
+    /// cursor already past the state before its next bracket keeps walking —
+    /// a clone never takes it backwards.
+    #[test]
+    fn a_hop_clones_the_state_before_its_bracket_and_replays_only_the_rest() {
+        let campaign = hpccg_campaign();
+        let trail = &campaign.trail;
+        let spacing = trail.bracket_step(1);
+        let on_a_state = find_indices(&campaign, 1, |_, b, _| {
+            b > 0 && state_before(trail, b) == trail.bracket_step(b)
+        });
+        let (report, ctr) = hop_matches_run_one(&campaign, &on_a_state);
+        assert_eq!((ctr("cursor.hops"), ctr("cursor.replay_steps")), (1, 0));
+        assert!(0 < report.steps_prefix && report.steps_prefix <= spacing, "one armed window");
+
+        let past_a_state = find_indices(&campaign, 1, |_, b, _| {
+            (1..trail.bracket_step(b)).contains(&state_before(trail, b))
+        });
+        let (point, _) = campaign.sample_point(&cfg(1), past_a_state[0]).expect("sample");
+        let b = trail.bracket_of(&point);
+        let rest = trail.bracket_step(b) - state_before(trail, b);
+        assert!(rest.is_multiple_of(spacing) && rest / spacing < 12, "{rest} past the state");
+        let (report, ctr) = hop_matches_run_one(&campaign, &past_a_state);
+        assert_eq!((ctr("cursor.hops"), ctr("cursor.replay_steps")), (1, rest));
+        assert_eq!(report.steps_prefix, firing_step(&campaign, &point) - state_before(trail, b));
+
+        // Two brackets with no state from the first one's start to the second's.
+        let walking = find_indices(&campaign, 2, |chosen, b, _| match chosen {
+            [] => state_before(trail, b) > 0,
+            [(first, _)] => *first < b && state_before(trail, b) <= trail.bracket_step(*first),
+            _ => false,
+        });
+        let [first, second] = [0, 1]
+            .map(|at| campaign.sample_point(&cfg(1), walking[at]).expect("sample").0);
+        let (b1, b2) = (trail.bracket_of(&first), trail.bracket_of(&second));
+        let (report, ctr) = hop_matches_run_one(&campaign, &walking);
+        assert_eq!(ctr("cursor.hops"), 1, "the second hop cloned a state behind the cursor");
+        assert_eq!(
+            ctr("cursor.replay_steps"),
+            (trail.bracket_step(b1) - state_before(trail, b1))
+                + (trail.bracket_step(b2) - firing_step(&campaign, &first))
+        );
+        assert_eq!(report.steps_prefix, firing_step(&campaign, &second) - state_before(trail, b1));
+    }
+
+    /// A hop to a state the budget does not reach fails as the replay to it
+    /// did: on a budget short of the golden run, a point whose bracket lies
+    /// past a state that lies past the budget never fires — no snapshot, no
+    /// record, as `run_one` runs dry before its breakpoint.
+    #[test]
+    fn a_hop_to_a_state_past_the_budget_fails_like_the_replay_to_it() {
+        let w = tiny_workload(150_000);
+        let app = care::compile(&w.module, opt::OptLevel::O1);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        let trail = &campaign.trail;
+        let budget = campaign.fuel_budget(&CampaignConfig { hang_factor: 0, ..cfg(1) });
+        assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
+        let indices = find_indices(&campaign, 3, |_, b, _| state_before(trail, b) > budget);
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let starved = CampaignConfig { hang_factor: 0, ..one_cursor(engine, &indices) };
+            assert!(indices.iter().all(|&i| campaign.run_one(&starved, i).is_none()), "{engine:?}");
+            let hop =
+                campaign.run_selected(&starved, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
+            assert_eq!(hop.trellis_snapshots, 0, "{engine:?}: forked past the budget");
+            assert!(hop.records.is_empty(), "{engine:?}: {:?}", hop.records);
+            assert_eq!(hop.steps_prefix, 0, "{engine:?}: the failed hop executed nothing");
+            // The same points on the default budget fire and are recorded.
+            let fed = CampaignConfig { hang_factor: 20, ..starved };
+            let hop = campaign.run_selected(&fed, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
+            assert_eq!(hop.trellis_snapshots, 3, "{engine:?}");
         }
     }
 
@@ -389,9 +547,12 @@ mod tests {
         let (point, _) = campaign.sample_point(&cfg(1), indices[0]).expect("sample");
         let ci = on_checkpoint.iter().position(|p| *p == point).expect("picked from the list");
         assert_eq!(trail.bracket_of(&point), ci, "bracket must start one checkpoint earlier");
-        let report = hop_matches_run_one(&campaign, &indices);
-        assert_eq!(report.steps_prefix, trail.bracket_step(ci + 1));
+        let (report, _) = hop_matches_run_one(&campaign, &indices);
+        // Attributed from the program's start, executed from the state the
+        // hop to the bracket cloned.
         assert_eq!(report.records[0].split.prefix, trail.bracket_step(ci + 1));
+        assert!(state_before(trail, ci) > 0, "test premise: a state before the bracket");
+        assert_eq!(report.steps_prefix, trail.bracket_step(ci + 1) - state_before(trail, ci));
     }
 
     /// Two points of one bracket share one hop and one armed set.
@@ -401,7 +562,7 @@ mod tests {
         let indices = find_indices(&campaign, 2, |chosen, bracket, _| {
             bracket > 0 && chosen.iter().all(|&(b, _)| b == bracket)
         });
-        let report = hop_matches_run_one(&campaign, &indices);
+        let (report, _) = hop_matches_run_one(&campaign, &indices);
         assert_eq!(report.trellis_snapshots, 2);
     }
 
@@ -416,7 +577,7 @@ mod tests {
                     *b != bracket && (q.module, q.func, q.inst) == (p.module, p.func, p.inst)
                 })
         });
-        let report = hop_matches_run_one(&campaign, &indices);
+        let (report, _) = hop_matches_run_one(&campaign, &indices);
         assert_eq!(report.trellis_snapshots, 2);
     }
 
@@ -440,11 +601,15 @@ mod tests {
         let campaign = hpccg_campaign();
         let indices =
             find_indices(&campaign, 3, |chosen, bracket, _| chosen.iter().all(|&(b, _)| b != bracket));
-        let first_firing = indices
+        // The first firing, and what the cursor ran to get there: from the
+        // state its one hop cloned.
+        let (first_firing, bracket) = indices
             .iter()
-            .map(|&i| campaign.run_one(&cfg(i + 1), i).expect("reference").split.prefix)
+            .map(|&i| campaign.sample_point(&cfg(1), i).expect("sample").0)
+            .map(|point| (firing_step(&campaign, &point), campaign.trail.bracket_of(&point)))
             .min()
             .expect("three points");
+        let executed = first_firing - state_before(&campaign.trail, bracket);
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
             let config = one_cursor(engine, &indices);
             let ctl = JobControl::new();
@@ -452,7 +617,7 @@ mod tests {
                 campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
             assert!(report.cancelled);
             assert_eq!(report.trellis_snapshots, 1, "{engine:?}: hopped on after the cancel");
-            assert_eq!(report.steps_prefix, first_firing, "{engine:?}: cursor kept walking");
+            assert_eq!(report.steps_prefix, executed, "{engine:?}: cursor kept walking");
             assert!(report.records.is_empty() && ctl.classified() == 0);
         }
     }

@@ -46,7 +46,8 @@ pub struct CampaignReport {
     /// per-record splits.
     pub simulated_steps: u64,
     /// Prefix-stage instructions actually executed by the cursor pass
-    /// (replayed hops + instrumented brackets, summed over the shards).
+    /// (replay from a cloned golden state + instrumented brackets, summed
+    /// over the shards): less than the step the last point fires at.
     pub steps_prefix: u64,
     /// Unprotected-suffix instructions.
     pub steps_suffix: u64,

@@ -8,12 +8,19 @@
 //! runs from one golden state of the trail to the next and compares
 //! ([`Process::same_state`]); on equality the rest is known — `Benign`, at
 //! exactly `golden_steps` — and the record is written there, with the steps
-//! it would have executed attributed as if it had.
+//! it would have executed attributed as if it had. The protected run does
+//! the same after every repair — a correct repair puts the process back on
+//! the golden run, one re-executed instruction ahead of it per repair — and
+//! on equality ends covered, with the golden run's remaining steps added to
+//! its own in closed form. Both go through one pause-and-compare loop,
+//! `Campaign::run_or_rejoin`; the trap loop stays Safeguard's
+//! ([`resume_protected`]), which is handed that loop as its way to resume.
 //!
 //! [`Campaign::run_suffix`] is what the trellis' workers run from a forked
 //! snapshot; [`Campaign::run_one`] is the per-index reference: it
 //! re-simulates one injection's own prefix from the template, consults no
-//! golden state and so runs every suffix out, and the trellis records must
+//! golden state and so runs every suffix and protected run out, and the
+//! trellis records must
 //! equal `(0..n).filter_map(|i| campaign.run_one(&cfg, i))` bit for bit
 //! (pinned by the unit tests beside the trellis, `tests/golden.rs` and
 //! carefuzz).
@@ -23,7 +30,7 @@ use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use safeguard::{resume_protected, DeclineKind, ProtectedExit, Safeguard};
-use simx::{run_to_step, ModuleId, Process, RunExit, TrapKind};
+use simx::{run_to_step, ExecutionEngine, ModuleId, Process, RunExit, TrapKind};
 use std::sync::Arc;
 use telemetry::{Event, Hooks, NoTelemetry};
 
@@ -177,8 +184,9 @@ impl Campaign {
     /// out). The run pauses at each one past the injection, and where it
     /// equals that state — with fuel left for the rest of the golden run,
     /// without which it would end `Hang`, not `Benign` — the record is
-    /// written as the run-out would have written it. The record is the same
-    /// for any `golden`.
+    /// written as the run-out would have written it; a protected run does
+    /// the same after each repair ([`Campaign::run_or_rejoin`]). The record
+    /// is the same for any `golden`.
     ///
     /// With hooks enabled this is also the per-*job* instrumentation site:
     /// a wall-clock span per job
@@ -187,8 +195,9 @@ impl Campaign {
     /// simulated-step spans for the suffix and CARE stages, TLB counter
     /// deltas of the processes this job ran, and one `job` event whose
     /// `t_ns` stamp traces the queue drain. The step spans are *attributed*;
-    /// `suffix.pruned_steps` is the part of them no engine executed, and the
-    /// wall span and the TLB deltas cover executed work only. Hooks never
+    /// `suffix.pruned_steps` and `care.pruned_steps` are the parts of them no
+    /// engine executed, and the wall span and the TLB deltas cover executed
+    /// work only. Hooks never
     /// influence the record: a telemetry-enabled campaign is bit-identical.
     pub(crate) fn run_suffix(
         &self,
@@ -211,62 +220,58 @@ impl Campaign {
             }
             return None;
         }
-        // `None`: the run re-joined the golden run and was left there.
-        let mut exit = None;
-        let mut rejoined = false;
+        // `Ok`: the run re-joined the golden run and was left at that state.
         let mut compares = 0u64;
-        for state in golden.iter().filter(|g| g.steps > prefix_steps).take(MAX_COMPARES) {
-            exit = run_to_step(engine, &mut p, state.steps);
-            if exit.is_some() {
-                break;
-            }
-            compares += 1;
-            if p.same_state(state) {
-                // Fuel falls as steps rise: short here is short at every
-                // later state too.
-                rejoined = p.fuel >= self.golden_steps - p.steps;
-                break;
-            }
-        }
-        if !rejoined {
-            exit = exit.or_else(|| Some(engine.run(&mut p)));
-        }
-        let (outcome, latency) = match exit {
-            None => (Outcome::Benign, None),
-            Some(RunExit::Done(_)) => {
+        let run = self.run_or_rejoin(engine, &mut p, golden, 0, &mut compares);
+        let (outcome, latency) = match run {
+            Ok(_) => (Outcome::Benign, None),
+            Err(RunExit::Done(_)) => {
                 if self.outputs_clean(&p) {
                     (Outcome::Benign, None)
                 } else {
                     (Outcome::Sdc, None)
                 }
             }
-            Some(RunExit::Trapped(t)) => match t.kind {
+            Err(RunExit::Trapped(t)) => match t.kind {
                 TrapKind::OutOfFuel => (Outcome::Hang, None),
                 kind => (
                     Outcome::SoftFailure(signal_of(kind)),
                     Some(p.steps - prefix_steps),
                 ),
             },
-            Some(RunExit::BreakHit) => unreachable!("breakpoint already consumed"),
+            Err(RunExit::BreakHit) => unreachable!("breakpoint already consumed"),
         };
         // Where the unprotected run ends: where it stopped, or — re-joined —
         // where the golden run did.
-        let pruned_steps = if rejoined { self.golden_steps - p.steps } else { 0 };
+        let pruned_steps = run.map_or(0, |state| self.golden_steps - state.steps);
         let suffix_steps = p.steps + pruned_steps - prefix_steps;
 
         // --- protected run for SIGSEGV injections (§5 methodology). The
         // unprotected run is frozen on its trap with pre-fault registers,
         // exactly where a protected run of the same flip first reaches
-        // Safeguard: recovery resumes from this process and this exit ------
+        // Safeguard: recovery resumes from this process and this exit. A
+        // correct repair puts the process back on the golden run, so after
+        // each one it runs on like the unprotected run did: to the golden
+        // state it re-joins, a step late per repair --------------------------
         let mut care_steps = 0u64;
+        let mut care_compares = 0u64;
+        // `Some`: the protected run re-joined the golden run with this many
+        // of its steps still to take, and was left there.
+        let mut care_pruned: Option<u64> = None;
         let care = (cfg.evaluate_care && outcome == Outcome::SoftFailure(Signal::Segv)).then(|| {
             let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
             sg.patch_base_first = cfg.patch_base_first;
             sg.skip_equality_guard = cfg.skip_equality_guard;
-            let trapped = exit.expect("a SIGSEGV outcome has its exit");
-            let end = resume_protected(engine, &mut p, trapped, &mut sg, cfg.max_recoveries, hooks);
+            let trapped = run.err().expect("a SIGSEGV outcome has its exit");
+            let resume = |p: &mut Process, recoveries: u64| {
+                let run = self.run_or_rejoin(engine, p, golden, recoveries, &mut care_compares);
+                care_pruned = run.ok().map(|state| self.golden_steps - state.steps);
+                run.err()
+            };
+            let end = resume_protected(resume, &mut p, trapped, &mut sg, cfg.max_recoveries, hooks);
             let (recoveries, recovery_ms, decline) = match end {
-                ProtectedExit::Completed { recoveries, recovery_ms, .. } => {
+                ProtectedExit::Completed { recoveries, recovery_ms, .. }
+                | ProtectedExit::Stopped { recoveries, recovery_ms } => {
                     (recoveries, recovery_ms, None)
                 }
                 ProtectedExit::Crashed { reason, recoveries, .. } => {
@@ -274,11 +279,19 @@ impl Campaign {
                 }
                 ProtectedExit::Hung => (0, 0.0, Some(DeclineKind::Hang)),
             };
-            // Covered: completed, after at least one repair, bit-clean.
-            let covered = decline.is_none() && recoveries > 0 && self.outputs_clean(&p);
+            // Covered: completed, after at least one repair, bit-clean. A
+            // re-joined run ends as the golden run did; it was left short of
+            // that end, so its own outputs are not the ones to read.
+            let covered = decline.is_none()
+                && recoveries > 0
+                && (care_pruned.is_some() || self.outputs_clean(&p));
             // Attributed from the injection point, as a protected run of
-            // its own would count it (the shared suffix included).
-            care_steps = p.steps - prefix_steps;
+            // its own would count it (the shared suffix included), and to
+            // the end: a re-joined run still has the golden run's remaining
+            // steps to take — stated by those, not by the lead it is assumed
+            // to have, so a repair that charged no step can only miss a
+            // re-join, never misstate one.
+            care_steps = p.steps - prefix_steps + care_pruned.unwrap_or(0);
             CareResult { covered, recoveries, recovery_ms, decline }
         });
         let tlb = p.mem.stats.since(&base_stats);
@@ -290,9 +303,12 @@ impl Campaign {
             hooks.record("job.suffix_steps", suffix_steps);
             hooks.add("suffix.pruned_steps", pruned_steps);
             hooks.add("suffix.compares", compares);
-            hooks.add("suffix.converged", rejoined as u64);
+            hooks.add("suffix.converged", run.is_ok() as u64);
             if care.is_some() {
                 hooks.record("job.care_steps", care_steps);
+                hooks.add("care.pruned_steps", care_pruned.unwrap_or(0));
+                hooks.add("care.compares", care_compares);
+                hooks.add("care.converged", care_pruned.is_some() as u64);
             }
             hooks.add("tlb.loads", tlb.loads);
             hooks.add("tlb.stores", tlb.stores);
@@ -320,6 +336,42 @@ impl Campaign {
             split,
             care,
         })
+    }
+
+    /// Run `p` on to its end, or to the golden state it re-joins. `p` stands
+    /// `lead` steps ahead of the golden run at the same machine state: none
+    /// for an unprotected run, one per repair for a protected one (a repair
+    /// re-executes an instruction already charged a step). The run pauses
+    /// `lead` steps past each of `golden`'s states still ahead of it and
+    /// compares ([`Process::same_state`]). Where it equals one with fuel left
+    /// for the rest of the golden run — without which it would run dry, not
+    /// end as the golden run does — it is left there: `Ok(state)`. Otherwise,
+    /// and after [`MAX_COMPARES`] unequal comparisons, it runs out:
+    /// `Err(exit)`. `compares` counts the comparisons.
+    fn run_or_rejoin<'g>(
+        &self,
+        engine: &dyn ExecutionEngine,
+        p: &mut Process,
+        golden: &'g [Process],
+        lead: u64,
+        compares: &mut u64,
+    ) -> Result<&'g Process, RunExit> {
+        let from = p.steps;
+        for state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
+            if let Some(exit) = run_to_step(engine, p, state.steps + lead) {
+                return Err(exit);
+            }
+            *compares += 1;
+            if p.same_state(state) {
+                // Fuel falls as steps rise: short here is short at every
+                // later state too.
+                if p.fuel >= self.golden_steps - state.steps {
+                    return Ok(state);
+                }
+                break;
+            }
+        }
+        Err(engine.run(p))
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -428,9 +480,66 @@ mod tests {
             assert!(ctr("suffix.compares") > 0, "{engine:?}: test premise: a state was reached");
             assert_eq!(ctr("suffix.converged"), 0, "{engine:?}");
             assert_eq!(ctr("suffix.pruned_steps"), 0, "{engine:?}");
+            // Nor does a repaired run: it reaches a state, runs on and dry.
+            assert!(ctr("care.compares") > 0, "{engine:?}: test premise: a repaired run did too");
+            assert_eq!((ctr("care.converged"), ctr("care.pruned_steps")), (0, 0), "{engine:?}");
+            assert!(report.care_evaluated > 0 && report.care_covered == 0, "{engine:?}");
+            assert_eq!(
+                report.declines.get(&DeclineKind::Hang),
+                Some(&report.care_evaluated),
+                "{engine:?}: {:?}",
+                report.declines
+            );
             // The same injections on the default budget do re-join.
             let fed = CampaignConfig { hang_factor: 20, ..config };
-            assert!(run_heard(&campaign, &fed).1("suffix.converged") > 0, "{engine:?}");
+            let (_, ctr) = run_heard(&campaign, &fed);
+            assert!(ctr("suffix.converged") > 0 && ctr("care.converged") > 0, "{engine:?}");
+        }
+    }
+
+    /// A protected run that re-joins the golden run after its repairs is
+    /// left at that state, and its record is the one the run-out writes —
+    /// `care` result and attributed `care` steps by the closed form — for a
+    /// run that needed several repairs (it stands that many steps ahead of
+    /// the golden run) and under the two ablations that change what
+    /// Safeguard writes into the process.
+    #[test]
+    fn a_repaired_run_that_rejoins_the_golden_run_stops_there_with_the_run_out_record() {
+        let campaign = hpccg_campaign();
+        let ablations = [(false, false), (true, false), (false, true)];
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            for (patch_base_first, skip_equality_guard) in ablations {
+                let config =
+                    CampaignConfig { engine, patch_base_first, skip_equality_guard, ..cfg(60) };
+                let at = format!("{engine:?}, base first {patch_base_first}, no guard {skip_equality_guard}");
+                let (report, ctr) = run_heard(&campaign, &config);
+                assert_eq!(reference(&campaign, &config), report.records, "{at}");
+                let (converged, compares) = (ctr("care.converged"), ctr("care.compares"));
+                assert!(converged > 0, "{at}: no repaired run re-joined the golden run");
+                assert!(converged <= report.care_covered as u64, "{at}: a re-joined run is covered");
+                assert!(converged <= compares, "{at}");
+                assert_eq!(ctr("steps.care"), report.steps_care, "{at}: attributed");
+                let pruned = ctr("care.pruned_steps");
+                assert!(0 < pruned && pruned < report.steps_care, "{at}: pruned {pruned}");
+            }
+            // One injection of those, alone: repaired twice or more, heard
+            // re-joining, equal to its reference field for field.
+            let config = CampaignConfig { engine, ..cfg(60) };
+            let rejoined_after_repairs = (0..60).any(|i| {
+                let Some(reference) = campaign.run_one(&config, i) else { return false };
+                if reference.care.is_none_or(|care| care.recoveries < 2) {
+                    return false;
+                }
+                let rec = telemetry::Recorder::new();
+                let ctl = crate::JobControl::new();
+                let alone = campaign.run_selected(&config, &[i], &rec, &ctl, &crate::NoSink);
+                assert_eq!(alone.records.len(), 1, "{engine:?}: injection {i}");
+                assert_eq!(alone.records[0].care, reference.care, "{engine:?}: injection {i}");
+                assert_eq!(alone.records[0].split.care, reference.split.care, "{engine:?}: {i}");
+                assert_eq!(alone.records[0], reference, "{engine:?}: injection {i}");
+                rec.drain().counters.get("care.converged") == Some(&1)
+            });
+            assert!(rejoined_after_repairs, "{engine:?}: test premise: a multi-repair re-join");
         }
     }
 }

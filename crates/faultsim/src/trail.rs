@@ -10,9 +10,11 @@
 //! (a) fast-replay to a checkpoint with no instrumentation and (b) rebase
 //! its points' `nth` ordinals to breakpoint ordinals counted from that
 //! checkpoint; the checkpoints are also the shard-boundary candidates of the
-//! parallel cursor pass. The states are what a suffix compares itself with
-//! ([`Trail::states`]): an injected run that equals the golden run at the
-//! same step *is* the golden run from there on, and stops.
+//! parallel cursor pass. The states are what a suffix or a repaired run
+//! compares itself with ([`Trail::states`]): an injected run that equals the
+//! golden run's state *is* the golden run from there on, and stops. They are
+//! also where a cursor hop starts from ([`Trail::state_at_or_before`]): a
+//! clone of the state stands where a replay to it would have.
 //!
 //! The checkpoint list, the flat counts, the range table and the state list
 //! are private to this module: everything else asks in terms of brackets —
@@ -143,6 +145,12 @@ impl Trail {
     /// The golden states a suffix may compare itself with, in step order.
     pub(crate) fn states(&self) -> &[Process] {
         &self.states
+    }
+
+    /// The latest golden state at or before `step`: what a cursor hopping
+    /// to `step` may start from instead of replaying from where it stands.
+    pub(crate) fn state_at_or_before(&self, step: u64) -> Option<&Process> {
+        self.states[..self.states.partition_point(|s| s.steps <= step)].last()
     }
 
     /// The bracket `point` fires in: the number of checkpoints its firing

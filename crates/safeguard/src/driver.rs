@@ -4,6 +4,11 @@
 //! This is the analogue of the kernel delivering `SIGSEGV` to the
 //! `LD_PRELOAD`ed handler and either `sigreturn`ing into the patched context
 //! or falling through to the default action (process death).
+//!
+//! The trap loop is written once, in [`resume_protected`]; what it does to
+//! *resume* after a repair is its caller's. [`run_protected`] runs on; a
+//! fault-injection campaign runs on to the next state of the fault-free run
+//! it kept, and ends the run there when the two are equal.
 
 use crate::runtime::{DeclineReason, RecoveryOutcome, Safeguard};
 use simx::{Process, RunExit, Trap, TrapKind};
@@ -31,6 +36,16 @@ pub enum ProtectedExit {
     },
     /// Instruction budget exhausted (hang).
     Hung,
+    /// The caller's `resume` ended the run (see [`resume_protected`]): it
+    /// knows the rest without running it — a campaign that found the
+    /// repaired process back on its fault-free path. The process stands
+    /// where it was left, so its outputs are not the finished run's.
+    Stopped {
+        /// Number of successful recoveries up to there.
+        recoveries: u64,
+        /// Total modelled recovery time.
+        recovery_ms: f64,
+    },
 }
 
 /// Run `process` to completion under `safeguard`'s protection.
@@ -45,21 +60,29 @@ pub fn run_protected(
 ) -> ProtectedExit {
     let first = process.run();
     let hooks = &telemetry::NoTelemetry;
-    resume_protected(&simx::InterpEngine, process, first, safeguard, max_recoveries, hooks)
+    resume_protected(|p, _| Some(p.run()), process, first, safeguard, max_recoveries, hooks)
 }
 
 /// The recovery loop behind [`run_protected`], from any stop: `process` has
-/// just stopped with `exit` on `engine` (an
-/// [`ExecutionEngine`](simx::ExecutionEngine), so campaigns can drive the
-/// protected path on the compiled backend); route that exit and every later
-/// one through [`Safeguard::handle_trap_with_hooks`] until the program
-/// completes or dies. A caller already holding a process frozen on its trap
-/// (a campaign's unprotected classification run) resumes from that state
-/// instead of re-executing to it. The simulation loop stays uninstrumented —
-/// hooks only observe its trap exits — and trap handling is engine-agnostic:
-/// both engines freeze the faulting frame identically.
+/// just stopped with `exit`; route that exit and every later one through
+/// [`Safeguard::handle_trap_with_hooks`] until the program completes or
+/// dies. A caller already holding a process frozen on its trap (a campaign's
+/// unprotected classification run) resumes from that state instead of
+/// re-executing to it.
+///
+/// How the process runs on after a repair is the caller's: `resume` gets the
+/// process, re-entering at the (patched) faulting PC, and the repairs made
+/// so far, and returns the next exit — from whichever
+/// [`ExecutionEngine`](simx::ExecutionEngine) it drives, so campaigns run
+/// the protected path on the compiled backend — or `None` to end the run
+/// there as [`ProtectedExit::Stopped`]. Every repair re-executes an
+/// instruction already charged a step, so a repaired run stands `recoveries`
+/// steps ahead of the fault-free run at the same machine state. The
+/// simulation loop stays uninstrumented — hooks only observe its trap exits
+/// — and trap handling is engine-agnostic: both engines freeze the faulting
+/// frame identically.
 pub fn resume_protected(
-    engine: &dyn simx::ExecutionEngine,
+    mut resume: impl FnMut(&mut Process, u64) -> Option<RunExit>,
     process: &mut Process,
     mut exit: RunExit,
     safeguard: &mut Safeguard,
@@ -96,8 +119,10 @@ pub fn resume_protected(
                 }
             }
         }
-        // Resume: re-enter the engine at the (patched) faulting PC.
-        exit = engine.run(process);
+        match resume(process, recoveries) {
+            Some(next) => exit = next,
+            None => return ProtectedExit::Stopped { recoveries, recovery_ms },
+        }
     }
 }
 

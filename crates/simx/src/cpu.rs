@@ -238,7 +238,8 @@ pub struct Process {
     /// Multi-breakpoint set (the trellis cursor): stop after each pending
     /// execution ordinal; [`BreakSet::take_fired`] identifies which one hit.
     pub multi_break: Option<BreakSet>,
-    /// Number of traps delivered so far (recovery attempts observe this).
+    /// Number of traps delivered so far (a tally for observers: nothing a run
+    /// does depends on it).
     pub trap_count: u64,
 }
 
@@ -457,24 +458,27 @@ impl Process {
         self.profile.is_some() || self.break_at.is_some() || self.multi_break.is_some()
     }
 
-    /// True when `self` and `other` are the same machine state at the same
-    /// point of the same program, so that — run deterministically, nothing
-    /// instrumented — they execute the same instructions to the same end:
-    /// equal `steps`, call stack (every frame's PC, registers, arguments and
-    /// saved pointers), `sp`, `heap_ptr` and `trap_count`, one shared image,
-    /// and [`PagedMemory::same_contents`]. Conservative like that: `false`
-    /// may be a missed equality, `true` is never a wrong one.
+    /// True when `self` and `other` are the same machine state of the same
+    /// program, so that — run deterministically, nothing instrumented — they
+    /// execute the same instructions to the same end: equal call stack
+    /// (every frame's PC, registers, arguments and saved pointers), `sp` and
+    /// `heap_ptr`, one shared image, and [`PagedMemory::same_contents`].
+    /// Conservative like that: `false` may be a missed equality, `true` is
+    /// never a wrong one.
     ///
-    /// Three things are deliberately outside it. `fuel` is a budget the
+    /// Five things are deliberately outside it. `fuel` is a budget the
     /// caller set, not machine state: two equal processes still end
     /// differently when one runs dry first, which is the caller's to check.
+    /// `steps` is where the caller paused to ask: a run Safeguard repaired
+    /// re-executed each faulting instruction, so it reaches the state another
+    /// run had at step `t` at `t` plus its repairs, and from there the two
+    /// take the same number of steps to the same end. `trap_count` is a
+    /// tally of traps delivered that nothing reads to decide anything.
     /// `mem.stats` counts accesses already made and the TLBs cache
     /// translations; neither changes what a later access returns.
     pub fn same_state(&self, other: &Process) -> bool {
-        self.steps == other.steps
-            && self.sp == other.sp
+        self.sp == other.sp
             && self.heap_ptr == other.heap_ptr
-            && self.trap_count == other.trap_count
             && !self.is_instrumented()
             && !other.is_instrumented()
             && Arc::ptr_eq(&self.image, &other.image)

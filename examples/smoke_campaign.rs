@@ -6,10 +6,11 @@
 //! outcome, and evaluate CARE recovery on the faults that trap. The campaign
 //! runs on the snapshot trellis (one shared cursor pass, CoW
 //! forks at the pending injection points) and again as 30 `Campaign::run_one`
-//! calls (every injection replays its own prefix and runs its suffix out,
-//! where the trellis stops a suffix at the golden state it re-joins), and the
+//! calls (every injection replays its own prefix and runs its suffix and its
+//! protected run out, where the trellis starts a hop from a cloned golden
+//! state and stops a run at the golden state it re-joins), and the
 //! two must agree record for record — the equivalence the trellis promises —
-//! with at least one suffix heard stopping that way. The campaign
+//! with at least one suffix, one repaired run and one hop heard doing so. The campaign
 //! is then repeated at 1 and 4 pool threads, which must also agree bit for
 //! bit (the sharded cursor pass and the work-stealing pool are pure
 //! wall-clock optimisations). Exits nonzero (assert) if the pipeline stops
@@ -109,6 +110,33 @@ fn main() {
         heard("suffix.compares"),
         heard("suffix.pruned_steps"),
         r.steps_suffix,
+    );
+    // The same for the other two things `run_one` does the long way: it runs
+    // every repaired run out, and replays every prefix from the first step.
+    assert!(
+        heard("care.converged") > 0,
+        "no repaired run stopped at a golden state — the CARE records above were held to nothing"
+    );
+    assert!(
+        heard("cursor.hops") > 0,
+        "the cursor never started a hop from a golden state"
+    );
+    println!(
+        "protected runs: {} of {} re-joined the golden run after {} comparisons; {} of {} \
+         attributed CARE steps never ran",
+        heard("care.converged"),
+        r.care_evaluated,
+        heard("care.compares"),
+        heard("care.pruned_steps"),
+        r.steps_care,
+    );
+    println!(
+        "cursor: {} hops started from a cloned golden state; {} replayed + {} armed steps \
+         executed for the {} prefix steps the last firing stands at",
+        heard("cursor.hops"),
+        heard("cursor.replay_steps"),
+        heard("cursor.window_steps"),
+        r.records.iter().map(|rec| rec.split.prefix).max().unwrap_or(0),
     );
     assert_eq!(
         (legacy.benign, legacy.soft_failure, legacy.sdc, legacy.hang),

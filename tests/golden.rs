@@ -241,11 +241,13 @@ fn compiled_engine_records_match_interpreter_on_all_workloads() {
 /// levels, on both engines and at 1, 2 and 8 cursor shards, the trellis —
 /// whose suffixes stop at the golden state they re-join — writes the records
 /// and, but for the prefix it executed once, the report of the per-index
-/// `run_one` reference, which consults no golden state and runs every suffix
-/// out; and in every one of those campaigns a recorder heard at least one
-/// suffix stop that way.
+/// `run_one` reference, which consults no golden state, hops nowhere and runs
+/// every suffix and every protected run out; and in every one of those
+/// campaigns a recorder heard at least one suffix stop that way — and, in the
+/// 54 of them where Safeguard covered a SIGSEGV, at least one repaired run.
 #[test]
 fn pruned_suffixes_match_the_run_out_reference_on_every_program_level_engine_and_shard_count() {
+    let mut covered_campaigns = 0;
     for level in [OptLevel::O0, OptLevel::O1] {
         for w in workloads::all() {
             let campaign = Campaign::prepare(&w, care::compile(&w.module, level), vec![]);
@@ -268,12 +270,25 @@ fn pruned_suffixes_match_the_run_out_reference_on_every_program_level_engine_and
                         ..trellis
                     };
                     assert_eq!(legacy, trellis, "{at}: reports diverged");
-                    let converged = rec.drain().counters.get("suffix.converged").copied();
+                    let heard = rec.drain().counters;
+                    let converged = heard.get("suffix.converged").copied();
                     assert!(converged > Some(0), "{at}: no suffix stopped at a golden state");
+                    // Nor may the protected runs all have run out: where a
+                    // repair put any run back on the golden run (covered), a
+                    // repaired run stopped there too. (GTC-P at `-O1` has
+                    // none: its one SIGSEGV is declined 4 steps after its
+                    // repair.)
+                    let repaired = heard.get("care.converged").copied();
+                    assert!(
+                        trellis.care_covered == 0 || repaired > Some(0),
+                        "{at}: no repaired run stopped at a golden state"
+                    );
+                    covered_campaigns += (trellis.care_covered > 0) as usize;
                 }
             }
         }
     }
+    assert_eq!(covered_campaigns, 54, "all but GTC-P at -O1 cover a SIGSEGV in 12 injections");
 }
 
 /// Telemetry must be a pure observer: running the same fixed-seed campaign

@@ -29,7 +29,7 @@ fn regression_corpus_replays_clean() {
             .unwrap_or_else(|e| panic!("{}: parse error: {e}", path.display()));
         tinyir::verify::verify_module(&m)
             .unwrap_or_else(|e| panic!("{}: verify error: {e}", path.display()));
-        if let Some(d) = carefuzz::oracle::check_module(&m, 0xC0FFEE) {
+        if let Some(d) = carefuzz::oracle::check_module(&m, 0xC0FFEE, &mut Default::default()) {
             panic!("{}: fixed divergence is back: {d}", path.display());
         }
         checked += 1;

@@ -217,6 +217,14 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
     assert!(pruned > 0 && converged > 0, "no HPCCG suffix re-joined the golden run");
     assert!(pruned <= ctr("steps.suffix"), "pruned {pruned} of {}", ctr("steps.suffix"));
     assert!(converged <= ctr("suffix.compares") && converged <= ctr("campaign.classified"));
+    // The CARE steps are split the same way: attributed in `steps.care` and
+    // the per-job histogram, the part past the golden state a repaired run
+    // re-joined counted beside them.
+    assert_eq!(ctr("steps.care"), tel.hists.get("job.care_steps").expect("CARE jobs").sum());
+    let (pruned, converged) = (ctr("care.pruned_steps"), ctr("care.converged"));
+    assert!(pruned > 0 && converged > 0, "no repaired HPCCG run re-joined the golden run");
+    assert!(pruned <= ctr("steps.care"), "pruned {pruned} of {}", ctr("steps.care"));
+    assert!(converged <= ctr("care.compares") && converged <= ctr("recovery.recovered"));
 }
 
 /// Hooks nobody listens through: `enabled()` is `false` and everything else
@@ -295,7 +303,11 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
     for heard in [
         "campaign.classified",
         "cursor.window_steps",
+        "cursor.hops",
         "suffix.pruned_steps",
+        "care.pruned_steps",
+        "care.compares",
+        "care.converged",
         "worker.busy_ns",
         "recovery.recovered",
         "engine.ops",
