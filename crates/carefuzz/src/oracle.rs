@@ -8,6 +8,7 @@
 //!    the hooked slow loop (an inert empty `BreakSet` forces it), compared at
 //!    *every* fuel budget on short programs and a dense sample on long ones:
 //!    exit state, step/trap accounting and all output globals must match.
+//!    One sweep of budgets serves this pair and pair 7.
 //! 3. **OptLevels** — the `opt` pipeline must preserve semantics: IR interp
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
@@ -33,7 +34,10 @@ use armor::{run_armor, ArmorOutput, ParamSpec, RecoveryKey};
 use care::{BuildStats, CompiledApp};
 use faultsim::{Campaign, CampaignConfig, InjectionRecord};
 use opt::OptLevel;
-use simx::{compile_module, BreakSet, MachineModule, Process, RunExit};
+use simx::{
+    compile_module, BreakSet, CompiledEngine, ExecutionEngine, InterpEngine, MachineModule,
+    Process, RunExit,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tinyir::interp::{layout_globals, Interp};
@@ -149,15 +153,12 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
         // Pairs 2 and 7 first: they tolerate (and must agree on) trapping
         // programs.
         for mm in [&mm0, &mm1] {
-            if let Some(d) = fast_slow_check(mm, arg, &outputs, salt) {
-                return Some(d);
-            }
-            if let Some(d) = compiled_check(mm, arg, &outputs, salt) {
+            if let Some(d) = engine_pairs_check(mm, arg, &outputs, salt) {
                 return Some(d);
             }
         }
         // The remaining pairs need a fault-free golden run.
-        let golden = run_machine(&mm0, arg, MACHINE_FUEL, false, &outputs);
+        let golden = run_machine(&InterpEngine, &mm0, arg, MACHINE_FUEL, false, &outputs);
         if !matches!(golden.exit, RunExit::Done(_)) {
             continue;
         }
@@ -171,7 +172,7 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
 
     // Pair 4 once per program (campaigns pick their own injection points).
     let arg = ORACLE_ARGS[1];
-    let golden = run_machine(&mm0, arg, MACHINE_FUEL, false, &outputs);
+    let golden = run_machine(&InterpEngine, &mm0, arg, MACHINE_FUEL, false, &outputs);
     if matches!(golden.exit, RunExit::Done(_)) {
         if let Some(d) = trellis_check(m, &armor_out, &mm1, arg, &outputs, salt, reach) {
             return Some(d);
@@ -227,7 +228,7 @@ fn roundtrip_check(m: &Module) -> Option<Divergence> {
     None
 }
 
-// ---------------------------------------------------------------- pair 2 --
+// ------------------------------------------------------------- pairs 2+7 --
 
 /// Everything observable about one machine run.
 #[derive(Clone, PartialEq, Debug)]
@@ -239,21 +240,23 @@ struct RunState {
     globals: Vec<Vec<u8>>,
 }
 
+/// Run `main(arg)` on `engine` with `fuel`; `armed` adds an empty
+/// breakpoint set, which never fires but forces the hooked loop.
 fn run_machine(
+    engine: &dyn ExecutionEngine,
     mm: &Arc<MachineModule>,
     arg: u64,
     fuel: u64,
-    slow: bool,
+    armed: bool,
     outputs: &[(String, u64)],
 ) -> RunState {
     let mut p = Process::new(Arc::clone(mm), vec![]);
     p.start("main", &[arg]);
     p.fuel = fuel;
-    if slow {
-        // An empty breakpoint set never fires but forces the hooked loop.
+    if armed {
         p.multi_break = Some(BreakSet::new());
     }
-    let exit = p.run();
+    let exit = engine.run(&mut p);
     let globals = outputs
         .iter()
         .map(|(name, bytes)| p.snapshot_global(name, *bytes).unwrap_or_default())
@@ -261,14 +264,19 @@ fn run_machine(
     RunState { exit, steps: p.steps, fuel_left: p.fuel, trap_count: p.trap_count, globals }
 }
 
-fn fast_slow_check(
+/// Pairs 2 and 7 over one fuel sweep: every budget on short programs, the
+/// edges plus a sample on long ones, so partial segments, mid-fusion
+/// out-of-fuel exits and trap freezes are all exercised. At each budget the
+/// interpreter's fast loop is the reference both the hooked loop and the
+/// compiled engine must match.
+fn engine_pairs_check(
     mm: &Arc<MachineModule>,
     arg: u64,
     outputs: &[(String, u64)],
     salt: u64,
 ) -> Option<Divergence> {
-    let full = run_machine(mm, arg, MACHINE_FUEL, false, outputs);
-    let total = full.steps;
+    let compiled = CompiledEngine::for_image(&Process::new(Arc::clone(mm), vec![]).image);
+    let total = run_machine(&InterpEngine, mm, arg, MACHINE_FUEL, false, outputs).steps;
     let budgets: Vec<u64> = if total <= 256 {
         (0..=total + 1).collect()
     } else {
@@ -279,8 +287,8 @@ fn fast_slow_check(
         v
     };
     for b in budgets {
-        let fast = run_machine(mm, arg, b, false, outputs);
-        let slow = run_machine(mm, arg, b, true, outputs);
+        let fast = run_machine(&InterpEngine, mm, arg, b, false, outputs);
+        let slow = run_machine(&InterpEngine, mm, arg, b, true, outputs);
         if fast != slow {
             return Some(Divergence {
                 pair: Pair::FastSlow,
@@ -291,77 +299,22 @@ fn fast_slow_check(
                 ),
             });
         }
-    }
-    None
-}
-
-// ---------------------------------------------------------------- pair 7 --
-
-/// Run `main(arg)` on the compiled direct-threaded engine and capture the
-/// same observable state as [`run_machine`].
-fn run_compiled(
-    engine: &simx::CompiledEngine,
-    mm: &Arc<MachineModule>,
-    arg: u64,
-    fuel: u64,
-    outputs: &[(String, u64)],
-) -> RunState {
-    use simx::ExecutionEngine;
-    let mut p = Process::new(Arc::clone(mm), vec![]);
-    p.start("main", &[arg]);
-    p.fuel = fuel;
-    let exit = engine.run(&mut p);
-    let globals = outputs
-        .iter()
-        .map(|(name, bytes)| p.snapshot_global(name, *bytes).unwrap_or_default())
-        .collect();
-    RunState { exit, steps: p.steps, fuel_left: p.fuel, trap_count: p.trap_count, globals }
-}
-
-/// Pair 7: the compiled engine must be indistinguishable from the
-/// interpreter fast loop at *every* fuel budget — same exhaustive/sampled
-/// budget scheme as [`fast_slow_check`], so partial segments, mid-fusion
-/// out-of-fuel exits and trap freezes are all exercised.
-fn compiled_check(
-    mm: &Arc<MachineModule>,
-    arg: u64,
-    outputs: &[(String, u64)],
-    salt: u64,
-) -> Option<Divergence> {
-    let engine = {
-        let p = Process::new(Arc::clone(mm), vec![]);
-        simx::CompiledEngine::for_image(&p.image)
-    };
-    let full = run_machine(mm, arg, MACHINE_FUEL, false, outputs);
-    let total = full.steps;
-    let budgets: Vec<u64> = if total <= 256 {
-        (0..=total + 1).collect()
-    } else {
-        use rand::{Rng, SeedableRng};
-        let mut rng =
-            rand::rngs::SmallRng::seed_from_u64(salt ^ total.rotate_left(17) ^ arg);
-        let mut v: Vec<u64> = vec![0, 1, 2, total - 2, total - 1, total, total + 1];
-        v.extend((0..24).map(|_| rng.gen_range(3..total.saturating_sub(2))));
-        v
-    };
-    for b in budgets {
-        let interp = run_machine(mm, arg, b, false, outputs);
-        let compiled = run_compiled(&engine, mm, arg, b, outputs);
-        if interp != compiled {
+        let comp = run_machine(&compiled, mm, arg, b, false, outputs);
+        if fast != comp {
             return Some(Divergence {
                 pair: Pair::Compiled,
                 arg,
                 detail: format!(
                     "fuel budget {b}: interp {:?} (steps {}, fuel {}, traps {}) vs \
                      compiled {:?} (steps {}, fuel {}, traps {})",
-                    interp.exit,
-                    interp.steps,
-                    interp.fuel_left,
-                    interp.trap_count,
-                    compiled.exit,
-                    compiled.steps,
-                    compiled.fuel_left,
-                    compiled.trap_count
+                    fast.exit,
+                    fast.steps,
+                    fast.fuel_left,
+                    fast.trap_count,
+                    comp.exit,
+                    comp.steps,
+                    comp.fuel_left,
+                    comp.trap_count
                 ),
             });
         }
@@ -421,8 +374,8 @@ fn opt_levels_check(
         Ok(r) => r,
         Err(e) => return diverge("interp O1", e),
     };
-    let m0 = run_machine(mm0, arg, MACHINE_FUEL, false, outputs);
-    let m1 = run_machine(mm1, arg, MACHINE_FUEL, false, outputs);
+    let m0 = run_machine(&InterpEngine, mm0, arg, MACHINE_FUEL, false, outputs);
+    let m1 = run_machine(&InterpEngine, mm1, arg, MACHINE_FUEL, false, outputs);
     let engines = [("interp O0", &i0), ("interp O1", &i1), ("machine O0", &m0), ("machine O1", &m1)];
     for (name, r) in &engines[1..] {
         if r.exit != i0.exit {

@@ -26,7 +26,7 @@
 //! brick its campaign.
 
 use faultsim::wire::{push_record_fields, record_from_json};
-use faultsim::{CampaignConfig, FaultModel, InjectionRecord};
+use faultsim::{CampaignConfig, FaultModel, InjectionRecord, MAX_RECOVERIES};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -45,13 +45,15 @@ pub const STORE_VERSION: u32 = 1;
 /// reuse a compiled run's records and vice versa.
 /// `injections` is excluded too — index `i`'s record depends only on
 /// `(seed, i)`, so a longer re-run reuses a shorter run's records.
+/// `mr` is [`MAX_RECOVERIES`], once a config field: it stays in the
+/// signature so stores written while it was one keep matching.
 pub fn run_signature(cfg: &CampaignConfig) -> String {
     format!(
         "ec={},ao={},hf={},mr={},pb={},sg={}",
         cfg.evaluate_care as u8,
         cfg.app_only as u8,
         cfg.hang_factor,
-        cfg.max_recoveries,
+        MAX_RECOVERIES,
         cfg.patch_base_first as u8,
         cfg.skip_equality_guard as u8,
     )

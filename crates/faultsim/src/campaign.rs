@@ -95,6 +95,9 @@ impl JobControl {
     }
 }
 
+/// Bound on Safeguard activations per protected run.
+pub const MAX_RECOVERIES: u64 = 64;
+
 /// Campaign parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
@@ -111,8 +114,6 @@ pub struct CampaignConfig {
     pub app_only: bool,
     /// Hang threshold: `fuel = golden_steps × hang_factor`.
     pub hang_factor: u64,
-    /// Bound on Safeguard activations per run.
-    pub max_recoveries: u64,
     /// Ablation: Safeguard patches the base register first.
     pub patch_base_first: bool,
     /// Ablation: disable the §5.2 address-equality guard.
@@ -141,7 +142,6 @@ impl Default for CampaignConfig {
             evaluate_care: false,
             app_only: false,
             hang_factor: 20,
-            max_recoveries: 64,
             patch_base_first: false,
             skip_equality_guard: false,
             keep_records: false,

@@ -36,7 +36,7 @@ mod suffix;
 mod trail;
 pub mod wire;
 
-pub use campaign::{Campaign, CampaignConfig, JobControl, NoSink, RecordSink};
+pub use campaign::{Campaign, CampaignConfig, JobControl, NoSink, RecordSink, MAX_RECOVERIES};
 pub use injector::{FaultModel, InjectedInto, InjectionPoint};
 pub use report::CampaignReport;
 pub use simx::EngineKind;

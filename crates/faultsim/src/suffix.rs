@@ -25,7 +25,7 @@
 //! (pinned by the unit tests beside the trellis, `tests/golden.rs` and
 //! carefuzz).
 
-use crate::campaign::{Campaign, CampaignConfig};
+use crate::campaign::{Campaign, CampaignConfig, MAX_RECOVERIES};
 use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -268,7 +268,7 @@ impl Campaign {
                 care_pruned = run.ok().map(|state| self.golden_steps - state.steps);
                 run.err()
             };
-            let end = resume_protected(resume, &mut p, trapped, &mut sg, cfg.max_recoveries, hooks);
+            let end = resume_protected(resume, &mut p, trapped, &mut sg, MAX_RECOVERIES, hooks);
             let (recoveries, recovery_ms, decline) = match end {
                 ProtectedExit::Completed { recoveries, recovery_ms, .. }
                 | ProtectedExit::Stopped { recoveries, recovery_ms } => {

@@ -25,7 +25,6 @@
 
 use crate::cost::{CostModel, RecoveryTime};
 use armor::{ArmorOutput, ParamSpec, RecoveryKey, RecoveryTable};
-use simx::cpu::effective_addr;
 use simx::{MemOp, ModuleId, Process, Trap, TrapKind, VarPlace, FP};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -552,7 +551,7 @@ impl Safeguard {
                 // Paranoia: after the patch the operand must resolve to the
                 // kernel-computed address.
                 debug_assert_eq!(
-                    effective_addr(&mem, process.frame()),
+                    mem.effective(|r| process.read_reg(r)),
                     kernel_addr,
                     "patch arithmetic"
                 );

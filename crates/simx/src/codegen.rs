@@ -114,7 +114,7 @@ pub fn compile_module(
             .iter()
             .filter(|r| r.func == FuncId(fi as u32))
             .collect();
-        let (mf, dies) = lower_function(ir, f, regalloc, &reqs);
+        let (mf, dies) = lower_function(f, regalloc, &reqs);
         funcs.push(mf);
         per_func_dies.push(dies);
     }
@@ -145,7 +145,7 @@ pub fn compile_module(
                 .entry(name.clone())
                 .or_insert_with(|| VarDie { name: name.clone(), locs: vec![] })
                 .locs
-                .push(LocEntry { lo, hi, place: place_of(*place) });
+                .push(LocEntry { lo, hi, place: *place });
         }
     }
     MachineModule {
@@ -155,10 +155,6 @@ pub fn compile_module(
         ir: ir.clone(),
         code_size: off,
     }
-}
-
-fn place_of(p: VarPlace) -> VarPlace {
-    p
 }
 
 /// Split critical edges into blocks that carry phis, so phi copies inserted
@@ -224,18 +220,13 @@ fn split_critical_edges(f: &mut Function) {
     }
 }
 
-struct FnCtx<'a> {
-    module: &'a Module,
+struct FnCtx {
     f: Function,
-    #[allow(dead_code)] // recorded for debugging dumps
-    regalloc: bool,
     storage: HashMap<InstrId, Loc>,
     arg_loc: Vec<Loc>,
     folded_load: HashMap<InstrId, InstrId>, // load -> consuming bin
     folded_gep: HashSet<InstrId>,
     alloca_area: HashMap<InstrId, i64>,
-    #[allow(dead_code)] // recorded for debugging dumps
-    frame_size: u64,
     out: Vec<MInst>,
     olocs: Vec<Option<DebugLoc>>,
     cur_loc: Option<DebugLoc>,
@@ -246,7 +237,6 @@ struct FnCtx<'a> {
 }
 
 fn lower_function(
-    module: &Module,
     orig: &Function,
     regalloc: bool,
     reqs: &[&DieRequest],
@@ -284,10 +274,9 @@ fn lower_function(
                 if owner[user.0 as usize] != owner[iid.0 as usize] {
                     continue;
                 }
-                let InstrKind::Bin { op, lhs, rhs, ty: bty } = f.instr(user).kind else {
+                let InstrKind::Bin { lhs, rhs, ty: bty, .. } = f.instr(user).kind else {
                     continue;
                 };
-                let _ = op;
                 if rhs != Value::Instr(iid) || lhs == Value::Instr(iid) || bty != ty {
                     continue;
                 }
@@ -389,7 +378,7 @@ fn lower_function(
         }
     }
     // Phi storages are written at predecessor terminators; extend.
-    for (bid, block) in f.block_iter() {
+    for (_, block) in f.block_iter() {
         for &iid in &block.instrs {
             if let InstrKind::Phi { incomings, .. } = &f.instr(iid).kind {
                 for (pred, _) in incomings {
@@ -399,7 +388,6 @@ fn lower_function(
                     e.0 = e.0.min(p);
                     e.1 = e.1.max(p);
                 }
-                let _ = bid;
             }
         }
     }
@@ -432,10 +420,9 @@ fn lower_function(
 
     if !regalloc {
         // Stack-slot mode: every value and argument gets a slot.
-        for a in 0..f.params.len() {
+        for _ in 0..f.params.len() {
             arg_loc.push(Loc::Slot(frame));
             frame += 8;
-            let _ = a;
         }
         for (_, block) in f.block_iter() {
             for &iid in &block.instrs {
@@ -524,15 +511,12 @@ fn lower_function(
     let frame_size = ((frame + 15) & !15) as u64;
 
     let mut ctx = FnCtx {
-        module,
         f,
-        regalloc,
         storage,
         arg_loc,
         folded_load,
         folded_gep,
-        alloca_area: alloca_area.clone(),
-        frame_size,
+        alloca_area,
         out: Vec::new(),
         olocs: Vec::new(),
         cur_loc: None,
@@ -541,7 +525,7 @@ fn lower_function(
         intervals,
         lv,
     };
-    ctx.lower(&pos_of, &alloca_area);
+    ctx.lower(&pos_of);
 
     // -- DIE emission -----------------------------------------------------------
     let func_end = ctx.out.len() as u32;
@@ -594,7 +578,7 @@ fn lower_function(
     (mf, dies)
 }
 
-impl<'a> FnCtx<'a> {
+impl FnCtx {
     fn emit(&mut self, m: MInst) -> u32 {
         self.out.push(m);
         self.olocs.push(self.cur_loc);
@@ -650,7 +634,7 @@ impl<'a> FnCtx<'a> {
     }
 
     /// A `Src` for `v` without forcing a register when avoidable.
-    fn src_of(&mut self, v: Value, _scratch: Reg) -> Src {
+    fn src_of(&self, v: Value) -> Src {
         if let Some(bits) = const_bits(v) {
             return Src::Imm(bits);
         }
@@ -712,7 +696,7 @@ impl<'a> FnCtx<'a> {
         MemOp::base_disp(r, 0)
     }
 
-    fn lower(&mut self, pos_of: &HashMap<InstrId, u32>, alloca_area: &HashMap<InstrId, i64>) {
+    fn lower(&mut self, pos_of: &HashMap<InstrId, u32>) {
         // Prologue: fetch arguments into their storage.
         self.cur_loc = None;
         for a in 0..self.f.params.len() {
@@ -739,7 +723,7 @@ impl<'a> FnCtx<'a> {
             for &iid in &instrs {
                 self.pos2mpos[pos_of[&iid] as usize] = self.out.len() as u32;
                 self.cur_loc = self.f.instr(iid).loc;
-                self.lower_instr(iid, alloca_area, BlockId(b as u32));
+                self.lower_instr(iid, BlockId(b as u32));
             }
         }
         // Fix up branch targets from block ids to machine indices.
@@ -755,7 +739,7 @@ impl<'a> FnCtx<'a> {
         }
     }
 
-    fn lower_instr(&mut self, iid: InstrId, alloca_area: &HashMap<InstrId, i64>, cur_bb: BlockId) {
+    fn lower_instr(&mut self, iid: InstrId, cur_bb: BlockId) {
         if self.folded_load.contains_key(&iid) || self.folded_gep.contains(&iid) {
             return; // materialised at their consumer
         }
@@ -763,7 +747,7 @@ impl<'a> FnCtx<'a> {
         match kind {
             InstrKind::Phi { .. } => {} // written by predecessor copies
             InstrKind::Alloca { .. } => {
-                let off = alloca_area[&iid];
+                let off = self.alloca_area[&iid];
                 let (dst, spill) = self.dst_for(iid, S0);
                 self.emit(MInst::Lea { dst, mem: MemOp::base_disp(FP, off) });
                 self.finish(dst, spill);
@@ -799,7 +783,6 @@ impl<'a> FnCtx<'a> {
                         });
                     }
                     None => {
-                        let idx_ty = self.value_ty(index);
                         let mut idx_r = self.ensure_reg(index, S1);
                         if matches!(elem_size, 1 | 2 | 4 | 8) {
                             self.emit(MInst::Lea {
@@ -829,7 +812,6 @@ impl<'a> FnCtx<'a> {
                                 mem: MemOp::base_index(base_r, S1, 1, 0),
                             });
                         }
-                        let _ = idx_ty;
                     }
                 }
                 self.finish(dst, spill);
@@ -849,7 +831,7 @@ impl<'a> FnCtx<'a> {
                         let mem = self.mem_for_ptr(ptr, S1, S2);
                         (Src::Mem(mem, lty.size() as u8), self.f.instr(load_id).loc)
                     }
-                    None => (self.src_of(rhs, self.bank_scratch(ty, 1)), None),
+                    None => (self.src_of(rhs), None),
                 };
                 // Slot-resident rhs: keep it as a folded frame-slot operand
                 // only in register mode; in slot mode load it explicitly for
@@ -866,7 +848,7 @@ impl<'a> FnCtx<'a> {
             InstrKind::Icmp { pred, lhs, rhs } => {
                 let ty = self.value_ty(lhs);
                 let lreg = self.ensure_reg(lhs, S0);
-                let rsrc = self.src_of(rhs, S1);
+                let rsrc = self.src_of(rhs);
                 let (dst, spill) = self.dst_for(iid, S0);
                 self.emit(MInst::Icmp { pred, dst, lhs: lreg, rhs: rsrc, ty });
                 self.finish(dst, spill);
@@ -874,7 +856,7 @@ impl<'a> FnCtx<'a> {
             InstrKind::Fcmp { pred, lhs, rhs } => {
                 let ty = self.value_ty(lhs);
                 let lreg = self.ensure_reg(lhs, X0);
-                let rsrc = self.src_of(rhs, X1);
+                let rsrc = self.src_of(rhs);
                 let (dst, spill) = self.dst_for(iid, S0);
                 self.emit(MInst::Fcmp { pred, dst, lhs: lreg, rhs: rsrc, ty });
                 self.finish(dst, spill);
@@ -895,10 +877,7 @@ impl<'a> FnCtx<'a> {
                 self.finish(dst, spill);
             }
             InstrKind::Call { callee, args, ret_ty } => {
-                let srcs: Vec<Src> = args
-                    .iter()
-                    .map(|&a| self.src_of(a, S0)) // slots/consts/globals need no scratch
-                    .collect();
+                let srcs: Vec<Src> = args.iter().map(|&a| self.src_of(a)).collect();
                 let (dst, spill) = match ret_ty {
                     Some(t) => {
                         let (d, s) = self.dst_for(iid, self.bank_scratch(t, 0));
@@ -936,7 +915,6 @@ impl<'a> FnCtx<'a> {
                 self.emit(MInst::Ret { src });
             }
         }
-        let _ = self.module;
     }
 
     /// Copy source of `v` for a phi parallel copy.
@@ -967,9 +945,6 @@ impl<'a> FnCtx<'a> {
         // Sequentialise with cycle breaking through S2 (raw bits, so one
         // integer scratch serves both banks).
         while !copies.is_empty() {
-            let blocked = |dst: Loc, list: &[(Loc, CopySrc)]| {
-                list.iter().any(|(_, s)| *s == CopySrc::Loc(dst))
-            };
             if let Some(i) = (0..copies.len()).find(|&i| {
                 let (dst, _) = copies[i];
                 !copies
@@ -988,7 +963,6 @@ impl<'a> FnCtx<'a> {
                         *s = CopySrc::Loc(Loc::R(S2));
                     }
                 }
-                let _ = blocked;
             }
         }
     }

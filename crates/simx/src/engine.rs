@@ -19,7 +19,10 @@
 //! exhausted budget traps without consuming) → charge `fuel`/`steps` →
 //! execute. Traps freeze `frame.idx` on the faulting instruction with its
 //! pre-fault registers; fused ops freeze mid-pair on their second index,
-//! which re-enters through that instruction's standalone translation.
+//! which re-enters through that instruction's standalone translation. What
+//! happens when a segment ends in a trap, call, intrinsic or return is not
+//! restated here: [`run_compiled`] calls the same `Process` methods the
+//! interpreter's loop does.
 //!
 //! # Fuel at block granularity
 //!
@@ -53,7 +56,7 @@ use crate::translate::{
 };
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
-use tinyir::mem::{MemFault, PagedMemory};
+use tinyir::mem::PagedMemory;
 use tinyir::{FuncId, Intrinsic};
 
 /// Version of the engines' *observable record semantics*: what a
@@ -257,48 +260,24 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
                 other => break other,
             }
         };
-        match ev {
+        let transition = match ev {
             SegEvent::Redirect => unreachable!(),
-            SegEvent::Trap(t) => {
-                p.trap_count += 1;
-                break RunExit::Trapped(t);
-            }
+            SegEvent::Trap(t) => Err(t),
             SegEvent::Call { callee, argv, dst } => {
-                let dst = (dst != NO_REG).then_some(Reg(dst));
-                if let Err(t) = p.push_frame(mid, FuncId(callee), argv, dst) {
-                    p.trap_count += 1;
-                    break RunExit::Trapped(t);
-                }
+                p.push_frame(mid, FuncId(callee), argv, (dst != NO_REG).then_some(Reg(dst)))
             }
-            SegEvent::Intr { which, argv, dst } => match p.eval_intrinsic(which, &argv) {
-                Ok(r) => {
-                    let frame = p.frames.last_mut().expect("frame");
-                    if dst != NO_REG {
-                        if let Some(v) = r {
-                            frame.regs[dst as usize] = v;
-                        }
-                    }
-                    frame.idx += 1;
-                }
-                Err(kind) => {
-                    // `frame.idx` still points at the CallIntr.
-                    let pc = p.pc();
-                    p.trap_count += 1;
-                    break RunExit::Trapped(Trap { kind, pc });
-                }
-            },
+            SegEvent::Intr { which, argv, dst } => {
+                p.finish_intrinsic(which, &argv, (dst != NO_REG).then_some(Reg(dst)))
+            }
             SegEvent::Ret { val } => {
-                let done = p.frames.len() == 1;
-                let popped = p.frames.pop().expect("frame");
-                p.sp = popped.saved_sp;
-                if done {
+                if p.ret(val) {
                     break RunExit::Done(val);
                 }
-                if let (Some(d), Some(v)) = (popped.ret_dst, val) {
-                    let pl = p.frames.len() - 1;
-                    p.frames[pl].regs[d.0 as usize] = v;
-                }
+                Ok(())
             }
+        };
+        if let Err(t) = transition {
+            break p.deliver(t);
         }
     };
     p.fuel = fuel;
@@ -338,15 +317,6 @@ fn exec_segment<const CHECKED: bool>(
             return SegEvent::Trap(Trap { kind: $kind, pc });
         }};
     }
-    macro_rules! memtrap {
-        ($e:expr, $idx:expr) => {{
-            let kind = match $e {
-                MemFault::Unmapped(a) => TrapKind::Segv(a),
-                MemFault::Misaligned(a) => TrapKind::Bus(a),
-            };
-            trap_at!(kind, $idx)
-        }};
-    }
     // Evaluate a pre-decoded source operand; a folded memory operand may
     // fault, freezing the instruction at `$idx`.
     macro_rules! srck {
@@ -356,7 +326,7 @@ fn exec_segment<const CHECKED: bool>(
                 SrcK::Imm(v) => *v,
                 SrcK::Mem(m, sz) => match mem.load(m.ea(&frame.regs), *sz as u32) {
                     Ok(v) => v,
-                    Err(e) => memtrap!(e, $idx),
+                    Err(e) => trap_at!(e.into(), $idx),
                 },
                 SrcK::Global(g) => lm.global_addrs[*g as usize],
             }
@@ -420,13 +390,13 @@ fn exec_segment<const CHECKED: bool>(
             Op::MovL { dst, mem: m, size } => {
                 match mem.load(m.ea(&frame.regs), *size as u32) {
                     Ok(v) => frame.regs[*dst as usize] = v,
-                    Err(e) => memtrap!(e, idx),
+                    Err(e) => trap_at!(e.into(), idx),
                 }
             }
             Op::MovLs { dst, mem: m, size, ty } => {
                 match mem.load(m.ea(&frame.regs), *size as u32) {
                     Ok(v) => frame.regs[*dst as usize] = sext_bits(v, *ty) as u64,
-                    Err(e) => memtrap!(e, idx),
+                    Err(e) => trap_at!(e.into(), idx),
                 }
             }
             Op::MovG { dst, gid, sext } => {
@@ -439,7 +409,7 @@ fn exec_segment<const CHECKED: bool>(
             Op::St { src, mem: m, size } => {
                 let v = frame.regs[*src as usize];
                 if let Err(e) = mem.store(m.ea(&frame.regs), *size as u32, v) {
-                    memtrap!(e, idx)
+                    trap_at!(e.into(), idx)
                 }
             }
             Op::Lea { dst, mem: m } => {
@@ -481,7 +451,7 @@ fn exec_segment<const CHECKED: bool>(
             Op::FAddL { dst, lhs, mem: m } => {
                 let r = match mem.load(m.ea(&frame.regs), 8) {
                     Ok(v) => v,
-                    Err(e) => memtrap!(e, idx),
+                    Err(e) => trap_at!(e.into(), idx),
                 };
                 let v = f64::from_bits(frame.regs[*lhs as usize]) + f64::from_bits(r);
                 frame.regs[*dst as usize] = v.to_bits();
@@ -489,7 +459,7 @@ fn exec_segment<const CHECKED: bool>(
             Op::FMulL { dst, lhs, mem: m } => {
                 let r = match mem.load(m.ea(&frame.regs), 8) {
                     Ok(v) => v,
-                    Err(e) => memtrap!(e, idx),
+                    Err(e) => trap_at!(e.into(), idx),
                 };
                 let v = f64::from_bits(frame.regs[*lhs as usize]) * f64::from_bits(r);
                 frame.regs[*dst as usize] = v.to_bits();
@@ -574,7 +544,7 @@ fn exec_segment<const CHECKED: bool>(
                 // Sub-step 1: the load.
                 let v = match mem.load(m.ea(&frame.regs), *size as u32) {
                     Ok(v) => v,
-                    Err(e) => memtrap!(e, idx),
+                    Err(e) => trap_at!(e.into(), idx),
                 };
                 frame.regs[*ldst as usize] = v;
                 // Sub-step 2: the arithmetic (reads the just-written lhs).
@@ -596,7 +566,7 @@ fn exec_segment<const CHECKED: bool>(
                 let addr = frame.regs[*adst as usize].wrapping_add(*ldisp as u64);
                 match mem.load(addr, *size as u32) {
                     Ok(v) => frame.regs[*ldst as usize] = v,
-                    Err(e) => memtrap!(e, idx + 1),
+                    Err(e) => trap_at!(e.into(), idx + 1),
                 }
                 idx += 2;
                 continue;
@@ -608,7 +578,7 @@ fn exec_segment<const CHECKED: bool>(
                 charge_second!(idx);
                 match mem.load(m.ea(&frame.regs), *size as u32) {
                     Ok(v) => frame.regs[*ldst as usize] = v,
-                    Err(e) => memtrap!(e, idx + 1),
+                    Err(e) => trap_at!(e.into(), idx + 1),
                 }
                 idx += 2;
                 continue;
@@ -620,7 +590,7 @@ fn exec_segment<const CHECKED: bool>(
                 charge_second!(idx);
                 let r = match mem.load(m.ea(&frame.regs), 8) {
                     Ok(v) => v,
-                    Err(e) => memtrap!(e, idx + 1),
+                    Err(e) => trap_at!(e.into(), idx + 1),
                 };
                 let l = f64::from_bits(frame.regs[*lhs as usize]);
                 let r = f64::from_bits(r);

@@ -13,6 +13,11 @@
 //! Values are passed around as raw little-endian bit patterns (`u64`); the
 //! instruction's type decides how the bits are interpreted, exactly like a
 //! register file.
+//!
+//! [`eval_bin`], [`eval_icmp`], [`eval_fcmp`], [`eval_cast`] and
+//! [`eval_intrinsic`] are the one definition of arithmetic, comparisons,
+//! conversions and intrinsics that this interpreter, both SimISA engines
+//! and `opt`'s constant folder share.
 
 use crate::debugloc::DebugLoc;
 use crate::instr::{BinOp, Callee, CastOp, FCmp, ICmp, InstrKind, Intrinsic};
@@ -202,7 +207,7 @@ impl<'a> Interp<'a> {
                                     kind: FaultKind::Invalid("phi missing incoming"),
                                     loc: func.instr(iid).loc,
                                 })?;
-                            let bits = self.value_bits(&regs, args, func, v, iid)?;
+                            let bits = self.value_bits(&regs, args, func, v)?;
                             phi_vals.push((iid, bits));
                         }
                         _ => break,
@@ -240,7 +245,7 @@ impl<'a> Interp<'a> {
                         regs[iid.0 as usize] = Some(addr);
                     }
                     InstrKind::Load { ptr, ty } => {
-                        let addr = self.value_bits(&regs, args, func, *ptr, iid)?;
+                        let addr = self.value_bits(&regs, args, func, *ptr)?;
                         let bits = self.mem.load(addr, ty.size()).map_err(|e| fault_of(e, loc))?;
                         regs[iid.0 as usize] = Some(bits);
                     }
@@ -249,57 +254,56 @@ impl<'a> Interp<'a> {
                             kind: FaultKind::Invalid("untyped store value"),
                             loc,
                         })?;
-                        let bits = self.value_bits(&regs, args, func, *val, iid)?;
-                        let addr = self.value_bits(&regs, args, func, *ptr, iid)?;
+                        let bits = self.value_bits(&regs, args, func, *val)?;
+                        let addr = self.value_bits(&regs, args, func, *ptr)?;
                         self.mem
                             .store(addr, ty.size(), bits)
                             .map_err(|e| fault_of(e, loc))?;
                     }
                     InstrKind::Gep { base, index, elem_size } => {
-                        let b = self.value_bits(&regs, args, func, *base, iid)?;
-                        let i = self.value_bits(&regs, args, func, *index, iid)? as i64;
+                        let b = self.value_bits(&regs, args, func, *base)?;
+                        let i = self.value_bits(&regs, args, func, *index)? as i64;
                         let addr = (b as i64).wrapping_add(i.wrapping_mul(*elem_size as i64));
                         regs[iid.0 as usize] = Some(addr as u64);
                     }
                     InstrKind::Bin { op, lhs, rhs, ty } => {
-                        let l = self.value_bits(&regs, args, func, *lhs, iid)?;
-                        let r = self.value_bits(&regs, args, func, *rhs, iid)?;
+                        let l = self.value_bits(&regs, args, func, *lhs)?;
+                        let r = self.value_bits(&regs, args, func, *rhs)?;
                         let bits = eval_bin(*op, l, r, *ty).map_err(|k| Fault { kind: k, loc })?;
                         regs[iid.0 as usize] = Some(bits);
                     }
                     InstrKind::Icmp { pred: p, lhs, rhs } => {
                         let ty = crate::module::value_ty(func, *lhs).unwrap_or(Ty::I64);
-                        let l = self.value_bits(&regs, args, func, *lhs, iid)?;
-                        let r = self.value_bits(&regs, args, func, *rhs, iid)?;
+                        let l = self.value_bits(&regs, args, func, *lhs)?;
+                        let r = self.value_bits(&regs, args, func, *rhs)?;
                         regs[iid.0 as usize] = Some(eval_icmp(*p, l, r, ty) as u64);
                     }
                     InstrKind::Fcmp { pred: p, lhs, rhs } => {
                         let ty = crate::module::value_ty(func, *lhs).unwrap_or(Ty::F64);
-                        let l = float_of_bits(self.value_bits(&regs, args, func, *lhs, iid)?, ty);
-                        let r = float_of_bits(self.value_bits(&regs, args, func, *rhs, iid)?, ty);
+                        let l = float_of_bits(self.value_bits(&regs, args, func, *lhs)?, ty);
+                        let r = float_of_bits(self.value_bits(&regs, args, func, *rhs)?, ty);
                         regs[iid.0 as usize] = Some(eval_fcmp(*p, l, r) as u64);
                     }
                     InstrKind::Cast { op, val, to } => {
                         let from = crate::module::value_ty(func, *val).unwrap_or(Ty::I64);
-                        let v = self.value_bits(&regs, args, func, *val, iid)?;
+                        let v = self.value_bits(&regs, args, func, *val)?;
                         regs[iid.0 as usize] = Some(eval_cast(*op, v, from, *to));
                     }
                     InstrKind::Select { cond, t, f: fv, .. } => {
-                        let c = self.value_bits(&regs, args, func, *cond, iid)? & 1;
+                        let c = self.value_bits(&regs, args, func, *cond)? & 1;
                         let chosen = if c != 0 { *t } else { *fv };
-                        let bits = self.value_bits(&regs, args, func, chosen, iid)?;
+                        let bits = self.value_bits(&regs, args, func, chosen)?;
                         regs[iid.0 as usize] = Some(bits);
                     }
                     InstrKind::Phi { .. } => unreachable!(),
                     InstrKind::Call { callee, args: call_args, .. } => {
                         let mut argv = Vec::with_capacity(call_args.len());
                         for a in call_args {
-                            argv.push(self.value_bits(&regs, args, func, *a, iid)?);
+                            argv.push(self.value_bits(&regs, args, func, *a)?);
                         }
                         match callee {
                             Callee::Intrinsic(i) => {
-                                let r = self
-                                    .eval_intrinsic(*i, &argv)
+                                let r = eval_intrinsic(*i, &argv, self.mem, &mut self.heap_ptr)
                                     .map_err(|k| Fault { kind: k, loc })?;
                                 if let Some(bits) = r {
                                     regs[iid.0 as usize] = Some(bits);
@@ -318,13 +322,13 @@ impl<'a> Interp<'a> {
                         break;
                     }
                     InstrKind::CondBr { cond, then_bb, else_bb } => {
-                        let c = self.value_bits(&regs, args, func, *cond, iid)? & 1;
+                        let c = self.value_bits(&regs, args, func, *cond)? & 1;
                         next = Some((cur, if c != 0 { *then_bb } else { *else_bb }));
                         break;
                     }
                     InstrKind::Ret { val } => {
                         returned = Some(match val {
-                            Some(v) => Some(self.value_bits(&regs, args, func, *v, iid)?),
+                            Some(v) => Some(self.value_bits(&regs, args, func, *v)?),
                             None => None,
                         });
                         break;
@@ -360,7 +364,6 @@ impl<'a> Interp<'a> {
         args: &[u64],
         func: &crate::module::Function,
         v: Value,
-        _at: InstrId,
     ) -> ExecResult<u64> {
         match v {
             Value::Instr(id) => regs[id.0 as usize].ok_or(Fault {
@@ -375,40 +378,48 @@ impl<'a> Interp<'a> {
             }),
         }
     }
+}
 
-    fn eval_intrinsic(&mut self, i: Intrinsic, args: &[u64]) -> Result<Option<u64>, FaultKind> {
-        let f = |n: usize| f64::from_bits(args[n]);
-        Ok(match i {
-            Intrinsic::Sqrt => Some(f(0).sqrt().to_bits()),
-            Intrinsic::Fabs => Some(f(0).abs().to_bits()),
-            Intrinsic::Sin => Some(f(0).sin().to_bits()),
-            Intrinsic::Cos => Some(f(0).cos().to_bits()),
-            Intrinsic::Exp => Some(f(0).exp().to_bits()),
-            Intrinsic::Floor => Some(f(0).floor().to_bits()),
-            Intrinsic::Pow => Some(f(0).powf(f(1)).to_bits()),
-            Intrinsic::FMin => Some(f(0).min(f(1)).to_bits()),
-            Intrinsic::FMax => Some(f(0).max(f(1)).to_bits()),
-            Intrinsic::IMin => Some(((args[0] as i64).min(args[1] as i64)) as u64),
-            Intrinsic::IMax => Some(((args[0] as i64).max(args[1] as i64)) as u64),
-            Intrinsic::Assert => {
-                if args[0] & 1 == 0 {
-                    return Err(FaultKind::Abort);
-                }
-                None
+/// Evaluate an intrinsic call on raw-bit arguments: the result bits, if any,
+/// or `Abort` (a failed `Assert`, `Abort`). `Malloc` bumps `heap_ptr`: a
+/// block is 16-byte aligned, at least one byte, and followed by a page-long
+/// gap before the next; `Free` is a no-op.
+#[inline]
+pub fn eval_intrinsic(
+    which: Intrinsic,
+    args: &[u64],
+    mem: &mut PagedMemory,
+    heap_ptr: &mut u64,
+) -> Result<Option<u64>, FaultKind> {
+    let f = |n: usize| f64::from_bits(args[n]);
+    Ok(match which {
+        Intrinsic::Sqrt => Some(f(0).sqrt().to_bits()),
+        Intrinsic::Fabs => Some(f(0).abs().to_bits()),
+        Intrinsic::Sin => Some(f(0).sin().to_bits()),
+        Intrinsic::Cos => Some(f(0).cos().to_bits()),
+        Intrinsic::Exp => Some(f(0).exp().to_bits()),
+        Intrinsic::Floor => Some(f(0).floor().to_bits()),
+        Intrinsic::Pow => Some(f(0).powf(f(1)).to_bits()),
+        Intrinsic::FMin => Some(f(0).min(f(1)).to_bits()),
+        Intrinsic::FMax => Some(f(0).max(f(1)).to_bits()),
+        Intrinsic::IMin => Some(((args[0] as i64).min(args[1] as i64)) as u64),
+        Intrinsic::IMax => Some(((args[0] as i64).max(args[1] as i64)) as u64),
+        Intrinsic::Assert => {
+            if args[0] & 1 == 0 {
+                return Err(FaultKind::Abort);
             }
-            Intrinsic::Abort => return Err(FaultKind::Abort),
-            Intrinsic::Malloc => {
-                let size = args[0].max(1);
-                let align = 16u64;
-                let addr = (self.heap_ptr + align - 1) & !(align - 1);
-                self.mem.map_region(addr, size);
-                // Guard page after each heap object.
-                self.heap_ptr = addr + size + crate::mem::PAGE_SIZE;
-                Some(addr)
-            }
-            Intrinsic::Free => None, // bump allocator: free is a no-op
-        })
-    }
+            None
+        }
+        Intrinsic::Abort => return Err(FaultKind::Abort),
+        Intrinsic::Malloc => {
+            let size = args[0].max(1);
+            let addr = (*heap_ptr + 15) & !15;
+            mem.map_region(addr, size);
+            *heap_ptr = addr + size + crate::mem::PAGE_SIZE;
+            Some(addr)
+        }
+        Intrinsic::Free => None,
+    })
 }
 
 fn fault_of(e: MemFault, loc: Option<DebugLoc>) -> Fault {
