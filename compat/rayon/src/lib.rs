@@ -1,11 +1,11 @@
 //! Offline, API-compatible subset of `rayon`.
 //!
 //! Implements the parallel-iterator surface the workspace actually uses
-//! (`into_par_iter().map/filter_map().collect()`) on top of a persistent
-//! work-stealing pool (see [`pool`]): long-lived worker threads with
-//! per-worker chunk deques and back-stealing, instead of spawning and
-//! joining fresh threads on every call. Output order is preserved, so
-//! seeded campaigns stay deterministic regardless of thread count.
+//! (`into_par_iter().map/filter_map().collect()`) on work-stealing batches
+//! (see [`pool`]): each parallel call is one `std::thread::scope` whose
+//! participants own per-participant chunk deques and steal from each
+//! other's backs. Output order is preserved, so seeded campaigns stay
+//! deterministic regardless of thread count.
 
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
@@ -75,7 +75,7 @@ pub fn current_num_threads() -> usize {
 /// without paying per-item synchronisation.
 const CHUNKS_PER_THREAD: usize = 8;
 
-/// Apply `f` to every item on the persistent pool, preserving item order.
+/// Apply `f` to every item in one work-stealing batch, preserving item order.
 ///
 /// Work is split into contiguous chunks (grain derived from item count /
 /// thread count) seeded across per-participant deques; idle participants
@@ -252,8 +252,17 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
 mod tests {
     use super::prelude::*;
 
+    /// The batch counters are process-wide and the test harness runs tests
+    /// in parallel, so every test that dispatches a batch holds this lock:
+    /// a test that counts batches then sees only its own.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn map_preserves_order() {
+        let _serial = serial();
         let out: Vec<usize> = (0..1000usize).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
     }
@@ -262,6 +271,7 @@ mod tests {
     fn chunked_dispatch_preserves_order_at_awkward_sizes() {
         // Sizes around chunk boundaries: empty, single, fewer than the
         // thread count, prime, and a grain-multiple neighbourhood.
+        let _serial = serial();
         for n in [0usize, 1, 3, 97, 255, 256, 257, 1009] {
             let out: Vec<usize> = (0..n).into_par_iter().map(|i| i.wrapping_mul(31)).collect();
             assert_eq!(out, (0..n).map(|i| i.wrapping_mul(31)).collect::<Vec<_>>());
@@ -272,6 +282,7 @@ mod tests {
     fn uneven_item_costs_stay_deterministic() {
         // Per-item runtime varies by orders of magnitude; scheduling must
         // not leak into output order or content.
+        let _serial = serial();
         let work = |i: usize| -> usize {
             let mut acc = i;
             for _ in 0..(i % 17) * 1000 {
@@ -300,6 +311,7 @@ mod tests {
 
     #[test]
     fn with_threads_pins_and_restores_the_width() {
+        let _serial = serial();
         let before = crate::current_num_threads();
         let (inside, out) = crate::with_threads(2, || {
             let out: Vec<usize> = (0..64usize).into_par_iter().map(|i| i + 1).collect();
@@ -321,24 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_workers_persist_across_batches() {
-        crate::with_threads(4, || {
-            for _ in 0..20 {
-                let out: Vec<usize> = (0..200usize).into_par_iter().map(|i| i ^ 5).collect();
-                assert_eq!(out.len(), 200);
-            }
-            // Twenty 4-wide batches need at most 3 pool threads, ever —
-            // the per-call `thread::scope` version would have spawned 80.
-            assert!(
-                crate::pool_stats().workers <= 3,
-                "pool respawned workers: {:?}",
-                crate::pool_stats()
-            );
-        });
-    }
-
-    #[test]
     fn nested_parallelism_degrades_to_inline() {
+        let _serial = serial();
         let out: Vec<usize> = crate::with_threads(4, || {
             (0..64usize)
                 .into_par_iter()
@@ -350,7 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_callers_serialize_without_corruption() {
+    fn concurrent_callers_coexist_without_corruption() {
+        let _serial = serial();
         // The override is per thread: each caller pins its own width.
         std::thread::scope(|scope| {
             for t in 0..4usize {
@@ -365,28 +362,29 @@ mod tests {
     }
 
     #[test]
-    fn panics_propagate_and_the_pool_survives() {
+    fn panics_propagate_and_the_caller_dispatches_again() {
+        let _serial = serial();
         crate::with_threads(4, || {
+            // Every chunk panics, the caller's own included, so its panic
+            // unwinds through the participant loop.
             let r = std::panic::catch_unwind(|| {
                 (0..100usize)
                     .into_par_iter()
-                    .map(|i| if i == 63 { panic!("chunk 63 bad") } else { i })
+                    .map(|_| -> usize { panic!("chunk bad") })
                     .collect::<Vec<_>>()
             });
-            assert!(r.is_err(), "worker panic must reach the caller");
-            // The pool must still schedule work after a panicking batch.
+            let payload = r.expect_err("a chunk panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk bad"));
+            // A stale in-pool flag would run the next batch inline.
+            let before = crate::pool_stats().batches;
             let out: Vec<usize> = (0..100usize).into_par_iter().map(|i| i * 3).collect();
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(crate::pool_stats().batches, before + 1, "the next batch ran inline");
         });
     }
 
-    #[test]
-    fn steal_heavy_batches_never_deadlock() {
-        // Regression canary for an ABBA deadlock in the steal scan: a
-        // participant used to hold its own (empty) deque's lock while
-        // probing victims, so two participants scanning concurrently could
-        // wait on each other forever. Tiny batches at full width maximise
-        // the number of simultaneous empty-deque scans.
+    /// 300 tiny batches at width 4, every result checked.
+    fn steal_heavy_rounds() {
         crate::with_threads(4, || {
             for round in 0..300usize {
                 let out: Vec<usize> =
@@ -397,7 +395,37 @@ mod tests {
     }
 
     #[test]
+    fn steal_heavy_batches_never_deadlock() {
+        // Regression canary for an ABBA deadlock in the steal scan: a
+        // participant used to hold its own (empty) deque's lock while
+        // probing victims, so two participants scanning concurrently could
+        // wait on each other forever. Tiny batches at full width maximise
+        // the number of simultaneous empty-deque scans.
+        let _serial = serial();
+        steal_heavy_rounds();
+    }
+
+    #[test]
+    fn two_submitters_run_steal_heavy_batches_side_by_side() {
+        // Top-level batches from different threads are independent scopes;
+        // none waits for the other, and none is lost.
+        let _serial = serial();
+        let before = crate::pool_stats().batches;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    steal_heavy_rounds();
+                });
+            }
+        });
+        assert_eq!(crate::pool_stats().batches, before + 600);
+    }
+
+    #[test]
     fn filter_map_preserves_order_and_drops() {
+        let _serial = serial();
         let out: Vec<usize> = (0..100usize)
             .into_par_iter()
             .filter_map(|i| (i % 3 == 0).then_some(i))

@@ -1,267 +1,110 @@
-//! The persistent work-stealing pool behind [`par_apply`](crate).
+//! The work-stealing batch behind [`par_apply`](crate).
 //!
-//! Worker threads are spawned once (on demand, up to the configured width)
-//! and live for the process: a batch submission publishes a chunk-index job
-//! under the pool mutex and wakes them, instead of paying a
-//! `thread::scope` spawn/join round per call. Each participant owns a
-//! deque seeded with a contiguous block of chunk indexes; it pops its own
-//! work from the front and, when dry, steals from the *back* of a loaded
-//! victim — so stragglers shed their coldest chunks and a slow suffix no
-//! longer serializes the whole tail of a batch.
-//!
-//! The submitting caller is itself a participant (it owns the last deque),
-//! which keeps the 1-thread configuration allocation-free of workers and
-//! means `width` threads of compute need only `width - 1` pool threads.
+//! A batch is one `std::thread::scope`: `width - 1` scoped threads plus the
+//! caller, each popping its own chunk deque from the front and, when dry,
+//! stealing from a loaded victim's back. Threads and deques die with their
+//! batch: a campaign submits two, so the spawns cost little, nothing a
+//! panicking batch touched outlives it, and callers' batches run side by side.
 
-use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// Poison-tolerant lock: a panicking batch unwinds out of [`run_batch`]
-/// while holding pool locks by design (the payload is rethrown to the
-/// caller), so poison carries no information here.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+static BATCHES: AtomicU64 = AtomicU64::new(0);
+static CHUNKS: AtomicU64 = AtomicU64::new(0);
+static STEALS: AtomicU64 = AtomicU64::new(0);
 
-/// A chunk runner with its lifetime erased; see the safety argument on
-/// [`Batch::runner`].
-type Runner = dyn Fn(usize) + Sync;
-
-/// One published unit of pool work: run `runner(c)` for every chunk index
-/// seeded into `deques`.
-struct Batch {
-    /// Borrow of the submitting caller's stack closure with the lifetime
-    /// erased. Safe to dereference only while a chunk is held: holding a
-    /// chunk keeps `remaining > 0`, which keeps the caller blocked inside
-    /// [`run_batch`] (it retires the batch before returning), so the
-    /// closure is alive. A worker that wakes late finds its deque empty
-    /// and never touches the pointer.
-    runner: *const Runner,
-    /// One deque of chunk indexes per participant; participant `i` pops
-    /// `deques[i]` from the front and steals from others' backs.
-    deques: Arc<Vec<Mutex<VecDeque<usize>>>>,
-    /// Chunks not yet *completed* (not merely claimed).
-    remaining: Arc<AtomicUsize>,
-    /// First panic payload out of any chunk, rethrown by the caller.
-    panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
-}
-
-// SAFETY: the raw `runner` pointer is only dereferenced under the batch
-// liveness protocol documented on the field.
-unsafe impl Send for Batch {}
-
-impl Clone for Batch {
-    fn clone(&self) -> Batch {
-        Batch {
-            runner: self.runner,
-            deques: Arc::clone(&self.deques),
-            remaining: Arc::clone(&self.remaining),
-            panic: Arc::clone(&self.panic),
-        }
-    }
-}
-
-struct State {
-    /// The batch currently open for participation, if any.
-    batch: Option<Batch>,
-    /// Bumped once per published batch so parked workers can tell a new
-    /// batch from a spurious wake.
-    seq: u64,
-    /// Pool threads spawned so far (monotonic; workers never exit).
-    spawned: usize,
-}
-
-struct Pool {
-    state: Mutex<State>,
-    /// Workers park here between batches.
-    work_cv: Condvar,
-    /// The submitting caller parks here until `remaining` hits zero.
-    done_cv: Condvar,
-    /// Serializes whole batches from concurrent top-level callers.
-    submit: Mutex<()>,
-    batches: AtomicU64,
-    chunks: AtomicU64,
-    steals: AtomicU64,
-}
-
-/// Lifetime counters of the process-wide pool, for telemetry and tests.
+/// Lifetime counters of every batch this process ran, for telemetry and tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PoolStats {
-    /// Pool threads spawned so far (excludes the submitting callers).
-    pub workers: usize,
     /// Batches submitted.
     pub batches: u64,
-    /// Chunks executed (by workers and callers alike).
+    /// Chunks executed (by scoped threads and callers alike).
     pub chunks: u64,
-    /// Chunks that ran on a participant other than the deque they were
-    /// seeded into.
+    /// Chunks run by a participant other than the one they were seeded to.
     pub steals: u64,
 }
 
-/// Snapshot the pool's lifetime counters.
+/// Snapshot the process-wide batch counters.
 pub fn pool_stats() -> PoolStats {
-    let pool = global();
     PoolStats {
-        workers: lock(&pool.state).spawned,
-        batches: pool.batches.load(Ordering::Relaxed),
-        chunks: pool.chunks.load(Ordering::Relaxed),
-        steals: pool.steals.load(Ordering::Relaxed),
+        batches: BATCHES.load(Ordering::Relaxed),
+        chunks: CHUNKS.load(Ordering::Relaxed),
+        steals: STEALS.load(Ordering::Relaxed),
     }
 }
 
-fn global() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        state: Mutex::new(State { batch: None, seq: 0, spawned: 0 }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        submit: Mutex::new(()),
-        batches: AtomicU64::new(0),
-        chunks: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
-    })
-}
-
 thread_local! {
-    /// Set while this thread is executing pool chunks. A nested
-    /// `par_apply` from inside a chunk must run inline: workers cannot
-    /// submit to the pool they drain without deadlocking on `submit`.
-    static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set while this thread runs batch chunks.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when called from inside a pool chunk (including the submitting
-/// caller's own participation): parallel work must degrade to inline.
+/// True inside a batch chunk, the caller's own included: a nested
+/// `par_apply` then runs inline instead of multiplying the batch's width.
 pub(crate) fn in_pool() -> bool {
-    IN_POOL.with(|f| f.get())
+    IN_POOL.with(Cell::get)
 }
 
-fn worker_main(me: usize) {
-    let pool = global();
-    let mut seen = 0u64;
-    loop {
-        let batch = {
-            let mut st = lock(&pool.state);
-            loop {
-                if st.seq != seen {
-                    seen = st.seq;
-                    if let Some(b) = &st.batch {
-                        // Participate only when this batch seeded a deque
-                        // for us (deque `me`; the caller owns the last).
-                        if me + 1 < b.deques.len() {
-                            break b.clone();
-                        }
-                    }
-                }
-                st = pool.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        IN_POOL.with(|f| f.set(true));
-        run_chunks(pool, &batch, me);
-        IN_POOL.with(|f| f.set(false));
+/// Restores this thread's previous in-pool flag when dropped — also when a
+/// chunk's panic unwinds past it, so the caller can dispatch again.
+struct InPool(bool);
+
+impl Drop for InPool {
+    fn drop(&mut self) {
+        IN_POOL.with(|f| f.set(self.0));
     }
 }
 
 /// Drain chunks as participant `me`: own deque from the front, then steal
 /// from the back of the nearest loaded victim.
-fn run_chunks(pool: &Pool, batch: &Batch, me: usize) {
-    let n = batch.deques.len();
+fn run_chunks(deques: &[Mutex<VecDeque<usize>>], me: usize, runner: &(dyn Fn(usize) + Sync)) {
+    let _in_pool = InPool(IN_POOL.with(|f| f.replace(true)));
+    let n = deques.len();
     loop {
         let mut stolen = false;
-        // Pop the own deque in its own statement: the guard must be dropped
-        // before the steal scan. Folding both into one expression keeps the
-        // own-deque guard (a statement-scoped temporary) alive across the
-        // scan, and two participants stealing concurrently then hold their
-        // own lock while waiting on each other's — an ABBA deadlock. No
-        // participant may ever hold two deque locks at once.
-        let own = lock(&batch.deques[me]).pop_front();
+        // Pop the own deque in its own statement, so its guard is dropped
+        // before the steal scan: two participants holding their own lock
+        // while probing each other's deadlock (ABBA). Never hold two locks.
+        let own = deques[me].lock().expect("chunks run unlocked").pop_front();
         let chunk = own.or_else(|| {
             (1..n).find_map(|d| {
-                let c = lock(&batch.deques[(me + d) % n]).pop_back();
+                let c = deques[(me + d) % n].lock().expect("chunks run unlocked").pop_back();
                 stolen |= c.is_some();
                 c
             })
         });
         let Some(c) = chunk else { return };
-        pool.chunks.fetch_add(1, Ordering::Relaxed);
+        CHUNKS.fetch_add(1, Ordering::Relaxed);
         if stolen {
-            pool.steals.fetch_add(1, Ordering::Relaxed);
+            STEALS.fetch_add(1, Ordering::Relaxed);
         }
-        // SAFETY: we hold chunk `c`, so `remaining > 0` and the submitting
-        // caller is still inside `run_batch`; the closure is alive.
-        let runner = unsafe { &*batch.runner };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(c))) {
-            lock(&batch.panic).get_or_insert(payload);
-        }
-        if batch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last chunk done: wake the caller. Taking the state lock
-            // orders this notify after the caller's wait registration.
-            let _st = lock(&pool.state);
-            pool.done_cv.notify_all();
-        }
+        runner(c);
     }
 }
 
-/// Run `runner(c)` for every chunk index in `0..chunks` across `width`
-/// participants (`width - 1` pool workers plus the calling thread), and
-/// return once all chunks completed. Panics from chunks are rethrown here
-/// after the batch fully retires, so the pool stays usable.
+/// Run `runner(c)` for every `c` in `0..chunks` on `width` participants
+/// (`width - 1` scoped threads plus the caller), all joined on return; the
+/// first chunk panic is rethrown with its own payload.
 pub(crate) fn run_batch(width: usize, chunks: usize, runner: &(dyn Fn(usize) + Sync)) {
     debug_assert!(width >= 2, "width <= 1 must take the inline path");
-    let pool = global();
-    let _token = lock(&pool.submit);
-    pool.batches.fetch_add(1, Ordering::Relaxed);
+    BATCHES.fetch_add(1, Ordering::Relaxed);
     let width = width.min(chunks).max(1);
-    // Seed each participant's deque with a contiguous block of chunk
-    // indexes: owners walk their block in order (output-slot locality) and
-    // idle participants steal a straggler's coldest (furthest) chunks.
-    let deques: Arc<Vec<Mutex<VecDeque<usize>>>> = Arc::new(
-        (0..width)
-            .map(|w| Mutex::new((chunks * w / width..chunks * (w + 1) / width).collect()))
-            .collect(),
-    );
-    let remaining = Arc::new(AtomicUsize::new(chunks));
-    let panic_slot: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
-    // SAFETY: lifetime erasure only; dereferences follow the liveness
-    // protocol documented on `Batch::runner`.
-    let runner: *const Runner =
-        unsafe { std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), _>(runner) };
-    let batch = Batch {
-        runner,
-        deques,
-        remaining: Arc::clone(&remaining),
-        panic: Arc::clone(&panic_slot),
-    };
-    {
-        let mut st = lock(&pool.state);
-        while st.spawned + 1 < width {
-            let me = st.spawned;
-            std::thread::Builder::new()
-                .name(format!("care-pool-{me}"))
-                .spawn(move || worker_main(me))
-                .expect("spawn pool worker");
-            st.spawned += 1;
-        }
-        st.batch = Some(batch.clone());
-        st.seq += 1;
-        pool.work_cv.notify_all();
-    }
-    // The caller participates as the last deque's owner.
-    IN_POOL.with(|f| f.set(true));
-    run_chunks(pool, &batch, width - 1);
-    IN_POOL.with(|f| f.set(false));
-    // Wait out stragglers, then retire the batch *before* unwinding: no
-    // worker may observe the runner pointer past this function's return.
-    let mut st = lock(&pool.state);
-    while remaining.load(Ordering::Acquire) != 0 {
-        st = pool.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-    }
-    st.batch = None;
-    drop(st);
-    let payload = lock(&panic_slot).take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
+    // Contiguous blocks: owners walk theirs in order (output-slot locality)
+    // and idle participants steal a straggler's coldest (furthest) chunks.
+    let deques: &[Mutex<VecDeque<usize>>] = &(0..width)
+        .map(|w| Mutex::new((chunks * w / width..chunks * (w + 1) / width).collect()))
+        .collect::<Vec<_>>();
+    let panic = std::thread::scope(|s| {
+        let workers: Vec<_> =
+            (0..width - 1).map(|me| s.spawn(move || run_chunks(deques, me, runner))).collect();
+        // The caller owns the last deque (its own panic unwinds from here
+        // once the scope has joined the rest). Joining every worker keeps
+        // its payload, where the scope would panic "a scoped thread panicked".
+        run_chunks(deques, width - 1, runner);
+        workers.into_iter().fold(None, |first, w| first.or(w.join().err()))
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
 }

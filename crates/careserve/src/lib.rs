@@ -11,8 +11,7 @@
 //! Three properties define the design:
 //!
 //! * **Shared hot state.** All jobs from all clients share one process:
-//!   the work-stealing pool (`compat/rayon`), the global
-//!   `simx::TranslationCache`, and this server's prepared-campaign cache
+//!   the global `simx::TranslationCache` and this server's prepared-campaign cache
 //!   (golden run + snapshot trellis keyed by program + opt level), so the
 //!   Nth job for a workload costs only its suffixes.
 //! * **Explicit backpressure.** Budget-weighted admission against the pool

@@ -1,10 +1,9 @@
 //! The long-running campaign server.
 //!
 //! One blocking accept loop, one thread per connection, one worker thread
-//! per running job — while every job's *simulation* fan-out runs on the
-//! single process-wide work-stealing pool (`compat/rayon`), sharing its
-//! workers, the global `simx::TranslationCache`, and this server's
-//! prepared-campaign cache across every client.
+//! per running job, whose *simulation* fan-out runs in work-stealing
+//! batches of its own (`compat/rayon`). Every client shares the global
+//! `simx::TranslationCache` and this server's prepared-campaign cache.
 //!
 //! ## Admission control
 //!
@@ -13,10 +12,9 @@
 //! within `budget_cap` (the pool width by default); beyond that, jobs wait
 //! in a bounded queue (`max_queue`), and past the queue they are rejected
 //! with [`RejectReason::QueueFull`] — explicit backpressure, never
-//! unbounded buffering. The budget is an admission weight, not a pool
-//! resize: the pool runs one batch at a time whatever width its caller
-//! asked for, so the honest way to share it between concurrent jobs is to
-//! cap how many are in flight, and let work-stealing interleave them.
+//! unbounded buffering. The budget is an admission weight, not a width:
+//! concurrent jobs each run their batches at the pool width, side by side,
+//! so `budget_cap` bounds the jobs in flight, not the threads they occupy.
 //!
 //! ## Failure containment
 //!
@@ -47,8 +45,8 @@ use telemetry::{Hooks, NoTelemetry, Recorder, TelemetryReport};
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free loopback port).
     pub addr: String,
-    /// Global in-flight budget cap in pool threads; 0 = the work-stealing
-    /// pool's width ([`rayon::current_num_threads`]).
+    /// Global cap on the sum of running jobs' budgets; 0 = the pool width
+    /// ([`rayon::current_num_threads`]).
     pub budget_cap: usize,
     /// Bounded admission queue: jobs waiting for budget beyond this are
     /// rejected with [`RejectReason::QueueFull`].

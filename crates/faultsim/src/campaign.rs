@@ -389,13 +389,12 @@ impl Campaign {
         let mut report = self.run_trellis(cfg, indices, engine, hooks, ctl, sink);
         report.cancelled = ctl.is_cancelled();
         if let Some(p0) = pool0 {
-            // Work-stealing pool activity attributable to this campaign
-            // (the pool is process-wide, so these are deltas).
+            // Work-stealing activity attributable to this campaign (the
+            // counters are process-wide, so these are deltas).
             let p1 = rayon::pool_stats();
             hooks.add("pool.batches", p1.batches.saturating_sub(p0.batches));
             hooks.add("pool.chunks", p1.chunks.saturating_sub(p0.chunks));
             hooks.add("pool.steals", p1.steals.saturating_sub(p0.steals));
-            hooks.add("pool.workers", p1.workers as u64);
         }
         if hooks.enabled() {
             hooks.add("campaign.injections", indices.len() as u64);

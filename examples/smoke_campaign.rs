@@ -11,8 +11,8 @@
 //! state and stops a run at the golden state it re-joins), and the
 //! two must agree record for record — the equivalence the trellis promises —
 //! with at least one suffix, one repaired run and one hop heard doing so. The campaign
-//! is then repeated at 1 and 4 pool threads, which must also agree bit for
-//! bit (the sharded cursor pass and the work-stealing pool are pure
+//! is then repeated at 1 and 4 threads, which must also agree bit for
+//! bit (the sharded cursor pass and the work-stealing batches are pure
 //! wall-clock optimisations). Exits nonzero (assert) if the pipeline stops
 //! covering faults or the trellis diverges from the reference — the
 //! regressions a unit suite can miss, because they need the compiler, the
@@ -151,9 +151,9 @@ fn main() {
         legacy.simulated_steps
     );
     // Thread-count independence: the sharded cursor pass and the
-    // work-stealing pool must be invisible in the records — a 1-thread run
-    // (one cursor, inline suffixes) and a 4-thread run (sharded cursors,
-    // pooled suffixes) agree bit for bit. CI additionally runs this whole
+    // work-stealing batches must be invisible in the records — a 1-thread
+    // run (one cursor, inline suffixes) and a 4-thread run (sharded cursors,
+    // stolen suffixes) agree bit for bit. CI additionally runs this whole
     // example under CARE_THREADS=4.
     let narrow = rayon::with_threads(1, || campaign.run(&cfg));
     let wide = rayon::with_threads(4, || campaign.run(&cfg));

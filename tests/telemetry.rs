@@ -140,8 +140,8 @@ fn compiled_campaign_reports_engine_counters() {
     }
 }
 
-/// At four threads the campaign actually spreads across the persistent
-/// pool, and the sharded cursor pass reconciles with the step accounting:
+/// At four threads the campaign actually spreads across its work-stealing
+/// batches, and the sharded cursor pass reconciles with the step accounting:
 ///
 /// * at least two telemetry shards (each shard is one thread) carry
 ///   nonzero `worker.busy_ns` — the suffix/CARE jobs did not all run on
