@@ -693,6 +693,21 @@ mod tests {
         }
     }
 
+    /// A frame-sized string decodes in linear time: the bound holds even in
+    /// a debug build, where a parser quadratic in the string takes minutes.
+    #[test]
+    fn frame_sized_module_string_decodes_in_linear_time() {
+        let head = "{\"kind\":\"job\",\"proto\":1,\"workload\":\"inline\",\"module\":\"";
+        let tail = "\",\"injections\":5}";
+        let frame = format!("{head}{}{tail}", "x".repeat(MAX_FRAME_BYTES - 200));
+        assert!(frame.len() <= MAX_FRAME_BYTES);
+        let t0 = std::time::Instant::now();
+        let reject = ClientFrame::decode(&frame).unwrap_err();
+        assert_eq!(reject.0, RejectReason::Oversized, "{}", reject.1);
+        let elapsed = t0.elapsed();
+        assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
+    }
+
     #[test]
     fn workload_resolution_validates() {
         let named = |name: &str, params: &[i64]| WorkloadSel::Named {

@@ -21,7 +21,8 @@
 //! A killed campaign leaves records without a `complete` trailer; the
 //! next run reloads them and executes only the rest. Reading
 //! ([`read_log`]) tolerates a torn final line (a kill mid-append) and any
-//! line that does not decode — not UTF-8, not JSON, a field out of range —
+//! line that does not decode — not UTF-8, not JSON, nested past the
+//! parser's cap, a field out of range —
 //! by counting it as corrupt and moving on: an append-only log must never
 //! brick its campaign.
 
@@ -296,6 +297,9 @@ mod tests {
         w.append_line(&record_line(0, &rec(99))); // other seed: must not load
         w.run_header(&cfg, "k");
         w.append_line(&record_line(0, &rec(1)));
+        // Nesting past the parser's cap is one corrupt line, not a stack
+        // overflow, and the scan goes on.
+        w.append_line(&"[".repeat(100_000));
         w.append_line(&record_line(2, &rec(2)));
         // Values that do not fit their field are corrupt lines, not
         // `ModuleId(1)` / `Reg(3)` by truncation; `reg` needs its value.
@@ -320,7 +324,7 @@ mod tests {
         let sig = run_signature(&cfg);
         let scan = scan_log(&path, cfg.model, cfg.seed, &sig).unwrap();
         assert_eq!(scan.covered, 4);
-        assert_eq!(scan.corrupt, 4);
+        assert_eq!(scan.corrupt, 5);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[&0], rec(1));
         assert_eq!(scan.records[&2], rec(2));

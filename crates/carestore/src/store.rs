@@ -132,11 +132,13 @@ impl Store {
         let scan = scan_log(&path, cfg.model, cfg.seed, &sig)?;
         let mut stats = StoreStats { corrupt_lines: scan.corrupt, ..StoreStats::default() };
 
-        let mut merged: BTreeMap<usize, InjectionRecord> = BTreeMap::new();
+        // The scan's records are the merge's start; a longer earlier run's
+        // records past this request stay in the log only.
+        let mut merged = scan.records;
+        merged.split_off(&cfg.injections);
         let mut residual: Vec<usize> = Vec::new();
         for i in 0..cfg.injections {
-            if let Some(rec) = scan.records.get(&i) {
-                merged.insert(i, rec.clone());
+            if merged.contains_key(&i) {
                 stats.hits += 1;
             } else if i < scan.covered {
                 stats.known_skips += 1;

@@ -5,9 +5,25 @@
 //! log lines, the telemetry JSONL sink — is written through [`Obj`] and
 //! read back through [`parse_json`] and the typed member reads
 //! [`Json::req`] / [`Json::opt`]. The reader is a minimal recursive-descent
-//! parser accepting exactly the JSON this workspace emits — objects, arrays,
-//! strings with the escapes [`push_str`] produces, numbers, booleans and
-//! null — and rejecting trailing garbage.
+//! parser for RFC 8259's grammar — objects, arrays, strings, numbers,
+//! booleans and null — that rejects trailing garbage. It decodes exactly
+//! what the writers here produce; a `\u` surrogate escape, which they never
+//! write, becomes U+FFFD.
+//!
+//! ## One pass, bounded
+//!
+//! The reader is linear in its input, which may be hostile (a server frame,
+//! a damaged log line):
+//! - **Strings are scanned once.** Each run of ordinary bytes up to the
+//!   next `"`, `\` or control byte is copied in one piece. The input is
+//!   already a `&str`, so nothing is re-validated as UTF-8.
+//! - **Nesting is capped** at 64 arrays and objects. A deeper document is
+//!   an error ("nesting deeper than 64"), not a stack overflow.
+//! - **The grammar is strict.** Numbers follow RFC 8259: no leading zero,
+//!   no bare `.`, a digit on both sides of the point and after the
+//!   exponent. So `01`, `1.`, `-.5` and `1.e3` are "bad number". A `\u`
+//!   escape takes exactly four hex digits, so `\u+041` is a "bad \u
+//!   escape".
 //!
 //! ## Integer fidelity
 //!
@@ -271,9 +287,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The workspace
+/// writes at most 3 levels; the cap keeps a hostile line from overflowing
+/// the reading thread's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -281,14 +304,27 @@ impl<'a> Parser<'a> {
         format!("json error at byte {}: {msg}", self.pos)
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// Skip a run of ASCII digits and return its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -301,7 +337,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -312,8 +348,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
@@ -321,6 +357,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -376,12 +423,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                Some(b'"') => {
+            // Copy everything up to the next quote, backslash or control
+            // byte in one piece. All three are ASCII, so both ends of the
+            // run are char boundaries.
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let Some(len) = run else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            s.push_str(&self.text[self.pos..self.pos + len]);
+            self.pos += len;
+            match self.bytes()[self.pos] {
+                b'"' => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                b'\\' => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -394,13 +453,15 @@ impl<'a> Parser<'a> {
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a sign).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &b| Some(code << 4 | (b as char).to_digit(16)?))
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates never appear in our output; map them
                             // to the replacement char rather than erroring.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -410,48 +471,37 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing at
-                    // char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
 
+    /// RFC 8259's number grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`; the checked text then goes through `str::parse`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let int = self.pos;
+        let int_len = self.digits();
+        let mut valid = int_len == 1 || (int_len > 1 && self.bytes()[int] != b'0');
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        if !valid {
+            return Err(self.err("bad number"));
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -459,10 +509,10 @@ impl<'a> Parser<'a> {
 
 /// Parse one complete JSON document, rejecting trailing non-whitespace.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing garbage after value"));
     }
     Ok(v)
@@ -471,6 +521,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -493,12 +544,106 @@ mod tests {
         assert!(parse_json("{\"a\":1} x").is_err());
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("nul").is_err());
+        let error = |text: &str| parse_json(text).unwrap_err();
+        for bad in ["1.", "-.5", "01", "-01", "1.e3", "1e", "1e+", "-", "00"] {
+            assert!(error(bad).ends_with("bad number"), "{bad}: {}", error(bad));
+        }
+        for good in ["0", "-0", "0.5", "-0e1", "10", "1E+2", "1.25e-3"] {
+            assert_eq!(parse_json(good), Ok(Json::Num(good.parse().unwrap())), "{good}");
+        }
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\u00é""#] {
+            assert!(error(bad).ends_with("bad \\u escape"), "{bad}: {}", error(bad));
+        }
+        assert!(error(r#""\u00""#).ends_with("truncated \\u escape"));
+        assert_eq!(error("\"a\u{1}\""), "json error at byte 2: raw control character in string");
+        assert_eq!(error("\"ab"), "json error at byte 3: unterminated string");
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&format!("{{\"a\":{}}}", nest(MAX_DEPTH - 1))).is_ok());
+        let deeper = "json error at byte 64: nesting deeper than 64";
+        assert_eq!(parse_json(&nest(MAX_DEPTH + 1)).unwrap_err(), deeper);
+        assert_eq!(parse_json(&"[".repeat(100_000)).unwrap_err(), deeper);
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse_json(&objects).unwrap_err().ends_with("nesting deeper than 64"));
     }
 
     #[test]
     fn unicode_escapes_round_trip() {
         let v = parse_json(r#""A\u00e9""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé"));
+        // A lone surrogate decodes to the replacement char.
+        let v = parse_json("\"\\ud800\\u00E9\"").unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd}é"));
+    }
+
+    /// One char from a class [`push_str`] treats differently: control,
+    /// quote or backslash, ASCII, and 2-, 3- and 4-byte UTF-8.
+    fn any_char() -> impl Strategy<Value = char> {
+        let from =
+            |r: std::ops::Range<u32>| r.prop_map(|c| char::from_u32(c).expect("no surrogates"));
+        prop_oneof![
+            from(0..0x20),
+            prop_oneof![Just('"'), Just('\\'), Just('/')],
+            from(0x20..0x80),
+            from(0x80..0x800),
+            from(0x800..0xd800),
+            from(0x10000..0x110000),
+        ]
+    }
+
+    /// Runs of one char (up to thousands of bytes) between single chars.
+    fn any_string() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            any_char().prop_map(String::from),
+            (any_char(), 1usize..3000).prop_map(|(c, n)| c.to_string().repeat(n)),
+        ];
+        proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+    }
+
+    fn quoted(s: &str) -> String {
+        let mut out = String::new();
+        push_str(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn every_control_character_and_multibyte_neighbour_round_trips() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        assert_eq!(parse_json(&quoted(&controls)), Ok(Json::Str(controls.clone())));
+        for c in ['é', '€', '😀'] {
+            for special in controls.chars().chain(['"', '\\']) {
+                let s = format!("{c}{special}{c}{c}{special}{special}{c}");
+                assert_eq!(parse_json(&quoted(&s)), Ok(Json::Str(s)));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        #[test]
+        fn strings_round_trip_through_push_str(s in any_string()) {
+            prop_assert_eq!(parse_json(&quoted(&s)), Ok(Json::Str(s.clone())));
+        }
+
+        #[test]
+        fn push_f64_round_trips_bit_exactly(
+            bits in any::<u64>(),
+            small in -1_000_000i64..1_000_000,
+        ) {
+            for v in [f64::from_bits(bits), small as f64, -(small as f64), small as f64 / 8.0] {
+                if v.is_finite() {
+                    let mut text = String::new();
+                    push_f64(&mut text, v);
+                    let got = parse_json(&text).unwrap().as_f64().unwrap();
+                    prop_assert_eq!(got.to_bits(), v.to_bits(), "{}", text);
+                }
+            }
+        }
     }
 
     #[test]

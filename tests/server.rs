@@ -145,17 +145,22 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        stream.write_all(b"this is not a frame\n").unwrap();
-        let reject = read_json_line(&mut reader);
-        assert_eq!(frame_kind(&reject), "reject");
-        assert_eq!(
-            reject.get("reason").and_then(telemetry::Json::as_str),
-            Some("bad_json")
-        );
-        // Same connection, next frame: still answered.
-        stream.write_all(careserve::proto::ClientFrame::Stats.encode().as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
-        assert_eq!(frame_kind(&read_json_line(&mut reader)), "stats");
+        // The second frame nests far past the parser's cap, well under the
+        // frame cap: a reject on the connection thread, not a stack overflow.
+        for bad in [b"this is not a frame".to_vec(), vec![b'['; 100_000]] {
+            stream.write_all(&bad).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let reject = read_json_line(&mut reader);
+            assert_eq!(frame_kind(&reject), "reject");
+            assert_eq!(
+                reject.get("reason").and_then(telemetry::Json::as_str),
+                Some("bad_json")
+            );
+            // Same connection, next frame: still answered.
+            stream.write_all(careserve::proto::ClientFrame::Stats.encode().as_bytes()).unwrap();
+            stream.write_all(b"\n").unwrap();
+            assert_eq!(frame_kind(&read_json_line(&mut reader)), "stats");
+        }
     }
 
     // 2. Mid-job disconnect: accept the job, then vanish.
