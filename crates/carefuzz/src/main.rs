@@ -37,12 +37,14 @@ fn main() -> ExitCode {
     let (failures, reach) = carefuzz::run_seeds(start, seeds, |line| println!("{line}"));
     println!(
         "trellis pair: {} of {} campaigns reached a golden state ({} hops cloned one); \
-         {} suffixes and {} repaired runs re-joined the golden run and stopped there",
+         {} suffixes and {} repaired runs re-joined the golden run and stopped there \
+         ({} of them at a fork snapshot)",
         reach.reached_a_state,
         reach.campaigns,
         reach.hops,
         reach.suffixes_rejoined,
         reach.repaired_rejoined,
+        reach.snapshot_rejoins,
     );
     for f in &failures {
         println!("\n=== seed {} ===", f.seed);
@@ -55,12 +57,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // One seed in 16 is a program long enough to hold golden states. A run
-    // of this many seeds that got to none of them held the trellis pair to
-    // nothing the trellis does differently from `run_one`.
-    let vacuous = seeds >= REACH_MIN_SEEDS
-        && [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined].contains(&0);
-    if vacuous {
-        eprintln!("{seeds} seeds without a hop, a re-joined suffix or a re-joined repaired run");
+    // of this many seeds that got to none of them, or re-joined at no fork
+    // snapshot, held the trellis pair to less than the trellis does
+    // differently from `run_one`.
+    let reached =
+        [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined, reach.snapshot_rejoins];
+    if seeds >= REACH_MIN_SEEDS && reached.contains(&0) {
+        eprintln!(
+            "{seeds} seeds without a hop, a re-joined suffix, a re-joined repaired run or a \
+             re-join at a fork snapshot"
+        );
         return ExitCode::FAILURE;
     }
     println!("ok: {seeds} seeds, no divergence");

@@ -14,9 +14,10 @@
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
 //!    to the per-index reference (`Campaign::run_one` for every index) on
 //!    the same seed, with a recorder listening or not. The trellis starts
-//!    hops from the golden states its trail kept and stops runs at them;
-//!    `run_one` does neither. [`Reach`] counts how often a fuzzing run got
-//!    that far, so a clean run can say what it held the pair to.
+//!    hops from the golden states its trail kept and stops runs at them and
+//!    at its own fork snapshots; `run_one` does neither. [`Reach`] counts
+//!    how often a fuzzing run got that far, so a clean run can say what it
+//!    held the pair to.
 //! 5. **Kernel** — the paper §4 claim: every Armor recovery kernel, executed
 //!    inline at its protected access during a fault-free run, recomputes
 //!    exactly the address the access is about to use.
@@ -104,15 +105,15 @@ const MACHINE_FUEL: u64 = 10_000_000;
 pub const ORACLE_ARGS: [u64; 3] = [0, 3, 11];
 
 /// What the trellis pair's campaigns exercised of the golden states, summed
-/// over the programs checked: a program too short to hold a state (the first
-/// sits 12 288 steps in) compares the trellis with `run_one` where the two
-/// do the same thing.
+/// over the programs checked. A program too short to hold a trail state (the
+/// first sits 12 288 steps in) has no hop, but its runs still compare
+/// themselves with the fork snapshots and may re-join at one.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct Reach {
     /// Campaigns run by the trellis pair.
     pub campaigns: u64,
     /// Of those, campaigns that reached a golden state: a hop cloned one or
-    /// a run paused at one to compare.
+    /// a run paused at one (a trail state or a fork snapshot) to compare.
     pub reached_a_state: u64,
     /// Cursor hops that started from a cloned golden state.
     pub hops: u64,
@@ -120,6 +121,9 @@ pub struct Reach {
     pub suffixes_rejoined: u64,
     /// Safeguard-repaired runs that did.
     pub repaired_rejoined: u64,
+    /// Of the re-joined suffixes and repaired runs, those that stopped at a
+    /// fork snapshot rather than a trail state.
+    pub snapshot_rejoins: u64,
 }
 
 /// Check a spec across all pairs and arguments. Returns the first
@@ -451,6 +455,7 @@ fn trellis_check(
     reach.hops += hops;
     reach.suffixes_rejoined += heard("suffix.converged");
     reach.repaired_rejoined += heard("care.converged");
+    reach.snapshot_rejoins += heard("suffix.snapshot_rejoins") + heard("care.snapshot_rejoins");
     None
 }
 

@@ -15,7 +15,7 @@
 //! the golden state it has re-joined — and `K > 1` removes the serial-cursor
 //! Amdahl bottleneck (`K = 1` is a single cursor).
 
-use crate::cursor::{hand_out, plan_points};
+use crate::cursor::{hand_out, plan_points, PlannedPoint};
 use crate::injector::{FaultModel, InjectionPoint};
 use crate::report::CampaignReport;
 use crate::suffix::InjectionRecord;
@@ -281,19 +281,22 @@ impl Campaign {
         // Phase 4 — suffix scheduling: rayon-parallel over injection
         // indexes (order-preserving, so records match per-index `run_one`
         // calls element for element); each worker takes the snapshot
-        // handed to its index and runs inject → classify → CARE.
+        // handed to its index and runs inject → classify → CARE. A snapshot
+        // is a golden state too: one per bracket, cloned before `hand_out`
+        // gives them away, joins the trail's states as a re-join target.
         let trellis_snapshots = points.iter().filter(|p| p.snapshot.is_some()).count();
-        let starts = hand_out(points, samples.len());
-        let jobs: Vec<((usize, InjectionPoint, SmallRng), Option<Process>)> =
-            samples.into_iter().zip(starts).collect();
-        let golden = self.trail.states();
+        let snapshots = first_fired_per_bracket(&points);
+        let golden = golden_targets(self.trail.states(), &snapshots);
+        let mut jobs: Vec<((usize, InjectionPoint, SmallRng), Option<Process>)> =
+            samples.into_iter().map(|s| (s, None)).collect();
+        hand_out(points, &mut jobs);
         let records: Vec<InjectionRecord> = timed(hooks, "trellis.suffixes_ns", || {
             jobs.into_par_iter()
                 .filter_map(|((index, point, rng), p)| {
                     if ctl.is_cancelled() {
                         return None;
                     }
-                    let rec = self.run_suffix(cfg, point, &rng, p?, golden, hooks);
+                    let rec = self.run_suffix(cfg, point, &rng, p?, &golden, hooks);
                     if let Some(r) = &rec {
                         sink.emit(index, r);
                         ctl.note_classified();
@@ -411,10 +414,34 @@ impl Campaign {
     }
 }
 
+/// A copy-on-write clone of one snapshot per bracket of `points`: that of
+/// the bracket's first point, in plan order, that fired. A snapshot is the
+/// golden process paused at its firing step with nothing armed, so it is a
+/// golden state like the trail's own. One per bracket prunes as much as all
+/// of them do, and pins far fewer pages until the suffixes end.
+pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
+    points
+        .chunk_by(|a, b| a.bracket == b.bracket)
+        .filter_map(|same| same.iter().find_map(|p| p.snapshot.clone()))
+        .collect()
+}
+
+/// What a suffix may re-join at: the trail's states and the fork snapshots
+/// together, in step order, one per step (the trail's where both stand).
+pub(crate) fn golden_targets<'g>(
+    states: &'g [Process],
+    snapshots: &'g [Process],
+) -> Vec<&'g Process> {
+    let mut targets: Vec<&Process> = states.iter().chain(snapshots).collect();
+    targets.sort_by_key(|p| p.steps);
+    targets.dedup_by_key(|p| p.steps);
+    targets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{cfg, reference, tiny_campaign};
+    use crate::fixtures::{cfg, hpccg_campaign, reference, tiny_campaign};
 
     /// The trellis report charges the shared cursor pass once: strictly
     /// fewer executed prefix instructions than the per-index reference
@@ -438,6 +465,42 @@ mod tests {
             trellis.simulated_steps,
             trellis.steps_prefix + trellis.steps_suffix + trellis.steps_care
         );
+    }
+
+    /// The re-join targets the trellis hands its suffixes: strictly
+    /// increasing in step, nothing armed on any, the trail's states plus at
+    /// most one fork snapshot per bracket — each standing at a step the
+    /// cursor forked at.
+    #[test]
+    fn rejoin_targets_are_step_ordered_golden_states_one_snapshot_per_bracket() {
+        let campaign = hpccg_campaign();
+        let config = cfg(60);
+        let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
+        let mut points = plan_points(&campaign.trail, sampled);
+        let (engine, ctl) = (campaign.engine(&config), JobControl::new());
+        campaign.run_cursors(&config, &mut points, engine, &NoTelemetry, &ctl);
+        let snapshots = first_fired_per_bracket(&points);
+        let states = campaign.trail.states();
+        let targets = golden_targets(states, &snapshots);
+        assert!(targets.windows(2).all(|w| w[0].steps < w[1].steps), "not strictly increasing");
+        for t in &targets {
+            let armed = t.profile.is_some() || t.break_at.is_some() || t.multi_break.is_some();
+            assert!(!armed, "target at step {} is instrumented", t.steps);
+        }
+        // The bracket each snapshot target was forked in, by its step.
+        let forked_in = |step: u64| {
+            let point = points.iter().find(|p| p.snapshot.as_ref().is_some_and(|s| s.steps == step));
+            point.map(|p| p.bracket)
+        };
+        let mut brackets = Vec::new();
+        for t in targets.iter().filter(|t| states.iter().all(|s| s.steps != t.steps)) {
+            brackets.push(forked_in(t.steps).expect("a snapshot target is a firing step"));
+        }
+        assert!(!brackets.is_empty(), "test premise: snapshot targets");
+        let distinct: std::collections::BTreeSet<_> = brackets.iter().collect();
+        assert_eq!(distinct.len(), brackets.len(), "two snapshots of one bracket: {brackets:?}");
+        assert_eq!(targets.len(), states.len() + brackets.len());
+        assert!(states.iter().all(|s| targets.iter().any(|t| std::ptr::eq(*t, s))));
     }
 
     /// A never-cancelled `JobControl` is an observational no-op:

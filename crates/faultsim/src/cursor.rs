@@ -20,7 +20,7 @@ use telemetry::{Event, Hooks};
 /// One distinct injection point of a pass.
 pub(crate) struct PlannedPoint {
     /// The trail bracket the point fires in.
-    bracket: usize,
+    pub(crate) bracket: usize,
     point: InjectionPoint,
     /// The injections that sampled this point (they share its snapshot), as
     /// ascending positions in the pass's sample list.
@@ -56,22 +56,22 @@ pub(crate) fn plan_points(
     points
 }
 
-/// Give each of the `samples` positions the paused process its suffix
-/// starts from. The *last* consumer of a snapshot takes ownership instead
-/// of cloning it — an injection point sampled once (the common case) never
-/// pays a fork at all. A position whose point never fired gets `None`.
-pub(crate) fn hand_out(points: Vec<PlannedPoint>, samples: usize) -> Vec<Option<Process>> {
-    let mut starts: Vec<Option<Process>> = (0..samples).map(|_| None).collect();
+/// Give each job — one per sample position, in sample order — the paused
+/// process its suffix starts from, in its own slot: no second list of
+/// processes is built beside the jobs. The *last* consumer of a snapshot
+/// takes ownership instead of cloning it — an injection point sampled once
+/// (the common case) never pays a fork at all. A job whose point never
+/// fired keeps `None`.
+pub(crate) fn hand_out<T>(points: Vec<PlannedPoint>, jobs: &mut [(T, Option<Process>)]) {
     for PlannedPoint { consumers, snapshot, .. } in points {
         let (Some(snap), Some((&last, rest))) = (snapshot, consumers.split_last()) else {
             continue;
         };
         for &pos in rest {
-            starts[pos] = Some(snap.clone());
+            jobs[pos].1 = Some(snap.clone());
         }
-        starts[last] = Some(snap);
+        jobs[last].1 = Some(snap);
     }
-    starts
 }
 
 impl Campaign {

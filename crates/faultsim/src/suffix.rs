@@ -5,8 +5,11 @@
 //! A suffix need not run to its end to have an outcome. Most injections are
 //! benign, and a benign run is mostly one whose corrupted value died: from
 //! some step on it *is* the golden run. [`Campaign::run_suffix`] therefore
-//! runs from one golden state of the trail to the next and compares
-//! ([`Process::same_state`]); on equality the rest is known — `Benign`, at
+//! runs from one golden state to the next and compares
+//! ([`Process::same_state`]). The golden states are the trail's few and the
+//! trellis' own fork snapshots — one per bracket, each the golden process
+//! paused where the cursor forked it — so even a program too short for a
+//! trail state has targets. On equality the rest is known — `Benign`, at
 //! exactly `golden_steps` — and the record is written there, with the steps
 //! it would have executed attributed as if it had. The protected run does
 //! the same after every repair — a correct repair puts the process back on
@@ -35,9 +38,12 @@ use std::sync::Arc;
 use telemetry::{Event, Hooks, NoTelemetry};
 
 /// Unequal comparisons with golden states after which a suffix stops
-/// comparing and runs out: a run that has not re-joined by its third state
-/// rarely does (caps of 1, 2, 3 and 16 measured alike, 2437–2514 `inj_per_s`
-/// on `cov_compiled`), and each comparison reads every page both runs wrote.
+/// comparing and runs out: a run that has not re-joined by its third target
+/// rarely does, and each comparison reads every page both runs wrote. With
+/// the fork snapshots among the targets, caps of 2, 3, 6 and 16 prune
+/// 271.0, 271.4, 271.4 and 273.9 M of the 503.5 M attributed suffix steps on
+/// `repro --injections 250 --engine compiled fig7 table2` (3 467 to 16 430
+/// comparisons), and read 4 475–5 062 `inj_per_s` on `cov_compiled` alike.
 const MAX_COMPARES: usize = 3;
 
 /// Hardware-trap symptom classes of Table 3.
@@ -179,9 +185,12 @@ impl Campaign {
     /// late injection points overshoot the hang bound by nearly 2x) and the
     /// RNG must be in the post-[`Campaign::sample_point`] state.
     ///
-    /// `golden` is the golden run's states the suffix may stop at, in step
-    /// order (`Trail::states`; empty for the reference, which then runs
-    /// out). The run pauses at each one past the injection, and where it
+    /// `golden` is the golden run's states the suffix may stop at, strictly
+    /// increasing in step: `Trail::states` merged with one fork snapshot per
+    /// bracket, for the trellis; empty for the reference, which then runs
+    /// out. A snapshot is the golden process at its firing step with its
+    /// breakpoints taken out, so it is a golden state like a trail state.
+    /// The run pauses at each one past the injection, and where it
     /// equals that state — with fuel left for the rest of the golden run,
     /// without which it would end `Hang`, not `Benign` — the record is
     /// written as the run-out would have written it; a protected run does
@@ -196,8 +205,10 @@ impl Campaign {
     /// deltas of the processes this job ran, and one `job` event whose
     /// `t_ns` stamp traces the queue drain. The step spans are *attributed*;
     /// `suffix.pruned_steps` and `care.pruned_steps` are the parts of them no
-    /// engine executed, and the wall span and the TLB deltas cover executed
-    /// work only. Hooks never
+    /// engine executed (`suffix.snapshot_rejoins` and `care.snapshot_rejoins`
+    /// count the re-joins at a fork snapshot), `suffix.executed_steps.<outcome>`
+    /// splits the rest of the suffix by its outcome, and the wall span and the
+    /// TLB deltas cover executed work only. Hooks never
     /// influence the record: a telemetry-enabled campaign is bit-identical.
     pub(crate) fn run_suffix(
         &self,
@@ -205,7 +216,7 @@ impl Campaign {
         point: InjectionPoint,
         rng: &SmallRng,
         mut p: Process,
-        golden: &[Process],
+        golden: &[&Process],
         hooks: &dyn Hooks,
     ) -> Option<InjectionRecord> {
         let t0 = hooks.enabled().then(std::time::Instant::now);
@@ -242,8 +253,9 @@ impl Campaign {
             Err(RunExit::BreakHit) => unreachable!("breakpoint already consumed"),
         };
         // Where the unprotected run ends: where it stopped, or — re-joined —
-        // where the golden run did.
-        let pruned_steps = run.map_or(0, |state| self.golden_steps - state.steps);
+        // where the golden run did, the golden run's steps past that state on.
+        let rest = |state: &Process| self.golden_steps - state.steps;
+        let pruned_steps = run.map_or(0, rest);
         let suffix_steps = p.steps + pruned_steps - prefix_steps;
 
         // --- protected run for SIGSEGV injections (§5 methodology). The
@@ -255,9 +267,9 @@ impl Campaign {
         // state it re-joins, a step late per repair --------------------------
         let mut care_steps = 0u64;
         let mut care_compares = 0u64;
-        // `Some`: the protected run re-joined the golden run with this many
-        // of its steps still to take, and was left there.
-        let mut care_pruned: Option<u64> = None;
+        // `Some`: the protected run re-joined the golden run at this state,
+        // and was left there.
+        let mut care_rejoined: Option<&Process> = None;
         let care = (cfg.evaluate_care && outcome == Outcome::SoftFailure(Signal::Segv)).then(|| {
             let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
             sg.patch_base_first = cfg.patch_base_first;
@@ -265,7 +277,7 @@ impl Campaign {
             let trapped = run.err().expect("a SIGSEGV outcome has its exit");
             let resume = |p: &mut Process, recoveries: u64| {
                 let run = self.run_or_rejoin(engine, p, golden, recoveries, &mut care_compares);
-                care_pruned = run.ok().map(|state| self.golden_steps - state.steps);
+                care_rejoined = run.ok();
                 run.err()
             };
             let end = resume_protected(resume, &mut p, trapped, &mut sg, MAX_RECOVERIES, hooks);
@@ -284,14 +296,14 @@ impl Campaign {
             // that end, so its own outputs are not the ones to read.
             let covered = decline.is_none()
                 && recoveries > 0
-                && (care_pruned.is_some() || self.outputs_clean(&p));
+                && (care_rejoined.is_some() || self.outputs_clean(&p));
             // Attributed from the injection point, as a protected run of
             // its own would count it (the shared suffix included), and to
             // the end: a re-joined run still has the golden run's remaining
             // steps to take — stated by those, not by the lead it is assumed
             // to have, so a repair that charged no step can only miss a
             // re-join, never misstate one.
-            care_steps = p.steps - prefix_steps + care_pruned.unwrap_or(0);
+            care_steps = p.steps - prefix_steps + care_rejoined.map_or(0, rest);
             CareResult { covered, recoveries, recovery_ms, decline }
         });
         let tlb = p.mem.stats.since(&base_stats);
@@ -304,11 +316,15 @@ impl Campaign {
             hooks.add("suffix.pruned_steps", pruned_steps);
             hooks.add("suffix.compares", compares);
             hooks.add("suffix.converged", run.is_ok() as u64);
+            hooks.add("suffix.snapshot_rejoins", run.is_ok_and(|s| self.is_snapshot(s)) as u64);
+            hooks.add(executed_counter(outcome), suffix_steps - pruned_steps);
             if care.is_some() {
                 hooks.record("job.care_steps", care_steps);
-                hooks.add("care.pruned_steps", care_pruned.unwrap_or(0));
+                hooks.add("care.pruned_steps", care_rejoined.map_or(0, rest));
                 hooks.add("care.compares", care_compares);
-                hooks.add("care.converged", care_pruned.is_some() as u64);
+                hooks.add("care.converged", care_rejoined.is_some() as u64);
+                let on_snapshot = care_rejoined.is_some_and(|s| self.is_snapshot(s));
+                hooks.add("care.snapshot_rejoins", on_snapshot as u64);
             }
             hooks.add("tlb.loads", tlb.loads);
             hooks.add("tlb.stores", tlb.stores);
@@ -352,12 +368,12 @@ impl Campaign {
         &self,
         engine: &dyn ExecutionEngine,
         p: &mut Process,
-        golden: &'g [Process],
+        golden: &[&'g Process],
         lead: u64,
         compares: &mut u64,
     ) -> Result<&'g Process, RunExit> {
         let from = p.steps;
-        for state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
+        for &state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
             if let Some(exit) = run_to_step(engine, p, state.steps + lead) {
                 return Err(exit);
             }
@@ -372,6 +388,13 @@ impl Campaign {
             }
         }
         Err(engine.run(p))
+    }
+
+    /// Whether `state`, a golden state a run re-joined at, is a fork
+    /// snapshot rather than one of the trail's states (the trail's state
+    /// stands for both where they share a step).
+    fn is_snapshot(&self, state: &Process) -> bool {
+        self.trail.states().binary_search_by_key(&state.steps, |s| s.steps).is_err()
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -389,6 +412,20 @@ impl Campaign {
             _ => return None,
         }
         self.run_suffix(cfg, point, &rng, p, &[], &NoTelemetry)
+    }
+}
+
+/// Static `suffix.executed_steps.*` counter name for `outcome` (hook names
+/// are `&'static str`, as `mix.*`'s are).
+fn executed_counter(outcome: Outcome) -> &'static str {
+    match outcome {
+        Outcome::Benign => "suffix.executed_steps.benign",
+        Outcome::Sdc => "suffix.executed_steps.sdc",
+        Outcome::Hang => "suffix.executed_steps.hang",
+        Outcome::SoftFailure(Signal::Segv) => "suffix.executed_steps.segv",
+        Outcome::SoftFailure(Signal::Bus) => "suffix.executed_steps.bus",
+        Outcome::SoftFailure(Signal::Abort) => "suffix.executed_steps.abort",
+        Outcome::SoftFailure(Signal::Other) => "suffix.executed_steps.signal_other",
     }
 }
 
@@ -455,6 +492,29 @@ mod tests {
             assert_eq!(ctr("steps.suffix"), report.steps_suffix, "{engine:?}: attributed");
             let pruned = ctr("suffix.pruned_steps");
             assert!(0 < pruned && pruned < report.steps_suffix, "{engine:?}: pruned {pruned}");
+        }
+    }
+
+    /// A program too short for a trail state still re-joins: at the fork
+    /// snapshots, each the golden process at a step the cursor stopped at.
+    /// Against the trail's states alone the same campaign prunes nothing.
+    /// (10 007 steps, ten brackets: `tiny_campaign`'s one bracket holds one
+    /// target, its plan-first point, which stands before all its benign
+    /// runs.)
+    #[test]
+    fn suffixes_rejoin_at_fork_snapshots_without_any_trail_state() {
+        let w = tiny_workload(1_000);
+        let app = care::compile(&w.module, opt::OptLevel::O1);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        assert!(campaign.trail.states().is_empty(), "test premise: no trail state");
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = CampaignConfig { engine, ..cfg(60) };
+            let (report, ctr) = run_heard(&campaign, &config);
+            assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
+            let rejoins = ctr("suffix.snapshot_rejoins");
+            assert!(ctr("suffix.converged") > 0 && rejoins > 0, "{engine:?}: none re-joined");
+            assert_eq!(rejoins, ctr("suffix.converged"), "{engine:?}: only snapshots to re-join");
+            assert!(ctr("suffix.pruned_steps") > 0, "{engine:?}: nothing pruned");
         }
     }
 

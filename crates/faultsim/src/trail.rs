@@ -10,11 +10,14 @@
 //! (a) fast-replay to a checkpoint with no instrumentation and (b) rebase
 //! its points' `nth` ordinals to breakpoint ordinals counted from that
 //! checkpoint; the checkpoints are also the shard-boundary candidates of the
-//! parallel cursor pass. The states are what a suffix or a repaired run
-//! compares itself with ([`Trail::states`]): an injected run that equals the
-//! golden run's state *is* the golden run from there on, and stops. They are
-//! also where a cursor hop starts from ([`Trail::state_at_or_before`]): a
-//! clone of the state stands where a replay to it would have.
+//! parallel cursor pass. The states are among what a suffix or a repaired
+//! run compares itself with ([`Trail::states`]): an injected run that equals
+//! the golden run's state *is* the golden run from there on, and stops. The
+//! campaign merges them with one fork snapshot per bracket, which are golden
+//! states too, so a run has targets between the states and a program too
+//! short for any state still has some. The states are also where a cursor
+//! hop starts from ([`Trail::state_at_or_before`]): a clone of the state
+//! stands where a replay to it would have.
 //!
 //! The checkpoint list, the flat counts, the range table and the state list
 //! are private to this module: everything else asks in terms of brackets —
@@ -142,7 +145,8 @@ impl Trail {
             .map_or(0, |&n| n as u64)
     }
 
-    /// The golden states a suffix may compare itself with, in step order.
+    /// The trail's golden states, in step order: hop starts, and re-join
+    /// targets beside the fork snapshots.
     pub(crate) fn states(&self) -> &[Process] {
         &self.states
     }
