@@ -153,11 +153,14 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
         return Some(d);
     }
 
+    // One compiled engine per module, shared by every argument.
+    let engines = [&mm0, &mm1]
+        .map(|mm| (mm, CompiledEngine::for_image(&Process::new(Arc::clone(mm), vec![]).image)));
     for &arg in &ORACLE_ARGS {
         // Pairs 2 and 7 first: they tolerate (and must agree on) trapping
         // programs.
-        for mm in [&mm0, &mm1] {
-            if let Some(d) = engine_pairs_check(mm, arg, &outputs, salt) {
+        for (mm, compiled) in &engines {
+            if let Some(d) = engine_pairs_check(mm, compiled, arg, &outputs, salt) {
                 return Some(d);
             }
         }
@@ -271,15 +274,15 @@ fn run_machine(
 /// Pairs 2 and 7 over one fuel sweep: every budget on short programs, the
 /// edges plus a sample on long ones, so partial segments, mid-fusion
 /// out-of-fuel exits and trap freezes are all exercised. At each budget the
-/// interpreter's fast loop is the reference both the hooked loop and the
-/// compiled engine must match.
+/// interpreter's fast loop is the reference both the hooked loop and
+/// `compiled`, built over `mm`, must match.
 fn engine_pairs_check(
     mm: &Arc<MachineModule>,
+    compiled: &CompiledEngine,
     arg: u64,
     outputs: &[(String, u64)],
     salt: u64,
 ) -> Option<Divergence> {
-    let compiled = CompiledEngine::for_image(&Process::new(Arc::clone(mm), vec![]).image);
     let total = run_machine(&InterpEngine, mm, arg, MACHINE_FUEL, false, outputs).steps;
     let budgets: Vec<u64> = if total <= 256 {
         (0..=total + 1).collect()
@@ -303,7 +306,7 @@ fn engine_pairs_check(
                 ),
             });
         }
-        let comp = run_machine(&compiled, mm, arg, b, false, outputs);
+        let comp = run_machine(compiled, mm, arg, b, false, outputs);
         if fast != comp {
             return Some(Divergence {
                 pair: Pair::Compiled,

@@ -10,10 +10,11 @@
 //!
 //! Three properties define the design:
 //!
-//! * **Shared hot state.** All jobs from all clients share one process:
-//!   the global `simx::TranslationCache` and this server's prepared-campaign cache
-//!   (golden run + snapshot trellis keyed by program + opt level), so the
-//!   Nth job for a workload costs only its suffixes.
+//! * **Shared hot state.** All jobs from all clients share this server's
+//!   prepared-campaign cache (golden run + snapshot trellis keyed by
+//!   program + opt level, plus the campaign's compiled translation once a
+//!   compiled job has built it), so the Nth job for a workload costs only
+//!   its suffixes.
 //! * **Explicit backpressure.** Budget-weighted admission against the pool
 //!   width, a bounded wait queue, and typed `reject` frames
 //!   ([`proto::RejectReason`]) — the server never buffers unboundedly and

@@ -2,8 +2,8 @@
 //!
 //! One blocking accept loop, one thread per connection, one worker thread
 //! per running job, whose *simulation* fan-out runs in work-stealing
-//! batches of its own (`compat/rayon`). Every client shares the global
-//! `simx::TranslationCache` and this server's prepared-campaign cache.
+//! batches of its own (`compat/rayon`). Every client shares this server's
+//! prepared-campaign cache, and with each cached campaign its translation.
 //!
 //! ## Admission control
 //!
@@ -55,8 +55,9 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Prepared-campaign cache bound in entries (LRU eviction beyond it);
     /// 0 = [`DEFAULT_CACHE_CAP`]. Each entry is a compiled module plus its
-    /// golden snapshot trellis, so the bound is what keeps a stream of
-    /// distinct inline jobs from growing the server without limit.
+    /// golden snapshot trellis (and its translation, once a compiled job
+    /// has run on it), so the bound is what keeps a stream of distinct
+    /// inline jobs from growing the server without limit.
     pub cache_cap: usize,
     /// Content-addressed result store directory. `Some` routes every job
     /// through [`carestore::Store::run_campaign`]: stored records are

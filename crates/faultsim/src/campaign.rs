@@ -169,9 +169,9 @@ pub struct Campaign {
     /// A started-but-not-run process; every injection clones it (Arc-shared
     /// image, copy-on-write memory) instead of re-loading the modules.
     pub(crate) template: Process,
-    /// The compiled engine over `template`'s image, resolved by the first
-    /// compiled run: the image is immutable, and resolving content-keys
-    /// every module's full instruction stream.
+    /// The compiled engine over `template`'s image, built by the first
+    /// compiled run: the image is immutable, so one translation serves every
+    /// run of this campaign and is dropped with it.
     compiled: OnceLock<CompiledEngine>,
     /// Recovery artefacts, encoded and keyed once; shared read-only across
     /// the campaign's workers.
@@ -227,8 +227,7 @@ impl Campaign {
     }
 
     /// The configured compiled engine for this campaign's image (`None` →
-    /// interpreter), resolved once per campaign. Translation hits the
-    /// process-wide cache, so campaigns over the same module share it.
+    /// interpreter), translated once per campaign.
     fn compiled_engine(&self, cfg: &CampaignConfig) -> Option<&CompiledEngine> {
         (cfg.engine == EngineKind::Compiled).then(|| {
             self.compiled.get_or_init(|| CompiledEngine::for_image(&self.template.image))
@@ -372,12 +371,7 @@ impl Campaign {
         ctl: &JobControl,
         sink: &dyn RecordSink,
     ) -> CampaignReport {
-        let cache = simx::TranslationCache::global();
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let compiled = self.compiled_engine(cfg);
-        if let (true, Some(eng)) = (hooks.enabled(), compiled) {
-            hooks.add("engine.cache_hits", cache.hits().saturating_sub(h0));
-            hooks.add("engine.cache_misses", cache.misses().saturating_sub(m0));
+        if let (true, Some(eng)) = (hooks.enabled(), self.compiled_engine(cfg)) {
             let st = eng.stats();
             hooks.add("engine.blocks", st.blocks);
             hooks.add("engine.ops", st.ops);

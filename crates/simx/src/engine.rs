@@ -5,8 +5,9 @@
 //! * [`InterpEngine`] — the reference interpreter ([`Process::run`]),
 //!   unchanged.
 //! * [`CompiledEngine`] — the direct-threaded backend: executes the
-//!   pre-decoded/fused [`Op`] stream of a cached [`TranslatedModule`]
-//!   (see `translate.rs`) instead of re-decoding `MInst`s per step.
+//!   pre-decoded/fused [`Op`] stream of the [`TranslatedModule`]s it
+//!   translated from its image (see `translate.rs`) instead of re-decoding
+//!   `MInst`s per step.
 //!
 //! # Equivalence contract
 //!
@@ -52,7 +53,7 @@ use crate::cpu::{Frame, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
 use crate::isa::Reg;
 use crate::translate::{
-    Op, SrcK, TranslatedFunc, TranslatedModule, TranslateStats, TranslationCache, NO_REG,
+    translate_module, Op, SrcK, TranslatedFunc, TranslatedModule, TranslateStats, NO_REG,
 };
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
@@ -121,22 +122,19 @@ impl ExecutionEngine for InterpEngine {
     }
 }
 
-/// The direct-threaded backend: one shared translation per loaded module,
-/// resolved through the global content-keyed [`TranslationCache`].
+/// The direct-threaded backend: one translation per loaded module, owned
+/// by the engine.
 pub struct CompiledEngine {
     /// Translations indexed by [`ModuleId`].
-    trans: Vec<Arc<TranslatedModule>>,
+    trans: Vec<TranslatedModule>,
 }
 
 impl CompiledEngine {
-    /// Resolve (or build) the translations for every module of an image.
-    /// Repeated calls for the same compiled app are cache hits — trellis
-    /// forks and campaign suffixes share one translation per module.
+    /// Translate every module of an image. Each call translates afresh, so
+    /// build one engine per image and share it: a campaign builds its own
+    /// once, and every trellis fork and suffix runs on that one.
     pub fn for_image(image: &ProcessImage) -> CompiledEngine {
-        let cache = TranslationCache::global();
-        CompiledEngine {
-            trans: image.modules.iter().map(|lm| cache.get_or_translate(&lm.module)).collect(),
-        }
+        CompiledEngine { trans: image.modules.iter().map(|lm| translate_module(&lm.module)).collect() }
     }
 
     /// Summed translation statistics across this engine's modules.

@@ -32,20 +32,14 @@
 //! program is re-enterable at every PC exactly like the interpreter. Fusion
 //! is refused when `i + 1` is a branch target for the same reason.
 //!
-//! Translations are content-keyed and shared: [`TranslationCache::global`]
-//! maps a hash of the module's instruction stream to an `Arc`-shared
-//! [`TranslatedModule`], so every trellis fork and every campaign suffix of
-//! the same compiled app (at the same opt level — different codegen means a
-//! different key) reuses one translation.
+//! Each [`CompiledEngine`](crate::engine::CompiledEngine) translates the
+//! modules of its own image once and owns the result; a campaign builds its
+//! engine once, so every trellis fork and suffix of that campaign shares it,
+//! and the translation is dropped with the campaign.
 
 use crate::image::{MachineFunction, MachineModule};
 use crate::isa::{MInst, MemOp, Src, NUM_REGS};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use tinyir::interp::sext_bits;
 use tinyir::{BinOp, CastOp, FCmp, ICmp, Intrinsic, Ty};
 
@@ -260,7 +254,7 @@ pub(crate) struct TranslatedFunc {
     pub ste: Vec<u32>,
 }
 
-/// A fully translated module, shared via [`TranslationCache`].
+/// A fully translated module, owned by the engine that translated it.
 #[derive(Debug)]
 pub struct TranslatedModule {
     pub(crate) funcs: Vec<TranslatedFunc>,
@@ -560,93 +554,23 @@ pub(crate) fn translate_module(mm: &MachineModule) -> TranslatedModule {
     TranslatedModule { funcs, stats }
 }
 
-/// Content hash of a module's executable substance: function names,
-/// declaration flags, frame sizes and the full instruction stream. Two
-/// modules compiled from the same IR at the same opt level (and armor
-/// setting) hash equal; any codegen difference — different opt level,
-/// different instruction selection — changes the key.
-fn content_key(mm: &MachineModule) -> u64 {
-    let mut h = DefaultHasher::new();
-    mm.funcs.len().hash(&mut h);
-    let mut buf = String::new();
-    for f in &mm.funcs {
-        f.name.hash(&mut h);
-        f.is_decl.hash(&mut h);
-        f.frame_size.hash(&mut h);
-        f.instrs.len().hash(&mut h);
-        buf.clear();
-        let _ = write!(buf, "{:?}", f.instrs);
-        buf.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Process-wide, content-keyed store of shared translations.
-///
-/// Keyed by [`content_key`], so the cache is per-`(module, opt_level)` by
-/// construction: identical machine code shares one `Arc`'d translation
-/// across every process, fork and campaign; recompiling at a different opt
-/// level produces different machine code and therefore a fresh entry.
-///
-/// It never outgrows what is in use: an insert that finds `SWEEP_AT` (64)
-/// entries first drops every translation no engine holds, so a server fed
-/// a stream of distinct modules keeps those of its live (cached or running)
-/// campaigns plus a bounded tail.
+/// What carebench still calls to time one translation: a stateless
+/// stand-in that translates on every call. It goes with ROADMAP 8(b) once
+/// carebench's item 1(d) lands; the engine itself calls `translate_module`.
+/// Zero-sized, but not a unit struct: carebench builds it with `default()`,
+/// which clippy refuses for a unit struct.
 #[derive(Default)]
-pub struct TranslationCache {
-    map: Mutex<HashMap<u64, Arc<TranslatedModule>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Cache size at which an insert sweeps out the unreferenced entries.
-pub(crate) const SWEEP_AT: usize = 64;
+pub struct TranslationCache(());
 
 impl TranslationCache {
-    /// The process-global cache (what [`CompiledEngine::for_image`]
-    /// consults).
-    ///
-    /// [`CompiledEngine::for_image`]: crate::engine::CompiledEngine::for_image
+    /// A shared instance; it holds nothing.
     pub fn global() -> &'static TranslationCache {
-        static GLOBAL: OnceLock<TranslationCache> = OnceLock::new();
-        GLOBAL.get_or_init(TranslationCache::default)
+        static GLOBAL: TranslationCache = TranslationCache(());
+        &GLOBAL
     }
 
-    /// Look up (or translate and insert) the module's shared translation.
+    /// Translate `mm` afresh.
     pub fn get_or_translate(&self, mm: &MachineModule) -> Arc<TranslatedModule> {
-        let key = content_key(mm);
-        if let Some(t) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        // Translate outside the lock; a racing translation of the same
-        // module resolves to whichever entry landed first.
-        let t = Arc::new(translate_module(mm));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock().unwrap();
-        if map.len() >= SWEEP_AT {
-            map.retain(|_, held| Arc::strong_count(held) > 1);
-        }
-        Arc::clone(map.entry(key).or_insert(t))
-    }
-
-    /// Cache hits so far (lookups that reused a translation).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far (fresh translations).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct translations currently cached.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
-    /// True when no translation has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        Arc::new(translate_module(mm))
     }
 }

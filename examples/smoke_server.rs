@@ -9,7 +9,10 @@
 //! module whose `main` counts to `i64::MAX` — must come back as a `failed`
 //! frame once its golden run passes [`faultsim::MAX_GOLDEN_STEPS`] (≈ 10 s),
 //! hand its admission budget back (the server's cap is 1, so a leak would
-//! park the next job forever), and leave the server serving. The shutdown
+//! park the next job forever), and leave the server serving. Last, the same
+//! HPCCG spec on the compiled engine must hit the cached campaign (the
+//! engine is not part of the key), which then builds its own translation,
+//! and still report exactly what the local interpreter run did. The shutdown
 //! must drain cleanly with no in-flight budget. Exits nonzero (assert) if
 //! any of that regresses.
 //!
@@ -18,7 +21,7 @@
 //! ```
 
 use careserve::{submit, CampaignServer, ClientError, JobSpec, ServerConfig, WorkloadSel};
-use faultsim::Campaign;
+use faultsim::{Campaign, EngineKind};
 use tinyir::{Ty, Value};
 
 /// An inline job whose golden run would never end.
@@ -69,17 +72,22 @@ fn main() {
     let third = submit(handle.addr(), &spec).expect("submit after the failed job");
     assert_eq!(third.report, local, "the job after the failed one diverged from the local run");
 
+    let compiled = JobSpec { engine: EngineKind::Compiled, ..spec.clone() };
+    let fourth = submit(handle.addr(), &compiled).expect("compiled submit");
+    assert_eq!(fourth.report, local, "the compiled job diverged from the local interp run");
+
     let stats = handle.stats();
-    assert_eq!(stats.jobs_completed, 3, "every honest job must complete");
+    assert_eq!(stats.jobs_completed, 4, "every honest job must complete");
     assert_eq!(stats.cache_misses, 2, "resubmits must reuse the prepared campaign");
-    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.cache_hits, 3, "the compiled job must hit the interp jobs' campaign");
     assert_eq!(stats.inflight_budget, 0, "budget leaked after completion");
     handle.shutdown();
 
     println!(
         "smoke_server: {} injections served bit-identical to the local run \
          ({} covered / {} evaluated), cache hit on resubmit, a never-ending job \
-         failed and released its budget, clean shutdown",
+         failed and released its budget, a compiled job matched on the cached \
+         campaign, clean shutdown",
         spec.injections, local.care_covered, local.care_evaluated,
     );
 }

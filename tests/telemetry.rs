@@ -107,9 +107,9 @@ fn tlb_hit_rate_is_high_and_consistent() {
 }
 
 /// A compiled-engine campaign surfaces the `engine.*` translation counters
-/// (block/op/fusion statistics and translation-cache traffic) in its
-/// telemetry stream; an interpreter campaign emits none of them. The
-/// simulation-visible counters stay identical either way.
+/// (block, op and fusion statistics) in its telemetry stream; an
+/// interpreter campaign emits none of them. The simulation-visible counters
+/// stay identical either way.
 #[test]
 fn compiled_campaign_reports_engine_counters() {
     let interp = traced_hpccg_campaign_engine(40, EngineKind::Interp);
@@ -125,10 +125,6 @@ fn compiled_campaign_reports_engine_counters() {
         ctr(&compiled, "engine.fused_cmp_br") > 0,
         "HPCCG loops must fuse compare+branch pairs"
     );
-    assert!(
-        ctr(&compiled, "engine.cache_hits") + ctr(&compiled, "engine.cache_misses") > 0,
-        "translation-cache traffic unreported"
-    );
     // Telemetry is an observer on either backend: the campaign-level step
     // accounting must agree between the engines.
     for key in ["steps.prefix", "steps.suffix", "steps.care", "campaign.classified"] {
@@ -138,6 +134,31 @@ fn compiled_campaign_reports_engine_counters() {
             "{key} diverged between engines"
         );
     }
+}
+
+/// The `engine.*` counters describe the campaign's own translation, not
+/// process-wide traffic: one compiled campaign run twice, each time under a
+/// fresh recorder, reports the same counters both times, although only the
+/// first run builds the engine.
+#[test]
+fn engine_counters_are_the_same_on_every_run_of_a_campaign() {
+    let w = workloads::hpccg::build(3, 2);
+    let app = care::compile(&w.module, OptLevel::O1);
+    let campaign = Campaign::prepare(&w, app, vec![]);
+    let cfg = CampaignConfig {
+        injections: 8,
+        seed: 0xCA2E,
+        engine: EngineKind::Compiled,
+        ..CampaignConfig::default()
+    };
+    let [first, second] = [(); 2].map(|()| {
+        let rec = Recorder::new();
+        campaign.run_with_hooks(&cfg, &rec);
+        let tel = rec.drain();
+        tel.counters.into_iter().filter(|(k, _)| k.starts_with("engine.")).collect::<Vec<_>>()
+    });
+    assert!(!first.is_empty(), "compiled campaign reported no engine.* counters");
+    assert_eq!(first, second, "engine.* counters differ between runs of one campaign");
 }
 
 /// At four threads the campaign actually spreads across its work-stealing
