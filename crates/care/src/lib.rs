@@ -54,6 +54,6 @@ pub mod prelude {
     pub use safeguard::{
         run_protected, DeclineReason, ProtectedExit, RecoveryOutcome, Safeguard,
     };
-    pub use simx::{ModuleId, Process, RunExit, Trap, TrapKind};
+    pub use simx::{Instrument, ModuleId, Process, RunExit, Trap, TrapKind};
     pub use telemetry::{Hooks, NoTelemetry, Recorder};
 }

@@ -5,10 +5,10 @@
 //! 1. **RoundTrip** — `display` → `parser` → `display` is a fixpoint and the
 //!    reparse verifies.
 //! 2. **FastSlow** — the interpreter's monomorphized hook-free fast loop vs
-//!    the hooked slow loop (an inert empty `BreakSet` forces it), compared at
-//!    *every* fuel budget on short programs and a dense sample on long ones:
-//!    exit state, step/trap accounting and all output globals must match.
-//!    One sweep of budgets serves this pair and pair 7.
+//!    the hooked slow loop (an [`Instrument`] with no stops forces it),
+//!    compared at *every* fuel budget on short programs and a dense sample on
+//!    long ones: exit state, step/trap accounting and all output globals must
+//!    match. One sweep of budgets serves this pair and pair 7.
 //! 3. **OptLevels** — the `opt` pipeline must preserve semantics: IR interp
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
@@ -36,7 +36,7 @@ use care::{BuildStats, CompiledApp};
 use faultsim::{Campaign, CampaignConfig, InjectionRecord};
 use opt::OptLevel;
 use simx::{
-    compile_module, BreakSet, CompiledEngine, ExecutionEngine, InterpEngine, MachineModule,
+    compile_module, CompiledEngine, ExecutionEngine, Instrument, InterpEngine, MachineModule,
     Process, RunExit,
 };
 use std::collections::HashMap;
@@ -247,8 +247,8 @@ struct RunState {
     globals: Vec<Vec<u8>>,
 }
 
-/// Run `main(arg)` on `engine` with `fuel`; `armed` adds an empty
-/// breakpoint set, which never fires but forces the hooked loop.
+/// Run `main(arg)` on `engine` with `fuel`; `armed` runs it instrumented
+/// with no stops, which never fire but force the hooked loop.
 fn run_machine(
     engine: &dyn ExecutionEngine,
     mm: &Arc<MachineModule>,
@@ -260,10 +260,11 @@ fn run_machine(
     let mut p = Process::new(Arc::clone(mm), vec![]);
     p.start("main", &[arg]);
     p.fuel = fuel;
-    if armed {
-        p.multi_break = Some(BreakSet::new());
-    }
-    let exit = engine.run(&mut p);
+    let exit = if armed {
+        engine.run_instrumented(&mut p, &mut Instrument::default())
+    } else {
+        engine.run(&mut p)
+    };
     let globals = outputs
         .iter()
         .map(|(name, bytes)| p.snapshot_global(name, *bytes).unwrap_or_default())

@@ -186,7 +186,7 @@ impl Campaign {
     pub fn prepare(workload: &Workload, exe: CompiledApp, libs: Vec<CompiledApp>) -> Campaign {
         let mut template = build_process(&exe, &libs);
         template.start(workload.entry, &workload.args);
-        let (trail, mut golden) = Trail::record(&template, workload.name, MAX_GOLDEN_STEPS);
+        let (trail, golden, profile) = Trail::record(&template, workload.name, MAX_GOLDEN_STEPS);
         let golden_outputs = workload
             .outputs
             .iter()
@@ -205,7 +205,7 @@ impl Campaign {
             outputs: workload.outputs.clone(),
             golden_outputs,
             golden_steps: golden.steps,
-            profile: golden.profile.take().expect("profile enabled"),
+            profile,
             trail,
             template,
             compiled: OnceLock::new(),
@@ -410,8 +410,8 @@ impl Campaign {
 
 /// A copy-on-write clone of one snapshot per bracket of `points`: that of
 /// the bracket's first point, in plan order, that fired. A snapshot is the
-/// golden process paused at its firing step with nothing armed, so it is a
-/// golden state like the trail's own. One per bracket prunes as much as all
+/// golden process paused at its firing step, so it is a golden state like
+/// the trail's own. One per bracket prunes as much as all
 /// of them do, and pins far fewer pages until the suffixes end.
 pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
     points
@@ -462,9 +462,8 @@ mod tests {
     }
 
     /// The re-join targets the trellis hands its suffixes: strictly
-    /// increasing in step, nothing armed on any, the trail's states plus at
-    /// most one fork snapshot per bracket — each standing at a step the
-    /// cursor forked at.
+    /// increasing in step, the trail's states plus at most one fork snapshot
+    /// per bracket — each standing at a step the cursor forked at.
     #[test]
     fn rejoin_targets_are_step_ordered_golden_states_one_snapshot_per_bracket() {
         let campaign = hpccg_campaign();
@@ -477,10 +476,6 @@ mod tests {
         let states = campaign.trail.states();
         let targets = golden_targets(states, &snapshots);
         assert!(targets.windows(2).all(|w| w[0].steps < w[1].steps), "not strictly increasing");
-        for t in &targets {
-            let armed = t.profile.is_some() || t.break_at.is_some() || t.multi_break.is_some();
-            assert!(!armed, "target at step {} is instrumented", t.steps);
-        }
         // The bracket each snapshot target was forked in, by its step.
         let forked_in = |step: u64| {
             let point = points.iter().find(|p| p.snapshot.as_ref().is_some_and(|s| s.steps == step));

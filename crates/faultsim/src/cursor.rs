@@ -14,7 +14,7 @@ use crate::campaign::{Campaign, CampaignConfig, JobControl};
 use crate::injector::InjectionPoint;
 use crate::trail::Trail;
 use rayon::prelude::*;
-use simx::{advance_to_step, BreakSet, ExecutionEngine, Process, RunExit};
+use simx::{advance_to_step, ExecutionEngine, Instrument, Process, RunExit};
 use telemetry::{Event, Hooks};
 
 /// One distinct injection point of a pass.
@@ -115,16 +115,16 @@ impl Campaign {
     /// cursor stands, the cursor *becomes* a clone of it, on the fuel a run
     /// to it would have left — and replays what remains to the bracket's
     /// checkpoint *uninstrumented* on the campaign's engine (translated ops
-    /// on a compiled campaign). There it arms a [`BreakSet`] holding only
-    /// that bracket's points, runs instrumented until they have fired —
-    /// forking a paused snapshot at each — then disarms and hops on. The
-    /// instrumented stretches are at most one checkpoint interval per
-    /// visited bracket; between them is replay, of at most the distance
-    /// between two states. A program too short for checkpoints is the
-    /// one-bracket case. Returns the steps this cursor actually executed,
-    /// summed stretch by stretch (a clone stands at steps nobody ran): they
-    /// end at its last firing, where the cursor is dropped — the window tail
-    /// past it is never re-simulated.
+    /// on a compiled campaign). From there it runs handed an [`Instrument`]
+    /// whose stops are only that bracket's points, until they have fired —
+    /// forking a paused snapshot at each — and hops on; the stops stay with
+    /// the instrument, so a fork is a plain paused process. The instrumented
+    /// stretches are at most one checkpoint interval per visited bracket;
+    /// between them is replay, of at most the distance between two states.
+    /// A program too short for checkpoints is the one-bracket case. Returns
+    /// the steps this cursor actually executed, summed stretch by stretch (a
+    /// clone stands at steps nobody ran): they end at its last firing, where
+    /// the cursor is dropped — the window tail past it is never re-simulated.
     fn run_cursor_shard(
         &self,
         cfg: &CampaignConfig,
@@ -163,31 +163,27 @@ impl Campaign {
                 // breakpoint, the remaining indexes yield no record.
                 break;
             }
-            // Breakpoint ordinals count from arming: rebase the absolute
-            // `nth` by the executions already behind the checkpoint (a
-            // per-instruction shift, so `armed` stays sorted like `points`).
+            // Stop ordinals count from the first instrumented run: rebase the
+            // absolute `nth` by the executions already behind the checkpoint
+            // (a per-instruction shift, so `armed` stays sorted like `points`).
             let rebase = |p: &PlannedPoint| InjectionPoint {
                 nth: self.trail.ordinal_in(bracket, &p.point),
                 ..p.point
             };
             let armed: Vec<InjectionPoint> = points.iter().map(rebase).collect();
-            let mut breaks = BreakSet::new();
+            let mut instr = Instrument::default();
             for p in &armed {
-                breaks.add(p.module, p.func, p.inst, p.nth);
+                instr.stops.add(p.module, p.func, p.inst, p.nth);
             }
-            while !breaks.is_empty() {
+            while !instr.stops.is_empty() {
                 if ctl.is_cancelled() {
                     break 'hops;
                 }
-                cursor.multi_break = Some(breaks);
                 let armed_at = cursor.steps;
-                let exit = cursor.run();
+                let exit = engine.run_instrumented(&mut cursor, &mut instr);
                 window_steps += cursor.steps - armed_at;
-                // Disarmed again: the fork below is a plain paused process
-                // and the next hop replays uninstrumented.
-                breaks = cursor.multi_break.take().expect("armed above");
                 let (RunExit::BreakHit, Some((module, func, inst, nth))) =
-                    (exit, breaks.take_fired())
+                    (exit, instr.stops.take_fired())
                 else {
                     // Completion (or a trap) with points still pending:
                     // those indexes yield no record, exactly like a
@@ -276,8 +272,8 @@ mod tests {
     /// The step the golden run stands at when `point` fires.
     fn firing_step(campaign: &Campaign, point: &InjectionPoint) -> u64 {
         let mut p = campaign.template.clone();
-        p.break_at = Some((point.module, point.func, point.inst, point.nth));
-        assert_eq!(p.run(), RunExit::BreakHit, "{point:?} never fired");
+        let mut stop = Instrument::stop_after(point.module, point.func, point.inst, point.nth);
+        assert_eq!(p.run_instrumented(&mut stop), RunExit::BreakHit, "{point:?} never fired");
         p.steps
     }
 
@@ -412,7 +408,7 @@ mod tests {
     /// before a bracket to the bracket, if at all; the two spans still add up
     /// to every prefix step the cursor executed.
     #[test]
-    fn cursor_is_instrumented_only_inside_visited_brackets() {
+    fn cursor_runs_instrumented_only_inside_visited_brackets() {
         let campaign = hpccg_campaign();
         let trail = &campaign.trail;
         // The next bracket's start ends bracket `b`; the last runs to exit.

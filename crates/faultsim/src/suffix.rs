@@ -33,7 +33,7 @@ use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use safeguard::{resume_protected, DeclineKind, ProtectedExit, Safeguard};
-use simx::{run_to_step, ExecutionEngine, ModuleId, Process, RunExit, TrapKind};
+use simx::{run_to_step, ExecutionEngine, Instrument, ModuleId, Process, RunExit, TrapKind};
 use std::sync::Arc;
 use telemetry::{Event, Hooks, NoTelemetry};
 
@@ -188,8 +188,8 @@ impl Campaign {
     /// `golden` is the golden run's states the suffix may stop at, strictly
     /// increasing in step: `Trail::states` merged with one fork snapshot per
     /// bracket, for the trellis; empty for the reference, which then runs
-    /// out. A snapshot is the golden process at its firing step with its
-    /// breakpoints taken out, so it is a golden state like a trail state.
+    /// out. A snapshot is the golden process at its firing step, so it is a
+    /// golden state like a trail state.
     /// The run pauses at each one past the injection, and where it
     /// equals that state — with fuel left for the rest of the golden run,
     /// without which it would end `Hang`, not `Benign` — the record is
@@ -250,7 +250,7 @@ impl Campaign {
                     Some(p.steps - prefix_steps),
                 ),
             },
-            Err(RunExit::BreakHit) => unreachable!("breakpoint already consumed"),
+            Err(RunExit::BreakHit) => unreachable!("an uninstrumented run never stops"),
         };
         // Where the unprotected run ends: where it stopped, or — re-joined —
         // where the golden run did, the golden run's steps past that state on.
@@ -374,7 +374,7 @@ impl Campaign {
     ) -> Result<&'g Process, RunExit> {
         let from = p.steps;
         for &state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
-            if let Some(exit) = run_to_step(engine, p, state.steps + lead) {
+            if let Some(exit) = run_to_step(engine, p, state.steps + lead, None) {
                 return Err(exit);
             }
             *compares += 1;
@@ -404,8 +404,8 @@ impl Campaign {
         let (point, rng) = self.sample_point(cfg, index)?;
         let mut p = self.template.clone();
         p.fuel = self.fuel_budget(cfg);
-        p.break_at = Some((point.module, point.func, point.inst, point.nth));
-        match p.run() {
+        let mut instr = Instrument::stop_after(point.module, point.func, point.inst, point.nth);
+        match p.run_instrumented(&mut instr) {
             RunExit::BreakHit => {}
             // The breakpoint is derived from the profile, so this is
             // unreachable for deterministic programs; be safe anyway.

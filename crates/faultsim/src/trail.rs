@@ -2,22 +2,23 @@
 //! evenly spaced checkpoints, with the golden machine state kept at a few
 //! of them.
 //!
-//! [`Trail::record`] drives the golden run in fixed-step slices. At each
-//! pause it keeps the execution-count profile — as one flat `u32` vector
-//! per checkpoint, addressed through a per-`[module][func]` range table the
-//! trail holds once — and, at every [`STATE_EVERY`]th pause, a copy-on-write
-//! clone of the process itself. The counts are what let a trellis cursor
-//! (a) fast-replay to a checkpoint with no instrumentation and (b) rebase
-//! its points' `nth` ordinals to breakpoint ordinals counted from that
-//! checkpoint; the checkpoints are also the shard-boundary candidates of the
-//! parallel cursor pass. The states are among what a suffix or a repaired
-//! run compares itself with ([`Trail::states`]): an injected run that equals
-//! the golden run's state *is* the golden run from there on, and stops. The
-//! campaign merges them with one fork snapshot per bracket, which are golden
-//! states too, so a run has targets between the states and a program too
-//! short for any state still has some. The states are also where a cursor
-//! hop starts from ([`Trail::state_at_or_before`]): a clone of the state
-//! stands where a replay to it would have.
+//! [`Trail::record`] drives the golden run in fixed-step slices, handing
+//! each the one profiling [`Instrument`] the run counts into. At each pause
+//! it keeps the counts so far — as one flat `u32` vector per checkpoint,
+//! addressed through a per-`[module][func]` range table the trail holds
+//! once — and, at every [`STATE_EVERY`]th pause, a copy-on-write clone of
+//! the process itself, which holds no counts. The counts are what let a
+//! trellis cursor (a) fast-replay to a checkpoint with no instrumentation
+//! and (b) rebase its points' `nth` ordinals to stop ordinals counted from
+//! that checkpoint; the checkpoints are also the shard-boundary candidates
+//! of the parallel cursor pass. The states are among what a suffix or a
+//! repaired run compares itself with ([`Trail::states`]): an injected run
+//! that equals the golden run's state *is* the golden run from there on, and
+//! stops. The campaign merges them with one fork snapshot per bracket, which
+//! are golden states too, so a run has targets between the states and a
+//! program too short for any state still has some. The states are also where
+//! a cursor hop starts from ([`Trail::state_at_or_before`]): a clone of the
+//! state stands where a replay to it would have.
 //!
 //! The checkpoint list, the flat counts, the range table and the state list
 //! are private to this module: everything else asks in terms of brackets —
@@ -28,7 +29,7 @@
 
 use crate::campaign::Campaign;
 use crate::injector::InjectionPoint;
-use simx::{run_to_step, InterpEngine, Process, RunExit, TrapKind};
+use simx::{run_to_step, Instrument, InterpEngine, Process, Profile, RunExit, TrapKind};
 use std::ops::Range;
 use telemetry::Hooks;
 
@@ -71,7 +72,7 @@ pub(crate) struct Trail {
     /// Where `[module][func]`'s instructions sit in a checkpoint's `counts`.
     ranges: Vec<Vec<Range<usize>>>,
     /// The golden process as it stood at some of the checkpoints, in step
-    /// order, nothing armed.
+    /// order.
     states: Vec<Process>,
     /// Dynamic instructions of the whole golden run.
     steps: u64,
@@ -79,21 +80,25 @@ pub(crate) struct Trail {
 
 impl Trail {
     /// Run a clone of `template` fault-free and profiled, to completion.
-    /// Returns the trail and the finished process (its outputs and final
-    /// profile are the campaign's golden data). Panics when the run traps
-    /// or is still going after `max_steps`; `name` labels the panic.
-    pub(crate) fn record(template: &Process, name: &str, max_steps: u64) -> (Trail, Process) {
+    /// Returns the trail, the finished process and its profile (the
+    /// campaign's golden data). Panics when the run traps or is still going
+    /// after `max_steps`; `name` labels the panic.
+    pub(crate) fn record(
+        template: &Process,
+        name: &str,
+        max_steps: u64,
+    ) -> (Trail, Process, Profile) {
         assert!(max_steps <= MAX_GOLDEN_STEPS, "counts are kept as u32");
         let mut p = template.clone();
-        p.enable_profile();
         p.fuel = max_steps;
+        let mut instr = Instrument::profiling(&p.image);
         let mut end = 0;
         let mut range_of = |insts: &Vec<u64>| {
             let start = end;
             end += insts.len();
             start..end
         };
-        let ranges = (p.profile.iter().flatten())
+        let ranges = (instr.profile.iter().flatten())
             .map(|funcs| funcs.iter().map(&mut range_of).collect())
             .collect();
         // Pause every `quantum` steps and keep the profile. The trail stays
@@ -105,20 +110,18 @@ impl Trail {
         let mut quantum: u64 = 1 << 10;
         let exit = loop {
             let target = p.steps + quantum;
-            if let Some(exit) = run_to_step(&InterpEngine, &mut p, target) {
+            if let Some(exit) = run_to_step(&InterpEngine, &mut p, target, Some(&mut instr)) {
                 break exit;
             }
-            let profile = p.profile.take().expect("profile enabled");
             // Sized exactly: nothing bounds a flattened iterator from above,
             // and a collected vector would keep up to twice its length.
             let mut counts = Vec::with_capacity(end);
+            let profile = instr.profile.as_ref().expect("profiled from the start");
             counts.extend(profile.iter().flatten().flatten().map(|&n| n as u32));
             checkpoints.push(ProfileCheckpoint { step: p.steps, counts });
             if p.steps.is_multiple_of(STATE_EVERY * quantum) {
-                // Cloned with the profile out: a state carries no counts.
                 states.push(p.clone());
             }
-            p.profile = Some(profile);
             if checkpoints.len() == MAX_CHECKPOINTS {
                 quantum *= 2;
                 checkpoints.retain(|c| c.step.is_multiple_of(quantum));
@@ -133,7 +136,8 @@ impl Trail {
             other => panic!("golden run of {name} failed: {other:?}"),
         }
         states.shrink_to_fit();
-        (Trail { checkpoints, ranges, states, steps: p.steps }, p)
+        let profile = instr.profile.expect("profiled from the start");
+        (Trail { checkpoints, ranges, states, steps: p.steps }, p, profile)
     }
 
     /// Executions of `point`'s static instruction counted in `counts`.

@@ -7,7 +7,7 @@ mod tests {
     use crate::driver::{run_protected, ProtectedExit};
     use crate::runtime::{DeclineKind, DeclineReason, Safeguard};
     use armor::run_armor;
-    use simx::{compile_module, ModuleId, Process, RunExit};
+    use simx::{compile_module, Instrument, ModuleId, Process, RunExit};
     use tinyir::builder::ModuleBuilder;
     use tinyir::{Module, Ty, Value};
 
@@ -63,8 +63,8 @@ mod tests {
             .unwrap();
         let mut p = Process::new(mm, vec![]);
         p.start("main", &[20]);
-        p.break_at = Some((ModuleId(0), fid, def_idx, 5));
-        assert_eq!(p.run(), RunExit::BreakHit);
+        let mut stop = Instrument::stop_after(ModuleId(0), fid, def_idx, 5);
+        assert_eq!(p.run_instrumented(&mut stop), RunExit::BreakHit);
         let v = p.read_reg(idx_reg);
         p.write_reg(idx_reg, v ^ (1 << 44));
         (p, armor_out)

@@ -1,5 +1,7 @@
 //! The SimISA execution engine: a simulated process with frames, registers,
-//! paged memory, traps, breakpoints and per-instruction profiling.
+//! paged memory and traps. Like the paper's Pin profiler and GDB breakpoint,
+//! stops and per-instruction profiling are an [`Instrument`] handed to one
+//! run, never part of the [`Process`], so no clone or snapshot carries one.
 //!
 //! Traps freeze the machine state exactly like a POSIX signal: the program
 //! counter still points at the faulting instruction and every register holds
@@ -54,14 +56,14 @@ pub struct Trap {
     pub pc: u64,
 }
 
-/// Result of [`Process::run`].
+/// Result of [`Process::run`] and [`Process::run_instrumented`].
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RunExit {
     /// The start function returned (with its raw-bit result).
     Done(Option<u64>),
     /// A trap occurred; machine state is frozen at the faulting instruction.
     Trapped(Trap),
-    /// The breakpoint count was exhausted right after executing the target
+    /// A stop of the run's [`BreakSet`] fired right after executing its
     /// instruction.
     BreakHit,
 }
@@ -104,17 +106,15 @@ pub struct Frame {
 /// the Pin-style profile the campaign's `(I, n)` sampling is built on.
 pub type Profile = Vec<Vec<Vec<u64>>>;
 
-/// A multi-breakpoint set: for each static instruction, the pending
-/// execution ordinals at which the machine should stop (right *after* that
-/// execution, exactly like [`Process::break_at`]).
+/// The stops of an instrumented run: for each static instruction, the
+/// pending execution ordinals at which the machine stops, right *after* that
+/// execution.
 ///
-/// This is the trellis cursor's mechanism: a campaign registers the sampled
+/// This is the one stop mechanism. The trellis cursor registers the sampled
 /// `(module, func, inst, nth)` injection points of one stretch of the run
-/// and advances a process through it, snapshot-forking at each hit.
-/// Execution ordinals are counted from the moment the set is armed, so a
-/// process that carries a `BreakSet` from `start()` counts exactly like a
-/// sequence of independent `break_at` runs over the same deterministic
-/// program.
+/// and advances a process through it, snapshot-forking at each hit; a
+/// single breakpoint is a one-entry set ([`Instrument::stop_after`]). The
+/// set counts executions itself, from the first run it is handed to.
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet {
     /// Pending ordinals per instruction, indexed `[module][func][inst]`
@@ -220,6 +220,35 @@ impl BreakSet {
     }
 }
 
+/// What an instrumented run counts and where it stops. The caller keeps it
+/// across runs, so counts accumulate and ordinals keep counting.
+#[derive(Clone, Debug, Default)]
+pub struct Instrument {
+    /// Execution counts to add to, shaped by [`Instrument::profiling`].
+    pub profile: Option<Profile>,
+    /// Where the run stops; an empty set never does.
+    pub stops: BreakSet,
+}
+
+impl Instrument {
+    /// Zeroed counts for every static instruction of `image`, and no stops.
+    pub fn profiling(image: &ProcessImage) -> Instrument {
+        let zeroed = |f: &MachineFunction| vec![0u64; f.instrs.len()];
+        let profile = image.modules.iter().map(|lm| lm.module.funcs.iter().map(zeroed).collect());
+        Instrument { profile: Some(profile.collect()), stops: BreakSet::new() }
+    }
+
+    /// One stop, right after the `nth` (≥ 1) execution of `(module, func,
+    /// inst)`, and no counts. Out of line: inlined into `Process::run`, it
+    /// cost the fast loop there ≈ 3 % per step (aligned builds).
+    #[inline(never)]
+    pub fn stop_after(module: ModuleId, func: FuncId, inst: usize, nth: u64) -> Instrument {
+        let mut stops = BreakSet::new();
+        stops.add(module, func, inst, nth);
+        Instrument { profile: None, stops }
+    }
+}
+
 /// A simulated process: image + memory + frames.
 ///
 /// `Clone` is a *snapshot fork*: the image is `Arc`-shared, memory pages are
@@ -243,17 +272,14 @@ pub struct Process {
     pub fuel: u64,
     /// Dynamic instructions executed.
     pub steps: u64,
-    /// Optional execution-count profile.
-    pub profile: Option<Profile>,
-    /// Breakpoint: stop right *after* the `n`-th execution of the
-    /// instruction at `(module, func, idx)`.
-    pub break_at: Option<(ModuleId, FuncId, usize, u64)>,
-    /// Multi-breakpoint set (the trellis cursor): stop after each pending
-    /// execution ordinal; [`BreakSet::take_fired`] identifies which one hit.
-    pub multi_break: Option<BreakSet>,
     /// Number of traps delivered so far (a tally for observers: nothing a run
     /// does depends on it).
     pub trap_count: u64,
+    /// Shim for carebench, read only by [`Process::run`]: the next `run` stops
+    /// as [`Instrument::stop_after`] with these would, and clears it.
+    pub break_at: Option<(ModuleId, FuncId, usize, u64)>,
+    /// The same shim's profile, set by [`Process::enable_profile`].
+    profile: Option<Profile>,
 }
 
 impl Process {
@@ -297,28 +323,16 @@ impl Process {
             heap_ptr: HEAP_BASE,
             fuel: u64::MAX,
             steps: 0,
-            profile: None,
-            break_at: None,
-            multi_break: None,
             trap_count: 0,
+            break_at: None,
+            profile: None,
         }
     }
 
-    /// Enable profiling (zeroed counts for every static instruction).
+    /// Shim for carebench: every later [`run`](Process::run) counts, on the
+    /// hooked loop, into a profile nothing reads back.
     pub fn enable_profile(&mut self) {
-        self.profile = Some(
-            self.image
-                .modules
-                .iter()
-                .map(|lm| {
-                    lm.module
-                        .funcs
-                        .iter()
-                        .map(|f| vec![0u64; f.instrs.len()])
-                        .collect()
-                })
-                .collect(),
-        );
+        self.profile = Instrument::profiling(&self.image).profile;
     }
 
     /// Push the initial frame for `func_name` in the executable module.
@@ -495,33 +509,34 @@ impl Process {
         }
     }
 
-    /// Run until completion, trap, or breakpoint.
-    ///
-    /// Dispatches to one of two monomorphized loops. The **fast loop**
-    /// (`HOOKS = false`) is the post-injection common case — `profile` and
-    /// `break_at` both `None` for the bulk of every campaign run — and
-    /// compiles with the per-step profile branch and breakpoint match
-    /// removed entirely. The **slow loop** (`HOOKS = true`) keeps today's
-    /// exact semantics whenever either feature is armed. Both produce
-    /// bit-identical `steps`/`fuel` accounting and trap states (the
-    /// fast-path precision tests in `tests.rs` hold them side by side).
+    /// Run until completion or trap on the **fast loop** (`HOOKS = false`),
+    /// which compiles with the per-step profile count and stop check removed
+    /// entirely. Only the carebench shim — [`break_at`](Process::break_at) or
+    /// [`enable_profile`](Process::enable_profile) set — makes it build the
+    /// same [`Instrument`] and run [`run_instrumented`](Self::run_instrumented).
     pub fn run(&mut self) -> RunExit {
-        if self.is_instrumented() {
-            self.run_loop::<true>()
-        } else {
-            self.run_loop::<false>()
+        if self.profile.is_none() && self.break_at.is_none() {
+            return self.run_loop::<false>(&mut Instrument::default());
         }
+        let stop = self.break_at.take().map(|(m, f, i, n)| Instrument::stop_after(m, f, i, n));
+        let mut instr = Instrument { profile: self.profile.take(), ..stop.unwrap_or_default() };
+        let exit = self.run_loop::<true>(&mut instr);
+        self.profile = instr.profile;
+        exit
     }
 
-    /// True when a profile or a breakpoint is armed: such a process runs on
-    /// the hooked loop, on either engine.
-    pub(crate) fn is_instrumented(&self) -> bool {
-        self.profile.is_some() || self.break_at.is_some() || self.multi_break.is_some()
+    /// Run until completion, trap, or one of `instr`'s stops on the **hooked
+    /// loop** (`HOOKS = true`), counting into `instr.profile` if it has one;
+    /// `instr.stops` names the stop that fired ([`BreakSet::take_fired`]).
+    /// Accounting and trap states are bit-identical to the fast loop's (the
+    /// precision tests in `tests.rs` hold the two side by side).
+    pub fn run_instrumented(&mut self, instr: &mut Instrument) -> RunExit {
+        self.run_loop::<true>(instr)
     }
 
     /// True when `self` and `other` are the same machine state of the same
-    /// program, so that — run deterministically, nothing instrumented — they
-    /// execute the same instructions to the same end: equal call stack
+    /// program, so that — run deterministically — they execute the same
+    /// instructions to the same end: equal call stack
     /// (every frame's PC, registers, arguments and saved pointers), `sp` and
     /// `heap_ptr`, one shared image, and [`PagedMemory::same_contents`].
     /// Conservative like that: `false` may be a missed equality, `true` is
@@ -540,8 +555,6 @@ impl Process {
     pub fn same_state(&self, other: &Process) -> bool {
         self.sp == other.sp
             && self.heap_ptr == other.heap_ptr
-            && !self.is_instrumented()
-            && !other.is_instrumented()
             && Arc::ptr_eq(&self.image, &other.image)
             && self.frames == other.frames
             && self.mem.same_contents(&other.mem)
@@ -555,14 +568,17 @@ impl Process {
     /// round-trip through `self`) and written back on every exit, so the
     /// externally visible accounting is exact — a trap freezes with the
     /// counters exactly as the per-step version would leave them, which the
-    /// hang-latency buckets of Table 4 rely on.
-    fn run_loop<const HOOKS: bool>(&mut self) -> RunExit {
+    /// hang-latency buckets of Table 4 rely on. Only the hooked loop reads
+    /// `instr`. Both inline into `run`: out of line, the fast loop kept
+    /// `steps` in memory and lost ≈ 4 % per step (aligned builds).
+    #[inline(always)]
+    fn run_loop<const HOOKS: bool>(&mut self, instr: &mut Instrument) -> RunExit {
         let image = Arc::clone(&self.image);
         let mut cursor: FrameCursor<'_> = None;
         let mut fuel = self.fuel;
         let mut steps = self.steps;
         let exit = loop {
-            match self.step_in::<HOOKS>(&image, &mut cursor, &mut fuel, &mut steps) {
+            match self.step_in::<HOOKS>(&image, &mut cursor, &mut fuel, &mut steps, instr) {
                 StepOut::Continue => {}
                 StepOut::Done(v) => break RunExit::Done(v),
                 StepOut::Trap(t) => break self.deliver(t),
@@ -598,6 +614,7 @@ impl Process {
         cursor: &mut FrameCursor<'i>,
         fuel: &mut u64,
         steps: &mut u64,
+        instr: &mut Instrument,
     ) -> StepOut {
         // One mutable borrow of the top frame for the whole step: register
         // reads/writes go through it directly instead of re-indexing
@@ -636,35 +653,12 @@ impl Process {
         *fuel -= 1;
         *steps += 1;
         // `HOOKS` is a monomorphization constant: in the fast loop the
-        // profile branch and the breakpoint match below compile away.
-        if HOOKS {
-            if let Some(p) = &mut self.profile {
+        // profile count and the stop check below compile away.
+        let break_hit = HOOKS && {
+            if let Some(p) = &mut instr.profile {
                 p[mid.0 as usize][fid.0 as usize][idx] += 1;
             }
-        }
-        let break_hit = if HOOKS {
-            let single = match &mut self.break_at {
-                Some((bm, bf, bi, n)) if *bm == mid && *bf == fid && *bi == idx => {
-                    if *n <= 1 {
-                        self.break_at = None;
-                        true
-                    } else {
-                        *n -= 1;
-                        false
-                    }
-                }
-                _ => false,
-            };
-            // Non-short-circuiting: the pending-occurrence counters must
-            // observe *every* execution even on a `break_at` hit, so the
-            // two mechanisms stay consistent if armed together.
-            let multi = match &mut self.multi_break {
-                Some(bs) => bs.note(mid, fid, idx),
-                None => false,
-            };
-            single | multi
-        } else {
-            false
+            instr.stops.note(mid, fid, idx)
         };
 
         let inst = &mf.instrs[idx];

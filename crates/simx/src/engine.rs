@@ -41,15 +41,15 @@
 //! without bouncing through the segment entry, and only the transition to
 //! the final partial block pays a re-entry.
 //!
-//! Profiling, `break_at` and `BreakSet` runs fall back to the interpreter's
-//! hooked loop wholesale, which keeps breakpoint semantics trivially
-//! identical. That loop costs several times a translated step, so callers
-//! keep instrumented stretches short instead of teaching the ops to break:
-//! the campaign cursor replays *disarmed* through [`advance_to_step`] — on
+//! Profiled and stopping runs ([`ExecutionEngine::run_instrumented`]) keep
+//! the trait's default, the interpreter's hooked loop, which keeps their
+//! semantics trivially identical. That loop costs several times a translated
+//! step, so callers keep instrumented stretches short instead of teaching the
+//! ops to stop: the campaign cursor replays through [`advance_to_step`] — on
 //! this engine, at translated speed — to the checkpoint before each pending
-//! point, and arms its `BreakSet` only from there to the firing.
+//! point, and runs instrumented only from there to the firing.
 
-use crate::cpu::{Frame, Process, RunExit, Trap, TrapKind};
+use crate::cpu::{Frame, Instrument, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
 use crate::isa::Reg;
 use crate::translate::{
@@ -100,14 +100,18 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// A way to run a process to its next completion, trap or breakpoint.
+/// A way to run a process to its next completion, trap or stop.
 /// Object-safe so campaigns can thread one `&dyn` through their workers.
 pub trait ExecutionEngine: Send + Sync {
     /// Stable engine name (telemetry and bench rows key on it).
     fn name(&self) -> &'static str;
-    /// Run until completion, trap, or breakpoint; semantics of
-    /// [`Process::run`].
+    /// Run until completion or trap; semantics of [`Process::run`].
     fn run(&self, p: &mut Process) -> RunExit;
+    /// Run until completion, trap, or one of `instr`'s stops, counting into
+    /// its profile; by default [`Process::run_instrumented`].
+    fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit {
+        p.run_instrumented(instr)
+    }
 }
 
 /// The reference interpreter as an engine.
@@ -153,30 +157,29 @@ impl ExecutionEngine for CompiledEngine {
     }
 
     fn run(&self, p: &mut Process) -> RunExit {
-        if p.is_instrumented() {
-            // Instrumented runs (golden profiling, injector breakpoints, an
-            // armed trellis cursor) stay on the interpreter's hooked loop;
-            // a disarmed cursor hopping between checkpoints runs below.
-            return p.run();
-        }
         run_compiled(self, p)
     }
 }
 
 /// Run `p` on `engine` until it has executed exactly `target` steps and
 /// pause there, leaving the process indistinguishable from one that stopped
-/// by breakpoint: `steps == target`, the PC frozen on the next instruction,
+/// at a stop: `steps == target`, the PC frozen on the next instruction,
 /// `fuel` charged for exactly the steps executed, and `trap_count`
 /// untouched (the internal out-of-fuel pause is an implementation detail,
-/// not an observed trap). Nothing about the process is disarmed, so a
-/// profiled one keeps counting across pauses; an uninstrumented one replays
-/// at the engine's full speed.
+/// not an observed trap). With `instr` the stretch runs instrumented, so a
+/// profile handed along slice after slice counts like one run's; without,
+/// it replays at the engine's full speed.
 ///
 /// Returns `None` once paused — at once when `p` is already at or past
 /// `target` — and `Some(exit)` when the program does not get there: it
-/// completed, trapped, or ran out of the *caller's* fuel first, each exactly
-/// as a plain `engine.run(p)` would have left it.
-pub fn run_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -> Option<RunExit> {
+/// completed, trapped, stopped, or ran out of the *caller's* fuel first, each
+/// exactly as a plain run on `engine` would have left it.
+pub fn run_to_step(
+    engine: &dyn ExecutionEngine,
+    p: &mut Process,
+    target: u64,
+    instr: Option<&mut Instrument>,
+) -> Option<RunExit> {
     let need = target.saturating_sub(p.steps);
     if need == 0 {
         return None;
@@ -185,7 +188,10 @@ pub fn run_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -
     let held = p.fuel.saturating_sub(need);
     p.fuel -= held;
     let traps_before = p.trap_count;
-    let exit = engine.run(p);
+    let exit = match instr {
+        Some(instr) => engine.run_instrumented(p, instr),
+        None => engine.run(p),
+    };
     p.fuel += held;
     match exit {
         RunExit::Trapped(Trap { kind: TrapKind::OutOfFuel, .. }) if p.steps == target => {
@@ -202,7 +208,7 @@ pub fn run_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -
 /// `target` — none of which can happen when replaying a deterministic
 /// program known to run strictly past `target` steps.
 pub fn advance_to_step(engine: &dyn ExecutionEngine, p: &mut Process, target: u64) -> bool {
-    run_to_step(engine, p, target).is_none() && p.steps == target
+    run_to_step(engine, p, target, None).is_none() && p.steps == target
 }
 
 /// Why a segment execution stopped.

@@ -8,8 +8,9 @@
 //!   (stack-slot) and `-O1` (linear-scan register) disciplines;
 //! * [`debug`] — simulated DWARF line tables and variable location lists;
 //! * [`image`] — machine modules, shared libraries, `dladdr` and PLT;
-//! * [`cpu`] — the execution engine with signal-like traps, breakpoints
-//!   (for the ptrace-style injector) and Pin-style profiling;
+//! * [`cpu`] — the execution engine with signal-like traps, and the
+//!   [`Instrument`] a run is handed: stops (for the ptrace-style injector)
+//!   and Pin-style profiling;
 //! * [`translate`]/[`engine`] — the direct-threaded compiled backend behind
 //!   the [`ExecutionEngine`] trait (bit-identical to the interpreter's fast
 //!   loop; see DESIGN.md § compiled execution backend).
@@ -26,7 +27,7 @@ pub mod isa;
 pub mod translate;
 
 pub use codegen::compile_module;
-pub use cpu::{BreakSet, DestRef, Frame, Process, Profile, RunExit, Trap, TrapKind};
+pub use cpu::{BreakSet, DestRef, Frame, Instrument, Process, Profile, RunExit, Trap, TrapKind};
 pub use engine::{
     advance_to_step, run_to_step, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine,
     ENGINE_VERSION,

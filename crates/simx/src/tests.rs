@@ -242,11 +242,17 @@ fn breakpoint_stops_after_nth_execution() {
         .unwrap();
     let mut p = Process::new(mm, vec![]);
     p.start("count", &[10]);
+    let mut twin = p.clone();
+    // The `break_at` shim, exactly as carebench uses it: set, run, resume.
     p.break_at = Some((ModuleId(0), fid, store_idx, 4));
     assert_eq!(p.run(), RunExit::BreakHit);
+    assert_eq!(p.break_at, None, "the run clears the shim");
     // 4 executions done: arr[3] was just written.
     assert_eq!(p.read_global("arr", 3, Ty::I64), Some(3));
     assert_eq!(p.read_global("arr", 4, Ty::I64), Some(0));
+    // It stops where the one-entry instrument it builds does.
+    let stop = &mut Instrument::stop_after(ModuleId(0), fid, store_idx, 4);
+    assert_eq!((twin.run_instrumented(stop), twin.steps), (RunExit::BreakHit, p.steps));
     // Resuming finishes the run.
     assert_eq!(p.run(), RunExit::Done(None));
     assert_eq!(p.read_global("arr", 9, Ty::I64), Some(9));
@@ -292,10 +298,10 @@ fn profile_counts_dynamic_executions() {
     let m = mb.finish();
     let mm = compile_module(&m, false, &[]);
     let mut p = Process::new(mm, vec![]);
-    p.enable_profile();
+    let mut instr = Instrument::profiling(&p.image);
     p.start("spin", &[7]);
-    assert!(matches!(p.run(), RunExit::Done(None)));
-    let prof = p.profile.as_ref().unwrap();
+    assert!(matches!(p.run_instrumented(&mut instr), RunExit::Done(None)));
+    let prof = instr.profile.as_ref().unwrap();
     // Some instruction in the loop body executed exactly 7 times.
     assert!(prof[0][0].contains(&7));
     assert!(p.steps > 0);
@@ -470,12 +476,12 @@ fn sub_word_types_round_trip_through_memory() {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-loop trap precision: `run()` dispatches to a monomorphized fast loop
-// when neither `profile` nor `break_at` is armed. These tests hold the fast
-// and slow loops side by side on the same trapping program and require the
-// frozen machine states to be bit-identical — PC on the faulting
-// instruction, pre-fault registers, and exact `steps`/`fuel` accounting
-// (Table 4's latency buckets and hang detection depend on the counters).
+// Fast-loop trap precision: `run()` is the monomorphized fast loop and
+// `run_instrumented()` the hooked one. These tests hold the two side by side
+// on the same trapping program and require the frozen machine states to be
+// bit-identical — PC on the faulting instruction, pre-fault registers, and
+// exact `steps`/`fuel` accounting (Table 4's latency buckets and hang
+// detection depend on the counters).
 // ---------------------------------------------------------------------------
 
 /// A module whose `main(n, k)` loops `n` times accumulating into a global,
@@ -507,8 +513,8 @@ fn trapping_module(fault: &str) -> Module {
     mb.finish()
 }
 
-/// Run `main(args)` twice — fast loop (no hooks) and slow loop (profiling
-/// armed) — with the given fuel, and require bit-identical frozen states.
+/// Run `main(args)` twice — fast loop (no hooks) and slow loop (profiling)
+/// — with the given fuel, and require bit-identical frozen states.
 fn assert_fast_slow_equal(m: &Module, args: &[u64], fuel: u64) -> RunExit {
     let mm = std::sync::Arc::new(compile_module(m, true, &[]));
     let mut fast = Process::new(std::sync::Arc::clone(&mm), vec![]);
@@ -519,8 +525,7 @@ fn assert_fast_slow_equal(m: &Module, args: &[u64], fuel: u64) -> RunExit {
     let mut slow = Process::new(mm, vec![]);
     slow.start("main", args);
     slow.fuel = fuel;
-    slow.enable_profile(); // forces the hook-checking loop
-    let slow_exit = slow.run();
+    let slow_exit = slow.run_instrumented(&mut Instrument::profiling(&slow.image));
 
     assert_eq!(fast_exit, slow_exit, "exit status diverged");
     assert_eq!(fast.steps, slow.steps, "dynamic instruction count diverged");
@@ -602,8 +607,7 @@ fn fast_loop_out_of_fuel_matches_slow_loop_at_every_budget() {
 
 #[test]
 fn fast_loop_resumes_after_breakpoint_with_identical_accounting() {
-    // A run that hits a breakpoint (slow loop), then resumes — the resumed
-    // portion takes the fast loop since `break_at` was consumed. Its final
+    // A run that stops (slow loop), then resumes on the fast loop. Its final
     // state must match an uninterrupted profiled (slow) run.
     let m = trapping_module("none");
     let mm = std::sync::Arc::new(compile_module(&m, true, &[]));
@@ -611,20 +615,19 @@ fn fast_loop_resumes_after_breakpoint_with_identical_accounting() {
 
     let mut straight = Process::new(std::sync::Arc::clone(&mm), vec![]);
     straight.start("main", &[10, 0]);
-    straight.enable_profile();
-    let straight_exit = straight.run();
+    let mut instr = Instrument::profiling(&straight.image);
+    let straight_exit = straight.run_instrumented(&mut instr);
 
-    // Break on an instruction the profile says runs at least five times
+    // Stop on an instruction the profile says runs at least five times
     // (i.e. one inside the loop body).
-    let counts = &straight.profile.as_ref().unwrap()[0][fid.0 as usize];
+    let counts = &instr.profile.as_ref().unwrap()[0][fid.0 as usize];
     let bidx = counts.iter().position(|&c| c >= 5).expect("loop instruction");
 
     let mut broken = Process::new(mm, vec![]);
     broken.start("main", &[10, 0]);
-    broken.break_at = Some((ModuleId(0), fid, bidx, 4));
-    assert_eq!(broken.run(), RunExit::BreakHit);
-    assert!(broken.break_at.is_none());
-    let resumed_exit = broken.run(); // fast loop from here on
+    let mut stop = Instrument::stop_after(ModuleId(0), fid, bidx, 4);
+    assert_eq!(broken.run_instrumented(&mut stop), RunExit::BreakHit);
+    let resumed_exit = broken.run();
 
     assert_eq!(resumed_exit, straight_exit);
     assert_eq!(broken.steps, straight.steps);
@@ -632,10 +635,12 @@ fn fast_loop_resumes_after_breakpoint_with_identical_accounting() {
 }
 
 // ---------------------------------------------------------------------------
-// BreakSet: the trellis cursor's multi-breakpoint mechanism. Its contract is
-// equivalence with a *sequence* of single `break_at` runs over the same
-// deterministic program: same stop states, same accounting, and snapshots
-// forked at a stop inherit the remaining fuel budget.
+// BreakSet: the one stop mechanism, of the trellis cursor and, one entry
+// long, of every single breakpoint. Its contract is to stop where stepping
+// the program one instruction at a time on the fast loop, and counting the
+// target's executions, reaches each ordinal: same stop states, same
+// accounting, and snapshots forked at a stop inherit the remaining fuel
+// budget.
 // ---------------------------------------------------------------------------
 
 /// A loop-heavy module plus the hottest profiled instruction of `main`
@@ -663,11 +668,11 @@ fn hot_instruction(
     let m = mb.finish();
     let mm = std::sync::Arc::new(compile_module(&m, true, &[]));
     let mut p = Process::new(std::sync::Arc::clone(&mm), vec![]);
-    p.enable_profile();
+    let mut instr = Instrument::profiling(&p.image);
     p.start("main", args);
-    assert!(matches!(p.run(), RunExit::Done(_)));
+    assert!(matches!(p.run_instrumented(&mut instr), RunExit::Done(_)));
     let fid = mm.func_by_name("main").unwrap();
-    let counts = &p.profile.as_ref().unwrap()[0][fid.0 as usize];
+    let counts = &instr.profile.as_ref().unwrap()[0][fid.0 as usize];
     let (idx, &count) = counts
         .iter()
         .enumerate()
@@ -678,47 +683,48 @@ fn hot_instruction(
 }
 
 #[test]
-fn break_set_stops_match_sequential_single_breakpoints() {
+fn break_set_stops_match_single_stepping() {
     let (mm, fid, idx, count) = hot_instruction(&[12], 8);
     let nths = [2u64, 5, count.min(8)];
+    let state = |p: &Process| (p.steps, p.fuel, p.pc(), p.frame().regs, p.frame().idx);
 
-    // Reference: three independent `break_at` legs (ordinals relative to
-    // the previous stop, since `break_at` counts from arming).
+    // Reference, sharing no code with `BreakSet`: step the fast loop one
+    // instruction at a time, counting the target's executions by the top
+    // frame before each step, and note the state right after each ordinal.
     let mut reference = Vec::new();
     let mut rp = Process::new(std::sync::Arc::clone(&mm), vec![]);
     rp.start("main", &[12]);
     rp.fuel = 100_000;
-    let mut prev = 0;
-    for &n in &nths {
-        rp.break_at = Some((ModuleId(0), fid, idx, n - prev));
-        assert_eq!(rp.run(), RunExit::BreakHit);
-        reference.push((rp.steps, rp.fuel, rp.pc(), rp.frame().regs, rp.frame().idx));
-        prev = n;
+    let mut seen = 0;
+    while reference.len() < nths.len() {
+        let f = rp.frame();
+        let executes_target = (f.module, f.func, f.idx) == (ModuleId(0), fid, idx);
+        let next = rp.steps + 1;
+        assert!(advance_to_step(&InterpEngine, &mut rp, next), "program ended early");
+        seen += executes_target as u64;
+        if executes_target && nths.contains(&seen) {
+            reference.push(state(&rp));
+        }
     }
 
     // Cursor: all three ordinals registered up front, out of order.
-    let mut bs = BreakSet::new();
+    let mut instr = Instrument::default();
     for &n in &[nths[1], nths[0], nths[2]] {
-        assert!(bs.add(ModuleId(0), fid, idx, n));
+        assert!(instr.stops.add(ModuleId(0), fid, idx, n));
     }
-    assert!(!bs.add(ModuleId(0), fid, idx, nths[0]), "duplicates must dedup");
-    assert_eq!(bs.remaining(), 3);
+    assert!(!instr.stops.add(ModuleId(0), fid, idx, nths[0]), "duplicates must dedup");
+    assert_eq!(instr.stops.remaining(), 3);
     let mut cp = Process::new(mm, vec![]);
     cp.start("main", &[12]);
     cp.fuel = 100_000;
-    cp.multi_break = Some(bs);
-    for (k, &n) in nths.iter().enumerate() {
-        assert_eq!(cp.run(), RunExit::BreakHit);
-        let fired = cp.multi_break.as_mut().unwrap().take_fired().expect("fired point");
-        assert_eq!(fired, (ModuleId(0), fid, idx, n));
-        let (steps, fuel, pc, regs, fidx) = reference[k];
-        assert_eq!(cp.steps, steps, "stop {k}: steps diverged");
-        assert_eq!(cp.fuel, fuel, "stop {k}: fuel diverged");
-        assert_eq!(cp.pc(), pc, "stop {k}: pc diverged");
-        assert_eq!(cp.frame().regs, regs, "stop {k}: registers diverged");
-        assert_eq!(cp.frame().idx, fidx, "stop {k}: frame index diverged");
+    let mut stops = Vec::new();
+    for &n in &nths {
+        assert_eq!(cp.run_instrumented(&mut instr), RunExit::BreakHit);
+        assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, n)));
+        stops.push(state(&cp));
     }
-    assert!(cp.multi_break.as_ref().unwrap().is_empty());
+    assert_eq!(stops, reference, "steps, fuel, pc, registers and idx at each stop");
+    assert!(instr.stops.is_empty());
     assert!(matches!(cp.run(), RunExit::Done(_)));
 }
 
@@ -732,14 +738,11 @@ fn break_set_snapshot_inherits_remaining_fuel_budget() {
     cursor.start("main", &[40]);
     let budget = 10_000u64;
     cursor.fuel = budget;
-    let mut bs = BreakSet::new();
-    bs.add(ModuleId(0), fid, idx, count - 2); // a late ordinal
-    cursor.multi_break = Some(bs);
-    assert_eq!(cursor.run(), RunExit::BreakHit);
+    let mut late = Instrument::stop_after(ModuleId(0), fid, idx, count - 2);
+    assert_eq!(cursor.run_instrumented(&mut late), RunExit::BreakHit);
     assert!(cursor.steps > 0);
 
     let mut snap = cursor.clone();
-    snap.multi_break = None;
     assert_eq!(
         snap.fuel,
         budget - snap.steps,
@@ -761,24 +764,20 @@ fn break_set_snapshot_inherits_remaining_fuel_budget() {
 fn break_set_across_distinct_instructions_fires_in_execution_order() {
     let (mm, fid, idx, _) = hot_instruction(&[12], 8);
     // Second target: the function's entry instruction (executes once).
-    let mut bs = BreakSet::new();
-    bs.add(ModuleId(0), fid, 0, 1);
-    bs.add(ModuleId(0), fid, idx, 3);
+    let mut instr = Instrument::default();
+    instr.stops.add(ModuleId(0), fid, 0, 1);
+    instr.stops.add(ModuleId(0), fid, idx, 3);
     let mut p = Process::new(mm, vec![]);
     p.start("main", &[12]);
-    p.multi_break = Some(bs);
-    assert_eq!(p.run(), RunExit::BreakHit);
+    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
     assert_eq!(
-        p.multi_break.as_mut().unwrap().take_fired(),
+        instr.stops.take_fired(),
         Some((ModuleId(0), fid, 0, 1)),
         "entry instruction fires first"
     );
-    assert_eq!(p.run(), RunExit::BreakHit);
-    assert_eq!(
-        p.multi_break.as_mut().unwrap().take_fired(),
-        Some((ModuleId(0), fid, idx, 3))
-    );
-    assert!(p.multi_break.as_ref().unwrap().is_empty());
+    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
+    assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 3)));
+    assert!(instr.stops.is_empty());
     assert!(matches!(p.run(), RunExit::Done(_)));
 }
 
@@ -788,7 +787,8 @@ fn break_set_rejects_an_ordinal_that_can_never_fire() {
     // could reach, so `is_empty()` stayed false and a cursor waiting on the
     // set walked to program exit.
     let (mm, fid, idx, _) = hot_instruction(&[12], 8);
-    let mut bs = BreakSet::new();
+    let mut instr = Instrument::default();
+    let bs = &mut instr.stops;
     assert!(!bs.add(ModuleId(0), fid, idx, 0), "nth = 0 must not register");
     assert!(bs.is_empty());
     assert_eq!(bs.remaining(), 0);
@@ -798,13 +798,9 @@ fn break_set_rejects_an_ordinal_that_can_never_fire() {
     assert_eq!(bs.remaining(), 1);
     let mut p = Process::new(mm, vec![]);
     p.start("main", &[12]);
-    p.multi_break = Some(bs);
-    assert_eq!(p.run(), RunExit::BreakHit);
-    assert_eq!(
-        p.multi_break.as_mut().unwrap().take_fired(),
-        Some((ModuleId(0), fid, idx, 2))
-    );
-    assert!(p.multi_break.as_ref().unwrap().is_empty());
+    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
+    assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 2)));
+    assert!(instr.stops.is_empty());
 }
 
 #[test]
@@ -981,25 +977,30 @@ fn translation_fuses() {
 }
 
 #[test]
-fn compiled_engine_falls_back_on_armed_breakpoints() {
-    // `break_at`, `multi_break` and profiling are prepare/cursor paths: the
-    // compiled engine must behave exactly like `Process::run` there.
+fn run_instrumented_defaults_to_the_hooked_loop_on_both_engines() {
+    // Stops and profiling are prepare/cursor paths: neither engine
+    // overrides the trait's default, so both stop and count exactly like
+    // `Process::run_instrumented`.
     let (mm, fid, idx, _) = hot_instruction(&[12], 8);
-    let mut pi = Process::new(Arc::clone(&mm), vec![]);
-    pi.start("main", &[12]);
-    pi.break_at = Some((ModuleId(0), fid, idx, 3));
-    let mut pc = pi.clone();
-    assert_eq!(pi.run(), RunExit::BreakHit);
-    let engine = CompiledEngine::for_image(&pc.image);
-    assert_eq!(engine.run(&mut pc), RunExit::BreakHit);
-    assert_eq!(pi.steps, pc.steps);
-    assert_eq!(pi.pc(), pc.pc());
-    assert_eq!(frame_states(&pi), frame_states(&pc));
-    // Disarmed, both engines continue identically to completion.
-    let ei = InterpEngine.run(&mut pi);
-    let ec = engine.run(&mut pc);
-    assert_eq!(ei, ec);
-    assert_eq!(pi.steps, pc.steps);
+    let mut base = Process::new(Arc::clone(&mm), vec![]);
+    base.start("main", &[12]);
+    let stop = Instrument::stop_after(ModuleId(0), fid, idx, 3);
+    let instrument = || Instrument { stops: stop.stops.clone(), ..Instrument::profiling(&base.image) };
+    let (mut reference, mut reference_instr) = (base.clone(), instrument());
+    assert_eq!(reference.run_instrumented(&mut reference_instr), RunExit::BreakHit);
+    let compiled = CompiledEngine::for_image(&base.image);
+    for engine in [&InterpEngine as &dyn ExecutionEngine, &compiled] {
+        let (mut p, mut instr) = (base.clone(), instrument());
+        assert_eq!(engine.run_instrumented(&mut p, &mut instr), RunExit::BreakHit);
+        assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 3)));
+        assert_eq!((p.steps, p.pc()), (reference.steps, reference.pc()), "{}", engine.name());
+        assert_eq!(frame_states(&p), frame_states(&reference), "{}", engine.name());
+        assert_eq!(instr.profile, reference_instr.profile, "{}", engine.name());
+        // Uninstrumented, both continue identically to completion.
+        let mut rest = reference.clone();
+        assert_eq!(engine.run(&mut p), rest.run(), "{}", engine.name());
+        assert_eq!(p.steps, rest.steps);
+    }
 }
 
 #[test]
@@ -1059,26 +1060,27 @@ fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
     let mut p = base.clone();
     p.fuel = 5;
     assert!(!advance_to_step(interp, &mut p, total / 2));
-    // One more input: a *profiled* process paused every 1 024 steps through
-    // the primitive ends exactly like one uninterrupted profiled run — the
-    // property the campaign's golden-run driver rests on (an instrumented
-    // process takes the hooked loop on either engine).
+    // One more input: a *profiled* run paused every 1 024 steps through the
+    // primitive, one instrument handed along, ends exactly like one
+    // uninterrupted profiled run — the property the campaign's golden-run
+    // driver rests on.
     let long = {
         let mut p = Process::new(Arc::clone(&mm), vec![]);
         p.start("main", &[2000, 64, 0]);
         p.fuel = 1 << 20;
-        p.enable_profile();
         p
     };
     let mut whole = long.clone();
-    let whole_exit = whole.run();
+    let mut whole_instr = Instrument::profiling(&whole.image);
+    let whole_exit = whole.run_instrumented(&mut whole_instr);
     assert!(matches!(whole_exit, RunExit::Done(_)) && whole.steps > 4 * 1024);
     for engine in [interp, &compiled as &dyn ExecutionEngine] {
         let mut p = long.clone();
+        let mut instr = Instrument::profiling(&p.image);
         let mut pauses = 0;
         let exit = loop {
             let target = p.steps + 1024;
-            match run_to_step(engine, &mut p, target) {
+            match run_to_step(engine, &mut p, target, Some(&mut instr)) {
                 None => {
                     assert_eq!(p.steps, target);
                     pauses += 1;
@@ -1088,7 +1090,7 @@ fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
         };
         assert_eq!(exit, whole_exit, "{}: sliced profiled run diverged", engine.name());
         assert!(pauses >= 4, "only {pauses} pauses");
-        assert_eq!(p.profile, whole.profile);
+        assert_eq!(instr.profile, whole_instr.profile);
         assert_eq!((p.steps, p.fuel, p.trap_count), (whole.steps, whole.fuel, whole.trap_count));
     }
 }
@@ -1151,8 +1153,6 @@ fn same_state_is_equality_of_everything_a_run_depends_on() {
         let top = p.frame().clone();
         p.frames.push(top);
     });
-    differs("an armed breakpoint", &|p| p.break_at = Some((ModuleId(0), tinyir::FuncId(0), 0, 1)));
-    differs("an armed profile", &|p| p.enable_profile());
     // Equal bytes under a process image of its own: a different program, as
     // far as a cheap check can tell.
     let mut other = Process::new(Arc::clone(&mm), vec![]);

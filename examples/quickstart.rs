@@ -84,8 +84,8 @@ fn main() {
 
     let (mut process, mut sg) = care::protected_process(&app, &[]);
     process.start("main", &[n]);
-    process.break_at = Some((ModuleId(0), fid, def_idx, 20));
-    assert_eq!(process.run(), RunExit::BreakHit);
+    let mut stop = Instrument::stop_after(ModuleId(0), fid, def_idx, 20);
+    assert_eq!(process.run_instrumented(&mut stop), RunExit::BreakHit);
     let clean = process.read_reg(idx_reg);
     process.write_reg(idx_reg, clean ^ (1 << 41));
     println!(
