@@ -5,7 +5,8 @@
 //! 1. **RoundTrip** — `display` → `parser` → `display` is a fixpoint and the
 //!    reparse verifies.
 //! 2. **FastSlow** — the interpreter's monomorphized hook-free fast loop vs
-//!    the hooked slow loop (an [`Instrument`] with no stops forces it),
+//!    the hooked slow loop, handed a profiling [`Instrument`] with one stop
+//!    drawn from the program's own profile and resumed after it fires,
 //!    compared at *every* fuel budget on short programs and a dense sample on
 //!    long ones: exit state, step/trap accounting and all output globals must
 //!    match. One sweep of budgets serves this pair and pair 7.
@@ -25,9 +26,11 @@
 //!    parameter is live (per `analysis::liveness`) at the faulting
 //!    instruction or folded into its machine address operand.
 //! 7. **Compiled** — the direct-threaded compiled engine vs the
-//!    interpreter's fast loop, at every fuel budget on short programs and a
-//!    dense sample on long ones: exit state, step/fuel/trap accounting and
-//!    all output globals must match bit for bit.
+//!    interpreter, at every fuel budget on short programs and a dense sample
+//!    on long ones: its plain run vs the fast loop, and its instrumented run,
+//!    armed with pair 2's stop, vs the hooked loop's — exit state,
+//!    step/fuel/trap accounting, all output globals, the stop's leg and fired
+//!    point, and the profile must match bit for bit.
 
 use crate::spec::{build, ProgramSpec};
 use analysis::{Cfg, Liveness};
@@ -36,8 +39,8 @@ use care::{BuildStats, CompiledApp};
 use faultsim::{Campaign, CampaignConfig, InjectionRecord};
 use opt::OptLevel;
 use simx::{
-    compile_module, CompiledEngine, ExecutionEngine, Instrument, InterpEngine, MachineModule,
-    Process, RunExit,
+    compile_module, CompiledEngine, ExecutionEngine, Instrument, InterpEngine, MInst,
+    MachineModule, ModuleId, Process, Profile, RunExit,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -165,7 +168,7 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
             }
         }
         // The remaining pairs need a fault-free golden run.
-        let golden = run_machine(&InterpEngine, &mm0, arg, MACHINE_FUEL, false, &outputs);
+        let golden = run_machine(&InterpEngine, &started(&mm0, arg), MACHINE_FUEL, &outputs);
         if !matches!(golden.exit, RunExit::Done(_)) {
             continue;
         }
@@ -179,7 +182,7 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
 
     // Pair 4 once per program (campaigns pick their own injection points).
     let arg = ORACLE_ARGS[1];
-    let golden = run_machine(&InterpEngine, &mm0, arg, MACHINE_FUEL, false, &outputs);
+    let golden = run_machine(&InterpEngine, &started(&mm0, arg), MACHINE_FUEL, &outputs);
     if matches!(golden.exit, RunExit::Done(_)) {
         if let Some(d) = trellis_check(m, &armor_out, &mm1, arg, &outputs, salt, reach) {
             return Some(d);
@@ -247,24 +250,28 @@ struct RunState {
     globals: Vec<Vec<u8>>,
 }
 
-/// Run `main(arg)` on `engine` with `fuel`; `armed` runs it instrumented
-/// with no stops, which never fire but force the hooked loop.
-fn run_machine(
-    engine: &dyn ExecutionEngine,
-    mm: &Arc<MachineModule>,
-    arg: u64,
-    fuel: u64,
-    armed: bool,
-    outputs: &[(String, u64)],
-) -> RunState {
+/// A point of the executable module to stop after: `(func, inst, nth)`.
+type Stop = (FuncId, usize, u64);
+
+/// A stop that fired, as [`simx::BreakSet::take_fired`] names it.
+type Fired = (ModuleId, FuncId, usize, u64);
+
+/// What an armed run shows beyond its end state: the exit, steps and fired
+/// point of its first leg, and the profile of the whole run.
+#[derive(PartialEq, Debug)]
+struct Armed {
+    first: (RunExit, u64, Option<Fired>),
+    profile: Option<Profile>,
+}
+
+/// `main(arg)` started and not run: the process every run of it forks.
+fn started(mm: &Arc<MachineModule>, arg: u64) -> Process {
     let mut p = Process::new(Arc::clone(mm), vec![]);
     p.start("main", &[arg]);
-    p.fuel = fuel;
-    let exit = if armed {
-        engine.run_instrumented(&mut p, &mut Instrument::default())
-    } else {
-        engine.run(&mut p)
-    };
+    p
+}
+
+fn state_of(p: &Process, exit: RunExit, outputs: &[(String, u64)]) -> RunState {
     let globals = outputs
         .iter()
         .map(|(name, bytes)| p.snapshot_global(name, *bytes).unwrap_or_default())
@@ -272,11 +279,73 @@ fn run_machine(
     RunState { exit, steps: p.steps, fuel_left: p.fuel, trap_count: p.trap_count, globals }
 }
 
+/// Run a fork of `base` on `engine` with `fuel`.
+fn run_machine(
+    engine: &dyn ExecutionEngine,
+    base: &Process,
+    fuel: u64,
+    outputs: &[(String, u64)],
+) -> RunState {
+    let mut p = base.clone();
+    p.fuel = fuel;
+    let exit = engine.run(&mut p);
+    state_of(&p, exit, outputs)
+}
+
+/// [`run_machine`] armed: handed one profiling [`Instrument`] with `stop`,
+/// and resumed after the stop fires, to the end the plain run reaches.
+fn run_armed(
+    engine: &dyn ExecutionEngine,
+    base: &Process,
+    fuel: u64,
+    stop: Option<Stop>,
+    outputs: &[(String, u64)],
+) -> (RunState, Armed) {
+    let mut p = base.clone();
+    p.fuel = fuel;
+    let mut instr = Instrument::profiling(&p.image);
+    if let Some((func, inst, nth)) = stop {
+        instr.stops.add(ModuleId(0), func, inst, nth);
+    }
+    let mut exit = engine.run_instrumented(&mut p, &mut instr);
+    let first = (exit, p.steps, instr.stops.take_fired());
+    while exit == RunExit::BreakHit {
+        exit = engine.run_instrumented(&mut p, &mut instr);
+    }
+    (state_of(&p, exit, outputs), Armed { first, profile: instr.profile })
+}
+
+/// One stop drawn from a run's `profile`: an executed instruction of the
+/// executable module, and one of its executions. `main`'s returns are left
+/// out: a stop there ends the run with its value unseen, so the resumed run
+/// could not end as the plain one does.
+fn draw_stop(mm: &MachineModule, profile: &Profile, rng: &mut impl rand::Rng) -> Option<Stop> {
+    let main = mm.func_by_name("main");
+    let executed: Vec<Stop> = (profile[0].iter().enumerate())
+        .flat_map(|(f, counts)| {
+            let func = FuncId(f as u32);
+            let is_main = Some(func) == main;
+            (counts.iter().enumerate())
+                .filter(move |&(i, &n)| {
+                    n > 0 && !(is_main && matches!(mm.funcs[f].instrs[i], MInst::Ret { .. }))
+                })
+                .map(move |(i, &n)| (func, i, n))
+        })
+        .collect();
+    if executed.is_empty() {
+        return None;
+    }
+    let (func, inst, count) = executed[rng.gen_range(0..executed.len())];
+    Some((func, inst, rng.gen_range(1..=count)))
+}
+
 /// Pairs 2 and 7 over one fuel sweep: every budget on short programs, the
 /// edges plus a sample on long ones, so partial segments, mid-fusion
 /// out-of-fuel exits and trap freezes are all exercised. At each budget the
-/// interpreter's fast loop is the reference both the hooked loop and
-/// `compiled`, built over `mm`, must match.
+/// interpreter's fast loop is the reference the hooked loop, armed with one
+/// stop drawn from the program's own profile, and `compiled`, built over
+/// `mm`, must end like; and the compiled engine armed with the same stop
+/// must match the hooked loop leg for leg, fired point and profile included.
 fn engine_pairs_check(
     mm: &Arc<MachineModule>,
     compiled: &CompiledEngine,
@@ -284,30 +353,34 @@ fn engine_pairs_check(
     outputs: &[(String, u64)],
     salt: u64,
 ) -> Option<Divergence> {
-    let total = run_machine(&InterpEngine, mm, arg, MACHINE_FUEL, false, outputs).steps;
+    use rand::{Rng, SeedableRng};
+    let base = started(mm, arg);
+    let (whole, profiled) = run_armed(&InterpEngine, &base, MACHINE_FUEL, None, outputs);
+    let total = whole.steps;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(salt ^ total ^ arg);
     let budgets: Vec<u64> = if total <= 256 {
         (0..=total + 1).collect()
     } else {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(salt ^ total ^ arg);
         let mut v: Vec<u64> = vec![0, 1, 2, total - 2, total - 1, total, total + 1];
         v.extend((0..24).map(|_| rng.gen_range(3..total.saturating_sub(2))));
         v
     };
+    let stop = profiled.profile.and_then(|profile| draw_stop(mm, &profile, &mut rng));
     for b in budgets {
-        let fast = run_machine(&InterpEngine, mm, arg, b, false, outputs);
-        let slow = run_machine(&InterpEngine, mm, arg, b, true, outputs);
+        let fast = run_machine(&InterpEngine, &base, b, outputs);
+        let (slow, hooked) = run_armed(&InterpEngine, &base, b, stop, outputs);
         if fast != slow {
             return Some(Divergence {
                 pair: Pair::FastSlow,
                 arg,
                 detail: format!(
-                    "fuel budget {b}: fast {:?} (steps {}, traps {}) vs slow {:?} (steps {}, traps {})",
+                    "fuel budget {b}, stop {stop:?}: fast {:?} (steps {}, traps {}) vs slow {:?} \
+                     (steps {}, traps {})",
                     fast.exit, fast.steps, fast.trap_count, slow.exit, slow.steps, slow.trap_count
                 ),
             });
         }
-        let comp = run_machine(compiled, mm, arg, b, false, outputs);
+        let comp = run_machine(compiled, &base, b, outputs);
         if fast != comp {
             return Some(Divergence {
                 pair: Pair::Compiled,
@@ -323,6 +396,24 @@ fn engine_pairs_check(
                     comp.steps,
                     comp.fuel_left,
                     comp.trap_count
+                ),
+            });
+        }
+        let (comp_slow, comp_hooked) = run_armed(compiled, &base, b, stop, outputs);
+        if (&slow, &hooked) != (&comp_slow, &comp_hooked) {
+            let same_profile = hooked.profile == comp_hooked.profile;
+            return Some(Divergence {
+                pair: Pair::Compiled,
+                arg,
+                detail: format!(
+                    "fuel budget {b}, stop {stop:?}: hooked first leg {:?}, end {:?} (steps {}) \
+                     vs compiled first leg {:?}, end {:?} (steps {}); same profile: {same_profile}",
+                    hooked.first,
+                    slow.exit,
+                    slow.steps,
+                    comp_hooked.first,
+                    comp_slow.exit,
+                    comp_slow.steps
                 ),
             });
         }
@@ -382,8 +473,8 @@ fn opt_levels_check(
         Ok(r) => r,
         Err(e) => return diverge("interp O1", e),
     };
-    let m0 = run_machine(&InterpEngine, mm0, arg, MACHINE_FUEL, false, outputs);
-    let m1 = run_machine(&InterpEngine, mm1, arg, MACHINE_FUEL, false, outputs);
+    let m0 = run_machine(&InterpEngine, &started(mm0, arg), MACHINE_FUEL, outputs);
+    let m1 = run_machine(&InterpEngine, &started(mm1, arg), MACHINE_FUEL, outputs);
     let engines = [("interp O0", &i0), ("interp O1", &i1), ("machine O0", &m0), ("machine O1", &m1)];
     for (name, r) in &engines[1..] {
         if r.exit != i0.exit {

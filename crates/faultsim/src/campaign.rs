@@ -28,7 +28,7 @@ use simx::{
     CompiledEngine, EngineKind, ExecutionEngine, InterpEngine, MInst, ModuleId, Process, Profile,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use telemetry::{timed, Hooks, NoTelemetry};
 use workloads::Workload;
 
@@ -169,10 +169,11 @@ pub struct Campaign {
     /// A started-but-not-run process; every injection clones it (Arc-shared
     /// image, copy-on-write memory) instead of re-loading the modules.
     pub(crate) template: Process,
-    /// The compiled engine over `template`'s image, built by the first
-    /// compiled run: the image is immutable, so one translation serves every
-    /// run of this campaign and is dropped with it.
-    compiled: OnceLock<CompiledEngine>,
+    /// The compiled engine over `template`'s image, built in `prepare`: the
+    /// golden run is recorded on it whatever the engine a run selects, and
+    /// the image is immutable, so this one translation serves every run of a
+    /// compiled campaign and is dropped with it.
+    compiled: CompiledEngine,
     /// Recovery artefacts, encoded and keyed once; shared read-only across
     /// the campaign's workers.
     pub(crate) recovery: Arc<RecoveryIndex>,
@@ -186,7 +187,9 @@ impl Campaign {
     pub fn prepare(workload: &Workload, exe: CompiledApp, libs: Vec<CompiledApp>) -> Campaign {
         let mut template = build_process(&exe, &libs);
         template.start(workload.entry, &workload.args);
-        let (trail, golden, profile) = Trail::record(&template, workload.name, MAX_GOLDEN_STEPS);
+        let compiled = CompiledEngine::for_image(&template.image);
+        let (trail, golden, profile) =
+            Trail::record(&template, &compiled, workload.name, MAX_GOLDEN_STEPS);
         let golden_outputs = workload
             .outputs
             .iter()
@@ -208,7 +211,7 @@ impl Campaign {
             profile,
             trail,
             template,
-            compiled: OnceLock::new(),
+            compiled,
             recovery: Arc::new(recovery),
         }
     }
@@ -226,12 +229,10 @@ impl Campaign {
         lm.module.funcs.get(func)?.instrs.get(inst)
     }
 
-    /// The configured compiled engine for this campaign's image (`None` →
-    /// interpreter), translated once per campaign.
+    /// The campaign's compiled engine when `cfg` selects it (`None` →
+    /// interpreter).
     fn compiled_engine(&self, cfg: &CampaignConfig) -> Option<&CompiledEngine> {
-        (cfg.engine == EngineKind::Compiled).then(|| {
-            self.compiled.get_or_init(|| CompiledEngine::for_image(&self.template.image))
-        })
+        (cfg.engine == EngineKind::Compiled).then_some(&self.compiled)
     }
 
     /// The engine `cfg` selects, as the trait object the campaign threads

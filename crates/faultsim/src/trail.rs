@@ -3,7 +3,10 @@
 //! of them.
 //!
 //! [`Trail::record`] drives the golden run in fixed-step slices, handing
-//! each the one profiling [`Instrument`] the run counts into. At each pause
+//! each the one profiling [`Instrument`] the run counts into. The campaign
+//! records on its compiled engine, which counts on translated code, whatever
+//! engine its runs select: the profile, the counts and the states are the
+//! same on either engine, and translated is the faster. At each pause
 //! it keeps the counts so far — as one flat `u32` vector per checkpoint,
 //! addressed through a per-`[module][func]` range table the trail holds
 //! once — and, at every [`STATE_EVERY`]th pause, a copy-on-write clone of
@@ -29,7 +32,7 @@
 
 use crate::campaign::Campaign;
 use crate::injector::InjectionPoint;
-use simx::{run_to_step, Instrument, InterpEngine, Process, Profile, RunExit, TrapKind};
+use simx::{run_to_step, ExecutionEngine, Instrument, Process, Profile, RunExit, TrapKind};
 use std::ops::Range;
 use telemetry::Hooks;
 
@@ -79,12 +82,13 @@ pub(crate) struct Trail {
 }
 
 impl Trail {
-    /// Run a clone of `template` fault-free and profiled, to completion.
-    /// Returns the trail, the finished process and its profile (the
-    /// campaign's golden data). Panics when the run traps or is still going
-    /// after `max_steps`; `name` labels the panic.
+    /// Run a clone of `template` fault-free and profiled on `engine`, to
+    /// completion. Returns the trail, the finished process and its profile
+    /// (the campaign's golden data). Panics when the run traps or is still
+    /// going after `max_steps`; `name` labels the panic.
     pub(crate) fn record(
         template: &Process,
+        engine: &dyn ExecutionEngine,
         name: &str,
         max_steps: u64,
     ) -> (Trail, Process, Profile) {
@@ -110,14 +114,17 @@ impl Trail {
         let mut quantum: u64 = 1 << 10;
         let exit = loop {
             let target = p.steps + quantum;
-            if let Some(exit) = run_to_step(&InterpEngine, &mut p, target, Some(&mut instr)) {
+            if let Some(exit) = run_to_step(engine, &mut p, target, Some(&mut instr)) {
                 break exit;
             }
-            // Sized exactly: nothing bounds a flattened iterator from above,
-            // and a collected vector would keep up to twice its length.
+            // Sized exactly: a collected vector would keep up to twice its
+            // length. One extend per function's slice: through a flattened
+            // iterator the copy was ≈ 13× slower, a tenth of the golden run.
             let mut counts = Vec::with_capacity(end);
             let profile = instr.profile.as_ref().expect("profiled from the start");
-            counts.extend(profile.iter().flatten().flatten().map(|&n| n as u32));
+            for insts in profile.iter().flatten() {
+                counts.extend(insts.iter().map(|&n| n as u32));
+            }
             checkpoints.push(ProfileCheckpoint { step: p.steps, counts });
             if p.steps.is_multiple_of(STATE_EVERY * quantum) {
                 states.push(p.clone());
@@ -250,7 +257,7 @@ mod tests {
     use super::*;
     use crate::fixtures::tiny_workload;
     use crate::CampaignConfig;
-    use simx::{advance_to_step, EngineKind, ModuleId};
+    use simx::{advance_to_step, CompiledEngine, EngineKind, InterpEngine, ModuleId};
     use tinyir::FuncId;
 
     impl Trail {
@@ -270,7 +277,8 @@ mod tests {
         let app = care::compile(&w.module, OptLevel::O1);
         let mut template = care::build_process(&app, &[]);
         template.start(w.entry, &w.args);
-        Trail::record(&template, w.name, 1 << 16);
+        let engine = CompiledEngine::for_image(&template.image);
+        Trail::record(&template, &engine, w.name, 1 << 16);
     }
 
     /// What `record` leaves, stated on the trail itself — for the five
@@ -288,6 +296,19 @@ mod tests {
             let campaign = Campaign::prepare(&w, app, vec![]);
             let (trail, golden) = (&campaign.trail, &campaign.profile);
             let at = format!("{} at {level:?}", w.name);
+            // The campaign recorded on its compiled engine; the hooked
+            // interpreter loop records the same trail.
+            let (interp, _, interp_profile) =
+                Trail::record(&campaign.template, &InterpEngine, w.name, MAX_GOLDEN_STEPS);
+            assert_eq!((interp.steps, &interp_profile), (trail.steps, golden), "{at}");
+            assert_eq!(interp.checkpoints.len(), trail.checkpoints.len(), "{at}");
+            for (a, b) in interp.checkpoints.iter().zip(&trail.checkpoints) {
+                assert!(a.step == b.step && a.counts == b.counts, "{at}: counts at {}", b.step);
+            }
+            assert_eq!(interp.states.len(), trail.states.len(), "{at}");
+            for (a, b) in interp.states.iter().zip(&trail.states) {
+                assert!(a.steps == b.steps && a.same_state(b), "{at}: state at {}", b.steps);
+            }
             let brackets = trail.brackets();
             assert!(brackets <= MAX_CHECKPOINTS, "{at}: {} checkpoints", brackets - 1);
             for b in 1..brackets {
@@ -299,8 +320,8 @@ mod tests {
                 assert!(trail.bracket_step(1) >= 4 << 10, "test premise: {at} halved twice");
             }
             // The states: few, each at a checkpoint `STATE_EVERY` spacings
-            // on, and — taken on the hooked loop, consumed on both engines —
-            // what a plain replay of the template reaches on either.
+            // on, and what a plain replay of the template reaches on either
+            // engine.
             let states = trail.states();
             let spacing = trail.bracket_step(1.min(brackets - 1));
             assert!(states.len() <= 7, "{at}: {} states", states.len());

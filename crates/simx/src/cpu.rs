@@ -14,6 +14,7 @@ use crate::image::{
     HEAP_BASE, LIB_BASE, STACK_SIZE, STACK_TOP,
 };
 use crate::isa::{MInst, Reg, Src, FP, NUM_REGS, SP};
+use std::ops::Range;
 use std::sync::Arc;
 use tinyir::interp::{
     eval_bin, eval_cast, eval_fcmp, eval_icmp, eval_intrinsic, float_of_bits, sext_bits,
@@ -118,10 +119,10 @@ pub type Profile = Vec<Vec<Vec<u64>>>;
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet {
     /// Pending ordinals per instruction, indexed `[module][func][inst]`
-    /// like a [`Profile`] — the hooked loop consults this on every step, so
-    /// the lookup is three indexed loads, not a hash. Grown by `add` to
-    /// cover the registered instructions only; an index outside it has
-    /// nothing pending.
+    /// like a [`Profile`] — the hooked loop consults this on every step, and
+    /// the compiled engine at every segment entry, so the lookup is three
+    /// indexed loads, not a hash. Grown by `add` to cover the registered
+    /// instructions only; an index outside it has nothing pending.
     slots: Vec<Vec<Vec<PendingNths>>>,
     /// Total pending ordinals across all instructions.
     remaining: usize,
@@ -187,6 +188,15 @@ impl BreakSet {
     /// The point that caused the last `BreakHit` (cleared on read).
     pub fn take_fired(&mut self) -> Option<(ModuleId, FuncId, usize, u64)> {
         self.fired.take()
+    }
+
+    /// True when an ordinal is pending at any of `insts` of `(module,
+    /// func)`: a stretch of code this set can stop in.
+    pub(crate) fn armed(&self, module: ModuleId, func: FuncId, insts: Range<usize>) -> bool {
+        self.remaining > 0
+            && (self.slots.get(module.0 as usize).and_then(|fs| fs.get(func.0 as usize)))
+                .and_then(|slots| slots.get(insts.start..insts.end.min(slots.len())))
+                .is_some_and(|pending| pending.iter().any(|p| !p.nths.is_empty()))
     }
 
     /// Note one execution of `(module, func, inst)`; true when a pending

@@ -41,19 +41,29 @@
 //! without bouncing through the segment entry, and only the transition to
 //! the final partial block pays a re-entry.
 //!
-//! Profiled and stopping runs ([`ExecutionEngine::run_instrumented`]) keep
-//! the trait's default, the interpreter's hooked loop, which keeps their
-//! semantics trivially identical. That loop costs several times a translated
-//! step, so callers keep instrumented stretches short instead of teaching the
-//! ops to stop: the campaign cursor replays through [`advance_to_step`] — on
-//! this engine, at translated speed — to the checkpoint before each pending
-//! point, and runs instrumented only from there to the firing.
+//! # Instrumented runs
+//!
+//! [`ExecutionEngine::run_instrumented`] runs the same ops, monomorphized
+//! a second time with the [`Instrument`]'s hooks compiled in, so plain
+//! [`ExecutionEngine::run`] pays nothing for them. Every op adds its
+//! executions — each half of a fused pair its own — to the profile at the
+//! fuel charge, where the interpreter's hooked loop counts. Stops are checked
+//! per segment: at each segment entry, and on each inline branch, the engine
+//! asks the [`BreakSet`] whether any instruction of the straight-line run
+//! ahead (`ste` long) has an ordinal pending. A segment with none runs
+//! unchecked; one with some runs *stepping*, noting every execution with the
+//! set at its charge and ending the run after the op whose ordinal fired.
+//! A fused op whose first instruction fires runs as that instruction alone
+//! (its standalone decode), because the translation keeps no standalone op
+//! at a fused first index; the run then stops on the second instruction,
+//! which does have one. Profile, ordinals and stop states are the hooked
+//! loop's exactly (`tests.rs` holds the two side by side at every budget).
 
-use crate::cpu::{Frame, Instrument, Process, RunExit, Trap, TrapKind};
+use crate::cpu::{BreakSet, Frame, Instrument, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
 use crate::isa::Reg;
 use crate::translate::{
-    translate_module, Op, SrcK, TranslatedFunc, TranslatedModule, TranslateStats, NO_REG,
+    decode, translate_module, Op, SrcK, TranslatedFunc, TranslatedModule, TranslateStats, NO_REG,
 };
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
@@ -108,10 +118,8 @@ pub trait ExecutionEngine: Send + Sync {
     /// Run until completion or trap; semantics of [`Process::run`].
     fn run(&self, p: &mut Process) -> RunExit;
     /// Run until completion, trap, or one of `instr`'s stops, counting into
-    /// its profile; by default [`Process::run_instrumented`].
-    fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit {
-        p.run_instrumented(instr)
-    }
+    /// its profile; semantics of [`Process::run_instrumented`].
+    fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit;
 }
 
 /// The reference interpreter as an engine.
@@ -123,6 +131,9 @@ impl ExecutionEngine for InterpEngine {
     }
     fn run(&self, p: &mut Process) -> RunExit {
         p.run()
+    }
+    fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit {
+        p.run_instrumented(instr)
     }
 }
 
@@ -157,7 +168,11 @@ impl ExecutionEngine for CompiledEngine {
     }
 
     fn run(&self, p: &mut Process) -> RunExit {
-        run_compiled(self, p)
+        run_compiled::<false>(self, p, &mut Instrument::default())
+    }
+
+    fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit {
+        run_compiled::<true>(self, p, instr)
     }
 }
 
@@ -225,9 +240,30 @@ enum SegEvent {
     Intr { which: Intrinsic, argv: Vec<u64>, dst: u8 },
     /// A `Ret` op with its (raw-bit) value.
     Ret { val: Option<u64> },
+    /// A stop fired on the straight-line op or branch just executed;
+    /// `frame.idx` holds the next PC.
+    Break,
 }
 
-fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
+/// An instrumented run's hooks into the executing function's segments.
+struct Hooks<'a> {
+    /// The executing function's row of the profile; empty when the run
+    /// keeps none.
+    counts: &'a mut [u64],
+    stops: &'a mut BreakSet,
+    /// A stop fired on the op being executed: the run ends once it
+    /// completes (a trap still wins, as on the hooked loop).
+    hit: bool,
+}
+
+/// Run `p` on the translated ops. `HOOKED` is a monomorphization constant:
+/// `false` for [`ExecutionEngine::run`], which never reads `instr`, `true`
+/// for [`ExecutionEngine::run_instrumented`].
+fn run_compiled<const HOOKED: bool>(
+    eng: &CompiledEngine,
+    p: &mut Process,
+    instr: &mut Instrument,
+) -> RunExit {
     let image = Arc::clone(&p.image);
     // Like the interpreter's `run_loop`: carry the counters in locals and
     // write them back on every exit, so trap states observe exact values.
@@ -243,6 +279,14 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
         let lm = &image.modules[mid.0 as usize];
         let Process { frames, mem, .. } = &mut *p;
         let frame = frames.last_mut().expect("frame");
+        let mut hk = Hooks {
+            counts: match instr.profile.as_mut() {
+                Some(prof) if HOOKED => &mut prof[mid.0 as usize][fid.0 as usize],
+                _ => &mut [],
+            },
+            stops: &mut instr.stops,
+            hit: false,
+        };
         // Segment loop: each iteration runs one straight-line segment,
         // choosing checked or unchecked fuel accounting by comparing the
         // budget against the segment's precomputed step count.
@@ -255,17 +299,23 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
                 break SegEvent::Trap(Trap { kind: TrapKind::Segv(pc), pc });
             };
             let ev = if fuel >= need as u64 {
-                exec_segment::<false>(frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps)
+                exec_segment::<false, HOOKED>(
+                    frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps, &mut hk,
+                )
             } else {
-                exec_segment::<true>(frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps)
+                exec_segment::<true, HOOKED>(
+                    frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps, &mut hk,
+                )
             };
             match ev {
                 SegEvent::Redirect => continue,
                 other => break other,
             }
         };
+        let hit = HOOKED && hk.hit;
         let transition = match ev {
             SegEvent::Redirect => unreachable!(),
+            SegEvent::Break => break RunExit::BreakHit,
             SegEvent::Trap(t) => Err(t),
             SegEvent::Call { callee, argv, dst } => {
                 p.push_frame(mid, FuncId(callee), argv, (dst != NO_REG).then_some(Reg(dst)))
@@ -274,7 +324,9 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
                 p.finish_intrinsic(which, &argv, (dst != NO_REG).then_some(Reg(dst)))
             }
             SegEvent::Ret { val } => {
-                if p.ret(val) {
+                // A stop on the last return stops with the frames gone,
+                // before the run is seen to be done — as on the hooked loop.
+                if p.ret(val) && !hit {
                     break RunExit::Done(val);
                 }
                 Ok(())
@@ -282,6 +334,9 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
         };
         if let Err(t) = transition {
             break p.deliver(t);
+        }
+        if hit {
+            break RunExit::BreakHit;
         }
     };
     p.fuel = fuel;
@@ -295,9 +350,12 @@ fn run_compiled(eng: &CompiledEngine, p: &mut Process) -> RunExit {
 /// `fuel >= ste[entry]` (the per-step fuel-zero check compiles out, and
 /// in-function branches keep running inline while `fuel >= ste[target]`),
 /// `true` for the final partial block (every sub-step re-checks, trapping
-/// `OutOfFuel` on the exact instruction the interpreter would).
+/// `OutOfFuel` on the exact instruction the interpreter would). `HOOKED`
+/// compiles in `hk` (see the module doc's "Instrumented runs"); a branch
+/// then also stays inline only while its target segment is stepping
+/// exactly when this one is.
 #[allow(clippy::too_many_arguments)]
-fn exec_segment<const CHECKED: bool>(
+fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
     frame: &mut Frame,
     mem: &mut PagedMemory,
     lm: &LoadedModule,
@@ -307,6 +365,7 @@ fn exec_segment<const CHECKED: bool>(
     fid: FuncId,
     fuel: &mut u64,
     steps: &mut u64,
+    hk: &mut Hooks<'_>,
 ) -> SegEvent {
     // The dispatch index lives in a local; `frame.idx` is only written on
     // the ways out (trap, call, intrinsic, control transfer, ran-off), not
@@ -336,6 +395,28 @@ fn exec_segment<const CHECKED: bool>(
             }
         };
     }
+    // Hooked, the segment runs *stepping* when an instruction of it has an
+    // ordinal pending: every execution is then noted with `stops`.
+    let Hooks { counts, stops, hit } = hk;
+    let counts: &mut [u64] = counts;
+    let entry = frame.idx;
+    let stepping = HOOKED && stops.armed(mid, fid, entry..entry + tf.ste[entry] as usize);
+    // Hooked: count one execution of an instruction and, stepping, note it
+    // with the stops; true when an ordinal fired. Used at the fuel charge,
+    // before the instruction executes, exactly where the hooked loop counts.
+    macro_rules! note {
+        ($idx:expr) => {
+            HOOKED && {
+                if let Some(n) = counts.get_mut($idx) {
+                    *n += 1;
+                }
+                stepping && {
+                    *hit = stops.note(mid, fid, $idx);
+                    *hit
+                }
+            }
+        };
+    }
     // Charge the second sub-step of a fused pair (the first is charged at
     // the loop head). In checked mode an exhausted budget freezes on the
     // pair's second instruction (`trap_at` writes `frame.idx`).
@@ -346,6 +427,8 @@ fn exec_segment<const CHECKED: bool>(
             }
             *fuel -= 1;
             *steps += 1;
+            // A stop that fires here is in `hit`: the op completes first.
+            let _ = note!($idx + 1);
         }};
     }
     let mut idx = frame.idx;
@@ -354,11 +437,21 @@ fn exec_segment<const CHECKED: bool>(
     // unchecked mode requires `fuel >= ste[target]` (else the caller
     // re-enters in checked mode), checked mode only a valid target. A wild
     // target redirects so the caller reports it without consuming fuel.
+    // Hooked, a stop that fired on the branch ends the segment, and so does
+    // a target segment that steps when this one does not, or vice versa.
     macro_rules! jump_to {
         ($t:expr) => {{
             let t = $t;
+            if stepping && *hit {
+                frame.idx = t;
+                return SegEvent::Break;
+            }
             match tf.ste.get(t) {
-                Some(&need) if CHECKED || *fuel >= need as u64 => {
+                Some(&need)
+                    if (CHECKED || *fuel >= need as u64)
+                        && (!HOOKED
+                            || stops.armed(mid, fid, t..t + need as usize) == stepping) =>
+                {
                     idx = t;
                     continue;
                 }
@@ -367,6 +460,18 @@ fn exec_segment<const CHECKED: bool>(
                     return SegEvent::Redirect;
                 }
             }
+        }};
+    }
+    // Step past the op just executed (`n` instructions); hooked, a stop
+    // that fired on it ends the segment there.
+    macro_rules! next {
+        ($n:expr) => {{
+            idx += $n;
+            if stepping && *hit {
+                frame.idx = idx;
+                return SegEvent::Break;
+            }
+            continue;
         }};
     }
     loop {
@@ -381,6 +486,15 @@ fn exec_segment<const CHECKED: bool>(
         }
         *fuel -= 1;
         *steps += 1;
+        // A fused op whose first instruction fires runs as that instruction
+        // alone, decoded afresh: `ops[idx]` holds only the pair.
+        let first_alone;
+        let op = if note!(idx) && op.cost() == 2 {
+            first_alone = decode(&lm.module.funcs[fid.0 as usize].instrs[idx]);
+            &first_alone
+        } else {
+            op
+        };
         match op {
             Op::MovR { dst, src } => {
                 frame.regs[*dst as usize] = frame.regs[*src as usize];
@@ -559,8 +673,7 @@ fn exec_segment<const CHECKED: bool>(
                     Ok(res) => frame.regs[*bdst as usize] = res,
                     Err(_) => trap_at!(TrapKind::Fpe, idx + 1),
                 }
-                idx += 2;
-                continue;
+                next!(2)
             }
             Op::LeaLoad { adst, amem, ldst, ldisp, size } => {
                 // Sub-step 1: the address computation.
@@ -572,8 +685,7 @@ fn exec_segment<const CHECKED: bool>(
                     Ok(v) => frame.regs[*ldst as usize] = v,
                     Err(e) => trap_at!(e.into(), idx + 1),
                 }
-                idx += 2;
-                continue;
+                next!(2)
             }
             Op::GloLoad { gdst, gid, ldst, mem: m, size } => {
                 // Sub-step 1: materialise the global base.
@@ -584,8 +696,7 @@ fn exec_segment<const CHECKED: bool>(
                     Ok(v) => frame.regs[*ldst as usize] = v,
                     Err(e) => trap_at!(e.into(), idx + 1),
                 }
-                idx += 2;
-                continue;
+                next!(2)
             }
             Op::GloFBin { gdst, gid, mul, fdst, lhs, mem: m } => {
                 // Sub-step 1: materialise the global base.
@@ -600,8 +711,7 @@ fn exec_segment<const CHECKED: bool>(
                 let r = f64::from_bits(r);
                 let v = if *mul { l * r } else { l + r };
                 frame.regs[*fdst as usize] = v.to_bits();
-                idx += 2;
-                continue;
+                next!(2)
             }
             Op::MovRR { d1, s1, d2, s2 } => {
                 // Sub-step 1 writes `d1` before sub-step 2 reads `s2`, so
@@ -609,10 +719,9 @@ fn exec_segment<const CHECKED: bool>(
                 frame.regs[*d1 as usize] = frame.regs[*s1 as usize];
                 charge_second!(idx);
                 frame.regs[*d2 as usize] = frame.regs[*s2 as usize];
-                idx += 2;
-                continue;
+                next!(2)
             }
         }
-        idx += 1;
+        next!(1)
     }
 }

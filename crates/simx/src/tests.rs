@@ -851,6 +851,14 @@ fn engine_fixture() -> Arc<MachineModule> {
     let out = mb.global_zeroed("out", Ty::I64, 8);
     let sq = mb.declare("sq", vec![Ty::I64], Some(Ty::I64));
     mb.define("sq", vec![Ty::I64], Some(Ty::I64), |fb| {
+        // A self-call no argument takes keeps `sq` out of the inliner, so
+        // `main` really calls it.
+        let neg = fb.icmp(ICmp::Slt, fb.arg(0), Value::i64(0));
+        fb.if_then(neg, |fb| {
+            let flipped = fb.sub(Value::i64(0), fb.arg(0), Ty::I64);
+            let r = fb.call(sq, vec![flipped]);
+            fb.ret(Some(r));
+        });
         let v = fb.mul(fb.arg(0), fb.arg(0), Ty::I64);
         fb.ret(Some(v));
     });
@@ -976,30 +984,101 @@ fn translation_fuses() {
     );
 }
 
+/// What one call of an instrumented run returned and left: exit, `steps`,
+/// `fuel`, `trap_count`, frames, and the point that fired.
+type Leg = (
+    RunExit,
+    u64,
+    u64,
+    u64,
+    Vec<(u32, u32, usize, [u64; isa::NUM_REGS], u64, u64)>,
+    Option<(ModuleId, tinyir::FuncId, usize, u64)>,
+);
+
+/// Run `base` on `fuel` handed one profiling [`Instrument`] with `stops` in
+/// `main`/`sq`, re-running after every stop until the run ends; `engine`
+/// `None` is the interpreter's hooked loop. Returns every leg, the profile,
+/// and the `arr` global at the end.
+fn instrumented_legs(
+    engine: Option<&CompiledEngine>,
+    base: &Process,
+    fuel: u64,
+    stops: &[(tinyir::FuncId, usize, u64)],
+) -> (Vec<Leg>, Option<Profile>, Option<Vec<u8>>) {
+    let mut p = base.clone();
+    p.fuel = fuel;
+    let mut instr = Instrument::profiling(&p.image);
+    for &(func, inst, nth) in stops {
+        assert!(instr.stops.add(ModuleId(0), func, inst, nth), "test premise: {stops:?}");
+    }
+    let mut legs = Vec::new();
+    loop {
+        let exit = match engine {
+            Some(engine) => engine.run_instrumented(&mut p, &mut instr),
+            None => p.run_instrumented(&mut instr),
+        };
+        let fired = instr.stops.take_fired();
+        legs.push((exit, p.steps, p.fuel, p.trap_count, frame_states(&p), fired));
+        if exit != RunExit::BreakHit {
+            break;
+        }
+    }
+    (legs, instr.profile, p.snapshot_global("arr", 512))
+}
+
 #[test]
-fn run_instrumented_defaults_to_the_hooked_loop_on_both_engines() {
-    // Stops and profiling are prepare/cursor paths: neither engine
-    // overrides the trait's default, so both stop and count exactly like
-    // `Process::run_instrumented`.
-    let (mm, fid, idx, _) = hot_instruction(&[12], 8);
-    let mut base = Process::new(Arc::clone(&mm), vec![]);
-    base.start("main", &[12]);
-    let stop = Instrument::stop_after(ModuleId(0), fid, idx, 3);
-    let instrument = || Instrument { stops: stop.stops.clone(), ..Instrument::profiling(&base.image) };
-    let (mut reference, mut reference_instr) = (base.clone(), instrument());
-    assert_eq!(reference.run_instrumented(&mut reference_instr), RunExit::BreakHit);
-    let compiled = CompiledEngine::for_image(&base.image);
-    for engine in [&InterpEngine as &dyn ExecutionEngine, &compiled] {
-        let (mut p, mut instr) = (base.clone(), instrument());
-        assert_eq!(engine.run_instrumented(&mut p, &mut instr), RunExit::BreakHit);
-        assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 3)));
-        assert_eq!((p.steps, p.pc()), (reference.steps, reference.pc()), "{}", engine.name());
-        assert_eq!(frame_states(&p), frame_states(&reference), "{}", engine.name());
-        assert_eq!(instr.profile, reference_instr.profile, "{}", engine.name());
-        // Uninstrumented, both continue identically to completion.
-        let mut rest = reference.clone();
-        assert_eq!(engine.run(&mut p), rest.run(), "{}", engine.name());
-        assert_eq!(p.steps, rest.steps);
+fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
+    // The compiled engine's own instrumented run counts and stops exactly
+    // like `Process::run_instrumented`, leg by leg, at every fuel budget:
+    // on both instructions of a fused pair, on many points in one function,
+    // and on a call, an intrinsic and returns (which stop after the frame
+    // push, the intrinsic's result and the frame pop).
+    let mm = engine_fixture();
+    let (main, sq) = (mm.func_by_name("main").unwrap(), mm.func_by_name("sq").unwrap());
+    let ops = &crate::translate::translate_module(&mm).funcs[main.0 as usize].ops;
+    let instrs = &mm.funcs[main.0 as usize].instrs;
+    for args in [[12, 64, 0], [8, 0, 0]] {
+        let mut base = Process::new(Arc::clone(&mm), vec![]);
+        base.start("main", &args);
+        let (legs, profile, _) = instrumented_legs(None, &base, u64::MAX, &[]);
+        let (total, profile) = (legs[0].1, profile.unwrap());
+        let counts = &profile[0][main.0 as usize];
+        let ran = |i: usize| counts[i] > 0;
+        let fused: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].cost() == 2 && ran(i)).collect();
+        let first = |want: fn(&MInst) -> bool| (0..instrs.len()).find(|&i| want(&instrs[i]) && ran(i));
+        let sq_ret = (mm.funcs[sq.0 as usize].instrs.iter().enumerate())
+            .find(|&(i, m)| matches!(m, MInst::Ret { .. }) && profile[0][sq.0 as usize][i] > 0);
+        let mut sets: Vec<Vec<(tinyir::FuncId, usize, u64)>> = Vec::new();
+        if let Some(&pair) = fused.iter().find(|&&i| counts[i] >= 2) {
+            sets.push(vec![(main, pair, 2)]);
+            sets.push(vec![(main, pair + 1, 2)]);
+            sets.push(vec![(main, pair, 1), (main, pair + 1, 1), (main, pair, 3)]);
+        }
+        sets.push(fused.iter().flat_map(|&i| [(main, i, counts[i]), (main, i + 1, 1)]).collect());
+        let calls = [
+            first(|m| matches!(m, MInst::Call { .. })).map(|i| (main, i, 1)),
+            first(|m| matches!(m, MInst::CallIntr { .. })).map(|i| (main, i, 2)),
+            first(|m| matches!(m, MInst::Ret { .. })).map(|i| (main, i, 1)),
+            sq_ret.map(|(i, _)| (sq, i, 1)),
+        ];
+        sets.push(calls.into_iter().flatten().collect());
+        if args[1] == 64 {
+            assert!(fused.len() >= 2 && sets.len() == 5, "test premise: {fused:?}");
+            assert_eq!(sets[4].len(), 4, "test premise: a call, an intrinsic, two returns");
+        }
+        let compiled = CompiledEngine::for_image(&base.image);
+        for stops in &sets {
+            if args[1] == 64 {
+                let (legs, ..) = instrumented_legs(None, &base, u64::MAX, stops);
+                let fired = legs.iter().filter(|leg| leg.5.is_some()).count();
+                assert_eq!(fired, stops.len(), "test premise: every stop of {stops:?} fires");
+            }
+            for fuel in 0..=total + 1 {
+                let reference = instrumented_legs(None, &base, fuel, stops);
+                let translated = instrumented_legs(Some(&compiled), &base, fuel, stops);
+                assert_eq!(translated, reference, "args {args:?}, fuel {fuel}, stops {stops:?}");
+            }
+        }
     }
 }
 

@@ -276,7 +276,7 @@ fn full_width(ty: Ty) -> bool {
     ty.mask() == u64::MAX
 }
 
-fn decode(inst: &MInst) -> Op {
+pub(crate) fn decode(inst: &MInst) -> Op {
     match inst {
         MInst::Mov { dst, src, size, sext } => {
             let sx = (*sext && *size < 8).then(|| sext_ty(*size));
