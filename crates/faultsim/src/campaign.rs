@@ -122,9 +122,11 @@ pub struct CampaignConfig {
     /// large campaigns only need the aggregates, and the records dominate
     /// the report's memory.
     pub keep_records: bool,
-    /// Execution backend for the hot suffix/CARE runs (records are
-    /// bit-identical on either; `Compiled` is the direct-threaded
-    /// translator behind [`simx::ExecutionEngine`]).
+    /// Execution backend for the injected runs, suffix and CARE (records
+    /// are bit-identical on either; `Compiled` is the direct-threaded
+    /// translator behind [`simx::ExecutionEngine`]). The golden-side runs —
+    /// the golden run and the cursor pass — always run on the campaign's
+    /// own translation.
     pub engine: EngineKind,
     /// Trellis cursor shard count: the pre-sampled injection points are
     /// split into this many disjoint step-ordered windows, each covered by
@@ -152,8 +154,8 @@ impl Default for CampaignConfig {
 }
 
 /// A prepared campaign: golden data + the shared per-injection machinery
-/// (a pristine started process template and the recovery index), both built
-/// exactly once. The compiled modules live on in `template`'s image only.
+/// (a pristine started process template, its translation and the recovery
+/// index), all built exactly once.
 pub struct Campaign {
     pub(crate) outputs: Vec<(String, u64)>,
     /// Golden output snapshots.
@@ -169,11 +171,12 @@ pub struct Campaign {
     /// A started-but-not-run process; every injection clones it (Arc-shared
     /// image, copy-on-write memory) instead of re-loading the modules.
     pub(crate) template: Process,
-    /// The compiled engine over `template`'s image, built in `prepare`: the
-    /// golden run is recorded on it whatever the engine a run selects, and
-    /// the image is immutable, so this one translation serves every run of a
-    /// compiled campaign and is dropped with it.
-    compiled: CompiledEngine,
+    /// The compiled engine over `template`'s image, built in `prepare`:
+    /// every golden-side run executes on it whatever the engine a run
+    /// selects — the golden run and every cursor pass — and the image is
+    /// immutable, so this one translation also serves the injected runs of
+    /// a compiled campaign and is dropped with it.
+    pub(crate) compiled: CompiledEngine,
     /// Recovery artefacts, encoded and keyed once; shared read-only across
     /// the campaign's workers.
     pub(crate) recovery: Arc<RecoveryIndex>,
@@ -229,18 +232,11 @@ impl Campaign {
         lm.module.funcs.get(func)?.instrs.get(inst)
     }
 
-    /// The campaign's compiled engine when `cfg` selects it (`None` →
-    /// interpreter).
-    fn compiled_engine(&self, cfg: &CampaignConfig) -> Option<&CompiledEngine> {
-        (cfg.engine == EngineKind::Compiled).then_some(&self.compiled)
-    }
-
-    /// The engine `cfg` selects, as the trait object the campaign threads
-    /// through its runs.
+    /// The engine `cfg` selects for the suffix and CARE runs.
     pub(crate) fn engine(&self, cfg: &CampaignConfig) -> &dyn ExecutionEngine {
-        match self.compiled_engine(cfg) {
-            Some(compiled) => compiled,
-            None => &InterpEngine,
+        match cfg.engine {
+            EngineKind::Compiled => &self.compiled,
+            EngineKind::Interp => &InterpEngine,
         }
     }
 
@@ -251,7 +247,6 @@ impl Campaign {
         &self,
         cfg: &CampaignConfig,
         indices: &[usize],
-        engine: &dyn ExecutionEngine,
         hooks: &dyn Hooks,
         ctl: &JobControl,
         sink: &dyn RecordSink,
@@ -275,7 +270,7 @@ impl Campaign {
         // Phase 3 — the cursor pass over the *distinct* points, in disjoint
         // step-ordered shards along the golden trail.
         let (cursor_steps, cursor_shards) = timed(hooks, "trellis.cursor_ns", || {
-            self.run_cursors(cfg, &mut points, engine, hooks, ctl)
+            self.run_cursors(cfg, &mut points, hooks, ctl)
         });
 
         // Phase 4 — suffix scheduling: rayon-parallel over injection
@@ -334,7 +329,8 @@ impl Campaign {
     /// are bit-identical to the hook-free run (hooks only observe); what the
     /// hooks gain is the per-phase trellis timeline, per-job spans and
     /// queue-drain events, Safeguard's recovery-phase distributions, the
-    /// campaign's TLB hit counters, instruction-mix counters derived from
+    /// campaign's TLB hit counters, its translation's `engine.*` counters
+    /// (on either engine), instruction-mix counters derived from
     /// the golden profile, and the campaign-level step-split counters.
     pub fn run_with_hooks(&self, cfg: &CampaignConfig, hooks: &dyn Hooks) -> CampaignReport {
         let all: Vec<usize> = (0..cfg.injections).collect();
@@ -372,19 +368,8 @@ impl Campaign {
         ctl: &JobControl,
         sink: &dyn RecordSink,
     ) -> CampaignReport {
-        if let (true, Some(eng)) = (hooks.enabled(), self.compiled_engine(cfg)) {
-            let st = eng.stats();
-            hooks.add("engine.blocks", st.blocks);
-            hooks.add("engine.ops", st.ops);
-            hooks.add("engine.fused_cmp_br", st.fused_cmp_br);
-            hooks.add("engine.fused_load_bin", st.fused_load_bin);
-            hooks.add("engine.fused_lea_load", st.fused_lea_load);
-            hooks.add("engine.fused_glo_load", st.fused_glo_load);
-            hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
-        }
-        let engine = self.engine(cfg);
         let pool0 = hooks.enabled().then(rayon::pool_stats);
-        let mut report = self.run_trellis(cfg, indices, engine, hooks, ctl, sink);
+        let mut report = self.run_trellis(cfg, indices, hooks, ctl, sink);
         report.cancelled = ctl.is_cancelled();
         if let Some(p0) = pool0 {
             // Work-stealing activity attributable to this campaign (the
@@ -400,6 +385,14 @@ impl Campaign {
             hooks.add("steps.prefix", report.steps_prefix);
             hooks.add("steps.suffix", report.steps_suffix);
             hooks.add("steps.care", report.steps_care);
+            let st = self.compiled.stats();
+            hooks.add("engine.blocks", st.blocks);
+            hooks.add("engine.ops", st.ops);
+            hooks.add("engine.fused_cmp_br", st.fused_cmp_br);
+            hooks.add("engine.fused_load_bin", st.fused_load_bin);
+            hooks.add("engine.fused_lea_load", st.fused_lea_load);
+            hooks.add("engine.fused_glo_load", st.fused_glo_load);
+            hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
             self.record_instruction_mix(hooks);
         }
         if !cfg.keep_records {
@@ -471,8 +464,7 @@ mod tests {
         let config = cfg(60);
         let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
         let mut points = plan_points(&campaign.trail, sampled);
-        let (engine, ctl) = (campaign.engine(&config), JobControl::new());
-        campaign.run_cursors(&config, &mut points, engine, &NoTelemetry, &ctl);
+        campaign.run_cursors(&config, &mut points, &NoTelemetry, &JobControl::new());
         let snapshots = first_fired_per_bracket(&points);
         let states = campaign.trail.states();
         let targets = golden_targets(states, &snapshots);

@@ -86,7 +86,6 @@ impl Campaign {
         &self,
         cfg: &CampaignConfig,
         points: &mut [PlannedPoint],
-        engine: &dyn ExecutionEngine,
         hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> (u64, usize) {
@@ -104,7 +103,7 @@ impl Campaign {
         let ran = shards.len();
         let steps: Vec<u64> = shards
             .into_par_iter()
-            .map(|(j, shard)| self.run_cursor_shard(cfg, j, shard, engine, hooks, ctl))
+            .map(|(j, shard)| self.run_cursor_shard(cfg, j, shard, hooks, ctl))
             .collect();
         (steps.iter().sum(), ran)
     }
@@ -114,8 +113,8 @@ impl Campaign {
     /// or before the bracket's start — when that is ahead of where the
     /// cursor stands, the cursor *becomes* a clone of it, on the fuel a run
     /// to it would have left — and replays what remains to the bracket's
-    /// checkpoint *uninstrumented* on the campaign's engine (translated ops
-    /// on a compiled campaign). From there it runs handed an [`Instrument`]
+    /// checkpoint *uninstrumented* on the campaign's translation, whatever
+    /// engine `cfg` selects. From there it runs handed an [`Instrument`]
     /// whose stops are only that bracket's points, until they have fired —
     /// forking a paused snapshot at each — and hops on; the stops stay with
     /// the instrument, so a fork is a plain paused process. The instrumented
@@ -130,7 +129,6 @@ impl Campaign {
         cfg: &CampaignConfig,
         shard_idx: usize,
         shard: &mut [PlannedPoint],
-        engine: &dyn ExecutionEngine,
         hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> u64 {
@@ -155,7 +153,7 @@ impl Campaign {
                 hops += 1;
             }
             let hop_from = cursor.steps;
-            let reached = advance_to_step(engine, &mut cursor, start);
+            let reached = advance_to_step(&self.compiled, &mut cursor, start);
             replay_steps += cursor.steps - hop_from;
             if !reached {
                 // A failed replay, unreachable for a prepared campaign on a
@@ -180,7 +178,7 @@ impl Campaign {
                     break 'hops;
                 }
                 let armed_at = cursor.steps;
-                let exit = engine.run_instrumented(&mut cursor, &mut instr);
+                let exit = self.compiled.run_instrumented(&mut cursor, &mut instr);
                 window_steps += cursor.steps - armed_at;
                 let (RunExit::BreakHit, Some((module, func, inst, nth))) =
                     (exit, instr.stops.take_fired())
@@ -348,21 +346,24 @@ mod tests {
         }
     }
 
-    /// A single-cursor campaign on `engine`, wide enough to hold `indices`.
-    fn one_cursor(engine: EngineKind, indices: &[usize]) -> CampaignConfig {
+    /// A single-cursor campaign wide enough to hold `indices`. The cursor
+    /// runs on the campaign's translation whatever `engine` the config
+    /// picks, so the tests of the cursor alone run it once.
+    fn one_cursor(indices: &[usize]) -> CampaignConfig {
         let n = indices.iter().max().expect("indices") + 1;
-        CampaignConfig { engine, cursor_shards: Some(1), ..cfg(n) }
+        CampaignConfig { cursor_shards: Some(1), ..cfg(n) }
     }
 
-    /// One cursor, both engines: the trellis over exactly `indices` must
-    /// reproduce those indexes' `run_one` records. Returns the report and a
-    /// reader of the counters a recorder heard (the same on both engines).
+    /// One cursor, suffixes on both engines: the trellis over exactly
+    /// `indices` must reproduce those indexes' `run_one` records. Returns
+    /// the report and a reader of the counters a recorder heard (the same
+    /// on both engines).
     fn hop_matches_run_one(
         campaign: &Campaign,
         indices: &[usize],
     ) -> (CampaignReport, impl Fn(&str) -> u64) {
         let [interp, compiled] = [EngineKind::Interp, EngineKind::Compiled].map(|engine| {
-            let config = one_cursor(engine, indices);
+            let config = CampaignConfig { engine, ..one_cursor(indices) };
             let reference: Vec<InjectionRecord> =
                 indices.iter().filter_map(|&i| campaign.run_one(&config, i)).collect();
             assert_eq!(reference.len(), indices.len(), "{engine:?}: a reference run skipped");
@@ -415,32 +416,27 @@ mod tests {
         let end_of = |b: usize| {
             if b + 1 < trail.brackets() { trail.bracket_step(b + 1) } else { campaign.golden_steps }
         };
-        for engine in [EngineKind::Interp, EngineKind::Compiled] {
-            let config = one_cursor(engine, &[0, 1, 2, 3]);
-            let visited: std::collections::BTreeSet<usize> = (0..4)
-                .map(|i| trail.bracket_of(&campaign.sample_point(&config, i).expect("sample").0))
-                .collect();
-            let bracket_steps: u64 = visited
-                .iter()
-                .map(|&b| end_of(b) - trail.bracket_step(b))
-                .sum();
-            let from_states: u64 =
-                visited.iter().map(|&b| trail.bracket_step(b) - state_before(trail, b)).sum();
-            let (report, ctr) = run_heard(&campaign, &config);
-            let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
-            assert_eq!(report.cursor_shards, 1);
-            assert_eq!(replay + window, report.steps_prefix, "{engine:?}: spans leak steps");
-            assert!(
-                window <= bracket_steps,
-                "{engine:?}: {window} instrumented steps outgrew the {} visited brackets' \
-                 {bracket_steps} (of {} executed)",
-                visited.len(),
-                report.steps_prefix
-            );
-            assert!(window > 0, "{engine:?}: nothing ran armed");
-            assert!(replay <= from_states, "{engine:?}: replayed {replay} of {from_states}");
-            assert!(ctr("cursor.hops") <= visited.len() as u64, "{engine:?}: a clone per hop");
-        }
+        let config = one_cursor(&[0, 1, 2, 3]);
+        let visited: std::collections::BTreeSet<usize> = (0..4)
+            .map(|i| trail.bracket_of(&campaign.sample_point(&config, i).expect("sample").0))
+            .collect();
+        let bracket_steps: u64 = visited.iter().map(|&b| end_of(b) - trail.bracket_step(b)).sum();
+        let from_states: u64 =
+            visited.iter().map(|&b| trail.bracket_step(b) - state_before(trail, b)).sum();
+        let (report, ctr) = run_heard(&campaign, &config);
+        let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
+        assert_eq!(report.cursor_shards, 1);
+        assert_eq!(replay + window, report.steps_prefix, "spans leak steps");
+        assert!(
+            window <= bracket_steps,
+            "{window} instrumented steps outgrew the {} visited brackets' \
+             {bracket_steps} (of {} executed)",
+            visited.len(),
+            report.steps_prefix
+        );
+        assert!(window > 0, "nothing ran armed");
+        assert!(replay <= from_states, "replayed {replay} of {from_states}");
+        assert!(ctr("cursor.hops") <= visited.len() as u64, "a clone per hop");
     }
 
     /// The hop rule, in exact counts: a bracket that starts *on* a golden
@@ -503,19 +499,17 @@ mod tests {
         let budget = campaign.fuel_budget(&CampaignConfig { hang_factor: 0, ..cfg(1) });
         assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
         let indices = find_indices(&campaign, 3, |_, b, _| state_before(trail, b) > budget);
-        for engine in [EngineKind::Interp, EngineKind::Compiled] {
-            let starved = CampaignConfig { hang_factor: 0, ..one_cursor(engine, &indices) };
-            assert!(indices.iter().all(|&i| campaign.run_one(&starved, i).is_none()), "{engine:?}");
-            let hop =
-                campaign.run_selected(&starved, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
-            assert_eq!(hop.trellis_snapshots, 0, "{engine:?}: forked past the budget");
-            assert!(hop.records.is_empty(), "{engine:?}: {:?}", hop.records);
-            assert_eq!(hop.steps_prefix, 0, "{engine:?}: the failed hop executed nothing");
-            // The same points on the default budget fire and are recorded.
-            let fed = CampaignConfig { hang_factor: 20, ..starved };
-            let hop = campaign.run_selected(&fed, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
-            assert_eq!(hop.trellis_snapshots, 3, "{engine:?}");
-        }
+        let starved = CampaignConfig { hang_factor: 0, ..one_cursor(&indices) };
+        assert!(indices.iter().all(|&i| campaign.run_one(&starved, i).is_none()));
+        let hop =
+            campaign.run_selected(&starved, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
+        assert_eq!(hop.trellis_snapshots, 0, "forked past the budget");
+        assert!(hop.records.is_empty(), "{:?}", hop.records);
+        assert_eq!(hop.steps_prefix, 0, "the failed hop executed nothing");
+        // The same points on the default budget fire and are recorded.
+        let fed = CampaignConfig { hang_factor: 20, ..starved };
+        let hop = campaign.run_selected(&fed, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
+        assert_eq!(hop.trellis_snapshots, 3);
     }
 
     /// A point firing on the very step a checkpoint was taken at is counted
@@ -606,16 +600,12 @@ mod tests {
             .min()
             .expect("three points");
         let executed = first_firing - state_before(&campaign.trail, bracket);
-        for engine in [EngineKind::Interp, EngineKind::Compiled] {
-            let config = one_cursor(engine, &indices);
-            let ctl = JobControl::new();
-            let report =
-                campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
-            assert!(report.cancelled);
-            assert_eq!(report.trellis_snapshots, 1, "{engine:?}: hopped on after the cancel");
-            assert_eq!(report.steps_prefix, executed, "{engine:?}: cursor kept walking");
-            assert!(report.records.is_empty() && ctl.classified() == 0);
-        }
+        let (config, ctl) = (one_cursor(&indices), JobControl::new());
+        let report = campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
+        assert!(report.cancelled);
+        assert_eq!(report.trellis_snapshots, 1, "hopped on after the cancel");
+        assert_eq!(report.steps_prefix, executed, "cursor kept walking");
+        assert!(report.records.is_empty() && ctl.classified() == 0);
     }
 
     /// Sharding follows the pool width when `cursor_shards` is `None`.

@@ -256,8 +256,7 @@ fn mix_counter(kind: &'static str) -> &'static str {
 mod tests {
     use super::*;
     use crate::fixtures::tiny_workload;
-    use crate::CampaignConfig;
-    use simx::{advance_to_step, CompiledEngine, EngineKind, InterpEngine, ModuleId};
+    use simx::{advance_to_step, CompiledEngine, InterpEngine, ModuleId};
     use tinyir::FuncId;
 
     impl Trail {
@@ -329,11 +328,11 @@ mod tests {
             for (i, state) in states.iter().enumerate() {
                 assert_eq!(state.steps, (i as u64 + 1) * STATE_EVERY * spacing, "{at}: state {i}");
                 assert!((1..brackets).any(|b| trail.bracket_step(b) == state.steps), "{at}");
-                for engine in [EngineKind::Interp, EngineKind::Compiled] {
-                    let config = CampaignConfig { engine, ..CampaignConfig::default() };
+                let engines: [&dyn ExecutionEngine; 2] = [&InterpEngine, &campaign.compiled];
+                for engine in engines {
                     let mut replayed = campaign.template.clone();
-                    assert!(advance_to_step(campaign.engine(&config), &mut replayed, state.steps));
-                    assert!(replayed.same_state(state), "{at}: state {i} on {engine:?}");
+                    assert!(advance_to_step(engine, &mut replayed, state.steps));
+                    assert!(replayed.same_state(state), "{at}: state {i} on {}", engine.name());
                 }
             }
             for (m, funcs) in golden.iter().enumerate() {

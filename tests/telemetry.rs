@@ -106,25 +106,35 @@ fn tlb_hit_rate_is_high_and_consistent() {
     assert!(hit_rate > 0.90, "TLB hit rate {hit_rate:.4} suspiciously low");
 }
 
-/// A compiled-engine campaign surfaces the `engine.*` translation counters
-/// (block, op and fusion statistics) in its telemetry stream; an
-/// interpreter campaign emits none of them. The simulation-visible counters
-/// stay identical either way.
+/// Every campaign runs its golden side — the golden run and the cursor
+/// pass — on its own translation, so the interpreter and the compiled run of
+/// one campaign report the same `engine.*` translation counters (block, op
+/// and fusion statistics) and the same `cursor.*` counters; `cfg.engine`
+/// picks only the engine of the injected runs. The simulation-visible
+/// counters stay identical either way.
 #[test]
-fn compiled_campaign_reports_engine_counters() {
+fn every_campaign_reports_its_translation_and_cursor_counters_alike() {
     let interp = traced_hpccg_campaign_engine(40, EngineKind::Interp);
     let compiled = traced_hpccg_campaign_engine(40, EngineKind::Compiled);
     let ctr = |t: &TelemetryReport, n: &str| t.counters.get(n).copied().unwrap_or(0);
+    let family = |t: &TelemetryReport, prefix: &str| {
+        let of = t.counters.iter().filter(|(k, _)| k.starts_with(prefix));
+        of.map(|(k, &v)| (k.clone(), v)).collect::<Vec<_>>()
+    };
+    for prefix in ["engine.", "cursor."] {
+        assert_eq!(
+            family(&interp, prefix),
+            family(&compiled, prefix),
+            "{prefix}* counters differ between the engines"
+        );
+    }
+    assert!(ctr(&interp, "engine.ops") > 0, "no translated ops reported");
+    assert!(ctr(&interp, "engine.blocks") > 0, "no translated blocks reported");
     assert!(
-        !interp.counters.keys().any(|k| k.starts_with("engine.")),
-        "interpreter campaign emitted engine.* counters"
-    );
-    assert!(ctr(&compiled, "engine.ops") > 0, "no translated ops reported");
-    assert!(ctr(&compiled, "engine.blocks") > 0, "no translated blocks reported");
-    assert!(
-        ctr(&compiled, "engine.fused_cmp_br") > 0,
+        ctr(&interp, "engine.fused_cmp_br") > 0,
         "HPCCG loops must fuse compare+branch pairs"
     );
+    assert!(ctr(&interp, "cursor.window_steps") > 0, "no cursor ran armed");
     // Telemetry is an observer on either backend: the campaign-level step
     // accounting must agree between the engines.
     for key in ["steps.prefix", "steps.suffix", "steps.care", "campaign.classified"] {
