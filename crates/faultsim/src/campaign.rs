@@ -10,10 +10,10 @@
 //! classify → Safeguard on the trapped process itself, [`crate::suffix`])
 //! from their snapshot, in parallel on the same pool.
 //! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
-//! ~`N·L` — less what a cursor skips by cloning a golden state instead of
-//! replaying to it, and what a suffix or a repaired run skips by stopping at
-//! the golden state it has re-joined — and `K > 1` removes the serial-cursor
-//! Amdahl bottleneck (`K = 1` is a single cursor).
+//! ~`N·L` — less what a cursor skips by rebuilding the golden state at a
+//! bracket's start instead of running to it, and what a suffix or a repaired
+//! run skips by stopping at the golden state it has re-joined — and `K > 1`
+//! removes the serial-cursor Amdahl bottleneck (`K = 1` is a single cursor).
 
 use crate::cursor::{hand_out, plan_points, PlannedPoint};
 use crate::injector::{FaultModel, InjectionPoint};
@@ -269,8 +269,12 @@ impl Campaign {
 
         // Phase 3 — the cursor pass over the *distinct* points, in disjoint
         // step-ordered shards along the golden trail.
-        let (cursor_steps, cursor_shards) = timed(hooks, "trellis.cursor_ns", || {
-            self.run_cursors(cfg, &mut points, hooks, ctl)
+        // The job's golden states are rebuilt here, for the cursors to hop
+        // from and the suffixes to re-join at, and dropped with the job.
+        let (states, (cursor_steps, cursor_shards)) = timed(hooks, "trellis.cursor_ns", || {
+            let states = self.trail.states(&self.template);
+            let ran = self.run_cursors(cfg, &states, &mut points, hooks, ctl);
+            (states, ran)
         });
 
         // Phase 4 — suffix scheduling: rayon-parallel over injection
@@ -278,10 +282,10 @@ impl Campaign {
         // calls element for element); each worker takes the snapshot
         // handed to its index and runs inject → classify → CARE. A snapshot
         // is a golden state too: one per bracket, cloned before `hand_out`
-        // gives them away, joins the trail's states as a re-join target.
+        // gives them away, joins the job's states as a re-join target.
         let trellis_snapshots = points.iter().filter(|p| p.snapshot.is_some()).count();
         let snapshots = first_fired_per_bracket(&points);
-        let golden = golden_targets(self.trail.states(), &snapshots);
+        let golden = golden_targets(&states, &snapshots);
         let mut jobs: Vec<((usize, InjectionPoint, SmallRng), Option<Process>)> =
             samples.into_iter().map(|s| (s, None)).collect();
         hand_out(points, &mut jobs);
@@ -303,9 +307,9 @@ impl Campaign {
 
         let mut report = CampaignReport::from_records(records);
         // The attributed per-record prefixes were simulated once or not at
-        // all, by the cursor shards: report what actually executed (replay
-        // from a cloned golden state + instrumented brackets, summed over
-        // the shards that had points).
+        // all, by the cursor shards: report what actually executed (the
+        // armed windows from each rebuilt bracket start, summed over the
+        // shards that had points).
         report.trellis_snapshots = trellis_snapshots;
         report.cursor_shards = cursor_shards;
         report.steps_prefix = cursor_steps;
@@ -405,7 +409,7 @@ impl Campaign {
 /// A copy-on-write clone of one snapshot per bracket of `points`: that of
 /// the bracket's first point, in plan order, that fired. A snapshot is the
 /// golden process paused at its firing step, so it is a golden state like
-/// the trail's own. One per bracket prunes as much as all
+/// the job's own. One per bracket prunes as much as all
 /// of them do, and pins far fewer pages until the suffixes end.
 pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
     points
@@ -414,8 +418,8 @@ pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
         .collect()
 }
 
-/// What a suffix may re-join at: the trail's states and the fork snapshots
-/// together, in step order, one per step (the trail's where both stand).
+/// What a suffix may re-join at: the job's states and the fork snapshots
+/// together, in step order, one per step (the job's where both stand).
 pub(crate) fn golden_targets<'g>(
     states: &'g [Process],
     snapshots: &'g [Process],
@@ -456,7 +460,7 @@ mod tests {
     }
 
     /// The re-join targets the trellis hands its suffixes: strictly
-    /// increasing in step, the trail's states plus at most one fork snapshot
+    /// increasing in step, the job's states plus at most one fork snapshot
     /// per bracket — each standing at a step the cursor forked at.
     #[test]
     fn rejoin_targets_are_step_ordered_golden_states_one_snapshot_per_bracket() {
@@ -464,10 +468,10 @@ mod tests {
         let config = cfg(60);
         let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
         let mut points = plan_points(&campaign.trail, sampled);
-        campaign.run_cursors(&config, &mut points, &NoTelemetry, &JobControl::new());
+        let states = campaign.trail.states(&campaign.template);
+        campaign.run_cursors(&config, &states, &mut points, &NoTelemetry, &JobControl::new());
         let snapshots = first_fired_per_bracket(&points);
-        let states = campaign.trail.states();
-        let targets = golden_targets(states, &snapshots);
+        let targets = golden_targets(&states, &snapshots);
         assert!(targets.windows(2).all(|w| w[0].steps < w[1].steps), "not strictly increasing");
         // The bracket each snapshot target was forked in, by its step.
         let forked_in = |step: u64| {

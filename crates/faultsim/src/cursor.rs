@@ -1,9 +1,9 @@
 //! The trellis cursor pass: group the sampled points once, then walk one
 //! cursor per shard along the golden [`Trail`], forking a snapshot per point.
-//! A cursor does not replay what the trail already holds: a hop to a bracket
-//! starts from a clone of the latest golden state at or before it, so the
-//! steps a pass *executes* — what `steps_prefix` reports — are summed from
-//! the stretches it ran, not read off where it stands.
+//! A cursor runs only where it is armed: a hop rebuilds the golden process
+//! at its bracket's start from the trail's checkpoints, so the steps a pass
+//! *executes* — what `steps_prefix` reports — are its armed windows, summed
+//! window by window, not read off where it stands.
 //!
 //! One list carries the pass: the *distinct* points in bracket order, each
 //! with the injections that drew it and the slot its snapshot lands in. A
@@ -14,7 +14,7 @@ use crate::campaign::{Campaign, CampaignConfig, JobControl};
 use crate::injector::InjectionPoint;
 use crate::trail::Trail;
 use rayon::prelude::*;
-use simx::{advance_to_step, ExecutionEngine, Instrument, Process, RunExit};
+use simx::{ExecutionEngine, Instrument, Process, RunExit};
 use telemetry::{Event, Hooks};
 
 /// One distinct injection point of a pass.
@@ -77,14 +77,16 @@ pub(crate) fn hand_out<T>(points: Vec<PlannedPoint>, jobs: &mut [(T, Option<Proc
 impl Campaign {
     /// The cursor pass: cut `points` at the trail's shard boundaries and
     /// walk one cursor per populated shard (empty ones never run),
-    /// concurrently on the pool, under the campaign fuel budget; every
-    /// point that fires gets its snapshot. Deterministic execution makes
-    /// every cursor's timeline *the* golden timeline, so the snapshot forked
-    /// for a point is bit-identical for every shard count. Returns the
-    /// steps the cursors executed and how many ran.
+    /// concurrently on the pool, under the campaign fuel budget, hopping
+    /// from the job's golden `states` ([`Trail::states`]); every point that
+    /// fires gets its snapshot. Deterministic execution makes every cursor's
+    /// timeline *the* golden timeline, so the snapshot forked for a point is
+    /// bit-identical for every shard count. Returns the steps the cursors
+    /// executed and how many ran.
     pub(crate) fn run_cursors(
         &self,
         cfg: &CampaignConfig,
+        states: &[Process],
         points: &mut [PlannedPoint],
         hooks: &dyn Hooks,
         ctl: &JobControl,
@@ -103,30 +105,29 @@ impl Campaign {
         let ran = shards.len();
         let steps: Vec<u64> = shards
             .into_par_iter()
-            .map(|(j, shard)| self.run_cursor_shard(cfg, j, shard, hooks, ctl))
+            .map(|(j, shard)| self.run_cursor_shard(cfg, states, j, shard, hooks, ctl))
             .collect();
         (steps.iter().sum(), ran)
     }
 
     /// Walk one cursor shard by hopping between the brackets that hold its
-    /// points. A hop starts from the latest golden state the trail kept at
-    /// or before the bracket's start — when that is ahead of where the
-    /// cursor stands, the cursor *becomes* a clone of it, on the fuel a run
-    /// to it would have left — and replays what remains to the bracket's
-    /// checkpoint *uninstrumented* on the campaign's translation, whatever
-    /// engine `cfg` selects. From there it runs handed an [`Instrument`]
-    /// whose stops are only that bracket's points, until they have fired —
-    /// forking a paused snapshot at each — and hops on; the stops stay with
-    /// the instrument, so a fork is a plain paused process. The instrumented
-    /// stretches are at most one checkpoint interval per visited bracket;
-    /// between them is replay, of at most the distance between two states.
-    /// A program too short for checkpoints is the one-bracket case. Returns
-    /// the steps this cursor actually executed, summed stretch by stretch (a
-    /// clone stands at steps nobody ran): they end at its last firing, where
-    /// the cursor is dropped — the window tail past it is never re-simulated.
+    /// points. A hop rebuilds the golden process at the bracket's start
+    /// ([`Trail::state_at`]: a clone of the latest of `states` at or before
+    /// it, brought forward by the checkpoints' changes) on the fuel a run
+    /// to it would have left, and runs from there on the campaign's
+    /// translation, whatever engine `cfg` selects, handed an
+    /// [`Instrument`] whose stops are only that bracket's points, until
+    /// they have fired — forking a paused snapshot at each — and hops on;
+    /// the stops stay with the instrument, so a fork is a plain paused
+    /// process. So what a cursor executes is exactly its armed windows, at
+    /// most one checkpoint interval per visited bracket. A program too
+    /// short for checkpoints is the one-bracket case. Returns the steps
+    /// this cursor executed: they end at each bracket's last firing, where
+    /// the cursor is dropped — the window tail past it is never simulated.
     fn run_cursor_shard(
         &self,
         cfg: &CampaignConfig,
+        states: &[Process],
         shard_idx: usize,
         shard: &mut [PlannedPoint],
         hooks: &dyn Hooks,
@@ -134,33 +135,18 @@ impl Campaign {
     ) -> u64 {
         let t0 = hooks.enabled().then(std::time::Instant::now);
         let budget = self.fuel_budget(cfg);
-        let mut cursor = self.template.clone();
-        cursor.fuel = budget;
-        let (mut replay_steps, mut window_steps, mut hops) = (0u64, 0u64, 0u64);
+        let (mut window_steps, mut hops) = (0u64, 0u64);
         'hops: for points in shard.chunk_by_mut(|a, b| a.bracket == b.bracket) {
             let bracket = points[0].bracket;
-            let start = self.trail.bracket_step(bracket);
             if ctl.is_cancelled() {
                 break;
             }
-            let ahead = self.trail.state_at_or_before(start).filter(|s| s.steps > cursor.steps);
-            if let Some(state) = ahead {
-                // A state past the budget is one the replay to it would have
-                // run dry before reaching: the hop fails as that replay did.
-                let Some(fuel) = budget.checked_sub(state.steps) else { break };
-                cursor = state.clone();
-                cursor.fuel = fuel;
-                hops += 1;
-            }
-            let hop_from = cursor.steps;
-            let reached = advance_to_step(&self.compiled, &mut cursor, start);
-            replay_steps += cursor.steps - hop_from;
-            if !reached {
-                // A failed replay, unreachable for a prepared campaign on a
-                // budget that covers its golden run: degrade like an unfired
-                // breakpoint, the remaining indexes yield no record.
-                break;
-            }
+            // A start past the budget is one a run from program start would
+            // have run dry before reaching: the hop fails as that run did.
+            let Some(fuel) = budget.checked_sub(self.trail.bracket_step(bracket)) else { break };
+            let mut cursor = self.trail.state_at(&self.template, states, bracket);
+            cursor.fuel = fuel;
+            hops += (bracket > 0) as u64;
             // Stop ordinals count from the first instrumented run: rebase the
             // absolute `nth` by the executions already behind the checkpoint
             // (a per-instruction shift, so `armed` stays sorted like `points`).
@@ -202,7 +188,6 @@ impl Campaign {
         }
         if hooks.enabled() {
             hooks.add("cursor.hops", hops);
-            hooks.add("cursor.replay_steps", replay_steps);
             hooks.add("cursor.window_steps", window_steps);
             hooks.record(
                 "trellis.shard_ns",
@@ -217,7 +202,7 @@ impl Campaign {
                     .field("snapshots", snapshots as u64),
             );
         }
-        replay_steps + window_steps
+        window_steps
     }
 }
 
@@ -227,7 +212,7 @@ mod tests {
     use crate::campaign::NoSink;
     use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_campaign, tiny_workload};
     use crate::{CampaignReport, InjectionRecord};
-    use simx::{EngineKind, InterpEngine};
+    use simx::{advance_to_step, EngineKind, InterpEngine};
     use telemetry::NoTelemetry;
 
     /// Duplicate-point indexes must share one trellis snapshot — and the
@@ -275,17 +260,11 @@ mod tests {
         p.steps
     }
 
-    /// The step of the golden state a hop to `bracket` can start from (0:
-    /// none, the hop starts from the program's start).
-    fn state_before(trail: &Trail, bracket: usize) -> u64 {
-        trail.state_at_or_before(trail.bracket_step(bracket)).map_or(0, |s| s.steps)
-    }
-
     /// The hop rule as arithmetic: the steps the cursors execute to fire
     /// `fired` — each distinct point's bracket and firing step — when the
     /// brackets are cut into shards at `ends`. A cursor runs to a firing
-    /// from where it stands (a shard's first from step 0), or from the state
-    /// before the firing's bracket when that is further on.
+    /// from where it stands (the bracket's previous firing), or from the
+    /// bracket's start, which a hop rebuilds, when that is further on.
     fn modelled_prefix(trail: &Trail, fired: &[(usize, u64)], ends: &[usize]) -> u64 {
         let mut fired = fired.to_vec();
         fired.sort_unstable();
@@ -294,7 +273,7 @@ mod tests {
         for &end in ends {
             let mut stands = 0;
             for &(bracket, step) in fired.iter().filter(|f| (shard_start..end).contains(&f.0)) {
-                total += step - stands.max(state_before(trail, bracket));
+                total += step - stands.max(trail.bracket_step(bracket));
                 stands = step;
             }
             shard_start = end;
@@ -305,11 +284,9 @@ mod tests {
     /// The parallel cursor pass is invisible in the records: any explicit
     /// shard count reproduces the single cursor bit for bit, snapshots dedup
     /// across shards exactly as before, and the executed-prefix accounting
-    /// is the hop rule's for every K. A shard's first hop clones the state
-    /// before its first bracket where the single cursor may have stood
-    /// further on, so K cursors execute at least what one does — the
-    /// boundary prefixes that used to be replayed whole are mostly cloned —
-    /// while attributed records stay fixed.
+    /// is the hop rule's for every K. Every hop rebuilds its bracket's start,
+    /// so a cursor executes only its armed windows and K cursors execute
+    /// exactly what one does, while attributed records stay fixed.
     #[test]
     fn sharded_cursors_match_single_cursor_and_split_the_prefix() {
         let campaign = hpccg_campaign();
@@ -325,7 +302,7 @@ mod tests {
         assert_eq!(reference(&campaign, &config(1)), single.records);
         assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state");
         assert!(ctr("care.converged") > 0, "no repaired run stopped at a golden state");
-        assert!(ctr("cursor.hops") > 0, "the cursor never started from a golden state");
+        assert!(ctr("cursor.hops") > 0, "the cursor never hopped to a checkpoint");
         assert_eq!(single.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(1)));
         for k in [2, 4, 16] {
             let (sharded, ctr) = run_heard(&campaign, &config(k));
@@ -340,7 +317,7 @@ mod tests {
             // What the boundaries add is *executed* prefix, and only that:
             // the suffix/CARE stages are untouched.
             assert_eq!(sharded.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(k)));
-            assert!(sharded.steps_prefix >= single.steps_prefix);
+            assert_eq!(sharded.steps_prefix, single.steps_prefix);
             assert_eq!(single.steps_suffix, sharded.steps_suffix);
             assert_eq!(single.steps_care, sharded.steps_care);
         }
@@ -405,9 +382,9 @@ mod tests {
 
     /// The mechanism, in exact counts: a cursor runs instrumented only
     /// inside the brackets that hold its points — at most one checkpoint
-    /// interval each — and replays uninstrumented only from the golden state
-    /// before a bracket to the bracket, if at all; the two spans still add up
-    /// to every prefix step the cursor executed.
+    /// interval each — and executes nothing else: every prefix step it
+    /// executed was armed, and each visited bracket past the first one of
+    /// the program is one hop.
     #[test]
     fn cursor_runs_instrumented_only_inside_visited_brackets() {
         let campaign = hpccg_campaign();
@@ -421,84 +398,73 @@ mod tests {
             .map(|i| trail.bracket_of(&campaign.sample_point(&config, i).expect("sample").0))
             .collect();
         let bracket_steps: u64 = visited.iter().map(|&b| end_of(b) - trail.bracket_step(b)).sum();
-        let from_states: u64 =
-            visited.iter().map(|&b| trail.bracket_step(b) - state_before(trail, b)).sum();
         let (report, ctr) = run_heard(&campaign, &config);
-        let (replay, window) = (ctr("cursor.replay_steps"), ctr("cursor.window_steps"));
+        let window = ctr("cursor.window_steps");
         assert_eq!(report.cursor_shards, 1);
-        assert_eq!(replay + window, report.steps_prefix, "spans leak steps");
+        assert_eq!(window, report.steps_prefix, "a step ran unarmed");
         assert!(
             window <= bracket_steps,
-            "{window} instrumented steps outgrew the {} visited brackets' \
-             {bracket_steps} (of {} executed)",
+            "{window} instrumented steps outgrew the {} visited brackets' {bracket_steps}",
             visited.len(),
-            report.steps_prefix
         );
         assert!(window > 0, "nothing ran armed");
-        assert!(replay <= from_states, "replayed {replay} of {from_states}");
-        assert!(ctr("cursor.hops") <= visited.len() as u64, "a clone per hop");
+        assert_eq!(ctr("cursor.hops"), visited.iter().filter(|&&b| b > 0).count() as u64);
     }
 
-    /// The hop rule, in exact counts: a bracket that starts *on* a golden
-    /// state is reached by cloning it, with nothing replayed; one that starts
-    /// some checkpoint spacings past a state replays exactly those; and a
-    /// cursor already past the state before its next bracket keeps walking —
-    /// a clone never takes it backwards.
+    /// The hop rule, in exact counts: a hop lands on its bracket's start
+    /// having executed nothing — wherever the golden states stand — so a
+    /// cursor executes from the bracket's start to the firing; and a later
+    /// bracket of the same cursor is hopped to as well, never walked to.
     #[test]
-    fn a_hop_clones_the_state_before_its_bracket_and_replays_only_the_rest() {
+    fn a_hop_lands_on_its_bracket_start_and_a_later_bracket_hops_too() {
         let campaign = hpccg_campaign();
         let trail = &campaign.trail;
-        let spacing = trail.bracket_step(1);
-        let on_a_state = find_indices(&campaign, 1, |_, b, _| {
-            b > 0 && state_before(trail, b) == trail.bracket_step(b)
-        });
-        let (report, ctr) = hop_matches_run_one(&campaign, &on_a_state);
-        assert_eq!((ctr("cursor.hops"), ctr("cursor.replay_steps")), (1, 0));
-        assert!(0 < report.steps_prefix && report.steps_prefix <= spacing, "one armed window");
+        // One bracket on a golden state, one some checkpoints past one, one
+        // before any: each hop executes only what its point's firing needs.
+        let on_a_state = |b: usize| b > 0 && trail.holds_state_at(trail.bracket_step(b));
+        let past_a_state = |b: usize| !on_a_state(b) && (1..b).any(on_a_state);
+        let before_any = |b: usize| b > 0 && !(1..=b).any(on_a_state);
+        for pick in [&on_a_state as &dyn Fn(usize) -> bool, &past_a_state, &before_any] {
+            let one = find_indices(&campaign, 1, |_, b, _| pick(b));
+            let (point, _) = campaign.sample_point(&cfg(1), one[0]).expect("sample");
+            let b = trail.bracket_of(&point);
+            let (report, ctr) = hop_matches_run_one(&campaign, &one);
+            assert_eq!(ctr("cursor.hops"), 1, "bracket {b}");
+            let executed = firing_step(&campaign, &point) - trail.bracket_step(b);
+            assert_eq!(report.steps_prefix, executed, "bracket {b}");
+        }
 
-        let past_a_state = find_indices(&campaign, 1, |_, b, _| {
-            (1..trail.bracket_step(b)).contains(&state_before(trail, b))
-        });
-        let (point, _) = campaign.sample_point(&cfg(1), past_a_state[0]).expect("sample");
-        let b = trail.bracket_of(&point);
-        let rest = trail.bracket_step(b) - state_before(trail, b);
-        assert!(rest.is_multiple_of(spacing) && rest / spacing < 12, "{rest} past the state");
-        let (report, ctr) = hop_matches_run_one(&campaign, &past_a_state);
-        assert_eq!((ctr("cursor.hops"), ctr("cursor.replay_steps")), (1, rest));
-        assert_eq!(report.steps_prefix, firing_step(&campaign, &point) - state_before(trail, b));
-
-        // Two brackets with no state from the first one's start to the second's.
-        let walking = find_indices(&campaign, 2, |chosen, b, _| match chosen {
-            [] => state_before(trail, b) > 0,
-            [(first, _)] => *first < b && state_before(trail, b) <= trail.bracket_step(*first),
+        // Two brackets of one cursor, with no golden state between them.
+        let later = find_indices(&campaign, 2, |chosen, b, _| match chosen {
+            [] => b > 0,
+            [(first, _)] => *first < b && !(first + 1..=b).any(on_a_state),
             _ => false,
         });
-        let [first, second] = [0, 1]
-            .map(|at| campaign.sample_point(&cfg(1), walking[at]).expect("sample").0);
+        let [first, second] =
+            [0, 1].map(|at| campaign.sample_point(&cfg(1), later[at]).expect("sample").0);
         let (b1, b2) = (trail.bracket_of(&first), trail.bracket_of(&second));
-        let (report, ctr) = hop_matches_run_one(&campaign, &walking);
-        assert_eq!(ctr("cursor.hops"), 1, "the second hop cloned a state behind the cursor");
+        let (report, ctr) = hop_matches_run_one(&campaign, &later);
+        assert_eq!(ctr("cursor.hops"), 2, "the second bracket was walked to");
         assert_eq!(
-            ctr("cursor.replay_steps"),
-            (trail.bracket_step(b1) - state_before(trail, b1))
-                + (trail.bracket_step(b2) - firing_step(&campaign, &first))
+            report.steps_prefix,
+            (firing_step(&campaign, &first) - trail.bracket_step(b1))
+                + (firing_step(&campaign, &second) - trail.bracket_step(b2))
         );
-        assert_eq!(report.steps_prefix, firing_step(&campaign, &second) - state_before(trail, b1));
     }
 
-    /// A hop to a state the budget does not reach fails as the replay to it
-    /// did: on a budget short of the golden run, a point whose bracket lies
-    /// past a state that lies past the budget never fires — no snapshot, no
-    /// record, as `run_one` runs dry before its breakpoint.
+    /// A hop to a bracket that starts past the budget fails as a run to it
+    /// would: on a budget short of the golden run, a point whose bracket
+    /// starts past the budget never fires — no snapshot, no record, as
+    /// `run_one` runs dry before its breakpoint.
     #[test]
-    fn a_hop_to_a_state_past_the_budget_fails_like_the_replay_to_it() {
+    fn a_hop_to_a_bracket_past_the_budget_fails_like_a_run_to_it() {
         let w = tiny_workload(150_000);
         let app = care::compile(&w.module, opt::OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
         let trail = &campaign.trail;
         let budget = campaign.fuel_budget(&CampaignConfig { hang_factor: 0, ..cfg(1) });
         assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
-        let indices = find_indices(&campaign, 3, |_, b, _| state_before(trail, b) > budget);
+        let indices = find_indices(&campaign, 3, |_, b, _| trail.bracket_step(b) > budget);
         let starved = CampaignConfig { hang_factor: 0, ..one_cursor(&indices) };
         assert!(indices.iter().all(|&i| campaign.run_one(&starved, i).is_none()));
         let hop =
@@ -538,11 +504,10 @@ mod tests {
         let ci = on_checkpoint.iter().position(|p| *p == point).expect("picked from the list");
         assert_eq!(trail.bracket_of(&point), ci, "bracket must start one checkpoint earlier");
         let (report, _) = hop_matches_run_one(&campaign, &indices);
-        // Attributed from the program's start, executed from the state the
-        // hop to the bracket cloned.
+        // Attributed from the program's start, executed from the bracket's
+        // start, where the hop rebuilt the golden process.
         assert_eq!(report.records[0].split.prefix, trail.bracket_step(ci + 1));
-        assert!(state_before(trail, ci) > 0, "test premise: a state before the bracket");
-        assert_eq!(report.steps_prefix, trail.bracket_step(ci + 1) - state_before(trail, ci));
+        assert_eq!(report.steps_prefix, trail.bracket_step(ci + 1) - trail.bracket_step(ci));
     }
 
     /// Two points of one bracket share one hop and one armed set.
@@ -592,14 +557,14 @@ mod tests {
         let indices =
             find_indices(&campaign, 3, |chosen, bracket, _| chosen.iter().all(|&(b, _)| b != bracket));
         // The first firing, and what the cursor ran to get there: from the
-        // state its one hop cloned.
+        // start of its bracket.
         let (first_firing, bracket) = indices
             .iter()
             .map(|&i| campaign.sample_point(&cfg(1), i).expect("sample").0)
             .map(|point| (firing_step(&campaign, &point), campaign.trail.bracket_of(&point)))
             .min()
             .expect("three points");
-        let executed = first_firing - state_before(&campaign.trail, bracket);
+        let executed = first_firing - campaign.trail.bracket_step(bracket);
         let (config, ctl) = (one_cursor(&indices), JobControl::new());
         let report = campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
         assert!(report.cancelled);

@@ -17,13 +17,14 @@
 //! The modules, in the order a campaign passes through them: [`injector`]
 //! (`(I, n)` selection and the bit-flips), `trail` (the golden run and its
 //! checkpoint trail — the one place that knows what a checkpoint holds:
-//! profile counts at each, the golden machine state at a few),
-//! `cursor` (the distinct sampled points, grouped once, walked by hopping
-//! cursors — each hop starting from a clone of the golden state before it —
-//! that fork a snapshot per point), `suffix` (one injection from
-//! its snapshot on: inject, run to an outcome or to the golden state the
-//! run re-joins, classify, CARE recovery to its end or to the golden state
-//! the repaired run re-joins; the record types and the
+//! profile counts, and the control state and memory lines the golden run
+//! changed since the checkpoint before, from which each job rebuilds its few
+//! golden states), `cursor` (the distinct sampled points, grouped once,
+//! walked by hopping cursors — each hop rebuilding the golden process at its
+//! bracket's start — that fork a snapshot per point), `suffix` (one
+//! injection from its snapshot on: inject, run to an outcome or to the
+//! golden state the run re-joins, classify, CARE recovery to its end or to
+//! the golden state the repaired run re-joins; the record types and the
 //! per-index reference `run_one`), `report` ([`CampaignReport`]),
 //! [`campaign`] ([`Campaign`], its configuration, and the `run*` entry
 //! points that orchestrate the rest) and [`wire`] (the JSON field lists).

@@ -6,12 +6,12 @@
 //! benign, and a benign run is mostly one whose corrupted value died: from
 //! some step on it *is* the golden run. [`Campaign::run_suffix`] therefore
 //! runs from one golden state to the next and compares
-//! ([`Process::same_state`]). The golden states are the trail's few and the
-//! trellis' own fork snapshots — one per bracket, each the golden process
-//! paused where the cursor forked it — so even a program too short for a
-//! trail state has targets. On equality the rest is known — `Benign`, at
-//! exactly `golden_steps` — and the record is written there, with the steps
-//! it would have executed attributed as if it had. The protected run does
+//! ([`Process::same_state`]). The golden states are the few the job rebuilds
+//! from the trail and the trellis' own fork snapshots — one per bracket,
+//! each the golden process paused where the cursor forked it — so even a
+//! program too short for a trail state has targets. On equality the rest is
+//! known — `Benign`, at exactly `golden_steps` — and the record is written
+//! there, with the steps it would have executed attributed as if it had. The protected run does
 //! the same after every repair — a correct repair puts the process back on
 //! the golden run, one re-executed instruction ahead of it per repair — and
 //! on equality ends covered, with the golden run's remaining steps added to
@@ -391,10 +391,10 @@ impl Campaign {
     }
 
     /// Whether `state`, a golden state a run re-joined at, is a fork
-    /// snapshot rather than one of the trail's states (the trail's state
-    /// stands for both where they share a step).
+    /// snapshot rather than one of the job's states, told by its step (the
+    /// job's state stands for both where they share a step).
     fn is_snapshot(&self, state: &Process) -> bool {
-        self.trail.states().binary_search_by_key(&state.steps, |s| s.steps).is_err()
+        !self.trail.holds_state_at(state.steps)
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -506,7 +506,8 @@ mod tests {
         let w = tiny_workload(1_000);
         let app = care::compile(&w.module, opt::OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        assert!(campaign.trail.states().is_empty(), "test premise: no trail state");
+        let states = campaign.trail.states(&campaign.template);
+        assert!(states.is_empty(), "test premise: no trail state");
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
             let config = CampaignConfig { engine, ..cfg(60) };
             let (report, ctr) = run_heard(&campaign, &config);
@@ -530,7 +531,8 @@ mod tests {
         let starved = CampaignConfig { hang_factor: 0, ..cfg(16) };
         let budget = campaign.fuel_budget(&starved);
         assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
-        let first = campaign.trail.states().first().expect("test premise: a state").steps;
+        let states = campaign.trail.states(&campaign.template);
+        let first = states.first().expect("test premise: a state").steps;
         assert!(first < budget / 2, "test premise: states inside the budget");
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
             let config = CampaignConfig { engine, ..starved };

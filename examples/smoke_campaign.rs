@@ -127,7 +127,7 @@ fn main() {
     );
     assert!(
         heard("cursor.hops") > 0,
-        "the cursor never started a hop from a golden state"
+        "the cursor never hopped to a checkpoint"
     );
     println!(
         "protected runs: {} of {} re-joined the golden run after {} comparisons; {} of {} \
@@ -139,10 +139,9 @@ fn main() {
         r.steps_care,
     );
     println!(
-        "cursor: {} hops started from a cloned golden state; {} replayed + {} armed steps \
-         executed for the {} prefix steps the last firing stands at",
+        "cursor: {} hops rebuilt a checkpoint's golden state; {} armed steps executed for \
+         the {} prefix steps the last firing stands at",
         heard("cursor.hops"),
-        heard("cursor.replay_steps"),
         heard("cursor.window_steps"),
         r.records.iter().map(|rec| rec.split.prefix).max().unwrap_or(0),
     );

@@ -177,10 +177,10 @@ fn engine_counters_are_the_same_on_every_run_of_a_campaign() {
 /// * at least two telemetry shards (each shard is one thread) carry
 ///   nonzero `worker.busy_ns` — the suffix/CARE jobs did not all run on
 ///   the caller;
-/// * the per-shard cursor spans (`cursor.replay_steps` +
-///   `cursor.window_steps`, summed over shards) equal the campaign's
-///   `steps_prefix` exactly — the instrumented brackets plus the
-///   uninstrumented hops between them account for every prefix step;
+/// * the per-shard cursor spans (`cursor.window_steps`, summed over
+///   shards) equal the campaign's `steps_prefix` exactly — a hop rebuilds
+///   its bracket's start and executes nothing, so the instrumented
+///   brackets account for every prefix step — and the cursors hopped;
 /// * the `trellis.shards` counter agrees with the report.
 #[test]
 fn four_thread_campaign_spreads_work_across_pool_shards() {
@@ -206,11 +206,11 @@ fn four_thread_campaign_spreads_work_across_pool_shards() {
     assert!(report.cursor_shards > 1, "4-thread trellis did not shard the cursor");
     assert_eq!(ctr("trellis.shards"), report.cursor_shards as u64);
     assert_eq!(
-        ctr("cursor.replay_steps") + ctr("cursor.window_steps"),
+        ctr("cursor.window_steps"),
         report.steps_prefix,
         "sharded cursor spans do not reconcile with the prefix step count"
     );
-    assert!(ctr("cursor.replay_steps") > 0, "no cursor hopped uninstrumented to a checkpoint");
+    assert!(ctr("cursor.hops") > 0, "no cursor hopped to a checkpoint");
     let busy_shards = tel
         .per_shard_counters
         .iter()
@@ -242,8 +242,7 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
     assert_eq!(ctr("campaign.injections"), 60);
     // Those are the *attributed* suffix steps. The part of them no engine
     // ran — the rest of each suffix that stopped at the golden state it had
-    // re-joined — is counted beside them, as the cursor's replay/window
-    // counters split the prefix.
+    // re-joined — is counted beside them.
     let (pruned, converged) = (ctr("suffix.pruned_steps"), ctr("suffix.converged"));
     assert!(pruned > 0 && converged > 0, "no HPCCG suffix re-joined the golden run");
     assert!(pruned <= ctr("steps.suffix"), "pruned {pruned} of {}", ctr("steps.suffix"));
