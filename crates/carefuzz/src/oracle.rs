@@ -14,10 +14,10 @@
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
 //!    to the per-index reference (`Campaign::run_one` for every index) on
-//!    the same seed, with a recorder listening or not. The trellis rebuilds
-//!    the golden state at each hop's bracket from its trail and stops runs
-//!    at the golden states and at its own fork snapshots; `run_one` does
-//!    neither. [`Reach`] counts
+//!    the same seed, with a recorder listening or not. The trellis starts
+//!    each hop from the job's golden state at its bracket, rebuilt from its
+//!    trail, and stops runs at the golden states and at its own fork
+//!    snapshots; `run_one` does neither. [`Reach`] counts
 //!    how often a fuzzing run got that far, so a clean run can say what it
 //!    held the pair to.
 //! 5. **Kernel** — the paper §4 claim: every Armor recovery kernel, executed
@@ -110,18 +110,18 @@ pub const ORACLE_ARGS: [u64; 3] = [0, 3, 11];
 
 /// What the trellis pair's campaigns exercised of the golden states, summed
 /// over the programs checked. A program too short for a checkpoint (the
-/// first sits 1 024 steps in) has no hop, and one too short for a golden
-/// state (the first sits 12 288 steps in) has none to stop at, but its runs
-/// still compare themselves with the fork snapshots and may re-join at one.
+/// first sits 1 024 steps in) has no hop and no job state to stop at, but
+/// its runs still compare themselves with the fork snapshots and may re-join
+/// at one.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct Reach {
     /// Campaigns run by the trellis pair.
     pub campaigns: u64,
-    /// Of those, campaigns that reached a golden state: a hop rebuilt one or
+    /// Of those, campaigns that reached a golden state: a hop cloned one or
     /// a run paused at one (a job's state or a fork snapshot) to compare.
     pub reached_a_state: u64,
     /// Cursor hops to a bracket past program start, each starting from the
-    /// golden state rebuilt there.
+    /// job's golden state kept there.
     pub hops: u64,
     /// Unprotected suffixes that stopped at the golden state they re-joined.
     pub suffixes_rejoined: u64,

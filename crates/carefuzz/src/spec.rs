@@ -196,11 +196,12 @@ impl ProgramSpec {
         let mut spec = ProgramSpec { seed, arrays, helpers, stmts, trap };
         // One fault-free program in 16 is *long*: its whole body runs inside
         // one more counted loop, with the trips for a golden run of 40–160 K
-        // steps at `-O0`. A campaign keeps its first golden state 12 288
-        // steps in and halves its trail near 98 K, so these are the programs
-        // on which the trellis pair reaches a state at all: a cursor hop
-        // clones one, a suffix or a repaired run stops at one. (Drawn last:
-        // every other seed expands as it did before the shape existed.)
+        // steps at `-O0`. A campaign's first checkpoint, and so the first
+        // golden state a job can keep, sits 1 024 steps in and its trail
+        // halves near 98 K, so these are the programs on which the trellis
+        // pair reliably reaches states: a cursor hop clones one, a suffix or
+        // a repaired run stops at one. (Drawn last: every other seed expands
+        // as it did before the shape existed.)
         if spec.trap.is_none() && rng.gen_range(0u32..16) == 0 {
             let want = rng.gen_range(40_000u64..160_000);
             if let Some(once) = steps_of(&spec).filter(|&once| once < want) {

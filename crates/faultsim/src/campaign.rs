@@ -10,15 +10,16 @@
 //! classify → Safeguard on the trapped process itself, [`crate::suffix`])
 //! from their snapshot, in parallel on the same pool.
 //! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
-//! ~`N·L` — less what a cursor skips by rebuilding the golden state at a
-//! bracket's start instead of running to it, and what a suffix or a repaired
-//! run skips by stopping at the golden state it has re-joined — and `K > 1`
+//! ~`N·L` — less what a cursor skips by starting from the job's golden state
+//! at a bracket's start instead of running to it, and what a suffix or a
+//! repaired run skips by stopping at the golden state it has re-joined, the
+//! first at the end of its own bracket — and `K > 1`
 //! removes the serial-cursor Amdahl bottleneck (`K = 1` is a single cursor).
 
 use crate::cursor::{hand_out, plan_points, PlannedPoint};
 use crate::injector::{FaultModel, InjectionPoint};
 use crate::report::CampaignReport;
-use crate::suffix::InjectionRecord;
+use crate::suffix::{InjectionRecord, MAX_COMPARES};
 use crate::trail::{Trail, MAX_GOLDEN_STEPS};
 use care::{build_process, CompiledApp};
 use rand::rngs::SmallRng;
@@ -27,6 +28,7 @@ use safeguard::RecoveryIndex;
 use simx::{
     CompiledEngine, EngineKind, ExecutionEngine, InterpEngine, MInst, ModuleId, Process, Profile,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::{timed, Hooks, NoTelemetry};
@@ -269,10 +271,11 @@ impl Campaign {
 
         // Phase 3 — the cursor pass over the *distinct* points, in disjoint
         // step-ordered shards along the golden trail.
-        // The job's golden states are rebuilt here, for the cursors to hop
-        // from and the suffixes to re-join at, and dropped with the job.
+        // The job's golden states are rebuilt here, at every checkpoint its
+        // points' brackets reach, for the cursors to hop from and the
+        // suffixes to re-join at, and dropped with the job.
         let (states, (cursor_steps, cursor_shards)) = timed(hooks, "trellis.cursor_ns", || {
-            let states = self.trail.states(&self.template);
+            let states = self.trail.states(&self.template, state_brackets(&points));
             let ran = self.run_cursors(cfg, &states, &mut points, hooks, ctl);
             (states, ran)
         });
@@ -308,8 +311,8 @@ impl Campaign {
         let mut report = CampaignReport::from_records(records);
         // The attributed per-record prefixes were simulated once or not at
         // all, by the cursor shards: report what actually executed (the
-        // armed windows from each rebuilt bracket start, summed over the
-        // shards that had points).
+        // armed windows from each bracket start a hop cloned, summed over
+        // the shards that had points).
         report.trellis_snapshots = trellis_snapshots;
         report.cursor_shards = cursor_shards;
         report.steps_prefix = cursor_steps;
@@ -418,6 +421,19 @@ pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
         .collect()
 }
 
+/// The brackets at whose starts a job keeps its golden states, for
+/// `points` in bracket order: from its first populated bracket, where its
+/// first hop lands, to [`MAX_COMPARES`] past its last, so that a run
+/// injected in any populated bracket first compares at that bracket's end
+/// and finds a state at each checkpoint it may compare at after. A job with
+/// no points keeps none.
+pub(crate) fn state_brackets(points: &[PlannedPoint]) -> Range<usize> {
+    match (points.first(), points.last()) {
+        (Some(first), Some(last)) => first.bracket..last.bracket + MAX_COMPARES + 1,
+        _ => 0..0,
+    }
+}
+
 /// What a suffix may re-join at: the job's states and the fork snapshots
 /// together, in step order, one per step (the job's where both stand).
 pub(crate) fn golden_targets<'g>(
@@ -468,7 +484,7 @@ mod tests {
         let config = cfg(60);
         let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
         let mut points = plan_points(&campaign.trail, sampled);
-        let states = campaign.trail.states(&campaign.template);
+        let states = campaign.trail.states(&campaign.template, state_brackets(&points));
         campaign.run_cursors(&config, &states, &mut points, &NoTelemetry, &JobControl::new());
         let snapshots = first_fired_per_bracket(&points);
         let targets = golden_targets(&states, &snapshots);
@@ -487,6 +503,47 @@ mod tests {
         assert_eq!(distinct.len(), brackets.len(), "two snapshots of one bracket: {brackets:?}");
         assert_eq!(targets.len(), states.len() + brackets.len());
         assert!(states.iter().all(|s| targets.iter().any(|t| std::ptr::eq(*t, s))));
+    }
+
+    /// The job keeps what its runs need and no more: for every populated
+    /// bracket `b`, the re-join targets hold the job's state at each of the
+    /// [`MAX_COMPARES`] checkpoints from `b`'s end on, and its hop starts
+    /// from the job's state at `b`'s start; the states run from the first
+    /// populated bracket's start to [`MAX_COMPARES`] checkpoints past the
+    /// last one's end. A job with no points keeps none.
+    #[test]
+    fn golden_targets_hold_every_checkpoint_a_populated_bracket_compares_at() {
+        let campaign = hpccg_campaign();
+        let (trail, template) = (&campaign.trail, &campaign.template);
+        let brackets = trail.brackets();
+        assert!(trail.states(template, state_brackets(&[])).is_empty());
+        // Points neither in bracket 0 nor within reach of the trail's end,
+        // so that a range one short at either end leaves a state out.
+        let config = cfg(60);
+        let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
+        let inner_brackets = 2..brackets - MAX_COMPARES - 2;
+        let inner = |p: &InjectionPoint| inner_brackets.contains(&trail.bracket_of(p));
+        let mut points = plan_points(trail, sampled.filter(inner));
+        let populated: std::collections::BTreeSet<_> = points.iter().map(|p| p.bracket).collect();
+        assert!(populated.len() > 3, "test premise: populated brackets {populated:?}");
+        let states = trail.states(template, state_brackets(&points));
+        campaign.run_cursors(&config, &states, &mut points, &NoTelemetry, &JobControl::new());
+        let snapshots = first_fired_per_bracket(&points);
+        let targets = golden_targets(&states, &snapshots);
+        let job_state_at = |step: u64| {
+            let state = targets.iter().find(|t| t.steps == step);
+            state.is_some_and(|t| states.iter().any(|s| std::ptr::eq(*t, s)))
+        };
+        for &b in &populated {
+            assert_eq!(trail.state_at(template, &states, b).steps, trail.bracket_step(b));
+            for c in b + 1..=b + MAX_COMPARES {
+                assert!(job_state_at(trail.bracket_step(c)), "bracket {b}: no state at {c}");
+            }
+        }
+        let (&first, &last) = (populated.first().unwrap(), populated.last().unwrap());
+        let kept: Vec<u64> = states.iter().map(|s| s.steps).collect();
+        let want: Vec<u64> = (first..=last + MAX_COMPARES).map(|b| trail.bracket_step(b)).collect();
+        assert_eq!(kept, want, "the walk kept more or less than the job's range");
     }
 
     /// A never-cancelled `JobControl` is an observational no-op:

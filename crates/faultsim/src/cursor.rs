@@ -1,7 +1,7 @@
 //! The trellis cursor pass: group the sampled points once, then walk one
 //! cursor per shard along the golden [`Trail`], forking a snapshot per point.
-//! A cursor runs only where it is armed: a hop rebuilds the golden process
-//! at its bracket's start from the trail's checkpoints, so the steps a pass
+//! A cursor runs only where it is armed: a hop starts from a clone of the
+//! job's golden state at its bracket's start, so the steps a pass
 //! *executes* — what `steps_prefix` reports — are its armed windows, summed
 //! window by window, not read off where it stands.
 //!
@@ -78,11 +78,12 @@ impl Campaign {
     /// The cursor pass: cut `points` at the trail's shard boundaries and
     /// walk one cursor per populated shard (empty ones never run),
     /// concurrently on the pool, under the campaign fuel budget, hopping
-    /// from the job's golden `states` ([`Trail::states`]); every point that
-    /// fires gets its snapshot. Deterministic execution makes every cursor's
-    /// timeline *the* golden timeline, so the snapshot forked for a point is
-    /// bit-identical for every shard count. Returns the steps the cursors
-    /// executed and how many ran.
+    /// from the job's golden `states` ([`Trail::states`], one at the start
+    /// of every populated bracket); every point that fires gets its
+    /// snapshot. Deterministic execution makes every cursor's timeline *the*
+    /// golden timeline, so the snapshot forked for a point is bit-identical
+    /// for every shard count. Returns the steps the cursors executed and how
+    /// many ran.
     pub(crate) fn run_cursors(
         &self,
         cfg: &CampaignConfig,
@@ -111,15 +112,13 @@ impl Campaign {
     }
 
     /// Walk one cursor shard by hopping between the brackets that hold its
-    /// points. A hop rebuilds the golden process at the bracket's start
-    /// ([`Trail::state_at`]: a clone of the latest of `states` at or before
-    /// it, brought forward by the checkpoints' changes) on the fuel a run
-    /// to it would have left, and runs from there on the campaign's
-    /// translation, whatever engine `cfg` selects, handed an
-    /// [`Instrument`] whose stops are only that bracket's points, until
-    /// they have fired — forking a paused snapshot at each — and hops on;
-    /// the stops stay with the instrument, so a fork is a plain paused
-    /// process. So what a cursor executes is exactly its armed windows, at
+    /// points. A hop clones the job's golden state at the bracket's start
+    /// ([`Trail::state_at`]) on the fuel a run to it would have left, and
+    /// runs from there on the campaign's translation, whatever engine `cfg`
+    /// selects, handed an [`Instrument`] whose stops are only that bracket's
+    /// points, until they have fired — forking a paused snapshot at each —
+    /// and hops on; the stops stay with the instrument, so a fork is a plain
+    /// paused process. So what a cursor executes is exactly its armed windows, at
     /// most one checkpoint interval per visited bracket. A program too
     /// short for checkpoints is the one-bracket case. Returns the steps
     /// this cursor executed: they end at each bracket's last firing, where
@@ -264,7 +263,7 @@ mod tests {
     /// `fired` — each distinct point's bracket and firing step — when the
     /// brackets are cut into shards at `ends`. A cursor runs to a firing
     /// from where it stands (the bracket's previous firing), or from the
-    /// bracket's start, which a hop rebuilds, when that is further on.
+    /// bracket's start, where a hop lands, when that is further on.
     fn modelled_prefix(trail: &Trail, fired: &[(usize, u64)], ends: &[usize]) -> u64 {
         let mut fired = fired.to_vec();
         fired.sort_unstable();
@@ -284,7 +283,7 @@ mod tests {
     /// The parallel cursor pass is invisible in the records: any explicit
     /// shard count reproduces the single cursor bit for bit, snapshots dedup
     /// across shards exactly as before, and the executed-prefix accounting
-    /// is the hop rule's for every K. Every hop rebuilds its bracket's start,
+    /// is the hop rule's for every K. Every hop lands on its bracket's start,
     /// so a cursor executes only its armed windows and K cursors execute
     /// exactly what one does, while attributed records stay fixed.
     #[test]
@@ -412,32 +411,24 @@ mod tests {
     }
 
     /// The hop rule, in exact counts: a hop lands on its bracket's start
-    /// having executed nothing — wherever the golden states stand — so a
-    /// cursor executes from the bracket's start to the firing; and a later
-    /// bracket of the same cursor is hopped to as well, never walked to.
+    /// having executed nothing, so a cursor executes from the bracket's
+    /// start to the firing; and a later bracket of the same cursor is hopped
+    /// to as well, never walked to.
     #[test]
     fn a_hop_lands_on_its_bracket_start_and_a_later_bracket_hops_too() {
         let campaign = hpccg_campaign();
         let trail = &campaign.trail;
-        // One bracket on a golden state, one some checkpoints past one, one
-        // before any: each hop executes only what its point's firing needs.
-        let on_a_state = |b: usize| b > 0 && trail.holds_state_at(trail.bracket_step(b));
-        let past_a_state = |b: usize| !on_a_state(b) && (1..b).any(on_a_state);
-        let before_any = |b: usize| b > 0 && !(1..=b).any(on_a_state);
-        for pick in [&on_a_state as &dyn Fn(usize) -> bool, &past_a_state, &before_any] {
-            let one = find_indices(&campaign, 1, |_, b, _| pick(b));
-            let (point, _) = campaign.sample_point(&cfg(1), one[0]).expect("sample");
-            let b = trail.bracket_of(&point);
-            let (report, ctr) = hop_matches_run_one(&campaign, &one);
-            assert_eq!(ctr("cursor.hops"), 1, "bracket {b}");
-            let executed = firing_step(&campaign, &point) - trail.bracket_step(b);
-            assert_eq!(report.steps_prefix, executed, "bracket {b}");
-        }
+        let one = find_indices(&campaign, 1, |_, b, _| b > 0);
+        let (point, _) = campaign.sample_point(&cfg(1), one[0]).expect("sample");
+        let b = trail.bracket_of(&point);
+        let (report, ctr) = hop_matches_run_one(&campaign, &one);
+        assert_eq!(ctr("cursor.hops"), 1, "bracket {b}");
+        assert_eq!(report.steps_prefix, firing_step(&campaign, &point) - trail.bracket_step(b));
 
-        // Two brackets of one cursor, with no golden state between them.
+        // Two brackets of one cursor, with a bracket between them.
         let later = find_indices(&campaign, 2, |chosen, b, _| match chosen {
             [] => b > 0,
-            [(first, _)] => *first < b && !(first + 1..=b).any(on_a_state),
+            [(first, _)] => first + 1 < b,
             _ => false,
         });
         let [first, second] =
@@ -505,7 +496,7 @@ mod tests {
         assert_eq!(trail.bracket_of(&point), ci, "bracket must start one checkpoint earlier");
         let (report, _) = hop_matches_run_one(&campaign, &indices);
         // Attributed from the program's start, executed from the bracket's
-        // start, where the hop rebuilt the golden process.
+        // start, where the hop cloned the job's golden state.
         assert_eq!(report.records[0].split.prefix, trail.bracket_step(ci + 1));
         assert_eq!(report.steps_prefix, trail.bracket_step(ci + 1) - trail.bracket_step(ci));
     }

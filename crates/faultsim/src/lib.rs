@@ -18,10 +18,11 @@
 //! (`(I, n)` selection and the bit-flips), `trail` (the golden run and its
 //! checkpoint trail — the one place that knows what a checkpoint holds:
 //! profile counts, and the control state and memory lines the golden run
-//! changed since the checkpoint before, from which each job rebuilds its few
-//! golden states), `cursor` (the distinct sampled points, grouped once,
-//! walked by hopping cursors — each hop rebuilding the golden process at its
-//! bracket's start — that fork a snapshot per point), `suffix` (one
+//! changed since the checkpoint before, from which each job rebuilds the
+//! golden state at every checkpoint its points reach), `cursor` (the
+//! distinct sampled points, grouped once, walked by hopping cursors — each
+//! hop cloning the job's golden state at its bracket's start — that fork a
+//! snapshot per point), `suffix` (one
 //! injection from its snapshot on: inject, run to an outcome or to the
 //! golden state the run re-joins, classify, CARE recovery to its end or to
 //! the golden state the repaired run re-joins; the record types and the

@@ -6,12 +6,13 @@
 //! benign, and a benign run is mostly one whose corrupted value died: from
 //! some step on it *is* the golden run. [`Campaign::run_suffix`] therefore
 //! runs from one golden state to the next and compares
-//! ([`Process::same_state`]). The golden states are the few the job rebuilds
-//! from the trail and the trellis' own fork snapshots — one per bracket,
-//! each the golden process paused where the cursor forked it — so even a
-//! program too short for a trail state has targets. On equality the rest is
-//! known — `Benign`, at exactly `golden_steps` — and the record is written
-//! there, with the steps it would have executed attributed as if it had. The protected run does
+//! ([`Process::same_state`]). The golden states are those the job rebuilds
+//! from the trail, one at every checkpoint its runs can reach, and the
+//! trellis' own fork snapshots — one per bracket, each the golden process
+//! paused where the cursor forked it — so even a program too short for a
+//! checkpoint has targets. On equality the rest is known — `Benign`, at
+//! exactly `golden_steps` — and the record is written there, with the steps
+//! it would have executed attributed as if it had. The protected run does
 //! the same after every repair — a correct repair puts the process back on
 //! the golden run, one re-executed instruction ahead of it per repair — and
 //! on equality ends covered, with the golden run's remaining steps added to
@@ -39,12 +40,14 @@ use telemetry::{Event, Hooks, NoTelemetry};
 
 /// Unequal comparisons with golden states after which a suffix stops
 /// comparing and runs out: a run that has not re-joined by its third target
-/// rarely does, and each comparison reads every page both runs wrote. With
-/// the fork snapshots among the targets, caps of 2, 3, 6 and 16 prune
-/// 271.0, 271.4, 271.4 and 273.9 M of the 503.5 M attributed suffix steps on
-/// `repro --injections 250 --engine compiled fig7 table2` (3 467 to 16 430
-/// comparisons), and read 4 475–5 062 `inj_per_s` on `cov_compiled` alike.
-const MAX_COMPARES: usize = 3;
+/// rarely does, and each comparison reads every page both runs wrote. It
+/// also bounds a job's walk: the job keeps states this many checkpoints past
+/// its last populated bracket (`campaign::state_brackets`). With a state at
+/// every checkpoint a job's runs reach, caps of 3, 6 and 12 execute the same
+/// 2 768 039 suffix and CARE steps per round of carebench's cov job set (the
+/// five O1 programs, one 16- and two 4-injection jobs each, one cursor
+/// shard), and a cap of 96 executes 1.4 % fewer (2 729 450).
+pub(crate) const MAX_COMPARES: usize = 3;
 
 /// Hardware-trap symptom classes of Table 3.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -186,10 +189,10 @@ impl Campaign {
     /// RNG must be in the post-[`Campaign::sample_point`] state.
     ///
     /// `golden` is the golden run's states the suffix may stop at, strictly
-    /// increasing in step: `Trail::states` merged with one fork snapshot per
-    /// bracket, for the trellis; empty for the reference, which then runs
-    /// out. A snapshot is the golden process at its firing step, so it is a
-    /// golden state like a trail state.
+    /// increasing in step: the job's `Trail::states` merged with one fork
+    /// snapshot per bracket, for the trellis; empty for the reference, which
+    /// then runs out. A snapshot is the golden process at its firing step, so
+    /// it is a golden state like a trail state.
     /// The run pauses at each one past the injection, and where it
     /// equals that state — with fuel left for the rest of the golden run,
     /// without which it would end `Hang`, not `Benign` — the record is
@@ -391,10 +394,11 @@ impl Campaign {
     }
 
     /// Whether `state`, a golden state a run re-joined at, is a fork
-    /// snapshot rather than one of the job's states, told by its step (the
-    /// job's state stands for both where they share a step).
+    /// snapshot rather than one of the job's states, told by its step: the
+    /// job keeps a state at every checkpoint its runs may compare at, and
+    /// its state stands for both where they share a step.
     fn is_snapshot(&self, state: &Process) -> bool {
-        !self.trail.holds_state_at(state.steps)
+        !self.trail.is_checkpoint_step(state.steps)
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -495,19 +499,15 @@ mod tests {
         }
     }
 
-    /// A program too short for a trail state still re-joins: at the fork
-    /// snapshots, each the golden process at a step the cursor stopped at.
-    /// Against the trail's states alone the same campaign prunes nothing.
-    /// (10 007 steps, ten brackets: `tiny_campaign`'s one bracket holds one
-    /// target, its plan-first point, which stands before all its benign
-    /// runs.)
+    /// A program too short for a checkpoint, and so for a trail state,
+    /// still re-joins: at the fork snapshot of its one bracket, the golden
+    /// process at a step the cursor stopped at.
     #[test]
     fn suffixes_rejoin_at_fork_snapshots_without_any_trail_state() {
-        let w = tiny_workload(1_000);
+        let w = tiny_workload(100);
         let app = care::compile(&w.module, opt::OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let states = campaign.trail.states(&campaign.template);
-        assert!(states.is_empty(), "test premise: no trail state");
+        assert_eq!(campaign.trail.brackets(), 1, "test premise: no checkpoint");
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
             let config = CampaignConfig { engine, ..cfg(60) };
             let (report, ctr) = run_heard(&campaign, &config);
@@ -531,8 +531,7 @@ mod tests {
         let starved = CampaignConfig { hang_factor: 0, ..cfg(16) };
         let budget = campaign.fuel_budget(&starved);
         assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
-        let states = campaign.trail.states(&campaign.template);
-        let first = states.first().expect("test premise: a state").steps;
+        let first = campaign.trail.bracket_step(1);
         assert!(first < budget / 2, "test premise: states inside the budget");
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
             let config = CampaignConfig { engine, ..starved };

@@ -16,16 +16,17 @@
 //! trellis cursor rebase its points' `nth` ordinals to stop ordinals
 //! counted from a checkpoint; the checkpoints are also the shard-boundary
 //! candidates of the parallel cursor pass. The changes are what the golden
-//! states are rebuilt from: each job walks them once from the template and
-//! keeps the state at every [`STATE_EVERY`]th checkpoint
-//! ([`Trail::states`]), and a cursor hop rebuilds the golden process at its
-//! bracket's start from the latest of those ([`Trail::state_at`]), standing
-//! exactly where a run to it would have. The states are also among what a
-//! suffix or a repaired run compares itself with: an injected run that
-//! equals the golden run's state *is* the golden run from there on, and
-//! stops. The campaign merges them with one fork snapshot per bracket, which
-//! are golden states too, so a run has targets between the states and a
-//! program too short for any state still has some.
+//! states are rebuilt from: each job walks them once from the template, as
+//! far as its points need, and keeps the state at every checkpoint of the
+//! bracket range it names ([`Trail::states`]); a cursor hop starts from a
+//! clone of the one at its bracket's start ([`Trail::state_at`]), standing
+//! exactly where a run to it would have. The states are also what a suffix
+//! or a repaired run compares itself with: an injected run that equals the
+//! golden run's state *is* the golden run from there on, and stops. With a
+//! state at every checkpoint from a job's first populated bracket on, a run
+//! first compares at the end of its own bracket. The campaign merges them
+//! with one fork snapshot per bracket, which are golden states too, so a
+//! program too short for any checkpoint still has targets.
 //!
 //! The checkpoint list, the flat counts, the range table and the changes
 //! are private to this module: everything else asks in terms of brackets —
@@ -55,15 +56,6 @@ const _: () = assert!(MAX_GOLDEN_STEPS <= u32::MAX as u64);
 
 /// The trail holds fewer checkpoints than this for any program length.
 const MAX_CHECKPOINTS: usize = 96;
-
-/// A job's golden states stand at every checkpoint whose step is a
-/// multiple of this many quanta: at most 7 on a finished trail, and a hop
-/// applies fewer deltas than this to the one before its bracket. Measured
-/// on the five bundled programs before this was built (CHANGES.md, PR 23),
-/// 8 states still prune 50 % of all suffix steps where one at every
-/// checkpoint prunes 56 %, and each state pins the pages the golden run
-/// dirties up to the next for as long as the job runs.
-const STATE_EVERY: usize = 12;
 
 /// What the golden run changed between two checkpoints: the control state
 /// and the memory lines it wrote.
@@ -218,53 +210,48 @@ impl Trail {
         (Trail { checkpoints, ranges, steps: p.steps }, p, profile)
     }
 
-    /// The golden states a job keeps, rebuilt from `template` in one walk
-    /// over the checkpoints' changes, in step order: one at every
-    /// [`STATE_EVERY`]th checkpoint. They are where a cursor hop starts
-    /// ([`Trail::state_at`]) and, beside the fork snapshots, what a suffix
-    /// may re-join at.
-    pub(crate) fn states(&self, template: &Process) -> Vec<Process> {
-        let walked = self.checkpoints.len() / STATE_EVERY * STATE_EVERY;
-        let mut states = Vec::with_capacity(walked / STATE_EVERY);
-        if walked == 0 {
-            return states;
-        }
+    /// The golden states at the starts of the brackets in `starts`, rebuilt
+    /// from `template` in one walk over the checkpoints' changes that stops
+    /// at the last of them, in step order. Bracket 0 starts at the template
+    /// itself and brackets past the trail's last have no start, so neither
+    /// is kept; an empty range walks nothing. They are where a cursor hop
+    /// starts ([`Trail::state_at`]) and, beside the fork snapshots, what a
+    /// suffix may re-join at.
+    pub(crate) fn states(&self, template: &Process, starts: Range<usize>) -> Vec<Process> {
+        let (first, end) = (starts.start.max(1), starts.end.min(self.checkpoints.len() + 1));
+        let mut states = Vec::with_capacity(end.saturating_sub(first));
         let mut p = template.clone();
-        for (i, c) in self.checkpoints[..walked].iter().enumerate() {
+        for (b, c) in (1..end).zip(&self.checkpoints) {
             c.delta.apply(&mut p);
             p.steps = c.step;
-            if (i + 1) % STATE_EVERY == 0 && i + 1 < walked {
+            if b >= first {
                 states.push(p.clone());
             }
         }
-        states.push(p);
         states
     }
 
-    /// Whether a job's golden state stands at `step` ([`Trail::states`]).
-    pub(crate) fn holds_state_at(&self, step: u64) -> bool {
-        let checkpoint = |ci: usize| self.checkpoints.get(ci).map(|c| c.step);
-        (1..=self.checkpoints.len() / STATE_EVERY)
-            .any(|k| checkpoint(k * STATE_EVERY - 1) == Some(step))
+    /// Whether a checkpoint stands at `step`: where a job's state does,
+    /// when the step lies in its range ([`Trail::states`]).
+    pub(crate) fn is_checkpoint_step(&self, step: u64) -> bool {
+        self.checkpoints.binary_search_by_key(&step, |c| c.step).is_ok()
     }
 
-    /// The golden process as it stands at the start of `bracket`, rebuilt
-    /// from the latest of `states` (the job's [`Trail::states`]) at or
-    /// before it — `template` when there is none — by applying the
-    /// checkpoints' changes from there: fewer than [`STATE_EVERY`].
+    /// The golden process as it stands at the start of `bracket`: a clone of
+    /// the one of `states` (the job's [`Trail::states`]) kept there, or of
+    /// `template` for bracket 0. Panics when the job kept no state there.
     pub(crate) fn state_at(
         &self,
         template: &Process,
         states: &[Process],
         bracket: usize,
     ) -> Process {
-        let base = bracket / STATE_EVERY;
-        let mut p = base.checked_sub(1).map_or(template, |k| &states[k]).clone();
-        for c in &self.checkpoints[base * STATE_EVERY..bracket] {
-            c.delta.apply(&mut p);
-            p.steps = c.step;
+        if bracket == 0 {
+            return template.clone();
         }
-        p
+        let step = self.bracket_step(bracket);
+        let at = states.binary_search_by_key(&step, |s| s.steps);
+        states[at.expect("the job keeps a state at every bracket it hops to")].clone()
     }
 
     /// Executions of `point`'s static instruction counted in `counts`.
@@ -413,13 +400,13 @@ mod tests {
                 assert!(a.step == b.step && a.counts == b.counts, "{at}: counts at {}", b.step);
             }
             let template = &campaign.template;
-            let states = trail.states(template);
-            let interp_states = interp.states(template);
+            let brackets = trail.brackets();
+            let states = trail.states(template, 0..brackets);
+            let interp_states = interp.states(template, 0..brackets);
             assert_eq!(interp_states.len(), states.len(), "{at}");
             for (a, b) in interp_states.iter().zip(&states) {
                 assert!(a.steps == b.steps && a.same_state(b), "{at}: state at {}", b.steps);
             }
-            let brackets = trail.brackets();
             assert!(brackets <= MAX_CHECKPOINTS, "{at}: {} checkpoints", brackets - 1);
             for b in 1..brackets {
                 assert!(trail.bracket_step(b - 1) < trail.bracket_step(b), "{at}: bracket {b}");
@@ -429,21 +416,22 @@ mod tests {
                 // Each halving doubles the spacing from the 1 024-step quantum.
                 assert!(trail.bracket_step(1) >= 4 << 10, "test premise: {at} halved twice");
             }
-            // The job's states: few, each at a checkpoint `STATE_EVERY`
-            // spacings on, and the only steps `holds_state_at` names.
-            let spacing = trail.bracket_step(1.min(brackets - 1));
-            assert!(states.len() <= 7, "{at}: {} states", states.len());
-            assert_eq!(states.len(), (brackets - 1) / STATE_EVERY, "{at}");
-            for (i, state) in states.iter().enumerate() {
-                let step = (i as u64 + 1) * STATE_EVERY as u64 * spacing;
-                assert_eq!(state.steps, step, "{at}: state {i}");
+            // The walk keeps a state at exactly the starts of the brackets
+            // it is given, bracket 0's (the template) and any past the
+            // trail's last aside; every one stands at a checkpoint.
+            let mid = brackets / 2;
+            for starts in [0..brackets, 0..0, mid..mid, mid..mid + 3, 0..1, mid..brackets + 5] {
+                let kept: Vec<u64> =
+                    trail.states(template, starts.clone()).iter().map(|s| s.steps).collect();
+                let held = starts.start.max(1)..starts.end.min(brackets);
+                let want: Vec<u64> = held.map(|b| trail.bracket_step(b)).collect();
+                assert_eq!(kept, want, "{at}: brackets {starts:?}");
             }
             for b in 0..brackets {
-                let step = trail.bracket_step(b);
-                let held = states.iter().any(|s| s.steps == step);
-                assert_eq!(trail.holds_state_at(step), held, "{at}: bracket {b}");
+                assert_eq!(trail.is_checkpoint_step(trail.bracket_step(b)), b > 0, "{at}: {b}");
+                assert!(!trail.is_checkpoint_step(trail.bracket_step(b) + 1), "{at}: {b}");
             }
-            // The state a hop rebuilds at every bracket's start is what a
+            // The state a hop starts from at every bracket's start is what a
             // plain replay of the template reaches there, on either engine.
             let engines: [&dyn ExecutionEngine; 2] = [&InterpEngine, &campaign.compiled];
             for engine in engines {
@@ -451,11 +439,11 @@ mod tests {
                 for b in 0..brackets {
                     let start = trail.bracket_step(b);
                     assert!(advance_to_step(engine, &mut replayed, start), "{at}: {b}");
-                    let rebuilt = trail.state_at(template, &states, b);
-                    assert_eq!(rebuilt.steps, start, "{at}: bracket {b}");
+                    let kept = trail.state_at(template, &states, b);
+                    assert_eq!(kept.steps, start, "{at}: bracket {b}");
                     assert!(
-                        rebuilt.same_state(&replayed),
-                        "{at}: bracket {b} rebuilt unlike the replay on {}",
+                        kept.same_state(&replayed),
+                        "{at}: bracket {b} kept unlike the replay on {}",
                         engine.name()
                     );
                 }

@@ -139,7 +139,7 @@ fn main() {
         r.steps_care,
     );
     println!(
-        "cursor: {} hops rebuilt a checkpoint's golden state; {} armed steps executed for \
+        "cursor: {} hops cloned a checkpoint's golden state; {} armed steps executed for \
          the {} prefix steps the last firing stands at",
         heard("cursor.hops"),
         heard("cursor.window_steps"),

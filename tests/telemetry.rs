@@ -178,7 +178,7 @@ fn engine_counters_are_the_same_on_every_run_of_a_campaign() {
 ///   nonzero `worker.busy_ns` — the suffix/CARE jobs did not all run on
 ///   the caller;
 /// * the per-shard cursor spans (`cursor.window_steps`, summed over
-///   shards) equal the campaign's `steps_prefix` exactly — a hop rebuilds
+///   shards) equal the campaign's `steps_prefix` exactly — a hop clones
 ///   its bracket's start and executes nothing, so the instrumented
 ///   brackets account for every prefix step — and the cursors hopped;
 /// * the `trellis.shards` counter agrees with the report.
@@ -298,14 +298,14 @@ fn drive_every_instrumented_path(
     let key = carestore::campaign_key(&w.module, w.entry, &w.args, &w.outputs, "O1");
     let campaign = Campaign::prepare(&w, app, vec![]);
     let cfg = |engine| CampaignConfig {
-        injections: 60,
+        injections: 80,
         evaluate_care: true,
         app_only: true,
         keep_records: true,
         engine,
         ..CampaignConfig::default()
     };
-    let all: Vec<usize> = (0..60).collect();
+    let all: Vec<usize> = (0..80).collect();
     let mut reports: Vec<CampaignReport> = [EngineKind::Interp, EngineKind::Compiled]
         .map(|engine| campaign.run_selected(&cfg(engine), &all, hooks, &JobControl::new(), &NoSink))
         .into();
@@ -314,7 +314,7 @@ fn drive_every_instrumented_path(
     let dir = std::env::temp_dir().join(format!("care-telemetry-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = carestore::Store::open(&dir).expect("open store");
-    for expect_misses in [60, 0] {
+    for expect_misses in [80, 0] {
         let run = store
             .run_campaign(&key, &campaign, &cfg(EngineKind::Interp), hooks, &JobControl::new())
             .expect("store run");
