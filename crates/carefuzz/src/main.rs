@@ -37,14 +37,12 @@ fn main() -> ExitCode {
     let (failures, reach) = carefuzz::run_seeds(start, seeds, |line| println!("{line}"));
     println!(
         "trellis pair: {} of {} campaigns reached a golden state ({} hops cloned one); \
-         {} suffixes and {} repaired runs re-joined the golden run and stopped there \
-         ({} of them at a fork snapshot)",
+         {} suffixes and {} repaired runs re-joined the golden run and stopped there",
         reach.reached_a_state,
         reach.campaigns,
         reach.hops,
         reach.suffixes_rejoined,
         reach.repaired_rejoined,
-        reach.snapshot_rejoins,
     );
     for f in &failures {
         println!("\n=== seed {} ===", f.seed);
@@ -57,16 +55,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // One seed in 16 is a program long enough to hold golden states. A run
-    // of this many seeds that got to none of them, or re-joined at no fork
-    // snapshot, held the trellis pair to less than the trellis does
-    // differently from `run_one`.
-    let reached =
-        [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined, reach.snapshot_rejoins];
+    // of this many seeds that got to none of them held the trellis pair to
+    // less than the trellis does differently from `run_one`.
+    let reached = [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined];
     if seeds >= REACH_MIN_SEEDS && reached.contains(&0) {
-        eprintln!(
-            "{seeds} seeds without a hop, a re-joined suffix, a re-joined repaired run or a \
-             re-join at a fork snapshot"
-        );
+        eprintln!("{seeds} seeds without a hop, a re-joined suffix or a re-joined repaired run");
         return ExitCode::FAILURE;
     }
     println!("ok: {seeds} seeds, no divergence");

@@ -16,8 +16,8 @@
 //!    to the per-index reference (`Campaign::run_one` for every index) on
 //!    the same seed, with a recorder listening or not. The trellis starts
 //!    each hop from the job's golden state at its bracket, rebuilt from its
-//!    trail, and stops runs at the golden states and at its own fork
-//!    snapshots; `run_one` does neither. [`Reach`] counts
+//!    trail, and stops runs at those golden states; `run_one` does
+//!    neither. [`Reach`] counts
 //!    how often a fuzzing run got that far, so a clean run can say what it
 //!    held the pair to.
 //! 5. **Kernel** — the paper §4 claim: every Armor recovery kernel, executed
@@ -110,15 +110,14 @@ pub const ORACLE_ARGS: [u64; 3] = [0, 3, 11];
 
 /// What the trellis pair's campaigns exercised of the golden states, summed
 /// over the programs checked. A program too short for a checkpoint (the
-/// first sits 1 024 steps in) has no hop and no job state to stop at, but
-/// its runs still compare themselves with the fork snapshots and may re-join
-/// at one.
+/// first sits 1 024 steps in) has no hop and no golden state to stop at: its
+/// runs compare with nothing and run out.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct Reach {
     /// Campaigns run by the trellis pair.
     pub campaigns: u64,
     /// Of those, campaigns that reached a golden state: a hop cloned one or
-    /// a run paused at one (a job's state or a fork snapshot) to compare.
+    /// a run paused at one to compare.
     pub reached_a_state: u64,
     /// Cursor hops to a bracket past program start, each starting from the
     /// job's golden state kept there.
@@ -127,9 +126,6 @@ pub struct Reach {
     pub suffixes_rejoined: u64,
     /// Safeguard-repaired runs that did.
     pub repaired_rejoined: u64,
-    /// Of the re-joined suffixes and repaired runs, those that stopped at a
-    /// fork snapshot rather than a trail state.
-    pub snapshot_rejoins: u64,
 }
 
 /// Check a spec across all pairs and arguments. Returns the first
@@ -553,7 +549,6 @@ fn trellis_check(
     reach.hops += hops;
     reach.suffixes_rejoined += heard("suffix.converged");
     reach.repaired_rejoined += heard("care.converged");
-    reach.snapshot_rejoins += heard("suffix.snapshot_rejoins") + heard("care.snapshot_rejoins");
     None
 }
 

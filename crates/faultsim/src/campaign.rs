@@ -283,12 +283,9 @@ impl Campaign {
         // Phase 4 — suffix scheduling: rayon-parallel over injection
         // indexes (order-preserving, so records match per-index `run_one`
         // calls element for element); each worker takes the snapshot
-        // handed to its index and runs inject → classify → CARE. A snapshot
-        // is a golden state too: one per bracket, cloned before `hand_out`
-        // gives them away, joins the job's states as a re-join target.
+        // handed to its index and runs inject → classify → CARE, re-joining
+        // at the job's states.
         let trellis_snapshots = points.iter().filter(|p| p.snapshot.is_some()).count();
-        let snapshots = first_fired_per_bracket(&points);
-        let golden = golden_targets(&states, &snapshots);
         let mut jobs: Vec<((usize, InjectionPoint, SmallRng), Option<Process>)> =
             samples.into_iter().map(|s| (s, None)).collect();
         hand_out(points, &mut jobs);
@@ -298,7 +295,7 @@ impl Campaign {
                     if ctl.is_cancelled() {
                         return None;
                     }
-                    let rec = self.run_suffix(cfg, point, &rng, p?, &golden, hooks);
+                    let rec = self.run_suffix(cfg, point, &rng, p?, &states, hooks);
                     if let Some(r) = &rec {
                         sink.emit(index, r);
                         ctl.note_classified();
@@ -409,18 +406,6 @@ impl Campaign {
     }
 }
 
-/// A copy-on-write clone of one snapshot per bracket of `points`: that of
-/// the bracket's first point, in plan order, that fired. A snapshot is the
-/// golden process paused at its firing step, so it is a golden state like
-/// the job's own. One per bracket prunes as much as all
-/// of them do, and pins far fewer pages until the suffixes end.
-pub(crate) fn first_fired_per_bracket(points: &[PlannedPoint]) -> Vec<Process> {
-    points
-        .chunk_by(|a, b| a.bracket == b.bracket)
-        .filter_map(|same| same.iter().find_map(|p| p.snapshot.clone()))
-        .collect()
-}
-
 /// The brackets at whose starts a job keeps its golden states, for
 /// `points` in bracket order: from its first populated bracket, where its
 /// first hop lands, to [`MAX_COMPARES`] past its last, so that a run
@@ -432,18 +417,6 @@ pub(crate) fn state_brackets(points: &[PlannedPoint]) -> Range<usize> {
         (Some(first), Some(last)) => first.bracket..last.bracket + MAX_COMPARES + 1,
         _ => 0..0,
     }
-}
-
-/// What a suffix may re-join at: the job's states and the fork snapshots
-/// together, in step order, one per step (the job's where both stand).
-pub(crate) fn golden_targets<'g>(
-    states: &'g [Process],
-    snapshots: &'g [Process],
-) -> Vec<&'g Process> {
-    let mut targets: Vec<&Process> = states.iter().chain(snapshots).collect();
-    targets.sort_by_key(|p| p.steps);
-    targets.dedup_by_key(|p| p.steps);
-    targets
 }
 
 #[cfg(test)]
@@ -475,44 +448,14 @@ mod tests {
         );
     }
 
-    /// The re-join targets the trellis hands its suffixes: strictly
-    /// increasing in step, the job's states plus at most one fork snapshot
-    /// per bracket — each standing at a step the cursor forked at.
-    #[test]
-    fn rejoin_targets_are_step_ordered_golden_states_one_snapshot_per_bracket() {
-        let campaign = hpccg_campaign();
-        let config = cfg(60);
-        let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
-        let mut points = plan_points(&campaign.trail, sampled);
-        let states = campaign.trail.states(&campaign.template, state_brackets(&points));
-        campaign.run_cursors(&config, &states, &mut points, &NoTelemetry, &JobControl::new());
-        let snapshots = first_fired_per_bracket(&points);
-        let targets = golden_targets(&states, &snapshots);
-        assert!(targets.windows(2).all(|w| w[0].steps < w[1].steps), "not strictly increasing");
-        // The bracket each snapshot target was forked in, by its step.
-        let forked_in = |step: u64| {
-            let point = points.iter().find(|p| p.snapshot.as_ref().is_some_and(|s| s.steps == step));
-            point.map(|p| p.bracket)
-        };
-        let mut brackets = Vec::new();
-        for t in targets.iter().filter(|t| states.iter().all(|s| s.steps != t.steps)) {
-            brackets.push(forked_in(t.steps).expect("a snapshot target is a firing step"));
-        }
-        assert!(!brackets.is_empty(), "test premise: snapshot targets");
-        let distinct: std::collections::BTreeSet<_> = brackets.iter().collect();
-        assert_eq!(distinct.len(), brackets.len(), "two snapshots of one bracket: {brackets:?}");
-        assert_eq!(targets.len(), states.len() + brackets.len());
-        assert!(states.iter().all(|s| targets.iter().any(|t| std::ptr::eq(*t, s))));
-    }
-
     /// The job keeps what its runs need and no more: for every populated
-    /// bracket `b`, the re-join targets hold the job's state at each of the
+    /// bracket `b`, the job's states hold one at each of the
     /// [`MAX_COMPARES`] checkpoints from `b`'s end on, and its hop starts
     /// from the job's state at `b`'s start; the states run from the first
     /// populated bracket's start to [`MAX_COMPARES`] checkpoints past the
     /// last one's end. A job with no points keeps none.
     #[test]
-    fn golden_targets_hold_every_checkpoint_a_populated_bracket_compares_at() {
+    fn job_states_hold_every_checkpoint_a_populated_bracket_compares_at() {
         let campaign = hpccg_campaign();
         let (trail, template) = (&campaign.trail, &campaign.template);
         let brackets = trail.brackets();
@@ -523,17 +466,11 @@ mod tests {
         let sampled = (0..60).filter_map(|i| campaign.sample_point(&config, i).map(|s| s.0));
         let inner_brackets = 2..brackets - MAX_COMPARES - 2;
         let inner = |p: &InjectionPoint| inner_brackets.contains(&trail.bracket_of(p));
-        let mut points = plan_points(trail, sampled.filter(inner));
+        let points = plan_points(trail, sampled.filter(inner));
         let populated: std::collections::BTreeSet<_> = points.iter().map(|p| p.bracket).collect();
         assert!(populated.len() > 3, "test premise: populated brackets {populated:?}");
         let states = trail.states(template, state_brackets(&points));
-        campaign.run_cursors(&config, &states, &mut points, &NoTelemetry, &JobControl::new());
-        let snapshots = first_fired_per_bracket(&points);
-        let targets = golden_targets(&states, &snapshots);
-        let job_state_at = |step: u64| {
-            let state = targets.iter().find(|t| t.steps == step);
-            state.is_some_and(|t| states.iter().any(|s| std::ptr::eq(*t, s)))
-        };
+        let job_state_at = |step: u64| states.iter().any(|s| s.steps == step);
         for &b in &populated {
             assert_eq!(trail.state_at(template, &states, b).steps, trail.bracket_step(b));
             for c in b + 1..=b + MAX_COMPARES {

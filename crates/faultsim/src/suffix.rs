@@ -7,10 +7,9 @@
 //! some step on it *is* the golden run. [`Campaign::run_suffix`] therefore
 //! runs from one golden state to the next and compares
 //! ([`Process::same_state`]). The golden states are those the job rebuilds
-//! from the trail, one at every checkpoint its runs can reach, and the
-//! trellis' own fork snapshots — one per bracket, each the golden process
-//! paused where the cursor forked it — so even a program too short for a
-//! checkpoint has targets. On equality the rest is known — `Benign`, at
+//! from the trail, one at every checkpoint its runs can reach; a program
+//! too short for a checkpoint has none, and its runs run out. On equality
+//! the rest is known — `Benign`, at
 //! exactly `golden_steps` — and the record is written there, with the steps
 //! it would have executed attributed as if it had. The protected run does
 //! the same after every repair — a correct repair puts the process back on
@@ -43,10 +42,11 @@ use telemetry::{Event, Hooks, NoTelemetry};
 /// rarely does, and each comparison reads every page both runs wrote. It
 /// also bounds a job's walk: the job keeps states this many checkpoints past
 /// its last populated bracket (`campaign::state_brackets`). With a state at
-/// every checkpoint a job's runs reach, caps of 3, 6 and 12 execute the same
-/// 2 768 039 suffix and CARE steps per round of carebench's cov job set (the
+/// every checkpoint a job's runs reach, caps of 3 and 6 execute the same
+/// 2 768 562 suffix and CARE steps per round of carebench's cov job set (the
 /// five O1 programs, one 16- and two 4-injection jobs each, one cursor
-/// shard), and a cap of 96 executes 1.4 % fewer (2 729 450).
+/// shard), and caps of 12 and 96 execute 1.4 % fewer (2 730 591), for four
+/// times the states past a job's last populated bracket.
 pub(crate) const MAX_COMPARES: usize = 3;
 
 /// Hardware-trap symptom classes of Table 3.
@@ -189,10 +189,8 @@ impl Campaign {
     /// RNG must be in the post-[`Campaign::sample_point`] state.
     ///
     /// `golden` is the golden run's states the suffix may stop at, strictly
-    /// increasing in step: the job's `Trail::states` merged with one fork
-    /// snapshot per bracket, for the trellis; empty for the reference, which
-    /// then runs out. A snapshot is the golden process at its firing step, so
-    /// it is a golden state like a trail state.
+    /// increasing in step: the job's `Trail::states`, for the trellis; empty
+    /// for the reference, which then runs out.
     /// The run pauses at each one past the injection, and where it
     /// equals that state — with fuel left for the rest of the golden run,
     /// without which it would end `Hang`, not `Benign` — the record is
@@ -208,8 +206,7 @@ impl Campaign {
     /// deltas of the processes this job ran, and one `job` event whose
     /// `t_ns` stamp traces the queue drain. The step spans are *attributed*;
     /// `suffix.pruned_steps` and `care.pruned_steps` are the parts of them no
-    /// engine executed (`suffix.snapshot_rejoins` and `care.snapshot_rejoins`
-    /// count the re-joins at a fork snapshot), `suffix.executed_steps.<outcome>`
+    /// engine executed, `suffix.executed_steps.<outcome>`
     /// splits the rest of the suffix by its outcome, and the wall span and the
     /// TLB deltas cover executed work only. Hooks never
     /// influence the record: a telemetry-enabled campaign is bit-identical.
@@ -219,7 +216,7 @@ impl Campaign {
         point: InjectionPoint,
         rng: &SmallRng,
         mut p: Process,
-        golden: &[&Process],
+        golden: &[Process],
         hooks: &dyn Hooks,
     ) -> Option<InjectionRecord> {
         let t0 = hooks.enabled().then(std::time::Instant::now);
@@ -319,15 +316,12 @@ impl Campaign {
             hooks.add("suffix.pruned_steps", pruned_steps);
             hooks.add("suffix.compares", compares);
             hooks.add("suffix.converged", run.is_ok() as u64);
-            hooks.add("suffix.snapshot_rejoins", run.is_ok_and(|s| self.is_snapshot(s)) as u64);
             hooks.add(executed_counter(outcome), suffix_steps - pruned_steps);
             if care.is_some() {
                 hooks.record("job.care_steps", care_steps);
                 hooks.add("care.pruned_steps", care_rejoined.map_or(0, rest));
                 hooks.add("care.compares", care_compares);
                 hooks.add("care.converged", care_rejoined.is_some() as u64);
-                let on_snapshot = care_rejoined.is_some_and(|s| self.is_snapshot(s));
-                hooks.add("care.snapshot_rejoins", on_snapshot as u64);
             }
             hooks.add("tlb.loads", tlb.loads);
             hooks.add("tlb.stores", tlb.stores);
@@ -371,12 +365,12 @@ impl Campaign {
         &self,
         engine: &dyn ExecutionEngine,
         p: &mut Process,
-        golden: &[&'g Process],
+        golden: &'g [Process],
         lead: u64,
         compares: &mut u64,
     ) -> Result<&'g Process, RunExit> {
         let from = p.steps;
-        for &state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
+        for state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
             if let Some(exit) = run_to_step(engine, p, state.steps + lead, None) {
                 return Err(exit);
             }
@@ -391,14 +385,6 @@ impl Campaign {
             }
         }
         Err(engine.run(p))
-    }
-
-    /// Whether `state`, a golden state a run re-joined at, is a fork
-    /// snapshot rather than one of the job's states, told by its step: the
-    /// job keeps a state at every checkpoint its runs may compare at, and
-    /// its state stands for both where they share a step.
-    fn is_snapshot(&self, state: &Process) -> bool {
-        !self.trail.is_checkpoint_step(state.steps)
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -499,11 +485,11 @@ mod tests {
         }
     }
 
-    /// A program too short for a checkpoint, and so for a trail state,
-    /// still re-joins: at the fork snapshot of its one bracket, the golden
-    /// process at a step the cursor stopped at.
+    /// A program too short for a checkpoint has no golden state to re-join
+    /// at: its suffixes and repaired runs compare with nothing and run out,
+    /// with the records of the reference.
     #[test]
-    fn suffixes_rejoin_at_fork_snapshots_without_any_trail_state() {
+    fn without_a_checkpoint_every_run_runs_out() {
         let w = tiny_workload(100);
         let app = care::compile(&w.module, opt::OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
@@ -512,10 +498,9 @@ mod tests {
             let config = CampaignConfig { engine, ..cfg(60) };
             let (report, ctr) = run_heard(&campaign, &config);
             assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
-            let rejoins = ctr("suffix.snapshot_rejoins");
-            assert!(ctr("suffix.converged") > 0 && rejoins > 0, "{engine:?}: none re-joined");
-            assert_eq!(rejoins, ctr("suffix.converged"), "{engine:?}: only snapshots to re-join");
-            assert!(ctr("suffix.pruned_steps") > 0, "{engine:?}: nothing pruned");
+            assert!(report.benign > 0 && report.care_evaluated > 0, "{engine:?}: test premise");
+            let counts = ["suffix.compares", "suffix.converged", "care.compares"].map(ctr);
+            assert_eq!(counts, [0; 3], "{engine:?}: compared with a golden state");
         }
     }
 

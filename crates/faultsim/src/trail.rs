@@ -24,9 +24,9 @@
 //! or a repaired run compares itself with: an injected run that equals the
 //! golden run's state *is* the golden run from there on, and stops. With a
 //! state at every checkpoint from a job's first populated bracket on, a run
-//! first compares at the end of its own bracket. The campaign merges them
-//! with one fork snapshot per bracket, which are golden states too, so a
-//! program too short for any checkpoint still has targets.
+//! first compares at the end of its own bracket. They are the only golden
+//! states a run compares with: a program too short for any checkpoint has
+//! none, and its runs run out.
 //!
 //! The checkpoint list, the flat counts, the range table and the changes
 //! are private to this module: everything else asks in terms of brackets —
@@ -80,20 +80,6 @@ impl StateDelta {
             kept_frames,
             frames: newer.frames[kept_frames..].into(),
             mem: newer.mem.delta_since(&older.mem),
-        }
-    }
-
-    /// The change `self` and then `later` make.
-    fn then(self, later: StateDelta) -> StateDelta {
-        let frames = match later.kept_frames.checked_sub(self.kept_frames) {
-            Some(mine) => [&self.frames[..mine], &later.frames[..]].concat().into(),
-            None => later.frames,
-        };
-        StateDelta {
-            kept_frames: self.kept_frames.min(later.kept_frames),
-            frames,
-            mem: self.mem.then(later.mem),
-            ..later
         }
     }
 
@@ -157,8 +143,8 @@ impl Trail {
         // since the last pause, diffed against a copy-on-write copy of the
         // process taken there. The trail stays bounded for any program
         // length by halving (keep every second checkpoint, double the
-        // quantum) whenever it fills; a dropped checkpoint's change moves
-        // into the next one's.
+        // quantum) whenever it fills: the kept checkpoints' changes are
+        // diffed afresh, along a walk of the old ones from the template.
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut last = template.clone();
         let mut quantum: u64 = 1 << 10;
@@ -180,22 +166,22 @@ impl Trail {
             checkpoints.push(Checkpoint { step: p.steps, counts, delta });
             if checkpoints.len() == MAX_CHECKPOINTS {
                 quantum *= 2;
-                let mut carried: Option<StateDelta> = None;
+                let (mut walked, mut kept) = (template.clone(), template.clone());
                 checkpoints = (checkpoints.into_iter())
                     .filter_map(|mut c| {
-                        if let Some(earlier) = carried.take() {
-                            c.delta = earlier.then(c.delta);
+                        c.delta.apply(&mut walked);
+                        if !c.step.is_multiple_of(quantum) {
+                            return None;
                         }
-                        if c.step.is_multiple_of(quantum) {
-                            return Some(c);
-                        }
-                        carried = Some(c.delta);
-                        None
+                        c.delta = StateDelta::since(&kept, &walked);
+                        kept = walked.clone();
+                        Some(c)
                     })
                     .collect();
                 // An even count of multiples of the old quantum ends on one
-                // of the new: nothing is left to carry.
-                assert!(carried.is_none(), "the last checkpoint survives halving");
+                // of the new, where `last` stands: the next change goes on
+                // from there.
+                assert_eq!(checkpoints.last().map(|c| c.step), Some(p.steps), "last survives");
             }
         };
         match exit {
@@ -215,8 +201,8 @@ impl Trail {
     /// at the last of them, in step order. Bracket 0 starts at the template
     /// itself and brackets past the trail's last have no start, so neither
     /// is kept; an empty range walks nothing. They are where a cursor hop
-    /// starts ([`Trail::state_at`]) and, beside the fork snapshots, what a
-    /// suffix may re-join at.
+    /// starts ([`Trail::state_at`]) and what a suffix or a repaired run may
+    /// re-join at.
     pub(crate) fn states(&self, template: &Process, starts: Range<usize>) -> Vec<Process> {
         let (first, end) = (starts.start.max(1), starts.end.min(self.checkpoints.len() + 1));
         let mut states = Vec::with_capacity(end.saturating_sub(first));
@@ -229,12 +215,6 @@ impl Trail {
             }
         }
         states
-    }
-
-    /// Whether a checkpoint stands at `step`: where a job's state does,
-    /// when the step lies in its range ([`Trail::states`]).
-    pub(crate) fn is_checkpoint_step(&self, step: u64) -> bool {
-        self.checkpoints.binary_search_by_key(&step, |c| c.step).is_ok()
     }
 
     /// The golden process as it stands at the start of `bracket`: a clone of
@@ -427,12 +407,9 @@ mod tests {
                 let want: Vec<u64> = held.map(|b| trail.bracket_step(b)).collect();
                 assert_eq!(kept, want, "{at}: brackets {starts:?}");
             }
-            for b in 0..brackets {
-                assert_eq!(trail.is_checkpoint_step(trail.bracket_step(b)), b > 0, "{at}: {b}");
-                assert!(!trail.is_checkpoint_step(trail.bracket_step(b) + 1), "{at}: {b}");
-            }
             // The state a hop starts from at every bracket's start is what a
-            // plain replay of the template reaches there, on either engine.
+            // plain replay of the template reaches there, on either engine:
+            // the changes a halving diffed afresh included.
             let engines: [&dyn ExecutionEngine; 2] = [&InterpEngine, &campaign.compiled];
             for engine in engines {
                 let mut replayed = template.clone();

@@ -619,47 +619,6 @@ pub struct MemDelta {
 }
 
 impl MemDelta {
-    /// The delta that does `self` and then `later`: one memory's change
-    /// from the state `self` was taken from to the one `later` leads to.
-    /// Per line the later delta wins; a page `later` materialises afresh
-    /// or drops takes nothing of `self`'s.
-    pub fn then(self, later: MemDelta) -> MemDelta {
-        let mut out = DeltaBuilder::default();
-        let mut mine = self.page_entries().peekable();
-        let mut theirs = later.page_entries().peekable();
-        loop {
-            let (a, b) = (mine.peek().map(|e| e.0.page), theirs.peek().map(|e| e.0.page));
-            let take_mine = match (a, b) {
-                (None, None) => break,
-                (Some(a), Some(b)) if a == b => {
-                    let (x, x_at, x_lines) = mine.next().expect("peeked");
-                    let (y, y_at, y_lines) = theirs.next().expect("peeked");
-                    if y.fresh {
-                        out.lines(y_at, y_lines);
-                    } else {
-                        out.merged_lines((x_at, x_lines), (y_at, y_lines));
-                    }
-                    out.close_page(y.page, x.fresh || y.fresh);
-                    continue;
-                }
-                (Some(a), Some(b)) => a < b,
-                (a, _) => a.is_some(),
-            };
-            let (entry, at, lines) = if take_mine { mine.next() } else { theirs.next() }
-                .expect("peeked");
-            if take_mine && later.dropped.binary_search(&entry.page).is_ok() {
-                continue;
-            }
-            out.lines(at, lines);
-            out.close_page(entry.page, entry.fresh);
-        }
-        drop((mine, theirs));
-        let mut dropped = [&*self.dropped, &*later.dropped].concat();
-        dropped.sort_unstable();
-        dropped.dedup();
-        out.finish(dropped.into(), later.zero_spans.or(self.zero_spans))
-    }
-
     /// Each page entry with its line indexes and lines.
     fn page_entries(&self) -> impl Iterator<Item = (&PageLines, &[u8], &[Line])> {
         let starts = std::iter::once(0).chain(self.pages.iter().map(|e| e.end as usize));
@@ -682,28 +641,6 @@ impl DeltaBuilder {
     fn line(&mut self, at: u8, line: &Line) {
         self.at.push(at);
         self.lines.push(*line);
-    }
-
-    fn lines(&mut self, at: &[u8], lines: &[Line]) {
-        self.at.extend_from_slice(at);
-        self.lines.extend_from_slice(lines);
-    }
-
-    /// Both pages' lines in line order, `later`'s where both have one.
-    fn merged_lines(&mut self, earlier: (&[u8], &[Line]), later: (&[u8], &[Line])) {
-        let (mut i, mut j) = (0, 0);
-        while i < earlier.0.len() || j < later.0.len() {
-            let a = earlier.0.get(i).copied().unwrap_or(u8::MAX);
-            let b = later.0.get(j).copied().unwrap_or(u8::MAX);
-            if j < later.0.len() && b <= a {
-                self.line(b, &later.1[j]);
-                j += 1;
-                i += (a == b) as usize;
-            } else {
-                self.line(a, &earlier.1[i]);
-                i += 1;
-            }
-        }
     }
 
     /// End page `page`'s entry. A page that is neither fresh nor changed

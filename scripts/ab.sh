@@ -3,10 +3,13 @@
 #
 #   scripts/ab.sh [-n N] [-w WORKLOAD] [-d DIR] [--default-build] PARENT CHANGE
 #
-# Checks PARENT and CHANGE out as detached `git worktree`s under DIR
-# (default: $TMPDIR/care-ab), so building carebench rewrites no lock file
-# in this checkout, and builds carebench on both with the reading rule's
-# aligned flags (ROADMAP.md; `--default-build` leaves RUSTFLAGS alone).
+# Checks PARENT and then CHANGE out in turn into one detached `git worktree`
+# at DIR/tree (default DIR: $TMPDIR/care-ab), so building carebench rewrites
+# no lock file in this checkout, and builds carebench from each into its own
+# target directory with the reading rule's aligned flags (ROADMAP.md;
+# `--default-build` leaves RUSTFLAGS alone). Both sides build from the one
+# path because a path dependency's package id holds its path: two checkouts
+# of one commit at two paths link two different binaries.
 # Then it runs `carebench run --workload W --seed i --seconds S` for
 # i = 1..N (default 10), alternating which side runs first, and keeps each
 # run's result line under DIR/runs/. S is the `run_seconds` of CHANGE's
@@ -16,8 +19,8 @@
 # change's wins out of N pairs (in the direction BENCHMARK.json gives), and
 # whether the change's median lies outside the parent's quartile range.
 # The last line is one JSON object with the same numbers, for CHANGES.md.
-# Remove the worktrees afterwards with `git worktree remove DIR/parent`
-# (and `DIR/change`), or `git worktree prune` once DIR is gone.
+# Remove the worktree afterwards with `git worktree remove --force DIR/tree`,
+# or `git worktree prune` once DIR is gone.
 set -euo pipefail
 
 n=10 workload=cov_compiled aligned=1
@@ -28,7 +31,7 @@ while [[ $# -gt 0 ]]; do
         -w) workload="$2"; shift 2 ;;
         -d) dir="$2"; shift 2 ;;
         --default-build) aligned=0; shift ;;
-        -h|--help) sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         -*) echo "error: unknown flag $1" >&2; exit 2 ;;
         *) break ;;
     esac
@@ -41,13 +44,14 @@ repo="$(git rev-parse --show-toplevel)"
 mkdir -p "$dir/runs"
 dir="$(cd "$dir" && pwd)"
 
+tree="$dir/tree"
+if [[ ! -e "$tree" ]]; then
+    git -C "$repo" worktree add --detach --quiet "$tree" HEAD
+fi
 for side in parent change; do
-    rev="$1"; shift
-    tree="$dir/$side"
-    if [[ -e "$tree" ]]; then
-        git -C "$repo" worktree remove --force "$tree"
-    fi
-    git -C "$repo" worktree add --detach --quiet "$tree" "$rev"
+    rev="$(git -C "$repo" rev-parse --verify "$1^{commit}")"; shift
+    # `--force`: the previous build may have rewritten benchmarks/Cargo.lock.
+    git -C "$tree" checkout --detach --force --quiet "$rev"
     echo "$side: $(git -C "$tree" log --oneline -1)" >&2
     (
         if [[ $aligned -eq 1 ]]; then
@@ -58,8 +62,11 @@ for side in parent change; do
             --manifest-path benchmarks/Cargo.toml
     )
 done
+if cmp -s "$dir/target-parent/release/carebench" "$dir/target-change/release/carebench"; then
+    echo "note: both sides built the same carebench binary" >&2
+fi
 seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
-    "$dir/change/BENCHMARK.json")"
+    "$tree/BENCHMARK.json")"
 
 for i in $(seq 1 "$n"); do
     order="parent change"
@@ -72,7 +79,7 @@ for i in $(seq 1 "$n"); do
     done
 done
 
-python3 - "$dir" "$workload" "$n" "$dir/change/BENCHMARK.json" <<'EOF'
+python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" <<'EOF'
 import json, statistics, sys
 
 dir, workload, n, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]

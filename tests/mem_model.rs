@@ -11,10 +11,10 @@
 //! `HashMap<page, Box<[u8]>>` walked on every access.
 //!
 //! The same interleavings take bases and bring them forward by deltas
-//! ([`PagedMemory::delta_since`], [`PagedMemory::apply`],
-//! [`MemDelta::then`](tinyir::mem::MemDelta::then)): a base brought forward
-//! must equal the memory the delta was taken from, and go on answering like
-//! the reference — its TLBs, armed before the delta landed, included.
+//! ([`PagedMemory::delta_since`], [`PagedMemory::apply`]), one at a time or
+//! two in turn: a base brought forward must equal the memory the delta was
+//! taken from, and go on answering like the reference — its TLBs, armed
+//! before the delta landed, included.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -173,9 +173,9 @@ proptest! {
     /// addresses, bulk I/O, and the final byte-for-byte contents of both
     /// the working memory and every live snapshot — matches the TLB-free
     /// reference. A base brought forward by a delta equals the memory the
-    /// delta was taken from, as does one brought forward by a merged delta
-    /// (or by its two halves in turn), and from there every load through
-    /// its TLBs and every later op answers like the reference.
+    /// delta was taken from, as does one brought forward by two deltas in
+    /// turn, and from there every load through its TLBs and every later op
+    /// answers like the reference.
     #[test]
     fn tlb_memory_matches_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..120)
@@ -252,16 +252,11 @@ proptest! {
                     let Some((mut base, base_ref)) = bases.pop() else { continue };
                     let delta = mem.delta_since(&base);
                     if let Some((older, _)) = bases.last() {
-                        // Two deltas in turn, and merged into one.
-                        let first = base.delta_since(older);
+                        // Two deltas in turn.
                         let mut stepwise = older.clone();
-                        stepwise.apply(&first);
+                        stepwise.apply(&base.delta_since(older));
                         stepwise.apply(&delta);
-                        let mut merged = older.clone();
-                        merged.apply(&first.then(delta.clone()));
                         prop_assert!(stepwise.same_contents(&mem), "deltas in turn");
-                        prop_assert!(merged.same_contents(&mem), "merged delta");
-                        prop_assert!(merged.same_contents(&stepwise));
                     }
                     // Arm the base's read TLB, then let the delta land. A clone
                     // shares every page with the base, so the delta lands on

@@ -28,6 +28,8 @@ const COUNTERS: &[&str] = &[
     "care.pruned_steps",
     "suffix.compares",
     "care.compares",
+    "suffix.converged",
+    "care.converged",
     "cursor.window_steps",
     "cursor.hops",
 ];

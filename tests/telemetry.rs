@@ -247,14 +247,12 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
     assert!(pruned > 0 && converged > 0, "no HPCCG suffix re-joined the golden run");
     assert!(pruned <= ctr("steps.suffix"), "pruned {pruned} of {}", ctr("steps.suffix"));
     assert!(converged <= ctr("suffix.compares") && converged <= ctr("campaign.classified"));
-    // What did run is split by the outcome it ran to, and a re-join is on a
-    // trail state or a fork snapshot.
+    // What did run is split by the outcome it ran to.
     let executed: u64 = (tel.counters.iter())
         .filter(|(name, _)| name.starts_with("suffix.executed_steps."))
         .map(|(_, &n)| n)
         .sum();
     assert_eq!(executed + pruned, ctr("steps.suffix"), "executed + pruned != attributed");
-    assert!(ctr("suffix.snapshot_rejoins") <= converged);
     // The CARE steps are split the same way: attributed in `steps.care` and
     // the per-job histogram, the part past the golden state a repaired run
     // re-joined counted beside them.
@@ -263,7 +261,6 @@ fn instruction_mix_and_step_split_cover_the_campaign() {
     assert!(pruned > 0 && converged > 0, "no repaired HPCCG run re-joined the golden run");
     assert!(pruned <= ctr("steps.care"), "pruned {pruned} of {}", ctr("steps.care"));
     assert!(converged <= ctr("care.compares") && converged <= ctr("recovery.recovered"));
-    assert!(ctr("care.snapshot_rejoins") <= converged);
 }
 
 /// Hooks nobody listens through: `enabled()` is `false` and everything else
@@ -344,10 +341,8 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
         "cursor.window_steps",
         "cursor.hops",
         "suffix.pruned_steps",
-        "suffix.snapshot_rejoins",
         "suffix.executed_steps.benign",
         "care.pruned_steps",
-        "care.snapshot_rejoins",
         "care.compares",
         "care.converged",
         "worker.busy_ns",
