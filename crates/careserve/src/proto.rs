@@ -307,7 +307,8 @@ impl JobSpec {
 
     /// The [`CampaignConfig`] this spec asks for — the one spec→config
     /// mapping, used by the server's worker and by every local run a served
-    /// job is compared against. Shard count is left to the pool width.
+    /// job is compared against. Nothing in it depends on the pool width, so
+    /// a served report equals a local one at any width.
     pub fn campaign_config(&self) -> CampaignConfig {
         CampaignConfig {
             injections: self.injections,

@@ -41,8 +41,8 @@ pub const STORE_VERSION: u32 = 1;
 
 /// Canonical signature of the record-affecting [`CampaignConfig`] fields
 /// *other than* model and seed (those key the run context directly).
-/// Engine kind, thread and shard counts are deliberately excluded: records
-/// are pinned bit-identical across all of them, so an interpreter run may
+/// Engine kind and thread count are deliberately excluded: records are
+/// pinned bit-identical across both, so an interpreter run may
 /// reuse a compiled run's records and vice versa.
 /// `injections` is excluded too — index `i`'s record depends only on
 /// `(seed, i)`, so a longer re-run reuses a shorter run's records.

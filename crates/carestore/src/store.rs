@@ -8,9 +8,9 @@
 //! 2. compute the **residual work list** — requested indexes that are
 //!    neither stored nor known skips of a completed shorter run;
 //! 3. execute only the residual (the trellis samples only those
-//!    indexes, so its cursor-shard windows shrink to the prefixes the
-//!    residual actually needs), appending each record to the log the
-//!    moment it is classified;
+//!    indexes, so its cursors run only in the brackets the residual
+//!    actually needs), appending each record to the log the moment it is
+//!    classified;
 //! 4. merge stored + fresh records in index order into a canonical report.
 //!
 //! ## Report identity

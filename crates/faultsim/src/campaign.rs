@@ -2,19 +2,19 @@
 //! process, recovery index), then run injections against it on the
 //! **snapshot trellis**.
 //!
-//! All `N` injection points are sampled up front and partitioned into `K`
-//! disjoint, step-ordered windows along the golden run's checkpoint trail
-//! ([`crate::trail`]); `K` cursor processes advance through their windows
-//! concurrently, CoW-forking a paused snapshot each time a pending `(I, n)`
-//! fires ([`crate::cursor`]). Workers then run only the suffix (inject →
-//! classify → Safeguard on the trapped process itself, [`crate::suffix`])
-//! from their snapshot, in parallel on the same pool.
-//! Campaign-wide simulated instructions are ~`L + Σ suffixes` instead of
-//! ~`N·L` — less what a cursor skips by starting from the job's golden state
-//! at a bracket's start instead of running to it, and what a suffix or a
-//! repaired run skips by stopping at the golden state it has re-joined, the
-//! first at the end of its own bracket — and `K > 1`
-//! removes the serial-cursor Amdahl bottleneck (`K = 1` is a single cursor).
+//! All `N` injection points are sampled up front and grouped by the bracket
+//! of the golden run's checkpoint trail ([`crate::trail`]) they fire in; one
+//! cursor per populated bracket starts from the job's golden state at the
+//! bracket's start and runs, concurrently with the others, CoW-forking a
+//! paused snapshot each time a pending `(I, n)` fires ([`crate::cursor`]).
+//! Workers then run only the suffix (inject → classify → Safeguard on the
+//! trapped process itself, [`crate::suffix`]) from their snapshot, in
+//! parallel on the same pool. Campaign-wide simulated instructions are at
+//! most ~`L + Σ suffixes` instead of ~`N·L`: a cursor executes only its
+//! bracket up to its last firing, and a suffix or a repaired run stops at
+//! the golden state it has re-joined, the first at the end of its own
+//! bracket. What a campaign executes and reports depends on the campaign
+//! and its config alone, not on the pool width.
 
 use crate::cursor::{hand_out, plan_points, PlannedPoint};
 use crate::injector::{FaultModel, InjectionPoint};
@@ -130,10 +130,9 @@ pub struct CampaignConfig {
     /// the golden run and the cursor pass — always run on the campaign's
     /// own translation.
     pub engine: EngineKind,
-    /// Trellis cursor shard count: the pre-sampled injection points are
-    /// split into this many disjoint step-ordered windows, each covered by
-    /// its own cursor, concurrently. `None` (default) uses
-    /// the pool width; records are bit-identical for every value.
+    /// Read nowhere: the cursor pass runs one cursor per populated bracket
+    /// whatever this holds. The field stays only because carebench's
+    /// `adapter::job` still names it.
     pub cursor_shards: Option<usize>,
 }
 
@@ -166,9 +165,8 @@ pub struct Campaign {
     pub golden_steps: u64,
     /// Execution-count profile from the golden run.
     pub profile: Profile,
-    /// The golden run's checkpoint trail: the brackets a cursor hops
-    /// between and the shard-boundary candidates of the parallel cursor
-    /// pass.
+    /// The golden run's checkpoint trail: its brackets are the cursor
+    /// pass's unit, one cursor per populated bracket.
     pub(crate) trail: Trail,
     /// A started-but-not-run process; every injection clones it (Arc-shared
     /// image, copy-on-write memory) instead of re-loading the modules.
@@ -269,11 +267,11 @@ impl Campaign {
         // indexes that sampled the same `(I, n)` share one trellis snapshot.
         let mut points = plan_points(&self.trail, samples.iter().map(|s| s.1));
 
-        // Phase 3 — the cursor pass over the *distinct* points, in disjoint
-        // step-ordered shards along the golden trail.
-        // The job's golden states are rebuilt here, at every checkpoint its
-        // points' brackets reach, for the cursors to hop from and the
-        // suffixes to re-join at, and dropped with the job.
+        // Phase 3 — the cursor pass over the *distinct* points, one cursor
+        // per populated bracket of the golden trail. The job's golden states
+        // are rebuilt here, at every checkpoint its points' brackets reach,
+        // for the cursors to hop from and the suffixes to re-join at, and
+        // dropped with the job.
         let (states, (cursor_steps, cursor_shards)) = timed(hooks, "trellis.cursor_ns", || {
             let states = self.trail.states(&self.template, state_brackets(&points));
             let ran = self.run_cursors(cfg, &states, &mut points, hooks, ctl);
@@ -307,9 +305,9 @@ impl Campaign {
 
         let mut report = CampaignReport::from_records(records);
         // The attributed per-record prefixes were simulated once or not at
-        // all, by the cursor shards: report what actually executed (the
-        // armed windows from each bracket start a hop cloned, summed over
-        // the shards that had points).
+        // all, by the cursors: report what actually executed (the armed
+        // windows from each bracket start a hop cloned, summed over the
+        // populated brackets).
         report.trellis_snapshots = trellis_snapshots;
         report.cursor_shards = cursor_shards;
         report.steps_prefix = cursor_steps;
@@ -352,13 +350,13 @@ impl Campaign {
     /// Per-index determinism (every index's RNG stream is seeded from
     /// `(cfg.seed, index)` alone) means the records produced for a subset
     /// are bit-identical to the same indexes of a full run: the trellis
-    /// samples only the subset's points and plans its cursor shards from
-    /// those, so a residual run also *executes* only the prefix windows it
-    /// needs.
+    /// samples only the subset's points and runs cursors in only their
+    /// brackets, so a residual run also *executes* only the prefix windows
+    /// it needs.
     ///
-    /// `ctl` is polled between cursor-shard firings and before each suffix
-    /// job; once [`JobControl::cancel`] is observed, no further suffix work
-    /// starts and the report comes back partial with
+    /// `ctl` is polled before each cursor hop, between a cursor's firings
+    /// and before each suffix job; once [`JobControl::cancel`] is observed,
+    /// no further suffix work starts and the report comes back partial with
     /// [`CampaignReport::cancelled`] set. `indices` should be strictly
     /// increasing (records come back in that order, matching a full run's
     /// element order) and each `< cfg.injections`. Every produced record is

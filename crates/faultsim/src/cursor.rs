@@ -1,14 +1,14 @@
-//! The trellis cursor pass: group the sampled points once, then walk one
-//! cursor per shard along the golden [`Trail`], forking a snapshot per point.
-//! A cursor runs only where it is armed: a hop starts from a clone of the
-//! job's golden state at its bracket's start, so the steps a pass
+//! The trellis cursor pass: group the sampled points once, then run one
+//! cursor per populated bracket of the golden [`Trail`], forking a snapshot
+//! per point. A cursor runs only where it is armed: it starts from a clone
+//! of the job's golden state at its bracket's start, so the steps a pass
 //! *executes* — what `steps_prefix` reports — are its armed windows, summed
-//! window by window, not read off where it stands.
+//! window by window, and the same at every pool width.
 //!
 //! One list carries the pass: the *distinct* points in bracket order, each
 //! with the injections that drew it and the slot its snapshot lands in. A
-//! shard is a contiguous run of that list, so there is no point→snapshot
-//! map and no use count to keep.
+//! cursor's points are a contiguous run of that list, so there is no
+//! point→snapshot map and no use count to keep.
 
 use crate::campaign::{Campaign, CampaignConfig, JobControl};
 use crate::injector::InjectionPoint;
@@ -75,15 +75,14 @@ pub(crate) fn hand_out<T>(points: Vec<PlannedPoint>, jobs: &mut [(T, Option<Proc
 }
 
 impl Campaign {
-    /// The cursor pass: cut `points` at the trail's shard boundaries and
-    /// walk one cursor per populated shard (empty ones never run),
-    /// concurrently on the pool, under the campaign fuel budget, hopping
-    /// from the job's golden `states` ([`Trail::states`], one at the start
-    /// of every populated bracket); every point that fires gets its
-    /// snapshot. Deterministic execution makes every cursor's timeline *the*
-    /// golden timeline, so the snapshot forked for a point is bit-identical
-    /// for every shard count. Returns the steps the cursors executed and how
-    /// many ran.
+    /// The cursor pass: one cursor per populated bracket of `points` (in
+    /// bracket order), concurrently on the pool, under the campaign fuel
+    /// budget, each starting from the job's golden `states`
+    /// ([`Trail::states`], one at the start of every populated bracket);
+    /// every point that fires gets its snapshot. Deterministic execution
+    /// makes every cursor's timeline *the* golden timeline, so the snapshot
+    /// forked for a point is bit-identical whatever ran beside it. Returns
+    /// the steps the cursors executed and how many ran.
     pub(crate) fn run_cursors(
         &self,
         cfg: &CampaignConfig,
@@ -92,111 +91,90 @@ impl Campaign {
         hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> (u64, usize) {
-        let k = cfg.cursor_shards.unwrap_or_else(rayon::current_num_threads).max(1);
-        let mut shards: Vec<(usize, &mut [PlannedPoint])> = Vec::new();
-        let mut rest = points;
-        for (j, end) in self.trail.shard_ends(k).into_iter().enumerate() {
-            let at = rest.partition_point(|p| p.bracket < end);
-            let (shard, tail) = std::mem::take(&mut rest).split_at_mut(at);
-            rest = tail;
-            if !shard.is_empty() {
-                shards.push((j, shard));
-            }
-        }
-        let ran = shards.len();
-        let steps: Vec<u64> = shards
-            .into_par_iter()
-            .map(|(j, shard)| self.run_cursor_shard(cfg, states, j, shard, hooks, ctl))
-            .collect();
-        (steps.iter().sum(), ran)
+        let hops: Vec<&mut [PlannedPoint]> =
+            points.chunk_by_mut(|a, b| a.bracket == b.bracket).collect();
+        let ran = hops.len();
+        let steps: u64 =
+            hops.into_par_iter().map(|points| self.run_hop(cfg, states, points, hooks, ctl)).sum();
+        (steps, ran)
     }
 
-    /// Walk one cursor shard by hopping between the brackets that hold its
-    /// points. A hop clones the job's golden state at the bracket's start
+    /// Run the cursor of one bracket, which holds all of `points`. The hop
+    /// clones the job's golden state at the bracket's start
     /// ([`Trail::state_at`]) on the fuel a run to it would have left, and
     /// runs from there on the campaign's translation, whatever engine `cfg`
-    /// selects, handed an [`Instrument`] whose stops are only that bracket's
-    /// points, until they have fired — forking a paused snapshot at each —
-    /// and hops on; the stops stay with the instrument, so a fork is a plain
-    /// paused process. So what a cursor executes is exactly its armed windows, at
-    /// most one checkpoint interval per visited bracket. A program too
-    /// short for checkpoints is the one-bracket case. Returns the steps
-    /// this cursor executed: they end at each bracket's last firing, where
-    /// the cursor is dropped — the window tail past it is never simulated.
-    fn run_cursor_shard(
+    /// selects, handed an [`Instrument`] whose stops are only the bracket's
+    /// points, until they have fired — forking a paused snapshot at each;
+    /// the stops stay with the instrument, so a fork is a plain paused
+    /// process. So a cursor executes at most one checkpoint interval. A
+    /// program too short for checkpoints is the one-bracket case. Returns
+    /// the steps the cursor executed: they end at the bracket's last firing,
+    /// where the cursor is dropped — the window tail past it is never
+    /// simulated.
+    fn run_hop(
         &self,
         cfg: &CampaignConfig,
         states: &[Process],
-        shard_idx: usize,
-        shard: &mut [PlannedPoint],
+        points: &mut [PlannedPoint],
         hooks: &dyn Hooks,
         ctl: &JobControl,
     ) -> u64 {
         let t0 = hooks.enabled().then(std::time::Instant::now);
-        let budget = self.fuel_budget(cfg);
-        let (mut window_steps, mut hops) = (0u64, 0u64);
-        'hops: for points in shard.chunk_by_mut(|a, b| a.bracket == b.bracket) {
-            let bracket = points[0].bracket;
-            if ctl.is_cancelled() {
+        let bracket = points[0].bracket;
+        // A start past the budget is one a run from program start would
+        // have run dry before reaching: the hop fails as that run did.
+        let start_step = self.trail.bracket_step(bracket);
+        let Some(fuel) = self.fuel_budget(cfg).checked_sub(start_step) else { return 0 };
+        if ctl.is_cancelled() {
+            return 0;
+        }
+        let mut cursor = self.trail.state_at(&self.template, states, bracket);
+        cursor.fuel = fuel;
+        // Stop ordinals count from the first instrumented run: rebase the
+        // absolute `nth` by the executions already behind the checkpoint
+        // (a per-instruction shift, so `armed` stays sorted like `points`).
+        let rebase = |p: &PlannedPoint| InjectionPoint {
+            nth: self.trail.ordinal_in(bracket, &p.point),
+            ..p.point
+        };
+        let armed: Vec<InjectionPoint> = points.iter().map(rebase).collect();
+        let mut instr = Instrument::default();
+        for p in &armed {
+            instr.stops.add(p.module, p.func, p.inst, p.nth);
+        }
+        let mut window_steps = 0;
+        while !instr.stops.is_empty() && !ctl.is_cancelled() {
+            let armed_at = cursor.steps;
+            let exit = self.compiled.run_instrumented(&mut cursor, &mut instr);
+            window_steps += cursor.steps - armed_at;
+            let (RunExit::BreakHit, Some((module, func, inst, nth))) =
+                (exit, instr.stops.take_fired())
+            else {
+                // Completion (or a trap) with points still pending: those
+                // indexes yield no record, exactly like a `run_one` whose
+                // breakpoint never fired.
                 break;
-            }
-            // A start past the budget is one a run from program start would
-            // have run dry before reaching: the hop fails as that run did.
-            let Some(fuel) = budget.checked_sub(self.trail.bracket_step(bracket)) else { break };
-            let mut cursor = self.trail.state_at(&self.template, states, bracket);
-            cursor.fuel = fuel;
-            hops += (bracket > 0) as u64;
-            // Stop ordinals count from the first instrumented run: rebase the
-            // absolute `nth` by the executions already behind the checkpoint
-            // (a per-instruction shift, so `armed` stays sorted like `points`).
-            let rebase = |p: &PlannedPoint| InjectionPoint {
-                nth: self.trail.ordinal_in(bracket, &p.point),
-                ..p.point
             };
-            let armed: Vec<InjectionPoint> = points.iter().map(rebase).collect();
-            let mut instr = Instrument::default();
-            for p in &armed {
-                instr.stops.add(p.module, p.func, p.inst, p.nth);
-            }
-            while !instr.stops.is_empty() {
-                if ctl.is_cancelled() {
-                    break 'hops;
-                }
-                let armed_at = cursor.steps;
-                let exit = self.compiled.run_instrumented(&mut cursor, &mut instr);
-                window_steps += cursor.steps - armed_at;
-                let (RunExit::BreakHit, Some((module, func, inst, nth))) =
-                    (exit, instr.stops.take_fired())
-                else {
-                    // Completion (or a trap) with points still pending:
-                    // those indexes yield no record, exactly like a
-                    // `run_one` whose breakpoint never fired.
-                    break 'hops;
-                };
-                let fired = InjectionPoint { module, func, inst, nth };
-                let slot = armed.binary_search(&fired).expect("fired what was armed");
-                points[slot].snapshot = Some(cursor.clone());
-                if hooks.enabled() {
-                    hooks.emit(
-                        Event::new("trellis.fork")
-                            .field("shard", shard_idx as u64)
-                            .field("prefix_steps", cursor.steps),
-                    );
-                }
+            let fired = InjectionPoint { module, func, inst, nth };
+            let slot = armed.binary_search(&fired).expect("fired what was armed");
+            points[slot].snapshot = Some(cursor.clone());
+            if hooks.enabled() {
+                hooks.emit(
+                    Event::new("trellis.fork")
+                        .field("bracket", bracket as u64)
+                        .field("prefix_steps", cursor.steps),
+                );
             }
         }
         if hooks.enabled() {
-            hooks.add("cursor.hops", hops);
+            hooks.add("cursor.hops", (bracket > 0) as u64);
             hooks.add("cursor.window_steps", window_steps);
-            hooks.record(
-                "trellis.shard_ns",
-                t0.expect("enabled").elapsed().as_nanos() as u64,
-            );
-            let snapshots = shard.iter().filter(|p| p.snapshot.is_some()).count();
+            hooks.record("trellis.hop_ns", t0.expect("enabled").elapsed().as_nanos() as u64);
+            let snapshots = points.iter().filter(|p| p.snapshot.is_some()).count();
             hooks.emit(
-                Event::new("trellis.shard")
-                    .field("shard", shard_idx as u64)
-                    .field("start_step", self.trail.bracket_step(shard[0].bracket))
+                Event::new("trellis.hop")
+                    .field("bracket", bracket as u64)
+                    .field("start_step", start_step)
                     .field("window_steps", window_steps)
                     .field("snapshots", snapshots as u64),
             );
@@ -260,77 +238,55 @@ mod tests {
     }
 
     /// The hop rule as arithmetic: the steps the cursors execute to fire
-    /// `fired` — each distinct point's bracket and firing step — when the
-    /// brackets are cut into shards at `ends`. A cursor runs to a firing
-    /// from where it stands (the bracket's previous firing), or from the
-    /// bracket's start, where a hop lands, when that is further on.
-    fn modelled_prefix(trail: &Trail, fired: &[(usize, u64)], ends: &[usize]) -> u64 {
+    /// `fired` — each distinct point's bracket and firing step. Each bracket
+    /// is reached from its start, where its hop lands, and its cursor runs
+    /// from there to the bracket's last firing.
+    fn modelled_prefix(trail: &Trail, fired: &[(usize, u64)]) -> u64 {
         let mut fired = fired.to_vec();
         fired.sort_unstable();
-        fired.dedup();
-        let (mut total, mut shard_start) = (0, 0);
-        for &end in ends {
-            let mut stands = 0;
-            for &(bracket, step) in fired.iter().filter(|f| (shard_start..end).contains(&f.0)) {
-                total += step - stands.max(trail.bracket_step(bracket));
-                stands = step;
-            }
-            shard_start = end;
-        }
-        total
+        (fired.chunk_by(|a, b| a.0 == b.0))
+            .map(|hop| hop[hop.len() - 1].1 - trail.bracket_step(hop[0].0))
+            .sum()
     }
 
-    /// The parallel cursor pass is invisible in the records: any explicit
-    /// shard count reproduces the single cursor bit for bit, snapshots dedup
-    /// across shards exactly as before, and the executed-prefix accounting
-    /// is the hop rule's for every K. Every hop lands on its bracket's start,
-    /// so a cursor executes only its armed windows and K cursors execute
-    /// exactly what one does, while attributed records stay fixed.
+    /// The parallel cursor pass is invisible in the report: at every pool
+    /// width it is the same in full — records, snapshots deduplicated across
+    /// brackets, one cursor per populated bracket — and the executed-prefix
+    /// accounting is the hop rule's. Every hop lands on its bracket's start,
+    /// so a cursor executes only its armed windows, wherever it runs.
     #[test]
-    fn sharded_cursors_match_single_cursor_and_split_the_prefix() {
+    fn cursors_match_at_every_pool_width_and_split_the_prefix() {
         let campaign = hpccg_campaign();
         let trail = &campaign.trail;
-        let config = |shards| CampaignConfig { cursor_shards: Some(shards), ..cfg(60) };
+        let config = cfg(60);
         let fired: Vec<(usize, u64)> = (0..60)
-            .map(|i| campaign.sample_point(&config(1), i).expect("sample").0)
+            .map(|i| campaign.sample_point(&config, i).expect("sample").0)
             .map(|point| (trail.bracket_of(&point), firing_step(&campaign, &point)))
             .collect();
-        let (single, ctr) = run_heard(&campaign, &config(1));
-        assert_eq!(single.cursor_shards, 1);
+        let populated: std::collections::BTreeSet<usize> = fired.iter().map(|f| f.0).collect();
+        let (narrow, ctr) = rayon::with_threads(1, || run_heard(&campaign, &config));
+        assert_eq!(narrow.cursor_shards, populated.len());
         // Held to the run-out reference by suffixes that did not run out.
-        assert_eq!(reference(&campaign, &config(1)), single.records);
+        assert_eq!(reference(&campaign, &config), narrow.records);
         assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state");
         assert!(ctr("care.converged") > 0, "no repaired run stopped at a golden state");
         assert!(ctr("cursor.hops") > 0, "the cursor never hopped to a checkpoint");
-        assert_eq!(single.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(1)));
-        for k in [2, 4, 16] {
-            let (sharded, ctr) = run_heard(&campaign, &config(k));
-            assert_eq!(single.records, sharded.records, "records diverged at {k} shards");
-            assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state at {k}");
-            assert_eq!(single.trellis_snapshots, sharded.trellis_snapshots);
-            assert!(
-                sharded.cursor_shards > 1 && sharded.cursor_shards <= k,
-                "expected multiple populated shards at K={k}, got {}",
-                sharded.cursor_shards
-            );
-            // What the boundaries add is *executed* prefix, and only that:
-            // the suffix/CARE stages are untouched.
-            assert_eq!(sharded.steps_prefix, modelled_prefix(trail, &fired, &trail.shard_ends(k)));
-            assert_eq!(sharded.steps_prefix, single.steps_prefix);
-            assert_eq!(single.steps_suffix, sharded.steps_suffix);
-            assert_eq!(single.steps_care, sharded.steps_care);
+        assert_eq!(narrow.steps_prefix, modelled_prefix(trail, &fired));
+        for width in [2, 4, 16] {
+            let (wide, ctr) = rayon::with_threads(width, || run_heard(&campaign, &config));
+            assert_eq!(narrow, wide, "the report moved at width {width}");
+            assert!(ctr("suffix.converged") > 0, "no suffix stopped at a golden state at {width}");
         }
     }
 
-    /// A single-cursor campaign wide enough to hold `indices`. The cursor
-    /// runs on the campaign's translation whatever `engine` the config
-    /// picks, so the tests of the cursor alone run it once.
-    fn one_cursor(indices: &[usize]) -> CampaignConfig {
-        let n = indices.iter().max().expect("indices") + 1;
-        CampaignConfig { cursor_shards: Some(1), ..cfg(n) }
+    /// A campaign wide enough to hold `indices`. The cursors run on the
+    /// campaign's translation whatever `engine` the config picks, so the
+    /// tests of the cursors alone run them once.
+    fn holding(indices: &[usize]) -> CampaignConfig {
+        cfg(indices.iter().max().expect("indices") + 1)
     }
 
-    /// One cursor, suffixes on both engines: the trellis over exactly
+    /// Cursors, suffixes on both engines: the trellis over exactly
     /// `indices` must reproduce those indexes' `run_one` records. Returns
     /// the report and a reader of the counters a recorder heard (the same
     /// on both engines).
@@ -339,7 +295,7 @@ mod tests {
         indices: &[usize],
     ) -> (CampaignReport, impl Fn(&str) -> u64) {
         let [interp, compiled] = [EngineKind::Interp, EngineKind::Compiled].map(|engine| {
-            let config = CampaignConfig { engine, ..one_cursor(indices) };
+            let config = CampaignConfig { engine, ..holding(indices) };
             let reference: Vec<InjectionRecord> =
                 indices.iter().filter_map(|&i| campaign.run_one(&config, i)).collect();
             assert_eq!(reference.len(), indices.len(), "{engine:?}: a reference run skipped");
@@ -379,11 +335,11 @@ mod tests {
         panic!("test premise: only {} of {want} wanted points were ever sampled", indices.len());
     }
 
-    /// The mechanism, in exact counts: a cursor runs instrumented only
-    /// inside the brackets that hold its points — at most one checkpoint
-    /// interval each — and executes nothing else: every prefix step it
-    /// executed was armed, and each visited bracket past the first one of
-    /// the program is one hop.
+    /// The mechanism, in exact counts: the cursors run instrumented only
+    /// inside the brackets that hold points — one cursor and at most one
+    /// checkpoint interval each — and execute nothing else: every prefix
+    /// step was armed, and each visited bracket past the first one of the
+    /// program is one hop.
     #[test]
     fn cursor_runs_instrumented_only_inside_visited_brackets() {
         let campaign = hpccg_campaign();
@@ -392,14 +348,14 @@ mod tests {
         let end_of = |b: usize| {
             if b + 1 < trail.brackets() { trail.bracket_step(b + 1) } else { campaign.golden_steps }
         };
-        let config = one_cursor(&[0, 1, 2, 3]);
+        let config = holding(&[0, 1, 2, 3]);
         let visited: std::collections::BTreeSet<usize> = (0..4)
             .map(|i| trail.bracket_of(&campaign.sample_point(&config, i).expect("sample").0))
             .collect();
         let bracket_steps: u64 = visited.iter().map(|&b| end_of(b) - trail.bracket_step(b)).sum();
         let (report, ctr) = run_heard(&campaign, &config);
         let window = ctr("cursor.window_steps");
-        assert_eq!(report.cursor_shards, 1);
+        assert_eq!(report.cursor_shards, visited.len());
         assert_eq!(window, report.steps_prefix, "a step ran unarmed");
         assert!(
             window <= bracket_steps,
@@ -412,8 +368,8 @@ mod tests {
 
     /// The hop rule, in exact counts: a hop lands on its bracket's start
     /// having executed nothing, so a cursor executes from the bracket's
-    /// start to the firing; and a later bracket of the same cursor is hopped
-    /// to as well, never walked to.
+    /// start to the firing; and a later bracket is hopped to as well, never
+    /// walked to from an earlier one.
     #[test]
     fn a_hop_lands_on_its_bracket_start_and_a_later_bracket_hops_too() {
         let campaign = hpccg_campaign();
@@ -425,7 +381,7 @@ mod tests {
         assert_eq!(ctr("cursor.hops"), 1, "bracket {b}");
         assert_eq!(report.steps_prefix, firing_step(&campaign, &point) - trail.bracket_step(b));
 
-        // Two brackets of one cursor, with a bracket between them.
+        // Two brackets, with a bracket between them.
         let later = find_indices(&campaign, 2, |chosen, b, _| match chosen {
             [] => b > 0,
             [(first, _)] => first + 1 < b,
@@ -456,7 +412,7 @@ mod tests {
         let budget = campaign.fuel_budget(&CampaignConfig { hang_factor: 0, ..cfg(1) });
         assert!(budget < campaign.golden_steps, "test premise: the floor must not cover the run");
         let indices = find_indices(&campaign, 3, |_, b, _| trail.bracket_step(b) > budget);
-        let starved = CampaignConfig { hang_factor: 0, ..one_cursor(&indices) };
+        let starved = CampaignConfig { hang_factor: 0, ..holding(&indices) };
         assert!(indices.iter().all(|&i| campaign.run_one(&starved, i).is_none()));
         let hop =
             campaign.run_selected(&starved, &indices, &NoTelemetry, &JobControl::new(), &NoSink);
@@ -527,9 +483,9 @@ mod tests {
         assert_eq!(report.trellis_snapshots, 2);
     }
 
-    /// A cancel observed between hops stops the cursor where it stands: the
-    /// brackets it has not reached are never visited, and nothing they hold
-    /// is recorded.
+    /// A cancel observed between hops stops the pass: at width 1, where the
+    /// cursors run one after another in bracket order, the brackets after
+    /// the cancel are never visited, and nothing they hold is recorded.
     #[test]
     fn cancel_between_hops_leaves_later_brackets_unvisited() {
         /// Cancels the job at the cursor's first fork.
@@ -556,22 +512,13 @@ mod tests {
             .min()
             .expect("three points");
         let executed = first_firing - campaign.trail.bracket_step(bracket);
-        let (config, ctl) = (one_cursor(&indices), JobControl::new());
-        let report = campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink);
+        let (config, ctl) = (holding(&indices), JobControl::new());
+        let report = rayon::with_threads(1, || {
+            campaign.run_selected(&config, &indices, &CancelOnFork(&ctl), &ctl, &NoSink)
+        });
         assert!(report.cancelled);
         assert_eq!(report.trellis_snapshots, 1, "hopped on after the cancel");
         assert_eq!(report.steps_prefix, executed, "cursor kept walking");
         assert!(report.records.is_empty() && ctl.classified() == 0);
-    }
-
-    /// Sharding follows the pool width when `cursor_shards` is `None`.
-    #[test]
-    fn default_shard_count_tracks_the_pool_width() {
-        let campaign = hpccg_campaign();
-        let base = rayon::with_threads(1, || campaign.run(&cfg(40)));
-        assert_eq!(base.cursor_shards, 1);
-        let wide = rayon::with_threads(4, || campaign.run(&cfg(40)));
-        assert!(wide.cursor_shards > 1, "4-thread run stayed single-sharded");
-        assert_eq!(base.records, wide.records);
     }
 }

@@ -45,9 +45,10 @@ pub struct CampaignReport {
     /// merge) is attributed throughout: every step field is the sum of the
     /// per-record splits.
     pub simulated_steps: u64,
-    /// Prefix-stage instructions actually executed by the cursor pass
-    /// (replay from a cloned golden state + instrumented brackets, summed
-    /// over the shards): less than the step the last point fires at.
+    /// Prefix-stage instructions actually executed by the cursor pass: each
+    /// cursor's armed window, from the golden state cloned at its bracket's
+    /// start to the bracket's last firing, summed over the populated
+    /// brackets. Less than the step the last point fires at.
     pub steps_prefix: u64,
     /// Unprotected-suffix instructions.
     pub steps_suffix: u64,
@@ -58,7 +59,8 @@ pub struct CampaignReport {
     /// than the classified total whenever injection indexes sampled
     /// duplicate points.
     pub trellis_snapshots: usize,
-    /// Cursor shards that actually ran (had points) in the cursor pass.
+    /// Cursors that ran in the cursor pass: one per populated bracket. The
+    /// name is kept because it is the wire field's.
     pub cursor_shards: usize,
     /// True when the run's [`crate::JobControl`] was cancelled before completion:
     /// the aggregates and records cover only the injections classified

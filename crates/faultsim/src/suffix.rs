@@ -44,8 +44,8 @@ use telemetry::{Event, Hooks, NoTelemetry};
 /// its last populated bracket (`campaign::state_brackets`). With a state at
 /// every checkpoint a job's runs reach, caps of 3 and 6 execute the same
 /// 2 768 562 suffix and CARE steps per round of carebench's cov job set (the
-/// five O1 programs, one 16- and two 4-injection jobs each, one cursor
-/// shard), and caps of 12 and 96 execute 1.4 % fewer (2 730 591), for four
+/// five O1 programs, one 16- and two 4-injection jobs each, at pool width
+/// 1), and caps of 12 and 96 execute 1.4 % fewer (2 730 591), for four
 /// times the states past a job's last populated bracket.
 pub(crate) const MAX_COMPARES: usize = 3;
 

@@ -14,13 +14,13 @@
 //! copy-on-write copy of the process taken there (incremental
 //! checkpointing, as in Plank et al.'s *libckpt*). The counts are what let a
 //! trellis cursor rebase its points' `nth` ordinals to stop ordinals
-//! counted from a checkpoint; the checkpoints are also the shard-boundary
-//! candidates of the parallel cursor pass. The changes are what the golden
-//! states are rebuilt from: each job walks them once from the template, as
-//! far as its points need, and keeps the state at every checkpoint of the
-//! bracket range it names ([`Trail::states`]); a cursor hop starts from a
-//! clone of the one at its bracket's start ([`Trail::state_at`]), standing
-//! exactly where a run to it would have. The states are also what a suffix
+//! counted from a checkpoint, and the brackets between the checkpoints are
+//! the cursor pass's unit: one cursor per populated bracket. The changes are
+//! what the golden states are rebuilt from: each job walks them once from
+//! the template, as far as its points need, and keeps the state at every
+//! checkpoint of the bracket range it names ([`Trail::states`]); a cursor
+//! hop starts from a clone of the one at its bracket's start
+//! ([`Trail::state_at`]), standing exactly where a run to it would have. The states are also what a suffix
 //! or a repaired run compares itself with: an injected run that equals the
 //! golden run's state *is* the golden run from there on, and stops. With a
 //! state at every checkpoint from a job's first populated bracket on, a run
@@ -105,14 +105,12 @@ struct Checkpoint {
 }
 
 /// The golden run's checkpoint trail. Empty for programs shorter than the
-/// checkpoint quantum: one bracket from program start, one cursor shard.
+/// checkpoint quantum: one bracket from program start, one cursor.
 pub(crate) struct Trail {
     /// Evenly spaced, in step order.
     checkpoints: Vec<Checkpoint>,
     /// Where `[module][func]`'s instructions sit in a checkpoint's `counts`.
     ranges: Vec<Vec<Range<usize>>>,
-    /// Dynamic instructions of the whole golden run.
-    steps: u64,
 }
 
 impl Trail {
@@ -193,7 +191,7 @@ impl Trail {
         }
         checkpoints.shrink_to_fit();
         let profile = instr.profile.expect("profiled from the start");
-        (Trail { checkpoints, ranges, steps: p.steps }, p, profile)
+        (Trail { checkpoints, ranges }, p, profile)
     }
 
     /// The golden states at the starts of the brackets in `starts`, rebuilt
@@ -261,25 +259,6 @@ impl Trail {
     pub(crate) fn ordinal_in(&self, bracket: usize, point: &InjectionPoint) -> u64 {
         let start = bracket.checked_sub(1).map(|ci| &self.checkpoints[ci].counts);
         point.nth - start.map_or(0, |counts| self.count_at(counts, point))
-    }
-
-    /// The shard-boundary cut: one past the last bracket of each of up to
-    /// `k` cursor shards, strictly increasing. Shard `j` covers the
-    /// golden-run window between two checkpoints — a contiguous range of
-    /// brackets — and boundaries are cut from the checkpoints nearest the
-    /// ideal `steps / k` splits, so a short program (no checkpoints) or
-    /// `k = 1` yields the single full-range shard.
-    pub(crate) fn shard_ends(&self, k: usize) -> Vec<usize> {
-        let mut ends = Vec::new();
-        for j in 1..k as u64 {
-            let ideal = (self.steps / k as u64).saturating_mul(j);
-            let bracket = self.checkpoints.partition_point(|c| c.step <= ideal);
-            if bracket > ends.last().copied().unwrap_or(0) {
-                ends.push(bracket);
-            }
-        }
-        ends.push(self.checkpoints.len() + 1);
-        ends
     }
 }
 
@@ -372,9 +351,10 @@ mod tests {
             let at = format!("{} at {level:?}", w.name);
             // The campaign recorded on its compiled engine; the hooked
             // interpreter loop records the same trail.
-            let (interp, _, interp_profile) =
+            let (interp, interp_golden, interp_profile) =
                 Trail::record(&campaign.template, &InterpEngine, w.name, MAX_GOLDEN_STEPS);
-            assert_eq!((interp.steps, &interp_profile), (trail.steps, golden), "{at}");
+            let want = (campaign.golden_steps, golden);
+            assert_eq!((interp_golden.steps, &interp_profile), want, "{at}");
             assert_eq!(interp.checkpoints.len(), trail.checkpoints.len(), "{at}");
             for (a, b) in interp.checkpoints.iter().zip(&trail.checkpoints) {
                 assert!(a.step == b.step && a.counts == b.counts, "{at}: counts at {}", b.step);

@@ -1096,8 +1096,8 @@ fn engine_kind_parses_stable_names() {
 fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
     // Replaying to a mid-run step and continuing must reproduce the
     // continuous run's exact state — steps, fuel, trap_count, frames and
-    // memory — on both engines; that is the contract the sharded trellis
-    // cursors rest on.
+    // memory — on both engines; that is the contract the trellis cursors
+    // rest on.
     let mm = engine_fixture();
     let mut full = Process::new(Arc::clone(&mm), vec![]);
     full.start("main", &[12, 64, 0]);

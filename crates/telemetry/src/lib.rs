@@ -24,7 +24,7 @@
 //! per-thread **shards** (uncontended mutexes reached through a thread-local
 //! cache) accumulate counters, histograms and events, and
 //! [`Recorder::drain`] merges them into a [`TelemetryReport`]. Every
-//! instrumented site runs once per trap, injection, cursor shard or
+//! instrumented site runs once per trap, injection, cursor hop or
 //! campaign; the per-step loops (`simx`, `tinyir`) do not know this crate
 //! exists, so the guard is never on a hot path, the campaign core is
 //! compiled once, and a live recorder costs 1–4 % of a warm job (ROADMAP,

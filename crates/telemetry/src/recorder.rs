@@ -6,7 +6,7 @@
 //! Instrumented functions take `hooks: &dyn Hooks` and guard every
 //! telemetry statement with `if hooks.enabled() { ... }`, so operands,
 //! `Instant::now()` calls and events are built only when someone listens.
-//! Every such site runs once per trap, injection, cursor shard or campaign
+//! Every such site runs once per trap, injection, cursor hop or campaign
 //! — never per simulated step: the step loops and the memory hot path live
 //! in `simx` and `tinyir`, which do not depend on this crate — so the off
 //! path costs one predictable branch per site, and the campaign core is

@@ -114,12 +114,12 @@ fn trellis_records_match_legacy_on_all_workloads() {
     }
 }
 
-/// The sharded cursor pass must be an observational no-op at every pool
-/// width: for every workload, a trellis campaign run at 2 and 8 threads
-/// (which shards the cursor pass along the golden-run
-/// checkpoint trail) produces records bit-identical to the 1-thread
-/// single-cursor run. Only the wall-clock shape may differ (K concurrent
-/// checkpoint-hopping cursors instead of one).
+/// The parallel cursor pass must be an observational no-op at every pool
+/// width: for every workload, a trellis campaign run at 1, 2 and 8 threads
+/// (one cursor per populated bracket of the golden-run checkpoint trail,
+/// run inline at 1 and concurrently at 2 and 8) produces the same report in
+/// full — records, executed steps, snapshots and the number of cursors that
+/// ran. Only the wall-clock shape may differ.
 #[test]
 fn sharded_trellis_matches_single_cursor_on_all_workloads() {
     let small: Vec<(&str, workloads::Workload)> = vec![
@@ -132,35 +132,20 @@ fn sharded_trellis_matches_single_cursor_on_all_workloads() {
     for (name, w) in small {
         let app = care::compile(&w.module, OptLevel::O1);
         let campaign = Campaign::prepare(&w, app, vec![]);
-        let single = rayon::with_threads(1, || run_records(&campaign, 40, 0xCA2E));
-        assert_eq!(single.cursor_shards, 1, "{name}: 1 thread must mean 1 shard");
+        let narrow = rayon::with_threads(1, || run_records(&campaign, 40, 0xCA2E));
+        assert!(narrow.cursor_shards > 0, "{name}: no cursor ran");
         for threads in [2usize, 8] {
-            let sharded = rayon::with_threads(threads, || run_records(&campaign, 40, 0xCA2E));
-            assert_eq!(
-                single.records, sharded.records,
-                "{name}: records diverged at {threads} threads"
-            );
-            assert_eq!(
-                (single.steps_suffix, single.steps_care, single.trellis_snapshots),
-                (sharded.steps_suffix, sharded.steps_care, sharded.trellis_snapshots),
-                "{name}: step accounting diverged at {threads} threads"
-            );
-            assert!(
-                sharded.cursor_shards <= threads,
-                "{name}: more shards ({}) than threads ({threads})",
-                sharded.cursor_shards
-            );
+            let wide = rayon::with_threads(threads, || run_records(&campaign, 40, 0xCA2E));
+            assert_eq!(narrow, wide, "{name}: the report moved at {threads} threads");
         }
     }
 }
 
-/// A report is a pure function of `(Campaign, CampaignConfig)` and the
-/// caller's own width scope: with `cursor_shards: None`, every run agrees in
-/// full — records, executed-prefix steps, shard count — with a quiet run
-/// while a second thread holds a `rayon::with_threads` scope of width 1,
-/// then 4, open around it (the barrier forces that overlap). A
-/// process-global override would leak those widths into this thread's shard
-/// plan.
+/// A report is a pure function of `(Campaign, CampaignConfig)`: every run
+/// agrees in full — records, executed-prefix steps, cursor count — with a
+/// quiet run while a second thread holds a `rayon::with_threads` scope of
+/// width 1, then 4, open around it (the barrier forces that overlap), so no
+/// width another thread pins reaches this one's report.
 #[test]
 fn report_is_stable_while_another_thread_churns_pool_width() {
     use rayon::prelude::*;
@@ -238,7 +223,7 @@ fn compiled_engine_records_match_interpreter_on_all_workloads() {
 
 /// Converged-suffix pruning must be an observational no-op, and must have
 /// happened for that to mean anything: on the five bundled programs at both
-/// levels, on both engines and at 1, 2 and 8 cursor shards, the trellis —
+/// levels, on both engines and at pool widths 1, 2 and 8, the trellis —
 /// whose suffixes stop at the golden state they re-join — writes the records
 /// and, but for the prefix it executed once, the report of the per-index
 /// `run_one` reference, which consults no golden state, hops nowhere and runs
@@ -254,11 +239,11 @@ fn pruned_suffixes_match_the_run_out_reference_on_every_program_level_engine_and
             for engine in [EngineKind::Interp, EngineKind::Compiled] {
                 let cfg = records_cfg(12, 0xCA2E, engine);
                 let legacy = reference(&campaign, &cfg);
-                for shards in [1usize, 2, 8] {
-                    let at = format!("{} at {level:?}, {engine:?}, {shards} shard(s)", w.name);
+                for width in [1usize, 2, 8] {
+                    let at = format!("{} at {level:?}, {engine:?}, width {width}", w.name);
                     let rec = telemetry::Recorder::new();
-                    let sharded = CampaignConfig { cursor_shards: Some(shards), ..cfg };
-                    let trellis = campaign.run_with_hooks(&sharded, &rec);
+                    let trellis =
+                        rayon::with_threads(width, || campaign.run_with_hooks(&cfg, &rec));
                     assert_eq!(legacy.records, trellis.records, "{at}: records diverged");
                     // The report as the trellis built it; only the executed
                     // prefix (and the totals over it) may differ.
@@ -363,35 +348,26 @@ proptest! {
         prop_assert_eq!(&interp.records, &compiled.records);
     }
 
-    /// Shard-count independence of the sharded cursor pass, on both
-    /// engines: any explicit shard count (including K far above the number
-    /// of checkpoints), at any seed and hang budget, yields the exact
-    /// record stream of the single cursor — itself a checkpoint-hopping
-    /// path, so both are also held to the per-index `run_one` reference.
-    /// Exercises arbitrary window boundaries along the checkpoint trail,
-    /// the hops inside them, and the dedup/home-shard assignment of
-    /// repeated injection points.
+    /// Pool-width independence of the cursor pass, on both engines: any
+    /// width, at any seed and hang budget, yields the report of the
+    /// 1-thread pass, which runs the cursors inline in bracket order — and
+    /// both are held to the per-index `run_one` reference. Exercises
+    /// concurrent hops along the checkpoint trail and the dedup of repeated
+    /// injection points.
     #[test]
     fn sharded_cursors_match_at_random_shard_counts(
         seed in any::<u64>(),
-        shards in 2usize..9,
+        width in 2usize..9,
         hang_factor in 1u64..30,
     ) {
         let campaign = tiny_campaign();
         for engine in [EngineKind::Interp, EngineKind::Compiled] {
-            let cfg = CampaignConfig {
-                hang_factor,
-                cursor_shards: Some(1),
-                ..records_cfg(20, seed, engine)
-            };
+            let cfg = CampaignConfig { hang_factor, ..records_cfg(20, seed, engine) };
             let legacy = reference(campaign, &cfg);
-            let single = campaign.run(&cfg);
-            let sharded =
-                campaign.run(&CampaignConfig { cursor_shards: Some(shards), ..cfg });
-            prop_assert_eq!(&legacy.records, &single.records);
-            prop_assert_eq!(&single.records, &sharded.records);
-            prop_assert_eq!(single.steps_suffix, sharded.steps_suffix);
-            prop_assert_eq!(single.steps_care, sharded.steps_care);
+            let narrow = rayon::with_threads(1, || campaign.run(&cfg));
+            let wide = rayon::with_threads(width, || campaign.run(&cfg));
+            prop_assert_eq!(&legacy.records, &narrow.records);
+            prop_assert_eq!(&narrow, &wide);
         }
     }
 }

@@ -14,8 +14,8 @@ use faultsim::EngineKind;
 use std::collections::BTreeMap;
 
 /// What the counters are read at: `repro --injections 100 --seed 0xCA2E
-/// --engine compiled fig7 table2` at a pool width of 2, which is also the
-/// cursor shard count.
+/// --engine compiled fig7 table2` at a pool width of 2. The counts are the
+/// same at every width.
 const SETTING: &str = "fig7 table2, 100 injections, seed 0xCA2E, compiled engine, width 2";
 
 /// The counters a line holds; `suffix.executed_steps.<class>` for every

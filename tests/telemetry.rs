@@ -172,16 +172,17 @@ fn engine_counters_are_the_same_on_every_run_of_a_campaign() {
 }
 
 /// At four threads the campaign actually spreads across its work-stealing
-/// batches, and the sharded cursor pass reconciles with the step accounting:
+/// batches, and the concurrent cursor pass reconciles with the step
+/// accounting:
 ///
 /// * at least two telemetry shards (each shard is one thread) carry
 ///   nonzero `worker.busy_ns` — the suffix/CARE jobs did not all run on
 ///   the caller;
-/// * the per-shard cursor spans (`cursor.window_steps`, summed over
-///   shards) equal the campaign's `steps_prefix` exactly — a hop clones
+/// * the per-bracket cursor spans (`cursor.window_steps`, summed over the
+///   cursors) equal the campaign's `steps_prefix` exactly — a hop clones
 ///   its bracket's start and executes nothing, so the instrumented
 ///   brackets account for every prefix step — and the cursors hopped;
-/// * the `trellis.shards` counter agrees with the report.
+/// * the `trellis.shards` counter agrees with the report's cursor count.
 #[test]
 fn four_thread_campaign_spreads_work_across_pool_shards() {
     let w = workloads::hpccg::build(3, 2);
@@ -203,12 +204,12 @@ fn four_thread_campaign_spreads_work_across_pool_shards() {
     });
     let tel = rec.drain();
     let ctr = |n: &str| tel.counters.get(n).copied().unwrap_or(0);
-    assert!(report.cursor_shards > 1, "4-thread trellis did not shard the cursor");
+    assert!(report.cursor_shards > 1, "the trellis ran a single cursor");
     assert_eq!(ctr("trellis.shards"), report.cursor_shards as u64);
     assert_eq!(
         ctr("cursor.window_steps"),
         report.steps_prefix,
-        "sharded cursor spans do not reconcile with the prefix step count"
+        "per-bracket cursor spans do not reconcile with the prefix step count"
     );
     assert!(ctr("cursor.hops") > 0, "no cursor hopped to a checkpoint");
     let busy_shards = tel
@@ -283,7 +284,7 @@ impl Hooks for Deaf {
 }
 
 /// Every instrumented entry point under `hooks`: the campaign core with
-/// CARE evaluated on both engines (suffix, cursor shard, `resume_protected`,
+/// CARE evaluated on both engines (suffix, cursor hop, `resume_protected`,
 /// `handle_trap_with_hooks`), a cold then a warm store run, and the cluster
 /// simulation with a recovery delay on rank 0.
 fn drive_every_instrumented_path(
@@ -352,7 +353,7 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
     ] {
         assert!(tel.counters.get(heard).is_some_and(|&n| n > 0), "{heard} never recorded");
     }
-    for kind in ["job", "trellis.fork", "trellis.shard", "recovery", "barrier"] {
+    for kind in ["job", "trellis.fork", "trellis.hop", "recovery", "barrier"] {
         assert!(tel.events.iter().any(|e| e.kind == kind), "no {kind} event emitted");
     }
 }
