@@ -70,14 +70,14 @@ impl From<std::io::Error> for ClientError {
 /// every few poll intervals, so silence this long means it is gone.
 const READ_TIMEOUT: Duration = Duration::from_secs(300);
 
-/// Connect and send one encoded request frame; the reader yields the
-/// replies.
-fn request(addr: impl ToSocketAddrs, frame: &str) -> std::io::Result<BufReader<TcpStream>> {
+/// Connect and send one encoded request frame, newline included, in one
+/// write (one segment under `TCP_NODELAY`); the reader yields the replies.
+fn request(addr: impl ToSocketAddrs, mut frame: String) -> std::io::Result<BufReader<TcpStream>> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true)?;
+    frame.push('\n');
     stream.write_all(frame.as_bytes())?;
-    stream.write_all(b"\n")?;
     Ok(BufReader::new(stream))
 }
 
@@ -102,7 +102,7 @@ fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<ServerFrame, ClientEr
 
 /// Submit one job and collect its full response stream.
 pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, ClientError> {
-    let mut reader = request(addr, &spec.to_frame())?;
+    let mut reader = request(addr, spec.to_frame())?;
     let mut job_id = 0;
     let mut records = Vec::new();
     let mut telemetry = Vec::new();
@@ -135,7 +135,7 @@ pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, Cl
 
 /// Fetch the server's counter snapshot.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<StatsSnapshot, ClientError> {
-    match read_frame(&mut request(addr, &ClientFrame::Stats.encode())?)? {
+    match read_frame(&mut request(addr, ClientFrame::Stats.encode())?)? {
         ServerFrame::Stats(stats) => Ok(stats),
         ServerFrame::Reject(reason, detail) => Err(ClientError::Rejected { reason, detail }),
         _ => Err(ClientError::Protocol("expected a stats frame".to_string())),

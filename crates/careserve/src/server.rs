@@ -1,9 +1,14 @@
 //! The long-running campaign server.
 //!
-//! One blocking accept loop, one thread per connection, one worker thread
-//! per running job, whose *simulation* fan-out runs in work-stealing
-//! batches of its own (`compat/rayon`). Every client shares this server's
-//! prepared-campaign cache, and with each cached campaign its translation.
+//! One blocking accept loop; each connection runs on a server thread, and
+//! each running job on a second one, whose *simulation* fan-out runs in
+//! work-stealing batches of its own (`compat/rayon`). A server thread that
+//! finishes its connection or job parks and takes the next one, so a
+//! served job spawns no thread once the server is warm. At most
+//! `2 × (budget_cap + max_queue)` threads stay parked — one connection
+//! thread and one worker per admitted or queued job; a thread finishing
+//! beyond that exits. Every client shares this server's prepared-campaign
+//! cache, and with each cached campaign its translation.
 //!
 //! ## Admission control
 //!
@@ -30,14 +35,16 @@ use crate::proto::{
 };
 use carestore::{CampaignKey, LruCache, Store};
 use faultsim::{Campaign, CampaignConfig, CampaignReport, JobControl};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use telemetry::{Hooks, NoTelemetry, Recorder, TelemetryReport};
 
 /// How the server is sized and bound.
@@ -94,6 +101,24 @@ struct Admission {
     queued: usize,
 }
 
+/// A connection or a job, handed to a server thread.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The server's threads, guarded by one mutex (the `parked_cv`'s).
+#[derive(Default)]
+struct Threads {
+    /// Tasks handed over and not yet taken by a parked thread; never more
+    /// than `parked`, so every one is taken.
+    tasks: VecDeque<Task>,
+    /// Threads waiting for a task.
+    parked: usize,
+    /// Set by shutdown: a thread that finds no task exits instead of
+    /// parking.
+    closed: bool,
+    /// Every thread spawned and not yet joined or found finished.
+    handles: Vec<JoinHandle<()>>,
+}
+
 /// Shared server state.
 pub(crate) struct Srv {
     budget_cap: usize,
@@ -109,10 +134,14 @@ pub(crate) struct Srv {
     /// `server.*` counters from it.
     stats: Stats<AtomicU64>,
     /// Series the stats frame does not carry: `server.client_disconnects`,
-    /// `server.store_*`, and the queue-depth and job-duration histograms.
+    /// `server.store_*`, `server.threads_spawned`/`server.threads_reused`,
+    /// and the queue-depth and job-duration histograms.
     recorder: Recorder,
     next_job_id: AtomicU64,
-    active_conns: AtomicUsize,
+    threads: Mutex<Threads>,
+    parked_cv: Condvar,
+    /// Parked-thread bound: `2 × (budget_cap + max_queue)`.
+    max_parked: usize,
 }
 
 impl Srv {
@@ -139,7 +168,9 @@ impl Srv {
             stats: Stats { budget_cap: AtomicU64::new(budget_cap as u64), ..Stats::default() },
             recorder: Recorder::new(),
             next_job_id: AtomicU64::new(1),
-            active_conns: AtomicUsize::new(0),
+            threads: Mutex::new(Threads::default()),
+            parked_cv: Condvar::new(),
+            max_parked: 2 * (budget_cap + cfg.max_queue),
         })
     }
 
@@ -200,13 +231,53 @@ impl Srv {
         self.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
         let _ = send(out, &ServerFrame::Reject(reason, detail.to_string()));
     }
+
+    /// Run `task` on a parked server thread, or on a new one if none is
+    /// parked.
+    fn spawn(self: &Arc<Self>, task: Task) {
+        let mut threads = self.threads.lock().expect("threads lock");
+        if threads.parked > threads.tasks.len() {
+            threads.tasks.push_back(task);
+            self.parked_cv.notify_one();
+            self.recorder.add("server.threads_reused", 1);
+            return;
+        }
+        threads.handles.retain(|h| !h.is_finished());
+        let srv = self.clone();
+        threads.handles.push(std::thread::spawn(move || srv.serve(task)));
+        self.recorder.add("server.threads_spawned", 1);
+    }
+
+    /// A server thread's life: run the task, park, run the next one handed
+    /// over; exit when the parked bound is reached or the server closes.
+    fn serve(&self, mut task: Task) {
+        loop {
+            task();
+            let mut threads = self.threads.lock().expect("threads lock");
+            if threads.closed || threads.parked >= self.max_parked {
+                return;
+            }
+            threads.parked += 1;
+            task = loop {
+                if let Some(next) = threads.tasks.pop_front() {
+                    break next;
+                }
+                if threads.closed {
+                    threads.parked -= 1;
+                    return;
+                }
+                threads = self.parked_cv.wait(threads).expect("threads wait");
+            };
+            threads.parked -= 1;
+        }
+    }
 }
 
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
     srv: Arc<Srv>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    accept: Option<JoinHandle<()>>,
 }
 
 /// The campaign server. [`start`](CampaignServer::start) binds, spawns the
@@ -228,12 +299,8 @@ impl CampaignServer {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                srv2.active_conns.fetch_add(1, Ordering::SeqCst);
                 let srv3 = srv2.clone();
-                std::thread::spawn(move || {
-                    handle_conn(srv3.clone(), stream);
-                    srv3.active_conns.fetch_sub(1, Ordering::SeqCst);
-                });
+                srv2.spawn(Box::new(move || handle_conn(&srv3, stream)));
             }
         });
         Ok(ServerHandle { addr, srv, accept: Some(accept) })
@@ -252,8 +319,8 @@ impl ServerHandle {
     }
 
     /// The server's `server.*` telemetry series: every stats counter under
-    /// its frame name, plus what only the recorder holds (disconnect and
-    /// store counters, the queue-depth/job-duration histograms).
+    /// its frame name, plus what only the recorder holds (disconnect, store
+    /// and thread-reuse counters, the queue-depth/job-duration histograms).
     /// Non-destructive.
     pub fn telemetry(&self) -> TelemetryReport {
         let mut report = self.srv.recorder.drain();
@@ -263,8 +330,8 @@ impl ServerHandle {
         report
     }
 
-    /// Stop accepting, cancel in-flight jobs, and wait for connection
-    /// threads to drain.
+    /// Stop accepting, cancel in-flight jobs, release the parked threads,
+    /// and join every server thread.
     pub fn shutdown(&mut self) {
         let Some(accept) = self.accept.take() else { return };
         self.srv.shutdown.store(true, Ordering::SeqCst);
@@ -272,14 +339,31 @@ impl ServerHandle {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
-        // Connection threads observe the flag within one poll interval and
-        // cancel their jobs; jobs observe the cancel at the next suffix.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while self.srv.active_conns.load(Ordering::SeqCst) > 0 {
-            if std::time::Instant::now() > deadline {
+        // Parked threads exit now. Connection threads observe the flag
+        // within one poll interval and cancel their jobs; jobs observe the
+        // cancel at the next suffix; then both exit. A thread still busy
+        // at the deadline is left to finish on its own.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let handles = {
+                let mut threads = self.srv.threads.lock().expect("threads lock");
+                threads.closed = true;
+                self.srv.parked_cv.notify_all();
+                std::mem::take(&mut threads.handles)
+            };
+            // A connection thread joined here may have handed a job to a
+            // new thread first: take the handles again until none is left.
+            if handles.is_empty() {
                 break;
             }
-            std::thread::sleep(POLL);
+            for handle in handles {
+                while !handle.is_finished() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                if handle.is_finished() {
+                    let _ = handle.join();
+                }
+            }
         }
     }
 }
@@ -290,15 +374,11 @@ impl Drop for ServerHandle {
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
-    stream.write_all(&buf)
-}
-
+/// Write one frame line in one write.
 fn send(stream: &mut TcpStream, frame: &ServerFrame) -> std::io::Result<()> {
-    write_line(stream, &frame.encode())
+    let mut line = frame.encode();
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 /// A received line, decoded: the frame, or the typed reject it earns (a
@@ -319,6 +399,9 @@ enum ReadOutcome {
 struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline: each byte
+    /// is searched once, however many reads a line takes.
+    scanned: usize,
     max: usize,
     /// Discarding an over-cap line until its newline.
     draining: bool,
@@ -326,38 +409,34 @@ struct FrameReader {
 
 impl FrameReader {
     fn new(stream: TcpStream, max: usize) -> FrameReader {
-        FrameReader { stream, buf: Vec::new(), max, draining: false }
+        FrameReader { stream, buf: Vec::new(), scanned: 0, max, draining: false }
     }
 
     /// One bounded poll: consume buffered bytes and at most one socket
     /// read (≤ [`POLL`] of blocking).
     fn poll_frame(&mut self) -> ReadOutcome {
-        let oversized = || {
-            let detail = "frame exceeds the line cap".to_string();
-            ReadOutcome::Frame(Err((RejectReason::Oversized, detail)))
-        };
         loop {
-            if self.draining {
-                match self.buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.buf.drain(..=pos);
-                        self.draining = false;
-                        return oversized();
-                    }
-                    None => self.buf.clear(),
+            match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                Some(at) => {
+                    let pos = self.scanned + at;
+                    // The cap binds however the bytes arrived: a line whose
+                    // newline came in the same read as its tail is still over.
+                    let frame = if std::mem::take(&mut self.draining) || pos > self.max {
+                        let detail = "frame exceeds the line cap".to_string();
+                        Err((RejectReason::Oversized, detail))
+                    } else {
+                        ClientFrame::decode(&String::from_utf8_lossy(&self.buf[..pos]))
+                    };
+                    self.buf.drain(..=pos);
+                    self.scanned = 0;
+                    return ReadOutcome::Frame(frame);
                 }
-            } else if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                // The cap binds however the bytes arrived: a line whose
-                // newline came in the same read as its tail is still over.
-                if pos > self.max {
-                    return oversized();
+                None if self.draining || self.buf.len() > self.max => {
+                    self.draining = true;
+                    self.buf.clear();
+                    self.scanned = 0;
                 }
-                let text = String::from_utf8_lossy(&line[..pos]);
-                return ReadOutcome::Frame(ClientFrame::decode(&text));
-            } else if self.buf.len() > self.max {
-                self.draining = true;
-                continue;
+                None => self.scanned = self.buf.len(),
             }
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
@@ -386,16 +465,16 @@ impl FrameReader {
     }
 }
 
-fn handle_conn(srv: Arc<Srv>, stream: TcpStream) {
+fn handle_conn(srv: &Arc<Srv>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = FrameReader::new(read_half, srv.max_frame_bytes);
     let mut out = stream;
-    while let Some(frame) = reader.read_frame(&srv) {
+    while let Some(frame) = reader.read_frame(srv) {
         let served = match frame {
             Ok(ClientFrame::Stats) => send(&mut out, &ServerFrame::Stats(srv.snapshot())).is_ok(),
-            Ok(ClientFrame::Job(spec)) => run_job(&srv, &mut reader, &mut out, spec).is_ok(),
+            Ok(ClientFrame::Job(spec)) => run_job(srv, &mut reader, &mut out, spec).is_ok(),
             Err((reason, detail)) => {
                 srv.reject(&mut out, reason, &detail);
                 true
@@ -407,7 +486,7 @@ fn handle_conn(srv: Arc<Srv>, stream: TcpStream) {
     }
 }
 
-/// What the worker thread hands back.
+/// What the worker thread hands back; its arrival ends the job.
 type JobResult = Result<(CampaignReport, Option<String>), String>;
 
 fn run_job(
@@ -441,20 +520,20 @@ fn run_job(
     // Budget held from here: release on every path below.
     let job_id = srv.next_job_id.fetch_add(1, Ordering::Relaxed);
     srv.stats.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let mut connected = send(out, &ServerFrame::Accepted(job_id)).is_ok();
 
     let ctl = Arc::new(JobControl::new());
     let (tx, rx) = mpsc::channel::<JobResult>();
-    let worker = {
+    {
         let ctl = ctl.clone();
         let spec = spec.clone();
-        let srv = srv.clone();
-        std::thread::spawn(move || {
+        let srv2 = srv.clone();
+        srv.spawn(Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 let campaign = match cached {
                     Some(c) => c,
-                    None => srv.prepare_campaign(&key, &spec, workload),
+                    None => srv2.prepare_campaign(&key, &spec, workload),
                 };
                 let cfg = spec.campaign_config();
                 let rec = spec.telemetry.then(Recorder::new);
@@ -462,12 +541,12 @@ fn run_job(
                     Some(r) => r,
                     None => &NoTelemetry,
                 };
-                let report = run_backed(&srv, &ckey, &campaign, &cfg, hooks, &ctl);
+                let report = run_backed(&srv2, &ckey, &campaign, &cfg, hooks, &ctl);
                 (report, rec.map(|r| r.drain().to_jsonl()))
             }));
             let _ = tx.send(result.map_err(panic_message));
-        })
-    };
+        }));
+    }
 
     // Stream progress and watch the socket while the job runs.
     let total = spec.injections as u64;
@@ -516,7 +595,6 @@ fn run_job(
             ctl.cancel();
         }
     };
-    let _ = worker.join();
     srv.release_budget(budget);
     srv.recorder.record("server.job_ns", t0.elapsed().as_nanos() as u64);
 
@@ -527,22 +605,30 @@ fn run_job(
             } else {
                 srv.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
             }
-            // The rest of the stream; the first failed write ends it.
-            let stream_out = |out: &mut TcpStream| -> std::io::Result<()> {
-                if spec.records {
-                    for r in &report.records {
-                        write_line(out, &proto::encode_record(job_id, r))?;
-                        srv.stats.records_streamed.fetch_add(1, Ordering::Relaxed);
-                    }
+            // The rest of the stream, in one write: records, telemetry,
+            // report, done.
+            if connected {
+                let mut tail = String::new();
+                let mut line = |text: String| {
+                    tail.push_str(&text);
+                    tail.push('\n');
+                };
+                let records = if spec.records { &report.records[..] } else { &[] };
+                for r in records {
+                    line(proto::encode_record(job_id, r));
                 }
                 let jsonl = jsonl.as_deref().unwrap_or_default();
-                for line in jsonl.lines().filter(|l| !l.trim().is_empty()) {
-                    send(out, &ServerFrame::Telemetry(job_id, line.to_string()))?;
+                for l in jsonl.lines().filter(|l| !l.trim().is_empty()) {
+                    line(ServerFrame::Telemetry(job_id, l.to_string()).encode());
                 }
-                write_line(out, &proto::encode_report(job_id, &report))?;
-                send(out, &ServerFrame::Done(job_id))
-            };
-            connected = connected && stream_out(out).is_ok();
+                line(proto::encode_report(job_id, &report));
+                line(ServerFrame::Done(job_id).encode());
+                // Counted before the write, so a client that has read `done`
+                // sees its records in the stats.
+                let n = records.len() as u64;
+                srv.stats.records_streamed.fetch_add(n, Ordering::Relaxed);
+                connected = out.write_all(tail.as_bytes()).is_ok();
+            }
         }
         Err(detail) => {
             srv.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
@@ -810,6 +896,133 @@ mod tests {
         assert_eq!(report.counters.get("server.jobs_accepted"), Some(&2));
         assert_eq!(report.counters.get("server.jobs_completed"), Some(&2));
         handle.shutdown();
+    }
+
+    /// A job spec small enough that twenty of them run in a blink.
+    fn quick_spec() -> JobSpec {
+        JobSpec { injections: 4, telemetry: false, ..tiny_inline_spec() }
+    }
+
+    /// Poll `cond` on the server's threads until it holds (30 s cap).
+    fn wait_for_threads(srv: &Srv, what: &str, cond: impl Fn(&Threads) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !cond(&srv.threads.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Twenty jobs in turn run on the two threads the first one spawned:
+    /// each connection and each job is handed to a parked thread.
+    #[test]
+    fn sequential_jobs_reuse_two_parked_threads() {
+        let mut handle = test_server(0, 4, MAX_FRAME_BYTES);
+        let spec = quick_spec();
+        for _ in 0..20 {
+            client::submit(handle.addr(), &spec).expect("submit");
+            // The connection thread parks once the client hangs up; wait
+            // for it, so the next submit finds both threads parked.
+            wait_for_threads(&handle.srv, "two parked threads", |t| t.parked == 2);
+        }
+        let counters = handle.telemetry().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let (spawned, reused) = (count("server.threads_spawned"), count("server.threads_reused"));
+        assert!(spawned <= 2, "{spawned} threads spawned for 20 sequential jobs");
+        assert!(reused >= 38, "threads reused only {reused} times");
+        assert_eq!(spawned + reused, 40, "one thread per connection and per job");
+        handle.shutdown();
+    }
+
+    /// With `budget_cap` 1 and no queue, two threads stay parked: of four
+    /// connection threads that end together, two park and two exit.
+    #[test]
+    fn threads_beyond_the_parked_bound_exit() {
+        let mut handle = test_server(1, 0, MAX_FRAME_BYTES);
+        assert_eq!(handle.srv.max_parked, 2);
+        // Each connection has had its stats answered, so four threads are
+        // serving at once.
+        let conns: Vec<TcpStream> = (0..4)
+            .map(|_| {
+                let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+                stream.write_all(b"{\"kind\":\"stats\",\"proto\":1}\n").unwrap();
+                let mut resp = String::new();
+                BufReader::new(stream.try_clone().unwrap()).read_line(&mut resp).unwrap();
+                assert!(resp.contains("\"stats\""), "{resp}");
+                stream
+            })
+            .collect();
+        drop(conns);
+        wait_for_threads(&handle.srv, "two parked, two exited", |t| {
+            t.parked == 2 && t.handles.iter().filter(|h| !h.is_finished()).count() == 2
+        });
+        assert_eq!(handle.telemetry().counters.get("server.threads_spawned"), Some(&4));
+        handle.shutdown();
+    }
+
+    /// Shutdown releases the parked threads, ends the busy ones and joins
+    /// them all: once it returns, no server thread is left running.
+    #[test]
+    fn shutdown_joins_every_server_thread() {
+        let mut handle = test_server(2, 2, MAX_FRAME_BYTES);
+        let (addr, spec) = (handle.addr(), quick_spec());
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| client::submit(addr, &spec).expect("submit"));
+            }
+        });
+        // An open connection keeps a thread busy through the shutdown.
+        let open = TcpStream::connect(addr).expect("connect");
+        let srv = handle.srv.clone();
+        handle.shutdown();
+        let threads = srv.threads.lock().unwrap();
+        assert_eq!((threads.parked, threads.handles.len()), (0, 0));
+        drop(threads);
+        // Every server thread held the server; none holds it now.
+        assert_eq!(Arc::strong_count(&srv), 2, "a server thread outlived shutdown");
+        drop(open);
+    }
+
+    /// Each byte of a line is searched for the newline once, however many
+    /// reads the line takes: a multi-hundred-KiB inline job frame written
+    /// in 4 KiB pieces decodes, and an over-cap line behind it is still
+    /// drained and refused before the next frame reads.
+    #[test]
+    fn reader_decodes_a_large_frame_written_in_small_pieces() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(POLL)).unwrap();
+        let mut reader = FrameReader::new(conn, MAX_FRAME_BYTES);
+
+        let mut spec = tiny_inline_spec();
+        if let WorkloadSel::Inline { text, .. } = &mut spec.workload {
+            // Up to the inline-module cap.
+            let pad = "; a comment line that pads the module\n";
+            while text.len() + pad.len() <= proto::MAX_MODULE_BYTES {
+                text.push_str(pad);
+            }
+        }
+        let job = spec.to_frame();
+        assert!((200 << 10..MAX_FRAME_BYTES).contains(&job.len()), "{}", job.len());
+        let over = "x".repeat(MAX_FRAME_BYTES + 1);
+        let wire = format!("{job}\n{over}\n{}\n", ClientFrame::Stats.encode());
+        let writer = std::thread::spawn(move || {
+            for piece in wire.as_bytes().chunks(4096) {
+                client.write_all(piece).unwrap();
+            }
+            client
+        });
+        let mut next = || loop {
+            match reader.poll_frame() {
+                ReadOutcome::Frame(frame) => return frame,
+                ReadOutcome::Idle => {}
+                ReadOutcome::Disconnected => panic!("peer closed mid-stream"),
+            }
+        };
+        assert_eq!(next(), Ok(ClientFrame::Job(spec)));
+        assert!(matches!(next(), Err((RejectReason::Oversized, _))));
+        assert_eq!(next(), Ok(ClientFrame::Stats));
+        drop(writer.join().unwrap());
     }
 
     /// The acceptance property for the bounded cache: a stream of 1000

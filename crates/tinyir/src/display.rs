@@ -16,190 +16,225 @@
 
 use crate::instr::{Callee, InstrKind};
 use crate::module::{Function, GlobalInit, Module};
+use crate::types::Ty;
 use crate::value::Value;
-use std::fmt::Write;
+use std::fmt::{self, Write};
+
+// Every writer appends to the caller's `String`, so a module prints into
+// one buffer with no intermediate string per operand or instruction.
+// Writing to a `String` cannot fail: the public entry points drop the
+// `fmt::Result` the writers thread through.
 
 /// Render a value operand.
 pub fn value_str(v: Value) -> String {
+    let mut out = String::new();
+    let _ = write_value(&mut out, v);
+    out
+}
+
+fn write_value(out: &mut String, v: Value) -> fmt::Result {
     match v {
-        Value::Instr(id) => format!("%v{}", id.0),
-        Value::Arg(i) => format!("%a{i}"),
-        Value::Global(g) => format!("@g{}", g.0),
-        Value::ConstInt(x, t) => format!("{t} {x}"),
-        Value::ConstFloat(x, t) => format!("{t} {}", fmt_float(x, t)),
-        Value::ConstNull => "null".to_string(),
+        Value::Instr(id) => write!(out, "%v{}", id.0),
+        Value::Arg(i) => write!(out, "%a{i}"),
+        Value::Global(g) => write!(out, "@g{}", g.0),
+        Value::ConstInt(x, t) => write!(out, "{t} {x}"),
+        Value::ConstFloat(x, t) => {
+            // Hex bit pattern preserves exact values through round-trips.
+            // The width must match the type: the parser decodes `f32 0fx…`
+            // as 32 f32 bits, so printing the carrier f64's 64-bit pattern
+            // here would corrupt every f32 constant on a round trip (found
+            // by the carefuzz print→parse oracle).
+            if t == Ty::F32 {
+                write!(out, "{t} 0fx{:08x}", (x as f32).to_bits())
+            } else {
+                write!(out, "{t} 0fx{:016x}", x.to_bits())
+            }
+        }
+        Value::ConstNull => out.write_str("null"),
     }
 }
 
-fn fmt_float(x: f64, t: crate::types::Ty) -> String {
-    // Hex bit pattern preserves exact values through round-trips. The width
-    // must match the type: the parser decodes `f32 0fx…` as 32 f32 bits, so
-    // printing the carrier f64's 64-bit pattern here would corrupt every f32
-    // constant on a round trip (found by the carefuzz print→parse oracle).
-    if t == crate::types::Ty::F32 {
-        format!("0fx{:08x}", (x as f32).to_bits())
-    } else {
-        format!("0fx{:016x}", x.to_bits())
+/// Append `items` with `put`, `sep` between consecutive ones.
+fn write_sep<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    sep: &str,
+    mut put: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    for (k, item) in items.into_iter().enumerate() {
+        if k > 0 {
+            out.write_str(sep)?;
+        }
+        put(out, item)?;
+    }
+    Ok(())
+}
+
+/// Append comma-separated operands.
+fn write_operands(out: &mut String, vals: &[Value]) -> fmt::Result {
+    write_sep(out, vals.iter().copied(), ", ", write_value)
+}
+
+/// Append a return type, `void` when absent.
+fn write_ret_ty(out: &mut String, ty: Option<Ty>) -> fmt::Result {
+    match ty {
+        Some(t) => write!(out, "{t}"),
+        None => out.write_str("void"),
     }
 }
 
 /// Render one instruction (without the leading result binding).
 pub fn instr_body_str(i: &InstrKind) -> String {
+    let mut out = String::new();
+    let _ = write_instr_body(&mut out, i);
+    out
+}
+
+fn write_instr_body(out: &mut String, i: &InstrKind) -> fmt::Result {
     match i {
-        InstrKind::Alloca { elem_ty, count } => format!("alloca {elem_ty}, {count}"),
-        InstrKind::Load { ptr, ty } => format!("load {ty}, {}", value_str(*ptr)),
+        InstrKind::Alloca { elem_ty, count } => write!(out, "alloca {elem_ty}, {count}"),
+        InstrKind::Load { ptr, ty } => {
+            write!(out, "load {ty}, ")?;
+            write_value(out, *ptr)
+        }
         InstrKind::Store { val, ptr } => {
-            format!("store {}, {}", value_str(*val), value_str(*ptr))
+            out.write_str("store ")?;
+            write_operands(out, &[*val, *ptr])
         }
-        InstrKind::Gep { base, index, elem_size } => format!(
-            "gep {}, {}, {elem_size}",
-            value_str(*base),
-            value_str(*index)
-        ),
-        InstrKind::Bin { op, lhs, rhs, ty } => format!(
-            "{} {ty} {}, {}",
-            op.mnemonic(),
-            value_str(*lhs),
-            value_str(*rhs)
-        ),
-        InstrKind::Icmp { pred, lhs, rhs } => format!(
-            "icmp {} {}, {}",
-            pred.mnemonic(),
-            value_str(*lhs),
-            value_str(*rhs)
-        ),
-        InstrKind::Fcmp { pred, lhs, rhs } => format!(
-            "fcmp {} {}, {}",
-            pred.mnemonic(),
-            value_str(*lhs),
-            value_str(*rhs)
-        ),
+        InstrKind::Gep { base, index, elem_size } => {
+            out.write_str("gep ")?;
+            write_operands(out, &[*base, *index])?;
+            write!(out, ", {elem_size}")
+        }
+        InstrKind::Bin { op, lhs, rhs, ty } => {
+            write!(out, "{} {ty} ", op.mnemonic())?;
+            write_operands(out, &[*lhs, *rhs])
+        }
+        InstrKind::Icmp { pred, lhs, rhs } => {
+            write!(out, "icmp {} ", pred.mnemonic())?;
+            write_operands(out, &[*lhs, *rhs])
+        }
+        InstrKind::Fcmp { pred, lhs, rhs } => {
+            write!(out, "fcmp {} ", pred.mnemonic())?;
+            write_operands(out, &[*lhs, *rhs])
+        }
         InstrKind::Cast { op, val, to } => {
-            format!("{} {} to {to}", op.mnemonic(), value_str(*val))
+            write!(out, "{} ", op.mnemonic())?;
+            write_value(out, *val)?;
+            write!(out, " to {to}")
         }
-        InstrKind::Select { cond, t, f, ty } => format!(
-            "select {ty} {}, {}, {}",
-            value_str(*cond),
-            value_str(*t),
-            value_str(*f)
-        ),
+        InstrKind::Select { cond, t, f, ty } => {
+            write!(out, "select {ty} ")?;
+            write_operands(out, &[*cond, *t, *f])
+        }
         InstrKind::Phi { incomings, ty } => {
-            let parts: Vec<String> = incomings
-                .iter()
-                .map(|(b, v)| format!("[bb{}: {}]", b.0, value_str(*v)))
-                .collect();
-            format!("phi {ty} {}", parts.join(", "))
+            write!(out, "phi {ty} ")?;
+            write_sep(out, incomings, ", ", |out, (b, v)| {
+                write!(out, "[bb{}: ", b.0)?;
+                write_value(out, *v)?;
+                out.write_str("]")
+            })
         }
         InstrKind::Call { callee, args, ret_ty } => {
-            let argstr: Vec<String> = args.iter().map(|a| value_str(*a)).collect();
-            let rt = match ret_ty {
-                Some(t) => format!("{t}"),
-                None => "void".into(),
-            };
+            out.write_str("call ")?;
+            write_ret_ty(out, *ret_ty)?;
             match callee {
-                Callee::Func(f) => format!("call {rt} @f{}({})", f.0, argstr.join(", ")),
-                Callee::Intrinsic(i) => {
-                    format!("call {rt} ${}({})", i.name(), argstr.join(", "))
-                }
+                Callee::Func(f) => write!(out, " @f{}(", f.0)?,
+                Callee::Intrinsic(i) => write!(out, " ${}(", i.name())?,
             }
+            write_operands(out, args)?;
+            out.write_str(")")
         }
-        InstrKind::Br { target } => format!("br bb{}", target.0),
-        InstrKind::CondBr { cond, then_bb, else_bb } => format!(
-            "condbr {}, bb{}, bb{}",
-            value_str(*cond),
-            then_bb.0,
-            else_bb.0
-        ),
-        InstrKind::Ret { val } => match val {
-            Some(v) => format!("ret {}", value_str(*v)),
-            None => "ret void".into(),
-        },
+        InstrKind::Br { target } => write!(out, "br bb{}", target.0),
+        InstrKind::CondBr { cond, then_bb, else_bb } => {
+            out.write_str("condbr ")?;
+            write_value(out, *cond)?;
+            write!(out, ", bb{}, bb{}", then_bb.0, else_bb.0)
+        }
+        InstrKind::Ret { val: Some(v) } => {
+            out.write_str("ret ")?;
+            write_value(out, *v)
+        }
+        InstrKind::Ret { val: None } => out.write_str("ret void"),
     }
 }
 
 /// Render a whole function.
 pub fn print_function(f: &Function, out: &mut String) {
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{t} %a{i}"))
-        .collect();
-    let ret = match f.ret_ty {
-        Some(t) => format!("{t}"),
-        None => "void".into(),
-    };
+    let _ = write_function(out, f);
+}
+
+fn write_function(out: &mut String, f: &Function) -> fmt::Result {
+    let head = if f.is_decl { "declare" } else { "func" };
+    write!(out, "{head} @{}(", f.name)?;
+    write_sep(out, f.params.iter().enumerate(), ", ", |out, (i, t)| write!(out, "{t} %a{i}"))?;
+    out.write_str(") -> ")?;
+    write_ret_ty(out, f.ret_ty)?;
     if f.is_decl {
-        let _ = writeln!(out, "declare @{}({}) -> {}", f.name, params.join(", "), ret);
-        return;
+        return out.write_str("\n");
     }
-    let _ = writeln!(out, "func @{}({}) -> {} {{", f.name, params.join(", "), ret);
+    out.write_str(" {\n")?;
     for (bid, block) in f.block_iter() {
-        let _ = writeln!(out, "bb{}:", bid.0);
+        writeln!(out, "bb{}:", bid.0)?;
         for &iid in &block.instrs {
             let instr = f.instr(iid);
-            let body = instr_body_str(&instr.kind);
-            let loc = instr
-                .loc
-                .map(|l| format!(" !{}:{}:{}", l.file.0, l.line, l.col))
-                .unwrap_or_default();
+            out.write_str("  ")?;
             if instr.result_ty().is_some() {
-                let _ = writeln!(out, "  %v{} = {}{}", iid.0, body, loc);
-            } else {
-                let _ = writeln!(out, "  {}{}", body, loc);
+                write!(out, "%v{} = ", iid.0)?;
             }
+            write_instr_body(out, &instr.kind)?;
+            if let Some(l) = instr.loc {
+                write!(out, " !{}:{}:{}", l.file.0, l.line, l.col)?;
+            }
+            out.write_str("\n")?;
         }
     }
-    let _ = writeln!(out, "}}");
+    out.write_str("}\n")
 }
 
 /// Render a whole module in the round-trippable textual format.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "module \"{}\"", m.name);
-    for (i, file) in m.files.iter().enumerate() {
-        let _ = writeln!(out, "file {i} \"{file}\"");
-    }
-    for (i, g) in m.globals.iter().enumerate() {
-        let init = match &g.init {
-            GlobalInit::Zero => "zero".to_string(),
-            GlobalInit::I32s(v) => format!(
-                "i32s {}",
-                v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(" ")
-            ),
-            GlobalInit::I64s(v) => format!(
-                "i64s {}",
-                v.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(" ")
-            ),
-            GlobalInit::F32s(v) => format!(
-                "f32s {}",
-                v.iter()
-                    .map(|x| format!("0fx{:08x}", x.to_bits()))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ),
-            GlobalInit::F64s(v) => format!(
-                "f64s {}",
-                v.iter()
-                    .map(|x| format!("0fx{:016x}", x.to_bits()))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ),
-        };
-        let _ = writeln!(
-            out,
-            "global @g{i} \"{}\" {} x {} {}",
-            g.name, g.elem_ty, g.count, init
-        );
-    }
-    for f in &m.funcs {
-        print_function(f, &mut out);
-    }
+    let _ = write_module(&mut out, m);
     out
 }
 
-impl std::fmt::Display for Module {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+fn write_module(out: &mut String, m: &Module) -> fmt::Result {
+    writeln!(out, "module \"{}\"", m.name)?;
+    for (i, file) in m.files.iter().enumerate() {
+        writeln!(out, "file {i} \"{file}\"")?;
+    }
+    for (i, g) in m.globals.iter().enumerate() {
+        write!(out, "global @g{i} \"{}\" {} x {} ", g.name, g.elem_ty, g.count)?;
+        match &g.init {
+            GlobalInit::Zero => out.write_str("zero")?,
+            GlobalInit::I32s(v) => {
+                out.write_str("i32s ")?;
+                write_sep(out, v, " ", |out, x| write!(out, "{x}"))?;
+            }
+            GlobalInit::I64s(v) => {
+                out.write_str("i64s ")?;
+                write_sep(out, v, " ", |out, x| write!(out, "{x}"))?;
+            }
+            GlobalInit::F32s(v) => {
+                out.write_str("f32s ")?;
+                write_sep(out, v, " ", |out, x| write!(out, "0fx{:08x}", x.to_bits()))?;
+            }
+            GlobalInit::F64s(v) => {
+                out.write_str("f64s ")?;
+                write_sep(out, v, " ", |out, x| write!(out, "0fx{:016x}", x.to_bits()))?;
+            }
+        }
+        out.write_str("\n")?;
+    }
+    for f in &m.funcs {
+        write_function(out, f)?;
+    }
+    Ok(())
+}
+
+impl fmt::Display for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&print_module(self))
     }
 }

@@ -86,6 +86,29 @@ fn record_lines(text: &str) -> usize {
     text.lines().filter(|l| l.contains("\"kind\":\"record\"")).count()
 }
 
+/// The campaign key is a hash of the module's canonical printing, and it
+/// names the campaign's record log: a printer change that moves one byte
+/// orphans every log already on disk, which would then neither resume nor
+/// read warm. So the keys of the five default workloads at O1 are pinned.
+#[test]
+fn campaign_keys_of_the_default_workloads_are_pinned() {
+    let keys: Vec<(&str, String)> = workloads::all()
+        .iter()
+        .map(|w| (w.name, campaign_key(&w.module, w.entry, &w.args, &w.outputs, "O1").encode()))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            ("HPCCG", "care1:a72525fa8629d265d0ab0cd6be50530a:O1:e1"),
+            ("CoMD", "care1:c866ac16410a9bceaf87c099345f2f16:O1:e1"),
+            ("miniFE", "care1:a4d236879b89951d8322757dbef71530:O1:e1"),
+            ("miniMD", "care1:0416003bdfcddb8f728b308927a1a7c7:O1:e1"),
+            ("GTC-P", "care1:df1500fca9b6a3893b2f8b8a2e4fa3b0:O1:e1"),
+        ]
+        .map(|(name, key)| (name, key.to_string()))
+    );
+}
+
 #[test]
 fn warm_store_rerun_is_byte_identical_and_executes_nothing() {
     let f = fixture();
