@@ -1,14 +1,43 @@
 //! Control-flow graph utilities: successor/predecessor maps and orderings.
 
+use std::ops::Index;
 use tinyir::{BlockId, Function};
+
+/// One neighbour list per block, stored flat: block `b`'s neighbours are
+/// `list[start[b]..start[b + 1]]`. Index it by block number.
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    start: Vec<u32>,
+    list: Vec<BlockId>,
+}
+
+impl Adjacency {
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// True when there are no blocks.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Index<usize> for Adjacency {
+    type Output = [BlockId];
+
+    fn index(&self, b: usize) -> &[BlockId] {
+        &self.list[self.start[b] as usize..self.start[b + 1] as usize]
+    }
+}
 
 /// Predecessor/successor maps and traversal orders for one function.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// Successors of each block (index = block id).
-    pub succs: Vec<Vec<BlockId>>,
+    pub succs: Adjacency,
     /// Predecessors of each block (index = block id).
-    pub preds: Vec<Vec<BlockId>>,
+    pub preds: Adjacency,
     /// Reverse postorder over reachable blocks, starting at entry.
     pub rpo: Vec<BlockId>,
     /// `true` for blocks reachable from the entry.
@@ -19,15 +48,35 @@ impl Cfg {
     /// Build the CFG of `f`.
     pub fn new(f: &Function) -> Cfg {
         let n = f.blocks.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds = vec![Vec::new(); n];
-        for (bid, block) in f.block_iter() {
-            let Some(&last) = block.instrs.last() else { continue };
-            for s in f.instr(last).successors() {
-                succs[bid.0 as usize].push(s);
-                preds[s.0 as usize].push(bid);
+        // Successors in block order; predecessors counted, then filled in
+        // the same order.
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ_list = Vec::with_capacity(2 * n);
+        let mut pred_start = vec![0u32; n + 1];
+        succ_start.push(0);
+        for block in &f.blocks {
+            if let Some(&last) = block.instrs.last() {
+                f.instr(last).for_each_successor(|s| {
+                    succ_list.push(s);
+                    pred_start[s.0 as usize + 1] += 1;
+                });
+            }
+            succ_start.push(succ_list.len() as u32);
+        }
+        for b in 1..=n {
+            pred_start[b] += pred_start[b - 1];
+        }
+        let mut next = pred_start.clone();
+        let mut pred_list = vec![BlockId(0); succ_list.len()];
+        for b in 0..n {
+            for &s in &succ_list[succ_start[b] as usize..succ_start[b + 1] as usize] {
+                pred_list[next[s.0 as usize] as usize] = BlockId(b as u32);
+                next[s.0 as usize] += 1;
             }
         }
+        let succs = Adjacency { start: succ_start, list: succ_list };
+        let preds = Adjacency { start: pred_start, list: pred_list };
+
         // Postorder DFS from entry.
         let mut visited = vec![false; n];
         let mut post = Vec::with_capacity(n);

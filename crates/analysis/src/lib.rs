@@ -1,7 +1,7 @@
 //! # analysis — dataflow analyses over TinyIR
 //!
 //! Provides the control-flow graph ([`cfg::Cfg`]), dominator tree
-//! ([`dom::DomTree`]), per-instruction liveness ([`liveness::Liveness`]) and
+//! ([`dom::DomTree`]), liveness as bit rows per block ([`liveness::Liveness`]) and
 //! use–def chains ([`usedef::UseDef`]) that the optimiser (`opt`), backend
 //! (`simx`) and the Armor recovery-kernel extractor (`armor`) are built on.
 //!
@@ -15,7 +15,7 @@ pub mod dom;
 pub mod liveness;
 pub mod usedef;
 
-pub use cfg::Cfg;
+pub use cfg::{Adjacency, Cfg};
 pub use dom::DomTree;
-pub use liveness::Liveness;
+pub use liveness::{LiveSet, Liveness};
 pub use usedef::{address_computation_ops, UseDef};

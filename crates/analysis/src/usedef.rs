@@ -2,43 +2,77 @@
 
 use tinyir::{Function, InstrId, InstrKind, Value};
 
-/// Users of every instruction-defined value and of every argument.
+/// Users of every instruction-defined value and of every argument, as one
+/// flat list: the users of value `k` (instructions first, then arguments)
+/// are `list[start[k]..start[k + 1]]`, in block order.
 #[derive(Debug, Clone)]
 pub struct UseDef {
-    /// `users[i]` = instructions that use `%vi` as an operand.
-    pub users: Vec<Vec<InstrId>>,
-    /// `arg_users[a]` = instructions that use argument `a`.
-    pub arg_users: Vec<Vec<InstrId>>,
+    start: Vec<u32>,
+    list: Vec<InstrId>,
+    n_instrs: usize,
 }
 
 impl UseDef {
     /// Compute use–def chains for `f`.
     pub fn compute(f: &Function) -> UseDef {
-        let mut users = vec![Vec::new(); f.instrs.len()];
-        let mut arg_users = vec![Vec::new(); f.params.len()];
+        let n_instrs = f.instrs.len();
+        let key = |v: Value| match v {
+            Value::Instr(d) => Some(d.0 as usize),
+            Value::Arg(a) => Some(n_instrs + a as usize),
+            _ => None,
+        };
+        // Count, turn the counts into starts, then fill in block order.
+        let mut start = vec![0u32; n_instrs + f.params.len() + 1];
         for (_, block) in f.block_iter() {
             for &iid in &block.instrs {
-                for v in f.instr(iid).operands() {
-                    match v {
-                        Value::Instr(d) => users[d.0 as usize].push(iid),
-                        Value::Arg(a) => arg_users[a as usize].push(iid),
-                        _ => {}
+                f.instr(iid).for_each_operand(|v| {
+                    if let Some(k) = key(v) {
+                        start[k + 1] += 1;
                     }
-                }
+                });
             }
         }
-        UseDef { users, arg_users }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut next = start.clone();
+        let mut list = vec![InstrId(0); *start.last().unwrap_or(&0) as usize];
+        for (_, block) in f.block_iter() {
+            for &iid in &block.instrs {
+                f.instr(iid).for_each_operand(|v| {
+                    if let Some(k) = key(v) {
+                        list[next[k] as usize] = iid;
+                        next[k] += 1;
+                    }
+                });
+            }
+        }
+        UseDef { start, list, n_instrs }
+    }
+
+    fn of_key(&self, k: usize) -> &[InstrId] {
+        &self.list[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+
+    /// The instructions that use `%v` as an operand.
+    pub fn users(&self, v: InstrId) -> &[InstrId] {
+        self.of_key(v.0 as usize)
+    }
+
+    /// The instructions that use argument `a`.
+    pub fn arg_users(&self, a: u32) -> &[InstrId] {
+        self.of_key(self.n_instrs + a as usize)
     }
 
     /// Number of uses of `%v`.
     pub fn use_count(&self, v: InstrId) -> usize {
-        self.users[v.0 as usize].len()
+        self.users(v).len()
     }
 
     /// The single user of `%v` if it has exactly one (the precondition for
     /// CISC folding a load into its consumer during instruction selection).
     pub fn single_user(&self, v: InstrId) -> Option<InstrId> {
-        match self.users[v.0 as usize].as_slice() {
+        match self.users(v) {
             [u] => Some(*u),
             _ => None,
         }
@@ -52,14 +86,17 @@ pub fn address_computation_ops(f: &Function, mem_access: InstrId) -> usize {
     let Some(addr) = f.instr(mem_access).addr_operand() else {
         return 0;
     };
-    let mut seen = std::collections::HashSet::new();
+    // One bit per instruction id.
+    let mut seen = vec![0u64; f.instrs.len().div_ceil(64)];
     let mut stack = vec![addr];
     let mut count = 0usize;
     while let Some(v) = stack.pop() {
         let Value::Instr(id) = v else { continue };
-        if !seen.insert(id) {
+        let (word, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+        if seen[word] & bit != 0 {
             continue;
         }
+        seen[word] |= bit;
         match &f.instr(id).kind {
             InstrKind::Bin { lhs, rhs, .. } => {
                 count += 1;
@@ -116,7 +153,8 @@ mod tests {
         assert_eq!(ud.use_count(InstrId(0)), 2);
         assert_eq!(ud.single_user(InstrId(1)), Some(InstrId(2)));
         assert_eq!(ud.single_user(InstrId(0)), None);
-        assert_eq!(ud.arg_users[0].len(), 1);
+        assert_eq!(ud.arg_users(0).len(), 1);
+        assert_eq!(ud.users(InstrId(0)), &[InstrId(1), InstrId(1)]);
     }
 
     #[test]

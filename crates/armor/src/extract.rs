@@ -14,10 +14,10 @@
 //! pseudo-code over TinyIR.
 
 use crate::table::{ParamSpec, RecoveryKey, RecoveryTable, TableEntry};
-use analysis::{address_computation_ops, Cfg, Liveness};
+use analysis::{address_computation_ops, Adjacency, Cfg, LiveSet, Liveness};
 use simx::DieRequest;
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::cell::RefCell;
+use std::time::{Duration, Instant};
 use tinyir::{
     Callee, Function, FuncId, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind, Module,
     Ty, Value,
@@ -136,7 +136,9 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
     let mut table = RecoveryTable::new();
     let mut die_requests = Vec::new();
     let mut stats = ArmorStats::default();
-    let mut liveness_time = 0.0f64;
+    let mut liveness_time = Duration::ZERO;
+    let mut live = LiveSet::default();
+    let mut sets = Sets::default();
 
     for (fi, f) in app.funcs.iter().enumerate() {
         if f.is_decl {
@@ -146,8 +148,9 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
         let cfg = Cfg::new(f);
         let lt = Instant::now();
         let lv = Liveness::compute(f, &cfg);
-        liveness_time += lt.elapsed().as_secs_f64();
+        liveness_time += lt.elapsed();
         let ms = MemScan::new(f, &cfg);
+        sets.size_for(f, app.globals.len());
 
         for access in f.mem_access_instrs() {
             stats.mem_accesses += 1;
@@ -186,12 +189,29 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
                 continue;
             }
 
-            match extract_kernel(app, f, &lv, &ms, access, addr, config) {
+            // The values live at the access: one backward walk of its
+            // block, counted as liveness time (Table 8).
+            if config.strict_liveness {
+                let lt = Instant::now();
+                lv.live_before_into(access, &mut live);
+                liveness_time += lt.elapsed();
+            }
+            let cx = SliceCtx {
+                f,
+                lv: &lv,
+                ms: &ms,
+                live: &live,
+                folded: folded_address_values(f, access),
+                at: access,
+                config,
+                n_params: f.params.len(),
+            };
+            match extract_kernel(&cx, &mut sets, addr) {
                 Some(ext) => {
                     let kidx = kernel_module.funcs.len();
                     let symbol = format!("care_recovery_k{}_{}", kidx, key.hex());
                     let Some((kernel_fn, param_specs, reqs)) =
-                        build_kernel(app, f, fid, &symbol, kidx, &ext)
+                        build_kernel(app, &cx, &mut sets, fid, &symbol, kidx, &ext)
                     else {
                         stats.infeasible += 1;
                         continue;
@@ -211,8 +231,82 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
     }
 
     stats.pass_seconds = t0.elapsed().as_secs_f64();
-    stats.liveness_seconds = liveness_time;
+    stats.liveness_seconds = liveness_time.as_secs_f64();
     ArmorOutput { kernel_module, table, die_requests, stats }
+}
+
+/// A table over dense indexes that empties in O(1): an entry counts only
+/// when it was written in the current epoch.
+#[derive(Default)]
+struct Dense<T> {
+    cells: Vec<(u32, T)>,
+    epoch: u32,
+}
+
+impl<T: Copy + Default> Dense<T> {
+    /// Size for indexes `0..n`, empty.
+    fn size_for(&mut self, n: usize) {
+        self.cells.clear();
+        self.cells.resize(n, (0, T::default()));
+        self.epoch = 1;
+    }
+
+    fn clear(&mut self) {
+        if self.epoch == u32::MAX {
+            let n = self.cells.len();
+            self.size_for(n);
+        } else {
+            self.epoch += 1;
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<T> {
+        let (e, v) = self.cells[i];
+        (e == self.epoch).then_some(v)
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.cells[i].0 == self.epoch
+    }
+
+    /// Set entry `i`; true when it was absent.
+    fn insert(&mut self, i: usize, v: T) -> bool {
+        let fresh = self.cells[i].0 != self.epoch;
+        self.cells[i] = (self.epoch, v);
+        fresh
+    }
+}
+
+/// The per-access sets of one extraction, indexed by instruction id or by
+/// [`SliceCtx::slot`]; sized once per function, emptied per access, and
+/// reused across a pass.
+#[derive(Default)]
+struct Sets {
+    /// `is_expandable` results, by slot.
+    memo: Dense<bool>,
+    /// Values the backward walk has reached, by slot.
+    visited: Dense<()>,
+    /// Statements of the slice, by instruction id.
+    stmts: Dense<()>,
+    /// Kernel parameters, by slot: the parameter's argument index.
+    params: Dense<u32>,
+    /// Statements already scheduled, by instruction id.
+    emitted: Dense<()>,
+    /// Statement -> its clone in the kernel, by instruction id.
+    cloned: Dense<u32>,
+}
+
+impl Sets {
+    fn size_for(&mut self, f: &Function, n_globals: usize) {
+        let n_instrs = f.instrs.len();
+        let n_slots = n_instrs + f.params.len() + n_globals;
+        self.memo.size_for(n_slots);
+        self.visited.size_for(n_slots);
+        self.params.size_for(n_slots);
+        self.stmts.size_for(n_instrs);
+        self.emitted.size_for(n_instrs);
+        self.cloned.size_for(n_instrs);
+    }
 }
 
 /// The memory region an address is statically known to point into.
@@ -243,6 +337,9 @@ fn roots_may_alias(a: MemRoot, b: MemRoot) -> bool {
     matches!(a, MemRoot::Unknown) || matches!(b, MemRoot::Unknown) || a == b
 }
 
+/// An arena instruction that sits in no block.
+const UNPLACED: (u32, u32) = (u32::MAX, 0);
+
 /// Store-interference scan for one function.
 ///
 /// A kernel *re-executes* every load cloned into it, so a cloned load is
@@ -255,25 +352,30 @@ fn roots_may_alias(a: MemRoot, b: MemRoot) -> bool {
 /// is what keeps loop-resident loads clonable when the aliasing store sits
 /// later in the same iteration.
 struct MemScan {
-    /// `(block index, intra-block position)` of every block-resident instr.
-    pos: HashMap<InstrId, (usize, usize)>,
-    /// `reach[a][b]`: can control leave block `a` and later enter block `b`
-    /// (paths of ≥ 1 CFG edge, so `reach[a][a]` means `a` sits on a cycle)?
-    reach: Vec<Vec<bool>>,
+    /// `(block index, intra-block position)` of every arena instruction
+    /// (`UNPLACED` for orphans), by instruction id.
+    pos: Vec<(u32, u32)>,
+    /// Bit `b` of row `a`: can control leave block `a` and later enter
+    /// block `b` (paths of ≥ 1 CFG edge, so bit `a` of row `a` means `a`
+    /// sits on a cycle)? Rows are `width` words.
+    reach: Vec<u64>,
+    width: usize,
     /// Block successors, for the load-avoiding path search.
-    succs: Vec<Vec<usize>>,
+    succs: Adjacency,
     /// Stores and opaque calls, with the region each may write.
     clobbers: Vec<(InstrId, MemRoot)>,
+    /// Blocks seen and the stack of the current path search.
+    search: RefCell<(Dense<()>, Vec<usize>)>,
 }
 
 impl MemScan {
     fn new(f: &Function, cfg: &Cfg) -> MemScan {
         let n = cfg.len();
-        let mut pos = HashMap::new();
+        let mut pos = vec![UNPLACED; f.instrs.len()];
         let mut clobbers = Vec::new();
         for (bid, b) in f.block_iter() {
             for (i, &iid) in b.instrs.iter().enumerate() {
-                pos.insert(iid, (bid.0 as usize, i));
+                pos[iid.0 as usize] = (bid.0, i as u32);
                 match &f.instr(iid).kind {
                     InstrKind::Store { ptr, .. } => clobbers.push((iid, mem_root(f, *ptr))),
                     InstrKind::Call { callee, .. } => match callee {
@@ -284,29 +386,37 @@ impl MemScan {
                 }
             }
         }
-        let mut reach = vec![vec![false; n]; n];
-        for (b, row) in reach.iter_mut().enumerate() {
-            let mut stack: Vec<usize> = cfg.succs[b].iter().map(|s| s.0 as usize).collect();
+        let width = n.div_ceil(64);
+        let mut reach = vec![0u64; n * width];
+        let mut stack: Vec<usize> = Vec::new();
+        for (b, row) in reach.chunks_mut(width.max(1)).take(n).enumerate() {
+            stack.extend(cfg.succs[b].iter().map(|s| s.0 as usize));
             while let Some(x) = stack.pop() {
-                if !row[x] {
-                    row[x] = true;
+                if row[x / 64] >> (x % 64) & 1 == 0 {
+                    row[x / 64] |= 1 << (x % 64);
                     stack.extend(cfg.succs[x].iter().map(|s| s.0 as usize));
                 }
             }
         }
-        let succs = (0..n)
-            .map(|b| cfg.succs[b].iter().map(|s| s.0 as usize).collect())
-            .collect();
-        MemScan { pos, reach, succs, clobbers }
+        let succs = cfg.succs.clone();
+        let mut seen = Dense::default();
+        seen.size_for(n);
+        MemScan { pos, reach, width, succs, clobbers, search: RefCell::new((seen, Vec::new())) }
+    }
+
+    fn reaches(&self, a: u32, b: u32) -> bool {
+        let (a, b) = (a as usize, b as usize);
+        self.reach[a * self.width + b / 64] >> (b % 64) & 1 != 0
     }
 
     /// Is there an execution path on which `x` runs strictly before `y`?
     /// Unplaced instructions answer `true` (conservative).
     fn may_precede(&self, x: InstrId, y: InstrId) -> bool {
-        let (Some(&(bx, px)), Some(&(by, py))) = (self.pos.get(&x), self.pos.get(&y)) else {
+        let ((bx, px), (by, py)) = (self.pos[x.0 as usize], self.pos[y.0 as usize]);
+        if (bx, px) == UNPLACED || (by, py) == UNPLACED {
             return true;
-        };
-        (bx == by && px < py) || self.reach[bx][by]
+        }
+        (bx == by && px < py) || self.reaches(bx, by)
     }
 
     /// May re-executing `load` at `access` observe different memory?
@@ -331,11 +441,10 @@ impl MemScan {
     /// Is there a path on which `s` runs strictly before `a` with `l` never
     /// executing in between? Unplaced instructions answer `true`.
     fn reaches_avoiding(&self, s: InstrId, a: InstrId, l: InstrId) -> bool {
-        let (Some(&(bs, ps)), Some(&(ba, pa)), Some(&(bl, pl))) =
-            (self.pos.get(&s), self.pos.get(&a), self.pos.get(&l))
-        else {
+        let [(bs, ps), (ba, pa), (bl, pl)] = [s, a, l].map(|i| self.pos[i.0 as usize]);
+        if [(bs, ps), (ba, pa), (bl, pl)].contains(&UNPLACED) {
             return true;
-        };
+        }
         // Straight-line within one block: the segment executes exactly the
         // instructions between `s` and `a`.
         if bs == ba && ps < pa && !(bl == bs && ps < pl && pl < pa) {
@@ -349,20 +458,23 @@ impl MemScan {
         // `l`'s block is off-limits; arriving at the target block executes
         // its prefix up to `a`, which re-runs `l` when `l` sits above `a`.
         let enter_ok = !(bl == ba && pl < pa);
-        let mut seen = vec![false; self.succs.len()];
-        let mut stack: Vec<usize> = self.succs[bs].clone();
+        let (ba, bl) = (ba as usize, bl as usize);
+        let mut search = self.search.borrow_mut();
+        let (seen, stack) = &mut *search;
+        seen.clear();
+        stack.clear();
+        stack.extend(self.succs[bs as usize].iter().map(|s| s.0 as usize));
         while let Some(x) = stack.pop() {
-            if seen[x] {
+            if !seen.insert(x, ()) {
                 continue;
             }
-            seen[x] = true;
             if x == ba && enter_ok {
                 return true;
             }
             if x == bl {
                 continue;
             }
-            stack.extend(self.succs[x].iter().copied());
+            stack.extend(self.succs[x].iter().map(|s| s.0 as usize));
         }
         false
     }
@@ -378,30 +490,20 @@ struct Extraction {
     addr: Value,
 }
 
-/// Is `v` a value Safeguard can *fetch* at recovery time?
-///
-/// Extraction stop cases (paper §3.2): allocas are stack slots addressable
-/// by frame offset, globals are constant pointers, and the ABI parks
-/// arguments in well-known locations — all presumed addressable. Everything
-/// register-allocated — phis, call results and ordinary instructions — must
-/// be live at the protected instruction `I`, or a register-reuse would feed
-/// a stale value into the kernel; ordinary instructions additionally need a
-/// non-local use, which is what guarantees machine-dependent lowering keeps
-/// them in a register or spill slot rather than folding them away.
 /// Values folded into the access's machine address mode: the `gep` feeding
 /// the access plus its operands. x86 lowering folds the address computation
 /// into the access itself (`disp(base,index,scale)`), so these values are
 /// register operands *of the faulting instruction* and thus live at the
 /// fault — even when IR-level liveness says they die at the `gep` (the
 /// paper's Figure 4 store pattern).
-fn folded_address_values(f: &Function, access: InstrId) -> HashSet<Value> {
-    let mut set = HashSet::new();
+fn folded_address_values(f: &Function, access: InstrId) -> [Option<Value>; 3] {
+    let mut set = [None; 3];
     if let Some(addr) = f.instr(access).addr_operand() {
-        set.insert(addr);
+        set[0] = Some(addr);
         if let Value::Instr(g) = addr {
             if let InstrKind::Gep { base, index, .. } = f.instr(g).kind {
-                set.insert(base);
-                set.insert(index);
+                set[1] = Some(base);
+                set[2] = Some(index);
             }
         }
     }
@@ -414,13 +516,45 @@ struct SliceCtx<'a> {
     f: &'a Function,
     lv: &'a Liveness,
     ms: &'a MemScan,
-    folded: HashSet<Value>,
+    /// The values live immediately before `at` (read only under
+    /// `strict_liveness`).
+    live: &'a LiveSet,
+    folded: [Option<Value>; 3],
     at: InstrId,
     config: ArmorConfig,
+    n_params: usize,
 }
 
+impl SliceCtx<'_> {
+    /// Dense index of a non-constant value: instructions by id, then
+    /// arguments, then globals. Constants have none.
+    fn slot(&self, v: Value) -> Option<usize> {
+        let n_instrs = self.f.instrs.len();
+        match v {
+            Value::Instr(id) => Some(id.0 as usize),
+            Value::Arg(a) => Some(n_instrs + a as usize),
+            Value::Global(g) => Some(n_instrs + self.n_params + g.0 as usize),
+            Value::ConstInt(..) | Value::ConstFloat(..) | Value::ConstNull => None,
+        }
+    }
+
+    fn live_at(&self, v: Value) -> bool {
+        self.lv.key_of(v).is_some_and(|k| self.live.contains(k))
+    }
+}
+
+/// Is `v` a value Safeguard can *fetch* at recovery time?
+///
+/// Extraction stop cases (paper §3.2): allocas are stack slots addressable
+/// by frame offset, globals are constant pointers, and the ABI parks
+/// arguments in well-known locations — all presumed addressable. Everything
+/// register-allocated — phis, call results and ordinary instructions — must
+/// be live at the protected instruction `I`, or a register-reuse would feed
+/// a stale value into the kernel; ordinary instructions additionally need a
+/// non-local use, which is what guarantees machine-dependent lowering keeps
+/// them in a register or spill slot rather than folding them away.
 fn fetchable(cx: &SliceCtx<'_>, v: Value) -> bool {
-    if cx.folded.contains(&v) {
+    if cx.folded.contains(&Some(v)) {
         return true;
     }
     if !cx.config.strict_liveness {
@@ -438,23 +572,25 @@ fn fetchable(cx: &SliceCtx<'_>, v: Value) -> bool {
             // Phis are ordinary register-allocated temporaries once lowered;
             // a phi that is dead at the access may have had its register
             // reused, and fetching it would feed garbage into the kernel.
-            InstrKind::Phi { .. } | InstrKind::Call { .. } => cx.lv.value_live_at(v, cx.at),
-            _ => cx.lv.value_live_at(v, cx.at) && cx.lv.value_has_nonlocal_use(v),
+            InstrKind::Phi { .. } | InstrKind::Call { .. } => cx.live_at(v),
+            _ => cx.live_at(v) && cx.lv.value_has_nonlocal_use(v),
         },
     }
 }
 
-/// The paper's `isExpandable(V, MemAccInst)` (Figure 5), memoised.
-fn is_expandable(cx: &SliceCtx<'_>, memo: &mut HashMap<Value, bool>, v: Value) -> bool {
-    if let Some(&r) = memo.get(&v) {
+/// The paper's `isExpandable(V, MemAccInst)` (Figure 5), memoised by slot
+/// (constants need no memo: they are trivially recomputable).
+fn is_expandable(cx: &SliceCtx<'_>, memo: &mut Dense<bool>, v: Value) -> bool {
+    let Some(slot) = cx.slot(v) else { return true };
+    if let Some(r) = memo.get(slot) {
         return r;
     }
     let result = expandable_uncached(cx, memo, v);
-    memo.insert(v, result);
+    memo.insert(slot, result);
     result
 }
 
-fn expandable_uncached(cx: &SliceCtx<'_>, memo: &mut HashMap<Value, bool>, v: Value) -> bool {
+fn expandable_uncached(cx: &SliceCtx<'_>, memo: &mut Dense<bool>, v: Value) -> bool {
     let id = match v {
         // Constants are trivially recomputable; globals/arguments are
         // start-points (parameters), never expanded.
@@ -491,62 +627,54 @@ fn expandable_uncached(cx: &SliceCtx<'_>, memo: &mut HashMap<Value, bool>, v: Va
 
 /// Figure 5's per-operand test: each operand must be live at the protected
 /// instruction, or itself recomputable.
-fn operands_available(cx: &SliceCtx<'_>, memo: &mut HashMap<Value, bool>, id: InstrId) -> bool {
-    cx.f.instr(id)
-        .operands()
-        .into_iter()
-        .all(|op| fetchable(cx, op) || is_expandable(cx, memo, op))
+fn operands_available(cx: &SliceCtx<'_>, memo: &mut Dense<bool>, id: InstrId) -> bool {
+    let mut all = true;
+    cx.f.instr(id).for_each_operand(|op| {
+        all = all && (fetchable(cx, op) || is_expandable(cx, memo, op));
+    });
+    all
 }
 
 /// The paper's `getParamsAndStmts`: partition the backward slice into cloned
 /// statements and kernel parameters. Returns `None` when some parameter is
 /// not fetchable (the fault would be unrecoverable; no kernel is emitted).
-fn extract_kernel(
-    _app: &Module,
-    f: &Function,
-    lv: &Liveness,
-    ms: &MemScan,
-    access: InstrId,
-    addr: Value,
-    config: ArmorConfig,
-) -> Option<Extraction> {
-    let cx = SliceCtx {
-        f,
-        lv,
-        ms,
-        folded: folded_address_values(f, access),
-        at: access,
-        config,
-    };
-    let mut memo = HashMap::new();
-    let mut stmts: HashSet<InstrId> = HashSet::new();
+/// Leaves each parameter's argument index in `sets.params`.
+fn extract_kernel(cx: &SliceCtx<'_>, sets: &mut Sets, addr: Value) -> Option<Extraction> {
+    let f = cx.f;
+    let Sets { memo, visited, stmts: stmt_set, params: param_set, emitted, .. } = sets;
+    for s in [&mut *visited, &mut *stmt_set, &mut *emitted] {
+        s.clear();
+    }
+    memo.clear();
+    param_set.clear();
+    let mut stmts: Vec<InstrId> = Vec::new();
     let mut params: Vec<Value> = Vec::new();
-    let mut seen_params: HashSet<Value> = HashSet::new();
     let mut work: Vec<Value> = vec![addr];
-    let mut visited: HashSet<Value> = HashSet::new();
 
     while let Some(v) = work.pop() {
-        if v.is_const() || !visited.insert(v) {
+        // Constants are never walked; every other value once.
+        let Some(slot) = cx.slot(v) else { continue };
+        if !visited.insert(slot, ()) {
             continue;
         }
-        if is_expandable(&cx, &mut memo, v) {
+        if is_expandable(cx, memo, v) {
             // Expandable non-constants are instructions by construction; if
             // that invariant ever breaks, refuse the kernel instead of
             // panicking mid-pass.
             let id = v.as_instr()?;
-            stmts.insert(id);
-            for op in f.instr(id).operands() {
+            stmt_set.insert(id.0 as usize, ());
+            stmts.push(id);
+            f.instr(id).for_each_operand(|op| {
                 if !op.is_const() {
                     work.push(op);
                 }
-            }
+            });
         } else {
-            if !fetchable(&cx, v) {
+            if !fetchable(cx, v) {
                 return None; // dead, non-recomputable input: no kernel
             }
-            if seen_params.insert(v) {
-                params.push(v);
-            }
+            param_set.insert(slot, params.len() as u32);
+            params.push(v);
         }
     }
 
@@ -554,27 +682,28 @@ fn extract_kernel(
     // cannot be used: transformations like inlining append blocks out of
     // execution order. The slice is acyclic (phis are never statements), so
     // a simple ready-list schedule terminates.
-    let param_set: HashSet<Value> = params.iter().copied().collect();
-    let mut remaining: Vec<InstrId> = stmts.iter().copied().collect();
+    let mut remaining = stmts;
     remaining.sort(); // deterministic
-    let stmt_set = stmts;
-    let mut emitted: HashSet<InstrId> = HashSet::new();
     let mut ordered: Vec<InstrId> = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let before = ordered.len();
         remaining.retain(|&id| {
-            let ready = f.instr(id).operands().into_iter().all(|op| {
-                op.is_const()
-                    || matches!(op, Value::Global(_))
-                    || param_set.contains(&op)
-                    || match op {
-                        Value::Instr(d) => !stmt_set.contains(&d) || emitted.contains(&d),
-                        _ => true,
-                    }
+            let mut ready = true;
+            f.instr(id).for_each_operand(|op| {
+                ready = ready
+                    && (op.is_const()
+                        || matches!(op, Value::Global(_))
+                        || cx.slot(op).is_some_and(|s| param_set.contains(s))
+                        || match op {
+                            Value::Instr(d) => {
+                                !stmt_set.contains(d.0 as usize) || emitted.contains(d.0 as usize)
+                            }
+                            _ => true,
+                        });
             });
             if ready {
                 ordered.push(id);
-                emitted.insert(id);
+                emitted.insert(id.0 as usize, ());
                 false
             } else {
                 true
@@ -596,12 +725,14 @@ fn extract_kernel(
 /// (a broken slice — the access is then counted infeasible, not panicked).
 fn build_kernel(
     app: &Module,
-    f: &Function,
+    cx: &SliceCtx<'_>,
+    sets: &mut Sets,
     fid: FuncId,
     symbol: &str,
     kernel_index: usize,
     ext: &Extraction,
 ) -> Option<(Function, Vec<ParamSpec>, Vec<DieRequest>)> {
+    let f = cx.f;
     let param_tys: Vec<Ty> = ext
         .params
         .iter()
@@ -610,19 +741,14 @@ fn build_kernel(
     let mut kf = Function::new(symbol, param_tys, Some(Ty::Ptr));
     let entry = kf.entry();
 
-    let param_index: HashMap<Value, u32> = ext
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u32))
-        .collect();
-    let mut cloned: HashMap<InstrId, InstrId> = HashMap::new();
-    let map_value = |v: Value, cloned: &HashMap<InstrId, InstrId>| -> Option<Value> {
-        if let Some(&pi) = param_index.get(&v) {
+    let Sets { params: param_index, cloned, .. } = sets;
+    cloned.clear();
+    let map_value = |v: Value, cloned: &Dense<u32>| -> Option<Value> {
+        if let Some(pi) = cx.slot(v).and_then(|s| param_index.get(s)) {
             return Some(Value::Arg(pi));
         }
         match v {
-            Value::Instr(id) => cloned.get(&id).map(|&c| Value::Instr(c)),
+            Value::Instr(id) => cloned.get(id.0 as usize).map(|c| Value::Instr(InstrId(c))),
             other => Some(other),
         }
     };
@@ -630,7 +756,7 @@ fn build_kernel(
     for &sid in &ext.stmts {
         let mut instr = f.instr(sid).clone();
         let mut unresolved = false;
-        instr.map_operands(|v| match map_value(v, &cloned) {
+        instr.map_operands(|v| match map_value(v, cloned) {
             Some(mapped) => mapped,
             None => {
                 unresolved = true;
@@ -641,9 +767,9 @@ fn build_kernel(
             return None;
         }
         let new_id = kf.push_instr(entry, instr);
-        cloned.insert(sid, new_id);
+        cloned.insert(sid.0 as usize, new_id.0);
     }
-    let ret_val = map_value(ext.addr, &cloned)?;
+    let ret_val = map_value(ext.addr, cloned)?;
     kf.push_instr(entry, Instr::new(InstrKind::Ret { val: Some(ret_val) }));
 
     let mut specs = Vec::with_capacity(ext.params.len());

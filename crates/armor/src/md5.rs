@@ -29,64 +29,69 @@ const K: [u32; 64] = [
 
 /// Compute the MD5 digest of `data`.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x6745_2301;
-    let mut b0: u32 = 0xefcd_ab89;
-    let mut c0: u32 = 0x98ba_dcfe;
-    let mut d0: u32 = 0x1032_5476;
+    let mut state: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
 
-    // Padding: 0x80, zeros, 64-bit little-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    // Whole blocks straight from the input; the tail and the padding
+    // (0x80, zeros, 64-bit little-endian bit length) in one or two more.
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut state, block);
     }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                chunk[4 * i],
-                chunk[4 * i + 1],
-                chunk[4 * i + 2],
-                chunk[4 * i + 3],
-            ]);
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let f2 = f
-                .wrapping_add(a)
-                .wrapping_add(K[i])
-                .wrapping_add(m[g]);
-            a = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(f2.rotate_left(S[i]));
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
+    let tail = blocks.remainder();
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    last[end - 8..end].copy_from_slice(&bit_len.to_le_bytes());
+    for block in last[..end].chunks_exact(64) {
+        compress(&mut state, block);
     }
 
     let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (o, w) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&w.to_le_bytes());
+    }
     out
+}
+
+/// One 64-byte block of the MD5 compression function.
+fn compress(state: &mut [u32; 4], block: &[u8]) {
+    let mut m = [0u32; 16];
+    for (w, b) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let f2 = f
+            .wrapping_add(a)
+            .wrapping_add(K[i])
+            .wrapping_add(m[g]);
+        a = d;
+        d = c;
+        c = b;
+        b = b.wrapping_add(f2.rotate_left(S[i]));
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
 }
 
 /// Hex rendering of a digest.
 pub fn hex(digest: &[u8; 16]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(32);
+    for &b in digest {
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 15) as usize] as char);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -118,10 +123,16 @@ mod tests {
 
     #[test]
     fn long_inputs_cross_block_boundaries() {
-        // 64-byte and 65-byte messages exercise the padding edge cases.
-        let m64 = vec![b'x'; 64];
-        let m65 = vec![b'x'; 65];
-        assert_ne!(md5(&m64), md5(&m65));
-        assert_eq!(md5(&m64), md5(&m64));
+        // Lengths 55 and 56 straddle the one-or-two padding blocks split.
+        let cases = [
+            (55, "04364420e25c512fd958a70738aa8f72"),
+            (56, "668a72d5ba17f08e62dabcafad6db14b"),
+            (63, "7dc2ca208106a2f703567bdff99d8981"),
+            (64, "c1bb4f81d892b2d57947682aeb252456"),
+            (65, "1bc932052302d074bdec39795fe00cf6"),
+        ];
+        for (n, expect) in cases {
+            assert_eq!(hex(&md5(&vec![b'x'; n])), expect, "md5 of {n} bytes");
+        }
     }
 }

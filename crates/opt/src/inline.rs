@@ -13,7 +13,6 @@
 //! "conflicts for some instructions that end up sharing the same debug
 //! data" Armor must resolve).
 
-use std::collections::HashMap;
 use tinyir::{
     BlockId, Callee, DebugLoc, FuncId, Function, Instr, InstrId, InstrKind, Module,
     Value,
@@ -58,7 +57,13 @@ pub fn run(module: &mut Module, threshold: usize) -> usize {
         .collect();
 
     let mut total = 0;
-    let snapshot: Vec<Function> = module.funcs.clone();
+    // Pre-pass bodies of the callees that may be inlined.
+    let snapshot: Vec<Option<Function>> = module
+        .funcs
+        .iter()
+        .zip(&inlinable)
+        .map(|(f, &ok)| ok.then(|| f.clone()))
+        .collect();
     for caller in &mut module.funcs {
         if caller.is_decl {
             continue;
@@ -75,7 +80,7 @@ pub fn run(module: &mut Module, threshold: usize) -> usize {
                 caller,
                 bb,
                 pos,
-                &snapshot[callee_id.0 as usize],
+                snapshot[callee_id.0 as usize].as_ref().expect("inlinable callees are kept"),
                 &mut next_line,
             );
             budget -= 1;
@@ -151,21 +156,18 @@ fn inline_one(
         }
     }
 
-    // Clone callee blocks and instructions.
-    let block_map: HashMap<BlockId, BlockId> = callee
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let nb = caller.add_block(format!("inl.{}.{}", call_id.0, b.name));
-            (BlockId(i as u32), nb)
-        })
-        .collect();
-    let mut value_map: HashMap<InstrId, InstrId> = HashMap::new();
+    // Clone callee blocks and instructions: callee block `b` becomes
+    // `first_block + b` and callee instruction `i` becomes `first_instr + i`.
+    let first_block = caller.blocks.len() as u32;
+    for b in &callee.blocks {
+        caller.add_block(format!("inl.{}.{}", call_id.0, b.name));
+    }
+    let block_map = |b: BlockId| BlockId(first_block + b.0);
+    let first_instr = caller.instrs.len() as u32;
+    let value_map = |i: InstrId| InstrId(first_instr + i.0);
     // First pass: allocate ids in callee arena order so intra-callee
     // references resolve regardless of block layout.
-    for (i, instr) in callee.instrs.iter().enumerate() {
-        let new_id = InstrId(caller.instrs.len() as u32);
+    for instr in &callee.instrs {
         let mut cloned = instr.clone();
         // Fresh, unique debug locations (Armor key uniqueness).
         if let Some(file) = fresh_file {
@@ -173,56 +175,51 @@ fn inline_one(
             *next_line += 1;
         }
         caller.instrs.push(cloned);
-        value_map.insert(InstrId(i as u32), new_id);
     }
-    // Rewrite the cloned instructions.
+    // Rewrite the cloned instructions in place.
+    let remap = |v: Value| -> Value {
+        match v {
+            Value::Arg(a) => args[a as usize],
+            Value::Instr(id) => Value::Instr(value_map(id)),
+            other => other,
+        }
+    };
     let mut ret_edges: Vec<(BlockId, Option<Value>)> = Vec::new();
     for (old_bid, block) in callee.block_iter() {
-        let new_bid = block_map[&old_bid];
+        let new_bid = block_map(old_bid);
         for &old_iid in &block.instrs {
-            let new_iid = value_map[&old_iid];
-            let mut kind = caller.instrs[new_iid.0 as usize].kind.clone();
-            // Remap operands: args -> call arguments, instrs -> clones.
-            let remap = |v: Value| -> Value {
-                match v {
-                    Value::Arg(a) => args[a as usize],
-                    Value::Instr(id) => Value::Instr(value_map[&id]),
-                    other => other,
-                }
-            };
-            match &mut kind {
+            let new_iid = value_map(old_iid);
+            let instr = &mut caller.instrs[new_iid.0 as usize];
+            match &mut instr.kind {
                 InstrKind::Ret { val } => {
-                    let mapped = val.map(remap);
-                    ret_edges.push((new_bid, mapped));
-                    kind = InstrKind::Br { target: cont };
+                    ret_edges.push((new_bid, val.map(remap)));
+                    instr.kind = InstrKind::Br { target: cont };
                 }
-                other => {
-                    let mut tmp = Instr::new(other.clone());
-                    tmp.map_operands(remap);
-                    // Remap phi incoming blocks and branch targets.
-                    match &mut tmp.kind {
+                _ => {
+                    // Remap operands (args -> call arguments, instrs ->
+                    // clones), then phi incoming blocks and branch targets.
+                    instr.map_operands(remap);
+                    match &mut instr.kind {
                         InstrKind::Phi { incomings, .. } => {
                             for (b, _) in incomings.iter_mut() {
-                                *b = block_map[b];
+                                *b = block_map(*b);
                             }
                         }
-                        InstrKind::Br { target } => *target = block_map[target],
+                        InstrKind::Br { target } => *target = block_map(*target),
                         InstrKind::CondBr { then_bb, else_bb, .. } => {
-                            *then_bb = block_map[then_bb];
-                            *else_bb = block_map[else_bb];
+                            *then_bb = block_map(*then_bb);
+                            *else_bb = block_map(*else_bb);
                         }
                         _ => {}
                     }
-                    kind = tmp.kind;
                 }
             }
-            caller.instrs[new_iid.0 as usize].kind = kind;
             caller.blocks[new_bid.0 as usize].instrs.push(new_iid);
         }
     }
 
     // Terminate `bb` with a jump into the inlined entry.
-    let entry_clone = block_map[&callee.entry()];
+    let entry_clone = block_map(callee.entry());
     let br_id = InstrId(caller.instrs.len() as u32);
     caller
         .instrs

@@ -15,7 +15,6 @@
 //!   +7 %).
 
 use analysis::{Cfg, DomTree};
-use std::collections::{HashMap, HashSet};
 use tinyir::{BlockId, Function, Instr, InstrId, InstrKind, Module, Ty, Value};
 
 /// Run mem2reg on every defined function. Returns the number of promoted
@@ -30,10 +29,11 @@ pub fn run(module: &mut Module) -> usize {
     promoted
 }
 
-/// Compute dominance frontiers from a dominator tree.
-fn dominance_frontiers(cfg: &Cfg, dt: &DomTree) -> Vec<HashSet<BlockId>> {
+/// Compute dominance frontiers from a dominator tree, each in ascending
+/// block order.
+fn dominance_frontiers(cfg: &Cfg, dt: &DomTree) -> Vec<Vec<BlockId>> {
     let n = cfg.len();
-    let mut df: Vec<HashSet<BlockId>> = vec![HashSet::new(); n];
+    let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
     for b in 0..n {
         let bid = BlockId(b as u32);
         if cfg.preds[b].len() < 2 {
@@ -43,7 +43,12 @@ fn dominance_frontiers(cfg: &Cfg, dt: &DomTree) -> Vec<HashSet<BlockId>> {
         for &p in &cfg.preds[b] {
             let mut runner = p;
             while runner != idom_b {
-                df[runner.0 as usize].insert(bid);
+                // `b` joins frontiers only in this iteration, so a repeat
+                // would be the last entry.
+                let frontier = &mut df[runner.0 as usize];
+                if frontier.last() != Some(&bid) {
+                    frontier.push(bid);
+                }
                 match dt.idom[runner.0 as usize] {
                     Some(next) => runner = next,
                     None => break,
@@ -54,32 +59,35 @@ fn dominance_frontiers(cfg: &Cfg, dt: &DomTree) -> Vec<HashSet<BlockId>> {
     df
 }
 
-/// Is this alloca promotable? Scalar (count == 1), and used only as the
-/// direct pointer of loads/stores (never stored *as a value*, passed to a
-/// call, or offset by a gep).
-fn promotable(f: &Function, alloca: InstrId) -> bool {
-    let InstrKind::Alloca { count, .. } = f.instr(alloca).kind else {
-        return false;
-    };
-    if count != 1 {
-        return false;
+/// The promotable allocas, in arena order: block-resident, scalar
+/// (count == 1), and used only as the direct pointer of loads/stores (never
+/// stored *as a value*, passed to a call, or offset by a gep).
+fn promotable_allocas(f: &Function) -> Vec<InstrId> {
+    let mut ok = vec![false; f.instrs.len()];
+    for (_, block) in f.block_iter() {
+        for &iid in &block.instrs {
+            ok[iid.0 as usize] = matches!(f.instr(iid).kind, InstrKind::Alloca { count: 1, .. });
+        }
     }
     for (_, block) in f.block_iter() {
         for &iid in &block.instrs {
             let instr = f.instr(iid);
-            for v in instr.operands() {
-                if v != Value::Instr(alloca) {
-                    continue;
+            instr.for_each_operand(|v| {
+                let Value::Instr(a) = v else { return };
+                let allowed = match &instr.kind {
+                    InstrKind::Load { ptr, .. } => *ptr == v,
+                    InstrKind::Store { ptr, val } => *ptr == v && *val != v,
+                    _ => false,
+                };
+                if !allowed {
+                    if let Some(ok) = ok.get_mut(a.0 as usize) {
+                        *ok = false;
+                    }
                 }
-                match &instr.kind {
-                    InstrKind::Load { ptr, .. } if *ptr == v => {}
-                    InstrKind::Store { ptr, val } if *ptr == v && *val != v => {}
-                    _ => return false,
-                }
-            }
+            });
         }
     }
-    true
+    (0..f.instrs.len() as u32).map(InstrId).filter(|a| ok[a.0 as usize]).collect()
 }
 
 fn promote_function(f: &mut Function) -> usize {
@@ -87,82 +95,79 @@ fn promote_function(f: &mut Function) -> usize {
     let dt = DomTree::new(&cfg);
     let df = dominance_frontiers(&cfg, &dt);
 
-    let allocas: Vec<InstrId> = f
-        .instrs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, ins)| {
-            matches!(ins.kind, InstrKind::Alloca { .. }).then_some(InstrId(i as u32))
-        })
-        .filter(|&a| {
-            // Must still be block-resident (not already removed).
-            f.block_iter().any(|(_, b)| b.instrs.contains(&a))
-        })
-        .filter(|&a| promotable(f, a))
-        .collect();
+    let allocas = promotable_allocas(f);
     if allocas.is_empty() {
         return 0;
     }
-    let alloca_set: HashSet<InstrId> = allocas.iter().copied().collect();
-    let elem_ty: HashMap<InstrId, Ty> = allocas
+    // Alloca id -> its index in `allocas`.
+    let mut ordinal: Vec<Option<usize>> = vec![None; f.instrs.len()];
+    for (i, a) in allocas.iter().enumerate() {
+        ordinal[a.0 as usize] = Some(i);
+    }
+    let promoted = |v: Value| match v {
+        Value::Instr(a) => ordinal.get(a.0 as usize).copied().flatten(),
+        _ => None,
+    };
+    let elem_ty: Vec<Ty> = allocas
         .iter()
         .map(|&a| match f.instr(a).kind {
-            InstrKind::Alloca { elem_ty, .. } => (a, elem_ty),
+            InstrKind::Alloca { elem_ty, .. } => elem_ty,
             _ => unreachable!(),
         })
         .collect();
 
     // -- phi insertion at iterated dominance frontiers ----------------------
-    // phi_for[(block, alloca)] = phi instr id
-    let mut phi_for: HashMap<(BlockId, InstrId), InstrId> = HashMap::new();
-    let owner = f.instr_blocks();
-    for &a in &allocas {
-        let mut def_blocks: Vec<BlockId> = Vec::new();
-        for (bid, block) in f.block_iter() {
-            for &iid in &block.instrs {
-                if let InstrKind::Store { ptr, .. } = &f.instr(iid).kind {
-                    if *ptr == Value::Instr(a) {
-                        def_blocks.push(bid);
-                    }
+    // The blocks storing to each alloca, in block order.
+    let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); allocas.len()];
+    for (bid, block) in f.block_iter() {
+        for &iid in &block.instrs {
+            if let InstrKind::Store { ptr, .. } = f.instr(iid).kind {
+                if let Some(o) = promoted(ptr) {
+                    def_blocks[o].push(bid);
                 }
             }
         }
-        let mut work: Vec<BlockId> = def_blocks.clone();
-        let mut has_phi: HashSet<BlockId> = HashSet::new();
+    }
+    // phis_at[block] = (alloca ordinal, phi instr id) for the phis inserted
+    // there; has_phi[block] = 1 + the last ordinal given a phi there.
+    let mut phis_at: Vec<Vec<(usize, InstrId)>> = vec![Vec::new(); cfg.len()];
+    let mut has_phi: Vec<usize> = vec![0; cfg.len()];
+    for (o, &a) in allocas.iter().enumerate() {
+        let mut work = std::mem::take(&mut def_blocks[o]);
         while let Some(b) = work.pop() {
             for &y in &df[b.0 as usize] {
-                if has_phi.insert(y) {
+                if has_phi[y.0 as usize] != o + 1 {
+                    has_phi[y.0 as usize] = o + 1;
                     // Create an empty phi; incomings filled during renaming.
                     let loc = f.instr(a).loc;
                     let id = InstrId(f.instrs.len() as u32);
                     f.instrs.push(Instr {
-                        kind: InstrKind::Phi { incomings: vec![], ty: elem_ty[&a] },
+                        kind: InstrKind::Phi { incomings: vec![], ty: elem_ty[o] },
                         loc,
                     });
                     f.blocks[y.0 as usize].instrs.insert(0, id);
-                    phi_for.insert((y, a), id);
+                    phis_at[y.0 as usize].push((o, id));
                     work.push(y);
                 }
             }
         }
     }
-    let _ = owner;
 
     // -- renaming over the dominator tree -----------------------------------
-    let mut replacement: HashMap<InstrId, Value> = HashMap::new(); // load -> value
-    let mut to_remove: HashSet<InstrId> = HashSet::new();
-    let mut stacks: HashMap<InstrId, Vec<Value>> = allocas
+    // Promoted load -> the value it reads.
+    let mut replacement: Vec<Option<Value>> = vec![None; f.instrs.len()];
+    let mut to_remove: Vec<bool> = vec![false; f.instrs.len()];
+    // Uninitialised reads yield a zero of the right type, matching the
+    // zero-filled simulated stack.
+    let mut stacks: Vec<Vec<Value>> = elem_ty
         .iter()
-        .map(|&a| {
-            // Uninitialised reads yield a zero of the right type, matching
-            // the zero-filled simulated stack.
-            let zero = match elem_ty[&a] {
+        .map(|&t| {
+            vec![match t {
                 Ty::F32 => Value::ConstFloat(0.0, Ty::F32),
                 Ty::F64 => Value::ConstFloat(0.0, Ty::F64),
                 Ty::Ptr => Value::ConstNull,
                 t => Value::ConstInt(0, t),
-            };
-            (a, vec![zero])
+            }]
         })
         .collect();
 
@@ -174,66 +179,54 @@ fn promote_function(f: &mut Function) -> usize {
         }
     }
 
-    // Iterative DFS carrying push counts for stack unwinding.
+    // Iterative DFS; an unwind pops one value per alloca ordinal listed.
     enum Step {
         Visit(BlockId),
-        Unwind(Vec<(InstrId, usize)>),
+        Unwind(Vec<usize>),
     }
     let mut stack = vec![Step::Visit(f.entry())];
     while let Some(step) = stack.pop() {
         match step {
-            Step::Unwind(pops) => {
-                for (a, n) in pops {
-                    let s = stacks.get_mut(&a).unwrap();
-                    s.truncate(s.len() - n);
+            Step::Unwind(pushed) => {
+                for o in pushed {
+                    stacks[o].pop();
                 }
             }
             Step::Visit(b) => {
-                let mut pushes: HashMap<InstrId, usize> = HashMap::new();
+                let mut pushed: Vec<usize> = Vec::new();
                 // Phis inserted for allocas at this block head define values.
-                let block_instrs = f.blocks[b.0 as usize].instrs.clone();
-                for &iid in &block_instrs {
-                    if let Some((_, a)) = phi_for
-                        .iter()
-                        .find(|((bb, _), &pid)| *bb == b && pid == iid)
-                        .map(|(k, _)| *k)
-                    {
-                        stacks.get_mut(&a).unwrap().push(Value::Instr(iid));
-                        *pushes.entry(a).or_default() += 1;
-                    }
+                for &(o, pid) in &phis_at[b.0 as usize] {
+                    stacks[o].push(Value::Instr(pid));
+                    pushed.push(o);
                 }
-                for &iid in &block_instrs {
-                    match f.instr(iid).kind.clone() {
-                        InstrKind::Load { ptr: Value::Instr(a), .. }
-                            if alloca_set.contains(&a) =>
-                        {
-                            let cur = *stacks[&a].last().unwrap();
-                            replacement.insert(iid, cur);
-                            to_remove.insert(iid);
+                for &iid in &f.blocks[b.0 as usize].instrs {
+                    match f.instr(iid).kind {
+                        InstrKind::Load { ptr, .. } => {
+                            if let Some(o) = promoted(ptr) {
+                                replacement[iid.0 as usize] = stacks[o].last().copied();
+                                to_remove[iid.0 as usize] = true;
+                            }
                         }
-                        InstrKind::Store { ptr: Value::Instr(a), val }
-                            if alloca_set.contains(&a) =>
-                        {
-                            stacks.get_mut(&a).unwrap().push(val);
-                            *pushes.entry(a).or_default() += 1;
-                            to_remove.insert(iid);
+                        InstrKind::Store { ptr, val } => {
+                            if let Some(o) = promoted(ptr) {
+                                stacks[o].push(val);
+                                pushed.push(o);
+                                to_remove[iid.0 as usize] = true;
+                            }
                         }
                         _ => {}
                     }
                 }
                 // Fill successor phis.
                 for &s in &cfg.succs[b.0 as usize] {
-                    for (&(bb, a), &pid) in &phi_for {
-                        if bb != s {
-                            continue;
-                        }
-                        let cur = *stacks[&a].last().unwrap();
+                    for &(o, pid) in &phis_at[s.0 as usize] {
+                        let cur = *stacks[o].last().unwrap();
                         if let InstrKind::Phi { incomings, .. } = &mut f.instr_mut(pid).kind {
                             incomings.push((b, cur));
                         }
                     }
                 }
-                stack.push(Step::Unwind(pushes.into_iter().collect()));
+                stack.push(Step::Unwind(pushed));
                 for &c in dom_children[b.0 as usize].iter().rev() {
                     stack.push(Step::Visit(c));
                 }
@@ -245,8 +238,8 @@ fn promote_function(f: &mut Function) -> usize {
     let resolve = |mut v: Value| -> Value {
         let mut guard = 0;
         while let Value::Instr(id) = v {
-            match replacement.get(&id) {
-                Some(&next) => {
+            match replacement.get(id.0 as usize).copied().flatten() {
+                Some(next) => {
                     v = next;
                     guard += 1;
                     assert!(guard < 1_000_000, "replacement cycle");
@@ -262,10 +255,10 @@ fn promote_function(f: &mut Function) -> usize {
 
     // -- delete promoted instructions ----------------------------------------
     for &a in &allocas {
-        to_remove.insert(a);
+        to_remove[a.0 as usize] = true;
     }
     for block in &mut f.blocks {
-        block.instrs.retain(|i| !to_remove.contains(i));
+        block.instrs.retain(|i| !to_remove[i.0 as usize]);
     }
     allocas.len()
 }

@@ -13,6 +13,45 @@ use tinyir::{
     Callee, Function, InstrId, InstrKind, Module, Ty, Value,
 };
 
+/// The instructions one pass folds away, each with the value that replaces
+/// it, indexed by instruction id.
+struct Replacements {
+    to: Vec<Option<Value>>,
+    count: usize,
+}
+
+impl Replacements {
+    fn new(f: &Function) -> Replacements {
+        Replacements { to: vec![None; f.instrs.len()], count: 0 }
+    }
+
+    fn insert(&mut self, id: InstrId, v: Value) {
+        let slot = &mut self.to[id.0 as usize];
+        self.count += slot.is_none() as usize;
+        *slot = Some(v);
+    }
+
+    /// Point every use of a replaced instruction at its replacement (one
+    /// step, not chased), drop the replaced instructions from their blocks,
+    /// and return how many there were.
+    fn apply(self, f: &mut Function) -> usize {
+        if self.count == 0 {
+            return 0;
+        }
+        let to = &self.to;
+        for instr in &mut f.instrs {
+            instr.map_operands(|v| match v {
+                Value::Instr(id) => to.get(id.0 as usize).copied().flatten().unwrap_or(v),
+                other => other,
+            });
+        }
+        for block in &mut f.blocks {
+            block.instrs.retain(|i| to[i.0 as usize].is_none());
+        }
+        self.count
+    }
+}
+
 /// Fold constant expressions. Returns the number of folds performed.
 pub fn const_fold(module: &mut Module) -> usize {
     let mut total = 0;
@@ -46,7 +85,7 @@ fn const_value(bits: u64, ty: Ty) -> Value {
 }
 
 fn const_fold_function(f: &mut Function) -> usize {
-    let mut replacement: HashMap<InstrId, Value> = HashMap::new();
+    let mut replacement = Replacements::new(f);
     // Only block-resident instructions: the arena may hold orphans already
     // removed by earlier passes.
     let resident: Vec<InstrId> = f
@@ -93,21 +132,7 @@ fn const_fold_function(f: &mut Function) -> usize {
             _ => {}
         }
     }
-    if replacement.is_empty() {
-        return 0;
-    }
-    let count = replacement.len();
-    for instr in &mut f.instrs {
-        instr.map_operands(|v| match v {
-            Value::Instr(id) => replacement.get(&id).copied().unwrap_or(v),
-            other => other,
-        });
-    }
-    // Remove the folded instructions from their blocks.
-    for block in &mut f.blocks {
-        block.instrs.retain(|i| !replacement.contains_key(i));
-    }
-    count
+    replacement.apply(f)
 }
 
 /// Simplify degenerate phis (single incoming, or all incomings identical).
@@ -118,13 +143,8 @@ pub fn simplify_phis(module: &mut Module) -> usize {
             continue;
         }
         loop {
-            let mut replacement: HashMap<InstrId, Value> = HashMap::new();
-            let resident: Vec<InstrId> = f
-                .blocks
-                .iter()
-                .flat_map(|b| b.instrs.iter().copied())
-                .collect();
-            for iid in resident {
+            let mut replacement = Replacements::new(f);
+            for &iid in f.blocks.iter().flat_map(|b| &b.instrs) {
                 let instr = &f.instrs[iid.0 as usize];
                 if let InstrKind::Phi { incomings, .. } = &instr.kind {
                     if incomings.is_empty() {
@@ -139,18 +159,9 @@ pub fn simplify_phis(module: &mut Module) -> usize {
                     }
                 }
             }
-            if replacement.is_empty() {
-                break;
-            }
-            total += replacement.len();
-            for instr in &mut f.instrs {
-                instr.map_operands(|v| match v {
-                    Value::Instr(id) => replacement.get(&id).copied().unwrap_or(v),
-                    other => other,
-                });
-            }
-            for block in &mut f.blocks {
-                block.instrs.retain(|i| !replacement.contains_key(i));
+            match replacement.apply(f) {
+                0 => break,
+                n => total += n,
             }
         }
     }
@@ -188,9 +199,11 @@ pub fn local_cse(module: &mut Module) -> usize {
         if f.is_decl {
             continue;
         }
-        let mut replacement: HashMap<InstrId, Value> = HashMap::new();
+        let mut replacement = Replacements::new(f);
+        // Keyed by operands, constants included, so std's keyed hasher stays.
+        let mut seen: HashMap<CseKey, InstrId> = HashMap::new();
         for block in &f.blocks {
-            let mut seen: HashMap<CseKey, InstrId> = HashMap::new();
+            seen.clear();
             for &iid in &block.instrs {
                 if let Some(key) = cse_key(&f.instrs[iid.0 as usize].kind) {
                     match seen.get(&key) {
@@ -204,19 +217,7 @@ pub fn local_cse(module: &mut Module) -> usize {
                 }
             }
         }
-        if replacement.is_empty() {
-            continue;
-        }
-        total += replacement.len();
-        for instr in &mut f.instrs {
-            instr.map_operands(|v| match v {
-                Value::Instr(id) => replacement.get(&id).copied().unwrap_or(v),
-                other => other,
-            });
-        }
-        for block in &mut f.blocks {
-            block.instrs.retain(|i| !replacement.contains_key(i));
-        }
+        total += replacement.apply(f);
     }
     total
 }
@@ -230,10 +231,12 @@ pub fn store_load_forward(module: &mut Module) -> usize {
         if f.is_decl {
             continue;
         }
-        let mut replacement: HashMap<InstrId, Value> = HashMap::new();
+        let mut replacement = Replacements::new(f);
+        // Address value -> available stored/loaded value. Keyed by program
+        // constants too, so std's keyed hasher stays.
+        let mut avail: HashMap<Value, Value> = HashMap::new();
         for block in &f.blocks {
-            // address value -> available stored/loaded value
-            let mut avail: HashMap<Value, Value> = HashMap::new();
+            avail.clear();
             for &iid in &block.instrs {
                 match &f.instrs[iid.0 as usize].kind {
                     InstrKind::Store { val, ptr } => {
@@ -255,19 +258,7 @@ pub fn store_load_forward(module: &mut Module) -> usize {
                 }
             }
         }
-        if replacement.is_empty() {
-            continue;
-        }
-        total += replacement.len();
-        for instr in &mut f.instrs {
-            instr.map_operands(|v| match v {
-                Value::Instr(id) => replacement.get(&id).copied().unwrap_or(v),
-                other => other,
-            });
-        }
-        for block in &mut f.blocks {
-            block.instrs.retain(|i| !replacement.contains_key(i));
-        }
+        total += replacement.apply(f);
     }
     total
 }
@@ -284,11 +275,11 @@ pub fn dce(module: &mut Module) -> usize {
             let mut used: Vec<bool> = vec![false; f.instrs.len()];
             for (_, block) in f.block_iter() {
                 for &iid in &block.instrs {
-                    for v in f.instr(iid).operands() {
+                    f.instr(iid).for_each_operand(|v| {
                         if let Value::Instr(d) = v {
                             used[d.0 as usize] = true;
                         }
-                    }
+                    });
                 }
             }
             let mut removed = 0;

@@ -24,7 +24,6 @@ use crate::debug::{DebugData, DieRequest, LocEntry, VarDie, VarPlace};
 use crate::image::{MachineFunction, MachineModule};
 use crate::isa::{MInst, MemOp, Reg, Src, FP, INST_BYTES};
 use analysis::{Cfg, Liveness, UseDef};
-use std::collections::{HashMap, HashSet};
 use tinyir::interp::const_bits;
 use tinyir::{
     BlockId, Callee, DebugLoc, Function, FuncId, Instr, InstrId, InstrKind, Module, Ty, Value,
@@ -158,29 +157,31 @@ pub fn compile_module(
 }
 
 /// Split critical edges into blocks that carry phis, so phi copies inserted
-/// at predecessor ends cannot leak onto the wrong path.
-fn split_critical_edges(f: &mut Function) {
-    let nblocks = f.blocks.len();
+/// at predecessor ends cannot leak onto the wrong path. Returns the split
+/// copy of `orig`, or `None` when it has no such edge.
+fn split_critical_edges(orig: &Function) -> Option<Function> {
+    let nblocks = orig.blocks.len();
     let mut pred_count = vec![0usize; nblocks];
-    for (_, block) in f.block_iter() {
+    for (_, block) in orig.block_iter() {
         if let Some(&last) = block.instrs.last() {
-            for s in f.instr(last).successors() {
-                pred_count[s.0 as usize] += 1;
-            }
+            orig.instr(last).for_each_successor(|s| pred_count[s.0 as usize] += 1);
         }
     }
     let has_phi: Vec<bool> = (0..nblocks)
         .map(|b| {
-            f.blocks[b]
+            orig.blocks[b]
                 .instrs
                 .first()
-                .map(|&i| matches!(f.instr(i).kind, InstrKind::Phi { .. }))
+                .map(|&i| matches!(orig.instr(i).kind, InstrKind::Phi { .. }))
                 .unwrap_or(false)
         })
         .collect();
+    let mut split: Option<Function> = None;
     for p in 0..nblocks {
-        let Some(&last) = f.blocks[p].instrs.last() else { continue };
-        let succs = f.instr(last).successors();
+        // Only p's own iteration changes p's terminator, so `orig`'s is
+        // current here.
+        let Some(&last) = orig.blocks[p].instrs.last() else { continue };
+        let succs = orig.instr(last).successors();
         if succs.len() < 2 {
             continue;
         }
@@ -189,6 +190,7 @@ fn split_critical_edges(f: &mut Function) {
                 continue;
             }
             // Split p -> s.
+            let f = split.get_or_insert_with(|| orig.clone());
             let e = f.add_block(format!("crit.{}.{}", p, s.0));
             let br = InstrId(f.instrs.len() as u32);
             f.instrs.push(Instr::new(InstrKind::Br { target: s }));
@@ -218,22 +220,33 @@ fn split_critical_edges(f: &mut Function) {
             }
         }
     }
+    split
 }
 
-struct FnCtx {
-    f: Function,
-    storage: HashMap<InstrId, Loc>,
+/// Widen interval `iv` to cover position `p`.
+fn span(iv: &mut Option<(u32, u32)>, p: u32) {
+    let e = iv.get_or_insert((p, p));
+    e.0 = e.0.min(p);
+    e.1 = e.1.max(p);
+}
+
+/// Per-function lowering state. Every per-value table is a `Vec` indexed
+/// by instruction id (or liveness key, for `intervals`).
+struct FnCtx<'f> {
+    f: &'f Function,
+    storage: Vec<Option<Loc>>,
     arg_loc: Vec<Loc>,
-    folded_load: HashMap<InstrId, InstrId>, // load -> consuming bin
-    folded_gep: HashSet<InstrId>,
-    alloca_area: HashMap<InstrId, i64>,
+    /// Load -> the bin it folds into.
+    folded_load: Vec<Option<InstrId>>,
+    folded_gep: Vec<bool>,
+    alloca_area: Vec<Option<i64>>,
     out: Vec<MInst>,
     olocs: Vec<Option<DebugLoc>>,
     cur_loc: Option<DebugLoc>,
     block_mstart: Vec<u32>,
     pos2mpos: Vec<u32>,
-    intervals: HashMap<InstrId, (u32, u32)>, // liveness-key -> [lo,hi] IR positions
-    lv: Liveness,
+    /// Liveness key -> [lo, hi] IR positions.
+    intervals: Vec<Option<(u32, u32)>>,
 }
 
 fn lower_function(
@@ -241,28 +254,30 @@ fn lower_function(
     regalloc: bool,
     reqs: &[&DieRequest],
 ) -> (MachineFunction, Vec<(String, VarPlace, u32, u32)>) {
-    let mut f = orig.clone();
-    split_critical_edges(&mut f);
-    let cfg = Cfg::new(&f);
-    let lv = Liveness::compute(&f, &cfg);
-    let ud = UseDef::compute(&f);
+    let split = split_critical_edges(orig);
+    let f = split.as_ref().unwrap_or(orig);
+    let cfg = Cfg::new(f);
+    let lv = Liveness::compute(f, &cfg);
+    let ud = UseDef::compute(f);
+    let n_instr = f.instrs.len();
+    let n_keys = n_instr + f.params.len();
 
     // -- linear position of every instruction --------------------------------
-    let mut pos_of: HashMap<InstrId, u32> = HashMap::new();
+    let mut pos_of: Vec<u32> = vec![u32::MAX; n_instr];
     let mut order: Vec<InstrId> = Vec::new();
     for (_, block) in f.block_iter() {
         for &iid in &block.instrs {
-            pos_of.insert(iid, order.len() as u32);
+            pos_of[iid.0 as usize] = order.len() as u32;
             order.push(iid);
         }
     }
     let npos = order.len() as u32;
 
     // -- folding decisions (register mode only) ------------------------------
-    let mut folded_load: HashMap<InstrId, InstrId> = HashMap::new();
-    let mut folded_gep: HashSet<InstrId> = HashSet::new();
-    // Extra use positions injected into intervals by folding / phi copies.
-    let mut extra_use: HashMap<InstrId, Vec<u32>> = HashMap::new();
+    let mut folded_load: Vec<Option<InstrId>> = vec![None; n_instr];
+    let mut folded_gep: Vec<bool> = vec![false; n_instr];
+    // Extra (key, position) uses injected into intervals by folding.
+    let mut extra_use: Vec<(InstrId, u32)> = Vec::new();
     if regalloc {
         let owner = f.instr_blocks();
         // CISC load folding: single user, same block, bin rhs, no
@@ -281,7 +296,7 @@ fn lower_function(
                     continue;
                 }
                 // Scan between load and user for memory hazards.
-                let (lp, up) = (pos_of[&iid], pos_of[&user]);
+                let (lp, up) = (pos_of[iid.0 as usize], pos_of[user.0 as usize]);
                 let hazard = ((lp + 1)..up).any(|p| {
                     matches!(
                         f.instr(order[p as usize]).kind,
@@ -291,10 +306,10 @@ fn lower_function(
                 if hazard {
                     continue;
                 }
-                folded_load.insert(iid, user);
+                folded_load[iid.0 as usize] = Some(user);
                 // The load's address inputs are now consumed at `user`.
                 if let Value::Instr(g) = ptr {
-                    extra_use.entry(g).or_default().push(up);
+                    extra_use.push((g, up));
                 }
             }
         }
@@ -308,7 +323,7 @@ fn lower_function(
                 if !matches!(elem_size, 1 | 2 | 4 | 8) {
                     continue;
                 }
-                let users = &ud.users[iid.0 as usize];
+                let users = ud.users(iid);
                 if users.is_empty() {
                     continue;
                 }
@@ -325,15 +340,15 @@ fn lower_function(
                 if !ok {
                     continue;
                 }
-                folded_gep.insert(iid);
+                folded_gep[iid.0 as usize] = true;
                 // base/index are now consumed at each materialisation site
                 // (the user itself, or the bin a folded load melts into).
                 for &u in users {
-                    let site = folded_load.get(&u).copied().unwrap_or(u);
-                    let sp = pos_of[&site];
+                    let site = folded_load[u.0 as usize].unwrap_or(u);
+                    let sp = pos_of[site.0 as usize];
                     for v in [base, index] {
                         if let Some(k) = lv.key_of(v) {
-                            extra_use.entry(k).or_default().push(sp);
+                            extra_use.push((k, sp));
                         }
                     }
                 }
@@ -342,25 +357,44 @@ fn lower_function(
     }
 
     // -- intervals ------------------------------------------------------------
-    // For every liveness key: [min(def, live positions), max(live positions)].
-    let mut intervals: HashMap<InstrId, (u32, u32)> = HashMap::new();
-    for p in 0..npos {
-        let iid = order[p as usize];
-        for &k in lv.live_before_set(iid) {
-            let e = intervals.entry(k).or_insert((p, p));
-            e.0 = e.0.min(p);
-            e.1 = e.1.max(p);
-        }
-        if f.instr(iid).result_ty().is_some() {
-            let e = intervals.entry(iid).or_insert((p, p));
-            e.0 = e.0.min(p);
-            e.1 = e.1.max(p);
-        }
+    // For every liveness key: [min(def, live positions), max(live
+    // positions)]. One backward walk per block: a key's live positions in a
+    // block are runs, and spanning every run's two ends gives the same
+    // bounds as spanning every live position.
+    let mut intervals: Vec<Option<(u32, u32)>> = vec![None; n_keys];
+    let mut sets = Default::default();
+    let mut first = 0u32;
+    for (bid, block) in f.block_iter() {
+        let last = (first + block.instrs.len() as u32).wrapping_sub(1);
+        let mut p = last.wrapping_add(1);
+        lv.walk_block(bid, &mut sets, |iid, before, after| {
+            p -= 1;
+            if p == last {
+                for k in before.iter() {
+                    span(&mut intervals[k.0 as usize], p);
+                }
+            } else {
+                for k in before.minus(after) {
+                    span(&mut intervals[k.0 as usize], p);
+                }
+                for k in after.minus(before) {
+                    span(&mut intervals[k.0 as usize], p + 1);
+                }
+            }
+            if p == first {
+                for k in before.iter() {
+                    span(&mut intervals[k.0 as usize], p);
+                }
+            }
+            if f.instr(iid).result_ty().is_some() {
+                span(&mut intervals[iid.0 as usize], p);
+            }
+        });
+        first = last.wrapping_add(1);
     }
     // Arguments are defined at position 0.
     for a in 0..f.params.len() as u32 {
-        let k = lv.arg_key(a);
-        if let Some(e) = intervals.get_mut(&k) {
+        if let Some(e) = &mut intervals[lv.arg_key(a).0 as usize] {
             e.0 = 0;
         }
     }
@@ -371,10 +405,7 @@ fn lower_function(
     // slot — and the DIE covers every protected access.
     for r in reqs {
         if let Value::Arg(a) = r.value {
-            let k = lv.arg_key(a);
-            let e = intervals.entry(k).or_insert((0, npos.saturating_sub(1)));
-            e.0 = 0;
-            e.1 = npos.saturating_sub(1);
+            intervals[lv.arg_key(a).0 as usize] = Some((0, npos.saturating_sub(1)));
         }
     }
     // Phi storages are written at predecessor terminators; extend.
@@ -383,28 +414,23 @@ fn lower_function(
             if let InstrKind::Phi { incomings, .. } = &f.instr(iid).kind {
                 for (pred, _) in incomings {
                     let Some(&last) = f.block(*pred).instrs.last() else { continue };
-                    let p = pos_of[&last];
-                    let e = intervals.entry(iid).or_insert((p, p));
-                    e.0 = e.0.min(p);
-                    e.1 = e.1.max(p);
+                    span(&mut intervals[iid.0 as usize], pos_of[last.0 as usize]);
                 }
             }
         }
     }
-    for (k, uses) in &extra_use {
-        if let Some(e) = intervals.get_mut(k) {
-            for &p in uses {
-                e.0 = e.0.min(p);
-                e.1 = e.1.max(p);
-            }
+    for &(k, p) in &extra_use {
+        if let Some(e) = &mut intervals[k.0 as usize] {
+            e.0 = e.0.min(p);
+            e.1 = e.1.max(p);
         }
     }
 
     // -- storage assignment ----------------------------------------------------
-    let mut storage: HashMap<InstrId, Loc> = HashMap::new();
+    let mut storage: Vec<Option<Loc>> = vec![None; n_instr];
     let mut arg_loc: Vec<Loc> = Vec::new();
     let mut frame: i64 = 0;
-    let mut alloca_area: HashMap<InstrId, i64> = HashMap::new();
+    let mut alloca_area: Vec<Option<i64>> = vec![None; n_instr];
 
     // Reserve array space for allocas in all modes.
     for (_, block) in f.block_iter() {
@@ -412,7 +438,7 @@ fn lower_function(
             if let InstrKind::Alloca { elem_ty, count } = f.instr(iid).kind {
                 let align = elem_ty.align() as i64;
                 frame = (frame + align - 1) & !(align - 1);
-                alloca_area.insert(iid, frame);
+                alloca_area[iid.0 as usize] = Some(frame);
                 frame += (elem_ty.size() as i64 * count as i64).max(8);
             }
         }
@@ -427,7 +453,7 @@ fn lower_function(
         for (_, block) in f.block_iter() {
             for &iid in &block.instrs {
                 if f.instr(iid).result_ty().is_some() {
-                    storage.insert(iid, Loc::Slot(frame));
+                    storage[iid.0 as usize] = Some(Loc::Slot(frame));
                     frame += 8;
                 }
             }
@@ -441,32 +467,28 @@ fn lower_function(
             hi: u32,
             float: bool,
         }
-        let n_real = f.instrs.len() as u32;
         let mut cands: Vec<Cand> = Vec::new();
-        for (&k, &(lo, hi)) in &intervals {
-            let (is_val, float) = if k.0 < n_real {
-                let instr = f.instr(k);
+        for (k, iv) in intervals.iter().enumerate() {
+            let Some((lo, hi)) = *iv else { continue };
+            let float = if k < n_instr {
                 // Folded values get no storage at all.
-                if folded_gep.contains(&k) || folded_load.contains_key(&k) {
+                if folded_gep[k] || folded_load[k].is_some() {
                     continue;
                 }
-                match instr.result_ty() {
-                    Some(t) => (true, t.is_float()),
+                match f.instrs[k].result_ty() {
+                    Some(t) => t.is_float(),
                     None => continue,
                 }
             } else {
-                let a = (k.0 - n_real) as usize;
-                (true, f.params[a].is_float())
+                f.params[k - n_instr].is_float()
             };
-            if is_val {
-                cands.push(Cand { key: k, lo, hi, float });
-            }
+            cands.push(Cand { key: InstrId(k as u32), lo, hi, float });
         }
         cands.sort_by_key(|c| (c.lo, c.hi, c.key.0));
         let mut active: Vec<(u32, Reg)> = Vec::new(); // (hi, reg)
         let mut free_gpr: Vec<Reg> = GPR_POOL.to_vec();
         let mut free_fpr: Vec<Reg> = FPR_POOL.to_vec();
-        let mut assigned: HashMap<InstrId, Loc> = HashMap::new();
+        let mut assigned: Vec<Option<Loc>> = vec![None; n_keys];
         for c in cands {
             active.retain(|&(hi, r)| {
                 if hi < c.lo {
@@ -481,31 +503,27 @@ fn lower_function(
                 }
             });
             let pool = if c.float { &mut free_fpr } else { &mut free_gpr };
-            match pool.pop() {
+            let loc = match pool.pop() {
                 Some(r) => {
                     active.push((c.hi, r));
-                    assigned.insert(c.key, Loc::R(r));
+                    Loc::R(r)
                 }
                 None => {
-                    assigned.insert(c.key, Loc::Slot(frame));
                     frame += 8;
+                    Loc::Slot(frame - 8)
                 }
-            }
+            };
+            assigned[c.key.0 as usize] = Some(loc);
         }
         for a in 0..f.params.len() as u32 {
-            let k = lv.arg_key(a);
-            arg_loc.push(assigned.get(&k).copied().unwrap_or({
-                // Dead argument: park it in a slot so GetArg still works.
-                let s = Loc::Slot(frame);
-                frame += 8;
-                s
-            }));
+            // Every argument reserves a parking slot; a dead one is parked
+            // there so GetArg still works.
+            let parked = Loc::Slot(frame);
+            frame += 8;
+            arg_loc.push(assigned[lv.arg_key(a).0 as usize].unwrap_or(parked));
         }
-        for (k, l) in assigned {
-            if k.0 < n_real {
-                storage.insert(k, l);
-            }
-        }
+        assigned.truncate(n_instr);
+        storage = assigned;
     }
 
     let frame_size = ((frame + 15) & !15) as u64;
@@ -523,7 +541,6 @@ fn lower_function(
         block_mstart: Vec::new(),
         pos2mpos: vec![0; npos as usize],
         intervals,
-        lv,
     };
     ctx.lower(&pos_of);
 
@@ -532,11 +549,8 @@ fn lower_function(
     let mut dies: Vec<(String, VarPlace, u32, u32)> = Vec::new();
     for r in reqs {
         let (loc, key) = match r.value {
-            Value::Instr(id) => (ctx.storage.get(&id).copied(), Some(id)),
-            Value::Arg(a) => (
-                ctx.arg_loc.get(a as usize).copied(),
-                Some(ctx.lv.arg_key(a)),
-            ),
+            Value::Instr(id) => (ctx.storage.get(id.0 as usize).copied().flatten(), Some(id)),
+            Value::Arg(a) => (ctx.arg_loc.get(a as usize).copied(), Some(lv.arg_key(a))),
             _ => (None, None),
         };
         let Some(loc) = loc else { continue }; // optimised away: no DIE
@@ -544,14 +558,15 @@ fn lower_function(
             Loc::R(reg) => VarPlace::Reg(reg),
             Loc::Slot(off) => VarPlace::FrameOffset(off),
         };
-        let (lo, hi) = match (loc, key.and_then(|k| ctx.intervals.get(&k))) {
+        let interval = key.and_then(|k| ctx.intervals.get(k.0 as usize).copied().flatten());
+        let (lo, hi) = match (loc, interval) {
             // Register locations are only valid over the allocation
             // interval; slots are valid for the whole function. The upper
             // bound must cover the *entire* lowering of the interval's last
             // IR instruction (a memory access may emit operand-setup moves
             // before the faulting dereference), so it extends to the start
             // of the next IR instruction's lowering.
-            (Loc::R(_), Some(&(lo, hi))) => {
+            (Loc::R(_), Some((lo, hi))) => {
                 let hi_mpos = ctx
                     .pos2mpos
                     .get(hi as usize + 1)
@@ -566,9 +581,8 @@ fn lower_function(
         dies.push((r.name.clone(), place, lo, hi.max(lo + 1)));
     }
 
-    let name = ctx.f.name.clone();
     let mf = MachineFunction {
-        name,
+        name: f.name.clone(),
         instrs: ctx.out,
         locs: ctx.olocs,
         frame_size,
@@ -578,7 +592,7 @@ fn lower_function(
     (mf, dies)
 }
 
-impl FnCtx {
+impl FnCtx<'_> {
     fn emit(&mut self, m: MInst) -> u32 {
         self.out.push(m);
         self.olocs.push(self.cur_loc);
@@ -597,12 +611,12 @@ impl FnCtx {
     }
 
     fn value_ty(&self, v: Value) -> Ty {
-        tinyir::module::value_ty(&self.f, v).unwrap_or(Ty::I64)
+        tinyir::module::value_ty(self.f, v).unwrap_or(Ty::I64)
     }
 
     fn loc_of(&self, v: Value) -> Option<Loc> {
         match v {
-            Value::Instr(id) => self.storage.get(&id).copied(),
+            Value::Instr(id) => self.storage[id.0 as usize],
             Value::Arg(a) => self.arg_loc.get(a as usize).copied(),
             _ => None,
         }
@@ -649,9 +663,9 @@ impl FnCtx {
 
     /// Destination register for value `id` plus an optional spill slot.
     fn dst_for(&self, id: InstrId, scratch: Reg) -> (Reg, Option<i64>) {
-        match self.storage.get(&id) {
-            Some(Loc::R(r)) => (*r, None),
-            Some(Loc::Slot(off)) => (scratch, Some(*off)),
+        match self.storage[id.0 as usize] {
+            Some(Loc::R(r)) => (r, None),
+            Some(Loc::Slot(off)) => (scratch, Some(off)),
             None => (scratch, None), // result unused
         }
     }
@@ -671,11 +685,11 @@ impl FnCtx {
             // skips them — and with FP-relative addressing there is no
             // intermediate pointer register for a fault to corrupt.)
             if let InstrKind::Alloca { .. } = self.f.instr(g).kind {
-                if let Some(&off) = self.alloca_area.get(&g) {
+                if let Some(off) = self.alloca_area[g.0 as usize] {
                     return MemOp::base_disp(FP, off);
                 }
             }
-            if self.folded_gep.contains(&g) {
+            if self.folded_gep[g.0 as usize] {
                 let InstrKind::Gep { base, index, elem_size } = self.f.instr(g).kind else {
                     unreachable!()
                 };
@@ -696,7 +710,7 @@ impl FnCtx {
         MemOp::base_disp(r, 0)
     }
 
-    fn lower(&mut self, pos_of: &HashMap<InstrId, u32>) {
+    fn lower(&mut self, pos_of: &[u32]) {
         // Prologue: fetch arguments into their storage.
         self.cur_loc = None;
         for a in 0..self.f.params.len() {
@@ -719,9 +733,8 @@ impl FnCtx {
         self.block_mstart = vec![0; nblocks];
         for b in 0..nblocks {
             self.block_mstart[b] = self.out.len() as u32;
-            let instrs = self.f.blocks[b].instrs.clone();
-            for &iid in &instrs {
-                self.pos2mpos[pos_of[&iid] as usize] = self.out.len() as u32;
+            for &iid in &self.f.blocks[b].instrs {
+                self.pos2mpos[pos_of[iid.0 as usize] as usize] = self.out.len() as u32;
                 self.cur_loc = self.f.instr(iid).loc;
                 self.lower_instr(iid, BlockId(b as u32));
             }
@@ -740,14 +753,13 @@ impl FnCtx {
     }
 
     fn lower_instr(&mut self, iid: InstrId, cur_bb: BlockId) {
-        if self.folded_load.contains_key(&iid) || self.folded_gep.contains(&iid) {
+        if self.folded_load[iid.0 as usize].is_some() || self.folded_gep[iid.0 as usize] {
             return; // materialised at their consumer
         }
-        let kind = self.f.instr(iid).kind.clone();
-        match kind {
+        match self.f.instr(iid).kind {
             InstrKind::Phi { .. } => {} // written by predecessor copies
             InstrKind::Alloca { .. } => {
-                let off = self.alloca_area[&iid];
+                let off = self.alloca_area[iid.0 as usize].expect("allocas have an area");
                 let (dst, spill) = self.dst_for(iid, S0);
                 self.emit(MInst::Lea { dst, mem: MemOp::base_disp(FP, off) });
                 self.finish(dst, spill);
@@ -821,7 +833,7 @@ impl FnCtx {
                 // Folded CISC memory rhs?
                 let folded = rhs
                     .as_instr()
-                    .filter(|l| self.folded_load.get(l) == Some(&iid));
+                    .filter(|l| self.folded_load[l.0 as usize] == Some(iid));
                 let (rsrc, mem_loc) = match folded {
                     Some(load_id) => {
                         let InstrKind::Load { ptr, ty: lty } = self.f.instr(load_id).kind
@@ -876,7 +888,7 @@ impl FnCtx {
                 self.emit(MInst::Select { dst, cond: creg, t: treg, f: freg });
                 self.finish(dst, spill);
             }
-            InstrKind::Call { callee, args, ret_ty } => {
+            InstrKind::Call { callee, ref args, ret_ty } => {
                 let srcs: Vec<Src> = args.iter().map(|&a| self.src_of(a)).collect();
                 let (dst, spill) = match ret_ty {
                     Some(t) => {
@@ -931,12 +943,12 @@ impl FnCtx {
     /// Emit the parallel copies feeding `succ`'s phis from block `pred`.
     fn phi_copies(&mut self, pred: BlockId, succ: BlockId) {
         let mut copies: Vec<(Loc, CopySrc)> = Vec::new();
-        for &iid in &self.f.blocks[succ.0 as usize].instrs.clone() {
+        for &iid in &self.f.blocks[succ.0 as usize].instrs {
             let InstrKind::Phi { incomings, .. } = &self.f.instr(iid).kind else { break };
             let Some((_, v)) = incomings.iter().find(|(b, _)| *b == pred) else {
                 continue;
             };
-            let Some(dst) = self.storage.get(&iid).copied() else { continue };
+            let Some(dst) = self.storage[iid.0 as usize] else { continue };
             let src = self.copy_src(*v);
             if src != CopySrc::Loc(dst) {
                 copies.push((dst, src));

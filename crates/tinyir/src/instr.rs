@@ -478,21 +478,35 @@ impl Instr {
 
     /// All value operands, in a fixed order.
     pub fn operands(&self) -> Vec<Value> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Call `f` on every value operand, in a fixed order, without
+    /// collecting them.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match &self.kind {
-            InstrKind::Alloca { .. } => vec![],
-            InstrKind::Load { ptr, .. } => vec![*ptr],
-            InstrKind::Store { val, ptr } => vec![*val, *ptr],
-            InstrKind::Gep { base, index, .. } => vec![*base, *index],
-            InstrKind::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstrKind::Icmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstrKind::Fcmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstrKind::Cast { val, .. } => vec![*val],
-            InstrKind::Select { cond, t, f, .. } => vec![*cond, *t, *f],
-            InstrKind::Phi { incomings, .. } => incomings.iter().map(|(_, v)| *v).collect(),
-            InstrKind::Call { args, .. } => args.clone(),
-            InstrKind::Br { .. } => vec![],
-            InstrKind::CondBr { cond, .. } => vec![*cond],
-            InstrKind::Ret { val } => val.iter().copied().collect(),
+            InstrKind::Alloca { .. } | InstrKind::Br { .. } => {}
+            InstrKind::Load { ptr: v, .. }
+            | InstrKind::Cast { val: v, .. }
+            | InstrKind::CondBr { cond: v, .. } => f(*v),
+            InstrKind::Store { val: a, ptr: b }
+            | InstrKind::Gep { base: a, index: b, .. }
+            | InstrKind::Bin { lhs: a, rhs: b, .. }
+            | InstrKind::Icmp { lhs: a, rhs: b, .. }
+            | InstrKind::Fcmp { lhs: a, rhs: b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            InstrKind::Select { cond, t, f: fv, .. } => {
+                f(*cond);
+                f(*t);
+                f(*fv);
+            }
+            InstrKind::Phi { incomings, .. } => incomings.iter().for_each(|(_, v)| f(*v)),
+            InstrKind::Call { args, .. } => args.iter().for_each(|a| f(*a)),
+            InstrKind::Ret { val } => val.iter().for_each(|v| f(*v)),
         }
     }
 
@@ -542,10 +556,21 @@ impl Instr {
 
     /// Successor blocks for a terminator (empty for non-terminators / ret).
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Call `f` on every successor block, in [`Instr::successors`]'s order,
+    /// without collecting them.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match &self.kind {
-            InstrKind::Br { target } => vec![*target],
-            InstrKind::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            _ => vec![],
+            InstrKind::Br { target } => f(*target),
+            InstrKind::CondBr { then_bb, else_bb, .. } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            _ => {}
         }
     }
 }

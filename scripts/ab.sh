@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent/change pairs for carebench: build two revisions and alternate runs.
 #
-#   scripts/ab.sh [-n N] [-w WORKLOAD] [-d DIR] [--default-build] PARENT CHANGE
+#   scripts/ab.sh [-n N] [-w W[,W...]] [-d DIR] [--default-build] PARENT CHANGE
 #
 # Checks PARENT and then CHANGE out in turn into one detached `git worktree`
 # at DIR/tree (default DIR: $TMPDIR/care-ab), so building carebench rewrites
@@ -10,15 +10,19 @@
 # `--default-build` leaves RUSTFLAGS alone). Both sides build from the one
 # path because a path dependency's package id holds its path: two checkouts
 # of one commit at two paths link two different binaries.
-# Then it runs `carebench run --workload W --seed i --seconds S` for
-# i = 1..N (default 10), alternating which side runs first, and keeps each
-# run's result line under DIR/runs/. S is the `run_seconds` of CHANGE's
-# BENCHMARK.json, so both sides run as long as the benchmark does.
+# Then, for each workload W of the comma-separated list given to -w
+# (default cov_compiled), in the order given, it runs
+# `carebench run --workload W --seed i --seconds S` for i = 1..N (default
+# 10), alternating which side runs first, and keeps each run's result line
+# under DIR/runs/. S is the `run_seconds` of CHANGE's BENCHMARK.json, so
+# both sides run as long as the benchmark does.
 #
-# Per end-to-end metric it prints both sides' medians and quartiles, the
-# change's wins out of N pairs (in the direction BENCHMARK.json gives), and
-# whether the change's median lies outside the parent's quartile range.
-# The last line is one JSON object with the same numbers, for CHANGES.md.
+# Per workload and end-to-end metric it prints both sides' medians and
+# quartiles, the change's wins out of N pairs (in the direction
+# BENCHMARK.json gives), and whether the change's median lies outside the
+# parent's quartile range. Each workload's table ends with one JSON object
+# holding the same numbers, for CHANGES.md: one call with
+# `-w svc_mix,cov_interp,cov_compiled,store_cycle` prints four such lines.
 # Remove the worktree afterwards with `git worktree remove --force DIR/tree`,
 # or `git worktree prune` once DIR is gone.
 set -euo pipefail
@@ -31,7 +35,7 @@ while [[ $# -gt 0 ]]; do
         -w) workload="$2"; shift 2 ;;
         -d) dir="$2"; shift 2 ;;
         --default-build) aligned=0; shift ;;
-        -h|--help) sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        -h|--help) sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         -*) echo "error: unknown flag $1" >&2; exit 2 ;;
         *) break ;;
     esac
@@ -68,18 +72,20 @@ fi
 seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$tree/BENCHMARK.json")"
 
-for i in $(seq 1 "$n"); do
-    order="parent change"
-    if (( i % 2 == 0 )); then order="change parent"; fi
-    for side in $order; do
-        out="$dir/runs/$workload-$side-$i.json"
-        "$dir/target-$side/release/carebench" run --workload "$workload" --seed "$i" \
-            --seconds "$seconds" | tail -n 1 > "$out"
-        echo "pair $i $side: $(cat "$out")" >&2
+IFS=',' read -r -a workloads <<< "$workload"
+for workload in "${workloads[@]}"; do
+    for i in $(seq 1 "$n"); do
+        order="parent change"
+        if (( i % 2 == 0 )); then order="change parent"; fi
+        for side in $order; do
+            out="$dir/runs/$workload-$side-$i.json"
+            "$dir/target-$side/release/carebench" run --workload "$workload" --seed "$i" \
+                --seconds "$seconds" | tail -n 1 > "$out"
+            echo "pair $i $side: $(cat "$out")" >&2
+        done
     done
-done
 
-python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" <<'EOF'
+    python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" <<'EOF'
 import json, statistics, sys
 
 dir, workload, n, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
@@ -114,3 +120,4 @@ for name, way in better.items():
 summary["failed"] = failed
 print(json.dumps(summary, separators=(",", ":")))
 EOF
+done

@@ -182,6 +182,130 @@ fn run_machine(m: &Module, arg: u64, regalloc: bool) -> Result<Option<u64>, Stri
     }
 }
 
+/// Liveness by its definition: `v` is live before instruction `I` iff some
+/// path from `I` reaches a use of `v` without executing `v`'s definition,
+/// where a phi's use sits at the end of its incoming block. Searched per
+/// value, backward from its uses over instruction points — no block
+/// summaries, no bit rows. `live[b][i]` holds for the point before
+/// instruction `i` of block `b`; `live[b][len]` is the block's end.
+fn live_by_definition(f: &tinyir::Function, key: Value) -> Vec<Vec<bool>> {
+    use tinyir::InstrKind;
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); f.blocks.len()];
+    for (bid, block) in f.block_iter() {
+        if let Some(&last) = block.instrs.last() {
+            for s in f.instr(last).successors() {
+                preds[s.0 as usize].push(bid.0 as usize);
+            }
+        }
+    }
+    let mut live: Vec<Vec<bool>> = f.blocks.iter().map(|b| vec![false; b.instrs.len() + 1]).collect();
+    let mut work: Vec<(usize, usize)> = Vec::new();
+    for (bid, block) in f.block_iter() {
+        for (i, &iid) in block.instrs.iter().enumerate() {
+            let instr = f.instr(iid);
+            match &instr.kind {
+                InstrKind::Phi { incomings, .. } => {
+                    for (inb, v) in incomings {
+                        if *v == key {
+                            let p = inb.0 as usize;
+                            work.push((p, f.blocks[p].instrs.len()));
+                        }
+                    }
+                }
+                _ => {
+                    if instr.operands().contains(&key) {
+                        work.push((bid.0 as usize, i));
+                    }
+                }
+            }
+        }
+    }
+    let defines = |iid: tinyir::InstrId| key == Value::Instr(iid) && f.instr(iid).result_ty().is_some();
+    while let Some((b, i)) = work.pop() {
+        if live[b][i] {
+            continue;
+        }
+        live[b][i] = true;
+        if i > 0 {
+            // The point before instruction i-1 reaches here unless that
+            // instruction is the definition.
+            if !defines(f.blocks[b].instrs[i - 1]) {
+                work.push((b, i - 1));
+            }
+        } else {
+            for &p in &preds[b] {
+                work.push((p, f.blocks[p].instrs.len()));
+            }
+        }
+    }
+    live
+}
+
+/// Hold `analysis::Liveness` to [`live_by_definition`] at every (value,
+/// instruction) pair of every reachable block, and `has_nonlocal_use` to its
+/// definition: a phi use, or a use outside the defining block (the entry
+/// block for arguments). Unreachable blocks take no part in the block
+/// dataflow, so they are not compared.
+fn check_liveness(m: &Module) -> Result<usize, String> {
+    let mut pairs = 0;
+    for f in m.funcs.iter().filter(|f| !f.is_decl) {
+        let cfg = analysis::Cfg::new(f);
+        let lv = analysis::Liveness::compute(f, &cfg);
+        let owner = f.instr_blocks();
+        let values = (0..f.instrs.len() as u32)
+            .map(|i| Value::Instr(tinyir::InstrId(i)))
+            .chain((0..f.params.len() as u32).map(Value::Arg));
+        for v in values {
+            let live = live_by_definition(f, v);
+            let home = match v {
+                Value::Instr(d) => owner[d.0 as usize],
+                _ => tinyir::BlockId(0),
+            };
+            let mut nonlocal = false;
+            for (bid, block) in f.block_iter() {
+                for &iid in &block.instrs {
+                    let instr = f.instr(iid);
+                    let is_phi = matches!(instr.kind, tinyir::InstrKind::Phi { .. });
+                    if instr.operands().contains(&v) && (is_phi || bid != home) {
+                        nonlocal = true;
+                    }
+                }
+                if !cfg.reachable[bid.0 as usize] {
+                    continue;
+                }
+                for (i, &at) in block.instrs.iter().enumerate() {
+                    let k = lv.key_of(v).expect("instructions and arguments have keys");
+                    let (before, after) = (live[bid.0 as usize][i], live[bid.0 as usize][i + 1]);
+                    if lv.live_at(k, at) != before || lv.value_live_at(v, at) != before {
+                        return Err(format!("@{}: {v:?} live before {at}: want {before}", f.name));
+                    }
+                    if lv.live_after_instr(k, at) != after {
+                        return Err(format!("@{}: {v:?} live after {at}: want {after}", f.name));
+                    }
+                    pairs += 1;
+                }
+            }
+            if lv.value_has_nonlocal_use(v) != nonlocal {
+                return Err(format!("@{}: {v:?} non-local use: want {nonlocal}", f.name));
+            }
+        }
+    }
+    Ok(pairs)
+}
+
+/// The five Table 1 programs, at O0 and after the O1 pipeline.
+#[test]
+fn liveness_matches_its_definition_on_the_workloads() {
+    for w in workloads::all() {
+        for level in [OptLevel::O0, OptLevel::O1] {
+            let mut m = w.module.clone();
+            opt::optimize(&mut m, level);
+            let pairs = check_liveness(&m).unwrap_or_else(|e| panic!("{} {level}: {e}", w.name));
+            assert!(pairs > 0, "{} {level}: nothing compared", w.name);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: if cfg!(debug_assertions) { 16 } else { 48 }, ..ProptestConfig::default() })]
 
@@ -193,6 +317,20 @@ proptest! {
         let parsed = tinyir::parser::parse_module(&t1).expect("parse");
         let t2 = tinyir::display::print_module(&parsed);
         prop_assert_eq!(t1, t2);
+    }
+
+    /// Liveness matches its definition on generated modules, before and
+    /// after O1.
+    #[test]
+    fn liveness_matches_its_definition(spec in spec_strategy()) {
+        let mut m = build_program(&spec);
+        if let Err(e) = check_liveness(&m) {
+            prop_assert!(false, "O0: {}", e);
+        }
+        opt::optimize(&mut m, OptLevel::O1);
+        if let Err(e) = check_liveness(&m) {
+            prop_assert!(false, "O1: {}", e);
+        }
     }
 
     /// Generated modules always verify, before and after O1.
