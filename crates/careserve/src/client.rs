@@ -81,11 +81,15 @@ fn request(addr: impl ToSocketAddrs, mut frame: String) -> std::io::Result<BufRe
     Ok(BufReader::new(stream))
 }
 
-fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<ServerFrame, ClientError> {
-    let mut line = String::with_capacity(256);
+/// Read and decode the next frame; `line` is the caller's buffer, reused
+/// across frames, and the decoder borrows from it.
+fn read_frame(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> Result<ServerFrame, ClientError> {
     loop {
         line.clear();
-        let n = reader.read_line(&mut line)?;
+        let n = reader.read_line(line)?;
         if n == 0 {
             return Err(ClientError::Protocol("server closed the connection".to_string()));
         }
@@ -103,19 +107,20 @@ fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<ServerFrame, ClientEr
 /// Submit one job and collect its full response stream.
 pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, ClientError> {
     let mut reader = request(addr, spec.to_frame())?;
+    let mut buf = String::with_capacity(256);
     let mut job_id = 0;
     let mut records = Vec::new();
     let mut telemetry = Vec::new();
     let mut progress_frames = 0;
     loop {
-        match read_frame(&mut reader)? {
+        match read_frame(&mut reader, &mut buf)? {
             ServerFrame::Accepted(id) => job_id = id,
             ServerFrame::Progress(..) => progress_frames += 1,
             ServerFrame::Record(_, record) => records.push(record),
             ServerFrame::Telemetry(_, line) => telemetry.push(line),
             ServerFrame::Report(_, mut report) => {
                 report.records = records;
-                return match read_frame(&mut reader)? {
+                return match read_frame(&mut reader, &mut buf)? {
                     ServerFrame::Done(_) => {
                         Ok(JobOutcome { job_id, report, telemetry, progress_frames })
                     }
@@ -135,7 +140,8 @@ pub fn submit(addr: impl ToSocketAddrs, spec: &JobSpec) -> Result<JobOutcome, Cl
 
 /// Fetch the server's counter snapshot.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<StatsSnapshot, ClientError> {
-    match read_frame(&mut request(addr, ClientFrame::Stats.encode())?)? {
+    let mut reader = request(addr, ClientFrame::Stats.encode())?;
+    match read_frame(&mut reader, &mut String::new())? {
         ServerFrame::Stats(stats) => Ok(stats),
         ServerFrame::Reject(reason, detail) => Err(ClientError::Rejected { reason, detail }),
         _ => Err(ClientError::Protocol("expected a stats frame".to_string())),

@@ -24,15 +24,17 @@
 //! `report` + `done`, `failed` (worker panic), or `reject`
 //! (admission/validation, with a typed [`RejectReason`]).
 
-use faultsim::wire::{push_record_fields, push_report_fields};
+use faultsim::wire::{push_record_fields, push_report_fields, record_from_ref, report_from_ref};
 use faultsim::{CampaignConfig, CampaignReport, FaultModel, InjectionRecord};
 use opt::OptLevel;
 use simx::EngineKind;
-use telemetry::json::{parse_json, push_int, push_str, push_u64, Json, Obj};
+use telemetry::json::{push_int, push_str, push_u64, Json, JsonRef, Obj};
 use workloads::Workload;
 
-/// The decoders of a parsed `record` / `report` frame's payload: the shared
-/// field codecs, under their wire-side names.
+/// The decoders of an owned `record` / `report` frame payload
+/// ([`parse_frame`]'s): the shared field codecs' owned-tree entry points,
+/// under their wire-side names. [`ServerFrame::decode`] reads the borrowed
+/// tree.
 pub use faultsim::wire::{record_from_json as decode_record, report_from_json as decode_report};
 
 /// Wire-protocol version. Mismatches are rejected with
@@ -226,61 +228,67 @@ impl JobSpec {
             .end()
     }
 
+    /// [`from_ref`](Self::from_ref) of the owned tree.
+    pub fn from_json(v: &Json) -> Result<JobSpec, (RejectReason, String)> {
+        JobSpec::from_ref(&v.to_ref())
+    }
+
     /// Decode and validate a parsed `job` frame. The error pairs the
     /// typed reason with human-readable detail for the `reject` frame.
     /// Unknown keys are ignored (older clients still send `"scheduler"`).
-    pub fn from_json(v: &Json) -> Result<JobSpec, (RejectReason, String)> {
+    fn from_ref(v: &JsonRef) -> Result<JobSpec, (RejectReason, String)> {
         let bad = |detail: String| (RejectReason::BadFrame, detail);
         let spec = |detail: String| (RejectReason::BadSpec, detail);
-        let proto: u64 = v.req("proto", Json::uint).map_err(bad)?;
+        let proto: u64 = v.req("proto", JsonRef::uint).map_err(bad)?;
         if proto != PROTO_VERSION as u64 {
             let detail = format!("proto {proto} (this server speaks {PROTO_VERSION})");
             return Err((RejectReason::UnsupportedProto, detail));
         }
-        let name = v.req("workload", Json::as_str).map_err(bad)?;
+        let name = v.req("workload", JsonRef::as_str).map_err(bad)?;
         let workload = if name == "inline" {
-            let text = v.req("module", Json::as_str).map_err(bad)?;
+            let text = v.req("module", JsonRef::as_str).map_err(bad)?;
             if text.len() > MAX_MODULE_BYTES {
                 let detail =
                     format!("inline module is {} bytes (cap {MAX_MODULE_BYTES})", text.len());
                 return Err((RejectReason::Oversized, detail));
             }
-            let output = |o: &Json| match o {
-                Json::Arr(pair) if pair.len() == 2 => {
+            let output = |o: &JsonRef| match o {
+                JsonRef::Arr(pair) if pair.len() == 2 => {
                     Some((pair[0].as_str()?.to_string(), pair[1].uint()?))
                 }
                 _ => None,
             };
             WorkloadSel::Inline {
                 text: text.to_string(),
-                args: v.opt("args", |a| a.list(Json::uint)).map_err(bad)?.unwrap_or_default(),
+                args: v.opt("args", |a| a.list(JsonRef::uint)).map_err(bad)?.unwrap_or_default(),
                 outputs: v.opt("outputs", |a| a.list(output)).map_err(bad)?.unwrap_or_default(),
             }
         } else {
             // Any integral number is a param; `resolve_workload` bounds it.
-            let param = |p: &Json| p.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64);
+            let param = |p: &JsonRef| p.as_f64().filter(|n| n.fract() == 0.0).map(|n| n as i64);
             let params = v.opt("params", |a| a.list(param)).map_err(bad)?.unwrap_or_default();
             WorkloadSel::Named { name: name.to_string(), params }
         };
-        let injections: usize = v.req("injections", Json::uint).map_err(bad)?;
+        let injections: usize = v.req("injections", JsonRef::uint).map_err(bad)?;
         if injections == 0 || injections > MAX_INJECTIONS {
             return Err(spec(format!("injections {injections} outside 1..={MAX_INJECTIONS}")));
         }
         // An absent key takes `JobSpec::default()`'s value: one list of
         // defaults, shared with every client that builds specs in code.
         let default = JobSpec::default();
-        let name = |key| v.opt(key, Json::as_str).map_err(bad);
-        let flag = |key, absent| v.opt(key, Json::as_bool).map(|b| b.unwrap_or(absent)).map_err(bad);
+        let name = |key| v.opt(key, JsonRef::as_str).map_err(bad);
+        let flag =
+            |key, absent| v.opt(key, JsonRef::as_bool).map(|b| b.unwrap_or(absent)).map_err(bad);
         Ok(JobSpec {
             workload,
-            seed: v.opt("seed", Json::uint).map_err(bad)?.unwrap_or(default.seed),
+            seed: v.opt("seed", JsonRef::uint).map_err(bad)?.unwrap_or(default.seed),
             injections,
             model: name("model")?.map_or(Ok(default.model), str::parse).map_err(spec)?,
             engine: name("engine")?.map_or(Ok(default.engine), str::parse).map_err(spec)?,
             opt: name("opt")?.map_or(Some(default.opt), parse_opt).ok_or_else(|| {
                 spec("unknown opt level (O0|O1)".to_string())
             })?,
-            threads: v.opt("threads", Json::uint).map_err(bad)?.unwrap_or(default.threads),
+            threads: v.opt("threads", JsonRef::uint).map_err(bad)?.unwrap_or(default.threads),
             evaluate_care: flag("evaluate_care", default.evaluate_care)?,
             app_only: flag("app_only", default.app_only)?,
             records: flag("records", default.records)?,
@@ -406,9 +414,9 @@ impl ClientFrame {
     /// Decode and validate one frame line; the error is the typed reject
     /// the server answers with.
     pub fn decode(line: &str) -> Result<ClientFrame, (RejectReason, String)> {
-        let v = parse_frame(line)?;
-        match v.get("kind").and_then(Json::as_str) {
-            Some("job") => JobSpec::from_json(&v).map(ClientFrame::Job),
+        let v = parse_frame_ref(line)?;
+        match v.get("kind").and_then(JsonRef::as_str) {
+            Some("job") => JobSpec::from_ref(&v).map(ClientFrame::Job),
             Some("stats") => Ok(ClientFrame::Stats),
             other => Err((RejectReason::BadFrame, format!("unknown frame kind {other:?}"))),
         }
@@ -479,19 +487,19 @@ impl ServerFrame {
 
     /// Decode one frame line.
     pub fn decode(line: &str) -> Result<ServerFrame, String> {
-        let v = parse_frame(line).map_err(|(_, detail)| detail)?;
-        let job_id = || v.req("job_id", Json::uint);
-        let text = |key| v.req(key, Json::as_str).map(str::to_string);
-        Ok(match v.req("kind", Json::as_str)? {
+        let v = parse_frame_ref(line).map_err(|(_, detail)| detail)?;
+        let job_id = || v.req("job_id", JsonRef::uint);
+        let text = |key| v.req(key, JsonRef::as_str).map(str::to_string);
+        Ok(match v.req("kind", JsonRef::as_str)? {
             "accepted" => ServerFrame::Accepted(job_id()?),
             "progress" => ServerFrame::Progress(
                 job_id()?,
-                v.req("classified", Json::uint)?,
-                v.req("total", Json::uint)?,
+                v.req("classified", JsonRef::uint)?,
+                v.req("total", JsonRef::uint)?,
             ),
-            "record" => ServerFrame::Record(job_id()?, decode_record(&v)?),
+            "record" => ServerFrame::Record(job_id()?, record_from_ref(&v)?),
             "telemetry" => ServerFrame::Telemetry(job_id()?, text("line")?),
-            "report" => ServerFrame::Report(job_id()?, decode_report(&v)?),
+            "report" => ServerFrame::Report(job_id()?, report_from_ref(&v)?),
             "done" => ServerFrame::Done(job_id()?),
             "failed" => ServerFrame::Failed(job_id()?, text("detail")?),
             "reject" => {
@@ -499,7 +507,7 @@ impl ServerFrame {
                 ServerFrame::Reject(reason, text("detail")?)
             }
             "stats" => ServerFrame::Stats(
-                StatsSnapshot::default().try_map(|name, _| v.req(name, Json::uint))?,
+                StatsSnapshot::default().try_map(|name, _| v.req(name, JsonRef::uint))?,
             ),
             other => return Err(format!("unknown frame kind {other:?}")),
         })
@@ -523,12 +531,17 @@ pub fn encode_report(job_id: u64, r: &CampaignReport) -> String {
 }
 
 /// Parse one frame line into its JSON value, classifying parse failures.
-pub fn parse_frame(line: &str) -> Result<Json, (RejectReason, String)> {
-    let v = parse_json(line).map_err(|e| (RejectReason::BadJson, e))?;
-    if v.get("kind").and_then(Json::as_str).is_none() {
+fn parse_frame_ref(line: &str) -> Result<JsonRef<'_>, (RejectReason, String)> {
+    let v = JsonRef::parse(line).map_err(|e| (RejectReason::BadJson, e))?;
+    if v.get("kind").and_then(JsonRef::as_str).is_none() {
         return Err((RejectReason::BadFrame, "frame missing string \"kind\"".to_string()));
     }
     Ok(v)
+}
+
+/// [`parse_frame_ref`]'s value as the owned tree.
+pub fn parse_frame(line: &str) -> Result<Json, (RejectReason, String)> {
+    parse_frame_ref(line).map(JsonRef::into_owned)
 }
 
 // ---------------------------------------------------------------------------

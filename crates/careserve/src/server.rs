@@ -135,7 +135,9 @@ pub(crate) struct Srv {
     stats: Stats<AtomicU64>,
     /// Series the stats frame does not carry: `server.client_disconnects`,
     /// `server.store_*`, `server.threads_spawned`/`server.threads_reused`,
-    /// and the queue-depth and job-duration histograms.
+    /// and the queue-depth, job-duration and report-lag histograms
+    /// (`server.report_lag_ns`: from a worker's finish to its connection
+    /// thread taking the result).
     recorder: Recorder,
     next_job_id: AtomicU64,
     threads: Mutex<Threads>,
@@ -453,6 +455,18 @@ impl FrameReader {
         }
     }
 
+    /// [`poll_frame`](Self::poll_frame) with a read that does not block:
+    /// what a connection thread polls between waits for its job's result,
+    /// which would otherwise sit in the channel while a read timed out.
+    /// The write half shares the socket's flags, so writes block again
+    /// once the poll is done.
+    fn poll_frame_now(&mut self) -> ReadOutcome {
+        let _ = self.stream.set_nonblocking(true);
+        let outcome = self.poll_frame();
+        let _ = self.stream.set_nonblocking(false);
+        outcome
+    }
+
     /// Poll until a frame arrives; `None` on disconnect or server shutdown.
     fn read_frame(&mut self, srv: &Srv) -> Option<Received> {
         loop {
@@ -489,6 +503,10 @@ fn handle_conn(srv: &Arc<Srv>, stream: TcpStream) {
 /// What the worker thread hands back; its arrival ends the job.
 type JobResult = Result<(CampaignReport, Option<String>), String>;
 
+/// How long the connection thread waits for its job's result before it
+/// streams progress and polls the socket.
+const RESULT_WAIT: Duration = Duration::from_millis(25);
+
 fn run_job(
     srv: &Arc<Srv>,
     reader: &mut FrameReader,
@@ -524,7 +542,9 @@ fn run_job(
     let mut connected = send(out, &ServerFrame::Accepted(job_id)).is_ok();
 
     let ctl = Arc::new(JobControl::new());
-    let (tx, rx) = mpsc::channel::<JobResult>();
+    // The result travels with the instant the worker finished, so the
+    // connection thread can record how long it took to pick it up.
+    let (tx, rx) = mpsc::channel::<(JobResult, Instant)>();
     {
         let ctl = ctl.clone();
         let spec = spec.clone();
@@ -544,16 +564,21 @@ fn run_job(
                 let report = run_backed(&srv2, &ckey, &campaign, &cfg, hooks, &ctl);
                 (report, rec.map(|r| r.drain().to_jsonl()))
             }));
-            let _ = tx.send(result.map_err(panic_message));
+            let _ = tx.send((result.map_err(panic_message), Instant::now()));
         }));
     }
 
-    // Stream progress and watch the socket while the job runs.
+    // Stream progress and watch the socket while the job runs. Only a job
+    // that outlives one wait gets here, and from then on the socket poll
+    // does not block, so the result is taken as soon as it is sent.
     let total = spec.injections as u64;
     let mut last_progress = u64::MAX;
     let outcome: JobResult = loop {
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(result) => break result,
+        match rx.recv_timeout(RESULT_WAIT) {
+            Ok((result, finished)) => {
+                srv.recorder.record("server.report_lag_ns", finished.elapsed().as_nanos() as u64);
+                break result;
+            }
             Err(RecvTimeoutError::Disconnected) => {
                 break Err("worker vanished without a result".to_string())
             }
@@ -570,7 +595,7 @@ fn run_job(
                     send(out, &ServerFrame::Progress(job_id, classified, total)).is_ok();
             }
         }
-        match reader.poll_frame() {
+        match reader.poll_frame_now() {
             ReadOutcome::Idle => {}
             ReadOutcome::Disconnected => {
                 if connected {
@@ -1023,6 +1048,58 @@ mod tests {
         assert!(matches!(next(), Err((RejectReason::Oversized, _))));
         assert_eq!(next(), Ok(ClientFrame::Stats));
         drop(writer.join().unwrap());
+    }
+
+    /// The in-job poll returns at once on a quiet socket (the blocking
+    /// poll waits out [`POLL`]), still reads what arrives and sees a
+    /// close, and leaves the shared socket blocking for the writes.
+    #[test]
+    fn in_job_poll_does_not_block_and_restores_blocking_writes() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(POLL)).unwrap();
+        let mut out = conn.try_clone().unwrap();
+        let mut reader = FrameReader::new(conn, MAX_FRAME_BYTES);
+
+        let t0 = Instant::now();
+        for _ in 0..10 {
+            assert!(matches!(reader.poll_frame_now(), ReadOutcome::Idle));
+        }
+        assert!(t0.elapsed() < POLL, "ten quiet polls took {:?}", t0.elapsed());
+        let t0 = Instant::now();
+        assert!(matches!(reader.poll_frame(), ReadOutcome::Idle));
+        assert!(t0.elapsed() >= POLL / 2, "the blocking poll returned after {:?}", t0.elapsed());
+
+        // A write far larger than the socket buffers completes: blocking.
+        let big = vec![b'x'; 8 << 20];
+        let drain = std::thread::spawn(move || {
+            let mut sink = vec![0u8; 1 << 16];
+            let mut got = 0;
+            while got < 8 << 20 {
+                got += client.read(&mut sink).unwrap();
+            }
+            client.write_all(format!("{}\n", ClientFrame::Stats.encode()).as_bytes()).unwrap();
+            client
+        });
+        out.write_all(&big).expect("a blocking write");
+        let client = drain.join().unwrap();
+        let frame = loop {
+            match reader.poll_frame_now() {
+                ReadOutcome::Frame(frame) => break frame,
+                ReadOutcome::Idle => std::thread::sleep(Duration::from_millis(1)),
+                ReadOutcome::Disconnected => panic!("peer closed early"),
+            }
+        };
+        assert_eq!(frame, Ok(ClientFrame::Stats));
+        drop(client);
+        let closed = loop {
+            match reader.poll_frame_now() {
+                ReadOutcome::Idle => std::thread::sleep(Duration::from_millis(1)),
+                other => break other,
+            }
+        };
+        assert!(matches!(closed, ReadOutcome::Disconnected));
     }
 
     /// The acceptance property for the bounded cache: a stream of 1000

@@ -26,14 +26,14 @@
 //! by counting it as corrupt and moving on: an append-only log must never
 //! brick its campaign.
 
-use faultsim::wire::{push_record_fields, record_from_json};
+use faultsim::wire::{push_record_fields, record_from_ref};
 use faultsim::{CampaignConfig, FaultModel, InjectionRecord, MAX_RECOVERIES};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
-use telemetry::json::{parse_json, Json, Obj};
+use telemetry::json::{JsonRef, Obj};
 
 /// Version of the log line vocabulary, written into every `run` line.
 /// Scanners ignore runs from a different store version.
@@ -134,20 +134,20 @@ impl LogLine {
 
     /// Decode one line as read from disk (newline stripped).
     pub fn decode(line: &[u8]) -> Result<LogLine, String> {
-        let v = parse_json(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
-        let text = |key| v.req(key, Json::as_str).map(str::to_string);
+        let v = JsonRef::parse(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
+        let text = |key| v.req(key, JsonRef::as_str).map(str::to_string);
         let key = || -> Result<RunKey, String> {
             Ok(RunKey {
-                store: v.req("store", Json::uint)?,
+                store: v.req("store", JsonRef::uint)?,
                 model: text("model")?,
-                seed: v.req("seed", Json::uint)?,
+                seed: v.req("seed", JsonRef::uint)?,
                 cfg: text("cfg")?,
             })
         };
-        Ok(match v.req("kind", Json::as_str)? {
+        Ok(match v.req("kind", JsonRef::as_str)? {
             "run" => LogLine::Run { key: key()?, campaign: text("campaign")?, engine: text("engine")? },
-            "record" => LogLine::Record(v.req("index", Json::uint)?, record_from_json(&v)?),
-            "complete" => LogLine::Complete(key()?, v.req("injections", Json::uint)?),
+            "record" => LogLine::Record(v.req("index", JsonRef::uint)?, record_from_ref(&v)?),
+            "complete" => LogLine::Complete(key()?, v.req("injections", JsonRef::uint)?),
             other => return Err(format!("unknown log line kind {other:?}")),
         })
     }
@@ -155,21 +155,23 @@ impl LogLine {
 
 /// Feed every line of the log at `path` to `each`, in file order, and
 /// return how many lines did not decode (skipped; see the module docs).
-/// Lines are read as bytes, so one that is not UTF-8 is just another
-/// corrupt line. A missing file is an empty log, not an error.
+/// The file is read into one buffer and split at its newlines, so a line
+/// costs no allocation of its own; lines are bytes, so one that is not
+/// UTF-8 is just another corrupt line, and a line of whitespace (a `\r`
+/// left by a CRLF end among them) is no line at all. A missing file is an
+/// empty log, not an error.
 pub fn read_log(path: &Path, mut each: impl FnMut(LogLine)) -> std::io::Result<u64> {
-    let file = match File::open(path) {
-        Ok(f) => f,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e),
     };
     let mut corrupt = 0;
-    for line in BufReader::new(file).split(b'\n') {
-        let line = line?;
+    for line in bytes.split(|&b| b == b'\n') {
         if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        match LogLine::decode(&line) {
+        match LogLine::decode(line) {
             Ok(line) => each(line),
             Err(_) => corrupt += 1,
         }
@@ -281,6 +283,53 @@ mod tests {
 
     fn record_line(index: usize, r: &InjectionRecord) -> String {
         LogLine::Record(index, r.clone()).encode()
+    }
+
+    /// One log with every kind of line the reader must take apart: CRLF
+    /// ends, blank and whitespace-only lines, a line that is not UTF-8,
+    /// an index logged twice, and a torn last line with no newline. The
+    /// scan and triage read it through the same reader.
+    #[test]
+    fn scan_and_triage_read_every_edge_of_a_log_alike() {
+        let dir = std::env::temp_dir().join(format!("carestore-log-edges-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::Store::open(&dir).unwrap();
+        let cfg = CampaignConfig { seed: 7, injections: 4, ..CampaignConfig::default() };
+        let key = RunKey::new(cfg.model, cfg.seed, &run_signature(&cfg));
+        let run = LogLine::Run { key: key.clone(), campaign: "k".into(), engine: "interp".into() };
+        let hang = InjectionRecord { outcome: Outcome::Hang, ..rec(5) };
+        let torn = record_line(3, &rec(3));
+        let lines: [(Vec<u8>, &str); 11] = [
+            (run.encode().into(), "\r\n"),
+            (record_line(0, &rec(1)).into(), "\r\n"),
+            (b"".into(), "\n"),
+            (b"  \t\r".into(), "\n"),
+            (record_line(1, &rec(5)).into(), "\n"),
+            (record_line(1, &hang).into(), "\r\n"),
+            (b"".into(), "\r\n"),
+            (b"{\"kind\":\"record\",\"index\":3,\xff\xfe}".into(), "\n"),
+            (record_line(2, &rec(2)).into(), "\n"),
+            (LogLine::Complete(key, 4).encode().into(), "\r\n"),
+            (torn.as_bytes()[..40].into(), ""),
+        ];
+        let log: Vec<u8> =
+            lines.iter().flat_map(|(text, end)| [text, end.as_bytes()].concat()).collect();
+        let path = dir.join("edges.jsonl");
+        std::fs::write(&path, &log).unwrap();
+
+        let scan = scan_log(&path, cfg.model, cfg.seed, &run_signature(&cfg)).unwrap();
+        assert_eq!((scan.covered, scan.corrupt), (4, 2), "CRLF lines decode, the others do not");
+        let want = BTreeMap::from([(0, rec(1)), (1, hang), (2, rec(2))]);
+        assert_eq!(scan.records, want, "the last record of an index wins");
+
+        let mut read = Vec::new();
+        assert_eq!(read_log(&path, |l| read.push(l)).unwrap(), 2);
+        assert_eq!(read.len(), 6, "blank lines are no lines: {read:?}");
+        let clusters = crate::triage(&store).unwrap();
+        let counts: Vec<(&str, u64)> =
+            clusters.iter().map(|c| (c.outcome.as_str(), c.count)).collect();
+        assert_eq!(counts, [("benign", 3), ("hang", 1)], "triage counts every record line");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! ([`push_record_fields`]), so a streamed record and a logged one carry
 //! byte-identical fields and cannot drift. The dialect — string escaping,
 //! the `u64` spelling beyond 2⁵³, shortest-round-trip floats, range-checked
-//! reads — is [`telemetry::json`]'s. Both round trips are exact: decoding
-//! an encoded value reproduces it bit for bit.
+//! reads — is [`telemetry::json`]'s. The decoders read the borrowed tree
+//! ([`JsonRef`]); [`record_from_json`] and [`report_from_json`] take the
+//! owned one and convert it. Both round trips are exact: decoding an
+//! encoded value reproduces it bit for bit.
 
 use crate::{
     CampaignReport, CareResult, InjectedInto, InjectionPoint, InjectionRecord, Outcome, Signal,
@@ -17,7 +19,7 @@ use crate::{
 use safeguard::DeclineKind;
 use simx::ModuleId;
 use std::collections::HashMap;
-use telemetry::json::{push_f64, push_u64, Json, Obj};
+use telemetry::json::{push_f64, push_u64, Json, JsonRef, Obj};
 use tinyir::FuncId;
 
 /// Inverse of [`Outcome::name`].
@@ -78,38 +80,38 @@ pub fn push_record_fields(o: &mut Obj, r: &InjectionRecord) {
 /// Decode the members [`push_record_fields`] writes out of a parsed
 /// object; any other member (`kind`, `index`, `job_id`) is ignored. A
 /// value that does not fit its field is an error, never a truncation.
-pub fn record_from_json(v: &Json) -> Result<InjectionRecord, String> {
-    let target = match v.req("target", Json::as_str)? {
-        "reg" => InjectedInto::Reg(v.req("target_val", Json::uint)?),
-        "mem" => InjectedInto::Mem(v.req("target_val", Json::uint)?),
+pub fn record_from_ref(v: &JsonRef) -> Result<InjectionRecord, String> {
+    let target = match v.req("target", JsonRef::as_str)? {
+        "reg" => InjectedInto::Reg(v.req("target_val", JsonRef::uint)?),
+        "mem" => InjectedInto::Mem(v.req("target_val", JsonRef::uint)?),
         "pc" => InjectedInto::Pc,
         "skipped" => InjectedInto::Skipped,
         other => return Err(format!("unknown injection target {other:?}")),
     };
-    let care = match v.opt("covered", Json::as_bool)? {
+    let care = match v.opt("covered", JsonRef::as_bool)? {
         Some(covered) => Some(CareResult {
             covered,
-            recoveries: v.req("recoveries", Json::uint)?,
-            recovery_ms: v.req("recovery_ms", Json::as_f64)?,
-            decline: v.opt("decline", Json::as_str)?.map(parse_decline).transpose()?,
+            recoveries: v.req("recoveries", JsonRef::uint)?,
+            recovery_ms: v.req("recovery_ms", JsonRef::as_f64)?,
+            decline: v.opt("decline", JsonRef::as_str)?.map(parse_decline).transpose()?,
         }),
         None => None,
     };
     Ok(InjectionRecord {
         point: InjectionPoint {
-            module: ModuleId(v.req("module", Json::uint)?),
-            func: FuncId(v.req("func", Json::uint)?),
-            inst: v.req("inst", Json::uint)?,
-            nth: v.req("nth", Json::uint)?,
+            module: ModuleId(v.req("module", JsonRef::uint)?),
+            func: FuncId(v.req("func", JsonRef::uint)?),
+            inst: v.req("inst", JsonRef::uint)?,
+            nth: v.req("nth", JsonRef::uint)?,
         },
         target,
-        outcome: parse_outcome(v.req("outcome", Json::as_str)?)?,
-        latency: v.opt("latency", Json::uint)?,
-        sim_steps: v.req("sim_steps", Json::uint)?,
+        outcome: parse_outcome(v.req("outcome", JsonRef::as_str)?)?,
+        latency: v.opt("latency", JsonRef::uint)?,
+        sim_steps: v.req("sim_steps", JsonRef::uint)?,
         split: StepSplit {
-            prefix: v.req("prefix", Json::uint)?,
-            suffix: v.req("suffix", Json::uint)?,
-            care: v.req("care_steps", Json::uint)?,
+            prefix: v.req("prefix", JsonRef::uint)?,
+            suffix: v.req("suffix", JsonRef::uint)?,
+            care: v.req("care_steps", JsonRef::uint)?,
         },
         care,
     })
@@ -147,41 +149,53 @@ pub fn push_report_fields(o: &mut Obj, r: &CampaignReport) {
         .bool("cancelled", r.cancelled);
 }
 
+/// [`record_from_ref`] of the owned tree.
+pub fn record_from_json(v: &Json) -> Result<InjectionRecord, String> {
+    record_from_ref(&v.to_ref())
+}
+
 /// Decode the members [`push_report_fields`] writes into a report with
 /// empty `records` (the caller re-attaches them).
-pub fn report_from_json(v: &Json) -> Result<CampaignReport, String> {
-    let four = |a: &Json| a.list(Json::uint)?.try_into().ok();
-    let by_name = v.req("declines", |d| match d {
+pub fn report_from_ref(v: &JsonRef) -> Result<CampaignReport, String> {
+    let four = |a: &JsonRef| a.list(JsonRef::uint)?.try_into().ok();
+    // Through the owned tree's map: de-duplicated (the last member of a
+    // name wins) and walked in key order, which fixes the first error.
+    let by_name = v.req("declines", |d| match d.clone().into_owned() {
         Json::Obj(by_name) => Some(by_name),
         _ => None,
     })?;
     let mut declines = HashMap::new();
-    for (name, n) in by_name {
+    for (name, n) in &by_name {
         let n = n.uint().ok_or_else(|| format!("bad count for decline {name:?}"))?;
         declines.insert(parse_decline(name)?, n);
     }
     Ok(CampaignReport {
-        benign: v.req("benign", Json::uint)?,
-        soft_failure: v.req("soft_failure", Json::uint)?,
-        sdc: v.req("sdc", Json::uint)?,
-        hang: v.req("hang", Json::uint)?,
+        benign: v.req("benign", JsonRef::uint)?,
+        soft_failure: v.req("soft_failure", JsonRef::uint)?,
+        sdc: v.req("sdc", JsonRef::uint)?,
+        hang: v.req("hang", JsonRef::uint)?,
         signals: v.req("signals", four)?,
         latency_buckets: v.req("latency_buckets", four)?,
-        care_evaluated: v.req("care_evaluated", Json::uint)?,
-        care_covered: v.req("care_covered", Json::uint)?,
-        care_survived_with_sdc: v.req("care_survived_with_sdc", Json::uint)?,
-        recovery_times_ms: v.req("recovery_times_ms", |a| a.list(Json::as_f64))?,
-        total_recoveries: v.req("total_recoveries", Json::uint)?,
+        care_evaluated: v.req("care_evaluated", JsonRef::uint)?,
+        care_covered: v.req("care_covered", JsonRef::uint)?,
+        care_survived_with_sdc: v.req("care_survived_with_sdc", JsonRef::uint)?,
+        recovery_times_ms: v.req("recovery_times_ms", |a| a.list(JsonRef::as_f64))?,
+        total_recoveries: v.req("total_recoveries", JsonRef::uint)?,
         declines,
-        simulated_steps: v.req("simulated_steps", Json::uint)?,
-        steps_prefix: v.req("steps_prefix", Json::uint)?,
-        steps_suffix: v.req("steps_suffix", Json::uint)?,
-        steps_care: v.req("steps_care", Json::uint)?,
-        trellis_snapshots: v.req("trellis_snapshots", Json::uint)?,
-        cursor_shards: v.req("cursor_shards", Json::uint)?,
-        cancelled: v.opt("cancelled", Json::as_bool)?.unwrap_or(false),
+        simulated_steps: v.req("simulated_steps", JsonRef::uint)?,
+        steps_prefix: v.req("steps_prefix", JsonRef::uint)?,
+        steps_suffix: v.req("steps_suffix", JsonRef::uint)?,
+        steps_care: v.req("steps_care", JsonRef::uint)?,
+        trellis_snapshots: v.req("trellis_snapshots", JsonRef::uint)?,
+        cursor_shards: v.req("cursor_shards", JsonRef::uint)?,
+        cancelled: v.opt("cancelled", JsonRef::as_bool)?.unwrap_or(false),
         records: Vec::new(),
     })
+}
+
+/// [`report_from_ref`] of the owned tree.
+pub fn report_from_json(v: &Json) -> Result<CampaignReport, String> {
+    report_from_ref(&v.to_ref())
 }
 
 #[cfg(test)]
@@ -219,8 +233,10 @@ mod tests {
         for r in &records {
             let mut o = Obj::new("record");
             push_record_fields(o.u64("index", 7), r);
-            let v = parse_json(&o.end()).unwrap();
-            assert_eq!(&record_from_json(&v).unwrap(), r);
+            let line = o.end();
+            let v = JsonRef::parse(&line).unwrap();
+            assert_eq!(&record_from_ref(&v).unwrap(), r);
+            assert_eq!(&record_from_json(&parse_json(&line).unwrap()).unwrap(), r);
         }
     }
 }

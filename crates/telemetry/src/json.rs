@@ -3,20 +3,37 @@
 //!
 //! Everything that leaves the process as JSON — careserve frames, carestore
 //! log lines, the telemetry JSONL sink — is written through [`Obj`] and
-//! read back through [`parse_json`] and the typed member reads
-//! [`Json::req`] / [`Json::opt`]. The reader is a minimal recursive-descent
-//! parser for RFC 8259's grammar — objects, arrays, strings, numbers,
-//! booleans and null — that rejects trailing garbage. It decodes exactly
-//! what the writers here produce; a `\u` surrogate escape, which they never
-//! write, becomes U+FFFD.
+//! read back through [`JsonRef::parse`] and the typed member reads
+//! [`JsonRef::req`] / [`JsonRef::opt`]. The reader is a minimal
+//! recursive-descent parser for RFC 8259's grammar — objects, arrays,
+//! strings, numbers, booleans and null — that rejects trailing garbage. It
+//! decodes exactly what the writers here produce; a `\u` surrogate escape,
+//! which they never write, becomes U+FFFD.
+//!
+//! ## A tree that borrows
+//!
+//! [`JsonRef`] points into the parsed text: a string without escapes is a
+//! slice of it, and only a string with escapes is copied. An object is a
+//! `Vec` of its members in document order; a lookup scans it from the
+//! end, so of a duplicated key the last member wins. Document order is a
+//! measured choice: with each object's members sorted, a prototype took
+//! 2.6× as long to parse and decode a record, and a stable sort adds a
+//! fifth to this parser's time on a record line. [`Json`] and
+//! [`parse_json`] are the owned form of the same tree, built by
+//! [`JsonRef::into_owned`] (objects as key-sorted maps), and
+//! [`Json::to_ref`] turns one back for a decoder; there is one grammar and
+//! one set of error texts.
 //!
 //! ## One pass, bounded
 //!
 //! The reader is linear in its input, which may be hostile (a server frame,
 //! a damaged log line):
 //! - **Strings are scanned once.** Each run of ordinary bytes up to the
-//!   next `"`, `\` or control byte is copied in one piece. The input is
+//!   next `"`, `\` or control byte is taken in one piece. The input is
 //!   already a `&str`, so nothing is re-validated as UTF-8.
+//! - **Short integers skip `str::parse`.** An integer of at most 15 digits
+//!   is below 2⁵³, so summing its digits gives the f64 `str::parse` would
+//!   (`-0` included); every other number goes through `str::parse`.
 //! - **Nesting is capped** at 64 arrays and objects. A deeper document is
 //!   an error ("nesting deeper than 64"), not a stack overflow.
 //! - **The grammar is strict.** Numbers follow RFC 8259: no leading zero,
@@ -36,6 +53,7 @@
 //! recovery times) are safe as-is: the shortest-round-trip rendering parses
 //! back to identical bits.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -189,7 +207,8 @@ impl Obj {
     }
 }
 
-/// A parsed JSON value.
+/// A parsed JSON value that owns its text: [`JsonRef::into_owned`] of the
+/// borrowed tree [`parse_json`] builds.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -203,8 +222,55 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object (key-sorted).
+    /// An object (key-sorted; of a duplicated key, the last member).
     Obj(BTreeMap<String, Json>),
+}
+
+/// A parsed JSON value that borrows from the text it was parsed from
+/// ([`JsonRef::parse`]): the tree every decoder in the workspace reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any JSON number, held as f64, as in [`Json::Num`].
+    Num(f64),
+    /// A string: a slice of the text, or an owned copy if it had escapes.
+    Str(Cow<'a, str>),
+    /// An array.
+    Arr(Vec<JsonRef<'a>>),
+    /// An object: its members in document order, duplicates included.
+    /// [`get`](Self::get) takes the last member of a key, as
+    /// [`Json::Obj`]'s map keeps it.
+    Obj(Vec<(Cow<'a, str>, JsonRef<'a>)>),
+}
+
+/// [`Json::uint`]'s rule for either tree, given the value's number or
+/// string payload.
+fn uint_of<T: TryFrom<u64>>(num: Option<f64>, text: Option<&str>) -> Option<T> {
+    let n = match (num, text) {
+        (Some(n), _) if n >= 0.0 && n.fract() == 0.0 && n <= MAX_SAFE_INT as f64 => n as u64,
+        (_, Some(s)) => s.parse().ok()?,
+        _ => return None,
+    };
+    T::try_from(n).ok()
+}
+
+/// [`Json::opt`]'s rule for either tree, given what the lookup found.
+fn member<V, T>(
+    key: &str,
+    found: Option<V>,
+    read: impl FnOnce(V) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match found {
+        None => Ok(None),
+        Some(v) => read(v).map(Some).ok_or_else(|| format!("malformed or out-of-range {key:?}")),
+    }
+}
+
+fn missing(key: &str) -> String {
+    format!("missing {key:?}")
 }
 
 impl Json {
@@ -246,12 +312,7 @@ impl Json {
     /// invent bits), or a decimal string. Out of range for `T` is `None`,
     /// never a truncation: decoders narrow here, not with `as`.
     pub fn uint<T: TryFrom<u64>>(&self) -> Option<T> {
-        let n = match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_SAFE_INT as f64 => *n as u64,
-            Json::Str(s) => s.parse().ok()?,
-            _ => return None,
-        };
-        T::try_from(n).ok()
+        uint_of(self.as_f64(), self.as_str())
     }
 
     /// The elements, each read by `item`, if this is an array of them.
@@ -270,7 +331,7 @@ impl Json {
         key: &str,
         read: impl FnOnce(&'a Json) -> Option<T>,
     ) -> Result<T, String> {
-        self.opt(key, read)?.ok_or_else(|| format!("missing {key:?}"))
+        self.opt(key, read)?.ok_or_else(|| missing(key))
     }
 
     /// Like [`req`](Self::req), but an absent member is `Ok(None)`. A member
@@ -280,17 +341,153 @@ impl Json {
         key: &str,
         read: impl FnOnce(&'a Json) -> Option<T>,
     ) -> Result<Option<T>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => read(v).map(Some).ok_or_else(|| format!("malformed or out-of-range {key:?}")),
+        member(key, self.get(key), read)
+    }
+
+    /// The same tree, borrowing this one's strings, for the decoders that
+    /// read [`JsonRef`]. Members come in key order, one per key.
+    pub fn to_ref(&self) -> JsonRef<'_> {
+        match self {
+            Json::Null => JsonRef::Null,
+            Json::Bool(b) => JsonRef::Bool(*b),
+            Json::Num(n) => JsonRef::Num(*n),
+            Json::Str(s) => JsonRef::Str(Cow::Borrowed(s)),
+            Json::Arr(items) => JsonRef::Arr(items.iter().map(Json::to_ref).collect()),
+            Json::Obj(m) => JsonRef::Obj(
+                m.iter().map(|(k, v)| (Cow::Borrowed(k.as_str()), v.to_ref())).collect(),
+            ),
         }
     }
 }
 
-/// Deepest array/object nesting [`parse_json`] accepts. The workspace
+impl<'a> JsonRef<'a> {
+    /// Parse one complete JSON document, rejecting trailing non-whitespace.
+    /// The tree borrows every string without an escape from `text`.
+    pub fn parse(text: &'a str) -> Result<JsonRef<'a>, String> {
+        let mut p = Parser { text, pos: 0, depth: 0 };
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing garbage after value"));
+        }
+        Ok(v)
+    }
+
+    /// The owned tree: strings copied, each object's members sorted by key
+    /// with the last of a duplicated key kept.
+    pub fn into_owned(self) -> Json {
+        match self {
+            JsonRef::Null => Json::Null,
+            JsonRef::Bool(b) => Json::Bool(b),
+            JsonRef::Num(n) => Json::Num(n),
+            JsonRef::Str(s) => Json::Str(s.into_owned()),
+            JsonRef::Arr(items) => Json::Arr(items.into_iter().map(JsonRef::into_owned).collect()),
+            JsonRef::Obj(mut members) => {
+                // Stable: of equal keys, document order stays, and the
+                // dedup keeps the last by swapping it into the survivor.
+                members.sort_by(|a, b| a.0.cmp(&b.0));
+                members.dedup_by(|later, kept| {
+                    let same = later.0 == kept.0;
+                    if same {
+                        std::mem::swap(later, kept);
+                    }
+                    same
+                });
+                let owned = members.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned()));
+                Json::Obj(owned.collect())
+            }
+        }
+    }
+
+    /// Member lookup on objects (the last member of `key`); `None`
+    /// otherwise.
+    pub fn get(&self, key: &str) -> Option<&JsonRef<'a>> {
+        match self {
+            JsonRef::Obj(members) => members
+                .iter()
+                .rev()
+                // Length and first byte before the rest: the keys of one
+                // object mostly differ in one of them.
+                .find(|(k, _)| {
+                    let (k, key) = (k.as_bytes(), key.as_bytes());
+                    k.len() == key.len() && k.first() == key.first() && k == key
+                })
+                .map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonRef::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonRef::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// [`Json::uint`]: an unsigned integer that fits `T`, in either
+    /// spelling [`push_u64`] writes, never a truncation.
+    pub fn uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        uint_of(self.as_f64(), self.as_str())
+    }
+
+    /// The elements, each read by `item`, if this is an array of them.
+    pub fn list<'v, T>(&'v self, item: impl Fn(&'v JsonRef<'a>) -> Option<T>) -> Option<Vec<T>> {
+        match self {
+            JsonRef::Arr(items) => items.iter().map(item).collect(),
+            _ => None,
+        }
+    }
+
+    /// [`Json::req`]: member `key` read with `read`, the error naming the
+    /// key.
+    pub fn req<'v, T>(
+        &'v self,
+        key: &str,
+        read: impl FnOnce(&'v JsonRef<'a>) -> Option<T>,
+    ) -> Result<T, String> {
+        self.opt(key, read)?.ok_or_else(|| missing(key))
+    }
+
+    /// [`Json::opt`]: an absent member is `Ok(None)`, a present and
+    /// malformed one an error.
+    pub fn opt<'v, T>(
+        &'v self,
+        key: &str,
+        read: impl FnOnce(&'v JsonRef<'a>) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        member(key, self.get(key), read)
+    }
+}
+
+/// Deepest array/object nesting [`JsonRef::parse`] accepts. The workspace
 /// writes at most 3 levels; the cap keeps a hostile line from overflowing
 /// the reading thread's stack.
 const MAX_DEPTH: usize = 64;
+
+/// Members an object's `Vec` starts with room for: a record line or frame
+/// has 13–18, so it takes one allocation, not four doublings.
+const OBJ_CAPACITY: usize = 18;
+
+/// A decimal integer of at most this many digits is below 2⁵³, so it is
+/// an exact f64 and is read without `str::parse`.
+const FAST_INT_DIGITS: usize = 15;
 
 struct Parser<'a> {
     text: &'a str,
@@ -300,6 +497,8 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    #[cold]
+    #[inline(never)]
     fn err(&self, msg: &str) -> String {
         format!("json error at byte {}: {msg}", self.pos)
     }
@@ -327,16 +526,23 @@ impl<'a> Parser<'a> {
         self.pos - start
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.expected(b))
         }
     }
 
-    fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    #[cold]
+    #[inline(never)]
+    fn expected(&self, b: u8) -> String {
+        self.err(&format!("expected '{}'", b as char))
+    }
+
+    fn eat_lit(&mut self, lit: &str, v: JsonRef<'a>) -> Result<JsonRef<'a>, String> {
         if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
@@ -345,22 +551,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<JsonRef<'a>, String> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null", Json::Null),
+            Some(b'"') => Ok(JsonRef::Str(self.string()?)),
+            Some(b't') => self.eat_lit("true", JsonRef::Bool(true)),
+            Some(b'f') => self.eat_lit("false", JsonRef::Bool(false)),
+            Some(b'n') => self.eat_lit("null", JsonRef::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
     /// Parse one array or object a level deeper, refusing past [`MAX_DEPTH`].
-    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonRef<'a>, String>,
+    ) -> Result<JsonRef<'a>, String> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
         }
@@ -370,41 +579,41 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<JsonRef<'a>, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(JsonRef::Obj(Vec::new()));
         }
+        let mut members = Vec::with_capacity(OBJ_CAPACITY);
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             let val = self.value()?;
-            map.insert(key, val);
+            members.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(JsonRef::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<JsonRef<'a>, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(JsonRef::Arr(Vec::new()));
         }
+        let mut items = Vec::new();
         loop {
             items.push(self.value()?);
             self.skip_ws();
@@ -412,24 +621,43 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(JsonRef::Arr(items));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal: a slice of the text if it has no escape,
+    /// [`escaped`](Self::escaped)'s copy if it has.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
+        let start = self.pos;
+        match self.plain_run() {
+            Some(len) if self.bytes()[start + len] == b'"' => {
+                self.pos = start + len + 1;
+                Ok(Cow::Borrowed(&self.text[start..start + len]))
+            }
+            _ => self.escaped(start).map(Cow::Owned),
+        }
+    }
+
+    /// The length of the run of ordinary bytes at `pos`: up to the next
+    /// quote, backslash or control byte, `None` if the text ends first.
+    /// All three are ASCII, so both ends of the run are char boundaries.
+    fn plain_run(&self) -> Option<usize> {
+        self.bytes()[self.pos..].iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+    }
+
+    /// The rest of a string literal that began at `start` and has an
+    /// escape, a control byte or no end. Each plain run is copied in one
+    /// piece.
+    #[inline(never)]
+    fn escaped(&mut self, start: usize) -> Result<String, String> {
         let mut s = String::new();
+        self.pos = start;
         loop {
-            // Copy everything up to the next quote, backslash or control
-            // byte in one piece. All three are ASCII, so both ends of the
-            // run are char boundaries.
-            let run = self.bytes()[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
-            let Some(len) = run else {
+            let Some(len) = self.plain_run() else {
                 self.pos = self.text.len();
                 return Err(self.err("unterminated string"));
             };
@@ -477,18 +705,23 @@ impl<'a> Parser<'a> {
     }
 
     /// RFC 8259's number grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
-    /// ([eE] [+-]? [0-9]+)?`; the checked text then goes through `str::parse`.
-    fn number(&mut self) -> Result<Json, String> {
+    /// ([eE] [+-]? [0-9]+)?`. An integer of at most [`FAST_INT_DIGITS`]
+    /// digits is summed directly (the f64 `str::parse` would give, `-0`
+    /// included); any other checked text goes through `str::parse`.
+    fn number(&mut self) -> Result<JsonRef<'a>, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let int = self.pos;
         let int_len = self.digits();
         let mut valid = int_len == 1 || (int_len > 1 && self.bytes()[int] != b'0');
+        let mut integer = true;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             valid &= self.digits() > 0;
+            integer = false;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
@@ -496,26 +729,29 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             valid &= self.digits() > 0;
+            integer = false;
         }
         if !valid {
             return Err(self.err("bad number"));
         }
+        if integer && int_len <= FAST_INT_DIGITS {
+            let n = self.bytes()[int..self.pos]
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(JsonRef::Num(if negative { -n } else { n }));
+        }
         self.text[start..self.pos]
             .parse::<f64>()
-            .map(Json::Num)
+            .map(JsonRef::Num)
             .map_err(|_| self.err("bad number"))
     }
 }
 
-/// Parse one complete JSON document, rejecting trailing non-whitespace.
+/// Parse one complete JSON document into the owned tree:
+/// [`JsonRef::parse`], then [`JsonRef::into_owned`]. Grammar and error
+/// text are the borrowed parser's.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser { text, pos: 0, depth: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != text.len() {
-        return Err(p.err("trailing garbage after value"));
-    }
-    Ok(v)
+    JsonRef::parse(text).map(JsonRef::into_owned)
 }
 
 #[cfg(test)]
@@ -646,6 +882,221 @@ mod tests {
         }
     }
 
+    /// A JSON document drawn from a seed, written as text beside the owned
+    /// tree it must parse to: duplicate keys (one spelled with an escape),
+    /// escaped and plain strings, whitespace, and numbers at the edges of
+    /// the integer fast path.
+    struct Doc {
+        rng: u64,
+        text: String,
+        /// Deepest array/object nesting written so far.
+        depth: usize,
+    }
+
+    /// Spellings whose f64 the fast path and `str::parse` must agree on:
+    /// `-0`, 15 and 16 digits, 2⁵³ − 1, 2⁵³, 2⁵³ + 1, and what takes
+    /// `str::parse` (fractions, exponents, too many digits).
+    const NUMBERS: [&str; 16] = [
+        "0", "-0", "-7", "999999999999999", "-999999999999999", "1000000000000000",
+        "9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
+        "123456789012345678901", "0.5", "-0.0", "1e3", "2.5E-3", "1.7976931348623157e308",
+    ];
+
+    /// Object keys: few, so members collide, and `"\u0061"` is `"a"`.
+    const KEYS: [(&str, &str); 4] = [("a", "a"), ("b", "b"), ("\\u0061", "a"), ("k\\\"", "k\"")];
+
+    impl Doc {
+        fn new(seed: u64) -> Doc {
+            Doc { rng: seed, text: String::new(), depth: 0 }
+        }
+
+        /// SplitMix64.
+        fn below(&mut self, n: u64) -> u64 {
+            self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn ws(&mut self) {
+            let ws = ["", "", "", " ", "\n", "\t", "\r\n"][self.below(7) as usize];
+            self.text.push_str(ws);
+        }
+
+        fn string(&mut self) -> String {
+            self.text.push('"');
+            let mut s = String::new();
+            for _ in 0..self.below(5) {
+                let (text, value) = [
+                    ("plain", "plain"),
+                    ("é€😀", "é€😀"),
+                    ("\\n", "\n"),
+                    ("\\\"", "\""),
+                    ("\\\\", "\\"),
+                    ("\\/", "/"),
+                    ("\\u00e9", "é"),
+                    ("\\ud800", "\u{fffd}"),
+                ][self.below(8) as usize];
+                self.text.push_str(text);
+                s.push_str(value);
+            }
+            self.text.push('"');
+            s
+        }
+
+        fn number(&mut self) -> f64 {
+            let spelling = match self.below(3) {
+                0 => {
+                    let digits = 1 + self.below(18) as u32;
+                    (self.below(10u64.pow(digits - 1) * 9) + 10u64.pow(digits - 1)).to_string()
+                }
+                _ => NUMBERS[self.below(NUMBERS.len() as u64) as usize].to_string(),
+            };
+            self.text.push_str(&spelling);
+            spelling.parse().unwrap()
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            self.ws();
+            let kinds = if depth < 4 { 7 } else { 5 };
+            let v = match self.below(kinds) {
+                0 => {
+                    let (lit, v) = [
+                        ("null", Json::Null),
+                        ("true", Json::Bool(true)),
+                        ("false", Json::Bool(false)),
+                    ][self.below(3) as usize]
+                        .clone();
+                    self.text.push_str(lit);
+                    v
+                }
+                1 | 2 => Json::Num(self.number()),
+                3 | 4 => Json::Str(self.string()),
+                5 => {
+                    self.depth = self.depth.max(depth + 1);
+                    self.text.push('[');
+                    let mut items = Vec::new();
+                    for i in 0..self.below(4) {
+                        if i > 0 {
+                            self.text.push(',');
+                        }
+                        items.push(self.value(depth + 1));
+                    }
+                    self.ws();
+                    self.text.push(']');
+                    Json::Arr(items)
+                }
+                _ => {
+                    self.depth = self.depth.max(depth + 1);
+                    self.text.push('{');
+                    let mut map = BTreeMap::new();
+                    for i in 0..self.below(6) {
+                        if i > 0 {
+                            self.text.push(',');
+                        }
+                        self.ws();
+                        let (text, key) = KEYS[self.below(KEYS.len() as u64) as usize];
+                        self.text.push_str(&format!("\"{text}\""));
+                        self.ws();
+                        self.text.push(':');
+                        map.insert(key.to_string(), self.value(depth + 1));
+                    }
+                    self.ws();
+                    self.text.push('}');
+                    Json::Obj(map)
+                }
+            };
+            self.ws();
+            v
+        }
+    }
+
+    /// Trees compared by their `Debug` text, which tells `-0.0` from `0.0`.
+    fn shown(v: &Result<Json, String>) -> String {
+        format!("{v:?}")
+    }
+
+    /// The borrowed tree answers every lookup as the owned tree built from
+    /// it does: the last member of a key, recursively.
+    fn lookups_agree(r: &JsonRef, j: &Json) -> bool {
+        match (r, j) {
+            (JsonRef::Obj(members), Json::Obj(map)) => {
+                let keys: std::collections::BTreeSet<&str> =
+                    members.iter().map(|(k, _)| &**k).collect();
+                keys.len() == map.len()
+                    && keys.iter().all(|&k| match (r.get(k), j.get(k)) {
+                        (Some(r), Some(j)) => lookups_agree(r, j),
+                        _ => false,
+                    })
+            }
+            (JsonRef::Arr(a), Json::Arr(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(r, j)| lookups_agree(r, j))
+            }
+            (r, j) => format!("{:?}", r.clone().into_owned()) == format!("{j:?}"),
+        }
+    }
+
+    /// The one parser, read both ways, on `text`: `parse_json` is the
+    /// borrowed parse made owned (the same tree or the same error), the
+    /// borrowed tree's lookups agree with the owned tree's, and the owned
+    /// tree survives [`Json::to_ref`].
+    fn one_parser(text: &str) -> Result<(), String> {
+        let owned = parse_json(text);
+        let borrowed = JsonRef::parse(text);
+        if shown(&owned) != shown(&borrowed.clone().map(JsonRef::into_owned)) {
+            return Err(format!("{text:?}: the two reads differ"));
+        }
+        if let (Ok(r), Ok(j)) = (&borrowed, &owned) {
+            if !lookups_agree(r, j) {
+                return Err(format!("{text:?}: lookups disagree"));
+            }
+            if shown(&Ok(j.to_ref().into_owned())) != shown(&owned) {
+                return Err(format!("{text:?}: to_ref loses something"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Every generated document parses to its own tree, and it and
+        /// each of its truncations and byte flips reads alike both ways.
+        #[test]
+        fn one_parser_reads_documents_and_their_damage_alike(
+            seed in any::<u64>(),
+            salt in any::<u8>(),
+        ) {
+            let mut doc = Doc::new(seed);
+            let want = Ok(doc.value(0));
+            prop_assert_eq!(shown(&parse_json(&doc.text)), shown(&want), "{:?}", doc.text);
+            prop_assert_eq!(one_parser(&doc.text), Ok(()));
+            let bytes = doc.text.as_bytes();
+            for i in 0..bytes.len() {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << ((i as u8).wrapping_add(salt) % 8);
+                for damaged in [&bytes[..i], &flipped[..]] {
+                    prop_assert_eq!(one_parser(&String::from_utf8_lossy(damaged)), Ok(()));
+                }
+            }
+            // Wrapped to a nesting of exactly 64, and of 65.
+            let wrap = |levels: usize| {
+                let (open, close): (String, String) = (0..levels)
+                    .map(|l| if l % 2 == 0 { ("[", "]") } else { ("{\"n\":", "}") })
+                    .fold(Default::default(), |(o, c), (l, r)| (o + l, r.to_string() + &c));
+                format!("{open}{}{close}", doc.text)
+            };
+            let at_cap = wrap(MAX_DEPTH - doc.depth);
+            prop_assert!(parse_json(&at_cap).is_ok(), "{:?}", at_cap);
+            prop_assert_eq!(one_parser(&at_cap), Ok(()));
+            let over = wrap(MAX_DEPTH + 1 - doc.depth);
+            let err = parse_json(&over).unwrap_err();
+            prop_assert!(err.ends_with("nesting deeper than 64"), "{}", err);
+            prop_assert_eq!(one_parser(&over), Ok(()));
+        }
+    }
+
     #[test]
     fn uint_rejects_what_a_cast_would_mangle() {
         let read = |text: &str| parse_json(text).unwrap().uint::<u64>();
@@ -666,17 +1117,25 @@ mod tests {
 
     #[test]
     fn typed_reads_name_the_key_and_check_every_narrowing() {
-        let v = parse_json(r#"{"big":4294967297,"small":259,"neg":-4,"n":[1,2,"3"]}"#).unwrap();
-        assert_eq!(v.req("big", Json::uint), Ok(4294967297u64));
-        assert!(v.req("big", Json::uint::<u32>).unwrap_err().contains("\"big\""));
-        assert_eq!(v.req("small", Json::uint), Ok(259u32));
-        assert!(v.req("small", Json::uint::<u8>).is_err());
-        assert!(v.req("neg", Json::uint::<u64>).is_err());
-        assert_eq!(v.req("n", |n| n.list(Json::uint)), Ok(vec![1usize, 2, 3]));
-        assert!(v.req("n", |n| n.list(Json::as_f64)).is_err(), "one element is a string");
-        assert!(v.req("absent", Json::as_bool).unwrap_err().contains("\"absent\""));
-        assert_eq!(v.opt("absent", Json::as_bool), Ok(None));
-        assert!(v.opt("n", Json::as_bool).is_err(), "present but malformed is not a default");
+        // The same reads on both trees.
+        macro_rules! typed_reads {
+            ($v:expr, $Tree:ident) => {{
+                let v = $v;
+                assert_eq!(v.req("big", $Tree::uint), Ok(4294967297u64));
+                assert!(v.req("big", $Tree::uint::<u32>).unwrap_err().contains("\"big\""));
+                assert_eq!(v.req("small", $Tree::uint), Ok(259u32));
+                assert!(v.req("small", $Tree::uint::<u8>).is_err());
+                assert!(v.req("neg", $Tree::uint::<u64>).is_err());
+                assert_eq!(v.req("n", |n| n.list($Tree::uint)), Ok(vec![1usize, 2, 3]));
+                assert!(v.req("n", |n| n.list($Tree::as_f64)).is_err(), "one element is a string");
+                assert!(v.req("absent", $Tree::as_bool).unwrap_err().contains("\"absent\""));
+                assert_eq!(v.opt("absent", $Tree::as_bool), Ok(None));
+                assert!(v.opt("n", $Tree::as_bool).is_err(), "present but malformed is not a default");
+            }};
+        }
+        let text = r#"{"big":4294967297,"small":259,"neg":-4,"n":[1,2,"3"]}"#;
+        typed_reads!(parse_json(text).unwrap(), Json);
+        typed_reads!(JsonRef::parse(text).unwrap(), JsonRef);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The schema checks (CI, tests, `examples/telemetry_tour.rs`) run without
 //! serde: every line goes through the workspace's own reader,
-//! [`parse_json`](crate::json::parse_json).
+//! [`JsonRef::parse`].
 
-use crate::json::{parse_json, Json};
+use crate::json::JsonRef;
 use std::collections::BTreeMap;
 
 /// Validate a telemetry JSONL stream:
@@ -21,13 +21,13 @@ pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, usize>, String> {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()) {
         let at = |e: String| format!("line {}: {e}", lineno + 1);
-        let v = parse_json(line).map_err(at)?;
-        let kind = v.req("kind", Json::as_str).map_err(at)?;
+        let v = JsonRef::parse(line).map_err(at)?;
+        let kind = v.req("kind", JsonRef::as_str).map_err(at)?;
         if counts.is_empty() {
             if kind != "meta" {
                 return Err(at(format!("expected kind \"meta\", got {kind:?}")));
             }
-            let ver = v.req("schema_version", Json::as_f64).map_err(at)?;
+            let ver = v.req("schema_version", JsonRef::as_f64).map_err(at)?;
             if ver != f64::from(crate::SCHEMA_VERSION) {
                 let supported = crate::SCHEMA_VERSION;
                 return Err(at(format!("schema_version {ver} != supported {supported}")));
@@ -35,9 +35,9 @@ pub fn validate_jsonl(text: &str) -> Result<BTreeMap<String, usize>, String> {
         }
         let present = |field| v.req(field, |_| Some(()));
         match kind {
-            "counter" => present("name").and(v.req("value", Json::as_f64).map(drop)),
+            "counter" => present("name").and(v.req("value", JsonRef::as_f64).map(drop)),
             "hist" => ["name", "count", "sum", "buckets"].into_iter().try_for_each(present),
-            "shard" => v.req("counters", |c| matches!(c, Json::Obj(_)).then_some(())),
+            "shard" => v.req("counters", |c| matches!(c, JsonRef::Obj(_)).then_some(())),
             _ => Ok(()),
         }
         .map_err(|e| at(format!("{kind} line: {e}")))?;
