@@ -41,7 +41,7 @@ pub enum ClientError {
         /// Free-text detail from the `reject` frame.
         detail: String,
     },
-    /// The job's worker panicked server-side.
+    /// The job panicked server-side.
     Failed(String),
     /// The server sent something this client cannot make sense of.
     Protocol(String),
@@ -66,8 +66,13 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// Generous per-read timeout: a live server streams progress at least
-/// every few poll intervals, so silence this long means it is gone.
+/// Generous per-read timeout. A live server can be silent for long: a job
+/// hears nothing while it waits in the admission queue, nor through a
+/// cache-miss prepare, whose golden run may take up to
+/// [`faultsim::MAX_GOLDEN_STEPS`] steps (about 10 s in a release build);
+/// after that, `progress` goes out only when the classified count has
+/// moved, at most once per server poll interval. Silence this long means
+/// the server is gone.
 const READ_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Connect and send one encoded request frame, newline included, in one

@@ -19,9 +19,11 @@
 //!   width, a bounded wait queue, and typed `reject` frames
 //!   ([`proto::RejectReason`]) — the server never buffers unboundedly and
 //!   never dies on bad input.
-//! * **Cooperative cancellation.** A disconnected client's job stops at
-//!   the next suffix boundary via [`faultsim::JobControl`]; worker panics
-//!   are contained to a `failed` frame.
+//! * **One thread per connection.** A job runs on the thread that reads
+//!   its connection, and the campaign's own cancellation checks
+//!   ([`faultsim::JobControl::watched`]) tend the socket: progress, mid-job
+//!   `stats`, a refused second job, and a disconnect, which stops the job
+//!   at its next check. A panicking job is contained to a `failed` frame.
 
 pub mod client;
 pub mod proto;

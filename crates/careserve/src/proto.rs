@@ -21,7 +21,7 @@
 //! Server→client, for one job: `accepted`, zero or more `progress`, zero
 //! or more `record` (when the spec asks for records), zero or more
 //! `telemetry` (JSONL passthrough when asked), then exactly one of
-//! `report` + `done`, `failed` (worker panic), or `reject`
+//! `report` + `done`, `failed` (the job panicked), or `reject`
 //! (admission/validation, with a typed [`RejectReason`]).
 
 use faultsim::wire::{push_record_fields, push_report_fields, record_from_ref, report_from_ref};
@@ -314,7 +314,7 @@ impl JobSpec {
     }
 
     /// The [`CampaignConfig`] this spec asks for — the one spec→config
-    /// mapping, used by the server's worker and by every local run a served
+    /// mapping, used by the server's job runs and by every local run a served
     /// job is compared against. Nothing in it depends on the pool width, so
     /// a served report equals a local one at any width.
     pub fn campaign_config(&self) -> CampaignConfig {
@@ -443,8 +443,8 @@ pub enum ServerFrame {
     Report(u64, CampaignReport),
     /// End of the job's stream.
     Done(u64),
-    /// The job's worker panicked with this message; the server keeps
-    /// serving.
+    /// The job panicked with this message; the connection and the server
+    /// keep serving.
     Failed(u64, String),
     /// A frame or job was refused: the reason as a stable wire name, and
     /// free-text detail that is never part of the contract.
@@ -557,7 +557,7 @@ pub struct Stats<T> {
     pub jobs_rejected: T,
     /// Jobs that ran to completion.
     pub jobs_completed: T,
-    /// Jobs whose worker panicked (`failed` frame sent).
+    /// Jobs that panicked (`failed` frame sent).
     pub jobs_failed: T,
     /// Jobs cancelled by client disconnect or server shutdown.
     pub jobs_cancelled: T,

@@ -1,14 +1,25 @@
 //! The long-running campaign server.
 //!
 //! One blocking accept loop; each connection runs on a server thread, and
-//! each running job on a second one, whose *simulation* fan-out runs in
+//! runs its jobs there too, one at a time: the thread that reads the
+//! connection runs the campaign, whose *simulation* fan-out runs in
 //! work-stealing batches of its own (`compat/rayon`). A server thread that
-//! finishes its connection or job parks and takes the next one, so a
-//! served job spawns no thread once the server is warm. At most
-//! `2 × (budget_cap + max_queue)` threads stay parked — one connection
-//! thread and one worker per admitted or queued job; a thread finishing
-//! beyond that exits. Every client shares this server's prepared-campaign
-//! cache, and with each cached campaign its translation.
+//! finishes its connection parks and takes the next one, so a served job
+//! spawns no thread once the server is warm. At most
+//! `budget_cap + max_queue` threads stay parked — one per admitted or
+//! queued job; a thread finishing beyond that exits. Every client shares
+//! this server's prepared-campaign cache, and with each cached campaign its
+//! translation.
+//!
+//! ## A running job's socket
+//!
+//! While its job runs, a connection is tended at the campaign's own
+//! cancellation checks ([`faultsim::JobControl::watched`]), before each
+//! cursor hop and each suffix, at most once per [`POLL`]: progress is
+//! streamed, a `stats` frame is answered, a second job is refused with
+//! [`RejectReason::ClientBusy`], and a disconnect or a shutdown cancels
+//! the job. So these wait for the next check: during a cache-miss prepare
+//! or one long suffix, they wait as long as cancellation does.
 //!
 //! ## Admission control
 //!
@@ -27,8 +38,9 @@
 //! serving. Oversized lines are drained to the next newline, rejected, and
 //! the connection keeps serving. A client that disconnects mid-job cancels
 //! the job cooperatively ([`faultsim::JobControl`]); the budget is
-//! reclaimed as soon as the campaign observes the flag. A worker panic is
-//! caught, reported as a `failed` frame, and the server keeps serving.
+//! reclaimed as soon as the campaign observes the disconnect. A job that
+//! panics is caught on its connection's thread, reported as a `failed`
+//! frame, and the connection and the server keep serving.
 
 use crate::proto::{
     self, ClientFrame, JobSpec, RejectReason, ServerFrame, Stats, StatsSnapshot, MAX_FRAME_BYTES,
@@ -41,8 +53,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Hooks, NoTelemetry, Recorder, TelemetryReport};
@@ -101,18 +112,15 @@ struct Admission {
     queued: usize,
 }
 
-/// A connection or a job, handed to a server thread.
-type Task = Box<dyn FnOnce() + Send>;
-
 /// The server's threads, guarded by one mutex (the `parked_cv`'s).
 #[derive(Default)]
 struct Threads {
-    /// Tasks handed over and not yet taken by a parked thread; never more
-    /// than `parked`, so every one is taken.
-    tasks: VecDeque<Task>,
-    /// Threads waiting for a task.
+    /// Connections handed over and not yet taken by a parked thread; never
+    /// more than `parked`, so every one is taken.
+    conns: VecDeque<TcpStream>,
+    /// Threads waiting for a connection.
     parked: usize,
-    /// Set by shutdown: a thread that finds no task exits instead of
+    /// Set by shutdown: a thread that finds no connection exits instead of
     /// parking.
     closed: bool,
     /// Every thread spawned and not yet joined or found finished.
@@ -135,14 +143,12 @@ pub(crate) struct Srv {
     stats: Stats<AtomicU64>,
     /// Series the stats frame does not carry: `server.client_disconnects`,
     /// `server.store_*`, `server.threads_spawned`/`server.threads_reused`,
-    /// and the queue-depth, job-duration and report-lag histograms
-    /// (`server.report_lag_ns`: from a worker's finish to its connection
-    /// thread taking the result).
+    /// and the queue-depth and job-duration histograms.
     recorder: Recorder,
     next_job_id: AtomicU64,
     threads: Mutex<Threads>,
     parked_cv: Condvar,
-    /// Parked-thread bound: `2 × (budget_cap + max_queue)`.
+    /// Parked-thread bound: `budget_cap + max_queue`.
     max_parked: usize,
 }
 
@@ -172,7 +178,7 @@ impl Srv {
             next_job_id: AtomicU64::new(1),
             threads: Mutex::new(Threads::default()),
             parked_cv: Condvar::new(),
-            max_parked: 2 * (budget_cap + cfg.max_queue),
+            max_parked: budget_cap + cfg.max_queue,
         })
     }
 
@@ -234,34 +240,35 @@ impl Srv {
         let _ = send(out, &ServerFrame::Reject(reason, detail.to_string()));
     }
 
-    /// Run `task` on a parked server thread, or on a new one if none is
+    /// Serve `conn` on a parked server thread, or on a new one if none is
     /// parked.
-    fn spawn(self: &Arc<Self>, task: Task) {
+    fn spawn(self: &Arc<Self>, conn: TcpStream) {
         let mut threads = self.threads.lock().expect("threads lock");
-        if threads.parked > threads.tasks.len() {
-            threads.tasks.push_back(task);
+        if threads.parked > threads.conns.len() {
+            threads.conns.push_back(conn);
             self.parked_cv.notify_one();
             self.recorder.add("server.threads_reused", 1);
             return;
         }
         threads.handles.retain(|h| !h.is_finished());
         let srv = self.clone();
-        threads.handles.push(std::thread::spawn(move || srv.serve(task)));
+        threads.handles.push(std::thread::spawn(move || srv.serve(conn)));
         self.recorder.add("server.threads_spawned", 1);
     }
 
-    /// A server thread's life: run the task, park, run the next one handed
-    /// over; exit when the parked bound is reached or the server closes.
-    fn serve(&self, mut task: Task) {
+    /// A server thread's life: serve the connection, park, serve the next
+    /// one handed over; exit when the parked bound is reached or the server
+    /// closes.
+    fn serve(&self, mut conn: TcpStream) {
         loop {
-            task();
+            handle_conn(self, conn);
             let mut threads = self.threads.lock().expect("threads lock");
             if threads.closed || threads.parked >= self.max_parked {
                 return;
             }
             threads.parked += 1;
-            task = loop {
-                if let Some(next) = threads.tasks.pop_front() {
+            conn = loop {
+                if let Some(next) = threads.conns.pop_front() {
                     break next;
                 }
                 if threads.closed {
@@ -301,8 +308,7 @@ impl CampaignServer {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                let srv3 = srv2.clone();
-                srv2.spawn(Box::new(move || handle_conn(&srv3, stream)));
+                srv2.spawn(stream);
             }
         });
         Ok(ServerHandle { addr, srv, accept: Some(accept) })
@@ -341,30 +347,24 @@ impl ServerHandle {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
-        // Parked threads exit now. Connection threads observe the flag
-        // within one poll interval and cancel their jobs; jobs observe the
-        // cancel at the next suffix; then both exit. A thread still busy
-        // at the deadline is left to finish on its own.
+        // Parked threads exit now. A thread between frames observes the
+        // flag within one poll interval, one running a job at the
+        // campaign's next check, which cancels the job; then it exits. Only
+        // the accept loop spawned threads, so the handles are complete. A
+        // thread still busy at the deadline is left to finish on its own.
         let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let handles = {
-                let mut threads = self.srv.threads.lock().expect("threads lock");
-                threads.closed = true;
-                self.srv.parked_cv.notify_all();
-                std::mem::take(&mut threads.handles)
-            };
-            // A connection thread joined here may have handed a job to a
-            // new thread first: take the handles again until none is left.
-            if handles.is_empty() {
-                break;
+        let handles = {
+            let mut threads = self.srv.threads.lock().expect("threads lock");
+            threads.closed = true;
+            self.srv.parked_cv.notify_all();
+            std::mem::take(&mut threads.handles)
+        };
+        for handle in handles {
+            while !handle.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
             }
-            for handle in handles {
-                while !handle.is_finished() && Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                if handle.is_finished() {
-                    let _ = handle.join();
-                }
+            if handle.is_finished() {
+                let _ = handle.join();
             }
         }
     }
@@ -456,10 +456,9 @@ impl FrameReader {
     }
 
     /// [`poll_frame`](Self::poll_frame) with a read that does not block:
-    /// what a connection thread polls between waits for its job's result,
-    /// which would otherwise sit in the channel while a read timed out.
-    /// The write half shares the socket's flags, so writes block again
-    /// once the poll is done.
+    /// what a running job's checks poll, so the campaign never waits out a
+    /// read timeout. The write half shares the socket's flags, so writes
+    /// block again once the poll is done.
     fn poll_frame_now(&mut self) -> ReadOutcome {
         let _ = self.stream.set_nonblocking(true);
         let outcome = self.poll_frame();
@@ -479,7 +478,7 @@ impl FrameReader {
     }
 }
 
-fn handle_conn(srv: &Arc<Srv>, stream: TcpStream) {
+fn handle_conn(srv: &Srv, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
@@ -500,15 +499,64 @@ fn handle_conn(srv: &Arc<Srv>, stream: TcpStream) {
     }
 }
 
-/// What the worker thread hands back; its arrival ends the job.
-type JobResult = Result<(CampaignReport, Option<String>), String>;
+/// A running job's hold on its connection, lent to the campaign's checks
+/// (see the module docs): each check that finds [`POLL`] passed since the
+/// last one streams progress and polls the socket.
+struct Duties<'a> {
+    srv: &'a Srv,
+    reader: &'a mut FrameReader,
+    out: &'a mut TcpStream,
+    job_id: u64,
+    total: u64,
+    connected: bool,
+    polled: Instant,
+    /// The classified count last sent in a `progress` frame.
+    progress: u64,
+}
 
-/// How long the connection thread waits for its job's result before it
-/// streams progress and polls the socket.
-const RESULT_WAIT: Duration = Duration::from_millis(25);
+impl Duties<'_> {
+    /// One check's share of the socket work; `false` stops the job: the
+    /// server shuts down or the client is gone.
+    fn tend(&mut self, classified: u64) -> bool {
+        if self.polled.elapsed() < POLL {
+            return true;
+        }
+        self.polled = Instant::now();
+        let srv = self.srv;
+        if srv.shutting_down() {
+            return false;
+        }
+        if self.connected && classified != self.progress {
+            self.progress = classified;
+            let frame = ServerFrame::Progress(self.job_id, classified, self.total);
+            self.connected = send(self.out, &frame).is_ok();
+        }
+        match self.reader.poll_frame_now() {
+            ReadOutcome::Idle => {}
+            ReadOutcome::Disconnected => {
+                if self.connected {
+                    self.connected = false;
+                    srv.recorder.add("server.client_disconnects", 1);
+                }
+            }
+            // One job per connection: any further job is refused, but
+            // stats stay queryable mid-job.
+            ReadOutcome::Frame(Ok(ClientFrame::Stats)) => {
+                let _ = send(self.out, &ServerFrame::Stats(srv.snapshot()));
+            }
+            ReadOutcome::Frame(Ok(ClientFrame::Job(_))) => srv.reject(
+                self.out,
+                RejectReason::ClientBusy,
+                "a job is already in flight on this connection",
+            ),
+            ReadOutcome::Frame(Err((reason, detail))) => srv.reject(self.out, reason, &detail),
+        }
+        self.connected
+    }
+}
 
 fn run_job(
-    srv: &Arc<Srv>,
+    srv: &Srv,
     reader: &mut FrameReader,
     out: &mut TcpStream,
     spec: JobSpec,
@@ -539,87 +587,41 @@ fn run_job(
     let job_id = srv.next_job_id.fetch_add(1, Ordering::Relaxed);
     srv.stats.jobs_accepted.fetch_add(1, Ordering::Relaxed);
     let t0 = Instant::now();
-    let mut connected = send(out, &ServerFrame::Accepted(job_id)).is_ok();
+    let connected = send(out, &ServerFrame::Accepted(job_id)).is_ok();
 
-    let ctl = Arc::new(JobControl::new());
-    // The result travels with the instant the worker finished, so the
-    // connection thread can record how long it took to pick it up.
-    let (tx, rx) = mpsc::channel::<(JobResult, Instant)>();
-    {
-        let ctl = ctl.clone();
-        let spec = spec.clone();
-        let srv2 = srv.clone();
-        srv.spawn(Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let campaign = match cached {
-                    Some(c) => c,
-                    None => srv2.prepare_campaign(&key, &spec, workload),
-                };
-                let cfg = spec.campaign_config();
-                let rec = spec.telemetry.then(Recorder::new);
-                let hooks: &dyn Hooks = match &rec {
-                    Some(r) => r,
-                    None => &NoTelemetry,
-                };
-                let report = run_backed(&srv2, &ckey, &campaign, &cfg, hooks, &ctl);
-                (report, rec.map(|r| r.drain().to_jsonl()))
-            }));
-            let _ = tx.send((result.map_err(panic_message), Instant::now()));
-        }));
-    }
-
-    // Stream progress and watch the socket while the job runs. Only a job
-    // that outlives one wait gets here, and from then on the socket poll
-    // does not block, so the result is taken as soon as it is sent.
-    let total = spec.injections as u64;
-    let mut last_progress = u64::MAX;
-    let outcome: JobResult = loop {
-        match rx.recv_timeout(RESULT_WAIT) {
-            Ok((result, finished)) => {
-                srv.recorder.record("server.report_lag_ns", finished.elapsed().as_nanos() as u64);
-                break result;
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                break Err("worker vanished without a result".to_string())
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        if srv.shutting_down() {
-            ctl.cancel();
-        }
-        if connected {
-            let classified = ctl.classified();
-            if classified != last_progress {
-                last_progress = classified;
-                connected =
-                    send(out, &ServerFrame::Progress(job_id, classified, total)).is_ok();
-            }
-        }
-        match reader.poll_frame_now() {
-            ReadOutcome::Idle => {}
-            ReadOutcome::Disconnected => {
-                if connected {
-                    connected = false;
-                    ctl.cancel();
-                    srv.recorder.add("server.client_disconnects", 1);
-                }
-            }
-            // One job per connection: any further job is refused, but
-            // stats stay queryable mid-job.
-            ReadOutcome::Frame(Ok(ClientFrame::Stats)) => {
-                let _ = send(out, &ServerFrame::Stats(srv.snapshot()));
-            }
-            ReadOutcome::Frame(Ok(ClientFrame::Job(_))) => srv.reject(
-                out,
-                RejectReason::ClientBusy,
-                "a job is already in flight on this connection",
-            ),
-            ReadOutcome::Frame(Err((reason, detail))) => srv.reject(out, reason, &detail),
-        }
-        if !connected {
-            ctl.cancel();
-        }
-    };
+    // The job runs here, and its checks tend the socket. Pool helpers
+    // check too, concurrently at width > 1: a check that finds another
+    // tending skips its turn.
+    let duties = Mutex::new(Duties {
+        srv,
+        reader,
+        out,
+        job_id,
+        total: spec.injections as u64,
+        connected,
+        polled: t0,
+        progress: u64::MAX,
+    });
+    let watch = |classified| duties.try_lock().map_or(true, |mut d| d.tend(classified));
+    let ctl = JobControl::watched(&watch);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let campaign = match cached {
+            Some(c) => c,
+            None => srv.prepare_campaign(&key, &spec, workload),
+        };
+        let cfg = spec.campaign_config();
+        let rec = spec.telemetry.then(Recorder::new);
+        let hooks: &dyn Hooks = match &rec {
+            Some(r) => r,
+            None => &NoTelemetry,
+        };
+        let report = run_backed(srv, &ckey, &campaign, &cfg, hooks, &ctl);
+        (report, rec.map(|r| r.drain().to_jsonl()))
+    }));
+    // A job that panicked inside a check poisoned the lock; each of a
+    // check's updates leaves the duties valid, so the connection goes on.
+    let Duties { out, mut connected, .. } =
+        duties.into_inner().unwrap_or_else(PoisonError::into_inner);
     srv.release_budget(budget);
     srv.recorder.record("server.job_ns", t0.elapsed().as_nanos() as u64);
 
@@ -655,10 +657,10 @@ fn run_job(
                 connected = out.write_all(tail.as_bytes()).is_ok();
             }
         }
-        Err(detail) => {
+        Err(payload) => {
             srv.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
             if connected {
-                connected = send(out, &ServerFrame::Failed(job_id, detail)).is_ok();
+                connected = send(out, &ServerFrame::Failed(job_id, panic_message(payload))).is_ok();
             }
         }
     }
@@ -937,33 +939,32 @@ mod tests {
         }
     }
 
-    /// Twenty jobs in turn run on the two threads the first one spawned:
-    /// each connection and each job is handed to a parked thread.
+    /// Twenty jobs in turn run on the one thread the first one spawned:
+    /// each connection is handed to the parked thread, which runs its job.
     #[test]
-    fn sequential_jobs_reuse_two_parked_threads() {
+    fn sequential_jobs_reuse_one_parked_thread() {
         let mut handle = test_server(0, 4, MAX_FRAME_BYTES);
         let spec = quick_spec();
         for _ in 0..20 {
             client::submit(handle.addr(), &spec).expect("submit");
             // The connection thread parks once the client hangs up; wait
-            // for it, so the next submit finds both threads parked.
-            wait_for_threads(&handle.srv, "two parked threads", |t| t.parked == 2);
+            // for it, so the next submit finds it parked.
+            wait_for_threads(&handle.srv, "one parked thread", |t| t.parked == 1);
         }
         let counters = handle.telemetry().counters;
         let count = |name: &str| counters.get(name).copied().unwrap_or(0);
         let (spawned, reused) = (count("server.threads_spawned"), count("server.threads_reused"));
-        assert!(spawned <= 2, "{spawned} threads spawned for 20 sequential jobs");
-        assert!(reused >= 38, "threads reused only {reused} times");
-        assert_eq!(spawned + reused, 40, "one thread per connection and per job");
+        assert!(spawned <= 1, "{spawned} threads spawned for 20 sequential jobs");
+        assert_eq!(spawned + reused, 20, "one thread per connection");
         handle.shutdown();
     }
 
-    /// With `budget_cap` 1 and no queue, two threads stay parked: of four
-    /// connection threads that end together, two park and two exit.
+    /// With `budget_cap` 1 and no queue, one thread stays parked: of four
+    /// connection threads that end together, one parks and three exit.
     #[test]
     fn threads_beyond_the_parked_bound_exit() {
         let mut handle = test_server(1, 0, MAX_FRAME_BYTES);
-        assert_eq!(handle.srv.max_parked, 2);
+        assert_eq!(handle.srv.max_parked, 1);
         // Each connection has had its stats answered, so four threads are
         // serving at once.
         let conns: Vec<TcpStream> = (0..4)
@@ -977,8 +978,8 @@ mod tests {
             })
             .collect();
         drop(conns);
-        wait_for_threads(&handle.srv, "two parked, two exited", |t| {
-            t.parked == 2 && t.handles.iter().filter(|h| !h.is_finished()).count() == 2
+        wait_for_threads(&handle.srv, "one parked, three exited", |t| {
+            t.parked == 1 && t.handles.iter().filter(|h| !h.is_finished()).count() == 1
         });
         assert_eq!(handle.telemetry().counters.get("server.threads_spawned"), Some(&4));
         handle.shutdown();

@@ -63,18 +63,30 @@ impl RecordSink for NoSink {
 /// server streaming progress, a Ctrl-C handler in a local run) a live
 /// done-so-far view without touching the record pipeline.
 ///
+/// A control made [`watched`](Self::watched) also asks its watch at each of
+/// those checks, handing it the classified count, and cancels when it
+/// answers `false`: the campaign server tends its client's socket there,
+/// on whichever thread makes the check.
+///
 /// A `JobControl` that is never cancelled is an observational no-op: the
 /// records are bit-identical to [`Campaign::run`].
-#[derive(Debug, Default)]
-pub struct JobControl {
+#[derive(Default)]
+pub struct JobControl<'w> {
     cancelled: AtomicBool,
     classified: AtomicU64,
+    watch: Option<&'w (dyn Fn(u64) -> bool + Sync)>,
 }
 
-impl JobControl {
+impl<'w> JobControl<'w> {
     /// A fresh, uncancelled control block.
-    pub fn new() -> JobControl {
+    pub fn new() -> JobControl<'w> {
         JobControl::default()
+    }
+
+    /// A fresh control block that asks `watch` at every check whether the
+    /// job may go on; see the type's docs.
+    pub fn watched(watch: &'w (dyn Fn(u64) -> bool + Sync)) -> JobControl<'w> {
+        JobControl { watch: Some(watch), ..JobControl::default() }
     }
 
     /// Request cancellation; the campaign stops at its next check.
@@ -82,9 +94,20 @@ impl JobControl {
         self.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Has [`cancel`](Self::cancel) been called?
+    /// Has [`cancel`](Self::cancel) been called, or does the watch refuse
+    /// now?
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+        self.cancelled.load(Ordering::Relaxed) || self.watch.is_some_and(|w| self.refused(w))
+    }
+
+    /// Kept out of line, so an unwatched check stays one load.
+    #[inline(never)]
+    fn refused(&self, watch: &(dyn Fn(u64) -> bool + Sync)) -> bool {
+        let refused = !watch(self.classified());
+        if refused {
+            self.cancel();
+        }
+        refused
     }
 
     /// Records produced so far (monotone during a run).
@@ -517,5 +540,23 @@ mod tests {
         let fresh = campaign.run(&config);
         assert!(!fresh.cancelled);
         assert_eq!(fresh.total(), fresh.records.len());
+    }
+
+    /// A watch is handed the classified count at every check, and its
+    /// first `false` cancels: at width 1, where the checks run one after
+    /// another, the job stops with exactly the records the watch allowed.
+    #[test]
+    fn a_watch_that_refuses_cancels_at_the_next_check() {
+        let campaign = tiny_campaign();
+        let config = cfg(40);
+        let all: Vec<usize> = (0..40).collect();
+        let allow = |classified: u64| classified < 5;
+        let ctl = JobControl::watched(&allow);
+        let report = rayon::with_threads(1, || {
+            campaign.run_selected(&config, &all, &NoTelemetry, &ctl, &NoSink)
+        });
+        assert!(report.cancelled);
+        assert_eq!((report.records.len(), ctl.classified()), (5, 5));
+        assert_eq!(report.records[..], campaign.run(&config).records[..5]);
     }
 }

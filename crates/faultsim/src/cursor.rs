@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn cancel_between_hops_leaves_later_brackets_unvisited() {
         /// Cancels the job at the cursor's first fork.
-        struct CancelOnFork<'a>(&'a JobControl);
+        struct CancelOnFork<'a>(&'a JobControl<'a>);
         impl Hooks for CancelOnFork<'_> {
             fn enabled(&self) -> bool {
                 true

@@ -257,22 +257,6 @@ fn uint_of<T: TryFrom<u64>>(num: Option<f64>, text: Option<&str>) -> Option<T> {
     T::try_from(n).ok()
 }
 
-/// [`Json::opt`]'s rule for either tree, given what the lookup found.
-fn member<V, T>(
-    key: &str,
-    found: Option<V>,
-    read: impl FnOnce(V) -> Option<T>,
-) -> Result<Option<T>, String> {
-    match found {
-        None => Ok(None),
-        Some(v) => read(v).map(Some).ok_or_else(|| format!("malformed or out-of-range {key:?}")),
-    }
-}
-
-fn missing(key: &str) -> String {
-    format!("missing {key:?}")
-}
-
 impl Json {
     /// Member lookup on objects; `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -298,14 +282,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an unsigned integer that fits `T`, in either spelling
     /// [`push_u64`] writes: a non-negative integral number no larger than
     /// 2⁵³ (beyond that an f64 no longer names one integer, so a cast would
@@ -313,35 +289,6 @@ impl Json {
     /// never a truncation: decoders narrow here, not with `as`.
     pub fn uint<T: TryFrom<u64>>(&self) -> Option<T> {
         uint_of(self.as_f64(), self.as_str())
-    }
-
-    /// The elements, each read by `item`, if this is an array of them.
-    pub fn list<'a, T>(&'a self, item: impl Fn(&'a Json) -> Option<T>) -> Option<Vec<T>> {
-        match self {
-            Json::Arr(items) => items.iter().map(item).collect(),
-            _ => None,
-        }
-    }
-
-    /// Read member `key` with `read` (`Json::uint`, `Json::as_str`, a
-    /// closure). The error names the key, so decoders need no per-field
-    /// error plumbing.
-    pub fn req<'a, T>(
-        &'a self,
-        key: &str,
-        read: impl FnOnce(&'a Json) -> Option<T>,
-    ) -> Result<T, String> {
-        self.opt(key, read)?.ok_or_else(|| missing(key))
-    }
-
-    /// Like [`req`](Self::req), but an absent member is `Ok(None)`. A member
-    /// that is present and malformed is an error, never a silent default.
-    pub fn opt<'a, T>(
-        &'a self,
-        key: &str,
-        read: impl FnOnce(&'a Json) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        member(key, self.get(key), read)
     }
 
     /// The same tree, borrowing this one's strings, for the decoders that
@@ -455,24 +402,30 @@ impl<'a> JsonRef<'a> {
         }
     }
 
-    /// [`Json::req`]: member `key` read with `read`, the error naming the
-    /// key.
+    /// Read member `key` with `read` (`JsonRef::uint`, `JsonRef::as_str`,
+    /// a closure). The error names the key, so decoders need no per-field
+    /// error plumbing.
     pub fn req<'v, T>(
         &'v self,
         key: &str,
         read: impl FnOnce(&'v JsonRef<'a>) -> Option<T>,
     ) -> Result<T, String> {
-        self.opt(key, read)?.ok_or_else(|| missing(key))
+        self.opt(key, read)?.ok_or_else(|| format!("missing {key:?}"))
     }
 
-    /// [`Json::opt`]: an absent member is `Ok(None)`, a present and
-    /// malformed one an error.
+    /// Like [`req`](Self::req), but an absent member is `Ok(None)`. A member
+    /// that is present and malformed is an error, never a silent default.
     pub fn opt<'v, T>(
         &'v self,
         key: &str,
         read: impl FnOnce(&'v JsonRef<'a>) -> Option<T>,
     ) -> Result<Option<T>, String> {
-        member(key, self.get(key), read)
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => {
+                read(v).map(Some).ok_or_else(|| format!("malformed or out-of-range {key:?}"))
+            }
+        }
     }
 }
 
@@ -1110,32 +1063,25 @@ mod tests {
     #[test]
     fn u64_members_round_trip_above_53_bits() {
         for v in [0u64, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
-            let j = parse_json(&Obj::new("t").u64("x", v).end()).unwrap();
-            assert_eq!(j.req("x", Json::uint), Ok(v), "round-trip of {v}");
+            let text = Obj::new("t").u64("x", v).end();
+            let j = JsonRef::parse(&text).unwrap();
+            assert_eq!(j.req("x", JsonRef::uint), Ok(v), "round-trip of {v}");
         }
     }
 
     #[test]
     fn typed_reads_name_the_key_and_check_every_narrowing() {
-        // The same reads on both trees.
-        macro_rules! typed_reads {
-            ($v:expr, $Tree:ident) => {{
-                let v = $v;
-                assert_eq!(v.req("big", $Tree::uint), Ok(4294967297u64));
-                assert!(v.req("big", $Tree::uint::<u32>).unwrap_err().contains("\"big\""));
-                assert_eq!(v.req("small", $Tree::uint), Ok(259u32));
-                assert!(v.req("small", $Tree::uint::<u8>).is_err());
-                assert!(v.req("neg", $Tree::uint::<u64>).is_err());
-                assert_eq!(v.req("n", |n| n.list($Tree::uint)), Ok(vec![1usize, 2, 3]));
-                assert!(v.req("n", |n| n.list($Tree::as_f64)).is_err(), "one element is a string");
-                assert!(v.req("absent", $Tree::as_bool).unwrap_err().contains("\"absent\""));
-                assert_eq!(v.opt("absent", $Tree::as_bool), Ok(None));
-                assert!(v.opt("n", $Tree::as_bool).is_err(), "present but malformed is not a default");
-            }};
-        }
-        let text = r#"{"big":4294967297,"small":259,"neg":-4,"n":[1,2,"3"]}"#;
-        typed_reads!(parse_json(text).unwrap(), Json);
-        typed_reads!(JsonRef::parse(text).unwrap(), JsonRef);
+        let v = JsonRef::parse(r#"{"big":4294967297,"small":259,"neg":-4,"n":[1,2,"3"]}"#).unwrap();
+        assert_eq!(v.req("big", JsonRef::uint), Ok(4294967297u64));
+        assert!(v.req("big", JsonRef::uint::<u32>).unwrap_err().contains("\"big\""));
+        assert_eq!(v.req("small", JsonRef::uint), Ok(259u32));
+        assert!(v.req("small", JsonRef::uint::<u8>).is_err());
+        assert!(v.req("neg", JsonRef::uint::<u64>).is_err());
+        assert_eq!(v.req("n", |n| n.list(JsonRef::uint)), Ok(vec![1usize, 2, 3]));
+        assert!(v.req("n", |n| n.list(JsonRef::as_f64)).is_err(), "one element is a string");
+        assert!(v.req("absent", JsonRef::as_bool).unwrap_err().contains("\"absent\""));
+        assert_eq!(v.opt("absent", JsonRef::as_bool), Ok(None));
+        assert!(v.opt("n", JsonRef::as_bool).is_err(), "present but malformed is not a default");
     }
 
     #[test]

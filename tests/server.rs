@@ -199,6 +199,46 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
     handle.shutdown();
 }
 
+/// While a job runs, its connection is still served: a `stats` frame is
+/// answered, a second `job` frame is refused as `client_busy`, progress is
+/// streamed, and the job still ends `report` + `done`, equal to its local
+/// run.
+#[test]
+fn a_live_job_answers_stats_refuses_a_second_job_and_streams_progress() {
+    let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
+    let spec = slow_inline_spec(100_000, 200);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream.write_all(format!("{}\n", spec.to_frame()).as_bytes()).unwrap();
+    assert_eq!(frame_kind(&read_json_line(&mut reader)), "accepted");
+    let stats = ClientFrame::Stats.encode();
+    stream.write_all(format!("{stats}\n{}\n", spec.to_frame()).as_bytes()).unwrap();
+
+    let (mut progress, mut stats_seen, mut busy, mut records) = (0, 0, 0, Vec::new());
+    let mut report = loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read frame");
+        match ServerFrame::decode(line.trim_end()).expect("server frame decodes") {
+            ServerFrame::Progress(..) => progress += 1,
+            ServerFrame::Stats(snap) => {
+                assert_eq!(snap.inflight_budget, 1, "stats answered outside the job");
+                stats_seen += 1;
+            }
+            ServerFrame::Reject(RejectReason::ClientBusy, _) => busy += 1,
+            ServerFrame::Record(_, record) => records.push(record),
+            ServerFrame::Report(_, report) => break report,
+            other => panic!("unexpected frame mid-job: {other:?}"),
+        }
+    };
+    assert_eq!(frame_kind(&read_json_line(&mut reader)), "done");
+    assert_eq!((stats_seen, busy), (1, 1), "mid-job frames were not both answered");
+    assert!(progress > 0, "no progress frame while the job ran");
+    report.records = records;
+    assert_eq!(report, local_run(&spec));
+    handle.shutdown();
+}
+
 /// Older clients still send `"scheduler":"per-injection"` in their `job`
 /// frames. The key is ignored: the frame is accepted and the job yields the
 /// same report as one without it.

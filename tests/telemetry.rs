@@ -358,44 +358,18 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
     }
 }
 
-/// A served job that outlives its connection thread's first wait for the
-/// result is reported within a millisecond of its worker finishing: the
-/// socket poll between waits does not block, so a result sent meanwhile
-/// is taken at once instead of after the poll's read timeout. The lag is
-/// the server's `server.report_lag_ns` series, read per job as the growth
-/// of its sum. One late job of four is tolerated (a shared host can
-/// deschedule the thread); the blocking poll made about one job in three
-/// wait up to 10 ms.
+/// A served job is heard in the server's own series: its duration, its
+/// completion, and the one thread its connection ran on — the job runs on
+/// the thread that reads the connection.
 #[test]
-fn a_served_job_is_reported_within_a_millisecond_of_its_worker() {
-    const LONG_NS: u64 = 50_000_000;
-    const LATE_NS: u64 = 1_000_000;
+fn a_served_job_is_heard_in_the_server_series() {
     let server = careserve::CampaignServer::start(careserve::ServerConfig::default())
         .expect("server starts");
-    let sum = |name: &str| server.telemetry().hists.get(name).map_or(0, |h| h.sum());
-    let mut injections = 8;
-    let (mut long, mut late) = (0, Vec::new());
-    while long < 4 {
-        let spec =
-            careserve::JobSpec { injections, records: false, ..careserve::JobSpec::default() };
-        let (job0, lag0) = (sum("server.job_ns"), sum("server.report_lag_ns"));
-        careserve::submit(server.addr(), &spec).expect("job runs");
-        let (job, lag) = (sum("server.job_ns") - job0, sum("server.report_lag_ns") - lag0);
-        if job < LONG_NS {
-            injections *= 2;
-            continue;
-        }
-        long += 1;
-        if lag > LATE_NS {
-            late.push(lag);
-        }
-    }
-    assert!(late.len() <= 1, "jobs of ≥ 50 ms reported late (ns): {late:?}");
+    let spec =
+        careserve::JobSpec { injections: 8, records: false, ..careserve::JobSpec::default() };
+    careserve::submit(server.addr(), &spec).expect("job runs");
     let tel = server.telemetry();
-    for heard in ["server.job_ns", "server.report_lag_ns"] {
-        assert!(tel.hists.get(heard).is_some_and(|h| h.count() > 0), "{heard} never recorded");
-    }
-    for heard in ["server.jobs_completed", "server.threads_spawned"] {
-        assert!(tel.counters.get(heard).is_some_and(|&n| n > 0), "{heard} never recorded");
-    }
+    assert!(tel.hists.get("server.job_ns").is_some_and(|h| h.count() == 1), "job_ns not heard");
+    assert_eq!(tel.counters.get("server.jobs_completed"), Some(&1));
+    assert_eq!(tel.counters.get("server.threads_spawned"), Some(&1), "one connection, one thread");
 }
