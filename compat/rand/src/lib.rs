@@ -144,10 +144,7 @@ pub mod rngs {
 
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[0]
-                .wrapping_add(self.s[3])
-                .rotate_left(23)
-                .wrapping_add(self.s[0]);
+            let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];
@@ -188,12 +185,7 @@ mod tests {
         let first: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
         assert_eq!(
             first,
-            vec![
-                5987356902031041503,
-                7051070477665621255,
-                6633766593972829180,
-                211316841551650330
-            ]
+            vec![5987356902031041503, 7051070477665621255, 6633766593972829180, 211316841551650330]
         );
     }
 

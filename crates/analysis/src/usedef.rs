@@ -167,14 +167,8 @@ mod tests {
             vec![Ty::Ptr, Ty::Ptr, Ty::I64, Ty::I64, Ty::I64, Ty::I64],
             Some(Ty::F64),
             |fb| {
-                let (phitmp, igrid, mzeta, igrid_in, i, k) = (
-                    fb.arg(0),
-                    fb.arg(1),
-                    fb.arg(2),
-                    fb.arg(3),
-                    fb.arg(4),
-                    fb.arg(5),
-                );
+                let (phitmp, igrid, mzeta, igrid_in, i, k) =
+                    (fb.arg(0), fb.arg(1), fb.arg(2), fb.arg(3), fb.arg(4), fb.arg(5));
                 let gi = fb.load_elem(igrid, i, Ty::I64); // gep + load
                 let m1 = fb.add(mzeta, Value::i64(1), Ty::I64);
                 let d = fb.sub(gi, igrid_in, Ty::I64);

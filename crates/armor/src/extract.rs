@@ -19,8 +19,8 @@ use simx::DieRequest;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use tinyir::{
-    Callee, Function, FuncId, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind, Module,
-    Ty, Value,
+    Callee, FuncId, Function, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind, Module, Ty,
+    Value,
 };
 
 /// Aggregate statistics (feeds Tables 5 and 8).
@@ -219,10 +219,7 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
                     stats.total_kernel_instrs += ext.stmts.len();
                     stats.num_kernels += 1;
                     let kfid = kernel_module.add_func(kernel_fn);
-                    table.insert(
-                        key,
-                        TableEntry { symbol, kernel: kfid, params: param_specs },
-                    );
+                    table.insert(key, TableEntry { symbol, kernel: kfid, params: param_specs });
                     die_requests.extend(reqs);
                 }
                 None => stats.infeasible += 1,
@@ -733,11 +730,8 @@ fn build_kernel(
     ext: &Extraction,
 ) -> Option<(Function, Vec<ParamSpec>, Vec<DieRequest>)> {
     let f = cx.f;
-    let param_tys: Vec<Ty> = ext
-        .params
-        .iter()
-        .map(|&p| tinyir::module::value_ty(f, p).unwrap_or(Ty::I64))
-        .collect();
+    let param_tys: Vec<Ty> =
+        ext.params.iter().map(|&p| tinyir::module::value_ty(f, p).unwrap_or(Ty::I64)).collect();
     let mut kf = Function::new(symbol, param_tys, Some(Ty::Ptr));
     let entry = kf.entry();
 
@@ -776,13 +770,11 @@ fn build_kernel(
     let mut reqs = Vec::new();
     for (i, &p) in ext.params.iter().enumerate() {
         match p {
-            Value::Global(g) => specs.push(ParamSpec::GlobalAddr {
-                name: app.global(g).name.clone(),
-            }),
+            Value::Global(g) => {
+                specs.push(ParamSpec::GlobalAddr { name: app.global(g).name.clone() })
+            }
             Value::ConstInt(..) | Value::ConstFloat(..) | Value::ConstNull => {
-                specs.push(ParamSpec::Const(
-                    tinyir::interp::const_bits(p).unwrap_or(0),
-                ));
+                specs.push(ParamSpec::Const(tinyir::interp::const_bits(p).unwrap_or(0)));
             }
             Value::Instr(_) | Value::Arg(_) => {
                 let name = format!("care_p_{kernel_index}_{i}");
@@ -805,31 +797,26 @@ mod tests {
         let mut mb = ModuleBuilder::new("gtcp", "gtcp.c");
         let phitmp = mb.global_zeroed("phitmp", Ty::F64, 4096);
         let igrid = mb.global_zeroed("igrid", Ty::I64, 128);
-        mb.define(
-            "chargei",
-            vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64],
-            Some(Ty::F64),
-            |fb| {
-                let (mzeta, igrid_in, n, kmax) = (fb.arg(0), fb.arg(1), fb.arg(2), fb.arg(3));
-                let acc = fb.alloca(Ty::F64, 1);
-                fb.store(Value::f64(0.0), acc);
-                fb.for_loop(Value::i64(0), n, |fb, i| {
-                    fb.for_loop(Value::i64(0), kmax, |fb, k| {
-                        let gi = fb.load_elem(fb.global(igrid), i, Ty::I64);
-                        let m1 = fb.add(mzeta, Value::i64(1), Ty::I64);
-                        let d = fb.sub(gi, igrid_in, Ty::I64);
-                        let p = fb.mul(m1, d, Ty::I64);
-                        let idx = fb.add(p, k, Ty::I64);
-                        let v = fb.load_elem(fb.global(phitmp), idx, Ty::F64);
-                        let a = fb.load(acc, Ty::F64);
-                        let s = fb.fadd(a, v, Ty::F64);
-                        fb.store(s, acc);
-                    });
+        mb.define("chargei", vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64], Some(Ty::F64), |fb| {
+            let (mzeta, igrid_in, n, kmax) = (fb.arg(0), fb.arg(1), fb.arg(2), fb.arg(3));
+            let acc = fb.alloca(Ty::F64, 1);
+            fb.store(Value::f64(0.0), acc);
+            fb.for_loop(Value::i64(0), n, |fb, i| {
+                fb.for_loop(Value::i64(0), kmax, |fb, k| {
+                    let gi = fb.load_elem(fb.global(igrid), i, Ty::I64);
+                    let m1 = fb.add(mzeta, Value::i64(1), Ty::I64);
+                    let d = fb.sub(gi, igrid_in, Ty::I64);
+                    let p = fb.mul(m1, d, Ty::I64);
+                    let idx = fb.add(p, k, Ty::I64);
+                    let v = fb.load_elem(fb.global(phitmp), idx, Ty::F64);
+                    let a = fb.load(acc, Ty::F64);
+                    let s = fb.fadd(a, v, Ty::F64);
+                    fb.store(s, acc);
                 });
-                let r = fb.load(acc, Ty::F64);
-                fb.ret(Some(r));
-            },
-        );
+            });
+            let r = fb.load(acc, Ty::F64);
+            fb.ret(Some(r));
+        });
         mb.finish()
     }
 
@@ -854,11 +841,7 @@ mod tests {
         // Find the kernel whose parameter list mentions phitmp... the
         // phitmp kernel takes (mzeta, igrid_in, i-phi, k-phi) style params
         // plus the global. Identify it as the kernel with the most params.
-        let (key, entry) = out
-            .table
-            .iter()
-            .max_by_key(|(_, e)| e.params.len())
-            .unwrap();
+        let (key, entry) = out.table.iter().max_by_key(|(_, e)| e.params.len()).unwrap();
         let _ = key;
         // Lay out the APP globals; run the kernel module against them.
         let mut mem = tinyir::mem::PagedMemory::new();
@@ -924,9 +907,7 @@ mod tests {
         // No kernel may clone a phi: phis are extraction stop points.
         for f in &out.kernel_module.funcs {
             assert!(
-                !f.instrs
-                    .iter()
-                    .any(|i| matches!(i.kind, InstrKind::Phi { .. })),
+                !f.instrs.iter().any(|i| matches!(i.kind, InstrKind::Phi { .. })),
                 "kernels must not contain phis"
             );
         }
@@ -989,11 +970,7 @@ mod tests {
         );
         // Its params are the global base plus x and n (the app arguments).
         assert_eq!(e.params.len(), 3);
-        let dies = e
-            .params
-            .iter()
-            .filter(|p| matches!(p, ParamSpec::Die { .. }))
-            .count();
+        let dies = e.params.iter().filter(|p| matches!(p, ParamSpec::Die { .. })).count();
         assert_eq!(dies, 2);
     }
 

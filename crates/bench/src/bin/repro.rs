@@ -176,10 +176,8 @@ fn parse_serve_args(args: &[String]) -> ServeArgs {
 /// `repro serve`: run the campaign server until the process is killed.
 fn cmd_serve(args: &[String]) {
     let a = parse_serve_args(args);
-    let store_note = a
-        .store_dir
-        .as_ref()
-        .map_or(String::new(), |d| format!(", store {}", d.display()));
+    let store_note =
+        a.store_dir.as_ref().map_or(String::new(), |d| format!(", store {}", d.display()));
     let handle = careserve::CampaignServer::start(careserve::ServerConfig {
         addr: a.addr,
         budget_cap: a.budget_cap,
@@ -234,10 +232,9 @@ fn cmd_triage(args: &[String]) {
             other => usage_error(&format!("unknown option '{other}'")),
         }
     }
-    let store = Store::open(&dir)
-        .unwrap_or_else(|e| panic!("open store {}: {e}", dir.display()));
-    let clusters = carestore::triage(&store)
-        .unwrap_or_else(|e| panic!("triage {}: {e}", dir.display()));
+    let store = Store::open(&dir).unwrap_or_else(|e| panic!("open store {}: {e}", dir.display()));
+    let clusters =
+        carestore::triage(&store).unwrap_or_else(|e| panic!("triage {}: {e}", dir.display()));
     let mut t = Table::new(
         &format!("store triage: {} ({} clusters)", dir.display(), clusters.len()),
         &["Outcome", "Decline", "Site (mod,func,inst)", "Records", "Campaigns"],
@@ -266,18 +263,16 @@ fn cmd_submit(args: &[String]) {
         return;
     }
     let t0 = std::time::Instant::now();
-    let out = careserve::submit(&a.addr, &a.spec)
-        .unwrap_or_else(|e| panic!("submit to {}: {e}", a.addr));
+    let out =
+        careserve::submit(&a.addr, &a.spec).unwrap_or_else(|e| panic!("submit to {}: {e}", a.addr));
     let wall = t0.elapsed().as_secs_f64();
     let r = &out.report;
     let workload = match &a.spec.workload {
         careserve::WorkloadSel::Named { name, params } => format!("{name} {params:?}"),
         careserve::WorkloadSel::Inline { .. } => "inline".to_string(),
     };
-    let mut t = Table::new(
-        &format!("job {} on {} ({workload})", out.job_id, a.addr),
-        &["Metric", "Value"],
-    );
+    let mut t =
+        Table::new(&format!("job {} on {} ({workload})", out.job_id, a.addr), &["Metric", "Value"]);
     t.row(vec!["classified".into(), r.total().to_string()]);
     t.row(vec!["benign".into(), r.benign.to_string()]);
     t.row(vec!["soft failures".into(), r.soft_failure.to_string()]);

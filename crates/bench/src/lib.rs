@@ -328,8 +328,7 @@ fn latency(s: &Session) -> Table {
 fn address_ops(_: &Session) -> Table {
     let ws = workloads::all();
     let headers: Vec<&str> = std::iter::once("").chain(ws.iter().map(|w| w.name)).collect();
-    let mut t =
-        Table::new("Table 5: memory accesses with multi-op address computations", &headers);
+    let mut t = Table::new("Table 5: memory accesses with multi-op address computations", &headers);
     // The paper's Table 5 counts address computations of the *real* data
     // accesses; measure on the optimised IR, where scalar stack-slot traffic
     // (an -O0 artefact) has been promoted away.
@@ -451,9 +450,8 @@ fn cluster_job(s: &Session) -> Table {
             .step_by(7)
             .map(|step| simulate_faulty(&cfg, step, &cr, &NoTelemetry))
             .collect();
-        let avg = |ms: fn(&JobOutcome) -> f64| {
-            sec(runs.iter().map(ms).sum::<f64>() / runs.len() as f64)
-        };
+        let avg =
+            |ms: fn(&JobOutcome) -> f64| sec(runs.iter().map(ms).sum::<f64>() / runs.len() as f64);
         let label = format!("C/R every {interval} steps (avg)");
         t.row(row![label, avg(|o| o.makespan_ms), avg(|o| o.overhead_ms), avg(|o| o.restart_ms)]);
     }
@@ -525,8 +523,7 @@ fn ablate_guard(s: &Session) -> Table {
         "Ablation: address-equality guard (O0)",
         &["Workload", "guarded: covered", "unguarded: covered", "unguarded: survived w/ SDC"],
     );
-    let cfg =
-        CampaignConfig { skip_equality_guard: true, ..s.coverage_cfg(FaultModel::SingleBit) };
+    let cfg = CampaignConfig { skip_equality_guard: true, ..s.coverage_cfg(FaultModel::SingleBit) };
     let covered = |r: &CampaignReport| format!("{}/{}", r.care_covered, r.care_evaluated);
     for (p, guarded) in s.coverage_at(OptLevel::O0) {
         let unguarded = s.run(p, &cfg);
@@ -611,10 +608,7 @@ mod tests {
 
     #[test]
     fn stored_campaign_warm_run_executes_no_residual() {
-        let dir = std::env::temp_dir().join(format!(
-            "care-bench-lib-store-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("care-bench-lib-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = Session::new(12, 7, EngineKind::Interp);
         s.store = Some(carestore::Store::open(&dir).expect("open store"));

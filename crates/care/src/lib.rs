@@ -51,9 +51,7 @@ pub mod prelude {
     pub use crate::pipeline::{compile, compile_baseline, protected_process, CompiledApp};
     pub use armor::{ArmorOutput, ArmorStats, RecoveryTable};
     pub use opt::OptLevel;
-    pub use safeguard::{
-        run_protected, DeclineReason, ProtectedExit, RecoveryOutcome, Safeguard,
-    };
+    pub use safeguard::{run_protected, DeclineReason, ProtectedExit, RecoveryOutcome, Safeguard};
     pub use simx::{Instrument, ModuleId, Process, RunExit, Trap, TrapKind};
     pub use telemetry::{Hooks, NoTelemetry, Recorder};
 }

@@ -9,8 +9,8 @@
 
 use armor::{run_armor_with, ArmorConfig, ArmorOutput};
 use opt::{optimize, OptLevel, OptStats};
-use simx::{compile_module, MachineModule, ModuleId, Process};
 use safeguard::Safeguard;
+use simx::{compile_module, MachineModule, ModuleId, Process};
 use std::sync::Arc;
 use std::time::Instant;
 use tinyir::Module;
@@ -66,12 +66,7 @@ pub fn compile_with(module: &Module, level: OptLevel, config: ArmorConfig) -> Co
         machine: Arc::new(machine),
         armor: armor_out,
         opt_level: level,
-        build: BuildStats {
-            normal_compile_s,
-            armor_s,
-            armor_liveness_s: 0.0,
-            opt: opt_stats,
-        },
+        build: BuildStats { normal_compile_s, armor_s, armor_liveness_s: 0.0, opt: opt_stats },
     }
     .with_liveness_stat()
 }
@@ -149,12 +144,7 @@ pub fn memory_overhead(apps: &[&CompiledApp]) -> MemoryOverhead {
         lazy_kernel_bytes: apps
             .iter()
             .map(|a| {
-                a.armor
-                    .kernel_module
-                    .funcs
-                    .iter()
-                    .map(|f| f.instrs.len() as u64 * 16)
-                    .sum::<u64>()
+                a.armor.kernel_module.funcs.iter().map(|f| f.instrs.len() as u64 * 16).sum::<u64>()
             })
             .sum(),
     }

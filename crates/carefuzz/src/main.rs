@@ -94,8 +94,7 @@ fn replay_file(path: &str) -> ExitCode {
 }
 
 fn parse_num(v: Option<String>, flag: &str) -> u64 {
-    v.and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} needs a number")))
+    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage(&format!("{flag} needs a number")))
 }
 
 fn usage(msg: &str) -> ! {

@@ -192,10 +192,7 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
 
 /// Output regions: every generated global array.
 fn output_globals(m: &Module) -> Vec<(String, u64)> {
-    m.globals
-        .iter()
-        .map(|g| (g.name.clone(), g.count as u64 * g.elem_ty.size() as u64))
-        .collect()
+    m.globals.iter().map(|g| (g.name.clone(), g.count as u64 * g.elem_ty.size() as u64)).collect()
 }
 
 // ---------------------------------------------------------------- pair 1 --
@@ -427,7 +424,8 @@ fn run_interp(m: &Module, arg: u64, outputs: &[(String, u64)]) -> Result<RunStat
     let gaddrs = layout_globals(m, &mut mem, GLOBAL_BASE);
     let main = m.func_by_name("main").ok_or("no main")?;
     let (ret, steps) = {
-        let mut it = Interp::new(m, &mut mem, &gaddrs, STACK_BASE, STACK_LIMIT, HEAP_BASE, INTERP_FUEL);
+        let mut it =
+            Interp::new(m, &mut mem, &gaddrs, STACK_BASE, STACK_LIMIT, HEAP_BASE, INTERP_FUEL);
         let ret = it.call(main, &[arg]).map_err(|e| format!("interp fault: {e:?}"))?;
         (ret, it.steps)
     };
@@ -444,13 +442,7 @@ fn run_interp(m: &Module, arg: u64, outputs: &[(String, u64)]) -> Result<RunStat
         }
         globals.push(buf);
     }
-    Ok(RunState {
-        exit: RunExit::Done(ret),
-        steps,
-        fuel_left: 0,
-        trap_count: 0,
-        globals,
-    })
+    Ok(RunState { exit: RunExit::Done(ret), steps, fuel_left: 0, trap_count: 0, globals })
 }
 
 fn opt_levels_check(
@@ -474,7 +466,8 @@ fn opt_levels_check(
     };
     let m0 = run_machine(&InterpEngine, &started(mm0, arg), MACHINE_FUEL, outputs);
     let m1 = run_machine(&InterpEngine, &started(mm1, arg), MACHINE_FUEL, outputs);
-    let engines = [("interp O0", &i0), ("interp O1", &i1), ("machine O0", &m0), ("machine O1", &m1)];
+    let engines =
+        [("interp O0", &i0), ("interp O1", &i1), ("machine O0", &m0), ("machine O1", &m1)];
     for (name, r) in &engines[1..] {
         if r.exit != i0.exit {
             return diverge(name, format!("result {:?}, expected {:?}", r.exit, i0.exit));
@@ -670,9 +663,7 @@ fn kernel_probe_check(oir: &Module, out: &ArmorOutput, arg: u64) -> Option<Diver
             .blocks
             .iter()
             .enumerate()
-            .find_map(|(bi, b)| {
-                b.instrs.iter().position(|&i| i == site.access).map(|p| (bi, p))
-            })
+            .find_map(|(bi, b)| b.instrs.iter().position(|&i| i == site.access).map(|p| (bi, p)))
             .expect("access is in some block");
         let ids: Vec<InstrId> = (0..7).map(|k| InstrId(base_id + k)).collect();
         f.blocks[bidx].instrs.splice(pos..pos, ids);
@@ -724,9 +715,7 @@ pub fn liveness_check(oir: &Module, out: &ArmorOutput) -> Option<Divergence> {
     let mut lv_cache: HashMap<usize, Liveness> = HashMap::new();
     for site in &sites {
         let f = &oir.funcs[site.fid];
-        let lv = lv_cache
-            .entry(site.fid)
-            .or_insert_with(|| Liveness::compute(f, &Cfg::new(f)));
+        let lv = lv_cache.entry(site.fid).or_insert_with(|| Liveness::compute(f, &Cfg::new(f)));
         // Values folded into the access's address mode are operands of the
         // faulting instruction itself, live by construction.
         let mut folded = std::collections::HashSet::new();

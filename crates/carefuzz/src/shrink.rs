@@ -321,7 +321,9 @@ mod tests {
         let smaller: Vec<ProgramSpec> =
             candidates(&long).into_iter().filter(|c| size(c) < size(&long)).collect();
         let loops_of = |want: u32| {
-            smaller.iter().any(|c| matches!(c.stmts[..], [Stmt::Loop { trips, .. }] if trips == want))
+            smaller
+                .iter()
+                .any(|c| matches!(c.stmts[..], [Stmt::Loop { trips, .. }] if trips == want))
         };
         assert!(loops_of(1) && loops_of(trips / 2), "trips {trips}");
         // The splice drops exactly the loop node: its 10 and its trips.
@@ -344,9 +346,8 @@ mod tests {
             }],
             trap: None,
         };
-        let has_splice = candidates(&spec)
-            .iter()
-            .any(|c| matches!(c.stmts.first(), Some(Stmt::IntAcc { .. })));
+        let has_splice =
+            candidates(&spec).iter().any(|c| matches!(c.stmts.first(), Some(Stmt::IntAcc { .. })));
         assert!(has_splice);
     }
 }

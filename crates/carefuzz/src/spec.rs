@@ -65,13 +65,7 @@ pub enum IntExpr {
     /// A float expression clamped to a finite range and truncated.
     FromFloat(Box<FloatExpr>),
     /// `cl <pred> cr ? t : f`.
-    Select {
-        pred: ICmp,
-        cl: Box<IntExpr>,
-        cr: Box<IntExpr>,
-        t: Box<IntExpr>,
-        f: Box<IntExpr>,
-    },
+    Select { pred: ICmp, cl: Box<IntExpr>, cr: Box<IntExpr>, t: Box<IntExpr>, f: Box<IntExpr> },
 }
 
 /// A float-valued expression (computed in `f64`; f32 arrays round-trip
@@ -104,13 +98,7 @@ pub enum Stmt {
     Store { arr: usize, idx: IntExpr, val: IntExpr },
     /// An explicit diamond: `acc ^= phi(then_v, else_v)` — the two arms are
     /// evaluated in separate blocks and joined by a real phi node.
-    If {
-        pred: ICmp,
-        l: IntExpr,
-        r: IntExpr,
-        then_v: IntExpr,
-        else_v: IntExpr,
-    },
+    If { pred: ICmp, l: IntExpr, r: IntExpr, then_v: IntExpr, else_v: IntExpr },
     /// A counted loop around a nested body (2–6 trips where generated
     /// inside a body; thousands around the whole body of a *long* program).
     Loop { trips: u32, body: Vec<Stmt> },
@@ -253,9 +241,7 @@ fn gen_stmt(rng: &mut SmallRng, arrays: &[ArraySpec], helpers: u8, depth: u8) ->
         4 => Stmt::IntAcc { op: BinOp::Xor, e: gen_int(rng, arrays, 0) },
         _ => {
             let n = rng.gen_range(1usize..=3);
-            let body = (0..n)
-                .map(|_| gen_stmt(rng, arrays, helpers, depth + 1))
-                .collect();
+            let body = (0..n).map(|_| gen_stmt(rng, arrays, helpers, depth + 1)).collect();
             Stmt::Loop { trips: rng.gen_range(2u32..=6), body }
         }
     }
@@ -416,12 +402,12 @@ fn nonzero_init(a: &ArraySpec, seed: u64, gi: u64) -> tinyir::GlobalInit {
         Ty::I64 => tinyir::GlobalInit::I64s(
             (0..n).map(|i| (workloads::spec::init_f64(s, i) * 1000.0) as i64).collect(),
         ),
-        Ty::F32 => tinyir::GlobalInit::F32s(
-            (0..n).map(|i| workloads::spec::init_f32(s, i)).collect(),
-        ),
-        Ty::F64 => tinyir::GlobalInit::F64s(
-            (0..n).map(|i| workloads::spec::init_f64(s, i)).collect(),
-        ),
+        Ty::F32 => {
+            tinyir::GlobalInit::F32s((0..n).map(|i| workloads::spec::init_f32(s, i)).collect())
+        }
+        Ty::F64 => {
+            tinyir::GlobalInit::F64s((0..n).map(|i| workloads::spec::init_f64(s, i)).collect())
+        }
         _ => tinyir::GlobalInit::Zero,
     }
 }
@@ -670,9 +656,7 @@ mod tests {
 
     #[test]
     fn trap_programs_exist() {
-        let trapping = (0..100)
-            .filter(|&s| ProgramSpec::generate(s).trap.is_some())
-            .count();
+        let trapping = (0..100).filter(|&s| ProgramSpec::generate(s).trap.is_some()).count();
         assert!(trapping > 3, "{trapping} trapping programs in 100 seeds");
     }
 }

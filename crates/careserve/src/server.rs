@@ -154,11 +154,8 @@ pub(crate) struct Srv {
 
 impl Srv {
     pub(crate) fn new(cfg: &ServerConfig) -> std::io::Result<Srv> {
-        let budget_cap = if cfg.budget_cap == 0 {
-            rayon::current_num_threads().max(1)
-        } else {
-            cfg.budget_cap
-        };
+        let budget_cap =
+            if cfg.budget_cap == 0 { rayon::current_num_threads().max(1) } else { cfg.budget_cap };
         let cache_cap = if cfg.cache_cap == 0 { DEFAULT_CACHE_CAP } else { cfg.cache_cap };
         let store = match &cfg.store_dir {
             Some(dir) => Some(Store::open(dir)?),
@@ -205,10 +202,8 @@ impl Srv {
         self.stats.queue_depth.store(adm.queued as u64, Ordering::Relaxed);
         self.recorder.record("server.queue_depth", adm.queued as u64);
         loop {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(adm, Duration::from_millis(50))
-                .expect("admission wait");
+            let (guard, _) =
+                self.cv.wait_timeout(adm, Duration::from_millis(50)).expect("admission wait");
             adm = guard;
             let fits = adm.used + want <= self.budget_cap;
             if fits || self.shutting_down() {
@@ -1109,8 +1104,7 @@ mod tests {
     /// its bound, and every eviction is counted in the stats frame.
     #[test]
     fn cache_stays_bounded_under_a_stream_of_distinct_jobs() {
-        let srv =
-            Srv::new(&ServerConfig { cache_cap: 16, ..ServerConfig::default() }).unwrap();
+        let srv = Srv::new(&ServerConfig { cache_cap: 16, ..ServerConfig::default() }).unwrap();
         let spec = tiny_inline_spec();
         let workload = proto::resolve_workload(&spec.workload).unwrap();
         for i in 0..1000u32 {
@@ -1118,10 +1112,7 @@ mod tests {
             // the string alone, and reusing the program keeps 1000
             // prepares affordable.
             srv.prepare_campaign(&format!("care1:{i:032x}:O1:e1"), &spec, workload.clone());
-            assert!(
-                srv.cache.lock().unwrap().len() <= 16,
-                "cache exceeded its bound at job {i}"
-            );
+            assert!(srv.cache.lock().unwrap().len() <= 16, "cache exceeded its bound at job {i}");
         }
         assert_eq!(srv.cache.lock().unwrap().len(), 16);
         let snap = srv.snapshot();
@@ -1134,8 +1125,7 @@ mod tests {
     /// log) and its report — records included — is byte-identical.
     #[test]
     fn store_backed_server_reuses_records_across_jobs() {
-        let dir =
-            std::env::temp_dir().join(format!("careserve-store-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("careserve-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut handle = CampaignServer::start(ServerConfig {
             store_dir: Some(dir.clone()),
@@ -1145,19 +1135,13 @@ mod tests {
         let spec = tiny_inline_spec();
 
         let first = client::submit(handle.addr(), &spec).expect("first submit");
-        let logs: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
+        let logs: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(logs.len(), 1, "one campaign, one log");
         let after_first = std::fs::read(&logs[0]).unwrap();
         assert!(!after_first.is_empty());
 
         let second = client::submit(handle.addr(), &spec).expect("second submit");
-        assert_eq!(
-            second.report, first.report,
-            "warm store re-run diverged from the cold run"
-        );
+        assert_eq!(second.report, first.report, "warm store re-run diverged from the cold run");
         let after_second = std::fs::read(&logs[0]).unwrap();
         assert_eq!(
             after_second, after_first,

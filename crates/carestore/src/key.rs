@@ -63,11 +63,7 @@ impl CampaignKey {
         if parts.next().is_some() {
             return None;
         }
-        Some(CampaignKey {
-            module_hash,
-            opt: opt.to_string(),
-            engine_version: ver.parse().ok()?,
-        })
+        Some(CampaignKey { module_hash, opt: opt.to_string(), engine_version: ver.parse().ok()? })
     }
 
     /// Filesystem name of this campaign's record log.
@@ -140,10 +136,8 @@ mod tests {
     #[test]
     fn reformatted_module_text_hashes_identically() {
         let canonical = print_module(&tiny_module(3));
-        let reformatted: String = canonical
-            .lines()
-            .map(|l| format!("   {l}   ; a trailing comment\n\n"))
-            .collect();
+        let reformatted: String =
+            canonical.lines().map(|l| format!("   {l}   ; a trailing comment\n\n")).collect();
         assert_ne!(canonical, reformatted);
         let a = parse_module(&canonical).expect("canonical parses");
         let b = parse_module(&reformatted).expect("reformatted parses");

@@ -35,7 +35,9 @@ pub mod triage;
 
 pub use hash::ContentHash;
 pub use key::{campaign_key, CampaignKey};
-pub use log::{read_log, run_signature, scan_log, LogLine, LogScan, LogWriter, RunKey, STORE_VERSION};
+pub use log::{
+    read_log, run_signature, scan_log, LogLine, LogScan, LogWriter, RunKey, STORE_VERSION,
+};
 pub use lru::LruCache;
 pub use store::{Store, StoreRun, StoreStats};
 pub use triage::{triage, TriageCluster};

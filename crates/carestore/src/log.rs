@@ -145,7 +145,9 @@ impl LogLine {
             })
         };
         Ok(match v.req("kind", JsonRef::as_str)? {
-            "run" => LogLine::Run { key: key()?, campaign: text("campaign")?, engine: text("engine")? },
+            "run" => {
+                LogLine::Run { key: key()?, campaign: text("campaign")?, engine: text("engine")? }
+            }
             "record" => LogLine::Record(v.req("index", JsonRef::uint)?, record_from_ref(&v)?),
             "complete" => LogLine::Complete(key()?, v.req("injections", JsonRef::uint)?),
             other => return Err(format!("unknown log line kind {other:?}")),

@@ -47,11 +47,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn insert(&mut self, key: K, value: V) {
         self.clock += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
+            if let Some(oldest) =
+                self.map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| k.clone())
             {
                 self.map.remove(&oldest);
                 self.evictions += 1;

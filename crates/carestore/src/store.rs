@@ -28,9 +28,7 @@
 
 use crate::key::CampaignKey;
 use crate::log::{run_signature, scan_log, LogLine, LogWriter};
-use faultsim::{
-    Campaign, CampaignConfig, CampaignReport, InjectionRecord, JobControl, RecordSink,
-};
+use faultsim::{Campaign, CampaignConfig, CampaignReport, InjectionRecord, JobControl, RecordSink};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -164,8 +162,7 @@ impl Store {
             merged.extend(fresh);
         }
 
-        let mut report =
-            CampaignReport::from_records(merged.into_values().collect::<Vec<_>>());
+        let mut report = CampaignReport::from_records(merged.into_values().collect::<Vec<_>>());
         report.cancelled = cancelled;
         if !cfg.keep_records {
             report.records = Vec::new();
@@ -195,4 +192,3 @@ impl Store {
         Ok(out)
     }
 }
-

@@ -68,9 +68,7 @@ pub fn triage(store: &Store) -> std::io::Result<Vec<TriageCluster>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultsim::{
-        InjectedInto, InjectionPoint, InjectionRecord, Outcome, Signal, StepSplit,
-    };
+    use faultsim::{InjectedInto, InjectionPoint, InjectionRecord, Outcome, Signal, StepSplit};
     use simx::ModuleId;
     use tinyir::FuncId;
 

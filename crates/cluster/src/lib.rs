@@ -96,15 +96,13 @@ pub struct JobOutcome {
 
 /// Deterministic per-(rank, step) compute-time sample.
 fn step_time_ms(cfg: &ClusterConfig, rank: usize, step: u64) -> f64 {
-    let mut h = cfg
-        .seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(((rank as u64) << 32) | step);
+    let mut h =
+        cfg.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(((rank as u64) << 32) | step);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^= h >> 31;
     let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-    // Thread scaling: the mean is calibrated for 6 threads/rank.
+                                                    // Thread scaling: the mean is calibrated for 6 threads/rank.
     let scale = 6.0 / cfg.threads_per_rank as f64;
     cfg.step_mean_ms * scale * (1.0 + cfg.step_jitter * (2.0 * u - 1.0))
 }
@@ -164,10 +162,8 @@ pub fn simulate_faulty(
                 if hooks.enabled() && delay > 0.0 {
                     let exposed = step - unfaulted;
                     let slack = maxr - step_time_ms(cfg, 0, t);
-                    hooks.add(
-                        if exposed > 0.0 { "barrier.exposed" } else { "barrier.absorbed" },
-                        1,
-                    );
+                    hooks
+                        .add(if exposed > 0.0 { "barrier.exposed" } else { "barrier.absorbed" }, 1);
                     // Microseconds keep sub-ms slack visible in log2 buckets.
                     hooks.record("barrier.exposed_us", (exposed * 1e3) as u64);
                     hooks.emit(
@@ -240,10 +236,8 @@ pub fn figure10_experiment(
     let outcomes = (0..trials)
         .map(|_| {
             let shift = rng.gen_range(0..cfg.timesteps);
-            let events: Vec<(u64, f64)> = recovery_events
-                .iter()
-                .map(|(s, ms)| ((s + shift) % cfg.timesteps, *ms))
-                .collect();
+            let events: Vec<(u64, f64)> =
+                recovery_events.iter().map(|(s, ms)| ((s + shift) % cfg.timesteps, *ms)).collect();
             let fstep = events.first().map(|e| e.0).unwrap_or(0);
             simulate_faulty(cfg, fstep, &Resilience::Care { events }, &NoTelemetry)
         })
@@ -355,8 +349,7 @@ mod tests {
         let traced = simulate_faulty(&cfg, 10, &resilience, &rec);
         assert_eq!(plain, traced, "hooks must not change the outcome");
         let report = rec.drain();
-        let barriers: Vec<_> =
-            report.events.iter().filter(|e| e.kind == "barrier").collect();
+        let barriers: Vec<_> = report.events.iter().filter(|e| e.kind == "barrier").collect();
         assert_eq!(barriers.len(), 2, "one event per recovery-bearing barrier");
         let absorbed = report.counters.get("barrier.absorbed").copied().unwrap_or(0);
         let exposed = report.counters.get("barrier.exposed").copied().unwrap_or(0);

@@ -68,20 +68,15 @@ pub fn pick_injection_point(
     modules: Option<&[ModuleId]>,
     eligible: &dyn Fn(usize, usize, usize) -> bool,
 ) -> Option<InjectionPoint> {
-    let allowed = |m: usize| {
-        modules
-            .map(|ms| ms.iter().any(|mm| mm.0 as usize == m))
-            .unwrap_or(true)
-    };
+    let allowed =
+        |m: usize| modules.map(|ms| ms.iter().any(|mm| mm.0 as usize == m)).unwrap_or(true);
     let total: u64 = profile
         .iter()
         .enumerate()
         .filter(|(m, _)| allowed(*m))
         .flat_map(|(m, fs)| {
             fs.iter().enumerate().flat_map(move |(f, is)| {
-                is.iter()
-                    .enumerate()
-                    .map(move |(i, &c)| if eligible(m, f, i) { c } else { 0 })
+                is.iter().enumerate().map(move |(i, &c)| if eligible(m, f, i) { c } else { 0 })
             })
         })
         .sum();
@@ -219,9 +214,8 @@ mod tests {
         let profile: Profile = vec![vec![vec![100]], vec![vec![100]]];
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
-            let p =
-                pick_injection_point(&profile, &mut rng, Some(&[ModuleId(0)]), &|_, _, _| true)
-                    .unwrap();
+            let p = pick_injection_point(&profile, &mut rng, Some(&[ModuleId(0)]), &|_, _, _| true)
+                .unwrap();
             assert_eq!(p.module, ModuleId(0));
         }
     }

@@ -413,7 +413,11 @@ mod tests {
                         // Executions behind the start of bracket `b`; the
                         // end of the run closes the last bracket.
                         let behind = |b: usize| {
-                            if b < brackets { total - trail.ordinal_in(b, &last) } else { total }
+                            if b < brackets {
+                                total - trail.ordinal_in(b, &last)
+                            } else {
+                                total
+                            }
                         };
                         for b in 0..brackets {
                             let (from, to) = (behind(b), behind(b + 1));

@@ -14,8 +14,7 @@
 //! data" Armor must resolve).
 
 use tinyir::{
-    BlockId, Callee, DebugLoc, FuncId, Function, Instr, InstrId, InstrKind, Module,
-    Value,
+    BlockId, Callee, DebugLoc, FuncId, Function, Instr, InstrId, InstrKind, Module, Value,
 };
 
 /// Default maximum callee size (live instructions) for inlining.
@@ -58,12 +57,8 @@ pub fn run(module: &mut Module, threshold: usize) -> usize {
 
     let mut total = 0;
     // Pre-pass bodies of the callees that may be inlined.
-    let snapshot: Vec<Option<Function>> = module
-        .funcs
-        .iter()
-        .zip(&inlinable)
-        .map(|(f, &ok)| ok.then(|| f.clone()))
-        .collect();
+    let snapshot: Vec<Option<Function>> =
+        module.funcs.iter().zip(&inlinable).map(|(f, &ok)| ok.then(|| f.clone())).collect();
     for caller in &mut module.funcs {
         if caller.is_decl {
             continue;
@@ -91,10 +86,7 @@ pub fn run(module: &mut Module, threshold: usize) -> usize {
     total
 }
 
-fn find_inlinable_call(
-    f: &Function,
-    inlinable: &[bool],
-) -> Option<(BlockId, usize, FuncId)> {
+fn find_inlinable_call(f: &Function, inlinable: &[bool]) -> Option<(BlockId, usize, FuncId)> {
     for (bid, block) in f.block_iter() {
         for (pos, &iid) in block.instrs.iter().enumerate() {
             if let InstrKind::Call { callee: Callee::Func(c), .. } = f.instr(iid).kind {
@@ -121,18 +113,16 @@ fn inline_one(
         InstrKind::Call { args, ret_ty, .. } => (args.clone(), *ret_ty),
         _ => unreachable!("inline target is a call"),
     };
-    let fresh_file = caller.instr(call_id).loc.map(|l| l.file).or_else(|| {
-        callee
-            .instrs
-            .first()
-            .and_then(|i| i.loc.map(|l| l.file))
-    });
+    let fresh_file = caller
+        .instr(call_id)
+        .loc
+        .map(|l| l.file)
+        .or_else(|| callee.instrs.first().and_then(|i| i.loc.map(|l| l.file)));
 
     // Split the containing block: `bb` keeps [0, pos), `cont` gets
     // (pos, ..] — including the original terminator.
     let cont = caller.add_block(format!("inline.cont.{}", call_id.0));
-    let tail: Vec<InstrId> =
-        caller.blocks[bb.0 as usize].instrs.drain(pos + 1..).collect();
+    let tail: Vec<InstrId> = caller.blocks[bb.0 as usize].instrs.drain(pos + 1..).collect();
     caller.blocks[bb.0 as usize].instrs.pop(); // drop the call itself
     caller.blocks[cont.0 as usize].instrs = tail;
 
@@ -221,9 +211,7 @@ fn inline_one(
     // Terminate `bb` with a jump into the inlined entry.
     let entry_clone = block_map(callee.entry());
     let br_id = InstrId(caller.instrs.len() as u32);
-    caller
-        .instrs
-        .push(Instr::new(InstrKind::Br { target: entry_clone }));
+    caller.instrs.push(Instr::new(InstrKind::Br { target: entry_clone }));
     caller.blocks[bb.0 as usize].instrs.push(br_id);
 
     // The call's result: single return value substitutes directly; multiple

@@ -119,28 +119,23 @@ mod tests {
         // int a,b,c,d; a+=b; c+=d; array[a+c]  (locals via allocas)
         let mut mb = ModuleBuilder::new("m", "m.c");
         let arr = mb.global_zeroed("array", Ty::I64, 64);
-        mb.define(
-            "f",
-            vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64],
-            Some(Ty::I64),
-            |fb| {
-                let a = fb.alloca(Ty::I64, 1);
-                let c = fb.alloca(Ty::I64, 1);
-                fb.store(fb.arg(0), a);
-                fb.store(fb.arg(2), c);
-                let av = fb.load(a, Ty::I64);
-                let s1 = fb.add(av, fb.arg(1), Ty::I64);
-                fb.store(s1, a); // a += b
-                let cv = fb.load(c, Ty::I64);
-                let s2 = fb.add(cv, fb.arg(3), Ty::I64);
-                fb.store(s2, c); // c += d
-                let a2 = fb.load(a, Ty::I64);
-                let c2 = fb.load(c, Ty::I64);
-                let idx = fb.add(a2, c2, Ty::I64);
-                let v = fb.load_elem(fb.global(arr), idx, Ty::I64);
-                fb.ret(Some(v));
-            },
-        );
+        mb.define("f", vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64], Some(Ty::I64), |fb| {
+            let a = fb.alloca(Ty::I64, 1);
+            let c = fb.alloca(Ty::I64, 1);
+            fb.store(fb.arg(0), a);
+            fb.store(fb.arg(2), c);
+            let av = fb.load(a, Ty::I64);
+            let s1 = fb.add(av, fb.arg(1), Ty::I64);
+            fb.store(s1, a); // a += b
+            let cv = fb.load(c, Ty::I64);
+            let s2 = fb.add(cv, fb.arg(3), Ty::I64);
+            fb.store(s2, c); // c += d
+            let a2 = fb.load(a, Ty::I64);
+            let c2 = fb.load(c, Ty::I64);
+            let idx = fb.add(a2, c2, Ty::I64);
+            let v = fb.load_elem(fb.global(arr), idx, Ty::I64);
+            fb.ret(Some(v));
+        });
         mb.finish()
     }
 
@@ -185,9 +180,6 @@ mod tests {
         let before = m.funcs[0].live_instr_count();
         optimize(&mut m, OptLevel::O1);
         verify_module(&m).unwrap();
-        assert!(
-            m.funcs[0].live_instr_count() < before,
-            "O1 should shrink the loop body"
-        );
+        assert!(m.funcs[0].live_instr_count() < before, "O1 should shrink the loop body");
     }
 }

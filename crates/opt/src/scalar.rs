@@ -9,9 +9,7 @@
 
 use std::collections::HashMap;
 use tinyir::interp::{const_bits, eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits};
-use tinyir::{
-    Callee, Function, InstrId, InstrKind, Module, Ty, Value,
-};
+use tinyir::{Callee, Function, InstrId, InstrKind, Module, Ty, Value};
 
 /// The instructions one pass folds away, each with the value that replaces
 /// it, indexed by instruction id.
@@ -88,11 +86,7 @@ fn const_fold_function(f: &mut Function) -> usize {
     let mut replacement = Replacements::new(f);
     // Only block-resident instructions: the arena may hold orphans already
     // removed by earlier passes.
-    let resident: Vec<InstrId> = f
-        .blocks
-        .iter()
-        .flat_map(|b| b.instrs.iter().copied())
-        .collect();
+    let resident: Vec<InstrId> = f.blocks.iter().flat_map(|b| b.instrs.iter().copied()).collect();
     for iid in resident {
         let instr = &f.instrs[iid.0 as usize];
         match &instr.kind {
@@ -151,9 +145,8 @@ pub fn simplify_phis(module: &mut Module) -> usize {
                         continue;
                     }
                     let first = incomings[0].1;
-                    let same = incomings
-                        .iter()
-                        .all(|(_, v)| *v == first || *v == Value::Instr(iid));
+                    let same =
+                        incomings.iter().all(|(_, v)| *v == first || *v == Value::Instr(iid));
                     if same && first != Value::Instr(iid) {
                         replacement.insert(iid, first);
                     }
@@ -296,9 +289,7 @@ pub fn dce(module: &mut Module) -> usize {
                         | InstrKind::Phi { .. }
                         | InstrKind::Load { .. }
                         | InstrKind::Alloca { .. } => true,
-                        InstrKind::Call { callee: Callee::Intrinsic(i), .. } => {
-                            i.is_simple_math()
-                        }
+                        InstrKind::Call { callee: Callee::Intrinsic(i), .. } => i.is_simple_math(),
                         _ => false,
                     };
                     let keep = !pure || used[iid.0 as usize];
@@ -454,10 +445,7 @@ mod tests {
             bb1,
             Instr::new(InstrKind::Phi { incomings: vec![(e, Value::Arg(0))], ty: Ty::I64 }),
         );
-        f.push_instr(
-            bb1,
-            Instr::new(InstrKind::Ret { val: Some(Value::Instr(phi)) }),
-        );
+        f.push_instr(bb1, Instr::new(InstrKind::Ret { val: Some(Value::Instr(phi)) }));
         m.add_func(f);
         assert_eq!(simplify_phis(&mut m), 1);
         verify_module(&m).unwrap();
@@ -467,9 +455,7 @@ mod tests {
         m.funcs
             .iter()
             .flat_map(|f| {
-                f.blocks
-                    .iter()
-                    .flat_map(|b| b.instrs.iter().map(|&i| &f.instrs[i.0 as usize].kind))
+                f.blocks.iter().flat_map(|b| b.instrs.iter().map(|&i| &f.instrs[i.0 as usize].kind))
             })
             .filter(|k| pred(k))
             .count()

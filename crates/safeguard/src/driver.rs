@@ -140,12 +140,8 @@ mod tests {
     fn recovers_corrupted_index_register() {
         // sum = Σ table[i*2 + 1] for i in 0..n — a real address computation.
         let mut mb = ModuleBuilder::new("app", "app.c");
-        let table = mb.global_init(
-            "table",
-            Ty::I64,
-            64,
-            tinyir::GlobalInit::I64s((0..64).collect()),
-        );
+        let table =
+            mb.global_init("table", Ty::I64, 64, tinyir::GlobalInit::I64s((0..64).collect()));
         mb.define("main", vec![Ty::I64], Some(Ty::I64), |fb| {
             let acc = fb.alloca(Ty::I64, 1);
             fb.store(Value::i64(0), acc);
@@ -280,10 +276,7 @@ mod tests {
         sg.protect(ModuleId(0), &broken);
         match run_protected(&mut p, &mut sg, 4) {
             ProtectedExit::Crashed { reason, .. } => {
-                assert!(
-                    matches!(reason, DeclineReason::KernelMissing(_)),
-                    "{reason:?}"
-                );
+                assert!(matches!(reason, DeclineReason::KernelMissing(_)), "{reason:?}");
             }
             other => panic!("must crash with a typed decline: {other:?}"),
         }
@@ -299,14 +292,7 @@ mod tests {
         for (k, e) in armor_out.table.iter() {
             let mut params = e.params.clone();
             params.push(armor::ParamSpec::Const(0)); // one extra arg
-            t2.insert(
-                *k,
-                armor::TableEntry {
-                    symbol: e.symbol.clone(),
-                    kernel: e.kernel,
-                    params,
-                },
-            );
+            t2.insert(*k, armor::TableEntry { symbol: e.symbol.clone(), kernel: e.kernel, params });
         }
         broken.table = t2;
         let mm = compile_module(&m, false, &broken.die_requests);

@@ -14,12 +14,7 @@ mod tests {
     /// An app whose loop index can be corrupted into a recoverable SIGSEGV.
     fn victim() -> Module {
         let mut mb = ModuleBuilder::new("victim", "victim.c");
-        let t = mb.global_init(
-            "t",
-            Ty::I64,
-            64,
-            tinyir::GlobalInit::I64s((0..64).collect()),
-        );
+        let t = mb.global_init("t", Ty::I64, 64, tinyir::GlobalInit::I64s((0..64).collect()));
         mb.define("main", vec![Ty::I64], Some(Ty::I64), |fb| {
             let acc = fb.alloca(Ty::I64, 1);
             fb.store(Value::i64(0), acc);
@@ -118,10 +113,7 @@ mod tests {
         sg.protect(ModuleId(0), &armor_out);
         match run_protected(&mut p, &mut sg, 8) {
             ProtectedExit::Crashed { reason, .. } => {
-                assert!(
-                    matches!(reason, DeclineReason::NoKernelForKey(_)),
-                    "{reason:?}"
-                );
+                assert!(matches!(reason, DeclineReason::NoKernelForKey(_)), "{reason:?}");
             }
             other => panic!("{other:?}"),
         }
@@ -140,10 +132,7 @@ mod tests {
         sg.protect(ModuleId(0), &armor_out);
         match run_protected(&mut p, &mut sg, 8) {
             ProtectedExit::Crashed { reason, .. } if needs_dies => {
-                assert!(
-                    matches!(reason, DeclineReason::ParamUnavailable(_)),
-                    "{reason:?}"
-                );
+                assert!(matches!(reason, DeclineReason::ParamUnavailable(_)), "{reason:?}");
             }
             ProtectedExit::Completed { .. } if !needs_dies => {}
             other => panic!("needs_dies={needs_dies}: {other:?}"),

@@ -169,9 +169,7 @@ impl DeclineKind {
     /// Bare kind name (the counter name without its `recovery.decline.`
     /// namespace) — used by report tables.
     pub fn short_name(self) -> &'static str {
-        self.counter_name()
-            .strip_prefix("recovery.decline.")
-            .unwrap_or("unknown")
+        self.counter_name().strip_prefix("recovery.decline.").unwrap_or("unknown")
     }
 }
 
@@ -220,8 +218,7 @@ struct IndexedModule {
 
 impl IndexedModule {
     fn table(&self) -> &Result<RecoveryTable, String> {
-        self.decoded
-            .get_or_init(|| RecoveryTable::decode(&self.encoded_table))
+        self.decoded.get_or_init(|| RecoveryTable::decode(&self.encoded_table))
     }
 }
 
@@ -478,30 +475,20 @@ impl Safeguard {
             time.params_ms += self.cost.param_fetch_ms;
             let bits = match spec {
                 ParamSpec::Const(v) => *v,
-                ParamSpec::GlobalAddr { name } => {
-                    match process.image.global_addr_by_name(name) {
-                        Some(a) => a,
-                        None => {
-                            return NotRecovered(DeclineReason::ParamUnavailable(name.clone()))
+                ParamSpec::GlobalAddr { name } => match process.image.global_addr_by_name(name) {
+                    Some(a) => a,
+                    None => return NotRecovered(DeclineReason::ParamUnavailable(name.clone())),
+                },
+                ParamSpec::Die { name } => match lm.module.debug.var_place(name, offset) {
+                    Some(VarPlace::Reg(r)) => process.read_reg(r),
+                    Some(VarPlace::FrameOffset(off)) => {
+                        match process.mem.load(fp.wrapping_add(off as u64), 8) {
+                            Ok(v) => v,
+                            Err(_) => return NotRecovered(DeclineReason::ParamFetchFault),
                         }
                     }
-                }
-                ParamSpec::Die { name } => {
-                    match lm.module.debug.var_place(name, offset) {
-                        Some(VarPlace::Reg(r)) => process.read_reg(r),
-                        Some(VarPlace::FrameOffset(off)) => {
-                            match process.mem.load(fp.wrapping_add(off as u64), 8) {
-                                Ok(v) => v,
-                                Err(_) => {
-                                    return NotRecovered(DeclineReason::ParamFetchFault)
-                                }
-                            }
-                        }
-                        None => {
-                            return NotRecovered(DeclineReason::ParamUnavailable(name.clone()))
-                        }
-                    }
-                }
+                    None => return NotRecovered(DeclineReason::ParamUnavailable(name.clone())),
+                },
             };
             args.push(bits);
         }
@@ -584,9 +571,7 @@ pub fn compute_patch(
     match (mem.base, mem.index) {
         (base, Some(idx)) => {
             let base_val = base.map(&read).unwrap_or(0);
-            let delta = target
-                .wrapping_sub(base_val)
-                .wrapping_sub(mem.disp as u64);
+            let delta = target.wrapping_sub(base_val).wrapping_sub(mem.disp as u64);
             let scale = mem.scale.max(1) as u64;
             if delta % scale == 0 {
                 Some((idx, delta / scale))
@@ -594,10 +579,7 @@ pub fn compute_patch(
                 // Index cannot express the target (scale mismatch): fall
                 // back to repairing the base register.
                 let idx_val = read(idx).wrapping_mul(scale);
-                Some((
-                    b,
-                    target.wrapping_sub(idx_val).wrapping_sub(mem.disp as u64),
-                ))
+                Some((b, target.wrapping_sub(idx_val).wrapping_sub(mem.disp as u64)))
             } else {
                 None
             }
@@ -615,13 +597,8 @@ pub fn compute_patch_base_first(
 ) -> Option<(simx::Reg, u64)> {
     match (mem.base, mem.index) {
         (Some(b), index) => {
-            let idx_val = index
-                .map(|i| read(i).wrapping_mul(mem.scale.max(1) as u64))
-                .unwrap_or(0);
-            Some((
-                b,
-                target.wrapping_sub(idx_val).wrapping_sub(mem.disp as u64),
-            ))
+            let idx_val = index.map(|i| read(i).wrapping_mul(mem.scale.max(1) as u64)).unwrap_or(0);
+            Some((b, target.wrapping_sub(idx_val).wrapping_sub(mem.disp as u64)))
         }
         (None, Some(_)) => compute_patch(mem, target, read),
         (None, None) => None,

@@ -26,7 +26,7 @@ use crate::isa::{MInst, MemOp, Reg, Src, FP, INST_BYTES};
 use analysis::{Cfg, Liveness, UseDef};
 use tinyir::interp::const_bits;
 use tinyir::{
-    BlockId, Callee, DebugLoc, Function, FuncId, Instr, InstrId, InstrKind, Module, Ty, Value,
+    BlockId, Callee, DebugLoc, FuncId, Function, Instr, InstrId, InstrKind, Module, Ty, Value,
 };
 
 /// Integer scratch registers (never allocated).
@@ -38,19 +38,8 @@ const X0: Reg = Reg(16);
 const X1: Reg = Reg(17);
 const X2: Reg = Reg(18);
 /// Allocatable integer registers.
-const GPR_POOL: [Reg; 11] = [
-    Reg(3),
-    Reg(4),
-    Reg(5),
-    Reg(6),
-    Reg(7),
-    Reg(8),
-    Reg(9),
-    Reg(10),
-    Reg(11),
-    Reg(12),
-    Reg(13),
-];
+const GPR_POOL: [Reg; 11] =
+    [Reg(3), Reg(4), Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(10), Reg(11), Reg(12), Reg(13)];
 /// Allocatable float registers.
 const FPR_POOL: [Reg; 13] = [
     Reg(19),
@@ -89,11 +78,7 @@ enum CopySrc {
 ///
 /// `regalloc = false` is the `-O0` discipline, `true` the `-O1` one.
 /// `die_requests` come from Armor and drive [`VarDie`] emission.
-pub fn compile_module(
-    ir: &Module,
-    regalloc: bool,
-    die_requests: &[DieRequest],
-) -> MachineModule {
+pub fn compile_module(ir: &Module, regalloc: bool, die_requests: &[DieRequest]) -> MachineModule {
     let mut funcs = Vec::with_capacity(ir.funcs.len());
     let mut per_func_dies: Vec<Vec<(String, VarPlace, u32, u32)>> = Vec::new();
     for (fi, f) in ir.funcs.iter().enumerate() {
@@ -109,10 +94,8 @@ pub fn compile_module(
             per_func_dies.push(vec![]);
             continue;
         }
-        let reqs: Vec<&DieRequest> = die_requests
-            .iter()
-            .filter(|r| r.func == FuncId(fi as u32))
-            .collect();
+        let reqs: Vec<&DieRequest> =
+            die_requests.iter().filter(|r| r.func == FuncId(fi as u32)).collect();
         let (mf, dies) = lower_function(f, regalloc, &reqs);
         funcs.push(mf);
         per_func_dies.push(dies);
@@ -147,13 +130,7 @@ pub fn compile_module(
                 .push(LocEntry { lo, hi, place: *place });
         }
     }
-    MachineModule {
-        name: ir.name.clone(),
-        funcs,
-        debug,
-        ir: ir.clone(),
-        code_size: off,
-    }
+    MachineModule { name: ir.name.clone(), funcs, debug, ir: ir.clone(), code_size: off }
 }
 
 /// Split critical edges into blocks that carry phis, so phi copies inserted
@@ -197,8 +174,7 @@ fn split_critical_edges(orig: &Function) -> Option<Function> {
             f.blocks[e.0 as usize].instrs.push(br);
             let pb = BlockId(p as u32);
             // Retarget p's terminator edge(s) to e.
-            if let InstrKind::CondBr { then_bb, else_bb, .. } =
-                &mut f.instrs[last.0 as usize].kind
+            if let InstrKind::CondBr { then_bb, else_bb, .. } = &mut f.instrs[last.0 as usize].kind
             {
                 if *then_bb == s {
                     *then_bb = e;
@@ -633,7 +609,10 @@ impl FnCtx<'_> {
             self.emit(MInst::Mov { dst: scratch, src: Src::Global(g), size: 8, sext: false });
             return scratch;
         }
-        match self.loc_of(v).unwrap_or_else(|| panic!("value {v:?} has no storage in @{}", self.f.name)) {
+        match self
+            .loc_of(v)
+            .unwrap_or_else(|| panic!("value {v:?} has no storage in @{}", self.f.name))
+        {
             Loc::R(r) => r,
             Loc::Slot(off) => {
                 self.emit(MInst::Mov {
@@ -655,7 +634,10 @@ impl FnCtx<'_> {
         if let Value::Global(g) = v {
             return Src::Global(g);
         }
-        match self.loc_of(v).unwrap_or_else(|| panic!("value {v:?} has no storage in @{}", self.f.name)) {
+        match self
+            .loc_of(v)
+            .unwrap_or_else(|| panic!("value {v:?} has no storage in @{}", self.f.name))
+        {
             Loc::R(r) => Src::Reg(r),
             Loc::Slot(off) => Src::Mem(MemOp::base_disp(FP, off), 8),
         }
@@ -695,10 +677,7 @@ impl FnCtx<'_> {
                 };
                 let base_r = self.ensure_reg(base, s_base);
                 return match const_bits(index) {
-                    Some(c) => MemOp::base_disp(
-                        base_r,
-                        (c as i64).wrapping_mul(elem_size as i64),
-                    ),
+                    Some(c) => MemOp::base_disp(base_r, (c as i64).wrapping_mul(elem_size as i64)),
                     None => {
                         let idx_r = self.ensure_reg(index, s_index);
                         MemOp::base_index(base_r, idx_r, elem_size as u8, 0)
@@ -720,11 +699,7 @@ impl FnCtx<'_> {
                 }
                 Loc::Slot(off) => {
                     self.emit(MInst::GetArg { dst: S0, idx: a as u8 });
-                    self.emit(MInst::Store {
-                        src: S0,
-                        mem: MemOp::base_disp(FP, off),
-                        size: 8,
-                    });
+                    self.emit(MInst::Store { src: S0, mem: MemOp::base_disp(FP, off), size: 8 });
                 }
             }
         }
@@ -819,10 +794,7 @@ impl FnCtx<'_> {
                                 rhs: Src::Imm(elem_size as u64),
                                 ty: Ty::I64,
                             });
-                            self.emit(MInst::Lea {
-                                dst,
-                                mem: MemOp::base_index(base_r, S1, 1, 0),
-                            });
+                            self.emit(MInst::Lea { dst, mem: MemOp::base_index(base_r, S1, 1, 0) });
                         }
                     }
                 }
@@ -831,13 +803,10 @@ impl FnCtx<'_> {
             InstrKind::Bin { op, lhs, rhs, ty } => {
                 let lreg = self.ensure_reg(lhs, self.bank_scratch(ty, 0));
                 // Folded CISC memory rhs?
-                let folded = rhs
-                    .as_instr()
-                    .filter(|l| self.folded_load[l.0 as usize] == Some(iid));
+                let folded = rhs.as_instr().filter(|l| self.folded_load[l.0 as usize] == Some(iid));
                 let (rsrc, mem_loc) = match folded {
                     Some(load_id) => {
-                        let InstrKind::Load { ptr, ty: lty } = self.f.instr(load_id).kind
-                        else {
+                        let InstrKind::Load { ptr, ty: lty } = self.f.instr(load_id).kind else {
                             unreachable!()
                         };
                         let mem = self.mem_for_ptr(ptr, S1, S2);
@@ -959,10 +928,7 @@ impl FnCtx<'_> {
         while !copies.is_empty() {
             if let Some(i) = (0..copies.len()).find(|&i| {
                 let (dst, _) = copies[i];
-                !copies
-                    .iter()
-                    .enumerate()
-                    .any(|(j, (_, s))| j != i && *s == CopySrc::Loc(dst))
+                !copies.iter().enumerate().any(|(j, (_, s))| j != i && *s == CopySrc::Loc(dst))
             }) {
                 let (dst, src) = copies.remove(i);
                 self.emit_move(dst, src);

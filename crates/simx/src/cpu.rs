@@ -17,8 +17,7 @@ use crate::isa::{MInst, Reg, Src, FP, NUM_REGS, SP};
 use std::ops::Range;
 use std::sync::Arc;
 use tinyir::interp::{
-    eval_bin, eval_cast, eval_fcmp, eval_icmp, eval_intrinsic, float_of_bits, sext_bits,
-    FaultKind,
+    eval_bin, eval_cast, eval_fcmp, eval_icmp, eval_intrinsic, float_of_bits, sext_bits, FaultKind,
 };
 use tinyir::mem::{MemFault, PagedMemory};
 use tinyir::{FuncId, Intrinsic, Ty};
@@ -305,12 +304,9 @@ impl Process {
         let mut data_base = DATA_BASE;
         let mut code_base = EXE_BASE;
         for (i, module) in std::iter::once(exe.into()).chain(libs).enumerate() {
-            let global_addrs =
-                tinyir::interp::layout_globals(&module.ir, &mut mem, data_base);
-            data_base = global_addrs
-                .last()
-                .map(|&a| a + 0x0800_0000)
-                .unwrap_or(data_base + 0x0800_0000);
+            let global_addrs = tinyir::interp::layout_globals(&module.ir, &mut mem, data_base);
+            data_base =
+                global_addrs.last().map(|&a| a + 0x0800_0000).unwrap_or(data_base + 0x0800_0000);
             image.push_module(LoadedModule {
                 base: code_base,
                 module,
@@ -351,8 +347,7 @@ impl Process {
             .module
             .func_by_name(func_name)
             .unwrap_or_else(|| panic!("no function {func_name}"));
-        self.push_frame(ModuleId(0), fid, args.to_vec(), None)
-            .expect("initial frame");
+        self.push_frame(ModuleId(0), fid, args.to_vec(), None).expect("initial frame");
     }
 
     pub(crate) fn push_frame(
@@ -369,10 +364,8 @@ impl Process {
         let mf = &self.image.modules[module.0 as usize].module.funcs[func.0 as usize];
         let frame_size = (mf.frame_size + 15) & !15;
         let saved_sp = self.sp;
-        let new_sp = self.sp.checked_sub(frame_size + 64).ok_or(Trap {
-            kind: TrapKind::Segv(0),
-            pc: 0,
-        })?;
+        let new_sp =
+            self.sp.checked_sub(frame_size + 64).ok_or(Trap { kind: TrapKind::Segv(0), pc: 0 })?;
         if new_sp < STACK_TOP - STACK_SIZE {
             // Stack overflow hits the guard page.
             return Err(Trap { kind: TrapKind::Segv(new_sp), pc: self.pc() });
@@ -381,16 +374,7 @@ impl Process {
         let mut regs = [0u64; NUM_REGS];
         regs[FP.0 as usize] = new_sp;
         regs[SP.0 as usize] = new_sp;
-        self.frames.push(Frame {
-            module,
-            func,
-            idx: 0,
-            regs,
-            args,
-            fp: new_sp,
-            ret_dst,
-            saved_sp,
-        });
+        self.frames.push(Frame { module, func, idx: 0, regs, args, fp: new_sp, ret_dst, saved_sp });
         Ok(())
     }
 
@@ -473,9 +457,7 @@ impl Process {
     /// The instruction the PC points at.
     pub fn current_inst(&self) -> Option<&MInst> {
         let f = self.frames.last()?;
-        self.image.modules[f.module.0 as usize].module.funcs[f.func.0 as usize]
-            .instrs
-            .get(f.idx)
+        self.image.modules[f.module.0 as usize].module.funcs[f.func.0 as usize].instrs.get(f.idx)
     }
 
     /// The destination operand of the instruction at the current PC,
@@ -513,9 +495,7 @@ impl Process {
                 let addr = m.effective(|r| frame.regs[r.0 as usize]);
                 mem.load(addr, size as u32)
             }
-            Src::Global(g) => {
-                Ok(image.modules[frame.module.0 as usize].global_addrs[g.0 as usize])
-            }
+            Src::Global(g) => Ok(image.modules[frame.module.0 as usize].global_addrs[g.0 as usize]),
         }
     }
 
@@ -736,11 +716,7 @@ impl Process {
             }
             MInst::Select { dst, cond, t, f } => {
                 let c = frame.regs[cond.0 as usize] & 1;
-                let v = if c != 0 {
-                    frame.regs[t.0 as usize]
-                } else {
-                    frame.regs[f.0 as usize]
-                };
+                let v = if c != 0 { frame.regs[t.0 as usize] } else { frame.regs[f.0 as usize] };
                 frame.regs[dst.0 as usize] = v;
             }
             MInst::Jmp { target } => {
@@ -812,9 +788,17 @@ enum StepOut {
     Trap(Trap),
     Break,
     /// A `CallIntr` with its arguments evaluated, `idx` still on it.
-    Intr { which: Intrinsic, argv: Vec<u64>, dst: Option<Reg>, break_hit: bool },
+    Intr {
+        which: Intrinsic,
+        argv: Vec<u64>,
+        dst: Option<Reg>,
+        break_hit: bool,
+    },
     /// A `Ret` with its value, frame not yet popped.
-    Ret { val: Option<u64>, break_hit: bool },
+    Ret {
+        val: Option<u64>,
+        break_hit: bool,
+    },
 }
 
 /// Cached `(module, func, compiled function)` of the executing frame,

@@ -50,10 +50,7 @@ pub struct VarDie {
 impl VarDie {
     /// Resolve the variable's place at a given module-relative PC offset.
     pub fn place_at(&self, offset: u64) -> Option<VarPlace> {
-        self.locs
-            .iter()
-            .find(|e| e.lo <= offset && offset < e.hi)
-            .map(|e| e.place)
+        self.locs.iter().find(|e| e.lo <= offset && offset < e.hi).map(|e| e.place)
     }
 }
 
@@ -106,11 +103,8 @@ impl DebugData {
     /// accounting that reproduces the paper's fixed 27 MB figure).
     pub fn encoded_size(&self) -> u64 {
         let lines = self.line_table.len() as u64 * 16;
-        let vars: u64 = self
-            .vars
-            .values()
-            .map(|v| v.name.len() as u64 + 8 + v.locs.len() as u64 * 24)
-            .sum();
+        let vars: u64 =
+            self.vars.values().map(|v| v.name.len() as u64 + 8 + v.locs.len() as u64 * 24).sum();
         lines + vars
     }
 }

@@ -63,7 +63,7 @@ use crate::cpu::{BreakSet, Frame, Instrument, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
 use crate::isa::Reg;
 use crate::translate::{
-    decode, translate_module, Op, SrcK, TranslatedFunc, TranslatedModule, TranslateStats, NO_REG,
+    decode, translate_module, Op, SrcK, TranslateStats, TranslatedFunc, TranslatedModule, NO_REG,
 };
 use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
@@ -149,7 +149,9 @@ impl CompiledEngine {
     /// build one engine per image and share it: a campaign builds its own
     /// once, and every trellis fork and suffix runs on that one.
     pub fn for_image(image: &ProcessImage) -> CompiledEngine {
-        CompiledEngine { trans: image.modules.iter().map(|lm| translate_module(&lm.module)).collect() }
+        CompiledEngine {
+            trans: image.modules.iter().map(|lm| translate_module(&lm.module)).collect(),
+        }
     }
 
     /// Summed translation statistics across this engine's modules.
@@ -449,8 +451,7 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
             match tf.ste.get(t) {
                 Some(&need)
                     if (CHECKED || *fuel >= need as u64)
-                        && (!HOOKED
-                            || stops.armed(mid, fid, t..t + need as usize) == stepping) =>
+                        && (!HOOKED || stops.armed(mid, fid, t..t + need as usize) == stepping) =>
                 {
                     idx = t;
                     continue;
@@ -505,12 +506,10 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
             Op::MovI { dst, imm } => {
                 frame.regs[*dst as usize] = *imm;
             }
-            Op::MovL { dst, mem: m, size } => {
-                match mem.load(m.ea(&frame.regs), *size as u32) {
-                    Ok(v) => frame.regs[*dst as usize] = v,
-                    Err(e) => trap_at!(e.into(), idx),
-                }
-            }
+            Op::MovL { dst, mem: m, size } => match mem.load(m.ea(&frame.regs), *size as u32) {
+                Ok(v) => frame.regs[*dst as usize] = v,
+                Err(e) => trap_at!(e.into(), idx),
+            },
             Op::MovLs { dst, mem: m, size, ty } => {
                 match mem.load(m.ea(&frame.regs), *size as u32) {
                     Ok(v) => frame.regs[*dst as usize] = sext_bits(v, *ty) as u64,
@@ -606,11 +605,8 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
             }
             Op::Select { dst, cond, t, f } => {
                 let c = frame.regs[*cond as usize] & 1;
-                frame.regs[*dst as usize] = if c != 0 {
-                    frame.regs[*t as usize]
-                } else {
-                    frame.regs[*f as usize]
-                };
+                frame.regs[*dst as usize] =
+                    if c != 0 { frame.regs[*t as usize] } else { frame.regs[*f as usize] };
             }
             Op::Jmp { target } => {
                 jump_to!(*target as usize)

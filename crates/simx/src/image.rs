@@ -74,10 +74,7 @@ impl MachineModule {
 
     /// Find a defined function by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FuncId(i as u32))
+        self.funcs.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
     }
 }
 
@@ -131,8 +128,7 @@ impl ProcessImage {
         for (mi, lm) in self.modules.iter().enumerate() {
             for (fi, f) in lm.module.funcs.iter().enumerate() {
                 if !f.is_decl {
-                    defs.entry(f.name.clone())
-                        .or_insert((ModuleId(mi as u32), FuncId(fi as u32)));
+                    defs.entry(f.name.clone()).or_insert((ModuleId(mi as u32), FuncId(fi as u32)));
                 }
             }
         }
@@ -140,8 +136,7 @@ impl ProcessImage {
             for (fi, f) in lm.module.funcs.iter().enumerate() {
                 if f.is_decl {
                     if let Some(&target) = defs.get(&f.name) {
-                        self.plt
-                            .insert((ModuleId(mi as u32), FuncId(fi as u32)), target);
+                        self.plt.insert((ModuleId(mi as u32), FuncId(fi as u32)), target);
                     }
                 }
             }

@@ -174,9 +174,7 @@ impl MInst {
             | MInst::Select { dst, .. }
             | MInst::GetArg { dst, .. } => Some(*dst),
             MInst::Call { dst, .. } | MInst::CallIntr { dst, .. } => *dst,
-            MInst::Store { .. } | MInst::Jmp { .. } | MInst::Jnz { .. } | MInst::Ret { .. } => {
-                None
-            }
+            MInst::Store { .. } | MInst::Jmp { .. } | MInst::Jnz { .. } | MInst::Ret { .. } => None,
         }
     }
 

@@ -28,14 +28,14 @@ pub mod translate;
 
 pub use codegen::compile_module;
 pub use cpu::{BreakSet, DestRef, Frame, Instrument, Process, Profile, RunExit, Trap, TrapKind};
+pub use debug::{DebugData, DieRequest, LocEntry, VarDie, VarPlace};
 pub use engine::{
     advance_to_step, run_to_step, CompiledEngine, EngineKind, ExecutionEngine, InterpEngine,
     ENGINE_VERSION,
 };
-pub use translate::{TranslateStats, TranslationCache};
-pub use debug::{DebugData, DieRequest, LocEntry, VarDie, VarPlace};
 pub use image::{LoadedModule, MachineFunction, MachineModule, ModuleId, ProcessImage};
 pub use isa::{MInst, MemOp, Reg, Src, FP, SP};
+pub use translate::{TranslateStats, TranslationCache};
 
 #[cfg(test)]
 mod tests;

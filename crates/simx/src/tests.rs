@@ -22,9 +22,7 @@ fn differential(m: &Module, func: &str, args: &[u64], regalloc: bool) -> Option<
         0x6000_0000_0000,
         1_000_000_000,
     );
-    let iret = interp
-        .call(m.func_by_name(func).unwrap(), args)
-        .expect("interp ok");
+    let iret = interp.call(m.func_by_name(func).unwrap(), args).expect("interp ok");
 
     // Machine.
     let mm = compile_module(m, regalloc, &[]);
@@ -179,11 +177,10 @@ fn o1_uses_base_index_memory_operands() {
     let mut m = mb.finish();
     opt::optimize(&mut m, opt::OptLevel::O1);
     let mm = compile_module(&m, true, &[]);
-    let has_indexed = mm.funcs.iter().flat_map(|f| &f.instrs).any(|i| {
-        i.mem_operand()
-            .map(|mo| mo.index.is_some() && mo.scale == 8)
-            .unwrap_or(false)
-    });
+    let has_indexed =
+        mm.funcs.iter().flat_map(|f| &f.instrs).any(|i| {
+            i.mem_operand().map(|mo| mo.index.is_some() && mo.scale == 8).unwrap_or(false)
+        });
     assert!(has_indexed, "expected an indexed memory operand");
 }
 
@@ -363,35 +360,30 @@ fn three_way_phi_rotation_cycles() {
     // Rotate three values through a loop: a->b->c->a. Forces a 3-cycle in
     // the phi parallel copy.
     let mut mb = ModuleBuilder::new("m", "m.c");
-    mb.define(
-        "rotator",
-        vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64],
-        Some(Ty::I64),
-        |fb| {
-            let aa = fb.alloca(Ty::I64, 1);
-            let ba = fb.alloca(Ty::I64, 1);
-            let ca = fb.alloca(Ty::I64, 1);
-            fb.store(fb.arg(0), aa);
-            fb.store(fb.arg(1), ba);
-            fb.store(fb.arg(2), ca);
-            fb.for_loop(Value::i64(0), fb.arg(3), |fb, _iv| {
-                let a = fb.load(aa, Ty::I64);
-                let b = fb.load(ba, Ty::I64);
-                let c = fb.load(ca, Ty::I64);
-                fb.store(c, aa);
-                fb.store(a, ba);
-                fb.store(b, ca);
-            });
+    mb.define("rotator", vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64], Some(Ty::I64), |fb| {
+        let aa = fb.alloca(Ty::I64, 1);
+        let ba = fb.alloca(Ty::I64, 1);
+        let ca = fb.alloca(Ty::I64, 1);
+        fb.store(fb.arg(0), aa);
+        fb.store(fb.arg(1), ba);
+        fb.store(fb.arg(2), ca);
+        fb.for_loop(Value::i64(0), fb.arg(3), |fb, _iv| {
             let a = fb.load(aa, Ty::I64);
             let b = fb.load(ba, Ty::I64);
             let c = fb.load(ca, Ty::I64);
-            let a4 = fb.mul(a, Value::i64(4), Ty::I64);
-            let b2 = fb.mul(b, Value::i64(2), Ty::I64);
-            let s = fb.add(a4, b2, Ty::I64);
-            let r = fb.add(s, c, Ty::I64);
-            fb.ret(Some(r));
-        },
-    );
+            fb.store(c, aa);
+            fb.store(a, ba);
+            fb.store(b, ca);
+        });
+        let a = fb.load(aa, Ty::I64);
+        let b = fb.load(ba, Ty::I64);
+        let c = fb.load(ca, Ty::I64);
+        let a4 = fb.mul(a, Value::i64(4), Ty::I64);
+        let b2 = fb.mul(b, Value::i64(2), Ty::I64);
+        let s = fb.add(a4, b2, Ty::I64);
+        let r = fb.add(s, c, Ty::I64);
+        fb.ret(Some(r));
+    });
     let mut m = mb.finish();
     opt::optimize(&mut m, opt::OptLevel::O1);
     // One rotation: (a,b,c) = (c0,a0,b0). With (1,2,3): (3,1,2) -> 4*3+2*1+2 = 16.
@@ -469,10 +461,7 @@ fn sub_word_types_round_trip_through_memory() {
     assert_eq!(diff_both(&m, "subword", &[7]), Some((-21i64) as u64));
     // -200 truncated to i8 is +56 (two's complement wrap); i16/i32 keep
     // -200: total 56 - 200 - 200 = -344.
-    assert_eq!(
-        diff_both(&m, "subword", &[200]),
-        Some((56i64 - 200 - 200) as u64)
-    );
+    assert_eq!(diff_both(&m, "subword", &[200]), Some((56i64 - 200 - 200) as u64));
 }
 
 // ---------------------------------------------------------------------------
@@ -743,11 +732,7 @@ fn break_set_snapshot_inherits_remaining_fuel_budget() {
     assert!(cursor.steps > 0);
 
     let mut snap = cursor.clone();
-    assert_eq!(
-        snap.fuel,
-        budget - snap.steps,
-        "the fork must inherit the remaining budget"
-    );
+    assert_eq!(snap.fuel, budget - snap.steps, "the fork must inherit the remaining budget");
     // Starve the suffix: whatever it does, it cannot execute past the
     // campaign-wide bound.
     match snap.run() {
@@ -892,10 +877,7 @@ fn engine_fixture() -> Arc<MachineModule> {
 /// Everything observable about a frame stack.
 #[allow(clippy::type_complexity)]
 fn frame_states(p: &Process) -> Vec<(u32, u32, usize, [u64; isa::NUM_REGS], u64, u64)> {
-    p.frames
-        .iter()
-        .map(|f| (f.module.0, f.func.0, f.idx, f.regs, f.fp, f.saved_sp))
-        .collect()
+    p.frames.iter().map(|f| (f.module.0, f.func.0, f.idx, f.regs, f.fp, f.saved_sp)).collect()
 }
 
 /// Run the fixture's `main` under both engines from identical start states
@@ -1045,7 +1027,8 @@ fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
         let counts = &profile[0][main.0 as usize];
         let ran = |i: usize| counts[i] > 0;
         let fused: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].cost() == 2 && ran(i)).collect();
-        let first = |want: fn(&MInst) -> bool| (0..instrs.len()).find(|&i| want(&instrs[i]) && ran(i));
+        let first =
+            |want: fn(&MInst) -> bool| (0..instrs.len()).find(|&i| want(&instrs[i]) && ran(i));
         let sq_ret = (mm.funcs[sq.0 as usize].instrs.iter().enumerate())
             .find(|&(i, m)| matches!(m, MInst::Ret { .. }) && profile[0][sq.0 as usize][i] > 0);
         let mut sets: Vec<Vec<(tinyir::FuncId, usize, u64)>> = Vec::new();
@@ -1267,9 +1250,8 @@ fn every_intrinsic_gives_one_answer_on_three_executors() {
     let floats: Vec<u64> = floats.iter().map(|x| x.to_bits()).collect();
     let ints: Vec<u64> = [i64::MIN, -1, 0, 1, i64::MAX].iter().map(|&x| x as u64).collect();
     let singles = |v: &[u64]| v.iter().map(|&a| vec![a]).collect::<Vec<_>>();
-    let pairs = |v: &[u64]| {
-        v.iter().flat_map(|&a| v.iter().map(move |&b| vec![a, b])).collect::<Vec<_>>()
-    };
+    let pairs =
+        |v: &[u64]| v.iter().flat_map(|&a| v.iter().map(move |&b| vec![a, b])).collect::<Vec<_>>();
     let all = [
         Sqrt, Fabs, Sin, Cos, Exp, Floor, Pow, IMin, IMax, FMin, FMax, Assert, Abort, Malloc, Free,
     ];
@@ -1300,7 +1282,9 @@ fn every_intrinsic_gives_one_answer_on_three_executors() {
                 let r = fb.intrinsic(which, (0..args.len()).map(arg).collect());
                 // Round-trip the block's address through its element 7 (the
                 // 0- and 1-byte blocks' page is mapped whole).
-                let r = if which != Malloc { r } else {
+                let r = if which != Malloc {
+                    r
+                } else {
                     fb.store_elem(r, r, Value::i64(7), Ty::I64);
                     fb.load_elem(r, Value::i64(7), Ty::I64)
                 };

@@ -108,68 +108,226 @@ impl SrcK {
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
     /// `dst <- src` register copy.
-    MovR { dst: u8, src: u8 },
+    MovR {
+        dst: u8,
+        src: u8,
+    },
     /// `dst <- sext(src)` register copy with sub-word sign extension.
-    MovRs { dst: u8, src: u8, ty: Ty },
+    MovRs {
+        dst: u8,
+        src: u8,
+        ty: Ty,
+    },
     /// `dst <- imm` (sign extension already folded into the constant).
-    MovI { dst: u8, imm: u64 },
+    MovI {
+        dst: u8,
+        imm: u64,
+    },
     /// Plain load.
-    MovL { dst: u8, mem: PackedMem, size: u8 },
+    MovL {
+        dst: u8,
+        mem: PackedMem,
+        size: u8,
+    },
     /// Sign-extending load (`movsx`).
-    MovLs { dst: u8, mem: PackedMem, size: u8, ty: Ty },
+    MovLs {
+        dst: u8,
+        mem: PackedMem,
+        size: u8,
+        ty: Ty,
+    },
     /// `dst <- &global` (with the interpreter's sext quirk preserved).
-    MovG { dst: u8, gid: u32, sext: Option<Ty> },
+    MovG {
+        dst: u8,
+        gid: u32,
+        sext: Option<Ty>,
+    },
     /// Store of the low `size` bytes of `src`.
-    St { src: u8, mem: PackedMem, size: u8 },
+    St {
+        src: u8,
+        mem: PackedMem,
+        size: u8,
+    },
     /// Effective-address computation.
-    Lea { dst: u8, mem: PackedMem },
+    Lea {
+        dst: u8,
+        mem: PackedMem,
+    },
     /// 64-bit (`I64`/`Ptr`) add/sub/mul, register or immediate rhs: the
     /// mask and sign-extension of `eval_bin` are identities at this width.
-    AddQ { dst: u8, lhs: u8, rhs: u8 },
-    AddQI { dst: u8, lhs: u8, imm: u64 },
-    SubQ { dst: u8, lhs: u8, rhs: u8 },
-    SubQI { dst: u8, lhs: u8, imm: u64 },
-    MulQ { dst: u8, lhs: u8, rhs: u8 },
+    AddQ {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    AddQI {
+        dst: u8,
+        lhs: u8,
+        imm: u64,
+    },
+    SubQ {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    SubQI {
+        dst: u8,
+        lhs: u8,
+        imm: u64,
+    },
+    MulQ {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
     /// `f64` arithmetic, register rhs.
-    FAdd { dst: u8, lhs: u8, rhs: u8 },
-    FSub { dst: u8, lhs: u8, rhs: u8 },
-    FMul { dst: u8, lhs: u8, rhs: u8 },
+    FAdd {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    FSub {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    FMul {
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
     /// `f64` arithmetic with a folded 8-byte memory rhs (the CISC shape
     /// codegen emits for `load; fadd/fmul` — the inner loop of every dot
     /// product and stencil in the workload suite).
-    FAddL { dst: u8, lhs: u8, mem: PackedMem },
-    FMulL { dst: u8, lhs: u8, mem: PackedMem },
+    FAddL {
+        dst: u8,
+        lhs: u8,
+        mem: PackedMem,
+    },
+    FMulL {
+        dst: u8,
+        lhs: u8,
+        mem: PackedMem,
+    },
     /// Everything else: full `eval_bin` semantics (may trap `Fpe`).
-    Bin { op: BinOp, dst: u8, lhs: u8, rhs: SrcK, ty: Ty },
-    Icmp { pred: ICmp, dst: u8, lhs: u8, rhs: SrcK, ty: Ty },
-    Fcmp { pred: FCmp, dst: u8, lhs: u8, rhs: SrcK, ty: Ty },
-    Cast { op: CastOp, dst: u8, src: u8, from: Ty, to: Ty },
-    Select { dst: u8, cond: u8, t: u8, f: u8 },
-    Jmp { target: u32 },
-    Jnz { cond: u8, then_t: u32, else_t: u32 },
-    GetArg { dst: u8, idx: u8 },
-    Call { callee: u32, args: Box<[SrcK]>, dst: u8 },
-    CallIntr { which: Intrinsic, args: Box<[SrcK]>, dst: u8 },
-    Ret { src: u8 },
+    Bin {
+        op: BinOp,
+        dst: u8,
+        lhs: u8,
+        rhs: SrcK,
+        ty: Ty,
+    },
+    Icmp {
+        pred: ICmp,
+        dst: u8,
+        lhs: u8,
+        rhs: SrcK,
+        ty: Ty,
+    },
+    Fcmp {
+        pred: FCmp,
+        dst: u8,
+        lhs: u8,
+        rhs: SrcK,
+        ty: Ty,
+    },
+    Cast {
+        op: CastOp,
+        dst: u8,
+        src: u8,
+        from: Ty,
+        to: Ty,
+    },
+    Select {
+        dst: u8,
+        cond: u8,
+        t: u8,
+        f: u8,
+    },
+    Jmp {
+        target: u32,
+    },
+    Jnz {
+        cond: u8,
+        then_t: u32,
+        else_t: u32,
+    },
+    GetArg {
+        dst: u8,
+        idx: u8,
+    },
+    Call {
+        callee: u32,
+        args: Box<[SrcK]>,
+        dst: u8,
+    },
+    CallIntr {
+        which: Intrinsic,
+        args: Box<[SrcK]>,
+        dst: u8,
+    },
+    Ret {
+        src: u8,
+    },
     /// Fused `icmp; jnz` where the branch tests the compare's destination.
     /// Still writes the condition register (later code may read it).
-    CmpBr { pred: ICmp, cdst: u8, lhs: u8, rhs: SrcK, ty: Ty, then_t: u32, else_t: u32 },
+    CmpBr {
+        pred: ICmp,
+        cdst: u8,
+        lhs: u8,
+        rhs: SrcK,
+        ty: Ty,
+        then_t: u32,
+        else_t: u32,
+    },
     /// Fused `mov dst, mem; bin bdst, dst, rhs` (load feeding arithmetic).
-    LoadBin { ldst: u8, mem: PackedMem, size: u8, op: BinOp, bdst: u8, rhs: SrcK, ty: Ty },
+    LoadBin {
+        ldst: u8,
+        mem: PackedMem,
+        size: u8,
+        op: BinOp,
+        bdst: u8,
+        rhs: SrcK,
+        ty: Ty,
+    },
     /// Fused `lea adst, amem; mov ldst, ldisp(adst)` (index-scale + load).
-    LeaLoad { adst: u8, amem: PackedMem, ldst: u8, ldisp: i64, size: u8 },
+    LeaLoad {
+        adst: u8,
+        amem: PackedMem,
+        ldst: u8,
+        ldisp: i64,
+        size: u8,
+    },
     /// Fused `mov gdst, @g; mov ldst, mem` where `mem` addresses through
     /// the freshly materialised global base (the SpMV/gather shape: codegen
     /// reloads the array base from a global right before every indexed
     /// element access).
-    GloLoad { gdst: u8, gid: u32, ldst: u8, mem: PackedMem, size: u8 },
+    GloLoad {
+        gdst: u8,
+        gid: u32,
+        ldst: u8,
+        mem: PackedMem,
+        size: u8,
+    },
     /// Fused `mov gdst, @g; fadd/fmul fdst, lhs, 8(mem)` — the same
     /// global-base reload feeding a folded `f64` memory operand (the
     /// `FAddL`/`FMulL` shape) instead of a plain load.
-    GloFBin { gdst: u8, gid: u32, mul: bool, fdst: u8, lhs: u8, mem: PackedMem },
+    GloFBin {
+        gdst: u8,
+        gid: u32,
+        mul: bool,
+        fdst: u8,
+        lhs: u8,
+        mem: PackedMem,
+    },
     /// Fused pair of plain full-width register copies (loop-carried
     /// variable rotation: `mov x', x; mov i', i` at the bottom of loops).
-    MovRR { d1: u8, s1: u8, d2: u8, s2: u8 },
+    MovRR {
+        d1: u8,
+        s1: u8,
+        d2: u8,
+        s2: u8,
+    },
 }
 
 impl Op {
@@ -442,7 +600,13 @@ fn fuse(a: &MInst, b: &MInst, stats: &mut TranslateStats) -> Option<Op> {
         // a folded f64 memory operand (dot-product inner loops).
         (
             MInst::Mov { dst, src: Src::Global(g), size: gsz, sext: gsx },
-            MInst::Bin { op: op @ (BinOp::FAdd | BinOp::FMul), dst: fdst, lhs, rhs: Src::Mem(m, 8), ty: Ty::F64 },
+            MInst::Bin {
+                op: op @ (BinOp::FAdd | BinOp::FMul),
+                dst: fdst,
+                lhs,
+                rhs: Src::Mem(m, 8),
+                ty: Ty::F64,
+            },
         ) if no_sext(*gsx, *gsz) && m.base == Some(*dst) => {
             stats.fused_glo_load += 1;
             Some(Op::GloFBin {

@@ -22,13 +22,7 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram {
-            buckets: [0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        Histogram { buckets: [0; NUM_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
@@ -132,12 +126,7 @@ impl Histogram {
     /// Non-empty buckets as `(bit_length, count)` pairs — the compact form
     /// the JSONL sink serialises.
     pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
-            .collect()
+        self.buckets.iter().enumerate().filter(|(_, &n)| n > 0).map(|(i, &n)| (i, n)).collect()
     }
 }
 

@@ -715,12 +715,15 @@ mod tests {
     #[test]
     fn parses_scalars_and_nesting() {
         let v = parse_json(r#"{"a":[1,2.5,-3,1e3],"b":{"c":"x\n","d":true,"e":null}}"#).unwrap();
-        assert_eq!(v.get("a"), Some(&Json::Arr(vec![
-            Json::Num(1.0),
-            Json::Num(2.5),
-            Json::Num(-3.0),
-            Json::Num(1000.0),
-        ])));
+        assert_eq!(
+            v.get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(2.5),
+                Json::Num(-3.0),
+                Json::Num(1000.0),
+            ]))
+        );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\n"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Json::Null));
@@ -850,9 +853,22 @@ mod tests {
     /// `-0`, 15 and 16 digits, 2⁵³ − 1, 2⁵³, 2⁵³ + 1, and what takes
     /// `str::parse` (fractions, exponents, too many digits).
     const NUMBERS: [&str; 16] = [
-        "0", "-0", "-7", "999999999999999", "-999999999999999", "1000000000000000",
-        "9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993",
-        "123456789012345678901", "0.5", "-0.0", "1e3", "2.5E-3", "1.7976931348623157e308",
+        "0",
+        "-0",
+        "-7",
+        "999999999999999",
+        "-999999999999999",
+        "1000000000000000",
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740993",
+        "123456789012345678901",
+        "0.5",
+        "-0.0",
+        "1e3",
+        "2.5E-3",
+        "1.7976931348623157e308",
     ];
 
     /// Object keys: few, so members collide, and `"\u0061"` is `"a"`.

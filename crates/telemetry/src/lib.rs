@@ -61,9 +61,9 @@ pub mod schema;
 
 pub use event::{Event, Value};
 pub use hist::Histogram;
+pub use json::{parse_json, Json, JsonRef};
 pub use recorder::{timed, Hooks, NoTelemetry, Recorder};
 pub use report::TelemetryReport;
-pub use json::{parse_json, Json, JsonRef};
 pub use schema::validate_jsonl;
 
 /// Version of the JSONL event schema emitted by [`TelemetryReport::to_jsonl`].

@@ -174,11 +174,7 @@ impl Recorder {
                 report.per_shard_counters.push(per_shard.into_iter().collect());
             }
             for (&name, h) in shard.hists.lock().unwrap().iter() {
-                report
-                    .hists
-                    .entry(name.to_string())
-                    .or_default()
-                    .merge(h);
+                report.hists.entry(name.to_string()).or_default().merge(h);
             }
             report.events.extend(shard.events.lock().unwrap().iter().cloned());
         }
@@ -211,13 +207,7 @@ impl Hooks for Recorder {
 
     fn record(&self, name: &'static str, value: u64) {
         let shard = self.shard();
-        shard
-            .hists
-            .lock()
-            .unwrap()
-            .entry(name)
-            .or_default()
-            .record(value);
+        shard.hists.lock().unwrap().entry(name).or_default().record(value);
     }
 
     fn emit(&self, event: Event) {
@@ -261,11 +251,7 @@ mod tests {
         assert_eq!(rep.hists["job_ns"].count(), 400);
         // Four worker threads → four shards, each with its own subtotal.
         assert_eq!(rep.per_shard_counters.len(), 4);
-        let per: u64 = rep
-            .per_shard_counters
-            .iter()
-            .map(|m| m["worker.busy_ns"])
-            .sum();
+        let per: u64 = rep.per_shard_counters.iter().map(|m| m["worker.busy_ns"]).sum();
         assert_eq!(per, 400);
     }
 

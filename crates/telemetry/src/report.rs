@@ -2,8 +2,8 @@
 //! a versioned JSONL event stream and a human-readable summary table.
 
 use crate::event::Event;
-use crate::json::{push_arr, push_int, Obj};
 use crate::hist::Histogram;
+use crate::json::{push_arr, push_int, Obj};
 use crate::SCHEMA_VERSION;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -86,13 +86,7 @@ impl TelemetryReport {
         let mut out = String::new();
         let _ = writeln!(out, "telemetry summary (wall {:.3}s)", self.wall_s);
         if !self.hists.is_empty() {
-            let name_w = self
-                .hists
-                .keys()
-                .map(|k| k.len())
-                .max()
-                .unwrap_or(4)
-                .max("span".len());
+            let name_w = self.hists.keys().map(|k| k.len()).max().unwrap_or(4).max("span".len());
             let _ = writeln!(
                 out,
                 "  {:<name_w$} {:>10} {:>14} {:>12} {:>12} {:>12} {:>12}",
@@ -113,13 +107,8 @@ impl TelemetryReport {
             }
         }
         if !self.counters.is_empty() {
-            let name_w = self
-                .counters
-                .keys()
-                .map(|k| k.len())
-                .max()
-                .unwrap_or(7)
-                .max("counter".len());
+            let name_w =
+                self.counters.keys().map(|k| k.len()).max().unwrap_or(7).max("counter".len());
             let _ = writeln!(out, "  {:<name_w$} {:>14}", "counter", "value");
             for (name, value) in &self.counters {
                 let _ = writeln!(out, "  {name:<name_w$} {value:>14}");

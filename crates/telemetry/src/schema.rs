@@ -55,16 +55,15 @@ mod tests {
 
     #[test]
     fn validator_requires_meta_first() {
-        let err = validate_jsonl("{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}\n")
-            .unwrap_err();
+        let err =
+            validate_jsonl("{\"kind\":\"counter\",\"name\":\"x\",\"value\":1}\n").unwrap_err();
         assert!(err.contains("meta"), "{err}");
         assert!(validate_jsonl("").is_err());
     }
 
     #[test]
     fn validator_pins_schema_version() {
-        let err =
-            validate_jsonl("{\"kind\":\"meta\",\"schema_version\":999}\n").unwrap_err();
+        let err = validate_jsonl("{\"kind\":\"meta\",\"schema_version\":999}\n").unwrap_err();
         assert!(err.contains("999"), "{err}");
     }
 

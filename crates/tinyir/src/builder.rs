@@ -30,12 +30,7 @@ impl ModuleBuilder {
 
     /// Add a zero-initialised global array of `count` elements.
     pub fn global_zeroed(&mut self, name: &str, elem_ty: Ty, count: u32) -> GlobalId {
-        self.module.add_global(Global {
-            name: name.into(),
-            elem_ty,
-            count,
-            init: GlobalInit::Zero,
-        })
+        self.module.add_global(Global { name: name.into(), elem_ty, count, init: GlobalInit::Zero })
     }
 
     /// Add a global with an explicit initialiser.
@@ -85,12 +80,7 @@ impl ModuleBuilder {
         let mut func = std::mem::replace(self.module.func_mut(id), placeholder);
         func.is_decl = false;
         let cur = func.entry();
-        let mut fb = FuncBuilder {
-            mb: self,
-            func,
-            cur,
-            terminated: false,
-        };
+        let mut fb = FuncBuilder { mb: self, func, cur, terminated: false };
         body(&mut fb);
         let func = fb.func;
         *self.module.func_mut(id) = func;
@@ -143,11 +133,7 @@ impl<'m> FuncBuilder<'m> {
     }
 
     fn emit(&mut self, kind: InstrKind) -> Value {
-        assert!(
-            !self.terminated,
-            "emitting into a terminated block in {}",
-            self.func.name
-        );
+        assert!(!self.terminated, "emitting into a terminated block in {}", self.func.name);
         let loc = self.mb.fresh_loc();
         let instr = Instr { kind, loc: Some(loc) };
         let term = instr.is_terminator();
@@ -487,11 +473,7 @@ mod tests {
         mb.define("clamp", vec![Ty::I64], Some(Ty::I64), |fb| {
             let out = fb.alloca(Ty::I64, 1);
             let neg = fb.icmp(ICmp::Slt, fb.arg(0), Value::i64(0));
-            fb.if_then_else(
-                neg,
-                |fb| fb.store(Value::i64(0), out),
-                |fb| fb.store(fb.arg(0), out),
-            );
+            fb.if_then_else(neg, |fb| fb.store(Value::i64(0), out), |fb| fb.store(fb.arg(0), out));
             let r = fb.load(out, Ty::I64);
             fb.ret(Some(r));
         });

@@ -266,20 +266,14 @@ mod tests {
 
     #[test]
     fn float_constants_print_as_bit_patterns() {
-        assert_eq!(
-            value_str(Value::f64(1.0)),
-            format!("f64 0fx{:016x}", 1.0f64.to_bits())
-        );
+        assert_eq!(value_str(Value::f64(1.0)), format!("f64 0fx{:016x}", 1.0f64.to_bits()));
     }
 
     #[test]
     fn f32_constants_print_f32_bit_patterns() {
         // An f32 constant must print the 32-bit pattern the parser decodes
         // (`0fx` + 8 hex digits), not the bits of its f64 carrier.
-        assert_eq!(
-            value_str(Value::f32(0.1)),
-            format!("f32 0fx{:08x}", 0.1f32.to_bits())
-        );
+        assert_eq!(value_str(Value::f32(0.1)), format!("f32 0fx{:08x}", 0.1f32.to_bits()));
         // Round trip through the parser preserves the exact value.
         let printed = value_str(Value::f32(0.1));
         let mut mb = ModuleBuilder::new("m", "m.c");

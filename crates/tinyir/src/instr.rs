@@ -456,10 +456,7 @@ impl Instr {
 
     /// True if this is a block terminator.
     pub fn is_terminator(&self) -> bool {
-        matches!(
-            self.kind,
-            InstrKind::Br { .. } | InstrKind::CondBr { .. } | InstrKind::Ret { .. }
-        )
+        matches!(self.kind, InstrKind::Br { .. } | InstrKind::CondBr { .. } | InstrKind::Ret { .. })
     }
 
     /// True if this instruction reads or writes memory.
@@ -582,11 +579,8 @@ mod tests {
 
     #[test]
     fn result_types() {
-        let gep = Instr::new(InstrKind::Gep {
-            base: Value::Arg(0),
-            index: Value::i64(1),
-            elem_size: 8,
-        });
+        let gep =
+            Instr::new(InstrKind::Gep { base: Value::Arg(0), index: Value::i64(1), elem_size: 8 });
         assert_eq!(gep.result_ty(), Some(Ty::Ptr));
         let st = Instr::new(InstrKind::Store { val: Value::f64(0.0), ptr: Value::Arg(0) });
         assert_eq!(st.result_ty(), None);
@@ -609,11 +603,7 @@ mod tests {
         });
         assert_eq!(
             sel.operands(),
-            vec![
-                Value::Instr(InstrId(10)),
-                Value::Instr(InstrId(11)),
-                Value::Instr(InstrId(12))
-            ]
+            vec![Value::Instr(InstrId(10)), Value::Instr(InstrId(11)), Value::Instr(InstrId(12))]
         );
     }
 
@@ -638,13 +628,7 @@ mod tests {
 
     #[test]
     fn mnemonic_round_trips() {
-        for op in [
-            BinOp::Add,
-            BinOp::FMul,
-            BinOp::AShr,
-            BinOp::SRem,
-            BinOp::UDiv,
-        ] {
+        for op in [BinOp::Add, BinOp::FMul, BinOp::AShr, BinOp::SRem, BinOp::UDiv] {
             assert_eq!(BinOp::parse(op.mnemonic()), Some(op));
         }
         for p in [ICmp::Slt, ICmp::Uge, ICmp::Eq] {

@@ -127,8 +127,7 @@ pub fn layout_globals(module: &Module, mem: &mut PagedMemory, base: u64) -> Vec<
             for (j, b) in chunk.iter().enumerate() {
                 bits |= (*b as u64) << (8 * j);
             }
-            mem.store(addr + (i as u64) * es as u64, es, bits)
-                .expect("global region just mapped");
+            mem.store(addr + (i as u64) * es as u64, es, bits).expect("global region just mapped");
         }
     }
     addrs
@@ -199,14 +198,13 @@ impl<'a> Interp<'a> {
                 for &iid in &block.instrs {
                     match &func.instr(iid).kind {
                         InstrKind::Phi { incomings, .. } => {
-                            let v = incomings
-                                .iter()
-                                .find(|(b, _)| *b == p)
-                                .map(|(_, v)| *v)
-                                .ok_or(Fault {
-                                    kind: FaultKind::Invalid("phi missing incoming"),
-                                    loc: func.instr(iid).loc,
-                                })?;
+                            let v =
+                                incomings.iter().find(|(b, _)| *b == p).map(|(_, v)| *v).ok_or(
+                                    Fault {
+                                        kind: FaultKind::Invalid("phi missing incoming"),
+                                        loc: func.instr(iid).loc,
+                                    },
+                                )?;
                             let bits = self.value_bits(&regs, args, func, v)?;
                             phi_vals.push((iid, bits));
                         }
@@ -256,9 +254,7 @@ impl<'a> Interp<'a> {
                         })?;
                         let bits = self.value_bits(&regs, args, func, *val)?;
                         let addr = self.value_bits(&regs, args, func, *ptr)?;
-                        self.mem
-                            .store(addr, ty.size(), bits)
-                            .map_err(|e| fault_of(e, loc))?;
+                        self.mem.store(addr, ty.size(), bits).map_err(|e| fault_of(e, loc))?;
                     }
                     InstrKind::Gep { base, index, elem_size } => {
                         let b = self.value_bits(&regs, args, func, *base)?;
@@ -534,11 +530,8 @@ pub fn eval_cast(op: CastOp, v: u64, from: Ty, to: Ty) -> u64 {
         CastOp::SiToFp => bits_of_float(sext_bits(v, from) as f64, to),
         CastOp::FpToSi => {
             let f = float_of_bits(v, from);
-            let i = if f.is_nan() {
-                0i64
-            } else {
-                f.max(i64::MIN as f64).min(i64::MAX as f64) as i64
-            };
+            let i =
+                if f.is_nan() { 0i64 } else { f.max(i64::MIN as f64).min(i64::MAX as f64) as i64 };
             (i as u64) & to.mask()
         }
         CastOp::FpExt => float_of_bits(v, from).to_bits(),
@@ -686,10 +679,7 @@ mod tests {
         let mut interp =
             Interp::new(&m, &mut mem, &globals, STACK_BASE, STACK_LIMIT, HEAP_BASE, 10_000);
         let fid = m.func_by_name("spin").unwrap();
-        assert_eq!(
-            interp.call(fid, &[]).unwrap_err().kind,
-            FaultKind::OutOfFuel
-        );
+        assert_eq!(interp.call(fid, &[]).unwrap_err().kind, FaultKind::OutOfFuel);
     }
 
     #[test]
@@ -727,9 +717,7 @@ mod tests {
             fb.ret(Some(r));
         });
         let m = mb.finish();
-        let bits = run(&m, "hyp", &[3.0f64.to_bits(), 4.0f64.to_bits()])
-            .unwrap()
-            .unwrap();
+        let bits = run(&m, "hyp", &[3.0f64.to_bits(), 4.0f64.to_bits()]).unwrap().unwrap();
         assert_eq!(f64::from_bits(bits), 5.0);
     }
 
@@ -751,10 +739,7 @@ mod tests {
         assert_eq!(sext_bits(0xff, Ty::I8), -1);
         assert_eq!(sext_bits(0x7f, Ty::I8), 127);
         assert_eq!(zext_bits(0xffff_ffff_ffff_ffff, Ty::I32), 0xffff_ffff);
-        assert_eq!(
-            eval_bin(BinOp::Add, 0xffff_ffff, 1, Ty::I32).unwrap(),
-            0
-        );
+        assert_eq!(eval_bin(BinOp::Add, 0xffff_ffff, 1, Ty::I32).unwrap(), 0);
         assert_eq!(eval_bin(BinOp::AShr, 0x8000_0000, 31, Ty::I32).unwrap(), 0xffff_ffff);
         assert!(eval_icmp(ICmp::Slt, 0xffff_ffff, 0, Ty::I32) /* -1 < 0 */);
         assert!(!eval_icmp(ICmp::Ult, 0xffff_ffff, 0, Ty::I32));

@@ -137,8 +137,7 @@ struct TlbEntry {
     ptr: *mut Page,
 }
 
-const TLB_EMPTY: TlbEntry =
-    TlbEntry { page: u64::MAX, epoch: 0, ptr: std::ptr::null_mut() };
+const TLB_EMPTY: TlbEntry = TlbEntry { page: u64::MAX, epoch: 0, ptr: std::ptr::null_mut() };
 
 #[inline]
 fn tlb_idx(page: u64) -> usize {
@@ -247,7 +246,6 @@ impl Clone for PagedMemory {
             ..PagedMemory::default()
         }
     }
-
 }
 
 impl PagedMemory {
@@ -380,9 +378,7 @@ impl PagedMemory {
                 // A zero-span page reads through the static zero page; the
                 // pointer stays valid forever, and a store materialising
                 // the page refreshes this entry (`store_page_slow`).
-                None if self.span_contains(p) => {
-                    Arc::as_ptr(zero_page()) as *mut Page
-                }
+                None if self.span_contains(p) => Arc::as_ptr(zero_page()) as *mut Page,
                 None => return Err(MemFault::Unmapped(addr)),
             };
             self.read_tlb[i] = TlbEntry { page: p, epoch: self.read_epoch, ptr };
@@ -409,17 +405,17 @@ impl PagedMemory {
         self.stats.stores += 1;
         let (p, off) = Self::page_of(addr);
         let e = self.write_tlb[tlb_idx(p)];
-        let page: &mut Page =
-            if e.page == p && e.epoch == self.write_epoch.load(Ordering::Relaxed) {
-                // SAFETY: a live write entry points at the exclusively-owned
-                // backing allocation of a still-mapped page — exclusivity
-                // can only be lost through `clone()`/`unmap_region`, both of
-                // which bump `write_epoch` (see module docs).
-                unsafe { &mut *e.ptr }
-            } else {
-                self.stats.write_tlb_misses += 1;
-                self.store_page_slow(p, addr)?
-            };
+        let page: &mut Page = if e.page == p && e.epoch == self.write_epoch.load(Ordering::Relaxed)
+        {
+            // SAFETY: a live write entry points at the exclusively-owned
+            // backing allocation of a still-mapped page — exclusivity
+            // can only be lost through `clone()`/`unmap_region`, both of
+            // which bump `write_epoch` (see module docs).
+            unsafe { &mut *e.ptr }
+        } else {
+            self.stats.write_tlb_misses += 1;
+            self.store_page_slow(p, addr)?
+        };
         match size {
             1 => page[off] = bits as u8,
             2 => page[off..off + 2].copy_from_slice(&(bits as u16).to_le_bytes()),
@@ -688,7 +684,8 @@ mod tests {
     fn round_trip_all_sizes() {
         let mut m = PagedMemory::new();
         m.map_region(0x2000, PAGE_SIZE);
-        for (size, val) in [(1u32, 0xabu64), (2, 0xbeef), (4, 0xdead_beef), (8, 0x0123_4567_89ab_cdef)]
+        for (size, val) in
+            [(1u32, 0xabu64), (2, 0xbeef), (4, 0xdead_beef), (8, 0x0123_4567_89ab_cdef)]
         {
             m.store(0x2000, size, val).unwrap();
             assert_eq!(m.load(0x2000, size).unwrap(), val);
@@ -748,26 +745,14 @@ mod tests {
         let mut buf = [0u8; 0x30];
         // Read starts mid-page and crosses into the hole: the fault address
         // must be the first byte of the unmapped page, not the range start.
-        assert_eq!(
-            m.read_bytes(0x1ff0, &mut buf),
-            Err(MemFault::Unmapped(0x2000))
-        );
+        assert_eq!(m.read_bytes(0x1ff0, &mut buf), Err(MemFault::Unmapped(0x2000)));
         // A read starting inside the hole faults at its own first byte.
-        assert_eq!(
-            m.read_bytes(0x2ff8, &mut buf),
-            Err(MemFault::Unmapped(0x2ff8))
-        );
+        assert_eq!(m.read_bytes(0x2ff8, &mut buf), Err(MemFault::Unmapped(0x2ff8)));
         // Same contract for writes.
-        assert_eq!(
-            m.write_bytes(0x1ff0, &buf),
-            Err(MemFault::Unmapped(0x2000))
-        );
+        assert_eq!(m.write_bytes(0x1ff0, &buf), Err(MemFault::Unmapped(0x2000)));
         // And a multi-page gap still reports the *first* unmapped address.
         let mut big = vec![0u8; 3 * PAGE_SIZE as usize];
-        assert_eq!(
-            m.read_bytes(0x1000, &mut big),
-            Err(MemFault::Unmapped(0x2000))
-        );
+        assert_eq!(m.read_bytes(0x1000, &mut big), Err(MemFault::Unmapped(0x2000)));
     }
 
     #[test]

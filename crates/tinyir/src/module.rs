@@ -160,10 +160,7 @@ impl Function {
 
     /// Iterate `(BlockId, &Block)` pairs.
     pub fn block_iter(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (BlockId(i as u32), b))
+        self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i as u32), b))
     }
 
     /// The block containing each instruction (index = instr id).
@@ -297,11 +294,7 @@ impl Module {
     /// Total number of memory-access instructions across all defined
     /// functions.
     pub fn mem_access_count(&self) -> usize {
-        self.funcs
-            .iter()
-            .filter(|f| !f.is_decl)
-            .map(|f| f.mem_access_instrs().len())
-            .sum()
+        self.funcs.iter().filter(|f| !f.is_decl).map(|f| f.mem_access_instrs().len()).sum()
     }
 }
 
@@ -327,16 +320,10 @@ mod tests {
         let e = f.entry();
         let gep = f.push_instr(
             e,
-            Instr::new(InstrKind::Gep {
-                base: Value::Arg(0),
-                index: Value::Arg(1),
-                elem_size: 8,
-            }),
+            Instr::new(InstrKind::Gep { base: Value::Arg(0), index: Value::Arg(1), elem_size: 8 }),
         );
-        let ld = f.push_instr(
-            e,
-            Instr::new(InstrKind::Load { ptr: Value::Instr(gep), ty: Ty::F64 }),
-        );
+        let ld =
+            f.push_instr(e, Instr::new(InstrKind::Load { ptr: Value::Instr(gep), ty: Ty::F64 }));
         let add = f.push_instr(
             e,
             Instr::new(InstrKind::Bin {

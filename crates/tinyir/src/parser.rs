@@ -80,10 +80,7 @@ impl<'a> Cursor<'a> {
     fn word(&mut self) -> PResult<&'a str> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .rest()
-            .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-        {
+        while self.rest().starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.') {
             self.pos += 1;
         }
         if self.pos == start {
@@ -99,18 +96,15 @@ impl<'a> Cursor<'a> {
         if self.rest().starts_with('-') {
             self.pos += 1;
         }
-        while self
-            .rest()
-            .starts_with(|c: char| c.is_ascii_digit() || c == '.' || c == 'e' || c == '-' || c == '+')
-        {
+        while self.rest().starts_with(|c: char| {
+            c.is_ascii_digit() || c == '.' || c == 'e' || c == '-' || c == '+'
+        }) {
             self.pos += 1;
         }
-        self.s[start..self.pos]
-            .parse()
-            .map_err(|_| ParseError {
-                line: self.line,
-                msg: format!("bad number `{}`", &self.s[start..self.pos]),
-            })
+        self.s[start..self.pos].parse().map_err(|_| ParseError {
+            line: self.line,
+            msg: format!("bad number `{}`", &self.s[start..self.pos]),
+        })
     }
 
     fn quoted(&mut self) -> PResult<String> {
@@ -539,17 +533,14 @@ fn assemble_function(
 
     let placeholder = Instr::new(InstrKind::Ret { val: None });
     let mut instrs = vec![placeholder; total];
-    let mut final_blocks: Vec<Block> = blocks
-        .iter()
-        .map(|b| Block { name: b.name.clone(), instrs: Vec::new() })
-        .collect();
+    let mut final_blocks: Vec<Block> =
+        blocks.iter().map(|b| Block { name: b.name.clone(), instrs: Vec::new() }).collect();
     for p in pending.drain(..) {
         let slot = match p.explicit_id {
             Some(id) => id as usize,
-            None => free.pop().ok_or(ParseError {
-                line: lineno,
-                msg: "internal: slot exhaustion".into(),
-            })?,
+            None => free
+                .pop()
+                .ok_or(ParseError { line: lineno, msg: "internal: slot exhaustion".into() })?,
         };
         instrs[slot] = p.instr;
         final_blocks[p.block].instrs.push(InstrId(slot as u32));
@@ -578,12 +569,7 @@ mod tests {
     #[test]
     fn round_trip_simple() {
         let mut mb = ModuleBuilder::new("m", "m.c");
-        let g = mb.global_init(
-            "tab",
-            Ty::I32,
-            3,
-            GlobalInit::I32s(vec![1, -2, 3]),
-        );
+        let g = mb.global_init("tab", Ty::I32, 3, GlobalInit::I32s(vec![1, -2, 3]));
         mb.define("f", vec![Ty::Ptr, Ty::I64], Some(Ty::F64), |fb| {
             let x = fb.load_elem(fb.arg(0), fb.arg(1), Ty::F64);
             let t = fb.load_elem(fb.global(g), fb.arg(1), Ty::I32);
@@ -623,11 +609,7 @@ mod tests {
     fn round_trip_float_precision() {
         let mut mb = ModuleBuilder::new("m", "m.c");
         mb.define("c", vec![], Some(Ty::F64), |fb| {
-            let v = fb.fadd(
-                Value::f64(0.1),
-                Value::f64(1.0 / 3.0),
-                Ty::F64,
-            );
+            let v = fb.fadd(Value::f64(0.1), Value::f64(1.0 / 3.0), Ty::F64);
             fb.ret(Some(v));
         });
         round_trip(&mb.finish());

@@ -145,16 +145,7 @@ mod tests {
 
     #[test]
     fn parse_round_trip() {
-        for t in [
-            Ty::I1,
-            Ty::I8,
-            Ty::I16,
-            Ty::I32,
-            Ty::I64,
-            Ty::F32,
-            Ty::F64,
-            Ty::Ptr,
-        ] {
+        for t in [Ty::I1, Ty::I8, Ty::I16, Ty::I32, Ty::I64, Ty::F32, Ty::F64, Ty::Ptr] {
             assert_eq!(Ty::parse(&t.to_string()), Some(t));
         }
         assert_eq!(Ty::parse("i128"), None);

@@ -58,10 +58,7 @@ impl Value {
     /// paper's pseudocode — constants never need to become kernel parameters).
     #[inline]
     pub fn is_const(&self) -> bool {
-        matches!(
-            self,
-            Value::ConstInt(..) | Value::ConstFloat(..) | Value::ConstNull
-        )
+        matches!(self, Value::ConstInt(..) | Value::ConstFloat(..) | Value::ConstNull)
     }
 
     /// The instruction id if this operand is an instruction result.

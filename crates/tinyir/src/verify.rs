@@ -122,18 +122,15 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             let instr = f.instr(iid);
             for v in instr.operands() {
                 match v {
-                    Value::Instr(d)
-                        if !defined.contains(&d) => {
-                            return err(format!("{iid} uses undefined value {d}"));
-                        }
-                    Value::Arg(n)
-                        if n as usize >= f.params.len() => {
-                            return err(format!("{iid} uses out-of-range arg %a{n}"));
-                        }
-                    Value::Global(g)
-                        if g.0 as usize >= m.globals.len() => {
-                            return err(format!("{iid} uses out-of-range global @g{}", g.0));
-                        }
+                    Value::Instr(d) if !defined.contains(&d) => {
+                        return err(format!("{iid} uses undefined value {d}"));
+                    }
+                    Value::Arg(n) if n as usize >= f.params.len() => {
+                        return err(format!("{iid} uses out-of-range arg %a{n}"));
+                    }
+                    Value::Global(g) if g.0 as usize >= m.globals.len() => {
+                        return err(format!("{iid} uses out-of-range global @g{}", g.0));
+                    }
                     _ => {}
                 }
                 // In unreachable blocks dominators are undefined, so the
@@ -152,8 +149,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             seen_in_block.insert(iid);
             check_types(m, f, iid)?;
             if let InstrKind::Phi { incomings, .. } = &f.instr(iid).kind {
-                let mut ps: Vec<BlockId> =
-                    preds.get(&bid).cloned().unwrap_or_default();
+                let mut ps: Vec<BlockId> = preds.get(&bid).cloned().unwrap_or_default();
                 ps.sort();
                 ps.dedup();
                 let mut inc: Vec<BlockId> = incomings.iter().map(|(b, _)| *b).collect();
@@ -183,9 +179,10 @@ fn check_types(m: &Module, f: &Function, iid: InstrId) -> Result<(), VerifyError
     let ty_of = |v: Value| value_ty(f, v);
     match &instr.kind {
         InstrKind::Load { ptr, .. } | InstrKind::Store { ptr, .. }
-            if ty_of(*ptr) != Some(Ty::Ptr) => {
-                return err(format!("{iid}: memory address operand is not a pointer"));
-            }
+            if ty_of(*ptr) != Some(Ty::Ptr) =>
+        {
+            return err(format!("{iid}: memory address operand is not a pointer"));
+        }
         InstrKind::Gep { base, index, elem_size } => {
             if ty_of(*base) != Some(Ty::Ptr) {
                 return err(format!("{iid}: gep base is not a pointer"));
@@ -227,10 +224,9 @@ fn check_types(m: &Module, f: &Function, iid: InstrId) -> Result<(), VerifyError
                 }
             }
         }
-        InstrKind::CondBr { cond, .. }
-            if ty_of(*cond) != Some(Ty::I1) => {
-                return err(format!("{iid}: condbr condition is not i1"));
-            }
+        InstrKind::CondBr { cond, .. } if ty_of(*cond) != Some(Ty::I1) => {
+            return err(format!("{iid}: condbr condition is not i1"));
+        }
         InstrKind::Call { callee, args, ret_ty } => match callee {
             Callee::Func(fid) => {
                 if fid.0 as usize >= m.funcs.len() {
@@ -255,19 +251,17 @@ fn check_types(m: &Module, f: &Function, iid: InstrId) -> Result<(), VerifyError
                 }
             }
         },
-        InstrKind::Ret { val } => {
-            match (f.ret_ty, val) {
-                (Some(rt), Some(v)) => {
-                    if let Some(t) = ty_of(*v) {
-                        if t != rt {
-                            return err(format!("{iid}: return type {t} != {rt}"));
-                        }
+        InstrKind::Ret { val } => match (f.ret_ty, val) {
+            (Some(rt), Some(v)) => {
+                if let Some(t) = ty_of(*v) {
+                    if t != rt {
+                        return err(format!("{iid}: return type {t} != {rt}"));
                     }
                 }
-                (None, None) => {}
-                _ => return err(format!("{iid}: return value presence mismatch")),
             }
-        }
+            (None, None) => {}
+            _ => return err(format!("{iid}: return value presence mismatch")),
+        },
         _ => {}
     }
     Ok(())
@@ -464,10 +458,7 @@ mod tests {
         let bb1 = f.add_block("next");
         f.push_instr(e, Instr::new(InstrKind::Br { target: bb1 }));
         // Phi with no incoming for the entry predecessor.
-        f.push_instr(
-            bb1,
-            Instr::new(InstrKind::Phi { incomings: vec![], ty: Ty::I64 }),
-        );
+        f.push_instr(bb1, Instr::new(InstrKind::Phi { incomings: vec![], ty: Ty::I64 }));
         f.push_instr(bb1, Instr::new(InstrKind::Ret { val: Some(Value::i64(0)) }));
         m.add_func(f);
         let err = verify_module(&m).unwrap_err();
@@ -530,10 +521,7 @@ mod tests {
         let m = with_unreachable_block(|f, bb| {
             f.push_instr(
                 bb,
-                Instr::new(InstrKind::Load {
-                    ptr: Value::Global(crate::GlobalId(3)),
-                    ty: Ty::I64,
-                }),
+                Instr::new(InstrKind::Load { ptr: Value::Global(crate::GlobalId(3)), ty: Ty::I64 }),
             );
             f.push_instr(bb, Instr::new(InstrKind::Ret { val: Some(Value::i64(1)) }));
         });
@@ -593,10 +581,7 @@ mod tests {
             f.push_instr(
                 bb,
                 Instr::new(InstrKind::Phi {
-                    incomings: vec![
-                        (BlockId(0), Value::i64(1)),
-                        (BlockId(0), Value::i64(2)),
-                    ],
+                    incomings: vec![(BlockId(0), Value::i64(1)), (BlockId(0), Value::i64(2))],
                     ty: Ty::I64,
                 }),
             );
@@ -612,10 +597,7 @@ mod tests {
         let mut f = Function::new("f", vec![Ty::I64], Some(Ty::I64));
         let e = f.entry();
         f.push_instr(e, Instr::new(InstrKind::Load { ptr: Value::Arg(0), ty: Ty::I64 }));
-        f.push_instr(
-            e,
-            Instr::new(InstrKind::Ret { val: Some(Value::Instr(InstrId(0))) }),
-        );
+        f.push_instr(e, Instr::new(InstrKind::Ret { val: Some(Value::Instr(InstrId(0))) }));
         m.add_func(f);
         let err = verify_module(&m).unwrap_err();
         assert!(err.msg.contains("not a pointer"), "{err}");

@@ -19,12 +19,9 @@ pub fn build(natoms: i64, ncell: i64, steps: i64) -> Workload {
     let mut mb = ModuleBuilder::new("comd", "comd.c");
 
     // SoA particle state.
-    let pos: Vec<f64> = (0..3 * natoms)
-        .map(|i| (init_f64(23, i as u64) * 0.5 + 0.5) * box_len)
-        .collect();
-    let vel: Vec<f64> = (0..3 * natoms)
-        .map(|i| init_f64(29, i as u64) * 0.05)
-        .collect();
+    let pos: Vec<f64> =
+        (0..3 * natoms).map(|i| (init_f64(23, i as u64) * 0.5 + 0.5) * box_len).collect();
+    let vel: Vec<f64> = (0..3 * natoms).map(|i| init_f64(29, i as u64) * 0.05).collect();
     let g_pos = mb.global_init("pos", Ty::F64, 3 * natoms as u32, GlobalInit::F64s(pos));
     let g_vel = mb.global_init("vel", Ty::F64, 3 * natoms as u32, GlobalInit::F64s(vel));
     let g_force = mb.global_zeroed("force", Ty::F64, 3 * natoms as u32);
@@ -135,12 +132,7 @@ pub fn build(natoms: i64, ncell: i64, steps: i64) -> Workload {
     // compute_force(): zero forces, then for each atom walk the 27
     // neighbouring cell chains.
     let compute_force = mb.define("compute_force", vec![], None, |fb| {
-        fb.store_elem(
-            Value::f64(0.0),
-            fb.global(g_epot),
-            Value::i64(0),
-            Ty::F64,
-        );
+        fb.store_elem(Value::f64(0.0), fb.global(g_epot), Value::i64(0), Ty::F64);
         let n3 = fb.mul(na, Value::i64(3), Ty::I64);
         fb.for_loop(Value::i64(0), n3, |fb, k| {
             fb.store_elem(Value::f64(0.0), fb.global(g_force), k, Ty::F64);
@@ -255,11 +247,7 @@ pub fn build(natoms: i64, ncell: i64, steps: i64) -> Workload {
         "CoMD",
         module,
         vec![steps as u64],
-        vec![
-            ("pos", 3 * natoms as u64 * 8),
-            ("vel", 3 * natoms as u64 * 8),
-            ("checksum", 16),
-        ],
+        vec![("pos", 3 * natoms as u64 * 8), ("vel", 3 * natoms as u64 * 8), ("checksum", 16)],
     )
 }
 

@@ -54,9 +54,7 @@ pub fn build(mpsi: i64, mzeta: i64, nparticles: i64, steps: i64) -> Workload {
         Ty::I64,
         nparticles as u32,
         GlobalInit::I64s(
-            (0..nparticles)
-                .map(|i| (init_f64(13, i as u64).abs() * 64.0) as i64)
-                .collect(),
+            (0..nparticles).map(|i| (init_f64(13, i as u64).abs() * 64.0) as i64).collect(),
         ),
     );
     let g_pk = mb.global_init(
@@ -82,11 +80,8 @@ pub fn build(mpsi: i64, mzeta: i64, nparticles: i64, steps: i64) -> Workload {
     let igrid_in = Value::i64(0); // single-domain decomposition: offset 0
 
     // field_index(ri, ti, k) = (mzeta+1)*(igrid[ri] + (ti % mtheta[ri]) - igrid_in) + k
-    let field_index = mb.define(
-        "field_index",
-        vec![Ty::I64, Ty::I64, Ty::I64],
-        Some(Ty::I64),
-        |fb| {
+    let field_index =
+        mb.define("field_index", vec![Ty::I64, Ty::I64, Ty::I64], Some(Ty::I64), |fb| {
             let (ri, ti, k) = (fb.arg(0), fb.arg(1), fb.arg(2));
             let gi = fb.load_elem(fb.global(g_igrid), ri, Ty::I64);
             let mt = fb.load_elem(fb.global(g_mtheta), ri, Ty::I64);
@@ -97,8 +92,7 @@ pub fn build(mpsi: i64, mzeta: i64, nparticles: i64, steps: i64) -> Workload {
             let p = fb.mul(m1, d, Ty::I64);
             let idx = fb.add(p, k, Ty::I64);
             fb.ret(Some(idx));
-        },
-    );
+        });
 
     // chargei(): deposit particle weights onto densityi (Figure 2 pattern),
     // with GTC's bounds assertion before the scatter.
@@ -196,11 +190,7 @@ pub fn build(mpsi: i64, mzeta: i64, nparticles: i64, steps: i64) -> Workload {
         "GTC-P",
         module,
         vec![steps as u64],
-        vec![
-            ("phitmp", field_len as u64 * 8),
-            ("p_w", nparticles as u64 * 8),
-            ("checksum", 16),
-        ],
+        vec![("phitmp", field_len as u64 * 8), ("p_w", nparticles as u64 * 8), ("checksum", 16)],
     )
 }
 

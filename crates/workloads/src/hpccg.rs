@@ -32,25 +32,20 @@ pub fn build(nx: i64, iters: i64) -> Workload {
     let checksum = mb.global_zeroed("checksum", Ty::F64, 2);
 
     // ddot(n, x, y) -> Σ x[i]·y[i]
-    let ddot = mb.define(
-        "ddot",
-        vec![Ty::I64, Ty::Ptr, Ty::Ptr],
-        Some(Ty::F64),
-        |fb| {
-            let acc = fb.alloca(Ty::F64, 1);
-            fb.store(Value::f64(0.0), acc);
-            fb.for_loop(Value::i64(0), fb.arg(0), |fb, i| {
-                let a = fb.load_elem(fb.arg(1), i, Ty::F64);
-                let b = fb.load_elem(fb.arg(2), i, Ty::F64);
-                let prod = fb.fmul(a, b, Ty::F64);
-                let s0 = fb.load(acc, Ty::F64);
-                let s1 = fb.fadd(s0, prod, Ty::F64);
-                fb.store(s1, acc);
-            });
-            let r = fb.load(acc, Ty::F64);
-            fb.ret(Some(r));
-        },
-    );
+    let ddot = mb.define("ddot", vec![Ty::I64, Ty::Ptr, Ty::Ptr], Some(Ty::F64), |fb| {
+        let acc = fb.alloca(Ty::F64, 1);
+        fb.store(Value::f64(0.0), acc);
+        fb.for_loop(Value::i64(0), fb.arg(0), |fb, i| {
+            let a = fb.load_elem(fb.arg(1), i, Ty::F64);
+            let b = fb.load_elem(fb.arg(2), i, Ty::F64);
+            let prod = fb.fmul(a, b, Ty::F64);
+            let s0 = fb.load(acc, Ty::F64);
+            let s1 = fb.fadd(s0, prod, Ty::F64);
+            fb.store(s1, acc);
+        });
+        let r = fb.load(acc, Ty::F64);
+        fb.ret(Some(r));
+    });
 
     // waxpby(n, alpha, x, beta, y, w): w = alpha·x + beta·y
     let waxpby = mb.define(
@@ -71,41 +66,34 @@ pub fn build(nx: i64, iters: i64) -> Workload {
     );
 
     // sparsemv(n, y, x): y = A·x over the padded-ELL arrays.
-    let sparsemv = mb.define(
-        "sparsemv",
-        vec![Ty::I64, Ty::Ptr, Ty::Ptr],
-        None,
-        |fb| {
-            let (vals, cols, rowlen) =
-                (fb.global(a_vals), fb.global(a_cols), fb.global(a_rowlen));
-            fb.for_loop(Value::i64(0), fb.arg(0), |fb, row| {
-                let sum = fb.alloca(Ty::F64, 1);
-                fb.store(Value::f64(0.0), sum);
-                let len = fb.load_elem(rowlen, row, Ty::I64);
-                let base = fb.mul(row, Value::i64(NNZ_PER_ROW), Ty::I64);
-                fb.for_loop(Value::i64(0), len, |fb, j| {
-                    let k = fb.add(base, j, Ty::I64);
-                    let aval = fb.load_elem(vals, k, Ty::F64);
-                    // The signature HPCCG access: x[cols[k]] — an address
-                    // computed from a *loaded* index.
-                    let col = fb.load_elem(cols, k, Ty::I64);
-                    let xc = fb.load_elem(fb.arg(2), col, Ty::F64);
-                    let prod = fb.fmul(aval, xc, Ty::F64);
-                    let s0 = fb.load(sum, Ty::F64);
-                    let s1 = fb.fadd(s0, prod, Ty::F64);
-                    fb.store(s1, sum);
-                });
-                let s = fb.load(sum, Ty::F64);
-                fb.store_elem(s, fb.arg(1), row, Ty::F64);
+    let sparsemv = mb.define("sparsemv", vec![Ty::I64, Ty::Ptr, Ty::Ptr], None, |fb| {
+        let (vals, cols, rowlen) = (fb.global(a_vals), fb.global(a_cols), fb.global(a_rowlen));
+        fb.for_loop(Value::i64(0), fb.arg(0), |fb, row| {
+            let sum = fb.alloca(Ty::F64, 1);
+            fb.store(Value::f64(0.0), sum);
+            let len = fb.load_elem(rowlen, row, Ty::I64);
+            let base = fb.mul(row, Value::i64(NNZ_PER_ROW), Ty::I64);
+            fb.for_loop(Value::i64(0), len, |fb, j| {
+                let k = fb.add(base, j, Ty::I64);
+                let aval = fb.load_elem(vals, k, Ty::F64);
+                // The signature HPCCG access: x[cols[k]] — an address
+                // computed from a *loaded* index.
+                let col = fb.load_elem(cols, k, Ty::I64);
+                let xc = fb.load_elem(fb.arg(2), col, Ty::F64);
+                let prod = fb.fmul(aval, xc, Ty::F64);
+                let s0 = fb.load(sum, Ty::F64);
+                let s1 = fb.fadd(s0, prod, Ty::F64);
+                fb.store(s1, sum);
             });
-            fb.ret(None);
-        },
-    );
+            let s = fb.load(sum, Ty::F64);
+            fb.store_elem(s, fb.arg(1), row, Ty::F64);
+        });
+        fb.ret(None);
+    });
 
     // generate_matrix(): 27-point stencil on the nx³ chimney domain.
     let generate = mb.define("generate_matrix", vec![], None, |fb| {
-        let (vals, cols, rowlen) =
-            (fb.global(a_vals), fb.global(a_cols), fb.global(a_rowlen));
+        let (vals, cols, rowlen) = (fb.global(a_vals), fb.global(a_cols), fb.global(a_rowlen));
         let n = Value::i64(nx);
         fb.for_loop(Value::i64(0), n, |fb, iz| {
             fb.for_loop(Value::i64(0), n, |fb, iy| {
@@ -147,8 +135,7 @@ pub fn build(nx: i64, iters: i64) -> Workload {
                                         Ty::F64,
                                     );
                                     let c0 = fb.load(cnt, Ty::I64);
-                                    let rbase =
-                                        fb.mul(row, Value::i64(NNZ_PER_ROW), Ty::I64);
+                                    let rbase = fb.mul(row, Value::i64(NNZ_PER_ROW), Ty::I64);
                                     let k = fb.add(rbase, c0, Ty::I64);
                                     fb.store_elem(val, vals, k, Ty::F64);
                                     fb.store_elem(col, cols, k, Ty::I64);
@@ -179,25 +166,11 @@ pub fn build(nx: i64, iters: i64) -> Workload {
         // r = b; p = r.
         fb.call(
             waxpby,
-            vec![
-                n,
-                Value::f64(1.0),
-                fb.global(bv),
-                Value::f64(0.0),
-                fb.global(xv),
-                fb.global(rv),
-            ],
+            vec![n, Value::f64(1.0), fb.global(bv), Value::f64(0.0), fb.global(xv), fb.global(rv)],
         );
         fb.call(
             waxpby,
-            vec![
-                n,
-                Value::f64(1.0),
-                fb.global(rv),
-                Value::f64(0.0),
-                fb.global(xv),
-                fb.global(pv),
-            ],
+            vec![n, Value::f64(1.0), fb.global(rv), Value::f64(0.0), fb.global(xv), fb.global(pv)],
         );
         let rtrans = fb.alloca(Ty::F64, 1);
         let rt0 = fb.call(ddot, vec![n, fb.global(rv), fb.global(rv)]);
@@ -212,27 +185,13 @@ pub fn build(nx: i64, iters: i64) -> Workload {
             // x += alpha·p
             fb.call(
                 waxpby,
-                vec![
-                    n,
-                    Value::f64(1.0),
-                    fb.global(xv),
-                    alpha,
-                    fb.global(pv),
-                    fb.global(xv),
-                ],
+                vec![n, Value::f64(1.0), fb.global(xv), alpha, fb.global(pv), fb.global(xv)],
             );
             // r -= alpha·q
             let neg = fb.fsub(Value::f64(0.0), alpha, Ty::F64);
             fb.call(
                 waxpby,
-                vec![
-                    n,
-                    Value::f64(1.0),
-                    fb.global(rv),
-                    neg,
-                    fb.global(qv),
-                    fb.global(rv),
-                ],
+                vec![n, Value::f64(1.0), fb.global(rv), neg, fb.global(qv), fb.global(rv)],
             );
             let rt_new = fb.call(ddot, vec![n, fb.global(rv), fb.global(rv)]);
             let beta = fb.fdiv(rt_new, rt, Ty::F64);
@@ -240,14 +199,7 @@ pub fn build(nx: i64, iters: i64) -> Workload {
             // p = r + beta·p
             fb.call(
                 waxpby,
-                vec![
-                    n,
-                    Value::f64(1.0),
-                    fb.global(rv),
-                    beta,
-                    fb.global(pv),
-                    fb.global(pv),
-                ],
+                vec![n, Value::f64(1.0), fb.global(rv), beta, fb.global(pv), fb.global(pv)],
             );
         });
 
@@ -266,10 +218,7 @@ pub fn build(nx: i64, iters: i64) -> Workload {
         "HPCCG",
         module,
         vec![iters as u64],
-        vec![
-            ("x", nrows as u64 * 8),
-            ("checksum", 16),
-        ],
+        vec![("x", nrows as u64 * 8), ("checksum", 16)],
     )
 }
 

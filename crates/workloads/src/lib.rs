@@ -25,23 +25,12 @@ pub use spec::Workload;
 /// The five Table 1 workloads at campaign-scale defaults, in the paper's
 /// order.
 pub fn all() -> Vec<Workload> {
-    vec![
-        hpccg::default(),
-        comd::default(),
-        minife::default(),
-        minimd::default(),
-        gtcp::default(),
-    ]
+    vec![hpccg::default(), comd::default(), minife::default(), minimd::default(), gtcp::default()]
 }
 
 /// The four workloads evaluated in §5 (the paper skips miniFE there because
 /// its C++-STL reliance exceeded the prototype; we keep it for the §2
 /// tables).
 pub fn evaluated() -> Vec<Workload> {
-    vec![
-        gtcp::default(),
-        hpccg::default(),
-        minimd::default(),
-        comd::default(),
-    ]
+    vec![gtcp::default(), hpccg::default(), minimd::default(), comd::default()]
 }

@@ -33,62 +33,52 @@ pub fn build(ne: i64, iters: i64) -> Workload {
 
     // add_entry(row, col, val): search the row's column list for `col`,
     // accumulating into the existing slot or appending a new one.
-    let add_entry = mb.define(
-        "add_entry",
-        vec![Ty::I64, Ty::I64, Ty::F64],
-        None,
-        |fb| {
-            let (row, col, val) = (fb.arg(0), fb.arg(1), fb.arg(2));
-            let base = fb.mul(row, Value::i64(SLOTS), Ty::I64);
-            let len = fb.load_elem(fb.global(a_rowlen), row, Ty::I64);
-            let found = fb.alloca(Ty::I64, 1);
-            fb.store(Value::i64(-1), found);
-            fb.for_loop(Value::i64(0), len, |fb, s| {
-                let k = fb.add(base, s, Ty::I64);
-                let c = fb.load_elem(fb.global(a_cols), k, Ty::I64);
-                let hit = fb.icmp(ICmp::Eq, c, col);
-                fb.if_then(hit, |fb| {
-                    fb.store(s, found);
-                });
+    let add_entry = mb.define("add_entry", vec![Ty::I64, Ty::I64, Ty::F64], None, |fb| {
+        let (row, col, val) = (fb.arg(0), fb.arg(1), fb.arg(2));
+        let base = fb.mul(row, Value::i64(SLOTS), Ty::I64);
+        let len = fb.load_elem(fb.global(a_rowlen), row, Ty::I64);
+        let found = fb.alloca(Ty::I64, 1);
+        fb.store(Value::i64(-1), found);
+        fb.for_loop(Value::i64(0), len, |fb, s| {
+            let k = fb.add(base, s, Ty::I64);
+            let c = fb.load_elem(fb.global(a_cols), k, Ty::I64);
+            let hit = fb.icmp(ICmp::Eq, c, col);
+            fb.if_then(hit, |fb| {
+                fb.store(s, found);
             });
-            let fidx = fb.load(found, Ty::I64);
-            let missing = fb.icmp(ICmp::Slt, fidx, Value::i64(0));
-            fb.if_then_else(
-                missing,
-                |fb| {
-                    // Append.
-                    let k = fb.add(base, len, Ty::I64);
-                    fb.store_elem(col, fb.global(a_cols), k, Ty::I64);
-                    fb.store_elem(val, fb.global(a_vals), k, Ty::F64);
-                    let l1 = fb.add(len, Value::i64(1), Ty::I64);
-                    fb.store_elem(l1, fb.global(a_rowlen), row, Ty::I64);
-                },
-                |fb| {
-                    // Accumulate.
-                    let k = fb.add(base, fidx, Ty::I64);
-                    let cur = fb.load_elem(fb.global(a_vals), k, Ty::F64);
-                    let upd = fb.fadd(cur, val, Ty::F64);
-                    fb.store_elem(upd, fb.global(a_vals), k, Ty::F64);
-                },
-            );
-            fb.ret(None);
-        },
-    );
+        });
+        let fidx = fb.load(found, Ty::I64);
+        let missing = fb.icmp(ICmp::Slt, fidx, Value::i64(0));
+        fb.if_then_else(
+            missing,
+            |fb| {
+                // Append.
+                let k = fb.add(base, len, Ty::I64);
+                fb.store_elem(col, fb.global(a_cols), k, Ty::I64);
+                fb.store_elem(val, fb.global(a_vals), k, Ty::F64);
+                let l1 = fb.add(len, Value::i64(1), Ty::I64);
+                fb.store_elem(l1, fb.global(a_rowlen), row, Ty::I64);
+            },
+            |fb| {
+                // Accumulate.
+                let k = fb.add(base, fidx, Ty::I64);
+                let cur = fb.load_elem(fb.global(a_vals), k, Ty::F64);
+                let upd = fb.fadd(cur, val, Ty::F64);
+                fb.store_elem(upd, fb.global(a_vals), k, Ty::F64);
+            },
+        );
+        fb.ret(None);
+    });
 
     // node_id(ix, iy, iz) for the nn³ lattice.
-    let node_id = mb.define(
-        "node_id",
-        vec![Ty::I64, Ty::I64, Ty::I64],
-        Some(Ty::I64),
-        |fb| {
-            let n = Value::i64(nn);
-            let zy = fb.mul(fb.arg(2), n, Ty::I64);
-            let zy2 = fb.add(zy, fb.arg(1), Ty::I64);
-            let zyx = fb.mul(zy2, n, Ty::I64);
-            let id = fb.add(zyx, fb.arg(0), Ty::I64);
-            fb.ret(Some(id));
-        },
-    );
+    let node_id = mb.define("node_id", vec![Ty::I64, Ty::I64, Ty::I64], Some(Ty::I64), |fb| {
+        let n = Value::i64(nn);
+        let zy = fb.mul(fb.arg(2), n, Ty::I64);
+        let zy2 = fb.add(zy, fb.arg(1), Ty::I64);
+        let zyx = fb.mul(zy2, n, Ty::I64);
+        let id = fb.add(zyx, fb.arg(0), Ty::I64);
+        fb.ret(Some(id));
+    });
 
     // assemble(): loop elements, scatter an 8×8 local stiffness (diag 8,
     // off-diagonal −8/7 scaled: a crude but SPD surrogate for the hex
@@ -122,12 +112,8 @@ pub fn build(ne: i64, iters: i64) -> Workload {
                             // Diagonal 9 vs off-diagonal −8/7 keeps each
                             // element row sum positive (diagonally dominant
                             // SPD surrogate), so b = A·1 is nonzero.
-                            let val = fb.select(
-                                diag,
-                                Value::f64(9.0),
-                                Value::f64(-8.0 / 7.0),
-                                Ty::F64,
-                            );
+                            let val =
+                                fb.select(diag, Value::f64(9.0), Value::f64(-8.0 / 7.0), Ty::F64);
                             fb.call(add_entry, vec![gi, gj, val]);
                         });
                     });
@@ -173,11 +159,8 @@ pub fn build(ne: i64, iters: i64) -> Workload {
         let r = fb.load(acc, Ty::F64);
         fb.ret(Some(r));
     });
-    let waxpby = mb.define(
-        "waxpby",
-        vec![Ty::F64, Ty::Ptr, Ty::F64, Ty::Ptr, Ty::Ptr],
-        None,
-        |fb| {
+    let waxpby =
+        mb.define("waxpby", vec![Ty::F64, Ty::Ptr, Ty::F64, Ty::Ptr, Ty::Ptr], None, |fb| {
             fb.for_loop(Value::i64(0), Value::i64(nnodes), |fb, i| {
                 let x = fb.load_elem(fb.arg(1), i, Ty::F64);
                 let ax = fb.fmul(fb.arg(0), x, Ty::F64);
@@ -187,8 +170,7 @@ pub fn build(ne: i64, iters: i64) -> Workload {
                 fb.store_elem(w, fb.arg(4), i, Ty::F64);
             });
             fb.ret(None);
-        },
-    );
+        });
 
     // main(iters): assemble, b = A·1, CG.
     mb.define("main", vec![Ty::I64], Some(Ty::F64), |fb| {

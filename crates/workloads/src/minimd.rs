@@ -19,12 +19,9 @@ pub fn build(natoms: i64, steps: i64) -> Workload {
     let box_len = 3.0f64;
     let mut mb = ModuleBuilder::new("minimd", "minimd.cpp");
 
-    let pos: Vec<f64> = (0..3 * natoms)
-        .map(|i| (init_f64(31, i as u64) * 0.5 + 0.5) * box_len)
-        .collect();
-    let vel: Vec<f64> = (0..3 * natoms)
-        .map(|i| init_f64(37, i as u64) * 0.05)
-        .collect();
+    let pos: Vec<f64> =
+        (0..3 * natoms).map(|i| (init_f64(31, i as u64) * 0.5 + 0.5) * box_len).collect();
+    let vel: Vec<f64> = (0..3 * natoms).map(|i| init_f64(37, i as u64) * 0.05).collect();
     let g_pos = mb.global_init("pos", Ty::F64, 3 * natoms as u32, GlobalInit::F64s(pos));
     let g_vel = mb.global_init("vel", Ty::F64, 3 * natoms as u32, GlobalInit::F64s(vel));
     let g_force = mb.global_zeroed("force", Ty::F64, 3 * natoms as u32);
@@ -177,11 +174,7 @@ pub fn build(natoms: i64, steps: i64) -> Workload {
         "miniMD",
         module,
         vec![steps as u64],
-        vec![
-            ("pos", 3 * natoms as u64 * 8),
-            ("vel", 3 * natoms as u64 * 8),
-            ("checksum", 16),
-        ],
+        vec![("pos", 3 * natoms as u64 * 8), ("vel", 3 * natoms as u64 * 8), ("checksum", 16)],
     )
 }
 

@@ -32,10 +32,7 @@ impl Workload {
             module,
             entry: "main",
             args,
-            outputs: outputs
-                .into_iter()
-                .map(|(n, b)| (n.to_string(), b))
-                .collect(),
+            outputs: outputs.into_iter().map(|(n, b)| (n.to_string(), b)).collect(),
         }
     }
 }
@@ -43,8 +40,7 @@ impl Workload {
 /// Deterministic pseudo-random f64 in `(-1, 1)` for initial data (a host-
 /// side splitmix64 so goldens are stable across platforms).
 pub fn init_f64(seed: u64, i: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;

@@ -67,10 +67,7 @@ fn main() {
                 println!(
                     "  declined injection #{i}: {:?} -> {} (contaminated kernel input)",
                     rec.target,
-                    care_res
-                        .decline
-                        .map(|d| d.to_string())
-                        .unwrap_or_else(|| "?".into())
+                    care_res.decline.map(|d| d.to_string()).unwrap_or_else(|| "?".into())
                 );
             }
         }

@@ -13,12 +13,7 @@ fn main() {
     // 1. A small program with a real address computation:
     //    sum = Σ table[3*i + 1]  for i in 0..n
     let mut mb = ModuleBuilder::new("quickstart", "quickstart.c");
-    let table = mb.global_init(
-        "table",
-        Ty::I64,
-        256,
-        tinyir::GlobalInit::I64s((0..256).collect()),
-    );
+    let table = mb.global_init("table", Ty::I64, 256, tinyir::GlobalInit::I64s((0..256).collect()));
     mb.define("main", vec![Ty::I64], Some(Ty::I64), |fb| {
         let acc = fb.alloca(Ty::I64, 1);
         fb.store(Value::i64(0), acc);
@@ -70,11 +65,7 @@ fn main() {
         .instrs
         .iter()
         .enumerate()
-        .find_map(|(i, inst)| {
-            inst.mem_operand()
-                .filter(|m| m.index.is_some())
-                .map(|m| (i, *m))
-        })
+        .find_map(|(i, inst)| inst.mem_operand().filter(|m| m.index.is_some()).map(|m| (i, *m)))
         .expect("an indexed memory operand");
     let idx_reg = mem_op.index.unwrap();
     let def_idx = mf.instrs[..mem_idx]
@@ -88,10 +79,7 @@ fn main() {
     assert_eq!(process.run_instrumented(&mut stop), RunExit::BreakHit);
     let clean = process.read_reg(idx_reg);
     process.write_reg(idx_reg, clean ^ (1 << 41));
-    println!(
-        "injected: flipped bit 41 of {idx_reg} ({clean:#x} -> {:#x})",
-        clean ^ (1 << 41)
-    );
+    println!("injected: flipped bit 41 of {idx_reg} ({clean:#x} -> {:#x})", clean ^ (1 << 41));
 
     match run_protected(&mut process, &mut sg, 8) {
         ProtectedExit::Completed { result, recoveries, recovery_ms } => {

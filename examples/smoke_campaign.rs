@@ -37,10 +37,8 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--engine" => {
-                engine = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--engine interp|compiled");
+                engine =
+                    args.next().and_then(|v| v.parse().ok()).expect("--engine interp|compiled");
             }
             other => panic!("unknown argument {other:?}"),
         }
@@ -68,16 +66,18 @@ fn main() {
     println!(
         "smoke campaign [{}]: 30 injections on HPCCG -> {} benign, {} soft, {} sdc, {} hang; \
          CARE evaluated {}, covered {}",
-        engine.name(), r.benign, r.soft_failure, r.sdc, r.hang, r.care_evaluated, r.care_covered
+        engine.name(),
+        r.benign,
+        r.soft_failure,
+        r.sdc,
+        r.hang,
+        r.care_evaluated,
+        r.care_covered
     );
     println!(
         "trellis: {} snapshots off one cursor pass, {} prefix + {} suffix + {} CARE steps \
          (per-index run_one executed {} steps)",
-        r.trellis_snapshots,
-        r.steps_prefix,
-        r.steps_suffix,
-        r.steps_care,
-        legacy.simulated_steps,
+        r.trellis_snapshots, r.steps_prefix, r.steps_suffix, r.steps_care, legacy.simulated_steps,
     );
     assert_eq!(
         r.benign + r.soft_failure + r.sdc + r.hang,
@@ -117,10 +117,7 @@ fn main() {
         heard("care.converged") > 0,
         "no repaired run stopped at a golden state — the CARE records above were held to nothing"
     );
-    assert!(
-        heard("cursor.hops") > 0,
-        "the cursor never hopped to a checkpoint"
-    );
+    assert!(heard("cursor.hops") > 0, "the cursor never hopped to a checkpoint");
     println!(
         "protected runs: {} of {} re-joined the golden run after {} comparisons; {} of {} \
          attributed CARE steps never ran",

@@ -34,7 +34,8 @@ fn spinning_spec() -> JobSpec {
         fb.ret(Some(Value::i64(0)));
     });
     let text = tinyir::display::print_module(&mb.finish());
-    let workload = WorkloadSel::Inline { text, args: vec![], outputs: vec![("out".to_string(), 8)] };
+    let workload =
+        WorkloadSel::Inline { text, args: vec![], outputs: vec![("out".to_string(), 8)] };
     JobSpec { workload, injections: 4, ..JobSpec::default() }
 }
 

@@ -63,10 +63,7 @@ fn main() {
     println!("wrote {} lines to {} ({counts:?})", jsonl.lines().count(), out.display());
 
     // 5. The headline number: measured preparation share of each recovery.
-    let prep = tel
-        .hists
-        .get("recovery.prep_bp")
-        .expect("campaign recovered at least once");
+    let prep = tel.hists.get("recovery.prep_bp").expect("campaign recovered at least once");
     let mean = prep.mean() / 10_000.0;
     println!(
         "recovery preparation fraction: mean {:.2}% (min {:.2}%, {} activations)",

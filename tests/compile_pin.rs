@@ -106,10 +106,8 @@ fn compiled_output_matches_its_pins() {
     let want: Vec<(String, String, u64)> =
         PINS.iter().map(|&(n, l, h)| (n.to_string(), l.to_string(), h)).collect();
     if got != want {
-        let lines: Vec<String> = got
-            .iter()
-            .map(|(n, l, h)| format!("    ({n:?}, {l:?}, {h:#018x}),"))
-            .collect();
+        let lines: Vec<String> =
+            got.iter().map(|(n, l, h)| format!("    ({n:?}, {l:?}, {h:#018x}),")).collect();
         panic!("compiled output moved; the pins it gives are:\n{}", lines.join("\n"));
     }
 }

@@ -64,28 +64,145 @@ struct Coverage {
 }
 
 const MANIFESTATION: &[Manifestation] = &[
-    Manifestation { workload: "HPCCG", buckets: (26, 35, 38, 1), signals: [35, 0, 0, 0], latency: [30, 2, 1, 2] },
-    Manifestation { workload: "CoMD", buckets: (62, 23, 15, 0), signals: [22, 1, 0, 0], latency: [13, 6, 4, 0] },
-    Manifestation { workload: "miniFE", buckets: (34, 31, 35, 0), signals: [30, 1, 0, 0], latency: [28, 0, 0, 3] },
-    Manifestation { workload: "miniMD", buckets: (65, 20, 15, 0), signals: [19, 1, 0, 0], latency: [14, 4, 0, 2] },
-    Manifestation { workload: "GTC-P", buckets: (28, 34, 38, 0), signals: [27, 2, 5, 0], latency: [28, 5, 1, 0] },
+    Manifestation {
+        workload: "HPCCG",
+        buckets: (26, 35, 38, 1),
+        signals: [35, 0, 0, 0],
+        latency: [30, 2, 1, 2],
+    },
+    Manifestation {
+        workload: "CoMD",
+        buckets: (62, 23, 15, 0),
+        signals: [22, 1, 0, 0],
+        latency: [13, 6, 4, 0],
+    },
+    Manifestation {
+        workload: "miniFE",
+        buckets: (34, 31, 35, 0),
+        signals: [30, 1, 0, 0],
+        latency: [28, 0, 0, 3],
+    },
+    Manifestation {
+        workload: "miniMD",
+        buckets: (65, 20, 15, 0),
+        signals: [19, 1, 0, 0],
+        latency: [14, 4, 0, 2],
+    },
+    Manifestation {
+        workload: "GTC-P",
+        buckets: (28, 34, 38, 0),
+        signals: [27, 2, 5, 0],
+        latency: [28, 5, 1, 0],
+    },
 ];
 const ADDRESS_OPS: &[AddressOps] = &[
-    AddressOps { workload: "HPCCG", multi_op_fraction: 0.9574468085106383, avg_addr_ops: 2.5531914893617023 },
-    AddressOps { workload: "CoMD", multi_op_fraction: 0.8181818181818182, avg_addr_ops: 2.6136363636363638 },
-    AddressOps { workload: "miniFE", multi_op_fraction: 0.971830985915493, avg_addr_ops: 2.563380281690141 },
-    AddressOps { workload: "miniMD", multi_op_fraction: 0.8064516129032258, avg_addr_ops: 2.774193548387097 },
-    AddressOps { workload: "GTC-P", multi_op_fraction: 0.9565217391304348, avg_addr_ops: 2.6956521739130435 },
+    AddressOps {
+        workload: "HPCCG",
+        multi_op_fraction: 0.9574468085106383,
+        avg_addr_ops: 2.5531914893617023,
+    },
+    AddressOps {
+        workload: "CoMD",
+        multi_op_fraction: 0.8181818181818182,
+        avg_addr_ops: 2.6136363636363638,
+    },
+    AddressOps {
+        workload: "miniFE",
+        multi_op_fraction: 0.971830985915493,
+        avg_addr_ops: 2.563380281690141,
+    },
+    AddressOps {
+        workload: "miniMD",
+        multi_op_fraction: 0.8064516129032258,
+        avg_addr_ops: 2.774193548387097,
+    },
+    AddressOps {
+        workload: "GTC-P",
+        multi_op_fraction: 0.9565217391304348,
+        avg_addr_ops: 2.6956521739130435,
+    },
 ];
 const COVERAGE: &[Coverage] = &[
-    Coverage { workload: "GTC-P", level: OptLevel::O0, evaluated: 27, covered: 24, survived_with_sdc: 0, recoveries: 24, mean_recovery_ms: 11.865718750000001, declines: &[("SameAddress", 3)] },
-    Coverage { workload: "GTC-P", level: OptLevel::O1, evaluated: 21, covered: 15, survived_with_sdc: 1, recoveries: 16, mean_recovery_ms: 14.784820000000003, declines: &[("SameAddress", 5)] },
-    Coverage { workload: "HPCCG", level: OptLevel::O0, evaluated: 35, covered: 32, survived_with_sdc: 0, recoveries: 34, mean_recovery_ms: 13.798723242187496, declines: &[("SameAddress", 3)] },
-    Coverage { workload: "HPCCG", level: OptLevel::O1, evaluated: 23, covered: 17, survived_with_sdc: 1, recoveries: 19, mean_recovery_ms: 15.051974448529414, declines: &[("SameAddress", 5)] },
-    Coverage { workload: "miniMD", level: OptLevel::O0, evaluated: 19, covered: 16, survived_with_sdc: 0, recoveries: 20, mean_recovery_ms: 15.86426328125, declines: &[("SameAddress", 3)] },
-    Coverage { workload: "miniMD", level: OptLevel::O1, evaluated: 28, covered: 25, survived_with_sdc: 0, recoveries: 27, mean_recovery_ms: 13.9215105, declines: &[("SameAddress", 3)] },
-    Coverage { workload: "CoMD", level: OptLevel::O0, evaluated: 22, covered: 17, survived_with_sdc: 0, recoveries: 19, mean_recovery_ms: 14.74236176470588, declines: &[("SameAddress", 5)] },
-    Coverage { workload: "CoMD", level: OptLevel::O1, evaluated: 17, covered: 17, survived_with_sdc: 0, recoveries: 20, mean_recovery_ms: 16.30428823529412, declines: &[] },
+    Coverage {
+        workload: "GTC-P",
+        level: OptLevel::O0,
+        evaluated: 27,
+        covered: 24,
+        survived_with_sdc: 0,
+        recoveries: 24,
+        mean_recovery_ms: 11.865718750000001,
+        declines: &[("SameAddress", 3)],
+    },
+    Coverage {
+        workload: "GTC-P",
+        level: OptLevel::O1,
+        evaluated: 21,
+        covered: 15,
+        survived_with_sdc: 1,
+        recoveries: 16,
+        mean_recovery_ms: 14.784820000000003,
+        declines: &[("SameAddress", 5)],
+    },
+    Coverage {
+        workload: "HPCCG",
+        level: OptLevel::O0,
+        evaluated: 35,
+        covered: 32,
+        survived_with_sdc: 0,
+        recoveries: 34,
+        mean_recovery_ms: 13.798723242187496,
+        declines: &[("SameAddress", 3)],
+    },
+    Coverage {
+        workload: "HPCCG",
+        level: OptLevel::O1,
+        evaluated: 23,
+        covered: 17,
+        survived_with_sdc: 1,
+        recoveries: 19,
+        mean_recovery_ms: 15.051974448529414,
+        declines: &[("SameAddress", 5)],
+    },
+    Coverage {
+        workload: "miniMD",
+        level: OptLevel::O0,
+        evaluated: 19,
+        covered: 16,
+        survived_with_sdc: 0,
+        recoveries: 20,
+        mean_recovery_ms: 15.86426328125,
+        declines: &[("SameAddress", 3)],
+    },
+    Coverage {
+        workload: "miniMD",
+        level: OptLevel::O1,
+        evaluated: 28,
+        covered: 25,
+        survived_with_sdc: 0,
+        recoveries: 27,
+        mean_recovery_ms: 13.9215105,
+        declines: &[("SameAddress", 3)],
+    },
+    Coverage {
+        workload: "CoMD",
+        level: OptLevel::O0,
+        evaluated: 22,
+        covered: 17,
+        survived_with_sdc: 0,
+        recoveries: 19,
+        mean_recovery_ms: 14.74236176470588,
+        declines: &[("SameAddress", 5)],
+    },
+    Coverage {
+        workload: "CoMD",
+        level: OptLevel::O1,
+        evaluated: 17,
+        covered: 17,
+        survived_with_sdc: 0,
+        recoveries: 20,
+        mean_recovery_ms: 16.30428823529412,
+        declines: &[],
+    },
 ];
 
 /// Which test renders which registry rows: each runs its campaign sets once.
@@ -207,7 +324,10 @@ fn assert_rows_pinned(s: &Session, rows: &[&str]) {
         }
         pinned.extend(pins.iter().flat_map(|l| [l, "\n"]));
     }
-    assert!(got == pinned, "`repro` no longer prints its pinned cells; these rows now print\n{got}");
+    assert!(
+        got == pinned,
+        "`repro` no longer prints its pinned cells; these rows now print\n{got}"
+    );
 }
 
 #[test]
@@ -216,7 +336,10 @@ fn every_registry_row_is_pinned_and_rendered_by_one_test() {
     let mut pinned: Vec<&str> = PINS.lines().filter_map(|l| l.split('|').next()).collect();
     pinned.dedup();
     assert_eq!(pinned, registered);
-    assert_eq!([MANIFESTATION_ROWS, STATIC_ROWS, COVERAGE_ROWS, APPENDIX_ROWS, ABLATION_ROWS].concat(), registered);
+    assert_eq!(
+        [MANIFESTATION_ROWS, STATIC_ROWS, COVERAGE_ROWS, APPENDIX_ROWS, ABLATION_ROWS].concat(),
+        registered
+    );
 }
 
 fn assert_close(got: f64, want: f64, what: &str) {
@@ -277,7 +400,11 @@ fn fig_7_9_coverage_declines_and_preparation_fraction_are_pinned() {
         assert!(prep.count() >= pin.recoveries, "{what}: recoveries went unmeasured");
         assert!(prep.min() > 9800, "{what}: a recovery was only {} bp preparation", prep.min());
     }
-    assert_eq!(s.coverage(FaultModel::SingleBit).count(), COVERAGE.len(), "a §5 campaign has no pin");
+    assert_eq!(
+        s.coverage(FaultModel::SingleBit).count(),
+        COVERAGE.len(),
+        "a §5 campaign has no pin"
+    );
     assert_rows_pinned(&s, COVERAGE_ROWS);
 }
 

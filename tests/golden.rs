@@ -288,10 +288,7 @@ fn telemetry_recorder_does_not_perturb_campaign_records() {
     let plain = campaign.run(&cfg);
     let rec = telemetry::Recorder::new();
     let traced = campaign.run_with_hooks(&cfg, &rec);
-    assert_eq!(
-        plain.records, traced.records,
-        "a live recorder changed campaign behaviour"
-    );
+    assert_eq!(plain.records, traced.records, "a live recorder changed campaign behaviour");
     let report = rec.drain();
     let counts = telemetry::validate_jsonl(&report.to_jsonl())
         .expect("recorder JSONL validates against its own schema");

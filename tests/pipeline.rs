@@ -63,8 +63,7 @@ fn armor_artifacts_verify_for_all_workloads() {
             let mut ir = w.module.clone();
             opt::optimize(&mut ir, level);
             let out = armor::run_armor(&ir);
-            verify_module(&out.kernel_module)
-                .unwrap_or_else(|e| panic!("{} {level}: {e}", w.name));
+            verify_module(&out.kernel_module).unwrap_or_else(|e| panic!("{} {level}: {e}", w.name));
             assert_eq!(
                 out.table.len(),
                 out.stats.num_kernels,
@@ -161,11 +160,7 @@ fn manifestation_shape_matches_paper() {
         "SIGSEGV must dominate: {:?}",
         r.signals
     );
-    assert!(
-        r.latency_fraction_within(400) >= 0.8,
-        "latencies: {:?}",
-        r.latency_buckets
-    );
+    assert!(r.latency_fraction_within(400) >= 0.8, "latencies: {:?}", r.latency_buckets);
 }
 
 /// Outcome classification is exhaustive and consistent.
@@ -180,15 +175,8 @@ fn campaign_accounting_is_consistent() {
         keep_records: true,
         ..Default::default()
     });
-    assert_eq!(
-        r.total(),
-        r.records.len(),
-        "every record lands in exactly one outcome bucket"
-    );
-    let segv_records = r
-        .records
-        .iter()
-        .filter(|rec| rec.outcome == Outcome::SoftFailure(Signal::Segv))
-        .count();
+    assert_eq!(r.total(), r.records.len(), "every record lands in exactly one outcome bucket");
+    let segv_records =
+        r.records.iter().filter(|rec| rec.outcome == Outcome::SoftFailure(Signal::Segv)).count();
     assert_eq!(segv_records, r.signals[0]);
 }

@@ -48,12 +48,7 @@ fn op_strategy() -> impl Strategy<Value = OpSpec> {
         )
             .prop_map(|(op, k)| OpSpec::IntOp(op, k)),
         (
-            prop_oneof![
-                Just(BinOp::FAdd),
-                Just(BinOp::FSub),
-                Just(BinOp::FMul),
-                Just(BinOp::FDiv)
-            ],
+            prop_oneof![Just(BinOp::FAdd), Just(BinOp::FSub), Just(BinOp::FMul), Just(BinOp::FDiv)],
             any::<i16>()
         )
             .prop_map(|(op, k)| OpSpec::FloatOp(op, k)),
@@ -64,11 +59,7 @@ fn op_strategy() -> impl Strategy<Value = OpSpec> {
 }
 
 fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
-    (
-        proptest::collection::vec(op_strategy(), 1..12),
-        2u8..10,
-        8u8..32,
-    )
+    (proptest::collection::vec(op_strategy(), 1..12), 2u8..10, 8u8..32)
         .prop_map(|(ops, loop_trip, array_len)| ProgramSpec { ops, loop_trip, array_len })
 }
 
@@ -167,9 +158,7 @@ fn run_interp(m: &Module, arg: u64) -> Result<Option<u64>, String> {
         0x6000_0000_0000,
         50_000_000,
     );
-    interp
-        .call(m.func_by_name("main").unwrap(), &[arg])
-        .map_err(|e| format!("{e:?}"))
+    interp.call(m.func_by_name("main").unwrap(), &[arg]).map_err(|e| format!("{e:?}"))
 }
 
 fn run_machine(m: &Module, arg: u64, regalloc: bool) -> Result<Option<u64>, String> {
@@ -198,7 +187,8 @@ fn live_by_definition(f: &tinyir::Function, key: Value) -> Vec<Vec<bool>> {
             }
         }
     }
-    let mut live: Vec<Vec<bool>> = f.blocks.iter().map(|b| vec![false; b.instrs.len() + 1]).collect();
+    let mut live: Vec<Vec<bool>> =
+        f.blocks.iter().map(|b| vec![false; b.instrs.len() + 1]).collect();
     let mut work: Vec<(usize, usize)> = Vec::new();
     for (bid, block) in f.block_iter() {
         for (i, &iid) in block.instrs.iter().enumerate() {
@@ -220,7 +210,8 @@ fn live_by_definition(f: &tinyir::Function, key: Value) -> Vec<Vec<bool>> {
             }
         }
     }
-    let defines = |iid: tinyir::InstrId| key == Value::Instr(iid) && f.instr(iid).result_ty().is_some();
+    let defines =
+        |iid: tinyir::InstrId| key == Value::Instr(iid) && f.instr(iid).result_ty().is_some();
     while let Some((b, i)) = work.pop() {
         if live[b][i] {
             continue;

@@ -22,10 +22,7 @@ use telemetry::NoTelemetry;
 fn tmp_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "care-store-it-{tag}-{}-{n}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("care-store-it-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -162,9 +159,8 @@ fn kill_mid_run_then_resume_reproduces_the_full_run() {
             }
             ctl.cancel();
         });
-        let killed = store
-            .run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &ctl)
-            .expect("killed run");
+        let killed =
+            store.run_campaign(&f.key, &f.campaign, &c, &NoTelemetry, &ctl).expect("killed run");
         watcher.join().unwrap();
         killed
     });
@@ -189,9 +185,12 @@ fn kill_mid_run_then_resume_reproduces_the_full_run() {
         resumed.report, full.report,
         "resume after kill diverged from the uninterrupted run"
     );
-    assert_eq!(resumed.stats.hits, record_lines(
-        &std::fs::read_to_string(store.log_path(&f.key)).unwrap(),
-    ) as u64 - resumed.stats.appended, "resume must reuse every record the killed run persisted");
+    assert_eq!(
+        resumed.stats.hits,
+        record_lines(&std::fs::read_to_string(store.log_path(&f.key)).unwrap(),) as u64
+            - resumed.stats.appended,
+        "resume must reuse every record the killed run persisted"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&dir_full).unwrap();
 }

@@ -151,7 +151,8 @@ fn every_frame_log_line_and_jsonl_line_is_byte_pinned() {
     };
     let inline = JobSpec {
         workload: WorkloadSel::Inline {
-            text: "module \"m\"\nweird text with \"quotes\"\n\ttab \\ backslash \u{1} é".to_string(),
+            text: "module \"m\"\nweird text with \"quotes\"\n\ttab \\ backslash \u{1} é"
+                .to_string(),
             args: vec![7, u64::MAX],
             outputs: vec![("out".to_string(), 64), ("big".to_string(), (1 << 53) + 1)],
         },
@@ -213,37 +214,73 @@ fn every_frame_log_line_and_jsonl_line_is_byte_pinned() {
 }
 
 const EXPECTED: &[(&str, &str)] = &[
-    ("job named", r#"{"kind":"job","proto":1,"workload":"hpccg","params":[3,2],"seed":"18446744073709551608","injections":123,"model":"double","engine":"compiled","opt":"O0","threads":3,"evaluate_care":false,"app_only":false,"records":false,"telemetry":true}"#),
-    ("job inline", r#"{"kind":"job","proto":1,"workload":"inline","module":"module \"m\"\nweird text with \"quotes\"\n\ttab \\ backslash \u0001 é","args":[7,"18446744073709551615"],"outputs":[["out",64],["big","9007199254740993"]],"seed":51758,"injections":40,"model":"single","engine":"interp","opt":"O1","threads":0,"evaluate_care":true,"app_only":true,"records":true,"telemetry":false}"#),
+    (
+        "job named",
+        r#"{"kind":"job","proto":1,"workload":"hpccg","params":[3,2],"seed":"18446744073709551608","injections":123,"model":"double","engine":"compiled","opt":"O0","threads":3,"evaluate_care":false,"app_only":false,"records":false,"telemetry":true}"#,
+    ),
+    (
+        "job inline",
+        r#"{"kind":"job","proto":1,"workload":"inline","module":"module \"m\"\nweird text with \"quotes\"\n\ttab \\ backslash \u0001 é","args":[7,"18446744073709551615"],"outputs":[["out",64],["big","9007199254740993"]],"seed":51758,"injections":40,"model":"single","engine":"interp","opt":"O1","threads":0,"evaluate_care":true,"app_only":true,"records":true,"telemetry":false}"#,
+    ),
     ("stats request", r#"{"kind":"stats","proto":1}"#),
     ("accepted", r#"{"kind":"accepted","job_id":7}"#),
-    ("progress", r#"{"kind":"progress","job_id":7,"classified":12,"total":"18446744073709551615"}"#),
+    (
+        "progress",
+        r#"{"kind":"progress","job_id":7,"classified":12,"total":"18446744073709551615"}"#,
+    ),
     ("telemetry", r#"{"kind":"telemetry","job_id":7,"line":"{\"kind\":\"meta\",\"wall_s\":0.5}"}"#),
     ("failed", r#"{"kind":"failed","job_id":7,"detail":"worker panicked: \"boom\"\n"}"#),
     ("done", r#"{"kind":"done","job_id":"9007199254740993"}"#),
-    ("record full", r#"{"kind":"record","job_id":9,"module":1,"func":2,"inst":3,"nth":4,"target":"mem","target_val":"18446744073709551614","outcome":"segv","latency":17,"sim_steps":"9007199254741091","prefix":10,"suffix":20,"care_steps":30,"covered":false,"recoveries":2,"recovery_ms":0.30000000000000004,"decline":"Hang"}"#),
-    ("record bare", r#"{"kind":"record","job_id":9,"module":0,"func":0,"inst":0,"nth":0,"target":"skipped","target_val":0,"outcome":"benign","sim_steps":0,"prefix":0,"suffix":0,"care_steps":0}"#),
-    ("report", r#"{"kind":"report","job_id":1,"benign":5,"soft_failure":3,"sdc":1,"hang":2,"signals":[3,0,0,0],"latency_buckets":[1,1,1,0],"care_evaluated":3,"care_covered":2,"care_survived_with_sdc":1,"recovery_times_ms":[0.30000000000000004,1.5,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014],"total_recoveries":4,"declines":{"KernelFault":2,"Hang":1},"simulated_steps":"1152921504606846977","steps_prefix":100,"steps_suffix":200,"steps_care":300,"trellis_snapshots":7,"cursor_shards":2,"cancelled":true}"#),
-    ("stats", r#"{"kind":"stats","jobs_accepted":10,"jobs_rejected":2,"jobs_completed":8,"jobs_failed":1,"jobs_cancelled":1,"queue_depth":3,"inflight_budget":4,"budget_cap":8,"cache_hits":6,"cache_misses":4,"cache_evictions":2,"records_streamed":"9007199254740993"}"#),
-    ("log record full", r#"{"kind":"record","index":7,"module":1,"func":2,"inst":3,"nth":4,"target":"mem","target_val":"18446744073709551614","outcome":"segv","latency":17,"sim_steps":"9007199254741091","prefix":10,"suffix":20,"care_steps":30,"covered":false,"recoveries":2,"recovery_ms":0.30000000000000004,"decline":"Hang"}"#),
-    ("log record bare", r#"{"kind":"record","index":0,"module":0,"func":0,"inst":0,"nth":0,"target":"skipped","target_val":0,"outcome":"benign","sim_steps":0,"prefix":0,"suffix":0,"care_steps":0}"#),
+    (
+        "record full",
+        r#"{"kind":"record","job_id":9,"module":1,"func":2,"inst":3,"nth":4,"target":"mem","target_val":"18446744073709551614","outcome":"segv","latency":17,"sim_steps":"9007199254741091","prefix":10,"suffix":20,"care_steps":30,"covered":false,"recoveries":2,"recovery_ms":0.30000000000000004,"decline":"Hang"}"#,
+    ),
+    (
+        "record bare",
+        r#"{"kind":"record","job_id":9,"module":0,"func":0,"inst":0,"nth":0,"target":"skipped","target_val":0,"outcome":"benign","sim_steps":0,"prefix":0,"suffix":0,"care_steps":0}"#,
+    ),
+    (
+        "report",
+        r#"{"kind":"report","job_id":1,"benign":5,"soft_failure":3,"sdc":1,"hang":2,"signals":[3,0,0,0],"latency_buckets":[1,1,1,0],"care_evaluated":3,"care_covered":2,"care_survived_with_sdc":1,"recovery_times_ms":[0.30000000000000004,1.5,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014],"total_recoveries":4,"declines":{"KernelFault":2,"Hang":1},"simulated_steps":"1152921504606846977","steps_prefix":100,"steps_suffix":200,"steps_care":300,"trellis_snapshots":7,"cursor_shards":2,"cancelled":true}"#,
+    ),
+    (
+        "stats",
+        r#"{"kind":"stats","jobs_accepted":10,"jobs_rejected":2,"jobs_completed":8,"jobs_failed":1,"jobs_cancelled":1,"queue_depth":3,"inflight_budget":4,"budget_cap":8,"cache_hits":6,"cache_misses":4,"cache_evictions":2,"records_streamed":"9007199254740993"}"#,
+    ),
+    (
+        "log record full",
+        r#"{"kind":"record","index":7,"module":1,"func":2,"inst":3,"nth":4,"target":"mem","target_val":"18446744073709551614","outcome":"segv","latency":17,"sim_steps":"9007199254741091","prefix":10,"suffix":20,"care_steps":30,"covered":false,"recoveries":2,"recovery_ms":0.30000000000000004,"decline":"Hang"}"#,
+    ),
+    (
+        "log record bare",
+        r#"{"kind":"record","index":0,"module":0,"func":0,"inst":0,"nth":0,"target":"skipped","target_val":0,"outcome":"benign","sim_steps":0,"prefix":0,"suffix":0,"care_steps":0}"#,
+    ),
     (
         "log run+complete",
         concat!(
-            r#"{"kind":"run","store":1,"campaign":"care1:00ff:O1:e1","model":"double","seed":"18446744073709551615","cfg":"ec=0,ao=0,hf=20,mr=64,pb=0,sg=0","engine":"compiled"}"#, "\n",
-            r#"{"kind":"complete","store":1,"model":"double","seed":"18446744073709551615","cfg":"ec=0,ao=0,hf=20,mr=64,pb=0,sg=0","injections":40}"#, "\n",
+            r#"{"kind":"run","store":1,"campaign":"care1:00ff:O1:e1","model":"double","seed":"18446744073709551615","cfg":"ec=0,ao=0,hf=20,mr=64,pb=0,sg=0","engine":"compiled"}"#,
+            "\n",
+            r#"{"kind":"complete","store":1,"model":"double","seed":"18446744073709551615","cfg":"ec=0,ao=0,hf=20,mr=64,pb=0,sg=0","injections":40}"#,
+            "\n",
         ),
     ),
     (
         "telemetry jsonl",
         concat!(
-            r#"{"kind":"meta","schema_version":1,"wall_s":1.25,"counters":2,"hists":1,"events":1,"shards":2}"#, "\n",
-            r#"{"kind":"counter","name":"tlb.loads","value":100}"#, "\n",
-            r#"{"kind":"counter","name":"weird \"name\"","value":18446744073709551615}"#, "\n",
-            r#"{"kind":"shard","shard":0,"counters":{"tlb.loads":60}}"#, "\n",
-            r#"{"kind":"shard","shard":1,"counters":{"a":1,"b":2}}"#, "\n",
-            r#"{"kind":"hist","name":"recovery.kernel_ns","count":4,"sum":1004,"min":0,"max":1000,"p50":2,"p99":768,"buckets":[[0,1],[1,1],[2,1],[10,1]]}"#, "\n",
-            r#"{"kind":"job","workload":"HP\"CCG\n","step":42,"big":18446744073709551615,"delta":-3,"frac":0.30000000000000004,"t_ns":7}"#, "\n",
+            r#"{"kind":"meta","schema_version":1,"wall_s":1.25,"counters":2,"hists":1,"events":1,"shards":2}"#,
+            "\n",
+            r#"{"kind":"counter","name":"tlb.loads","value":100}"#,
+            "\n",
+            r#"{"kind":"counter","name":"weird \"name\"","value":18446744073709551615}"#,
+            "\n",
+            r#"{"kind":"shard","shard":0,"counters":{"tlb.loads":60}}"#,
+            "\n",
+            r#"{"kind":"shard","shard":1,"counters":{"a":1,"b":2}}"#,
+            "\n",
+            r#"{"kind":"hist","name":"recovery.kernel_ns","count":4,"sum":1004,"min":0,"max":1000,"p50":2,"p99":768,"buckets":[[0,1],[1,1],[2,1],[10,1]]}"#,
+            "\n",
+            r#"{"kind":"job","workload":"HP\"CCG\n","step":42,"big":18446744073709551615,"delta":-3,"frac":0.30000000000000004,"t_ns":7}"#,
+            "\n",
         ),
     ),
 ];
