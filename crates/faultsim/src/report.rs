@@ -55,9 +55,10 @@ pub struct CampaignReport {
     /// CARE-protected run instructions, each counted from its injection
     /// point ([`crate::StepSplit::care`]).
     pub steps_care: u64,
-    /// Distinct trellis snapshots forked by the cursor pass; strictly less
-    /// than the classified total whenever injection indexes sampled
-    /// duplicate points.
+    /// Distinct points the cursor pass fired at, whose paused process the
+    /// injections that drew the point forked; strictly less than the
+    /// classified total whenever injection indexes sampled duplicate
+    /// points. The name is kept because it is the wire field's.
     pub trellis_snapshots: usize,
     /// Cursors that ran in the cursor pass: one per populated bracket. The
     /// name is kept because it is the wire field's.
