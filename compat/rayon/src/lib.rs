@@ -2,18 +2,18 @@
 //!
 //! Implements the parallel-iterator surface the workspace actually uses
 //! (`into_par_iter().map(..)` over a `Vec` or an integer range, then
-//! `.collect()` or `.sum()`) on work-stealing batches
-//! (see [`pool`]): each parallel call is one `std::thread::scope` whose
-//! participants own per-participant chunk deques and steal from each
-//! other's backs. Output order is preserved, so seeded campaigns stay
-//! deterministic regardless of thread count.
+//! `.collect()` or `.sum()`) on work-stealing batches, and `spawn`, on the
+//! process's one set of parked threads (see [`pool`]): each parallel call's
+//! caller and its helper tasks own per-participant chunk deques and steal
+//! from each other's backs. Output order is preserved, so seeded campaigns
+//! stay deterministic regardless of thread count.
 
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
 mod pool;
 
-pub use pool::{pool_stats, PoolStats};
+pub use pool::{pool_stats, spawn, PoolStats};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator};
@@ -111,7 +111,7 @@ where
         let results: Vec<R> = chunk.into_iter().map(&f).collect();
         *out[c].lock().unwrap() = results;
     };
-    pool::run_batch(threads, chunks.len(), &run_chunk);
+    pool::THREADS.run_batch(threads, chunks.len(), &run_chunk);
     out.into_iter().flat_map(|s| s.into_inner().unwrap()).collect()
 }
 

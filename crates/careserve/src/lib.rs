@@ -19,8 +19,9 @@
 //!   width, a bounded wait queue, and typed `reject` frames
 //!   ([`proto::RejectReason`]) — the server never buffers unboundedly and
 //!   never dies on bad input.
-//! * **One thread per connection.** A job runs on the thread that reads
-//!   its connection, and the campaign's own cancellation checks
+//! * **One task per connection.** Each connection is a task on the
+//!   process's parked threads ([`rayon::spawn`]); a job runs on the thread
+//!   that reads its connection, and the campaign's own cancellation checks
 //!   ([`faultsim::JobControl::watched`]) tend the socket: progress, mid-job
 //!   `stats`, a refused second job, and a disconnect, which stops the job
 //!   at its next check. A panicking job is contained to a `failed` frame.

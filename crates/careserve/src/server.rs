@@ -1,15 +1,12 @@
 //! The long-running campaign server.
 //!
-//! One blocking accept loop; each connection runs on a server thread, and
-//! runs its jobs there too, one at a time: the thread that reads the
-//! connection runs the campaign, whose *simulation* fan-out runs in
-//! work-stealing batches of its own (`compat/rayon`). A server thread that
-//! finishes its connection parks and takes the next one, so a served job
-//! spawns no thread once the server is warm. At most
-//! `budget_cap + max_queue` threads stay parked — one per admitted or
-//! queued job; a thread finishing beyond that exits. Every client shares
-//! this server's prepared-campaign cache, and with each cached campaign its
-//! translation.
+//! One blocking accept loop; each connection is a task on the process's
+//! parked threads ([`rayon::spawn`]), and runs its jobs there too, one at a
+//! time: the thread that reads the connection runs the campaign, whose
+//! *simulation* fan-out runs in work-stealing batches on the same threads.
+//! The server owns no thread but the accept loop, so a served job spawns no
+//! thread once the process is warm. Every client shares this server's
+//! prepared-campaign cache, and with each cached campaign its translation.
 //!
 //! ## A running job's socket
 //!
@@ -47,13 +44,12 @@ use crate::proto::{
 };
 use carestore::{CampaignKey, LruCache, Store};
 use faultsim::{Campaign, CampaignConfig, CampaignReport, JobControl};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Hooks, NoTelemetry, Recorder, TelemetryReport};
@@ -112,21 +108,6 @@ struct Admission {
     queued: usize,
 }
 
-/// The server's threads, guarded by one mutex (the `parked_cv`'s).
-#[derive(Default)]
-struct Threads {
-    /// Connections handed over and not yet taken by a parked thread; never
-    /// more than `parked`, so every one is taken.
-    conns: VecDeque<TcpStream>,
-    /// Threads waiting for a connection.
-    parked: usize,
-    /// Set by shutdown: a thread that finds no connection exits instead of
-    /// parking.
-    closed: bool,
-    /// Every thread spawned and not yet joined or found finished.
-    handles: Vec<JoinHandle<()>>,
-}
-
 /// Shared server state.
 pub(crate) struct Srv {
     budget_cap: usize,
@@ -142,14 +123,9 @@ pub(crate) struct Srv {
     /// `server.*` counters from it.
     stats: Stats<AtomicU64>,
     /// Series the stats frame does not carry: `server.client_disconnects`,
-    /// `server.store_*`, `server.threads_spawned`/`server.threads_reused`,
-    /// and the queue-depth and job-duration histograms.
+    /// `server.store_*`, and the queue-depth and job-duration histograms.
     recorder: Recorder,
     next_job_id: AtomicU64,
-    threads: Mutex<Threads>,
-    parked_cv: Condvar,
-    /// Parked-thread bound: `budget_cap + max_queue`.
-    max_parked: usize,
 }
 
 impl Srv {
@@ -173,9 +149,6 @@ impl Srv {
             stats: Stats { budget_cap: AtomicU64::new(budget_cap as u64), ..Stats::default() },
             recorder: Recorder::new(),
             next_job_id: AtomicU64::new(1),
-            threads: Mutex::new(Threads::default()),
-            parked_cv: Condvar::new(),
-            max_parked: budget_cap + cfg.max_queue,
         })
     }
 
@@ -234,47 +207,6 @@ impl Srv {
         self.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
         let _ = send(out, &ServerFrame::Reject(reason, detail.to_string()));
     }
-
-    /// Serve `conn` on a parked server thread, or on a new one if none is
-    /// parked.
-    fn spawn(self: &Arc<Self>, conn: TcpStream) {
-        let mut threads = self.threads.lock().expect("threads lock");
-        if threads.parked > threads.conns.len() {
-            threads.conns.push_back(conn);
-            self.parked_cv.notify_one();
-            self.recorder.add("server.threads_reused", 1);
-            return;
-        }
-        threads.handles.retain(|h| !h.is_finished());
-        let srv = self.clone();
-        threads.handles.push(std::thread::spawn(move || srv.serve(conn)));
-        self.recorder.add("server.threads_spawned", 1);
-    }
-
-    /// A server thread's life: serve the connection, park, serve the next
-    /// one handed over; exit when the parked bound is reached or the server
-    /// closes.
-    fn serve(&self, mut conn: TcpStream) {
-        loop {
-            handle_conn(self, conn);
-            let mut threads = self.threads.lock().expect("threads lock");
-            if threads.closed || threads.parked >= self.max_parked {
-                return;
-            }
-            threads.parked += 1;
-            conn = loop {
-                if let Some(next) = threads.conns.pop_front() {
-                    break next;
-                }
-                if threads.closed {
-                    threads.parked -= 1;
-                    return;
-                }
-                threads = self.parked_cv.wait(threads).expect("threads wait");
-            };
-            threads.parked -= 1;
-        }
-    }
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -282,11 +214,14 @@ pub struct ServerHandle {
     addr: SocketAddr,
     srv: Arc<Srv>,
     accept: Option<JoinHandle<()>>,
+    /// A token the accept loop and each connection task hold beside the
+    /// server; shutdown waits until nothing holds it.
+    tasks: Weak<()>,
 }
 
 /// The campaign server. [`start`](CampaignServer::start) binds, spawns the
-/// accept loop, and returns a handle; everything else happens on server
-/// threads.
+/// accept loop, and returns a handle; everything else happens in
+/// connection tasks.
 pub struct CampaignServer;
 
 impl CampaignServer {
@@ -296,17 +231,23 @@ impl CampaignServer {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let srv = Arc::new(Srv::new(&cfg)?);
-        let srv2 = srv.clone();
+        let (srv2, task) = (srv.clone(), Arc::new(()));
+        let tasks = Arc::downgrade(&task);
         let accept = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if srv2.shutting_down() {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                srv2.spawn(stream);
+                let (srv, task) = (srv2.clone(), task.clone());
+                rayon::spawn(move || {
+                    handle_conn(&srv, stream);
+                    // The server goes first: once no task is left, none holds it.
+                    drop((srv, task));
+                });
             }
         });
-        Ok(ServerHandle { addr, srv, accept: Some(accept) })
+        Ok(ServerHandle { addr, srv, accept: Some(accept), tasks })
     }
 }
 
@@ -322,8 +263,8 @@ impl ServerHandle {
     }
 
     /// The server's `server.*` telemetry series: every stats counter under
-    /// its frame name, plus what only the recorder holds (disconnect, store
-    /// and thread-reuse counters, the queue-depth/job-duration histograms).
+    /// its frame name, plus what only the recorder holds (disconnect and
+    /// store counters, the queue-depth/job-duration histograms).
     /// Non-destructive.
     pub fn telemetry(&self) -> TelemetryReport {
         let mut report = self.srv.recorder.drain();
@@ -333,8 +274,8 @@ impl ServerHandle {
         report
     }
 
-    /// Stop accepting, cancel in-flight jobs, release the parked threads,
-    /// and join every server thread.
+    /// Stop accepting, cancel in-flight jobs, and wait until no connection
+    /// task holds the server.
     pub fn shutdown(&mut self) {
         let Some(accept) = self.accept.take() else { return };
         self.srv.shutdown.store(true, Ordering::SeqCst);
@@ -342,25 +283,13 @@ impl ServerHandle {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = accept.join();
-        // Parked threads exit now. A thread between frames observes the
-        // flag within one poll interval, one running a job at the
-        // campaign's next check, which cancels the job; then it exits. Only
-        // the accept loop spawned threads, so the handles are complete. A
-        // thread still busy at the deadline is left to finish on its own.
+        // A task between frames observes the flag within one poll interval,
+        // one running a job at the campaign's next check, which cancels the
+        // job; then it lets go. A task still busy at the deadline is left to
+        // finish on its own.
         let deadline = Instant::now() + Duration::from_secs(30);
-        let handles = {
-            let mut threads = self.srv.threads.lock().expect("threads lock");
-            threads.closed = true;
-            self.srv.parked_cv.notify_all();
-            std::mem::take(&mut threads.handles)
-        };
-        for handle in handles {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
+        while self.tasks.strong_count() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -920,70 +849,15 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A job spec small enough that twenty of them run in a blink.
+    /// A job spec small enough to run in a blink.
     fn quick_spec() -> JobSpec {
         JobSpec { injections: 4, telemetry: false, ..tiny_inline_spec() }
     }
 
-    /// Poll `cond` on the server's threads until it holds (30 s cap).
-    fn wait_for_threads(srv: &Srv, what: &str, cond: impl Fn(&Threads) -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !cond(&srv.threads.lock().unwrap()) {
-            assert!(Instant::now() < deadline, "timed out waiting: {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Twenty jobs in turn run on the one thread the first one spawned:
-    /// each connection is handed to the parked thread, which runs its job.
+    /// Shutdown ends the busy connection tasks and waits for them all: once
+    /// it returns, no connection task holds the server.
     #[test]
-    fn sequential_jobs_reuse_one_parked_thread() {
-        let mut handle = test_server(0, 4, MAX_FRAME_BYTES);
-        let spec = quick_spec();
-        for _ in 0..20 {
-            client::submit(handle.addr(), &spec).expect("submit");
-            // The connection thread parks once the client hangs up; wait
-            // for it, so the next submit finds it parked.
-            wait_for_threads(&handle.srv, "one parked thread", |t| t.parked == 1);
-        }
-        let counters = handle.telemetry().counters;
-        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
-        let (spawned, reused) = (count("server.threads_spawned"), count("server.threads_reused"));
-        assert!(spawned <= 1, "{spawned} threads spawned for 20 sequential jobs");
-        assert_eq!(spawned + reused, 20, "one thread per connection");
-        handle.shutdown();
-    }
-
-    /// With `budget_cap` 1 and no queue, one thread stays parked: of four
-    /// connection threads that end together, one parks and three exit.
-    #[test]
-    fn threads_beyond_the_parked_bound_exit() {
-        let mut handle = test_server(1, 0, MAX_FRAME_BYTES);
-        assert_eq!(handle.srv.max_parked, 1);
-        // Each connection has had its stats answered, so four threads are
-        // serving at once.
-        let conns: Vec<TcpStream> = (0..4)
-            .map(|_| {
-                let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-                stream.write_all(b"{\"kind\":\"stats\",\"proto\":1}\n").unwrap();
-                let mut resp = String::new();
-                BufReader::new(stream.try_clone().unwrap()).read_line(&mut resp).unwrap();
-                assert!(resp.contains("\"stats\""), "{resp}");
-                stream
-            })
-            .collect();
-        drop(conns);
-        wait_for_threads(&handle.srv, "one parked, three exited", |t| {
-            t.parked == 1 && t.handles.iter().filter(|h| !h.is_finished()).count() == 1
-        });
-        assert_eq!(handle.telemetry().counters.get("server.threads_spawned"), Some(&4));
-        handle.shutdown();
-    }
-
-    /// Shutdown releases the parked threads, ends the busy ones and joins
-    /// them all: once it returns, no server thread is left running.
-    #[test]
-    fn shutdown_joins_every_server_thread() {
+    fn shutdown_waits_for_every_connection_task() {
         let mut handle = test_server(2, 2, MAX_FRAME_BYTES);
         let (addr, spec) = (handle.addr(), quick_spec());
         std::thread::scope(|s| {
@@ -991,15 +865,12 @@ mod tests {
                 s.spawn(|| client::submit(addr, &spec).expect("submit"));
             }
         });
-        // An open connection keeps a thread busy through the shutdown.
+        // An open connection keeps a task busy through the shutdown.
         let open = TcpStream::connect(addr).expect("connect");
         let srv = handle.srv.clone();
         handle.shutdown();
-        let threads = srv.threads.lock().unwrap();
-        assert_eq!((threads.parked, threads.handles.len()), (0, 0));
-        drop(threads);
-        // Every server thread held the server; none holds it now.
-        assert_eq!(Arc::strong_count(&srv), 2, "a server thread outlived shutdown");
+        // Every connection task held the server; none holds it now.
+        assert_eq!(Arc::strong_count(&srv), 2, "a connection task outlived shutdown");
         drop(open);
     }
 

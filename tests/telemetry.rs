@@ -404,9 +404,8 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
     }
 }
 
-/// A served job is heard in the server's own series: its duration, its
-/// completion, and the one thread its connection ran on — the job runs on
-/// the thread that reads the connection.
+/// A served job is heard in the server's own series: its duration and its
+/// completion.
 #[test]
 fn a_served_job_is_heard_in_the_server_series() {
     let server = careserve::CampaignServer::start(careserve::ServerConfig::default())
@@ -417,5 +416,4 @@ fn a_served_job_is_heard_in_the_server_series() {
     let tel = server.telemetry();
     assert!(tel.hists.get("server.job_ns").is_some_and(|h| h.count() == 1), "job_ns not heard");
     assert_eq!(tel.counters.get("server.jobs_completed"), Some(&1));
-    assert_eq!(tel.counters.get("server.threads_spawned"), Some(&1), "one connection, one thread");
 }
