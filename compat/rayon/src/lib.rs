@@ -102,9 +102,6 @@ where
         let rest = items.split_off(grain.min(items.len()));
         chunks.push(Mutex::new(std::mem::replace(&mut items, rest)));
     }
-    if chunks.len() <= 1 {
-        return chunks.into_iter().flat_map(|c| c.into_inner().unwrap()).map(f).collect();
-    }
     let out: Vec<Mutex<Vec<R>>> = (0..chunks.len()).map(|_| Mutex::new(Vec::new())).collect();
     let run_chunk = |c: usize| {
         let chunk = std::mem::take(&mut *chunks[c].lock().unwrap());

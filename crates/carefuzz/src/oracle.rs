@@ -4,12 +4,12 @@
 //! Pairs (ISSUE 5 tentpole):
 //! 1. **RoundTrip** — `display` → `parser` → `display` is a fixpoint and the
 //!    reparse verifies.
-//! 2. **FastSlow** — the interpreter's monomorphized hook-free fast loop vs
-//!    the hooked slow loop, handed a profiling [`Instrument`] with one stop
-//!    drawn from the program's own profile and resumed after it fires,
-//!    compared at *every* fuel budget on short programs and a dense sample on
-//!    long ones: exit state, step/trap accounting and all output globals must
-//!    match. One sweep of budgets serves this pair and pair 7.
+//! 2. **FastSlow** — the interpreter's fast loop vs that loop stepped one
+//!    instruction at a time (the instrumented-run reference), handed a
+//!    profiling [`Instrument`] with one stop drawn from the program's own
+//!    profile and resumed after it fires, at *every* fuel budget on short
+//!    programs and a dense sample on long ones: exit state, step/trap
+//!    accounting and all output globals must match. One sweep serves 2 and 7.
 //! 3. **OptLevels** — the `opt` pipeline must preserve semantics: IR interp
 //!    and SimISA machine at O0 and O1 all agree on result + output globals.
 //! 4. **Trellis** — the snapshot-trellis campaign is record-level identical
@@ -29,7 +29,7 @@
 //! 7. **Compiled** — the direct-threaded compiled engine vs the
 //!    interpreter, at every fuel budget on short programs and a dense sample
 //!    on long ones: its plain run vs the fast loop, and its instrumented run,
-//!    armed with pair 2's stop, vs the hooked loop's — exit state,
+//!    armed with pair 2's stop, vs the stepping reference's — exit state,
 //!    step/fuel/trap accounting, all output globals, the stop's leg and fired
 //!    point, and the profile must match bit for bit.
 
@@ -58,7 +58,7 @@ use workloads::Workload;
 pub enum Pair {
     /// print → parse → print fixpoint.
     RoundTrip,
-    /// Fast interpreter loop vs hooked slow loop.
+    /// Fast interpreter loop vs that loop stepped, instrumented.
     FastSlow,
     /// Unoptimized vs `opt`-pipeline execution (interp + machine, O0 + O1).
     OptLevels,
@@ -338,10 +338,10 @@ fn draw_stop(mm: &MachineModule, profile: &Profile, rng: &mut impl rand::Rng) ->
 /// Pairs 2 and 7 over one fuel sweep: every budget on short programs, the
 /// edges plus a sample on long ones, so partial segments, mid-fusion
 /// out-of-fuel exits and trap freezes are all exercised. At each budget the
-/// interpreter's fast loop is the reference the hooked loop, armed with one
-/// stop drawn from the program's own profile, and `compiled`, built over
-/// `mm`, must end like; and the compiled engine armed with the same stop
-/// must match the hooked loop leg for leg, fired point and profile included.
+/// interpreter's fast loop is the reference its stepped instrumented run,
+/// armed with one stop drawn from the program's own profile, and `compiled`,
+/// built over `mm`, must end like; and the compiled engine armed with the
+/// same stop must match the stepped run leg for leg, profile included.
 fn engine_pairs_check(
     mm: &Arc<MachineModule>,
     compiled: &CompiledEngine,
@@ -364,7 +364,7 @@ fn engine_pairs_check(
     let stop = profiled.profile.and_then(|profile| draw_stop(mm, &profile, &mut rng));
     for b in budgets {
         let fast = run_machine(&InterpEngine, &base, b, outputs);
-        let (slow, hooked) = run_armed(&InterpEngine, &base, b, stop, outputs);
+        let (slow, stepped) = run_armed(&InterpEngine, &base, b, stop, outputs);
         if fast != slow {
             return Some(Divergence {
                 pair: Pair::FastSlow,
@@ -395,19 +395,19 @@ fn engine_pairs_check(
                 ),
             });
         }
-        let (comp_slow, comp_hooked) = run_armed(compiled, &base, b, stop, outputs);
-        if (&slow, &hooked) != (&comp_slow, &comp_hooked) {
-            let same_profile = hooked.profile == comp_hooked.profile;
+        let (comp_slow, comp_armed) = run_armed(compiled, &base, b, stop, outputs);
+        if (&slow, &stepped) != (&comp_slow, &comp_armed) {
+            let same_profile = stepped.profile == comp_armed.profile;
             return Some(Divergence {
                 pair: Pair::Compiled,
                 arg,
                 detail: format!(
-                    "fuel budget {b}, stop {stop:?}: hooked first leg {:?}, end {:?} (steps {}) \
+                    "fuel budget {b}, stop {stop:?}: stepped first leg {:?}, end {:?} (steps {}) \
                      vs compiled first leg {:?}, end {:?} (steps {}); same profile: {same_profile}",
-                    hooked.first,
+                    stepped.first,
                     slow.exit,
                     slow.steps,
-                    comp_hooked.first,
+                    comp_armed.first,
                     comp_slow.exit,
                     comp_slow.steps
                 ),

@@ -691,10 +691,9 @@ mod tests {
             stream.write_all(format!("{line}\n").as_bytes()).unwrap();
             let mut resp = String::new();
             reader.read_line(&mut resp).unwrap();
-            let v = telemetry::parse_json(resp.trim()).expect("server speaks JSON");
-            let kind = v.get("kind").and_then(telemetry::Json::as_str).unwrap_or("").to_string();
-            let reason =
-                v.get("reason").and_then(telemetry::Json::as_str).unwrap_or("").to_string();
+            let v = telemetry::JsonRef::parse(resp.trim()).expect("server speaks JSON");
+            let field = |key| v.get(key).and_then(telemetry::JsonRef::as_str).unwrap_or("");
+            let (kind, reason) = (field("kind").to_string(), field("reason").to_string());
             out.push((kind, reason));
         }
         out

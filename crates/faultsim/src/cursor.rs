@@ -226,7 +226,8 @@ mod tests {
     fn firing_step(campaign: &Campaign, point: &InjectionPoint) -> u64 {
         let mut p = campaign.template.clone();
         let mut stop = Instrument::stop_after(point.module, point.func, point.inst, point.nth);
-        assert_eq!(p.run_instrumented(&mut stop), RunExit::BreakHit, "{point:?} never fired");
+        let fired = InterpEngine.run_instrumented(&mut p, &mut stop);
+        assert_eq!(fired, RunExit::BreakHit, "{point:?} never fired");
         p.steps
     }
 

@@ -380,14 +380,15 @@ impl Campaign {
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
-    /// template (deterministic in `(cfg.seed, index)`). This is the
-    /// per-index reference the trellis is checked against.
+    /// template on the campaign's translation (deterministic in `(cfg.seed,
+    /// index)`): the per-index reference the trellis is checked against, as
+    /// it plans nothing — no trail, hop or rebased ordinal.
     pub fn run_one(&self, cfg: &CampaignConfig, index: usize) -> Option<InjectionRecord> {
         let (point, rng) = self.sample_point(cfg, index)?;
         let mut p = self.template.clone();
         p.fuel = self.fuel_budget(cfg);
         let mut instr = Instrument::stop_after(point.module, point.func, point.inst, point.nth);
-        match p.run_instrumented(&mut instr) {
+        match self.compiled.run_instrumented(&mut p, &mut instr) {
             RunExit::BreakHit => {}
             // The breakpoint is derived from the profile, so this is
             // unreachable for deterministic programs; be safe anyway.

@@ -349,8 +349,8 @@ mod tests {
             let campaign = Campaign::prepare(&w, app, vec![]);
             let (trail, golden) = (&campaign.trail, &campaign.profile);
             let at = format!("{} at {level:?}", w.name);
-            // The campaign recorded on its compiled engine; the hooked
-            // interpreter loop records the same trail.
+            // The campaign recorded on its compiled engine; the stepping
+            // reference (the fast loop, one step at a time) records the same.
             let (interp, interp_golden, interp_profile) =
                 Trail::record(&campaign.template, &InterpEngine, w.name, MAX_GOLDEN_STEPS);
             let want = (campaign.golden_steps, golden);

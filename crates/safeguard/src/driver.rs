@@ -130,7 +130,7 @@ pub fn resume_protected(
 mod tests {
     use super::*;
     use armor::run_armor;
-    use simx::{compile_module, DestRef, Instrument, ModuleId, Process};
+    use simx::{compile_module, DestRef, ExecutionEngine, Instrument, InterpEngine, ModuleId};
     use tinyir::builder::ModuleBuilder;
     use tinyir::{Ty, Value};
 
@@ -204,7 +204,7 @@ mod tests {
         let mut p = Process::new(mm, vec![]);
         p.start("main", &[10]);
         let mut stop = Instrument::stop_after(ModuleId(0), fid, def_idx, 4);
-        assert_eq!(p.run_instrumented(&mut stop), RunExit::BreakHit);
+        assert_eq!(InterpEngine.run_instrumented(&mut p, &mut stop), RunExit::BreakHit);
         // Corrupt the just-written index register with a high bit flip.
         let old = p.read_reg(idx_reg);
         p.write_reg(idx_reg, old ^ (1 << 40));

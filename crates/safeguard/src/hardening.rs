@@ -7,7 +7,9 @@ mod tests {
     use crate::driver::{run_protected, ProtectedExit};
     use crate::runtime::{DeclineKind, DeclineReason, Safeguard};
     use armor::run_armor;
-    use simx::{compile_module, Instrument, ModuleId, Process, RunExit};
+    use simx::{
+        compile_module, ExecutionEngine, Instrument, InterpEngine, ModuleId, Process, RunExit,
+    };
     use tinyir::builder::ModuleBuilder;
     use tinyir::{Module, Ty, Value};
 
@@ -59,7 +61,7 @@ mod tests {
         let mut p = Process::new(mm, vec![]);
         p.start("main", &[20]);
         let mut stop = Instrument::stop_after(ModuleId(0), fid, def_idx, 5);
-        assert_eq!(p.run_instrumented(&mut stop), RunExit::BreakHit);
+        assert_eq!(InterpEngine.run_instrumented(&mut p, &mut stop), RunExit::BreakHit);
         let v = p.read_reg(idx_reg);
         p.write_reg(idx_reg, v ^ (1 << 44));
         (p, armor_out)

@@ -9,6 +9,7 @@
 //! patch a register and resume — re-executing the faulting instruction —
 //! precisely the `ucontext_t` dance of the paper's runtime.
 
+use crate::engine::{CompiledEngine, ExecutionEngine};
 use crate::image::{
     LoadedModule, MachineFunction, MachineModule, ModuleId, ProcessImage, DATA_BASE, EXE_BASE,
     HEAP_BASE, LIB_BASE, STACK_SIZE, STACK_TOP,
@@ -56,7 +57,8 @@ pub struct Trap {
     pub pc: u64,
 }
 
-/// Result of [`Process::run`] and [`Process::run_instrumented`].
+/// Result of [`Process::run`] and of
+/// [`ExecutionEngine::run_instrumented`](crate::ExecutionEngine::run_instrumented).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RunExit {
     /// The start function returned (with its raw-bit result).
@@ -118,10 +120,10 @@ pub type Profile = Vec<Vec<Vec<u64>>>;
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet {
     /// Pending ordinals per instruction, indexed `[module][func][inst]`
-    /// like a [`Profile`] — the hooked loop consults this on every step, and
-    /// the compiled engine at every segment entry, so the lookup is three
-    /// indexed loads, not a hash. Grown by `add` to cover the registered
-    /// instructions only; an index outside it has nothing pending.
+    /// like a [`Profile`] — the stepping reference consults this on every
+    /// step, and the compiled engine at every segment entry, so the lookup
+    /// is three indexed loads, not a hash. Grown by `add` to cover the
+    /// registered instructions only; an index outside it has nothing pending.
     slots: Vec<Vec<Vec<PendingNths>>>,
     /// Total pending ordinals across all instructions.
     remaining: usize,
@@ -248,9 +250,7 @@ impl Instrument {
     }
 
     /// One stop, right after the `nth` (≥ 1) execution of `(module, func,
-    /// inst)`, and no counts. Out of line: inlined into `Process::run`, it
-    /// cost the fast loop there ≈ 3 % per step (aligned builds).
-    #[inline(never)]
+    /// inst)`, and no counts.
     pub fn stop_after(module: ModuleId, func: FuncId, inst: usize, nth: u64) -> Instrument {
         let mut stops = BreakSet::new();
         stops.add(module, func, inst, nth);
@@ -336,7 +336,7 @@ impl Process {
     }
 
     /// Shim for carebench: every later [`run`](Process::run) counts, on the
-    /// hooked loop, into a profile nothing reads back.
+    /// compiled engine's instrumented run, into a profile nothing reads back.
     pub fn enable_profile(&mut self) {
         self.profile = Instrument::profiling(&self.image).profile;
     }
@@ -499,29 +499,28 @@ impl Process {
         }
     }
 
-    /// Run until completion or trap on the **fast loop** (`HOOKS = false`),
-    /// which compiles with the per-step profile count and stop check removed
-    /// entirely. Only the carebench shim — [`break_at`](Process::break_at) or
+    /// Run until completion or trap on the interpreter's one step loop,
+    /// which has no profile count and no stop check. Only the carebench
+    /// shim — [`break_at`](Process::break_at) or
     /// [`enable_profile`](Process::enable_profile) set — makes it build the
-    /// same [`Instrument`] and run [`run_instrumented`](Self::run_instrumented).
+    /// same [`Instrument`] and run it on the compiled engine instead.
     pub fn run(&mut self) -> RunExit {
         if self.profile.is_none() && self.break_at.is_none() {
-            return self.run_loop::<false>(&mut Instrument::default());
+            return self.run_loop();
         }
-        let stop = self.break_at.take().map(|(m, f, i, n)| Instrument::stop_after(m, f, i, n));
-        let mut instr = Instrument { profile: self.profile.take(), ..stop.unwrap_or_default() };
-        let exit = self.run_loop::<true>(&mut instr);
-        self.profile = instr.profile;
-        exit
+        self.run_shim()
     }
 
-    /// Run until completion, trap, or one of `instr`'s stops on the **hooked
-    /// loop** (`HOOKS = true`), counting into `instr.profile` if it has one;
-    /// `instr.stops` names the stop that fired ([`BreakSet::take_fired`]).
-    /// Accounting and trap states are bit-identical to the fast loop's (the
-    /// precision tests in `tests.rs` hold the two side by side).
-    pub fn run_instrumented(&mut self, instr: &mut Instrument) -> RunExit {
-        self.run_loop::<true>(instr)
+    /// The carebench shim's run: translate the image (one translation per
+    /// run) and run the [`Instrument`] the shim's fields describe on it.
+    #[cold]
+    #[inline(never)]
+    fn run_shim(&mut self) -> RunExit {
+        let stop = self.break_at.take().map(|(m, f, i, n)| Instrument::stop_after(m, f, i, n));
+        let mut instr = Instrument { profile: self.profile.take(), ..stop.unwrap_or_default() };
+        let exit = CompiledEngine::for_image(&self.image).run_instrumented(self, &mut instr);
+        self.profile = instr.profile;
+        exit
     }
 
     /// True when `self` and `other` are the same machine state of the same
@@ -558,35 +557,27 @@ impl Process {
     /// round-trip through `self`) and written back on every exit, so the
     /// externally visible accounting is exact — a trap freezes with the
     /// counters exactly as the per-step version would leave them, which the
-    /// hang-latency buckets of Table 4 rely on. Only the hooked loop reads
-    /// `instr`. Both inline into `run`: out of line, the fast loop kept
-    /// `steps` in memory and lost ≈ 4 % per step (aligned builds).
+    /// hang-latency buckets of Table 4 rely on. It inlines into `run`: out
+    /// of line, it kept `steps` in memory and lost ≈ 4 % per step (aligned
+    /// builds).
     #[inline(always)]
-    fn run_loop<const HOOKS: bool>(&mut self, instr: &mut Instrument) -> RunExit {
+    fn run_loop(&mut self) -> RunExit {
         let image = Arc::clone(&self.image);
         let mut cursor: FrameCursor<'_> = None;
         let mut fuel = self.fuel;
         let mut steps = self.steps;
         let exit = loop {
-            match self.step_in::<HOOKS>(&image, &mut cursor, &mut fuel, &mut steps, instr) {
+            match self.step_in(&image, &mut cursor, &mut fuel, &mut steps) {
                 StepOut::Continue => {}
                 StepOut::Done(v) => break RunExit::Done(v),
                 StepOut::Trap(t) => break self.deliver(t),
-                StepOut::Break => break RunExit::BreakHit,
-                StepOut::Intr { which, argv, dst, break_hit } => {
+                StepOut::Intr { which, argv, dst } => {
                     if let Err(t) = self.finish_intrinsic(which, &argv, dst) {
                         break self.deliver(t);
                     }
-                    if break_hit {
-                        break RunExit::BreakHit;
-                    }
                 }
-                StepOut::Ret { val, break_hit } => {
-                    let done = self.ret(val);
-                    if break_hit {
-                        break RunExit::BreakHit;
-                    }
-                    if done {
+                StepOut::Ret { val } => {
+                    if self.ret(val) {
                         break RunExit::Done(val);
                     }
                 }
@@ -598,13 +589,12 @@ impl Process {
     }
 
     #[inline(always)]
-    fn step_in<'i, const HOOKS: bool>(
+    fn step_in<'i>(
         &mut self,
         image: &'i ProcessImage,
         cursor: &mut FrameCursor<'i>,
         fuel: &mut u64,
         steps: &mut u64,
-        instr: &mut Instrument,
     ) -> StepOut {
         // One mutable borrow of the top frame for the whole step: register
         // reads/writes go through it directly instead of re-indexing
@@ -642,18 +632,9 @@ impl Process {
         }
         *fuel -= 1;
         *steps += 1;
-        // `HOOKS` is a monomorphization constant: in the fast loop the
-        // profile count and the stop check below compile away.
-        let break_hit = HOOKS && {
-            if let Some(p) = &mut instr.profile {
-                p[mid.0 as usize][fid.0 as usize][idx] += 1;
-            }
-            instr.stops.note(mid, fid, idx)
-        };
 
         let inst = &mf.instrs[idx];
         let trap = |k: TrapKind| StepOut::Trap(Trap { kind: k, pc: pc() });
-        let step_out = |hit: bool| if hit { StepOut::Break } else { StepOut::Continue };
 
         match inst {
             MInst::Mov { dst, src, size, sext } => {
@@ -721,12 +702,12 @@ impl Process {
             }
             MInst::Jmp { target } => {
                 frame.idx = *target as usize;
-                return step_out(break_hit);
+                return StepOut::Continue;
             }
             MInst::Jnz { cond, then_t, else_t } => {
                 let c = frame.regs[cond.0 as usize] & 1;
                 frame.idx = *(if c != 0 { then_t } else { else_t }) as usize;
-                return step_out(break_hit);
+                return StepOut::Continue;
             }
             MInst::GetArg { dst, idx: a } => {
                 let v = frame.args.get(*a as usize).copied().unwrap_or(0);
@@ -746,7 +727,7 @@ impl Process {
                 if let Err(t) = self.push_frame(mid, *callee, argv, *dst) {
                     return StepOut::Trap(t);
                 }
-                return step_out(break_hit);
+                return StepOut::Continue;
             }
             MInst::CallIntr { which, args, dst } => {
                 let mut argv = Vec::with_capacity(args.len());
@@ -756,15 +737,15 @@ impl Process {
                         Err(e) => return trap(e.into()),
                     }
                 }
-                return StepOut::Intr { which: *which, argv, dst: *dst, break_hit };
+                return StepOut::Intr { which: *which, argv, dst: *dst };
             }
             MInst::Ret { src } => {
                 let val = src.map(|r| frame.regs[r.0 as usize]);
-                return StepOut::Ret { val, break_hit };
+                return StepOut::Ret { val };
             }
         }
         frame.idx += 1;
-        step_out(break_hit)
+        StepOut::Continue
     }
 
     /// Read the bits of a global variable by name (test/verification aid).
@@ -786,18 +767,15 @@ enum StepOut {
     Continue,
     Done(Option<u64>),
     Trap(Trap),
-    Break,
     /// A `CallIntr` with its arguments evaluated, `idx` still on it.
     Intr {
         which: Intrinsic,
         argv: Vec<u64>,
         dst: Option<Reg>,
-        break_hit: bool,
     },
     /// A `Ret` with its value, frame not yet popped.
     Ret {
         val: Option<u64>,
-        break_hit: bool,
     },
 }
 

@@ -43,21 +43,23 @@
 //!
 //! # Instrumented runs
 //!
-//! [`ExecutionEngine::run_instrumented`] runs the same ops, monomorphized
-//! a second time with the [`Instrument`]'s hooks compiled in, so plain
-//! [`ExecutionEngine::run`] pays nothing for them. Every op adds its
-//! executions — each half of a fused pair its own — to the profile at the
-//! fuel charge, where the interpreter's hooked loop counts. Stops are checked
-//! per segment: at each segment entry, and on each inline branch, the engine
-//! asks the [`BreakSet`] whether any instruction of the straight-line run
-//! ahead (`ste` long) has an ordinal pending. A segment with none runs
-//! unchecked; one with some runs *stepping*, noting every execution with the
-//! set at its charge and ending the run after the op whose ordinal fired.
-//! A fused op whose first instruction fires runs as that instruction alone
-//! (its standalone decode), because the translation keeps no standalone op
-//! at a fused first index; the run then stops on the second instruction,
-//! which does have one. Profile, ordinals and stop states are the hooked
-//! loop's exactly (`tests.rs` holds the two side by side at every budget).
+//! An instrumented run is defined once: the interpreter's fast loop stepped
+//! one instruction at a time, one [`run_to_step`] each, which is
+//! [`InterpEngine`]'s, the slow reference. The compiled engine's is the fast
+//! one: the same ops, monomorphized a second time with the [`Instrument`]'s
+//! hooks compiled in, so plain [`ExecutionEngine::run`] pays nothing for
+//! them. Every op adds its executions — each half of a fused pair its own —
+//! to the profile at the fuel charge. Stops are checked per segment: at each
+//! segment entry, and on each inline branch, the engine asks the
+//! [`BreakSet`] whether any instruction of the straight-line run ahead
+//! (`ste` long) has an ordinal pending. A segment with none runs unchecked;
+//! one with some runs *stepping*, noting every execution with the set at its
+//! charge and ending the run after the op whose ordinal fired. A fused op
+//! whose first instruction fires runs as that instruction alone (its
+//! standalone decode), because the translation keeps no standalone op at a
+//! fused first index; the run then stops on the second instruction, which
+//! does have one. Profile, ordinals and stop states are the reference's
+//! exactly (`tests.rs` holds the two side by side at every budget).
 
 use crate::cpu::{BreakSet, Frame, Instrument, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
@@ -118,7 +120,9 @@ pub trait ExecutionEngine: Send + Sync {
     /// Run until completion or trap; semantics of [`Process::run`].
     fn run(&self, p: &mut Process) -> RunExit;
     /// Run until completion, trap, or one of `instr`'s stops, counting into
-    /// its profile; semantics of [`Process::run_instrumented`].
+    /// its profile if it has one; `instr.stops` names the stop that fired
+    /// ([`BreakSet::take_fired`]). Semantics of [`InterpEngine`]'s, the fast
+    /// loop stepped one instruction at a time.
     fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit;
 }
 
@@ -132,8 +136,30 @@ impl ExecutionEngine for InterpEngine {
     fn run(&self, p: &mut Process) -> RunExit {
         p.run()
     }
+    /// The reference: the fast loop, one step at a time. A charged step
+    /// (`steps` rose) is counted and noted with the stops; a stop that fired
+    /// ends the run after it, unless the step trapped (a trap wins).
     fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit {
-        p.run_instrumented(instr)
+        loop {
+            let at = p.frames.last().map(|f| (f.module, f.func, f.idx));
+            let before = p.steps;
+            let exit = run_to_step(self, p, before + 1, None);
+            let fired = match at {
+                Some((m, f, i)) if p.steps > before => {
+                    if let Some(profile) = &mut instr.profile {
+                        profile[m.0 as usize][f.0 as usize][i] += 1;
+                    }
+                    instr.stops.note(m, f, i)
+                }
+                _ => false,
+            };
+            match exit {
+                Some(RunExit::Trapped(t)) => return RunExit::Trapped(t),
+                _ if fired => return RunExit::BreakHit,
+                Some(exit) => return exit,
+                None => {}
+            }
+        }
     }
 }
 
@@ -254,7 +280,7 @@ struct Hooks<'a> {
     counts: &'a mut [u64],
     stops: &'a mut BreakSet,
     /// A stop fired on the op being executed: the run ends once it
-    /// completes (a trap still wins, as on the hooked loop).
+    /// completes (a trap still wins, as in the reference).
     hit: bool,
 }
 
@@ -327,7 +353,7 @@ fn run_compiled<const HOOKED: bool>(
             }
             SegEvent::Ret { val } => {
                 // A stop on the last return stops with the frames gone,
-                // before the run is seen to be done — as on the hooked loop.
+                // before the run is seen to be done — as in the reference.
                 if p.ret(val) && !hit {
                     break RunExit::Done(val);
                 }
@@ -405,7 +431,7 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
     let stepping = HOOKED && stops.armed(mid, fid, entry..entry + tf.ste[entry] as usize);
     // Hooked: count one execution of an instruction and, stepping, note it
     // with the stops; true when an ordinal fired. Used at the fuel charge,
-    // before the instruction executes, exactly where the hooked loop counts.
+    // before the instruction executes: a charged step is a counted one.
     macro_rules! note {
         ($idx:expr) => {
             HOOKED && {

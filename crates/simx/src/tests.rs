@@ -239,7 +239,7 @@ fn breakpoint_stops_after_nth_execution() {
         .unwrap();
     let mut p = Process::new(mm, vec![]);
     p.start("count", &[10]);
-    let mut twin = p.clone();
+    let (fresh, mut twin) = (p.clone(), p.clone());
     // The `break_at` shim, exactly as carebench uses it: set, run, resume.
     p.break_at = Some((ModuleId(0), fid, store_idx, 4));
     assert_eq!(p.run(), RunExit::BreakHit);
@@ -249,10 +249,29 @@ fn breakpoint_stops_after_nth_execution() {
     assert_eq!(p.read_global("arr", 4, Ty::I64), Some(0));
     // It stops where the one-entry instrument it builds does.
     let stop = &mut Instrument::stop_after(ModuleId(0), fid, store_idx, 4);
-    assert_eq!((twin.run_instrumented(stop), twin.steps), (RunExit::BreakHit, p.steps));
-    // Resuming finishes the run.
-    assert_eq!(p.run(), RunExit::Done(None));
-    assert_eq!(p.read_global("arr", 9, Ty::I64), Some(9));
+    let twin_exit = InterpEngine.run_instrumented(&mut twin, stop);
+    assert_eq!((twin_exit, twin.steps), (RunExit::BreakHit, p.steps));
+    // Resuming finishes the run where a plain run ends; so does every run
+    // with the profile shim on, also one whose budget runs out (carebench's
+    // golden runs and trap search count on both).
+    let end = |q: &mut Process| {
+        let exit = q.run();
+        (exit, q.steps, q.fuel, q.trap_count, q.snapshot_global("arr", 512))
+    };
+    let fueled = |fuel| {
+        let mut q = fresh.clone();
+        q.fuel = fuel;
+        q
+    };
+    let plain = |fuel| end(&mut fueled(fuel));
+    let resumed = end(&mut p);
+    assert_eq!(resumed, plain(u64::MAX));
+    assert_eq!((resumed.0, p.read_global("arr", 9, Ty::I64)), (RunExit::Done(None), Some(9)));
+    for fuel in [u64::MAX, 25] {
+        let mut profiled = fueled(fuel);
+        profiled.enable_profile();
+        assert_eq!(end(&mut profiled), plain(fuel), "fuel {fuel}");
+    }
 }
 
 #[test]
@@ -297,7 +316,7 @@ fn profile_counts_dynamic_executions() {
     let mut p = Process::new(mm, vec![]);
     let mut instr = Instrument::profiling(&p.image);
     p.start("spin", &[7]);
-    assert!(matches!(p.run_instrumented(&mut instr), RunExit::Done(None)));
+    assert!(matches!(InterpEngine.run_instrumented(&mut p, &mut instr), RunExit::Done(None)));
     let prof = instr.profile.as_ref().unwrap();
     // Some instruction in the loop body executed exactly 7 times.
     assert!(prof[0][0].contains(&7));
@@ -465,9 +484,10 @@ fn sub_word_types_round_trip_through_memory() {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-loop trap precision: `run()` is the monomorphized fast loop and
-// `run_instrumented()` the hooked one. These tests hold the two side by side
-// on the same trapping program and require the frozen machine states to be
+// Fast-loop trap precision: `run()` is the fast loop, and an instrumented
+// run is that loop stepped one instruction at a time (`InterpEngine`'s) or
+// the compiled engine's. These tests hold them side by side on the same
+// trapping program and require the frozen machine states to be
 // bit-identical — PC on the faulting instruction, pre-fault registers, and
 // exact `steps`/`fuel` accounting (Table 4's latency buckets and hang
 // detection depend on the counters).
@@ -502,30 +522,33 @@ fn trapping_module(fault: &str) -> Module {
     mb.finish()
 }
 
-/// Run `main(args)` twice — fast loop (no hooks) and slow loop (profiling)
-/// — with the given fuel, and require bit-identical frozen states.
+/// Run `main(args)` on the fast loop, then profiling on the stepping
+/// reference and on the compiled engine, with the given fuel, and require
+/// bit-identical frozen states.
 fn assert_fast_slow_equal(m: &Module, args: &[u64], fuel: u64) -> RunExit {
     let mm = std::sync::Arc::new(compile_module(m, true, &[]));
     let mut fast = Process::new(std::sync::Arc::clone(&mm), vec![]);
     fast.start("main", args);
     fast.fuel = fuel;
     let fast_exit = fast.run();
-
-    let mut slow = Process::new(mm, vec![]);
-    slow.start("main", args);
-    slow.fuel = fuel;
-    let slow_exit = slow.run_instrumented(&mut Instrument::profiling(&slow.image));
-
-    assert_eq!(fast_exit, slow_exit, "exit status diverged");
-    assert_eq!(fast.steps, slow.steps, "dynamic instruction count diverged");
-    assert_eq!(fast.fuel, slow.fuel, "remaining fuel diverged");
-    assert_eq!(fast.pc(), slow.pc(), "frozen PC diverged");
-    assert_eq!(fast.sp, slow.sp, "stack pointer diverged");
-    assert_eq!(fast.trap_count, slow.trap_count, "trap count diverged");
-    assert_eq!(fast.frames.len(), slow.frames.len(), "frame depth diverged");
-    for (ff, sf) in fast.frames.iter().zip(&slow.frames) {
-        assert_eq!(ff.regs, sf.regs, "register file diverged");
-        assert_eq!((ff.module, ff.func, ff.idx), (sf.module, sf.func, sf.idx));
+    let compiled = CompiledEngine::for_image(&fast.image);
+    for engine in [&InterpEngine as &dyn ExecutionEngine, &compiled] {
+        let mut slow = Process::new(std::sync::Arc::clone(&mm), vec![]);
+        slow.start("main", args);
+        slow.fuel = fuel;
+        let mut instr = Instrument::profiling(&slow.image);
+        let slow_exit = engine.run_instrumented(&mut slow, &mut instr);
+        assert_eq!(fast_exit, slow_exit, "exit status diverged");
+        assert_eq!(fast.steps, slow.steps, "dynamic instruction count diverged");
+        assert_eq!(fast.fuel, slow.fuel, "remaining fuel diverged");
+        assert_eq!(fast.pc(), slow.pc(), "frozen PC diverged");
+        assert_eq!(fast.sp, slow.sp, "stack pointer diverged");
+        assert_eq!(fast.trap_count, slow.trap_count, "trap count diverged");
+        assert_eq!(fast.frames.len(), slow.frames.len(), "frame depth diverged");
+        for (ff, sf) in fast.frames.iter().zip(&slow.frames) {
+            assert_eq!(ff.regs, sf.regs, "register file diverged");
+            assert_eq!((ff.module, ff.func, ff.idx), (sf.module, sf.func, sf.idx));
+        }
     }
     if let RunExit::Trapped(t) = fast_exit {
         // The PC must be frozen *on* the faulting instruction.
@@ -535,37 +558,24 @@ fn assert_fast_slow_equal(m: &Module, args: &[u64], fuel: u64) -> RunExit {
 }
 
 #[test]
-fn fast_loop_segv_state_matches_slow_loop() {
-    let m = trapping_module("segv");
-    let exit = assert_fast_slow_equal(&m, &[25, 1 << 30], u64::MAX);
-    match exit {
-        RunExit::Trapped(t) => assert!(matches!(t.kind, TrapKind::Segv(_))),
-        other => panic!("expected SIGSEGV, got {other:?}"),
+fn fast_loop_trap_states_match_instrumented_runs() {
+    for (fault, args) in [("segv", [25, 1 << 30]), ("bus", [25, 3]), ("fpe", [25, 0])] {
+        let kind = match assert_fast_slow_equal(&trapping_module(fault), &args, u64::MAX) {
+            RunExit::Trapped(t) => t.kind,
+            other => panic!("expected a {fault} trap, got {other:?}"),
+        };
+        let name = match kind {
+            TrapKind::Segv(_) => "segv",
+            TrapKind::Bus(_) => "bus",
+            TrapKind::Fpe => "fpe",
+            _ => "another trap",
+        };
+        assert_eq!(name, fault, "{kind:?}");
     }
 }
 
 #[test]
-fn fast_loop_bus_state_matches_slow_loop() {
-    let m = trapping_module("bus");
-    let exit = assert_fast_slow_equal(&m, &[25, 3], u64::MAX);
-    match exit {
-        RunExit::Trapped(t) => assert!(matches!(t.kind, TrapKind::Bus(_))),
-        other => panic!("expected SIGBUS, got {other:?}"),
-    }
-}
-
-#[test]
-fn fast_loop_fpe_state_matches_slow_loop() {
-    let m = trapping_module("fpe");
-    let exit = assert_fast_slow_equal(&m, &[25, 0], u64::MAX);
-    match exit {
-        RunExit::Trapped(t) => assert_eq!(t.kind, TrapKind::Fpe),
-        other => panic!("expected SIGFPE, got {other:?}"),
-    }
-}
-
-#[test]
-fn fast_loop_out_of_fuel_matches_slow_loop_at_every_budget() {
+fn fast_loop_out_of_fuel_matches_instrumented_runs_at_every_budget() {
     // Sweep fuel budgets across the whole run so the OutOfFuel trap lands
     // on many different instructions (loop body, backedge, ret path); the
     // fast loop's block accounting must stop at exactly the same step.
@@ -592,35 +602,6 @@ fn fast_loop_out_of_fuel_matches_slow_loop_at_every_budget() {
         RunExit::Done(_) => {}
         other => panic!("expected completion at exact fuel, got {other:?}"),
     }
-}
-
-#[test]
-fn fast_loop_resumes_after_breakpoint_with_identical_accounting() {
-    // A run that stops (slow loop), then resumes on the fast loop. Its final
-    // state must match an uninterrupted profiled (slow) run.
-    let m = trapping_module("none");
-    let mm = std::sync::Arc::new(compile_module(&m, true, &[]));
-    let fid = mm.func_by_name("main").unwrap();
-
-    let mut straight = Process::new(std::sync::Arc::clone(&mm), vec![]);
-    straight.start("main", &[10, 0]);
-    let mut instr = Instrument::profiling(&straight.image);
-    let straight_exit = straight.run_instrumented(&mut instr);
-
-    // Stop on an instruction the profile says runs at least five times
-    // (i.e. one inside the loop body).
-    let counts = &instr.profile.as_ref().unwrap()[0][fid.0 as usize];
-    let bidx = counts.iter().position(|&c| c >= 5).expect("loop instruction");
-
-    let mut broken = Process::new(mm, vec![]);
-    broken.start("main", &[10, 0]);
-    let mut stop = Instrument::stop_after(ModuleId(0), fid, bidx, 4);
-    assert_eq!(broken.run_instrumented(&mut stop), RunExit::BreakHit);
-    let resumed_exit = broken.run();
-
-    assert_eq!(resumed_exit, straight_exit);
-    assert_eq!(broken.steps, straight.steps);
-    assert_eq!(broken.pc(), straight.pc());
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +640,7 @@ fn hot_instruction(
     let mut p = Process::new(std::sync::Arc::clone(&mm), vec![]);
     let mut instr = Instrument::profiling(&p.image);
     p.start("main", args);
-    assert!(matches!(p.run_instrumented(&mut instr), RunExit::Done(_)));
+    assert!(matches!(InterpEngine.run_instrumented(&mut p, &mut instr), RunExit::Done(_)));
     let fid = mm.func_by_name("main").unwrap();
     let counts = &instr.profile.as_ref().unwrap()[0][fid.0 as usize];
     let (idx, &count) = counts
@@ -696,25 +677,29 @@ fn break_set_stops_match_single_stepping() {
         }
     }
 
-    // Cursor: all three ordinals registered up front, out of order.
-    let mut instr = Instrument::default();
-    for &n in &[nths[1], nths[0], nths[2]] {
-        assert!(instr.stops.add(ModuleId(0), fid, idx, n));
+    // Cursor, on either engine: all three ordinals registered up front, out
+    // of order.
+    let compiled = CompiledEngine::for_image(&rp.image);
+    for engine in [&InterpEngine as &dyn ExecutionEngine, &compiled] {
+        let mut instr = Instrument::default();
+        for &n in &[nths[1], nths[0], nths[2]] {
+            assert!(instr.stops.add(ModuleId(0), fid, idx, n));
+        }
+        assert!(!instr.stops.add(ModuleId(0), fid, idx, nths[0]), "duplicates must dedup");
+        assert_eq!(instr.stops.remaining(), 3);
+        let mut cp = Process::new(std::sync::Arc::clone(&mm), vec![]);
+        cp.start("main", &[12]);
+        cp.fuel = 100_000;
+        let mut stops = Vec::new();
+        for &n in &nths {
+            assert_eq!(engine.run_instrumented(&mut cp, &mut instr), RunExit::BreakHit);
+            assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, n)));
+            stops.push(state(&cp));
+        }
+        assert_eq!(stops, reference, "{}: steps, fuel, pc, registers and idx", engine.name());
+        assert!(instr.stops.is_empty());
+        assert!(matches!(cp.run(), RunExit::Done(_)));
     }
-    assert!(!instr.stops.add(ModuleId(0), fid, idx, nths[0]), "duplicates must dedup");
-    assert_eq!(instr.stops.remaining(), 3);
-    let mut cp = Process::new(mm, vec![]);
-    cp.start("main", &[12]);
-    cp.fuel = 100_000;
-    let mut stops = Vec::new();
-    for &n in &nths {
-        assert_eq!(cp.run_instrumented(&mut instr), RunExit::BreakHit);
-        assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, n)));
-        stops.push(state(&cp));
-    }
-    assert_eq!(stops, reference, "steps, fuel, pc, registers and idx at each stop");
-    assert!(instr.stops.is_empty());
-    assert!(matches!(cp.run(), RunExit::Done(_)));
 }
 
 #[test]
@@ -728,7 +713,7 @@ fn break_set_snapshot_inherits_remaining_fuel_budget() {
     let budget = 10_000u64;
     cursor.fuel = budget;
     let mut late = Instrument::stop_after(ModuleId(0), fid, idx, count - 2);
-    assert_eq!(cursor.run_instrumented(&mut late), RunExit::BreakHit);
+    assert_eq!(InterpEngine.run_instrumented(&mut cursor, &mut late), RunExit::BreakHit);
     assert!(cursor.steps > 0);
 
     let mut snap = cursor.clone();
@@ -754,13 +739,13 @@ fn break_set_across_distinct_instructions_fires_in_execution_order() {
     instr.stops.add(ModuleId(0), fid, idx, 3);
     let mut p = Process::new(mm, vec![]);
     p.start("main", &[12]);
-    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
+    assert_eq!(InterpEngine.run_instrumented(&mut p, &mut instr), RunExit::BreakHit);
     assert_eq!(
         instr.stops.take_fired(),
         Some((ModuleId(0), fid, 0, 1)),
         "entry instruction fires first"
     );
-    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
+    assert_eq!(InterpEngine.run_instrumented(&mut p, &mut instr), RunExit::BreakHit);
     assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 3)));
     assert!(instr.stops.is_empty());
     assert!(matches!(p.run(), RunExit::Done(_)));
@@ -783,7 +768,7 @@ fn break_set_rejects_an_ordinal_that_can_never_fire() {
     assert_eq!(bs.remaining(), 1);
     let mut p = Process::new(mm, vec![]);
     p.start("main", &[12]);
-    assert_eq!(p.run_instrumented(&mut instr), RunExit::BreakHit);
+    assert_eq!(InterpEngine.run_instrumented(&mut p, &mut instr), RunExit::BreakHit);
     assert_eq!(instr.stops.take_fired(), Some((ModuleId(0), fid, idx, 2)));
     assert!(instr.stops.is_empty());
 }
@@ -978,11 +963,10 @@ type Leg = (
 );
 
 /// Run `base` on `fuel` handed one profiling [`Instrument`] with `stops` in
-/// `main`/`sq`, re-running after every stop until the run ends; `engine`
-/// `None` is the interpreter's hooked loop. Returns every leg, the profile,
-/// and the `arr` global at the end.
+/// `main`/`sq`, re-running after every stop until the run ends. Returns
+/// every leg, the profile, and the `arr` global at the end.
 fn instrumented_legs(
-    engine: Option<&CompiledEngine>,
+    engine: &dyn ExecutionEngine,
     base: &Process,
     fuel: u64,
     stops: &[(tinyir::FuncId, usize, u64)],
@@ -995,10 +979,7 @@ fn instrumented_legs(
     }
     let mut legs = Vec::new();
     loop {
-        let exit = match engine {
-            Some(engine) => engine.run_instrumented(&mut p, &mut instr),
-            None => p.run_instrumented(&mut instr),
-        };
+        let exit = engine.run_instrumented(&mut p, &mut instr);
         let fired = instr.stops.take_fired();
         legs.push((exit, p.steps, p.fuel, p.trap_count, frame_states(&p), fired));
         if exit != RunExit::BreakHit {
@@ -1009,12 +990,14 @@ fn instrumented_legs(
 }
 
 #[test]
-fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
+fn compiled_instrumented_runs_match_the_stepping_reference_at_every_budget() {
     // The compiled engine's own instrumented run counts and stops exactly
-    // like `Process::run_instrumented`, leg by leg, at every fuel budget:
+    // like the fast loop stepped one instruction at a time (`InterpEngine`'s
+    // instrumented run), leg by leg, at every fuel budget:
     // on both instructions of a fused pair, on many points in one function,
-    // and on a call, an intrinsic and returns (which stop after the frame
-    // push, the intrinsic's result and the frame pop).
+    // on a call, an intrinsic and returns (which stop after the frame push,
+    // the intrinsic's result and the frame pop), and on a trapping
+    // instruction (the trap wins).
     let mm = engine_fixture();
     let (main, sq) = (mm.func_by_name("main").unwrap(), mm.func_by_name("sq").unwrap());
     let ops = &crate::translate::translate_module(&mm).funcs[main.0 as usize].ops;
@@ -1022,7 +1005,7 @@ fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
     for args in [[12, 64, 0], [8, 0, 0]] {
         let mut base = Process::new(Arc::clone(&mm), vec![]);
         base.start("main", &args);
-        let (legs, profile, _) = instrumented_legs(None, &base, u64::MAX, &[]);
+        let (legs, profile, _) = instrumented_legs(&InterpEngine, &base, u64::MAX, &[]);
         let (total, profile) = (legs[0].1, profile.unwrap());
         let counts = &profile[0][main.0 as usize];
         let ran = |i: usize| counts[i] > 0;
@@ -1045,6 +1028,13 @@ fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
             sq_ret.map(|(i, _)| (sq, i, 1)),
         ];
         sets.push(calls.into_iter().flatten().collect());
+        // A stop on the execution that traps is consumed, and the trap wins.
+        if args[1] == 0 {
+            assert!(matches!(legs[0].0, RunExit::Trapped(_)), "test premise: {args:?} traps");
+            let &(_, func, idx, ..) = legs[0].4.last().expect("a frozen frame");
+            let nth = profile[0][func as usize][idx];
+            sets.push(vec![(tinyir::FuncId(func), idx, nth)]);
+        }
         if args[1] == 64 {
             assert!(fused.len() >= 2 && sets.len() == 5, "test premise: {fused:?}");
             assert_eq!(sets[4].len(), 4, "test premise: a call, an intrinsic, two returns");
@@ -1052,13 +1042,13 @@ fn compiled_instrumented_runs_match_the_hooked_loop_at_every_budget() {
         let compiled = CompiledEngine::for_image(&base.image);
         for stops in &sets {
             if args[1] == 64 {
-                let (legs, ..) = instrumented_legs(None, &base, u64::MAX, stops);
+                let (legs, ..) = instrumented_legs(&InterpEngine, &base, u64::MAX, stops);
                 let fired = legs.iter().filter(|leg| leg.5.is_some()).count();
                 assert_eq!(fired, stops.len(), "test premise: every stop of {stops:?} fires");
             }
             for fuel in 0..=total + 1 {
-                let reference = instrumented_legs(None, &base, fuel, stops);
-                let translated = instrumented_legs(Some(&compiled), &base, fuel, stops);
+                let reference = instrumented_legs(&InterpEngine, &base, fuel, stops);
+                let translated = instrumented_legs(&compiled, &base, fuel, stops);
                 assert_eq!(translated, reference, "args {args:?}, fuel {fuel}, stops {stops:?}");
             }
         }
@@ -1134,7 +1124,7 @@ fn advance_to_step_is_indistinguishable_from_a_continuous_run() {
     };
     let mut whole = long.clone();
     let mut whole_instr = Instrument::profiling(&whole.image);
-    let whole_exit = whole.run_instrumented(&mut whole_instr);
+    let whole_exit = InterpEngine.run_instrumented(&mut whole, &mut whole_instr);
     assert!(matches!(whole_exit, RunExit::Done(_)) && whole.steps > 4 * 1024);
     for engine in [interp, &compiled as &dyn ExecutionEngine] {
         let mut p = long.clone();

@@ -6,6 +6,7 @@
 //! ```
 
 use care::prelude::*;
+use simx::{CompiledEngine, ExecutionEngine};
 use tinyir::builder::ModuleBuilder;
 use tinyir::{Ty, Value};
 
@@ -76,7 +77,8 @@ fn main() {
     let (mut process, mut sg) = care::protected_process(&app, &[]);
     process.start("main", &[n]);
     let mut stop = Instrument::stop_after(ModuleId(0), fid, def_idx, 20);
-    assert_eq!(process.run_instrumented(&mut stop), RunExit::BreakHit);
+    let engine = CompiledEngine::for_image(&process.image);
+    assert_eq!(engine.run_instrumented(&mut process, &mut stop), RunExit::BreakHit);
     let clean = process.read_reg(idx_reg);
     process.write_reg(idx_reg, clean ^ (1 << 41));
     println!("injected: flipped bit 41 of {idx_reg} ({clean:#x} -> {:#x})", clean ^ (1 << 41));

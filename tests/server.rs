@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use telemetry::JsonRef;
 
 fn local_campaign(spec: &JobSpec) -> Campaign {
     let workload = careserve::proto::resolve_workload(&spec.workload).expect("spec resolves");
@@ -138,7 +139,7 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
         ServerFrame::decode(line.trim_end()).expect("server frame decodes")
     };
     for spec in &specs {
-        stream.write_all(format!("{}\n", spec.to_frame()).as_bytes()).unwrap();
+        stream.write_all(format!("{}\n", job_frame(spec)).as_bytes()).unwrap();
         let frame = next_frame();
         assert!(matches!(frame, ServerFrame::Reject(RejectReason::BadSpec, _)), "{frame:?}");
     }
@@ -218,14 +219,22 @@ fn five_workloads_over_loopback_match_local_runs_under_concurrent_clients() {
     handle.shutdown();
 }
 
-fn read_json_line(reader: &mut BufReader<TcpStream>) -> telemetry::Json {
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read frame");
-    telemetry::parse_json(line.trim()).expect("server frame parses")
+/// The `job` frame of `spec`, as a client sends it.
+fn job_frame(spec: &JobSpec) -> String {
+    ClientFrame::Job(spec.clone()).encode()
 }
 
-fn frame_kind(v: &telemetry::Json) -> String {
-    v.get("kind").and_then(telemetry::Json::as_str).unwrap_or("").to_string()
+/// The next frame line from the server. Callers parse it with
+/// `JsonRef::parse`, whose tree borrows from the line.
+fn read_json_line(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read frame");
+    line.trim().to_string()
+}
+
+fn frame_kind(line: &str) -> String {
+    let v = JsonRef::parse(line).expect("server frame parses");
+    v.get("kind").and_then(JsonRef::as_str).unwrap_or("").to_string()
 }
 
 /// One server session takes a malformed frame, then a mid-job client
@@ -247,9 +256,10 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
         for bad in [b"this is not a frame".to_vec(), vec![b'['; 100_000]] {
             stream.write_all(&bad).unwrap();
             stream.write_all(b"\n").unwrap();
-            let reject = read_json_line(&mut reader);
-            assert_eq!(frame_kind(&reject), "reject");
-            assert_eq!(reject.get("reason").and_then(telemetry::Json::as_str), Some("bad_json"));
+            let line = read_json_line(&mut reader);
+            assert_eq!(frame_kind(&line), "reject");
+            let reject = JsonRef::parse(&line).expect("server frame parses");
+            assert_eq!(reject.get("reason").and_then(JsonRef::as_str), Some("bad_json"));
             // Same connection, next frame: still answered.
             stream.write_all(careserve::proto::ClientFrame::Stats.encode().as_bytes()).unwrap();
             stream.write_all(b"\n").unwrap();
@@ -263,7 +273,7 @@ fn malformed_frame_and_mid_job_disconnect_leave_the_server_serving() {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        stream.write_all(spec.to_frame().as_bytes()).unwrap();
+        stream.write_all(job_frame(&spec).as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
         assert_eq!(frame_kind(&read_json_line(&mut reader)), "accepted");
         // Drop both halves: the server sees EOF and cancels the job.
@@ -301,10 +311,10 @@ fn a_live_job_answers_stats_refuses_a_second_job_and_streams_progress() {
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    stream.write_all(format!("{}\n", spec.to_frame()).as_bytes()).unwrap();
+    stream.write_all(format!("{}\n", job_frame(&spec)).as_bytes()).unwrap();
     assert_eq!(frame_kind(&read_json_line(&mut reader)), "accepted");
     let stats = ClientFrame::Stats.encode();
-    stream.write_all(format!("{stats}\n{}\n", spec.to_frame()).as_bytes()).unwrap();
+    stream.write_all(format!("{stats}\n{}\n", job_frame(&spec)).as_bytes()).unwrap();
 
     let (mut progress, mut stats_seen, mut busy, mut records) = (0, 0, 0, Vec::new());
     let mut report = loop {
@@ -338,10 +348,11 @@ fn job_frame_with_a_legacy_scheduler_key_is_accepted_and_changes_nothing() {
     let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
     let spec = named("hpccg", &[3, 2], 30);
     let legacy_frame =
-        spec.to_frame().replace("\"engine\":", "\"scheduler\":\"per-injection\",\"engine\":");
-    assert_ne!(legacy_frame, spec.to_frame());
-    let v = careserve::proto::parse_frame(&legacy_frame).expect("legacy frame parses");
-    assert_eq!(JobSpec::from_json(&v).expect("legacy frame decodes"), spec);
+        job_frame(&spec).replace("\"engine\":", "\"scheduler\":\"per-injection\",\"engine\":");
+    assert_ne!(legacy_frame, job_frame(&spec));
+    JsonRef::parse(&legacy_frame).expect("legacy frame parses");
+    let decoded = ClientFrame::decode(&legacy_frame).expect("legacy frame decodes");
+    assert_eq!(decoded, ClientFrame::Job(spec.clone()));
 
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
@@ -350,9 +361,12 @@ fn job_frame_with_a_legacy_scheduler_key_is_accepted_and_changes_nothing() {
     stream.write_all(b"\n").unwrap();
     assert_eq!(frame_kind(&read_json_line(&mut reader)), "accepted");
     let report = loop {
-        let v = read_json_line(&mut reader);
-        match frame_kind(&v).as_str() {
-            "report" => break careserve::proto::decode_report(&v).expect("report decodes"),
+        let line = read_json_line(&mut reader);
+        match frame_kind(&line).as_str() {
+            "report" => match ServerFrame::decode(&line).expect("report decodes") {
+                ServerFrame::Report(_, report) => break report,
+                other => panic!("a report frame decoded as {other:?}"),
+            },
             "progress" | "record" => {}
             other => panic!("unexpected {other:?} frame"),
         }
@@ -395,9 +409,10 @@ proptest! {
     /// Every spec survives the wire encoding exactly.
     #[test]
     fn job_spec_frame_round_trips(spec in arb_spec()) {
-        let v = telemetry::parse_json(&spec.to_frame()).expect("frame parses");
-        let back = JobSpec::from_json(&v).expect("frame decodes");
-        prop_assert_eq!(back, spec);
+        let frame = job_frame(&spec);
+        JsonRef::parse(&frame).expect("frame parses");
+        let back = ClientFrame::decode(&frame).expect("frame decodes");
+        prop_assert_eq!(back, ClientFrame::Job(spec));
     }
 }
 

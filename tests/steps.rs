@@ -54,11 +54,11 @@ fn recomputed() -> BTreeMap<String, u64> {
 fn executed_work_matches_the_last_line_of_bench_steps() {
     let file = include_str!("../BENCH_steps.jsonl");
     let last = file.lines().last().expect("BENCH_steps.jsonl has a line");
-    let last = telemetry::parse_json(last).expect("the last line parses");
+    let last = telemetry::JsonRef::parse(last).expect("the last line parses");
     let pr = last.get("pr").and_then(|v| v.uint::<u64>()).expect("a pr number");
     let pinned: Option<BTreeMap<String, u64>> = match last.get("counters") {
-        Some(telemetry::Json::Obj(m)) => {
-            m.iter().map(|(k, v)| Some((k.clone(), v.uint()?))).collect()
+        Some(telemetry::JsonRef::Obj(m)) => {
+            m.iter().map(|(k, v)| Some((k.to_string(), v.uint()?))).collect()
         }
         _ => None,
     };

@@ -88,7 +88,7 @@ fn campaign_jsonl_roundtrips_and_validates() {
     assert!(counts.get("recovery").copied().unwrap_or(0) > 0, "{counts:?}");
     // Every line individually parses as a JSON object.
     for line in jsonl.lines() {
-        let v = telemetry::parse_json(line).expect("line parses");
+        let v = telemetry::JsonRef::parse(line).expect("line parses");
         assert!(v.get("kind").is_some() || v.get("schema_version").is_some());
     }
 }
