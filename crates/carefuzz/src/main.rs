@@ -37,12 +37,14 @@ fn main() -> ExitCode {
     let (failures, reach) = carefuzz::run_seeds(start, seeds, |line| println!("{line}"));
     println!(
         "trellis pair: {} of {} campaigns reached a golden state ({} hops cloned one); \
-         {} suffixes and {} repaired runs re-joined the golden run and stopped there",
+         {} suffixes and {} repaired runs re-joined the golden run and stopped there, \
+         {} of them at a shifted step",
         reach.reached_a_state,
         reach.campaigns,
         reach.hops,
         reach.suffixes_rejoined,
         reach.repaired_rejoined,
+        reach.shifted,
     );
     for f in &failures {
         println!("\n=== seed {} ===", f.seed);
@@ -57,9 +59,12 @@ fn main() -> ExitCode {
     // One seed in 16 is a program long enough to hold golden states. A run
     // of this many seeds that got to none of them held the trellis pair to
     // less than the trellis does differently from `run_one`.
-    let reached = [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined];
+    let reached = [reach.hops, reach.suffixes_rejoined, reach.repaired_rejoined, reach.shifted];
     if seeds >= REACH_MIN_SEEDS && reached.contains(&0) {
-        eprintln!("{seeds} seeds without a hop, a re-joined suffix or a re-joined repaired run");
+        eprintln!(
+            "{seeds} seeds without a hop, a re-joined suffix, a re-joined repaired run \
+             or a shifted re-join"
+        );
         return ExitCode::FAILURE;
     }
     println!("ok: {seeds} seeds, no divergence");

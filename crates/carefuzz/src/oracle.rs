@@ -126,6 +126,9 @@ pub struct Reach {
     pub suffixes_rejoined: u64,
     /// Safeguard-repaired runs that did.
     pub repaired_rejoined: u64,
+    /// Of the runs that re-joined, those that did at a step no job state
+    /// stands at: found ahead of the golden run by the shift search.
+    pub shifted: u64,
 }
 
 /// Check a spec across all pairs and arguments. Returns the first
@@ -542,6 +545,7 @@ fn trellis_check(
     reach.hops += hops;
     reach.suffixes_rejoined += heard("suffix.converged");
     reach.repaired_rejoined += heard("care.converged");
+    reach.shifted += heard("suffix.shifted") + heard("care.shifted");
     None
 }
 

@@ -18,7 +18,7 @@
 //! alone, not on the pool width.
 
 use crate::cursor::{plan_points, Hop, PlannedPoint};
-use crate::injector::{FaultModel, InjectionPoint};
+use crate::injector::{FaultModel, InjectionPoint, PointTable};
 use crate::report::CampaignReport;
 use crate::suffix::{InjectionRecord, MAX_COMPARES};
 use crate::trail::{Trail, MAX_GOLDEN_STEPS};
@@ -189,6 +189,8 @@ pub struct Campaign {
     pub golden_steps: u64,
     /// Execution-count profile from the golden run.
     pub profile: Profile,
+    /// The profile's injection targets laid out for sampling.
+    pub(crate) targets: PointTable,
     /// The golden run's checkpoint trail: its brackets are the cursor
     /// pass's unit, one cursor per populated bracket.
     pub(crate) trail: Trail,
@@ -231,16 +233,25 @@ impl Campaign {
         for (i, lib) in libs.iter().enumerate() {
             recovery.add(ModuleId(i as u32 + 1), &lib.armor);
         }
-        Campaign {
+        let mut campaign = Campaign {
             outputs: workload.outputs.clone(),
             golden_outputs,
             golden_steps: golden.steps,
             profile,
+            targets: Default::default(),
             trail,
             template,
             compiled,
             recovery: Arc::new(recovery),
-        }
+        };
+        // The paper's fault model corrupts *destination operands* (a
+        // register or memory cell); control transfers have neither, so they
+        // are not injection targets.
+        let eligible = |m: usize, f: usize, i: usize| -> bool {
+            campaign.inst_at(m, f, i).is_some_and(|inst| !inst.is_control())
+        };
+        campaign.targets = PointTable::new(&campaign.profile, &eligible);
+        campaign
     }
 
     /// The campaign-wide instruction budget: a run (prefix *and* suffix

@@ -60,51 +60,62 @@ pub struct InjectionPoint {
     pub nth: u64,
 }
 
-/// Draw an injection point from a profile, optionally restricted to a set
-/// of modules (the §5 campaigns inject only into application code).
-pub fn pick_injection_point(
-    profile: &Profile,
-    rng: &mut SmallRng,
-    modules: Option<&[ModuleId]>,
-    eligible: &dyn Fn(usize, usize, usize) -> bool,
-) -> Option<InjectionPoint> {
-    let allowed =
-        |m: usize| modules.map(|ms| ms.iter().any(|mm| mm.0 as usize == m)).unwrap_or(true);
-    let total: u64 = profile
-        .iter()
-        .enumerate()
-        .filter(|(m, _)| allowed(*m))
-        .flat_map(|(m, fs)| {
-            fs.iter().enumerate().flat_map(move |(f, is)| {
-                is.iter().enumerate().map(move |(i, &c)| if eligible(m, f, i) { c } else { 0 })
-            })
-        })
-        .sum();
-    if total == 0 {
-        return None;
-    }
-    let mut r = rng.gen_range(0..total);
-    for (m, fs) in profile.iter().enumerate() {
-        if !allowed(m) {
-            continue;
-        }
-        for (f, is) in fs.iter().enumerate() {
-            for (i, &c) in is.iter().enumerate() {
-                let c = if eligible(m, f, i) { c } else { 0 };
-                if r < c {
-                    let nth = rng.gen_range(1..=c);
-                    return Some(InjectionPoint {
-                        module: ModuleId(m as u32),
-                        func: FuncId(f as u32),
-                        inst: i,
-                        nth,
-                    });
+/// A profile's eligible executions laid out for sampling: every static
+/// instruction with any, in profile order, beside the running total of
+/// their counts. Built once per campaign; each draw is then a binary search
+/// instead of two passes over the whole profile.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PointTable {
+    /// Every instruction with eligible executions, in `[module][func][inst]`
+    /// order.
+    sites: Vec<(ModuleId, FuncId, u32)>,
+    /// `ends[k]`: the counts of `sites[..=k]` summed.
+    ends: Vec<u64>,
+    /// How many of `sites` lie in the executable (module 0), which comes
+    /// first.
+    exe_sites: usize,
+}
+
+impl PointTable {
+    /// The table of `profile`'s executions of instructions `eligible`
+    /// accepts.
+    pub(crate) fn new(
+        profile: &Profile,
+        eligible: &dyn Fn(usize, usize, usize) -> bool,
+    ) -> PointTable {
+        let mut table = PointTable::default();
+        let mut total = 0u64;
+        for (m, fs) in profile.iter().enumerate() {
+            for (f, is) in fs.iter().enumerate() {
+                for (i, &c) in is.iter().enumerate() {
+                    if c > 0 && eligible(m, f, i) {
+                        total += c;
+                        let inst = u32::try_from(i).expect("instruction index fits u32");
+                        table.sites.push((ModuleId(m as u32), FuncId(f as u32), inst));
+                        table.ends.push(total);
+                    }
                 }
-                r -= c;
+            }
+            if m == 0 {
+                table.exe_sites = table.sites.len();
             }
         }
+        table
     }
-    None
+
+    /// Draw an injection point: an eligible execution uniformly (a static
+    /// instruction weighted by its count), then its ordinal uniformly within
+    /// the count — two draws from `rng`. `exe_only` restricts the draw to
+    /// the executable (the §5 campaigns inject only into application code).
+    /// `None` when there is nothing to draw.
+    pub(crate) fn pick(&self, rng: &mut SmallRng, exe_only: bool) -> Option<InjectionPoint> {
+        let ends = if exe_only { &self.ends[..self.exe_sites] } else { &self.ends[..] };
+        let r = rng.gen_range(0..*ends.last()?);
+        let k = ends.partition_point(|&end| end <= r);
+        let count = ends[k] - k.checked_sub(1).map_or(0, |j| ends[j]);
+        let (module, func, inst) = self.sites[k];
+        Some(InjectionPoint { module, func, inst: inst as usize, nth: rng.gen_range(1..=count) })
+    }
 }
 
 /// Bits to flip for a destination of `width` bits under `model`.
@@ -199,7 +210,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut hot = 0;
         for _ in 0..1000 {
-            let p = pick_injection_point(&profile, &mut rng, None, &|_, _, _| true).unwrap();
+            let p = PointTable::new(&profile, &|_, _, _| true).pick(&mut rng, false).unwrap();
             if p.inst == 0 {
                 hot += 1;
             }
@@ -214,8 +225,7 @@ mod tests {
         let profile: Profile = vec![vec![vec![100]], vec![vec![100]]];
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
-            let p = pick_injection_point(&profile, &mut rng, Some(&[ModuleId(0)]), &|_, _, _| true)
-                .unwrap();
+            let p = PointTable::new(&profile, &|_, _, _| true).pick(&mut rng, true).unwrap();
             assert_eq!(p.module, ModuleId(0));
         }
     }
@@ -224,7 +234,7 @@ mod tests {
     fn empty_profile_yields_no_point() {
         let profile: Profile = vec![vec![vec![0, 0]]];
         let mut rng = SmallRng::seed_from_u64(1);
-        assert!(pick_injection_point(&profile, &mut rng, None, &|_, _, _| true).is_none());
+        assert!(PointTable::new(&profile, &|_, _, _| true).pick(&mut rng, false).is_none());
     }
 
     #[test]

@@ -75,6 +75,31 @@ pub(crate) mod fixtures {
         Workload::new("tiny", mb.finish(), vec![n], vec![("out", 64)])
     }
 
+    /// `main(r, n)` calls `delay(n)`, an empty `n`-iteration loop, `r`
+    /// times between writes of `out`. A flip that ends one `delay` loop
+    /// early leaves nothing behind once the next call has run over its
+    /// frame: from there the run is the golden run, ahead of it by the
+    /// iterations it skipped.
+    pub(crate) fn delay_workload(r: u64, n: u64) -> Workload {
+        use tinyir::builder::ModuleBuilder;
+        use tinyir::{Ty, Value};
+        let mut mb = ModuleBuilder::new("delay", "delay.c");
+        let out = mb.global_zeroed("out", Ty::I64, 8);
+        let delay = mb.define("delay", vec![Ty::I64], None, |fb| {
+            fb.for_loop(Value::i64(0), fb.arg(0), |_, _| {});
+            fb.ret(None);
+        });
+        mb.define("main", vec![Ty::I64, Ty::I64], Some(Ty::I64), |fb| {
+            fb.for_loop(Value::i64(0), fb.arg(0), |fb, k| {
+                fb.call(delay, vec![fb.arg(1)]);
+                let slot = fb.srem(k, Value::i64(8), Ty::I64);
+                fb.store_elem(k, fb.global(out), slot, Ty::I64);
+            });
+            fb.ret(Some(Value::i64(0)));
+        });
+        Workload::new("delay", mb.finish(), vec![r, n], vec![("out", 64)])
+    }
+
     pub(crate) fn tiny_campaign() -> Campaign {
         // A deliberately short program: with ~tens of eligible dynamic
         // instructions and many injections, the pigeonhole principle

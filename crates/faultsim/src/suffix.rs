@@ -8,16 +8,23 @@
 //! runs from one golden state to the next and compares
 //! ([`Process::same_state`]). The golden states are those the job rebuilds
 //! from the trail, one at every checkpoint its runs can reach; a program
-//! too short for a checkpoint has none, and its runs run out. On equality
-//! the rest is known — `Benign`, at
-//! exactly `golden_steps` — and the record is written there, with the steps
-//! it would have executed attributed as if it had. The protected run does
-//! the same after every repair — a correct repair puts the process back on
-//! the golden run, one re-executed instruction ahead of it per repair — and
-//! on equality ends covered, with the golden run's remaining steps added to
-//! its own in closed form. Both go through one pause-and-compare loop,
-//! `Campaign::run_or_rejoin`; the trap loop stays Safeguard's
-//! ([`resume_protected`]), which is handed that loop as its way to resume.
+//! too short for a checkpoint has none, and its runs run out. A run equal to
+//! the golden run need not be so at the same step: a flipped bound that ran
+//! a loop short leaves the run on the golden path ahead of it. So at the
+//! first unequal comparison whose control differs, the golden run is
+//! searched forward from that state for the paused run
+//! ([`Campaign::shift_search`]), which does not move. On equality — at a
+//! state or at a golden step `u` the search found — the rest is known:
+//! `Benign`, at exactly `golden_steps − u` steps more, and the record is
+//! written there, with the steps it would have executed attributed as if it
+//! had. The protected run does the same after every repair — a correct
+//! repair puts the process back on the golden run, one re-executed
+//! instruction ahead of it per repair, which is a shift the comparisons
+//! already expect — and on equality ends covered, with the golden run's
+//! remaining steps added to its own in closed form. Both go through one
+//! pause-and-compare loop, `Campaign::run_or_rejoin`; the trap loop stays
+//! Safeguard's ([`resume_protected`]), which is handed that loop as its way
+//! to resume.
 //!
 //! [`Campaign::run_suffix`] is what a trellis cursor runs from each fork
 //! it takes at a fired point; [`Campaign::run_one`] is the per-index
@@ -28,25 +35,59 @@
 //! by the unit tests beside the trellis, `tests/golden.rs` and carefuzz).
 
 use crate::campaign::{Campaign, CampaignConfig, MAX_RECOVERIES};
-use crate::injector::{inject, pick_injection_point, InjectedInto, InjectionPoint};
+use crate::injector::{inject, InjectedInto, InjectionPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use safeguard::{resume_protected, DeclineKind, ProtectedExit, Safeguard};
 use simx::{run_to_step, ExecutionEngine, Instrument, ModuleId, Process, RunExit, TrapKind};
 use std::sync::Arc;
 use telemetry::{Event, Hooks, NoTelemetry};
+use tinyir::FuncId;
 
 /// Unequal comparisons with golden states after which a suffix stops
 /// comparing and runs out: a run that has not re-joined by its third target
 /// rarely does, and each comparison reads every page both runs wrote. It
 /// also bounds a job's walk: the job keeps states this many checkpoints past
 /// its last populated bracket (`campaign::state_brackets`). With a state at
-/// every checkpoint a job's runs reach, caps of 3 and 6 execute the same
-/// 2 768 562 suffix and CARE steps per round of carebench's cov job set (the
-/// five O1 programs, one 16- and two 4-injection jobs each, at pool width
-/// 1), and caps of 12 and 96 execute 1.4 % fewer (2 730 591), for four
-/// times the states past a job's last populated bracket.
+/// every checkpoint a job's runs reach and the shift search, caps of 3 and 6
+/// execute the same 1 971 771 suffix and CARE steps per round of
+/// carebench's cov job set (the five O1 programs, one 16- and two
+/// 4-injection jobs each), and caps of 12 and 96 execute 1.9 % fewer
+/// (1 933 800), for four times the states past a job's last populated
+/// bracket.
 pub(crate) const MAX_COMPARES: usize = 3;
+
+/// How far past a job state the golden run is searched for a run that
+/// stands at a state further on ([`Campaign::shift_search`]). On the
+/// `BENCH_steps.jsonl` setting (`repro --injections 100 --engine compiled
+/// fig7 table2`), the runs found ahead of the golden run stand 21–376 steps
+/// ahead at `-O1` and 32–898 at `-O0`; at 1 000 injections, 19–2 030 and
+/// 26–2 337, 352 of 354 within 2 048. A window of 65 536 finds no more at
+/// 100 injections, and 4 096 finds the same 33 for twice the searched steps.
+pub(crate) const SHIFT_WINDOW: u64 = 2048;
+
+/// What one run's comparisons and searches did, for telemetry.
+#[derive(Default)]
+struct Tally {
+    /// Comparisons with job states.
+    compares: u64,
+    /// Searches of the golden run.
+    searches: u64,
+    /// Golden steps the searches executed.
+    search_steps: u64,
+    /// The run re-joined at a step no job state stands at.
+    shifted: bool,
+}
+
+/// True when `p` and `g` stand at the same instruction of the same call
+/// stack: a run that does is not shifted against `g`, it differs in data.
+fn same_control(p: &Process, g: &Process) -> bool {
+    p.frames.len() == g.frames.len()
+        && p.frames
+            .iter()
+            .zip(&g.frames)
+            .all(|(a, b)| (a.module, a.func, a.idx) == (b.module, b.func, b.idx))
+}
 
 /// Hardware-trap symptom classes of Table 3.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -163,16 +204,8 @@ impl Campaign {
         cfg: &CampaignConfig,
         index: usize,
     ) -> Option<(InjectionPoint, SmallRng)> {
-        const APP: &[ModuleId] = &[ModuleId(0)];
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9e37));
-        // The paper's fault model corrupts *destination operands* (a
-        // register or memory cell); control transfers have neither, so they
-        // are not injection targets.
-        let eligible = |m: usize, f: usize, i: usize| -> bool {
-            self.inst_at(m, f, i).is_some_and(|inst| !inst.is_control())
-        };
-        let point =
-            pick_injection_point(&self.profile, &mut rng, cfg.app_only.then_some(APP), &eligible)?;
+        let point = self.targets.pick(&mut rng, cfg.app_only)?;
         Some((point, rng))
     }
 
@@ -186,11 +219,12 @@ impl Campaign {
     /// increasing in step: the job's `Trail::states`, for the trellis; empty
     /// for the reference, which then runs out.
     /// The run pauses at each one past the injection, and where it
-    /// equals that state — with fuel left for the rest of the golden run,
-    /// without which it would end `Hang`, not `Benign` — the record is
-    /// written as the run-out would have written it; a protected run does
-    /// the same after each repair ([`Campaign::run_or_rejoin`]). The record
-    /// is the same for any `golden`.
+    /// equals that state, or a golden state the search from one finds —
+    /// with fuel left for the rest of the golden run, without which it
+    /// would end `Hang`, not `Benign` — the record is written as the
+    /// run-out would have written it; a protected run does the same after
+    /// each repair ([`Campaign::run_or_rejoin`]). The record is the same
+    /// for any `golden`.
     ///
     /// With hooks enabled this is also the per-*job* instrumentation site:
     /// a wall-clock span per job
@@ -202,7 +236,11 @@ impl Campaign {
     /// `suffix.pruned_steps` and `care.pruned_steps` are the parts of them no
     /// engine executed, `suffix.executed_steps.<outcome>`
     /// splits the rest of the suffix by its outcome, and the wall span and the
-    /// TLB deltas cover executed work only. Hooks never
+    /// TLB deltas cover executed work only. `suffix.shifted` and
+    /// `care.shifted` count the runs that re-joined at a step the search
+    /// found, and `suffix.shift_searches` and `suffix.shift_search_steps` the
+    /// searches of both runs and the golden steps they executed, which no
+    /// attributed span holds. Hooks never
     /// influence the record: a telemetry-enabled campaign is bit-identical.
     pub(crate) fn run_suffix(
         &self,
@@ -225,9 +263,10 @@ impl Campaign {
             }
             return None;
         }
-        // `Ok`: the run re-joined the golden run and was left at that state.
-        let mut compares = 0u64;
-        let run = self.run_or_rejoin(engine, &mut p, golden, 0, &mut compares);
+        // `Ok(u)`: the run re-joined the golden run at its step `u` and was
+        // left there.
+        let mut tally = Tally::default();
+        let run = self.run_or_rejoin(engine, &mut p, golden, 0, &mut tally);
         let (outcome, latency) = match run {
             Ok(_) => (Outcome::Benign, None),
             Err(RunExit::Done(_)) => {
@@ -244,8 +283,8 @@ impl Campaign {
             Err(RunExit::BreakHit) => unreachable!("an uninstrumented run never stops"),
         };
         // Where the unprotected run ends: where it stopped, or — re-joined —
-        // where the golden run did, the golden run's steps past that state on.
-        let rest = |state: &Process| self.golden_steps - state.steps;
+        // where the golden run did, the golden run's steps past that step on.
+        let rest = |u: u64| self.golden_steps - u;
         let pruned_steps = run.map_or(0, rest);
         let suffix_steps = p.steps + pruned_steps - prefix_steps;
 
@@ -257,18 +296,18 @@ impl Campaign {
         // each one it runs on like the unprotected run did: to the golden
         // state it re-joins, a step late per repair --------------------------
         let mut care_steps = 0u64;
-        let mut care_compares = 0u64;
-        // `Some`: the protected run re-joined the golden run at this state,
-        // and was left there.
-        let mut care_rejoined: Option<&Process> = None;
+        let mut care_tally = Tally::default();
+        // `Some(u)`: the protected run re-joined the golden run at its step
+        // `u`, and was left there.
+        let mut care_rejoined: Option<u64> = None;
         let care =
             (cfg.evaluate_care && outcome == Outcome::SoftFailure(Signal::Segv)).then(|| {
                 let mut sg = Safeguard::with_index(Arc::clone(&self.recovery));
                 sg.patch_base_first = cfg.patch_base_first;
                 sg.skip_equality_guard = cfg.skip_equality_guard;
-                let trapped = run.err().expect("a SIGSEGV outcome has its exit");
+                let trapped = run.expect_err("a SIGSEGV outcome has its exit");
                 let resume = |p: &mut Process, recoveries: u64| {
-                    let run = self.run_or_rejoin(engine, p, golden, recoveries, &mut care_compares);
+                    let run = self.run_or_rejoin(engine, p, golden, recoveries, &mut care_tally);
                     care_rejoined = run.ok();
                     run.err()
                 };
@@ -306,14 +345,18 @@ impl Campaign {
             hooks.record("job.wall_ns", wall_ns);
             hooks.record("job.suffix_steps", suffix_steps);
             hooks.add("suffix.pruned_steps", pruned_steps);
-            hooks.add("suffix.compares", compares);
+            hooks.add("suffix.compares", tally.compares);
             hooks.add("suffix.converged", run.is_ok() as u64);
+            hooks.add("suffix.shifted", tally.shifted as u64);
+            hooks.add("suffix.shift_searches", tally.searches + care_tally.searches);
+            hooks.add("suffix.shift_search_steps", tally.search_steps + care_tally.search_steps);
             hooks.add(executed_counter(outcome), suffix_steps - pruned_steps);
             if care.is_some() {
                 hooks.record("job.care_steps", care_steps);
                 hooks.add("care.pruned_steps", care_rejoined.map_or(0, rest));
-                hooks.add("care.compares", care_compares);
+                hooks.add("care.compares", care_tally.compares);
                 hooks.add("care.converged", care_rejoined.is_some() as u64);
+                hooks.add("care.shifted", care_tally.shifted as u64);
             }
             hooks.add("tlb.loads", tlb.loads);
             hooks.add("tlb.stores", tlb.stores);
@@ -348,35 +391,89 @@ impl Campaign {
     /// for an unprotected run, one per repair for a protected one (a repair
     /// re-executes an instruction already charged a step). The run pauses
     /// `lead` steps past each of `golden`'s states still ahead of it and
-    /// compares ([`Process::same_state`]). Where it equals one with fuel left
-    /// for the rest of the golden run — without which it would run dry, not
-    /// end as the golden run does — it is left there: `Ok(state)`. Otherwise,
-    /// and after [`MAX_COMPARES`] unequal comparisons, it runs out:
-    /// `Err(exit)`. `compares` counts the comparisons.
-    fn run_or_rejoin<'g>(
+    /// compares ([`Process::same_state`]). At the first unequal comparison
+    /// whose control differs it also searches the golden run for the paused
+    /// run ([`Campaign::shift_search`]): a run that ran a loop short stands
+    /// at a golden state further on. Where it equals a golden state at step
+    /// `u` with fuel left for the rest of the golden run — without which it
+    /// would run dry, not end as the golden run does — it is left there:
+    /// `Ok(u)`. Otherwise, and after [`MAX_COMPARES`] unequal comparisons,
+    /// it runs out: `Err(exit)`. `tally` counts what it did.
+    fn run_or_rejoin(
         &self,
         engine: &dyn ExecutionEngine,
         p: &mut Process,
-        golden: &'g [Process],
+        golden: &[Process],
         lead: u64,
-        compares: &mut u64,
-    ) -> Result<&'g Process, RunExit> {
+        tally: &mut Tally,
+    ) -> Result<u64, RunExit> {
         let from = p.steps;
+        let mut searched = false;
         for state in golden.iter().filter(|g| g.steps + lead > from).take(MAX_COMPARES) {
-            if let Some(exit) = run_to_step(engine, p, state.steps + lead, None) {
+            let at = state.steps + lead;
+            // Until the search has run, pause one step short to learn the
+            // instruction the run executes as its step `at`: where it is the
+            // golden run shifted, the golden run has just executed it too.
+            let mut last = None;
+            if !searched {
+                if let Some(exit) = run_to_step(engine, p, at - 1, None) {
+                    return Err(exit);
+                }
+                last = p.frames.last().map(|f| (f.module, f.func, f.idx));
+            }
+            if let Some(exit) = run_to_step(engine, p, at, None) {
                 return Err(exit);
             }
-            *compares += 1;
+            tally.compares += 1;
             if p.same_state(state) {
                 // Fuel falls as steps rise: short here is short at every
                 // later state too.
                 if p.fuel >= self.golden_steps - state.steps {
-                    return Ok(state);
+                    return Ok(state.steps);
                 }
                 break;
             }
+            if let Some(last) = last.filter(|_| !same_control(p, state)) {
+                searched = true;
+                if let Some(u) = self.shift_search(p, state, last, tally) {
+                    if p.fuel >= self.golden_steps - u {
+                        tally.shifted = true;
+                        return Ok(u);
+                    }
+                    break;
+                }
+            }
         }
         Err(engine.run(p))
+    }
+
+    /// Search the golden run from `g` on for the paused run `p`, which last
+    /// executed the instruction `last`: a copy-on-write clone of `g` runs on
+    /// the campaign's translation, whatever engine the run selects (as the
+    /// cursor does), to [`SHIFT_WINDOW`] steps past `g`, pausing after every
+    /// execution of `last` to compare with `p`. Returns the golden step `p`
+    /// equals; `p` itself does not move.
+    fn shift_search(
+        &self,
+        p: &Process,
+        g: &Process,
+        last: (ModuleId, FuncId, usize),
+        tally: &mut Tally,
+    ) -> Option<u64> {
+        let (module, func, inst) = last;
+        let mut q = g.clone();
+        let mut instr = Instrument::default();
+        tally.searches += 1;
+        let found = loop {
+            instr.stops.add(module, func, inst, 1);
+            match run_to_step(&self.compiled, &mut q, g.steps + SHIFT_WINDOW, Some(&mut instr)) {
+                Some(RunExit::BreakHit) if q.same_state(p) => break Some(q.steps),
+                Some(RunExit::BreakHit) => {}
+                _ => break None,
+            }
+        };
+        tally.search_steps += q.steps - g.steps;
+        found
     }
 
     /// Run one injection end-to-end, re-simulating its own prefix from the
@@ -425,7 +522,9 @@ fn signal_of(kind: TrapKind) -> Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{cfg, hpccg_campaign, reference, run_heard, tiny_workload};
+    use crate::fixtures::{
+        cfg, delay_workload, hpccg_campaign, reference, run_heard, tiny_workload,
+    };
     use simx::EngineKind;
 
     /// Suffix forks budget fuel against *remaining* steps: every record's
@@ -476,6 +575,71 @@ mod tests {
             let pruned = ctr("suffix.pruned_steps");
             assert!(0 < pruned && pruned < report.steps_suffix, "{engine:?}: pruned {pruned}");
         }
+    }
+
+    /// A run whose flip ends a loop early re-joins the golden run ahead of
+    /// it: the search from the job state it first fails to equal finds it
+    /// at a later golden step, and its record is the run-out's.
+    #[test]
+    fn a_run_that_ran_a_loop_short_rejoins_at_a_shifted_step() {
+        let w = delay_workload(200, 8);
+        let app = care::compile(&w.module, opt::OptLevel::O0);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = CampaignConfig { engine, ..cfg(200) };
+            let (report, ctr) = run_heard(&campaign, &config);
+            assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
+            let (shifted, searches) = (ctr("suffix.shifted"), ctr("suffix.shift_searches"));
+            assert!(shifted > 0, "{engine:?}: no run re-joined at a shifted step");
+            assert!(shifted <= searches && shifted <= ctr("suffix.converged"), "{engine:?}");
+            let searched = ctr("suffix.shift_search_steps");
+            assert!(searched <= searches * SHIFT_WINDOW, "{engine:?}: searched {searched}");
+        }
+    }
+
+    /// Re-joining at a shifted step means ending as the golden run did only
+    /// with the fuel to get there: on a budget shorter than the golden run,
+    /// a run the search finds ahead of the golden run still runs dry.
+    #[test]
+    fn a_shifted_run_short_of_fuel_for_the_rest_still_hangs() {
+        let w = delay_workload(15_000, 8);
+        let app = care::compile(&w.module, opt::OptLevel::O0);
+        let campaign = Campaign::prepare(&w, app, vec![]);
+        let starved = CampaignConfig { hang_factor: 0, ..cfg(24) };
+        assert!(campaign.fuel_budget(&starved) < campaign.golden_steps, "test premise");
+        for engine in [EngineKind::Interp, EngineKind::Compiled] {
+            let config = CampaignConfig { engine, ..starved };
+            let (report, ctr) = run_heard(&campaign, &config);
+            assert_eq!(reference(&campaign, &config), report.records, "{engine:?}");
+            assert!(report.hang > 0 && report.benign == 0, "{engine:?}: {report:?}");
+            assert!(ctr("suffix.shift_searches") > 0, "{engine:?}: test premise: a search ran");
+            assert_eq!(ctr("suffix.shifted"), 0, "{engine:?}");
+            // The same injections on the default budget do re-join shifted.
+            let fed = CampaignConfig { hang_factor: 20, ..config };
+            assert!(run_heard(&campaign, &fed).1("suffix.shifted") > 0, "{engine:?}");
+        }
+    }
+
+    /// The trellis records equal the per-index reference on every bundled
+    /// program at both levels on both engines, at a size where runs re-join
+    /// at shifted steps.
+    #[test]
+    fn shifted_rejoins_keep_the_records_of_the_reference_on_every_program() {
+        let mut shifted = 0;
+        for w in workloads::all() {
+            for level in [opt::OptLevel::O0, opt::OptLevel::O1] {
+                let campaign = Campaign::prepare(&w, care::compile(&w.module, level), vec![]);
+                for engine in [EngineKind::Interp, EngineKind::Compiled] {
+                    let config = CampaignConfig { engine, ..cfg(100) };
+                    let (report, ctr) = run_heard(&campaign, &config);
+                    let at = format!("{} {level:?} {engine:?}", w.name);
+                    assert_eq!(reference(&campaign, &config), report.records, "{at}");
+                    shifted += ctr("suffix.shifted") + ctr("care.shifted");
+                }
+            }
+        }
+        assert!(shifted > 0, "test premise: no run re-joined at a shifted step");
+        eprintln!("shifted {shifted}");
     }
 
     /// A program too short for a checkpoint has no golden state to re-join

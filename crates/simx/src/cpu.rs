@@ -15,7 +15,6 @@ use crate::image::{
     HEAP_BASE, LIB_BASE, STACK_SIZE, STACK_TOP,
 };
 use crate::isa::{MInst, Reg, Src, FP, NUM_REGS, SP};
-use std::ops::Range;
 use std::sync::Arc;
 use tinyir::interp::{
     eval_bin, eval_cast, eval_fcmp, eval_icmp, eval_intrinsic, float_of_bits, sext_bits, FaultKind,
@@ -119,17 +118,27 @@ pub type Profile = Vec<Vec<Vec<u64>>>;
 /// set counts executions itself, from the first run it is handed to.
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet {
-    /// Pending ordinals per instruction, indexed `[module][func][inst]`
-    /// like a [`Profile`] — the stepping reference consults this on every
-    /// step, and the compiled engine at every segment entry, so the lookup
-    /// is three indexed loads, not a hash. Grown by `add` to cover the
-    /// registered instructions only; an index outside it has nothing pending.
-    slots: Vec<Vec<Vec<PendingNths>>>,
+    /// Each function's stops, indexed `[module][func]` — the stepping
+    /// reference consults them on every step, and the compiled engine
+    /// takes the executing function's once per entry into it. Grown by
+    /// `add` to cover the registered functions only; a function outside it
+    /// has nothing pending.
+    funcs: Vec<Vec<FuncStops>>,
     /// Total pending ordinals across all instructions.
     remaining: usize,
     /// The point whose ordinal fired on the last `BreakHit`, consumed by
     /// [`BreakSet::take_fired`].
     fired: Option<(ModuleId, FuncId, usize, u64)>,
+}
+
+/// One function's stops.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FuncStops {
+    /// Pending ordinals per instruction, indexed by instruction. Grown by
+    /// `add` to cover the registered instructions only.
+    insts: Vec<PendingNths>,
+    /// Instructions with an ordinal pending.
+    pending: usize,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -149,6 +158,26 @@ fn slot_mut<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     &mut v[i]
 }
 
+impl FuncStops {
+    /// Note one execution of `inst`; the ordinal that fired, if one did. An
+    /// instruction with nothing pending is not counted.
+    #[inline]
+    pub(crate) fn note(&mut self, inst: usize) -> Option<u64> {
+        let p = self.insts.get_mut(inst).filter(|p| !p.nths.is_empty())?;
+        p.seen += 1;
+        if p.nths.last() != Some(&p.seen) {
+            return None;
+        }
+        p.nths.pop();
+        let nth = p.seen;
+        if p.nths.is_empty() {
+            p.seen = 0;
+            self.pending -= 1;
+        }
+        Some(nth)
+    }
+}
+
 impl BreakSet {
     /// An empty set (never fires).
     pub fn new() -> BreakSet {
@@ -164,11 +193,12 @@ impl BreakSet {
         if nth == 0 {
             return false;
         }
-        let funcs = slot_mut(&mut self.slots, module.0 as usize);
-        let p = slot_mut(slot_mut(funcs, func.0 as usize), inst);
+        let fs = slot_mut(slot_mut(&mut self.funcs, module.0 as usize), func.0 as usize);
+        let p = slot_mut(&mut fs.insts, inst);
         match p.nths.binary_search_by(|x| nth.cmp(x)) {
             Ok(_) => false,
             Err(i) => {
+                fs.pending += p.nths.is_empty() as usize;
                 p.nths.insert(i, nth);
                 self.remaining += 1;
                 true
@@ -191,43 +221,32 @@ impl BreakSet {
         self.fired.take()
     }
 
-    /// True when an ordinal is pending at any of `insts` of `(module,
-    /// func)`: a stretch of code this set can stop in.
-    pub(crate) fn armed(&self, module: ModuleId, func: FuncId, insts: Range<usize>) -> bool {
-        self.remaining > 0
-            && (self.slots.get(module.0 as usize).and_then(|fs| fs.get(func.0 as usize)))
-                .and_then(|slots| slots.get(insts.start..insts.end.min(slots.len())))
-                .is_some_and(|pending| pending.iter().any(|p| !p.nths.is_empty()))
+    /// The stops of `(module, func)`; `None` when it has none pending.
+    #[inline]
+    pub(crate) fn func_mut(&mut self, module: ModuleId, func: FuncId) -> Option<&mut FuncStops> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let fs = self.funcs.get_mut(module.0 as usize)?.get_mut(func.0 as usize)?;
+        (fs.pending > 0).then_some(fs)
+    }
+
+    /// Account for ordinal `nth` of `(module, func, inst)`, which
+    /// [`FuncStops::note`] reported fired.
+    pub(crate) fn record_fired(&mut self, module: ModuleId, func: FuncId, inst: usize, nth: u64) {
+        self.remaining -= 1;
+        self.fired = Some((module, func, inst, nth));
     }
 
     /// Note one execution of `(module, func, inst)`; true when a pending
     /// ordinal fires. An instruction whose last ordinal fired starts over
     /// from zero if it is registered again.
     pub(crate) fn note(&mut self, module: ModuleId, func: FuncId, inst: usize) -> bool {
-        let Some(p) = self
-            .slots
-            .get_mut(module.0 as usize)
-            .and_then(|funcs| funcs.get_mut(func.0 as usize))
-            .and_then(|insts| insts.get_mut(inst))
-        else {
+        let Some(nth) = self.func_mut(module, func).and_then(|fs| fs.note(inst)) else {
             return false;
         };
-        if p.nths.is_empty() {
-            return false;
-        }
-        p.seen += 1;
-        if p.nths.last() == Some(&p.seen) {
-            p.nths.pop();
-            let nth = p.seen;
-            if p.nths.is_empty() {
-                p.seen = 0;
-            }
-            self.remaining -= 1;
-            self.fired = Some((module, func, inst, nth));
-            true
-        } else {
-            false
-        }
+        self.record_fired(module, func, inst, nth);
+        true
     }
 }
 
@@ -347,91 +366,19 @@ impl Process {
             .module
             .func_by_name(func_name)
             .unwrap_or_else(|| panic!("no function {func_name}"));
-        self.push_frame(ModuleId(0), fid, args.to_vec(), None).expect("initial frame");
+        self.parts().push_frame(ModuleId(0), fid, args.to_vec(), None).expect("initial frame");
     }
 
-    pub(crate) fn push_frame(
-        &mut self,
-        module: ModuleId,
-        func: FuncId,
-        args: Vec<u64>,
-        ret_dst: Option<Reg>,
-    ) -> Result<(), Trap> {
-        let (module, func) = self.image.resolve(module, func).ok_or(Trap {
-            kind: TrapKind::Segv(0), // unresolved PLT entry: jump to nowhere
-            pc: 0,
-        })?;
-        let mf = &self.image.modules[module.0 as usize].module.funcs[func.0 as usize];
-        let frame_size = (mf.frame_size + 15) & !15;
-        let saved_sp = self.sp;
-        let new_sp =
-            self.sp.checked_sub(frame_size + 64).ok_or(Trap { kind: TrapKind::Segv(0), pc: 0 })?;
-        if new_sp < STACK_TOP - STACK_SIZE {
-            // Stack overflow hits the guard page.
-            return Err(Trap { kind: TrapKind::Segv(new_sp), pc: self.pc() });
-        }
-        self.sp = new_sp;
-        let mut regs = [0u64; NUM_REGS];
-        regs[FP.0 as usize] = new_sp;
-        regs[SP.0 as usize] = new_sp;
-        self.frames.push(Frame { module, func, idx: 0, regs, args, fp: new_sp, ret_dst, saved_sp });
-        Ok(())
-    }
-
-    /// Deliver a trap: the machine stays frozen where `t` was raised and the
-    /// trap is counted. Both engines end a run on a trap through here.
-    #[inline]
-    pub(crate) fn deliver(&mut self, t: Trap) -> RunExit {
-        self.trap_count += 1;
-        RunExit::Trapped(t)
-    }
-
-    /// Finish the `CallIntr` the top frame stands on, its arguments already
-    /// evaluated: write the result to `dst` and step past the call, or trap
-    /// with the PC still on the call.
-    #[inline]
-    pub(crate) fn finish_intrinsic(
-        &mut self,
-        which: Intrinsic,
-        argv: &[u64],
-        dst: Option<Reg>,
-    ) -> Result<(), Trap> {
-        match eval_intrinsic(which, argv, &mut self.mem, &mut self.heap_ptr) {
-            Ok(r) => {
-                let frame = self.frame_mut();
-                if let (Some(d), Some(v)) = (dst, r) {
-                    frame.regs[d.0 as usize] = v;
-                }
-                frame.idx += 1;
-                Ok(())
-            }
-            Err(k) => {
-                debug_assert_eq!(k, FaultKind::Abort, "the only fault an intrinsic raises");
-                Err(Trap { kind: TrapKind::Abort, pc: self.pc() })
-            }
-        }
-    }
-
-    /// Return `val` from the top frame: pop it, restore `sp`, and write `val`
-    /// to the caller's `ret_dst`. `true` when that was the last frame, i.e.
-    /// the program finished with `val`.
-    #[inline]
-    pub(crate) fn ret(&mut self, val: Option<u64>) -> bool {
-        let popped = self.frames.pop().expect("frame");
-        self.sp = popped.saved_sp;
-        let Some(caller) = self.frames.last_mut() else { return true };
-        if let (Some(d), Some(v)) = (popped.ret_dst, val) {
-            caller.regs[d.0 as usize] = v;
-        }
-        false
+    /// This process taken apart for a run ([`Parts`]).
+    #[inline(always)]
+    pub(crate) fn parts(&mut self) -> Parts<'_> {
+        let Process { image, frames, mem, sp, heap_ptr, trap_count, .. } = self;
+        Parts { image, frames, mem, sp, heap_ptr, trap_count }
     }
 
     /// Absolute PC of the instruction about to execute (or just trapped).
     pub fn pc(&self) -> u64 {
-        match self.frames.last() {
-            Some(f) => self.image.addr_of(f.module, f.func, f.idx),
-            None => 0,
-        }
+        pc_of(&self.image, &self.frames)
     }
 
     /// Current frame (panics if the process has not started).
@@ -549,35 +496,36 @@ impl Process {
             && self.mem.same_contents(&other.mem)
     }
 
-    /// The hot loop holds its own handle on the (immutable) image so each
-    /// step can borrow the current instruction in place instead of cloning
-    /// it, and caches the executing function across steps so straight-line
-    /// code pays no module/function lookups. `fuel` and `steps` are carried
-    /// in locals across the whole block of steps (no per-step memory
-    /// round-trip through `self`) and written back on every exit, so the
-    /// externally visible accounting is exact — a trap freezes with the
-    /// counters exactly as the per-step version would leave them, which the
-    /// hang-latency buckets of Table 4 rely on. It inlines into `run`: out
-    /// of line, it kept `steps` in memory and lost ≈ 4 % per step (aligned
-    /// builds).
+    /// The hot loop reads the (immutable) image through the process taken
+    /// apart ([`Parts`]), so each step borrows the current instruction in
+    /// place instead of cloning it, and no entry pays a reference-count
+    /// round trip on the image; it caches the executing function across
+    /// steps so straight-line code pays no module/function lookups. `fuel`
+    /// and `steps` are carried in locals across the whole block of steps (no
+    /// per-step memory round-trip through `self`) and written back on every
+    /// exit, so the externally visible accounting is exact — a trap freezes
+    /// with the counters exactly as the per-step version would leave them,
+    /// which the hang-latency buckets of Table 4 rely on. It inlines into
+    /// `run`: out of line, it kept `steps` in memory and lost ≈ 4 % per step
+    /// (aligned builds).
     #[inline(always)]
     fn run_loop(&mut self) -> RunExit {
-        let image = Arc::clone(&self.image);
-        let mut cursor: FrameCursor<'_> = None;
         let mut fuel = self.fuel;
         let mut steps = self.steps;
+        let mut m = self.parts();
+        let mut cursor: FrameCursor<'_> = None;
         let exit = loop {
-            match self.step_in(&image, &mut cursor, &mut fuel, &mut steps) {
+            match m.step_in(&mut cursor, &mut fuel, &mut steps) {
                 StepOut::Continue => {}
                 StepOut::Done(v) => break RunExit::Done(v),
-                StepOut::Trap(t) => break self.deliver(t),
+                StepOut::Trap(t) => break m.deliver(t),
                 StepOut::Intr { which, argv, dst } => {
-                    if let Err(t) = self.finish_intrinsic(which, &argv, dst) {
-                        break self.deliver(t);
+                    if let Err(t) = m.finish_intrinsic(which, &argv, dst) {
+                        break m.deliver(t);
                     }
                 }
                 StepOut::Ret { val } => {
-                    if self.ret(val) {
+                    if m.ret(val) {
                         break RunExit::Done(val);
                     }
                 }
@@ -588,11 +536,120 @@ impl Process {
         exit
     }
 
-    #[inline(always)]
-    fn step_in<'i>(
+    /// Read the bits of a global variable by name (test/verification aid).
+    pub fn read_global(&mut self, name: &str, elem: u64, ty: Ty) -> Option<u64> {
+        let addr = self.image.global_addr_by_name(name)?;
+        self.mem.load(addr + elem * ty.size() as u64, ty.size()).ok()
+    }
+
+    /// Snapshot the raw bytes of a named global (SDC comparison).
+    pub fn snapshot_global(&self, name: &str, len: u64) -> Option<Vec<u8>> {
+        let addr = self.image.global_addr_by_name(name)?;
+        let mut buf = vec![0u8; len as usize];
+        self.mem.read_bytes(addr, &mut buf).ok()?;
+        Some(buf)
+    }
+}
+
+/// A process taken apart for a run: the image it executes, borrowed beside
+/// the state a run changes. Both engines' loops read instructions through
+/// `image` in place while they write frames and memory, so a run holds no
+/// handle of its own on the image and an entry costs no reference-count
+/// round trip.
+pub(crate) struct Parts<'p> {
+    pub(crate) image: &'p ProcessImage,
+    pub(crate) frames: &'p mut Vec<Frame>,
+    pub(crate) mem: &'p mut PagedMemory,
+    sp: &'p mut u64,
+    heap_ptr: &'p mut u64,
+    trap_count: &'p mut u64,
+}
+
+impl<'p> Parts<'p> {
+    pub(crate) fn push_frame(
         &mut self,
-        image: &'i ProcessImage,
-        cursor: &mut FrameCursor<'i>,
+        module: ModuleId,
+        func: FuncId,
+        args: Vec<u64>,
+        ret_dst: Option<Reg>,
+    ) -> Result<(), Trap> {
+        let (module, func) = self.image.resolve(module, func).ok_or(Trap {
+            kind: TrapKind::Segv(0), // unresolved PLT entry: jump to nowhere
+            pc: 0,
+        })?;
+        let mf = &self.image.modules[module.0 as usize].module.funcs[func.0 as usize];
+        let frame_size = (mf.frame_size + 15) & !15;
+        let saved_sp = *self.sp;
+        let new_sp =
+            self.sp.checked_sub(frame_size + 64).ok_or(Trap { kind: TrapKind::Segv(0), pc: 0 })?;
+        if new_sp < STACK_TOP - STACK_SIZE {
+            // Stack overflow hits the guard page.
+            return Err(Trap { kind: TrapKind::Segv(new_sp), pc: self.pc() });
+        }
+        *self.sp = new_sp;
+        let mut regs = [0u64; NUM_REGS];
+        regs[FP.0 as usize] = new_sp;
+        regs[SP.0 as usize] = new_sp;
+        self.frames.push(Frame { module, func, idx: 0, regs, args, fp: new_sp, ret_dst, saved_sp });
+        Ok(())
+    }
+
+    /// Deliver a trap: the machine stays frozen where `t` was raised and the
+    /// trap is counted. Both engines end a run on a trap through here.
+    #[inline]
+    pub(crate) fn deliver(&mut self, t: Trap) -> RunExit {
+        *self.trap_count += 1;
+        RunExit::Trapped(t)
+    }
+
+    /// Finish the `CallIntr` the top frame stands on, its arguments already
+    /// evaluated: write the result to `dst` and step past the call, or trap
+    /// with the PC still on the call.
+    #[inline]
+    pub(crate) fn finish_intrinsic(
+        &mut self,
+        which: Intrinsic,
+        argv: &[u64],
+        dst: Option<Reg>,
+    ) -> Result<(), Trap> {
+        match eval_intrinsic(which, argv, self.mem, self.heap_ptr) {
+            Ok(r) => {
+                let frame = self.frames.last_mut().expect("frame");
+                if let (Some(d), Some(v)) = (dst, r) {
+                    frame.regs[d.0 as usize] = v;
+                }
+                frame.idx += 1;
+                Ok(())
+            }
+            Err(k) => {
+                debug_assert_eq!(k, FaultKind::Abort, "the only fault an intrinsic raises");
+                Err(Trap { kind: TrapKind::Abort, pc: self.pc() })
+            }
+        }
+    }
+
+    /// Return `val` from the top frame: pop it, restore `sp`, and write `val`
+    /// to the caller's `ret_dst`. `true` when that was the last frame, i.e.
+    /// the program finished with `val`.
+    #[inline]
+    pub(crate) fn ret(&mut self, val: Option<u64>) -> bool {
+        let popped = self.frames.pop().expect("frame");
+        *self.sp = popped.saved_sp;
+        let Some(caller) = self.frames.last_mut() else { return true };
+        if let (Some(d), Some(v)) = (popped.ret_dst, val) {
+            caller.regs[d.0 as usize] = v;
+        }
+        false
+    }
+
+    fn pc(&self) -> u64 {
+        pc_of(self.image, self.frames)
+    }
+
+    #[inline(always)]
+    fn step_in(
+        &mut self,
+        cursor: &mut FrameCursor<'p>,
         fuel: &mut u64,
         steps: &mut u64,
     ) -> StepOut {
@@ -604,6 +661,7 @@ impl Process {
         // compiled engine uses. Finished in here instead, they cost the
         // fast loop ≈ 10 % per step on every workload (aligned builds),
         // though neither is on its hot path.
+        let image = self.image;
         let Some(frame) = self.frames.last_mut() else {
             return StepOut::Done(None);
         };
@@ -638,7 +696,7 @@ impl Process {
 
         match inst {
             MInst::Mov { dst, src, size, sext } => {
-                let mut v = match Self::eval_src(frame, &mut self.mem, image, *src) {
+                let mut v = match Process::eval_src(frame, self.mem, image, *src) {
                     Ok(v) => v,
                     Err(e) => return trap(e.into()),
                 };
@@ -665,7 +723,7 @@ impl Process {
             }
             MInst::Bin { op, dst, lhs, rhs, ty } => {
                 let l = frame.regs[lhs.0 as usize];
-                let r = match Self::eval_src(frame, &mut self.mem, image, *rhs) {
+                let r = match Process::eval_src(frame, self.mem, image, *rhs) {
                     Ok(v) => v,
                     Err(e) => return trap(e.into()),
                 };
@@ -676,7 +734,7 @@ impl Process {
             }
             MInst::Icmp { pred, dst, lhs, rhs, ty } => {
                 let l = frame.regs[lhs.0 as usize];
-                let r = match Self::eval_src(frame, &mut self.mem, image, *rhs) {
+                let r = match Process::eval_src(frame, self.mem, image, *rhs) {
                     Ok(v) => v,
                     Err(e) => return trap(e.into()),
                 };
@@ -684,7 +742,7 @@ impl Process {
             }
             MInst::Fcmp { pred, dst, lhs, rhs, ty } => {
                 let l = frame.regs[lhs.0 as usize];
-                let r = match Self::eval_src(frame, &mut self.mem, image, *rhs) {
+                let r = match Process::eval_src(frame, self.mem, image, *rhs) {
                     Ok(v) => v,
                     Err(e) => return trap(e.into()),
                 };
@@ -716,7 +774,7 @@ impl Process {
             MInst::Call { callee, args, dst } => {
                 let mut argv = Vec::with_capacity(args.len());
                 for s in args {
-                    match Self::eval_src(frame, &mut self.mem, image, *s) {
+                    match Process::eval_src(frame, self.mem, image, *s) {
                         Ok(v) => argv.push(v),
                         Err(e) => return trap(e.into()),
                     }
@@ -732,7 +790,7 @@ impl Process {
             MInst::CallIntr { which, args, dst } => {
                 let mut argv = Vec::with_capacity(args.len());
                 for s in args {
-                    match Self::eval_src(frame, &mut self.mem, image, *s) {
+                    match Process::eval_src(frame, self.mem, image, *s) {
                         Ok(v) => argv.push(v),
                         Err(e) => return trap(e.into()),
                     }
@@ -747,20 +805,11 @@ impl Process {
         frame.idx += 1;
         StepOut::Continue
     }
+}
 
-    /// Read the bits of a global variable by name (test/verification aid).
-    pub fn read_global(&mut self, name: &str, elem: u64, ty: Ty) -> Option<u64> {
-        let addr = self.image.global_addr_by_name(name)?;
-        self.mem.load(addr + elem * ty.size() as u64, ty.size()).ok()
-    }
-
-    /// Snapshot the raw bytes of a named global (SDC comparison).
-    pub fn snapshot_global(&self, name: &str, len: u64) -> Option<Vec<u8>> {
-        let addr = self.image.global_addr_by_name(name)?;
-        let mut buf = vec![0u8; len as usize];
-        self.mem.read_bytes(addr, &mut buf).ok()?;
-        Some(buf)
-    }
+/// Absolute PC of the top frame's next instruction; 0 with no frame.
+fn pc_of(image: &ProcessImage, frames: &[Frame]) -> u64 {
+    frames.last().map_or(0, |f| image.addr_of(f.module, f.func, f.idx))
 }
 
 enum StepOut {

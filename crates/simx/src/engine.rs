@@ -49,25 +49,27 @@
 //! one: the same ops, monomorphized a second time with the [`Instrument`]'s
 //! hooks compiled in, so plain [`ExecutionEngine::run`] pays nothing for
 //! them. Every op adds its executions — each half of a fused pair its own —
-//! to the profile at the fuel charge. Stops are checked per segment: at each
-//! segment entry, and on each inline branch, the engine asks the
-//! [`BreakSet`] whether any instruction of the straight-line run ahead
-//! (`ste` long) has an ordinal pending. A segment with none runs unchecked;
-//! one with some runs *stepping*, noting every execution with the set at its
-//! charge and ending the run after the op whose ordinal fired. A fused op
+//! to the profile at the fuel charge. Stops are checked per function: on
+//! entering one the engine takes that function's stops from the
+//! [`BreakSet`](crate::BreakSet), once. A function with none pending (most
+//! functions) runs unchecked; one with some runs *stepping*, every op asking
+//! its instruction's slot at the charge, noting an execution only of an
+//! instruction with an ordinal pending, and ending the run after the op
+//! whose ordinal fired. Within a run a function's pending set changes only
+//! when an ordinal fires, which ends the run, so a function's mode holds
+//! from entry to exit and an inline branch never leaves it. A fused op
 //! whose first instruction fires runs as that instruction alone (its
 //! standalone decode), because the translation keeps no standalone op at a
 //! fused first index; the run then stops on the second instruction, which
 //! does have one. Profile, ordinals and stop states are the reference's
 //! exactly (`tests.rs` holds the two side by side at every budget).
 
-use crate::cpu::{BreakSet, Frame, Instrument, Process, RunExit, Trap, TrapKind};
+use crate::cpu::{Frame, FuncStops, Instrument, Process, RunExit, Trap, TrapKind};
 use crate::image::{LoadedModule, ModuleId, ProcessImage};
 use crate::isa::Reg;
 use crate::translate::{
     decode, translate_module, Op, SrcK, TranslateStats, TranslatedFunc, TranslatedModule, NO_REG,
 };
-use std::sync::Arc;
 use tinyir::interp::{eval_bin, eval_cast, eval_fcmp, eval_icmp, float_of_bits, sext_bits};
 use tinyir::mem::PagedMemory;
 use tinyir::{FuncId, Intrinsic};
@@ -121,8 +123,8 @@ pub trait ExecutionEngine: Send + Sync {
     fn run(&self, p: &mut Process) -> RunExit;
     /// Run until completion, trap, or one of `instr`'s stops, counting into
     /// its profile if it has one; `instr.stops` names the stop that fired
-    /// ([`BreakSet::take_fired`]). Semantics of [`InterpEngine`]'s, the fast
-    /// loop stepped one instruction at a time.
+    /// ([`BreakSet::take_fired`](crate::BreakSet::take_fired)). Semantics of
+    /// [`InterpEngine`]'s, the fast loop stepped one instruction at a time.
     fn run_instrumented(&self, p: &mut Process, instr: &mut Instrument) -> RunExit;
 }
 
@@ -278,10 +280,12 @@ struct Hooks<'a> {
     /// The executing function's row of the profile; empty when the run
     /// keeps none.
     counts: &'a mut [u64],
-    stops: &'a mut BreakSet,
-    /// A stop fired on the op being executed: the run ends once it
-    /// completes (a trap still wins, as in the reference).
-    hit: bool,
+    /// The executing function's stops; `None` when it has none pending.
+    stops: Option<&'a mut FuncStops>,
+    /// The instruction and ordinal of a stop that fired on the op being
+    /// executed: the run ends once it completes (a trap still wins, as in
+    /// the reference).
+    hit: Option<(usize, u64)>,
 }
 
 /// Run `p` on the translated ops. `HOOKED` is a monomorphization constant:
@@ -292,28 +296,28 @@ fn run_compiled<const HOOKED: bool>(
     p: &mut Process,
     instr: &mut Instrument,
 ) -> RunExit {
-    let image = Arc::clone(&p.image);
     // Like the interpreter's `run_loop`: carry the counters in locals and
     // write them back on every exit, so trap states observe exact values.
     let mut fuel = p.fuel;
     let mut steps = p.steps;
+    let mut m = p.parts();
+    let image = m.image;
     let exit = loop {
         // Resolve the (possibly new) top frame's translation.
-        let (mid, fid) = match p.frames.last() {
+        let (mid, fid) = match m.frames.last() {
             Some(f) => (f.module, f.func),
             None => break RunExit::Done(None),
         };
         let tf = &eng.trans[mid.0 as usize].funcs[fid.0 as usize];
         let lm = &image.modules[mid.0 as usize];
-        let Process { frames, mem, .. } = &mut *p;
-        let frame = frames.last_mut().expect("frame");
+        let frame = m.frames.last_mut().expect("frame");
         let mut hk = Hooks {
             counts: match instr.profile.as_mut() {
                 Some(prof) if HOOKED => &mut prof[mid.0 as usize][fid.0 as usize],
                 _ => &mut [],
             },
-            stops: &mut instr.stops,
-            hit: false,
+            stops: if HOOKED { instr.stops.func_mut(mid, fid) } else { None },
+            hit: None,
         };
         // Segment loop: each iteration runs one straight-line segment,
         // choosing checked or unchecked fuel accounting by comparing the
@@ -328,11 +332,11 @@ fn run_compiled<const HOOKED: bool>(
             };
             let ev = if fuel >= need as u64 {
                 exec_segment::<false, HOOKED>(
-                    frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps, &mut hk,
+                    frame, m.mem, lm, tf, image, mid, fid, &mut fuel, &mut steps, &mut hk,
                 )
             } else {
                 exec_segment::<true, HOOKED>(
-                    frame, mem, lm, tf, &image, mid, fid, &mut fuel, &mut steps, &mut hk,
+                    frame, m.mem, lm, tf, image, mid, fid, &mut fuel, &mut steps, &mut hk,
                 )
             };
             match ev {
@@ -340,28 +344,32 @@ fn run_compiled<const HOOKED: bool>(
                 other => break other,
             }
         };
-        let hit = HOOKED && hk.hit;
+        let fired = if HOOKED { hk.hit } else { None };
+        if let Some((inst, nth)) = fired {
+            instr.stops.record_fired(mid, fid, inst, nth);
+        }
+        let hit = fired.is_some();
         let transition = match ev {
             SegEvent::Redirect => unreachable!(),
             SegEvent::Break => break RunExit::BreakHit,
             SegEvent::Trap(t) => Err(t),
             SegEvent::Call { callee, argv, dst } => {
-                p.push_frame(mid, FuncId(callee), argv, (dst != NO_REG).then_some(Reg(dst)))
+                m.push_frame(mid, FuncId(callee), argv, (dst != NO_REG).then_some(Reg(dst)))
             }
             SegEvent::Intr { which, argv, dst } => {
-                p.finish_intrinsic(which, &argv, (dst != NO_REG).then_some(Reg(dst)))
+                m.finish_intrinsic(which, &argv, (dst != NO_REG).then_some(Reg(dst)))
             }
             SegEvent::Ret { val } => {
                 // A stop on the last return stops with the frames gone,
                 // before the run is seen to be done — as in the reference.
-                if p.ret(val) && !hit {
+                if m.ret(val) && !hit {
                     break RunExit::Done(val);
                 }
                 Ok(())
             }
         };
         if let Err(t) = transition {
-            break p.deliver(t);
+            break m.deliver(t);
         }
         if hit {
             break RunExit::BreakHit;
@@ -379,9 +387,7 @@ fn run_compiled<const HOOKED: bool>(
 /// in-function branches keep running inline while `fuel >= ste[target]`),
 /// `true` for the final partial block (every sub-step re-checks, trapping
 /// `OutOfFuel` on the exact instruction the interpreter would). `HOOKED`
-/// compiles in `hk` (see the module doc's "Instrumented runs"); a branch
-/// then also stays inline only while its target segment is stepping
-/// exactly when this one is.
+/// compiles in `hk` (see the module doc's "Instrumented runs").
 #[allow(clippy::too_many_arguments)]
 fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
     frame: &mut Frame,
@@ -423,12 +429,12 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
             }
         };
     }
-    // Hooked, the segment runs *stepping* when an instruction of it has an
-    // ordinal pending: every execution is then noted with `stops`.
+    // Hooked, the segment runs *stepping* when an instruction of its
+    // function has an ordinal pending: every execution of one is then noted
+    // with `stops`.
     let Hooks { counts, stops, hit } = hk;
     let counts: &mut [u64] = counts;
-    let entry = frame.idx;
-    let stepping = HOOKED && stops.armed(mid, fid, entry..entry + tf.ste[entry] as usize);
+    let stepping = HOOKED && stops.is_some();
     // Hooked: count one execution of an instruction and, stepping, note it
     // with the stops; true when an ordinal fired. Used at the fuel charge,
     // before the instruction executes: a charged step is a counted one.
@@ -439,8 +445,9 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
                     *n += 1;
                 }
                 stepping && {
-                    *hit = stops.note(mid, fid, $idx);
-                    *hit
+                    let at = $idx;
+                    *hit = stops.as_deref_mut().and_then(|s| s.note(at)).map(|nth| (at, nth));
+                    hit.is_some()
                 }
             }
         };
@@ -465,20 +472,16 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
     // unchecked mode requires `fuel >= ste[target]` (else the caller
     // re-enters in checked mode), checked mode only a valid target. A wild
     // target redirects so the caller reports it without consuming fuel.
-    // Hooked, a stop that fired on the branch ends the segment, and so does
-    // a target segment that steps when this one does not, or vice versa.
+    // Hooked, a stop that fired on the branch ends the segment.
     macro_rules! jump_to {
         ($t:expr) => {{
             let t = $t;
-            if stepping && *hit {
+            if stepping && hit.is_some() {
                 frame.idx = t;
                 return SegEvent::Break;
             }
             match tf.ste.get(t) {
-                Some(&need)
-                    if (CHECKED || *fuel >= need as u64)
-                        && (!HOOKED || stops.armed(mid, fid, t..t + need as usize) == stepping) =>
-                {
+                Some(&need) if CHECKED || *fuel >= need as u64 => {
                     idx = t;
                     continue;
                 }
@@ -494,7 +497,7 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
     macro_rules! next {
         ($n:expr) => {{
             idx += $n;
-            if stepping && *hit {
+            if stepping && hit.is_some() {
                 frame.idx = idx;
                 return SegEvent::Break;
             }

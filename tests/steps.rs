@@ -30,6 +30,10 @@ const COUNTERS: &[&str] = &[
     "care.compares",
     "suffix.converged",
     "care.converged",
+    "suffix.shifted",
+    "care.shifted",
+    "suffix.shift_searches",
+    "suffix.shift_search_steps",
     "cursor.window_steps",
     "cursor.hops",
 ];

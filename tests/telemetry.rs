@@ -367,6 +367,15 @@ fn drive_every_instrumented_path(
     }
     let _ = std::fs::remove_dir_all(&dir);
 
+    // A miniMD injection whose repaired run re-joins the golden run at a
+    // shifted step: rare (two in `repro --injections 1000 fig7 table2`),
+    // so it is driven by index.
+    let w = workloads::minimd::default();
+    let app = care::compile(&w.module, OptLevel::O1);
+    let minimd = Campaign::prepare(&w, app, vec![]);
+    let shifted = CampaignConfig { injections: 1000, seed: 0xCA2E, ..cfg(EngineKind::Compiled) };
+    reports.push(minimd.run_selected(&shifted, &[387], hooks, &JobControl::new(), &NoSink));
+
     let cluster_cfg = cluster::ClusterConfig::default();
     let step = cluster_cfg.timesteps / 2;
     let care = cluster::Resilience::Care { events: vec![(step, 40.0)] };
@@ -392,6 +401,10 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
         "care.pruned_steps",
         "care.compares",
         "care.converged",
+        "suffix.shifted",
+        "care.shifted",
+        "suffix.shift_searches",
+        "suffix.shift_search_steps",
         "worker.busy_ns",
         "recovery.recovered",
         "engine.ops",
