@@ -425,8 +425,6 @@ impl Campaign {
             hooks.add("engine.blocks", st.blocks);
             hooks.add("engine.ops", st.ops);
             hooks.add("engine.fused_cmp_br", st.fused_cmp_br);
-            hooks.add("engine.fused_load_bin", st.fused_load_bin);
-            hooks.add("engine.fused_lea_load", st.fused_lea_load);
             hooks.add("engine.fused_glo_load", st.fused_glo_load);
             hooks.add("engine.fused_mov_mov", st.fused_mov_mov);
             self.record_instruction_mix(hooks);

@@ -210,15 +210,20 @@ mod tests {
         p.write_reg(idx_reg, old ^ (1 << 40));
         let mut sg = Safeguard::new();
         sg.protect(ModuleId(0), &armor_out);
-        match run_protected(&mut p, &mut sg, 16) {
+        let rec = telemetry::Recorder::new();
+        let first = p.run();
+        match resume_protected(|p, _| Some(p.run()), &mut p, first, &mut sg, 16, &rec) {
             ProtectedExit::Completed { result, recoveries, recovery_ms } => {
                 assert_eq!(result, Some(expected as u64), "output must be exact");
                 assert!(recoveries >= 1, "at least one repair");
                 assert!(recovery_ms > 1.0, "modelled recovery time accrues");
+                // Every activation of the handler was a repair.
+                let counters = rec.drain().counters;
+                assert_eq!(counters.get("recovery.activations"), Some(&recoveries));
+                assert_eq!(counters.get("recovery.recovered"), Some(&recoveries));
             }
             other => panic!("recovery failed: {other:?}"),
         }
-        assert_eq!(sg.stats.recovered, sg.stats.activations);
         let _ = DestRef::Pc;
     }
 

@@ -4,7 +4,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::driver::{run_protected, ProtectedExit};
+    use crate::driver::{resume_protected, run_protected, ProtectedExit};
     use crate::runtime::{DeclineKind, DeclineReason, Safeguard};
     use armor::run_armor;
     use simx::{
@@ -144,11 +144,14 @@ mod tests {
     #[test]
     fn handler_statistics_track_declines() {
         let (mut p, _armor_out) = corrupted_process(true);
+        let rec = telemetry::Recorder::new();
+        let first = p.run();
         let mut sg = Safeguard::new();
-        let _ = run_protected(&mut p, &mut sg, 8);
-        assert_eq!(sg.stats.activations, 1);
-        assert_eq!(sg.stats.recovered, 0);
-        assert_eq!(sg.stats.declined.get(&DeclineKind::UnprotectedModule), Some(&1));
+        let _ = resume_protected(|p, _| Some(p.run()), &mut p, first, &mut sg, 8, &rec);
+        let counters = rec.drain().counters;
+        assert_eq!(counters.get("recovery.activations"), Some(&1));
+        assert_eq!(counters.get("recovery.recovered"), None);
+        assert_eq!(counters.get(DeclineKind::UnprotectedModule.counter_name()), Some(&1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub use cost::{CostModel, RecoveryTime};
 pub use driver::{resume_protected, run_protected, ProtectedExit};
 pub use runtime::{
     compute_patch, compute_patch_base_first, DeclineKind, DeclineReason, RecoveryIndex,
-    RecoveryOutcome, Safeguard, SafeguardStats, SAFEGUARD_RESIDENT_BYTES,
+    RecoveryOutcome, Safeguard, SAFEGUARD_RESIDENT_BYTES,
 };
 
 mod hardening;

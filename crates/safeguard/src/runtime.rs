@@ -191,17 +191,6 @@ pub enum RecoveryOutcome {
     NotRecovered(DeclineReason),
 }
 
-/// Counters across a process lifetime.
-#[derive(Clone, Debug, Default)]
-pub struct SafeguardStats {
-    /// Handler activations.
-    pub activations: u64,
-    /// Successful repairs.
-    pub recovered: u64,
-    /// Declines by reason kind.
-    pub declined: HashMap<DeclineKind, u64>,
-}
-
 /// A module registered for protection: the encoded recovery table plus the
 /// kernel library source.
 #[derive(Debug)]
@@ -281,8 +270,6 @@ pub struct Safeguard {
     /// Ablation: skip the address-equality guard of §5.2. DANGEROUS — this
     /// is exactly how heuristic recoveries (RCV/LetGo) manufacture SDCs.
     pub skip_equality_guard: bool,
-    /// Lifetime statistics.
-    pub stats: SafeguardStats,
 }
 
 /// The paper's fixed memory overhead (27 MB), mostly the LLVM + protobuf
@@ -306,7 +293,6 @@ impl Safeguard {
             cost: CostModel::default(),
             patch_base_first: false,
             skip_equality_guard: false,
-            stats: SafeguardStats::default(),
         }
     }
 
@@ -350,14 +336,12 @@ impl Safeguard {
     ) -> RecoveryOutcome {
         let wall = hooks.enabled().then(std::time::Instant::now);
         let out = self.handle_inner(process, trap);
-        self.stats.activations += 1;
         if let Some(wall) = wall {
             hooks.add("recovery.activations", 1);
             hooks.record("safeguard.handler_wall_ns", wall.elapsed().as_nanos() as u64);
         }
         match &out {
             RecoveryOutcome::Recovered { time } => {
-                self.stats.recovered += 1;
                 if hooks.enabled() {
                     hooks.add("recovery.recovered", 1);
                     let ns = |ms: f64| (ms * 1e6) as u64;
@@ -383,11 +367,9 @@ impl Safeguard {
                 }
             }
             RecoveryOutcome::NotRecovered(r) => {
-                let kind = r.kind();
-                *self.stats.declined.entry(kind).or_default() += 1;
                 if hooks.enabled() {
                     hooks.add("recovery.declined", 1);
-                    hooks.add(kind.counter_name(), 1);
+                    hooks.add(r.kind().counter_name(), 1);
                 }
             }
         }

@@ -683,35 +683,6 @@ fn exec_segment<const CHECKED: bool, const HOOKED: bool>(
                 charge_second!(idx);
                 jump_to!((if c { *then_t } else { *else_t }) as usize)
             }
-            Op::LoadBin { ldst, mem: m, size, op, bdst, rhs, ty } => {
-                // Sub-step 1: the load.
-                let v = match mem.load(m.ea(&frame.regs), *size as u32) {
-                    Ok(v) => v,
-                    Err(e) => trap_at!(e.into(), idx),
-                };
-                frame.regs[*ldst as usize] = v;
-                // Sub-step 2: the arithmetic (reads the just-written lhs).
-                charge_second!(idx);
-                let l = frame.regs[*ldst as usize];
-                let r = srck!(rhs, idx + 1);
-                match eval_bin(*op, l, r, *ty) {
-                    Ok(res) => frame.regs[*bdst as usize] = res,
-                    Err(_) => trap_at!(TrapKind::Fpe, idx + 1),
-                }
-                next!(2)
-            }
-            Op::LeaLoad { adst, amem, ldst, ldisp, size } => {
-                // Sub-step 1: the address computation.
-                frame.regs[*adst as usize] = amem.ea(&frame.regs);
-                // Sub-step 2: the dependent load (base + disp, no index).
-                charge_second!(idx);
-                let addr = frame.regs[*adst as usize].wrapping_add(*ldisp as u64);
-                match mem.load(addr, *size as u32) {
-                    Ok(v) => frame.regs[*ldst as usize] = v,
-                    Err(e) => trap_at!(e.into(), idx + 1),
-                }
-                next!(2)
-            }
             Op::GloLoad { gdst, gid, ldst, mem: m, size } => {
                 // Sub-step 1: materialise the global base.
                 frame.regs[*gdst as usize] = lm.global_addrs[*gid as usize];

@@ -809,11 +809,13 @@ fn break_set_slot_table_edges() {
 // ---------------------------------------------------------------------------
 
 use crate::engine::{CompiledEngine, EngineKind, ExecutionEngine, InterpEngine};
+use crate::translate::Op;
 use std::sync::Arc;
 
-/// A module exercising every engine-relevant shape: fused compare+branch
-/// loops, float arithmetic with folded memory operands, intrinsics, calls,
-/// an argument-controlled modulus (`srem` can raise SIGFPE) and an
+/// A module exercising every engine-relevant shape: each fused kind (a
+/// loop's compare+branch and register rotation, a global base feeding a
+/// load and an `f64` add), float arithmetic, intrinsics, calls, an
+/// argument-controlled modulus (`srem` can raise SIGFPE) and an
 /// argument-controlled array index (can run out of bounds).
 fn engine_fixture() -> Arc<MachineModule> {
     let mut mb = ModuleBuilder::new("engine_fixture", "m.c");
@@ -832,7 +834,7 @@ fn engine_fixture() -> Arc<MachineModule> {
         let v = fb.mul(fb.arg(0), fb.arg(0), Ty::I64);
         fb.ret(Some(v));
     });
-    mb.define("main", vec![Ty::I64, Ty::I64, Ty::I64], Some(Ty::F64), |fb| {
+    mb.define("main", vec![Ty::I64; 4], Some(Ty::F64), |fb| {
         let acc = fb.alloca(Ty::F64, 1);
         fb.store(Value::f64(0.0), acc);
         fb.for_loop(Value::i64(0), fb.arg(0), |fb, iv| {
@@ -848,10 +850,16 @@ fn engine_fixture() -> Arc<MachineModule> {
         });
         let q = fb.call(sq, vec![fb.arg(0)]);
         fb.store_elem(q, fb.global(out), Value::i64(0), Ty::I64);
-        // arg(2) is a raw array index: huge values fault the load.
+        // arg(2) is a raw array index: huge values fault the load. The
+        // load is the lhs, so it stays a `mov` after its global base (a
+        // `GloLoad`) instead of folding into the `fadd`.
         let w = fb.load_elem(fb.global(g), fb.arg(2), Ty::F64);
         let a = fb.load(acc, Ty::F64);
-        let s = fb.fadd(a, w, Ty::F64);
+        let s = fb.fadd(w, a, Ty::F64);
+        // arg(3) is the same for a folded rhs after its global base: a
+        // `GloFBin`.
+        let u = fb.load_elem(fb.global(g), fb.arg(3), Ty::F64);
+        let s = fb.fadd(s, u, Ty::F64);
         fb.ret(Some(s));
     });
     let mut m = mb.finish();
@@ -898,10 +906,27 @@ fn compiled_engine_matches_interpreter_end_to_end() {
 #[test]
 fn compiled_engine_trap_parity() {
     let mm = engine_fixture();
-    // SIGSEGV: a wild store index freezes mid-loop with pre-fault state.
-    match engine_parity(&mm, &[8, 64, 1 << 40], u64::MAX) {
-        RunExit::Trapped(t) => assert!(matches!(t.kind, TrapKind::Segv(_)), "{t:?}"),
-        other => panic!("expected segv, got {other:?}"),
+    // SIGSEGV on the second half of a fused pair, which freezes mid-pair
+    // with the base register written: the wild `arg(2)` index faults a
+    // `GloLoad`'s load, the wild `arg(3)` index a `GloFBin`'s folded
+    // operand. At every budget, so a budget that runs out on that half
+    // traps out of fuel first, as on the interpreter.
+    let main = mm.func_by_name("main").unwrap();
+    let ops = &crate::translate::translate_module(&mm).funcs[main.0 as usize].ops;
+    for (args, is_pair) in [
+        ([8, 64, 1 << 40, 0], (|op| matches!(op, Op::GloLoad { .. })) as fn(&Op) -> bool),
+        ([8, 64, 0, 1 << 40], |op| matches!(op, Op::GloFBin { .. })),
+    ] {
+        let exit = engine_parity(&mm, &args, u64::MAX);
+        assert!(matches!(exit, RunExit::Trapped(Trap { kind: TrapKind::Segv(_), .. })), "{exit:?}");
+        let mut p = Process::new(Arc::clone(&mm), vec![]);
+        p.start("main", &args);
+        p.run();
+        let pair = &ops[p.frame().idx - 1];
+        assert!(is_pair(pair), "test premise: the fault is on a pair's second half: {pair:?}");
+        for fuel in 0..p.steps {
+            engine_parity(&mm, &args, fuel);
+        }
     }
     // SIGFPE: remainder by zero.
     match engine_parity(&mm, &[8, 0, 0], u64::MAX) {
@@ -940,15 +965,52 @@ fn translation_fuses() {
     let stats = CompiledEngine::for_image(&p.image).stats();
     assert!(stats.ops > 0);
     assert!(stats.blocks > 0, "no basic blocks discovered");
+    // Every fused kind forms on the fixture, so the parity sweeps below run
+    // each of them.
     assert!(stats.fused_cmp_br > 0, "loop compare+branch did not fuse: {stats:?}");
+    assert!(stats.fused_glo_load > 0, "global base+load did not fuse: {stats:?}");
+    assert!(stats.fused_mov_mov > 0, "register copies did not fuse: {stats:?}");
     assert_eq!(
         stats.fused_total(),
-        stats.fused_cmp_br
-            + stats.fused_load_bin
-            + stats.fused_lea_load
-            + stats.fused_glo_load
-            + stats.fused_mov_mov
+        stats.fused_cmp_br + stats.fused_glo_load + stats.fused_mov_mov
     );
+}
+
+#[test]
+fn fused_register_copies_chain_through_the_first_destination() {
+    // `mov r2, r1; mov r3, r2` fuses into a `MovRR` whose second copy reads
+    // what the first wrote. Codegen's phi copies never chain that way, so the
+    // function is written by hand.
+    let r = isa::Reg;
+    let mov = |dst, src| MInst::Mov { dst: r(dst), src: Src::Reg(r(src)), size: 8, sext: false };
+    let instrs = vec![
+        MInst::GetArg { dst: r(1), idx: 0 },
+        mov(2, 1),
+        mov(3, 2),
+        MInst::Ret { src: Some(r(3)) },
+    ];
+    let n = instrs.len();
+    let main = MachineFunction {
+        name: "main".into(),
+        instrs,
+        locs: vec![None; n],
+        frame_size: 0,
+        code_offset: 0,
+        is_decl: false,
+    };
+    let mm = Arc::new(MachineModule {
+        name: "chain".into(),
+        funcs: vec![main],
+        debug: DebugData::default(),
+        ir: Module::new("chain"),
+        code_size: n as u64 * isa::INST_BYTES,
+    });
+    let ops = &crate::translate::translate_module(&mm).funcs[0].ops;
+    assert!(matches!(ops[1], Op::MovRR { d1: 2, s2: 2, .. }), "test premise: {:?}", ops[1]);
+    for fuel in 0..=n as u64 {
+        engine_parity(&mm, &[41], fuel);
+    }
+    assert_eq!(engine_parity(&mm, &[41], u64::MAX), RunExit::Done(Some(41)));
 }
 
 /// What one call of an instrumented run returned and left: exit, `steps`,
@@ -993,11 +1055,11 @@ fn instrumented_legs(
 fn compiled_instrumented_runs_match_the_stepping_reference_at_every_budget() {
     // The compiled engine's own instrumented run counts and stops exactly
     // like the fast loop stepped one instruction at a time (`InterpEngine`'s
-    // instrumented run), leg by leg, at every fuel budget:
-    // on both instructions of a fused pair, on many points in one function,
-    // on a call, an intrinsic and returns (which stop after the frame push,
-    // the intrinsic's result and the frame pop), and on a trapping
-    // instruction (the trap wins).
+    // instrumented run), leg by leg, at every fuel budget: on both
+    // instructions of a pair of each fused kind, on many points in one
+    // function, on a call, an intrinsic and returns (which stop after the
+    // frame push, the intrinsic's result and the frame pop), and on a
+    // trapping instruction (the trap wins).
     let mm = engine_fixture();
     let (main, sq) = (mm.func_by_name("main").unwrap(), mm.func_by_name("sq").unwrap());
     let ops = &crate::translate::translate_module(&mm).funcs[main.0 as usize].ops;
@@ -1015,10 +1077,22 @@ fn compiled_instrumented_runs_match_the_stepping_reference_at_every_budget() {
         let sq_ret = (mm.funcs[sq.0 as usize].instrs.iter().enumerate())
             .find(|&(i, m)| matches!(m, MInst::Ret { .. }) && profile[0][sq.0 as usize][i] > 0);
         let mut sets: Vec<Vec<(tinyir::FuncId, usize, u64)>> = Vec::new();
-        if let Some(&pair) = fused.iter().find(|&&i| counts[i] >= 2) {
-            sets.push(vec![(main, pair, 2)]);
-            sets.push(vec![(main, pair + 1, 2)]);
-            sets.push(vec![(main, pair, 1), (main, pair + 1, 1), (main, pair, 3)]);
+        // Both halves of the first executed pair of each fused kind: each
+        // alone on its last execution, then both on their first with the
+        // first half again on its last.
+        let mut kinds = Vec::new();
+        for &pair in &fused {
+            let kind = std::mem::discriminant(&ops[pair]);
+            if kinds.contains(&kind) {
+                continue;
+            }
+            kinds.push(kind);
+            let (n1, n2) = (counts[pair], counts[pair + 1]);
+            sets.push(vec![(main, pair, n1)]);
+            sets.push(vec![(main, pair + 1, n2)]);
+            let mut both = vec![(main, pair, 1), (main, pair, n1), (main, pair + 1, 1)];
+            both.dedup();
+            sets.push(both);
         }
         sets.push(fused.iter().flat_map(|&i| [(main, i, counts[i]), (main, i + 1, 1)]).collect());
         let calls = [
@@ -1036,8 +1110,11 @@ fn compiled_instrumented_runs_match_the_stepping_reference_at_every_budget() {
             sets.push(vec![(tinyir::FuncId(func), idx, nth)]);
         }
         if args[1] == 64 {
-            assert!(fused.len() >= 2 && sets.len() == 5, "test premise: {fused:?}");
-            assert_eq!(sets[4].len(), 4, "test premise: a call, an intrinsic, two returns");
+            assert!(
+                kinds.len() == 4 && sets.len() == 14,
+                "test premise: each kind runs: {fused:?}"
+            );
+            assert_eq!(sets[13].len(), 4, "test premise: a call, an intrinsic, two returns");
         }
         let compiled = CompiledEngine::for_image(&base.image);
         for stops in &sets {

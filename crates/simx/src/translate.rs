@@ -13,9 +13,8 @@
 //! * constant work folded (sign-extension of immediates, the
 //!   64-bit/`f64` fast paths of `eval_bin` specialised into their own
 //!   variants),
-//! * the common instruction *pairs* fused into superinstructions —
-//!   compare+branch ([`Op::CmpBr`]), load+arithmetic ([`Op::LoadBin`]),
-//!   index-scale+load ([`Op::LeaLoad`]), global-base+dependent-load
+//! * four instruction *pairs* fused into superinstructions —
+//!   compare+branch ([`Op::CmpBr`]), global-base+dependent-load
 //!   ([`Op::GloLoad`]), global-base+`f64`-memory-arithmetic
 //!   ([`Op::GloFBin`]) and back-to-back register copies ([`Op::MovRR`]) —
 //!   and
@@ -24,11 +23,20 @@
 //!   only fall back to per-step fuel checks for the final partial block
 //!   (see `engine.rs`).
 //!
+//! A pair is fused only where the fused op runs measurably faster than its
+//! two standalone ops. A superinstruction saves one dispatch, but its
+//! second half runs only what its op spells out: where the second
+//! instruction decodes standalone to a specialised op (`AddQ`, `FAdd`,
+//! ...), fusion pays only if the fused op keeps that specialisation, as
+//! `GloFBin` keeps `FAddL`/`FMulL`'s. DESIGN.md (*Basic-block translation*)
+//! gives each kind's measured gain.
+//!
 //! Indexing is 1:1 with the instruction stream: `ops[i]` corresponds to
-//! `instrs[i]`, and when `(i, i+1)` is fused, `ops[i + 1]` **still holds the
-//! standalone translation of `instrs[i + 1]`**. A fused op is only reachable
-//! through its first index; entering at `i + 1` (a trap resume re-executing
-//! the faulting instruction) runs the standalone op, so the translated
+//! `instrs[i]`, and when `(i, i+1)` is fused, `ops[i + 1]` **still holds a
+//! translation that starts at `instrs[i + 1]`** — standalone, or itself
+//! fused with `i + 2` (a run of register copies). A fused op is only
+//! reachable through its first index; entering at `i + 1` (a trap resume
+//! re-executing the faulting instruction) runs that op, so the translated
 //! program is re-enterable at every PC exactly like the interpreter. Fusion
 //! is refused when `i + 1` is a branch target for the same reason.
 //!
@@ -280,24 +288,6 @@ pub(crate) enum Op {
         then_t: u32,
         else_t: u32,
     },
-    /// Fused `mov dst, mem; bin bdst, dst, rhs` (load feeding arithmetic).
-    LoadBin {
-        ldst: u8,
-        mem: PackedMem,
-        size: u8,
-        op: BinOp,
-        bdst: u8,
-        rhs: SrcK,
-        ty: Ty,
-    },
-    /// Fused `lea adst, amem; mov ldst, ldisp(adst)` (index-scale + load).
-    LeaLoad {
-        adst: u8,
-        amem: PackedMem,
-        ldst: u8,
-        ldisp: i64,
-        size: u8,
-    },
     /// Fused `mov gdst, @g; mov ldst, mem` where `mem` addresses through
     /// the freshly materialised global base (the SpMV/gather shape: codegen
     /// reloads the array base from a global right before every indexed
@@ -335,12 +325,7 @@ impl Op {
     #[inline(always)]
     pub(crate) fn cost(&self) -> u32 {
         match self {
-            Op::CmpBr { .. }
-            | Op::LoadBin { .. }
-            | Op::LeaLoad { .. }
-            | Op::GloLoad { .. }
-            | Op::GloFBin { .. }
-            | Op::MovRR { .. } => 2,
+            Op::CmpBr { .. } | Op::GloLoad { .. } | Op::GloFBin { .. } | Op::MovRR { .. } => 2,
             _ => 1,
         }
     }
@@ -369,10 +354,6 @@ pub struct TranslateStats {
     pub ops: u64,
     /// Fused compare+branch pairs.
     pub fused_cmp_br: u64,
-    /// Fused load+arithmetic pairs.
-    pub fused_load_bin: u64,
-    /// Fused index-scale+load pairs.
-    pub fused_lea_load: u64,
     /// Fused global-base+dependent-memory pairs (`GloLoad` and `GloFBin`).
     pub fused_glo_load: u64,
     /// Fused register-copy pairs (`MovRR`).
@@ -385,19 +366,13 @@ impl TranslateStats {
         self.blocks += other.blocks;
         self.ops += other.ops;
         self.fused_cmp_br += other.fused_cmp_br;
-        self.fused_load_bin += other.fused_load_bin;
-        self.fused_lea_load += other.fused_lea_load;
         self.fused_glo_load += other.fused_glo_load;
         self.fused_mov_mov += other.fused_mov_mov;
     }
 
     /// Total fused pairs of all kinds.
     pub fn fused_total(&self) -> u64 {
-        self.fused_cmp_br
-            + self.fused_load_bin
-            + self.fused_lea_load
-            + self.fused_glo_load
-            + self.fused_mov_mov
+        self.fused_cmp_br + self.fused_glo_load + self.fused_mov_mov
     }
 }
 
@@ -549,36 +524,6 @@ fn fuse(a: &MInst, b: &MInst, stats: &mut TranslateStats) -> Option<Op> {
                 else_t: *else_t,
             })
         }
-        // mov r, mem; bin d, r, rhs — the load feeds the arithmetic's lhs.
-        (
-            MInst::Mov { dst, src: Src::Mem(m, msz), size: _, sext: false },
-            MInst::Bin { op, dst: bdst, lhs, rhs, ty },
-        ) if lhs == dst => {
-            stats.fused_load_bin += 1;
-            Some(Op::LoadBin {
-                ldst: dst.0,
-                mem: PackedMem::of(m),
-                size: *msz,
-                op: *op,
-                bdst: bdst.0,
-                rhs: SrcK::of(rhs),
-                ty: *ty,
-            })
-        }
-        // lea a, mem; mov d, disp(a) — address computation feeding a load.
-        (
-            MInst::Lea { dst, mem },
-            MInst::Mov { dst: ldst, src: Src::Mem(m2, msz), size: _, sext: false },
-        ) if m2.base == Some(*dst) && m2.index.is_none() => {
-            stats.fused_lea_load += 1;
-            Some(Op::LeaLoad {
-                adst: dst.0,
-                amem: PackedMem::of(mem),
-                ldst: ldst.0,
-                ldisp: m2.disp,
-                size: *msz,
-            })
-        }
         // mov g, @G; mov d, mem — a global array base materialised right
         // before the access that indexes through it. The fused op writes
         // the base register first (sub-step 1), so the load's effective
@@ -667,8 +612,8 @@ fn translate_function(mf: &MachineFunction, stats: &mut TranslateStats) -> Trans
     stats.ops += n as u64;
 
     // Decode every instruction standalone, then overlay fused pairs. The
-    // standalone op at `i + 1` is kept: it is the entry point for trap
-    // resumes at that PC.
+    // op at `i + 1` still starts at that instruction: it is the entry point
+    // for trap resumes at that PC.
     let mut ops: Vec<Op> = mf.instrs.iter().map(decode).collect();
     for i in 0..n - 1 {
         if leader[i + 1] {

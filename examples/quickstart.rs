@@ -95,8 +95,4 @@ fn main() {
         }
         other => panic!("recovery failed: {other:?}"),
     }
-    println!(
-        "safeguard stats: {} activations, {} recovered",
-        sg.stats.activations, sg.stats.recovered
-    );
 }

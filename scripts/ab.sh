@@ -19,8 +19,12 @@
 #
 # Per workload and end-to-end metric it prints both sides' medians and
 # quartiles, the change's wins out of N pairs (in the direction
-# BENCHMARK.json gives), and whether the change's median lies outside the
-# parent's quartile range. Each workload's table ends with one JSON object
+# BENCHMARK.json gives), the two-sided exact sign-test p over the pairs
+# that differ (`p_sign`: the chance of a split at least this uneven if
+# either side were equally likely to win a pair), and whether the change's
+# median lies outside the parent's quartile range. The last rule alone has
+# flagged a 3 % gap between two builds of one commit; read it beside
+# `p_sign`. Each workload's table ends with one JSON object
 # holding the same numbers, for CHANGES.md: one call with
 # `-w svc_mix,cov_interp,cov_compiled,store_cycle` prints four such lines.
 # Remove the worktree afterwards with `git worktree remove --force DIR/tree`,
@@ -35,7 +39,7 @@ while [[ $# -gt 0 ]]; do
         -w) workload="$2"; shift 2 ;;
         -d) dir="$2"; shift 2 ;;
         --default-build) aligned=0; shift ;;
-        -h|--help) sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        -h|--help) sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         -*) echo "error: unknown flag $1" >&2; exit 2 ;;
         *) break ;;
     esac
@@ -86,7 +90,7 @@ for workload in "${workloads[@]}"; do
     done
 
     python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 dir, workload, n, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
@@ -98,23 +102,31 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
+def sign_p(won, lost):
+    m = won + lost
+    tail = sum(math.comb(m, i) for i in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2**m)
+
 parent, change = runs("parent"), runs("change")
 summary = {"workload": workload, "pairs": n, "metrics": {}}
 failed = sum(r["failed"] for r in parent + change)
 print(f"{workload}: {n} pairs, {failed} failed ops")
-print(f"{'metric':<14} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'wins':>6}  outside")
+print(f"{'metric':<14} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'wins':>6} {'p_sign':>7}  outside")
 for name, way in better.items():
     p = [r["metrics"][name]["value"] for r in parent]
     c = [r["metrics"][name]["value"] for r in change]
     pq, cq = quartiles(p), quartiles(c)
     won = sum((b > a) if way == "higher" else (b < a) for a, b in zip(p, c))
+    p_sign = sign_p(won, sum(a != b for a, b in zip(p, c)) - won)
     outside = not (pq[0] <= cq[1] <= pq[2])
     fmt = lambda q: "/".join(f"{x:.6g}" for x in q)
-    print(f"{name:<14} {fmt(pq):>30} {fmt(cq):>30} {won:>3}/{n}  {'yes' if outside else 'no'}")
+    print(f"{name:<14} {fmt(pq):>30} {fmt(cq):>30} {won:>3}/{n} {p_sign:>7.3g}  "
+          f"{'yes' if outside else 'no'}")
     summary["metrics"][name] = {
         "parent": [round(x, 6) for x in pq],
         "change": [round(x, 6) for x in cq],
         "wins": won,
+        "p_sign": round(p_sign, 6),
         "outside": outside,
     }
 summary["failed"] = failed
