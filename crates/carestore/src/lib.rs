@@ -20,11 +20,19 @@
 //! * [`store`] — [`Store::run_campaign`], the resume/residual
 //!   orchestration around [`faultsim::Campaign::run_selected`], with
 //!   `store.*` telemetry counters;
+//! * [`cache`] — each store's bounded cache of the logs it has read or
+//!   written (decoded lines and the bytes they came from, checked against
+//!   the file on every scan), through which its writers append. A scan
+//!   answers exactly what [`scan_log`] gives on the file's bytes now: a
+//!   warm re-run decodes no line, a later run only the lines appended
+//!   since, and a truncated, rewritten or deleted log is decoded whole
+//!   once;
 //! * [`lru`] — the capacity-bounded cache careserve uses for prepared
 //!   campaigns;
 //! * [`mod@triage`] — the cross-run dedup/clustering pass over a whole store
 //!   by `(outcome kind, decline, fault site)`.
 
+pub mod cache;
 pub mod hash;
 pub mod key;
 pub mod log;
@@ -33,6 +41,7 @@ pub mod record;
 pub mod store;
 pub mod triage;
 
+pub use cache::CACHED_LOGS;
 pub use hash::ContentHash;
 pub use key::{campaign_key, CampaignKey};
 pub use log::{

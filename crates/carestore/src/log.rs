@@ -24,13 +24,14 @@
 //! line that does not decode — not UTF-8, not JSON, nested past the
 //! parser's cap, a field out of range —
 //! by counting it as corrupt and moving on: an append-only log must never
-//! brick its campaign.
+//! brick its campaign. The next writer ([`LogWriter::open_append`]) ends a
+//! torn line before its own, so the torn line stays one corrupt line.
 
 use faultsim::wire::{push_record_fields, record_from_ref};
 use faultsim::{CampaignConfig, FaultModel, InjectionRecord, MAX_RECOVERIES};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Mutex;
 use telemetry::json::{JsonRef, Obj};
@@ -132,6 +133,22 @@ impl LogLine {
         }
     }
 
+    /// The `run` line that opens a run of `cfg` on the campaign keyed
+    /// `campaign_key`.
+    pub(crate) fn run(cfg: &CampaignConfig, campaign_key: &str) -> LogLine {
+        LogLine::Run {
+            key: RunKey::new(cfg.model, cfg.seed, &run_signature(cfg)),
+            campaign: campaign_key.to_string(),
+            engine: cfg.engine.name().to_string(),
+        }
+    }
+
+    /// The `complete` trailer of an uncancelled run over
+    /// `0..cfg.injections`.
+    pub(crate) fn complete(cfg: &CampaignConfig) -> LogLine {
+        LogLine::Complete(RunKey::new(cfg.model, cfg.seed, &run_signature(cfg)), cfg.injections)
+    }
+
     /// Decode one line as read from disk (newline stripped).
     pub fn decode(line: &[u8]) -> Result<LogLine, String> {
         let v = JsonRef::parse(std::str::from_utf8(line).map_err(|e| e.to_string())?)?;
@@ -155,13 +172,24 @@ impl LogLine {
     }
 }
 
+/// Decode every line of `bytes` in file order, handing each result to
+/// `each`: the one line rule every reader shares. Lines are split at `\n`
+/// and are bytes, so one that is not UTF-8 is just another line that does
+/// not decode, and a line of whitespace (a `\r` left by a CRLF end among
+/// them) is no line at all.
+pub(crate) fn decode_lines(bytes: &[u8], mut each: impl FnMut(Result<LogLine, String>)) {
+    for line in bytes.split(|&b| b == b'\n') {
+        if !line.iter().all(u8::is_ascii_whitespace) {
+            each(LogLine::decode(line));
+        }
+    }
+}
+
 /// Feed every line of the log at `path` to `each`, in file order, and
 /// return how many lines did not decode (skipped; see the module docs).
-/// The file is read into one buffer and split at its newlines, so a line
-/// costs no allocation of its own; lines are bytes, so one that is not
-/// UTF-8 is just another corrupt line, and a line of whitespace (a `\r`
-/// left by a CRLF end among them) is no line at all. A missing file is an
-/// empty log, not an error.
+/// The file is read into one buffer and split at its newlines
+/// ([`decode_lines`]' rule), so a line costs no allocation of its own. A
+/// missing file is an empty log, not an error.
 pub fn read_log(path: &Path, mut each: impl FnMut(LogLine)) -> std::io::Result<u64> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -169,15 +197,10 @@ pub fn read_log(path: &Path, mut each: impl FnMut(LogLine)) -> std::io::Result<u
         Err(e) => return Err(e),
     };
     let mut corrupt = 0;
-    for line in bytes.split(|&b| b == b'\n') {
-        if line.iter().all(u8::is_ascii_whitespace) {
-            continue;
-        }
-        match LogLine::decode(line) {
-            Ok(line) => each(line),
-            Err(_) => corrupt += 1,
-        }
-    }
+    decode_lines(&bytes, |line| match line {
+        Ok(line) => each(line),
+        Err(_) => corrupt += 1,
+    });
     Ok(corrupt)
 }
 
@@ -193,6 +216,47 @@ pub struct LogScan {
     pub corrupt: u64,
 }
 
+/// The one scan rule, fed decoded lines in file order: a `run` line opens
+/// the wanted run context or leaves it, a `record` inside it is kept, and
+/// a `complete` of the wanted key raises `covered`. [`scan_log`] and the
+/// store's cache of decoded lines both fold through it.
+pub(crate) struct ScanFold {
+    want: RunKey,
+    in_matching_run: bool,
+    scan: LogScan,
+}
+
+impl ScanFold {
+    pub(crate) fn new(model: FaultModel, seed: u64, cfg_sig: &str) -> ScanFold {
+        ScanFold {
+            want: RunKey::new(model, seed, cfg_sig),
+            in_matching_run: false,
+            scan: LogScan::default(),
+        }
+    }
+
+    pub(crate) fn feed(&mut self, line: &LogLine) {
+        match line {
+            LogLine::Run { key, .. } => self.in_matching_run = *key == self.want,
+            // Overlapping partial runs can re-execute an index; determinism
+            // makes the records identical, so last-wins is a no-op in
+            // practice.
+            LogLine::Record(index, record) if self.in_matching_run => {
+                self.scan.records.insert(*index, record.clone());
+            }
+            LogLine::Complete(key, injections) if *key == self.want => {
+                self.scan.covered = self.scan.covered.max(*injections);
+            }
+            LogLine::Record(..) | LogLine::Complete(..) => {}
+        }
+    }
+
+    /// The scan, with `corrupt` lines counted.
+    pub(crate) fn finish(self, corrupt: u64) -> LogScan {
+        LogScan { corrupt, ..self.scan }
+    }
+}
+
 /// Scan a log file for records usable by a `(model, seed, cfg)` request.
 /// A missing file is an empty scan, not an error.
 pub fn scan_log(
@@ -201,20 +265,9 @@ pub fn scan_log(
     seed: u64,
     cfg_sig: &str,
 ) -> std::io::Result<LogScan> {
-    let want = RunKey::new(model, seed, cfg_sig);
-    let (mut records, mut covered) = (BTreeMap::new(), 0);
-    let mut in_matching_run = false;
-    let corrupt = read_log(path, |line| match line {
-        LogLine::Run { key, .. } => in_matching_run = key == want,
-        // Overlapping partial runs can re-execute an index; determinism
-        // makes the records identical, so last-wins is a no-op in practice.
-        LogLine::Record(index, record) if in_matching_run => {
-            records.insert(index, record);
-        }
-        LogLine::Complete(key, injections) if key == want => covered = covered.max(injections),
-        LogLine::Record(..) | LogLine::Complete(..) => {}
-    })?;
-    Ok(LogScan { records, covered, corrupt })
+    let mut fold = ScanFold::new(model, seed, cfg_sig);
+    let corrupt = read_log(path, |line| fold.feed(&line))?;
+    Ok(fold.finish(corrupt))
 }
 
 /// Append-side handle: serializes whole-line writes from concurrent pool
@@ -227,9 +280,21 @@ pub struct LogWriter {
 }
 
 impl LogWriter {
-    /// Open (creating parents' file if needed) for append.
+    /// Open (creating the file if needed) for append. A file that does
+    /// not end in `\n` — a kill tore its last line — gets one first, so
+    /// this writer's lines start on a line of their own: glued to the torn
+    /// line, a `run` line would decode as part of one corrupt line, and the
+    /// records after it would read under the previous run's key.
     pub fn open_append(path: &Path) -> std::io::Result<LogWriter> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = OpenOptions::new().create(true).read(true).append(true).open(path)?;
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last != *b"\n" {
+                file.write_all(b"\n")?;
+            }
+        }
         Ok(LogWriter { file: Mutex::new(file), failed: std::sync::atomic::AtomicBool::new(false) })
     }
 
@@ -251,16 +316,13 @@ impl LogWriter {
 
     /// Append the `run` context line for a run about to execute.
     pub fn run_header(&self, cfg: &CampaignConfig, campaign_key: &str) {
-        let key = RunKey::new(cfg.model, cfg.seed, &run_signature(cfg));
-        let (campaign, engine) = (campaign_key.to_string(), cfg.engine.name().to_string());
-        self.append_line(&LogLine::Run { key, campaign, engine }.encode());
+        self.append_line(&LogLine::run(cfg, campaign_key).encode());
     }
 
     /// Append the `complete` trailer after an uncancelled run over
     /// `0..cfg.injections`.
     pub fn complete(&self, cfg: &CampaignConfig) {
-        let key = RunKey::new(cfg.model, cfg.seed, &run_signature(cfg));
-        self.append_line(&LogLine::Complete(key, cfg.injections).encode());
+        self.append_line(&LogLine::complete(cfg).encode());
     }
 }
 

@@ -45,11 +45,26 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Insert (touching the entry), evicting the least recently used
     /// entry first when at capacity with a new key.
     pub fn insert(&mut self, key: K, value: V) {
+        self.insert_unpinned(key, value, |_| false);
+    }
+
+    /// [`LruCache::insert`], except that an entry `pinned` holds is never
+    /// evicted: the least recently used unpinned entries go instead, down
+    /// to the capacity, and while too few are unpinned the cache holds more
+    /// (as many more as there are pinned entries).
+    pub fn insert_unpinned(&mut self, key: K, value: V, pinned: impl Fn(&V) -> bool) {
         self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.cap {
-            if let Some(oldest) =
-                self.map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| k.clone())
-            {
+        if !self.map.contains_key(&key) {
+            while self.map.len() >= self.cap {
+                let Some(oldest) = self
+                    .map
+                    .iter()
+                    .filter(|(_, (v, _))| !pinned(v))
+                    .min_by_key(|(_, (_, stamp))| *stamp)
+                    .map(|(k, _)| k.clone())
+                else {
+                    break;
+                };
                 self.map.remove(&oldest);
                 self.evictions += 1;
             }
@@ -57,7 +72,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.insert(key, (value, self.clock));
     }
 
-    /// Entries currently held (always ≤ capacity).
+    /// Entries currently held (≤ capacity, unless pinned entries hold it
+    /// past: [`LruCache::insert_unpinned`]).
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -106,6 +122,22 @@ mod tests {
         assert_eq!(c.get(&1), Some(&11));
         c.insert(2, 20);
         assert_eq!((c.len(), c.evictions()), (1, 1));
+    }
+
+    #[test]
+    fn pinned_entries_outlive_eviction_and_the_cap_comes_back() {
+        let mut c: LruCache<u64, bool> = LruCache::new(2);
+        let pinned = |held: &bool| *held;
+        c.insert_unpinned(1, true, pinned);
+        c.insert_unpinned(2, false, pinned);
+        c.insert_unpinned(3, false, pinned); // 1 is oldest but pinned: 2 goes
+        assert_eq!((c.get(&1).copied(), c.get(&2).copied(), c.len()), (Some(true), None, 2));
+        c.insert_unpinned(4, true, pinned); // 3 goes; 1 stays
+        c.insert_unpinned(5, false, pinned); // 1 and 4 are pinned: 5 joins past the cap
+        assert_eq!((c.len(), c.evictions()), (3, 2), "two pins hold one slot past the cap");
+        c.insert(6, false); // unpinned again: evicts down to the cap
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&6), Some(&false));
     }
 
     #[test]

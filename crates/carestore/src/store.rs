@@ -4,13 +4,16 @@
 //! [`Store::run_campaign`] is the drop-in persistent counterpart of
 //! [`faultsim::Campaign::run`]:
 //!
-//! 1. scan this campaign's log for records matching `(model, seed, cfg)`;
+//! 1. scan this campaign's log for records matching `(model, seed, cfg)`,
+//!    through the store's cache ([`crate::cache`]), which decodes only the
+//!    lines it does not hold yet;
 //! 2. compute the **residual work list** — requested indexes that are
 //!    neither stored nor known skips of a completed shorter run;
 //! 3. execute only the residual (the trellis samples only those
 //!    indexes, so its cursors run only in the brackets the residual
 //!    actually needs), appending each record to the log the moment it is
-//!    classified;
+//!    classified, through the log's one lock in the cache (a run's `run`
+//!    line is written again after another run's lines);
 //! 4. merge stored + fresh records in index order into a canonical report.
 //!
 //! ## Report identity
@@ -26,12 +29,13 @@
 //! [`faultsim::Campaign::run`] under every engine/thread combination
 //! (pinned by faultsim's own tests).
 
+use crate::cache::{CachedLog, LogCache};
 use crate::key::CampaignKey;
-use crate::log::{run_signature, scan_log, LogLine, LogWriter};
+use crate::log::{run_signature, LogLine, LogScan, LogWriter};
 use faultsim::{Campaign, CampaignConfig, CampaignReport, InjectionRecord, JobControl, RecordSink};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use telemetry::Hooks;
 
 /// Counters for one store-backed run, also mirrored into `store.*`
@@ -49,6 +53,9 @@ pub struct StoreStats {
     pub appended: u64,
     /// Unparseable log lines skipped while scanning (`store.corrupt_lines`).
     pub corrupt_lines: u64,
+    /// Log lines this run's scan decoded (`store.decoded_lines`): the ones
+    /// the store's cache did not hold yet (see [`crate::cache`]).
+    pub decoded_lines: u64,
     /// 1 if any log append failed (`store.write_errors`); the run itself
     /// still completes — persistence degrades, correctness does not.
     pub write_errors: u64,
@@ -75,24 +82,45 @@ pub struct StoreRun {
     pub stats: StoreStats,
 }
 
+/// One run's appends to its campaign's log: each line goes through the
+/// log's lock in the store's cache, after the run's `run` line when it is
+/// the run's first or another run of this store appended in between (so a
+/// run cancelled before its first record leaves no line).
+struct RunLog<'a> {
+    log: &'a Mutex<CachedLog>,
+    writer: LogWriter,
+    id: u64,
+    header: LogLine,
+}
+
+impl RunLog<'_> {
+    fn append(&self, line: LogLine) {
+        let mut log = self.log.lock().expect("log poisoned");
+        log.append(&self.writer, self.id, &self.header, line);
+    }
+}
+
 /// The sink that tees every fresh record into the log *and* an in-memory
 /// map for the merge, from concurrent pool workers.
 struct LogSink<'a> {
-    writer: &'a LogWriter,
+    log: &'a RunLog<'a>,
     fresh: Mutex<BTreeMap<usize, InjectionRecord>>,
 }
 
 impl RecordSink for LogSink<'_> {
     fn emit(&self, index: usize, record: &InjectionRecord) {
-        self.writer.append_line(&LogLine::Record(index, record.clone()).encode());
+        self.log.append(LogLine::Record(index, record.clone()));
         self.fresh.lock().expect("sink poisoned").insert(index, record.clone());
     }
 }
 
-/// A content-addressed store rooted at one directory.
+/// A content-addressed store rooted at one directory. It keeps the logs
+/// it has read or written decoded ([`crate::cache`]); clones share that
+/// cache.
 #[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
+    logs: Arc<LogCache>,
 }
 
 impl Store {
@@ -100,7 +128,7 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Store> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Store { dir })
+        Ok(Store { dir, logs: Arc::new(LogCache::new()) })
     }
 
     /// The store's root directory.
@@ -127,8 +155,11 @@ impl Store {
     ) -> std::io::Result<StoreRun> {
         let path = self.log_path(key);
         let sig = run_signature(cfg);
-        let scan = scan_log(&path, cfg.model, cfg.seed, &sig)?;
-        let mut stats = StoreStats { corrupt_lines: scan.corrupt, ..StoreStats::default() };
+        let log = self.logs.log(&path);
+        let (scan, decoded_lines) =
+            log.lock().expect("log poisoned").scan(&path, cfg.model, cfg.seed, &sig)?;
+        let mut stats =
+            StoreStats { corrupt_lines: scan.corrupt, decoded_lines, ..StoreStats::default() };
 
         // The scan's records are the merge's start; a longer earlier run's
         // records past this request stay in the log only.
@@ -148,17 +179,23 @@ impl Store {
 
         let mut cancelled = ctl.is_cancelled();
         if !residual.is_empty() && !cancelled {
-            let writer = LogWriter::open_append(&path)?;
-            writer.run_header(cfg, &key.encode());
-            let sink = LogSink { writer: &writer, fresh: Mutex::new(BTreeMap::new()) };
+            // Under the log's lock, so the writer's look at the file's last
+            // byte (and the `\n` it may add) sees no half-written append.
+            let writer = {
+                let _appends = log.lock().expect("log poisoned");
+                LogWriter::open_append(&path)?
+            };
+            let header = LogLine::run(cfg, &key.encode());
+            let run = RunLog { log: &log, writer, id: self.logs.next_run(), header };
+            let sink = LogSink { log: &run, fresh: Mutex::new(BTreeMap::new()) };
             campaign.run_selected(cfg, &residual, hooks, ctl, &sink);
             cancelled = ctl.is_cancelled();
             if !cancelled {
-                writer.complete(cfg);
+                run.append(LogLine::complete(cfg));
             }
             let fresh = sink.fresh.into_inner().expect("sink poisoned");
             stats.appended = fresh.len() as u64;
-            stats.write_errors = writer.failed() as u64;
+            stats.write_errors = run.writer.failed() as u64;
             merged.extend(fresh);
         }
 
@@ -173,10 +210,28 @@ impl Store {
             hooks.add("store.known_skips", stats.known_skips);
             hooks.add("store.appended", stats.appended);
             hooks.add("store.corrupt_lines", stats.corrupt_lines);
+            hooks.add("store.decoded_lines", stats.decoded_lines);
             hooks.add("store.write_errors", stats.write_errors);
             hooks.add("store.runs", 1);
         }
         Ok(StoreRun { report, stats })
+    }
+
+    /// What [`crate::scan_log`] gives on this campaign's log for `cfg`'s
+    /// run, answered from the store's cache: only lines the cache does not
+    /// hold yet are decoded.
+    pub fn scan(&self, key: &CampaignKey, cfg: &CampaignConfig) -> std::io::Result<LogScan> {
+        let path = self.log_path(key);
+        let log = self.logs.log(&path);
+        let scan =
+            log.lock().expect("log poisoned").scan(&path, cfg.model, cfg.seed, &run_signature(cfg));
+        scan.map(|(scan, _)| scan)
+    }
+
+    /// Logs the store's cache holds now: at most [`crate::CACHED_LOGS`],
+    /// plus any a run is reading or writing beyond that.
+    pub fn cached_logs(&self) -> usize {
+        self.logs.len()
     }
 
     /// Every record-log file currently in the store (for triage sweeps).

@@ -5,11 +5,16 @@
 //! copy of its log truncated at a mid-run record boundary (the on-disk
 //! image of a killed process), resumes from it, and asserts the resumed
 //! report is bit-identical to the uninterrupted run. A final warm re-run
-//! must execute zero residual injections and leave the log untouched.
-//! Exits nonzero (assert) if any of that regresses.
+//! on the same store must take every record from the log, decode no line
+//! of it (the resume's own appends entered the store's cache as written),
+//! execute zero residual injections and leave the log untouched.
+//! Exits nonzero (assert) if any of that regresses. Run at several pool
+//! widths, so records from several workers are appended through the log's
+//! one lock:
 //!
 //! ```sh
 //! cargo run --release --example smoke_store
+//! CARE_THREADS=4 cargo run --release --example smoke_store
 //! ```
 
 use carestore::{campaign_key, Store};
@@ -73,12 +78,15 @@ fn main() {
     assert_eq!(resumed.stats.misses, (injections - keep) as u64);
     assert_eq!(resumed.report, cold.report, "resumed report diverged from the full run");
 
-    // Warm: everything is stored now; nothing executes, nothing is written.
+    // Warm: everything is stored now, and in the store's cache; nothing is
+    // decoded, nothing executes, nothing is written.
     let log_before = std::fs::read(resume_store.log_path(&key)).expect("resumed log");
     let warm = resume_store
         .run_campaign(&key, &campaign, &cfg, &NoTelemetry, &JobControl::new())
         .expect("warm run");
     assert_eq!(warm.stats.misses, 0, "warm run must execute no residual injections");
+    assert_eq!(warm.stats.hits, injections as u64, "warm run must take every record stored");
+    assert_eq!(warm.stats.decoded_lines, 0, "warm run must decode no line: {:?}", warm.stats);
     assert_eq!(warm.report, cold.report, "warm report diverged from the full run");
     assert_eq!(
         std::fs::read(resume_store.log_path(&key)).expect("log still there"),
@@ -89,7 +97,7 @@ fn main() {
     std::fs::remove_dir_all(&base).expect("cleanup");
     println!(
         "smoke_store: killed at {keep}/{total_records} records, resumed {} residual \
-         injections bit-identical to the full run; warm re-run executed 0",
+         injections bit-identical to the full run; warm re-run executed 0, decoded 0 lines",
         resumed.stats.misses,
     );
 }

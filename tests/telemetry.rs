@@ -331,8 +331,9 @@ impl Hooks for Deaf {
 
 /// Every instrumented entry point under `hooks`: the campaign core with
 /// CARE evaluated on both engines (suffix, cursor hop, `resume_protected`,
-/// `handle_trap_with_hooks`), a cold then a warm store run, and the cluster
-/// simulation with a recovery delay on rank 0.
+/// `handle_trap_with_hooks`), a cold then a warm store run and a run on a
+/// reopened store, and the cluster simulation with a recovery delay on
+/// rank 0.
 fn drive_every_instrumented_path(
     hooks: &dyn Hooks,
     tag: &str,
@@ -358,7 +359,10 @@ fn drive_every_instrumented_path(
     let dir = std::env::temp_dir().join(format!("care-telemetry-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = carestore::Store::open(&dir).expect("open store");
-    for expect_misses in [80, 0] {
+    // The third run reads the log through a fresh store, whose scan decodes
+    // the lines the first store's cache took as written.
+    let reopened = carestore::Store::open(&dir).expect("reopen store");
+    for (store, expect_misses) in [(store.clone(), 80), (store, 0), (reopened, 0)] {
         let run = store
             .run_campaign(&key, &campaign, &cfg(EngineKind::Interp), hooks, &JobControl::new())
             .expect("store run");
@@ -409,6 +413,7 @@ fn disabled_hooks_are_never_called_and_results_match_either_way() {
         "recovery.recovered",
         "engine.ops",
         "store.runs",
+        "store.decoded_lines",
     ] {
         assert!(tel.counters.get(heard).is_some_and(|&n| n > 0), "{heard} never recorded");
     }
