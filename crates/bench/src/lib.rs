@@ -3,10 +3,15 @@
 //! Every table, figure and ablation is one function `(&Session) -> Table`,
 //! listed once in [`REGISTRY`] (DESIGN.md §4–5 index them against the
 //! paper). A [`Session`] owns what an invocation fixes — injections, seed,
-//! engine, recorder, store — and caches the §2 and §5 campaign sets per
-//! fault model, running a campaign when a row first reads its report, so
-//! "which campaign feeds which cell" is stated here only: `repro` prints
-//! the selected rows, `tests/experiments.rs` pins them.
+//! engine, recorder, store — and caches one campaign per program and level,
+//! run once per fault model when a row first reads its report, so "which
+//! campaign feeds which cell" is stated here only: `repro` prints the
+//! selected rows, `tests/experiments.rs` pins them. §2's tables (2–4, 10,
+//! 11) read the unprotected fields of the O0 reports §5's figures (7, 9,
+//! 12) read. The paper drew §2's faults from the whole program and §5's
+//! from application code only, but no program of [`workloads::all`] links
+//! a library, so the two draws are one; `sblat1` (Table 9) links BLAS and
+//! keeps a campaign of its own.
 //! Performance is measured by `carebench` (`benchmarks/`), not here.
 
 use care::CompiledApp;
@@ -44,33 +49,21 @@ impl Table {
 
     /// Render with aligned columns.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(c.len());
-                } else {
-                    widths.push(c.len());
-                }
+        let mut widths: Vec<usize> = Vec::new();
+        for cells in std::iter::once(&self.headers).chain(&self.rows) {
+            widths.resize(widths.len().max(cells.len()), 0);
+            for (w, c) in widths.iter_mut().zip(cells) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = format!("\n== {} ==\n", self.title);
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-                .collect::<Vec<_>>()
-                .join("  ")
+        let fmt_row = |cells: &Vec<String>| {
+            let padded: Vec<_> =
+                cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+            padded.join("  ") + "\n"
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+        let mut out = format!("\n== {} ==\n{}{rule}\n", self.title, fmt_row(&self.headers));
+        out.extend(self.rows.iter().map(fmt_row));
         out
     }
 }
@@ -106,15 +99,17 @@ pub fn prepare(workload: &Workload, level: OptLevel) -> PreparedWorkload {
     PreparedWorkload { name: workload.name, level, app, campaign, key }
 }
 
-/// One campaign of a [`Session`]'s sets with its report.
+/// One campaign of a [`Session`] with its report.
 pub type Run<'a> = (&'a PreparedWorkload, &'a CampaignReport);
 
-/// A campaign set: prepared together, each campaign run when a row first
-/// reads its report.
-type CampaignSet = Vec<(PreparedWorkload, OnceCell<CampaignReport>)>;
+/// A prepared campaign with its report per fault model, each run when a
+/// row first reads it.
+type Slot = (PreparedWorkload, [OnceCell<CampaignReport>; 2]);
 
 /// What one `repro` invocation (or one test) fixes for every experiment it
-/// regenerates, plus the campaign sets the experiments share.
+/// regenerates, plus the campaigns the experiments share: one per program
+/// and level, each run at most once per fault model under
+/// [`campaign_cfg`](Self::campaign_cfg), for §2's and §5's rows alike.
 #[derive(Default)]
 pub struct Session {
     /// Injections per campaign.
@@ -129,9 +124,9 @@ pub struct Session {
     /// `--store DIR` / `--resume`: every keyed campaign consults it and
     /// appends its fresh records.
     pub store: Option<carestore::Store>,
-    /// The §2 and §5 sets per fault model, each campaign run at most once.
-    manifestation: [OnceCell<CampaignSet>; 2],
-    coverage: [OnceCell<CampaignSet>; 2],
+    /// Per level: every program at O0 (paper order), the evaluated ones at
+    /// O1 ([`workloads::evaluated`] order).
+    campaigns: [OnceCell<Vec<Slot>>; 2],
 }
 
 impl Session {
@@ -140,16 +135,12 @@ impl Session {
         Session { injections, seed, engine, ..Session::default() }
     }
 
-    /// The §2-style campaign config (whole program, no CARE evaluation).
-    pub fn manifestation_cfg(&self, model: FaultModel) -> CampaignConfig {
+    /// The one campaign config (application code only, CARE evaluated on
+    /// every SIGSEGV injection); the crate doc says why §2 reads it too.
+    pub fn campaign_cfg(&self, model: FaultModel) -> CampaignConfig {
         let Session { injections, seed, engine, .. } = *self;
-        CampaignConfig { injections, model, seed, engine, ..CampaignConfig::default() }
-    }
-
-    /// The §5-style campaign config (application code only, CARE evaluated
-    /// on every SIGSEGV injection).
-    pub fn coverage_cfg(&self, model: FaultModel) -> CampaignConfig {
-        CampaignConfig { evaluate_care: true, app_only: true, ..self.manifestation_cfg(model) }
+        let cfg = CampaignConfig { injections, model, seed, engine, ..CampaignConfig::default() };
+        CampaignConfig { evaluate_care: true, app_only: true, ..cfg }
     }
 
     /// The session's telemetry hooks: the recorder when one is attached,
@@ -176,9 +167,9 @@ impl Session {
                     let carestore::StoreStats { hits, known_skips, misses, .. } = stats;
                     let residual = 100.0 * stats.residual_fraction(cfg.injections);
                     eprintln!(
-                        "[repro]   {}: store reused {hits} records, skipped {known_skips} \
+                        "[repro]   {} {}: store reused {hits} records, skipped {known_skips} \
                          known-benign, executed {misses} residual ({residual:.0}% of {})",
-                        p.name, cfg.injections,
+                        p.name, p.level, cfg.injections,
                     );
                     return report;
                 }
@@ -188,54 +179,56 @@ impl Session {
         p.campaign.run_with_hooks(cfg, hooks)
     }
 
-    /// Every workload of `ws` at each of `levels`, in that order, not yet run.
-    fn prepare_set(&self, what: &str, ws: &[Workload], levels: &[OptLevel]) -> CampaignSet {
-        eprintln!("[repro] running {what} campaigns ({} injections/workload)...", self.injections);
-        let each = |w| levels.iter().map(move |&level| (prepare(w, level), OnceCell::new()));
-        ws.iter().flat_map(each).collect()
-    }
-
-    /// The reports of `set` under `cfg`: a campaign runs when its report is
-    /// first pulled (under the recorder and store attached at that moment),
-    /// so a row costs only the campaigns it reads.
-    fn reports<'a>(
-        &'a self,
-        set: impl Iterator<Item = &'a (PreparedWorkload, OnceCell<CampaignReport>)> + 'a,
-        cfg: CampaignConfig,
-    ) -> impl Iterator<Item = Run<'a>> + 'a {
-        set.map(move |(p, report)| (p, report.get_or_init(|| self.run(p, &cfg))))
-    }
-
-    /// The §2 campaigns under `model`: every workload (paper order), whole
-    /// program, O0 — Tables 2–4, and 10–11 under the double-bit model.
-    pub fn manifestation(&self, model: FaultModel) -> impl Iterator<Item = Run<'_>> {
-        let set = self.manifestation[model as usize].get_or_init(|| {
-            let what = format!("§2 {}-bit", model.name());
-            self.prepare_set(&what, &workloads::all(), &[OptLevel::O0])
-        });
-        self.reports(set.iter(), self.manifestation_cfg(model))
-    }
-
-    fn coverage_set(&self, model: FaultModel) -> &CampaignSet {
-        self.coverage[model as usize].get_or_init(|| {
-            let what = format!("§5 {}-bit coverage (O0+O1)", model.name());
-            self.prepare_set(&what, &workloads::evaluated(), &[OptLevel::O0, OptLevel::O1])
+    /// The campaigns at `level`, prepared together when a row first reads
+    /// one of them.
+    fn at(&self, level: OptLevel) -> &[Slot] {
+        self.campaigns[level as usize].get_or_init(|| {
+            let ws = if level == OptLevel::O0 { workloads::all() } else { workloads::evaluated() };
+            let n = self.injections;
+            eprintln!("[repro] preparing {} {level} campaigns ({n} injections each)...", ws.len());
+            ws.iter().map(|w| (prepare(w, level), Default::default())).collect()
         })
     }
 
-    /// The §5 campaigns under `model`: every evaluated workload (the paper
-    /// skips miniFE there) at O0 then O1 — Figures 7, 9 and the decline
-    /// table; Figure 12 under the double-bit model.
+    /// The reports of `slots` under `model`: a campaign runs when its report
+    /// is first pulled (under the recorder and store attached at that
+    /// moment), so a row costs only the campaigns it reads.
+    fn reports<'a>(
+        &'a self,
+        slots: impl Iterator<Item = &'a Slot> + 'a,
+        model: FaultModel,
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        let cfg = self.campaign_cfg(model);
+        slots
+            .map(move |(p, reports)| (p, reports[model as usize].get_or_init(|| self.run(p, &cfg))))
+    }
+
+    /// The §2 view under `model`: every workload (paper order) at O0 —
+    /// Tables 2–4, and 10–11 under the double-bit model.
+    pub fn manifestation(&self, model: FaultModel) -> impl Iterator<Item = Run<'_>> {
+        self.reports(self.at(OptLevel::O0).iter(), model)
+    }
+
+    /// The evaluated workloads (the paper skips miniFE there) in
+    /// [`workloads::evaluated`] order, each at O0 then O1.
+    fn evaluated(&self) -> impl Iterator<Item = &Slot> {
+        let o0 = self.at(OptLevel::O0);
+        let o0 = move |name| o0.iter().find(|(p, _)| p.name == name).expect("an O0 campaign");
+        self.at(OptLevel::O1).iter().flat_map(move |o1| [o0(o1.0.name), o1])
+    }
+
+    /// The §5 view under `model`: every evaluated workload at O0 then O1 —
+    /// Figures 7, 9 and the decline table; Figure 12 under the double-bit
+    /// model.
     pub fn coverage(&self, model: FaultModel) -> impl Iterator<Item = Run<'_>> {
-        self.reports(self.coverage_set(model).iter(), self.coverage_cfg(model))
+        self.reports(self.evaluated(), model)
     }
 
     /// The single-bit §5 campaigns compiled at `level`, in workload order —
     /// the four ablations' baselines.
     fn coverage_at(&self, level: OptLevel) -> impl Iterator<Item = Run<'_>> {
-        let model = FaultModel::SingleBit;
-        let at_level = self.coverage_set(model).iter().filter(move |(p, _)| p.level == level);
-        self.reports(at_level, self.coverage_cfg(model))
+        let at_level = self.evaluated().filter(move |(p, _)| p.level == level);
+        self.reports(at_level, FaultModel::SingleBit)
     }
 }
 
@@ -458,15 +451,21 @@ fn cluster_job(s: &Session) -> Table {
     t
 }
 
-fn blas_library(s: &Session) -> Table {
-    eprintln!("[repro] running BLAS/sblat1 shared-library campaign...");
+/// sblat1 compiled at O0 with the BLAS library it links, and its campaign:
+/// the one program whose whole-program draw is not its app-only draw.
+pub fn sblat1() -> (PreparedWorkload, CompiledApp) {
     let setup = workloads::blas::setup();
     let lib = care::compile(&setup.lib, OptLevel::O0);
     let app = care::compile(&setup.driver.module, OptLevel::O0);
     let campaign = Campaign::prepare(&setup.driver, app.clone(), vec![lib.clone()]);
-    let p = PreparedWorkload { name: "sblat1", level: OptLevel::O0, app, campaign, key: None };
+    (PreparedWorkload { name: "sblat1", level: OptLevel::O0, app, campaign, key: None }, lib)
+}
+
+fn blas_library(s: &Session) -> Table {
+    eprintln!("[repro] running BLAS/sblat1 shared-library campaign...");
+    let (p, lib) = sblat1();
     // Faults may land in the library too.
-    let r = s.run(&p, &CampaignConfig { app_only: false, ..s.coverage_cfg(FaultModel::SingleBit) });
+    let r = s.run(&p, &CampaignConfig { app_only: false, ..s.campaign_cfg(FaultModel::SingleBit) });
     let mut t = Table::new(
         "Table 9: statistics and performance for sblat1/BLAS",
         &["", "# Kernels", "Normal compile (s)", "Armor overhead (s)", "Coverage", "Recovery (ms)"],
@@ -495,7 +494,7 @@ fn ablate_liveness(s: &Session) -> Table {
         let app = care::compile_with(&w.module, OptLevel::O1, relaxed);
         let campaign = Campaign::prepare(w, app.clone(), vec![]);
         let p = PreparedWorkload { name: w.name, level: OptLevel::O1, app, campaign, key: None };
-        let relaxed = s.run(&p, &s.coverage_cfg(FaultModel::SingleBit));
+        let relaxed = s.run(&p, &s.campaign_cfg(FaultModel::SingleBit));
         t.row(row![w.name, pct(strict.coverage()), pct(relaxed.coverage())]);
     }
     t
@@ -507,7 +506,7 @@ fn ablate_patch(s: &Session) -> Table {
         "Ablation: operand patching strategy (O1 coverage)",
         &["Workload", "index-first (paper)", "base-first"],
     );
-    let cfg = CampaignConfig { patch_base_first: true, ..s.coverage_cfg(FaultModel::SingleBit) };
+    let cfg = CampaignConfig { patch_base_first: true, ..s.campaign_cfg(FaultModel::SingleBit) };
     for (p, index_first) in s.coverage_at(OptLevel::O1) {
         let base_first = s.run(p, &cfg);
         t.row(row![p.name, pct(index_first.coverage()), pct(base_first.coverage())]);
@@ -523,7 +522,7 @@ fn ablate_guard(s: &Session) -> Table {
         "Ablation: address-equality guard (O0)",
         &["Workload", "guarded: covered", "unguarded: covered", "unguarded: survived w/ SDC"],
     );
-    let cfg = CampaignConfig { skip_equality_guard: true, ..s.coverage_cfg(FaultModel::SingleBit) };
+    let cfg = CampaignConfig { skip_equality_guard: true, ..s.campaign_cfg(FaultModel::SingleBit) };
     let covered = |r: &CampaignReport| format!("{}/{}", r.care_covered, r.care_evaluated);
     for (p, guarded) in s.coverage_at(OptLevel::O0) {
         let unguarded = s.run(p, &cfg);
@@ -596,7 +595,7 @@ mod tests {
         let w = workloads::hpccg::build(3, 2);
         let p = prepare(&w, OptLevel::O0);
         let s = Session::new(10, 1, EngineKind::Interp);
-        let r = s.run(&p, &s.manifestation_cfg(FaultModel::SingleBit));
+        let r = s.run(&p, &s.campaign_cfg(FaultModel::SingleBit));
         assert!(r.total() >= 8);
         for w in workloads::all() {
             for level in [OptLevel::O0, OptLevel::O1] {
@@ -615,7 +614,7 @@ mod tests {
         s.recorder = Some(Recorder::new());
         let w = workloads::hpccg::build(3, 2);
         let p = prepare(&w, OptLevel::O0);
-        let cfg = s.coverage_cfg(FaultModel::SingleBit);
+        let cfg = s.campaign_cfg(FaultModel::SingleBit);
         // Cumulative (runs, misses, hits) the store reported through `store.*`.
         let store_counts = || {
             let c = s.recorder.as_ref().expect("attached above").drain().counters;

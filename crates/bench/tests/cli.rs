@@ -77,22 +77,36 @@ fn every_flag_in_help_drives_a_real_run() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
     // Local campaigns: cold through `--store`, then warm through `--resume`
-    // (the same ./care_store), telemetry on both times.
-    let local = |store: &[&str]| {
+    // (the same ./care_store), telemetry every time.
+    let local = |args: &[&str]| {
         let out = repro()
             .current_dir(&dir)
             .args(["--injections", "6", "--seed", "3", "--engine", "compiled"])
-            .args(["--telemetry", "t.jsonl", "table2"])
-            .args(store)
+            .args(["--telemetry", "t.jsonl"])
+            .args(args)
             .output()
             .expect("run repro");
         assert_ok("local run", &out);
         out
     };
-    let cold = local(&["--store", "care_store"]);
-    let warm = local(&["--resume"]);
+    // The store lines of a run's stderr whose campaign level ends in
+    // `level` ("" for every line).
+    let store_lines = |out: &Output, level: &str| -> Vec<String> {
+        let err = text(&out.stderr);
+        let at_level = format!("{level}: store reused ");
+        err.lines().filter(|l| l.contains(&at_level)).map(str::to_owned).collect()
+    };
+    let all_warm = |lines: &[String]| lines.iter().all(|l| l.contains("executed 0 residual"));
+    let cold = local(&["--store", "care_store", "table2"]);
+    let warm = local(&["--resume", "table2"]);
     assert_eq!(text(&cold.stdout), text(&warm.stdout), "warm run printed a different table");
-    assert!(text(&warm.stderr).contains("executed 0 residual"), "{}", text(&warm.stderr));
+    let lines = store_lines(&warm, "");
+    assert!(lines.len() == 5 && all_warm(&lines), "{}", text(&warm.stderr));
+    // Table 2 reads the O0 campaigns Figure 7 reads, so their logs are warm.
+    let fig7 = local(&["--resume", "fig7"]);
+    let (o0, o1) = (store_lines(&fig7, "O0"), store_lines(&fig7, "O1"));
+    assert!(o0.len() == 4 && all_warm(&o0), "{}", text(&fig7.stderr));
+    assert!(o1.len() == 4 && !all_warm(&o1), "{}", text(&fig7.stderr));
     let jsonl = std::fs::read_to_string(dir.join("t.jsonl")).expect("telemetry written");
     telemetry::validate_jsonl(&jsonl).expect("telemetry validates");
 

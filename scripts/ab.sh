@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Parent/change pairs for carebench: build two revisions and alternate runs.
+# Parent/change pairs for carebench or repro: build two revisions and
+# alternate runs.
 #
 #   scripts/ab.sh [-n N] [-w W[,W...]] [-d DIR] [--default-build] PARENT CHANGE
+#   scripts/ab.sh [-n N] [-d DIR] [--default-build] --repro "ARGS" PARENT CHANGE
 #
 # Checks PARENT and then CHANGE out in turn into one detached `git worktree`
 # at DIR/tree (default DIR: $TMPDIR/care-ab), so building carebench rewrites
@@ -27,11 +29,19 @@
 # `p_sign`. Each workload's table ends with one JSON object
 # holding the same numbers, for CHANGES.md: one call with
 # `-w svc_mix,cov_interp,cov_compiled,store_cycle` prints four such lines.
+#
+# `--repro "ARGS"` builds `repro` instead and times `repro ARGS` (split on
+# spaces) N times per side, alternating as above, each side from its own
+# working directory DIR/runs/SIDE (so a relative `--store` stays per side).
+# Its one metric is `wall_s`, the run's wall-clock seconds, lower better;
+# its table and JSON line also say whether every run of both sides printed
+# the same stdout once scripts/wallclock_mask.awk masked Table 8's and 9's
+# wall-clock cells (`stdout_equal`).
 # Remove the worktree afterwards with `git worktree remove --force DIR/tree`,
 # or `git worktree prune` once DIR is gone.
 set -euo pipefail
 
-n=10 workload=cov_compiled aligned=1
+n=10 workload=cov_compiled aligned=1 repro_args=""
 dir="${TMPDIR:-/tmp}/care-ab"
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -39,7 +49,8 @@ while [[ $# -gt 0 ]]; do
         -w) workload="$2"; shift 2 ;;
         -d) dir="$2"; shift 2 ;;
         --default-build) aligned=0; shift ;;
-        -h|--help) sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        --repro) repro_args="$2"; workload=repro; shift 2 ;;
+        -h|--help) sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         -*) echo "error: unknown flag $1" >&2; exit 2 ;;
         *) break ;;
     esac
@@ -49,6 +60,11 @@ if [[ $# -ne 2 ]]; then
     exit 2
 fi
 repo="$(git rev-parse --show-toplevel)"
+mask="$(cd "$(dirname "$0")" && pwd)/wallclock_mask.awk"
+bin=carebench build=(--manifest-path benchmarks/Cargo.toml)
+if [[ $workload == repro ]]; then
+    bin=repro build=(-p bench --bin repro)
+fi
 mkdir -p "$dir/runs"
 dir="$(cd "$dir" && pwd)"
 
@@ -66,12 +82,11 @@ for side in parent change; do
             export RUSTFLAGS="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-loops=64"
         fi
         cd "$tree"
-        CARGO_TARGET_DIR="$dir/target-$side" cargo build --release --quiet --offline \
-            --manifest-path benchmarks/Cargo.toml
+        CARGO_TARGET_DIR="$dir/target-$side" cargo build --release --quiet --offline "${build[@]}"
     )
 done
-if cmp -s "$dir/target-parent/release/carebench" "$dir/target-change/release/carebench"; then
-    echo "note: both sides built the same carebench binary" >&2
+if cmp -s "$dir/target-parent/release/$bin" "$dir/target-change/release/$bin"; then
+    echo "note: both sides built the same $bin binary" >&2
 fi
 seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$tree/BENCHMARK.json")"
@@ -83,17 +98,31 @@ for workload in "${workloads[@]}"; do
         if (( i % 2 == 0 )); then order="change parent"; fi
         for side in $order; do
             out="$dir/runs/$workload-$side-$i.json"
-            "$dir/target-$side/release/carebench" run --workload "$workload" --seed "$i" \
-                --seconds "$seconds" | tail -n 1 > "$out"
+            if [[ $workload == repro ]]; then
+                mkdir -p "$dir/runs/$side"
+                start=$EPOCHREALTIME failed=0
+                # shellcheck disable=SC2086 # ARGS is split on spaces
+                (cd "$dir/runs/$side" && "$dir/target-$side/release/repro" $repro_args) \
+                    2> "$dir/runs/repro-$side-$i.err" > "$dir/runs/repro-$side-$i.out" || failed=1
+                wall=$(python3 -c "print($EPOCHREALTIME - $start)")
+                awk -f "$mask" "$dir/runs/repro-$side-$i.out" > "$dir/runs/repro-$side-$i.masked"
+                echo "{\"metrics\":{\"wall_s\":{\"value\":$wall}},\"failed\":$failed}" > "$out"
+            else
+                "$dir/target-$side/release/carebench" run --workload "$workload" --seed "$i" \
+                    --seconds "$seconds" | tail -n 1 > "$out"
+            fi
             echo "pair $i $side: $(cat "$out")" >&2
         done
     done
 
-    python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" <<'EOF'
+    python3 - "$dir" "$workload" "$n" "$tree/BENCHMARK.json" "$repro_args" <<'EOF'
 import json, math, statistics, sys
 
-dir, workload, n, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
-better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
+dir, workload, n, spec, repro_args = sys.argv[1], sys.argv[2], int(sys.argv[3]), *sys.argv[4:]
+if workload == "repro":
+    better = {"wall_s": "lower"}
+else:
+    better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 
 def runs(side):
     return [json.load(open(f"{dir}/runs/{workload}-{side}-{i}.json")) for i in range(1, n + 1)]
@@ -110,7 +139,15 @@ def sign_p(won, lost):
 parent, change = runs("parent"), runs("change")
 summary = {"workload": workload, "pairs": n, "metrics": {}}
 failed = sum(r["failed"] for r in parent + change)
-print(f"{workload}: {n} pairs, {failed} failed ops")
+if workload == "repro":
+    summary["command"] = f"repro {repro_args}"
+    outs = {open(f"{dir}/runs/repro-{side}-{i}.masked").read()
+            for side in ("parent", "change") for i in range(1, n + 1)}
+    summary["stdout_equal"] = len(outs) == 1
+    print(f"repro {repro_args}: {n} pairs, {failed} failed runs, masked stdout "
+          f"{'equal' if len(outs) == 1 else 'DIFFERS'} across all runs")
+else:
+    print(f"{workload}: {n} pairs, {failed} failed ops")
 print(f"{'metric':<14} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'wins':>6} {'p_sign':>7}  outside")
 for name, way in better.items():
     p = [r["metrics"][name]["value"] for r in parent]

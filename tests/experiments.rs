@@ -21,8 +21,9 @@ const SEED: u64 = 0xCA2E;
 const N: usize = 100;
 
 /// For the rows outside the paper's main evaluation — the double-bit
-/// appendix, the BLAS library, the ablations — which between them run the
-/// §2 set once more and the §5 set three and a half times more.
+/// appendix, the BLAS library, the ablations. Between them they run the
+/// nine shared campaigns once more under the double-bit model, sblat1's,
+/// and, at the ablation seed, the eight §5 campaigns and twelve ablated ones.
 const SMALL_N: usize = 20;
 /// The first seed at which, at `SMALL_N`, an ablated column of each of
 /// `ablate-liveness` and `ablate-patch` differs from its baseline and the
@@ -33,7 +34,7 @@ fn session(injections: usize) -> Session {
     Session::new(injections, SEED, EngineKind::Interp)
 }
 
-/// Tables 2–4 row: one §2 whole-program campaign at O0.
+/// Tables 2–4 row: the unprotected fields of one O0 campaign.
 struct Manifestation {
     workload: &'static str,
     /// Table 2: (benign, soft failure, SDC, hang).
@@ -205,7 +206,7 @@ const COVERAGE: &[Coverage] = &[
     },
 ];
 
-/// Which test renders which registry rows: each runs its campaign sets once.
+/// Which test renders which registry rows: each runs the campaigns it reads once.
 const MANIFESTATION_ROWS: &[&str] = &["table2", "table3", "table4"];
 const STATIC_ROWS: &[&str] = &["table5", "table8"];
 const COVERAGE_ROWS: &[&str] = &["fig7", "fig9", "declines"];
