@@ -167,9 +167,12 @@ impl Session {
                     let carestore::StoreStats { hits, known_skips, misses, .. } = stats;
                     let residual = 100.0 * stats.residual_fraction(cfg.injections);
                     eprintln!(
-                        "[repro]   {} {}: store reused {hits} records, skipped {known_skips} \
+                        "[repro]   {} {} {}: store reused {hits} records, skipped {known_skips} \
                          known-benign, executed {misses} residual ({residual:.0}% of {})",
-                        p.name, p.level, cfg.injections,
+                        p.name,
+                        p.level,
+                        cfg.model.name(),
+                        cfg.injections,
                     );
                     return report;
                 }

@@ -89,12 +89,13 @@ fn every_flag_in_help_drives_a_real_run() {
         assert_ok("local run", &out);
         out
     };
-    // The store lines of a run's stderr whose campaign level ends in
-    // `level` ("" for every line).
+    // The store lines of a run's stderr ("PROGRAM LEVEL MODEL: store
+    // reused ...") whose campaign level is `level` ("" for every line).
     let store_lines = |out: &Output, level: &str| -> Vec<String> {
         let err = text(&out.stderr);
-        let at_level = format!("{level}: store reused ");
-        err.lines().filter(|l| l.contains(&at_level)).map(str::to_owned).collect()
+        let at_level = format!(" {level} ");
+        let lines = err.lines().filter(|l| l.contains(": store reused "));
+        lines.filter(|l| level.is_empty() || l.contains(&at_level)).map(str::to_owned).collect()
     };
     let all_warm = |lines: &[String]| lines.iter().all(|l| l.contains("executed 0 residual"));
     let cold = local(&["--store", "care_store", "table2"]);
@@ -107,6 +108,14 @@ fn every_flag_in_help_drives_a_real_run() {
     let (o0, o1) = (store_lines(&fig7, "O0"), store_lines(&fig7, "O1"));
     assert!(o0.len() == 4 && all_warm(&o0), "{}", text(&fig7.stderr));
     assert!(o1.len() == 4 && !all_warm(&o1), "{}", text(&fig7.stderr));
+    // Each store line names its campaign's fault model, so the five
+    // programs' single- and double-bit campaigns print ten distinct names.
+    local(&["--resume", "table10"]);
+    let both = local(&["--resume", "table2", "table10"]);
+    let lines = store_lines(&both, "");
+    let names: std::collections::BTreeSet<&str> =
+        lines.iter().filter_map(|l| l.split(": store reused ").next()).collect();
+    assert!(names.len() == 10 && all_warm(&lines), "{}", text(&both.stderr));
     let jsonl = std::fs::read_to_string(dir.join("t.jsonl")).expect("telemetry written");
     telemetry::validate_jsonl(&jsonl).expect("telemetry validates");
 

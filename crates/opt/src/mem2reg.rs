@@ -171,14 +171,6 @@ fn promote_function(f: &mut Function) -> usize {
         })
         .collect();
 
-    // Dominator-tree children.
-    let mut dom_children: Vec<Vec<BlockId>> = vec![Vec::new(); cfg.len()];
-    for b in 0..cfg.len() {
-        if let Some(p) = dt.idom[b] {
-            dom_children[p.0 as usize].push(BlockId(b as u32));
-        }
-    }
-
     // Iterative DFS; an unwind pops one value per alloca ordinal listed.
     enum Step {
         Visit(BlockId),
@@ -227,7 +219,7 @@ fn promote_function(f: &mut Function) -> usize {
                     }
                 }
                 stack.push(Step::Unwind(pushed));
-                for &c in dom_children[b.0 as usize].iter().rev() {
+                for &c in dt.children[b.0 as usize].iter().rev() {
                     stack.push(Step::Visit(c));
                 }
             }

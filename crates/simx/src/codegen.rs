@@ -136,14 +136,8 @@ pub fn compile_module(ir: &Module, regalloc: bool, die_requests: &[DieRequest]) 
 /// Split critical edges into blocks that carry phis, so phi copies inserted
 /// at predecessor ends cannot leak onto the wrong path. Returns the split
 /// copy of `orig`, or `None` when it has no such edge.
-fn split_critical_edges(orig: &Function) -> Option<Function> {
+fn split_critical_edges(orig: &Function, cfg: &Cfg) -> Option<Function> {
     let nblocks = orig.blocks.len();
-    let mut pred_count = vec![0usize; nblocks];
-    for (_, block) in orig.block_iter() {
-        if let Some(&last) = block.instrs.last() {
-            orig.instr(last).for_each_successor(|s| pred_count[s.0 as usize] += 1);
-        }
-    }
     let has_phi: Vec<bool> = (0..nblocks)
         .map(|b| {
             orig.blocks[b]
@@ -158,12 +152,11 @@ fn split_critical_edges(orig: &Function) -> Option<Function> {
         // Only p's own iteration changes p's terminator, so `orig`'s is
         // current here.
         let Some(&last) = orig.blocks[p].instrs.last() else { continue };
-        let succs = orig.instr(last).successors();
-        if succs.len() < 2 {
+        if cfg.succs[p].len() < 2 {
             continue;
         }
-        for s in succs {
-            if !has_phi[s.0 as usize] || pred_count[s.0 as usize] < 2 {
+        for &s in &cfg.succs[p] {
+            if !has_phi[s.0 as usize] || cfg.preds[s.0 as usize].len() < 2 {
                 continue;
             }
             // Split p -> s.
@@ -230,9 +223,10 @@ fn lower_function(
     regalloc: bool,
     reqs: &[&DieRequest],
 ) -> (MachineFunction, Vec<(String, VarPlace, u32, u32)>) {
-    let split = split_critical_edges(orig);
+    let cfg = Cfg::new(orig);
+    let split = split_critical_edges(orig, &cfg);
     let f = split.as_ref().unwrap_or(orig);
-    let cfg = Cfg::new(f);
+    let cfg = if split.is_some() { Cfg::new(f) } else { cfg };
     let lv = Liveness::compute(f, &cfg);
     let ud = UseDef::compute(f);
     let n_instr = f.instrs.len();

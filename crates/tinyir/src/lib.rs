@@ -12,12 +12,16 @@
 //! * the data model ([`Module`], [`Function`], [`Instr`], [`Value`], [`Ty`]),
 //! * an ergonomic [`builder::ModuleBuilder`] used by the `workloads` crate,
 //! * a textual [`display`] printer and [`parser`] (round-trip tested),
+//! * the control-flow graph ([`cfg::Cfg`]) and dominator tree
+//!   ([`dom::DomTree`]) that the [`verify`] pass and the compiler share,
 //! * a structural [`verify`] pass,
 //! * a reference [`interp`] interpreter over [`mem::PagedMemory`].
 
 pub mod builder;
+pub mod cfg;
 pub mod debugloc;
 pub mod display;
+pub mod dom;
 pub mod instr;
 pub mod interp;
 pub mod mem;

@@ -9,14 +9,15 @@
 //!   predecessor;
 //! * every value use is defined (SSA), arguments/globals are in range;
 //! * operand types match the instruction's expectations;
-//! * uses are dominated by definitions (checked via a lightweight dominance
-//!   computation over reachable blocks).
+//! * uses are dominated by definitions (checked over reachable blocks on
+//!   the shared [`DomTree`]).
 
+use crate::cfg::Cfg;
+use crate::dom::DomTree;
 use crate::instr::{Callee, InstrKind};
 use crate::module::{value_ty, Function, Module};
 use crate::types::Ty;
 use crate::value::{BlockId, InstrId, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,16 +55,18 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     }
 
     // -- terminator discipline & def collection ---------------------------
-    let mut defined: HashSet<InstrId> = HashSet::new();
+    // The block and position of each instruction a block lists.
+    let mut place: Vec<Option<(BlockId, usize)>> = vec![None; f.instrs.len()];
     for (bid, block) in f.block_iter() {
         if block.instrs.is_empty() {
             return err(format!("{bid} is empty"));
         }
+        let mut past_phis = false;
         for (pos, &iid) in block.instrs.iter().enumerate() {
-            if iid.0 as usize >= f.instrs.len() {
+            let Some(slot) = place.get_mut(iid.0 as usize) else {
                 return err(format!("{bid} references out-of-range instr {iid:?}"));
-            }
-            if !defined.insert(iid) {
+            };
+            if slot.replace((bid, pos)).is_some() {
                 return err(format!("instruction {iid} appears twice"));
             }
             let instr = f.instr(iid);
@@ -74,55 +77,40 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     crate::display::instr_body_str(&instr.kind)
                 ));
             }
-            if matches!(instr.kind, InstrKind::Phi { .. }) {
-                // Phis must be a prefix of the block.
-                let head = block.instrs[..pos]
-                    .iter()
-                    .all(|&p| matches!(f.instr(p).kind, InstrKind::Phi { .. }));
-                if !head {
-                    return err(format!("{bid}: phi not at block head"));
-                }
+            // Phis must be a prefix of the block.
+            if !matches!(instr.kind, InstrKind::Phi { .. }) {
+                past_phis = true;
+            } else if past_phis {
+                return err(format!("{bid}: phi not at block head"));
             }
         }
     }
 
-    // -- CFG, reachability, predecessors ----------------------------------
-    let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    // -- CFG: successors in range before `Cfg::new` indexes by them --------
     for (bid, block) in f.block_iter() {
         let term = f.instr(*block.instrs.last().unwrap());
-        for s in term.successors() {
-            if s.0 as usize >= f.blocks.len() {
-                return err(format!("{bid} branches to out-of-range {s}"));
-            }
-            preds.entry(s).or_default().push(bid);
+        if let Some(s) = term.successors().into_iter().find(|s| s.0 as usize >= f.blocks.len()) {
+            return err(format!("{bid} branches to out-of-range {s}"));
         }
     }
-    let mut reachable: HashSet<BlockId> = HashSet::new();
-    let mut queue = VecDeque::from([f.entry()]);
-    while let Some(b) = queue.pop_front() {
-        if !reachable.insert(b) {
-            continue;
-        }
-        let term = f.instr(*f.block(b).instrs.last().unwrap());
-        for s in term.successors() {
-            queue.push_back(s);
-        }
-    }
+    let cfg = Cfg::new(f);
+    // A phi's incoming block is never range-checked: one out of range is
+    // unreachable.
+    let reachable = |b: BlockId| cfg.reachable.get(b.0 as usize) == Some(&true);
 
     // -- per-instruction operand checks ------------------------------------
     // These run for *every* block, reachable or not: downstream passes
     // (liveness, codegen, printing) walk all blocks, so ill-formed operands
     // in unreachable code would still index out of range or type-confuse
-    // them. Only the dominance analysis below is restricted to reachable
+    // them. Only the dominance check below is restricted to reachable
     // blocks, where dominators are well-defined.
     for (bid, block) in f.block_iter() {
-        let reach = reachable.contains(&bid);
-        let mut seen_in_block: HashSet<InstrId> = HashSet::new();
-        for &iid in &block.instrs {
+        let reach = reachable(bid);
+        for (pos, &iid) in block.instrs.iter().enumerate() {
             let instr = f.instr(iid);
             for v in instr.operands() {
                 match v {
-                    Value::Instr(d) if !defined.contains(&d) => {
+                    Value::Instr(d) if place.get(d.0 as usize).copied().flatten().is_none() => {
                         return err(format!("{iid} uses undefined value {d}"));
                     }
                     Value::Arg(n) if n as usize >= f.params.len() => {
@@ -134,32 +122,27 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                     _ => {}
                 }
                 // In unreachable blocks dominators are undefined, so the
-                // dominance pass below skips them; still reject the local
+                // dominance check below skips them; still reject the local
                 // use-before-def shape, which needs only block positions.
-                if !reach {
-                    if let Value::Instr(d) = v {
-                        if block.instrs.contains(&d) && !seen_in_block.contains(&d) {
-                            return err(format!(
-                                "{iid} in unreachable {bid} uses {d} before its definition"
-                            ));
-                        }
+                if let (false, Value::Instr(d)) = (reach, v) {
+                    if matches!(place[d.0 as usize], Some((db, dpos)) if db == bid && dpos >= pos) {
+                        return err(format!(
+                            "{iid} in unreachable {bid} uses {d} before its definition"
+                        ));
                     }
                 }
             }
-            seen_in_block.insert(iid);
             check_types(m, f, iid)?;
-            if let InstrKind::Phi { incomings, .. } = &f.instr(iid).kind {
-                let mut ps: Vec<BlockId> = preds.get(&bid).cloned().unwrap_or_default();
-                ps.sort();
-                ps.dedup();
+            if let InstrKind::Phi { incomings, .. } = &instr.kind {
                 let mut inc: Vec<BlockId> = incomings.iter().map(|(b, _)| *b).collect();
-                inc.sort();
-                let mut inc_d = inc.clone();
-                inc_d.dedup();
-                if inc_d.len() != inc.len() {
+                inc.sort_unstable();
+                if inc.windows(2).any(|w| w[0] == w[1]) {
                     return err(format!("{iid}: duplicate phi incoming blocks"));
                 }
-                let missing: Vec<_> = ps.iter().filter(|p| !inc.contains(p)).collect();
+                // `Cfg::preds` is ascending, so `dedup` lists each once.
+                let mut missing = cfg.preds[bid.0 as usize].to_vec();
+                missing.dedup();
+                missing.retain(|p| inc.binary_search(p).is_err());
                 if !missing.is_empty() {
                     return err(format!("{iid}: phi missing incoming for {missing:?}"));
                 }
@@ -168,8 +151,44 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
     }
 
     // -- dominance of uses --------------------------------------------------
-    verify_dominance(f, &preds, &reachable)?;
-
+    let dt = DomTree::new(&cfg);
+    for (bid, block) in f.block_iter() {
+        if !reachable(bid) {
+            continue;
+        }
+        for (pos, &iid) in block.instrs.iter().enumerate() {
+            let instr = f.instr(iid);
+            if let InstrKind::Phi { incomings, .. } = &instr.kind {
+                // A phi use must be dominated by its def at the end of the
+                // incoming block.
+                for (inb, v) in incomings {
+                    if let (true, Value::Instr(d)) = (reachable(*inb), v) {
+                        let (db, _) = place[d.0 as usize].expect("defined");
+                        if !dt.dominates(db, *inb) {
+                            return err(format!(
+                                "phi {iid}: incoming {v:?} from {inb} not dominated by def in {db}"
+                            ));
+                        }
+                    }
+                }
+                continue;
+            }
+            for v in instr.operands() {
+                if let Value::Instr(d) = v {
+                    let (db, dpos) = place[d.0 as usize].expect("defined");
+                    if db == bid {
+                        if dpos >= pos {
+                            return err(format!("{iid} uses {d} before its definition"));
+                        }
+                    } else if !dt.dominates(db, bid) {
+                        return err(format!(
+                            "{iid} in {bid} uses {d} defined in non-dominating {db}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
     Ok(())
 }
 
@@ -263,104 +282,6 @@ fn check_types(m: &Module, f: &Function, iid: InstrId) -> Result<(), VerifyError
             _ => return err(format!("{iid}: return value presence mismatch")),
         },
         _ => {}
-    }
-    Ok(())
-}
-
-/// Check that every non-phi use is dominated by its definition, using a
-/// simple iterative dominator computation (sufficient for verification; the
-/// `analysis` crate has the production dominator tree).
-fn verify_dominance(
-    f: &Function,
-    preds: &HashMap<BlockId, Vec<BlockId>>,
-    reachable: &HashSet<BlockId>,
-) -> Result<(), VerifyError> {
-    let err = |msg: String| Err(VerifyError { func: f.name.clone(), msg });
-    let nblocks = f.blocks.len();
-    // dom[b] = set of blocks dominating b, as bitset.
-    let full: Vec<bool> = vec![true; nblocks];
-    let mut dom: Vec<Vec<bool>> = vec![full; nblocks];
-    let entry = f.entry().0 as usize;
-    dom[entry] = vec![false; nblocks];
-    dom[entry][entry] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 0..nblocks {
-            if b == entry || !reachable.contains(&BlockId(b as u32)) {
-                continue;
-            }
-            let mut newdom = vec![true; nblocks];
-            let empty = Vec::new();
-            let ps = preds.get(&BlockId(b as u32)).unwrap_or(&empty);
-            let mut any = false;
-            for p in ps {
-                if !reachable.contains(p) {
-                    continue;
-                }
-                any = true;
-                for i in 0..nblocks {
-                    newdom[i] = newdom[i] && dom[p.0 as usize][i];
-                }
-            }
-            if !any {
-                newdom = vec![false; nblocks];
-            }
-            newdom[b] = true;
-            if newdom != dom[b] {
-                dom[b] = newdom;
-                changed = true;
-            }
-        }
-    }
-
-    let owner = f.instr_blocks();
-    let mut pos_in_block: HashMap<InstrId, usize> = HashMap::new();
-    for (_, block) in f.block_iter() {
-        for (i, &iid) in block.instrs.iter().enumerate() {
-            pos_in_block.insert(iid, i);
-        }
-    }
-
-    for (bid, block) in f.block_iter() {
-        if !reachable.contains(&bid) {
-            continue;
-        }
-        for &iid in &block.instrs {
-            let instr = f.instr(iid);
-            if let InstrKind::Phi { incomings, .. } = &instr.kind {
-                // A phi use must be dominated by its def at the end of the
-                // incoming block.
-                for (inb, v) in incomings {
-                    if let Value::Instr(d) = v {
-                        if !reachable.contains(inb) {
-                            continue;
-                        }
-                        let db = owner[d.0 as usize];
-                        if !dom[inb.0 as usize][db.0 as usize] {
-                            return err(format!(
-                                "phi {iid}: incoming {v:?} from {inb} not dominated by def in {db}"
-                            ));
-                        }
-                    }
-                }
-                continue;
-            }
-            for v in instr.operands() {
-                if let Value::Instr(d) = v {
-                    let db = owner[d.0 as usize];
-                    if db == bid {
-                        if pos_in_block[&d] >= pos_in_block[&iid] {
-                            return err(format!("{iid} uses {d} before its definition"));
-                        }
-                    } else if !dom[bid.0 as usize][db.0 as usize] {
-                        return err(format!(
-                            "{iid} in {bid} uses {d} defined in non-dominating {db}"
-                        ));
-                    }
-                }
-            }
-        }
     }
     Ok(())
 }
@@ -601,5 +522,69 @@ mod tests {
         m.add_func(f);
         let err = verify_module(&m).unwrap_err();
         assert!(err.msg.contains("not a pointer"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Over random CFGs whose blocks use each other's definitions,
+        /// in plain operands and in phi incomings, `verify_module` accepts
+        /// exactly when every use in a reachable block is dominated by its
+        /// definition, by the definition of dominance (deleting the
+        /// definition's block cuts the use's block off from the entry), and
+        /// no use in an unreachable block precedes its definition there.
+        #[test]
+        fn accepts_exactly_the_dominated_uses(
+            succs in crate::dom::tests::random_succs(),
+            // Per block: a phi or none, the source of one use, and the
+            // source of the phi's incoming from each predecessor. A source
+            // names the block whose definition it reads, or (past the
+            // last block) a constant.
+            plans in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..13, proptest::collection::vec(0usize..13, 12..13)),
+                12..13,
+            ),
+        ) {
+            let n = succs.len();
+            let dom = crate::dom::tests::brute_dominance(&succs);
+            let succs = &succs;
+            let preds = |b: usize| (0..n).filter(move |&p| succs[p].contains(&b));
+
+            // Block `b` holds [phi], its definition `%v{n + b}`, a use, and
+            // the terminator `cfg_function` put there (`%v{b}`).
+            let mut f = crate::dom::tests::cfg_function(succs);
+            let src = |k: usize| if k < n { Value::Instr(InstrId((n + k) as u32)) } else { Value::i64(7) };
+            let bin = |lhs| Instr::new(InstrKind::Bin { op: BinOp::Add, lhs, rhs: Value::i64(1), ty: Ty::I64 });
+            f.instrs.extend((0..n).map(|b| bin(Value::i64(b as i64))));
+            let mut ok = true;
+            for (b, (has_phi, use_src, phi_srcs)) in plans.iter().take(n).enumerate() {
+                let mut instrs = Vec::new();
+                if *has_phi {
+                    let incomings = preds(b).zip(phi_srcs).map(|(p, &k)| (BlockId(p as u32), src(k)));
+                    instrs.push(InstrId(f.instrs.len() as u32));
+                    f.instrs.push(Instr::new(InstrKind::Phi { incomings: incomings.collect(), ty: Ty::I64 }));
+                    // An unreachable block is checked for local order only,
+                    // which a phi reading its own block's definition breaks.
+                    ok &= preds(b).zip(phi_srcs).all(|(p, &k)| match (dom[b][b], dom[p][p]) {
+                        (false, _) => k != b,
+                        (true, false) => true,
+                        (true, true) => k >= n || dom[k][p],
+                    });
+                }
+                instrs.extend([InstrId((n + b) as u32), InstrId(f.instrs.len() as u32), InstrId(b as u32)]);
+                f.instrs.push(bin(src(*use_src)));
+                f.blocks[b].instrs = instrs;
+                ok &= !dom[b][b] || *use_src >= n || dom[*use_src][b];
+            }
+            let mut m = Module::new("m");
+            m.add_func(f);
+            match verify_module(&m) {
+                Ok(()) => proptest::prop_assert!(ok, "accepted a use its definition does not dominate: {:?}", succs),
+                Err(e) => proptest::prop_assert!(
+                    !ok && ["not dominated", "non-dominating", "before its"].iter().any(|w| e.msg.contains(w)),
+                    "{} in {:?}", e, succs
+                ),
+            }
+        }
     }
 }

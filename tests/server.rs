@@ -90,10 +90,27 @@ fn trapping_inline_spec() -> JobSpec {
     }
 }
 
+/// A backward chain of `n` blocks: `bb0` branches to `bb{n-1}` or `bb1`,
+/// each other `bbK` to `bb{K-1}`, and `bb1` returns `%v{n}`, which
+/// `bb{n-1}` defines. The entry's branch to `bb1` skips the definition, so
+/// the use is not dominated by it.
+fn chain_module(n: usize) -> String {
+    let mut text = String::from("module \"chain\"\nfunc @main(i64 %a0) -> i64 {\nbb0:\n");
+    text += &format!("  %v0 = icmp slt %a0, i64 1\n  condbr %v0, bb{}, bb1\nbb1:\n", n - 1);
+    text += &format!("  ret %v{n}\n");
+    for k in 2..n - 1 {
+        text += &format!("bb{k}:\n  br bb{}\n", k - 1);
+    }
+    text += &format!("bb{}:\n  %v{n} = add i64 %a0, i64 1\n  br bb{}\n}}\n", n - 1, n - 2);
+    text
+}
+
 /// One-line damages to `slow_inline_spec`'s module that still parse but do
 /// not verify: an undefined value, a branch to a missing block, a missing
 /// argument, a missing global, a use before its definition, and a block
-/// with no terminator.
+/// with no terminator; and the longest [`chain_module`] that fits the
+/// inline-module cap, which a verifier quadratic in blocks would hold on
+/// the connection's thread for minutes.
 fn unverifiable_inline_specs() -> Vec<JobSpec> {
     let intact = slow_inline_spec(10, 4);
     let WorkloadSel::Inline { text, .. } = &intact.workload else { unreachable!() };
@@ -117,6 +134,22 @@ fn unverifiable_inline_specs() -> Vec<JobSpec> {
                 WorkloadSel::Inline { text, args: args.clone(), outputs: outputs.clone() };
             JobSpec { workload, ..intact.clone() }
         })
+        .chain(std::iter::once({
+            let cap = careserve::proto::MAX_MODULE_BYTES;
+            let (mut fits, mut over) = (4, cap);
+            while fits + 1 < over {
+                let mid = (fits + over) / 2;
+                *if chain_module(mid).len() <= cap { &mut fits } else { &mut over } = mid;
+            }
+            let WorkloadSel::Inline { args, outputs, .. } = &intact.workload else {
+                unreachable!()
+            };
+            let text = chain_module(fits);
+            assert!(text.len() > cap - 64, "{} bytes", text.len());
+            let workload =
+                WorkloadSel::Inline { text, args: args.clone(), outputs: outputs.clone() };
+            JobSpec { workload, ..intact.clone() }
+        }))
         .collect()
 }
 
@@ -129,6 +162,8 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
         let err = careserve::proto::resolve_workload(&spec.workload).expect_err("resolved");
         assert!(err.starts_with("inline module: verify error"), "{err}");
     }
+    let chain = careserve::proto::resolve_workload(&specs[6].workload).expect_err("resolved");
+    assert!(chain.contains("%v2 in bb1 uses") && chain.contains("non-dominating"), "{chain}");
     let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -145,7 +180,7 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
     }
     stream.write_all(format!("{}\n", ClientFrame::Stats.encode()).as_bytes()).unwrap();
     let ServerFrame::Stats(stats) = next_frame() else { panic!("stats went unanswered") };
-    assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (0, 6));
+    assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (0, 7));
     handle.shutdown();
 }
 
