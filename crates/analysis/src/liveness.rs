@@ -102,8 +102,6 @@ impl Rows {
 
 /// No key: the step defines nothing.
 const NO_KEY: u32 = u32::MAX;
-/// An arena instruction that sits in no block.
-const UNPLACED: (u32, u32) = (u32::MAX, 0);
 
 /// One instruction of a block walk: the key it defines and its non-phi
 /// uses, `Liveness::uses[use_lo..use_hi]`.
@@ -135,12 +133,13 @@ pub struct Liveness {
     steps: Vec<Step>,
     /// The keys every step uses, concatenated.
     uses: Vec<u32>,
-    /// `(block, index in block)` of each arena instruction.
-    place: Vec<(u32, u32)>,
+    /// `(block, index in block)` of each instruction.
+    place: Vec<(BlockId, u32)>,
 }
 
 impl Liveness {
-    /// Compute liveness for `f` over its CFG.
+    /// Compute liveness for `f` over its CFG. `f` must be verified, so that
+    /// each arena instruction sits in exactly one block.
     pub fn compute(f: &Function, cfg: &Cfg) -> Liveness {
         let n_real = f.instrs.len() as u32;
         let n_keys = f.instrs.len() + f.params.len();
@@ -151,9 +150,14 @@ impl Liveness {
             Value::Arg(a) => Some(n_real + a),
             _ => None,
         };
-        let owner = f.instr_blocks();
+        let mut place = vec![(BlockId(0), 0); f.instrs.len()];
+        for (bid, block) in f.block_iter() {
+            for (i, &iid) in block.instrs.iter().enumerate() {
+                place[iid.0 as usize] = (bid, i as u32);
+            }
+        }
         // Arguments are "defined" in the entry block.
-        let owner_of = |k: u32| if k < n_real { owner[k as usize] } else { BlockId(0) };
+        let owner_of = |k: u32| if k < n_real { place[k as usize].0 } else { BlockId(0) };
 
         // use[b], def[b] block summaries. Phi uses count as uses at the end
         // of the corresponding predecessor, via phi_out.
@@ -164,7 +168,6 @@ impl Liveness {
         let mut block_start = Vec::with_capacity(n_block + 1);
         let mut steps = Vec::with_capacity(f.instrs.len());
         let mut uses = Vec::with_capacity(2 * f.instrs.len());
-        let mut place = vec![UNPLACED; f.instrs.len()];
 
         for (bid, block) in f.block_iter() {
             let b = bid.0 as usize;
@@ -199,11 +202,6 @@ impl Liveness {
                     NO_KEY
                 };
                 steps.push(Step { instr: iid, def, use_lo, use_hi: uses.len() as u32 });
-            }
-            // An instruction listed twice answers for its first place in
-            // its last block.
-            for (i, &iid) in block.instrs.iter().enumerate().rev() {
-                place[iid.0 as usize] = (b as u32, i as u32);
             }
         }
         block_start.push(steps.len() as u32);
@@ -290,17 +288,25 @@ impl Liveness {
         }
     }
 
+    /// The block that lists instruction `id`, and `id`'s position in it.
+    pub fn place(&self, id: InstrId) -> (BlockId, usize) {
+        let (b, i) = self.place[id.0 as usize];
+        (b, i as usize)
+    }
+
+    /// `id`'s position in the function listed block after block: the
+    /// instructions of the blocks before its own, plus its index in it.
+    pub fn position(&self, id: InstrId) -> u32 {
+        let (b, i) = self.place[id.0 as usize];
+        self.block_start[b.0 as usize] + i
+    }
+
     /// Fill `live` with the values live immediately before `at`: one
-    /// backward walk of `at`'s block, from its end to `at`. An instruction
-    /// that sits in no block has nothing live.
+    /// backward walk of `at`'s block, from its end to `at`.
     pub fn live_before_into(&self, at: InstrId, live: &mut LiveSet) {
-        let (b, i) = self.place[at.0 as usize];
-        if (b, i) == UNPLACED {
-            live.load(&[]);
-            return;
-        }
-        live.load(self.live_out.row(b as usize));
-        for st in self.block_steps(b as usize)[i as usize..].iter().rev() {
+        let (b, i) = self.place(at);
+        live.load(self.live_out.row(b.0 as usize));
+        for st in self.block_steps(b.0 as usize)[i..].iter().rev() {
             self.step_back(st, live);
         }
     }
@@ -309,11 +315,8 @@ impl Liveness {
     /// A forward scan of `at`'s block: the first use or definition of `k`
     /// decides, and the block's `live_out` row when neither comes.
     fn live_from(&self, k: InstrId, at: InstrId, skip: usize) -> bool {
-        let (b, i) = self.place[at.0 as usize];
-        if (b, i) == UNPLACED {
-            return false;
-        }
-        for st in &self.block_steps(b as usize)[i as usize + skip..] {
+        let (b, i) = self.place(at);
+        for st in &self.block_steps(b.0 as usize)[i + skip..] {
             if self.uses[st.use_lo as usize..st.use_hi as usize].contains(&k.0) {
                 return true;
             }
@@ -321,7 +324,7 @@ impl Liveness {
                 return false;
             }
         }
-        self.live_out.get(b as usize, k.0)
+        self.live_out.get(b.0 as usize, k.0)
     }
 
     /// Is `v` (instruction result or argument) live immediately before `at`?

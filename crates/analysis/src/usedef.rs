@@ -2,32 +2,24 @@
 
 use tinyir::{Function, InstrId, InstrKind, Value};
 
-/// Users of every instruction-defined value and of every argument, as one
-/// flat list: the users of value `k` (instructions first, then arguments)
-/// are `list[start[k]..start[k + 1]]`, in block order.
+/// Users of every instruction-defined value, as one flat list: the users
+/// of `%vK` are `list[start[K]..start[K + 1]]`, in block order.
 #[derive(Debug, Clone)]
 pub struct UseDef {
     start: Vec<u32>,
     list: Vec<InstrId>,
-    n_instrs: usize,
 }
 
 impl UseDef {
     /// Compute use–def chains for `f`.
     pub fn compute(f: &Function) -> UseDef {
-        let n_instrs = f.instrs.len();
-        let key = |v: Value| match v {
-            Value::Instr(d) => Some(d.0 as usize),
-            Value::Arg(a) => Some(n_instrs + a as usize),
-            _ => None,
-        };
         // Count, turn the counts into starts, then fill in block order.
-        let mut start = vec![0u32; n_instrs + f.params.len() + 1];
+        let mut start = vec![0u32; f.instrs.len() + 1];
         for (_, block) in f.block_iter() {
             for &iid in &block.instrs {
                 f.instr(iid).for_each_operand(|v| {
-                    if let Some(k) = key(v) {
-                        start[k + 1] += 1;
+                    if let Value::Instr(d) = v {
+                        start[d.0 as usize + 1] += 1;
                     }
                 });
             }
@@ -40,33 +32,20 @@ impl UseDef {
         for (_, block) in f.block_iter() {
             for &iid in &block.instrs {
                 f.instr(iid).for_each_operand(|v| {
-                    if let Some(k) = key(v) {
-                        list[next[k] as usize] = iid;
-                        next[k] += 1;
+                    if let Value::Instr(d) = v {
+                        list[next[d.0 as usize] as usize] = iid;
+                        next[d.0 as usize] += 1;
                     }
                 });
             }
         }
-        UseDef { start, list, n_instrs }
-    }
-
-    fn of_key(&self, k: usize) -> &[InstrId] {
-        &self.list[self.start[k] as usize..self.start[k + 1] as usize]
+        UseDef { start, list }
     }
 
     /// The instructions that use `%v` as an operand.
     pub fn users(&self, v: InstrId) -> &[InstrId] {
-        self.of_key(v.0 as usize)
-    }
-
-    /// The instructions that use argument `a`.
-    pub fn arg_users(&self, a: u32) -> &[InstrId] {
-        self.of_key(self.n_instrs + a as usize)
-    }
-
-    /// Number of uses of `%v`.
-    pub fn use_count(&self, v: InstrId) -> usize {
-        self.users(v).len()
+        let k = v.0 as usize;
+        &self.list[self.start[k] as usize..self.start[k + 1] as usize]
     }
 
     /// The single user of `%v` if it has exactly one (the precondition for
@@ -150,10 +129,8 @@ mod tests {
         });
         let m = mb.finish();
         let ud = UseDef::compute(&m.funcs[0]);
-        assert_eq!(ud.use_count(InstrId(0)), 2);
         assert_eq!(ud.single_user(InstrId(1)), Some(InstrId(2)));
         assert_eq!(ud.single_user(InstrId(0)), None);
-        assert_eq!(ud.arg_users(0).len(), 1);
         assert_eq!(ud.users(InstrId(0)), &[InstrId(1), InstrId(1)]);
     }
 

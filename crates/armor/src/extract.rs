@@ -19,8 +19,8 @@ use simx::DieRequest;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use tinyir::{
-    Callee, FuncId, Function, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind, Module, Ty,
-    Value,
+    BlockId, Callee, FuncId, Function, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind,
+    Module, Ty, Value,
 };
 
 /// Aggregate statistics (feeds Tables 5 and 8).
@@ -149,7 +149,7 @@ pub fn run_armor_with(app: &Module, config: ArmorConfig) -> ArmorOutput {
         let lt = Instant::now();
         let lv = Liveness::compute(f, &cfg);
         liveness_time += lt.elapsed();
-        let ms = MemScan::new(f, &cfg);
+        let ms = MemScan::new(f, &cfg, &lv);
         sets.size_for(f, app.globals.len());
 
         for access in f.mem_access_instrs() {
@@ -334,9 +334,6 @@ fn roots_may_alias(a: MemRoot, b: MemRoot) -> bool {
     matches!(a, MemRoot::Unknown) || matches!(b, MemRoot::Unknown) || a == b
 }
 
-/// An arena instruction that sits in no block.
-const UNPLACED: (u32, u32) = (u32::MAX, 0);
-
 /// Store-interference scan for one function.
 ///
 /// A kernel *re-executes* every load cloned into it, so a cloned load is
@@ -348,31 +345,28 @@ const UNPLACED: (u32, u32) = (u32::MAX, 0);
 /// the load again are harmless (the re-execution refreshes the value), which
 /// is what keeps loop-resident loads clonable when the aliasing store sits
 /// later in the same iteration.
-struct MemScan {
-    /// `(block index, intra-block position)` of every arena instruction
-    /// (`UNPLACED` for orphans), by instruction id.
-    pos: Vec<(u32, u32)>,
+struct MemScan<'a> {
+    /// Where each instruction sits (block and position).
+    lv: &'a Liveness,
     /// Bit `b` of row `a`: can control leave block `a` and later enter
     /// block `b` (paths of ≥ 1 CFG edge, so bit `a` of row `a` means `a`
     /// sits on a cycle)? Rows are `width` words.
     reach: Vec<u64>,
     width: usize,
     /// Block successors, for the load-avoiding path search.
-    succs: Adjacency,
+    succs: &'a Adjacency,
     /// Stores and opaque calls, with the region each may write.
     clobbers: Vec<(InstrId, MemRoot)>,
     /// Blocks seen and the stack of the current path search.
     search: RefCell<(Dense<()>, Vec<usize>)>,
 }
 
-impl MemScan {
-    fn new(f: &Function, cfg: &Cfg) -> MemScan {
+impl<'a> MemScan<'a> {
+    fn new(f: &Function, cfg: &'a Cfg, lv: &'a Liveness) -> MemScan<'a> {
         let n = cfg.len();
-        let mut pos = vec![UNPLACED; f.instrs.len()];
         let mut clobbers = Vec::new();
-        for (bid, b) in f.block_iter() {
-            for (i, &iid) in b.instrs.iter().enumerate() {
-                pos[iid.0 as usize] = (bid.0, i as u32);
+        for b in &f.blocks {
+            for &iid in &b.instrs {
                 match &f.instr(iid).kind {
                     InstrKind::Store { ptr, .. } => clobbers.push((iid, mem_root(f, *ptr))),
                     InstrKind::Call { callee, .. } => match callee {
@@ -395,24 +389,20 @@ impl MemScan {
                 }
             }
         }
-        let succs = cfg.succs.clone();
         let mut seen = Dense::default();
         seen.size_for(n);
-        MemScan { pos, reach, width, succs, clobbers, search: RefCell::new((seen, Vec::new())) }
+        let search = RefCell::new((seen, Vec::new()));
+        MemScan { lv, reach, width, succs: &cfg.succs, clobbers, search }
     }
 
-    fn reaches(&self, a: u32, b: u32) -> bool {
-        let (a, b) = (a as usize, b as usize);
+    fn reaches(&self, a: BlockId, b: BlockId) -> bool {
+        let (a, b) = (a.0 as usize, b.0 as usize);
         self.reach[a * self.width + b / 64] >> (b % 64) & 1 != 0
     }
 
     /// Is there an execution path on which `x` runs strictly before `y`?
-    /// Unplaced instructions answer `true` (conservative).
     fn may_precede(&self, x: InstrId, y: InstrId) -> bool {
-        let ((bx, px), (by, py)) = (self.pos[x.0 as usize], self.pos[y.0 as usize]);
-        if (bx, px) == UNPLACED || (by, py) == UNPLACED {
-            return true;
-        }
+        let ((bx, px), (by, py)) = (self.lv.place(x), self.lv.place(y));
         (bx == by && px < py) || self.reaches(bx, by)
     }
 
@@ -436,12 +426,9 @@ impl MemScan {
     }
 
     /// Is there a path on which `s` runs strictly before `a` with `l` never
-    /// executing in between? Unplaced instructions answer `true`.
+    /// executing in between?
     fn reaches_avoiding(&self, s: InstrId, a: InstrId, l: InstrId) -> bool {
-        let [(bs, ps), (ba, pa), (bl, pl)] = [s, a, l].map(|i| self.pos[i.0 as usize]);
-        if [(bs, ps), (ba, pa), (bl, pl)].contains(&UNPLACED) {
-            return true;
-        }
+        let [(bs, ps), (ba, pa), (bl, pl)] = [s, a, l].map(|i| self.lv.place(i));
         // Straight-line within one block: the segment executes exactly the
         // instructions between `s` and `a`.
         if bs == ba && ps < pa && !(bl == bs && ps < pl && pl < pa) {
@@ -455,12 +442,12 @@ impl MemScan {
         // `l`'s block is off-limits; arriving at the target block executes
         // its prefix up to `a`, which re-runs `l` when `l` sits above `a`.
         let enter_ok = !(bl == ba && pl < pa);
-        let (ba, bl) = (ba as usize, bl as usize);
+        let (ba, bl) = (ba.0 as usize, bl.0 as usize);
         let mut search = self.search.borrow_mut();
         let (seen, stack) = &mut *search;
         seen.clear();
         stack.clear();
-        stack.extend(self.succs[bs as usize].iter().map(|s| s.0 as usize));
+        stack.extend(self.succs[bs.0 as usize].iter().map(|s| s.0 as usize));
         while let Some(x) = stack.pop() {
             if !seen.insert(x, ()) {
                 continue;
@@ -512,7 +499,7 @@ fn folded_address_values(f: &Function, access: InstrId) -> [Option<Value>; 3] {
 struct SliceCtx<'a> {
     f: &'a Function,
     lv: &'a Liveness,
-    ms: &'a MemScan,
+    ms: &'a MemScan<'a>,
     /// The values live immediately before `at` (read only under
     /// `strict_liveness`).
     live: &'a LiveSet,

@@ -183,7 +183,6 @@ fn cmd_serve(args: &[String]) {
         budget_cap: a.budget_cap,
         max_queue: a.max_queue,
         store_dir: a.store_dir,
-        ..careserve::ServerConfig::default()
     })
     .expect("bind campaign server");
     println!(

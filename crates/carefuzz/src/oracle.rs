@@ -3,7 +3,7 @@
 //!
 //! Pairs (ISSUE 5 tentpole):
 //! 1. **RoundTrip** — `display` → `parser` → `display` is a fixpoint and the
-//!    reparse verifies.
+//!    reparse verifies, for the module as built and after O1.
 //! 2. **FastSlow** — the interpreter's fast loop vs that loop stepped one
 //!    instruction at a time (the instrumented-run reference), handed a
 //!    profiling [`Instrument`] with one stop drawn from the program's own
@@ -150,6 +150,9 @@ pub fn check_module(m: &Module, salt: u64, reach: &mut Reach) -> Option<Divergen
     let mm0 = Arc::new(compile_module(m, false, &[]));
     let mut oir = m.clone();
     opt::optimize(&mut oir, OptLevel::O1);
+    if let Some(d) = roundtrip_check(&oir) {
+        return Some(d);
+    }
     let armor_out = run_armor(&oir);
     let mm1 = Arc::new(compile_module(&oir, true, &armor_out.die_requests));
     let outputs = output_globals(m);

@@ -65,14 +65,6 @@ pub struct ServerConfig {
     /// Bounded admission queue: jobs waiting for budget beyond this are
     /// rejected with [`RejectReason::QueueFull`].
     pub max_queue: usize,
-    /// Per-line frame cap; longer lines are rejected as oversized.
-    pub max_frame_bytes: usize,
-    /// Prepared-campaign cache bound in entries (LRU eviction beyond it);
-    /// 0 = [`DEFAULT_CACHE_CAP`]. Each entry is a compiled module plus its
-    /// golden snapshot trellis (and its translation, once a compiled job
-    /// has run on it), so the bound is what keeps a stream of distinct
-    /// inline jobs from growing the server without limit.
-    pub cache_cap: usize,
     /// Content-addressed result store directory. `Some` routes every job
     /// through [`carestore::Store::run_campaign`]: stored records are
     /// reused, only the residual executes, and fresh records are appended
@@ -80,7 +72,11 @@ pub struct ServerConfig {
     pub store_dir: Option<PathBuf>,
 }
 
-/// Default prepared-campaign cache bound when the config leaves it 0.
+/// Prepared-campaign cache bound in entries (LRU eviction beyond it).
+/// Each entry is a compiled module plus its golden snapshot trellis (and
+/// its translation, once a compiled job has run on it), so the bound is
+/// what keeps a stream of distinct inline jobs from growing the server
+/// without limit.
 pub const DEFAULT_CACHE_CAP: usize = 32;
 
 impl Default for ServerConfig {
@@ -89,8 +85,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             budget_cap: 0,
             max_queue: 8,
-            max_frame_bytes: MAX_FRAME_BYTES,
-            cache_cap: 0,
             store_dir: None,
         }
     }
@@ -112,7 +106,6 @@ struct Admission {
 pub(crate) struct Srv {
     budget_cap: usize,
     max_queue: usize,
-    max_frame_bytes: usize,
     shutdown: AtomicBool,
     admission: Mutex<Admission>,
     cv: Condvar,
@@ -132,7 +125,6 @@ impl Srv {
     pub(crate) fn new(cfg: &ServerConfig) -> std::io::Result<Srv> {
         let budget_cap =
             if cfg.budget_cap == 0 { rayon::current_num_threads().max(1) } else { cfg.budget_cap };
-        let cache_cap = if cfg.cache_cap == 0 { DEFAULT_CACHE_CAP } else { cfg.cache_cap };
         let store = match &cfg.store_dir {
             Some(dir) => Some(Store::open(dir)?),
             None => None,
@@ -140,11 +132,10 @@ impl Srv {
         Ok(Srv {
             budget_cap,
             max_queue: cfg.max_queue,
-            max_frame_bytes: cfg.max_frame_bytes,
             shutdown: AtomicBool::new(false),
             admission: Mutex::new(Admission::default()),
             cv: Condvar::new(),
-            cache: Mutex::new(LruCache::new(cache_cap)),
+            cache: Mutex::new(LruCache::new(DEFAULT_CACHE_CAP)),
             store,
             stats: Stats { budget_cap: AtomicU64::new(budget_cap as u64), ..Stats::default() },
             recorder: Recorder::new(),
@@ -328,14 +319,13 @@ struct FrameReader {
     /// Leading bytes of `buf` already searched for a newline: each byte
     /// is searched once, however many reads a line takes.
     scanned: usize,
-    max: usize,
     /// Discarding an over-cap line until its newline.
     draining: bool,
 }
 
 impl FrameReader {
-    fn new(stream: TcpStream, max: usize) -> FrameReader {
-        FrameReader { stream, buf: Vec::new(), scanned: 0, max, draining: false }
+    fn new(stream: TcpStream) -> FrameReader {
+        FrameReader { stream, buf: Vec::new(), scanned: 0, draining: false }
     }
 
     /// One bounded poll: consume buffered bytes and at most one socket
@@ -347,7 +337,7 @@ impl FrameReader {
                     let pos = self.scanned + at;
                     // The cap binds however the bytes arrived: a line whose
                     // newline came in the same read as its tail is still over.
-                    let frame = if std::mem::take(&mut self.draining) || pos > self.max {
+                    let frame = if std::mem::take(&mut self.draining) || pos > MAX_FRAME_BYTES {
                         let detail = "frame exceeds the line cap".to_string();
                         Err((RejectReason::Oversized, detail))
                     } else {
@@ -357,7 +347,7 @@ impl FrameReader {
                     self.scanned = 0;
                     return ReadOutcome::Frame(frame);
                 }
-                None if self.draining || self.buf.len() > self.max => {
+                None if self.draining || self.buf.len() > MAX_FRAME_BYTES => {
                     self.draining = true;
                     self.buf.clear();
                     self.scanned = 0;
@@ -406,7 +396,7 @@ fn handle_conn(srv: &Srv, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = FrameReader::new(read_half, srv.max_frame_bytes);
+    let mut reader = FrameReader::new(read_half);
     let mut out = stream;
     while let Some(frame) = reader.read_frame(srv) {
         let served = match frame {
@@ -668,14 +658,9 @@ mod tests {
     use crate::proto::WorkloadSel;
     use std::io::{BufRead, BufReader};
 
-    fn test_server(budget_cap: usize, max_queue: usize, max_frame: usize) -> ServerHandle {
-        CampaignServer::start(ServerConfig {
-            budget_cap,
-            max_queue,
-            max_frame_bytes: max_frame,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback")
+    fn test_server(budget_cap: usize, max_queue: usize) -> ServerHandle {
+        CampaignServer::start(ServerConfig { budget_cap, max_queue, ..ServerConfig::default() })
+            .expect("bind loopback")
     }
 
     /// Send raw lines on one connection, reading one response frame per
@@ -701,7 +686,7 @@ mod tests {
 
     #[test]
     fn admission_respects_cap_queue_and_shutdown() {
-        let handle = test_server(2, 1, MAX_FRAME_BYTES);
+        let handle = test_server(2, 1);
         let srv = handle.srv.clone();
         // Fill the cap.
         assert!(srv.acquire_budget(2).is_ok());
@@ -735,17 +720,17 @@ mod tests {
 
     #[test]
     fn every_malformed_frame_gets_a_typed_reject_and_the_connection_survives() {
-        let mut handle = test_server(0, 4, 4096);
+        let mut handle = test_server(0, 4);
         let addr = handle.addr();
-        let huge = format!("{{\"kind\":\"job\",\"pad\":\"{}\"}}", "x".repeat(8192));
-        // The cap is exact even when a line and its newline arrive in one
-        // read: one byte over is refused, the cap itself is served.
+        let huge = format!("{{\"kind\":\"job\",\"pad\":\"{}\"}}", "x".repeat(2 * MAX_FRAME_BYTES));
+        // The cap is exact: one byte over is refused, the cap itself is
+        // served.
         let padded = |len: usize| {
             let open = "{\"kind\":\"stats\",\"proto\":1,\"pad\":\"";
             format!("{open}{}\"}}", "x".repeat(len - open.len() - 2))
         };
-        let (over, at_cap) = (padded(4097), padded(4096));
-        assert_eq!((over.len(), at_cap.len()), (4097, 4096));
+        let (over, at_cap) = (padded(MAX_FRAME_BYTES + 1), padded(MAX_FRAME_BYTES));
+        assert_eq!((over.len(), at_cap.len()), (MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES));
         let exchanges = raw_exchange(
             addr,
             &[
@@ -819,7 +804,7 @@ mod tests {
 
     #[test]
     fn loopback_inline_job_matches_local_run_and_reuses_the_cache() {
-        let mut handle = test_server(0, 4, MAX_FRAME_BYTES);
+        let mut handle = test_server(0, 4);
         let spec = tiny_inline_spec();
 
         // Local baseline from the same spec.
@@ -857,7 +842,7 @@ mod tests {
     /// it returns, no connection task holds the server.
     #[test]
     fn shutdown_waits_for_every_connection_task() {
-        let mut handle = test_server(2, 2, MAX_FRAME_BYTES);
+        let mut handle = test_server(2, 2);
         let (addr, spec) = (handle.addr(), quick_spec());
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -883,7 +868,7 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (conn, _) = listener.accept().expect("accept");
         conn.set_read_timeout(Some(POLL)).unwrap();
-        let mut reader = FrameReader::new(conn, MAX_FRAME_BYTES);
+        let mut reader = FrameReader::new(conn);
 
         let mut spec = tiny_inline_spec();
         if let WorkloadSel::Inline { text, .. } = &mut spec.workload {
@@ -926,7 +911,7 @@ mod tests {
         let (conn, _) = listener.accept().expect("accept");
         conn.set_read_timeout(Some(POLL)).unwrap();
         let mut out = conn.try_clone().unwrap();
-        let mut reader = FrameReader::new(conn, MAX_FRAME_BYTES);
+        let mut reader = FrameReader::new(conn);
 
         let t0 = Instant::now();
         for _ in 0..10 {
@@ -974,7 +959,8 @@ mod tests {
     /// its bound, and every eviction is counted in the stats frame.
     #[test]
     fn cache_stays_bounded_under_a_stream_of_distinct_jobs() {
-        let srv = Srv::new(&ServerConfig { cache_cap: 16, ..ServerConfig::default() }).unwrap();
+        let srv = Srv::new(&ServerConfig::default()).unwrap();
+        let cap = DEFAULT_CACHE_CAP;
         let spec = tiny_inline_spec();
         let workload = proto::resolve_workload(&spec.workload).unwrap();
         for i in 0..1000u32 {
@@ -982,12 +968,12 @@ mod tests {
             // the string alone, and reusing the program keeps 1000
             // prepares affordable.
             srv.prepare_campaign(&format!("care1:{i:032x}:O1:e1"), &spec, workload.clone());
-            assert!(srv.cache.lock().unwrap().len() <= 16, "cache exceeded its bound at job {i}");
+            assert!(srv.cache.lock().unwrap().len() <= cap, "cache exceeded its bound at job {i}");
         }
-        assert_eq!(srv.cache.lock().unwrap().len(), 16);
+        assert_eq!(srv.cache.lock().unwrap().len(), cap);
         let snap = srv.snapshot();
         assert_eq!(snap.cache_misses, 1000);
-        assert_eq!(snap.cache_evictions, 1000 - 16);
+        assert_eq!(snap.cache_evictions, 1000 - cap as u64);
     }
 
     /// A store-backed server reuses stored records: the second identical

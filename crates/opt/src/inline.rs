@@ -261,7 +261,6 @@ mod tests {
     use tinyir::builder::ModuleBuilder;
     use tinyir::interp::{layout_globals, Interp};
     use tinyir::mem::PagedMemory;
-    use tinyir::verify::verify_module;
     use tinyir::{ICmp, Ty};
 
     fn run_fn(m: &Module, name: &str, args: &[u64]) -> Option<u64> {
@@ -296,7 +295,7 @@ mod tests {
         assert_eq!(run_fn(&m, "main", &[4]), Some(36));
         let n = run(&mut m, INLINE_THRESHOLD);
         assert_eq!(n, 2);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(run_fn(&m, "main", &[4]), Some(36));
         // No calls remain in main.
         let main = m.func_by_name("main").unwrap();
@@ -334,7 +333,7 @@ mod tests {
         let mut m = mb.finish();
         let n = run(&mut m, INLINE_THRESHOLD);
         assert_eq!(n, 1);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(run_fn(&m, "main", &[(-7i64) as u64]), Some(8));
         assert_eq!(run_fn(&m, "main", &[7]), Some(8));
     }
@@ -357,7 +356,7 @@ mod tests {
         });
         let mut m = mb.finish();
         run(&mut m, INLINE_THRESHOLD);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         // Every memory access across the module still has a unique loc.
         let mut locs = Vec::new();
         for f in &m.funcs {

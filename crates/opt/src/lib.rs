@@ -13,9 +13,9 @@
 //! (HPCCG −35 %), while eliminated redundant memory traffic extends recovery
 //! kernel scope (miniMD +7 %, Figure 8).
 
-pub mod inline;
-pub mod mem2reg;
-pub mod scalar;
+mod inline;
+mod mem2reg;
+mod scalar;
 
 use tinyir::Module;
 
@@ -58,7 +58,10 @@ pub struct OptStats {
     pub dead_removed: usize,
 }
 
-/// Run the pipeline for `level` over `module`, in place.
+/// Run the pipeline for `level` over `module`, in place. The passes unlink
+/// the instructions they delete from their blocks; O1 ends by compacting
+/// every function ([`tinyir::Function::compact`]), so the module leaves
+/// with exactly the instructions its blocks list.
 pub fn optimize(module: &mut Module, level: OptLevel) -> OptStats {
     let mut stats = OptStats::default();
     if level == OptLevel::O0 {
@@ -88,6 +91,7 @@ pub fn optimize(module: &mut Module, level: OptLevel) -> OptStats {
             break;
         }
     }
+    module.funcs.iter_mut().for_each(tinyir::Function::compact);
     stats
 }
 
@@ -99,6 +103,14 @@ mod tests {
     use tinyir::mem::PagedMemory;
     use tinyir::verify::verify_module;
     use tinyir::{Ty, Value};
+
+    /// Verify `m` after a single pass: compact it first, since a pass on
+    /// its own may leave the instructions it deleted in the arena.
+    /// Compacting panics if a listed instruction uses a deleted one.
+    pub(crate) fn verify_compacted(m: &mut Module) {
+        m.funcs.iter_mut().for_each(tinyir::Function::compact);
+        verify_module(m).unwrap();
+    }
 
     fn run_fn(m: &Module, name: &str, args: &[u64]) -> Option<u64> {
         let mut mem = PagedMemory::new();

@@ -172,11 +172,16 @@ fn promote_function(f: &mut Function) -> usize {
         .collect();
 
     // Iterative DFS; an unwind pops one value per alloca ordinal listed.
+    // The blocks the entry does not reach come after it, each on its own
+    // with every slot at its zero: their loads and stores go too, and a
+    // phi they feed gets its incoming.
     enum Step {
         Visit(BlockId),
         Unwind(Vec<usize>),
     }
-    let mut stack = vec![Step::Visit(f.entry())];
+    let unreachable = (0..cfg.len()).rev().filter(|&b| !cfg.reachable[b]);
+    let mut stack: Vec<Step> = unreachable.map(|b| Step::Visit(BlockId(b as u32))).collect();
+    stack.push(Step::Visit(f.entry()));
     while let Some(step) = stack.pop() {
         match step {
             Step::Unwind(pushed) => {
@@ -261,7 +266,6 @@ mod tests {
     use tinyir::builder::ModuleBuilder;
     use tinyir::interp::{layout_globals, Interp};
     use tinyir::mem::PagedMemory;
-    use tinyir::verify::verify_module;
 
     fn run_fn(m: &Module, name: &str, args: &[u64]) -> Option<u64> {
         let mut mem = PagedMemory::new();
@@ -301,7 +305,7 @@ mod tests {
         let before = run_fn(&m, "sumsq", &[10]);
         let n = run(&mut m);
         assert_eq!(n, 1, "one alloca promoted");
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         let after = run_fn(&m, "sumsq", &[10]);
         assert_eq!(before, after);
         // No loads/stores remain: the accumulator is pure SSA now.
@@ -337,7 +341,7 @@ mod tests {
         let mut m = mb.finish();
         assert_eq!(run_fn(&m, "absv", &[(-5i64) as u64]), Some(5));
         run(&mut m);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(run_fn(&m, "absv", &[(-5i64) as u64]), Some(5));
         assert_eq!(run_fn(&m, "absv", &[7]), Some(7));
         assert_eq!(m.funcs[0].mem_access_instrs().len(), 0);
@@ -382,7 +386,55 @@ mod tests {
         });
         let mut m = mb.finish();
         run(&mut m);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(run_fn(&m, "uninit", &[]), Some(0));
+    }
+
+    /// `%v0` is stored on both arms of a diamond and read at the join;
+    /// `bb4`, which nothing reaches, reads it, stores to it and branches to
+    /// the join too.
+    const UNREACHABLE_SLOT_USER: &str = r#"module "dead"
+file 0 "dead.c"
+global @g0 "out" i64 x 1 zero
+func @main(i64 %a0) -> i64 {
+bb0:
+  %v0 = alloca i64, 1
+  %v1 = icmp slt %a0, i64 0
+  condbr %v1, bb1, bb2
+bb1:
+  store i64 7, %v0
+  br bb3
+bb2:
+  store %a0, %v0
+  br bb3
+bb3:
+  %v2 = load i64, %v0
+  store %v2, @g0
+  ret %v2
+bb4:
+  %v3 = load i64, %v0
+  %v4 = add i64 %v3, i64 1
+  store %v4, %v0
+  br bb3
+}
+"#;
+
+    #[test]
+    fn a_slot_used_in_an_unreachable_block_is_promoted_there_too() {
+        let mut m = tinyir::parser::parse_module(UNREACHABLE_SLOT_USER).unwrap();
+        tinyir::verify::verify_module(&m).unwrap();
+        assert_eq!(run(&mut m), 1);
+        crate::tests::verify_compacted(&mut m);
+        // Only the store to @g0 is left; the join's phi takes `bb4`'s
+        // store, which adds one to the slot's zero.
+        let f = &m.funcs[0];
+        assert_eq!(f.mem_access_instrs().len(), 1);
+        let phi = f.blocks[3].instrs[0];
+        let InstrKind::Phi { incomings, .. } = &f.instr(phi).kind else { panic!() };
+        let (_, from_bb4) = incomings.iter().find(|(b, _)| b.0 == 4).unwrap();
+        let Value::Instr(add) = *from_bb4 else { panic!("{from_bb4:?}") };
+        assert_eq!(f.instr(add).operands(), [Value::i64(0), Value::i64(1)]);
+        assert_eq!(run_fn(&m, "main", &[(-3i64) as u64]), Some(7));
+        assert_eq!(run_fn(&m, "main", &[5]), Some(5));
     }
 }

@@ -312,7 +312,6 @@ pub fn dce(module: &mut Module) -> usize {
 mod tests {
     use super::*;
     use tinyir::builder::ModuleBuilder;
-    use tinyir::verify::verify_module;
     use tinyir::{ICmp, Instr};
 
     #[test]
@@ -326,7 +325,7 @@ mod tests {
         let mut m = mb.finish();
         let n = const_fold(&mut m);
         assert_eq!(n, 2);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         // Only the ret remains.
         assert_eq!(m.funcs[0].live_instr_count(), 1);
         match &m.funcs[0].instr(*m.funcs[0].blocks[0].instrs.last().unwrap()).kind {
@@ -361,7 +360,7 @@ mod tests {
         let n_gep_before = count_kind(&m, |k| matches!(k, InstrKind::Gep { .. }));
         assert_eq!(n_gep_before, 2);
         local_cse(&mut m);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(count_kind(&m, |k| matches!(k, InstrKind::Gep { .. })), 1);
     }
 
@@ -380,7 +379,7 @@ mod tests {
         let mut m = mb.finish();
         let n = store_load_forward(&mut m);
         assert_eq!(n, 1);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
         assert_eq!(
             count_kind(&m, |k| matches!(k, InstrKind::Load { .. })),
             0,
@@ -415,7 +414,7 @@ mod tests {
         let mut m = mb.finish();
         let n = dce(&mut m);
         assert_eq!(n, 2, "whole dead chain removed across iterations");
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
     }
 
     #[test]
@@ -448,7 +447,7 @@ mod tests {
         f.push_instr(bb1, Instr::new(InstrKind::Ret { val: Some(Value::Instr(phi)) }));
         m.add_func(f);
         assert_eq!(simplify_phis(&mut m), 1);
-        verify_module(&m).unwrap();
+        crate::tests::verify_compacted(&mut m);
     }
 
     fn count_kind(m: &Module, pred: impl Fn(&InstrKind) -> bool) -> usize {

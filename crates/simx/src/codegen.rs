@@ -213,6 +213,7 @@ struct FnCtx<'f> {
     olocs: Vec<Option<DebugLoc>>,
     cur_loc: Option<DebugLoc>,
     block_mstart: Vec<u32>,
+    /// IR position ([`Liveness::position`]) -> its first machine index.
     pos2mpos: Vec<u32>,
     /// Liveness key -> [lo, hi] IR positions.
     intervals: Vec<Option<(u32, u32)>>,
@@ -232,31 +233,20 @@ fn lower_function(
     let n_instr = f.instrs.len();
     let n_keys = n_instr + f.params.len();
 
-    // -- linear position of every instruction --------------------------------
-    let mut pos_of: Vec<u32> = vec![u32::MAX; n_instr];
-    let mut order: Vec<InstrId> = Vec::new();
-    for (_, block) in f.block_iter() {
-        for &iid in &block.instrs {
-            pos_of[iid.0 as usize] = order.len() as u32;
-            order.push(iid);
-        }
-    }
-    let npos = order.len() as u32;
-
     // -- folding decisions (register mode only) ------------------------------
     let mut folded_load: Vec<Option<InstrId>> = vec![None; n_instr];
     let mut folded_gep: Vec<bool> = vec![false; n_instr];
     // Extra (key, position) uses injected into intervals by folding.
     let mut extra_use: Vec<(InstrId, u32)> = Vec::new();
     if regalloc {
-        let owner = f.instr_blocks();
+        let block_of = |i: InstrId| lv.place(i).0;
         // CISC load folding: single user, same block, bin rhs, no
         // store/call in between.
         for (_, block) in f.block_iter() {
-            for &iid in &block.instrs {
+            for (li, &iid) in block.instrs.iter().enumerate() {
                 let InstrKind::Load { ptr, ty } = f.instr(iid).kind else { continue };
                 let Some(user) = ud.single_user(iid) else { continue };
-                if owner[user.0 as usize] != owner[iid.0 as usize] {
+                if block_of(user) != block_of(iid) {
                     continue;
                 }
                 let InstrKind::Bin { lhs, rhs, ty: bty, .. } = f.instr(user).kind else {
@@ -266,12 +256,8 @@ fn lower_function(
                     continue;
                 }
                 // Scan between load and user for memory hazards.
-                let (lp, up) = (pos_of[iid.0 as usize], pos_of[user.0 as usize]);
-                let hazard = ((lp + 1)..up).any(|p| {
-                    matches!(
-                        f.instr(order[p as usize]).kind,
-                        InstrKind::Store { .. } | InstrKind::Call { .. }
-                    )
+                let hazard = block.instrs[li + 1..lv.place(user).1].iter().any(|&i| {
+                    matches!(f.instr(i).kind, InstrKind::Store { .. } | InstrKind::Call { .. })
                 });
                 if hazard {
                     continue;
@@ -279,7 +265,7 @@ fn lower_function(
                 folded_load[iid.0 as usize] = Some(user);
                 // The load's address inputs are now consumed at `user`.
                 if let Value::Instr(g) = ptr {
-                    extra_use.push((g, up));
+                    extra_use.push((g, lv.position(user)));
                 }
             }
         }
@@ -298,7 +284,7 @@ fn lower_function(
                     continue;
                 }
                 let ok = users.iter().all(|&u| {
-                    owner[u.0 as usize] == owner[iid.0 as usize]
+                    block_of(u) == block_of(iid)
                         && match &f.instr(u).kind {
                             InstrKind::Load { ptr, .. } => *ptr == Value::Instr(iid),
                             InstrKind::Store { ptr, val } => {
@@ -315,7 +301,7 @@ fn lower_function(
                 // (the user itself, or the bin a folded load melts into).
                 for &u in users {
                     let site = folded_load[u.0 as usize].unwrap_or(u);
-                    let sp = pos_of[site.0 as usize];
+                    let sp = lv.position(site);
                     for v in [base, index] {
                         if let Some(k) = lv.key_of(v) {
                             extra_use.push((k, sp));
@@ -375,7 +361,7 @@ fn lower_function(
     // slot — and the DIE covers every protected access.
     for r in reqs {
         if let Value::Arg(a) = r.value {
-            intervals[lv.arg_key(a).0 as usize] = Some((0, npos.saturating_sub(1)));
+            intervals[lv.arg_key(a).0 as usize] = Some((0, (n_instr as u32).saturating_sub(1)));
         }
     }
     // Phi storages are written at predecessor terminators; extend.
@@ -384,7 +370,7 @@ fn lower_function(
             if let InstrKind::Phi { incomings, .. } = &f.instr(iid).kind {
                 for (pred, _) in incomings {
                     let Some(&last) = f.block(*pred).instrs.last() else { continue };
-                    span(&mut intervals[iid.0 as usize], pos_of[last.0 as usize]);
+                    span(&mut intervals[iid.0 as usize], lv.position(last));
                 }
             }
         }
@@ -509,10 +495,10 @@ fn lower_function(
         olocs: Vec::new(),
         cur_loc: None,
         block_mstart: Vec::new(),
-        pos2mpos: vec![0; npos as usize],
+        pos2mpos: Vec::with_capacity(n_instr),
         intervals,
     };
-    ctx.lower(&pos_of);
+    ctx.lower();
 
     // -- DIE emission -----------------------------------------------------------
     let func_end = ctx.out.len() as u32;
@@ -683,7 +669,7 @@ impl FnCtx<'_> {
         MemOp::base_disp(r, 0)
     }
 
-    fn lower(&mut self, pos_of: &[u32]) {
+    fn lower(&mut self) {
         // Prologue: fetch arguments into their storage.
         self.cur_loc = None;
         for a in 0..self.f.params.len() {
@@ -703,7 +689,7 @@ impl FnCtx<'_> {
         for b in 0..nblocks {
             self.block_mstart[b] = self.out.len() as u32;
             for &iid in &self.f.blocks[b].instrs {
-                self.pos2mpos[pos_of[iid.0 as usize] as usize] = self.out.len() as u32;
+                self.pos2mpos.push(self.out.len() as u32);
                 self.cur_loc = self.f.instr(iid).loc;
                 self.lower_instr(iid, BlockId(b as u32));
             }

@@ -159,11 +159,6 @@ fn write_instr_body(out: &mut String, i: &InstrKind) -> fmt::Result {
     }
 }
 
-/// Render a whole function.
-pub fn print_function(f: &Function, out: &mut String) {
-    let _ = write_function(out, f);
-}
-
 fn write_function(out: &mut String, f: &Function) -> fmt::Result {
     let head = if f.is_decl { "declare" } else { "func" };
     write!(out, "{head} @{}(", f.name)?;

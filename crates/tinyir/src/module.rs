@@ -97,7 +97,10 @@ pub struct Function {
     pub param_names: Vec<String>,
     /// Return type (`None` = void).
     pub ret_ty: Option<Ty>,
-    /// Instruction arena; [`InstrId`] indexes into this.
+    /// Instruction arena; [`InstrId`] indexes into this. Every arena
+    /// instruction sits in exactly one block ([`crate::verify`] rejects a
+    /// function where one does not, and [`Function::compact`] restores the
+    /// rule after a pass unlinks instructions from their blocks).
     pub instrs: Vec<Instr>,
     /// Basic blocks; block 0 is the entry.
     pub blocks: Vec<Block>,
@@ -163,15 +166,39 @@ impl Function {
         self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i as u32), b))
     }
 
-    /// The block containing each instruction (index = instr id).
-    pub fn instr_blocks(&self) -> Vec<BlockId> {
-        let mut owner = vec![BlockId(0); self.instrs.len()];
-        for (bid, b) in self.block_iter() {
-            for &i in &b.instrs {
-                owner[i.0 as usize] = bid;
-            }
+    /// Drop the arena instructions no block lists and renumber the rest in
+    /// arena order, so every comparison between two kept ids keeps its
+    /// result. Operands and block lists are rewritten.
+    ///
+    /// # Panics
+    ///
+    /// If a listed instruction uses a dropped one (a pass bug).
+    pub fn compact(&mut self) {
+        let mut new_id = vec![None; self.instrs.len()];
+        for &i in self.blocks.iter().flat_map(|b| &b.instrs) {
+            new_id[i.0 as usize] = Some(InstrId(0));
         }
-        owner
+        for (kept, id) in new_id.iter_mut().flatten().enumerate() {
+            *id = InstrId(kept as u32);
+        }
+        let name = &self.name;
+        let mut old = 0;
+        self.instrs.retain_mut(|instr| {
+            let user = InstrId(old);
+            old += 1;
+            new_id[user.0 as usize].is_some() && {
+                instr.map_operands(|v| match v {
+                    Value::Instr(d) => Value::Instr(new_id[d.0 as usize].unwrap_or_else(|| {
+                        panic!("@{name}: {user} uses {d}, which no block lists")
+                    })),
+                    other => other,
+                });
+                true
+            }
+        });
+        for i in self.blocks.iter_mut().flat_map(|b| &mut b.instrs) {
+            *i = new_id[i.0 as usize].expect("listed");
+        }
     }
 
     /// Ids of all memory-access instructions (loads and stores) in block
@@ -188,8 +215,8 @@ impl Function {
         out
     }
 
-    /// Count instructions reachable through block membership (instructions
-    /// left in the arena but removed from every block do not count).
+    /// Count the instructions the blocks list. On a verified function this
+    /// equals `instrs.len()`.
     pub fn live_instr_count(&self) -> usize {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
@@ -381,15 +408,74 @@ mod tests {
         assert_eq!(&bytes[8..12], &[0, 0, 0, 0]);
     }
 
+    fn add_arg(k: i64) -> Instr {
+        Instr::new(InstrKind::Bin {
+            op: BinOp::Add,
+            lhs: Value::Arg(0),
+            rhs: Value::i64(k),
+            ty: Ty::I64,
+        })
+    }
+
+    /// `bb0: %v6 = add %a0, 3; %v1 = add %a0, 1; br bb1` and
+    /// `bb1: %v3 = phi [bb0: %v1]; %v4 = add %v3, %v1; ret %v4`, with
+    /// `%v0 = add %a0, 2` unlinked from `bb0` and `%v6` listed first though
+    /// it was created last.
+    fn function_with_an_unlinked_instruction() -> Function {
+        let mut f = Function::new("h", vec![Ty::I64], Some(Ty::I64));
+        let (e, bb1) = (f.entry(), f.add_block("b"));
+        f.push_instr(e, add_arg(2));
+        let a = f.push_instr(e, add_arg(1));
+        f.push_instr(e, Instr::new(InstrKind::Br { target: bb1 }));
+        let phi = f.push_instr(
+            bb1,
+            Instr::new(InstrKind::Phi { incomings: vec![(e, Value::Instr(a))], ty: Ty::I64 }),
+        );
+        let sum = f.push_instr(
+            bb1,
+            Instr::new(InstrKind::Bin {
+                op: BinOp::Add,
+                lhs: Value::Instr(phi),
+                rhs: Value::Instr(a),
+                ty: Ty::I64,
+            }),
+        );
+        f.push_instr(bb1, Instr::new(InstrKind::Ret { val: Some(Value::Instr(sum)) }));
+        let first = f.push_instr(e, add_arg(3));
+        let bb0 = &mut f.blocks[0].instrs;
+        bb0.pop();
+        bb0[0] = first;
+        f
+    }
+
     #[test]
-    fn instr_block_ownership() {
-        let mut f = Function::new("g", vec![], None);
-        let bb1 = f.add_block("next");
-        let e = f.entry();
-        let i0 = f.push_instr(e, Instr::new(InstrKind::Br { target: bb1 }));
-        let i1 = f.push_instr(bb1, Instr::new(InstrKind::Ret { val: None }));
-        let owner = f.instr_blocks();
-        assert_eq!(owner[i0.0 as usize], e);
-        assert_eq!(owner[i1.0 as usize], bb1);
+    fn compact_renumbers_in_arena_order() {
+        let mut f = function_with_an_unlinked_instruction();
+        f.compact();
+        assert_eq!((f.instrs.len(), f.live_instr_count()), (6, 6));
+        let ids: Vec<Vec<u32>> =
+            f.blocks.iter().map(|b| b.instrs.iter().map(|i| i.0).collect()).collect();
+        assert_eq!(ids, [vec![5, 0, 1], vec![2, 3, 4]]);
+        assert_eq!(f.instr(InstrId(5)), &add_arg(3));
+        let InstrKind::Phi { incomings, .. } = &f.instr(InstrId(2)).kind else { panic!() };
+        assert_eq!(incomings[0].1, Value::Instr(InstrId(0)));
+        assert_eq!(
+            f.instr(InstrId(3)).operands(),
+            [Value::Instr(InstrId(2)), Value::Instr(InstrId(0))]
+        );
+        assert_eq!(f.instr(InstrId(4)).operands(), [Value::Instr(InstrId(3))]);
+        // A compact function compacts to itself.
+        let once = f.instrs.clone();
+        f.compact();
+        assert_eq!(f.instrs, once);
+        assert_eq!(f.blocks[0].instrs, [InstrId(5), InstrId(0), InstrId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "@h: %v4 uses %v0, which no block lists")]
+    fn compact_panics_on_a_use_of_an_unlisted_instruction() {
+        let mut f = function_with_an_unlinked_instruction();
+        f.instr_mut(InstrId(4)).map_operands(|_| Value::Instr(InstrId(0)));
+        f.compact();
     }
 }

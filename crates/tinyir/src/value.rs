@@ -3,7 +3,9 @@
 use crate::types::Ty;
 use std::fmt;
 
-/// Index of an instruction within a function's instruction arena.
+/// Index of an instruction within a function's instruction arena. In a
+/// verified function the ids are exactly the instructions its blocks list,
+/// each once, so an id-indexed table has no holes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct InstrId(pub u32);
 

@@ -7,6 +7,8 @@
 //!   instruction;
 //! * phis appear only at the head of a block and have one incoming per CFG
 //!   predecessor;
+//! * every arena instruction sits in exactly one block, so instruction ids
+//!   are dense;
 //! * every value use is defined (SSA), arguments/globals are in range;
 //! * operand types match the instruction's expectations;
 //! * uses are dominated by definitions (checked over reachable blocks on
@@ -85,6 +87,10 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             }
         }
     }
+    if let Some(i) = place.iter().position(Option::is_none) {
+        return err(format!("instruction %v{i} sits in no block"));
+    }
+    let place: Vec<(BlockId, usize)> = place.into_iter().flatten().collect();
 
     // -- CFG: successors in range before `Cfg::new` indexes by them --------
     for (bid, block) in f.block_iter() {
@@ -94,9 +100,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
         }
     }
     let cfg = Cfg::new(f);
-    // A phi's incoming block is never range-checked: one out of range is
-    // unreachable.
-    let reachable = |b: BlockId| cfg.reachable.get(b.0 as usize) == Some(&true);
+    let reachable = |b: BlockId| cfg.reachable[b.0 as usize];
 
     // -- per-instruction operand checks ------------------------------------
     // These run for *every* block, reachable or not: downstream passes
@@ -110,7 +114,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             let instr = f.instr(iid);
             for v in instr.operands() {
                 match v {
-                    Value::Instr(d) if place.get(d.0 as usize).copied().flatten().is_none() => {
+                    Value::Instr(d) if d.0 as usize >= place.len() => {
                         return err(format!("{iid} uses undefined value {d}"));
                     }
                     Value::Arg(n) if n as usize >= f.params.len() => {
@@ -125,7 +129,8 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 // dominance check below skips them; still reject the local
                 // use-before-def shape, which needs only block positions.
                 if let (false, Value::Instr(d)) = (reach, v) {
-                    if matches!(place[d.0 as usize], Some((db, dpos)) if db == bid && dpos >= pos) {
+                    let (db, dpos) = place[d.0 as usize];
+                    if db == bid && dpos >= pos {
                         return err(format!(
                             "{iid} in unreachable {bid} uses {d} before its definition"
                         ));
@@ -134,6 +139,10 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             }
             check_types(m, f, iid)?;
             if let InstrKind::Phi { incomings, .. } = &instr.kind {
+                if let Some((b, _)) = incomings.iter().find(|(b, _)| b.0 as usize >= f.blocks.len())
+                {
+                    return err(format!("{iid}: phi incoming from out-of-range {b}"));
+                }
                 let mut inc: Vec<BlockId> = incomings.iter().map(|(b, _)| *b).collect();
                 inc.sort_unstable();
                 if inc.windows(2).any(|w| w[0] == w[1]) {
@@ -163,7 +172,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
                 // incoming block.
                 for (inb, v) in incomings {
                     if let (true, Value::Instr(d)) = (reachable(*inb), v) {
-                        let (db, _) = place[d.0 as usize].expect("defined");
+                        let (db, _) = place[d.0 as usize];
                         if !dt.dominates(db, *inb) {
                             return err(format!(
                                 "phi {iid}: incoming {v:?} from {inb} not dominated by def in {db}"
@@ -175,7 +184,7 @@ pub fn verify_function(m: &Module, f: &Function) -> Result<(), VerifyError> {
             }
             for v in instr.operands() {
                 if let Value::Instr(d) = v {
-                    let (db, dpos) = place[d.0 as usize].expect("defined");
+                    let (db, dpos) = place[d.0 as usize];
                     if db == bid {
                         if dpos >= pos {
                             return err(format!("{iid} uses {d} before its definition"));
@@ -384,6 +393,43 @@ mod tests {
         m.add_func(f);
         let err = verify_module(&m).unwrap_err();
         assert!(err.msg.contains("phi missing incoming"), "{err}");
+    }
+
+    #[test]
+    fn rejects_phi_incoming_from_out_of_range_block() {
+        // bb0: condbr 1, bb1, bb2; bb1: br bb2;
+        // bb2: phi [bb0: 1], [bb1: 2], [bb99: 3] — every predecessor has
+        // its incoming, and the extra one names no block.
+        let mut m = Module::new("m");
+        let mut f = Function::new("f", vec![], Some(Ty::I64));
+        let (e, bb1, bb2) = (f.entry(), f.add_block("a"), f.add_block("b"));
+        let cond = Value::ConstInt(1, Ty::I1);
+        f.push_instr(e, Instr::new(InstrKind::CondBr { cond, then_bb: bb1, else_bb: bb2 }));
+        f.push_instr(bb1, Instr::new(InstrKind::Br { target: bb2 }));
+        let incomings =
+            vec![(e, Value::i64(1)), (bb1, Value::i64(2)), (BlockId(99), Value::i64(3))];
+        let phi = f.push_instr(bb2, Instr::new(InstrKind::Phi { incomings, ty: Ty::I64 }));
+        f.push_instr(bb2, Instr::new(InstrKind::Ret { val: Some(Value::Instr(phi)) }));
+        m.add_func(f);
+        let err = verify_module(&m).unwrap_err();
+        assert_eq!(err.msg, "%v2: phi incoming from out-of-range bb99");
+    }
+
+    #[test]
+    fn rejects_an_instruction_no_block_lists() {
+        let mut m = Module::new("m");
+        let mut f = Function::new("f", vec![], Some(Ty::I64));
+        let e = f.entry();
+        let one = Value::i64(1);
+        let add = Instr::new(InstrKind::Bin { op: BinOp::Add, lhs: one, rhs: one, ty: Ty::I64 });
+        f.push_instr(e, add);
+        f.push_instr(e, Instr::new(InstrKind::Ret { val: Some(one) }));
+        f.blocks[0].instrs.remove(0);
+        m.add_func(f);
+        let err = verify_module(&m).unwrap_err();
+        assert_eq!(err.msg, "instruction %v0 sits in no block");
+        m.funcs[0].compact();
+        verify_module(&m).unwrap();
     }
 
     /// Build `f() -> i64` with a reachable entry that just returns, plus one

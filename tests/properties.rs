@@ -242,7 +242,12 @@ fn check_liveness(m: &Module) -> Result<usize, String> {
     for f in m.funcs.iter().filter(|f| !f.is_decl) {
         let cfg = analysis::Cfg::new(f);
         let lv = analysis::Liveness::compute(f, &cfg);
-        let owner = f.instr_blocks();
+        let mut owner = vec![tinyir::BlockId(0); f.instrs.len()];
+        for (bid, block) in f.block_iter() {
+            for &i in &block.instrs {
+                owner[i.0 as usize] = bid;
+            }
+        }
         let values = (0..f.instrs.len() as u32)
             .map(|i| Value::Instr(tinyir::InstrId(i)))
             .chain((0..f.params.len() as u32).map(Value::Arg));
@@ -300,14 +305,18 @@ fn liveness_matches_its_definition_on_the_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: if cfg!(debug_assertions) { 16 } else { 48 }, ..ProptestConfig::default() })]
 
-    /// The printer and parser round-trip every generated module exactly.
+    /// The printer and parser round-trip every generated module exactly,
+    /// before and after O1.
     #[test]
     fn printer_parser_round_trip(spec in spec_strategy()) {
-        let m = build_program(&spec);
-        let t1 = tinyir::display::print_module(&m);
-        let parsed = tinyir::parser::parse_module(&t1).expect("parse");
-        let t2 = tinyir::display::print_module(&parsed);
-        prop_assert_eq!(t1, t2);
+        let mut m = build_program(&spec);
+        for level in [OptLevel::O0, OptLevel::O1] {
+            opt::optimize(&mut m, level);
+            let t1 = tinyir::display::print_module(&m);
+            let parsed = tinyir::parser::parse_module(&t1).expect("parse");
+            let t2 = tinyir::display::print_module(&parsed);
+            prop_assert_eq!(t1, t2, "{}", level);
+        }
     }
 
     /// Liveness matches its definition on generated modules, before and
@@ -331,6 +340,9 @@ proptest! {
         tinyir::verify::verify_module(&m).expect("pre-opt");
         opt::optimize(&mut m, OptLevel::O1);
         tinyir::verify::verify_module(&m).expect("post-opt");
+        for f in &m.funcs {
+            prop_assert_eq!(f.instrs.len(), f.live_instr_count(), "@{}", f.name);
+        }
     }
 
     /// Interpreter and machine agree bit-for-bit at O0 and O1.

@@ -107,10 +107,10 @@ fn chain_module(n: usize) -> String {
 
 /// One-line damages to `slow_inline_spec`'s module that still parse but do
 /// not verify: an undefined value, a branch to a missing block, a missing
-/// argument, a missing global, a use before its definition, and a block
-/// with no terminator; and the longest [`chain_module`] that fits the
-/// inline-module cap, which a verifier quadratic in blocks would hold on
-/// the connection's thread for minutes.
+/// argument, a missing global, a use before its definition, a block with
+/// no terminator, and a phi incoming from a missing block; and the longest
+/// [`chain_module`] that fits the inline-module cap, which a verifier
+/// quadratic in blocks would hold on the connection's thread for minutes.
 fn unverifiable_inline_specs() -> Vec<JobSpec> {
     let intact = slow_inline_spec(10, 4);
     let WorkloadSel::Inline { text, .. } = &intact.workload else { unreachable!() };
@@ -121,6 +121,8 @@ fn unverifiable_inline_specs() -> Vec<JobSpec> {
         ("gep @g0, %v9, 8", "gep @g9, %v9, 8"),
         ("%v7 = add i64 %v6, %v3", "%v7 = add i64 %v6, %v9"),
         ("  br bb1 !0:14:1\n", ""),
+        // Every predecessor keeps its incoming; one more names no block.
+        ("[bb2: %v12] !0:4:1", "[bb2: %v12], [bb99: i64 3] !0:4:1"),
     ];
     damages
         .iter()
@@ -162,7 +164,9 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
         let err = careserve::proto::resolve_workload(&spec.workload).expect_err("resolved");
         assert!(err.starts_with("inline module: verify error"), "{err}");
     }
-    let chain = careserve::proto::resolve_workload(&specs[6].workload).expect_err("resolved");
+    let phi = careserve::proto::resolve_workload(&specs[6].workload).expect_err("resolved");
+    assert!(phi.ends_with("%v3: phi incoming from out-of-range bb99"), "{phi}");
+    let chain = careserve::proto::resolve_workload(&specs[7].workload).expect_err("resolved");
     assert!(chain.contains("%v2 in bb1 uses") && chain.contains("non-dominating"), "{chain}");
     let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -180,7 +184,59 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
     }
     stream.write_all(format!("{}\n", ClientFrame::Stats.encode()).as_bytes()).unwrap();
     let ServerFrame::Stats(stats) = next_frame() else { panic!("stats went unanswered") };
-    assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (0, 7));
+    assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (0, 8));
+    handle.shutdown();
+}
+
+/// A module that verifies though an unreachable block reads and writes a
+/// stack slot O1 promotes: `bb4` loads `%v0`, stores to it and branches to
+/// the join, which nothing else reaches it from.
+const UNREACHABLE_SLOT_USER: &str = r#"module "dead"
+file 0 "dead.c"
+global @g0 "out" i64 x 1 zero
+func @main(i64 %a0) -> i64 {
+bb0:
+  %v0 = alloca i64, 1
+  %v1 = icmp slt %a0, i64 0
+  condbr %v1, bb1, bb2
+bb1:
+  store i64 7, %v0
+  br bb3
+bb2:
+  store %a0, %v0
+  br bb3
+bb3:
+  %v2 = load i64, %v0
+  store %v2, @g0
+  ret %v2
+bb4:
+  %v3 = load i64, %v0
+  %v4 = add i64 %v3, i64 1
+  store %v4, %v0
+  br bb3
+}
+"#;
+
+/// An inline module the verifier admits compiles at both levels and is
+/// served like a local run, unreachable code included.
+#[test]
+fn an_inline_module_with_an_unreachable_slot_user_compiles_and_serves() {
+    let spec = |opt| JobSpec {
+        workload: WorkloadSel::Inline {
+            text: UNREACHABLE_SLOT_USER.to_string(),
+            args: vec![5],
+            outputs: vec![("out".to_string(), 8)],
+        },
+        injections: 8,
+        threads: 1,
+        opt,
+        ..JobSpec::default()
+    };
+    let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
+    for opt in [OptLevel::O0, OptLevel::O1] {
+        let spec = spec(opt);
+        assert_eq!(submit(handle.addr(), &spec).expect("submit").report, local_run(&spec));
+    }
     handle.shutdown();
 }
 
