@@ -19,8 +19,8 @@ use simx::DieRequest;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 use tinyir::{
-    BlockId, Callee, FuncId, Function, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind,
-    Module, Ty, Value,
+    Callee, FuncId, Function, Global, GlobalId, GlobalInit, Instr, InstrId, InstrKind, Module, Ty,
+    Value,
 };
 
 /// Aggregate statistics (feeds Tables 5 and 8).
@@ -345,17 +345,20 @@ fn roots_may_alias(a: MemRoot, b: MemRoot) -> bool {
 /// the load again are harmless (the re-execution refreshes the value), which
 /// is what keeps loop-resident loads clonable when the aliasing store sits
 /// later in the same iteration.
+///
+/// One path search answers it. Slices stop at phis, so a cloned load feeds
+/// the address only through non-phi uses, each dominated by its definition:
+/// the load dominates a reachable access. A path entry → store → access that
+/// avoids the load after the store must then run the load before the store,
+/// so "the store runs after the load" needs no question of its own. Stores
+/// in unreachable blocks never run and are not collected; an unreachable
+/// access is then never clobbered (its kernel never runs).
 struct MemScan<'a> {
     /// Where each instruction sits (block and position).
     lv: &'a Liveness,
-    /// Bit `b` of row `a`: can control leave block `a` and later enter
-    /// block `b` (paths of ≥ 1 CFG edge, so bit `a` of row `a` means `a`
-    /// sits on a cycle)? Rows are `width` words.
-    reach: Vec<u64>,
-    width: usize,
     /// Block successors, for the load-avoiding path search.
     succs: &'a Adjacency,
-    /// Stores and opaque calls, with the region each may write.
+    /// Reachable stores and opaque calls, with the region each may write.
     clobbers: Vec<(InstrId, MemRoot)>,
     /// Blocks seen and the stack of the current path search.
     search: RefCell<(Dense<()>, Vec<usize>)>,
@@ -363,10 +366,9 @@ struct MemScan<'a> {
 
 impl<'a> MemScan<'a> {
     fn new(f: &Function, cfg: &'a Cfg, lv: &'a Liveness) -> MemScan<'a> {
-        let n = cfg.len();
         let mut clobbers = Vec::new();
-        for b in &f.blocks {
-            for &iid in &b.instrs {
+        for (_, block) in f.block_iter().filter(|(b, _)| cfg.reachable[b.0 as usize]) {
+            for &iid in &block.instrs {
                 match &f.instr(iid).kind {
                     InstrKind::Store { ptr, .. } => clobbers.push((iid, mem_root(f, *ptr))),
                     InstrKind::Call { callee, .. } => match callee {
@@ -377,33 +379,10 @@ impl<'a> MemScan<'a> {
                 }
             }
         }
-        let width = n.div_ceil(64);
-        let mut reach = vec![0u64; n * width];
-        let mut stack: Vec<usize> = Vec::new();
-        for (b, row) in reach.chunks_mut(width.max(1)).take(n).enumerate() {
-            stack.extend(cfg.succs[b].iter().map(|s| s.0 as usize));
-            while let Some(x) = stack.pop() {
-                if row[x / 64] >> (x % 64) & 1 == 0 {
-                    row[x / 64] |= 1 << (x % 64);
-                    stack.extend(cfg.succs[x].iter().map(|s| s.0 as usize));
-                }
-            }
-        }
         let mut seen = Dense::default();
-        seen.size_for(n);
+        seen.size_for(cfg.len());
         let search = RefCell::new((seen, Vec::new()));
-        MemScan { lv, reach, width, succs: &cfg.succs, clobbers, search }
-    }
-
-    fn reaches(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, b) = (a.0 as usize, b.0 as usize);
-        self.reach[a * self.width + b / 64] >> (b % 64) & 1 != 0
-    }
-
-    /// Is there an execution path on which `x` runs strictly before `y`?
-    fn may_precede(&self, x: InstrId, y: InstrId) -> bool {
-        let ((bx, px), (by, py)) = (self.lv.place(x), self.lv.place(y));
-        (bx == by && px < py) || self.reaches(bx, by)
+        MemScan { lv, succs: &cfg.succs, clobbers, search }
     }
 
     /// May re-executing `load` at `access` observe different memory?
@@ -419,9 +398,7 @@ impl<'a> MemScan<'a> {
         };
         let root = mem_root(f, ptr);
         self.clobbers.iter().any(|&(s, sroot)| {
-            roots_may_alias(root, sroot)
-                && self.may_precede(load, s)
-                && self.reaches_avoiding(s, access, load)
+            roots_may_alias(root, sroot) && self.reaches_avoiding(s, access, load)
         })
     }
 
@@ -776,6 +753,7 @@ fn build_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tinyir::builder::ModuleBuilder;
     use tinyir::verify::verify_module;
 
@@ -1068,6 +1046,244 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_value_dead_at_the_access_is_not_a_die_parameter() {
+        // `v` is last used by the instruction just ahead of the access, so
+        // it is live there and dead at the access: strict liveness must not
+        // fetch it, and the slice stops at the folded gep index instead.
+        let mut mb = ModuleBuilder::new("m", "m.c");
+        let arr = mb.global_zeroed("arr", Ty::I64, 64);
+        let out = mb.global_zeroed("out", Ty::I64, 1);
+        let opaque = mb.declare("opaque", vec![Ty::I64], Some(Ty::I64));
+        mb.define("main", vec![Ty::I64], Some(Ty::I64), |fb| {
+            let v = fb.call(opaque, vec![fb.arg(0)]);
+            let s = fb.mul(v, Value::i64(5), Ty::I64);
+            let idx = fb.bin(tinyir::BinOp::And, s, Value::i64(63), Ty::I64);
+            let p = fb.gep(fb.global(arr), idx, 8);
+            let w = fb.add(v, Value::i64(1), Ty::I64);
+            let x = fb.load(p, Ty::I64);
+            fb.store(w, fb.global(out));
+            fb.ret(Some(x));
+        });
+        let m = mb.finish();
+        let f = m.func(m.func_by_name("main").unwrap());
+        let [v, idx, access] = [0, 2, 5].map(InstrId);
+        assert!(matches!(f.instr(v).kind, InstrKind::Call { .. }));
+        assert!(matches!(f.instr(access).kind, InstrKind::Load { .. }));
+        let out = run_armor(&m);
+        let die: Vec<Value> = out.die_requests.iter().map(|r| r.value).collect();
+        assert_eq!(die, [Value::Instr(idx)], "the access's kernel fetches only the gep index");
+        let lax = run_armor_with(&m, ArmorConfig { strict_liveness: false });
+        assert!(lax.die_requests.iter().any(|r| r.value == Value::Instr(v)));
+    }
+
+    /// The blocks reachable from the entry without passing block `cut`.
+    fn reachable_without(succs: &[Vec<usize>], cut: usize) -> Vec<bool> {
+        let mut seen = vec![false; succs.len()];
+        let mut work = vec![0];
+        while let Some(x) = work.pop() {
+            if x != cut && !seen[x] {
+                seen[x] = true;
+                work.extend(&succs[x]);
+            }
+        }
+        seen
+    }
+
+    /// Regions the generated accesses name: `@g0`, `@g1`, `@g2`, and the
+    /// pointer argument `%a1`, which may alias any of them.
+    fn region(r: u8) -> Value {
+        if r < 3 {
+            Value::Global(GlobalId(r as u32))
+        } else {
+            Value::Arg(1)
+        }
+    }
+
+    fn regions_alias(a: u8, b: u8) -> bool {
+        a == 3 || b == 3 || a == b
+    }
+
+    /// One generated function: per block its successors (none is `ret`,
+    /// one `br`, two `condbr`); where the load `L` and the access `A` sit
+    /// (block pickers and in-block sort keys); `L`'s region, `A`'s base
+    /// region and whether `A` stores; and stores as (block picker, sort key,
+    /// region).
+    type ClobberSpec =
+        (Vec<Vec<usize>>, (usize, usize, u8, u8), (u8, u8, bool), Vec<(usize, u8, u8)>);
+
+    fn clobber_specs() -> impl Strategy<Value = ClobberSpec> {
+        use proptest::collection::vec;
+        (
+            vec(vec(0usize..64, 0..3), 1..9).prop_map(|raw| {
+                let n = raw.len();
+                raw.into_iter().map(|ss| ss.into_iter().map(|s| s % n).collect()).collect()
+            }),
+            (0usize..64, 0usize..64, 0u8..8, 0u8..8),
+            ((0u8..4).prop_map(|r| if r == 3 { 3 } else { 0 }), 0u8..4, any::<bool>()),
+            vec((0usize..64, 0u8..8, 0u8..4), 0..7),
+        )
+    }
+
+    /// Build the function `spec` describes. `L` loads from its region; `A`
+    /// reads or writes through `gep base, L`, which sits right before it,
+    /// in a block `L`'s block dominates (after `L` when they share one).
+    /// Returns the module, `L`, `A`, and by instruction id whether it
+    /// writes memory `L` may read.
+    fn clobber_case(spec: &ClobberSpec) -> (Module, InstrId, InstrId, Vec<bool>) {
+        enum Item {
+            Store(u8),
+            Load,
+            Access,
+        }
+        let (succs, (a_pick, l_pick, l_key, a_key), (l_region, a_region, a_stores), stores) = spec;
+        // `A` sits in a reachable block three times in four, and `L` in a
+        // block that dominates `A`'s by the definition: deleting it cuts
+        // `A`'s block off from the entry (vacuous for an unreachable one).
+        let n = succs.len();
+        let live = reachable_without(succs, usize::MAX);
+        let blocks: Vec<usize> = (0..n).filter(|&b| live[b] || a_pick % 4 == 0).collect();
+        let ab = blocks[a_pick / 4 % blocks.len()];
+        let doms: Vec<usize> = (0..n).filter(|&d| !reachable_without(succs, d)[ab]).collect();
+        let lb = doms[l_pick % doms.len()];
+        let (l_key, a_key) =
+            if lb == ab { (*l_key.min(a_key), *l_key.max(a_key)) } else { (*l_key, *a_key) };
+        let mut items: Vec<Vec<(u8, Item)>> = (0..n).map(|_| Vec::new()).collect();
+        items[lb].push((l_key, Item::Load));
+        items[ab].push((a_key, Item::Access));
+        for &(b, key, r) in stores {
+            items[b % n].push((key, Item::Store(r)));
+        }
+        // The arena starts with the branch condition, `L`, `A`'s gep and
+        // `A`; stores and terminators follow. Blocks list them in order.
+        let (cond, load, gep, access) = (InstrId(0), InstrId(1), InstrId(2), InstrId(3));
+        let a_kind = match a_stores {
+            true => InstrKind::Store { val: Value::i64(2), ptr: Value::Instr(gep) },
+            false => InstrKind::Load { ptr: Value::Instr(gep), ty: Ty::I64 },
+        };
+        let mut f = Function::new("main", vec![Ty::I64, Ty::Ptr], Some(Ty::I64));
+        f.instrs = [
+            InstrKind::Icmp { pred: tinyir::ICmp::Slt, lhs: Value::Arg(0), rhs: Value::i64(1) },
+            InstrKind::Load { ptr: region(*l_region), ty: Ty::I64 },
+            InstrKind::Gep { base: region(*a_region), index: Value::Instr(load), elem_size: 8 },
+            a_kind,
+        ]
+        .map(Instr::new)
+        .into();
+        let mut writes =
+            vec![false, false, false, *a_stores && regions_alias(*a_region, *l_region)];
+        let bb = |b: usize| tinyir::BlockId(b as u32);
+        let mut push = |f: &mut Function, kind, write| {
+            f.instrs.push(Instr::new(kind));
+            writes.push(write);
+            InstrId(f.instrs.len() as u32 - 1)
+        };
+        for (b, block) in items.iter_mut().enumerate() {
+            // Stable: `L` keeps its place ahead of `A` on equal keys.
+            block.sort_by_key(|(key, _)| *key);
+            let mut listed = if b == 0 { vec![cond] } else { vec![] };
+            for (_, item) in block.iter() {
+                match *item {
+                    Item::Store(r) => listed.push(push(
+                        &mut f,
+                        InstrKind::Store { val: Value::i64(1), ptr: region(r) },
+                        regions_alias(r, *l_region),
+                    )),
+                    Item::Load => listed.push(load),
+                    Item::Access => listed.extend([gep, access]),
+                }
+            }
+            let term = match succs[b][..] {
+                [] => InstrKind::Ret { val: Some(Value::i64(0)) },
+                [t] => InstrKind::Br { target: bb(t) },
+                [t, e] => {
+                    InstrKind::CondBr { cond: Value::Instr(cond), then_bb: bb(t), else_bb: bb(e) }
+                }
+                _ => unreachable!(),
+            };
+            listed.push(push(&mut f, term, false));
+            if b > 0 {
+                f.add_block(format!("b{b}"));
+            }
+            f.blocks[b].instrs = listed;
+        }
+        let mut m = Module::new("m");
+        for g in ["g0", "g1", "g2"] {
+            m.add_global(Global {
+                name: g.into(),
+                elem_ty: Ty::I64,
+                count: 64,
+                init: GlobalInit::Zero,
+            });
+        }
+        m.add_func(f);
+        (m, load, access, writes)
+    }
+
+    /// The clobber rule by its definition: from the entry, search states
+    /// (instruction, "a write `L` may read ran since the last `L`"); `L`
+    /// is clobbered at `A` iff `A` is reached in the second state.
+    fn clobbered_by_definition(
+        f: &Function,
+        load: InstrId,
+        access: InstrId,
+        writes: &[bool],
+    ) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        let mut work = vec![(0usize, 0usize, false)];
+        while let Some((b, i, dirty)) = work.pop() {
+            if !seen.insert((b, i, dirty)) {
+                continue;
+            }
+            let id = f.blocks[b].instrs[i];
+            if id == access && dirty {
+                return true;
+            }
+            let dirty = id != load && (dirty || writes[id.0 as usize]);
+            let instr = f.instr(id);
+            if instr.is_terminator() {
+                work.extend(instr.successors().iter().map(|s| (s.0 as usize, 0, dirty)));
+            } else {
+                work.push((b, i + 1, dirty));
+            }
+        }
+        false
+    }
+
+    /// `MemScan::load_clobbered` is its definition on small verifying
+    /// functions with self-loops, back edges and unreachable blocks (some
+    /// branching into live code), whatever the access's reachability: an
+    /// unreachable access is never clobbered, since no run reaches it.
+    #[test]
+    fn load_clobbered_matches_its_definition() {
+        use proptest::test_runner::{ProptestConfig, TestCaseError, TestRunner};
+        use std::cell::Cell;
+        // Verdicts seen: [reachable and clean, reachable and clobbered,
+        // unreachable access].
+        let seen = [Cell::new(0), Cell::new(0), Cell::new(0)];
+        let mut runner =
+            TestRunner::new(ProptestConfig { cases: 2048, ..ProptestConfig::default() });
+        let outcome = runner.run(&clobber_specs(), |spec| {
+            let (m, load, access, writes) = clobber_case(&spec);
+            verify_module(&m).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let f = &m.funcs[0];
+            let cfg = Cfg::new(f);
+            let lv = Liveness::compute(f, &cfg);
+            let got = MemScan::new(f, &cfg, &lv).load_clobbered(f, load, access);
+            let want = clobbered_by_definition(f, load, access, &writes);
+            prop_assert_eq!(got, want, "{}", tinyir::display::print_module(&m));
+            let reachable = cfg.reachable[lv.place(access).0 .0 as usize];
+            let class = if reachable { usize::from(want) } else { 2 };
+            seen[class].set(seen[class].get() + 1);
+            Ok(())
+        });
+        if let Err(e) = outcome {
+            panic!("{}\n  input: {}", e.message, e.input);
+        }
+        let seen = seen.map(Cell::into_inner);
+        assert!(seen.iter().all(|&k| k >= 100), "verdict classes {seen:?}");
     }
 
     #[test]

@@ -105,6 +105,36 @@ fn chain_module(n: usize) -> String {
     text
 }
 
+/// The verifying twin of [`chain_module`]: `bb0` branches only to
+/// `bb{n-1}`, so every block runs, and `bb1` reads `out[%a0]`, adds one,
+/// writes it back and returns it.
+fn verifying_chain_module(n: usize) -> String {
+    let mut text = String::from(
+        "module \"chain\"\nfile 0 \"chain.c\"\nglobal @g0 \"out\" i64 x 1 zero\n\
+         func @main(i64 %a0) -> i64 {\nbb0:\n",
+    );
+    text += &format!("  br bb{}\nbb1:\n", n - 1);
+    text += "  %v0 = gep @g0, %a0, 8 !0:2:1\n  %v1 = load i64, %v0 !0:2:1\n";
+    text += "  %v2 = add i64 %v1, i64 1 !0:2:1\n  store %v2, %v0 !0:2:1\n  ret %v2\n";
+    for k in 2..n {
+        text += &format!("bb{k}:\n  br bb{}\n", k - 1);
+    }
+    text + "}\n"
+}
+
+/// The longest `module(n)` that fits the inline-module cap.
+fn at_the_cap(module: impl Fn(usize) -> String) -> String {
+    let cap = careserve::proto::MAX_MODULE_BYTES;
+    let (mut fits, mut over) = (4, cap);
+    while fits + 1 < over {
+        let mid = (fits + over) / 2;
+        *if module(mid).len() <= cap { &mut fits } else { &mut over } = mid;
+    }
+    let text = module(fits);
+    assert!(text.len() > cap - 64, "{} bytes", text.len());
+    text
+}
+
 /// One-line damages to `slow_inline_spec`'s module that still parse but do
 /// not verify: an undefined value, a branch to a missing block, a missing
 /// argument, a missing global, a use before its definition, a block with
@@ -137,17 +167,10 @@ fn unverifiable_inline_specs() -> Vec<JobSpec> {
             JobSpec { workload, ..intact.clone() }
         })
         .chain(std::iter::once({
-            let cap = careserve::proto::MAX_MODULE_BYTES;
-            let (mut fits, mut over) = (4, cap);
-            while fits + 1 < over {
-                let mid = (fits + over) / 2;
-                *if chain_module(mid).len() <= cap { &mut fits } else { &mut over } = mid;
-            }
             let WorkloadSel::Inline { args, outputs, .. } = &intact.workload else {
                 unreachable!()
             };
-            let text = chain_module(fits);
-            assert!(text.len() > cap - 64, "{} bytes", text.len());
+            let text = at_the_cap(chain_module);
             let workload =
                 WorkloadSel::Inline { text, args: args.clone(), outputs: outputs.clone() };
             JobSpec { workload, ..intact.clone() }
@@ -185,6 +208,27 @@ fn an_inline_module_that_does_not_verify_is_a_bad_spec_reject() {
     stream.write_all(format!("{}\n", ClientFrame::Stats.encode()).as_bytes()).unwrap();
     let ServerFrame::Stats(stats) = next_frame() else { panic!("stats went unanswered") };
     assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (0, 8));
+    handle.shutdown();
+}
+
+/// A module at the inline cap that admission accepts compiles and is
+/// served like a local run: the verifying block chain (≈ 12 900 blocks),
+/// at O0.
+#[test]
+fn a_verifying_chain_at_the_inline_cap_compiles_and_serves() {
+    let spec = JobSpec {
+        workload: WorkloadSel::Inline {
+            text: at_the_cap(verifying_chain_module),
+            args: vec![0],
+            outputs: vec![("out".to_string(), 8)],
+        },
+        injections: 8,
+        threads: 1,
+        opt: OptLevel::O0,
+        ..JobSpec::default()
+    };
+    let mut handle = CampaignServer::start(ServerConfig::default()).expect("bind");
+    assert_eq!(submit(handle.addr(), &spec).expect("submit").report, local_run(&spec));
     handle.shutdown();
 }
 
